@@ -43,6 +43,9 @@ func FitBoost(d *features.Dataset, classes int, cfg BoostConfig) (*Boost, error)
 	if cfg.WeakDepth <= 0 {
 		cfg.WeakDepth = 2
 	}
+	if err := checkDataset(d, classes); err != nil {
+		return nil, err
+	}
 	n := d.Len()
 	w := make([]float64, n)
 	for i := range w {
@@ -50,7 +53,10 @@ func FitBoost(d *features.Dataset, classes int, cfg BoostConfig) (*Boost, error)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := &Boost{classes: classes}
-	sample := &features.Dataset{Schema: d.Schema}
+	// One presort for the run; each round's resample is a multiplicity per
+	// row over it (see builder).
+	bld := newBuilder(newPresort(d), classes)
+	mult := make([]int32, n)
 	cum := make([]float64, n+1)
 
 	for round := 0; round < cfg.Rounds; round++ {
@@ -60,8 +66,7 @@ func FitBoost(d *features.Dataset, classes int, cfg BoostConfig) (*Boost, error)
 			cum[i+1] = cum[i] + wi
 		}
 		total := cum[n]
-		sample.X = sample.X[:0]
-		sample.Y = sample.Y[:0]
+		clear(mult)
 		for i := 0; i < n; i++ {
 			u := rng.Float64() * total
 			lo, hi := 0, n
@@ -73,13 +78,9 @@ func FitBoost(d *features.Dataset, classes int, cfg BoostConfig) (*Boost, error)
 					hi = mid
 				}
 			}
-			sample.X = append(sample.X, d.X[lo])
-			sample.Y = append(sample.Y, d.Y[lo])
+			mult[lo]++
 		}
-		tree, err := FitTree(sample, classes, TreeConfig{MaxDepth: cfg.WeakDepth, Seed: rng.Int63()})
-		if err != nil {
-			return nil, err
-		}
+		tree := bld.fit(mult, TreeConfig{MaxDepth: cfg.WeakDepth, Seed: rng.Int63()})
 		// Weighted error on the ORIGINAL distribution.
 		var errw float64
 		for i := range d.X {
@@ -119,13 +120,7 @@ func FitBoost(d *features.Dataset, classes int, cfg BoostConfig) (*Boost, error)
 
 // Predict implements Classifier.
 func (b *Boost) Predict(x []float64) int {
-	p := b.Proba(x)
-	best, bestV := 0, math.Inf(-1)
-	for c, v := range p {
-		if v > bestV {
-			best, bestV = c, v
-		}
-	}
+	best, _ := argmax(b.Proba(x))
 	return best
 }
 

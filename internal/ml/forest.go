@@ -36,10 +36,15 @@ type Forest struct {
 
 // FitForest trains the ensemble: bootstrap sample per tree, sqrt(d)
 // feature subsampling at each split. The random sampling stream (bootstrap
-// indices and per-tree seeds) is drawn serially from cfg.Seed before any
+// draws and per-tree seeds) is drawn serially from cfg.Seed before any
 // fan-out, then trees train concurrently across cfg.Workers goroutines —
 // so the ensemble is byte-for-byte identical at any worker count, and
 // identical to what the serial implementation has always produced.
+//
+// The dataset is laid out in columns and sorted once for the whole forest;
+// a tree's bootstrap is the number of times it drew each row, applied to
+// that shared order, so no tree sorts anything and a worker reuses one
+// builder's scratch for all its trees.
 func FitForest(d *features.Dataset, classes int, cfg ForestConfig) (*Forest, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("ml: empty dataset")
@@ -50,37 +55,31 @@ func FitForest(d *features.Dataset, classes int, cfg ForestConfig) (*Forest, err
 	if classes <= 0 {
 		classes = maxLabel(d.Y) + 1
 	}
+	if err := checkDataset(d, classes); err != nil {
+		return nil, err
+	}
 	maxFeat := int(math.Sqrt(float64(d.Dims())))
 	if maxFeat < 1 {
 		maxFeat = 1
 	}
 	defer obs.Default.StartSpan("train")()
+	n := d.Len()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	boots := make([][]int, cfg.Trees)
+	mults := make([]int32, cfg.Trees*n) // tree t drew row i mults[t*n+i] times
 	seeds := make([]int64, cfg.Trees)
 	for t := 0; t < cfg.Trees; t++ {
-		ix := make([]int, d.Len())
-		for i := range ix {
-			ix[i] = rng.Intn(d.Len())
+		mult := mults[t*n : (t+1)*n]
+		for i := 0; i < n; i++ {
+			mult[rng.Intn(n)]++
 		}
-		boots[t] = ix
 		seeds[t] = rng.Int63()
 	}
+	ps := newPresort(d)
 	f := &Forest{classes: classes, trees: make([]*Tree, cfg.Trees)}
-	errs := make([]error, cfg.Trees)
 	parallel.ForChunks(cfg.Trees, cfg.Workers, func(lo, hi int) {
-		// One reusable bootstrap buffer per worker; rows alias d.X.
-		boot := &features.Dataset{
-			Schema: d.Schema,
-			X:      make([][]float64, d.Len()),
-			Y:      make([]int, d.Len()),
-		}
+		b := newBuilder(ps, classes)
 		for t := lo; t < hi; t++ {
-			for i, j := range boots[t] {
-				boot.X[i] = d.X[j]
-				boot.Y[i] = d.Y[j]
-			}
-			f.trees[t], errs[t] = FitTree(boot, classes, TreeConfig{
+			f.trees[t] = b.fit(mults[t*n:(t+1)*n], TreeConfig{
 				MaxDepth:        cfg.MaxDepth,
 				MinSamplesSplit: cfg.MinSamplesSplit,
 				MaxFeatures:     maxFeat,
@@ -88,23 +87,24 @@ func FitForest(d *features.Dataset, classes int, cfg ForestConfig) (*Forest, err
 			})
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	return f, nil
 }
 
+// maxStackClasses is the widest distribution Predict votes into without
+// touching the heap.
+const maxStackClasses = 16
+
 // Predict implements Classifier (argmax of averaged probabilities).
 func (f *Forest) Predict(x []float64) int {
-	p := f.Proba(x)
-	best, bestV := 0, math.Inf(-1)
-	for c, v := range p {
-		if v > bestV {
-			best, bestV = c, v
-		}
+	var stack [maxStackClasses]float64
+	p := stack[:]
+	if f.classes <= len(stack) {
+		p = p[:f.classes]
+	} else {
+		p = make([]float64, f.classes)
 	}
+	f.vote(p, x)
+	best, _ := argmax(p)
 	return best
 }
 
@@ -122,16 +122,26 @@ func (f *Forest) PredictBatch(X [][]float64, workers int) []int {
 // Proba implements Classifier: the mean of member-tree probabilities.
 func (f *Forest) Proba(x []float64) []float64 {
 	out := make([]float64, f.classes)
+	f.vote(out, x)
+	return out
+}
+
+// vote accumulates every member's leaf distribution into the zeroed out,
+// member by member in ensemble order, then averages.
+func (f *Forest) vote(out, x []float64) {
 	for _, t := range f.trees {
-		for c, v := range t.Proba(x) {
-			out[c] += v
+		n := t.leaf(x)
+		if n.total == 0 {
+			continue
+		}
+		for c, v := range n.counts {
+			out[c] += v / n.total
 		}
 	}
 	n := float64(len(f.trees))
 	for c := range out {
 		out[c] /= n
 	}
-	return out
 }
 
 // NumClasses implements Classifier.

@@ -8,8 +8,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 
 	"campuslab/internal/features"
 )
@@ -54,7 +52,9 @@ type Tree struct {
 	cfg     TreeConfig
 }
 
-// FitTree induces a CART tree on d using Gini impurity.
+// FitTree induces a CART tree on d using Gini impurity. A dataset with a
+// label outside [0, classes), a NaN value or a ragged row is refused with
+// an error wrapping ErrBadDataset.
 func FitTree(d *features.Dataset, classes int, cfg TreeConfig) (*Tree, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("ml: empty dataset")
@@ -62,17 +62,14 @@ func FitTree(d *features.Dataset, classes int, cfg TreeConfig) (*Tree, error) {
 	if classes <= 0 {
 		classes = maxLabel(d.Y) + 1
 	}
-	if cfg.MinSamplesSplit < 2 {
-		cfg.MinSamplesSplit = 2
+	if err := checkDataset(d, classes); err != nil {
+		return nil, err
 	}
-	t := &Tree{classes: classes, dims: d.Dims(), cfg: cfg}
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
+	once := make([]int32, d.Len())
+	for i := range once {
+		once[i] = 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	t.build(d, idx, 0, rng)
-	return t, nil
+	return newBuilder(newPresort(d), classes).fit(once, cfg), nil
 }
 
 func maxLabel(ys []int) int {
@@ -83,43 +80,6 @@ func maxLabel(ys []int) int {
 		}
 	}
 	return m
-}
-
-// build grows the subtree over idx, returning its node index.
-func (t *Tree) build(d *features.Dataset, idx []int, depth int, rng *rand.Rand) int {
-	counts := make([]float64, t.classes)
-	for _, i := range idx {
-		counts[d.Y[i]]++
-	}
-	nodeIdx := len(t.nodes)
-	t.nodes = append(t.nodes, treeNode{feature: -1, counts: counts, total: float64(len(idx))})
-
-	if len(idx) < t.cfg.MinSamplesSplit || gini(counts, float64(len(idx))) == 0 ||
-		(t.cfg.MaxDepth > 0 && depth >= t.cfg.MaxDepth) {
-		return nodeIdx
-	}
-	feat, thr, ok := t.bestSplit(d, idx, counts, rng)
-	if !ok {
-		return nodeIdx
-	}
-	var left, right []int
-	for _, i := range idx {
-		if d.X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
-		return nodeIdx
-	}
-	l := t.build(d, left, depth+1, rng)
-	r := t.build(d, right, depth+1, rng)
-	t.nodes[nodeIdx].feature = feat
-	t.nodes[nodeIdx].threshold = thr
-	t.nodes[nodeIdx].left = l
-	t.nodes[nodeIdx].right = r
-	return nodeIdx
 }
 
 // gini computes Gini impurity from a class histogram.
@@ -135,51 +95,16 @@ func gini(counts []float64, total float64) float64 {
 	return g
 }
 
-// bestSplit scans candidate features for the split minimizing weighted
-// child impurity via the classic sort-and-sweep.
-func (t *Tree) bestSplit(d *features.Dataset, idx []int, parentCounts []float64, rng *rand.Rand) (feat int, thr float64, ok bool) {
-	feats := make([]int, t.dims)
-	for i := range feats {
-		feats[i] = i
-	}
-	if t.cfg.MaxFeatures > 0 && t.cfg.MaxFeatures < t.dims {
-		rng.Shuffle(len(feats), func(i, j int) { feats[i], feats[j] = feats[j], feats[i] })
-		feats = feats[:t.cfg.MaxFeatures]
-		sort.Ints(feats)
-	}
-	n := float64(len(idx))
-	best := gini(parentCounts, n)
-	bestFeat, bestThr := -1, 0.0
-	order := make([]int, len(idx))
-	leftCounts := make([]float64, t.classes)
-	rightCounts := make([]float64, t.classes)
-
-	for _, f := range feats {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return d.X[order[a]][f] < d.X[order[b]][f] })
-		clear(leftCounts)
-		copy(rightCounts, parentCounts)
-		for k := 0; k < len(order)-1; k++ {
-			y := d.Y[order[k]]
-			leftCounts[y]++
-			rightCounts[y]--
-			xv, xn := d.X[order[k]][f], d.X[order[k+1]][f]
-			if xv == xn {
-				continue
-			}
-			nl, nr := float64(k+1), n-float64(k+1)
-			score := (nl*gini(leftCounts, nl) + nr*gini(rightCounts, nr)) / n
-			if score < best-1e-12 {
-				best = score
-				bestFeat = f
-				bestThr = (xv + xn) / 2
-			}
+// argmax returns the first index holding the largest value of p, and that
+// value.
+func argmax(p []float64) (int, float64) {
+	best, bestV := 0, math.Inf(-1)
+	for c, v := range p {
+		if v > bestV {
+			best, bestV = c, v
 		}
 	}
-	if bestFeat < 0 {
-		return 0, 0, false
-	}
-	return bestFeat, bestThr, true
+	return best, bestV
 }
 
 // leaf walks x down to its leaf node.
@@ -197,13 +122,7 @@ func (t *Tree) leaf(x []float64) *treeNode {
 
 // Predict implements Classifier.
 func (t *Tree) Predict(x []float64) int {
-	n := t.leaf(x)
-	best, bestC := 0, math.Inf(-1)
-	for c, v := range n.counts {
-		if v > bestC {
-			best, bestC = c, v
-		}
-	}
+	best, _ := argmax(t.leaf(x).counts)
 	return best
 }
 
@@ -274,24 +193,10 @@ type Cond struct {
 func (t *Tree) Rules() []Rule {
 	var out []Rule
 	var walk func(i int, conds []Cond)
-	total := t.nodes[0].total
 	walk = func(i int, conds []Cond) {
 		n := &t.nodes[i]
 		if n.feature < 0 {
-			best, bestC := 0, math.Inf(-1)
-			for c, v := range n.counts {
-				if v > bestC {
-					best, bestC = c, v
-				}
-			}
-			conf := 0.0
-			if n.total > 0 {
-				conf = bestC / n.total
-			}
-			out = append(out, Rule{
-				Conds: append([]Cond(nil), conds...),
-				Class: best, Conf: conf, Support: n.total / total,
-			})
+			out = append(out, t.leafRule(n, append([]Cond(nil), conds...)))
 			return
 		}
 		walk(n.left, append(conds, Cond{Feature: n.feature, LE: true, Thr: n.threshold}))
@@ -299,6 +204,33 @@ func (t *Tree) Rules() []Rule {
 	}
 	walk(0, nil)
 	return out
+}
+
+// RuleFor returns the one rule of Rules whose path x takes, walking only
+// that path.
+func (t *Tree) RuleFor(x []float64) Rule {
+	var conds []Cond
+	n := &t.nodes[0]
+	for n.feature >= 0 {
+		le := x[n.feature] <= n.threshold
+		conds = append(conds, Cond{Feature: n.feature, LE: le, Thr: n.threshold})
+		if le {
+			n = &t.nodes[n.left]
+		} else {
+			n = &t.nodes[n.right]
+		}
+	}
+	return t.leafRule(n, conds)
+}
+
+// leafRule is the rule ending at leaf n after conds.
+func (t *Tree) leafRule(n *treeNode, conds []Cond) Rule {
+	best, bestC := argmax(n.counts)
+	conf := 0.0
+	if n.total > 0 {
+		conf = bestC / n.total
+	}
+	return Rule{Conds: conds, Class: best, Conf: conf, Support: n.total / t.nodes[0].total}
 }
 
 // ExportedNode is one node of a fitted tree in compiler-consumable form:

@@ -184,33 +184,37 @@ func BuildCampus(cfg Config) *Topology {
 func (t *Topology) buildRouting() {
 	n := len(t.Nodes)
 	t.adj = make([][]LinkID, n)
+	in := make([][]LinkID, n) // incoming links per node, in Links order
 	for _, l := range t.Links {
 		t.adj[l.From] = append(t.adj[l.From], l.ID)
+		in[l.To] = append(in[l.To], l.ID)
+	}
+	table := make([]LinkID, n*n)
+	for i := range table {
+		table[i] = -1
 	}
 	t.nextHop = make([][]LinkID, n)
-	for src := 0; src < n; src++ {
-		t.nextHop[src] = make([]LinkID, n)
-		for i := range t.nextHop[src] {
-			t.nextHop[src][i] = -1
-		}
+	for src := range t.nextHop {
+		t.nextHop[src] = table[src*n : (src+1)*n : (src+1)*n]
 	}
 	// BFS from each destination over reversed edges, recording the link
 	// each predecessor should take.
+	visited := make([]bool, n)
+	queue := make([]NodeID, 0, n)
 	for dst := 0; dst < n; dst++ {
-		visited := make([]bool, n)
-		queue := []int{dst}
+		clear(visited)
+		queue = append(queue[:0], NodeID(dst))
 		visited[dst] = true
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
 			// All links INTO cur: their From nodes route via that link.
-			for _, l := range t.Links {
-				if int(l.To) != cur || visited[l.From] {
+			for _, id := range in[queue[head]] {
+				from := t.Links[id].From
+				if visited[from] {
 					continue
 				}
-				visited[l.From] = true
-				t.nextHop[l.From][dst] = l.ID
-				queue = append(queue, int(l.From))
+				visited[from] = true
+				t.nextHop[from][dst] = id
+				queue = append(queue, from)
 			}
 		}
 	}

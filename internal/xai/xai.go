@@ -60,20 +60,32 @@ func Extract(blackbox ml.Classifier, ref *features.Dataset, cfg ExtractConfig) (
 	if cfg.Jitter <= 0 {
 		cfg.Jitter = 0.25
 	}
+	dims := ref.Dims()
+	for i, row := range ref.X {
+		if len(row) != dims {
+			return nil, fmt.Errorf("xai: reference row %d has %d values, schema has %d: %w", i, len(row), dims, ml.ErrBadDataset)
+		}
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Per-dimension std for jitter scaling.
 	std := features.FitStandardizer(ref)
 
-	synth := &features.Dataset{Schema: ref.Schema}
-	for i := 0; i < cfg.Samples; i++ {
+	// Synthetic rows are cut from one slab.
+	slab := make([]float64, cfg.Samples*dims)
+	synth := &features.Dataset{
+		Schema: ref.Schema,
+		X:      make([][]float64, cfg.Samples),
+		Y:      make([]int, cfg.Samples),
+	}
+	for i := range synth.X {
 		base := ref.X[rng.Intn(ref.Len())]
-		x := make([]float64, len(base))
+		x := slab[i*dims : (i+1)*dims : (i+1)*dims]
 		for j, v := range base {
 			x[j] = v + rng.NormFloat64()*cfg.Jitter*std.Scale[j]
 		}
-		synth.X = append(synth.X, x)
-		synth.Y = append(synth.Y, blackbox.Predict(x))
+		synth.X[i] = x
+		synth.Y[i] = blackbox.Predict(x)
 	}
 	tree, err := ml.FitTree(synth, blackbox.NumClasses(), ml.TreeConfig{
 		MaxDepth: cfg.MaxDepth, Seed: cfg.Seed,
@@ -107,28 +119,15 @@ func (e Evidence) String() string {
 // Explain walks x down the extracted tree, returning the decision path as
 // named conditions.
 func Explain(t *ml.Tree, schema []string, x []float64) Evidence {
-	var ev Evidence
-	for _, r := range t.Rules() {
-		ok := true
-		for _, c := range r.Conds {
-			if c.LE && !(x[c.Feature] <= c.Thr) || !c.LE && !(x[c.Feature] > c.Thr) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			ev.Class = r.Class
-			ev.Confidence = r.Conf
-			for _, c := range r.Conds {
-				ev.Conditions = append(ev.Conditions, condString(schema, c))
-			}
-			if len(ev.Conditions) == 0 {
-				ev.Conditions = []string{"(always)"}
-			}
-			return ev
-		}
+	r := t.RuleFor(x)
+	ev := Evidence{Class: r.Class, Confidence: r.Conf}
+	for _, c := range r.Conds {
+		ev.Conditions = append(ev.Conditions, condString(schema, c))
 	}
-	return ev // unreachable for a well-formed tree
+	if len(ev.Conditions) == 0 {
+		ev.Conditions = []string{"(always)"}
+	}
+	return ev
 }
 
 func condString(schema []string, c ml.Cond) string {

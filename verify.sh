@@ -9,6 +9,44 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# gate_tests FLAGS PKG NAME... runs exactly the named tests of PKG and fails
+# unless each one ran and passed: a renamed or deleted test must break the
+# gate, not leave "no tests to run" and a clean exit.
+gate_tests() {
+    flags=$1 pkg=$2
+    shift 2
+    out=$(go test $flags -run "^($(echo "$*" | tr ' ' '|'))\$" -v "$pkg" 2>&1) || {
+        echo "$out"
+        exit 1
+    }
+    for name in "$@"; do
+        echo "$out" | grep -q "^--- PASS: $name " || {
+            echo "verify: FAIL — $pkg: test $name did not run" >&2
+            exit 1
+        }
+    done
+    echo "$out" | tail -n 1
+}
+
+# gate_bench BENCHTIME PKG NAME... runs the named benchmarks of PKG with
+# -benchmem, prints their result lines and fails unless each name produced
+# at least one.
+gate_bench() {
+    benchtime=$1 pkg=$2
+    shift 2
+    out=$(go test -run=NONE -bench "^($(echo "$*" | tr ' ' '|'))\$" -benchtime "$benchtime" -benchmem "$pkg" 2>&1) || {
+        echo "$out"
+        exit 1
+    }
+    echo "$out" | grep '^Benchmark' || true
+    for name in "$@"; do
+        echo "$out" | grep -q "^$name[-/]" || {
+            echo "verify: FAIL — $pkg: benchmark $name did not run" >&2
+            exit 1
+        }
+    done
+}
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -43,6 +81,13 @@ awk -v c="$FLEET_COVER" 'BEGIN { exit (c+0 >= 85.0) ? 0 : 1 }' || {
     exit 1
 }
 
+echo "==> ml equivalence gate (presorted CART, forest vote, Explain, routing == their reference implementations, under -race)"
+gate_tests -race ./internal/ml TestFitTreeMatchesReference TestFitForestMatchesReference \
+    TestFitBoostMatchesReference TestForestVoteMatchesReference TestRadixSortOrders \
+    TestFitRejectsBadDataset TestRuleForMatchesRules
+gate_tests -race ./internal/xai TestExplainMatchesEnumeration TestExtractMatchesPerRowSampling TestExtractRejectsRaggedReference
+gate_tests -race ./internal/netsim TestRoutingMatchesQuadraticReference
+
 echo "==> go test -race (dataplane fast path: concurrent install vs batch)"
 go test -race -run 'TestConcurrentInstallDuringBatch|TestConcurrentEnsembleInstallDuringBatch|TestSwitchPipelineEquivalence|TestProcessBatch|TestClassifyBatch' ./internal/dataplane
 
@@ -52,6 +97,16 @@ go test -run 'TestEnsembleBudgetDegradation|TestEnsembleHotPathAllocs' ./interna
 echo "==> bench smoke (compiled fast path, must stay 0 allocs/op)"
 go test -run=NONE -bench=SwitchProcess -benchtime=100x ./internal/dataplane
 go test -run=NONE -bench=BenchmarkEnsembleInference -benchtime=20x ./internal/dataplane
+
+echo "==> bench smoke (learning: tree induction, forest vote must stay 0 allocs/op, extraction, forest fit)"
+LEARN=$(gate_bench 20x ./internal/ml BenchmarkFitTree BenchmarkForestPredict)
+echo "$LEARN"
+echo "$LEARN" | grep '^BenchmarkForestPredict' | grep -q ' 0 allocs/op' || {
+    echo "verify: FAIL — Forest.Predict allocates" >&2
+    exit 1
+}
+gate_bench 5x ./internal/xai BenchmarkExtract
+gate_bench 2x . BenchmarkFitForest
 
 echo "==> bench smoke (store query engine: index vs scan)"
 go test -run=NONE -bench='BenchmarkSelect$|BenchmarkCount$' -benchtime=5x ./internal/datastore
