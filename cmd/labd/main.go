@@ -476,11 +476,28 @@ func (s *server) cmdStats(w *bufio.Writer, _ string) {
 		fmt.Fprintf(w, " cold_packets=%d cold_bytes=%d segments=%d",
 			st.ColdPackets, st.ColdBytes, st.Segments)
 	}
-	if ts := s.lab.Store().TierStats(); ts.CacheHits > 0 || ts.CacheMisses > 0 || ts.CacheEntries > 0 {
+	ts := s.lab.Store().TierStats()
+	if ts.CacheHits > 0 || ts.CacheMisses > 0 || ts.CacheEntries > 0 {
 		fmt.Fprintf(w, " cache_hits=%d cache_misses=%d cache_bytes=%d cache_entries=%d",
 			ts.CacheHits, ts.CacheMisses, ts.CacheBytes, ts.CacheEntries)
 	}
+	if ts.Enabled {
+		// Where the write path's time went: this store's seal and compaction
+		// counts, and the total seconds from the process-wide latency
+		// histograms (labd runs one store).
+		fmt.Fprintf(w, " seals=%d seal_seconds=%.3f compactions=%d compact_seconds=%.3f",
+			ts.Seals, histSum("campuslab_tier_seal_seconds"),
+			ts.Compactions, histSum("campuslab_tier_compact_seconds"))
+	}
 	fmt.Fprintln(w)
+}
+
+// histSum returns the sum of a histogram family's observations.
+func histSum(name string) (sum float64) {
+	for _, sr := range obs.Default.SeriesByName(name) {
+		sum += sr.Sum
+	}
+	return sum
 }
 
 func (s *server) cmdQuery(w *bufio.Writer, rest string) {

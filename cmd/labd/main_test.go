@@ -576,6 +576,12 @@ func TestLabdTieredLifecycle(t *testing.T) {
 	if !strings.Contains(sb.String(), "cold_packets=") || !strings.Contains(sb.String(), "segments=") {
 		t.Fatalf("STATS hides the cold tier: %q", sb.String())
 	}
+	// The boot collect sealed, so the seal latency histogram has samples
+	// and STATS reports them (seals=0 would mean the seal is unobserved).
+	if !strings.Contains(sb.String(), " seal_seconds=") || strings.Contains(sb.String(), " seals=0 ") ||
+		!strings.Contains(sb.String(), " compact_seconds=") {
+		t.Fatalf("STATS hides seal/compaction latency: %q", sb.String())
+	}
 	total := srv.lab.Store().Stats().Packets + srv.lab.Store().Stats().ColdPackets
 	if err := srv.drainDurable(); err != nil {
 		t.Fatal(err)

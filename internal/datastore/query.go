@@ -76,6 +76,21 @@ func (m *mergeCursor) next() *StoredPacket {
 	return bestPkt
 }
 
+// mergeRuns k-way merges (TS, ID)-sorted runs into one freshly allocated,
+// exactly sized run: the one copy a row gets on its way into a segment.
+func mergeRuns(runs [][]StoredPacket) []StoredPacket {
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	merged := make([]StoredPacket, 0, total)
+	cur := newMergeCursor(runs)
+	for sp := cur.next(); sp != nil; sp = cur.next() {
+		merged = append(merged, *sp)
+	}
+	return merged
+}
+
 // sliceWindow returns the slab position interval [lo, hi) holding TS in
 // [from, to). A negative `to` means unbounded.
 func sliceWindow(slab []StoredPacket, from, to time.Duration) (lo, hi int) {

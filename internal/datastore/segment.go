@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"campuslab/internal/packet"
+	"campuslab/internal/parallel"
 	"campuslab/internal/traffic"
 )
 
@@ -468,6 +469,60 @@ func appendColumn(dst []byte, colID byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// segDeflateLevel is the v2 writer's DEFLATE level, picked by measurement
+// (DESIGN.md §14 "Sealing"): against flate.DefaultCompression (6) it
+// leaves cold bytes per packet within 0.1% on both tiered benchmark
+// workloads at half the match-search cost; BestSpeed costs +2.6% bytes.
+const segDeflateLevel = 4
+
+// deflatePool recycles block encoders the way inflatePool recycles
+// decoders: a flate.Writer carries ~1 MiB of match tables, and a seal
+// needs one per worker per segment. Writers are Reset before every block.
+var deflatePool = sync.Pool{
+	New: func() any {
+		fw, err := flate.NewWriter(io.Discard, segDeflateLevel)
+		if err != nil {
+			panic(err) // the level is a valid constant
+		}
+		return fw
+	},
+}
+
+// deflateBlocks compresses the rows' packet bytes as independent
+// segBlockRows-row DEFLATE streams, returning each block's compressed
+// length and the streams as a few buffers whose concatenation is block
+// order. Contiguous block ranges fan out across GOMAXPROCS workers; every
+// block starts from a Reset writer and lands at a position fixed by its
+// index, so the bytes are the same at any worker count.
+func deflateBlocks(rows []StoredPacket) (streams [][]byte, compLens []int, err error) {
+	nblocks := (len(rows) + segBlockRows - 1) / segBlockRows
+	compLens = make([]int, nblocks)
+	nparts := min(parallel.Workers(0), nblocks)
+	per := (nblocks + nparts - 1) / nparts
+	streams = make([][]byte, nparts)
+	errs := make([]error, nparts)
+	parallel.For(nparts, 0, func(p int) {
+		var buf bytes.Buffer
+		fw := deflatePool.Get().(*flate.Writer)
+		defer deflatePool.Put(fw)
+		for b := p * per; b < min((p+1)*per, nblocks); b++ {
+			start := buf.Len()
+			fw.Reset(&buf)
+			for i := b * segBlockRows; i < min((b+1)*segBlockRows, len(rows)); i++ {
+				if _, errs[p] = fw.Write(rows[i].Data); errs[p] != nil {
+					return
+				}
+			}
+			if errs[p] = fw.Close(); errs[p] != nil {
+				return
+			}
+			compLens[b] = buf.Len() - start
+		}
+		streams[p] = buf.Bytes()
+	})
+	return streams, compLens, errors.Join(errs...)
+}
+
 // encodeSegment serializes one (TS, ID)-sorted, strictly increasing row
 // run into a CLSG v2 blob (blocked data column + dictionary column),
 // returning the blob and the resident metadata. The encoding is
@@ -535,40 +590,28 @@ func encodeSegmentVer(rows []StoredPacket, version uint16) ([]byte, segMeta, err
 	}
 	var data []byte
 	if version >= segVersion2 {
-		nblocks := (n + segBlockRows - 1) / segBlockRows
-		data = binary.AppendUvarint(nil, segBlockRows)
-		data = binary.AppendUvarint(data, uint64(nblocks))
+		streams, compLens, err := deflateBlocks(rows)
+		if err != nil {
+			return nil, meta, err
+		}
+		// Sized once: three header uvarints, a length per row and per
+		// block (at most 5 bytes each), then the streams.
+		size := 3*binary.MaxVarintLen64 + 5*(n+len(compLens))
+		for _, st := range streams {
+			size += len(st)
+		}
+		data = binary.AppendUvarint(make([]byte, 0, size), segBlockRows)
+		data = binary.AppendUvarint(data, uint64(len(compLens)))
 		data = binary.AppendUvarint(data, totalRaw)
 		for i := range rows {
 			data = binary.AppendUvarint(data, uint64(len(rows[i].Data)))
 		}
-		var streams bytes.Buffer
-		compLens := make([]int, nblocks)
-		fw, err := flate.NewWriter(&streams, flate.DefaultCompression)
-		if err != nil {
-			return nil, meta, err
-		}
-		for b := 0; b < nblocks; b++ {
-			start := streams.Len()
-			fw.Reset(&streams)
-			hi := (b + 1) * segBlockRows
-			if hi > n {
-				hi = n
-			}
-			for i := b * segBlockRows; i < hi; i++ {
-				if _, err := fw.Write(rows[i].Data); err != nil {
-					return nil, meta, err
-				}
-			}
-			if err := fw.Close(); err != nil {
-				return nil, meta, err
-			}
-			compLens[b] = streams.Len() - start
-		}
 		for _, cl := range compLens {
 			data = binary.AppendUvarint(data, uint64(cl))
 		}
-		data = append(data, streams.Bytes()...)
+		for _, st := range streams {
+			data = append(data, st...)
+		}
 	} else {
 		data = binary.AppendUvarint(nil, totalRaw)
 		for i := range rows {

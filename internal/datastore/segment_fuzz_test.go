@@ -44,7 +44,9 @@ func FuzzSegmentDecode(f *testing.F) {
 	// Both format versions seed the corpus: v2 (block-compressed +
 	// dictionary columns) exercises the block/dict validators, v1 the
 	// legacy single-stream path. Crossing over a few hundred rows makes
-	// the v2 seed span multiple blocks.
+	// the v2 seed span multiple blocks. testdata/ also pins a four-block
+	// v2 blob as the level-4 writer emitted it, which stays in the corpus
+	// whatever level later writers use.
 	for _, version := range []uint16{segVersion2, segVersion1} {
 		valid := fuzzSeedSegment(300, version)
 		f.Add(valid)

@@ -1,8 +1,10 @@
 package datastore
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -213,6 +215,37 @@ func TestSegmentSelectiveDecodeSkipsData(t *testing.T) {
 	for i, r := range got {
 		if !f.Match(&r) {
 			t.Fatalf("materialized candidate %d does not match", i)
+		}
+	}
+}
+
+// TestEncodeSegmentWorkersCanonical: the v2 encoder fans its data blocks
+// out across GOMAXPROCS workers, and the blob must not depend on how many
+// there are — segment bytes are a pure function of the rows.
+func TestEncodeSegmentWorkersCanonical(t *testing.T) {
+	rows := segTestRows(t, 1500) // 47 blocks: uneven ranges at 2 and 8 workers
+	if len(rows) <= 8*segBlockRows {
+		t.Fatalf("only %d rows: every worker needs more than one block", len(rows))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		blob, _, err := encodeSegment(rows)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if want == nil {
+			want = blob
+		} else if !bytes.Equal(want, blob) {
+			t.Fatalf("GOMAXPROCS=%d: blob differs from the single-worker encoding (%d vs %d bytes)", procs, len(blob), len(want))
+		}
+		got, err := decodeSegmentRows(blob)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if !reflect.DeepEqual(rows, got) {
+			t.Fatalf("GOMAXPROCS=%d: decode differs from the input rows", procs)
 		}
 	}
 }

@@ -51,19 +51,26 @@ type TierPolicy struct {
 	// Dir is the segment directory (required; empty disables tiering).
 	Dir string
 	// HotPackets caps the hot tier's packet count; crossing it triggers a
-	// seal that trims the hot tier down to KeepFrac of the cap.
+	// seal that trims the hot tier down towards KeepFrac of the cap.
 	// 0 = no packet trigger.
 	HotPackets uint64
 	// HotBytes caps the hot tier's raw packet bytes (0 = no byte trigger).
 	HotBytes uint64
-	// KeepFrac is the fraction of the cap the hot tier is trimmed to when
-	// a seal triggers (default 0.5) — sealing in halves amortizes the
-	// per-seal cost instead of sealing a sliver per batch.
+	// KeepFrac is the fraction of the cap a triggered seal trims the hot
+	// tier towards (default 0.5) — sealing in halves amortizes the
+	// per-seal cost instead of sealing a sliver per batch. It is a floor:
+	// the seal takes whole segments, so the hot tier lands in
+	// [keep, keep+SegmentPackets), and at keep exactly only when less than
+	// one segment's worth was eligible.
 	KeepFrac float64
 	// MinSealPackets is the smallest prefix worth sealing (default 256);
 	// below it the trigger is ignored to avoid confetti segments.
 	MinSealPackets uint64
 	// SegmentPackets is the target rows per segment file (default 32768).
+	// A triggered seal writes files of exactly this many rows whenever at
+	// least one is eligible, so steady-state ingest leaves the compactor
+	// nothing to merge; explicit seals and the sub-target fallback write
+	// balanced undersized files.
 	SegmentPackets int
 	// Retain bounds cold history: segments whose newest packet is older
 	// than lastTS-Retain are deleted by the compactor (0 = keep forever).
@@ -116,17 +123,23 @@ type TierStats struct {
 
 // Tier-lifecycle metrics for /metrics.
 var (
-	obsTierSeals        = obs.Default.Counter("campuslab_tier_seals_total")
-	obsTierSealedPkts   = obs.Default.Counter("campuslab_tier_sealed_packets_total")
-	obsTierCompactions  = obs.Default.Counter("campuslab_tier_compactions_total")
-	obsTierRetained     = obs.Default.Counter("campuslab_tier_retained_segments_total")
-	obsTierScanned      = obs.Default.Counter("campuslab_tier_segments_scanned_total")
-	obsTierPruned       = obs.Default.Counter("campuslab_tier_segments_pruned_total")
-	obsTierCorrupt      = obs.Default.Counter("campuslab_tier_corrupt_segments_total")
-	obsTierSegments     = obs.Default.Gauge("campuslab_tier_segments")
-	obsTierColdPackets  = obs.Default.Gauge("campuslab_tier_cold_packets")
-	obsTierColdBytes    = obs.Default.Gauge("campuslab_tier_cold_bytes")
+	obsTierSeals       = obs.Default.Counter("campuslab_tier_seals_total")
+	obsTierSealedPkts  = obs.Default.Counter("campuslab_tier_sealed_packets_total")
+	obsTierCompactions = obs.Default.Counter("campuslab_tier_compactions_total")
+	obsTierRetained    = obs.Default.Counter("campuslab_tier_retained_segments_total")
+	obsTierScanned     = obs.Default.Counter("campuslab_tier_segments_scanned_total")
+	obsTierPruned      = obs.Default.Counter("campuslab_tier_segments_pruned_total")
+	obsTierCorrupt     = obs.Default.Counter("campuslab_tier_corrupt_segments_total")
+	obsTierSegments    = obs.Default.Gauge("campuslab_tier_segments")
+	obsTierColdPackets = obs.Default.Gauge("campuslab_tier_cold_packets")
+	obsTierColdBytes   = obs.Default.Gauge("campuslab_tier_cold_bytes")
+	// Observed once per committed seal and once per compaction pass (one
+	// merged run): collect, merge, encode, fsyncs, manifest and swap.
+	obsTierSealSeconds    = obs.Default.Histogram("campuslab_tier_seal_seconds", tierSecondsBounds)
+	obsTierCompactSeconds = obs.Default.Histogram("campuslab_tier_compact_seconds", tierSecondsBounds)
 )
+
+var tierSecondsBounds = []float64{1e-3, 1e-2, 1e-1, 1, 10}
 
 // tierTestHook, when set, is called at the named stages of the seal and
 // compact protocols so crash tests can kill -9 the process between the
@@ -278,7 +291,6 @@ func writeFileAtomic(dir, name string, data []byte) error {
 	}
 	return syncDir(dir)
 }
-
 
 // writeManifestLocked commits a new segment set + watermark. Caller holds
 // sealMu (segs may be the live slice — it is only mutated under sealMu).
@@ -516,11 +528,19 @@ func (s *Store) maybeSeal() {
 	if keep >= hotPkts {
 		return
 	}
-	limit := PacketID(s.nextID.Load() - keep)
-	if uint64(limit)-tr.sealedBelow.Load() < pol.MinSealPackets {
+	sealed, limit := tr.sealedBelow.Load(), s.nextID.Load()-keep
+	if limit < sealed+pol.MinSealPackets {
 		return
 	}
-	s.sealTo(tr, limit, false)
+	eligible := limit - sealed
+	// Seal whole segments: the remainder stays hot (and WAL/snapshot
+	// covered) until the next trigger, so every file is written at the
+	// target size and compressed once. With less than one target eligible
+	// the cap still has to hold, and the seal takes what there is.
+	if target := uint64(pol.SegmentPackets); eligible >= target {
+		eligible -= eligible % target
+	}
+	s.sealTo(tr, PacketID(sealed+eligible), false)
 }
 
 // SealHot seals every hot packet except the newest keepRecent into cold
@@ -576,29 +596,27 @@ func (s *Store) sealTo(tr *tier, limit PacketID, wait bool) (int, error) {
 	if uint64(limit) <= tr.sealedBelow.Load() {
 		return 0, nil
 	}
-	// Collect the prefix under shard read locks. The copies are snapshots:
-	// concurrent ingest only ever appends/inserts at IDs >= limit, so the
-	// prefix cannot change between collection and the swap below.
+	start := time.Now()
+	// Merge the shards' prefixes straight out of the slabs, holding every
+	// shard's read lock (taken in shard order, like the swap below) until
+	// the merge is done: the runs alias slab memory, and the merge is the
+	// only copy the rows get. Once the locks drop, merged is private, so
+	// the encode and the fsyncs run with ingest unblocked.
 	runs := make([][]StoredPacket, 0, len(s.shards))
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		cut := sort.Search(len(sh.packets), func(i int) bool { return sh.packets[i].ID >= limit })
 		if cut > 0 {
-			runs = append(runs, append([]StoredPacket(nil), sh.packets[:cut]...))
+			runs = append(runs, sh.packets[:cut])
 		}
+	}
+	merged := mergeRuns(runs)
+	for _, sh := range s.shards {
 		sh.mu.RUnlock()
 	}
-	if len(runs) == 0 {
+	total := len(merged)
+	if total == 0 {
 		return 0, nil
-	}
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	merged := make([]StoredPacket, 0, total)
-	cur := newMergeCursor(runs)
-	for sp := cur.next(); sp != nil; sp = cur.next() {
-		merged = append(merged, *sp)
 	}
 	newSegs, err := tr.writeSegments(merged, false)
 	if err != nil {
@@ -643,16 +661,19 @@ func (s *Store) sealTo(tr *tier, limit PacketID, wait bool) (int, error) {
 	tr.sealedPackets.Add(uint64(total))
 	obsTierSeals.Inc()
 	obsTierSealedPkts.Add(uint64(total))
+	obsTierSealSeconds.Observe(time.Since(start).Seconds())
 	return removed, nil
 }
 
 // writeSegments chunks one (TS, ID)-sorted run into target-sized segment
 // files and writes them durably. Seals chunk by ceiling (segments at most
-// one target, balanced so there is no sliver tail); compaction chunks by
-// floor (segments between one and two targets), so a merge always emits
-// strictly fewer files than it consumed and the compactor converges
-// instead of re-cutting the same undersized pieces forever. Caller holds
-// sealMu.
+// one target, balanced so there is no sliver tail): the policy trigger
+// hands over a whole multiple of the target and gets exactly full files,
+// while explicit seals and the sub-target fallback get balanced undersized
+// ones for the compactor. Compaction chunks by floor (segments between one
+// and two targets), so a merge always emits strictly fewer files than it
+// consumed and the compactor converges instead of re-cutting the same
+// undersized pieces forever. Caller holds sealMu.
 func (tr *tier) writeSegments(rows []StoredPacket, compact bool) ([]*tierSegment, error) {
 	n := len(rows)
 	target := tr.policy.SegmentPackets
@@ -711,6 +732,7 @@ func (s *Store) CompactTier() (int, error) {
 		if hi <= lo {
 			break
 		}
+		start := time.Now()
 		runs := make([][]StoredPacket, 0, hi-lo)
 		var oldBytes uint64
 		for _, sg := range tr.segs[lo:hi] {
@@ -725,15 +747,7 @@ func (s *Store) CompactTier() (int, error) {
 			runs = append(runs, rows)
 			oldBytes += sg.fileBytes
 		}
-		total := 0
-		for _, r := range runs {
-			total += len(r)
-		}
-		merged := make([]StoredPacket, 0, total)
-		cur := newMergeCursor(runs)
-		for sp := cur.next(); sp != nil; sp = cur.next() {
-			merged = append(merged, *sp)
-		}
+		merged := mergeRuns(runs)
 		newSegs, err := tr.writeSegments(merged, true)
 		if err != nil {
 			return replaced, err
@@ -765,6 +779,7 @@ func (s *Store) CompactTier() (int, error) {
 		replaced += len(old)
 		tr.compactions.Add(1)
 		obsTierCompactions.Inc()
+		obsTierCompactSeconds.Observe(time.Since(start).Seconds())
 	}
 	return replaced, nil
 }
@@ -849,9 +864,6 @@ func (s *Store) RetainCold(before time.Duration) (int, error) {
 	for _, sg := range drop {
 		os.Remove(filepath.Join(tr.dir, sg.name))
 	}
-	tr.mu.Lock()
-	tr.publishLocked()
-	tr.mu.Unlock()
 	obsTierRetained.Add(uint64(len(drop)))
 	return len(drop), nil
 }

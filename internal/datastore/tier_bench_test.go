@@ -12,8 +12,12 @@ import (
 
 // Tier benchmarks (DESIGN.md §14):
 //
-//	go test -bench='BenchmarkSeal|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkEvictBefore' ./internal/datastore
+//	go test -bench='BenchmarkSeal|BenchmarkEncodeSegment|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkEvictBefore' ./internal/datastore
 //
+// BenchmarkEncodeSegment is the seal's inner loop alone — one segment's
+// rows to one blob, no disk — at the two row sizes the end-to-end
+// benchmark's tiered workloads store.
+
 // BenchmarkSegmentQuery sweeps query shape (selective/absent/broad) ×
 // data placement (hot/cold) × segment format (v1/v2, cold only) ×
 // operation (count/select): `absent` is the zone-map prune-hit case
@@ -96,6 +100,61 @@ func BenchmarkSeal(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
+}
+
+// BenchmarkEncodeSegment encodes one 8192-row segment (collect_tiered's
+// size) of bytes-dominated rows (~1.4 KB: campus mix under DNS
+// amplification) and of packet-count-dominated rows (~170 B: SYN flood
+// and port scan). MB/s is raw packet bytes in; B/pkt is the blob.
+func BenchmarkEncodeSegment(b *testing.B) {
+	small := sync.OnceValue(func() []traffic.Frame {
+		plan := traffic.DefaultPlan(40)
+		gens := []traffic.Generator{traffic.NewCampus(traffic.Profile{
+			Plan: plan, FlowsPerSecond: 35, Duration: 2 * time.Second, Seed: 9311,
+		})}
+		for i, a := range []struct {
+			kind traffic.Label
+			rate float64
+		}{{traffic.LabelSYNFlood, 20000}, {traffic.LabelPortScan, 5000}} {
+			gens = append(gens, traffic.NewAttack(traffic.AttackConfig{
+				Kind: a.kind, Plan: plan, Victim: plan.Host(3 + i),
+				Start: 100 * time.Millisecond, Duration: 1900 * time.Millisecond, Rate: a.rate, Seed: 9312 + int64(i),
+			}))
+		}
+		return traffic.Collect(traffic.NewMerge(gens...), 0)
+	})
+	for _, c := range []struct {
+		name   string
+		frames func() []traffic.Frame
+	}{{"rows=1.4KB", queryBenchFrames}, {"rows=170B", small}} {
+		b.Run(c.name, func(b *testing.B) {
+			st := NewSharded(1)
+			if _, err := st.AddBatch(c.frames(), 0); err != nil {
+				b.Fatal(err)
+			}
+			rows := st.PacketsBetween(0, -1)
+			if len(rows) < 8192 {
+				b.Fatalf("episode holds %d rows, need 8192", len(rows))
+			}
+			rows = rows[len(rows)-8192:]
+			raw := 0
+			for i := range rows {
+				raw += len(rows[i].Data)
+			}
+			b.SetBytes(int64(raw))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var blob []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				if blob, _, err = encodeSegment(rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(raw)/float64(len(rows)), "rawB/pkt")
+			b.ReportMetric(float64(len(blob))/float64(len(rows)), "B/pkt")
+		})
+	}
 }
 
 // benchStoreOp runs one (store, filter, op) cell.

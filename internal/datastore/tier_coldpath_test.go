@@ -154,6 +154,14 @@ func TestTierFormatEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					compareTierPrints(t, tc.name+" post-compact", want, tierFingerprint(t, s))
+
+					// Policy seals leave nothing undersized, so the pass
+					// above may have been a no-op; this one has real input.
+					flushUndersized(t, s)
+					if n, err := s.CompactTier(); err != nil || n == 0 {
+						t.Fatalf("CompactTier after flush merged %d segments, err %v", n, err)
+					}
+					compareTierPrints(t, tc.name+" post-flush-compact", want, tierFingerprint(t, s))
 				})
 			}
 		}
@@ -328,27 +336,48 @@ func TestTierCacheInvalidation(t *testing.T) {
 		}
 		return out
 	}
-	before := seqs()
-	if _, err := s.CompactTier(); err != nil {
-		t.Fatal(err)
-	}
-	live := seqs()
-	tr.cache.mu.Lock()
-	var total int64
-	for k, e := range tr.cache.entries {
-		total += int64(len(e.Value.(*cacheEnt).buf))
-		if before[k.seq] && !live[k.seq] {
-			tr.cache.mu.Unlock()
-			t.Fatalf("cache still holds block %v of a compacted-away segment", k)
+	compactAndCheck := func() int {
+		t.Helper()
+		before := seqs()
+		n, err := s.CompactTier()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if total != tr.cache.bytes {
+		live := seqs()
+		tr.cache.mu.Lock()
+		var total int64
+		for k, e := range tr.cache.entries {
+			total += int64(len(e.Value.(*cacheEnt).buf))
+			if before[k.seq] && !live[k.seq] {
+				tr.cache.mu.Unlock()
+				t.Fatalf("cache still holds block %v of a compacted-away segment", k)
+			}
+		}
+		if total != tr.cache.bytes {
+			tr.cache.mu.Unlock()
+			t.Fatalf("cache byte accounting drifted: entries sum %d, bytes %d", total, tr.cache.bytes)
+		}
 		tr.cache.mu.Unlock()
-		t.Fatalf("cache byte accounting drifted: entries sum %d, bytes %d", total, tr.cache.bytes)
+		if got := s.Select(f, 0); !reflect.DeepEqual(first, got) {
+			t.Fatal("post-compaction query changed the result")
+		}
+		return n
 	}
-	tr.cache.mu.Unlock()
+	compactAndCheck()
+
+	// Policy seals leave nothing undersized, so the pass above may have
+	// been a no-op. Flush two undersized segments, query so their blocks
+	// are cached, and compact them away.
+	entries := s.TierStats().CacheEntries
+	flushUndersized(t, s)
 	if got := s.Select(f, 0); !reflect.DeepEqual(first, got) {
-		t.Fatal("post-compaction query changed the result")
+		t.Fatal("post-flush query changed the result")
+	}
+	if got := s.TierStats().CacheEntries; got <= entries {
+		t.Fatalf("flushed segments were never cached: %d entries before the flush, %d after", entries, got)
+	}
+	if n := compactAndCheck(); n == 0 {
+		t.Fatal("CompactTier after flush merged nothing")
 	}
 }
 

@@ -62,6 +62,19 @@ func ingestTiered(t *testing.T, shards, workers int, pol TierPolicy) *Store {
 	return s
 }
 
+// flushUndersized gives the compactor something to merge. Policy seals
+// write only whole segments, so a store built by ingestTiered alone leaves
+// CompactTier nothing; two explicit seals out of the at least KeepFrac×cap
+// (256) packets still hot append two or more adjacent undersized segments.
+func flushUndersized(t *testing.T, s *Store) {
+	t.Helper()
+	for _, keep := range []uint64{128, 64} {
+		if _, err := s.SealHot(keep); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // tierPrint captures every query surface that must be invariant under
 // tiering. Unlike storePrint it excludes Save bytes (tiered snapshots are
 // v3 by design) and hot-only Stats.
@@ -204,6 +217,14 @@ func TestTieredStoreEquivalence(t *testing.T) {
 				t.Fatalf("%s: CompactTier: %v", name, err)
 			}
 			compareTierPrints(t, name+" post-compact", want, tierFingerprint(t, s))
+
+			// Policy seals leave nothing undersized, so the pass above may
+			// have been a no-op; this one has real input.
+			flushUndersized(t, s)
+			if n, err := s.CompactTier(); err != nil || n == 0 {
+				t.Fatalf("%s: CompactTier after flush merged %d segments, err %v", name, n, err)
+			}
+			compareTierPrints(t, name+" post-flush-compact", want, tierFingerprint(t, s))
 		}
 	}
 }
@@ -466,5 +487,62 @@ func TestTierCorruptSegmentDegradesLoudly(t *testing.T) {
 	}
 	if !errors.Is(ts.Err, ErrSegmentCorrupt) {
 		t.Fatalf("sticky error should wrap ErrSegmentCorrupt, got %v", ts.Err)
+	}
+}
+
+// TestPolicySealsWholeSegments: the policy trigger seals whole multiples
+// of SegmentPackets, so steady-state ingest under labd's shape (hot cap
+// 500000, KeepFrac 0.5, 32768-row segments, here scaled down 256×) writes
+// only full segments and leaves the compactor nothing — while the cap
+// still holds after every batch, including when it is smaller than one
+// segment and the seal has to fall back to an undersized file.
+func TestPolicySealsWholeSegments(t *testing.T) {
+	frames := tierFrames(t)
+	ingest := func(pol TierPolicy) *Store {
+		t.Helper()
+		s := NewSharded(4)
+		if err := s.EnableTiering(pol); err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(frames); {
+			hi := min(lo+400+lo%333, len(frames))
+			if _, err := s.AddBatch(frames[lo:hi], 2); err != nil {
+				t.Fatal(err)
+			}
+			if hot := s.Stats().Packets; hot > pol.HotPackets {
+				t.Fatalf("hot tier at %d packets after batch ending %d, cap %d", hot, hi, pol.HotPackets)
+			}
+			lo = hi
+		}
+		return s
+	}
+
+	pol := TierPolicy{Dir: t.TempDir(), HotPackets: 1953, SegmentPackets: 128, MinSealPackets: 1}
+	s := ingest(pol)
+	ts := s.TierStats()
+	if ts.Seals < 3 || ts.Segments < 3 {
+		t.Fatalf("expected several policy seals, got %+v", ts)
+	}
+	for _, sg := range s.tier.Load().segs {
+		if sg.meta.count != pol.SegmentPackets {
+			t.Fatalf("segment %s holds %d rows, want exactly %d", sg.name, sg.meta.count, pol.SegmentPackets)
+		}
+	}
+	if n, err := s.CompactTier(); err != nil || n != 0 {
+		t.Fatalf("CompactTier after steady-state seals = %d, %v; want nothing to merge", n, err)
+	}
+	if keep := pol.HotPackets / 2; s.Stats().Packets < keep {
+		t.Fatalf("hot tier trimmed to %d, below KeepFrac floor %d", s.Stats().Packets, keep)
+	}
+	if got := s.Stats().Packets + ts.ColdPackets; got != uint64(len(frames)) {
+		t.Fatalf("hot+cold = %d packets, ingested %d", got, len(frames))
+	}
+
+	// A cap below one segment: nothing whole is ever eligible, the seal
+	// still runs (the cap check above held after every batch) and writes
+	// what there is.
+	small := ingest(TierPolicy{Dir: t.TempDir(), HotPackets: 1024, SegmentPackets: 4096, MinSealPackets: 1})
+	if ts := small.TierStats(); ts.Seals == 0 || ts.ColdPackets == 0 {
+		t.Fatalf("cap smaller than one segment never sealed: %+v", ts)
 	}
 }

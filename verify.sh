@@ -47,6 +47,23 @@ gate_bench() {
     done
 }
 
+# gate_fuzz FUZZTIME PKG NAME fuzzes exactly the named target of PKG and
+# fails unless the fuzzing engine actually ran it: `go test -fuzz` with a
+# pattern that matches nothing prints a warning and exits 0.
+gate_fuzz() {
+    fuzztime=$1 pkg=$2 name=$3
+    out=$(go test -run "^$name\$" -fuzz "^$name\$" -fuzztime "$fuzztime" "$pkg" 2>&1) || {
+        echo "$out"
+        exit 1
+    }
+    echo "$out" | grep -q '^fuzz: elapsed: ' || {
+        echo "$out"
+        echo "verify: FAIL — $pkg: fuzz target $name did not run" >&2
+        exit 1
+    }
+    echo "$out" | tail -n 1
+}
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -65,6 +82,9 @@ awk -v c="$COVER" -v f="$COVER_FLOOR" 'BEGIN { exit (c+0 >= f+0) ? 0 : 1 }' || {
     echo "verify: FAIL — coverage ${COVER}% below floor ${COVER_FLOOR}%" >&2
     exit 1
 }
+
+echo "==> benchmark module (bench/ is its own module; the root go test does not descend into it)"
+(cd bench && go test ./...)
 
 echo "==> go test -race (control, datastore, faults)"
 go test -race ./internal/control ./internal/datastore ./internal/faults
@@ -109,10 +129,10 @@ gate_bench 5x ./internal/xai BenchmarkExtract
 gate_bench 2x . BenchmarkFitForest
 
 echo "==> bench smoke (store query engine: index vs scan)"
-go test -run=NONE -bench='BenchmarkSelect$|BenchmarkCount$' -benchtime=5x ./internal/datastore
+gate_bench 5x ./internal/datastore BenchmarkSelect BenchmarkCount
 
-echo "==> bench smoke (cold tier: seal, segment query sweep v1/v2, cache, eviction)"
-go test -run=NONE -bench='BenchmarkSeal$|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkEvictBefore' -benchtime=2x ./internal/datastore
+echo "==> bench smoke (cold tier: seal, segment encode, segment query sweep v1/v2, cache, eviction)"
+gate_bench 2x ./internal/datastore BenchmarkSeal BenchmarkEncodeSegment BenchmarkSegmentQuery BenchmarkColdSelect BenchmarkEvictBefore
 
 echo "==> tiered-store equivalence gate (tiered == untiered, byte for byte, both segment formats)"
 go test -run 'TestTieredStoreEquivalence|TestTierFormatEquivalence' -short ./internal/datastore
@@ -121,13 +141,13 @@ echo "==> tier cache race gate (queries vs seal/compact churn with the block cac
 go test -race -run 'TestTierCacheQueryCompactRace|TestTierIngestSealQueryRace' ./internal/datastore
 
 echo "==> fuzz smoke (packet parser, labd dispatcher, filter parser, ensemble compiler, WAL replay, segment codec)"
-go test -run=FuzzParse -fuzz=FuzzParse -fuzztime=10s ./internal/packet
-go test -run=FuzzDispatch -fuzz=FuzzDispatch -fuzztime=5s ./cmd/labd
-go test -run=FuzzParseFilter -fuzz=FuzzParseFilter -fuzztime=5s ./internal/datastore
-go test -run=FuzzEnsembleCompile -fuzz=FuzzEnsembleCompile -fuzztime=5s ./internal/dataplane
-go test -run=FuzzWALReplay -fuzz=FuzzWALReplay -fuzztime=5s ./internal/datastore
-go test -run=FuzzSegmentDecode -fuzz=FuzzSegmentDecode -fuzztime=5s ./internal/datastore
-go test -run=FuzzFleetFrame -fuzz=FuzzFleetFrame -fuzztime=5s ./internal/fleet
+gate_fuzz 10s ./internal/packet FuzzParse
+gate_fuzz 5s ./cmd/labd FuzzDispatch
+gate_fuzz 5s ./internal/datastore FuzzParseFilter
+gate_fuzz 5s ./internal/dataplane FuzzEnsembleCompile
+gate_fuzz 5s ./internal/datastore FuzzWALReplay
+gate_fuzz 5s ./internal/datastore FuzzSegmentDecode
+gate_fuzz 5s ./internal/fleet FuzzFleetFrame
 
 echo "==> fleet crash gate (torn mid-batch cut: all-or-nothing, retry never duplicates, acked == durable)"
 go test -run 'TestCrashMidBatchDurability|TestServerDedupesRetriedBatch|TestServerRejectsProtocolViolations' ./internal/fleet
