@@ -57,6 +57,10 @@ type healthz struct {
 		CacheMisses  uint64 `json:"cache_misses,omitempty"`
 		CacheBytes   int64  `json:"cache_bytes,omitempty"`
 		CacheEntries int    `json:"cache_entries,omitempty"`
+		DirHits      uint64 `json:"dir_hits,omitempty"`
+		DirMisses    uint64 `json:"dir_misses,omitempty"`
+		DirBytes     int64  `json:"dir_bytes,omitempty"`
+		DirEntries   int    `json:"dir_entries,omitempty"`
 		Error        string `json:"error,omitempty"`
 	} `json:"tier"`
 	StorePackets uint64 `json:"store_packets"`
@@ -92,6 +96,10 @@ func (s *server) health() healthz {
 	h.Tier.CacheMisses = ts.CacheMisses
 	h.Tier.CacheBytes = ts.CacheBytes
 	h.Tier.CacheEntries = ts.CacheEntries
+	h.Tier.DirHits = ts.DirHits
+	h.Tier.DirMisses = ts.DirMisses
+	h.Tier.DirBytes = ts.DirBytes
+	h.Tier.DirEntries = ts.DirEntries
 	if ts.Err != nil {
 		h.Tier.Error = ts.Err.Error()
 		if h.Status == "ok" {

@@ -78,7 +78,7 @@ func main() {
 		tierDir   = flag.String("tier-dir", "", "cold-tier segment directory; empty = hot tier only")
 		tierHot   = flag.Uint64("tier-hot", 500_000, "hot-tier packet cap before history seals to cold segments (with -tier-dir)")
 		tierComp  = flag.Duration("tier-compact", time.Minute, "cold-tier compaction sweep interval, 0 = disabled (with -tier-dir)")
-		tierCache = flag.Int64("tier-cache", 0, "decoded-block cache budget in bytes for cold-tier queries, 0 = disabled (with -tier-dir)")
+		tierCache = flag.Int64("tier-cache", 0, "cache budget in bytes for cold-tier queries (decoded blocks and segment directories share it), 0 = disabled (with -tier-dir)")
 		ingestLn  = flag.String("ingest-listen", "", "binary fleet-ingest listen address (remote campuses stream batches here); empty = disabled")
 	)
 	flag.Parse()
@@ -480,6 +480,10 @@ func (s *server) cmdStats(w *bufio.Writer, _ string) {
 	if ts.CacheHits > 0 || ts.CacheMisses > 0 || ts.CacheEntries > 0 {
 		fmt.Fprintf(w, " cache_hits=%d cache_misses=%d cache_bytes=%d cache_entries=%d",
 			ts.CacheHits, ts.CacheMisses, ts.CacheBytes, ts.CacheEntries)
+	}
+	if ts.DirHits > 0 || ts.DirMisses > 0 {
+		fmt.Fprintf(w, " dir_hits=%d dir_misses=%d dir_bytes=%d dir_entries=%d",
+			ts.DirHits, ts.DirMisses, ts.DirBytes, ts.DirEntries)
 	}
 	if ts.Enabled {
 		// Where the write path's time went: this store's seal and compaction

@@ -38,8 +38,9 @@ type Predicate func(*StoredPacket) bool
 type Filter struct {
 	expr string
 	pred Predicate
-	// Time bounds extracted for index-assisted scans; zero values mean
-	// unbounded.
+	// The operand values of the tightest lower and upper ts conjuncts, as
+	// TimeBounds reports them (operator strictness not applied — the exact
+	// interval queries run on is plan.win).
 	minTS, maxTS   time.Duration
 	hasMin, hasMax bool
 	// plan is the query plan the index-assisted engine derived from the
@@ -53,7 +54,9 @@ func (f *Filter) Expr() string { return f.expr }
 // Match reports whether sp satisfies the filter.
 func (f *Filter) Match(sp *StoredPacket) bool { return f.pred(sp) }
 
-// TimeBounds returns the ts range implied by the expression (for scans).
+// TimeBounds returns the ts range implied by the expression: the largest
+// value any top-level `ts >`/`>=`/`==` conjunct names and the smallest any
+// `ts <`/`<=`/`==` names.
 func (f *Filter) TimeBounds() (min, max time.Duration, hasMin, hasMax bool) {
 	return f.minTS, f.maxTS, f.hasMin, f.hasMax
 }
@@ -515,8 +518,9 @@ func ordPredicate(op string, get func(*StoredPacket) int64, want int64) (Predica
 	}
 }
 
-// extractTimeBounds walks top-level AND chains pulling ts comparisons into
-// the filter's scan bounds.
+// extractTimeBounds walks top-level AND chains intersecting ts comparisons
+// into the filter's reported bounds: every conjunct can only tighten them
+// (`ts >= 3s && ts == 1s` keeps the 3s lower bound).
 func extractTimeBounds(n *node, f *Filter) {
 	switch n.kind {
 	case "and":
@@ -524,17 +528,12 @@ func extractTimeBounds(n *node, f *Filter) {
 			extractTimeBounds(k, f)
 		}
 	case "cmp":
-		switch n.tsOp {
-		case ">", ">=":
-			if !f.hasMin || n.tsVal > f.minTS {
-				f.minTS, f.hasMin = n.tsVal, true
-			}
-		case "<", "<=":
-			if !f.hasMax || n.tsVal < f.maxTS {
-				f.maxTS, f.hasMax = n.tsVal, true
-			}
-		case "==":
+		lower := n.tsOp == ">" || n.tsOp == ">=" || n.tsOp == "=="
+		upper := n.tsOp == "<" || n.tsOp == "<=" || n.tsOp == "=="
+		if lower && (!f.hasMin || n.tsVal > f.minTS) {
 			f.minTS, f.hasMin = n.tsVal, true
+		}
+		if upper && (!f.hasMax || n.tsVal < f.maxTS) {
 			f.maxTS, f.hasMax = n.tsVal, true
 		}
 	}

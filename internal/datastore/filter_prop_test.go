@@ -1,9 +1,15 @@
 package datastore
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"campuslab/internal/traffic"
 )
 
 // genExpr builds a random syntactically valid filter expression.
@@ -122,5 +128,176 @@ func TestFilterIdempotentDoubleNegation(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// genTSConjunct draws one `ts op v` comparison: any of the six operators
+// against a stored timestamp, one nanosecond either side of one, or a
+// negative value.
+func genTSConjunct(r *rand.Rand, stored []time.Duration) string {
+	v := stored[r.Intn(len(stored))] + time.Duration(r.Intn(3)-1)
+	if r.Intn(12) == 0 {
+		v = -time.Duration(1+r.Intn(5)) * time.Second
+	}
+	return fmt.Sprintf("ts %s %dns", propOps[r.Intn(len(propOps))], int64(v))
+}
+
+// genWindowExpr ANDs one to three ts conjuncts with, usually, something
+// for the index and, sometimes, something for the residual — in random
+// order, so the window is assembled from conjuncts anywhere in the chain.
+func genWindowExpr(r *rand.Rand, stored []time.Duration) string {
+	var parts []string
+	for n := 1 + r.Intn(3); n > 0; n-- {
+		parts = append(parts, genTSConjunct(r, stored))
+	}
+	if r.Intn(4) > 0 {
+		parts = append(parts, []string{"proto == udp", "udp", "ip", "proto == tcp", "dst.port == 53", "label == dns-amp", "link == 0"}[r.Intn(7)])
+	}
+	if r.Intn(3) == 0 {
+		parts = append(parts, []string{"len > 100", "ttl <= 64", "!(dns)", "(tcp.syn || udp)"}[r.Intn(4)])
+	}
+	r.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+	return strings.Join(parts, " && ")
+}
+
+// windowEdgeExprs are the shapes the exact window has to get right by
+// construction rather than by luck of the draw.
+var windowEdgeExprs = []string{
+	"ts >= 3s && ts == 1s",                 // == must not widen an earlier bound
+	"ts == 1s && ts >= 3s && udp",          // in either order
+	"ts < -5s",                             // a negative bound is a bound
+	"ts > -5s && udp",                      //
+	"ts >= 0 && ts < 0 && ip",              // empty window
+	"ts <= 9223372036854775807ns && udp",   // inclusive bound with no exclusive successor
+	"ts > 9223372036854775807ns && udp",    //
+	"ts == 9223372036854775807ns",          //
+	"ts >= -9223372036854775808ns && ip",   //
+	"ts != 1s && udp",                      // not an interval
+	"ts > 1s && ts != 1500ms && ts <= 2s",  //
+	"!(ts < 1s) && udp",                    // under a NOT: opaque to the planner
+	"(ts < 1s || ts > 2s) && proto == udp", // under an OR: opaque to the planner
+	"ts >= 1s && (ts < 2s && udp) && ip",   // nested ANDs flatten
+}
+
+// TestTimeWindowPropertyEquivalence: with ts conjuncts compiled into an
+// exact window instead of being re-checked by a residual, the planner must
+// still answer exactly what the serial scan answers — for Select at limits
+// 0/1/7 and for Count, untiered and tiered, at shards 1 and 4 — and the
+// four stores must agree with each other.
+func TestTimeWindowPropertyEquivalence(t *testing.T) {
+	// Millisecond timestamps: every boundary value is shared by a run of
+	// packets, so off-by-one windows cannot hide.
+	frames := append([]traffic.Frame(nil), tierFrames(t)...)
+	for i := range frames {
+		frames[i].TS = frames[i].TS.Truncate(time.Millisecond)
+	}
+	var stores []*Store
+	var names []string
+	shardCases := []int{1, 4}
+	if raceEnabled { // the race gates cover concurrency; one shard count is the budget here
+		shardCases = []int{4}
+	}
+	for _, shards := range shardCases {
+		for _, tiered := range []bool{false, true} {
+			s := NewSharded(shards)
+			if tiered {
+				pol := aggressiveTier(t.TempDir())
+				pol.CacheBytes = 1 << 20
+				if err := s.EnableTiering(pol); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for lo := 0; lo < len(frames); lo += 500 {
+				if _, err := s.AddBatch(frames[lo:min(lo+500, len(frames))], 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tiered {
+				if ts := s.TierStats(); ts.ColdPackets == 0 || s.Stats().Packets == 0 {
+					t.Fatalf("tiered store needs both tiers: %+v", ts)
+				}
+			}
+			stores = append(stores, s)
+			names = append(names, fmt.Sprintf("shards=%d/tiered=%v", shards, tiered))
+		}
+	}
+	stored := storedTimes(stores[0])
+	if len(stored)*2 > len(frames) {
+		t.Fatalf("%d distinct timestamps in %d frames: boundaries are not shared", len(stored), len(frames))
+	}
+
+	exprs := append([]string(nil), windowEdgeExprs...)
+	r := rand.New(rand.NewSource(1717))
+	n := 120
+	if testing.Short() || raceEnabled {
+		n = 20
+	}
+	for i := 0; i < n; i++ {
+		exprs = append(exprs, genWindowExpr(r, stored))
+	}
+	matched := 0
+	for _, expr := range exprs {
+		for _, limit := range []int{0, 1, 7} {
+			var first []StoredPacket
+			for si, s := range stores {
+				got := selectBoth(t, s, expr, limit)
+				if si == 0 {
+					first = got
+				} else if !reflect.DeepEqual(first, got) {
+					t.Fatalf("Select(%q, %d): %s returned %d rows, %s %d", expr, limit, names[0], len(first), names[si], len(got))
+				}
+			}
+			matched += len(first)
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no generated window matched anything")
+	}
+	for _, s := range stores {
+		if err := s.TierStats().Err; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPlanWindowExact pins how ts conjuncts compile: into one half-open
+// interval, out of the residual, with TimeBounds reporting the operands.
+func TestPlanWindowExact(t *testing.T) {
+	const maxTS = time.Duration(math.MaxInt64)
+	cases := []struct {
+		expr     string
+		win      tsWin
+		residual bool
+	}{
+		{"ts >= 1s && ts < 2s && udp", tsWin{from: time.Second, to: 2 * time.Second, hasFrom: true, hasTo: true}, false},
+		{"ts > 1s && ts <= 2s && udp", tsWin{from: time.Second + 1, to: 2*time.Second + 1, hasFrom: true, hasTo: true}, false},
+		{"ts == 1s && udp", tsWin{from: time.Second, to: time.Second + 1, hasFrom: true, hasTo: true}, false},
+		{"ts >= 3s && ts == 1s && udp", tsWin{from: 3 * time.Second, to: time.Second + 1, hasFrom: true, hasTo: true}, false},
+		{"ts < -5s && udp", tsWin{to: -5 * time.Second, hasTo: true}, false},
+		{"ts >= 0 && udp", tsWin{hasFrom: true}, false},
+		{"ts != 1s && udp", tsWin{}, true},
+		{"ts <= 9223372036854775807ns && udp", tsWin{}, true},
+		{"ts == 9223372036854775807ns && udp", tsWin{from: maxTS, hasFrom: true}, true},
+		{"ts > 9223372036854775807ns && udp", tsWin{}, true},
+		{"!(ts < 1s) && udp", tsWin{}, true},
+		{"ts >= 1s && len > 5", tsWin{from: time.Second, hasFrom: true}, false}, // not indexable: no residual, Match re-checks
+	}
+	for _, c := range cases {
+		f := MustFilter(c.expr)
+		if f.plan.win != c.win {
+			t.Errorf("%q: window %+v, want %+v", c.expr, f.plan.win, c.win)
+		}
+		if (f.plan.residual != nil) != c.residual {
+			t.Errorf("%q: residual = %v, want %v", c.expr, f.plan.residual != nil, c.residual)
+		}
+	}
+	// TimeBounds keeps reporting operand values, every conjunct tightening.
+	min, max, hasMin, hasMax := MustFilter("ts >= 3s && ts == 1s").TimeBounds()
+	if !hasMin || !hasMax || min != 3*time.Second || max != time.Second {
+		t.Fatalf("TimeBounds = %v..%v (%v/%v), want 3s..1s", min, max, hasMin, hasMax)
+	}
+	min, max, hasMin, hasMax = MustFilter("ts > 1s && ts <= 2s && ts < 5s").TimeBounds()
+	if !hasMin || !hasMax || min != time.Second || max != 2*time.Second {
+		t.Fatalf("TimeBounds = %v..%v (%v/%v), want 1s..2s", min, max, hasMin, hasMax)
 	}
 }

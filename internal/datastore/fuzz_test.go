@@ -36,6 +36,18 @@ func filterFuzzSeeds() []string {
 		"",
 		"!",
 		"ts<1s&&ts>0s",
+		// The exact-window shapes: every operator, bounds that tighten,
+		// negative and extreme values, conjuncts the window cannot state.
+		"ts > 1500ms && ts <= 1500ms",
+		"ts >= 3s && ts == 1s",
+		"ts == 1s && ts == 1s && proto == udp",
+		"ts != 2s && udp",
+		"ts < -5s",
+		"ts > -5s && ts <= 0 && dns",
+		"ts <= 9223372036854775807ns && udp",
+		"ts >= -9223372036854775808ns",
+		"!(ts < 1s) && (ts < 2s || ts > 3s)",
+		"ts >= 1000000000ns && ts < 1000000001ns && link == 0",
 	}
 }
 
@@ -90,7 +102,7 @@ func FuzzParseFilter(f *testing.F) {
 		if min1 != min2 || max1 != max2 || hasMin1 != hasMin2 || hasMax1 != hasMax2 {
 			t.Fatalf("time bounds not deterministic for %q", expr)
 		}
-		if f1.Indexable() != f2.Indexable() || len(f1.plan.keys) != len(f2.plan.keys) {
+		if f1.Indexable() != f2.Indexable() || len(f1.plan.keys) != len(f2.plan.keys) || f1.plan.win != f2.plan.win {
 			t.Fatalf("plan not deterministic for %q", expr)
 		}
 		for _, sp := range fuzzEvalPackets() {

@@ -226,8 +226,13 @@ func clipRows(rows []uint32, lo, hi uint32) []uint32 {
 }
 
 // intersectRows intersects already-clipped sorted row lists, shortest
-// first, with the same galloping cursor as intersectPostings.
+// first, with the same galloping cursor as intersectPostings. A single
+// list is returned as is — segment posting slabs are immutable, so a view
+// is as good as a copy and a one-key Count allocates nothing.
 func intersectRows(lists [][]uint32) []uint32 {
+	if len(lists) == 1 {
+		return lists[0]
+	}
 	out := append([]uint32(nil), lists[0]...)
 	for _, other := range lists[1:] {
 		if len(out) == 0 {

@@ -1,15 +1,99 @@
 package datastore
 
+import (
+	"math"
+	"sort"
+	"time"
+)
+
 // The query planner, following the dataplane's compile-don't-interpret
 // playbook: ParseFilter walks the expression AST once, pulls out the
-// conjuncts that are exactly answerable from posting lists, and compiles
+// conjuncts that are exactly answerable from posting lists, folds the
+// top-level ts comparisons into one exact time window, and compiles
 // everything else into a single residual predicate. At query time each
-// shard intersects the candidate posting lists (clipped to the filter's
-// time bounds via the (TS, ID) co-sort) and evaluates only the residual
-// on the candidates; shards where the index would not prune enough fall
-// back to the linear scan. Both paths produce identical results — the
-// CAMPUSLAB_SCAN_QUERY / SetScanQuery knob forces the serial scan as the
-// equivalence reference, mirroring the dataplane's CAMPUSLAB_SCAN_PATH.
+// shard (and each cold segment) binary-searches the window on its
+// (TS, ID)-sorted run, intersects the candidate posting lists clipped to
+// it, and evaluates only the residual on the candidates; shards where the
+// index would not prune enough fall back to the linear scan. Both paths
+// produce identical results — the CAMPUSLAB_SCAN_QUERY / SetScanQuery knob
+// forces the serial scan as the equivalence reference, mirroring the
+// dataplane's CAMPUSLAB_SCAN_PATH.
+
+// tsWin is a half-open timestamp interval [from, to) in nanoseconds. A
+// bound exists only when its flag is set: timestamps can be negative (the
+// grammar accepts `ts < -5s`, Store.lastTS starts at -2^62), so no value
+// can double as "unbounded".
+type tsWin struct {
+	from, to       time.Duration
+	hasFrom, hasTo bool
+}
+
+// betweenWin is the window of the public [from, to) range calls, which
+// keep their documented sentinels: from <= 0 starts at the oldest packet
+// and a negative `to` is unbounded.
+func betweenWin(from, to time.Duration) tsWin {
+	return tsWin{from: from, to: to, hasFrom: from > 0, hasTo: to >= 0}
+}
+
+func (w *tsWin) clipFrom(v time.Duration) {
+	if !w.hasFrom || v > w.from {
+		w.from, w.hasFrom = v, true
+	}
+}
+
+func (w *tsWin) clipTo(v time.Duration) {
+	if !w.hasTo || v < w.to {
+		w.to, w.hasTo = v, true
+	}
+}
+
+// absorb intersects the window with one `ts op v` conjunct and reports
+// whether the window now states it exactly. `!=` is not an interval, and
+// an inclusive bound at MaxInt64 has no exclusive successor: those stay
+// in the residual (any part that does fit still narrows the window, which
+// is sound — a window may only ever drop rows the predicate rejects).
+func (w *tsWin) absorb(op string, v time.Duration) bool {
+	const last = time.Duration(math.MaxInt64)
+	switch op {
+	case ">=":
+		w.clipFrom(v)
+	case ">":
+		if v == last {
+			return false
+		}
+		w.clipFrom(v + 1)
+	case "<":
+		w.clipTo(v)
+	case "<=":
+		if v == last {
+			return false
+		}
+		w.clipTo(v + 1)
+	case "==":
+		w.clipFrom(v)
+		if v == last {
+			return false
+		}
+		w.clipTo(v + 1)
+	default:
+		return false
+	}
+	return true
+}
+
+// span returns the position interval [lo, hi) of a non-decreasing
+// timestamp sequence of length n that falls inside the window; an empty
+// window yields lo == hi.
+func (w tsWin) span(n int, ts func(int) time.Duration) (lo, hi int) {
+	hi = n
+	if w.hasTo {
+		hi = sort.Search(n, func(i int) bool { return ts(i) >= w.to })
+	}
+	if w.hasFrom {
+		lo = sort.Search(hi, func(i int) bool { return ts(i) >= w.from })
+	}
+	return lo, hi
+}
 
 // queryPlan is what the planner derives from one filter expression. It is
 // store-independent and immutable, so it is computed once at parse time
@@ -21,10 +105,14 @@ type queryPlan struct {
 	indexable bool
 	// keys are the posting lists to intersect per shard.
 	keys []ixRef
-	// residual is the conjunction of all non-indexed conjuncts (including
-	// ts comparisons, whose bounds prune the scan window but are not
-	// exact: `ts < 5s` and `ts <= 5s` share a window). nil means every
-	// conjunct was index-exact and candidates need no re-check.
+	// win is the intersection of every top-level ts conjunct, enforced by
+	// binary search on the (TS, ID)-sorted runs. It is exact, so the ts
+	// conjuncts it states are the window, not the residual. Set for every
+	// plan, indexable or not.
+	win tsWin
+	// residual is the conjunction of the conjuncts neither a posting list
+	// nor the window states exactly. nil means candidates inside the
+	// window need no re-check.
 	residual Predicate
 }
 
@@ -44,14 +132,18 @@ func buildPlan(root *node) queryPlan {
 	var p queryPlan
 	var resid []Predicate
 	for _, c := range conjuncts {
-		if c.ix != ixNone {
+		switch {
+		case c.ix != ixNone:
+			// exact: posting membership ⇔ conjunct truth
 			p.keys = append(p.keys, ixRef{c.ix, c.ixVal})
-			continue // exact: posting membership ⇔ conjunct truth
+		case c.tsOp != "" && p.win.absorb(c.tsOp, c.tsVal):
+			// exact: inside the window ⇔ conjunct truth
+		default:
+			resid = append(resid, c.pred)
 		}
-		resid = append(resid, c.pred)
 	}
 	if len(p.keys) == 0 {
-		return queryPlan{}
+		return queryPlan{win: p.win}
 	}
 	p.indexable = true
 	switch len(resid) {
@@ -117,8 +209,9 @@ func (px *postings) shardCandidates(plan *queryPlan, slab []StoredPacket, lo, hi
 // — for a compressed segment, "scan instead" would mean inflating the
 // whole data column, which the candidate walk avoids; the zone map has
 // already proven the segment can match, so the index path always wins.
-// ok=false only when the plan is not indexable.
-func (ix *segIndex) segCandidates(plan *queryPlan, rlo, rhi uint32) (cand []uint32, ok bool) {
+// ok=false only when the plan is not indexable. The result may be a view
+// into the segment's (immutable) posting slab: callers must not write it.
+func (ix *segPostings) segCandidates(plan *queryPlan, rlo, rhi uint32) (cand []uint32, ok bool) {
 	if !plan.indexable || rhi <= rlo {
 		return nil, plan.indexable
 	}

@@ -20,15 +20,25 @@ var (
 	obsQueryIndexShards  = obs.Default.Counter("campuslab_query_index_shards_total")
 	obsQueryRowsScanned  = obs.Default.Counter("campuslab_query_rows_scanned_total")
 	obsQueryRowsMatched  = obs.Default.Counter("campuslab_query_rows_matched_total")
-	obsQuerySeconds      = obs.Default.Histogram("campuslab_query_seconds",
+	// What the cold tier paid to materialise rows: data blocks inflated
+	// (block-cache misses), their decompressed bytes, and rows re-parsed
+	// out of blocks, cached or not. An indexable Count over a window adds
+	// nothing to any of them.
+	obsQueryBlocksInflated = obs.Default.Counter("campuslab_query_blocks_inflated_total")
+	obsQueryBytesInflated  = obs.Default.Counter("campuslab_query_bytes_inflated_total")
+	obsQueryRowsDecoded    = obs.Default.Counter("campuslab_query_rows_decoded_total")
+	obsQuerySeconds        = obs.Default.Histogram("campuslab_query_seconds",
 		[]float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1})
 )
 
 // queryStats accumulates per-query execution counters across the shard
 // goroutines, then flushes into the registry once.
 type queryStats struct {
-	indexShards atomic.Uint64
-	rowsScanned atomic.Uint64
+	indexShards    atomic.Uint64
+	rowsScanned    atomic.Uint64
+	blocksInflated atomic.Uint64
+	bytesInflated  atomic.Uint64
+	rowsDecoded    atomic.Uint64
 }
 
 func (qs *queryStats) flush(matched int, indexable bool) {
@@ -40,6 +50,15 @@ func (qs *queryStats) flush(matched int, indexable bool) {
 	obsQueryIndexShards.Add(qs.indexShards.Load())
 	obsQueryRowsScanned.Add(qs.rowsScanned.Load())
 	obsQueryRowsMatched.Add(uint64(matched))
+	qs.flushCold()
+}
+
+// flushCold publishes the cold-materialisation counters alone — all the
+// reference scan paths have to report.
+func (qs *queryStats) flushCold() {
+	obsQueryBlocksInflated.Add(qs.blocksInflated.Load())
+	obsQueryBytesInflated.Add(qs.bytesInflated.Load())
+	obsQueryRowsDecoded.Add(qs.rowsDecoded.Load())
 }
 
 // mergeCursor walks several shard packet slabs in global (TS, ID) order.
@@ -91,39 +110,30 @@ func mergeRuns(runs [][]StoredPacket) []StoredPacket {
 	return merged
 }
 
-// sliceWindow returns the slab position interval [lo, hi) holding TS in
-// [from, to). A negative `to` means unbounded.
-func sliceWindow(slab []StoredPacket, from, to time.Duration) (lo, hi int) {
-	lo = 0
-	if from > 0 {
-		lo = sort.Search(len(slab), func(i int) bool { return slab[i].TS >= from })
-	}
-	hi = len(slab)
-	if to >= 0 {
-		hi = sort.Search(len(slab), func(i int) bool { return slab[i].TS >= to })
-	}
-	return lo, hi
+// sliceWindow returns the slab position interval [lo, hi) holding exactly
+// the packets with TS inside w.
+func sliceWindow(slab []StoredPacket, w tsWin) (lo, hi int) {
+	return w.span(len(slab), func(i int) time.Duration { return slab[i].TS })
 }
 
-// scanRange visits packets with TS in [from, to) in global (TS, ID) order,
+// scanRange visits packets with TS inside w in global (TS, ID) order,
 // stopping early if visit returns false. Shard read locks are held for the
-// duration. A negative `to` means unbounded. On a tiered store the cold
-// segments in the window decode into extra sorted runs that join the same
-// merge — the tier read lock is taken before the shard locks (the global
-// lock order) and held throughout, so no seal can move rows between tiers
-// mid-scan.
-func (s *Store) scanRange(from, to time.Duration, visit func(*StoredPacket) bool) {
+// duration. On a tiered store the cold segments in the window decode into
+// extra sorted runs that join the same merge — the tier read lock is taken
+// before the shard locks (the global lock order) and held throughout, so
+// no seal can move rows between tiers mid-scan.
+func (s *Store) scanRange(w tsWin, visit func(*StoredPacket) bool) {
 	var cold [][]StoredPacket
 	if tr := s.tier.Load(); tr != nil {
 		tr.mu.RLock()
 		defer tr.mu.RUnlock()
-		cold = s.coldWindowRuns(tr, from, to)
+		cold = s.coldWindowRuns(tr, w)
 	}
 	unlock := s.rlockAll()
 	defer unlock()
 	slabs := make([][]StoredPacket, len(s.shards), len(s.shards)+len(cold))
 	for i, sh := range s.shards {
-		lo, hi := sliceWindow(sh.packets, from, to)
+		lo, hi := sliceWindow(sh.packets, w)
 		slabs[i] = sh.packets[lo:hi]
 	}
 	slabs = append(slabs, cold...)
@@ -135,22 +145,6 @@ func (s *Store) scanRange(from, to time.Duration, visit func(*StoredPacket) bool
 	}
 }
 
-// scanWindow converts the filter's extracted time bounds into the
-// half-open scan interval the shard windows use. The bounds prune the
-// window but are not exact (`ts < 5s` and `ts <= 5s` share one window) —
-// ts conjuncts are always re-checked by the predicate/residual.
-func (f *Filter) scanWindow() (from, to time.Duration) {
-	from, to = 0, -1
-	min, max, hasMin, hasMax := f.TimeBounds()
-	if hasMin {
-		from = min
-	}
-	if hasMax {
-		to = max + 1 // serial path used ts > max as the exclusive bound
-	}
-	return from, to
-}
-
 // Select returns packets matching the filter in global (TS, ID) order,
 // regardless of sharding. limit 0 means unlimited. The planner runs
 // index-assisted, shard-parallel execution; results are byte-identical to
@@ -158,22 +152,21 @@ func (f *Filter) scanWindow() (from, to time.Duration) {
 func (s *Store) Select(f *Filter, limit int) []StoredPacket {
 	start := time.Now()
 	defer func() { obsQuerySeconds.Observe(time.Since(start).Seconds()) }()
-	from, to := f.scanWindow()
 	if s.scanQuery.Load() {
 		obsQueryPlannerRef.Inc()
-		return s.selectScan(f, limit, from, to)
+		return s.selectScan(f, limit)
 	}
 	var qs queryStats
 	var cold [][]StoredPacket
 	if tr := s.tier.Load(); tr != nil {
 		tr.mu.RLock()
 		defer tr.mu.RUnlock()
-		cold = s.coldSelect(tr, f, from, to, limit, &qs)
+		cold = s.coldSelect(tr, f, limit, &qs)
 	}
 	results := make([][]StoredPacket, len(s.shards), len(s.shards)+len(cold))
 	unlock := s.rlockAll()
 	parallel.For(len(s.shards), int(s.queryWorkers.Load()), func(si int) {
-		results[si] = s.shards[si].selectLocal(f, from, to, limit, &qs)
+		results[si] = s.shards[si].selectLocal(f, limit, &qs)
 	})
 	unlock()
 	results = append(results, cold...)
@@ -183,10 +176,11 @@ func (s *Store) Select(f *Filter, limit int) []StoredPacket {
 }
 
 // selectScan is the serial full-scan reference implementation of Select —
-// the behaviour the engine must reproduce byte-for-byte.
-func (s *Store) selectScan(f *Filter, limit int, from, to time.Duration) []StoredPacket {
+// the behaviour the engine must reproduce byte-for-byte. It walks the
+// filter's window but re-checks the whole predicate, ts conjuncts included.
+func (s *Store) selectScan(f *Filter, limit int) []StoredPacket {
 	var out []StoredPacket
-	s.scanRange(from, to, func(sp *StoredPacket) bool {
+	s.scanRange(f.plan.win, func(sp *StoredPacket) bool {
 		if f.Match(sp) {
 			out = append(out, *sp)
 			if limit > 0 && len(out) >= limit {
@@ -201,9 +195,9 @@ func (s *Store) selectScan(f *Filter, limit int, from, to time.Duration) []Store
 // selectLocal evaluates the filter over one shard, returning matches in
 // slab (= (TS, ID)) order. A per-shard limit prune is sound: the global
 // merge can never need more than `limit` packets from any one shard.
-func (sh *shard) selectLocal(f *Filter, from, to time.Duration, limit int, qs *queryStats) []StoredPacket {
+func (sh *shard) selectLocal(f *Filter, limit int, qs *queryStats) []StoredPacket {
 	slab := sh.packets
-	lo, hi := sliceWindow(slab, from, to)
+	lo, hi := sliceWindow(slab, f.plan.win)
 	if lo >= hi {
 		return nil
 	}
@@ -273,18 +267,17 @@ func (s *Store) Count(f *Filter) int {
 		obsQueryPlannerRef.Inc()
 		return s.countScan(f)
 	}
-	from, to := f.scanWindow()
 	var qs queryStats
 	n := 0
 	if tr := s.tier.Load(); tr != nil {
 		tr.mu.RLock()
 		defer tr.mu.RUnlock()
-		n = s.coldCount(tr, f, from, to, &qs)
+		n = s.coldCount(tr, f, &qs)
 	}
 	counts := make([]int, len(s.shards))
 	unlock := s.rlockAll()
 	parallel.For(len(s.shards), int(s.queryWorkers.Load()), func(si int) {
-		counts[si] = s.shards[si].countLocal(f, from, to, &qs)
+		counts[si] = s.shards[si].countLocal(f, &qs)
 	})
 	unlock()
 	for _, c := range counts {
@@ -300,7 +293,7 @@ func (s *Store) Count(f *Filter) int {
 // keeps one cold-decode implementation).
 func (s *Store) countScan(f *Filter) int {
 	n := 0
-	s.scanRange(0, -1, func(sp *StoredPacket) bool {
+	s.scanRange(tsWin{}, func(sp *StoredPacket) bool {
 		if f.Match(sp) {
 			n++
 		}
@@ -309,12 +302,11 @@ func (s *Store) countScan(f *Filter) int {
 	return n
 }
 
-// countLocal counts one shard's matches. Windowing by the filter's time
-// bounds is sound for counting too: a packet outside the window fails the
-// ts conjunct that produced the bound.
-func (sh *shard) countLocal(f *Filter, from, to time.Duration, qs *queryStats) int {
+// countLocal counts one shard's matches. The window is exact, so with no
+// residual the count is the clipped posting-list intersection size.
+func (sh *shard) countLocal(f *Filter, qs *queryStats) int {
 	slab := sh.packets
-	lo, hi := sliceWindow(slab, from, to)
+	lo, hi := sliceWindow(slab, f.plan.win)
 	if lo >= hi {
 		return 0
 	}
@@ -367,7 +359,7 @@ func (s *Store) CountExpr(expr string) (int, error) {
 // PacketsBetween returns packets in [from, to), via the time index.
 func (s *Store) PacketsBetween(from, to time.Duration) []StoredPacket {
 	var out []StoredPacket
-	s.scanRange(from, to, func(sp *StoredPacket) bool {
+	s.scanRange(betweenWin(from, to), func(sp *StoredPacket) bool {
 		out = append(out, *sp)
 		return true
 	})
@@ -378,7 +370,7 @@ func (s *Store) PacketsBetween(from, to time.Duration) []StoredPacket {
 // early if visit returns false. It holds the shard read locks for the
 // duration; visitors must be fast and must not call back into the store.
 func (s *Store) Scan(visit func(*StoredPacket) bool) {
-	s.scanRange(0, -1, visit)
+	s.scanRange(tsWin{}, visit)
 }
 
 // FlowsWhere returns flow metadata satisfying pred, ordered by first TS.

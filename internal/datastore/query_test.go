@@ -65,7 +65,8 @@ func TestPlannerExtractsIndexableConjuncts(t *testing.T) {
 	}{
 		{"proto == udp && dst.port == 53", true, 2, false},
 		{"proto == udp && dst.port == 53 && len > 100", true, 2, true},
-		{"ts >= 1s && proto == udp", true, 1, true}, // ts bound stays residual
+		{"ts >= 1s && proto == udp", true, 1, false}, // ts bound is the window, not the residual
+		{"ts != 1s && proto == udp", true, 1, true},  // not an interval: stays residual
 		{"dns && dns.resp && udp", true, 3, false},
 		{"label == dns-amp", true, 1, false},
 		{"link == 3", true, 1, false},

@@ -1,0 +1,281 @@
+package datastore
+
+import (
+	"time"
+
+	"campuslab/internal/packet"
+	"campuslab/internal/traffic"
+)
+
+// The segment directory: everything about a cold segment that is not
+// packet bytes — IDs, timestamps, posting families, the link/label
+// dictionary, actor bits and the data column's block geometry — decoded
+// and validated once, copied off the file mapping, and then shared by
+// every query that touches the segment. A directory is immutable and
+// describes an immutable file named by a never-reused seq, so it can
+// never go stale; the tier cache holds it under the same byte budget as
+// the decoded blocks (tiercache.go), and with the cache off the same
+// build runs per query, so there is one read path, not two.
+//
+// What is verified when. buildSegDir checksums all of the segment's
+// columns and runs every structural check the column decoders make, so a
+// directory only exists for a segment that was whole when it was built.
+// Queries answered from a resident directory alone (windowed indexable
+// Counts, candidate lists) read no file at all. A cursor that needs
+// packet bytes serves them from the block cache, and on its first miss
+// opens the file, re-frames it and checksums the data column — once per
+// query and segment — before inflating anything; each inflated block is
+// checked for its exact size and a clean end of stream.
+type segDir struct {
+	ids  []PacketID // one per row, like tss
+	tss  []time.Duration
+	act  []byte // one bit per row
+	post *segPostings
+	dict *segDict // v2: the dict column; v1: inverted from the index
+	data *segData // geometry only: streams is nil
+	// The data column this geometry was parsed from; a cursor opening the
+	// file later refuses one that frames a different column.
+	dataLen int
+	dataSum uint32
+	// bytes is the resident footprint charged to the cache budget.
+	bytes int64
+}
+
+// buildSegDir decodes and validates every column of a parsed segment into
+// its directory. Nothing in the result aliases the blob.
+func buildSegDir(sb *segBlob) (*segDir, error) {
+	ids, tss, err := sb.decodeTimeID()
+	if err != nil {
+		return nil, err
+	}
+	post, err := sb.decodeIndex()
+	if err != nil {
+		return nil, err
+	}
+	act, err := sb.decodeActor()
+	if err != nil {
+		return nil, err
+	}
+	data, err := sb.parseData()
+	if err != nil {
+		return nil, err
+	}
+	var dict *segDict
+	if sb.version >= segVersion2 {
+		if dict, err = sb.decodeDict(); err != nil {
+			return nil, err
+		}
+	} else {
+		dict = post.dict(sb.count)
+	}
+	d := &segDir{
+		ids: ids, tss: tss, act: act, post: post, dict: dict, data: data,
+		dataLen: len(sb.cols[segColData]), dataSum: sb.colSums[segColData],
+	}
+	data.streams = nil
+	d.bytes = 256 + 16*int64(sb.count) + int64(len(act)) + post.bytes() + dict.bytes() + data.bytes()
+	return d, nil
+}
+
+// segCursor materialises rows of one segment, one at a time, for one
+// query: metadata from the directory, packet bytes from the block cache
+// or — from the first miss on — the segment file. A cursor is not safe
+// for concurrent use and must be closed.
+type segCursor struct {
+	dir *segDir
+	qs  *queryStats // nil outside queries (compaction, blob decodes)
+
+	// cache serves and keeps decoded blocks under seq (nil: inflate and
+	// discard).
+	cache *tierCache
+	seq   uint64
+	// The segment file: opened by the directory build when this query ran
+	// it, otherwise on the first block-cache miss.
+	tr      *tier
+	sg      *tierSegment
+	sb      *segBlob
+	release func()
+	streams []byte // the verified data column's block streams
+
+	block  int // index of the block in buf, -1 before the first
+	buf    []byte
+	parser *packet.FlowParser
+
+	blocksInflated, bytesInflated, rowsDecoded uint64
+}
+
+// openSeg returns a cursor over sg. With useCache the directory comes
+// from (or is built into) the tier cache and blocks are cached beside it;
+// without — compaction, which reads each input once and deletes it — the
+// cache is neither read nor filled. Either way a directory that has to be
+// built is built by the same code from the same single file read. Caller
+// holds tr.mu.RLock (registry membership) or sealMu (mutators).
+func (tr *tier) openSeg(sg *tierSegment, useCache bool, qs *queryStats) (*segCursor, error) {
+	c := &segCursor{tr: tr, sg: sg, qs: qs, block: -1}
+	if useCache && tr.cache != nil && sg.seq != segSeqInvalid {
+		c.cache, c.seq = tr.cache, sg.seq
+		if dir, ok := tr.cache.getDir(sg.seq); ok {
+			c.dir = dir
+			return c, nil
+		}
+	}
+	sb, release, err := tr.loadSeg(sg)
+	if err != nil {
+		return nil, err
+	}
+	dir, err := buildSegDir(sb)
+	if err != nil {
+		release()
+		return nil, err // nothing cached
+	}
+	c.sb, c.release, c.dir = sb, release, dir
+	if c.cache != nil {
+		c.dir = c.cache.putDir(sg.seq, dir)
+	}
+	return c, nil
+}
+
+// close releases the file and the parser and hands the cursor's counters
+// to the query.
+func (c *segCursor) close() {
+	if c.parser != nil {
+		parserPool.Put(c.parser)
+	}
+	if c.release != nil {
+		c.release()
+	}
+	if c.qs != nil {
+		c.qs.blocksInflated.Add(c.blocksInflated)
+		c.qs.bytesInflated.Add(c.bytesInflated)
+		c.qs.rowsDecoded.Add(c.rowsDecoded)
+	}
+}
+
+// openStreams locates the data column's block streams, opening the file if
+// the directory came from the cache. The column's CRC is verified here,
+// once per cursor (memoized by the blob; the build already paid it when
+// this query ran the build).
+func (c *segCursor) openStreams() error {
+	if c.sb == nil {
+		sb, release, err := c.tr.loadSeg(c.sg)
+		if err != nil {
+			return err
+		}
+		c.sb, c.release = sb, release
+	}
+	payload, err := c.sb.col(segColData)
+	if err != nil {
+		return err
+	}
+	if len(payload) != c.dir.dataLen || c.sb.colSums[segColData] != c.dir.dataSum {
+		return segErr("data column (%d bytes, crc %08x) is not the one its directory describes (%d bytes, crc %08x)",
+			len(payload), c.sb.colSums[segColData], c.dir.dataLen, c.dir.dataSum)
+	}
+	c.streams = payload[c.dir.data.streamsOff:]
+	return nil
+}
+
+// loadBlock makes block b current, through the cache when there is one.
+func (c *segCursor) loadBlock(b int) error {
+	key := blockKey{seq: c.seq, block: b}
+	if c.cache != nil {
+		if buf, ok := c.cache.get(key); ok {
+			c.buf, c.block = buf, b
+			return nil
+		}
+	}
+	if c.streams == nil {
+		if err := c.openStreams(); err != nil {
+			return err
+		}
+	}
+	buf, err := c.dir.data.inflateBlock(c.streams, b)
+	if err != nil {
+		return err
+	}
+	c.blocksInflated++
+	c.bytesInflated += uint64(len(buf))
+	if c.cache != nil {
+		c.cache.put(key, buf)
+	}
+	c.buf, c.block = buf, b
+	return nil
+}
+
+// row materialises one row into sp, re-parsing its summary from the raw
+// bytes. sp.Data aliases the decoded block, never the file mapping, so it
+// outlives the cursor.
+func (c *segCursor) row(row int, sp *StoredPacket) error {
+	d := c.dir
+	if b := row / d.data.blockRows; b != c.block {
+		if err := c.loadBlock(b); err != nil {
+			return err
+		}
+	}
+	if c.parser == nil {
+		c.parser = parserPool.Get().(*packet.FlowParser)
+	}
+	sp.ID, sp.TS = d.ids[row], d.tss[row]
+	sp.Link = uint16(d.dict.at(0, row))
+	sp.Label = traffic.Label(d.dict.at(1, row))
+	sp.Actor = d.act[row/8]&(1<<(row%8)) != 0
+	sp.Data = d.data.rowBytes(c.buf, c.block, row)
+	_ = c.parser.Parse(sp.Data, &sp.Summary) // as at ingest: a non-IP or malformed frame keeps its partial summary
+	c.rowsDecoded++
+	return nil
+}
+
+// rows materialises the row interval [lo, hi) into a fresh run.
+func (c *segCursor) rows(lo, hi int) ([]StoredPacket, error) {
+	if lo >= hi {
+		return nil, nil
+	}
+	out := make([]StoredPacket, hi-lo)
+	for i := range out {
+		if err := c.row(lo+i, &out[i]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// segEach walks, in row order, the rows of cur's segment that satisfy f —
+// the plan's candidates inside its window re-checked by the residual, or
+// every row of the window against the whole predicate when the plan has
+// no index keys — handing each to emit until it returns false. Rows are
+// materialised one at a time, so a limit stops the block decode with it;
+// with a nil emit and nothing to re-check, the match count is the
+// candidate count and no row is materialised at all. Returns the number
+// of matches visited.
+func segEach(cur *segCursor, f *Filter, qs *queryStats, emit func(*StoredPacket) bool) (int, error) {
+	dir := cur.dir
+	rlo, rhi := tsWindow(dir.tss, f.plan.win)
+	cand, indexed := dir.post.segCandidates(&f.plan, uint32(rlo), uint32(rhi))
+	n, pred := rhi-rlo, f.pred
+	if indexed {
+		n, pred = len(cand), f.plan.residual
+	}
+	qs.rowsScanned.Add(uint64(n))
+	if pred == nil && emit == nil {
+		return n, nil
+	}
+	matched := 0
+	var sp StoredPacket
+	for i := 0; i < n; i++ {
+		row := rlo + i
+		if indexed {
+			row = int(cand[i])
+		}
+		if err := cur.row(row, &sp); err != nil {
+			return matched, err
+		}
+		if pred != nil && !pred(&sp) {
+			continue
+		}
+		matched++
+		if emit != nil && !emit(&sp) {
+			break
+		}
+	}
+	return matched, nil
+}

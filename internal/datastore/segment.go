@@ -13,9 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"campuslab/internal/packet"
 	"campuslab/internal/parallel"
-	"campuslab/internal/traffic"
 )
 
 // The cold tier's on-disk unit is the CLSG segment: an immutable,
@@ -58,9 +56,10 @@ import (
 // bytes with the same allocation-free parser ingest used, which is
 // deterministic, so decoded rows are byte-identical to what was sealed.
 //
-// Column CRCs verify lazily, memoized per column on first access, so a
-// query that never touches a column never pays its checksum; the
-// attach-time path (openSegMeta) still verifies every column eagerly.
+// Column CRCs verify on first access, memoized per parsed blob. Queries
+// do not decode columns themselves: buildSegDir (segdir.go) decodes and
+// checksums every column once into the segment's resident directory, and
+// the attach-time path (openSegMeta) verifies every column eagerly too.
 // Every decode validates structure strictly (sorted runs, total
 // partitions, exact column lengths, no trailing bytes) and every
 // corruption — CRC mismatch, truncation, bit flips — surfaces as an error
@@ -180,8 +179,9 @@ func (z *segZone) mayMatch(keys []ixRef) bool {
 	return true
 }
 
-// segIndex is a decoded index column: the posting-list families re-based
-// to row positions within the segment.
+// segIndex is the writer's index under construction: the posting-list
+// families re-based to row positions, grouped by value as rows arrive.
+// The reader's resident form is segPostings.
 type segIndex struct {
 	fams  [5]map[uint64][]uint32
 	flags [numFlags][]uint32
@@ -195,57 +195,125 @@ func newSegIndex() *segIndex {
 	return ix
 }
 
-// lookup returns the row list for one planner key (nil when absent).
-func (ix *segIndex) lookup(ref ixRef) []uint32 {
-	if ref.kind == ixFlag {
-		if ref.val >= numFlags {
-			return nil
-		}
-		return ix.flags[ref.val]
+// sortedVals returns one family's distinct values, ascending.
+func (ix *segIndex) sortedVals(fi int) []uint64 {
+	vals := make([]uint64, 0, len(ix.fams[fi]))
+	for v := range ix.fams[fi] {
+		vals = append(vals, v)
 	}
-	fi := segFamilyIndex(ref.kind)
-	if fi < 0 {
-		return nil
-	}
-	return ix.fams[fi][ref.val]
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	return vals
 }
 
-// scatter inverts one total value family into a per-row value array.
-// Valid only for families validated to partition the rows (decodeIndex
-// enforces this for all five).
-func (ix *segIndex) scatter(fi, count int) []uint64 {
-	out := make([]uint64, count)
-	for v, rows := range ix.fams[fi] {
-		for _, r := range rows {
-			out[r] = v
-		}
+// setFamily records one family's ascending distinct values in the zone map.
+func (z *segZone) setFamily(fi int, vals []uint64) {
+	if len(vals) > 0 {
+		z.min[fi], z.max[fi] = vals[0], vals[len(vals)-1]
 	}
-	return out
+	if len(vals) > segZoneMaxVals {
+		z.overflow[fi] = true
+	} else {
+		z.vals[fi] = vals
+	}
 }
 
-// zone derives the resident zone map from a decoded (or freshly built)
-// index.
+// zone derives the resident zone map from a freshly built index.
 func (ix *segIndex) zone() segZone {
 	var z segZone
 	for fi := range ix.fams {
-		vals := make([]uint64, 0, len(ix.fams[fi]))
-		for v := range ix.fams[fi] {
-			vals = append(vals, v)
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		if len(vals) > 0 {
-			z.min[fi], z.max[fi] = vals[0], vals[len(vals)-1]
-		}
-		if len(vals) > segZoneMaxVals {
-			z.overflow[fi] = true
-		} else {
-			z.vals[fi] = vals
-		}
+		z.setFamily(fi, ix.sortedVals(fi))
 	}
 	for fl := range ix.flags {
 		z.flags[fl] = len(ix.flags[fl]) > 0
 	}
 	return z
+}
+
+// segPostings is a decoded index column in its resident form: per value
+// family the ascending distinct values, each owning a contiguous run of
+// one shared row slab, then the six flag lists in the same slab. Against
+// five maps of slices this is two allocations per family instead of one
+// per distinct value, and nothing in it points into the segment file.
+type segPostings struct {
+	vals  [5][]uint16          // ascending distinct values (every family's domain fits 16 bits)
+	start [5][]uint32          // len(vals)+1: value i owns rows[start[i]:start[i+1]]
+	flags [numFlags + 1]uint32 // flag fl owns rows[flags[fl]:flags[fl+1]]
+	rows  []uint32
+}
+
+// lookup returns the ascending row list for one planner key (nil when
+// absent). The list is a view into the slab: callers must not write it.
+func (px *segPostings) lookup(ref ixRef) []uint32 {
+	if ref.kind == ixFlag {
+		if ref.val >= numFlags {
+			return nil
+		}
+		return px.rows[px.flags[ref.val]:px.flags[ref.val+1]]
+	}
+	fi := segFamilyIndex(ref.kind)
+	if fi < 0 || ref.val > segFamilyMax[fi] {
+		return nil
+	}
+	vals := px.vals[fi]
+	i := sort.Search(len(vals), func(i int) bool { return uint64(vals[i]) >= ref.val })
+	if i == len(vals) || uint64(vals[i]) != ref.val {
+		return nil
+	}
+	return px.rows[px.start[fi][i]:px.start[fi][i+1]]
+}
+
+// widen copies a family's values into the uint64 form zone maps and
+// dictionaries share with the writer.
+func widen(vals []uint16) []uint64 {
+	out := make([]uint64, len(vals))
+	for i, v := range vals {
+		out[i] = uint64(v)
+	}
+	return out
+}
+
+// zone derives the resident zone map from a decoded index.
+func (px *segPostings) zone() segZone {
+	var z segZone
+	for fi := range px.vals {
+		z.setFamily(fi, widen(px.vals[fi]))
+	}
+	for fl := range z.flags {
+		z.flags[fl] = px.flags[fl+1] > px.flags[fl]
+	}
+	return z
+}
+
+// dict derives the per-row link/label dictionary a v1 segment does not
+// store, by inverting the two families — valid because decodeIndex has
+// checked that every value family partitions the rows.
+func (px *segPostings) dict(count int) *segDict {
+	d := &segDict{}
+	for fam, fi := range segDictFams {
+		vals := px.vals[fi]
+		d.vals[fam] = widen(vals)
+		width := bits.Len(uint(len(vals) - 1))
+		d.width[fam] = width
+		if width == 0 {
+			continue
+		}
+		d.codes[fam] = make([]byte, (count*width+7)/8)
+		for c := range vals {
+			for _, r := range px.rows[px.start[fi][c]:px.start[fi][c+1]] {
+				putBits(d.codes[fam], int(r)*width, width, uint64(c))
+			}
+		}
+	}
+	return d
+}
+
+// bytes is the resident footprint, for the cache budget.
+func (px *segPostings) bytes() int64 {
+	n := 4 * int64(cap(px.rows))
+	for fi := range px.vals {
+		n += 2*int64(cap(px.vals[fi])) + 4*int64(cap(px.start[fi]))
+	}
+	return n
 }
 
 // buildSegIndex indexes a row run exactly like postings.add does for a
@@ -294,11 +362,7 @@ func appendRowList(b []byte, rows []uint32) []byte {
 func (ix *segIndex) encode() []byte {
 	var b []byte
 	for fi := range ix.fams {
-		vals := make([]uint64, 0, len(ix.fams[fi]))
-		for v := range ix.fams[fi] {
-			vals = append(vals, v)
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		vals := ix.sortedVals(fi)
 		b = binary.AppendUvarint(b, uint64(len(vals)))
 		for _, v := range vals {
 			b = binary.AppendUvarint(b, v)
@@ -321,18 +385,24 @@ func putBits(dst []byte, bitOff, width int, v uint64) {
 	}
 }
 
+// getBits extracts one code from a single loaded little-endian word.
+// Widths stay under 57 bits (a dictionary code is at most 22), so the
+// code never straddles the word even at bit offset 7.
 func getBits(src []byte, bitOff, width int) uint64 {
-	var v uint64
-	for w := 0; w < width; w++ {
-		if src[(bitOff+w)/8]&(1<<((bitOff+w)%8)) != 0 {
-			v |= 1 << w
+	i := bitOff >> 3
+	var word uint64
+	if i+8 <= len(src) {
+		word = binary.LittleEndian.Uint64(src[i:])
+	} else {
+		for k, b := range src[i:] {
+			word |= uint64(b) << (8 * k)
 		}
 	}
-	return v
+	return word >> (bitOff & 7) & (1<<width - 1)
 }
 
 // segDictFams are the two dictionary-encoded families (their segFamily
-// indices): links and labels, the columns rowsAt needs per-row.
+// indices): links and labels, the columns a materialised row needs.
 var segDictFams = [2]int{3, 4}
 
 func segDictValue(sp *StoredPacket, fam int) uint64 {
@@ -376,7 +446,8 @@ func encodeDict(rows []StoredPacket) []byte {
 }
 
 // segDict is a decoded dictionary column: per family, the value table,
-// the code width and the packed codes. at() is the O(1) per-row accessor.
+// the code width and a private copy of the packed codes. at() is the O(1)
+// per-row accessor.
 type segDict struct {
 	vals  [2][]uint64
 	width [2]int
@@ -388,6 +459,15 @@ func (d *segDict) at(fam, row int) uint64 {
 		return d.vals[fam][0]
 	}
 	return d.vals[fam][getBits(d.codes[fam], row*d.width[fam], d.width[fam])]
+}
+
+// bytes is the resident footprint, for the cache budget.
+func (d *segDict) bytes() int64 {
+	var n int64
+	for fam := range d.vals {
+		n += 8*int64(cap(d.vals[fam])) + int64(cap(d.codes[fam]))
+	}
+	return n
 }
 
 // decodeDict decodes and validates the dictionary column: per family,
@@ -448,7 +528,7 @@ func (sb *segBlob) decodeDict() (*segDict, error) {
 					return nil, segErr("nonzero trailing dict bits in family %d", fam)
 				}
 			}
-			d.codes[fam] = codes
+			d.codes[fam] = bytes.Clone(codes)
 		}
 		d.vals[fam] = vals
 		d.width[fam] = width
@@ -664,10 +744,10 @@ func encodeSegmentVer(rows []StoredPacket, version uint16) ([]byte, segMeta, err
 
 // segBlob is a parsed segment: header fields plus the framed column
 // payloads. Framing (magic, version, column order, lengths, no trailing
-// bytes) is validated eagerly; per-column CRCs verify lazily on first
-// access and are memoized, so pruned queries touch as little as possible.
-// A segBlob is not safe for concurrent use — each query call parses its
-// own.
+// bytes) is validated eagerly; per-column CRCs verify on first access and
+// are memoized, so a cursor that opens the file only for data blocks pays
+// only the data column's checksum. A segBlob is not safe for concurrent
+// use — each reader parses its own.
 type segBlob struct {
 	version      int
 	count        int
@@ -696,8 +776,7 @@ func (sb *segBlob) col(id int) ([]byte, error) {
 	return sb.cols[id], nil
 }
 
-// verifyAll checks every column CRC — the attach-time strictness the
-// lazy query path skips.
+// verifyAll checks every column CRC (attach time).
 func (sb *segBlob) verifyAll() error {
 	for id := segColIDs; id <= sb.numCols(); id++ {
 		if _, err := sb.col(id); err != nil {
@@ -769,6 +848,10 @@ type segReader struct {
 }
 
 func (r *segReader) uvarint() (uint64, error) {
+	if r.off < len(r.b) && r.b[r.off] < 0x80 { // one-byte fast path: most deltas
+		r.off++
+		return uint64(r.b[r.off-1]), nil
+	}
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
 		return 0, segErr("bad varint at offset %d", r.off)
@@ -836,7 +919,8 @@ func (sb *segBlob) decodeTimeID() ([]PacketID, []time.Duration, error) {
 	return ids, tss, nil
 }
 
-// decodeActor decodes the bit-packed actor column.
+// decodeActor validates the bit-packed actor column and returns a private
+// copy of it.
 func (sb *segBlob) decodeActor() ([]byte, error) {
 	act, err := sb.col(segColActor)
 	if err != nil {
@@ -848,21 +932,26 @@ func (sb *segBlob) decodeActor() ([]byte, error) {
 	if rem := sb.count % 8; rem != 0 && act[len(act)-1]>>rem != 0 {
 		return nil, segErr("nonzero trailing actor bits")
 	}
-	return act, nil
+	return bytes.Clone(act), nil
 }
 
 // segData is a parsed (not yet inflated) data column: the per-row raw
-// lengths, the block geometry, and the compressed streams. v1 columns
-// parse as a single block covering every row, so both formats share one
-// selective-decode and cache path.
+// offsets and the block geometry. v1 columns parse as a single block
+// covering every row, so both formats share one selective-decode and
+// cache path. Everything but streams is private memory, so a segData
+// with streams dropped is the resident geometry a directory keeps.
 type segData struct {
 	count     int
 	blockRows int
 	nblocks   int
-	rowOff    []uint64 // len count+1: prefix sums of per-row raw lengths
+	rowOff    []uint32 // len count+1: prefix sums of per-row raw lengths (segMaxData is 2^30)
 	compOff   []int    // per block: offset of its DEFLATE stream in streams
 	compLen   []int
-	streams   []byte
+	// streams is the concatenated block streams, payload[streamsOff:] of
+	// the data column. It aliases the blob, so a resident directory drops
+	// it and a cursor re-derives it from the file it opens.
+	streamsOff int
+	streams    []byte
 }
 
 // parseData validates the data column's framing: row lengths vs the
@@ -902,7 +991,8 @@ func (sb *segBlob) parseData() (*segData, error) {
 	if totalRaw > segMaxData {
 		return nil, segErr("data column claims %d bytes", totalRaw)
 	}
-	d.rowOff = make([]uint64, sb.count+1)
+	d.rowOff = make([]uint32, sb.count+1)
+	var off uint64
 	for i := 0; i < sb.count; i++ {
 		l, err := r.uvarint()
 		if err != nil {
@@ -911,10 +1001,13 @@ func (sb *segBlob) parseData() (*segData, error) {
 		if l > segMaxPacket {
 			return nil, segErr("row %d claims %d data bytes", i, l)
 		}
-		d.rowOff[i+1] = d.rowOff[i] + l
+		if off += l; off > totalRaw {
+			return nil, segErr("row lengths pass the declared total %d at row %d", totalRaw, i)
+		}
+		d.rowOff[i+1] = uint32(off)
 	}
-	if d.rowOff[sb.count] != totalRaw {
-		return nil, segErr("row lengths sum %d != total %d", d.rowOff[sb.count], totalRaw)
+	if off != totalRaw {
+		return nil, segErr("row lengths sum %d != total %d", off, totalRaw)
 	}
 	d.compOff = make([]int, d.nblocks)
 	d.compLen = make([]int, d.nblocks)
@@ -939,8 +1032,14 @@ func (sb *segBlob) parseData() (*segData, error) {
 	} else {
 		d.compLen[0] = len(payload) - r.off
 	}
+	d.streamsOff = r.off
 	d.streams = payload[r.off:]
 	return d, nil
+}
+
+// bytes is the resident footprint of the geometry, for the cache budget.
+func (d *segData) bytes() int64 {
+	return 4*int64(cap(d.rowOff)) + 8*int64(cap(d.compOff)+cap(d.compLen))
 }
 
 // blockRange returns block b's row interval [lo, hi).
@@ -961,14 +1060,14 @@ var inflatePool = sync.Pool{
 	New: func() any { return flate.NewReader(nil) },
 }
 
-// inflateBlock decompresses one block, validating the exact raw size and
-// a clean end of stream.
-func (d *segData) inflateBlock(b int) ([]byte, error) {
+// inflateBlock decompresses block b out of the column's streams,
+// validating the exact raw size and a clean end of stream.
+func (d *segData) inflateBlock(streams []byte, b int) ([]byte, error) {
 	lo, hi := d.blockRange(b)
 	size := d.rowOff[hi] - d.rowOff[lo]
 	fr := inflatePool.Get().(io.ReadCloser)
 	defer inflatePool.Put(fr)
-	if err := fr.(flate.Resetter).Reset(bytes.NewReader(d.streams[d.compOff[b]:d.compOff[b]+d.compLen[b]]), nil); err != nil {
+	if err := fr.(flate.Resetter).Reset(bytes.NewReader(streams[d.compOff[b]:d.compOff[b]+d.compLen[b]]), nil); err != nil {
 		return nil, segErr("inflate reset block %d: %v", b, err)
 	}
 	buf := make([]byte, size)
@@ -992,9 +1091,9 @@ func (d *segData) rowBytes(blockBuf []byte, b, row int) []byte {
 	return blockBuf[lo:hi:hi]
 }
 
-// readRowList decodes one delta-coded row list, validating strict ascent
-// and the row-position domain.
-func readRowList(r *segReader, count int) ([]uint32, error) {
+// readRowList decodes one delta-coded row list onto the end of dst,
+// validating strict ascent and the row-position domain.
+func readRowList(r *segReader, count int, dst []uint32) ([]uint32, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -1003,9 +1102,8 @@ func readRowList(r *segReader, count int) ([]uint32, error) {
 		return nil, segErr("row list claims %d of %d rows", n, count)
 	}
 	if n == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	rows := make([]uint32, n)
 	v, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -1013,7 +1111,7 @@ func readRowList(r *segReader, count int) ([]uint32, error) {
 	if v >= uint64(count) {
 		return nil, segErr("row %d out of range", v)
 	}
-	rows[0] = uint32(v)
+	dst = append(dst, uint32(v))
 	for j := 1; j < int(n); j++ {
 		d, err := r.uvarint()
 		if err != nil {
@@ -1022,27 +1120,32 @@ func readRowList(r *segReader, count int) ([]uint32, error) {
 		if d == 0 {
 			return nil, segErr("row list not strictly ascending")
 		}
-		nv := uint64(rows[j-1]) + d
-		if nv >= uint64(count) {
-			return nil, segErr("row %d out of range", nv)
+		if d >= uint64(count) { // also keeps v += d from wrapping
+			return nil, segErr("row delta %d out of range", d)
 		}
-		rows[j] = uint32(nv)
+		if v += d; v >= uint64(count) {
+			return nil, segErr("row %d out of range", v)
+		}
+		dst = append(dst, uint32(v))
 	}
-	return rows, nil
+	return dst, nil
 }
 
 // decodeIndex decodes and validates the index column: ascending in-domain
 // values, strictly ascending row lists, and — for the five value families
-// — an exact partition of the rows (which is what makes the link/label
-// scatter total and the zone map's absence proofs sound).
-func (sb *segBlob) decodeIndex() (*segIndex, error) {
+// — an exact partition of the rows (which is what makes the v1 link/label
+// inversion total and the zone map's absence proofs sound).
+func (sb *segBlob) decodeIndex() (*segPostings, error) {
 	payload, err := sb.col(segColIndex)
 	if err != nil {
 		return nil, err
 	}
 	r := &segReader{b: payload}
-	ix := newSegIndex()
-	for fi := range ix.fams {
+	// Every row entry costs at least one payload byte, which bounds the
+	// slab tighter than the 11 lists a row can appear in.
+	px := &segPostings{rows: make([]uint32, 0, min(len(payload), (5+numFlags)*sb.count))}
+	seen := make([]uint64, (sb.count+63)/64) // one bitset, cleared per family
+	for fi := range px.vals {
 		nvals, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -1050,8 +1153,10 @@ func (sb *segBlob) decodeIndex() (*segIndex, error) {
 		if nvals > uint64(sb.count) {
 			return nil, segErr("family %d claims %d values", fi, nvals)
 		}
-		seen := make([]bool, sb.count)
-		total := 0
+		clear(seen)
+		vals := make([]uint16, 0, nvals)
+		start := make([]uint32, 0, nvals+1)
+		base := len(px.rows)
 		prev := uint64(0)
 		for vi := uint64(0); vi < nvals; vi++ {
 			val, err := r.uvarint()
@@ -1065,124 +1170,63 @@ func (sb *segBlob) decodeIndex() (*segIndex, error) {
 			if val > segFamilyMax[fi] {
 				return nil, segErr("family %d value %d out of domain", fi, val)
 			}
-			rows, err := readRowList(r, sb.count)
-			if err != nil {
+			lo := len(px.rows)
+			if px.rows, err = readRowList(r, sb.count, px.rows); err != nil {
 				return nil, err
 			}
-			if len(rows) == 0 {
+			if len(px.rows) == lo {
 				return nil, segErr("family %d value %d has no rows", fi, val)
 			}
-			for _, row := range rows {
-				if seen[row] {
+			for _, row := range px.rows[lo:] {
+				if seen[row>>6]&(1<<(row&63)) != 0 {
 					return nil, segErr("family %d row %d indexed twice", fi, row)
 				}
-				seen[row] = true
+				seen[row>>6] |= 1 << (row & 63)
 			}
-			total += len(rows)
-			ix.fams[fi][val] = rows
+			vals = append(vals, uint16(val))
+			start = append(start, uint32(lo))
 		}
-		if total != sb.count {
+		if total := len(px.rows) - base; total != sb.count {
 			return nil, segErr("family %d covers %d of %d rows", fi, total, sb.count)
 		}
+		px.vals[fi], px.start[fi] = vals, append(start, uint32(len(px.rows)))
 	}
-	for fl := range ix.flags {
-		rows, err := readRowList(r, sb.count)
-		if err != nil {
+	for fl := 0; fl < numFlags; fl++ {
+		px.flags[fl] = uint32(len(px.rows))
+		if px.rows, err = readRowList(r, sb.count, px.rows); err != nil {
 			return nil, err
 		}
-		ix.flags[fl] = rows
 	}
+	px.flags[numFlags] = uint32(len(px.rows))
 	if !r.done() {
 		return nil, segErr("trailing bytes in index column")
 	}
-	return ix, nil
-}
-
-// rowsAt materializes the selected rows (ascending row positions) into
-// StoredPackets, re-parsing summaries from the raw bytes. sel == nil
-// materializes every row. Only the data blocks the selection lands in are
-// inflated; bs (optional) serves and fills the decoded-block cache. v2
-// blobs read link/label per row from the dictionary column; v1 blobs
-// invert the index column into scatter arrays. Materialized rows never
-// alias the blob's backing bytes, so the caller may unmap them once
-// rowsAt returns.
-func (sb *segBlob) rowsAt(sel []uint32, ix *segIndex, ids []PacketID, tss []time.Duration, bs *blockSource) ([]StoredPacket, error) {
-	act, err := sb.decodeActor()
-	if err != nil {
-		return nil, err
+	if spare := cap(px.rows) - len(px.rows); spare > len(px.rows)/8 {
+		px.rows = append(make([]uint32, 0, len(px.rows)), px.rows...) // resident: don't hold the slack
 	}
-	d, err := sb.parseData()
-	if err != nil {
-		return nil, err
-	}
-	var dict *segDict
-	var links, labels []uint64
-	if sb.version >= segVersion2 {
-		if dict, err = sb.decodeDict(); err != nil {
-			return nil, err
-		}
-	} else {
-		links = ix.scatter(3, sb.count)
-		labels = ix.scatter(4, sb.count)
-	}
-	n := sb.count
-	if sel != nil {
-		n = len(sel)
-	}
-	out := make([]StoredPacket, n)
-	p := parserPool.Get().(*packet.FlowParser)
-	defer parserPool.Put(p)
-	curBlock := -1
-	var blockBuf []byte
-	for i := 0; i < n; i++ {
-		row := i
-		if sel != nil {
-			row = int(sel[i])
-		}
-		if b := row / d.blockRows; b != curBlock {
-			if blockBuf, err = bs.block(d, b); err != nil {
-				return nil, err
-			}
-			curBlock = b
-		}
-		sp := &out[i]
-		sp.ID, sp.TS = ids[row], tss[row]
-		if dict != nil {
-			sp.Link = uint16(dict.at(0, row))
-			sp.Label = traffic.Label(dict.at(1, row))
-		} else {
-			sp.Link = uint16(links[row])
-			sp.Label = traffic.Label(labels[row])
-		}
-		sp.Actor = act[row/8]&(1<<(row%8)) != 0
-		sp.Data = d.rowBytes(blockBuf, curBlock, row)
-		_ = p.Parse(sp.Data, &sp.Summary)
-	}
-	return out, nil
+	return px, nil
 }
 
 // decodeBlobRows fully decodes a parsed blob back into its row run.
-func (sb *segBlob) decodeBlobRows(bs *blockSource) ([]StoredPacket, error) {
-	ids, tss, err := sb.decodeTimeID()
+func (sb *segBlob) decodeBlobRows() ([]StoredPacket, error) {
+	dir, err := buildSegDir(sb)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := sb.decodeIndex()
-	if err != nil {
-		return nil, err
-	}
-	return sb.rowsAt(nil, ix, ids, tss, bs)
+	cur := &segCursor{dir: dir, sb: sb, block: -1}
+	defer cur.close()
+	return cur.rows(0, sb.count)
 }
 
 // decodeSegmentRows fully decodes a segment blob back into its row run —
-// the scan-reference and compaction path, and the fuzz target's identity
-// check: decode(encode(rows)) == rows for every valid blob, v1 or v2.
+// the fuzz target's identity check: decode(encode(rows)) == rows for every
+// valid blob, v1 or v2.
 func decodeSegmentRows(b []byte) ([]StoredPacket, error) {
 	sb, err := parseSegment(b)
 	if err != nil {
 		return nil, err
 	}
-	return sb.decodeBlobRows(nil)
+	return sb.decodeBlobRows()
 }
 
 // openSegMeta parses a segment blob just enough to register it: header

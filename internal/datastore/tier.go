@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,8 +80,9 @@ type TierPolicy struct {
 	// the v2 block-compressed + dictionary format; 1 writes the legacy
 	// single-stream format. Readers accept both regardless.
 	Format int
-	// CacheBytes bounds the decoded-block LRU cache serving cold queries
-	// (0 = disabled: every query inflates what it needs and discards it).
+	// CacheBytes bounds the LRU cache serving cold queries: decoded data
+	// blocks and the segments' resident directories share the one budget
+	// (0 = disabled: every query decodes what it needs and discards it).
 	CacheBytes int64
 }
 
@@ -118,6 +120,10 @@ type TierStats struct {
 	CacheMisses     uint64
 	CacheBytes      int64 // decoded blocks resident in the cache
 	CacheEntries    int
+	DirHits         uint64 // segment directories served from the cache
+	DirMisses       uint64 // directories a query had to build
+	DirBytes        int64  // directories resident, charged to the same budget
+	DirEntries      int
 	Err             error // sticky: last segment decode/IO failure
 }
 
@@ -153,7 +159,7 @@ func tierHook(stage string) {
 }
 
 // segSeqInvalid marks a segment whose file name did not parse to a seq;
-// such segments are never block-cached (the seq is the cache key).
+// such segments are never cached (the seq is the cache key).
 const segSeqInvalid = ^uint64(0)
 
 // tierSegment is one registered cold segment: its file name, the seq the
@@ -169,7 +175,7 @@ type tierSegment struct {
 type tier struct {
 	dir    string
 	policy TierPolicy
-	// cache is the decoded-block LRU (nil when CacheBytes == 0).
+	// cache is the block-and-directory LRU (nil when CacheBytes == 0).
 	cache *tierCache
 
 	// sealMu serializes every cold-tier mutation (seal/compact/retain).
@@ -247,6 +253,9 @@ func (s *Store) TierStats() TierStats {
 		st.CacheHits = tr.cache.hits.Load()
 		st.CacheMisses = tr.cache.misses.Load()
 		st.CacheBytes, st.CacheEntries = tr.cache.size()
+		st.DirHits = tr.cache.dirHits.Load()
+		st.DirMisses = tr.cache.dirMisses.Load()
+		st.DirBytes, st.DirEntries = tr.cache.dirSize()
 	}
 	tr.errMu.Lock()
 	st.Err = tr.lastErr
@@ -739,7 +748,7 @@ func (s *Store) CompactTier() (int, error) {
 			// nil block source: a compaction sweep reads each input once
 			// and deletes it — caching its blocks would only evict rows
 			// queries still want.
-			rows, err := tr.readSegRows(sg, nil)
+			rows, err := tr.readSegRows(sg)
 			if err != nil {
 				tr.noteErr(err)
 				return replaced, err
@@ -868,7 +877,7 @@ func (s *Store) RetainCold(before time.Duration) (int, error) {
 	return len(drop), nil
 }
 
-// dropCached invalidates the decoded-block cache entries of segments
+// dropCached invalidates the cached blocks and directories of segments
 // whose files are being removed (compaction inputs, retention drops).
 func (tr *tier) dropCached(segs []*tierSegment) {
 	if tr.cache == nil {
@@ -928,12 +937,12 @@ var errMmapUnavailable = errors.New("datastore: mmap unavailable")
 // load through os.ReadFile as before.
 const tierNoMmapEnv = "CAMPUSLAB_NO_MMAP"
 
-// loadSeg is the single segment read path: it maps (or, off Linux, with
+// loadSeg is the single segment file read: it maps (or, off Linux, with
 // CAMPUSLAB_NO_MMAP=1, or on any mmap failure, reads) the file exactly
-// once and frame-validates it. Column CRCs verify lazily on access, so a
-// query pays each checksum at most once per segment read — never twice,
-// as the old split readSeg/readSegRows paths could. The release func must
-// be called once decoding is done; decoded rows never alias the mapping.
+// once and frame-validates it. Column CRCs verify on access, memoized per
+// blob. Only openSeg's directory build and a cursor's first block-cache
+// miss call it. The release func must be called once decoding is done;
+// directories and decoded rows never alias the mapping.
 // Caller holds tr.mu.RLock (registry membership) or sealMu (mutators).
 func (tr *tier) loadSeg(sg *tierSegment) (*segBlob, func(), error) {
 	path := filepath.Join(tr.dir, sg.name)
@@ -958,41 +967,34 @@ func (tr *tier) loadSeg(sg *tierSegment) (*segBlob, func(), error) {
 	return sb, func() {}, nil
 }
 
-// readSegRows fully decodes one segment file through loadSeg; bs routes
-// its data blocks through the tier cache (nil = bypass).
-func (tr *tier) readSegRows(sg *tierSegment, bs *blockSource) ([]StoredPacket, error) {
-	sb, done, err := tr.loadSeg(sg)
+// readSegRows fully decodes one segment file for compaction. It bypasses
+// the cache both ways: a compaction sweep reads each input once and
+// deletes it, so caching its blocks or directory would only evict what
+// queries still want.
+func (tr *tier) readSegRows(sg *tierSegment) ([]StoredPacket, error) {
+	cur, err := tr.openSeg(sg, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer done()
-	return sb.decodeBlobRows(bs)
+	defer cur.close()
+	return cur.rows(0, len(cur.dir.ids))
 }
 
-// blockSourceFor returns sg's cache handle (nil when caching is off).
-func (tr *tier) blockSourceFor(sg *tierSegment) *blockSource {
-	if tr.cache == nil || sg.seq == segSeqInvalid {
-		return nil
-	}
-	return &blockSource{cache: tr.cache, seq: sg.seq}
-}
-
-// segsInWindow returns registered segments overlapping the half-open TS
-// window (to < 0 = unbounded). When the registry's TS bounds are sorted
-// (tsSorted — the steady state), both window endpoints binary-search:
-// the result is the contiguous run from the first segment with
-// maxTS >= from up to the first with minTS >= to. Otherwise it falls
-// back to the linear scan. Caller holds tr.mu.RLock; the returned slice
+// segsInWindow returns registered segments overlapping the window. When
+// the registry's TS bounds are sorted (tsSorted — the steady state), both
+// window endpoints binary-search: the result is the contiguous run from
+// the first segment with maxTS >= from up to the first with minTS >= to.
+// Otherwise it falls back to the linear scan. Caller holds tr.mu.RLock; the returned slice
 // aliases the registry and is only valid while the lock is held.
-func (tr *tier) segsInWindow(from, to time.Duration) []*tierSegment {
+func (tr *tier) segsInWindow(w tsWin) []*tierSegment {
 	if tr.tsSorted {
 		lo := 0
-		if from > 0 {
-			lo = sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].meta.maxTS >= from })
+		if w.hasFrom {
+			lo = sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].meta.maxTS >= w.from })
 		}
 		hi := len(tr.segs)
-		if to >= 0 {
-			hi = sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].meta.minTS >= to })
+		if w.hasTo {
+			hi = sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].meta.minTS >= w.to })
 		}
 		if hi < lo {
 			hi = lo
@@ -1001,7 +1003,7 @@ func (tr *tier) segsInWindow(from, to time.Duration) []*tierSegment {
 	}
 	var out []*tierSegment
 	for _, sg := range tr.segs {
-		if sg.meta.maxTS < from || (to >= 0 && sg.meta.minTS >= to) {
+		if (w.hasFrom && sg.meta.maxTS < w.from) || (w.hasTo && sg.meta.minTS >= w.to) {
 			continue
 		}
 		out = append(out, sg)
@@ -1009,46 +1011,42 @@ func (tr *tier) segsInWindow(from, to time.Duration) []*tierSegment {
 	return out
 }
 
-// tsWindow returns the row interval [rlo, rhi) of tss within [from, to).
-func tsWindow(tss []time.Duration, from, to time.Duration) (int, int) {
-	lo := 0
-	if from > 0 {
-		lo = sort.Search(len(tss), func(i int) bool { return tss[i] >= from })
-	}
-	hi := len(tss)
-	if to >= 0 {
-		hi = sort.Search(len(tss), func(i int) bool { return tss[i] >= to })
-	}
-	return lo, hi
+// tsWindow returns the row interval [rlo, rhi) of tss inside w.
+func tsWindow(tss []time.Duration, w tsWin) (int, int) {
+	return w.span(len(tss), func(i int) time.Duration { return tss[i] })
 }
 
-// coldWindowRuns decodes every segment overlapping the window into
-// (TS, ID)-sorted runs — the cold half of the serial scan paths
+// forSegs evaluates fn over segs across the query workers, each segment
+// through its own cursor. A segment that fails to open or evaluate is
+// noted (sticky on TierStats) and left out of the answer: queries degrade
+// loudly rather than fail. Caller holds tr.mu.RLock.
+func (s *Store) forSegs(tr *tier, segs []*tierSegment, qs *queryStats, fn func(i int, cur *segCursor) error) {
+	parallel.For(len(segs), int(s.queryWorkers.Load()), func(i int) {
+		cur, err := tr.openSeg(segs[i], true, qs)
+		if err == nil {
+			err = fn(i, cur)
+			cur.close()
+		}
+		if err != nil {
+			tr.noteErr(err)
+		}
+	})
+}
+
+// coldWindowRuns decodes the rows of every segment overlapping the window
+// into (TS, ID)-sorted runs — the cold half of the serial scan paths
 // (scanRange and everything built on it). No zone pruning: this is the
 // reference semantics, every row in the window is visited. Caller holds
 // tr.mu.RLock.
-func (s *Store) coldWindowRuns(tr *tier, from, to time.Duration) [][]StoredPacket {
-	segs := tr.segsInWindow(from, to)
+func (s *Store) coldWindowRuns(tr *tier, w tsWin) [][]StoredPacket {
+	segs := tr.segsInWindow(w)
 	runs := make([][]StoredPacket, len(segs))
-	parallel.For(len(segs), int(s.queryWorkers.Load()), func(i int) {
-		sg := segs[i]
-		rows, err := tr.readSegRows(sg, tr.blockSourceFor(sg))
-		if err != nil {
-			tr.noteErr(err)
-			return
-		}
-		lo := 0
-		if from > 0 {
-			lo = sort.Search(len(rows), func(j int) bool { return rows[j].TS >= from })
-		}
-		hi := len(rows)
-		if to >= 0 {
-			hi = sort.Search(len(rows), func(j int) bool { return rows[j].TS >= to })
-		}
-		if lo < hi {
-			runs[i] = rows[lo:hi]
-		}
+	var qs queryStats
+	s.forSegs(tr, segs, &qs, func(i int, cur *segCursor) (err error) {
+		runs[i], err = cur.rows(tsWindow(cur.dir.tss, w))
+		return err
 	})
+	qs.flushCold()
 	// Segments were visited in registry order, so compacting the non-empty
 	// runs in place preserves the (TS, ID) merge order downstream.
 	out := runs[:0]
@@ -1064,23 +1062,28 @@ func (s *Store) coldWindowRuns(tr *tier, from, to time.Duration) [][]StoredPacke
 
 // coldSelect evaluates a filter over the cold tier, returning matching
 // rows as per-segment (TS, ID)-sorted runs for the global merge. Segments
-// are pruned by TS bounds and zone maps before any column is read;
-// surviving segments decode in parallel, index-first (candidate rows are
-// intersected from the segment's posting lists, and only candidates are
-// materialized). Caller holds tr.mu.RLock.
-func (s *Store) coldSelect(tr *tier, f *Filter, from, to time.Duration, limit int, qs *queryStats) [][]StoredPacket {
-	segs := tr.pruneSegs(f, from, to)
+// are pruned by TS bounds and zone maps before anything is read;
+// surviving segments evaluate in parallel, index-first (candidate rows are
+// intersected from the segment directory's posting lists, and only
+// candidates are materialized, up to the limit). Caller holds tr.mu.RLock.
+func (s *Store) coldSelect(tr *tier, f *Filter, limit int, qs *queryStats) [][]StoredPacket {
+	segs := tr.pruneSegs(f)
 	if len(segs) == 0 {
 		return nil
 	}
 	runs := make([][]StoredPacket, len(segs))
-	parallel.For(len(segs), int(s.queryWorkers.Load()), func(i int) {
-		rows, err := s.segSelect(tr, segs[i], f, from, to, limit, qs)
-		if err != nil {
-			tr.noteErr(err)
-			return
+	s.forSegs(tr, segs, qs, func(i int, cur *segCursor) error {
+		// A per-segment limit prune is sound: the global merge can never
+		// need more than `limit` rows from any one run.
+		var run []StoredPacket
+		_, err := segEach(cur, f, qs, func(sp *StoredPacket) bool {
+			run = append(run, *sp)
+			return limit <= 0 || len(run) < limit
+		})
+		if err == nil {
+			runs[i] = run
 		}
-		runs[i] = rows
+		return err
 	})
 	out := runs[:0]
 	for _, r := range runs {
@@ -1095,8 +1098,8 @@ func (s *Store) coldSelect(tr *tier, f *Filter, from, to time.Duration, limit in
 // accounting (pruned = registered segments minus decoded ones, so the
 // E17 prune rate covers both bounds and zone maps). Caller holds
 // tr.mu.RLock.
-func (tr *tier) pruneSegs(f *Filter, from, to time.Duration) []*tierSegment {
-	inWindow := tr.segsInWindow(from, to)
+func (tr *tier) pruneSegs(f *Filter) []*tierSegment {
+	inWindow := tr.segsInWindow(f.plan.win)
 	considered := len(tr.segs)
 	var keep []*tierSegment
 	for _, sg := range inWindow {
@@ -1112,141 +1115,28 @@ func (tr *tier) pruneSegs(f *Filter, from, to time.Duration) []*tierSegment {
 	return keep
 }
 
-// segSelect evaluates the filter over one segment. Indexable plans touch
-// only the ID/TS/index columns plus the candidate rows' bytes; a plan
-// with no index keys decodes the window and runs the full predicate.
-func (s *Store) segSelect(tr *tier, sg *tierSegment, f *Filter, from, to time.Duration, limit int, qs *queryStats) ([]StoredPacket, error) {
-	sb, done, err := tr.loadSeg(sg)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	ids, tss, err := sb.decodeTimeID()
-	if err != nil {
-		return nil, err
-	}
-	rlo, rhi := tsWindow(tss, from, to)
-	if rlo >= rhi {
-		return nil, nil
-	}
-	ix, err := sb.decodeIndex()
-	if err != nil {
-		return nil, err
-	}
-	var sel []uint32
-	if cand, ok := ix.segCandidates(&f.plan, uint32(rlo), uint32(rhi)); ok {
-		if len(cand) == 0 {
-			return nil, nil
-		}
-		sel = cand
-		qs.rowsScanned.Add(uint64(len(cand)))
-	} else {
-		sel = make([]uint32, rhi-rlo)
-		for i := range sel {
-			sel[i] = uint32(rlo + i)
-		}
-		qs.rowsScanned.Add(uint64(rhi - rlo))
-	}
-	rows, err := sb.rowsAt(sel, ix, ids, tss, tr.blockSourceFor(sg))
-	if err != nil {
-		return nil, err
-	}
-	var out []StoredPacket
-	for i := range rows {
-		sp := &rows[i]
-		if f.plan.indexable {
-			if f.plan.residual != nil && !f.plan.residual(sp) {
-				continue
-			}
-		} else if !f.Match(sp) {
-			continue
-		}
-		out = append(out, *sp)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out, nil
-}
-
 // coldCount counts filter matches in the cold tier. With an indexable
-// plan and no residual, the count comes straight from the candidate
-// row lists — no data column is inflated. Caller holds tr.mu.RLock.
-func (s *Store) coldCount(tr *tier, f *Filter, from, to time.Duration, qs *queryStats) int {
-	segs := tr.pruneSegs(f, from, to)
+// plan and no residual — the window is exact, so ts conjuncts leave none
+// — the count is the size of the candidate row lists and touches no data
+// block, cached or on disk. Caller holds tr.mu.RLock.
+func (s *Store) coldCount(tr *tier, f *Filter, qs *queryStats) int {
+	segs := tr.pruneSegs(f)
 	if len(segs) == 0 {
 		return 0
 	}
 	counts := make([]int, len(segs))
-	parallel.For(len(segs), int(s.queryWorkers.Load()), func(i int) {
-		n, err := s.segCount(tr, segs[i], f, from, to, qs)
-		if err != nil {
-			tr.noteErr(err)
-			return
+	s.forSegs(tr, segs, qs, func(i int, cur *segCursor) error {
+		n, err := segEach(cur, f, qs, nil)
+		if err == nil {
+			counts[i] = n
 		}
-		counts[i] = n
+		return err
 	})
 	n := 0
 	for _, c := range counts {
 		n += c
 	}
 	return n
-}
-
-func (s *Store) segCount(tr *tier, sg *tierSegment, f *Filter, from, to time.Duration, qs *queryStats) (int, error) {
-	sb, done, err := tr.loadSeg(sg)
-	if err != nil {
-		return 0, err
-	}
-	defer done()
-	ids, tss, err := sb.decodeTimeID()
-	if err != nil {
-		return 0, err
-	}
-	rlo, rhi := tsWindow(tss, from, to)
-	if rlo >= rhi {
-		return 0, nil
-	}
-	ix, err := sb.decodeIndex()
-	if err != nil {
-		return 0, err
-	}
-	if cand, ok := ix.segCandidates(&f.plan, uint32(rlo), uint32(rhi)); ok {
-		qs.rowsScanned.Add(uint64(len(cand)))
-		if f.plan.residual == nil {
-			return len(cand), nil
-		}
-		if len(cand) == 0 {
-			return 0, nil
-		}
-		rows, err := sb.rowsAt(cand, ix, ids, tss, tr.blockSourceFor(sg))
-		if err != nil {
-			return 0, err
-		}
-		n := 0
-		for i := range rows {
-			if f.plan.residual(&rows[i]) {
-				n++
-			}
-		}
-		return n, nil
-	}
-	qs.rowsScanned.Add(uint64(rhi - rlo))
-	sel := make([]uint32, rhi-rlo)
-	for i := range sel {
-		sel[i] = uint32(rlo + i)
-	}
-	rows, err := sb.rowsAt(sel, ix, ids, tss, tr.blockSourceFor(sg))
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for i := range rows {
-		if f.Match(&rows[i]) {
-			n++
-		}
-	}
-	return n, nil
 }
 
 // coldPacket finds one packet by ID in the cold tier. Segment ID ranges
@@ -1259,7 +1149,7 @@ func (s *Store) coldPacket(tr *tier, id PacketID) (StoredPacket, bool) {
 		if id < sg.meta.minID || id > sg.meta.maxID {
 			continue
 		}
-		if sp, ok := s.segPacket(tr, sg, id); ok {
+		if sp, ok := tr.segPacket(sg, id); ok {
 			return sp, true
 		}
 	}
@@ -1268,39 +1158,24 @@ func (s *Store) coldPacket(tr *tier, id PacketID) (StoredPacket, bool) {
 
 // segPacket looks one ID up in one segment; decode errors are noted and
 // reported as a miss so the scan can try overlapping segments.
-func (s *Store) segPacket(tr *tier, sg *tierSegment, id PacketID) (StoredPacket, bool) {
-	sb, done, err := tr.loadSeg(sg)
+func (tr *tier) segPacket(sg *tierSegment, id PacketID) (sp StoredPacket, ok bool) {
+	var qs queryStats
+	defer qs.flushCold()
+	cur, err := tr.openSeg(sg, true, &qs)
 	if err != nil {
 		tr.noteErr(err)
-		return StoredPacket{}, false
+		return sp, false
 	}
-	defer done()
-	ids, tss, err := sb.decodeTimeID()
-	if err != nil {
-		tr.noteErr(err)
-		return StoredPacket{}, false
-	}
-	row := -1
-	for i, v := range ids {
-		if v == id {
-			row = i
-			break
-		}
-	}
+	defer cur.close()
+	row := slices.Index(cur.dir.ids, id)
 	if row < 0 {
-		return StoredPacket{}, false
+		return sp, false
 	}
-	ix, err := sb.decodeIndex()
-	if err != nil {
+	if err := cur.row(row, &sp); err != nil {
 		tr.noteErr(err)
 		return StoredPacket{}, false
 	}
-	rows, err := sb.rowsAt([]uint32{uint32(row)}, ix, ids, tss, tr.blockSourceFor(sg))
-	if err != nil {
-		tr.noteErr(err)
-		return StoredPacket{}, false
-	}
-	return rows[0], true
+	return sp, true
 }
 
 // Little-endian append/read helpers for the manifest.

@@ -12,7 +12,7 @@ import (
 
 // Tier benchmarks (DESIGN.md §14):
 //
-//	go test -bench='BenchmarkSeal|BenchmarkEncodeSegment|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkEvictBefore' ./internal/datastore
+//	go test -bench='BenchmarkSeal|BenchmarkEncodeSegment|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkColdCount|BenchmarkEvictBefore' ./internal/datastore
 //
 // BenchmarkEncodeSegment is the seal's inner loop alone — one segment's
 // rows to one blob, no disk — at the two row sizes the end-to-end
@@ -25,7 +25,8 @@ import (
 // prune-miss + posting-intersection case — on this fixture a needle, a
 // few dozen rows in 20k, so op=select isolates the block-skipping win —
 // and `broad` is the worst case (not indexable, full window decode).
-// BenchmarkColdSelect adds the decoded-block cache axis (cold+warm).
+// BenchmarkColdSelect adds the tier-cache axis (cold+warm) and
+// BenchmarkColdCount the metadata-only Count on the same axis.
 
 // tierBenchFrames is a mid-sized episode: big enough to fill several
 // segments, small enough that per-iteration store rebuilds stay honest.
@@ -261,6 +262,53 @@ func BenchmarkColdSelect(b *testing.B) {
 					b.Fatal("warm-cache benchmark never hit the cache")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkColdCount is the metadata-only query: an indexable Count over a
+// time window, cold, with the tier cache off (every query rebuilds each
+// segment's directory) and on (directories resident). Either way the count
+// is a clipped posting-list intersection, so inflatedB/op must be 0.
+func BenchmarkColdCount(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		key  coldBenchKey
+	}{
+		{"cache=off", coldBenchKey{segPackets: 4096, format: segVersion2}},
+		{"cache=on", coldBenchKey{segPackets: 4096, format: segVersion2, cacheBytes: 64 << 20}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			st := coldBenchStore(b, c.key)
+			st.SetQueryWorkers(1)
+			span := time.Duration(st.lastTS.Load())
+			f := MustFilter(fmt.Sprintf("ts >= %dns && ts < %dns && proto == udp && dst.port == 53", int64(span/4), int64(3*span/4)))
+			want := st.Count(f) // also the first-touch directory builds
+			if want == 0 {
+				b.Fatal("windowed Count matched nothing; segment reads are failing")
+			}
+			inflated := obsQueryBytesInflated.Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				n = st.Count(f)
+			}
+			b.StopTimer()
+			if n != want {
+				b.Fatalf("Count drifted: %d -> %d", want, n)
+			}
+			if ts := st.TierStats(); ts.Err != nil {
+				b.Fatal(ts.Err)
+			} else if c.key.cacheBytes > 0 && ts.DirHits == 0 {
+				b.Fatal("warm-cache benchmark never reused a directory")
+			}
+			got := float64(obsQueryBytesInflated.Value()-inflated) / float64(b.N)
+			if got != 0 {
+				b.Fatalf("a windowed indexable Count inflated %.0f bytes per query", got)
+			}
+			b.ReportMetric(float64(n), "hits")
+			b.ReportMetric(got, "inflatedB/op")
 		})
 	}
 }

@@ -214,7 +214,7 @@ func TestSegsInWindowMatchesLinear(t *testing.T) {
 				to = -1
 			}
 			want := linear(tr, from, to)
-			got := tr.segsInWindow(from, to)
+			got := tr.segsInWindow(betweenWin(from, to))
 			if len(want) == 0 && len(got) == 0 {
 				continue
 			}
@@ -234,7 +234,7 @@ func TestSegsInWindowMatchesLinear(t *testing.T) {
 				t.Fatalf("trial %d: unsorted registry still flagged sorted", trial)
 			}
 			from, to := span/4, 3*span/4
-			if !reflect.DeepEqual(linear(tr, from, to), []*tierSegment(tr.segsInWindow(from, to))) {
+			if !reflect.DeepEqual(linear(tr, from, to), []*tierSegment(tr.segsInWindow(betweenWin(from, to)))) {
 				t.Fatalf("trial %d: unsorted fallback diverged", trial)
 			}
 		}

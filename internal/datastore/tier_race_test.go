@@ -133,8 +133,9 @@ func TestTierIngestSealQueryRace(t *testing.T) {
 }
 
 // TestTierCacheQueryCompactRace races cold queries against seal/compact
-// churn with the decoded-block cache enabled: concurrent fills, LRU
-// evictions and compaction invalidations must never tear a result. The
+// churn with the tier cache enabled: concurrent block fills and
+// first-touch directory builds of the same new segment, LRU evictions of
+// both kinds and compaction invalidations must never tear a result. The
 // small budget forces constant eviction; the converged store must still
 // equal the untiered reference exactly.
 func TestTierCacheQueryCompactRace(t *testing.T) {
@@ -158,6 +159,13 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan, err := ParseFilter("len > 0 && ts >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Window plus index keys only: answered from the directories alone, so
+	// every freshly sealed or compacted segment gets its first-touch build
+	// from whichever query goroutine arrives first — or from several at once.
+	meta, err := ParseFilter("ts >= 0 && ts < 1h && ip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +203,11 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 		}
 	}()
 
-	for g := 0; g < 2; g++ { // cache-hitting query load
+	for g := 0; g < 3; g++ { // cache-hitting query load
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var lastN int
+			var lastN, lastMeta int
 			for {
 				select {
 				case <-done:
@@ -215,6 +223,12 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 					return
 				}
 				lastN = n
+				m := s.Count(meta)
+				if m < lastMeta {
+					t.Errorf("metadata-only count regressed under churn: %d -> %d", lastMeta, m)
+					return
+				}
+				lastMeta = m
 				s.PacketsBetween(0, -1)
 			}
 		}()
@@ -241,5 +255,15 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 	}
 	if ts.CacheHits+ts.CacheMisses == 0 {
 		t.Fatal("cache race test never touched the cache")
+	}
+	if ts.DirHits == 0 || ts.DirMisses == 0 {
+		t.Fatalf("cache race test never built or reused a directory: %+v", ts)
+	}
+	if ts.Err != nil {
+		t.Fatal(ts.Err)
+	}
+	checkCacheAccounting(t, s.tier.Load().cache)
+	if got, want := s.Count(meta), ref.Count(meta); got != want {
+		t.Fatalf("converged metadata-only count %d, reference %d", got, want)
 	}
 }

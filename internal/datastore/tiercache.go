@@ -8,49 +8,72 @@ import (
 	"campuslab/internal/obs"
 )
 
-// The decoded-block cache: a bytes-bounded LRU over inflated data-column
-// blocks, keyed by (segment seq, block index). Segment files are
-// immutable and seqs are never reused, so a cached block can never go
+// The tier cache: one bytes-bounded LRU over what cold queries decode —
+// inflated data-column blocks, keyed by (segment seq, block index), and
+// segment directories (segdir.go), keyed by seq alone. Segment files are
+// immutable and seqs are never reused, so a cached entry can never go
 // stale — invalidation (on compact/retain, when segment files are
 // replaced or deleted) exists only to release memory promptly, not for
-// correctness. TierPolicy.CacheBytes sizes it; 0 (the default) disables
-// caching entirely and queries behave exactly as before.
+// correctness. TierPolicy.CacheBytes is the one budget both kinds share,
+// each entry charged its exact size; 0 (the default) disables caching
+// entirely and every query decodes what it needs and discards it.
 
 // Cache traffic metrics for /metrics. Counters are also mirrored
 // per-tier (tierCache fields) so tests and labd STATS can diff one
-// store without scraping the process registry.
+// store without scraping the process registry. Directory traffic has its
+// own series: the cache_* hit/miss/bytes/entries series keep meaning
+// decoded blocks.
 var (
 	obsTierCacheHits      = obs.Default.Counter("campuslab_tier_cache_hits_total")
 	obsTierCacheMisses    = obs.Default.Counter("campuslab_tier_cache_misses_total")
 	obsTierCacheEvictions = obs.Default.Counter("campuslab_tier_cache_evictions_total")
 	obsTierCacheBytes     = obs.Default.Gauge("campuslab_tier_cache_bytes")
 	obsTierCacheEntries   = obs.Default.Gauge("campuslab_tier_cache_entries")
+	obsTierDirHits        = obs.Default.Counter("campuslab_tier_dir_hits_total")
+	obsTierDirMisses      = obs.Default.Counter("campuslab_tier_dir_misses_total")
+	obsTierDirBytes       = obs.Default.Gauge("campuslab_tier_dir_bytes")
 )
 
-// blockKey identifies one decoded block: the segment's immutable file
-// sequence number plus the block index within its data column. v1
-// segments parse as a single block 0, so both formats share the cache.
+// blockKey identifies one cache entry: the segment's immutable file
+// sequence number plus the block index within its data column, or
+// dirBlock for the segment's directory. v1 segments parse as a single
+// block 0, so both formats share the cache.
 type blockKey struct {
 	seq   uint64
 	block int
 }
 
+const dirBlock = -1
+
+// cacheEnt holds a decoded block or, under a dirBlock key, a directory.
 type cacheEnt struct {
 	key blockKey
 	buf []byte
+	dir *segDir
+}
+
+func (e *cacheEnt) size() int64 {
+	if e.dir != nil {
+		return e.dir.bytes
+	}
+	return int64(len(e.buf))
 }
 
 // tierCache is the bounded LRU. One instance per tier; all methods are
 // safe for concurrent use.
 type tierCache struct {
-	mu      sync.Mutex
-	max     int64
-	bytes   int64
-	ll      *list.List // front = most recently used
-	entries map[blockKey]*list.Element
+	mu       sync.Mutex
+	max      int64
+	bytes    int64 // decoded blocks
+	dirBytes int64 // directories; bytes+dirBytes <= max
+	dirs     int
+	ll       *list.List // front = most recently used
+	entries  map[blockKey]*list.Element
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
+	dirHits   atomic.Uint64
+	dirMisses atomic.Uint64
 	evictions atomic.Uint64
 }
 
@@ -62,45 +85,92 @@ func newTierCache(maxBytes int64) *tierCache {
 	}
 }
 
-func (c *tierCache) get(k blockKey) ([]byte, bool) {
+// lookup returns k's entry, marking it most recently used.
+func (c *tierCache) lookup(k blockKey) *cacheEnt {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.entries[k]
-	if ok {
-		c.ll.MoveToFront(e)
-	}
-	c.mu.Unlock()
 	if !ok {
+		return nil
+	}
+	c.ll.MoveToFront(e)
+	return e.Value.(*cacheEnt)
+}
+
+func (c *tierCache) get(k blockKey) ([]byte, bool) {
+	ent := c.lookup(k)
+	if ent == nil {
 		c.misses.Add(1)
 		obsTierCacheMisses.Inc()
 		return nil, false
 	}
 	c.hits.Add(1)
 	obsTierCacheHits.Inc()
-	return e.Value.(*cacheEnt).buf, true
+	return ent.buf, true
 }
 
-// put admits one decoded block, evicting from the cold end until the
-// budget holds. Blocks larger than the whole budget are not admitted.
+// getDir returns the resident directory of segment seq.
+func (c *tierCache) getDir(seq uint64) (*segDir, bool) {
+	ent := c.lookup(blockKey{seq, dirBlock})
+	if ent == nil {
+		c.dirMisses.Add(1)
+		obsTierDirMisses.Inc()
+		return nil, false
+	}
+	c.dirHits.Add(1)
+	obsTierDirHits.Inc()
+	return ent.dir, true
+}
+
+// put admits one decoded block.
 func (c *tierCache) put(k blockKey, buf []byte) {
-	if int64(len(buf)) > c.max {
-		return
+	c.admit(&cacheEnt{key: k, buf: buf})
+}
+
+// putDir admits a freshly built directory and returns the one to use: the
+// incumbent when a racing build got there first, d itself otherwise
+// (admitted or not).
+func (c *tierCache) putDir(seq uint64, d *segDir) *segDir {
+	if ent := c.admit(&cacheEnt{key: blockKey{seq, dirBlock}, dir: d}); ent != nil {
+		return ent.dir
+	}
+	return d
+}
+
+// account adds (sign +1) or removes (sign -1) one entry's footprint.
+// Caller holds c.mu.
+func (c *tierCache) account(ent *cacheEnt, sign int64) {
+	if ent.dir != nil {
+		c.dirBytes += sign * ent.size()
+		c.dirs += int(sign)
+	} else {
+		c.bytes += sign * ent.size()
+	}
+}
+
+// admit inserts ent, evicting from the cold end until the budget holds,
+// and returns the resident entry for its key: the incumbent when a racing
+// fill got there first, nil when ent is larger than the whole budget and
+// was not admitted.
+func (c *tierCache) admit(ent *cacheEnt) *cacheEnt {
+	if ent.size() > c.max {
+		return nil
 	}
 	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
-		// Racing fill of the same block: keep the incumbent.
+	if e, ok := c.entries[ent.key]; ok {
 		c.ll.MoveToFront(e)
 		c.mu.Unlock()
-		return
+		return e.Value.(*cacheEnt)
 	}
-	c.entries[k] = c.ll.PushFront(&cacheEnt{key: k, buf: buf})
-	c.bytes += int64(len(buf))
+	c.entries[ent.key] = c.ll.PushFront(ent)
+	c.account(ent, +1)
 	evicted := uint64(0)
-	for c.bytes > c.max {
+	for c.bytes+c.dirBytes > c.max {
 		back := c.ll.Back()
-		ent := back.Value.(*cacheEnt)
+		victim := back.Value.(*cacheEnt)
 		c.ll.Remove(back)
-		delete(c.entries, ent.key)
-		c.bytes -= int64(len(ent.buf))
+		delete(c.entries, victim.key)
+		c.account(victim, -1)
 		evicted++
 	}
 	c.publishLocked()
@@ -109,10 +179,11 @@ func (c *tierCache) put(k blockKey, buf []byte) {
 		c.evictions.Add(evicted)
 		obsTierCacheEvictions.Add(evicted)
 	}
+	return ent
 }
 
-// dropSegs invalidates every block belonging to the given segment seqs —
-// called when compaction or retention removes their files.
+// dropSegs invalidates every block and the directory of the given segment
+// seqs — called when compaction or retention removes their files.
 func (c *tierCache) dropSegs(seqs map[uint64]bool) {
 	if len(seqs) == 0 {
 		return
@@ -120,7 +191,7 @@ func (c *tierCache) dropSegs(seqs map[uint64]bool) {
 	c.mu.Lock()
 	for k, e := range c.entries {
 		if seqs[k.seq] {
-			c.bytes -= int64(len(e.Value.(*cacheEnt).buf))
+			c.account(e.Value.(*cacheEnt), -1)
 			c.ll.Remove(e)
 			delete(c.entries, k)
 		}
@@ -131,36 +202,20 @@ func (c *tierCache) dropSegs(seqs map[uint64]bool) {
 
 func (c *tierCache) publishLocked() {
 	obsTierCacheBytes.Set(float64(c.bytes))
-	obsTierCacheEntries.Set(float64(c.ll.Len()))
+	obsTierCacheEntries.Set(float64(c.ll.Len() - c.dirs))
+	obsTierDirBytes.Set(float64(c.dirBytes))
 }
 
-// size reports the resident footprint.
+// size reports the decoded blocks' resident footprint.
 func (c *tierCache) size() (bytes int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bytes, c.ll.Len()
+	return c.bytes, c.ll.Len() - c.dirs
 }
 
-// blockSource routes one segment's block fetches through the tier cache.
-// A nil source (cache disabled, or a mutator path like compaction that
-// must not pollute the cache) inflates directly.
-type blockSource struct {
-	cache *tierCache
-	seq   uint64
-}
-
-func (bs *blockSource) block(d *segData, b int) ([]byte, error) {
-	if bs == nil || bs.cache == nil {
-		return d.inflateBlock(b)
-	}
-	k := blockKey{seq: bs.seq, block: b}
-	if buf, ok := bs.cache.get(k); ok {
-		return buf, nil
-	}
-	buf, err := d.inflateBlock(b)
-	if err != nil {
-		return nil, err
-	}
-	bs.cache.put(k, buf)
-	return buf, nil
+// dirSize reports the directories' resident footprint.
+func (c *tierCache) dirSize() (bytes int64, entries int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dirBytes, c.dirs
 }

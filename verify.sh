@@ -131,14 +131,19 @@ gate_bench 2x . BenchmarkFitForest
 echo "==> bench smoke (store query engine: index vs scan)"
 gate_bench 5x ./internal/datastore BenchmarkSelect BenchmarkCount
 
-echo "==> bench smoke (cold tier: seal, segment encode, segment query sweep v1/v2, cache, eviction)"
-gate_bench 2x ./internal/datastore BenchmarkSeal BenchmarkEncodeSegment BenchmarkSegmentQuery BenchmarkColdSelect BenchmarkEvictBefore
+echo "==> bench smoke (cold tier: seal, segment encode, segment query sweep v1/v2, cache on/off Select and metadata-only Count, eviction)"
+gate_bench 2x ./internal/datastore BenchmarkSeal BenchmarkEncodeSegment BenchmarkSegmentQuery BenchmarkColdSelect BenchmarkColdCount BenchmarkEvictBefore
 
 echo "==> tiered-store equivalence gate (tiered == untiered, byte for byte, both segment formats)"
 go test -run 'TestTieredStoreEquivalence|TestTierFormatEquivalence' -short ./internal/datastore
 
 echo "==> tier cache race gate (queries vs seal/compact churn with the block cache on)"
 go test -race -run 'TestTierCacheQueryCompactRace|TestTierIngestSealQueryRace' ./internal/datastore
+
+echo "==> segment directory gate (shared budget, invalidation, corrupt columns, metadata-only Count, limit-bounded decode, exact window ≡ scan)"
+gate_tests -race ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRespected TestSegDirOversizeNotAdmitted \
+    TestSegDirDroppedWithSegments TestSegDirCorruptColumnCachesNothing TestColdCountWindowedTouchesNoBlock \
+    TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
 
 echo "==> fuzz smoke (packet parser, labd dispatcher, filter parser, ensemble compiler, WAL replay, segment codec)"
 gate_fuzz 10s ./internal/packet FuzzParse
