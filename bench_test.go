@@ -1,9 +1,11 @@
 // Package campuslab's root benchmarks regenerate every experiment in the
-// reproduction index (DESIGN.md §3): one benchmark per table, E1-E15.
-// Each iteration runs the full experiment; results print the same rows the
-// tables in EXPERIMENTS.md record. Run with:
+// reproduction index (DESIGN.md §3): one sub-benchmark per registered
+// experiment, so the list cannot lag the registry. Each iteration runs the
+// full experiment; results print the same rows the tables in
+// EXPERIMENTS.md record. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Experiments -benchmem           # all of them (minutes)
+//	go test -bench='Experiments/E7$' -benchmem     # one
 package campuslab_test
 
 import (
@@ -12,38 +14,21 @@ import (
 	"campuslab/internal/experiments"
 )
 
-// runExperiment executes one experiment per benchmark iteration and
-// reports the table size as a sanity signal.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	r, ok := experiments.Find(id)
-	if !ok {
-		b.Fatalf("no experiment %s", id)
+// BenchmarkExperiments executes one experiment per iteration and reports
+// the table size as a sanity signal.
+func BenchmarkExperiments(b *testing.B) {
+	for _, r := range experiments.All() {
+		b.Run(r.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			var rows int
+			for i := 0; i < b.N; i++ {
+				tb, err := r.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = len(tb.Rows)
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
 	}
-	b.ReportAllocs()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		tb, err := r.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = len(tb.Rows)
-	}
-	b.ReportMetric(float64(rows), "rows")
 }
-
-func BenchmarkE1_Pipeline(b *testing.B)           { runExperiment(b, "E1") }
-func BenchmarkE2_ControlLoopTiers(b *testing.B)   { runExperiment(b, "E2") }
-func BenchmarkE3_CaptureRate(b *testing.B)        { runExperiment(b, "E3") }
-func BenchmarkE4_TaskScaling(b *testing.B)        { runExperiment(b, "E4") }
-func BenchmarkE5_DNSAmpMitigation(b *testing.B)   { runExperiment(b, "E5") }
-func BenchmarkE6_ModelExtraction(b *testing.B)    { runExperiment(b, "E6") }
-func BenchmarkE7_StoreRetention(b *testing.B)     { runExperiment(b, "E7") }
-func BenchmarkE8_Anonymization(b *testing.B)      { runExperiment(b, "E8") }
-func BenchmarkE9_CrossCampus(b *testing.B)        { runExperiment(b, "E9") }
-func BenchmarkE10_TopDownVsBottomUp(b *testing.B) { runExperiment(b, "E10") }
-func BenchmarkE11_CanaryRollback(b *testing.B)    { runExperiment(b, "E11") }
-func BenchmarkE12_Compile(b *testing.B)           { runExperiment(b, "E12") }
-func BenchmarkE13_MultiTask(b *testing.B)         { runExperiment(b, "E13") }
-func BenchmarkE14_ChaosLoop(b *testing.B)         { runExperiment(b, "E14") }
-func BenchmarkE15_EnsembleFrontier(b *testing.B)  { runExperiment(b, "E15") }

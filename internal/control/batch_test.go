@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"campuslab/internal/obs"
 	"campuslab/internal/packet"
-	"campuslab/internal/telemetry"
 	"campuslab/internal/traffic"
 )
 
@@ -86,12 +86,8 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 }
 
 func TestFeedBatchRecordsFastloopStage(t *testing.T) {
-	before := uint64(0)
-	for _, st := range telemetry.Pipeline.Stages() {
-		if st.Stage == "fastloop" {
-			before = st.Calls
-		}
-	}
+	calls := obs.Default.Counter(obs.StageCallsName, "stage", "fastloop")
+	before := calls.Value()
 	p := buildPipeline(t)
 	loop, err := NewLoop(LoopConfig{Tier: TierDataPlane, Program: p.dropProg})
 	if err != nil {
@@ -101,10 +97,7 @@ func TestFeedBatchRecordsFastloopStage(t *testing.T) {
 	fptrs := []*traffic.Frame{&frames[0], &frames[1]}
 	sptrs := []*packet.Summary{&sums[0], &sums[1]}
 	loop.FeedBatch(fptrs, sptrs, make([]bool, 2))
-	for _, st := range telemetry.Pipeline.Stages() {
-		if st.Stage == "fastloop" && st.Calls > before {
-			return
-		}
+	if calls.Value() <= before {
+		t.Fatal("FeedBatch did not record a fastloop telemetry stage")
 	}
-	t.Fatal("FeedBatch did not record a fastloop telemetry stage")
 }

@@ -2,10 +2,12 @@ package control
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 
+	"campuslab/internal/faults"
 	"campuslab/internal/features"
 	"campuslab/internal/obs"
 )
@@ -115,6 +117,9 @@ type Lifecycle struct {
 	live        []byte // currently active bundle
 	classifier  classifierHolder
 	log         []Transition
+
+	// lkgFaults (nil outside tests) kills a bundle publish at a chosen step.
+	lkgFaults faults.Injector
 }
 
 // NewLifecycle starts a lifecycle in the healthy state with bundle as the
@@ -183,8 +188,10 @@ func (m activatedModel) Predict(x []float64) int {
 func (m activatedModel) Proba(x []float64) []float64 { return nil }
 func (m activatedModel) NumClasses() int             { return 2 }
 
-// persistLKG writes the last-known-good bundle crash-safely (temp +
-// rename, matching the snapshot discipline).
+// persistLKG publishes the last-known-good bundle crash-safely through
+// faults.PublishFile (temp + fsync + rename + directory fsync, the
+// snapshot discipline): a failed or interrupted write leaves the previous
+// bundle in place, which is exactly when rollback needs it.
 func (lc *Lifecycle) persistLKG() error {
 	if lc.cfg.Dir == "" || len(lc.lkg) == 0 {
 		return nil
@@ -192,12 +199,10 @@ func (lc *Lifecycle) persistLKG() error {
 	if err := os.MkdirAll(lc.cfg.Dir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(lc.cfg.Dir, lkgName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, lc.lkg, 0o644); err != nil {
+	return faults.PublishFile(filepath.Join(lc.cfg.Dir, lkgName), lc.lkgFaults, func(w io.Writer) error {
+		_, err := w.Write(lc.lkg)
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // State returns the current lifecycle state.

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 	"time"
 
+	"campuslab/internal/faults"
 	"campuslab/internal/features"
 	"campuslab/internal/ml"
 )
@@ -37,9 +39,9 @@ func driftDataset(n int, mean float64, seed int64) *features.Dataset {
 // constModel always predicts the same class.
 type constModel int
 
-func (m constModel) Predict([]float64) int  { return int(m) }
+func (m constModel) Predict([]float64) int     { return int(m) }
 func (m constModel) Proba([]float64) []float64 { return nil }
-func (m constModel) NumClasses() int        { return 2 }
+func (m constModel) NumClasses() int           { return 2 }
 
 // thresholdModel predicts 1 when x[0] > cut — a "real" model whose recall
 // degrades when the distribution shifts.
@@ -235,6 +237,40 @@ func TestLifecycleLKGPersistedAtStart(t *testing.T) {
 	}
 	if _, ok := LoadLKG(t.TempDir()); ok {
 		t.Fatal("LoadLKG invented a bundle in an empty dir")
+	}
+}
+
+// TestLifecycleLKGSurvivesFailedPublish: a bundle write that dies at any
+// step — mid-write, at the fsync, at the rename — must leave the previous
+// last-known-good bundle loadable and nothing else in the directory. (The
+// old os.WriteFile + os.Rename could publish an empty file after a power
+// cut, and left model.lkg.tmp behind on a failed write.)
+func TestLifecycleLKGSurvivesFailedPublish(t *testing.T) {
+	dir := t.TempDir()
+	h := &lifecycleHarness{}
+	lc, err := NewLifecycle(h.config(dir), []byte("boot-model"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{faults.OpStoreWrite, faults.OpStoreSync, faults.OpStoreRename} {
+		lc.lkgFaults = faults.NewSchedule().FailCalls(op, 1, 1, faults.KindPermanent)
+		lc.lkg = []byte("candidate-that-never-lands")
+		if err := lc.persistLKG(); err == nil {
+			t.Fatalf("%s: injected failure did not surface", op)
+		}
+		if b, ok := LoadLKG(dir); !ok || string(b) != "boot-model" {
+			t.Fatalf("%s: previous bundle lost: %q/%v", op, b, ok)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Fatalf("%s: failed publish left %d entries behind", op, len(ents))
+		}
+	}
+	lc.lkgFaults = nil
+	if err := lc.persistLKG(); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := LoadLKG(dir); !ok || string(b) != "candidate-that-never-lands" {
+		t.Fatalf("healthy publish did not replace the bundle: %q/%v", b, ok)
 	}
 }
 

@@ -32,13 +32,13 @@ import (
 // segments on disk and the next recovery would replay every acked batch
 // since the previous checkpoint twice.
 
-// SnapshotName is the legacy (pre-watermark) checkpoint file name. Recover
-// still reads it — as covering no WAL segment — from directories written
-// before checkpoints were coverage-stamped.
-const SnapshotName = "snapshot.clds"
-
-// snapSuffix ends every checkpoint file name, stamped or legacy.
+// snapSuffix ends every checkpoint file name.
 const snapSuffix = ".clds"
+
+// bareSnapshot is the pre-watermark checkpoint name. It says nothing
+// about WAL coverage and is no longer read: Recover refuses a directory
+// where it is the only checkpoint rather than start empty over it.
+const bareSnapshot = "snapshot" + snapSuffix
 
 // snapName formats a coverage-stamped checkpoint name; names sort in
 // coverage order.
@@ -46,7 +46,7 @@ func snapName(covered uint64) string {
 	return fmt.Sprintf("snapshot-%016x%s", covered, snapSuffix)
 }
 
-// parseSnapName inverts snapName; ok=false for legacy and foreign files.
+// parseSnapName inverts snapName; ok=false for foreign files.
 func parseSnapName(name string) (uint64, bool) {
 	const prefix = "snapshot-"
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, snapSuffix) {
@@ -65,25 +65,26 @@ func parseSnapName(name string) (uint64, bool) {
 
 // findSnapshot picks the checkpoint Recover loads: the stamped snapshot
 // with the highest covered sequence wins (an interrupted checkpoint can
-// leave older ones behind); a legacy bare snapshot.clds is used only when
-// no stamped one exists, covering nothing.
+// leave older ones behind). A directory whose only checkpoint is a legacy
+// bare snapshot.clds is an error wrapping ErrBadSnapshot.
 func findSnapshot(dir string) (path string, covered uint64, ok bool, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return "", 0, false, err
 	}
-	found := false
+	legacy := false
 	for _, e := range ents {
-		if c, stamped := parseSnapName(e.Name()); stamped && (!found || c > covered) {
-			covered, found = c, true
+		if c, stamped := parseSnapName(e.Name()); stamped && (!ok || c > covered) {
+			covered, ok = c, true
 		}
+		legacy = legacy || e.Name() == bareSnapshot
 	}
-	if found {
+	if ok {
 		return filepath.Join(dir, snapName(covered)), covered, true, nil
 	}
-	legacy := filepath.Join(dir, SnapshotName)
-	if _, serr := os.Stat(legacy); serr == nil {
-		return legacy, 0, true, nil
+	if legacy {
+		return "", 0, false, fmt.Errorf("%w: %s is an unstamped legacy checkpoint, which this build does not read",
+			ErrBadSnapshot, filepath.Join(dir, bareSnapshot))
 	}
 	return "", 0, false, nil
 }
@@ -372,7 +373,7 @@ func sweepSnapshots(dir string, covered uint64) {
 		return
 	}
 	for _, e := range ents {
-		if c, stamped := parseSnapName(e.Name()); (stamped && c < covered) || e.Name() == SnapshotName {
+		if c, stamped := parseSnapName(e.Name()); stamped && c < covered {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
@@ -392,9 +393,9 @@ func (s *Store) CloseWAL() error {
 	return err
 }
 
-// RemoveStaleTemps sweeps temp files a killed SaveFile left behind in dir
-// (base+".tmp*" — see SaveFile). Only call on directories this package
-// owns. Returns how many were removed.
+// RemoveStaleTemps sweeps temp files a killed publish left behind in dir
+// (base+".tmp*" — see faults.PublishFile). Only call on directories this
+// package owns. Returns how many were removed.
 func RemoveStaleTemps(dir, base string) int {
 	matches, err := filepath.Glob(filepath.Join(dir, base+".tmp*"))
 	if err != nil {

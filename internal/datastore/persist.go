@@ -9,12 +9,12 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"campuslab/internal/eventlog"
 	"campuslab/internal/faults"
+	"campuslab/internal/frame"
 	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
 )
@@ -24,8 +24,8 @@ import (
 //
 //	header:  magic "CLDS" | version u16 |
 //	         packet count u64 | event count u64 | header crc u32
-//	packets: per packet: ts i64 | link u16 | label u8 | actor u8 |
-//	         len u32 | bytes
+//	packets: per packet: a frame record header (ts i64 | link u16 |
+//	         label u8 | actor u8 | len u32) | bytes
 //	         then: packets-section crc u32
 //	events:  per event: ts i64 | source u8 | severity u8 |
 //	         hostLen u16 | host | msgLen u32 | msg
@@ -34,9 +34,8 @@ import (
 // Flow metadata and indexes are rebuilt on load (they are derived data),
 // which keeps the format stable across index-layout changes — the same
 // choice real capture stores make. File-level snapshots (SaveFile) are
-// crash-safe: written to a temp file in the target directory, fsynced,
-// then atomically renamed over the target, so a crash mid-save always
-// leaves the previous snapshot intact.
+// crash-safe: published through faults.PublishFile, so a crash mid-save
+// always leaves the previous snapshot intact.
 //
 // Version 3 is written by tiered stores: once packets live in cold
 // segments, a snapshot of the hot tier alone can no longer rebuild
@@ -132,7 +131,7 @@ func (s *Store) Save(w io.Writer) error {
 			return flows[i].Key.Hash() < flows[j].Key.Hash()
 		})
 	}
-	var scratch [17]byte
+	var scratch [frame.RecordHeaderSize]byte
 	binary.LittleEndian.PutUint16(scratch[:2], version)
 	if _, err := bw.Write(scratch[:2]); err != nil {
 		return err
@@ -176,18 +175,8 @@ func (s *Store) Save(w io.Writer) error {
 	}
 	cur := newMergeCursor(slabs)
 	for sp := cur.next(); sp != nil; sp = cur.next() {
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(sp.TS))
-		binary.LittleEndian.PutUint16(scratch[8:10], sp.Link)
-		scratch[10] = byte(sp.Label)
-		scratch[11] = 0
-		if sp.Actor {
-			scratch[11] = 1
-		}
-		if _, err := cw.Write(scratch[:12]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(sp.Data)))
-		if _, err := cw.Write(scratch[:4]); err != nil {
+		h := frame.RecordHeader{TS: sp.TS, Link: sp.Link, Label: sp.Label, Actor: sp.Actor, DataLen: len(sp.Data)}
+		if _, err := cw.Write(h.Append(scratch[:0])); err != nil {
 			return err
 		}
 		if _, err := cw.Write(sp.Data); err != nil {
@@ -437,31 +426,23 @@ func Load(r io.Reader) (*Store, error) {
 		// renumber the hot tier underneath them.
 		st.nextID.Store(baseID)
 	}
-	var scratch [12]byte
-	var f traffic.Frame
+	var scratch [frame.RecordHeaderSize]byte
 	for i := uint64(0); i < nPkts; i++ {
-		if _, err := io.ReadFull(cr, scratch[:12]); err != nil {
+		if _, err := io.ReadFull(cr, scratch[:]); err != nil {
 			return nil, fmt.Errorf("%w: packet %d header: %v", ErrBadSnapshot, i, err)
 		}
-		f.TS = time.Duration(binary.LittleEndian.Uint64(scratch[:8]))
-		link := binary.LittleEndian.Uint16(scratch[8:10])
-		f.Label = traffic.Label(scratch[10])
-		f.Actor = scratch[11] == 1
-		if _, err := io.ReadFull(cr, scratch[:4]); err != nil {
-			return nil, fmt.Errorf("%w: packet %d len: %v", ErrBadSnapshot, i, err)
+		h, err := frame.ParseRecordHeader(scratch[:])
+		if err != nil {
+			return nil, fmt.Errorf("%w: packet %d: %v", ErrBadSnapshot, i, err)
 		}
-		n := binary.LittleEndian.Uint32(scratch[:4])
-		if n > 1<<20 {
-			return nil, fmt.Errorf("%w: packet %d claims %d bytes", ErrBadSnapshot, i, n)
-		}
-		f.Data = make([]byte, n)
-		if _, err := io.ReadFull(cr, f.Data); err != nil {
+		data := make([]byte, h.DataLen)
+		if _, err := io.ReadFull(cr, data); err != nil {
 			return nil, fmt.Errorf("%w: packet %d body: %v", ErrBadSnapshot, i, err)
 		}
 		// Ingest with the stored link id directly so flow metadata and the
 		// secondary indexes (including the link posting lists) rebuild
 		// exactly as they were at save time.
-		st.ingest(f.TS, link, f.Data, f.Label, f.Actor)
+		st.ingest(h.TS, h.Link, data, h.Label, h.Actor)
 	}
 	if err := checkCRC(br, cr, "packets"); err != nil {
 		return nil, err
@@ -534,67 +515,13 @@ func Load(r io.Reader) (*Store, error) {
 	return st, nil
 }
 
-// faultWriter consults the store's injector before every write, so a
-// scripted schedule can kill a snapshot save at an exact byte boundary.
-type faultWriter struct {
-	w   io.Writer
-	inj faults.Injector
-}
-
-func (fw *faultWriter) Write(p []byte) (int, error) {
-	if err := fw.inj.Fail(faults.OpStoreWrite); err != nil {
-		return 0, err
-	}
-	return fw.w.Write(p)
-}
-
-// SaveFile writes a crash-safe snapshot to path: the stream goes to a
-// temp file in the same directory, is fsynced, and is atomically renamed
-// over path. A crash (or injected fault) at any point leaves either the
-// old snapshot or the new one at path — never a truncated hybrid.
-func (s *Store) SaveFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("datastore: snapshot temp file: %w", err)
-	}
-	tmpPath := tmp.Name()
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-		}
-	}()
-	var w io.Writer = tmp
-	if s.persistFaults != nil {
-		w = &faultWriter{w: tmp, inj: s.persistFaults}
-	}
-	if err = s.Save(w); err != nil {
-		return fmt.Errorf("datastore: snapshot write: %w", err)
-	}
-	if s.persistFaults != nil {
-		if err = s.persistFaults.Fail(faults.OpStoreSync); err != nil {
-			return fmt.Errorf("datastore: snapshot sync: %w", err)
-		}
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("datastore: snapshot sync: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("datastore: snapshot close: %w", err)
-	}
-	if s.persistFaults != nil {
-		if err = s.persistFaults.Fail(faults.OpStoreRename); err != nil {
-			return fmt.Errorf("datastore: snapshot rename: %w", err)
-		}
-	}
-	if err = os.Rename(tmpPath, path); err != nil {
-		return fmt.Errorf("datastore: snapshot rename: %w", err)
-	}
-	// Best-effort directory sync so the rename itself is durable.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
+// SaveFile writes a crash-safe snapshot to path through
+// faults.PublishFile: a crash (or a fault injected via SetFaultInjector)
+// at any point leaves either the old snapshot or the new one at path —
+// never a truncated hybrid.
+func (s *Store) SaveFile(path string) error {
+	if err := faults.PublishFile(path, s.persistFaults, s.Save); err != nil {
+		return fmt.Errorf("datastore: snapshot: %w", err)
 	}
 	return nil
 }

@@ -31,7 +31,7 @@ type segDir struct {
 	tss  []time.Duration
 	act  []byte // one bit per row
 	post *segPostings
-	dict *segDict // v2: the dict column; v1: inverted from the index
+	dict *segDict
 	data *segData // geometry only: streams is nil
 	// The data column this geometry was parsed from; a cursor opening the
 	// file later refuses one that frames a different column.
@@ -60,13 +60,9 @@ func buildSegDir(sb *segBlob) (*segDir, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dict *segDict
-	if sb.version >= segVersion2 {
-		if dict, err = sb.decodeDict(); err != nil {
-			return nil, err
-		}
-	} else {
-		dict = post.dict(sb.count)
+	dict, err := sb.decodeDict()
+	if err != nil {
+		return nil, err
 	}
 	d := &segDir{
 		ids: ids, tss: tss, act: act, post: post, dict: dict, data: data,

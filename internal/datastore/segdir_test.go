@@ -187,7 +187,7 @@ func liveSeqs(tr *tier) map[uint64]bool {
 // resident, charged, and inside the budget together with the blocks.
 func TestSegDirBudgetRespected(t *testing.T) {
 	const budget = 2 << 20 // a quarter of the decoded rows: blocks churn, directories must survive on use
-	s := coldOnly(t, tierFmtPolicy(t.TempDir(), segVersion2, budget))
+	s := coldOnly(t, tierFmtPolicy(t.TempDir(), budget))
 	for _, expr := range queryExprs {
 		selectBoth(t, s, expr, 0)
 	}
@@ -210,7 +210,7 @@ func TestSegDirBudgetRespected(t *testing.T) {
 // nothing becomes resident — every query builds what it needs — and the
 // answers do not change.
 func TestSegDirOversizeNotAdmitted(t *testing.T) {
-	s := coldOnly(t, tierFmtPolicy(t.TempDir(), segVersion2, 1<<10))
+	s := coldOnly(t, tierFmtPolicy(t.TempDir(), 1<<10))
 	limits := []int{0, 7}
 	if raceEnabled {
 		limits = []int{7}
@@ -238,7 +238,7 @@ func TestSegDirOversizeNotAdmitted(t *testing.T) {
 // TestSegDirDroppedWithSegments: compaction and retention drop the
 // directories of the segments they remove.
 func TestSegDirDroppedWithSegments(t *testing.T) {
-	s := ingestTiered(t, 4, 1, tierFmtPolicy(t.TempDir(), segVersion2, 64<<20))
+	s := ingestTiered(t, 4, 1, tierFmtPolicy(t.TempDir(), 64<<20))
 	s.SetQueryWorkers(1)
 	tr := s.tier.Load()
 	f := MustFilter("ts >= 0 && ip") // no zone map prunes it: every segment is opened
@@ -391,7 +391,7 @@ func storedTimes(s *Store) []time.Duration {
 func TestColdCountWindowedTouchesNoBlock(t *testing.T) {
 	for _, cache := range []int64{0, 64 << 20} {
 		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
-			s := coldOnly(t, tierFmtPolicy(t.TempDir(), segVersion2, cache))
+			s := coldOnly(t, tierFmtPolicy(t.TempDir(), cache))
 			tss := storedTimes(s)
 			lo, hi := tss[len(tss)/4], tss[3*len(tss)/4]
 			exprs := []string{

@@ -6,13 +6,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/bits"
 	"sort"
 	"sync"
 	"time"
 
+	"campuslab/internal/frame"
 	"campuslab/internal/parallel"
 )
 
@@ -23,17 +23,15 @@ import (
 //	header (48 bytes):
 //	    magic "CLSG" | version u16 | reserved u16 | count u32 |
 //	    minID u64 | maxID u64 | minTS i64 | maxTS i64 | header crc32
-//	columns, in fixed order, each framed as
-//	    colID u8 | encLen u32 | payload crc32 | payload:
+//	columns, in fixed order, each a column-id byte and a frame checked
+//	block:  colID u8 | encLen u32 | payload crc32 | payload:
 //	  1 ids    first ID uvarint, then zigzag varint deltas (IDs follow
 //	           the (TS, ID) sort, so deltas are near 1 but may be signed
 //	           when concurrent serial ingest interleaved IDs across shards)
 //	  2 ts     first TS zigzag varint, then uvarint deltas (TS is
 //	           non-decreasing within a sorted run)
 //	  3 actor  bit-packed, one bit per row, trailing bits zero
-//	  4 data   v1: uvarint total raw bytes, per-row uvarint lengths, then
-//	           one DEFLATE stream of the concatenated packet bytes.
-//	           v2: uvarint block rows | uvarint block count | uvarint total
+//	  4 data   uvarint block rows | uvarint block count | uvarint total
 //	           raw bytes | per-row uvarint lengths | per-block uvarint
 //	           compressed lengths | the blocks' DEFLATE streams,
 //	           concatenated. Block b covers rows [b*blockRows,
@@ -45,12 +43,15 @@ import (
 //	           each with an ascending delta-coded row list; then the six
 //	           boolean-flag lists. The value families partition the rows,
 //	           so this section doubles as the zone map's value sets.
-//	  6 dict   (v2 only) dictionary encoding of the link and label
-//	           columns: per family, uvarint distinct-value count, the
-//	           ascending values, then ceil(log2 n)-bit codes bit-packed
-//	           LSB-first, one per row, trailing bits zero. Gives O(1)
-//	           per-row access for selective decode — the v1 reader instead
-//	           inverts the index column into O(count) scatter arrays.
+//	  6 dict   dictionary encoding of the link and label columns: per
+//	           family, uvarint distinct-value count, the ascending values,
+//	           then ceil(log2 n)-bit codes bit-packed LSB-first, one per
+//	           row, trailing bits zero. Gives O(1) per-row access for
+//	           selective decode.
+//
+// The version field is 2. Version 1 (one DEFLATE stream for the whole data
+// column, no dict column) is no longer written or read: parseSegment
+// answers it, like any other version, with ErrSegmentCorrupt.
 //
 // Per-packet Summary metadata is NOT stored: decode re-parses the raw
 // bytes with the same allocation-free parser ingest used, which is
@@ -67,8 +68,7 @@ import (
 
 const (
 	segMagic    = "CLSG"
-	segVersion1 = 1
-	segVersion2 = 2
+	segVersion2 = 2 // the only version written or read
 
 	segColIDs   = 1
 	segColTS    = 2
@@ -76,19 +76,19 @@ const (
 	segColData  = 4
 	segColIndex = 5
 	segColDict  = 6
-	segNumCols  = 6 // v2; v1 blobs carry columns 1..5
+	segNumCols  = 6
 
 	segHeaderSize = 48
-	// segBlockRows is the v2 writer's rows per independently-compressed
+	// segBlockRows is the writer's rows per independently-compressed
 	// data block: small enough that a needle query inflates a sliver,
 	// large enough that DEFLATE still sees real context.
 	segBlockRows = 32
 	// segMaxCount bounds rows per segment (sanity cap well above any
 	// policy's SegmentPackets); segMaxData bounds the decompressed data
-	// column; segMaxPacket matches the snapshot/WAL per-packet cap.
+	// column; segMaxPacket is the snapshot/WAL/wire per-packet cap.
 	segMaxCount  = 1 << 22
 	segMaxData   = 1 << 30
-	segMaxPacket = 1 << 20
+	segMaxPacket = frame.MaxRecordData
 )
 
 // ErrSegmentCorrupt reports a segment that failed structural or checksum
@@ -262,8 +262,8 @@ func (px *segPostings) lookup(ref ixRef) []uint32 {
 	return px.rows[px.start[fi][i]:px.start[fi][i+1]]
 }
 
-// widen copies a family's values into the uint64 form zone maps and
-// dictionaries share with the writer.
+// widen copies a family's values into the uint64 form zone maps share
+// with the writer.
 func widen(vals []uint16) []uint64 {
 	out := make([]uint64, len(vals))
 	for i, v := range vals {
@@ -282,29 +282,6 @@ func (px *segPostings) zone() segZone {
 		z.flags[fl] = px.flags[fl+1] > px.flags[fl]
 	}
 	return z
-}
-
-// dict derives the per-row link/label dictionary a v1 segment does not
-// store, by inverting the two families — valid because decodeIndex has
-// checked that every value family partitions the rows.
-func (px *segPostings) dict(count int) *segDict {
-	d := &segDict{}
-	for fam, fi := range segDictFams {
-		vals := px.vals[fi]
-		d.vals[fam] = widen(vals)
-		width := bits.Len(uint(len(vals) - 1))
-		d.width[fam] = width
-		if width == 0 {
-			continue
-		}
-		d.codes[fam] = make([]byte, (count*width+7)/8)
-		for c := range vals {
-			for _, r := range px.rows[px.start[fi][c]:px.start[fi][c+1]] {
-				putBits(d.codes[fam], int(r)*width, width, uint64(c))
-			}
-		}
-	}
-	return d
 }
 
 // bytes is the resident footprint, for the cache budget.
@@ -412,7 +389,7 @@ func segDictValue(sp *StoredPacket, fam int) uint64 {
 	return uint64(sp.Label)
 }
 
-// encodeDict serializes the v2 dictionary column for the link and label
+// encodeDict serializes the dictionary column for the link and label
 // families: distinct ascending values, then bit-packed per-row codes.
 func encodeDict(rows []StoredPacket) []byte {
 	var b []byte
@@ -539,17 +516,7 @@ func (sb *segBlob) decodeDict() (*segDict, error) {
 	return d, nil
 }
 
-// appendColumn frames one column: id, length, payload CRC, payload.
-func appendColumn(dst []byte, colID byte, payload []byte) []byte {
-	var hdr [9]byte
-	hdr[0] = colID
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// segDeflateLevel is the v2 writer's DEFLATE level, picked by measurement
+// segDeflateLevel is the writer's DEFLATE level, picked by measurement
 // (DESIGN.md §14 "Sealing"): against flate.DefaultCompression (6) it
 // leaves cold bytes per packet within 0.1% on both tiered benchmark
 // workloads at half the match-search cost; BestSpeed costs +2.6% bytes.
@@ -604,21 +571,10 @@ func deflateBlocks(rows []StoredPacket) (streams [][]byte, compLens []int, err e
 }
 
 // encodeSegment serializes one (TS, ID)-sorted, strictly increasing row
-// run into a CLSG v2 blob (blocked data column + dictionary column),
+// run into a CLSG blob (blocked data column + dictionary column),
 // returning the blob and the resident metadata. The encoding is
 // canonical: the same rows always produce the same bytes.
 func encodeSegment(rows []StoredPacket) ([]byte, segMeta, error) {
-	return encodeSegmentVer(rows, segVersion2)
-}
-
-// encodeSegmentV1 writes the legacy single-stream format, byte-identical
-// to what pre-v2 builds produced — kept so mixed-version tiers stay
-// writable for tests, benchmarks and downgrades.
-func encodeSegmentV1(rows []StoredPacket) ([]byte, segMeta, error) {
-	return encodeSegmentVer(rows, segVersion1)
-}
-
-func encodeSegmentVer(rows []StoredPacket, version uint16) ([]byte, segMeta, error) {
 	var meta segMeta
 	n := len(rows)
 	if n == 0 {
@@ -668,77 +624,51 @@ func encodeSegmentVer(rows []StoredPacket, version uint16) ([]byte, segMeta, err
 			act[i/8] |= 1 << (i % 8)
 		}
 	}
-	var data []byte
-	if version >= segVersion2 {
-		streams, compLens, err := deflateBlocks(rows)
-		if err != nil {
-			return nil, meta, err
-		}
-		// Sized once: three header uvarints, a length per row and per
-		// block (at most 5 bytes each), then the streams.
-		size := 3*binary.MaxVarintLen64 + 5*(n+len(compLens))
-		for _, st := range streams {
-			size += len(st)
-		}
-		data = binary.AppendUvarint(make([]byte, 0, size), segBlockRows)
-		data = binary.AppendUvarint(data, uint64(len(compLens)))
-		data = binary.AppendUvarint(data, totalRaw)
-		for i := range rows {
-			data = binary.AppendUvarint(data, uint64(len(rows[i].Data)))
-		}
-		for _, cl := range compLens {
-			data = binary.AppendUvarint(data, uint64(cl))
-		}
-		for _, st := range streams {
-			data = append(data, st...)
-		}
-	} else {
-		data = binary.AppendUvarint(nil, totalRaw)
-		for i := range rows {
-			data = binary.AppendUvarint(data, uint64(len(rows[i].Data)))
-		}
-		var blob bytes.Buffer
-		fw, err := flate.NewWriter(&blob, flate.DefaultCompression)
-		if err != nil {
-			return nil, meta, err
-		}
-		for i := range rows {
-			if _, err := fw.Write(rows[i].Data); err != nil {
-				return nil, meta, err
-			}
-		}
-		if err := fw.Close(); err != nil {
-			return nil, meta, err
-		}
-		data = append(data, blob.Bytes()...)
+	streams, compLens, err := deflateBlocks(rows)
+	if err != nil {
+		return nil, meta, err
+	}
+	// Sized once: three header uvarints, a length per row and per block
+	// (at most 5 bytes each), then the streams.
+	size := 3*binary.MaxVarintLen64 + 5*(n+len(compLens))
+	for _, st := range streams {
+		size += len(st)
+	}
+	data := binary.AppendUvarint(make([]byte, 0, size), segBlockRows)
+	data = binary.AppendUvarint(data, uint64(len(compLens)))
+	data = binary.AppendUvarint(data, totalRaw)
+	for i := range rows {
+		data = binary.AppendUvarint(data, uint64(len(rows[i].Data)))
+	}
+	for _, cl := range compLens {
+		data = binary.AppendUvarint(data, uint64(cl))
+	}
+	for _, st := range streams {
+		data = append(data, st...)
 	}
 
 	ix := buildSegIndex(rows)
 	meta.zone = ix.zone()
 	ixb := ix.encode()
-	var dict []byte
-	if version >= segVersion2 {
-		dict = encodeDict(rows)
-	}
+	dict := encodeDict(rows)
 
 	out := make([]byte, 0, segHeaderSize+len(ids)+len(tsc)+len(act)+len(data)+len(ixb)+len(dict)+6*9)
 	out = append(out, segMagic...)
-	out = binary.LittleEndian.AppendUint16(out, version)
+	out = binary.LittleEndian.AppendUint16(out, segVersion2)
 	out = binary.LittleEndian.AppendUint16(out, 0)
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
 	out = binary.LittleEndian.AppendUint64(out, uint64(minID))
 	out = binary.LittleEndian.AppendUint64(out, uint64(maxID))
 	out = binary.LittleEndian.AppendUint64(out, uint64(meta.minTS))
 	out = binary.LittleEndian.AppendUint64(out, uint64(meta.maxTS))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[:44]))
-	out = appendColumn(out, segColIDs, ids)
-	out = appendColumn(out, segColTS, tsc)
-	out = appendColumn(out, segColActor, act)
-	out = appendColumn(out, segColData, data)
-	out = appendColumn(out, segColIndex, ixb)
-	if version >= segVersion2 {
-		out = appendColumn(out, segColDict, dict)
-	}
+	out = binary.LittleEndian.AppendUint32(out, frame.Sum(out[:44]))
+	// Each column is its id byte, then the payload as a checked block.
+	out = frame.AppendBlock(append(out, segColIDs), ids)
+	out = frame.AppendBlock(append(out, segColTS), tsc)
+	out = frame.AppendBlock(append(out, segColActor), act)
+	out = frame.AppendBlock(append(out, segColData), data)
+	out = frame.AppendBlock(append(out, segColIndex), ixb)
+	out = frame.AppendBlock(append(out, segColDict), dict)
 	return out, meta, nil
 }
 
@@ -749,7 +679,6 @@ func encodeSegmentVer(rows []StoredPacket, version uint16) ([]byte, segMeta, err
 // only the data column's checksum. A segBlob is not safe for concurrent
 // use — each reader parses its own.
 type segBlob struct {
-	version      int
 	count        int
 	minID, maxID PacketID
 	minTS, maxTS time.Duration
@@ -758,18 +687,11 @@ type segBlob struct {
 	colOK        [segNumCols + 1]bool
 }
 
-func (sb *segBlob) numCols() int {
-	if sb.version == segVersion1 {
-		return 5
-	}
-	return segNumCols
-}
-
 // col returns one column payload, verifying its CRC on first access.
 func (sb *segBlob) col(id int) ([]byte, error) {
 	if !sb.colOK[id] {
-		if got := crc32.ChecksumIEEE(sb.cols[id]); got != sb.colSums[id] {
-			return nil, segErr("column %d checksum %08x != %08x", id, got, sb.colSums[id])
+		if err := frame.Check(sb.cols[id], sb.colSums[id]); err != nil {
+			return nil, segErr("column %d: %v", id, err)
 		}
 		sb.colOK[id] = true
 	}
@@ -778,7 +700,7 @@ func (sb *segBlob) col(id int) ([]byte, error) {
 
 // verifyAll checks every column CRC (attach time).
 func (sb *segBlob) verifyAll() error {
-	for id := segColIDs; id <= sb.numCols(); id++ {
+	for id := segColIDs; id <= segNumCols; id++ {
 		if _, err := sb.col(id); err != nil {
 			return err
 		}
@@ -796,47 +718,41 @@ func parseSegment(b []byte) (*segBlob, error) {
 	if string(b[:4]) != segMagic {
 		return nil, segErr("bad magic %q", b[:4])
 	}
-	v := binary.LittleEndian.Uint16(b[4:6])
-	if v != segVersion1 && v != segVersion2 {
+	if v := binary.LittleEndian.Uint16(b[4:6]); v != segVersion2 {
 		return nil, segErr("unsupported version %d", v)
 	}
 	if binary.LittleEndian.Uint16(b[6:8]) != 0 {
 		return nil, segErr("nonzero reserved field")
 	}
-	if got, want := crc32.ChecksumIEEE(b[:44]), binary.LittleEndian.Uint32(b[44:48]); got != want {
-		return nil, segErr("header checksum %08x != %08x", got, want)
+	if err := frame.Check(b[:44], binary.LittleEndian.Uint32(b[44:48])); err != nil {
+		return nil, segErr("header: %v", err)
 	}
 	sb := &segBlob{
-		version: int(v),
-		count:   int(binary.LittleEndian.Uint32(b[8:12])),
-		minID:   PacketID(binary.LittleEndian.Uint64(b[12:20])),
-		maxID:   PacketID(binary.LittleEndian.Uint64(b[20:28])),
-		minTS:   time.Duration(binary.LittleEndian.Uint64(b[28:36])),
-		maxTS:   time.Duration(binary.LittleEndian.Uint64(b[36:44])),
+		count: int(binary.LittleEndian.Uint32(b[8:12])),
+		minID: PacketID(binary.LittleEndian.Uint64(b[12:20])),
+		maxID: PacketID(binary.LittleEndian.Uint64(b[20:28])),
+		minTS: time.Duration(binary.LittleEndian.Uint64(b[28:36])),
+		maxTS: time.Duration(binary.LittleEndian.Uint64(b[36:44])),
 	}
 	if sb.count <= 0 || sb.count > segMaxCount {
 		return nil, segErr("row count %d out of range", sb.count)
 	}
-	off := segHeaderSize
-	for want := byte(1); want <= byte(sb.numCols()); want++ {
-		if len(b)-off < 9 {
+	rest := b[segHeaderSize:]
+	for want := byte(segColIDs); want <= segNumCols; want++ {
+		if len(rest) == 0 {
 			return nil, segErr("truncated at column %d frame", want)
 		}
-		if b[off] != want {
-			return nil, segErr("column %d out of order (got id %d)", want, b[off])
+		if rest[0] != want {
+			return nil, segErr("column %d out of order (got id %d)", want, rest[0])
 		}
-		n := int(binary.LittleEndian.Uint32(b[off+1 : off+5]))
-		sum := binary.LittleEndian.Uint32(b[off+5 : off+9])
-		off += 9
-		if n > len(b)-off {
-			return nil, segErr("column %d claims %d bytes, %d remain", want, n, len(b)-off)
+		// A column is bounded by its file: no cap beyond the bytes present.
+		var err error
+		if sb.cols[want], sb.colSums[want], rest, err = frame.Next(rest[1:], len(b)); err != nil {
+			return nil, segErr("column %d: %v", want, err)
 		}
-		sb.cols[want] = b[off : off+n]
-		sb.colSums[want] = sum
-		off += n
 	}
-	if off != len(b) {
-		return nil, segErr("%d trailing bytes", len(b)-off)
+	if len(rest) != 0 {
+		return nil, segErr("%d trailing bytes", len(rest))
 	}
 	return sb, nil
 }
@@ -936,10 +852,9 @@ func (sb *segBlob) decodeActor() ([]byte, error) {
 }
 
 // segData is a parsed (not yet inflated) data column: the per-row raw
-// offsets and the block geometry. v1 columns parse as a single block
-// covering every row, so both formats share one selective-decode and
-// cache path. Everything but streams is private memory, so a segData
-// with streams dropped is the resident geometry a directory keeps.
+// offsets and the block geometry. Everything but streams is private
+// memory, so a segData with streams dropped is the resident geometry a
+// directory keeps.
 type segData struct {
 	count     int
 	blockRows int
@@ -964,25 +879,21 @@ func (sb *segBlob) parseData() (*segData, error) {
 	}
 	r := &segReader{b: payload}
 	d := &segData{count: sb.count}
-	if sb.version >= segVersion2 {
-		br, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if br == 0 || br > segMaxCount {
-			return nil, segErr("data block rows %d out of range", br)
-		}
-		nb, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		d.blockRows = int(br)
-		d.nblocks = int(nb)
-		if want := (sb.count + d.blockRows - 1) / d.blockRows; d.nblocks != want {
-			return nil, segErr("data column claims %d blocks, geometry needs %d", d.nblocks, want)
-		}
-	} else {
-		d.blockRows, d.nblocks = sb.count, 1
+	br, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if br == 0 || br > segMaxCount {
+		return nil, segErr("data block rows %d out of range", br)
+	}
+	nb, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	d.blockRows = int(br)
+	d.nblocks = int(nb)
+	if want := (sb.count + d.blockRows - 1) / d.blockRows; d.nblocks != want {
+		return nil, segErr("data column claims %d blocks, geometry needs %d", d.nblocks, want)
 	}
 	totalRaw, err := r.uvarint()
 	if err != nil {
@@ -1011,26 +922,22 @@ func (sb *segBlob) parseData() (*segData, error) {
 	}
 	d.compOff = make([]int, d.nblocks)
 	d.compLen = make([]int, d.nblocks)
-	if sb.version >= segVersion2 {
-		var sum uint64
-		for b := 0; b < d.nblocks; b++ {
-			cl, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			sum += cl
-			d.compLen[b] = int(cl)
+	var sum uint64
+	for b := 0; b < d.nblocks; b++ {
+		cl, err := r.uvarint()
+		if err != nil {
+			return nil, err
 		}
-		if sum != uint64(len(payload)-r.off) {
-			return nil, segErr("block streams claim %d bytes, %d remain", sum, len(payload)-r.off)
-		}
-		off := 0
-		for b := 0; b < d.nblocks; b++ {
-			d.compOff[b] = off
-			off += d.compLen[b]
-		}
-	} else {
-		d.compLen[0] = len(payload) - r.off
+		sum += cl
+		d.compLen[b] = int(cl)
+	}
+	if sum != uint64(len(payload)-r.off) {
+		return nil, segErr("block streams claim %d bytes, %d remain", sum, len(payload)-r.off)
+	}
+	streamOff := 0
+	for b := 0; b < d.nblocks; b++ {
+		d.compOff[b] = streamOff
+		streamOff += d.compLen[b]
 	}
 	d.streamsOff = r.off
 	d.streams = payload[r.off:]
@@ -1133,8 +1040,8 @@ func readRowList(r *segReader, count int, dst []uint32) ([]uint32, error) {
 
 // decodeIndex decodes and validates the index column: ascending in-domain
 // values, strictly ascending row lists, and — for the five value families
-// — an exact partition of the rows (which is what makes the v1 link/label
-// inversion total and the zone map's absence proofs sound).
+// — an exact partition of the rows (which is what makes the zone map's
+// absence proofs sound).
 func (sb *segBlob) decodeIndex() (*segPostings, error) {
 	payload, err := sb.col(segColIndex)
 	if err != nil {
@@ -1220,7 +1127,7 @@ func (sb *segBlob) decodeBlobRows() ([]StoredPacket, error) {
 
 // decodeSegmentRows fully decodes a segment blob back into its row run —
 // the fuzz target's identity check: decode(encode(rows)) == rows for every
-// valid blob, v1 or v2.
+// valid blob.
 func decodeSegmentRows(b []byte) ([]StoredPacket, error) {
 	sb, err := parseSegment(b)
 	if err != nil {

@@ -2,6 +2,8 @@ package datastore
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -9,10 +11,9 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// fuzzSeedSegment builds a small deterministic segment blob in the given
-// format version for the fuzz seed corpus (mirrors segTestRows but
-// without *testing.T plumbing).
-func fuzzSeedSegment(n int, version uint16) []byte {
+// fuzzSeedSegment builds a small deterministic segment blob for the fuzz
+// seed corpus (mirrors segTestRows but without *testing.T plumbing).
+func fuzzSeedSegment(n int) []byte {
 	g := traffic.NewCampus(traffic.Profile{
 		Plan: traffic.DefaultPlan(8), FlowsPerSecond: 40,
 		Duration: time.Second, Seed: 7,
@@ -27,7 +28,7 @@ func fuzzSeedSegment(n int, version uint16) []byte {
 		rows = append(rows, *sp)
 		return len(rows) < n
 	})
-	blob, _, err := encodeSegmentVer(rows, version)
+	blob, _, err := encodeSegment(rows)
 	if err != nil {
 		panic(err)
 	}
@@ -41,14 +42,16 @@ func fuzzSeedSegment(n int, version uint16) []byte {
 // guaranteed for encoder-canonical inputs: DEFLATE admits more than one
 // valid stream for the same payload.)
 func FuzzSegmentDecode(f *testing.F) {
-	// Both format versions seed the corpus: v2 (block-compressed +
-	// dictionary columns) exercises the block/dict validators, v1 the
-	// legacy single-stream path. Crossing over a few hundred rows makes
-	// the v2 seed span multiple blocks. testdata/ also pins a four-block
-	// v2 blob as the level-4 writer emitted it, which stays in the corpus
-	// whatever level later writers use.
-	for _, version := range []uint16{segVersion2, segVersion1} {
-		valid := fuzzSeedSegment(300, version)
+	// Two blobs seed the corpus: one this build encodes (a few hundred
+	// rows, so it spans multiple blocks) and the one testdata/format pins
+	// as PR 17's writer emitted it. testdata/fuzz also pins a four-block
+	// blob from the level-4 writer, which stays in the corpus whatever
+	// level later writers use.
+	pinned, err := os.ReadFile(filepath.Join("testdata", "format", "tier", "seg-0000000000000000.clsg"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, valid := range [][]byte{fuzzSeedSegment(300), pinned} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])
 		f.Add(valid[:segHeaderSize])

@@ -1,9 +1,11 @@
 package datastore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"campuslab/internal/faults"
 	"campuslab/internal/obs"
 	"campuslab/internal/parallel"
 )
@@ -27,7 +30,8 @@ import (
 // State machine and crash safety. All cold-tier mutation (seal, compact,
 // retain) serializes on sealMu and follows one write protocol:
 //
-//	1. write new segment files (temp + fsync + rename + dir sync)
+//	1. write new segment files (publishFile: temp + fsync + rename + dir
+//	   sync)
 //	2. write the manifest naming the new segment set and the seal
 //	   watermark (same atomic protocol)
 //	3. swap the in-RAM registry — and, for seal, trim the hot slabs —
@@ -76,10 +80,6 @@ type TierPolicy struct {
 	// Retain bounds cold history: segments whose newest packet is older
 	// than lastTS-Retain are deleted by the compactor (0 = keep forever).
 	Retain time.Duration
-	// Format selects the segment writer version: 0 (default) and 2 write
-	// the v2 block-compressed + dictionary format; 1 writes the legacy
-	// single-stream format. Readers accept both regardless.
-	Format int
 	// CacheBytes bounds the LRU cache serving cold queries: decoded data
 	// blocks and the segments' resident directories share the one budget
 	// (0 = disabled: every query decodes what it needs and discards it).
@@ -95,9 +95,6 @@ func (p *TierPolicy) applyDefaults() {
 	}
 	if p.SegmentPackets <= 0 {
 		p.SegmentPackets = 32768
-	}
-	if p.Format == 0 {
-		p.Format = segVersion2
 	}
 }
 
@@ -272,50 +269,31 @@ const (
 
 func tierSegName(seq uint64) string { return fmt.Sprintf("seg-%016x%s", seq, segSuffix) }
 
-// writeFileAtomic writes name under dir via temp + fsync + rename and
-// syncs the directory, so the file is either absent or complete.
-func writeFileAtomic(dir, name string, data []byte) error {
-	f, err := os.CreateTemp(dir, name+".tmp")
-	if err != nil {
+// publishFile writes name under dir through faults.PublishFile, so the
+// file is either absent or complete and durable.
+func publishFile(dir, name string, data []byte) error {
+	return faults.PublishFile(filepath.Join(dir, name), nil, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	})
 }
 
 // writeManifestLocked commits a new segment set + watermark. Caller holds
 // sealMu (segs may be the live slice — it is only mutated under sealMu).
 func (tr *tier) writeManifestLocked(sealedBelow PacketID, segs []*tierSegment) error {
+	le := binary.LittleEndian
 	b := []byte(tierManifestMag)
-	b = le16(b, tierManifestVer)
-	b = le16(b, 0)
-	b = le64(b, uint64(sealedBelow))
-	b = le64(b, tr.nextSeq)
-	b = le32(b, uint32(len(segs)))
+	b = le.AppendUint16(b, tierManifestVer)
+	b = le.AppendUint16(b, 0)
+	b = le.AppendUint64(b, uint64(sealedBelow))
+	b = le.AppendUint64(b, tr.nextSeq)
+	b = le.AppendUint32(b, uint32(len(segs)))
 	for _, sg := range segs {
-		b = le16(b, uint16(len(sg.name)))
+		b = le.AppendUint16(b, uint16(len(sg.name)))
 		b = append(b, sg.name...)
 	}
-	b = le32(b, crc32.ChecksumIEEE(b))
-	return writeFileAtomic(tr.dir, tierManifestName, b)
+	b = le.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return publishFile(tr.dir, tierManifestName, b)
 }
 
 // loadManifest reads the tier manifest; ok=false means a fresh tier (no
@@ -335,22 +313,23 @@ func loadManifest(dir string) (sealedBelow PacketID, nextSeq uint64, names []str
 	if len(b) < 4+2+2+8+8+4+4 || string(b[:4]) != tierManifestMag {
 		return 0, 0, nil, false, bad("bad magic or truncated")
 	}
-	body, sum := b[:len(b)-4], rd32(b[len(b)-4:])
+	le := binary.LittleEndian
+	body, sum := b[:len(b)-4], le.Uint32(b[len(b)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
 		return 0, 0, nil, false, bad("checksum mismatch")
 	}
-	if v := rd16(b[4:]); v != tierManifestVer {
+	if v := le.Uint16(b[4:]); v != tierManifestVer {
 		return 0, 0, nil, false, bad("unsupported version %d", v)
 	}
-	sealedBelow = PacketID(rd64(b[8:]))
-	nextSeq = rd64(b[16:])
-	n := int(rd32(b[24:]))
+	sealedBelow = PacketID(le.Uint64(b[8:]))
+	nextSeq = le.Uint64(b[16:])
+	n := int(le.Uint32(b[24:]))
 	off := 28
 	for i := 0; i < n; i++ {
 		if off+2 > len(body) {
 			return 0, 0, nil, false, bad("truncated name table")
 		}
-		l := int(rd16(b[off:]))
+		l := int(le.Uint16(b[off:]))
 		off += 2
 		if off+l > len(body) {
 			return 0, 0, nil, false, bad("truncated name")
@@ -378,9 +357,6 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 		return errors.New("datastore: tiering already enabled")
 	}
 	pol.applyDefaults()
-	if pol.Format != segVersion1 && pol.Format != segVersion2 {
-		return fmt.Errorf("datastore: unsupported tier segment format %d", pol.Format)
-	}
 	if err := os.MkdirAll(pol.Dir, 0o755); err != nil {
 		return err
 	}
@@ -697,24 +673,20 @@ func (tr *tier) writeSegments(rows []StoredPacket, compact bool) ([]*tierSegment
 		nchunks++
 	}
 	size := (n + nchunks - 1) / nchunks // balanced: no sliver tail
-	encode := encodeSegment
-	if tr.policy.Format == segVersion1 {
-		encode = encodeSegmentV1
-	}
 	var out []*tierSegment
 	for lo := 0; lo < n; lo += size {
 		hi := lo + size
 		if hi > n {
 			hi = n
 		}
-		blob, meta, err := encode(rows[lo:hi])
+		blob, meta, err := encodeSegment(rows[lo:hi])
 		if err != nil {
 			return nil, err
 		}
 		seq := tr.nextSeq
 		name := tierSegName(seq)
 		tr.nextSeq++
-		if err := writeFileAtomic(tr.dir, name, blob); err != nil {
+		if err := publishFile(tr.dir, name, blob); err != nil {
 			return nil, err
 		}
 		out = append(out, &tierSegment{name: name, seq: seq, meta: meta, fileBytes: uint64(len(blob))})
@@ -932,21 +904,20 @@ func (s *Store) StartTierCompactor(interval time.Duration) (stop func()) {
 // builds, zero-length files, size overflow). Never surfaced to callers.
 var errMmapUnavailable = errors.New("datastore: mmap unavailable")
 
-// tierNoMmapEnv disables the mmap segment read path at runtime (the
-// escape hatch for filesystems where mapping misbehaves); segments then
-// load through os.ReadFile as before.
-const tierNoMmapEnv = "CAMPUSLAB_NO_MMAP"
+// tierNoMmap forces loadSeg onto its plain-read fallback — the only path
+// off Linux and after an mmap failure — so a test can cover it on Linux.
+var tierNoMmap bool
 
-// loadSeg is the single segment file read: it maps (or, off Linux, with
-// CAMPUSLAB_NO_MMAP=1, or on any mmap failure, reads) the file exactly
-// once and frame-validates it. Column CRCs verify on access, memoized per
-// blob. Only openSeg's directory build and a cursor's first block-cache
-// miss call it. The release func must be called once decoding is done;
-// directories and decoded rows never alias the mapping.
+// loadSeg is the single segment file read: it maps (or, off Linux or on
+// any mmap failure, reads) the file exactly once and frame-validates it.
+// Column CRCs verify on access, memoized per blob. Only openSeg's
+// directory build and a cursor's first block-cache miss call it. The
+// release func must be called once decoding is done; directories and
+// decoded rows never alias the mapping.
 // Caller holds tr.mu.RLock (registry membership) or sealMu (mutators).
 func (tr *tier) loadSeg(sg *tierSegment) (*segBlob, func(), error) {
 	path := filepath.Join(tr.dir, sg.name)
-	if mmapSupported && os.Getenv(tierNoMmapEnv) != "1" {
+	if mmapSupported && !tierNoMmap {
 		if b, unmap, err := mmapFile(path); err == nil {
 			sb, perr := parseSegment(b)
 			if perr != nil {
@@ -1177,17 +1148,3 @@ func (tr *tier) segPacket(sg *tierSegment, id PacketID) (sp StoredPacket, ok boo
 	}
 	return sp, true
 }
-
-// Little-endian append/read helpers for the manifest.
-func le16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
-func le32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-func le64(b []byte, v uint64) []byte {
-	return le32(le32(b, uint32(v)), uint32(v>>32))
-}
-func rd16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
-func rd32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-func rd64(b []byte) uint64 { return uint64(rd32(b)) | uint64(rd32(b[4:]))<<32 }

@@ -12,15 +12,13 @@ import (
 	"time"
 )
 
-// Tests for the cold-tier query fast path: v1/v2 format equivalence, the
+// Tests for the cold-tier query fast path: read-path equivalence, the
 // decoded-block cache, binary-search window pruning and block-isolated
 // partial decode.
 
-// tierFmtPolicy is aggressiveTier pinned to a segment format and cache
-// budget.
-func tierFmtPolicy(dir string, format int, cacheBytes int64) TierPolicy {
+// tierFmtPolicy is aggressiveTier with a cache budget.
+func tierFmtPolicy(dir string, cacheBytes int64) TierPolicy {
 	pol := aggressiveTier(dir)
-	pol.Format = format
 	pol.CacheBytes = cacheBytes
 	return pol
 }
@@ -46,8 +44,8 @@ func diskSegVersions(t *testing.T, dir string) map[uint16]int {
 	return vers
 }
 
-// TestTierFormatEquivalence is the cross-version property: both segment
-// formats, with and without the decoded-block cache and the mmap read
+// TestTierFormatEquivalence is the read-path property: the segment
+// format, with and without the decoded-block cache and the mmap read
 // path, must answer every query byte-identically to an untiered store
 // across shard and worker counts — through the planner, the scan
 // reference, time windows, and compaction.
@@ -68,7 +66,6 @@ func TestTierFormatEquivalence(t *testing.T) {
 		// toggle, not a format, so one cell buys the coverage.
 		full bool
 	}{
-		{name: "v1", format: segVersion1, full: true},
 		{name: "v2", format: segVersion2, full: true},
 		// The cache budget must hold the decoded working set: a strict
 		// scan cycle one block over budget evicts every block before its
@@ -91,10 +88,11 @@ func TestTierFormatEquivalence(t *testing.T) {
 				tc, shards, workers := tc, shards, workers
 				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", tc.name, shards, workers), func(t *testing.T) {
 					if tc.noMmap {
-						t.Setenv(tierNoMmapEnv, "1")
+						tierNoMmap = true
+						defer func() { tierNoMmap = false }()
 					}
 					dir := t.TempDir()
-					s := ingestTiered(t, shards, workers, tierFmtPolicy(dir, tc.format, tc.cache))
+					s := ingestTiered(t, shards, workers, tierFmtPolicy(dir, tc.cache))
 					s.SetQueryWorkers(workers)
 					if ts := s.TierStats(); ts.Segments == 0 {
 						t.Fatalf("no seal happened: %+v", ts)
@@ -307,7 +305,7 @@ func TestTierCacheInvalidation(t *testing.T) {
 	// The budget must hold the whole decoded working set: LRU thrashes on
 	// a strict scan cycle one block over budget (0 hits), which is not
 	// what this test is about.
-	s := ingestTiered(t, 4, 4, tierFmtPolicy(t.TempDir(), segVersion2, 64<<20))
+	s := ingestTiered(t, 4, 4, tierFmtPolicy(t.TempDir(), 64<<20))
 	f, err := ParseFilter("len > 100")
 	if err != nil {
 		t.Fatal(err)

@@ -4,15 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
+	"campuslab/internal/faults"
+	"campuslab/internal/frame"
 	"campuslab/internal/obs"
 	"campuslab/internal/traffic"
 )
@@ -29,13 +29,14 @@ import (
 //
 //	segment file <dir>/<seq>.wal:
 //	  header:  magic "CLWL" | version u16 | segment seq u64
-//	  records: per record: payload len u32 | payload crc32 u32 | payload
-//	  payload: frame count u32, then per frame:
-//	           ts i64 | link u16 | label u8 | actor u8 | dlen u32 | data
+//	  records: one frame checked block each (payload len | crc32 | payload)
+//	  payload: a frame record list (count u32, then per packet:
+//	           ts i64 | link u16 | label u8 | actor u8 | dlen u32 | data)
 //
 // Replay walks segments in ascending sequence order and stops — cleanly,
 // never with a panic — at the first invalid byte: a short header, a bad
-// magic, a record length past the segment end, or a checksum mismatch.
+// magic, a record length past the segment end, a checksum mismatch, or a
+// packet record the shared parser refuses (frame.ParseRecordHeader).
 // Everything before that point is applied; everything after (including
 // later segments) is discarded, so the recovered store is always a prefix
 // of the acknowledged batch stream.
@@ -45,11 +46,6 @@ const (
 	walVersion = 1
 	// walHeaderSize is the segment header: magic + version + seq.
 	walHeaderSize = 4 + 2 + 8
-	// walMaxRecord bounds one record payload; anything larger is treated
-	// as corruption (a flipped length byte must not drive a huge alloc).
-	walMaxRecord = 64 << 20
-	// walMaxFrame mirrors the snapshot loader's per-packet sanity bound.
-	walMaxFrame = 1 << 20
 )
 
 // ErrWALCorrupt reports a write-ahead-log segment whose tail (or body)
@@ -241,21 +237,6 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 	return w, nil
 }
 
-// syncDir fsyncs a directory so entries created (or renamed) in it are
-// durable — without this, a power cut can lose a freshly created segment
-// file even though its contents were fsynced.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // openSegment starts segment seq and writes its header.
 func (w *WAL) openSegment(seq uint64) error {
 	f, err := os.OpenFile(filepath.Join(w.cfg.Dir, segName(seq)),
@@ -279,7 +260,7 @@ func (w *WAL) openSegment(seq uint64) error {
 			f.Close()
 			return fmt.Errorf("datastore: wal header sync: %w", err)
 		}
-		if err := syncDir(w.cfg.Dir); err != nil {
+		if err := faults.SyncDir(w.cfg.Dir); err != nil {
 			f.Close()
 			return fmt.Errorf("datastore: wal dir sync: %w", err)
 		}
@@ -289,39 +270,15 @@ func (w *WAL) openSegment(seq uint64) error {
 	return nil
 }
 
-// encodeBatch serializes one batch into w.buf (after the 8-byte record
-// header) and returns the full framed record.
+// encodeBatch serializes one batch as a checked block in w.buf, sized
+// once and reused across appends, and returns the framed record.
 func (w *WAL) encodeBatch(frames []traffic.Frame, links []uint16) []byte {
-	need := 8 + 4
-	for i := range frames {
-		need += 16 + len(frames[i].Data)
-	}
-	if cap(w.buf) < need {
+	if need := frame.BlockHeaderSize + frame.RecordsSize(frames); cap(w.buf) < need {
 		w.buf = make([]byte, need)
 	}
-	b := w.buf[:8] // record header filled last
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(frames)))
-	for i := range frames {
-		f := &frames[i]
-		b = binary.LittleEndian.AppendUint64(b, uint64(f.TS))
-		var link uint16
-		if links != nil {
-			link = links[i]
-		}
-		b = binary.LittleEndian.AppendUint16(b, link)
-		actor := byte(0)
-		if f.Actor {
-			actor = 1
-		}
-		b = append(b, byte(f.Label), actor)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Data)))
-		b = append(b, f.Data...)
-	}
-	payload := b[8:]
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-	w.buf = b
-	return b
+	w.buf = frame.AppendRecords(w.buf[:frame.BlockHeaderSize], frames, links)
+	frame.SealBlock(w.buf)
+	return w.buf
 }
 
 // Append logs one acked batch. The record is on disk (and synced, per the
@@ -460,56 +417,21 @@ func (w *WAL) Close() error {
 // crash-safe. Healthz surfaces this.
 func (w *WAL) Err() error { return w.err }
 
-// walBatch is one decoded WAL record.
-type walBatch struct {
-	frames []traffic.Frame
-	links  []uint16
-}
-
-// decodeRecord parses one record payload. Corruption returns ErrWALCorrupt
-// (wrapped) — never a panic, whatever the bytes.
-func decodeRecord(payload []byte) (walBatch, error) {
-	var b walBatch
-	if len(payload) < 4 {
-		return b, fmt.Errorf("%w: short record", ErrWALCorrupt)
+// decodeWALRecord parses one record payload. Corruption returns
+// ErrWALCorrupt (wrapped) — never a panic, whatever the bytes.
+func decodeWALRecord(payload []byte) ([]traffic.Frame, []uint16, error) {
+	frames, links, err := frame.DecodeRecords(payload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrWALCorrupt, err)
 	}
-	n := binary.LittleEndian.Uint32(payload[:4])
-	off := 4
-	if uint64(n)*16 > uint64(len(payload)) {
-		return b, fmt.Errorf("%w: frame count %d beyond record", ErrWALCorrupt, n)
-	}
-	b.frames = make([]traffic.Frame, 0, n)
-	b.links = make([]uint16, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if off+16 > len(payload) {
-			return walBatch{}, fmt.Errorf("%w: frame %d header", ErrWALCorrupt, i)
-		}
-		var f traffic.Frame
-		f.TS = time.Duration(binary.LittleEndian.Uint64(payload[off : off+8]))
-		link := binary.LittleEndian.Uint16(payload[off+8 : off+10])
-		f.Label = traffic.Label(payload[off+10])
-		f.Actor = payload[off+11] == 1
-		dlen := binary.LittleEndian.Uint32(payload[off+12 : off+16])
-		off += 16
-		if dlen > walMaxFrame || off+int(dlen) > len(payload) {
-			return walBatch{}, fmt.Errorf("%w: frame %d claims %d bytes", ErrWALCorrupt, i, dlen)
-		}
-		f.Data = append([]byte(nil), payload[off:off+int(dlen)]...)
-		off += int(dlen)
-		b.frames = append(b.frames, f)
-		b.links = append(b.links, link)
-	}
-	if off != len(payload) {
-		return walBatch{}, fmt.Errorf("%w: %d trailing bytes", ErrWALCorrupt, len(payload)-off)
-	}
-	return b, nil
+	return frames, links, nil
 }
 
 // replaySegment streams records from one segment file into apply, stopping
 // at the first invalid byte. Returns (records applied, clean); clean=false
 // means the segment ended in corruption or a torn tail and replay of later
 // segments must not proceed.
-func replaySegment(path string, wantSeq uint64, apply func(walBatch)) (uint64, bool) {
+func replaySegment(path string, wantSeq uint64, apply func(frames []traffic.Frame, links []uint16)) (uint64, bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false
@@ -525,33 +447,19 @@ func replaySegment(path string, wantSeq uint64, apply func(walBatch)) (uint64, b
 		return 0, false
 	}
 	var applied uint64
-	var rh [8]byte
-	var payload []byte
+	var scratch []byte
 	for {
-		if _, err := io.ReadFull(f, rh[:]); err != nil {
-			// io.EOF: clean end. Unexpected EOF: torn record header.
+		payload, err := frame.ReadBlock(f, frame.MaxBlock, &scratch)
+		if err != nil {
+			// io.EOF: clean end. Anything else — a torn header or payload,
+			// an oversized length, bit rot — ends the log here.
 			return applied, err == io.EOF
 		}
-		plen := binary.LittleEndian.Uint32(rh[:4])
-		want := binary.LittleEndian.Uint32(rh[4:8])
-		if plen > walMaxRecord {
-			return applied, false
-		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return applied, false // torn tail mid-payload
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return applied, false // bit rot or torn write
-		}
-		b, err := decodeRecord(payload)
+		frames, links, err := decodeWALRecord(payload)
 		if err != nil {
 			return applied, false
 		}
-		apply(b)
+		apply(frames, links)
 		applied++
 	}
 }
@@ -600,9 +508,7 @@ func ReplayWALFrom(dir string, covered uint64, apply func(frames []traffic.Frame
 			clean = false
 			break
 		}
-		n, ok := replaySegment(filepath.Join(dir, segName(seq)), seq, func(b walBatch) {
-			apply(b.frames, b.links)
-		})
+		n, ok := replaySegment(filepath.Join(dir, segName(seq)), seq, apply)
 		records += n
 		obsWALReplayed.Add(n)
 		if !ok {

@@ -235,7 +235,7 @@ func TestWALSegmentGapStopsReplay(t *testing.T) {
 		t.Fatal("segment gap reported clean")
 	}
 	// Only the first segment's records may be applied: a prefix.
-	first, _ := replaySegment(filepath.Join(dir, segName(seqs[0])), seqs[0], func(walBatch) {})
+	first, _ := replaySegment(filepath.Join(dir, segName(seqs[0])), seqs[0], func([]traffic.Frame, []uint16) {})
 	if records != first {
 		t.Fatalf("replayed %d records, want first segment's %d", records, first)
 	}
@@ -316,12 +316,12 @@ func TestDecodeRecordNeverPanics(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{1},
-		{0xff, 0xff, 0xff, 0xff},                   // absurd frame count
-		{1, 0, 0, 0},                               // count 1, no frame
+		{0xff, 0xff, 0xff, 0xff}, // absurd frame count
+		{1, 0, 0, 0},             // count 1, no frame
 		{1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0}, // short frame header
 	}
 	for i, payload := range cases {
-		if _, err := decodeRecord(payload); !errors.Is(err, ErrWALCorrupt) {
+		if _, _, err := decodeWALRecord(payload); !errors.Is(err, ErrWALCorrupt) {
 			t.Errorf("case %d: want ErrWALCorrupt, got %v", i, err)
 		}
 	}
@@ -688,38 +688,38 @@ func TestCheckpointCrashMidTruncateNoDuplicates(t *testing.T) {
 	st2.CloseWAL()
 }
 
-func TestRecoverLegacySnapshotName(t *testing.T) {
-	// Directories written before checkpoints were coverage-stamped hold a
-	// bare snapshot.clds; Recover must still read it, and the next
-	// checkpoint must upgrade the directory to the stamped layout.
+func TestRecoverRefusesLegacySnapshot(t *testing.T) {
+	// A directory written before checkpoints were coverage-stamped holds a
+	// bare snapshot.clds. This build no longer reads it, and must say so
+	// rather than start an empty store over checkpointed data.
 	dir := t.TempDir()
 	st := NewSharded(2)
 	st.addBatch(walFrames(16, 37), nil, 1)
-	if err := st.SaveFile(filepath.Join(dir, SnapshotName)); err != nil {
+	if err := st.SaveFile(filepath.Join(dir, bareSnapshot)); err != nil {
 		t.Fatal(err)
 	}
-	ref := storeBytes(t, st)
+	if _, _, err := Recover(DurableConfig{Dir: dir, Shards: 2}); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Recover over a bare legacy snapshot: err = %v, want ErrBadSnapshot", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, bareSnapshot)); err != nil {
+		t.Fatalf("refused recovery touched the legacy snapshot: %v", err)
+	}
+	if seqs, _ := listSegments(dir); len(seqs) != 0 {
+		t.Fatalf("refused recovery opened a WAL: segments %v", seqs)
+	}
 
+	// Beside a stamped checkpoint the legacy file is ignored.
+	if err := st.CheckpointDir(dir); err != nil {
+		t.Fatal(err)
+	}
 	st2, rs, err := Recover(DurableConfig{Dir: dir, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.SnapshotPackets != 16 {
-		t.Fatalf("snapshot packets = %d, want 16", rs.SnapshotPackets)
+	defer st2.CloseWAL()
+	if rs.SnapshotPackets != 16 || !bytes.Equal(storeBytes(t, st), storeBytes(t, st2)) {
+		t.Fatalf("stamped checkpoint beside a legacy file recovered %d packets", rs.SnapshotPackets)
 	}
-	if !bytes.Equal(ref, storeBytes(t, st2)) {
-		t.Fatal("legacy snapshot recovery diverged")
-	}
-	if err := st2.CheckpointDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, SnapshotName)); !os.IsNotExist(err) {
-		t.Fatal("legacy snapshot not swept by the stamped checkpoint")
-	}
-	if _, covered, ok, _ := findSnapshot(dir); !ok || covered == 0 {
-		t.Fatalf("stamped snapshot missing after checkpoint (ok=%v covered=%d)", ok, covered)
-	}
-	st2.CloseWAL()
 }
 
 func TestSerialIngestRefusesAckOnWedgedWAL(t *testing.T) {
@@ -747,12 +747,12 @@ func TestSerialIngestRefusesAckOnWedgedWAL(t *testing.T) {
 
 func TestRemoveStaleTemps(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{SnapshotName + ".tmp123", SnapshotName + ".tmp9", "other.file"} {
+	for _, name := range []string{"snapshot.clds.tmp123", "snapshot.clds.tmp9", "other.file"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := RemoveStaleTemps(dir, SnapshotName); n != 2 {
+	if n := RemoveStaleTemps(dir, "snapshot.clds"); n != 2 {
 		t.Fatalf("removed %d temps, want 2", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "other.file")); err != nil {

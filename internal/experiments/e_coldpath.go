@@ -9,18 +9,16 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// E19ColdQueryFastPath re-runs the E17 25x stream against three cold
-// tiers — legacy v1 segments, v2 block-compressed + dictionary segments,
-// and v2 with the tier cache (decoded blocks plus resident segment
-// directories) — and substantiates the fast-path claims:
+// E19ColdQueryFastPath re-runs the E17 25x stream against two cold tiers
+// — block-compressed + dictionary (v2) segments read cold every time, and
+// the same segments behind the tier cache (decoded blocks plus resident
+// segment directories) — and substantiates the fast-path claims:
 //
-//   - equivalence: all three answer every query surface exactly like the
+//   - equivalence: both answer every query surface exactly like the
 //     all-RAM reference (the fast path changes cost, never results);
-//   - size: v2's per-block DEFLATE restarts and dictionary columns cost
-//     at most 25% extra disk over v1's single stream;
 //   - latency: a selective cold Select decodes only the blocks holding
-//     its candidate rows under v2, and a warm cache answers from RAM
-//     (reported best-of-3, not asserted — wall clock is environmental);
+//     its candidate rows, and a warm cache answers from RAM (reported
+//     best-of-3, not asserted — wall clock is environmental);
 //   - cache: repeated queries against the cached tier serve mostly from
 //     the cache (hit rate >= 50% after warm-up);
 //   - metadata-only Count: an indexable Count over a time window is
@@ -31,7 +29,7 @@ func E19ColdQueryFastPath() (*Table, error) {
 	t := &Table{
 		ID:      "E19",
 		Title:   "cold-tier query fast path: block decode, dictionaries, cache",
-		Columns: []string{"step", "v1", "v2", "v2+cache", "detail", "outcome"},
+		Columns: []string{"step", "v2", "v2+cache", "detail", "outcome"},
 	}
 
 	const epochs = 12
@@ -51,15 +49,13 @@ func E19ColdQueryFastPath() (*Table, error) {
 	capacity := max(256, total/25)
 
 	type tierCase struct {
-		name   string
-		format int
-		cache  int64
-		store  *datastore.Store
+		name  string
+		cache int64
+		store *datastore.Store
 	}
 	cases := []*tierCase{
-		{name: "v1", format: 1},
-		{name: "v2", format: 2},
-		{name: "v2+cache", format: 2, cache: 64 << 20},
+		{name: "v2"},
+		{name: "v2+cache", cache: 64 << 20},
 	}
 	for _, c := range cases {
 		dir, err := os.MkdirTemp("", "e19-tier-*")
@@ -74,7 +70,6 @@ func E19ColdQueryFastPath() (*Table, error) {
 			KeepFrac:       0.5,
 			MinSealPackets: 256,
 			SegmentPackets: max(512, capacity/4),
-			Format:         c.format,
 			CacheBytes:     c.cache,
 		}); err != nil {
 			return nil, err
@@ -105,31 +100,17 @@ func E19ColdQueryFastPath() (*Table, error) {
 		}
 	}
 
-	// Claim 1: equivalence for every format and the cached tier.
+	// Claim 1: equivalence for the uncached and the cached tier.
 	for _, c := range cases {
 		if err := tierEquivRow19(t, c.name, c.store, ref, ingested); err != nil {
 			return nil, err
 		}
 	}
 
-	// Claim 2: size under dictionary encoding. v2 restarts DEFLATE per
-	// block and adds dictionary columns; both must stay a modest tax on
-	// v1's single-stream ratio.
-	v1s, v2s := cases[0].store.Stats(), cases[1].store.Stats()
-	v1bpp := float64(v1s.ColdBytes) / float64(max(1, int(v1s.ColdPackets)))
-	v2bpp := float64(v2s.ColdBytes) / float64(max(1, int(v2s.ColdPackets)))
-	sizeRatio := v2bpp / v1bpp
-	sizeOutcome := fmt.Sprintf("PASS: v2/v1 = %.2fx", sizeRatio)
-	if sizeRatio > 1.25 {
-		sizeOutcome = fmt.Sprintf("FAIL: v2/v1 = %.2fx > 1.25x", sizeRatio)
-	}
-	t.AddRow("cold bytes/pkt", fmt.Sprintf("%.0f B", v1bpp), fmt.Sprintf("%.0f B", v2bpp), "",
-		fmt.Sprintf("%s vs %s on disk", fmtBytes(v1s.ColdBytes), fmtBytes(v2s.ColdBytes)), sizeOutcome)
-
-	// Claim 3 (reported): selective cold Select latency. The filter is a
-	// needle in the oldest (fully cold) window, so v1 inflates whole data
-	// columns, v2 only the blocks its candidates live in, and the cached
-	// tier (warmed by the run below) mostly skips inflation entirely.
+	// Claim 2 (reported): selective cold Select latency. The filter is a
+	// needle in the oldest (fully cold) window, so the uncached tier
+	// inflates only the blocks its candidates live in, and the cached tier
+	// (warmed by the run below) mostly skips inflation entirely.
 	sel, err := datastore.ParseFilter("ts < 2s && proto == udp && dst.port == 53")
 	if err != nil {
 		return nil, err
@@ -146,8 +127,8 @@ func E19ColdQueryFastPath() (*Table, error) {
 		return best
 	}
 	// Warm the cache before timing it, and measure the hit rate over the
-	// repeated queries (claim 4).
-	cached := cases[2].store
+	// repeated queries (claim 3).
+	cached := cases[1].store
 	cached.Select(sel, 0)
 	pre := cached.TierStats()
 	lats := make([]time.Duration, len(cases))
@@ -159,18 +140,18 @@ func E19ColdQueryFastPath() (*Table, error) {
 	misses := post.CacheMisses - pre.CacheMisses
 	hitRate := float64(hits) / float64(max(1, int(hits+misses)))
 
-	t.AddRow("cold selective Select", lats[0].String(), lats[1].String(), lats[2].String(),
+	t.AddRow("cold selective Select", lats[0].String(), lats[1].String(),
 		"oldest-window needle, best of 3", "report")
 
 	cacheOutcome := fmt.Sprintf("PASS: %.0f%% served from cache", 100*hitRate)
 	if hitRate < 0.5 {
 		cacheOutcome = fmt.Sprintf("FAIL: hit rate %.0f%% < 50%%", 100*hitRate)
 	}
-	t.AddRow("cache hit rate", "", "", fmt.Sprintf("%d/%d", hits, hits+misses),
+	t.AddRow("cache hit rate", "", fmt.Sprintf("%d/%d", hits, hits+misses),
 		fmt.Sprintf("%s resident, %d blocks", fmtBytes(uint64(post.CacheBytes)), post.CacheEntries),
 		cacheOutcome)
 
-	// Claim 5: the windowed indexable Count. Its ts conjuncts are the
+	// Claim 4: the windowed indexable Count. Its ts conjuncts are the
 	// window, not a residual, so the answer is a posting-list intersection
 	// clipped to it; the cached tier serves that from resident directories.
 	cnt, err := datastore.ParseFilter("ts >= 1s && ts < 9s && proto == udp && dst.port == 53")
@@ -196,7 +177,7 @@ func E19ColdQueryFastPath() (*Table, error) {
 		clats[i] = best
 	}
 	post = cached.TierStats()
-	t.AddRow("cold windowed Count", clats[0].String(), clats[1].String(), clats[2].String(),
+	t.AddRow("cold windowed Count", clats[0].String(), clats[1].String(),
 		fmt.Sprintf("%d matches, best of 3", want), "report")
 	dirHits, dirMisses := post.DirHits-pre.DirHits, post.DirMisses-pre.DirMisses
 	blockLookups := (post.CacheHits - pre.CacheHits) + (post.CacheMisses - pre.CacheMisses)
@@ -204,13 +185,13 @@ func E19ColdQueryFastPath() (*Table, error) {
 	if dirHits == 0 || dirMisses != 0 || blockLookups != 0 {
 		dirOutcome = fmt.Sprintf("FAIL: %d directory hits, %d built, %d block lookups", dirHits, dirMisses, blockLookups)
 	}
-	t.AddRow("Count from directories", "", "", fmt.Sprintf("%d/%d", dirHits, dirHits+dirMisses),
+	t.AddRow("Count from directories", "", fmt.Sprintf("%d/%d", dirHits, dirHits+dirMisses),
 		fmt.Sprintf("%s resident in %d directories", fmtBytes(uint64(post.DirBytes)), post.DirEntries), dirOutcome)
 
 	t.Notes = append(t.Notes,
-		"expected shape: v2 beats v1 on the selective cold Select by skipping blocks without candidate rows (the BenchmarkSegmentQuery acceptance measures the same ratio); the warm cache beats both by skipping inflation and the per-query column decode (its segment directories are resident); the windowed Count never reads a data block on any tier, so v1 and v2 differ only in the directory build the uncached tiers repeat per query; disk cost of block restarts + dictionaries stays under 1.25x v1",
-		"set CAMPUSLAB_SCAN_QUERY=1 to re-run any query through the serial full-scan reference engine; results must not change; CAMPUSLAB_NO_MMAP=1 swaps the segment read path to plain reads",
-		"this container is 1-CPU: the latency rows are reports, not assertions; the size, equivalence, hit-rate and directory claims are machine-independent")
+		"expected shape: the selective cold Select inflates only the blocks holding candidate rows; the warm cache beats it by skipping inflation and the per-query column decode (its segment directories are resident); the windowed Count never reads a data block on either tier, so the uncached tier pays only the directory build it repeats per query",
+		"set CAMPUSLAB_SCAN_QUERY=1 to re-run any query through the serial full-scan reference engine; results must not change",
+		"this container is 1-CPU: the latency rows are reports, not assertions; the equivalence, hit-rate and directory claims are machine-independent")
 	return t, nil
 }
 
@@ -224,13 +205,13 @@ func tierEquivRow19(t *Table, name string, st, ref *datastore.Store, ingested in
 	row := probe.Rows[len(probe.Rows)-1]
 	ss := st.Stats()
 	cell := fmt.Sprintf("%d hot + %d cold", ss.Packets, ss.ColdPackets)
-	cells := []string{"", "", ""}
-	for i, c := range []string{"v1", "v2", "v2+cache"} {
+	cells := []string{"", ""}
+	for i, c := range []string{"v2", "v2+cache"} {
 		if c == name {
 			cells[i] = cell
 		}
 	}
-	t.AddRow("equivalence "+name, cells[0], cells[1], cells[2],
+	t.AddRow("equivalence "+name, cells[0], cells[1],
 		fmt.Sprintf("scan + 5 filters + flows (%d pkts)", ingested), row[len(row)-1])
 	return nil
 }

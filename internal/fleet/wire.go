@@ -9,12 +9,14 @@
 //
 // Wire format (all integers little-endian):
 //
-//	message: type u8 | payload len u32 | payload crc32 u32 | payload
+//	message: type u8, then a frame checked block:
+//	         payload len u32 | payload crc32 u32 | payload
 //
 //	MsgHello      payload: magic "CLFT" | version u16 |
 //	              name len u16 | campus name
 //	MsgHelloAck   payload: version u16 | last acked batch seq u64
-//	MsgBatch      payload: batch seq u64 | frame count u32, per frame:
+//	MsgBatch      payload: batch seq u64, then a frame record list:
+//	              frame count u32, per frame:
 //	              ts i64 | link u16 | label u8 | actor u8 | dlen u32 | data
 //	MsgAck        payload: batch seq u64 | first packet id u64 |
 //	              ingested u32 | shed u32
@@ -35,10 +37,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"time"
 
+	"campuslab/internal/frame"
 	"campuslab/internal/traffic"
 )
 
@@ -82,17 +83,8 @@ const (
 	// ProtocolVersion is the handshake version both ends must speak.
 	ProtocolVersion = 1
 
-	// msgHeaderSize is type + payload len + payload crc.
-	msgHeaderSize = 1 + 4 + 4
-	// maxMsgPayload bounds one message; a flipped length byte must not
-	// drive a huge allocation (mirrors the WAL's record bound).
-	maxMsgPayload = 64 << 20
-	// maxFrameData bounds one packet record inside a batch.
-	maxFrameData = 1 << 20
 	// maxCampusName bounds the handshake's campus name.
 	maxCampusName = 255
-	// frameFixed is the per-frame fixed field size inside a batch payload.
-	frameFixed = 8 + 2 + 1 + 1 + 4
 )
 
 // ErrFrameCorrupt reports wire bytes that fail structural validation or
@@ -100,72 +92,61 @@ const (
 // decoder never panics on hostile input; it returns this.
 var ErrFrameCorrupt = errors.New("fleet: frame corrupt")
 
+// corrupt re-types a frame decoding error as the protocol's sentinel.
+func corrupt(err error) error { return fmt.Errorf("%w: %v", ErrFrameCorrupt, err) }
+
+// checkType rejects a type byte outside the protocol.
+func checkType(b byte) (MsgType, error) {
+	if t := MsgType(b); t >= MsgHello && t < msgTypeEnd {
+		return t, nil
+	}
+	return 0, fmt.Errorf("%w: unknown message type %d", ErrFrameCorrupt, b)
+}
+
 // AppendMessage appends one framed message to dst and returns it.
 func AppendMessage(dst []byte, t MsgType, payload []byte) []byte {
-	dst = append(dst, byte(t))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	return frame.AppendBlock(append(dst, byte(t)), payload)
 }
 
 // DecodeMessage parses one framed message from the front of b, returning
 // the type, its payload (aliasing b), and the remaining bytes.
 func DecodeMessage(b []byte) (t MsgType, payload, rest []byte, err error) {
-	if len(b) < msgHeaderSize {
-		return 0, nil, nil, fmt.Errorf("%w: short header (%d bytes)", ErrFrameCorrupt, len(b))
+	if len(b) == 0 {
+		return 0, nil, nil, fmt.Errorf("%w: empty message", ErrFrameCorrupt)
 	}
-	t = MsgType(b[0])
-	if t < MsgHello || t >= msgTypeEnd {
-		return 0, nil, nil, fmt.Errorf("%w: unknown message type %d", ErrFrameCorrupt, b[0])
+	if t, err = checkType(b[0]); err != nil {
+		return 0, nil, nil, err
 	}
-	plen := binary.LittleEndian.Uint32(b[1:5])
-	if plen > maxMsgPayload {
-		return 0, nil, nil, fmt.Errorf("%w: payload claims %d bytes", ErrFrameCorrupt, plen)
+	payload, sum, rest, err := frame.Next(b[1:], frame.MaxBlock)
+	if err == nil {
+		err = frame.Check(payload, sum)
 	}
-	if uint32(len(b)-msgHeaderSize) < plen {
-		return 0, nil, nil, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrFrameCorrupt, len(b)-msgHeaderSize, plen)
+	if err != nil {
+		return 0, nil, nil, corrupt(err)
 	}
-	payload = b[msgHeaderSize : msgHeaderSize+int(plen)]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[5:9]) {
-		return 0, nil, nil, fmt.Errorf("%w: payload checksum mismatch", ErrFrameCorrupt)
-	}
-	return t, payload, b[msgHeaderSize+int(plen):], nil
+	return t, payload, rest, nil
 }
 
 // ReadMessage reads one framed message from r, reusing *scratch for the
 // payload. io.EOF at a message boundary is returned as io.EOF; a
 // mid-message cut is io.ErrUnexpectedEOF; corruption is ErrFrameCorrupt.
 func ReadMessage(r io.Reader, scratch *[]byte) (MsgType, []byte, error) {
-	var hdr [msgHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	var tb [1]byte
+	if _, err := io.ReadFull(r, tb[:]); err != nil {
 		return 0, nil, err
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	t, err := checkType(tb[0])
+	if err != nil {
 		return 0, nil, err
 	}
-	t := MsgType(hdr[0])
-	if t < MsgHello || t >= msgTypeEnd {
-		return 0, nil, fmt.Errorf("%w: unknown message type %d", ErrFrameCorrupt, hdr[0])
-	}
-	plen := binary.LittleEndian.Uint32(hdr[1:5])
-	if plen > maxMsgPayload {
-		return 0, nil, fmt.Errorf("%w: payload claims %d bytes", ErrFrameCorrupt, plen)
-	}
-	if cap(*scratch) < int(plen) {
-		*scratch = make([]byte, plen)
-	}
-	payload := (*scratch)[:plen]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	payload, err := frame.ReadBlock(r, frame.MaxBlock, scratch)
+	switch {
+	case err == io.EOF: // the type byte was read: this is not a boundary
+		return 0, nil, io.ErrUnexpectedEOF
+	case errors.Is(err, frame.ErrCorrupt):
+		return 0, nil, corrupt(err)
+	case err != nil:
 		return 0, nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[5:9]) {
-		return 0, nil, fmt.Errorf("%w: payload checksum mismatch", ErrFrameCorrupt)
 	}
 	return t, payload, nil
 }
@@ -218,76 +199,22 @@ func DecodeHelloAck(p []byte) (version uint16, lastSeq uint64, err error) {
 // encoding is canonical: DecodeBatch followed by EncodeBatch reproduces
 // the input bytes exactly.
 func EncodeBatch(seq uint64, frames []traffic.Frame, links []uint16) []byte {
-	need := 12
-	for i := range frames {
-		need += frameFixed + len(frames[i].Data)
-	}
-	b := make([]byte, 0, need)
+	b := make([]byte, 0, 8+frame.RecordsSize(frames))
 	b = binary.LittleEndian.AppendUint64(b, seq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(frames)))
-	for i := range frames {
-		f := &frames[i]
-		b = binary.LittleEndian.AppendUint64(b, uint64(f.TS))
-		var link uint16
-		if links != nil {
-			link = links[i]
-		}
-		b = binary.LittleEndian.AppendUint16(b, link)
-		actor := byte(0)
-		if f.Actor {
-			actor = 1
-		}
-		b = append(b, byte(f.Label), actor)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Data)))
-		b = append(b, f.Data...)
-	}
-	return b
+	return frame.AppendRecords(b, frames, links)
 }
 
 // DecodeBatch parses a batch payload. Frame Data slices are copied out of
 // p, so the caller may reuse its read buffer. Trailing bytes are
 // corruption: the encoding is canonical.
 func DecodeBatch(p []byte) (seq uint64, frames []traffic.Frame, links []uint16, err error) {
-	if len(p) < 12 {
+	if len(p) < 8 {
 		return 0, nil, nil, fmt.Errorf("%w: short batch header", ErrFrameCorrupt)
 	}
-	seq = binary.LittleEndian.Uint64(p[0:8])
-	count := binary.LittleEndian.Uint32(p[8:12])
-	if count > uint32((len(p)-12)/frameFixed) {
-		return 0, nil, nil, fmt.Errorf("%w: batch claims %d frames in %d bytes", ErrFrameCorrupt, count, len(p))
+	if frames, links, err = frame.DecodeRecords(p[8:]); err != nil {
+		return 0, nil, nil, corrupt(err)
 	}
-	frames = make([]traffic.Frame, 0, count)
-	links = make([]uint16, 0, count)
-	off := 12
-	for i := uint32(0); i < count; i++ {
-		if len(p)-off < frameFixed {
-			return 0, nil, nil, fmt.Errorf("%w: truncated frame %d", ErrFrameCorrupt, i)
-		}
-		ts := time.Duration(binary.LittleEndian.Uint64(p[off : off+8]))
-		link := binary.LittleEndian.Uint16(p[off+8 : off+10])
-		label := traffic.Label(p[off+10])
-		if label >= traffic.NumLabels {
-			return 0, nil, nil, fmt.Errorf("%w: frame %d label %d", ErrFrameCorrupt, i, p[off+10])
-		}
-		actorB := p[off+11]
-		if actorB > 1 {
-			return 0, nil, nil, fmt.Errorf("%w: frame %d actor byte %d", ErrFrameCorrupt, i, actorB)
-		}
-		dlen := binary.LittleEndian.Uint32(p[off+12 : off+16])
-		off += frameFixed
-		if dlen > maxFrameData || len(p)-off < int(dlen) {
-			return 0, nil, nil, fmt.Errorf("%w: frame %d claims %d data bytes", ErrFrameCorrupt, i, dlen)
-		}
-		data := make([]byte, dlen)
-		copy(data, p[off:off+int(dlen)])
-		off += int(dlen)
-		frames = append(frames, traffic.Frame{TS: ts, Data: data, Label: label, Actor: actorB == 1})
-		links = append(links, link)
-	}
-	if off != len(p) {
-		return 0, nil, nil, fmt.Errorf("%w: %d trailing batch bytes", ErrFrameCorrupt, len(p)-off)
-	}
-	return seq, frames, links, nil
+	return binary.LittleEndian.Uint64(p), frames, links, nil
 }
 
 // Ack is the server's acknowledgment of one ingested batch.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -196,5 +198,31 @@ func TestSeqRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeSeq([]byte{1}); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("short seq: %v", err)
+	}
+}
+
+// TestFormatBatchMessagePinned decodes a framed MsgBatch written by PR 17's
+// hand-rolled AppendMessage + EncodeBatch (testdata/format/batch.msg: seq 7,
+// four campus frames, links 0, 1, 2, 513) and re-encodes it: the move onto
+// internal/frame changed no wire byte.
+func TestFormatBatchMessagePinned(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "format", "batch.msg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, payload, rest, err := DecodeMessage(want)
+	if err != nil || mt != MsgBatch || len(rest) != 0 {
+		t.Fatalf("DecodeMessage: %v %v, %d trailing bytes", mt, err, len(rest))
+	}
+	var scratch []byte
+	if rt, rp, err := ReadMessage(bytes.NewReader(want), &scratch); err != nil || rt != mt || !bytes.Equal(rp, payload) {
+		t.Fatalf("ReadMessage disagrees with DecodeMessage: %v %v", rt, err)
+	}
+	seq, frames, links, err := DecodeBatch(payload)
+	if err != nil || seq != 7 || len(frames) != 4 || links[3] != 513 {
+		t.Fatalf("DecodeBatch: seq %d, %d frames, links %v, err %v", seq, len(frames), links, err)
+	}
+	if got := AppendMessage(nil, MsgBatch, EncodeBatch(seq, frames, links)); !bytes.Equal(got, want) {
+		t.Fatal("re-encoded message differs from the pinned one")
 	}
 }

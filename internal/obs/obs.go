@@ -366,7 +366,7 @@ func (r *Registry) SeriesByName(name string) []Series {
 }
 
 // ResetNames zeroes the owned instruments of the given families (test
-// and view support; collector-backed series are not affected).
+// support; collector-backed series are not affected).
 func (r *Registry) ResetNames(names ...string) {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -492,8 +492,7 @@ const (
 	StageCallsName = "campuslab_stage_calls_total"
 
 	// ShardContentionName counts contended datastore shard-lock
-	// acquisitions; defined here so the telemetry compatibility view and
-	// the datastore write the same series.
+	// acquisitions (written by internal/datastore).
 	ShardContentionName = "campuslab_store_shard_contention_total"
 
 	// Fleet ingest counter names (registered by internal/fleet); defined

@@ -11,16 +11,21 @@ cd "$(dirname "$0")"
 
 # gate_tests FLAGS PKG NAME... runs exactly the named tests of PKG and fails
 # unless each one ran and passed: a renamed or deleted test must break the
-# gate, not leave "no tests to run" and a clean exit.
+# gate, not leave "no tests to run" and a clean exit. FLAGS may be "". A
+# single Test/sub NAME gates one subtest.
 gate_tests() {
     flags=$1 pkg=$2
     shift 2
-    out=$(go test $flags -run "^($(echo "$*" | tr ' ' '|'))\$" -v "$pkg" 2>&1) || {
+    case "$*" in
+    */*) pat="^${1%%/*}\$/^${1#*/}\$" ;;
+    *) pat="^($(echo "$*" | tr ' ' '|'))\$" ;;
+    esac
+    out=$(go test $flags -run "$pat" -v "$pkg" 2>&1) || {
         echo "$out"
         exit 1
     }
     for name in "$@"; do
-        echo "$out" | grep -q "^--- PASS: $name " || {
+        echo "$out" | grep -q "^ *--- PASS: $name " || {
             echo "verify: FAIL — $pkg: test $name did not run" >&2
             exit 1
         }
@@ -90,7 +95,7 @@ echo "==> go test -race (control, datastore, faults)"
 go test -race ./internal/control ./internal/datastore ./internal/faults
 
 echo "==> fleet race gate (concurrent campus streams, coordinator during live ingest)"
-go test -race -run 'TestRaceConcurrentCampusStreams|TestRaceCoordinatorDuringStreaming|TestStreamMatchesLocalIngest' ./internal/fleet
+gate_tests -race ./internal/fleet TestRaceConcurrentCampusStreams TestRaceCoordinatorDuringStreaming TestStreamMatchesLocalIngest
 
 echo "==> fleet coverage gate (package floor 85%)"
 go test -coverprofile=fleet_coverage.out ./internal/fleet
@@ -109,10 +114,11 @@ gate_tests -race ./internal/xai TestExplainMatchesEnumeration TestExtractMatches
 gate_tests -race ./internal/netsim TestRoutingMatchesQuadraticReference
 
 echo "==> go test -race (dataplane fast path: concurrent install vs batch)"
-go test -race -run 'TestConcurrentInstallDuringBatch|TestConcurrentEnsembleInstallDuringBatch|TestSwitchPipelineEquivalence|TestProcessBatch|TestClassifyBatch' ./internal/dataplane
+gate_tests -race ./internal/dataplane TestConcurrentInstallDuringBatch TestConcurrentEnsembleInstallDuringBatch \
+    TestSwitchPipelineEquivalence TestProcessBatchMatchesSequential TestClassifyBatchCommit
 
 echo "==> ensemble budget gate (over budget must degrade, never error)"
-go test -run 'TestEnsembleBudgetDegradation|TestEnsembleHotPathAllocs' ./internal/dataplane
+gate_tests "" ./internal/dataplane TestEnsembleBudgetDegradation TestEnsembleHotPathAllocs
 
 echo "==> bench smoke (compiled fast path, must stay 0 allocs/op)"
 go test -run=NONE -bench=SwitchProcess -benchtime=100x ./internal/dataplane
@@ -131,40 +137,41 @@ gate_bench 2x . BenchmarkFitForest
 echo "==> bench smoke (store query engine: index vs scan)"
 gate_bench 5x ./internal/datastore BenchmarkSelect BenchmarkCount
 
-echo "==> bench smoke (cold tier: seal, segment encode, segment query sweep v1/v2, cache on/off Select and metadata-only Count, eviction)"
+echo "==> bench smoke (cold tier: seal, segment encode, hot vs cold segment query sweep, cache on/off Select and metadata-only Count, eviction)"
 gate_bench 2x ./internal/datastore BenchmarkSeal BenchmarkEncodeSegment BenchmarkSegmentQuery BenchmarkColdSelect BenchmarkColdCount BenchmarkEvictBefore
 
-echo "==> tiered-store equivalence gate (tiered == untiered, byte for byte, both segment formats)"
-go test -run 'TestTieredStoreEquivalence|TestTierFormatEquivalence' -short ./internal/datastore
+echo "==> tiered-store equivalence gate (tiered == untiered, byte for byte, across shards, workers, cache and read path)"
+gate_tests -short ./internal/datastore TestTieredStoreEquivalence TestTierFormatEquivalence
 
 echo "==> tier cache race gate (queries vs seal/compact churn with the block cache on)"
-go test -race -run 'TestTierCacheQueryCompactRace|TestTierIngestSealQueryRace' ./internal/datastore
+gate_tests -race ./internal/datastore TestTierCacheQueryCompactRace TestTierIngestSealQueryRace
 
 echo "==> segment directory gate (shared budget, invalidation, corrupt columns, metadata-only Count, limit-bounded decode, exact window ≡ scan)"
 gate_tests -race ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRespected TestSegDirOversizeNotAdmitted \
     TestSegDirDroppedWithSegments TestSegDirCorruptColumnCachesNothing TestColdCountWindowedTouchesNoBlock \
     TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
 
-echo "==> fuzz smoke (packet parser, labd dispatcher, filter parser, ensemble compiler, WAL replay, segment codec)"
+echo "==> fuzz smoke (packet parser, labd dispatcher, filter parser, ensemble compiler, block + record codec, WAL replay, segment codec, fleet protocol)"
 gate_fuzz 10s ./internal/packet FuzzParse
 gate_fuzz 5s ./cmd/labd FuzzDispatch
 gate_fuzz 5s ./internal/datastore FuzzParseFilter
 gate_fuzz 5s ./internal/dataplane FuzzEnsembleCompile
+gate_fuzz 5s ./internal/frame FuzzFrame
 gate_fuzz 5s ./internal/datastore FuzzWALReplay
 gate_fuzz 5s ./internal/datastore FuzzSegmentDecode
 gate_fuzz 5s ./internal/fleet FuzzFleetFrame
 
 echo "==> fleet crash gate (torn mid-batch cut: all-or-nothing, retry never duplicates, acked == durable)"
-go test -run 'TestCrashMidBatchDurability|TestServerDedupesRetriedBatch|TestServerRejectsProtocolViolations' ./internal/fleet
+gate_tests "" ./internal/fleet TestCrashMidBatchDurability TestServerDedupesRetriedBatch TestServerRejectsProtocolViolations
 
 echo "==> crash-recovery gate (kill -9 mid-ingest must lose nothing acked)"
-go test -run 'TestWALCrashKill9|TestRecoverTornThenCrashAgain|TestConcurrentIngestCheckpointQuery' ./internal/datastore
+gate_tests "" ./internal/datastore TestWALCrashKill9 TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery
 
 echo "==> tier crash gate (kill -9 mid-seal/mid-compact must lose nothing acked)"
-go test -run 'TestTierCrashKill9|TestTierCrashSwapEquivalence' ./internal/datastore
+gate_tests "" ./internal/datastore TestTierCrashKill9 TestTierCrashSwapEquivalence
 
 echo "==> chaos-soak smoke (E16: durability + self-healing lifecycle)"
-go test -run 'TestAllExperimentsRun/E16' ./internal/experiments
+gate_tests "" ./internal/experiments TestAllExperimentsRun/E16
 
 echo "==> bench smoke (crash-to-ready recovery time)"
 go test -run=NONE -bench=BenchmarkWALRecovery -benchtime=5x ./internal/datastore
