@@ -48,13 +48,14 @@ type ixRef struct {
 
 // postings is one shard's secondary index. All access is guarded by the
 // shard lock (writes under the write lock in apply/evict, reads under the
-// read lock during queries).
+// read lock during queries). Every family is addressed by its value — an
+// array index or a page-table walk — never hashed.
 type postings struct {
-	proto   map[uint8][]PacketID
-	srcPort map[uint16][]PacketID
-	dstPort map[uint16][]PacketID
-	link    map[uint16][]PacketID
-	label   map[uint8][]PacketID
+	proto   [256][]PacketID
+	label   [256][]PacketID
+	srcPort pageTable
+	dstPort pageTable
+	link    pageTable
 	flags   [numFlags][]PacketID
 	// evictedBelow is the highest minID a completed evictBelow has
 	// processed. Every list is already free of IDs below it, so repeat
@@ -64,25 +65,75 @@ type postings struct {
 	evictedBelow PacketID
 }
 
-func newPostings() *postings {
-	return &postings{
-		proto:   make(map[uint8][]PacketID),
-		srcPort: make(map[uint16][]PacketID),
-		dstPort: make(map[uint16][]PacketID),
-		link:    make(map[uint16][]PacketID),
-		label:   make(map[uint8][]PacketID),
+func newPostings() *postings { return new(postings) }
+
+// pageTable maps a 16-bit value to its posting list in two steps: the high
+// byte picks a page (made on first use), the low byte a slot holding a
+// 1-based handle into lists (0 = the value has no list). A slot is 4 bytes
+// on purpose: a page of slice headers is 6 KB, and a shard that has seen a
+// few ports on every page would carry 1.5 MB of them per family.
+type pageTable struct {
+	pages [256]*[256]uint32
+	lists [][]PacketID
+}
+
+// get returns v's posting list, nil when v has none.
+func (t *pageTable) get(v uint16) []PacketID {
+	if pg := t.pages[v>>8]; pg != nil && pg[v&0xff] != 0 {
+		return t.lists[pg[v&0xff]-1]
 	}
+	return nil
+}
+
+// slot returns the place v's posting list is kept, making the page and the
+// handle on first use. The pointer is good until the next slot call.
+func (t *pageTable) slot(v uint16) *[]PacketID {
+	pg := t.pages[v>>8]
+	if pg == nil {
+		pg = new([256]uint32)
+		t.pages[v>>8] = pg
+	}
+	if pg[v&0xff] == 0 {
+		t.lists = append(t.lists, nil)
+		pg[v&0xff] = uint32(len(t.lists))
+	}
+	return &t.lists[pg[v&0xff]-1]
+}
+
+// trim drops every entry with ID < minID, returning how many went. A value
+// whose list empties keeps its handle (one nil slice header).
+func (t *pageTable) trim(minID PacketID) int {
+	return trimLists(t.lists, minID)
+}
+
+// trimLists drops the entries with ID < minID from each sorted list in
+// place, returning the number removed.
+func trimLists(lists [][]PacketID, minID PacketID) (removed int) {
+	for i, ids := range lists {
+		cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= minID })
+		if cut > 0 {
+			removed += cut
+			lists[i] = dropPrefix(ids, cut)
+		}
+	}
+	return removed
 }
 
 // insertID adds id to a sorted posting list. The fast path is an append
 // (batched ingest applies packets in ascending ID order); concurrent
 // single-packet ingest can interleave IDs, in which case the ID is
-// insert-sorted exactly like the slab and per-flow lists.
+// insert-sorted exactly like the slab and per-flow lists. A list's first
+// entry reserves room for four: most lists of a scan or a flood stay
+// that short, and 1→2→4 growth was three allocations each.
 func insertID(ids []PacketID, id PacketID) []PacketID {
-	if n := len(ids); n == 0 || id > ids[n-1] {
+	n := len(ids)
+	if cap(ids) == 0 {
+		ids = make([]PacketID, 0, 4)
+	}
+	if n == 0 || id > ids[n-1] {
 		return append(ids, id)
 	}
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
+	i := sort.Search(n, func(i int) bool { return ids[i] >= id })
 	ids = append(ids, 0)
 	copy(ids[i+1:], ids[i:])
 	ids[i] = id
@@ -94,11 +145,11 @@ func insertID(ids []PacketID, id PacketID) []PacketID {
 // value families — non-IP packets under proto/port 0 — so that equality
 // against any value, including zero, is exactly answerable from the index.
 func (px *postings) add(sp *StoredPacket) int {
-	px.proto[uint8(sp.Summary.Tuple.Proto)] = insertID(px.proto[uint8(sp.Summary.Tuple.Proto)], sp.ID)
-	px.srcPort[sp.Summary.Tuple.SrcPort] = insertID(px.srcPort[sp.Summary.Tuple.SrcPort], sp.ID)
-	px.dstPort[sp.Summary.Tuple.DstPort] = insertID(px.dstPort[sp.Summary.Tuple.DstPort], sp.ID)
-	px.link[sp.Link] = insertID(px.link[sp.Link], sp.ID)
+	t := &sp.Summary.Tuple
+	px.proto[uint8(t.Proto)] = insertID(px.proto[uint8(t.Proto)], sp.ID)
 	px.label[uint8(sp.Label)] = insertID(px.label[uint8(sp.Label)], sp.ID)
+	src, dst, link := px.srcPort.slot(t.SrcPort), px.dstPort.slot(t.DstPort), px.link.slot(sp.Link)
+	*src, *dst, *link = insertID(*src, sp.ID), insertID(*dst, sp.ID), insertID(*link, sp.ID)
 	entries := 5
 	for fl, on := range [numFlags]bool{
 		flagIP:      sp.Summary.HasIP,
@@ -125,27 +176,27 @@ func (px *postings) lookup(ref ixRef) []PacketID {
 		if ref.val > 0xff {
 			return nil
 		}
-		return px.proto[uint8(ref.val)]
+		return px.proto[ref.val]
 	case ixSrcPort:
 		if ref.val > 0xffff {
 			return nil
 		}
-		return px.srcPort[uint16(ref.val)]
+		return px.srcPort.get(uint16(ref.val))
 	case ixDstPort:
 		if ref.val > 0xffff {
 			return nil
 		}
-		return px.dstPort[uint16(ref.val)]
+		return px.dstPort.get(uint16(ref.val))
 	case ixLink:
 		if ref.val > 0xffff {
 			return nil
 		}
-		return px.link[uint16(ref.val)]
+		return px.link.get(uint16(ref.val))
 	case ixLabel:
 		if ref.val > 0xff {
 			return nil
 		}
-		return px.label[uint8(ref.val)]
+		return px.label[ref.val]
 	case ixFlag:
 		if ref.val >= numFlags {
 			return nil
@@ -163,57 +214,9 @@ func (px *postings) evictBelow(minID PacketID) int {
 		return 0
 	}
 	px.evictedBelow = minID
-	removed := 0
-	trim := func(ids []PacketID) []PacketID {
-		cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= minID })
-		if cut == 0 {
-			return ids
-		}
-		removed += cut
-		if cut == len(ids) {
-			return nil
-		}
-		return append(ids[:0:0], ids[cut:]...)
-	}
-	for k, ids := range px.proto {
-		if out := trim(ids); out == nil {
-			delete(px.proto, k)
-		} else {
-			px.proto[k] = out
-		}
-	}
-	for k, ids := range px.srcPort {
-		if out := trim(ids); out == nil {
-			delete(px.srcPort, k)
-		} else {
-			px.srcPort[k] = out
-		}
-	}
-	for k, ids := range px.dstPort {
-		if out := trim(ids); out == nil {
-			delete(px.dstPort, k)
-		} else {
-			px.dstPort[k] = out
-		}
-	}
-	for k, ids := range px.link {
-		if out := trim(ids); out == nil {
-			delete(px.link, k)
-		} else {
-			px.link[k] = out
-		}
-	}
-	for k, ids := range px.label {
-		if out := trim(ids); out == nil {
-			delete(px.label, k)
-		} else {
-			px.label[k] = out
-		}
-	}
-	for fl := range px.flags {
-		px.flags[fl] = trim(px.flags[fl])
-	}
-	return removed
+	return trimLists(px.proto[:], minID) + trimLists(px.label[:], minID) +
+		px.srcPort.trim(minID) + px.dstPort.trim(minID) + px.link.trim(minID) +
+		trimLists(px.flags[:], minID)
 }
 
 // clipRows restricts a sorted segment row list to the half-open row

@@ -50,6 +50,8 @@ const (
 	persistMagic         = "CLDS"
 	persistVersion       = 2
 	persistVersionTiered = 3
+	// loadChunk is the arena Load cuts packet bytes from.
+	loadChunk = 256 << 10
 )
 
 // ErrBadSnapshot reports a corrupt or incompatible snapshot stream.
@@ -427,6 +429,7 @@ func Load(r io.Reader) (*Store, error) {
 		st.nextID.Store(baseID)
 	}
 	var scratch [frame.RecordHeaderSize]byte
+	var arena []byte
 	for i := uint64(0); i < nPkts; i++ {
 		if _, err := io.ReadFull(cr, scratch[:]); err != nil {
 			return nil, fmt.Errorf("%w: packet %d header: %v", ErrBadSnapshot, i, err)
@@ -435,7 +438,15 @@ func Load(r io.Reader) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: packet %d: %v", ErrBadSnapshot, i, err)
 		}
-		data := make([]byte, h.DataLen)
+		// Packet bytes are cut from shared chunks with their capacity
+		// fenced off, like a decoded batch's arena (frame.DecodeRecords);
+		// a chunk is sized by a constant or one checked record length.
+		if arena == nil || h.DataLen > cap(arena)-len(arena) {
+			arena = make([]byte, 0, max(loadChunk, h.DataLen))
+		}
+		at := len(arena)
+		arena = arena[:at+h.DataLen]
+		data := arena[at:len(arena):len(arena)]
 		if _, err := io.ReadFull(cr, data); err != nil {
 			return nil, fmt.Errorf("%w: packet %d body: %v", ErrBadSnapshot, i, err)
 		}

@@ -229,13 +229,13 @@ func NewSharded(n int) *Store {
 // NumShards returns the shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
 
-// shardFor routes a packet: flows hash to a fixed shard so per-flow state
-// never crosses shards; non-IP packets spread round-robin by ID.
-func (s *Store) shardFor(sum *packet.Summary, id PacketID) *shard {
-	if sum.HasIP {
-		return s.shards[sum.Tuple.Canonical().Hash()&s.mask]
+// shardFor routes a parsed packet: flows hash to a fixed shard so per-flow
+// state never crosses shards; non-IP packets spread round-robin by ID.
+func (s *Store) shardFor(it *ingestItem) int {
+	if it.summary.HasIP {
+		return int(it.hash & s.mask)
 	}
-	return s.shards[uint64(id)&s.mask]
+	return int(uint64(it.id) & s.mask)
 }
 
 // clampTS enforces the store-wide non-decreasing timestamp contract:
@@ -255,14 +255,74 @@ func (s *Store) clampTS(ts time.Duration) time.Duration {
 }
 
 // ingestItem is one parsed, ID-assigned packet ready to apply to a shard.
+// key and hash are the canonical flow key and its hash (zero for non-IP
+// packets), computed once where the packet is parsed: shard routing reads
+// the hash, apply indexes the flow under the key.
 type ingestItem struct {
 	id      PacketID
 	ts      time.Duration
 	link    uint16
 	data    []byte
 	summary packet.Summary
+	key     FlowKey
+	hash    uint64
 	label   traffic.Label
 	actor   bool
+}
+
+// parse fills the item's summary, flow key and hash from its bytes.
+// Unparseable frames (ErrNotIP etc.) keep their partial summary.
+func (it *ingestItem) parse(p *packet.FlowParser) {
+	_ = p.Parse(it.data, &it.summary)
+	if it.summary.HasIP {
+		it.key = it.summary.Tuple.Canonical()
+		it.hash = it.key.Hash()
+	}
+}
+
+// batchScratch is addBatch's working set — the parsed items and the
+// per-shard index lists — pooled so a batch costs no allocation
+// proportional to its frames. Items hold frame bytes and address handles,
+// so they are cleared before the scratch goes back.
+type batchScratch struct {
+	items    []ingestItem
+	perShard [][]int
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// minSlab is a shard slab's first capacity.
+const minSlab = 64
+
+// grow makes room for one more slab row. Capacity doubles, so a row is
+// copied twice amortised over the slab's life (append's 1.25x policy for
+// large slices re-cleared and re-copied every row about five times).
+func (sh *shard) grow() {
+	if len(sh.packets) < cap(sh.packets) {
+		return
+	}
+	c := 2 * cap(sh.packets)
+	if c < minSlab {
+		c = minSlab
+	}
+	sh.packets = append(make([]StoredPacket, 0, c), sh.packets...)
+}
+
+// dropPrefix removes s[:cut] in place: the survivors are copied down and
+// the vacated tail zeroed, so nothing it pointed at stays reachable.
+// Capacity is kept for the next fill unless under a quarter of it is still
+// in use, in which case the survivors move to a slice twice their length.
+func dropPrefix[T any](s []T, cut int) []T {
+	n := copy(s, s[cut:])
+	clear(s[n:])
+	s = s[:n]
+	if n < cap(s)/4 {
+		if n == 0 {
+			return nil
+		}
+		return append(make([]T, 0, 2*n), s...)
+	}
+	return s
 }
 
 // apply inserts one packet into the shard and updates its flow metadata.
@@ -279,6 +339,7 @@ func (sh *shard) apply(it *ingestItem) {
 	if n > 0 && sp.TS < sh.packets[n-1].TS {
 		sp.TS = sh.packets[n-1].TS
 	}
+	sh.grow()
 	if n == 0 || sp.ID > sh.packets[n-1].ID {
 		sh.packets = append(sh.packets, sp)
 	} else {
@@ -299,11 +360,10 @@ func (sh *shard) apply(it *ingestItem) {
 	if !sp.Summary.HasIP {
 		return
 	}
-	key := sp.Summary.Tuple.Canonical()
-	fm, ok := sh.flows[key]
+	fm, ok := sh.flows[it.key]
 	if !ok {
-		fm = &FlowMeta{Key: key, First: sp.TS}
-		sh.flows[key] = fm
+		fm = &FlowMeta{Key: it.key, First: sp.TS}
+		sh.flows[it.key] = fm
 		sh.indexBytes += 96 // rough per-flow index cost
 	}
 	if sp.TS > fm.Last {
@@ -347,7 +407,7 @@ func (s *Store) ingest(ts time.Duration, link uint16, data []byte, label traffic
 	if s.wal.Load() == nil && !s.admissionOn.Load() {
 		it := ingestItem{link: link, data: data, label: label, actor: actor}
 		p := parserPool.Get().(*packet.FlowParser)
-		_ = p.Parse(data, &it.summary) // ErrNotIP etc: stored with partial summary
+		it.parse(p)
 		parserPool.Put(p)
 		id := s.applyItem(&it, ts)
 		s.maybeSeal()
@@ -363,7 +423,7 @@ func (s *Store) ingest(ts time.Duration, link uint16, data []byte, label traffic
 func (s *Store) applyItem(it *ingestItem, ts time.Duration) PacketID {
 	it.id = PacketID(s.nextID.Add(1) - 1)
 	it.ts = s.clampTS(ts)
-	sh := s.shardFor(&it.summary, it.id)
+	sh := s.shards[s.shardFor(it)]
 	sh.lock()
 	sh.apply(it)
 	sh.mu.Unlock()
@@ -458,7 +518,11 @@ func (s *Store) addBatch(frames []traffic.Frame, links []uint16, workers int) Pa
 	obsIngestBatches.Inc()
 	obsIngestPackets.Add(uint64(n))
 	obsIngestBatchSize.Observe(float64(n))
-	items := make([]ingestItem, n)
+	sc := batchPool.Get().(*batchScratch)
+	if cap(sc.items) < n {
+		sc.items = make([]ingestItem, n)
+	}
+	items := sc.items[:n]
 	parallel.ForChunks(n, workers, func(lo, hi int) {
 		p := parserPool.Get().(*packet.FlowParser)
 		for i := lo; i < hi; i++ {
@@ -469,7 +533,7 @@ func (s *Store) addBatch(frames []traffic.Frame, links []uint16, workers int) Pa
 				it.link = links[i]
 			}
 			it.ts = f.TS
-			_ = p.Parse(f.Data, &it.summary)
+			it.parse(p)
 		}
 		parserPool.Put(p)
 	})
@@ -491,14 +555,12 @@ func (s *Store) addBatch(frames []traffic.Frame, links []uint16, workers int) Pa
 	}
 	s.clampTS(prev)
 	// Partition by shard, preserving ID order within each partition.
-	perShard := make([][]int, len(s.shards))
+	if len(sc.perShard) != len(s.shards) {
+		sc.perShard = make([][]int, len(s.shards))
+	}
+	perShard := sc.perShard
 	for i := range items {
-		si := 0
-		if items[i].summary.HasIP {
-			si = int(items[i].summary.Tuple.Canonical().Hash() & s.mask)
-		} else {
-			si = int(uint64(items[i].id) & s.mask)
-		}
+		si := s.shardFor(&items[i])
 		perShard[si] = append(perShard[si], i)
 	}
 	parallel.For(len(s.shards), workers, func(si int) {
@@ -513,6 +575,11 @@ func (s *Store) addBatch(frames []traffic.Frame, links []uint16, workers int) Pa
 		}
 		sh.mu.Unlock()
 	})
+	clear(items)
+	for si := range perShard {
+		perShard[si] = perShard[si][:0]
+	}
+	batchPool.Put(sc)
 	return base
 }
 
@@ -796,7 +863,7 @@ func (sh *shard) evictBefore(ts time.Duration) (int, uint64) {
 		freed += uint64(len(evicted[i].Data))
 	}
 	sh.dataBytes -= freed
-	sh.packets = append([]StoredPacket(nil), sh.packets[cut:]...)
+	sh.packets = dropPrefix(sh.packets, cut)
 	// The evicted prefix is also an ID prefix (the slab is co-sorted), so
 	// posting lists trim by the minimum surviving ID.
 	minID := PacketID(1<<64 - 1)

@@ -483,7 +483,7 @@ func (sh *shard) trimBelowID(limit PacketID) (int, uint64) {
 		freed += uint64(len(sh.packets[i].Data))
 	}
 	sh.dataBytes -= freed
-	sh.packets = append([]StoredPacket(nil), sh.packets[cut:]...)
+	sh.packets = dropPrefix(sh.packets, cut)
 	sh.indexBytes -= 8 * uint64(sh.index.evictBelow(limit))
 	return cut, freed
 }

@@ -63,7 +63,7 @@ func E1Pipeline() (*Table, error) {
 		return nil, fmt.Errorf("E1: empty dataset")
 	}
 	t.Notes = append(t.Notes,
-		"expected shape: the two featurize stages clear campus line rate (~1.5 Mpps at 10 Gbps of 800B packets) on one core; anonymize (~0.75 Mpps) and store+index (~0.83 Mpps) sit at about half of it per core, so a 10 Gbps uplink needs two collection cores for those stages; the store, not the pipeline, is the retention bottleneck (see E7)")
+		"expected shape: the two featurize stages clear campus line rate (~1.5 Mpps at 10 Gbps of 800B packets) on one core; store+index (~1.2 Mpps) reaches about four fifths of it and anonymize (~0.65 Mpps, a per-frame copy and parse — the address cache is a small part) under half per core, so a 10 Gbps uplink still needs two collection cores for those stages; the store, not the pipeline, is the retention bottleneck (see E7)")
 	return t, nil
 }
 

@@ -89,6 +89,11 @@ type Client struct {
 	// ack was lost after the batch landed.
 	serverSeq uint64
 	scratch   []byte
+	// msg holds the batch message being delivered, reused across batches.
+	// It is distinct from scratch (the read buffer): the message must stay
+	// intact across the read of its reply so a retry re-sends the
+	// identical bytes.
+	msg []byte
 }
 
 // DialCampus connects and handshakes a campus ingest stream. The client
@@ -178,7 +183,7 @@ func (c *Client) SendBatch(frames []traffic.Frame) (Ack, error) {
 		return Ack{Seq: c.seq}, nil
 	}
 	seq := c.seq + 1
-	msg := AppendMessage(c.scratchMsg(), MsgBatch, EncodeBatch(seq, frames, nil))
+	c.msg = appendBatchMessage(c.msg, seq, frames, nil)
 	step := c.cfg.Retry.Base
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.Retry.MaxAttempts; attempt++ {
@@ -194,7 +199,7 @@ func (c *Client) SendBatch(frames []traffic.Frame) (Ack, error) {
 				continue
 			}
 		}
-		ack, retry, err := c.exchange(msg, seq)
+		ack, retry, err := c.exchange(c.msg, seq)
 		if err == nil {
 			c.seq = seq
 			obsCliBatches.Inc()
@@ -247,12 +252,6 @@ func (c *Client) exchange(msg []byte, seq uint64) (ack Ack, retry bool, err erro
 		return Ack{}, true, fmt.Errorf("fleet: unexpected reply %v to batch %d", t, seq)
 	}
 }
-
-// scratchMsg returns a zero-length buffer for message encoding, reusing
-// prior capacity. It is distinct from c.scratch (the read buffer): a
-// batch message must stay intact across the read of its reply so a retry
-// can re-send the identical bytes.
-func (c *Client) scratchMsg() []byte { return nil }
 
 // StreamStats summarizes one Stream call.
 type StreamStats struct {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"campuslab/internal/datastore"
+	"campuslab/internal/frame"
 	"campuslab/internal/obs"
 	"campuslab/internal/traffic"
 )
@@ -211,15 +212,19 @@ func (s *Server) handle(conn net.Conn) {
 			fail(bw, "corrupt batch: %v", err)
 			return
 		}
-		if !s.ingestBatch(bw, cs, campus, seq, frames, links) {
+		// A batch payload is the sequence, the record count, one fixed
+		// header per record and the data, and DecodeBatch refused anything
+		// else: what is left is the frame bytes.
+		nbytes := len(payload) - 8 - frame.RecordsSize(nil) - len(frames)*frame.RecordHeaderSize
+		if !s.ingestBatch(bw, cs, campus, seq, frames, links, uint64(nbytes)) {
 			return
 		}
 	}
 }
 
-// ingestBatch lands one decoded batch (or answers it from the ack cache)
-// and writes the reply. Returns false when the connection should close.
-func (s *Server) ingestBatch(bw *bufio.Writer, cs *campusState, campus string, seq uint64, frames []traffic.Frame, links []uint16) bool {
+// ingestBatch lands one decoded batch of nbytes frame bytes (or answers it
+// from the ack cache) and writes the reply. Returns false when the connection should close.
+func (s *Server) ingestBatch(bw *bufio.Writer, cs *campusState, campus string, seq uint64, frames []traffic.Frame, links []uint16, nbytes uint64) bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	switch {
@@ -250,10 +255,6 @@ func (s *Server) ingestBatch(bw *bufio.Writer, cs *campusState, campus string, s
 	cs.lastAck = Ack{Seq: seq, First: uint64(r.First), Ingested: uint32(r.Ingested), Shed: uint32(r.Shed)}
 	obsSrvBatches.Inc()
 	obsSrvFrames.Add(uint64(len(frames)))
-	var nbytes uint64
-	for i := range frames {
-		nbytes += uint64(len(frames[i].Data))
-	}
 	obsSrvBytes.Add(nbytes)
 	return reply(bw, MsgAck, EncodeAck(cs.lastAck)) == nil
 }

@@ -204,6 +204,24 @@ func EncodeBatch(seq uint64, frames []traffic.Frame, links []uint16) []byte {
 	return frame.AppendRecords(b, frames, links)
 }
 
+// appendBatchMessage builds one whole MsgBatch message in dst[:0] — type
+// byte, block header, sequence, record list — and seals the block in
+// place, so a sender that keeps dst encodes a batch with no allocation and
+// no second copy. The bytes equal AppendMessage(nil, MsgBatch,
+// EncodeBatch(seq, frames, links)).
+func appendBatchMessage(dst []byte, seq uint64, frames []traffic.Frame, links []uint16) []byte {
+	const head = 1 + frame.BlockHeaderSize
+	if need := head + 8 + frame.RecordsSize(frames); cap(dst) < need {
+		dst = make([]byte, head, need)
+	}
+	dst = dst[:head]
+	dst[0] = byte(MsgBatch)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = frame.AppendRecords(dst, frames, links)
+	frame.SealBlock(dst[1:])
+	return dst
+}
+
 // DecodeBatch parses a batch payload. Frame Data slices are copied out of
 // p, so the caller may reuse its read buffer. Trailing bytes are
 // corruption: the encoding is canonical.

@@ -191,7 +191,11 @@ func AppendRecords(dst []byte, frames []traffic.Frame, links []uint16) []byte {
 // DecodeRecords parses a record list that must fill p exactly: a count the
 // bytes present could not hold, a record ParseRecordHeader refuses, data
 // running past the end and trailing bytes are all ErrCorrupt. Frame Data
-// is copied out of p, so the caller may reuse its read buffer.
+// is copied out of p, so the caller may reuse its read buffer: every
+// record's bytes go into one arena for the list, sized from the bytes
+// present (what p holds beyond count headers), and each frame gets a
+// cap-limited sub-slice of it, so appending to one frame's Data cannot
+// reach its neighbour's. The arena lives as long as any frame cut from it.
 func DecodeRecords(p []byte) (frames []traffic.Frame, links []uint16, err error) {
 	if len(p) < 4 {
 		return nil, nil, corrupt("short record list (%d bytes)", len(p))
@@ -202,18 +206,21 @@ func DecodeRecords(p []byte) (frames []traffic.Frame, links []uint16, err error)
 	}
 	frames = make([]traffic.Frame, 0, count)
 	links = make([]uint16, 0, count)
+	arena := make([]byte, 0, len(p)-int(count)*RecordHeaderSize)
 	for i := uint32(0); i < count; i++ {
 		h, err := ParseRecordHeader(p)
-		if err == nil && h.DataLen > len(p)-RecordHeaderSize {
-			err = corrupt("%d data bytes claimed, %d remain", h.DataLen, len(p)-RecordHeaderSize)
+		// room is what p holds beyond the headers still owed, so a record
+		// that fits it also fits p and the arena never regrows.
+		if room := cap(arena) - len(arena); err == nil && h.DataLen > room {
+			err = corrupt("%d data bytes claimed, %d remain", h.DataLen, room)
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w (record %d)", err, i)
 		}
-		data := make([]byte, h.DataLen)
-		copy(data, p[RecordHeaderSize:])
+		at := len(arena)
+		arena = append(arena, p[RecordHeaderSize:RecordHeaderSize+h.DataLen]...)
 		p = p[RecordHeaderSize+h.DataLen:]
-		frames = append(frames, traffic.Frame{TS: h.TS, Data: data, Label: h.Label, Actor: h.Actor})
+		frames = append(frames, traffic.Frame{TS: h.TS, Data: arena[at:len(arena):len(arena)], Label: h.Label, Actor: h.Actor})
 		links = append(links, h.Link)
 	}
 	if len(p) != 0 {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -153,6 +154,69 @@ func TestReadBlockEOFSemantics(t *testing.T) {
 	scratch = nil
 	if _, err := ReadBlock(bytes.NewReader(huge), MaxBlock, &scratch); !errors.Is(err, ErrCorrupt) || cap(scratch) > BlockHeaderSize {
 		t.Fatalf("oversized length: err %v, scratch grew to %d", err, cap(scratch))
+	}
+}
+
+// TestDecodeRecordsArena: a decoded list's frames are cut from one arena,
+// so each must be fenced from the next — appending to a frame's Data moves
+// it out of the arena instead of running over its neighbour — the decoded
+// bytes must not alias the input, and the number of allocations must not
+// depend on the number of records.
+func TestDecodeRecordsArena(t *testing.T) {
+	frames, links := testFrames(12)
+	frames[4].Data = nil // an empty record between two full ones
+	list := AppendRecords(nil, frames, links)
+	got, _, err := DecodeRecords(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range list {
+		list[i] = 0xee // the caller reuses its read buffer
+	}
+	for i := range got {
+		if cap(got[i].Data) != len(got[i].Data) {
+			t.Fatalf("frame %d: cap %d over len %d reaches into its neighbour", i, cap(got[i].Data), len(got[i].Data))
+		}
+		got[i].Data = append(got[i].Data, 0xaa, 0xbb, 0xcc)
+	}
+	for i := range got {
+		if want := append(append([]byte(nil), frames[i].Data...), 0xaa, 0xbb, 0xcc); !bytes.Equal(got[i].Data, want) {
+			t.Fatalf("frame %d changed when its neighbours were appended to", i)
+		}
+	}
+
+	decodeAllocs := func(n int) float64 {
+		frames, links := testFrames(n)
+		list := AppendRecords(nil, frames, links)
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := DecodeRecords(list); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := decodeAllocs(2), decodeAllocs(200); few != many || many > 3 {
+		t.Errorf("DecodeRecords allocates %v times for 2 records, %v for 200: want the same three (frames, links, arena)", few, many)
+	}
+}
+
+// TestDecodeRecordsArenaSizedFromBytesPresent: the arena is sized from the
+// bytes the list holds, never from a length a record claims — a record
+// claiming the 1 MiB cap in a two-record list is refused before it is copied.
+func TestDecodeRecordsArenaSizedFromBytesPresent(t *testing.T) {
+	frames, links := testFrames(2)
+	list := AppendRecords(nil, frames, links)
+	binary.LittleEndian.PutUint32(list[4+12:], MaxRecordData)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := DecodeRecords(list)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("over-long record: %v, want ErrCorrupt", err)
+	}
+	// TotalAlloc is process-wide, so leave room for the runtime's own
+	// allocations; the claimed length is 1 MiB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxRecordData/4 {
+		t.Errorf("refusing a %d-byte list allocated %d bytes", len(list), grew)
 	}
 }
 

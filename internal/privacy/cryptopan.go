@@ -9,6 +9,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -23,9 +24,25 @@ type Anonymizer struct {
 	block cipher.Block
 	pad   [16]byte
 
-	mu    sync.RWMutex
-	cache map[netip.Addr]netip.Addr
+	mu sync.RWMutex
+	// v4 is keyed by the address bits: nearly every lookup is IPv4, and a
+	// 4-byte key hashes and compares in a fraction of a netip.Addr's 24.
+	v4 map[uint32]uint32
+	v6 map[netip.Addr]netip.Addr
+	// limit bounds len(v4)+len(v6); reaching it empties both. The mapping
+	// is a pure function of the key, so forgetting it changes no output.
+	limit int
+	// in and out are the cipher's scratch blocks, used under mu's write
+	// lock (as locals they escape through cipher.Block on every miss).
+	in, out [16]byte
 }
+
+// maxCached bounds the address cache (about 5 MB of IPv4 entries): room
+// for a campus /16 and a few times as many peers, so ordinary traffic and
+// a replayed capture stay warm, while a spoofed-source flood — a new
+// address with every packet, for as long as the attack lasts — costs a
+// recompute per address instead of memory without end.
+const maxCached = 1 << 18
 
 // NewAnonymizer derives an anonymizer from a 32-byte key: 16 bytes key the
 // AES block, 16 bytes form the padding. Shorter secrets are stretched with
@@ -44,7 +61,12 @@ func NewAnonymizer(secret []byte) (*Anonymizer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("privacy: %w", err)
 	}
-	a := &Anonymizer{block: block, cache: make(map[netip.Addr]netip.Addr)}
+	a := &Anonymizer{
+		block: block,
+		v4:    make(map[uint32]uint32),
+		v6:    make(map[netip.Addr]netip.Addr),
+		limit: maxCached,
+	}
 	copy(a.pad[:], key[16:32])
 	return a, nil
 }
@@ -52,68 +74,79 @@ func NewAnonymizer(secret []byte) (*Anonymizer, error) {
 // Anonymize returns the prefix-preserving anonymized form of addr.
 // Results are cached; the method is safe for concurrent use.
 func (a *Anonymizer) Anonymize(addr netip.Addr) netip.Addr {
-	a.mu.RLock()
-	got, ok := a.cache[addr]
-	a.mu.RUnlock()
-	if ok {
-		return got
-	}
-	var out netip.Addr
 	if addr.Is4() {
-		out = a.anon4(addr)
-	} else {
-		out = a.anon16(addr)
+		b := addr.As4()
+		bits := binary.BigEndian.Uint32(b[:])
+		a.mu.RLock()
+		anon, ok := a.v4[bits]
+		a.mu.RUnlock()
+		if !ok {
+			a.mu.Lock()
+			anon = a.anon4(bits)
+			a.makeRoom()
+			a.v4[bits] = anon
+			a.mu.Unlock()
+		}
+		binary.BigEndian.PutUint32(b[:], anon)
+		return netip.AddrFrom4(b)
 	}
-	a.mu.Lock()
-	a.cache[addr] = out
-	a.mu.Unlock()
-	return out
+	a.mu.RLock()
+	anon, ok := a.v6[addr]
+	a.mu.RUnlock()
+	if !ok {
+		a.mu.Lock()
+		anon = a.anon16(addr)
+		a.makeRoom()
+		a.v6[addr] = anon
+		a.mu.Unlock()
+	}
+	return anon
 }
 
-// anon4 runs the 32-round Crypto-PAn construction.
-func (a *Anonymizer) anon4(addr netip.Addr) netip.Addr {
-	orig := addr.As4()
-	origBits := uint32(orig[0])<<24 | uint32(orig[1])<<16 | uint32(orig[2])<<8 | uint32(orig[3])
+// makeRoom empties a full cache ahead of an insert. Caller holds mu.
+func (a *Anonymizer) makeRoom() {
+	if len(a.v4)+len(a.v6) >= a.limit {
+		clear(a.v4)
+		clear(a.v6)
+	}
+}
+
+// anon4 runs the 32-round Crypto-PAn construction. Caller holds mu.
+func (a *Anonymizer) anon4(origBits uint32) uint32 {
+	padBits := binary.BigEndian.Uint32(a.pad[:4])
 	var result uint32
-	var input, output [16]byte
 	for i := 0; i < 32; i++ {
-		// input = first i bits of the original address, then pad bits.
-		copy(input[:], a.pad[:])
+		// in = first i bits of the original address, then pad bits.
+		a.in = a.pad
 		if i > 0 {
 			mask := uint32(0xffffffff) << (32 - i)
-			mixed := origBits&mask | (uint32(a.pad[0])<<24|uint32(a.pad[1])<<16|uint32(a.pad[2])<<8|uint32(a.pad[3]))&^mask
-			input[0] = byte(mixed >> 24)
-			input[1] = byte(mixed >> 16)
-			input[2] = byte(mixed >> 8)
-			input[3] = byte(mixed)
+			binary.BigEndian.PutUint32(a.in[:4], origBits&mask|padBits&^mask)
 		}
-		a.block.Encrypt(output[:], input[:])
-		result |= uint32(output[0]>>7) << (31 - i)
+		a.block.Encrypt(a.out[:], a.in[:])
+		result |= uint32(a.out[0]>>7) << (31 - i)
 	}
-	anon := origBits ^ result
-	return netip.AddrFrom4([4]byte{byte(anon >> 24), byte(anon >> 16), byte(anon >> 8), byte(anon)})
+	return origBits ^ result
 }
 
-// anon16 extends the construction to 128 bits for IPv6.
+// anon16 extends the construction to 128 bits for IPv6. Caller holds mu.
 func (a *Anonymizer) anon16(addr netip.Addr) netip.Addr {
 	orig := addr.As16()
 	var result [16]byte
-	var input, output [16]byte
 	for i := 0; i < 128; i++ {
-		copy(input[:], a.pad[:])
+		a.in = a.pad
 		// Mix the first i bits of the original over the pad.
 		for b := 0; b < 16; b++ {
 			bitsInByte := i - b*8
 			switch {
 			case bitsInByte >= 8:
-				input[b] = orig[b]
+				a.in[b] = orig[b]
 			case bitsInByte > 0:
 				mask := byte(0xff) << (8 - bitsInByte)
-				input[b] = orig[b]&mask | a.pad[b]&^mask
+				a.in[b] = orig[b]&mask | a.pad[b]&^mask
 			}
 		}
-		a.block.Encrypt(output[:], input[:])
-		if output[0]>>7 == 1 {
+		a.block.Encrypt(a.out[:], a.in[:])
+		if a.out[0]>>7 == 1 {
 			result[i/8] |= 1 << (7 - i%8)
 		}
 	}
@@ -124,11 +157,12 @@ func (a *Anonymizer) anon16(addr netip.Addr) netip.Addr {
 	return netip.AddrFrom16(anon)
 }
 
-// CacheSize reports how many addresses have been anonymized so far.
+// CacheSize reports how many addresses are cached now. It never exceeds
+// the cache bound: a full cache is emptied and refilled.
 func (a *Anonymizer) CacheSize() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return len(a.cache)
+	return len(a.v4) + len(a.v6)
 }
 
 // CommonPrefixLen returns the length of the longest common bit-prefix of

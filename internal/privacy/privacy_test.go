@@ -1,8 +1,11 @@
 package privacy
 
 import (
+	"math"
+	"math/rand"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -108,6 +111,98 @@ func TestAnonymizerCache(t *testing.T) {
 	if a.CacheSize() != 2 {
 		t.Errorf("cache size = %d, want 2", a.CacheSize())
 	}
+}
+
+// TestAnonymizerCacheBound drives a flood-shaped address stream (mostly
+// never-repeated IPv4 sources, some repeats, some IPv6) through anonymizers
+// whose cache holds 1, 64 and every address: the bound may cost time,
+// never output, and CacheSize never passes it.
+func TestAnonymizerCacheBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	addrs := make([]netip.Addr, 10000)
+	for i := range addrs {
+		switch {
+		case i > 0 && i%5 == 0:
+			addrs[i] = addrs[rng.Intn(i)]
+		case i%50 == 1:
+			var b [16]byte
+			rng.Read(b[:])
+			b[0] = 0x20 // keep it out of the v4-mapped range
+			addrs[i] = netip.AddrFrom16(b)
+		default:
+			var b [4]byte
+			rng.Read(b[:])
+			addrs[i] = netip.AddrFrom4(b)
+		}
+	}
+	var want []netip.Addr
+	for _, limit := range []int{math.MaxInt, 1, 64} {
+		a := mustAnon(t)
+		a.limit = limit
+		got := make([]netip.Addr, len(addrs))
+		for i, addr := range addrs {
+			got[i] = a.Anonymize(addr)
+			if n := a.CacheSize(); n < 1 || n > limit {
+				t.Fatalf("limit %d: cache holds %d after %d addresses", limit, n, i+1)
+			}
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("limit %d: %v anonymized to %v, unbounded gave %v", limit, addrs[i], got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAnonymizerDefaultBound: a fresh anonymizer is bounded, and reaching
+// the bound starts the cache over instead of growing it.
+func TestAnonymizerDefaultBound(t *testing.T) {
+	a := mustAnon(t)
+	if a.limit != maxCached {
+		t.Fatalf("limit = %d, want %d", a.limit, maxCached)
+	}
+	for i := 0; i <= maxCached; i++ {
+		a.Anonymize(netip.AddrFrom4([4]byte{11, byte(i >> 16), byte(i >> 8), byte(i)}))
+	}
+	if n := a.CacheSize(); n != 1 {
+		t.Errorf("cache holds %d after %d distinct addresses, want 1", n, maxCached+1)
+	}
+}
+
+// TestAnonymizerConcurrent: the cipher scratch and the clear-and-refill
+// cache are shared state; concurrent callers with a tiny bound (so clears
+// race with hits) must agree with a serial pass. Run under -race.
+func TestAnonymizerConcurrent(t *testing.T) {
+	serial, shared := mustAnon(t), mustAnon(t)
+	shared.limit = 8
+	addrs := make([]netip.Addr, 500)
+	want := make([]netip.Addr, len(addrs))
+	for i := range addrs {
+		addrs[i] = netip.AddrFrom4([4]byte{10, 0, byte(i % 23), byte(i)})
+		if i%7 == 0 {
+			addrs[i] = netip.AddrFrom16([16]byte{0x20, 1, 15: byte(i)})
+		}
+		want[i] = serial.Anonymize(addrs[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range addrs {
+				i := (k*(2*g+1) + g) % len(addrs) // a different order per goroutine
+				if got := shared.Anonymize(addrs[i]); got != want[i] {
+					t.Errorf("%v: concurrent %v, serial %v", addrs[i], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestNewAnonymizerEmptySecret(t *testing.T) {

@@ -121,8 +121,8 @@ echo "==> ensemble budget gate (over budget must degrade, never error)"
 gate_tests "" ./internal/dataplane TestEnsembleBudgetDegradation TestEnsembleHotPathAllocs
 
 echo "==> bench smoke (compiled fast path, must stay 0 allocs/op)"
-go test -run=NONE -bench=SwitchProcess -benchtime=100x ./internal/dataplane
-go test -run=NONE -bench=BenchmarkEnsembleInference -benchtime=20x ./internal/dataplane
+gate_bench 100x ./internal/dataplane BenchmarkSwitchProcess BenchmarkSwitchProcessPaths BenchmarkSwitchProcessBatch
+gate_bench 20x ./internal/dataplane BenchmarkEnsembleInference
 
 echo "==> bench smoke (learning: tree induction, forest vote must stay 0 allocs/op, extraction, forest fit)"
 LEARN=$(gate_bench 20x ./internal/ml BenchmarkFitTree BenchmarkForestPredict)
@@ -174,9 +174,19 @@ echo "==> chaos-soak smoke (E16: durability + self-healing lifecycle)"
 gate_tests "" ./internal/experiments TestAllExperimentsRun/E16
 
 echo "==> bench smoke (crash-to-ready recovery time)"
-go test -run=NONE -bench=BenchmarkWALRecovery -benchtime=5x ./internal/datastore
+gate_bench 5x ./internal/datastore BenchmarkWALRecovery
 
-echo "==> bench smoke (fleet ingest: loopback TCP vs in-process)"
-go test -run=NONE -bench=BenchmarkFleetIngest -benchtime=5x ./internal/fleet
+echo "==> bench smoke (fleet ingest: loopback TCP vs in-process; allocation ceiling on the write path)"
+# One 512-frame batch over loopback — client encode, server decode, store
+# apply — measured 85-100 allocs/op from a cold store at 5x (653 before the
+# batch arena: one make per record). The ceiling sits between the two, so an
+# allocation per frame anywhere on the path trips it.
+FLEET_ALLOCS_CEILING=150
+FLEET=$(gate_bench 5x ./internal/fleet BenchmarkFleetIngest)
+echo "$FLEET"
+echo "$FLEET" | awk -v max="$FLEET_ALLOCS_CEILING" '
+    /^BenchmarkFleetIngest\/loopback/ { seen = 1; for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) + 0 > max) bad = $(i-1) }
+    END { if (!seen) { print "verify: FAIL — BenchmarkFleetIngest/loopback did not run" > "/dev/stderr"; exit 1 }
+          if (bad) { print "verify: FAIL — fleet loopback ingest " bad " allocs/op, ceiling " max > "/dev/stderr"; exit 1 } }'
 
 echo "verify: OK"
