@@ -38,11 +38,6 @@ type Predicate func(*StoredPacket) bool
 type Filter struct {
 	expr string
 	pred Predicate
-	// The operand values of the tightest lower and upper ts conjuncts, as
-	// TimeBounds reports them (operator strictness not applied — the exact
-	// interval queries run on is plan.win).
-	minTS, maxTS   time.Duration
-	hasMin, hasMax bool
 	// plan is the query plan the index-assisted engine derived from the
 	// expression's AND-conjuncts (see plan.go).
 	plan queryPlan
@@ -53,13 +48,6 @@ func (f *Filter) Expr() string { return f.expr }
 
 // Match reports whether sp satisfies the filter.
 func (f *Filter) Match(sp *StoredPacket) bool { return f.pred(sp) }
-
-// TimeBounds returns the ts range implied by the expression: the largest
-// value any top-level `ts >`/`>=`/`==` conjunct names and the smallest any
-// `ts <`/`<=`/`==` names.
-func (f *Filter) TimeBounds() (min, max time.Duration, hasMin, hasMax bool) {
-	return f.minTS, f.maxTS, f.hasMin, f.hasMax
-}
 
 // Indexable reports whether the planner found at least one posting-list
 // conjunct in the expression — i.e. whether the index-assisted path is
@@ -78,7 +66,6 @@ func ParseFilter(expr string) (*Filter, error) {
 		return nil, fmt.Errorf("datastore: parsing %q: trailing input at %q", expr, p.tok.text)
 	}
 	f := &Filter{expr: expr, pred: node.pred}
-	extractTimeBounds(node, f)
 	f.plan = buildPlan(node)
 	return f, nil
 }
@@ -515,26 +502,5 @@ func ordPredicate(op string, get func(*StoredPacket) int64, want int64) (Predica
 		return func(sp *StoredPacket) bool { return get(sp) >= want }, nil
 	default:
 		return nil, fmt.Errorf("operator %q not valid here", op)
-	}
-}
-
-// extractTimeBounds walks top-level AND chains intersecting ts comparisons
-// into the filter's reported bounds: every conjunct can only tighten them
-// (`ts >= 3s && ts == 1s` keeps the 3s lower bound).
-func extractTimeBounds(n *node, f *Filter) {
-	switch n.kind {
-	case "and":
-		for _, k := range n.kids {
-			extractTimeBounds(k, f)
-		}
-	case "cmp":
-		lower := n.tsOp == ">" || n.tsOp == ">=" || n.tsOp == "=="
-		upper := n.tsOp == "<" || n.tsOp == "<=" || n.tsOp == "=="
-		if lower && (!f.hasMin || n.tsVal > f.minTS) {
-			f.minTS, f.hasMin = n.tsVal, true
-		}
-		if upper && (!f.hasMax || n.tsVal < f.maxTS) {
-			f.maxTS, f.hasMax = n.tsVal, true
-		}
 	}
 }

@@ -260,29 +260,31 @@ func TestTimeWindowPropertyEquivalence(t *testing.T) {
 	}
 }
 
+// planWindowCases are the window shapes ts conjuncts compile into;
+// TestRunContract walks every run over each of them.
+var planWindowCases = []struct {
+	expr     string
+	win      tsWin
+	residual bool
+}{
+	{"ts >= 1s && ts < 2s && udp", tsWin{from: time.Second, to: 2 * time.Second, hasFrom: true, hasTo: true}, false},
+	{"ts > 1s && ts <= 2s && udp", tsWin{from: time.Second + 1, to: 2*time.Second + 1, hasFrom: true, hasTo: true}, false},
+	{"ts == 1s && udp", tsWin{from: time.Second, to: time.Second + 1, hasFrom: true, hasTo: true}, false},
+	{"ts >= 3s && ts == 1s && udp", tsWin{from: 3 * time.Second, to: time.Second + 1, hasFrom: true, hasTo: true}, false},
+	{"ts < -5s && udp", tsWin{to: -5 * time.Second, hasTo: true}, false},
+	{"ts >= 0 && udp", tsWin{hasFrom: true}, false},
+	{"ts != 1s && udp", tsWin{}, true},
+	{"ts <= 9223372036854775807ns && udp", tsWin{}, true},
+	{"ts == 9223372036854775807ns && udp", tsWin{from: math.MaxInt64, hasFrom: true}, true},
+	{"ts > 9223372036854775807ns && udp", tsWin{}, true},
+	{"!(ts < 1s) && udp", tsWin{}, true},
+	{"ts >= 1s && len > 5", tsWin{from: time.Second, hasFrom: true}, false}, // not indexable: no residual, Match re-checks
+}
+
 // TestPlanWindowExact pins how ts conjuncts compile: into one half-open
-// interval, out of the residual, with TimeBounds reporting the operands.
+// interval, out of the residual.
 func TestPlanWindowExact(t *testing.T) {
-	const maxTS = time.Duration(math.MaxInt64)
-	cases := []struct {
-		expr     string
-		win      tsWin
-		residual bool
-	}{
-		{"ts >= 1s && ts < 2s && udp", tsWin{from: time.Second, to: 2 * time.Second, hasFrom: true, hasTo: true}, false},
-		{"ts > 1s && ts <= 2s && udp", tsWin{from: time.Second + 1, to: 2*time.Second + 1, hasFrom: true, hasTo: true}, false},
-		{"ts == 1s && udp", tsWin{from: time.Second, to: time.Second + 1, hasFrom: true, hasTo: true}, false},
-		{"ts >= 3s && ts == 1s && udp", tsWin{from: 3 * time.Second, to: time.Second + 1, hasFrom: true, hasTo: true}, false},
-		{"ts < -5s && udp", tsWin{to: -5 * time.Second, hasTo: true}, false},
-		{"ts >= 0 && udp", tsWin{hasFrom: true}, false},
-		{"ts != 1s && udp", tsWin{}, true},
-		{"ts <= 9223372036854775807ns && udp", tsWin{}, true},
-		{"ts == 9223372036854775807ns && udp", tsWin{from: maxTS, hasFrom: true}, true},
-		{"ts > 9223372036854775807ns && udp", tsWin{}, true},
-		{"!(ts < 1s) && udp", tsWin{}, true},
-		{"ts >= 1s && len > 5", tsWin{from: time.Second, hasFrom: true}, false}, // not indexable: no residual, Match re-checks
-	}
-	for _, c := range cases {
+	for _, c := range planWindowCases {
 		f := MustFilter(c.expr)
 		if f.plan.win != c.win {
 			t.Errorf("%q: window %+v, want %+v", c.expr, f.plan.win, c.win)
@@ -290,14 +292,5 @@ func TestPlanWindowExact(t *testing.T) {
 		if (f.plan.residual != nil) != c.residual {
 			t.Errorf("%q: residual = %v, want %v", c.expr, f.plan.residual != nil, c.residual)
 		}
-	}
-	// TimeBounds keeps reporting operand values, every conjunct tightening.
-	min, max, hasMin, hasMax := MustFilter("ts >= 3s && ts == 1s").TimeBounds()
-	if !hasMin || !hasMax || min != 3*time.Second || max != time.Second {
-		t.Fatalf("TimeBounds = %v..%v (%v/%v), want 3s..1s", min, max, hasMin, hasMax)
-	}
-	min, max, hasMin, hasMax = MustFilter("ts > 1s && ts <= 2s && ts < 5s").TimeBounds()
-	if !hasMin || !hasMax || min != time.Second || max != 2*time.Second {
-		t.Fatalf("TimeBounds = %v..%v (%v/%v), want 1s..2s", min, max, hasMin, hasMax)
 	}
 }

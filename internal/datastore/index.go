@@ -219,74 +219,39 @@ func (px *postings) evictBelow(minID PacketID) int {
 		trimLists(px.flags[:], minID)
 }
 
-// clipRows restricts a sorted segment row list to the half-open row
-// interval [lo, hi) with two binary searches — the row-position analogue
-// of clipIDs for cold segments, where a TS window is a row interval.
-func clipRows(rows []uint32, lo, hi uint32) []uint32 {
-	a := sort.Search(len(rows), func(i int) bool { return rows[i] >= lo })
-	b := sort.Search(len(rows), func(i int) bool { return rows[i] >= hi })
-	return rows[a:b]
+// clip restricts a sorted list — posting IDs in a shard, row positions in a
+// segment — to the half-open interval [lo, hi) with two binary searches;
+// hi <= lo is the empty interval.
+func clip[T ~uint32 | ~uint64](list []T, lo, hi T) []T {
+	list = list[sort.Search(len(list), func(i int) bool { return list[i] >= lo }):]
+	return list[:sort.Search(len(list), func(i int) bool { return list[i] >= hi })]
 }
 
-// intersectRows intersects already-clipped sorted row lists, shortest
-// first, with the same galloping cursor as intersectPostings. A single
-// list is returned as is — segment posting slabs are immutable, so a view
-// is as good as a copy and a one-key Count allocates nothing.
-func intersectRows(lists [][]uint32) []uint32 {
+// intersect intersects already-clipped sorted lists. lists must be
+// non-empty; the caller passes the shortest list first so the candidate
+// set only ever shrinks. A single list is returned as is — a view, not a
+// copy, which is why a one-key Count allocates nothing: the caller must not
+// write it, nor keep it past the lock that guards the index it came from.
+func intersect[T ~uint32 | ~uint64](lists [][]T) []T {
 	if len(lists) == 1 {
 		return lists[0]
 	}
-	out := append([]uint32(nil), lists[0]...)
+	out := append([]T(nil), lists[0]...)
 	for _, other := range lists[1:] {
 		if len(out) == 0 {
 			return out
 		}
 		kept := out[:0]
 		j := 0
-		for _, r := range out {
-			j += sort.Search(len(other)-j, func(k int) bool { return other[j+k] >= r })
+		for _, v := range out {
+			// Galloping search: the lists are sorted, so advance a monotone
+			// cursor into the larger one.
+			j += sort.Search(len(other)-j, func(k int) bool { return other[j+k] >= v })
 			if j == len(other) {
 				break
 			}
-			if other[j] == r {
-				kept = append(kept, r)
-				j++
-			}
-		}
-		out = kept
-	}
-	return out
-}
-
-// clipIDs restricts a sorted posting list to the half-open ID interval
-// [lo, hi) with two binary searches.
-func clipIDs(ids []PacketID, lo, hi PacketID) []PacketID {
-	a := sort.Search(len(ids), func(i int) bool { return ids[i] >= lo })
-	b := sort.Search(len(ids), func(i int) bool { return ids[i] >= hi })
-	return ids[a:b]
-}
-
-// intersectPostings intersects already-clipped sorted lists. lists must be
-// non-empty; the caller passes the shortest list first so the candidate
-// set only ever shrinks. The result is a fresh slice (never a view into
-// the live index).
-func intersectPostings(lists [][]PacketID) []PacketID {
-	out := append([]PacketID(nil), lists[0]...)
-	for _, other := range lists[1:] {
-		if len(out) == 0 {
-			return out
-		}
-		kept := out[:0]
-		j := 0
-		for _, id := range out {
-			// Galloping search: posting lists are sorted, so advance a
-			// monotone cursor into the larger list.
-			j += sort.Search(len(other)-j, func(k int) bool { return other[j+k] >= id })
-			if j == len(other) {
-				break
-			}
-			if other[j] == id {
-				kept = append(kept, id)
+			if other[j] == v {
+				kept = append(kept, v)
 				j++
 			}
 		}

@@ -176,49 +176,22 @@ func collectConjuncts(n *node, out *[]*node) {
 	*out = append(*out, n)
 }
 
-// shardCandidates runs the index path for one shard over slab positions
-// [lo, hi): it clips each posting list to the window's ID interval,
-// checks selectivity, and intersects. ok=false means this shard should
-// scan instead (no index advantage or plan not indexable).
-func (px *postings) shardCandidates(plan *queryPlan, slab []StoredPacket, lo, hi int) (cand []PacketID, ok bool) {
-	if !plan.indexable || hi-lo < indexMinWindow {
+// indexCandidates is the index path every run shares: clip each of the
+// plan's posting lists to [lo, hi), pick the shortest, and intersect
+// shortest-first. ok=false means the run should walk its window instead:
+// the plan has no index keys, or the shortest list is longer than maxLen —
+// how a run says that walking beats candidate lookups. An empty shortest
+// list is ok with no candidates: provably empty, exact, and maximally
+// selective. The result may be a view into the index lookup reads (see
+// intersect).
+func indexCandidates[T ~uint32 | ~uint64](plan *queryPlan, lookup func(ixRef) []T, lo, hi T, maxLen int) (cand []T, ok bool) {
+	if !plan.indexable {
 		return nil, false
 	}
-	loID, hiID := slab[lo].ID, slab[hi-1].ID+1
-	lists := make([][]PacketID, len(plan.keys))
+	lists := make([][]T, 0, 4) // constant capacity: the usual few keys stay on the stack
 	shortest := 0
 	for i, key := range plan.keys {
-		lists[i] = clipIDs(px.lookup(key), loID, hiID)
-		if len(lists[i]) < len(lists[shortest]) {
-			shortest = i
-		}
-	}
-	if len(lists[shortest]) == 0 {
-		return nil, true // provably empty: exact, and maximally selective
-	}
-	if len(lists[shortest])*selectivityFactor > hi-lo {
-		return nil, false // poor selectivity: scanning the window is cheaper
-	}
-	lists[0], lists[shortest] = lists[shortest], lists[0]
-	return intersectPostings(lists), true
-}
-
-// segCandidates runs the index path for one cold segment over row
-// positions [rlo, rhi): clip each row list to the window, intersect
-// shortest-first. Unlike shardCandidates there is no selectivity fallback
-// — for a compressed segment, "scan instead" would mean inflating the
-// whole data column, which the candidate walk avoids; the zone map has
-// already proven the segment can match, so the index path always wins.
-// ok=false only when the plan is not indexable. The result may be a view
-// into the segment's (immutable) posting slab: callers must not write it.
-func (ix *segPostings) segCandidates(plan *queryPlan, rlo, rhi uint32) (cand []uint32, ok bool) {
-	if !plan.indexable || rhi <= rlo {
-		return nil, plan.indexable
-	}
-	lists := make([][]uint32, len(plan.keys))
-	shortest := 0
-	for i, key := range plan.keys {
-		lists[i] = clipRows(ix.lookup(key), rlo, rhi)
+		lists = append(lists, clip(lookup(key), lo, hi))
 		if len(lists[i]) < len(lists[shortest]) {
 			shortest = i
 		}
@@ -226,6 +199,9 @@ func (ix *segPostings) segCandidates(plan *queryPlan, rlo, rhi uint32) (cand []u
 	if len(lists[shortest]) == 0 {
 		return nil, true
 	}
+	if len(lists[shortest]) > maxLen {
+		return nil, false
+	}
 	lists[0], lists[shortest] = lists[shortest], lists[0]
-	return intersectRows(lists), true
+	return intersect(lists), true
 }

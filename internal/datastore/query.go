@@ -1,7 +1,6 @@
 package datastore
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -17,9 +16,11 @@ var (
 	obsQueryPlannerIndex = obs.Default.Counter("campuslab_query_planner_total", "path", "index")
 	obsQueryPlannerScan  = obs.Default.Counter("campuslab_query_planner_total", "path", "scan")
 	obsQueryPlannerRef   = obs.Default.Counter("campuslab_query_planner_total", "path", "reference")
-	obsQueryIndexShards  = obs.Default.Counter("campuslab_query_index_shards_total")
-	obsQueryRowsScanned  = obs.Default.Counter("campuslab_query_rows_scanned_total")
-	obsQueryRowsMatched  = obs.Default.Counter("campuslab_query_rows_matched_total")
+	// Runs — hot shards and cold segments alike — that answered from their
+	// posting lists; the series keeps the name it had when only shards did.
+	obsQueryIndexRuns   = obs.Default.Counter("campuslab_query_index_shards_total")
+	obsQueryRowsScanned = obs.Default.Counter("campuslab_query_rows_scanned_total")
+	obsQueryRowsMatched = obs.Default.Counter("campuslab_query_rows_matched_total")
 	// What the cold tier paid to materialise rows: data blocks inflated
 	// (block-cache misses), their decompressed bytes, and rows re-parsed
 	// out of blocks, cached or not. An indexable Count over a window adds
@@ -31,10 +32,10 @@ var (
 		[]float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1})
 )
 
-// queryStats accumulates per-query execution counters across the shard
+// queryStats accumulates per-query execution counters across the run
 // goroutines, then flushes into the registry once.
 type queryStats struct {
-	indexShards    atomic.Uint64
+	indexRuns      atomic.Uint64
 	rowsScanned    atomic.Uint64
 	blocksInflated atomic.Uint64
 	bytesInflated  atomic.Uint64
@@ -47,7 +48,7 @@ func (qs *queryStats) flush(matched int, indexable bool) {
 	} else {
 		obsQueryPlannerScan.Inc()
 	}
-	obsQueryIndexShards.Add(qs.indexShards.Load())
+	obsQueryIndexRuns.Add(qs.indexRuns.Load())
 	obsQueryRowsScanned.Add(qs.rowsScanned.Load())
 	obsQueryRowsMatched.Add(uint64(matched))
 	qs.flushCold()
@@ -110,12 +111,6 @@ func mergeRuns(runs [][]StoredPacket) []StoredPacket {
 	return merged
 }
 
-// sliceWindow returns the slab position interval [lo, hi) holding exactly
-// the packets with TS inside w.
-func sliceWindow(slab []StoredPacket, w tsWin) (lo, hi int) {
-	return w.span(len(slab), func(i int) time.Duration { return slab[i].TS })
-}
-
 // scanRange visits packets with TS inside w in global (TS, ID) order,
 // stopping early if visit returns false. Shard read locks are held for the
 // duration. On a tiered store the cold segments in the window decode into
@@ -133,7 +128,7 @@ func (s *Store) scanRange(w tsWin, visit func(*StoredPacket) bool) {
 	defer unlock()
 	slabs := make([][]StoredPacket, len(s.shards), len(s.shards)+len(cold))
 	for i, sh := range s.shards {
-		lo, hi := sliceWindow(sh.packets, w)
+		lo, hi := sh.span(w)
 		slabs[i] = sh.packets[lo:hi]
 	}
 	slabs = append(slabs, cold...)
@@ -157,19 +152,10 @@ func (s *Store) Select(f *Filter, limit int) []StoredPacket {
 		return s.selectScan(f, limit)
 	}
 	var qs queryStats
-	var cold [][]StoredPacket
-	if tr := s.tier.Load(); tr != nil {
-		tr.mu.RLock()
-		defer tr.mu.RUnlock()
-		cold = s.coldSelect(tr, f, limit, &qs)
-	}
-	results := make([][]StoredPacket, len(s.shards), len(s.shards)+len(cold))
-	unlock := s.rlockAll()
-	parallel.For(len(s.shards), int(s.queryWorkers.Load()), func(si int) {
-		results[si] = s.shards[si].selectLocal(f, limit, &qs)
-	})
-	unlock()
-	results = append(results, cold...)
+	// A per-run limit prune is sound: the global merge can never need more
+	// than `limit` packets from any one run.
+	results, _ := s.execute(&qs, func(tr *tier) []*tierSegment { return tr.pruneSegs(f) },
+		func(r run, out *[]StoredPacket) (int, error) { return each(r, f, &qs, out, limit) })
 	out := mergeSelect(results, limit)
 	qs.flush(len(out), f.plan.indexable)
 	return out
@@ -192,46 +178,7 @@ func (s *Store) selectScan(f *Filter, limit int) []StoredPacket {
 	return out
 }
 
-// selectLocal evaluates the filter over one shard, returning matches in
-// slab (= (TS, ID)) order. A per-shard limit prune is sound: the global
-// merge can never need more than `limit` packets from any one shard.
-func (sh *shard) selectLocal(f *Filter, limit int, qs *queryStats) []StoredPacket {
-	slab := sh.packets
-	lo, hi := sliceWindow(slab, f.plan.win)
-	if lo >= hi {
-		return nil
-	}
-	var out []StoredPacket
-	if cand, ok := sh.index.shardCandidates(&f.plan, slab, lo, hi); ok {
-		qs.indexShards.Add(1)
-		qs.rowsScanned.Add(uint64(len(cand)))
-		pos := lo
-		for _, id := range cand {
-			pos += sort.Search(hi-pos, func(k int) bool { return slab[pos+k].ID >= id })
-			sp := &slab[pos]
-			pos++
-			if f.plan.residual == nil || f.plan.residual(sp) {
-				out = append(out, *sp)
-				if limit > 0 && len(out) >= limit {
-					break
-				}
-			}
-		}
-		return out
-	}
-	qs.rowsScanned.Add(uint64(hi - lo))
-	for i := lo; i < hi; i++ {
-		if f.Match(&slab[i]) {
-			out = append(out, slab[i])
-			if limit > 0 && len(out) >= limit {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// mergeSelect k-way merges per-shard result runs into global (TS, ID)
+// mergeSelect k-way merges per-run result runs into global (TS, ID)
 // order, honouring the limit. Returns nil (not an empty slice) when
 // nothing matched, matching the serial reference.
 func mergeSelect(results [][]StoredPacket, limit int) []StoredPacket {
@@ -256,10 +203,10 @@ func mergeSelect(results [][]StoredPacket, limit int) []StoredPacket {
 	return out
 }
 
-// Count returns the number of packets matching the filter. Order is
-// irrelevant for counting, so shards count independently (in parallel)
-// and the partial sums add up; with no residual predicate the count is
-// the posting-list intersection size and no packet is touched.
+// Count returns the number of packets matching the filter: Select without
+// materialisation. Order is irrelevant for counting, so the runs' partial
+// sums add up; with no residual predicate a run's count is its
+// posting-list intersection size and no packet is touched.
 func (s *Store) Count(f *Filter) int {
 	start := time.Now()
 	defer func() { obsQuerySeconds.Observe(time.Since(start).Seconds()) }()
@@ -268,21 +215,8 @@ func (s *Store) Count(f *Filter) int {
 		return s.countScan(f)
 	}
 	var qs queryStats
-	n := 0
-	if tr := s.tier.Load(); tr != nil {
-		tr.mu.RLock()
-		defer tr.mu.RUnlock()
-		n = s.coldCount(tr, f, &qs)
-	}
-	counts := make([]int, len(s.shards))
-	unlock := s.rlockAll()
-	parallel.For(len(s.shards), int(s.queryWorkers.Load()), func(si int) {
-		counts[si] = s.shards[si].countLocal(f, &qs)
-	})
-	unlock()
-	for _, c := range counts {
-		n += c
-	}
+	_, n := s.execute(&qs, func(tr *tier) []*tierSegment { return tr.pruneSegs(f) },
+		func(r run, _ *[]StoredPacket) (int, error) { return each(r, f, &qs, nil, 0) })
 	qs.flush(n, f.plan.indexable)
 	return n
 }
@@ -299,40 +233,6 @@ func (s *Store) countScan(f *Filter) int {
 		}
 		return true
 	})
-	return n
-}
-
-// countLocal counts one shard's matches. The window is exact, so with no
-// residual the count is the clipped posting-list intersection size.
-func (sh *shard) countLocal(f *Filter, qs *queryStats) int {
-	slab := sh.packets
-	lo, hi := sliceWindow(slab, f.plan.win)
-	if lo >= hi {
-		return 0
-	}
-	if cand, ok := sh.index.shardCandidates(&f.plan, slab, lo, hi); ok {
-		qs.indexShards.Add(1)
-		qs.rowsScanned.Add(uint64(len(cand)))
-		if f.plan.residual == nil {
-			return len(cand)
-		}
-		n, pos := 0, lo
-		for _, id := range cand {
-			pos += sort.Search(hi-pos, func(k int) bool { return slab[pos+k].ID >= id })
-			if f.plan.residual(&slab[pos]) {
-				n++
-			}
-			pos++
-		}
-		return n
-	}
-	qs.rowsScanned.Add(uint64(hi - lo))
-	n := 0
-	for i := lo; i < hi; i++ {
-		if f.Match(&slab[i]) {
-			n++
-		}
-	}
 	return n
 }
 

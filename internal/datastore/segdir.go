@@ -1,6 +1,8 @@
 package datastore
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"campuslab/internal/packet"
@@ -96,6 +98,7 @@ type segCursor struct {
 	block  int // index of the block in buf, -1 before the first
 	buf    []byte
 	parser *packet.FlowParser
+	sp     StoredPacket // the row at hands out
 
 	blocksInflated, bytesInflated, rowsDecoded uint64
 }
@@ -235,43 +238,29 @@ func (c *segCursor) rows(lo, hi int) ([]StoredPacket, error) {
 	return out, nil
 }
 
-// segEach walks, in row order, the rows of cur's segment that satisfy f —
-// the plan's candidates inside its window re-checked by the residual, or
-// every row of the window against the whole predicate when the plan has
-// no index keys — handing each to emit until it returns false. Rows are
-// materialised one at a time, so a limit stops the block decode with it;
-// with a nil emit and nothing to re-check, the match count is the
-// candidate count and no row is materialised at all. Returns the number
-// of matches visited.
-func segEach(cur *segCursor, f *Filter, qs *queryStats, emit func(*StoredPacket) bool) (int, error) {
-	dir := cur.dir
-	rlo, rhi := tsWindow(dir.tss, f.plan.win)
-	cand, indexed := dir.post.segCandidates(&f.plan, uint32(rlo), uint32(rhi))
-	n, pred := rhi-rlo, f.pred
-	if indexed {
-		n, pred = len(cand), f.plan.residual
-	}
-	qs.rowsScanned.Add(uint64(n))
-	if pred == nil && emit == nil {
-		return n, nil
-	}
-	matched := 0
-	var sp StoredPacket
-	for i := 0; i < n; i++ {
-		row := rlo + i
-		if indexed {
-			row = int(cand[i])
-		}
-		if err := cur.row(row, &sp); err != nil {
-			return matched, err
-		}
-		if pred != nil && !pred(&sp) {
-			continue
-		}
-		matched++
-		if emit != nil && !emit(&sp) {
-			break
-		}
-	}
-	return matched, nil
+// A cursor is the cold run: positions are row numbers.
+
+func (c *segCursor) span(w tsWin) (lo, hi int) {
+	return w.span(len(c.dir.tss), func(i int) time.Duration { return c.dir.tss[i] })
+}
+
+// candidates intersects the directory's row lists clipped to [lo, hi).
+// Unlike a shard, a segment never declines an indexable plan — "walk
+// instead" would mean inflating the whole data column, which the candidate
+// walk avoids, and the zone map has already proven the segment can match.
+// The result may be a view into the directory's immutable posting slab.
+func (c *segCursor) candidates(p *queryPlan, lo, hi int) ([]uint32, bool) {
+	return indexCandidates(p, c.dir.post.lookup, uint32(lo), uint32(hi), math.MaxInt)
+}
+
+// at materialises row pos into the cursor's one scratch packet.
+func (c *segCursor) at(pos int) (*StoredPacket, error) {
+	return &c.sp, c.row(pos, &c.sp)
+}
+
+// find is linear: rows are (TS, ID)-sorted, and concurrent serial ingest
+// can hand a later packet a smaller ID, so IDs need not ascend.
+func (c *segCursor) find(id PacketID) (int, bool) {
+	pos := slices.Index(c.dir.ids, id)
+	return pos, pos >= 0
 }

@@ -460,7 +460,7 @@ func TestColdSelectLimitStopsDecoding(t *testing.T) {
 	const k = 5
 	// No residual: the first k candidates are the result.
 	f := MustFilter("proto == udp")
-	cand, _ := dir.post.segCandidates(&f.plan, 0, uint32(len(dir.ids)))
+	cand, _ := (&segCursor{dir: dir}).candidates(&f.plan, 0, len(dir.ids))
 	if len(cand) < 4*k {
 		t.Fatalf("only %d candidates", len(cand))
 	}
@@ -485,7 +485,7 @@ func TestColdSelectLimitStopsDecoding(t *testing.T) {
 	if len(all) < 4*k {
 		t.Fatalf("only %d matches", len(all))
 	}
-	cand, _ = dir.post.segCandidates(&f.plan, 0, uint32(len(dir.ids)))
+	cand, _ = (&segCursor{dir: dir}).candidates(&f.plan, 0, len(dir.ids))
 	walked, blocks := 0, map[int]bool{}
 	for _, r := range cand {
 		walked++

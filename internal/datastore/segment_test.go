@@ -191,7 +191,7 @@ func TestSegmentSelectiveDecodeSkipsData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, ok := ix.segCandidates(&f.plan, 0, uint32(len(rows)))
+	cand, ok := (&segCursor{dir: &segDir{post: ix}}).candidates(&f.plan, 0, len(rows))
 	if !ok {
 		t.Fatal("plan should be indexable")
 	}

@@ -433,20 +433,14 @@ func (s *Store) applyItem(it *ingestItem, ts time.Duration) PacketID {
 	return it.id
 }
 
-// Ingest parses and stores one frame captured at ts on the given link.
-// Unparseable frames are stored with an empty summary so the "everything
-// seen on the wire" contract holds. A nil error is the acknowledgment:
-// on a durable store the frame is WAL-logged first and a log failure
-// refuses the frame; on a gated store at capacity the frame is refused
-// with ErrOverloaded (a shed low-priority frame returns nil — dropped by
-// design, like the batched path).
-func (s *Store) Ingest(ts time.Duration, link uint16, data []byte) (PacketID, error) {
-	return s.ingest(ts, link, data, traffic.LabelBenign, false)
-}
-
-// IngestFrame stores a generator frame, registering its ground-truth label
-// at both packet and flow granularity. Acknowledgment semantics are those
-// of Ingest.
+// IngestFrame parses and stores one generator frame, registering its
+// ground-truth label at both packet and flow granularity. Unparseable
+// frames are stored with an empty summary so the "everything seen on the
+// wire" contract holds. A nil error is the acknowledgment: on a durable
+// store the frame is WAL-logged first and a log failure refuses the frame;
+// on a gated store at capacity the frame is refused with ErrOverloaded (a
+// shed low-priority frame returns nil — dropped by design, like the
+// batched path).
 func (s *Store) IngestFrame(f *traffic.Frame) (PacketID, error) {
 	return s.ingest(f.TS, 0, f.Data, f.Label, f.Actor)
 }
@@ -608,30 +602,37 @@ func (s *Store) AddRecords(recs []capture.Record, workers int) (PacketID, error)
 	return r.First, err
 }
 
-// byID finds the shard-local packet with the given ID. Caller holds at
-// least the shard read lock.
-func (sh *shard) byID(id PacketID) *StoredPacket {
-	i := sort.Search(len(sh.packets), func(i int) bool { return sh.packets[i].ID >= id })
-	if i < len(sh.packets) && sh.packets[i].ID == id {
-		return &sh.packets[i]
-	}
-	return nil
-}
-
-// Packet returns a copy of the stored packet with the given ID, falling
-// back to the cold tier for sealed history.
+// Packet returns a copy of the stored packet with the given ID, hot or
+// sealed. Segment ID ranges can overlap across seal generations (chunking
+// follows (TS, ID) order, not ID order), so every range-covering segment is
+// checked; one that fails to decode is noted and reported as a miss.
 func (s *Store) Packet(id PacketID) (StoredPacket, bool) {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		if sp := sh.byID(id); sp != nil {
-			out := *sp
-			sh.mu.RUnlock()
-			return out, true
+	var qs queryStats
+	defer qs.flushCold()
+	found, _ := s.execute(&qs, func(tr *tier) []*tierSegment {
+		var segs []*tierSegment
+		for _, sg := range tr.segs {
+			if id >= sg.meta.minID && id <= sg.meta.maxID {
+				segs = append(segs, sg)
+			}
 		}
-		sh.mu.RUnlock()
-	}
-	if tr := s.tier.Load(); tr != nil {
-		return s.coldPacket(tr, id)
+		return segs
+	}, func(r run, out *[]StoredPacket) (int, error) {
+		pos, ok := r.find(id)
+		if !ok {
+			return 0, nil
+		}
+		sp, err := r.at(pos)
+		if err != nil {
+			return 0, err
+		}
+		*out = append(*out, *sp)
+		return 1, nil
+	})
+	for _, f := range found {
+		if len(f) > 0 {
+			return f[0], true
+		}
 	}
 	return StoredPacket{}, false
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -982,11 +981,6 @@ func (tr *tier) segsInWindow(w tsWin) []*tierSegment {
 	return out
 }
 
-// tsWindow returns the row interval [rlo, rhi) of tss inside w.
-func tsWindow(tss []time.Duration, w tsWin) (int, int) {
-	return w.span(len(tss), func(i int) time.Duration { return tss[i] })
-}
-
 // forSegs evaluates fn over segs across the query workers, each segment
 // through its own cursor. A segment that fails to open or evaluate is
 // noted (sticky on TierStats) and left out of the answer: queries degrade
@@ -1014,7 +1008,7 @@ func (s *Store) coldWindowRuns(tr *tier, w tsWin) [][]StoredPacket {
 	runs := make([][]StoredPacket, len(segs))
 	var qs queryStats
 	s.forSegs(tr, segs, &qs, func(i int, cur *segCursor) (err error) {
-		runs[i], err = cur.rows(tsWindow(cur.dir.tss, w))
+		runs[i], err = cur.rows(cur.span(w))
 		return err
 	})
 	qs.flushCold()
@@ -1028,40 +1022,6 @@ func (s *Store) coldWindowRuns(tr *tier, w tsWin) [][]StoredPacket {
 	}
 	tr.scanned.Add(uint64(len(segs)))
 	obsTierScanned.Add(uint64(len(segs)))
-	return out
-}
-
-// coldSelect evaluates a filter over the cold tier, returning matching
-// rows as per-segment (TS, ID)-sorted runs for the global merge. Segments
-// are pruned by TS bounds and zone maps before anything is read;
-// surviving segments evaluate in parallel, index-first (candidate rows are
-// intersected from the segment directory's posting lists, and only
-// candidates are materialized, up to the limit). Caller holds tr.mu.RLock.
-func (s *Store) coldSelect(tr *tier, f *Filter, limit int, qs *queryStats) [][]StoredPacket {
-	segs := tr.pruneSegs(f)
-	if len(segs) == 0 {
-		return nil
-	}
-	runs := make([][]StoredPacket, len(segs))
-	s.forSegs(tr, segs, qs, func(i int, cur *segCursor) error {
-		// A per-segment limit prune is sound: the global merge can never
-		// need more than `limit` rows from any one run.
-		var run []StoredPacket
-		_, err := segEach(cur, f, qs, func(sp *StoredPacket) bool {
-			run = append(run, *sp)
-			return limit <= 0 || len(run) < limit
-		})
-		if err == nil {
-			runs[i] = run
-		}
-		return err
-	})
-	out := runs[:0]
-	for _, r := range runs {
-		if len(r) > 0 {
-			out = append(out, r)
-		}
-	}
 	return out
 }
 
@@ -1084,67 +1044,4 @@ func (tr *tier) pruneSegs(f *Filter) []*tierSegment {
 	obsTierScanned.Add(uint64(len(keep)))
 	obsTierPruned.Add(uint64(considered - len(keep)))
 	return keep
-}
-
-// coldCount counts filter matches in the cold tier. With an indexable
-// plan and no residual — the window is exact, so ts conjuncts leave none
-// — the count is the size of the candidate row lists and touches no data
-// block, cached or on disk. Caller holds tr.mu.RLock.
-func (s *Store) coldCount(tr *tier, f *Filter, qs *queryStats) int {
-	segs := tr.pruneSegs(f)
-	if len(segs) == 0 {
-		return 0
-	}
-	counts := make([]int, len(segs))
-	s.forSegs(tr, segs, qs, func(i int, cur *segCursor) error {
-		n, err := segEach(cur, f, qs, nil)
-		if err == nil {
-			counts[i] = n
-		}
-		return err
-	})
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	return n
-}
-
-// coldPacket finds one packet by ID in the cold tier. Segment ID ranges
-// can overlap across seal generations (chunking follows (TS, ID) order,
-// not ID order), so every range-covering segment is checked.
-func (s *Store) coldPacket(tr *tier, id PacketID) (StoredPacket, bool) {
-	tr.mu.RLock()
-	defer tr.mu.RUnlock()
-	for _, sg := range tr.segs {
-		if id < sg.meta.minID || id > sg.meta.maxID {
-			continue
-		}
-		if sp, ok := tr.segPacket(sg, id); ok {
-			return sp, true
-		}
-	}
-	return StoredPacket{}, false
-}
-
-// segPacket looks one ID up in one segment; decode errors are noted and
-// reported as a miss so the scan can try overlapping segments.
-func (tr *tier) segPacket(sg *tierSegment, id PacketID) (sp StoredPacket, ok bool) {
-	var qs queryStats
-	defer qs.flushCold()
-	cur, err := tr.openSeg(sg, true, &qs)
-	if err != nil {
-		tr.noteErr(err)
-		return sp, false
-	}
-	defer cur.close()
-	row := slices.Index(cur.dir.ids, id)
-	if row < 0 {
-		return sp, false
-	}
-	if err := cur.row(row, &sp); err != nil {
-		tr.noteErr(err)
-		return StoredPacket{}, false
-	}
-	return sp, true
 }

@@ -91,6 +91,9 @@ awk -v c="$COVER" -v f="$COVER_FLOOR" 'BEGIN { exit (c+0 >= f+0) ? 0 : 1 }' || {
 echo "==> benchmark module (bench/ is its own module; the root go test does not descend into it)"
 (cd bench && go test ./...)
 
+echo "==> answer hash gate (every workload, seed 1, one second: failed == 0, correct, output_hash == the newest ledger's)"
+bash tools/hashgate.sh
+
 echo "==> go test -race (control, datastore, faults)"
 go test -race ./internal/control ./internal/datastore ./internal/faults
 
