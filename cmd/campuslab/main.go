@@ -148,19 +148,23 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	st := datastore.New()
+	// Records come off the wire unlabeled; their capture links ride beside
+	// the frames so the link index stays exact.
 	var rec capture.Record
-	batch := make([]capture.Record, 0, 4096)
+	frames := make([]traffic.Frame, 0, 4096)
+	links := make([]uint16, 0, 4096)
 	flush := func() error {
-		_, err := st.AddRecords(batch, 0)
-		batch = batch[:0]
+		_, err := st.AddBatchLinks(frames, links, 0)
+		frames, links = frames[:0], links[:0]
 		return err
 	}
 	for {
 		if err := r.Next(&rec); err != nil {
 			break
 		}
-		batch = append(batch, rec)
-		if len(batch) == cap(batch) {
+		frames = append(frames, traffic.Frame{TS: rec.TS, Data: rec.Data})
+		links = append(links, rec.Link)
+		if len(frames) == cap(frames) {
 			if err := flush(); err != nil {
 				return err
 			}

@@ -83,9 +83,10 @@ func (s *server) health() healthz {
 		h.WAL.Error = ws.Err.Error()
 		h.Status = "critical"
 	}
-	// Cold-tier health: a sticky segment error means some history is
-	// unreadable — queries still serve everything else, so this degrades
-	// rather than criticals.
+	// Cold-tier health: a sticky error means some history is unreadable or
+	// the disk refused a seal — queries still serve everything else and
+	// the unsealed rows stay hot and logged, so this degrades rather than
+	// criticals.
 	ts := s.lab.Store().TierStats()
 	h.Tier.Enabled = ts.Enabled
 	h.Tier.Segments = ts.Segments

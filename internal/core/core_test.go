@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -262,6 +263,76 @@ func TestLabSnapshotRoundTrip(t *testing.T) {
 	if _, err := fresh.Develop(DevelopConfig{Target: traffic.LabelDNSAmp, Seed: 332}); err != nil {
 		t.Fatalf("develop on restored lab: %v", err)
 	}
+}
+
+// TestSaveSnapshotLeavesWALIntact: SaveSnapshot is an export, not a
+// checkpoint. On a durable store it must not truncate the write-ahead log
+// — a snapshot at a side path covers nothing Recover will ever read, so a
+// log cut short by it is acked data gone at the next restart.
+func TestSaveSnapshotLeavesWALIntact(t *testing.T) {
+	cfg := datastore.DurableConfig{Dir: t.TempDir(), Fsync: datastore.FsyncAlways}
+	st, _, err := datastore.Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := NewLab(Config{Name: "durable-sim", Plan: traffic.DefaultPlan(40), Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acked uint64
+	for _, seeds := range [][2]int64{{340, 341}, {342, 343}} {
+		cs, err := lab.Collect(scenario(lab, seeds[0], seeds[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked += cs.Stored
+	}
+	logged := st.WALStats().Records
+	if logged < 2 {
+		t.Fatalf("two collections logged %d WAL records", logged)
+	}
+	side := filepath.Join(t.TempDir(), "export.clds")
+	if err := lab.SaveSnapshot(side); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.WALStats().Records; got != logged {
+		t.Fatalf("SaveSnapshot changed the WAL backlog: %d records, had %d", got, logged)
+	}
+	want := saveBytes(t, st)
+
+	// Drop the store without a checkpoint: the restart the log exists for.
+	if err := st.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	rec, rs, err := datastore.Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.CloseWAL()
+	if rs.SnapshotPackets != 0 || rs.WALPackets != acked || rs.WALRecords != logged {
+		t.Fatalf("recovered %+v, want all %d acked packets in %d records replayed from the log", rs, acked, logged)
+	}
+	if !bytes.Equal(saveBytes(t, rec), want) {
+		t.Fatal("the recovered store differs from the one that was dropped")
+	}
+	exported, err := datastore.LoadFile(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveBytes(t, exported), want) {
+		t.Fatal("the exported snapshot does not load to the store it was taken from")
+	}
+}
+
+// saveBytes is the store's snapshot encoding: the same bytes at any shard
+// count, so equal bytes are equal stores.
+func saveBytes(t *testing.T, st *datastore.Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestLabRestoreRejectsCorruptSnapshot(t *testing.T) {

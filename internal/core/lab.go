@@ -92,11 +92,11 @@ func (l *Lab) Store() *datastore.Store { return l.store }
 
 // SaveSnapshot writes the lab's collected data to path crash-safely:
 // checksummed, fsynced, and atomically renamed into place, so a crash
-// mid-save never clobbers the previous snapshot. When the store has a WAL
-// attached, the log the snapshot now covers is truncated in the same
-// critical section (see Store.Checkpoint).
+// mid-save never clobbers the previous snapshot. It is a pure export: a
+// durable store's write-ahead log is left alone (the checkpoint that
+// truncates it is Store.CheckpointDir).
 func (l *Lab) SaveSnapshot(path string) error {
-	return l.store.Checkpoint(path)
+	return l.store.SaveFile(path)
 }
 
 // RestoreSnapshot replaces the lab's store with the snapshot at path.

@@ -70,9 +70,8 @@ var (
 
 // SetAdmission installs (or, with the zero config, removes) the ingest
 // gate. Every acknowledged path enforces it: the batched front doors
-// (AddBatch/AddRecords and friends) directly, and the serial
-// Ingest/IngestFrame path by routing through the same gate once a config
-// is armed.
+// (AddBatch and friends) directly, and the serial IngestFrame path by
+// routing through the same gate once a config is armed.
 func (s *Store) SetAdmission(cfg AdmissionConfig) {
 	if cfg.ShedAt <= 0 || cfg.ShedAt >= 1 {
 		cfg.ShedAt = 0.85

@@ -95,8 +95,7 @@ type DurableConfig struct {
 	Dir string
 	// Fsync is the WAL durability policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// SyncEvery / SegmentBytes: see WALConfig.
-	SyncEvery    int
+	// SegmentBytes: see WALConfig.
 	SegmentBytes int64
 	// Shards fixes the recovered store's shard count (0 = auto).
 	Shards int
@@ -121,10 +120,10 @@ type RecoveryStats struct {
 }
 
 // Recover opens (or initializes) the durable directory: stale snapshot
-// temp files are swept, the newest snapshot is loaded, the WAL is replayed
-// on top — stopping cleanly at a torn tail — and a fresh log segment is
-// attached for new writes. The returned store acknowledges every
-// subsequent batch through the WAL.
+// temp files are swept, the newest snapshot is loaded at cfg.Shards, the
+// WAL is replayed on top — both through addBatch, stopping cleanly at a
+// torn tail — and a fresh log segment is attached for new writes. The
+// returned store acknowledges every subsequent batch through the WAL.
 func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
 	var rs RecoveryStats
 	if cfg.Dir == "" {
@@ -141,15 +140,12 @@ func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
 	}
 	var st *Store
 	if haveSnap {
-		st, err = LoadFile(snapPath)
+		st, err = loadFile(snapPath, cfg.Shards, cfg.Workers)
 		if err != nil {
 			// SaveFile publishes snapshots atomically, so a corrupt
 			// snapshot is real damage, not a crash artifact: refuse to
 			// guess rather than silently drop checkpointed data.
 			return nil, rs, fmt.Errorf("datastore: recover snapshot: %w", err)
-		}
-		if cfg.Shards > 0 && st.NumShards() != ceilPow2(cfg.Shards) {
-			st = reshard(st, cfg.Shards)
 		}
 		rs.SnapshotPackets = st.Stats().Packets
 	} else {
@@ -183,8 +179,7 @@ func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
 	}
 
 	w, err := OpenWAL(WALConfig{
-		Dir: cfg.Dir, Fsync: cfg.Fsync,
-		SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes,
+		Dir: cfg.Dir, Fsync: cfg.Fsync, SegmentBytes: cfg.SegmentBytes,
 		StartSeq: covered + 1,
 	})
 	if err != nil {
@@ -207,56 +202,6 @@ func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
 		}
 	}
 	return st, rs, nil
-}
-
-// reshard rebuilds a loaded store under a different shard count by
-// streaming its packets (global order) through a fresh store's ingest.
-// The ID sequence is seeded at the source's smallest live ID: when the
-// live IDs are contiguous (always true for tiered stores, whose eviction
-// is seal-based) every packet keeps its original ID, which cold segments
-// reference and recovery must therefore not renumber.
-func reshard(st *Store, shards int) *Store {
-	out := NewSharded(shards)
-	base := st.nextID.Load()
-	for _, sh := range st.shards {
-		if len(sh.packets) > 0 && uint64(sh.packets[0].ID) < base {
-			base = uint64(sh.packets[0].ID)
-		}
-	}
-	out.nextID.Store(base)
-	st.Scan(func(sp *StoredPacket) bool {
-		out.ingest(sp.TS, sp.Link, sp.Data, sp.Label, sp.Actor)
-		return true
-	})
-	if out.nextID.Load() == st.nextID.Load() {
-		// IDs were preserved exactly, so the source's flow aggregates (which
-		// may span cold segments a v3 snapshot overlaid) remain valid —
-		// carry them over instead of keeping the hot-only rebuild.
-		for _, src := range st.shards {
-			for key, fm := range src.flows {
-				sh := out.shards[key.Hash()&out.mask]
-				if old, ok := sh.flows[key]; ok {
-					if d := len(fm.pktIDs) - len(old.pktIDs); d > 0 {
-						sh.indexBytes += 8 * uint64(d)
-					}
-				} else {
-					sh.indexBytes += 96 + 8*uint64(len(fm.pktIDs))
-				}
-				sh.flows[key] = fm
-			}
-		}
-	}
-	if lt := st.lastTS.Load(); lt > out.lastTS.Load() {
-		out.lastTS.Store(lt)
-	}
-	s := out
-	s.eventsMu.Lock()
-	st.eventsMu.RLock()
-	s.events = append(s.events, st.events...)
-	s.eventIndexBytes = st.eventIndexBytes
-	st.eventsMu.RUnlock()
-	s.eventsMu.Unlock()
-	return out
 }
 
 // AttachWAL routes every subsequent acked batch through w: the record is
@@ -312,53 +257,35 @@ func (s *Store) FlushWAL() error {
 	return w.Flush()
 }
 
-// Checkpoint writes a crash-safe snapshot to path and, when a WAL is
-// attached, truncates the log it now covers. Ingest is excluded for the
-// duration (the ingest mutex), so no batch can land in the truncated log
-// without being in the snapshot — the invariant recovery depends on.
-// Without a WAL this is exactly SaveFile.
-//
-// For a durable directory Recover reads, use CheckpointDir instead: it
-// stamps the snapshot with the covered WAL sequence, so a crash between
-// the snapshot rename and the end of truncation cannot make recovery
-// replay covered segments on top of the snapshot that contains them.
-func (s *Store) Checkpoint(path string) error {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	return s.checkpointLocked(path)
-}
-
-// checkpointLocked is Checkpoint under an already-held ingest mutex.
-func (s *Store) checkpointLocked(path string) error {
-	if err := s.SaveFile(path); err != nil {
-		return err
-	}
-	if w := s.wal.Load(); w != nil {
-		return w.Truncate()
-	}
-	return nil
-}
-
-// CheckpointDir checkpoints into the durable directory layout Recover
-// reads: the snapshot lands under a name embedding the WAL segment
-// sequence it covers (snapName), published together with that watermark
-// by SaveFile's one atomic rename, then the covered log is truncated and
-// older snapshot files are swept. A crash at any point leaves either the
-// previous snapshot plus the full log, or the new snapshot plus only
-// newer segments — never a state where recovery replays a record the
-// loaded snapshot already contains.
+// CheckpointDir is the one checkpoint: it writes into the durable
+// directory layout Recover reads. The snapshot lands under a name
+// embedding the WAL segment sequence it covers (snapName), published
+// together with that watermark by SaveFile's one atomic rename, then the
+// covered log is truncated and older snapshot files are swept. Ingest is
+// excluded for the duration (the ingest mutex), so no batch can land in
+// the truncated log without being in the snapshot. A crash at any point
+// leaves either the previous snapshot plus the full log, or the new
+// snapshot plus only newer segments — never a state where recovery
+// replays a record the loaded snapshot already contains. SaveFile alone is
+// a pure export and never touches the log.
 func (s *Store) CheckpointDir(dir string) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
+	w := s.wal.Load()
 	var covered uint64
-	if w := s.wal.Load(); w != nil {
+	if w != nil {
 		// Every record appended so far lives in a segment <= the live
 		// sequence, and the ingest mutex keeps it that way until the
 		// snapshot and truncation are done.
 		covered = w.seq
 	}
-	if err := s.checkpointLocked(filepath.Join(dir, snapName(covered))); err != nil {
+	if err := s.SaveFile(filepath.Join(dir, snapName(covered))); err != nil {
 		return err
+	}
+	if w != nil {
+		if err := w.Truncate(); err != nil {
+			return err
+		}
 	}
 	sweepSnapshots(dir, covered)
 	return nil

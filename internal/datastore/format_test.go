@@ -39,7 +39,7 @@ func TestFormatWALSegmentPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, clean, err := ReplayWAL(src, func(frames []traffic.Frame, links []uint16) {
+	records, clean, err := ReplayWALFrom(src, 0, func(frames []traffic.Frame, links []uint16) {
 		if err := w.Append(frames, links); err != nil {
 			t.Fatal(err)
 		}

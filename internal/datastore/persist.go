@@ -62,10 +62,17 @@ var ErrBadSnapshot = errors.New("datastore: bad snapshot")
 // against either sentinel.
 var ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 
-// SetFaultInjector points SaveFile's write/sync/rename steps at a fault
-// injector (nil restores always-healthy) so crash-safety tests can kill a
-// snapshot save midway.
-func (s *Store) SetFaultInjector(inj faults.Injector) { s.persistFaults = inj }
+// SetFaultInjector points the write/sync/rename steps of every file the
+// store publishes — snapshots, cold segments and the tier manifest — at a
+// fault injector (nil restores always-healthy), so crash-safety tests can
+// kill a save, a seal or a compaction midway. Set it while the store is
+// quiescent.
+func (s *Store) SetFaultInjector(inj faults.Injector) {
+	s.persistFaults = inj
+	if tr := s.tier.Load(); tr != nil {
+		tr.faults = inj
+	}
+}
 
 // crcWriter accumulates a CRC32 over everything written through it.
 type crcWriter struct {
@@ -386,7 +393,14 @@ func checkCRC(r io.Reader, cr *crcReader, section string) error {
 // all indexes and flow metadata are rebuilt. Truncated or corrupt
 // snapshots return an error wrapping ErrBadSnapshot (ErrChecksum for
 // checksum mismatches) — never a silently wrong store.
-func Load(r io.Reader) (*Store, error) {
+func Load(r io.Reader) (*Store, error) { return load(r, 0, 0) }
+
+// load is Load into a store of the given shard count (0 = DefaultShards),
+// applying packets through addBatch — the function WAL replay applies
+// through — one arena chunk of records at a time with the given parse
+// fan-out (0 = GOMAXPROCS). A snapshot holds the same bytes at any shard
+// count and loads to the same answers at any (shards, workers).
+func load(r io.Reader, shards, workers int) (*Store, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head := make([]byte, 4+2)
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -421,7 +435,7 @@ func Load(r io.Reader) (*Store, error) {
 		return nil, err
 	}
 
-	st := New()
+	st := NewSharded(shards)
 	if tiered {
 		// Seed the ID sequence so re-ingest reassigns the ORIGINAL hot IDs:
 		// cold segments reference packets by ID, so recovery must not
@@ -430,6 +444,15 @@ func Load(r io.Reader) (*Store, error) {
 	}
 	var scratch [frame.RecordHeaderSize]byte
 	var arena []byte
+	// The stored link ids ride beside the frames so flow metadata and the
+	// secondary indexes (the link posting lists included) rebuild exactly
+	// as they were at save time.
+	var frames []traffic.Frame
+	var links []uint16
+	flush := func() {
+		st.addBatch(frames, links, workers)
+		frames, links = frames[:0], links[:0]
+	}
 	for i := uint64(0); i < nPkts; i++ {
 		if _, err := io.ReadFull(cr, scratch[:]); err != nil {
 			return nil, fmt.Errorf("%w: packet %d header: %v", ErrBadSnapshot, i, err)
@@ -440,8 +463,10 @@ func Load(r io.Reader) (*Store, error) {
 		}
 		// Packet bytes are cut from shared chunks with their capacity
 		// fenced off, like a decoded batch's arena (frame.DecodeRecords);
-		// a chunk is sized by a constant or one checked record length.
+		// a chunk is sized by a constant or one checked record length. A
+		// full chunk's records are applied as one batch.
 		if arena == nil || h.DataLen > cap(arena)-len(arena) {
+			flush()
 			arena = make([]byte, 0, max(loadChunk, h.DataLen))
 		}
 		at := len(arena)
@@ -450,14 +475,13 @@ func Load(r io.Reader) (*Store, error) {
 		if _, err := io.ReadFull(cr, data); err != nil {
 			return nil, fmt.Errorf("%w: packet %d body: %v", ErrBadSnapshot, i, err)
 		}
-		// Ingest with the stored link id directly so flow metadata and the
-		// secondary indexes (including the link posting lists) rebuild
-		// exactly as they were at save time.
-		st.ingest(h.TS, h.Link, data, h.Label, h.Actor)
+		frames = append(frames, traffic.Frame{TS: h.TS, Data: data, Label: h.Label, Actor: h.Actor})
+		links = append(links, h.Link)
 	}
 	if err := checkCRC(br, cr, "packets"); err != nil {
 		return nil, err
 	}
+	flush()
 	evs := make([]eventlog.Event, 0, min(nEvts, 1<<16))
 	for i := uint64(0); i < nEvts; i++ {
 		if _, err := io.ReadFull(cr, scratch[:12]); err != nil {
@@ -538,11 +562,14 @@ func (s *Store) SaveFile(path string) error {
 }
 
 // LoadFile reads a snapshot file written by SaveFile.
-func LoadFile(path string) (*Store, error) {
+func LoadFile(path string) (*Store, error) { return loadFile(path, 0, 0) }
+
+// loadFile is load over the file at path.
+func loadFile(path string, shards, workers int) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("datastore: snapshot open: %w", err)
 	}
 	defer f.Close()
-	return Load(f)
+	return load(f, shards, workers)
 }

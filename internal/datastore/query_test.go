@@ -181,7 +181,11 @@ func TestAddRecordsIndexesLinks(t *testing.T) {
 		recs[i] = capture.Record{TS: frames[i].TS, Link: uint16(1 + i%3), Data: frames[i].Data}
 	}
 	st := NewSharded(4)
-	st.AddRecords(recs, 2)
+	batch, links := make([]traffic.Frame, len(recs)), make([]uint16, len(recs))
+	for i := range recs {
+		batch[i], links[i] = traffic.Frame{TS: recs[i].TS, Data: recs[i].Data}, recs[i].Link
+	}
+	st.AddBatchLinks(batch, links, 2)
 	n := 0
 	for _, expr := range []string{"link == 1", "link == 2", "link == 3"} {
 		got := selectBoth(t, st, expr, 0)

@@ -111,7 +111,7 @@ type segCursor struct {
 // holds tr.mu.RLock (registry membership) or sealMu (mutators).
 func (tr *tier) openSeg(sg *tierSegment, useCache bool, qs *queryStats) (*segCursor, error) {
 	c := &segCursor{tr: tr, sg: sg, qs: qs, block: -1}
-	if useCache && tr.cache != nil && sg.seq != segSeqInvalid {
+	if useCache && tr.cache != nil {
 		c.cache, c.seq = tr.cache, sg.seq
 		if dir, ok := tr.cache.getDir(sg.seq); ok {
 			c.dir = dir

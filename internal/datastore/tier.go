@@ -37,6 +37,11 @@ import (
 //	   under tier.mu plus every shard lock
 //	4. unlink replaced files (best effort; orphans are swept at attach)
 //
+// Each mutator decides the next segment set and does step 1; steps 2–4
+// are commitTier, the one place the registry changes after attach. A
+// failed publish in step 1 or 2 changes nothing in RAM and is recorded on
+// TierStats.Err (noteWriteErr).
+//
 // The manifest rename is the commit point. Killed before it, new files
 // are unreferenced orphans and the packets are still covered by the hot
 // tier's snapshot/WAL; killed after it, recovery rebuilds the hot store,
@@ -55,18 +60,12 @@ type TierPolicy struct {
 	// Dir is the segment directory (required; empty disables tiering).
 	Dir string
 	// HotPackets caps the hot tier's packet count; crossing it triggers a
-	// seal that trims the hot tier down towards KeepFrac of the cap.
-	// 0 = no packet trigger.
+	// seal that trims the hot tier down towards half the cap — sealing in
+	// halves amortizes the per-seal cost instead of sealing a sliver per
+	// batch. Half is a floor: the seal takes whole segments, so the hot
+	// tier lands in [keep, keep+SegmentPackets), and at keep exactly only
+	// when less than one segment's worth was eligible. 0 = no trigger.
 	HotPackets uint64
-	// HotBytes caps the hot tier's raw packet bytes (0 = no byte trigger).
-	HotBytes uint64
-	// KeepFrac is the fraction of the cap a triggered seal trims the hot
-	// tier towards (default 0.5) — sealing in halves amortizes the
-	// per-seal cost instead of sealing a sliver per batch. It is a floor:
-	// the seal takes whole segments, so the hot tier lands in
-	// [keep, keep+SegmentPackets), and at keep exactly only when less than
-	// one segment's worth was eligible.
-	KeepFrac float64
 	// MinSealPackets is the smallest prefix worth sealing (default 256);
 	// below it the trigger is ignored to avoid confetti segments.
 	MinSealPackets uint64
@@ -86,9 +85,6 @@ type TierPolicy struct {
 }
 
 func (p *TierPolicy) applyDefaults() {
-	if p.KeepFrac <= 0 || p.KeepFrac >= 1 {
-		p.KeepFrac = 0.5
-	}
 	if p.MinSealPackets == 0 {
 		p.MinSealPackets = 256
 	}
@@ -120,7 +116,7 @@ type TierStats struct {
 	DirMisses       uint64 // directories a query had to build
 	DirBytes        int64  // directories resident, charged to the same budget
 	DirEntries      int
-	Err             error // sticky: last segment decode/IO failure
+	Err             error // sticky: last segment decode/IO or tier write failure
 }
 
 // Tier-lifecycle metrics for /metrics.
@@ -132,6 +128,7 @@ var (
 	obsTierScanned     = obs.Default.Counter("campuslab_tier_segments_scanned_total")
 	obsTierPruned      = obs.Default.Counter("campuslab_tier_segments_pruned_total")
 	obsTierCorrupt     = obs.Default.Counter("campuslab_tier_corrupt_segments_total")
+	obsTierWriteFails  = obs.Default.Counter("campuslab_tier_write_failures_total")
 	obsTierSegments    = obs.Default.Gauge("campuslab_tier_segments")
 	obsTierColdPackets = obs.Default.Gauge("campuslab_tier_cold_packets")
 	obsTierColdBytes   = obs.Default.Gauge("campuslab_tier_cold_bytes")
@@ -154,10 +151,6 @@ func tierHook(stage string) {
 	}
 }
 
-// segSeqInvalid marks a segment whose file name did not parse to a seq;
-// such segments are never cached (the seq is the cache key).
-const segSeqInvalid = ^uint64(0)
-
 // tierSegment is one registered cold segment: its file name, the seq the
 // name encodes (the cache key space), resident metadata and on-disk size.
 type tierSegment struct {
@@ -173,6 +166,8 @@ type tier struct {
 	policy TierPolicy
 	// cache is the block-and-directory LRU (nil when CacheBytes == 0).
 	cache *tierCache
+	// faults mirrors the store's injector (SetFaultInjector; nil = healthy).
+	faults faults.Injector
 
 	// sealMu serializes every cold-tier mutation (seal/compact/retain).
 	sealMu sync.Mutex
@@ -218,10 +213,14 @@ func (tr *tier) noteErr(err error) {
 	tr.errMu.Unlock()
 }
 
-func (tr *tier) publishLocked() {
-	obsTierSegments.Set(float64(len(tr.segs)))
-	obsTierColdPackets.Set(float64(tr.coldPackets))
-	obsTierColdBytes.Set(float64(tr.coldBytes))
+// noteWriteErr records a failed segment or manifest publish: sticky for
+// healthz like noteErr, but counted apart — the disk refused a write, no
+// segment is corrupt. The mutation that hit it changed nothing in RAM.
+func (tr *tier) noteWriteErr(err error) {
+	obsTierWriteFails.Inc()
+	tr.errMu.Lock()
+	tr.lastErr = err
+	tr.errMu.Unlock()
 }
 
 // TierStats reports the cold tier (zero value when tiering is off).
@@ -268,13 +267,18 @@ const (
 
 func tierSegName(seq uint64) string { return fmt.Sprintf("seg-%016x%s", seq, segSuffix) }
 
-// publishFile writes name under dir through faults.PublishFile, so the
-// file is either absent or complete and durable.
-func publishFile(dir, name string, data []byte) error {
-	return faults.PublishFile(filepath.Join(dir, name), nil, func(w io.Writer) error {
+// publishFile writes name under the tier directory through
+// faults.PublishFile, so the file is either absent or complete and
+// durable. A failure is noted here, once for every tier write.
+func (tr *tier) publishFile(name string, data []byte) error {
+	err := faults.PublishFile(filepath.Join(tr.dir, name), tr.faults, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
+	if err != nil {
+		tr.noteWriteErr(err)
+	}
+	return err
 }
 
 // writeManifestLocked commits a new segment set + watermark. Caller holds
@@ -292,12 +296,13 @@ func (tr *tier) writeManifestLocked(sealedBelow PacketID, segs []*tierSegment) e
 		b = append(b, sg.name...)
 	}
 	b = le.AppendUint32(b, crc32.ChecksumIEEE(b))
-	return publishFile(tr.dir, tierManifestName, b)
+	return tr.publishFile(tierManifestName, b)
 }
 
 // loadManifest reads the tier manifest; ok=false means a fresh tier (no
 // manifest yet). A present-but-invalid manifest is an error — refusing to
-// open beats silently dropping cold history.
+// open beats silently dropping cold history — and so is one naming a file
+// this package never writes: every name is a tierSegName.
 func loadManifest(dir string) (sealedBelow PacketID, nextSeq uint64, names []string, ok bool, err error) {
 	b, rerr := os.ReadFile(filepath.Join(dir, tierManifestName))
 	if rerr != nil {
@@ -333,7 +338,11 @@ func loadManifest(dir string) (sealedBelow PacketID, nextSeq uint64, names []str
 		if off+l > len(body) {
 			return 0, 0, nil, false, bad("truncated name")
 		}
-		names = append(names, string(b[off:off+l]))
+		name := string(b[off : off+l])
+		if _, err := parseTierSegName(name); err != nil {
+			return 0, 0, nil, false, bad("names %q, which is not a segment file name", name)
+		}
+		names = append(names, name)
 		off += l
 	}
 	if off != len(body) {
@@ -365,7 +374,7 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 	if err != nil {
 		return err
 	}
-	tr := &tier{dir: pol.Dir, policy: pol, nextSeq: nextSeq}
+	tr := &tier{dir: pol.Dir, policy: pol, nextSeq: nextSeq, faults: s.persistFaults}
 	if pol.CacheBytes > 0 {
 		tr.cache = newTierCache(pol.CacheBytes)
 	}
@@ -383,16 +392,11 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 			if err != nil {
 				return fmt.Errorf("datastore: tier segment %s: %w", name, err)
 			}
-			sg := &tierSegment{name: name, seq: segSeqInvalid, meta: meta, fileBytes: uint64(len(b))}
-			if seq, perr := parseTierSegName(name); perr == nil {
-				sg.seq = seq
-				if seq >= tr.nextSeq {
-					tr.nextSeq = seq + 1
-				}
+			seq, _ := parseTierSegName(name) // loadManifest checked the shape
+			if seq >= tr.nextSeq {
+				tr.nextSeq = seq + 1
 			}
-			tr.segs = append(tr.segs, sg)
-			tr.coldPackets += uint64(meta.count)
-			tr.coldBytes += uint64(len(b))
+			tr.segs = append(tr.segs, &tierSegment{name: name, seq: seq, meta: meta, fileBytes: uint64(len(b))})
 			if meta.maxID > maxID {
 				maxID = meta.maxID
 			}
@@ -401,7 +405,6 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 			}
 		}
 		sort.Slice(tr.segs, func(i, j int) bool { return tr.segs[i].meta.minID < tr.segs[j].meta.minID })
-		tr.sealedBelow.Store(uint64(sealedBelow))
 		// The sealed history owns IDs up to maxID and time up to maxTS;
 		// the fresh sequences must start past both.
 		if next := uint64(maxID) + 1; len(tr.segs) > 0 && s.nextID.Load() < next {
@@ -423,27 +426,39 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 	}
 	// Idempotent dedup: recovery may have re-ingested rows that are
 	// already sealed; drop them from the hot tier (occupancy follows).
-	if w := PacketID(tr.sealedBelow.Load()); w > 0 {
-		var removed int
-		var freed uint64
-		for _, sh := range s.shards {
-			sh.lock()
-			n, b := sh.trimBelowID(w)
-			removed += n
-			freed += b
-			sh.mu.Unlock()
-		}
-		if removed > 0 {
-			s.totPackets.Add(^uint64(removed) + 1)
-			s.totBytes.Add(^freed + 1)
-		}
+	var removed int
+	var freed uint64
+	for _, sh := range s.shards {
+		sh.lock()
+		n, b := sh.trimBelowID(sealedBelow)
+		removed += n
+		freed += b
+		sh.mu.Unlock()
 	}
+	s.releaseHot(removed, freed)
 	tr.mu.Lock()
-	tr.recomputeTSSortedLocked()
-	tr.publishLocked()
+	tr.setRegistryLocked(sealedBelow, tr.segs)
 	tr.mu.Unlock()
 	s.tier.Store(tr)
 	return nil
+}
+
+// setRegistryLocked installs a segment set and its seal watermark with
+// everything derived from them: the cold totals (summed over the set, never
+// adjusted), the binary-search eligibility flag and the gauges. Attach and
+// commitTier are its only callers. Caller holds tr.mu (write).
+func (tr *tier) setRegistryLocked(sealedBelow PacketID, segs []*tierSegment) {
+	tr.segs = segs
+	tr.sealedBelow.Store(uint64(sealedBelow))
+	tr.coldPackets, tr.coldBytes = 0, 0
+	for _, sg := range segs {
+		tr.coldPackets += uint64(sg.meta.count)
+		tr.coldBytes += sg.fileBytes
+	}
+	tr.recomputeTSSortedLocked()
+	obsTierSegments.Set(float64(len(tr.segs)))
+	obsTierColdPackets.Set(float64(tr.coldPackets))
+	obsTierColdBytes.Set(float64(tr.coldBytes))
 }
 
 // recomputeTSSortedLocked refreshes the binary-search eligibility flag
@@ -459,10 +474,11 @@ func (tr *tier) recomputeTSSortedLocked() {
 	}
 }
 
+// parseTierSegName inverts tierSegName and refuses any other shape.
 func parseTierSegName(name string) (uint64, error) {
 	var seq uint64
-	if _, err := fmt.Sscanf(name, "seg-%016x"+segSuffix, &seq); err != nil {
-		return 0, err
+	if _, err := fmt.Sscanf(name, "seg-%016x"+segSuffix, &seq); err != nil || tierSegName(seq) != name {
+		return 0, fmt.Errorf("datastore: %q is not a segment file name", name)
 	}
 	return seq, nil
 }
@@ -477,18 +493,11 @@ func (sh *shard) trimBelowID(limit PacketID) (int, uint64) {
 	if cut == 0 {
 		return 0, 0
 	}
-	var freed uint64
-	for i := range sh.packets[:cut] {
-		freed += uint64(len(sh.packets[i].Data))
-	}
-	sh.dataBytes -= freed
-	sh.packets = dropPrefix(sh.packets, cut)
-	sh.indexBytes -= 8 * uint64(sh.index.evictBelow(limit))
-	return cut, freed
+	return cut, sh.dropRows(cut, limit)
 }
 
 // maybeSeal is the per-batch seal trigger: two atomic loads when the hot
-// tier is under its caps, a background-priority TryLock when it is not.
+// tier is under its cap, a background-priority TryLock when it is not.
 // Called outside ingestMu so sealing never blocks the WAL ack path.
 func (s *Store) maybeSeal() {
 	tr := s.tier.Load()
@@ -497,21 +506,10 @@ func (s *Store) maybeSeal() {
 	}
 	pol := &tr.policy
 	hotPkts := s.totPackets.Load()
-	hotBytes := s.totBytes.Load()
-	var keep uint64
-	switch {
-	case pol.HotPackets > 0 && hotPkts > pol.HotPackets:
-		keep = uint64(float64(pol.HotPackets) * pol.KeepFrac)
-	case pol.HotBytes > 0 && hotBytes > pol.HotBytes:
-		// Byte cap: translate to a packet count at the observed mean
-		// packet size, so the trim lands near KeepFrac of the byte cap.
-		keep = uint64(float64(hotPkts) * float64(pol.HotBytes) / float64(hotBytes) * pol.KeepFrac)
-	default:
+	if pol.HotPackets == 0 || hotPkts <= pol.HotPackets {
 		return
 	}
-	if keep >= hotPkts {
-		return
-	}
+	keep := pol.HotPackets / 2
 	sealed, limit := tr.sealedBelow.Load(), s.nextID.Load()-keep
 	if limit < sealed+pol.MinSealPackets {
 		return
@@ -524,7 +522,10 @@ func (s *Store) maybeSeal() {
 	if target := uint64(pol.SegmentPackets); eligible >= target {
 		eligible -= eligible % target
 	}
-	s.sealTo(tr, PacketID(sealed+eligible), false)
+	// The batch that tripped the trigger is acked and stays hot whatever
+	// the seal does; a failed one is on TierStats.Err (noteWriteErr) and
+	// the next batch over the cap retries it.
+	_, _ = s.sealTo(tr, PacketID(sealed+eligible), false)
 }
 
 // SealHot seals every hot packet except the newest keepRecent into cold
@@ -607,46 +608,74 @@ func (s *Store) sealTo(tr *tier, limit PacketID, wait bool) (int, error) {
 		return 0, err
 	}
 	tierHook("seal-files")
-	if err := tr.writeManifestLocked(limit, append(append([]*tierSegment(nil), tr.segs...), newSegs...)); err != nil {
-		return 0, err
-	}
-	tierHook("seal-manifest")
-	// Commit point passed: swap the registry and trim the hot slabs under
-	// tier.mu + all shard locks so no query sees the rows double or gone.
+	// The hot side of the swap: trim the slabs in the same critical section
+	// that registers the segments, so no query sees the rows double or gone.
 	var removed int
 	var freed uint64
-	tr.mu.Lock()
-	for _, sh := range s.shards {
-		sh.lock()
+	next := append(append([]*tierSegment(nil), tr.segs...), newSegs...)
+	if err := s.commitTier(tr, "seal", limit, next, func() {
+		for _, sh := range s.shards {
+			n, b := sh.trimBelowID(limit)
+			removed += n
+			freed += b
+		}
+	}); err != nil {
+		return 0, err
 	}
-	for _, sh := range s.shards {
-		n, b := sh.trimBelowID(limit)
-		removed += n
-		freed += b
-	}
-	tr.segs = append(tr.segs, newSegs...)
-	tr.sealedBelow.Store(uint64(limit))
-	tr.coldPackets += uint64(total)
-	for _, sg := range newSegs {
-		tr.coldBytes += sg.fileBytes
-	}
-	tr.recomputeTSSortedLocked()
-	tr.publishLocked()
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
-	tr.mu.Unlock()
-	tierHook("seal-swap")
-	if removed > 0 {
-		s.totPackets.Add(^uint64(removed) + 1)
-		s.totBytes.Add(^freed + 1)
-	}
+	s.releaseHot(removed, freed)
 	tr.seals.Add(1)
 	tr.sealedPackets.Add(uint64(total))
 	obsTierSeals.Inc()
 	obsTierSealedPkts.Add(uint64(total))
 	obsTierSealSeconds.Observe(time.Since(start).Seconds())
 	return removed, nil
+}
+
+// commitTier is steps 2–4 of the write protocol, the one place a seal, a
+// compaction or a retention pass changes the registry: the manifest naming
+// next and sealedBelow is published (the commit point); under tier.mu —
+// plus, when hot is non-nil, every shard write lock, with hot run inside
+// them to change the hot tier in the same critical section — next becomes
+// the registry; then the segments only the old set named are dropped from
+// the cache and unlinked (best effort; orphans are swept at attach).
+// tierHook fires at op+"-manifest" and op+"-swap". An error means the
+// manifest was not published and nothing changed. Caller holds sealMu and
+// has already written every file next names.
+func (s *Store) commitTier(tr *tier, op string, sealedBelow PacketID, next []*tierSegment, hot func()) error {
+	if err := tr.writeManifestLocked(sealedBelow, next); err != nil {
+		return err
+	}
+	tierHook(op + "-manifest")
+	old := tr.segs
+	tr.mu.Lock()
+	if hot != nil {
+		for _, sh := range s.shards {
+			sh.lock()
+		}
+		hot()
+	}
+	tr.setRegistryLocked(sealedBelow, next)
+	if hot != nil {
+		for _, sh := range s.shards {
+			sh.mu.Unlock()
+		}
+	}
+	tr.mu.Unlock()
+	tierHook(op + "-swap")
+	gone := make(map[uint64]bool, len(old))
+	for _, sg := range old {
+		gone[sg.seq] = true
+	}
+	for _, sg := range next {
+		delete(gone, sg.seq)
+	}
+	for seq := range gone {
+		os.Remove(filepath.Join(tr.dir, tierSegName(seq)))
+	}
+	if tr.cache != nil {
+		tr.cache.dropSegs(gone)
+	}
+	return nil
 }
 
 // writeSegments chunks one (TS, ID)-sorted run into target-sized segment
@@ -685,7 +714,7 @@ func (tr *tier) writeSegments(rows []StoredPacket, compact bool) ([]*tierSegment
 		seq := tr.nextSeq
 		name := tierSegName(seq)
 		tr.nextSeq++
-		if err := publishFile(tr.dir, name, blob); err != nil {
+		if err := tr.publishFile(name, blob); err != nil {
 			return nil, err
 		}
 		out = append(out, &tierSegment{name: name, seq: seq, meta: meta, fileBytes: uint64(len(blob))})
@@ -714,49 +743,25 @@ func (s *Store) CompactTier() (int, error) {
 		}
 		start := time.Now()
 		runs := make([][]StoredPacket, 0, hi-lo)
-		var oldBytes uint64
 		for _, sg := range tr.segs[lo:hi] {
-			// nil block source: a compaction sweep reads each input once
-			// and deletes it — caching its blocks would only evict rows
-			// queries still want.
 			rows, err := tr.readSegRows(sg)
 			if err != nil {
 				tr.noteErr(err)
 				return replaced, err
 			}
 			runs = append(runs, rows)
-			oldBytes += sg.fileBytes
 		}
-		merged := mergeRuns(runs)
-		newSegs, err := tr.writeSegments(merged, true)
+		newSegs, err := tr.writeSegments(mergeRuns(runs), true)
 		if err != nil {
 			return replaced, err
 		}
 		tierHook("compact-files")
-		newList := make([]*tierSegment, 0, len(tr.segs)-(hi-lo)+len(newSegs))
-		newList = append(newList, tr.segs[:lo]...)
-		newList = append(newList, newSegs...)
-		newList = append(newList, tr.segs[hi:]...)
-		if err := tr.writeManifestLocked(PacketID(tr.sealedBelow.Load()), newList); err != nil {
+		next := make([]*tierSegment, 0, len(tr.segs)-(hi-lo)+len(newSegs))
+		next = append(append(append(next, tr.segs[:lo]...), newSegs...), tr.segs[hi:]...)
+		if err := s.commitTier(tr, "compact", PacketID(tr.sealedBelow.Load()), next, nil); err != nil {
 			return replaced, err
 		}
-		tierHook("compact-manifest")
-		old := tr.segs[lo:hi:hi]
-		var newBytes uint64
-		for _, sg := range newSegs {
-			newBytes += sg.fileBytes
-		}
-		tr.mu.Lock()
-		tr.segs = newList
-		tr.coldBytes += newBytes - oldBytes
-		tr.recomputeTSSortedLocked()
-		tr.publishLocked()
-		tr.mu.Unlock()
-		tr.dropCached(old)
-		for _, sg := range old {
-			os.Remove(filepath.Join(tr.dir, sg.name))
-		}
-		replaced += len(old)
+		replaced += hi - lo
 		tr.compactions.Add(1)
 		obsTierCompactions.Inc()
 		obsTierCompactSeconds.Observe(time.Since(start).Seconds())
@@ -801,66 +806,29 @@ func (s *Store) RetainCold(before time.Duration) (int, error) {
 	}
 	tr.sealMu.Lock()
 	defer tr.sealMu.Unlock()
-	var keep, drop []*tierSegment
+	var keep []*tierSegment
 	for _, sg := range tr.segs {
-		if sg.meta.maxTS < before {
-			drop = append(drop, sg)
-		} else {
+		if sg.meta.maxTS >= before {
 			keep = append(keep, sg)
 		}
 	}
-	if len(drop) == 0 {
+	dropped := len(tr.segs) - len(keep)
+	if dropped == 0 {
 		return 0, nil
 	}
-	if err := tr.writeManifestLocked(PacketID(tr.sealedBelow.Load()), keep); err != nil {
-		return 0, err
-	}
-	var droppedPkts, droppedBytes uint64
-	for _, sg := range drop {
-		droppedPkts += uint64(sg.meta.count)
-		droppedBytes += sg.fileBytes
-	}
-	tr.mu.Lock()
-	for _, sh := range s.shards {
-		sh.lock()
-	}
-	tr.segs = keep
-	tr.recomputeTSSortedLocked()
-	tr.coldPackets -= droppedPkts
-	tr.coldBytes -= droppedBytes
-	for _, sh := range s.shards {
-		for k, fm := range sh.flows {
-			if fm.Last < before {
-				delete(sh.flows, k)
+	if err := s.commitTier(tr, "retain", PacketID(tr.sealedBelow.Load()), keep, func() {
+		for _, sh := range s.shards {
+			for k, fm := range sh.flows {
+				if fm.Last < before {
+					delete(sh.flows, k)
+				}
 			}
 		}
+	}); err != nil {
+		return 0, err
 	}
-	tr.publishLocked()
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
-	tr.mu.Unlock()
-	tr.dropCached(drop)
-	for _, sg := range drop {
-		os.Remove(filepath.Join(tr.dir, sg.name))
-	}
-	obsTierRetained.Add(uint64(len(drop)))
-	return len(drop), nil
-}
-
-// dropCached invalidates the cached blocks and directories of segments
-// whose files are being removed (compaction inputs, retention drops).
-func (tr *tier) dropCached(segs []*tierSegment) {
-	if tr.cache == nil {
-		return
-	}
-	seqs := make(map[uint64]bool, len(segs))
-	for _, sg := range segs {
-		if sg.seq != segSeqInvalid {
-			seqs[sg.seq] = true
-		}
-	}
-	tr.cache.dropSegs(seqs)
+	obsTierRetained.Add(uint64(dropped))
+	return dropped, nil
 }
 
 // StartTierCompactor runs CompactTier (and retention, when the policy

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // Environment contract for the re-exec'd child of TestTierCrashKill9:
@@ -27,11 +28,48 @@ const (
 // kills it, so recovery owes every single one back.
 const tierCrashBatches = 30
 
+// tierCrashRetainBefore is the horizon of the retain stages' fatal
+// retention pass: walFrames' clamped timestamps stop at 4ms, so it is past
+// every sealed row and the pass drops whatever has been sealed.
+const tierCrashRetainBefore = 5 * time.Millisecond
+
+// tierCrashPrepare builds what the stage's fatal mutation works on: two
+// thin seals (the confetti a compaction merges) or one sealed prefix (what
+// a retention pass drops). The seal stages need nothing.
+func tierCrashPrepare(st *Store, stage string) error {
+	var keeps []uint64
+	switch {
+	case strings.HasPrefix(stage, "compact-"):
+		keeps = []uint64{100, 50}
+	case strings.HasPrefix(stage, "retain-"):
+		keeps = []uint64{100}
+	}
+	for _, keep := range keeps {
+		if _, err := st.SealHot(keep); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tierCrashMutate runs the stage's mutation, the one the child dies in.
+func tierCrashMutate(st *Store, stage string) (err error) {
+	switch {
+	case strings.HasPrefix(stage, "compact-"):
+		_, err = st.CompactTier()
+	case strings.HasPrefix(stage, "retain-"):
+		_, err = st.RetainCold(tierCrashRetainBefore)
+	default:
+		_, err = st.SealHot(50)
+	}
+	return err
+}
+
 // TestTierCrashChildProcess is the child half of the tier kill -9 gate,
 // selected by environment variable. It ingests a deterministic batch
 // stream into a durable tiered store, acks each batch on stdout, then
-// runs a seal (and for compact stages, a compaction) with a hook that
-// SIGKILLs the process at the requested protocol stage.
+// runs the stage's mutation — a seal, a compaction or a retention pass —
+// with a hook that SIGKILLs the process at the requested protocol stage.
 func TestTierCrashChildProcess(t *testing.T) {
 	dir := os.Getenv(tierCrashDirEnv)
 	if dir == "" {
@@ -55,16 +93,9 @@ func TestTierCrashChildProcess(t *testing.T) {
 		fmt.Fprintf(out, "acked %d\n", i)
 		out.Flush()
 	}
-	if strings.HasPrefix(stage, "compact-") {
-		// Two thin seals build the confetti the fatal compaction will merge.
-		if _, err := st.SealHot(100); err != nil {
-			fmt.Println("ERR", err)
-			os.Exit(1)
-		}
-		if _, err := st.SealHot(50); err != nil {
-			fmt.Println("ERR", err)
-			os.Exit(1)
-		}
+	if err := tierCrashPrepare(st, stage); err != nil {
+		fmt.Println("ERR", err)
+		os.Exit(1)
 	}
 	tierTestHook = func(s string) {
 		if s == stage {
@@ -72,12 +103,7 @@ func TestTierCrashChildProcess(t *testing.T) {
 			select {} // unreachable; SIGKILL is not deliverable to a handler
 		}
 	}
-	if strings.HasPrefix(stage, "compact-") {
-		_, err = st.CompactTier()
-	} else {
-		_, err = st.SealHot(50)
-	}
-	if err != nil {
+	if err := tierCrashMutate(st, stage); err != nil {
 		fmt.Println("ERR", err)
 	}
 	fmt.Println("ERR survived the crash stage") // hook did not fire
@@ -85,11 +111,12 @@ func TestTierCrashChildProcess(t *testing.T) {
 }
 
 // TestTierCrashKill9 is the tier crash gate: a child acks a fixed batch
-// stream under FsyncAlways, then kill -9s itself inside the seal or
-// compact protocol — after the segment files, and after the manifest
-// commit. Recovery must hold exactly the acked stream, with no lost and
-// no duplicated packets, and be query-identical to an untiered serial
-// rebuild of the same batches.
+// stream under FsyncAlways, then kill -9s itself inside the seal, compact
+// or retain protocol — after the segment files, after the manifest commit,
+// and after the registry swap. Recovery must hold exactly the acked stream,
+// with no lost and no duplicated packets, and be query-identical to an
+// untiered serial rebuild of the same batches (less, for a committed
+// retention pass, exactly the rows it set out to delete).
 func TestTierCrashKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -101,9 +128,36 @@ func TestTierCrashKill9(t *testing.T) {
 		}
 	}
 	want := tierFingerprint(t, ref)
+	// Retention deletes on purpose, and both retain stages lie past its
+	// commit point: what recovery owes back is what a retention pass that
+	// was not killed leaves of the same acked stream.
+	retained := NewSharded(2)
+	if err := retained.EnableTiering(TierPolicy{Dir: t.TempDir(), SegmentPackets: 40, MinSealPackets: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tierCrashBatches; i++ {
+		if _, err := retained.AddBatch(walFrames(5, i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tierCrashPrepare(retained, "retain-"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tierCrashMutate(retained, "retain-"); err != nil {
+		t.Fatal(err)
+	}
+	wantRetained := tierFingerprint(t, retained)
+	if wantRetained.total == 0 || wantRetained.total >= want.total {
+		t.Fatalf("the reference retention pass left %d of %d packets; want some dropped, some kept", wantRetained.total, want.total)
+	}
 
-	for _, stage := range []string{"seal-files", "seal-manifest", "compact-files", "compact-manifest"} {
+	for _, stage := range []string{"seal-files", "seal-manifest", "compact-files", "compact-manifest",
+		"compact-swap", "retain-manifest", "retain-swap"} {
 		t.Run(stage, func(t *testing.T) {
+			want := want
+			if strings.HasPrefix(stage, "retain-") {
+				want = wantRetained
+			}
 			dir := t.TempDir()
 			cmd := exec.Command(os.Args[0], "-test.run", "TestTierCrashChildProcess")
 			cmd.Env = append(os.Environ(),

@@ -19,7 +19,7 @@ func TestTierIngestSealQueryRace(t *testing.T) {
 	}
 	s := NewSharded(4)
 	if err := s.EnableTiering(TierPolicy{
-		Dir: t.TempDir(), HotPackets: 1024, KeepFrac: 0.5,
+		Dir: t.TempDir(), HotPackets: 1024,
 		MinSealPackets: 32, SegmentPackets: 128,
 	}); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 	}
 	s := NewSharded(4)
 	if err := s.EnableTiering(TierPolicy{
-		Dir: t.TempDir(), HotPackets: 1024, KeepFrac: 0.5,
+		Dir: t.TempDir(), HotPackets: 1024,
 		MinSealPackets: 32, SegmentPackets: 128,
 		CacheBytes: 64 << 10,
 	}); err != nil {

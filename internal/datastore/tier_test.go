@@ -19,7 +19,6 @@ func aggressiveTier(dir string) TierPolicy {
 	return TierPolicy{
 		Dir:            dir,
 		HotPackets:     512,
-		KeepFrac:       0.5,
 		MinSealPackets: 64,
 		SegmentPackets: 256,
 	}
@@ -64,7 +63,7 @@ func ingestTiered(t *testing.T, shards, workers int, pol TierPolicy) *Store {
 
 // flushUndersized gives the compactor something to merge. Policy seals
 // write only whole segments, so a store built by ingestTiered alone leaves
-// CompactTier nothing; two explicit seals out of the at least KeepFrac×cap
+// CompactTier nothing; two explicit seals out of the at least cap/2
 // (256) packets still hot append two or more adjacent undersized segments.
 func flushUndersized(t *testing.T, s *Store) {
 	t.Helper()
@@ -492,7 +491,7 @@ func TestTierCorruptSegmentDegradesLoudly(t *testing.T) {
 
 // TestPolicySealsWholeSegments: the policy trigger seals whole multiples
 // of SegmentPackets, so steady-state ingest under labd's shape (hot cap
-// 500000, KeepFrac 0.5, 32768-row segments, here scaled down 256×) writes
+// 500000, 32768-row segments, here scaled down 256×) writes
 // only full segments and leaves the compactor nothing — while the cap
 // still holds after every batch, including when it is smaller than one
 // segment and the seal has to fall back to an undersized file.
@@ -532,7 +531,7 @@ func TestPolicySealsWholeSegments(t *testing.T) {
 		t.Fatalf("CompactTier after steady-state seals = %d, %v; want nothing to merge", n, err)
 	}
 	if keep := pol.HotPackets / 2; s.Stats().Packets < keep {
-		t.Fatalf("hot tier trimmed to %d, below KeepFrac floor %d", s.Stats().Packets, keep)
+		t.Fatalf("hot tier trimmed to %d, below the cap/2 floor %d", s.Stats().Packets, keep)
 	}
 	if got := s.Stats().Packets + ts.ColdPackets; got != uint64(len(frames)) {
 		t.Fatalf("hot+cold = %d packets, ingested %d", got, len(frames))

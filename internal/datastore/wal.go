@@ -46,6 +46,8 @@ const (
 	walVersion = 1
 	// walHeaderSize is the segment header: magic + version + seq.
 	walHeaderSize = 4 + 2 + 8
+	// walSyncAfter is the append count between syncs under FsyncInterval.
+	walSyncAfter = 16
 )
 
 // ErrWALCorrupt reports a write-ahead-log segment whose tail (or body)
@@ -63,7 +65,7 @@ const (
 	// acked batch survives an immediate power cut. The safest and
 	// slowest policy.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs every SyncEvery appends (and on Flush/rotate/
+	// FsyncInterval syncs every walSyncAfter appends (and on Flush/rotate/
 	// truncate): a crash loses at most the unsynced suffix of acked
 	// batches on power loss, nothing on a process kill (the OS still has
 	// the writes). The operational default.
@@ -105,9 +107,6 @@ type WALConfig struct {
 	Dir string
 	// Fsync is the durability policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// SyncEvery is the append count between syncs under FsyncInterval
-	// (default 16).
-	SyncEvery int
 	// SegmentBytes rotates to a new segment once the current one exceeds
 	// this size (default 4 MiB).
 	SegmentBytes int64
@@ -117,16 +116,6 @@ type WALConfig struct {
 	// appended after recovery can never land in a segment a snapshot
 	// already claims to cover.
 	StartSeq uint64
-}
-
-func (c WALConfig) withDefaults() WALConfig {
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 16
-	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 4 << 20
-	}
-	return c
 }
 
 // WAL metrics: appended records/bytes, syncs, truncations, and the replay
@@ -212,7 +201,9 @@ func listSegments(dir string) ([]uint64, error) {
 // one, so a recovered process never overwrites history it has not yet
 // replayed.
 func OpenWAL(cfg WALConfig) (*WAL, error) {
-	cfg = cfg.withDefaults()
+	if cfg.SegmentBytes <= 0 {
+		cfg.SegmentBytes = 4 << 20
+	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("datastore: wal: Dir is required")
 	}
@@ -307,7 +298,7 @@ func (w *WAL) Append(frames []traffic.Frame, links []uint16) error {
 			return err
 		}
 	case FsyncInterval:
-		if w.pending >= w.cfg.SyncEvery {
+		if w.pending >= walSyncAfter {
 			if err := w.sync(); err != nil {
 				return err
 			}
@@ -464,19 +455,14 @@ func replaySegment(path string, wantSeq uint64, apply func(frames []traffic.Fram
 	}
 }
 
-// ReplayWAL applies every valid record in dir's segments, in sequence
+// ReplayWALFrom applies every valid record in dir's segments, in sequence
 // order, to apply. It stops at the first corruption (reporting clean=false)
 // and never panics; the applied records are always a prefix of the
-// appended record stream.
-func ReplayWAL(dir string, apply func(frames []traffic.Frame, links []uint16)) (records uint64, clean bool, err error) {
-	return ReplayWALFrom(dir, 0, apply)
-}
-
-// ReplayWALFrom is ReplayWAL for a store loaded from a snapshot that
-// already covers every segment with sequence <= covered: those segments
-// — left behind when a crash lands between a checkpoint's snapshot
-// rename and the end of truncation — are skipped, never replayed on top
-// of the data they are already part of. With covered > 0 the first
+// appended record stream. covered is for a store loaded from a snapshot
+// that already covers every segment with sequence <= covered (0 = none):
+// those segments — left behind when a crash lands between a checkpoint's
+// snapshot rename and the end of truncation — are skipped, never replayed
+// on top of the data they are already part of. With covered > 0 the first
 // replayed segment must be exactly covered+1; a later start means
 // uncovered segments are missing, which is a loss, not a prefix.
 func ReplayWALFrom(dir string, covered uint64, apply func(frames []traffic.Frame, links []uint16)) (records uint64, clean bool, err error) {

@@ -90,7 +90,7 @@ func FuzzWALReplay(f *testing.F) {
 
 		replay := func() [][]traffic.Frame {
 			var got [][]traffic.Frame
-			_, _, err := ReplayWAL(dir, func(frames []traffic.Frame, links []uint16) {
+			_, _, err := ReplayWALFrom(dir, 0, func(frames []traffic.Frame, links []uint16) {
 				cp := make([]traffic.Frame, len(frames))
 				for i := range frames {
 					cp[i] = frames[i]

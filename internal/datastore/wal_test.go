@@ -35,7 +35,7 @@ func replayAll(t *testing.T, dir string) ([]traffic.Frame, []uint16, uint64, boo
 	t.Helper()
 	var frames []traffic.Frame
 	var links []uint16
-	records, clean, err := ReplayWAL(dir, func(fs []traffic.Frame, ls []uint16) {
+	records, clean, err := ReplayWALFrom(dir, 0, func(fs []traffic.Frame, ls []uint16) {
 		frames = append(frames, fs...)
 		links = append(links, ls...)
 	})
@@ -280,12 +280,12 @@ func TestWALTruncateResetsLog(t *testing.T) {
 
 func TestWALEmptyAndMissingDir(t *testing.T) {
 	// Missing dir: clean empty replay.
-	records, clean, err := ReplayWAL(filepath.Join(t.TempDir(), "nope"), func([]traffic.Frame, []uint16) {})
+	records, clean, err := ReplayWALFrom(filepath.Join(t.TempDir(), "nope"), 0, func([]traffic.Frame, []uint16) {})
 	if err != nil || !clean || records != 0 {
 		t.Fatalf("missing dir: (%d, %v, %v)", records, clean, err)
 	}
 	// Empty dir likewise.
-	records, clean, err = ReplayWAL(t.TempDir(), func([]traffic.Frame, []uint16) {})
+	records, clean, err = ReplayWALFrom(t.TempDir(), 0, func([]traffic.Frame, []uint16) {})
 	if err != nil || !clean || records != 0 {
 		t.Fatalf("empty dir: (%d, %v, %v)", records, clean, err)
 	}

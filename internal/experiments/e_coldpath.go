@@ -67,7 +67,6 @@ func E19ColdQueryFastPath() (*Table, error) {
 		if err := c.store.EnableTiering(datastore.TierPolicy{
 			Dir:            dir,
 			HotPackets:     uint64(capacity),
-			KeepFrac:       0.5,
 			MinSealPackets: 256,
 			SegmentPackets: max(512, capacity/4),
 			CacheBytes:     c.cache,

@@ -60,7 +60,6 @@ func E17TieredRetention() (*Table, error) {
 	if err := st.EnableTiering(datastore.TierPolicy{
 		Dir:            dir,
 		HotPackets:     uint64(capacity),
-		KeepFrac:       0.5,
 		MinSealPackets: 256,
 		SegmentPackets: max(512, capacity/4),
 	}); err != nil {

@@ -106,7 +106,7 @@ func TestOneRecordOneVerdict(t *testing.T) {
 			}
 			f.Close()
 			var replayed [][]traffic.Frame
-			records, clean, err := datastore.ReplayWAL(dir, func(frames []traffic.Frame, _ []uint16) {
+			records, clean, err := datastore.ReplayWALFrom(dir, 0, func(frames []traffic.Frame, _ []uint16) {
 				replayed = append(replayed, frames)
 			})
 			if err != nil {

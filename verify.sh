@@ -24,13 +24,23 @@ gate_tests() {
         echo "$out"
         exit 1
     }
+    gate_names "$out" "$pkg" "$@"
+    echo "$out" | tail -n 1
+}
+
+# gate_names OUTPUT PKG NAME... is gate_tests for a package whose whole suite
+# already ran once with -v: it checks the captured OUTPUT of that run instead
+# of running anything, and fails unless each NAME has a `--- PASS` line in
+# it. A renamed, deleted or skipped test still breaks the gate.
+gate_names() {
+    out=$1 pkg=$2
+    shift 2
     for name in "$@"; do
         echo "$out" | grep -q "^ *--- PASS: $name " || {
             echo "verify: FAIL — $pkg: test $name did not run" >&2
             exit 1
         }
     done
-    echo "$out" | tail -n 1
 }
 
 # gate_bench BENCHTIME PKG NAME... runs the named benchmarks of PKG with
@@ -95,7 +105,28 @@ echo "==> answer hash gate (every workload, seed 1, one second: failed == 0, cor
 bash tools/hashgate.sh
 
 echo "==> go test -race (control, datastore, faults)"
-go test -race ./internal/control ./internal/datastore ./internal/faults
+# The datastore race pass is most of this script's wall time (~8 min on two
+# cores, beside the other two packages), so it runs once, verbosely, and
+# every datastore test gate below checks its output by name (gate_names)
+# instead of running the test again.
+DS_RACE=$(go test -race -v ./internal/control ./internal/datastore ./internal/faults 2>&1) || {
+    echo "$DS_RACE" | grep -v '^=== \|^ *--- PASS' | tail -n 80
+    exit 1
+}
+echo "$DS_RACE" | grep '^ok'
+echo "    tiered-store equivalence (tiered == untiered, byte for byte, across shards, workers, cache and read path)"
+gate_names "$DS_RACE" ./internal/datastore TestTieredStoreEquivalence TestTierFormatEquivalence
+echo "    tier cache race (queries vs seal/compact churn with the block cache on)"
+gate_names "$DS_RACE" ./internal/datastore TestTierCacheQueryCompactRace TestTierIngestSealQueryRace
+echo "    segment directory (shared budget, invalidation, corrupt columns, metadata-only Count, limit-bounded decode, exact window ≡ scan)"
+gate_names "$DS_RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRespected TestSegDirOversizeNotAdmitted \
+    TestSegDirDroppedWithSegments TestSegDirCorruptColumnCachesNothing TestColdCountWindowedTouchesNoBlock \
+    TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
+echo "    crash recovery (kill -9 mid-ingest must lose nothing acked)"
+gate_names "$DS_RACE" ./internal/datastore TestWALCrashKill9 TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery
+echo "    tier crash (kill -9 mid-seal, mid-compact, mid-retain must lose nothing acked) and the write seams"
+gate_names "$DS_RACE" ./internal/datastore TestTierCrashKill9 TestTierCrashSwapEquivalence \
+    TestTierWriteFailureChangesNothing TestLoadAtShardCountMatchesDefaultLoad TestCommitTierRecomputesTotals
 
 echo "==> fleet race gate (concurrent campus streams, coordinator during live ingest)"
 gate_tests -race ./internal/fleet TestRaceConcurrentCampusStreams TestRaceCoordinatorDuringStreaming TestStreamMatchesLocalIngest
@@ -143,17 +174,6 @@ gate_bench 5x ./internal/datastore BenchmarkSelect BenchmarkCount
 echo "==> bench smoke (cold tier: seal, segment encode, hot vs cold segment query sweep, cache on/off Select and metadata-only Count, eviction)"
 gate_bench 2x ./internal/datastore BenchmarkSeal BenchmarkEncodeSegment BenchmarkSegmentQuery BenchmarkColdSelect BenchmarkColdCount BenchmarkEvictBefore
 
-echo "==> tiered-store equivalence gate (tiered == untiered, byte for byte, across shards, workers, cache and read path)"
-gate_tests -short ./internal/datastore TestTieredStoreEquivalence TestTierFormatEquivalence
-
-echo "==> tier cache race gate (queries vs seal/compact churn with the block cache on)"
-gate_tests -race ./internal/datastore TestTierCacheQueryCompactRace TestTierIngestSealQueryRace
-
-echo "==> segment directory gate (shared budget, invalidation, corrupt columns, metadata-only Count, limit-bounded decode, exact window ≡ scan)"
-gate_tests -race ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRespected TestSegDirOversizeNotAdmitted \
-    TestSegDirDroppedWithSegments TestSegDirCorruptColumnCachesNothing TestColdCountWindowedTouchesNoBlock \
-    TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
-
 echo "==> fuzz smoke (packet parser, labd dispatcher, filter parser, ensemble compiler, block + record codec, WAL replay, segment codec, fleet protocol)"
 gate_fuzz 10s ./internal/packet FuzzParse
 gate_fuzz 5s ./cmd/labd FuzzDispatch
@@ -166,12 +186,6 @@ gate_fuzz 5s ./internal/fleet FuzzFleetFrame
 
 echo "==> fleet crash gate (torn mid-batch cut: all-or-nothing, retry never duplicates, acked == durable)"
 gate_tests "" ./internal/fleet TestCrashMidBatchDurability TestServerDedupesRetriedBatch TestServerRejectsProtocolViolations
-
-echo "==> crash-recovery gate (kill -9 mid-ingest must lose nothing acked)"
-gate_tests "" ./internal/datastore TestWALCrashKill9 TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery
-
-echo "==> tier crash gate (kill -9 mid-seal/mid-compact must lose nothing acked)"
-gate_tests "" ./internal/datastore TestTierCrashKill9 TestTierCrashSwapEquivalence
 
 echo "==> chaos-soak smoke (E16: durability + self-healing lifecycle)"
 gate_tests "" ./internal/experiments TestAllExperimentsRun/E16
