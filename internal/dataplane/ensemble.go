@@ -23,10 +23,19 @@ package dataplane
 // structurally-identical subtrees and identical leaves deduplicated per
 // tree) and a float reference walk of the original thresholds, selected by
 // the same scan-path knob that covers the rule DAG (CAMPUSLAB_SCAN_PATH).
+//
+// In front of the integer walk sits the layout tree ensembles take on
+// match-action hardware: per-field range tables turn header values into a
+// short code word (code), and the switch's batch entry points look the code
+// word up in a small exact-match memo (ensMemo) before walking. The memo
+// only ever holds what the walk returned, for one batch, on the caller's
+// stack; the reference walk bypasses it.
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"campuslab/internal/ml"
 )
@@ -184,6 +193,13 @@ type EnsembleProgram struct {
 
 	roots []int32 // per-tree compiled entry: node index or ^leafRow
 	nodes []ensNode
+
+	// ranges is the range-match stage in front of the trees: per tested
+	// field, its sorted distinct cuts and where the field's rank sits in
+	// the code word. When the ranks need more than 64 bits there is no
+	// range stage (coded is false) and the walk alone serves the program.
+	ranges []fieldRange
+	coded  bool
 
 	refRoots []int32
 	refNodes []refNode
@@ -387,6 +403,7 @@ func lowerEnsemble(kind ensKind, exported [][]ml.ExportedNode, alphas []float64,
 		}
 	}
 	ep.usage.Nodes = len(ep.nodes)
+	ep.collectRanges()
 	if ep.kind == ensBoost {
 		ep.usage.TableEntries = len(ep.leafClass)
 	} else {
@@ -504,6 +521,103 @@ func (lw *treeLowering) leafRow(n *ml.ExportedNode) (int32, error) {
 	return row, nil
 }
 
+// fieldRange is one field's range table: v ranks r among cuts when exactly
+// r of them are < v, and the rank occupies the code word from bit shift up.
+type fieldRange struct {
+	field Field
+	shift uint8
+	dense bool     // cuts are consecutive integers: the rank is a clamp
+	cuts  []uint32 // sorted, distinct
+}
+
+// collectRanges derives the range tables from the compiled nodes. Constant
+// and dead splits never became nodes, so they contribute no cut.
+func (ep *EnsembleProgram) collectRanges() {
+	var byField [NumFields][]uint32
+	for i := range ep.nodes {
+		n := &ep.nodes[i]
+		byField[n.field] = append(byField[n.field], n.cut)
+	}
+	width := 0
+	for f, cuts := range byField {
+		if len(cuts) == 0 {
+			continue
+		}
+		slices.Sort(cuts)
+		cuts = slices.Compact(cuts)
+		rankBits := bits.Len(uint(len(cuts))) // ranks run 0..len
+		if width+rankBits > 64 {
+			ep.ranges = nil
+			return
+		}
+		ep.ranges = append(ep.ranges, fieldRange{
+			field: Field(f), shift: uint8(width), cuts: cuts,
+			dense: cuts[len(cuts)-1]-cuts[0] == uint32(len(cuts)-1),
+		})
+		width += rankBits
+	}
+	ep.coded = true
+}
+
+// code maps a field vector to its code word: per tested field, the rank of
+// the value among that field's cuts. A node sends v left iff v <= cut, iff
+// the cut's index is >= v's rank — so two vectors with equal code words
+// take the same branch at every node of every tree, reach the same leaf
+// rows, and accumulate the same float64s in the same order: their verdicts
+// are bit-identical. Pure; only called when ep.coded.
+func (ep *EnsembleProgram) code(fv *FieldVector) uint64 {
+	var w uint64
+	for i := range ep.ranges {
+		r := &ep.ranges[i]
+		v := fv.vals[r.field]
+		if r.dense {
+			w |= uint64(min(max(v, r.cuts[0])-r.cuts[0], uint32(len(r.cuts)))) << r.shift
+			continue
+		}
+		// Lower bound by halving. Header values are as good as random to a
+		// branch predictor (and a miss here also costs the walk behind it),
+		// so each step is arithmetic, not a branch.
+		rank, n := 0, len(r.cuts)
+		for n > 1 {
+			half := n >> 1
+			rank += half & -less(r.cuts[rank+half-1], v)
+			n -= half
+		}
+		rank += less(r.cuts[rank], v)
+		w |= uint64(rank) << r.shift
+	}
+	return w
+}
+
+// less is 1 when a < b and 0 otherwise, computed without a branch.
+func less(a, b uint32) int { return int((uint64(a) - uint64(b)) >> 63) }
+
+// ensMemoSlots sizes the per-batch memo: the held-out DNS-amp episode shows
+// ~22 distinct code words per 256-packet batch, so 128 direct-mapped slots
+// rarely collide, and 128 x 56 B stays under 8 KB of the caller's stack.
+const (
+	ensMemoBits  = 7
+	ensMemoSlots = 1 << ensMemoBits
+)
+
+// ensMemo is the exact-match stage of one batch: code word -> verdict,
+// direct-mapped, living on the batch entry point's stack and dying with it.
+// Nothing is shared between batches or goroutines.
+type ensMemo struct {
+	slots [ensMemoSlots]struct {
+		code uint64
+		ok   bool
+		v    Verdict
+	}
+	hits, misses uint64
+}
+
+// slot spreads code words (small packed ranks) over the memo by a
+// multiplicative hash.
+func (m *ensMemo) slot(code uint64) int {
+	return int(code * 0x9E3779B97F4A7C15 >> (64 - ensMemoBits))
+}
+
 // evalCompiled is the ensemble fast path: walk every per-tree integer DAG,
 // combine in the vote stage, map the winning class to an action. It never
 // allocates; the accumulator lives on the stack.
@@ -614,10 +728,33 @@ type ensembleState struct {
 	scan bool
 }
 
-// eval dispatches one field vector to the selected evaluator.
-func (es *ensembleState) eval(fv *FieldVector) Verdict {
+// memoizes reports whether a batch through this stage is worth a memo: an
+// ensemble is installed, on the compiled path, with a range stage. The
+// batch entry points ask before they spend stack (and its zeroing) on one.
+func (es *ensembleState) memoizes() bool {
+	return es != nil && !es.scan && es.ep.coded
+}
+
+// eval dispatches one field vector to the selected evaluator. A batch
+// entry point passes its memo (nil: none, walk every packet): an equal code
+// word seen earlier in the batch answers without a walk; a miss or a slot
+// collision walks and overwrites the slot. The reference walk never
+// consults it, so it stays an independent oracle.
+func (es *ensembleState) eval(fv *FieldVector, m *ensMemo) Verdict {
 	if es.scan {
 		return es.ep.evalRef(fv)
 	}
-	return es.ep.evalCompiled(fv)
+	if m == nil {
+		return es.ep.evalCompiled(fv)
+	}
+	code := es.ep.code(fv)
+	s := &m.slots[m.slot(code)]
+	if s.ok && s.code == code {
+		m.hits++
+		return s.v
+	}
+	m.misses++
+	v := es.ep.evalCompiled(fv)
+	s.code, s.ok, s.v = code, true, v
+	return v
 }

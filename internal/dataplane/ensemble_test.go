@@ -190,6 +190,13 @@ func TestEnsembleBatchEquivalence(t *testing.T) {
 			}
 		}
 	}
+	// Every entry point, and the float reference twin, on batches longer
+	// than the memo has slots — full-range packets, small-valued ones and a
+	// run of repeats.
+	tw := newBatchTwins()
+	for _, batch := range []int{1, 64, 700} {
+		tw.check(t, "dns-amp-ens", ep, memoSummaries(rng, batch))
+	}
 }
 
 // --- budgets and degradation ----------------------------------------------
@@ -465,6 +472,14 @@ func TestEnsembleHotPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { out = sw.ProcessBatchAt(nil, sums, out[:0]) }); n != 0 {
 		t.Fatalf("ProcessBatchAt allocates %v/op on the ensemble path", n)
 	}
+	ptrs := make([]*packet.Summary, len(sums))
+	for i := range sums {
+		ptrs[i] = &sums[i]
+	}
+	out = out[:len(sums)]
+	if n := testing.AllocsPerRun(50, func() { sw.ClassifyBatch(ptrs, out) }); n != 0 {
+		t.Fatalf("ClassifyBatch allocates %v/op on the ensemble path", n)
+	}
 }
 
 // --- fuzzing ---------------------------------------------------------------
@@ -473,13 +488,15 @@ func TestEnsembleHotPathAllocs(t *testing.T) {
 // through the ensemble compiler: it must never panic, never hand back an
 // over-budget program, keep its per-tree accounting consistent, and stay
 // byte-identical to its own reference walk (and to the source model when
-// the compile is exact).
+// the compile is exact) — on the walk, through the per-batch memo, and
+// through every batch entry point of a switch.
 func FuzzEnsembleCompile(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3), uint8(40), uint8(0), uint8(0), uint8(0), uint8(0), false)
 	f.Add(int64(7), uint8(5), uint8(4), uint8(60), uint8(200), uint8(32), uint8(0), uint8(0), false)
 	f.Add(int64(42), uint8(8), uint8(6), uint8(70), uint8(50), uint8(0), uint8(4), uint8(2), false)
 	f.Add(int64(3), uint8(4), uint8(2), uint8(50), uint8(0), uint8(8), uint8(3), uint8(0), true)
 	f.Add(int64(99), uint8(2), uint8(1), uint8(20), uint8(1), uint8(1), uint8(1), uint8(1), true)
+	tw := newBatchTwins() // one pair per worker process: switches pin their counter blocks
 	f.Fuzz(func(t *testing.T, seed int64, nTrees, depth, rows, bNodes, bEntries, bStages, bTrees uint8, boost bool) {
 		rng := rand.New(rand.NewSource(seed))
 		classes := 2 + int(nTrees)%3
@@ -535,11 +552,23 @@ func FuzzEnsembleCompile(f *testing.F) {
 			t.Fatalf("mode/depth inconsistent: %+v", u)
 		}
 		x := make([]float64, len(features.PacketSchema))
+		es := &ensembleState{ep: ep}
+		var memo *ensMemo
+		if es.memoizes() {
+			memo = new(ensMemo)
+		}
 		for i := 0; i < 60; i++ {
 			fv := ensRandVector(rng)
 			got := ep.evalCompiled(&fv)
 			if ref := ep.evalRef(&fv); got != ref {
 				t.Fatalf("compiled %+v != ref %+v (fv %v, usage %+v)", got, ref, fv.vals, u)
+			}
+			// Twice through one memo, as a batch entry point would: the
+			// second lookup is a hit unless the program is too wide to code.
+			for pass := 0; pass < 2; pass++ {
+				if m := es.eval(&fv, memo); m != got {
+					t.Fatalf("memo pass %d %+v != compiled %+v (fv %v)", pass, m, got, fv.vals)
+				}
 			}
 			if u.Mode == EnsembleExact {
 				fvToX(&fv, x)
@@ -548,5 +577,9 @@ func FuzzEnsembleCompile(f *testing.F) {
 				}
 			}
 		}
+		if memo != nil && memo.hits < 60 {
+			t.Fatalf("120 lookups of 60 vectors hit %d times", memo.hits)
+		}
+		tw.check(t, "fuzz", ep, memoSummaries(rng, 48))
 	})
 }

@@ -10,6 +10,7 @@ import (
 
 	"campuslab/internal/features"
 	"campuslab/internal/packet"
+	"campuslab/internal/traffic"
 )
 
 // --- generators -----------------------------------------------------------
@@ -525,7 +526,7 @@ func TestDAGNodeBudgetFallback(t *testing.T) {
 	// The fallback still answers correctly.
 	for i := 0; i < 200; i++ {
 		fv := randVector(rng)
-		got := sw.state.Load().evalRules(&fv)
+		got := sw.state.Load().evalRules(&fv, nil)
 		if want := scanVerdict(prog, &fv); got != want {
 			t.Fatalf("fallback verdict %+v != %+v", got, want)
 		}
@@ -827,12 +828,74 @@ func BenchmarkSwitchProcessPaths(b *testing.B) {
 	}
 }
 
+// episodeSummaries parses a held-out campus + DNS-amp episode (the traffic
+// the forest was trained for, other seeds) into whole 256-packet batches.
+func episodeSummaries(b *testing.B, batch, batches int) []packet.Summary {
+	b.Helper()
+	plan := traffic.DefaultPlan(40)
+	g := traffic.NewMerge(
+		traffic.NewCampus(traffic.Profile{Plan: plan, FlowsPerSecond: 60, Duration: 4 * time.Second, Seed: 91}),
+		traffic.NewAttack(traffic.AttackConfig{
+			Kind: traffic.LabelDNSAmp, Plan: plan, Victim: plan.Host(1),
+			Start: 500 * time.Millisecond, Duration: 3 * time.Second, Rate: 800, Seed: 92,
+		}))
+	fp := packet.NewFlowParser()
+	sums := make([]packet.Summary, 0, batch*batches)
+	var f traffic.Frame
+	for len(sums) < cap(sums) && g.Next(&f) {
+		var s packet.Summary
+		if fp.Parse(f.Data, &s) == nil {
+			sums = append(sums, s)
+		}
+	}
+	if len(sums) < cap(sums) {
+		b.Fatalf("episode too short: %d packets", len(sums))
+	}
+	return sums
+}
+
+// distinctSummaries draws whole batches in each of which no two packets
+// rank alike against every cut ep's nodes test — no two share a code word,
+// so a per-batch memo can never hit: the ensemble stage's worst case. The
+// ranks are counted here from the nodes, not taken from the program's own
+// range stage, so the input is the same on a build without one.
+func distinctSummaries(b *testing.B, ep *EnsembleProgram, rng *rand.Rand, pool []netip.Addr, batch, batches int) []packet.Summary {
+	b.Helper()
+	sums := make([]packet.Summary, 0, batch*batches)
+	for len(sums) < cap(sums) {
+		seen := map[[NumFields]uint16]bool{}
+		for tries := 0; len(seen) < batch; tries++ {
+			if tries > 1<<20 {
+				b.Fatalf("only %d distinct code words reachable", len(seen))
+			}
+			s := randTestSummary(rng, pool)
+			var fv FieldVector
+			fv.FromSummary(&s)
+			var ranks [NumFields]uint16
+			for i := range ep.nodes {
+				if n := &ep.nodes[i]; n.cut < fv.vals[n.field] {
+					ranks[n.field]++
+				}
+			}
+			if !seen[ranks] {
+				seen[ranks] = true
+				sums = append(sums, s)
+			}
+		}
+	}
+	return sums
+}
+
 // BenchmarkEnsembleInference compares per-packet inference cost across the
 // deployment frontier on the same trained forest: the whole ensemble
 // compiled into the data plane (roomy and tight budgets), the extracted
 // single tree as a compiled rule DAG, and the control plane's
 // ml.PredictBatch. ns/op is per 256-packet batch; divide by 256 for
-// per-packet cost.
+// per-packet cost. The ensemble runs on three inputs, because what the
+// per-batch memo saves depends on how often headers repeat: uniformly
+// random summaries (adversarially diverse), a generated campus + DNS-amp
+// episode (repetitive, like real traffic), and a batch whose packets all
+// carry distinct code words (no hit possible — the memo's pure overhead).
 func BenchmarkEnsembleInference(b *testing.B) {
 	forest, tree, _, _ := trainPacketForest(b)
 	rng := rand.New(rand.NewSource(9))
@@ -852,7 +915,11 @@ func BenchmarkEnsembleInference(b *testing.B) {
 		X[i] = x
 	}
 
-	benchEnsemble := func(b *testing.B, budget ResourceBudget) {
+	// benchEnsemble feeds in's 256-packet batches round robin; in nil means
+	// the all-distinct batches, which depend on the compiled program. The
+	// episode and the distinct input are 16 batches long so the branch
+	// predictor cannot learn the walk of one batch by heart.
+	benchEnsemble := func(b *testing.B, budget ResourceBudget, in []packet.Summary) {
 		ep, err := CompileForestEnsemble(forest, features.PacketSchema, EnsembleConfig{
 			DropClasses: []int{1}, Budget: budget, Fallback: tree,
 		})
@@ -861,6 +928,9 @@ func BenchmarkEnsembleInference(b *testing.B) {
 		}
 		u := ep.Usage()
 		b.Logf("mode=%v trees=%d nodes=%d entries=%d stages=%d", u.Mode, u.Trees, u.Nodes, u.TableEntries, u.Stages)
+		if in == nil {
+			in = distinctSummaries(b, ep, rand.New(rand.NewSource(10)), pool, batch, 16)
+		}
 		sw := NewSwitch(DefaultResources())
 		if err := sw.LoadEnsemble(ep); err != nil {
 			b.Fatal(err)
@@ -869,11 +939,16 @@ func BenchmarkEnsembleInference(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out = sw.ProcessBatchAt(nil, sums, out[:0])
+			lo := i % (len(in) / batch) * batch
+			out = sw.ProcessBatchAt(nil, in[lo:lo+batch], out[:0])
 		}
 	}
-	b.Run("ensemble-dag/budget=roomy", func(b *testing.B) { benchEnsemble(b, ResourceBudget{}) })
-	b.Run("ensemble-dag/budget=tight", func(b *testing.B) { benchEnsemble(b, ResourceBudget{Nodes: 40}) })
+	episode := episodeSummaries(b, batch, 16)
+	b.Run("ensemble-dag/budget=roomy", func(b *testing.B) { benchEnsemble(b, ResourceBudget{}, sums) })
+	b.Run("ensemble-dag/budget=tight", func(b *testing.B) { benchEnsemble(b, ResourceBudget{Nodes: 40}, sums) })
+	b.Run("ensemble-dag/episode/budget=roomy", func(b *testing.B) { benchEnsemble(b, ResourceBudget{}, episode) })
+	b.Run("ensemble-dag/episode/budget=tight", func(b *testing.B) { benchEnsemble(b, ResourceBudget{Nodes: 40}, episode) })
+	b.Run("ensemble-dag/distinct/budget=roomy", func(b *testing.B) { benchEnsemble(b, ResourceBudget{}, nil) })
 
 	b.Run("extracted-tree-dag", func(b *testing.B) {
 		prog, err := Compile(tree, features.PacketSchema, CompileConfig{DropClasses: []int{1}})

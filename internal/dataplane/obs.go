@@ -59,6 +59,8 @@ var (
 	obsBatchesDag     = obs.Default.Counter("campuslab_dataplane_batches_total", "path", "dag")
 	obsBatchesScan    = obs.Default.Counter("campuslab_dataplane_batches_total", "path", "scan")
 	obsBatchesEns     = obs.Default.Counter("campuslab_dataplane_batches_total", "path", "ensemble")
+	obsEnsMemoHit     = obs.Default.Counter("campuslab_dataplane_ensemble_memo_total", "result", "hit")
+	obsEnsMemoMiss    = obs.Default.Counter("campuslab_dataplane_ensemble_memo_total", "result", "miss")
 	obsBatchSize      = obs.Default.Histogram("campuslab_dataplane_batch_size",
 		[]float64{16, 64, 256, 1024})
 )
@@ -93,11 +95,16 @@ func countEnsembleLoad(u EnsembleUsage) {
 	obsEnsStages.Set(float64(u.Stages))
 }
 
-// countBatch tallies one classified batch on the path it executed.
-func countBatch(st *pipelineState, n int) {
+// countBatch tallies one classified batch on the path it executed, and
+// flushes the tallies of the batch's ensemble memo (nil: it had none).
+func countBatch(st *pipelineState, n int, m *ensMemo) {
 	switch {
 	case st.ens != nil:
 		obsBatchesEns.Inc()
+		if m != nil {
+			obsEnsMemoHit.Add(m.hits)
+			obsEnsMemoMiss.Add(m.misses)
+		}
 	case st.dag != nil:
 		obsBatchesDag.Inc()
 	default:

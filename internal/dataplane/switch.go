@@ -157,10 +157,11 @@ type pipelineState struct {
 
 // evalRules classifies fv against the loaded classification stage
 // (filters already missed): the ensemble pipeline when one is installed,
-// else the rule program. Pure: no counters, no mutation.
-func (st *pipelineState) evalRules(fv *FieldVector) Verdict {
+// else the rule program. Pure: no counters, no mutation. m is the calling
+// batch's ensemble memo, nil on the single-packet path.
+func (st *pipelineState) evalRules(fv *FieldVector, m *ensMemo) Verdict {
 	if st.ens != nil {
-		return st.ens.eval(fv)
+		return st.ens.eval(fv, m)
 	}
 	if st.dag != nil {
 		return st.dag.eval(fv)
@@ -198,7 +199,7 @@ func (st *pipelineState) lookup(ts time.Duration, k FilterKey, wireLen int) (Ver
 // eval runs the full pipeline: runtime filters first (mitigations beat
 // classification), then meters, then the program. Meters aside, eval is
 // pure; counters are recorded separately by the caller.
-func (st *pipelineState) eval(ts time.Duration, s *packet.Summary, fv *FieldVector) Verdict {
+func (st *pipelineState) eval(ts time.Duration, s *packet.Summary, fv *FieldVector, m *ensMemo) Verdict {
 	if st.shapes != 0 {
 		t := &s.Tuple
 		if st.shapes&shapeFull != 0 {
@@ -227,7 +228,7 @@ func (st *pipelineState) eval(ts time.Duration, s *packet.Summary, fv *FieldVect
 			}
 		}
 	}
-	return st.evalRules(fv)
+	return st.evalRules(fv, m)
 }
 
 // Switch is the software programmable switch: a loaded classification
@@ -548,7 +549,7 @@ func (sw *Switch) ProcessAt(ts time.Duration, s *packet.Summary) Verdict {
 	st := sw.state.Load()
 	var fv FieldVector
 	fv.FromSummary(s)
-	v := st.eval(ts, s, &fv)
+	v := st.eval(ts, s, &fv, nil)
 	sw.record(st, v)
 	return v
 }
@@ -564,9 +565,15 @@ func (sw *Switch) ProcessBatch(sums []packet.Summary) []Verdict {
 // t=0), appending verdicts to out (pass out[:0] to reuse a buffer).
 // Counters are recorded per packet; the state is loaded once for the
 // whole batch, so a concurrent install becomes visible at the next batch.
+// Filters and meters are probed per packet, in order; only the ensemble
+// stage behind them is served through the batch's code-word memo.
 func (sw *Switch) ProcessBatchAt(ts []time.Duration, sums []packet.Summary, out []Verdict) []Verdict {
 	st := sw.state.Load()
 	var fv FieldVector
+	var memo *ensMemo
+	if st.ens.memoizes() {
+		memo = new(ensMemo) // does not escape: the caller's stack, this batch
+	}
 	// Action tallies accumulate locally and flush as one atomic add per
 	// counter per batch; only the per-rule/filter attribution stays
 	// per-packet.
@@ -578,7 +585,7 @@ func (sw *Switch) ProcessBatchAt(ts []time.Duration, sums []packet.Summary, out 
 			t = ts[i]
 		}
 		fv.FromSummary(&sums[i])
-		v := st.eval(t, &sums[i], &fv)
+		v := st.eval(t, &sums[i], &fv, memo)
 		a := v.Action
 		if a > ActionPunt {
 			a = ActionPermit
@@ -606,7 +613,7 @@ func (sw *Switch) ProcessBatchAt(ts []time.Duration, sums []packet.Summary, out 
 	if filterHits != 0 {
 		sw.ctr.filterHits.Add(filterHits)
 	}
-	countBatch(st, len(sums))
+	countBatch(st, len(sums), memo)
 	return out
 }
 
@@ -625,11 +632,15 @@ func (sw *Switch) ClassifyBatch(sums []*packet.Summary, out []Verdict) (uint64, 
 		return gen, false
 	}
 	var fv FieldVector
+	var memo *ensMemo
+	if st.ens.memoizes() {
+		memo = new(ensMemo)
+	}
 	for i, s := range sums {
 		fv.FromSummary(s)
-		out[i] = st.eval(0, s, &fv)
+		out[i] = st.eval(0, s, &fv, memo)
 	}
-	countBatch(st, len(sums))
+	countBatch(st, len(sums), memo)
 	return gen, true
 }
 

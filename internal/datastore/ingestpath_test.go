@@ -276,3 +276,72 @@ func TestAddBatchSteadyStateAllocs(t *testing.T) {
 		t.Errorf("%v allocations per warmed 2048-frame batch, budget 48", got)
 	}
 }
+
+// TestEvictAfterEmptiedShardStillTrimsPostings: an eviction that empties a
+// shard must leave the posting watermark at the last evicted ID + 1, not at
+// the end of the ID space — otherwise every later eviction skips the
+// posting lists, which then hold evicted IDs (and IndexBytes their 8 bytes
+// each) for the life of the process. Answers are checked against the scan
+// oracle at every step; the posting lists are checked entry for entry
+// against the surviving packets.
+func TestEvictAfterEmptiedShardStillTrimsPostings(t *testing.T) {
+	frames := equivFrames(t)
+	s := NewSharded(4)
+	if _, err := s.AddBatch(frames, 2); err != nil {
+		t.Fatal(err)
+	}
+	checkQueries := func(when string) {
+		t.Helper()
+		for _, expr := range queryExprs {
+			selectBoth(t, s, expr, 0)
+		}
+		// Every posting entry belongs to a packet still in its shard's slab.
+		for i, sh := range s.shards {
+			want := 0
+			model := modelPostings{}
+			for j := range sh.packets {
+				want += model.add(&sh.packets[j])
+			}
+			got := 0
+			everyRef(func(ref ixRef) { got += len(sh.index.lookup(ref)) })
+			if got != want {
+				t.Fatalf("%s: shard %d holds %d posting entries for %d packets owning %d", when, i, got, len(sh.packets), want)
+			}
+		}
+	}
+	checkQueries("after first ingest")
+
+	if n := s.EvictBefore(time.Hour); n != len(frames) {
+		t.Fatalf("evicted %d of %d", n, len(frames))
+	}
+	checkQueries("after emptying every shard")
+
+	// The same traffic again, ten seconds later; then retire its first half.
+	const shift = 10 * time.Second
+	later := make([]traffic.Frame, len(frames))
+	for i, f := range frames {
+		later[i] = f
+		later[i].TS += shift
+	}
+	if _, err := s.AddBatch(later, 2); err != nil {
+		t.Fatal(err)
+	}
+	checkQueries("after re-ingest")
+	cutTS := later[len(later)/2].TS
+	evictedEntries := 0
+	model := modelPostings{}
+	for _, sp := range s.Select(MustFilter("ts >= 0s"), 0) {
+		if sp.TS < cutTS {
+			evictedEntries += model.add(&sp)
+		}
+	}
+	before := s.Stats().IndexBytes
+	n := s.EvictBefore(cutTS)
+	if n == 0 || n == len(later) {
+		t.Fatalf("evicted %d of %d, want a proper part", n, len(later))
+	}
+	if got, want := before-s.Stats().IndexBytes, 8*uint64(evictedEntries); got != want {
+		t.Fatalf("evicting %d packets released %d index bytes, want %d (8 per posting entry)", n, got, want)
+	}
+	checkQueries("after evicting half")
+}

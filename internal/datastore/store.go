@@ -853,12 +853,9 @@ func (sh *shard) evictBefore(ts time.Duration) (int, uint64) {
 		return 0, 0
 	}
 	// The evicted prefix is also an ID prefix (the slab is co-sorted), so
-	// posting lists trim by the minimum surviving ID.
-	minID := PacketID(1<<64 - 1)
-	if cut < len(sh.packets) {
-		minID = sh.packets[cut].ID
-	}
-	freed := sh.dropRows(cut, minID)
+	// posting lists trim below the last evicted ID + 1 — a bound later
+	// evictions can still exceed when this one empties the shard.
+	freed := sh.dropRows(cut, sh.packets[cut-1].ID+1)
 	// Rebuild flow packet-ID lists lazily: drop flows that ended before ts.
 	// A flow's packets all live in this shard, so the shard-local minimum
 	// surviving ID bounds exactly the IDs this flow may still reference.

@@ -181,7 +181,14 @@ type Registry struct {
 	help       map[string]string
 	collectors []func(*Emitter)
 	tracer     *Tracer
+	// stages maps a stage name to its resolved counter pair. The map is
+	// copy-on-write under mu, so a span end is one pointer load and one map
+	// read: no lock, no allocation after a stage's first span.
+	stages atomic.Pointer[map[string]*stageCounters]
 }
+
+// stageCounters is one stage's series pair, resolved once.
+type stageCounters struct{ nanos, calls *Counter }
 
 // NewRegistry returns an empty registry with its own span tracer.
 func NewRegistry() *Registry {
@@ -502,11 +509,35 @@ const (
 	FleetFramesName  = "campuslab_fleet_server_frames_total"
 )
 
+// stage returns the counter pair of a stage, resolving it on first use.
+func (r *Registry) stage(stage string) *stageCounters {
+	if m := r.stages.Load(); m != nil {
+		if sc, ok := (*m)[stage]; ok {
+			return sc
+		}
+	}
+	sc := &stageCounters{
+		nanos: r.Counter(StageNanosName, "stage", stage),
+		calls: r.Counter(StageCallsName, "stage", stage),
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	next := map[string]*stageCounters{stage: sc}
+	if m := r.stages.Load(); m != nil {
+		for k, v := range *m {
+			next[k] = v // a racing resolver's pair holds the same counters
+		}
+	}
+	r.stages.Store(&next)
+	return sc
+}
+
 // RecordStage adds one invocation of stage taking d of wall time, and
 // appends a span to the registry's tracer.
 func (r *Registry) RecordStage(stage string, d time.Duration) {
-	r.Counter(StageNanosName, "stage", stage).Add(uint64(d))
-	r.Counter(StageCallsName, "stage", stage).Inc()
+	sc := r.stage(stage)
+	sc.nanos.Add(uint64(d))
+	sc.calls.Inc()
 	r.tracer.Record(stage, time.Now().Add(-d), d)
 }
 
@@ -515,11 +546,12 @@ func (r *Registry) RecordStage(stage string, d time.Duration) {
 //
 //	defer obs.Default.StartSpan("ingest")()
 func (r *Registry) StartSpan(stage string) func() {
+	sc := r.stage(stage)
 	start := time.Now()
 	return func() {
 		d := time.Since(start)
-		r.Counter(StageNanosName, "stage", stage).Add(uint64(d))
-		r.Counter(StageCallsName, "stage", stage).Inc()
+		sc.nanos.Add(uint64(d))
+		sc.calls.Inc()
 		r.tracer.Record(stage, start, d)
 	}
 }

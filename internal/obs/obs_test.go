@@ -261,3 +261,51 @@ func TestTracerRingEviction(t *testing.T) {
 		t.Fatalf("dump = %+v", dump)
 	}
 }
+
+// TestSpanResolvesSeriesOnce pins the span cost after a stage's first use:
+// the closure is the only allocation, and the counters a span writes are
+// the ones the registry serves under the stage's labels.
+func TestSpanResolvesSeriesOnce(t *testing.T) {
+	r := NewRegistry()
+	r.StartSpan("x")() // first resolution registers the pair
+	if n := testing.AllocsPerRun(200, func() {
+		defer r.StartSpan("x")()
+	}); n > 1 {
+		t.Fatalf("span on a resolved stage allocates %v/op, want <= 1 (the closure)", n)
+	}
+	if got := r.Counter(StageCallsName, "stage", "x").Value(); got != 202 {
+		t.Fatalf("calls{stage=x} = %d, want 202 (1 + AllocsPerRun's warm-up + 200)", got)
+	}
+	r.ResetNames(StageCallsName, StageNanosName)
+	r.RecordStage("x", time.Millisecond)
+	if c, n := r.Counter(StageCallsName, "stage", "x").Value(), r.Counter(StageNanosName, "stage", "x").Value(); c != 1 || n != uint64(time.Millisecond) {
+		t.Fatalf("after reset: calls %d nanos %d, want 1 and 1ms", c, n)
+	}
+}
+
+// TestSpanConcurrentStages resolves many stages from many goroutines at
+// once: every span must land on its own stage's pair.
+func TestSpanConcurrentStages(t *testing.T) {
+	r := NewRegistry()
+	stages := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	const perG = 200
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				r.StartSpan(stages[(g+i)%len(stages)])()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, s := range stages {
+		if got := r.Counter(StageCallsName, "stage", s).Value(); got != perG {
+			t.Fatalf("calls{stage=%s} = %d, want %d", s, got, perG)
+		}
+	}
+	if got := r.Tracer().Total(); got != 8*perG {
+		t.Fatalf("tracer total = %d, want %d", got, 8*perG)
+	}
+}

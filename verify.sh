@@ -149,14 +149,23 @@ gate_tests -race ./internal/netsim TestRoutingMatchesQuadraticReference
 
 echo "==> go test -race (dataplane fast path: concurrent install vs batch)"
 gate_tests -race ./internal/dataplane TestConcurrentInstallDuringBatch TestConcurrentEnsembleInstallDuringBatch \
-    TestSwitchPipelineEquivalence TestProcessBatchMatchesSequential TestClassifyBatchCommit
+    TestSwitchPipelineEquivalence TestProcessBatchMatchesSequential TestClassifyBatchCommit \
+    TestEnsembleMemoEquivalence TestEnsembleBatchPathsAgree TestEnsembleBatchWithMeters
 
 echo "==> ensemble budget gate (over budget must degrade, never error)"
-gate_tests "" ./internal/dataplane TestEnsembleBudgetDegradation TestEnsembleHotPathAllocs
+gate_tests "" ./internal/dataplane TestEnsembleBudgetDegradation TestEnsembleHotPathAllocs TestEnsembleCodeWordDeterminesLeaves
 
 echo "==> bench smoke (compiled fast path, must stay 0 allocs/op)"
 gate_bench 100x ./internal/dataplane BenchmarkSwitchProcess BenchmarkSwitchProcessPaths BenchmarkSwitchProcessBatch
-gate_bench 20x ./internal/dataplane BenchmarkEnsembleInference
+# Every ensemble-dag leg — uniform-random, episode and all-distinct-code-word
+# inputs — runs the batch entry point with its stack memo: one allocation
+# there means the memo escaped to the heap.
+ENS=$(gate_bench 20x ./internal/dataplane BenchmarkEnsembleInference)
+echo "$ENS"
+echo "$ENS" | awk '
+    /^BenchmarkEnsembleInference\/ensemble-dag\// { seen++; for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) != "0") bad = $1 " " $(i-1) }
+    END { if (seen < 5) { print "verify: FAIL — BenchmarkEnsembleInference/ensemble-dag ran " seen + 0 " legs, want 5" > "/dev/stderr"; exit 1 }
+          if (bad) { print "verify: FAIL — " bad " allocs/op on the ensemble fast path, want 0" > "/dev/stderr"; exit 1 } }'
 
 echo "==> bench smoke (learning: tree induction, forest vote must stay 0 allocs/op, extraction, forest fit)"
 LEARN=$(gate_bench 20x ./internal/ml BenchmarkFitTree BenchmarkForestPredict)
