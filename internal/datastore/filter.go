@@ -189,10 +189,9 @@ type node struct {
 	kids  []*node
 	tsOp  string
 	tsVal time.Duration
-	// ix/ixVal describe the posting list whose membership is exactly
-	// equivalent to this leaf (ixNone when the leaf is not indexable).
-	ix    ixKind
-	ixVal uint64
+	// key names the posting list whose membership is exactly equivalent to
+	// this leaf (kind ixNone when the leaf is not indexable).
+	key ixRef
 }
 
 func (p *filterParser) parseOr() (*node, error) {
@@ -277,87 +276,171 @@ func (p *filterParser) parseComparison() (*node, error) {
 	return compileComparison(field, op, val)
 }
 
-// flagNode compiles a bare flag field. Positive summary flags carry an
-// index descriptor: the flag posting list holds exactly the packets where
-// the flag is true, so membership ⇔ predicate.
-func flagNode(field string) (*node, error) {
-	switch field {
-	case "dns":
-		return &node{kind: "flag", ix: ixFlag, ixVal: flagDNS,
-			pred: func(sp *StoredPacket) bool { return sp.Summary.IsDNS }}, nil
-	case "dns.resp":
-		return &node{kind: "flag", ix: ixFlag, ixVal: flagDNSResp,
-			pred: func(sp *StoredPacket) bool { return sp.Summary.DNSResponse }}, nil
-	case "tcp":
-		return &node{kind: "flag", ix: ixFlag, ixVal: flagTCP,
-			pred: func(sp *StoredPacket) bool { return sp.Summary.HasTCP }}, nil
-	case "udp":
-		return &node{kind: "flag", ix: ixFlag, ixVal: flagUDP,
-			pred: func(sp *StoredPacket) bool { return sp.Summary.HasUDP }}, nil
-	case "icmp":
-		return &node{kind: "flag", ix: ixFlag, ixVal: flagICMP,
-			pred: func(sp *StoredPacket) bool { return sp.Summary.HasICMP }}, nil
-	case "ip":
-		return &node{kind: "flag", ix: ixFlag, ixVal: flagIP,
-			pred: func(sp *StoredPacket) bool { return sp.Summary.HasIP }}, nil
-	case "tcp.syn", "tcp.ack", "tcp.fin", "tcp.rst", "tcp.psh":
-		var bit packet.TCPFlags
-		switch field {
-		case "tcp.syn":
-			bit = packet.TCPSyn
-		case "tcp.ack":
-			bit = packet.TCPAck
-		case "tcp.fin":
-			bit = packet.TCPFin
-		case "tcp.rst":
-			bit = packet.TCPRst
-		case "tcp.psh":
-			bit = packet.TCPPsh
-		}
-		return &node{kind: "flag",
-			pred: func(sp *StoredPacket) bool { return sp.Summary.HasTCP && sp.Summary.TCPFlags.Has(bit) }}, nil
-	default:
-		return nil, fmt.Errorf("unknown flag %q", field)
-	}
+// tcpBits are the TCP header flags a bare field can test. None is indexed.
+var tcpBits = map[string]packet.TCPFlags{
+	"tcp.syn": packet.TCPSyn,
+	"tcp.ack": packet.TCPAck,
+	"tcp.fin": packet.TCPFin,
+	"tcp.rst": packet.TCPRst,
+	"tcp.psh": packet.TCPPsh,
 }
 
+// flagNode compiles a bare flag field. A flag of the key table carries an
+// index descriptor and tests keyFlags, which the index files packets
+// under: the flag posting list holds exactly the packets where it is true,
+// so membership ⇔ predicate.
+func flagNode(field string) (*node, error) {
+	for fl, name := range flagKeys {
+		if name == field {
+			return &node{kind: "flag", key: ixRef{ixFlag, uint64(fl)},
+				pred: func(sp *StoredPacket) bool { return keyFlags(sp)[fl] }}, nil
+		}
+	}
+	if bit, ok := tcpBits[field]; ok {
+		return &node{kind: "flag",
+			pred: func(sp *StoredPacket) bool { return sp.Summary.HasTCP && sp.Summary.TCPFlags.Has(bit) }}, nil
+	}
+	return nil, fmt.Errorf("unknown flag %q", field)
+}
+
+// compileComparison compiles `field op value`: a value family of the key
+// table, or one of the residual fields.
 func compileComparison(field, op string, val token) (*node, error) {
-	switch field {
-	case "ts":
-		if val.kind != tokDuration && val.kind != tokNumber {
-			return nil, fmt.Errorf("ts compares against a duration, got %q", val.text)
+	for fi := range valueKeys {
+		if valueKeys[fi].name == field {
+			return keyNode(ixKind(fi+1), op, val)
 		}
-		var d time.Duration
-		if val.kind == tokDuration {
-			d, _ = time.ParseDuration(val.text)
-		} else {
-			n, _ := strconv.ParseInt(val.text, 10, 64)
-			d = time.Duration(n) * time.Second
+	}
+	if compile, ok := residualFields[field]; ok {
+		return compile(op, val)
+	}
+	return nil, fmt.Errorf("unknown field %q", field)
+}
+
+// keyNode compiles a comparison on one of the key table's value families,
+// reading the packet through keyVal — what the index files it under, so
+// an `==` leaf's posting list holds exactly the packets its predicate
+// accepts and carries the index descriptor (a value outside the domain
+// names an empty list, which is still exact). Every other operator is
+// residual. Ports and links are numbers under all six operators; proto and
+// label also take names, and only == and !=.
+func keyNode(kind ixKind, op string, val token) (*node, error) {
+	parse, named := keyNames[kind]
+	if !named {
+		parse = parseNumber
+	}
+	want, err := parse(val)
+	if err != nil {
+		return nil, err
+	}
+	if named && op != "==" && op != "!=" {
+		return nil, fmt.Errorf("%s supports == and != only", valueKeys[kind-1].name)
+	}
+	pred, err := ordPredicate(op, func(sp *StoredPacket) int64 { return int64(keyVal(sp, kind)) }, want)
+	if err != nil {
+		return nil, err
+	}
+	n := &node{kind: "cmp", pred: pred}
+	if op == "==" {
+		n.key = ixRef{kind, uint64(want)}
+	}
+	return n, nil
+}
+
+// keyNames are the value families whose values have names.
+var keyNames = map[ixKind]func(token) (int64, error){ixProto: parseProto, ixLabel: parseLabel}
+
+// parseNumber saturates at MaxInt64, which no numeric field reaches.
+func parseNumber(val token) (int64, error) {
+	if val.kind != tokNumber {
+		return 0, fmt.Errorf("numeric field compares against a number, got %q", val.text)
+	}
+	n, _ := strconv.ParseInt(val.text, 10, 64)
+	return n, nil
+}
+
+func parseProto(val token) (int64, error) {
+	if val.kind != tokIdent && val.kind != tokNumber {
+		return 0, fmt.Errorf("proto compares against a name or number")
+	}
+	switch strings.ToLower(val.text) {
+	case "tcp":
+		return int64(packet.IPProtocolTCP), nil
+	case "udp":
+		return int64(packet.IPProtocolUDP), nil
+	case "icmp":
+		return int64(packet.IPProtocolICMPv4), nil
+	}
+	n, err := strconv.ParseUint(val.text, 10, 8)
+	if err != nil {
+		return 0, fmt.Errorf("unknown protocol %q", val.text)
+	}
+	return int64(n), nil
+}
+
+// parseLabel reads a packet-level ground-truth label (from labeled
+// generators): label == dns-amp, label != benign, or a numeric class id.
+func parseLabel(val token) (int64, error) {
+	for l := traffic.LabelBenign; l < traffic.NumLabels; l++ {
+		if l.String() == val.text {
+			return int64(l), nil
 		}
-		pred, err := ordPredicate(op, func(sp *StoredPacket) int64 { return int64(sp.TS) }, int64(d))
+	}
+	n, err := strconv.ParseUint(val.text, 10, 8)
+	if err != nil || traffic.Label(n) >= traffic.NumLabels {
+		return 0, fmt.Errorf("unknown label %q", val.text)
+	}
+	return int64(n), nil
+}
+
+// residualFields are the comparison fields no posting list answers, by
+// filter name. (ts is not indexed either: its top-level conjuncts become
+// the plan's window.)
+var residualFields = map[string]func(op string, val token) (*node, error){
+	"ts":          tsNode,
+	"len":         numericField(func(sp *StoredPacket) int64 { return int64(sp.Summary.WireLen) }),
+	"payload.len": numericField(func(sp *StoredPacket) int64 { return int64(sp.Summary.PayloadLen) }),
+	"ttl":         numericField(func(sp *StoredPacket) int64 { return int64(sp.Summary.TTL) }),
+	"dns.answers": numericField(func(sp *StoredPacket) int64 { return int64(sp.Summary.DNSAnswerCnt) }),
+	"src.ip":      addrField(func(sp *StoredPacket) netip.Addr { return sp.Summary.Tuple.SrcIP }),
+	"dst.ip":      addrField(func(sp *StoredPacket) netip.Addr { return sp.Summary.Tuple.DstIP }),
+	"dns.qtype":   qtypeNode,
+}
+
+func tsNode(op string, val token) (*node, error) {
+	if val.kind != tokDuration && val.kind != tokNumber {
+		return nil, fmt.Errorf("ts compares against a duration, got %q", val.text)
+	}
+	var d time.Duration
+	if val.kind == tokDuration {
+		d, _ = time.ParseDuration(val.text)
+	} else {
+		n, _ := strconv.ParseInt(val.text, 10, 64)
+		d = time.Duration(n) * time.Second
+	}
+	pred, err := ordPredicate(op, func(sp *StoredPacket) int64 { return int64(sp.TS) }, int64(d))
+	if err != nil {
+		return nil, err
+	}
+	return &node{kind: "cmp", tsOp: op, tsVal: d, pred: pred}, nil
+}
+
+func numericField(get func(*StoredPacket) int64) func(string, token) (*node, error) {
+	return func(op string, val token) (*node, error) {
+		want, err := parseNumber(val)
 		if err != nil {
 			return nil, err
 		}
-		return &node{kind: "cmp", tsOp: op, tsVal: d, pred: pred}, nil
-	case "len":
-		return numericNode(op, val, func(sp *StoredPacket) int64 { return int64(sp.Summary.WireLen) })
-	case "payload.len":
-		return numericNode(op, val, func(sp *StoredPacket) int64 { return int64(sp.Summary.PayloadLen) })
-	case "ttl":
-		return numericNode(op, val, func(sp *StoredPacket) int64 { return int64(sp.Summary.TTL) })
-	case "src.port":
-		return indexedNumericNode(ixSrcPort, op, val, func(sp *StoredPacket) int64 { return int64(sp.Summary.Tuple.SrcPort) })
-	case "dst.port":
-		return indexedNumericNode(ixDstPort, op, val, func(sp *StoredPacket) int64 { return int64(sp.Summary.Tuple.DstPort) })
-	case "dns.answers":
-		return numericNode(op, val, func(sp *StoredPacket) int64 { return int64(sp.Summary.DNSAnswerCnt) })
-	case "link":
-		return indexedNumericNode(ixLink, op, val, func(sp *StoredPacket) int64 { return int64(sp.Link) })
-	case "src.ip", "dst.ip":
-		get := func(sp *StoredPacket) netip.Addr { return sp.Summary.Tuple.SrcIP }
-		if field == "dst.ip" {
-			get = func(sp *StoredPacket) netip.Addr { return sp.Summary.Tuple.DstIP }
+		pred, err := ordPredicate(op, get, want)
+		if err != nil {
+			return nil, err
 		}
+		return &node{kind: "cmp", pred: pred}, nil
+	}
+}
+
+func addrField(get func(*StoredPacket) netip.Addr) func(string, token) (*node, error) {
+	return func(op string, val token) (*node, error) {
 		switch {
 		case op == "in" && val.kind == tokCIDR:
 			pfx := netip.MustParsePrefix(val.text)
@@ -367,123 +450,34 @@ func compileComparison(field, op string, val token) (*node, error) {
 			eq := op == "=="
 			return &node{kind: "cmp", pred: func(sp *StoredPacket) bool { return (get(sp) == want) == eq }}, nil
 		default:
-			return nil, fmt.Errorf("%s %s %q not supported", field, op, val.text)
+			return nil, fmt.Errorf("address field: %s %q not supported", op, val.text)
 		}
-	case "proto":
-		if val.kind != tokIdent && val.kind != tokNumber {
-			return nil, fmt.Errorf("proto compares against a name or number")
-		}
-		var want packet.IPProtocol
-		switch strings.ToLower(val.text) {
-		case "tcp":
-			want = packet.IPProtocolTCP
-		case "udp":
-			want = packet.IPProtocolUDP
-		case "icmp":
-			want = packet.IPProtocolICMPv4
-		default:
-			n, err := strconv.ParseUint(val.text, 10, 8)
-			if err != nil {
-				return nil, fmt.Errorf("unknown protocol %q", val.text)
-			}
-			want = packet.IPProtocol(n)
-		}
-		switch op {
-		case "==":
-			return &node{kind: "cmp", ix: ixProto, ixVal: uint64(want),
-				pred: func(sp *StoredPacket) bool { return sp.Summary.Tuple.Proto == want }}, nil
-		case "!=":
-			return &node{kind: "cmp", pred: func(sp *StoredPacket) bool { return sp.Summary.Tuple.Proto != want }}, nil
-		default:
-			return nil, fmt.Errorf("proto supports == and != only")
-		}
-	case "label":
-		// Packet-level ground-truth label (from labeled generators):
-		// label == dns-amp, label != benign, or a numeric class id.
-		var want traffic.Label
-		found := false
-		for l := traffic.LabelBenign; l < traffic.NumLabels; l++ {
-			if l.String() == val.text {
-				want, found = l, true
-				break
-			}
-		}
-		if !found {
-			n, err := strconv.ParseUint(val.text, 10, 8)
-			if err != nil || traffic.Label(n) >= traffic.NumLabels {
-				return nil, fmt.Errorf("unknown label %q", val.text)
-			}
-			want = traffic.Label(n)
-		}
-		switch op {
-		case "==":
-			return &node{kind: "cmp", ix: ixLabel, ixVal: uint64(want),
-				pred: func(sp *StoredPacket) bool { return sp.Label == want }}, nil
-		case "!=":
-			return &node{kind: "cmp", pred: func(sp *StoredPacket) bool { return sp.Label != want }}, nil
-		default:
-			return nil, fmt.Errorf("label supports == and != only")
-		}
-	case "dns.qtype":
-		var want packet.DNSType
-		switch strings.ToUpper(val.text) {
-		case "A":
-			want = packet.DNSTypeA
-		case "AAAA":
-			want = packet.DNSTypeAAAA
-		case "ANY":
-			want = packet.DNSTypeANY
-		case "TXT":
-			want = packet.DNSTypeTXT
-		case "NS":
-			want = packet.DNSTypeNS
-		case "MX":
-			want = packet.DNSTypeMX
-		default:
-			n, err := strconv.ParseUint(val.text, 10, 16)
-			if err != nil {
-				return nil, fmt.Errorf("unknown dns type %q", val.text)
-			}
-			want = packet.DNSType(n)
-		}
-		switch op {
-		case "==":
-			return &node{kind: "cmp", pred: func(sp *StoredPacket) bool { return sp.Summary.IsDNS && sp.Summary.DNSQueryType == want }}, nil
-		case "!=":
-			return &node{kind: "cmp", pred: func(sp *StoredPacket) bool { return sp.Summary.IsDNS && sp.Summary.DNSQueryType != want }}, nil
-		default:
-			return nil, fmt.Errorf("dns.qtype supports == and != only")
-		}
-	default:
-		return nil, fmt.Errorf("unknown field %q", field)
 	}
 }
 
-func numericNode(op string, val token, get func(*StoredPacket) int64) (*node, error) {
-	if val.kind != tokNumber {
-		return nil, fmt.Errorf("numeric field compares against a number, got %q", val.text)
-	}
-	n, _ := strconv.ParseInt(val.text, 10, 64)
-	pred, err := ordPredicate(op, get, n)
-	if err != nil {
-		return nil, err
-	}
-	return &node{kind: "cmp", pred: pred}, nil
+// dnsTypeNames are the query types dns.qtype accepts by name; any other
+// type is its number.
+var dnsTypeNames = map[string]packet.DNSType{
+	"A": packet.DNSTypeA, "AAAA": packet.DNSTypeAAAA, "ANY": packet.DNSTypeANY,
+	"TXT": packet.DNSTypeTXT, "NS": packet.DNSTypeNS, "MX": packet.DNSTypeMX,
 }
 
-// indexedNumericNode is numericNode for fields backed by a posting list;
-// equality comparisons get an index descriptor (values outside the field's
-// domain simply find an empty posting list, which is still exact).
-func indexedNumericNode(kind ixKind, op string, val token, get func(*StoredPacket) int64) (*node, error) {
-	n, err := numericNode(op, val, get)
-	if err != nil {
-		return nil, err
+func qtypeNode(op string, val token) (*node, error) {
+	want, named := dnsTypeNames[strings.ToUpper(val.text)]
+	if !named {
+		n, err := strconv.ParseUint(val.text, 10, 16)
+		if err != nil {
+			return nil, fmt.Errorf("unknown dns type %q", val.text)
+		}
+		want = packet.DNSType(n)
 	}
-	if op == "==" {
-		v, _ := strconv.ParseUint(val.text, 10, 64)
-		n.ix, n.ixVal = kind, v
+	if op != "==" && op != "!=" {
+		return nil, fmt.Errorf("dns.qtype supports == and != only")
 	}
-	return n, nil
+	eq := op == "=="
+	return &node{kind: "cmp", pred: func(sp *StoredPacket) bool {
+		return sp.Summary.IsDNS && (sp.Summary.DNSQueryType == want) == eq
+	}}, nil
 }
 
 func ordPredicate(op string, get func(*StoredPacket) int64, want int64) (Predicate, error) {

@@ -16,7 +16,9 @@ import "sort"
 // interval — which is what lets the planner clip posting lists to a
 // query's time bounds with two binary searches.
 
-// ixKind names a posting-list family.
+// ixKind names a posting-list family. The value families come first, so
+// kind-1 is a value family's row in valueKeys and its index in every
+// per-family array (hot postings, segment postings, zone maps).
 type ixKind uint8
 
 const (
@@ -26,19 +28,53 @@ const (
 	ixDstPort
 	ixLink
 	ixLabel
-	ixFlag // ixVal is one of the flag ids below
+	ixFlag // ixVal is a flag id, a row of flagKeys
+
+	numFams  = int(ixFlag) - 1
+	numFlags = 6
 )
 
-// Flag posting-list ids (ixFlag's ixVal domain).
-const (
-	flagIP = iota
-	flagTCP
-	flagUDP
-	flagICMP
-	flagDNS
-	flagDNSResp
-	numFlags
-)
+// The key table: everything a packet is indexed under, stated once — the
+// two name tables and the two field lists (keyVal, keyFlags) below. Hot postings, the cold
+// index and dict columns, zone maps and the filter compiler all read them,
+// so an indexed field is one row and one field. Order is the segment
+// format's: the index column stores the value families, then the flag
+// lists, in it.
+
+// valueKeys are the value families, indexed by ixKind-1: the filter field
+// and the inclusive bound of its domain.
+var valueKeys = [numFams]struct {
+	name string
+	max  uint64
+}{{"proto", 0xff}, {"src.port", 0xffff}, {"dst.port", 0xffff}, {"link", 0xffff}, {"label", 0xff}}
+
+// flagKeys are the boolean families' bare filter fields, indexed by flag id
+// (ixFlag's ixVal domain).
+var flagKeys = [numFlags]string{"ip", "tcp", "udp", "icmp", "dns", "dns.resp"}
+
+// keyVal is sp's value in one value family. Every packet has one in every
+// family — non-IP packets proto/port 0 — so equality against any value,
+// zero included, is exactly answerable from the index. A switch, not an
+// array of all five, which cost postings.add a quarter more (DESIGN §11).
+func keyVal(sp *StoredPacket, kind ixKind) uint16 {
+	switch kind {
+	case ixProto:
+		return uint16(sp.Summary.Tuple.Proto)
+	case ixSrcPort:
+		return sp.Summary.Tuple.SrcPort
+	case ixDstPort:
+		return sp.Summary.Tuple.DstPort
+	case ixLink:
+		return sp.Link
+	}
+	return uint16(sp.Label)
+}
+
+// keyFlags is whether sp has each flag, in flagKeys order.
+func keyFlags(sp *StoredPacket) [numFlags]bool {
+	s := &sp.Summary
+	return [numFlags]bool{s.HasIP, s.HasTCP, s.HasUDP, s.HasICMP, s.IsDNS, s.DNSResponse}
+}
 
 // ixRef names one posting list: a family plus the value within it.
 type ixRef struct {
@@ -46,17 +82,24 @@ type ixRef struct {
 	val  uint64
 }
 
+// inDomain reports whether any packet could be indexed under ref. A value
+// outside its family's domain names a provably empty list — still exact:
+// no packet can match such an equality.
+func (ref ixRef) inDomain() bool {
+	if ref.kind == ixFlag {
+		return ref.val < numFlags
+	}
+	fi := int(ref.kind) - 1
+	return fi >= 0 && fi < numFams && ref.val <= valueKeys[fi].max
+}
+
 // postings is one shard's secondary index. All access is guarded by the
 // shard lock (writes under the write lock in apply/evict, reads under the
-// read lock during queries). Every family is addressed by its value — an
-// array index or a page-table walk — never hashed.
+// read lock during queries). Every family is addressed by its value — a
+// page-table walk — never hashed.
 type postings struct {
-	proto   [256][]PacketID
-	label   [256][]PacketID
-	srcPort pageTable
-	dstPort pageTable
-	link    pageTable
-	flags   [numFlags][]PacketID
+	fams  [numFams]pageTable
+	flags [numFlags][]PacketID
 	// evictedBelow is the highest minID a completed evictBelow has
 	// processed. Every list is already free of IDs below it, so repeat
 	// calls at or below the watermark skip the full-index walk — the
@@ -100,12 +143,6 @@ func (t *pageTable) slot(v uint16) *[]PacketID {
 	return &t.lists[pg[v&0xff]-1]
 }
 
-// trim drops every entry with ID < minID, returning how many went. A value
-// whose list empties keeps its handle (one nil slice header).
-func (t *pageTable) trim(minID PacketID) int {
-	return trimLists(t.lists, minID)
-}
-
 // trimLists drops the entries with ID < minID from each sorted list in
 // place, returning the number removed.
 func trimLists(lists [][]PacketID, minID PacketID) (removed int) {
@@ -140,26 +177,19 @@ func insertID(ids []PacketID, id PacketID) []PacketID {
 	return ids
 }
 
-// add indexes one stored packet, returning the number of posting entries
-// written (for index-size accounting). Every packet lands in the five
-// value families — non-IP packets under proto/port 0 — so that equality
-// against any value, including zero, is exactly answerable from the index.
+// add indexes one stored packet under keyVal and keyFlags, returning the
+// number of posting entries written (for index-size accounting). The
+// families are written out, lookups before inserts, where lookup and
+// evictBelow loop: as a loop this cost fleet_stream 3–5% (DESIGN §11).
 func (px *postings) add(sp *StoredPacket) int {
-	t := &sp.Summary.Tuple
-	px.proto[uint8(t.Proto)] = insertID(px.proto[uint8(t.Proto)], sp.ID)
-	px.label[uint8(sp.Label)] = insertID(px.label[uint8(sp.Label)], sp.ID)
-	src, dst, link := px.srcPort.slot(t.SrcPort), px.dstPort.slot(t.DstPort), px.link.slot(sp.Link)
+	slot := func(kind ixKind) *[]PacketID { return px.fams[kind-1].slot(keyVal(sp, kind)) }
+	proto, label := slot(ixProto), slot(ixLabel)
+	*proto, *label = insertID(*proto, sp.ID), insertID(*label, sp.ID)
+	src, dst, link := slot(ixSrcPort), slot(ixDstPort), slot(ixLink)
 	*src, *dst, *link = insertID(*src, sp.ID), insertID(*dst, sp.ID), insertID(*link, sp.ID)
-	entries := 5
-	for fl, on := range [numFlags]bool{
-		flagIP:      sp.Summary.HasIP,
-		flagTCP:     sp.Summary.HasTCP,
-		flagUDP:     sp.Summary.HasUDP,
-		flagICMP:    sp.Summary.HasICMP,
-		flagDNS:     sp.Summary.IsDNS,
-		flagDNSResp: sp.Summary.DNSResponse,
-	} {
-		if on {
+	entries, flags := numFams, keyFlags(sp)
+	for fl := range px.flags {
+		if flags[fl] {
 			px.flags[fl] = insertID(px.flags[fl], sp.ID)
 			entries++
 		}
@@ -168,55 +198,31 @@ func (px *postings) add(sp *StoredPacket) int {
 }
 
 // lookup returns the posting list for ref, nil when the value has no
-// packets (or lies outside the field's domain — still exact: no packet
-// can match such an equality).
+// packets.
 func (px *postings) lookup(ref ixRef) []PacketID {
-	switch ref.kind {
-	case ixProto:
-		if ref.val > 0xff {
-			return nil
-		}
-		return px.proto[ref.val]
-	case ixSrcPort:
-		if ref.val > 0xffff {
-			return nil
-		}
-		return px.srcPort.get(uint16(ref.val))
-	case ixDstPort:
-		if ref.val > 0xffff {
-			return nil
-		}
-		return px.dstPort.get(uint16(ref.val))
-	case ixLink:
-		if ref.val > 0xffff {
-			return nil
-		}
-		return px.link.get(uint16(ref.val))
-	case ixLabel:
-		if ref.val > 0xff {
-			return nil
-		}
-		return px.label[ref.val]
-	case ixFlag:
-		if ref.val >= numFlags {
-			return nil
-		}
+	switch {
+	case !ref.inDomain():
+		return nil
+	case ref.kind == ixFlag:
 		return px.flags[ref.val]
 	}
-	return nil
+	return px.fams[ref.kind-1].get(uint16(ref.val))
 }
 
 // evictBelow drops all posting entries with ID < minID (retention eviction
 // removes a prefix of the slab, which is a prefix by ID too). Returns the
-// number of entries removed.
+// number of entries removed. A value whose list empties keeps its page-table
+// handle (one nil slice header).
 func (px *postings) evictBelow(minID PacketID) int {
 	if minID <= px.evictedBelow {
 		return 0
 	}
 	px.evictedBelow = minID
-	return trimLists(px.proto[:], minID) + trimLists(px.label[:], minID) +
-		px.srcPort.trim(minID) + px.dstPort.trim(minID) + px.link.trim(minID) +
-		trimLists(px.flags[:], minID)
+	removed := trimLists(px.flags[:], minID)
+	for fi := range px.fams {
+		removed += trimLists(px.fams[fi].lists, minID)
+	}
+	return removed
 }
 
 // clip restricts a sorted list — posting IDs in a shard, row positions in a

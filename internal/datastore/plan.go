@@ -133,9 +133,9 @@ func buildPlan(root *node) queryPlan {
 	var resid []Predicate
 	for _, c := range conjuncts {
 		switch {
-		case c.ix != ixNone:
+		case c.key.kind != ixNone:
 			// exact: posting membership ⇔ conjunct truth
-			p.keys = append(p.keys, ixRef{c.ix, c.ixVal})
+			p.keys = append(p.keys, c.key)
 		case c.tsOp != "" && p.win.absorb(c.tsOp, c.tsVal):
 			// exact: inside the window ⇔ conjunct truth
 		default:

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -103,24 +103,6 @@ func segErr(format string, args ...any) error {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
 
-// segFamilies are the indexed value families, in file order. The position
-// in this array is the "family index" used throughout.
-var segFamilyKinds = [5]ixKind{ixProto, ixSrcPort, ixDstPort, ixLink, ixLabel}
-
-// segFamilyMax is each family's value domain bound (inclusive).
-var segFamilyMax = [5]uint64{0xff, 0xffff, 0xffff, 0xffff, 0xff}
-
-// segFamilyIndex maps a planner key kind to its family index (-1 when the
-// kind is not a value family, i.e. ixFlag).
-func segFamilyIndex(kind ixKind) int {
-	for i, k := range segFamilyKinds {
-		if k == kind {
-			return i
-		}
-	}
-	return -1
-}
-
 // segMeta is the resident per-segment metadata: row count, ID/TS bounds,
 // and the zone map. Everything queries need to prune a segment without
 // touching its columns.
@@ -131,14 +113,13 @@ type segMeta struct {
 	zone         segZone
 }
 
-// segZone is a segment's zone map: per indexed family, the exact sorted
-// set of distinct values (up to segZoneMaxVals) or a min/max range beyond
-// that, plus flag presence. mayMatch answers "could any row satisfy all of
-// the plan's equality keys" without reading a column.
+// segZone is a segment's zone map: per value family, the exact sorted set
+// of distinct values (up to segZoneMaxVals; nil beyond that, leaving the
+// min/max range), plus flag presence. mayMatch answers "could any row
+// satisfy all of the plan's equality keys" without reading a column.
 type segZone struct {
-	vals     [5][]uint64
-	min, max [5]uint64
-	overflow [5]bool
+	vals     [numFams][]uint16
+	min, max [numFams]uint16
 	flags    [numFlags]bool
 }
 
@@ -151,92 +132,38 @@ const segZoneMaxVals = 1024
 // true only means "must decode to know".
 func (z *segZone) mayMatch(keys []ixRef) bool {
 	for _, k := range keys {
+		if !k.inDomain() {
+			return false
+		}
 		if k.kind == ixFlag {
-			if k.val >= numFlags || !z.flags[k.val] {
+			if !z.flags[k.val] {
 				return false
 			}
 			continue
 		}
-		fi := segFamilyIndex(k.kind)
-		if fi < 0 {
-			continue
-		}
-		if k.val > segFamilyMax[fi] {
+		fi, v := k.kind-1, uint16(k.val)
+		if v < z.min[fi] || v > z.max[fi] {
 			return false
 		}
-		if z.overflow[fi] {
-			if k.val < z.min[fi] || k.val > z.max[fi] {
+		if vs := z.vals[fi]; vs != nil { // nil: the range is all there is
+			if _, found := slices.BinarySearch(vs, v); !found {
 				return false
 			}
-			continue
-		}
-		vs := z.vals[fi]
-		i := sort.Search(len(vs), func(i int) bool { return vs[i] >= k.val })
-		if i >= len(vs) || vs[i] != k.val {
-			return false
 		}
 	}
 	return true
 }
 
-// segIndex is the writer's index under construction: the posting-list
-// families re-based to row positions, grouped by value as rows arrive.
-// The reader's resident form is segPostings.
-type segIndex struct {
-	fams  [5]map[uint64][]uint32
-	flags [numFlags][]uint32
-}
-
-func newSegIndex() *segIndex {
-	ix := &segIndex{}
-	for i := range ix.fams {
-		ix.fams[i] = make(map[uint64][]uint32)
-	}
-	return ix
-}
-
-// sortedVals returns one family's distinct values, ascending.
-func (ix *segIndex) sortedVals(fi int) []uint64 {
-	vals := make([]uint64, 0, len(ix.fams[fi]))
-	for v := range ix.fams[fi] {
-		vals = append(vals, v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	return vals
-}
-
-// setFamily records one family's ascending distinct values in the zone map.
-func (z *segZone) setFamily(fi int, vals []uint64) {
-	if len(vals) > 0 {
-		z.min[fi], z.max[fi] = vals[0], vals[len(vals)-1]
-	}
-	if len(vals) > segZoneMaxVals {
-		z.overflow[fi] = true
-	} else {
-		z.vals[fi] = vals
-	}
-}
-
-// zone derives the resident zone map from a freshly built index.
-func (ix *segIndex) zone() segZone {
-	var z segZone
-	for fi := range ix.fams {
-		z.setFamily(fi, ix.sortedVals(fi))
-	}
-	for fl := range ix.flags {
-		z.flags[fl] = len(ix.flags[fl]) > 0
-	}
-	return z
-}
-
-// segPostings is a decoded index column in its resident form: per value
+// segPostings is a segment's index in its one in-memory form: per value
 // family the ascending distinct values, each owning a contiguous run of
-// one shared row slab, then the six flag lists in the same slab. Against
-// five maps of slices this is two allocations per family instead of one
-// per distinct value, and nothing in it points into the segment file.
+// one shared row slab, then the flag lists in the same slab. Seal builds
+// it from the row run and serialises the index and dict columns from it;
+// decodeIndex rebuilds it from the index column; every query reads it.
+// Two allocations per family, and nothing in it points into the segment
+// file.
 type segPostings struct {
-	vals  [5][]uint16          // ascending distinct values (every family's domain fits 16 bits)
-	start [5][]uint32          // len(vals)+1: value i owns rows[start[i]:start[i+1]]
+	vals  [numFams][]uint16    // ascending distinct values (every family's domain fits 16 bits)
+	start [numFams][]uint32    // len(vals)+1: value i owns rows[start[i]:start[i+1]]
 	flags [numFlags + 1]uint32 // flag fl owns rows[flags[fl]:flags[fl+1]]
 	rows  []uint32
 }
@@ -244,39 +171,29 @@ type segPostings struct {
 // lookup returns the ascending row list for one planner key (nil when
 // absent). The list is a view into the slab: callers must not write it.
 func (px *segPostings) lookup(ref ixRef) []uint32 {
-	if ref.kind == ixFlag {
-		if ref.val >= numFlags {
-			return nil
-		}
+	switch {
+	case !ref.inDomain():
+		return nil
+	case ref.kind == ixFlag:
 		return px.rows[px.flags[ref.val]:px.flags[ref.val+1]]
 	}
-	fi := segFamilyIndex(ref.kind)
-	if fi < 0 || ref.val > segFamilyMax[fi] {
-		return nil
-	}
-	vals := px.vals[fi]
-	i := sort.Search(len(vals), func(i int) bool { return uint64(vals[i]) >= ref.val })
-	if i == len(vals) || uint64(vals[i]) != ref.val {
+	fi := ref.kind - 1
+	i, found := slices.BinarySearch(px.vals[fi], uint16(ref.val))
+	if !found {
 		return nil
 	}
 	return px.rows[px.start[fi][i]:px.start[fi][i+1]]
 }
 
-// widen copies a family's values into the uint64 form zone maps share
-// with the writer.
-func widen(vals []uint16) []uint64 {
-	out := make([]uint64, len(vals))
-	for i, v := range vals {
-		out[i] = uint64(v)
-	}
-	return out
-}
-
-// zone derives the resident zone map from a decoded index.
+// zone derives the resident zone map. It shares the value sets it keeps
+// with px; neither is written after it is built.
 func (px *segPostings) zone() segZone {
 	var z segZone
-	for fi := range px.vals {
-		z.setFamily(fi, widen(px.vals[fi]))
+	for fi, vals := range px.vals {
+		z.min[fi], z.max[fi] = vals[0], vals[len(vals)-1]
+		if len(vals) <= segZoneMaxVals {
+			z.vals[fi] = vals
+		}
 	}
 	for fl := range z.flags {
 		z.flags[fl] = px.flags[fl+1] > px.flags[fl]
@@ -293,32 +210,54 @@ func (px *segPostings) bytes() int64 {
 	return n
 }
 
-// buildSegIndex indexes a row run exactly like postings.add does for a
-// shard slab, keyed by row position instead of PacketID.
-func buildSegIndex(rows []StoredPacket) *segIndex {
-	ix := newSegIndex()
+// buildSegPostings indexes a non-empty row run under keyVal and keyFlags,
+// exactly like postings.add does for a shard slab, keyed by row position
+// instead of PacketID. Each family is one counting sort over its domain —
+// no maps, no comparisons — which leaves every value's rows ascending.
+func buildSegPostings(rows []StoredPacket) *segPostings {
+	n := len(rows)
+	vals := make([][numFams]uint16, n)
+	flags := make([][numFlags]bool, n)
 	for i := range rows {
-		sp := &rows[i]
-		r := uint32(i)
-		ix.fams[0][uint64(sp.Summary.Tuple.Proto)] = append(ix.fams[0][uint64(sp.Summary.Tuple.Proto)], r)
-		ix.fams[1][uint64(sp.Summary.Tuple.SrcPort)] = append(ix.fams[1][uint64(sp.Summary.Tuple.SrcPort)], r)
-		ix.fams[2][uint64(sp.Summary.Tuple.DstPort)] = append(ix.fams[2][uint64(sp.Summary.Tuple.DstPort)], r)
-		ix.fams[3][uint64(sp.Link)] = append(ix.fams[3][uint64(sp.Link)], r)
-		ix.fams[4][uint64(sp.Label)] = append(ix.fams[4][uint64(sp.Label)], r)
-		for fl, on := range [numFlags]bool{
-			flagIP:      sp.Summary.HasIP,
-			flagTCP:     sp.Summary.HasTCP,
-			flagUDP:     sp.Summary.HasUDP,
-			flagICMP:    sp.Summary.HasICMP,
-			flagDNS:     sp.Summary.IsDNS,
-			flagDNSResp: sp.Summary.DNSResponse,
-		} {
-			if on {
-				ix.flags[fl] = append(ix.flags[fl], r)
+		for kind := ixProto; kind < ixFlag; kind++ {
+			vals[i][kind-1] = keyVal(&rows[i], kind)
+		}
+		flags[i] = keyFlags(&rows[i])
+	}
+	px := &segPostings{rows: make([]uint32, numFams*n, (numFams+numFlags)*n)}
+	slots := make([]uint32, 1<<16) // per value: its row count, then its next free slab slot
+	pos := uint32(0)
+	for fi := range px.vals {
+		next := slots[:valueKeys[fi].max+1]
+		clear(next)
+		for i := range vals {
+			next[vals[i][fi]]++
+		}
+		for v, c := range next {
+			if c != 0 {
+				px.vals[fi] = append(px.vals[fi], uint16(v))
+				px.start[fi] = append(px.start[fi], pos)
+				next[v] = pos
+				pos += c
+			}
+		}
+		px.start[fi] = append(px.start[fi], pos)
+		for i := range vals {
+			v := vals[i][fi]
+			px.rows[next[v]] = uint32(i)
+			next[v]++
+		}
+	}
+	for fl := 0; fl < numFlags; fl++ {
+		px.flags[fl] = uint32(len(px.rows))
+		for i := range flags {
+			if flags[i][fl] {
+				px.rows = append(px.rows, uint32(i))
 			}
 		}
 	}
-	return ix
+	px.flags[numFlags] = uint32(len(px.rows))
+	return px
 }
 
 // appendRowList delta-codes one ascending row list.
@@ -336,18 +275,17 @@ func appendRowList(b []byte, rows []uint32) []byte {
 
 // encode serializes the index column canonically: families in fixed
 // order, values ascending, rows delta-coded.
-func (ix *segIndex) encode() []byte {
-	var b []byte
-	for fi := range ix.fams {
-		vals := ix.sortedVals(fi)
+func (px *segPostings) encode() []byte {
+	b := make([]byte, 0, 2*len(px.rows))
+	for fi, vals := range px.vals {
 		b = binary.AppendUvarint(b, uint64(len(vals)))
-		for _, v := range vals {
-			b = binary.AppendUvarint(b, v)
-			b = appendRowList(b, ix.fams[fi][v])
+		for i, v := range vals {
+			b = binary.AppendUvarint(b, uint64(v))
+			b = appendRowList(b, px.rows[px.start[fi][i]:px.start[fi][i+1]])
 		}
 	}
-	for fl := range ix.flags {
-		b = appendRowList(b, ix.flags[fl])
+	for fl := 0; fl < numFlags; fl++ {
+		b = appendRowList(b, px.rows[px.flags[fl]:px.flags[fl+1]])
 	}
 	return b
 }
@@ -378,43 +316,29 @@ func getBits(src []byte, bitOff, width int) uint64 {
 	return word >> (bitOff & 7) & (1<<width - 1)
 }
 
-// segDictFams are the two dictionary-encoded families (their segFamily
-// indices): links and labels, the columns a materialised row needs.
-var segDictFams = [2]int{3, 4}
-
-func segDictValue(sp *StoredPacket, fam int) uint64 {
-	if fam == 0 {
-		return uint64(sp.Link)
-	}
-	return uint64(sp.Label)
-}
+// segDictFams are the two dictionary-encoded families: links and labels,
+// the columns a materialised row needs.
+var segDictFams = [2]ixKind{ixLink, ixLabel}
 
 // encodeDict serializes the dictionary column for the link and label
-// families: distinct ascending values, then bit-packed per-row codes.
-func encodeDict(rows []StoredPacket) []byte {
+// families: distinct ascending values, then bit-packed per-row codes. A
+// row's code is the position of its value, which is the posting run it
+// sits in.
+func (px *segPostings) encodeDict() []byte {
 	var b []byte
-	for fam := range segDictFams {
-		set := make(map[uint64]struct{})
-		for i := range rows {
-			set[segDictValue(&rows[i], fam)] = struct{}{}
-		}
-		vals := make([]uint64, 0, len(set))
-		for v := range set {
-			vals = append(vals, v)
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		code := make(map[uint64]uint64, len(vals))
-		for i, v := range vals {
-			code[v] = uint64(i)
-		}
+	for _, kind := range segDictFams {
+		vals, start := px.vals[kind-1], px.start[kind-1]
 		b = binary.AppendUvarint(b, uint64(len(vals)))
 		for _, v := range vals {
-			b = binary.AppendUvarint(b, v)
+			b = binary.AppendUvarint(b, uint64(v))
 		}
 		if width := bits.Len(uint(len(vals) - 1)); width > 0 {
-			packed := make([]byte, (len(rows)*width+7)/8)
-			for i := range rows {
-				putBits(packed, i*width, width, code[segDictValue(&rows[i], fam)])
+			count := int(start[len(vals)] - start[0])
+			packed := make([]byte, (count*width+7)/8)
+			for code := range vals {
+				for _, row := range px.rows[start[code]:start[code+1]] {
+					putBits(packed, int(row)*width, width, uint64(code))
+				}
 			}
 			b = append(b, packed...)
 		}
@@ -457,7 +381,7 @@ func (sb *segBlob) decodeDict() (*segDict, error) {
 	}
 	r := &segReader{b: payload}
 	d := &segDict{}
-	for fam, fi := range segDictFams {
+	for fam, kind := range segDictFams {
 		nd, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -474,7 +398,7 @@ func (sb *segBlob) decodeDict() (*segDict, error) {
 			if i > 0 && v <= vals[i-1] {
 				return nil, segErr("dict family %d values not ascending", fam)
 			}
-			if v > segFamilyMax[fi] {
+			if v > valueKeys[kind-1].max {
 				return nil, segErr("dict family %d value %d out of domain", fam, v)
 			}
 			vals[i] = v
@@ -647,10 +571,9 @@ func encodeSegment(rows []StoredPacket) ([]byte, segMeta, error) {
 		data = append(data, st...)
 	}
 
-	ix := buildSegIndex(rows)
-	meta.zone = ix.zone()
-	ixb := ix.encode()
-	dict := encodeDict(rows)
+	px := buildSegPostings(rows)
+	meta.zone = px.zone()
+	ixb, dict := px.encode(), px.encodeDict()
 
 	out := make([]byte, 0, segHeaderSize+len(ids)+len(tsc)+len(act)+len(data)+len(ixb)+len(dict)+6*9)
 	out = append(out, segMagic...)
@@ -1050,7 +973,7 @@ func (sb *segBlob) decodeIndex() (*segPostings, error) {
 	r := &segReader{b: payload}
 	// Every row entry costs at least one payload byte, which bounds the
 	// slab tighter than the 11 lists a row can appear in.
-	px := &segPostings{rows: make([]uint32, 0, min(len(payload), (5+numFlags)*sb.count))}
+	px := &segPostings{rows: make([]uint32, 0, min(len(payload), (numFams+numFlags)*sb.count))}
 	seen := make([]uint64, (sb.count+63)/64) // one bitset, cleared per family
 	for fi := range px.vals {
 		nvals, err := r.uvarint()
@@ -1074,7 +997,7 @@ func (sb *segBlob) decodeIndex() (*segPostings, error) {
 				return nil, segErr("family %d values not ascending", fi)
 			}
 			prev = val
-			if val > segFamilyMax[fi] {
+			if val > valueKeys[fi].max {
 				return nil, segErr("family %d value %d out of domain", fi, val)
 			}
 			lo := len(px.rows)

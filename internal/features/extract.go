@@ -1,6 +1,7 @@
 package features
 
 import (
+	"cmp"
 	"net/netip"
 	"time"
 
@@ -217,7 +218,10 @@ func FromWindows(st *datastore.Store, cfg WindowConfig) *Dataset {
 
 	d := &Dataset{Schema: WindowSchema}
 	secs := cfg.Window.Seconds()
-	for _, hw := range wins {
+	for _, k := range sortedKeys(wins, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.win, b.win), a.host.Compare(b.host))
+	}) {
+		hw := wins[k]
 		if hw.pkts < cfg.MinPackets {
 			continue
 		}

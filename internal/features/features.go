@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"campuslab/internal/traffic"
 )
@@ -177,22 +178,37 @@ func (s *Standardizer) Apply(d *Dataset) *Dataset {
 }
 
 // Entropy computes the Shannon entropy (bits) of a count distribution — a
-// workhorse feature for scan/amplification detection.
+// workhorse feature for scan/amplification detection. The terms are summed
+// in ascending count order, not map order: float addition does not
+// commute, so a map walk gave the same distribution different last bits
+// from one call to the next.
 func Entropy[K comparable](counts map[K]int) float64 {
 	total := 0
+	cs := make([]int, 0, len(counts))
 	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	var h float64
-	for _, c := range counts {
-		if c == 0 {
-			continue
+		if c != 0 {
+			cs = append(cs, c)
+			total += c
 		}
+	}
+	slices.Sort(cs)
+	var h float64
+	for _, c := range cs {
 		p := float64(c) / float64(total)
 		h -= p * math.Log2(p)
 	}
 	return h
+}
+
+// sortedKeys returns m's keys in the given order: every extractor that groups
+// into a map emits its rows through it, so a dataset's row order — and
+// with it every shuffle, split and model downstream — is a function of the
+// store, not of Go's map iteration.
+func sortedKeys[K comparable, V any](m map[K]V, order func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, order)
+	return keys
 }

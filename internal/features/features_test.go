@@ -3,6 +3,7 @@ package features
 import (
 	"math"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -288,5 +289,49 @@ func BenchmarkFromWindows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FromWindows(st, WindowConfig{Window: time.Second, Campus: campusPfx})
+	}
+}
+
+// TestWindowedExtractorsDeterministic: every extractor that groups packets
+// or flows into a map — host windows, pairs, source windows (batch and
+// streaming) — returns the same rows in the same order each time it runs
+// on the same store, entropy columns included to the last bit.
+func TestWindowedExtractorsDeterministic(t *testing.T) {
+	st := scenarioStore(t)
+	streamed := func() any {
+		tr := NewSourceWindowTracker(SourceWindowConfig{Window: time.Second, Campus: campusPfx})
+		var out []SourceWindowResult
+		st.Scan(func(sp *datastore.StoredPacket) bool {
+			out = append(out, tr.Observe(sp.TS, &sp.Summary)...)
+			return true
+		})
+		return append(out, tr.Flush()...)
+	}
+	for _, c := range []struct {
+		name    string
+		extract func() any
+		rows    func(any) int
+	}{
+		{"FromWindows", func() any { return FromWindows(st, WindowConfig{Window: time.Second, Campus: campusPfx}) },
+			func(v any) int { return v.(*Dataset).Len() }},
+		{"FromPairs", func() any {
+			d, ids := FromPairs(st, PairConfig{Campus: campusPfx, MinConnections: 2})
+			return []any{d, ids}
+		}, func(v any) int { return v.([]any)[0].(*Dataset).Len() }},
+		{"FromSourceWindows", func() any { return FromSourceWindows(st, SourceWindowConfig{Window: time.Second, Campus: campusPfx}) },
+			func(v any) int { return v.(*Dataset).Len() }},
+		{"SourceWindowTracker", streamed, func(v any) int { return len(v.([]SourceWindowResult)) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			first := c.extract()
+			if n := c.rows(first); n < 2 {
+				t.Fatalf("%d rows cannot show an order", n)
+			}
+			for run := 0; run < 3; run++ {
+				if !reflect.DeepEqual(first, c.extract()) {
+					t.Fatal("two runs over one store differ")
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"cmp"
 	"math"
 	"net/netip"
 	"sort"
@@ -84,7 +85,10 @@ func FromPairs(st *datastore.Store, cfg PairConfig) (*Dataset, []PairID) {
 
 	d := &Dataset{Schema: PairSchema}
 	var ids []PairID
-	for id, ps := range pairs {
+	for _, id := range sortedKeys(pairs, func(a, b PairID) int {
+		return cmp.Or(a.Host.Compare(b.Host), a.Peer.Compare(b.Peer))
+	}) {
+		ps := pairs[id]
 		if len(ps.starts) < cfg.MinConnections {
 			continue
 		}

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"cmp"
 	"net/netip"
 	"time"
 
@@ -134,8 +135,8 @@ func (t *SourceWindowTracker) Flush() []SourceWindowResult { return t.flush() }
 
 func (t *SourceWindowTracker) flush() []SourceWindowResult {
 	var out []SourceWindowResult
-	for src, a := range t.aggs {
-		if a.pkts >= t.cfg.MinPackets {
+	for _, src := range sortedKeys(t.aggs, netip.Addr.Compare) {
+		if a := t.aggs[src]; a.pkts >= t.cfg.MinPackets {
 			out = append(out, SourceWindowResult{
 				Src: src, Window: t.curWin,
 				Vector: a.vector(src, t.cfg.Campus, t.cfg.Window),
@@ -184,7 +185,10 @@ func FromSourceWindows(st *datastore.Store, cfg SourceWindowConfig) *Dataset {
 		return true
 	})
 	d := &Dataset{Schema: SourceWindowSchema}
-	for k, a := range aggs {
+	for _, k := range sortedKeys(aggs, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.win, b.win), a.src.Compare(b.src))
+	}) {
+		a := aggs[k]
 		if a.pkts < cfg.MinPackets {
 			continue
 		}

@@ -85,6 +85,9 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> non-test lines per package (tools/lines.sh; the re-anchor reads internal/datastore from here)"
+bash tools/lines.sh | grep -E ' (internal/datastore|total)$'
+
 echo "==> go test ./... (with coverage gate)"
 go test -coverprofile=coverage.out ./...
 COVER=$(go tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $3); print $3}')
@@ -104,32 +107,47 @@ echo "==> benchmark module (bench/ is its own module; the root go test does not 
 echo "==> answer hash gate (every workload, seed 1, one second: failed == 0, correct, output_hash == the newest ledger's)"
 bash tools/hashgate.sh
 
-echo "==> go test -race (control, datastore, faults)"
+echo "==> go test -race (control, datastore, faults, fleet, ml, xai, netsim, dataplane, features)"
 # The datastore race pass is most of this script's wall time (~8 min on two
-# cores, beside the other two packages), so it runs once, verbosely, and
-# every datastore test gate below checks its output by name (gate_names)
-# instead of running the test again.
-DS_RACE=$(go test -race -v ./internal/control ./internal/datastore ./internal/faults 2>&1) || {
-    echo "$DS_RACE" | grep -v '^=== \|^ *--- PASS' | tail -n 80
+# cores; the other packages run beside it), so the race step runs once,
+# verbosely, and every race gate below checks its output by name
+# (gate_names) instead of running the test again.
+RACE=$(go test -race -v ./internal/control ./internal/datastore ./internal/faults ./internal/fleet \
+    ./internal/ml ./internal/xai ./internal/netsim ./internal/dataplane ./internal/features 2>&1) || {
+    echo "$RACE" | grep -v '^=== \|^ *--- PASS' | tail -n 80
     exit 1
 }
-echo "$DS_RACE" | grep '^ok'
+echo "$RACE" | grep '^ok'
 echo "    tiered-store equivalence (tiered == untiered, byte for byte, across shards, workers, cache and read path)"
-gate_names "$DS_RACE" ./internal/datastore TestTieredStoreEquivalence TestTierFormatEquivalence
+gate_names "$RACE" ./internal/datastore TestTieredStoreEquivalence TestTierFormatEquivalence
 echo "    tier cache race (queries vs seal/compact churn with the block cache on)"
-gate_names "$DS_RACE" ./internal/datastore TestTierCacheQueryCompactRace TestTierIngestSealQueryRace
+gate_names "$RACE" ./internal/datastore TestTierCacheQueryCompactRace TestTierIngestSealQueryRace
 echo "    segment directory (shared budget, invalidation, corrupt columns, metadata-only Count, limit-bounded decode, exact window ≡ scan)"
-gate_names "$DS_RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRespected TestSegDirOversizeNotAdmitted \
+gate_names "$RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRespected TestSegDirOversizeNotAdmitted \
     TestSegDirDroppedWithSegments TestSegDirCorruptColumnCachesNothing TestColdCountWindowedTouchesNoBlock \
     TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
+echo "    key table (seal's postings == the decoded index column; hot, cold and keyVal/keyFlags agree on every key; README field table == compiler)"
+gate_names "$RACE" ./internal/datastore TestBuildSegPostingsMatchesDecodeIndex TestHotAndColdIndexTheSameKeys TestFilterDocListsEveryField
 echo "    crash recovery (kill -9 mid-ingest must lose nothing acked)"
-gate_names "$DS_RACE" ./internal/datastore TestWALCrashKill9 TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery
+gate_names "$RACE" ./internal/datastore TestWALCrashKill9 TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery
 echo "    tier crash (kill -9 mid-seal, mid-compact, mid-retain must lose nothing acked) and the write seams"
-gate_names "$DS_RACE" ./internal/datastore TestTierCrashKill9 TestTierCrashSwapEquivalence \
+gate_names "$RACE" ./internal/datastore TestTierCrashKill9 TestTierCrashSwapEquivalence \
     TestTierWriteFailureChangesNothing TestLoadAtShardCountMatchesDefaultLoad TestCommitTierRecomputesTotals
+echo "    fleet race gate (concurrent campus streams, coordinator during live ingest)"
+gate_names "$RACE" ./internal/fleet TestRaceConcurrentCampusStreams TestRaceCoordinatorDuringStreaming TestStreamMatchesLocalIngest
+echo "    ml equivalence gate (presorted CART, forest vote, Explain, routing == their reference implementations)"
+gate_names "$RACE" ./internal/ml TestFitTreeMatchesReference TestFitForestMatchesReference \
+    TestFitBoostMatchesReference TestForestVoteMatchesReference TestRadixSortOrders \
+    TestFitRejectsBadDataset TestRuleForMatchesRules
+gate_names "$RACE" ./internal/xai TestExplainMatchesEnumeration TestExtractMatchesPerRowSampling TestExtractRejectsRaggedReference
+gate_names "$RACE" ./internal/netsim TestRoutingMatchesQuadraticReference
+echo "    dataplane fast path (concurrent install vs batch)"
+gate_names "$RACE" ./internal/dataplane TestConcurrentInstallDuringBatch TestConcurrentEnsembleInstallDuringBatch \
+    TestSwitchPipelineEquivalence TestProcessBatchMatchesSequential TestClassifyBatchCommit \
+    TestEnsembleMemoEquivalence TestEnsembleBatchPathsAgree TestEnsembleBatchWithMeters
 
-echo "==> fleet race gate (concurrent campus streams, coordinator during live ingest)"
-gate_tests -race ./internal/fleet TestRaceConcurrentCampusStreams TestRaceCoordinatorDuringStreaming TestStreamMatchesLocalIngest
+echo "    extractor determinism (window, pair and source-window datasets are a function of the store, not of map order)"
+gate_names "$RACE" ./internal/features TestWindowedExtractorsDeterministic
 
 echo "==> fleet coverage gate (package floor 85%)"
 go test -coverprofile=fleet_coverage.out ./internal/fleet
@@ -139,18 +157,6 @@ awk -v c="$FLEET_COVER" 'BEGIN { exit (c+0 >= 85.0) ? 0 : 1 }' || {
     echo "verify: FAIL — fleet coverage ${FLEET_COVER}% below floor 85.0%" >&2
     exit 1
 }
-
-echo "==> ml equivalence gate (presorted CART, forest vote, Explain, routing == their reference implementations, under -race)"
-gate_tests -race ./internal/ml TestFitTreeMatchesReference TestFitForestMatchesReference \
-    TestFitBoostMatchesReference TestForestVoteMatchesReference TestRadixSortOrders \
-    TestFitRejectsBadDataset TestRuleForMatchesRules
-gate_tests -race ./internal/xai TestExplainMatchesEnumeration TestExtractMatchesPerRowSampling TestExtractRejectsRaggedReference
-gate_tests -race ./internal/netsim TestRoutingMatchesQuadraticReference
-
-echo "==> go test -race (dataplane fast path: concurrent install vs batch)"
-gate_tests -race ./internal/dataplane TestConcurrentInstallDuringBatch TestConcurrentEnsembleInstallDuringBatch \
-    TestSwitchPipelineEquivalence TestProcessBatchMatchesSequential TestClassifyBatchCommit \
-    TestEnsembleMemoEquivalence TestEnsembleBatchPathsAgree TestEnsembleBatchWithMeters
 
 echo "==> ensemble budget gate (over budget must degrade, never error)"
 gate_tests "" ./internal/dataplane TestEnsembleBudgetDegradation TestEnsembleHotPathAllocs TestEnsembleCodeWordDeterminesLeaves
