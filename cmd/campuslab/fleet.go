@@ -39,7 +39,7 @@ func cmdFleet(args []string) error {
 		return err
 	}
 	start := time.Now()
-	res, err := fleet.RunFederated(campuses, fleet.CoordinatorConfig{
+	res, err := core.RunFederated(campuses, core.DevelopConfig{
 		Target: traffic.LabelPortScan, ForestTrees: *trees, ForestDepth: *depth,
 		Seed: *seed + 100, Workers: *workers,
 	})
@@ -87,8 +87,8 @@ func cmdFleet(args []string) error {
 // fleetFill builds each campus's store: locally via Lab.Collect, or by
 // round-tripping the identical generator through a loopback fleet
 // server.
-func fleetFill(specs []core.CampusSpec, tcp bool, workers int) ([]fleet.Campus, error) {
-	campuses := make([]fleet.Campus, len(specs))
+func fleetFill(specs []core.CampusSpec, tcp bool, workers int) ([]core.Campus, error) {
+	campuses := make([]core.Campus, len(specs))
 	for i, spec := range specs {
 		lab, gen, err := core.BuildCampusScenario(spec, traffic.LabelPortScan)
 		if err != nil {
@@ -117,7 +117,7 @@ func fleetFill(specs []core.CampusSpec, tcp bool, workers int) ([]fleet.Campus, 
 		} else if _, err := lab.Collect(gen); err != nil {
 			return nil, fmt.Errorf("campus %s: %w", spec.Name, err)
 		}
-		campuses[i] = fleet.Campus{Name: spec.Name, Store: lab.Store()}
+		campuses[i] = core.Campus{Name: spec.Name, Store: lab.Store()}
 	}
 	return campuses, nil
 }

@@ -24,7 +24,7 @@ func main() {
 		{Name: "columbia", HostsPerDept: 25, FlowsPerSecond: 40, AttackRate: 900,
 			StartHour: 17, Duration: 4 * time.Second, Seed: 33},
 	}
-	algo := core.Algorithm{Target: traffic.LabelDNSAmp, DeployDepth: 4, Seed: 34}
+	algo := core.DevelopConfig{Target: traffic.LabelDNSAmp, Seed: 34}
 
 	fmt.Println("running the open-sourced dns-amp detector at 3 campuses...")
 	res, err := core.RunCrossCampus(specs, algo)

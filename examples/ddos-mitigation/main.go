@@ -33,9 +33,7 @@ func main() {
 	if _, err := lab.Collect(train); err != nil {
 		log.Fatal(err)
 	}
-	dep, err := lab.Develop(core.DevelopConfig{
-		Target: traffic.LabelDNSAmp, MinConfidence: 0.9, Seed: 13,
-	})
+	dep, err := lab.Develop(core.DevelopConfig{Target: traffic.LabelDNSAmp, Seed: 13})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -177,7 +177,7 @@ func fleetFingerprint(t *testing.T, tcp bool, shards, workers int) string {
 		{Name: "princeton", HostsPerDept: 20, FlowsPerSecond: 40, AttackRate: 250, StartHour: 17, Seed: 902},
 		{Name: "columbia", HostsPerDept: 12, FlowsPerSecond: 25, AttackRate: 500, StartHour: 17, Seed: 903},
 	}
-	campuses := make([]fleet.Campus, len(specs))
+	campuses := make([]core.Campus, len(specs))
 	for i, spec := range specs {
 		spec.Shards, spec.Workers = shards, workers
 		lab, gen, err := core.BuildCampusScenario(spec, traffic.LabelPortScan)
@@ -207,10 +207,10 @@ func fleetFingerprint(t *testing.T, tcp bool, shards, workers int) string {
 		} else if _, err := lab.Collect(gen); err != nil {
 			t.Fatal(err)
 		}
-		campuses[i] = fleet.Campus{Name: spec.Name, Store: lab.Store()}
+		campuses[i] = core.Campus{Name: spec.Name, Store: lab.Store()}
 	}
 
-	res, err := fleet.RunFederated(campuses, fleet.CoordinatorConfig{
+	res, err := core.RunFederated(campuses, core.DevelopConfig{
 		Target: traffic.LabelPortScan, ForestTrees: 6, ForestDepth: 6, Seed: 904, Workers: workers,
 	})
 	if err != nil {
@@ -265,7 +265,16 @@ func TestGoldenFleetDeterminism(t *testing.T) {
 	if !strings.Contains(ref, "log: round complete") || !strings.Contains(ref, "merged: trees=18") {
 		t.Fatalf("fleet fingerprint incomplete:\n%s", ref)
 	}
+	// The configurations agreeing with each other says nothing about a
+	// change that moves all of them alike; the in-process, one-shard,
+	// one-worker fingerprint is also pinned.
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(ref))); got != pinnedFleetFingerprint {
+		t.Errorf("fleet fingerprint (%s) sha256 = %s, pinned %s:\n%s", refName, got, pinnedFleetFingerprint, ref)
+	}
 }
+
+// pinnedFleetFingerprint is the sha256 of fleetFingerprint(t, false, 1, 1).
+const pinnedFleetFingerprint = "5a3e4d0f15b16a2eda13f9a508487b5be1abab558bf6df29dc420204becfa055"
 
 // firstDiff locates the first line where two fingerprints diverge.
 func firstDiff(a, b string) string {

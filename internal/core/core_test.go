@@ -12,6 +12,7 @@ import (
 	"campuslab/internal/control"
 	"campuslab/internal/datastore"
 	"campuslab/internal/eventlog"
+	"campuslab/internal/obs"
 	"campuslab/internal/privacy"
 	"campuslab/internal/roadtest"
 	"campuslab/internal/traffic"
@@ -116,6 +117,34 @@ func TestDevelopProducesAllArtifacts(t *testing.T) {
 	}
 }
 
+// TestDevelopRecordsEachStage: one Develop is one span per stage of
+// Figure 2's slow loop — featurize, train and extract once each, compile
+// once per program variant — read as deltas of the stage-call counters.
+func TestDevelopRecordsEachStage(t *testing.T) {
+	lab := newLab(t)
+	if _, err := lab.Collect(scenario(lab, 350, 351)); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{"featurize": 1, "train": 1, "extract": 1, "compile": 2}
+	calls := func() map[string]uint64 {
+		got := make(map[string]uint64, len(want))
+		for stage := range want {
+			got[stage] = obs.Default.Counter(obs.StageCallsName, "stage", stage).Value()
+		}
+		return got
+	}
+	before := calls()
+	if _, err := lab.Develop(DevelopConfig{Target: traffic.LabelDNSAmp, Seed: 352}); err != nil {
+		t.Fatal(err)
+	}
+	after := calls()
+	for stage, n := range want {
+		if d := after[stage] - before[stage]; d != n {
+			t.Errorf("stage %q recorded %d calls in one Develop, want %d", stage, d, n)
+		}
+	}
+}
+
 func TestDevelopValidation(t *testing.T) {
 	lab := newLab(t)
 	if _, err := lab.Develop(DevelopConfig{Target: traffic.LabelBenign}); err == nil {
@@ -187,7 +216,7 @@ func TestCrossCampusReproducibility(t *testing.T) {
 		{Name: "princeton", HostsPerDept: 45, FlowsPerSecond: 70, AttackRate: 500, StartHour: 17, Seed: 317},
 		{Name: "columbia", HostsPerDept: 25, FlowsPerSecond: 40, AttackRate: 900, StartHour: 17, Seed: 318},
 	}
-	res, err := RunCrossCampus(specs, Algorithm{Target: traffic.LabelDNSAmp, Seed: 319})
+	res, err := RunCrossCampus(specs, DevelopConfig{Target: traffic.LabelDNSAmp, Seed: 319})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +244,11 @@ func TestCrossCampusReproducibility(t *testing.T) {
 }
 
 func TestCrossCampusValidation(t *testing.T) {
-	if _, err := RunCrossCampus([]CampusSpec{{Name: "only"}}, Algorithm{Target: traffic.LabelDNSAmp}); err == nil {
+	if _, err := RunCrossCampus([]CampusSpec{{Name: "only"}}, DevelopConfig{Target: traffic.LabelDNSAmp}); err == nil {
 		t.Error("accepted single campus")
 	}
 	specs := []CampusSpec{{Name: "a", Seed: 1}, {Name: "b", Seed: 2}}
-	if _, err := RunCrossCampus(specs, Algorithm{Target: traffic.LabelBenign}); err == nil {
+	if _, err := RunCrossCampus(specs, DevelopConfig{Target: traffic.LabelBenign}); err == nil {
 		t.Error("accepted benign target")
 	}
 }

@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"campuslab/internal/datastore"
 	"campuslab/internal/features"
 	"campuslab/internal/ml"
+	"campuslab/internal/obs"
 	"campuslab/internal/traffic"
-	"campuslab/internal/xai"
 )
 
 // CampusSpec describes one participating university: same open-sourced
@@ -33,19 +34,15 @@ type CampusSpec struct {
 	Workers int
 }
 
-// Algorithm is the "open-sourced learning algorithm" every campus runs
-// locally: a pipeline recipe, not a trained model.
-type Algorithm struct {
-	// Target attack class.
-	Target traffic.Label
-	// ForestTrees/ForestDepth size the black box (defaults 30/10).
-	ForestTrees, ForestDepth int
-	// DeployDepth bounds the extracted tree (default 4).
-	DeployDepth int
-	// Seed is the algorithm-level seed (shared; campus data differs).
-	Seed int64
-	// Workers bounds training fan-out (0 = GOMAXPROCS, 1 = serial).
-	Workers int
+// Campus is one campus as a development round sees it: a name and the
+// packet store its taps (local, or streamed over the fleet ingest
+// protocol) have filled.
+type Campus struct {
+	Name  string
+	Store *datastore.Store
+	// Features overrides the standard packet featurizer when non-nil
+	// (tests inject canned datasets; Store may then be nil).
+	Features func() *features.Dataset
 }
 
 // CrossCampusResult is the train-on-i, evaluate-on-j matrix.
@@ -89,100 +86,67 @@ func (r *CrossCampusResult) OffDiagonalMean() float64 {
 
 // RunCrossCampus simulates each campus, trains the algorithm locally, and
 // evaluates every model on every campus's held-out test set.
-func RunCrossCampus(specs []CampusSpec, algo Algorithm) (*CrossCampusResult, error) {
+func RunCrossCampus(specs []CampusSpec, cfg DevelopConfig) (*CrossCampusResult, error) {
 	if len(specs) < 2 {
 		return nil, fmt.Errorf("core: cross-campus needs >= 2 campuses, got %d", len(specs))
 	}
-	if algo.Target == traffic.LabelBenign {
-		return nil, fmt.Errorf("core: algorithm target must be an attack class")
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	if algo.ForestTrees <= 0 {
-		algo.ForestTrees = 30
-	}
-	if algo.ForestDepth <= 0 {
-		algo.ForestDepth = 10
-	}
-	if algo.DeployDepth <= 0 {
-		algo.DeployDepth = 4
-	}
-
 	n := len(specs)
-	trainSets := make([]*features.Dataset, n)
-	testSets := make([]*features.Dataset, n)
-	models := make([]*xai.Extraction, n)
-	res := &CrossCampusResult{
-		Campuses: make([]string, n),
-		Accuracy: make([][]float64, n),
-		F1:       make([][]float64, n),
-		Fidelity: make([]float64, n),
-	}
-
+	models := make([]*ml.Tree, n)
+	tests := make([]*features.Dataset, n)
+	res := &CrossCampusResult{Campuses: make([]string, n), Fidelity: make([]float64, n)}
 	for i, spec := range specs {
 		res.Campuses[i] = spec.Name
-		lab, gen, err := BuildCampusScenario(spec, algo.Target)
+		lab, gen, err := BuildCampusScenario(spec, cfg.Target)
+		if err == nil {
+			_, err = lab.Collect(gen)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: campus %s: %w", spec.Name, err)
 		}
-		if _, err := lab.Collect(gen); err != nil {
-			return nil, fmt.Errorf("core: campus %s: %w", spec.Name, err)
-		}
-		ds := lab.PacketDataset(algo.Target, 1.0)
-		if ds.ClassCounts()[1] == 0 {
-			return nil, fmt.Errorf("core: campus %s collected no attack traffic", spec.Name)
-		}
-		ds.Shuffle(algo.Seed + spec.Seed)
-		trainSets[i], testSets[i] = ds.Split(0.7)
-	}
-	for i := range specs {
-		forest, err := ml.FitForest(trainSets[i], 2, ml.ForestConfig{
-			Trees: algo.ForestTrees, MaxDepth: algo.ForestDepth, Seed: algo.Seed,
-			Workers: algo.Workers,
-		})
+		fit, err := fitCampus(Campus{Name: spec.Name, Store: lab.Store()}, cfg, spec.Seed)
 		if err != nil {
-			return nil, fmt.Errorf("core: training at %s: %w", specs[i].Name, err)
+			return nil, err
 		}
-		ex, err := xai.Extract(forest, trainSets[i], xai.ExtractConfig{
-			MaxDepth: algo.DeployDepth, Seed: algo.Seed + 1,
-		})
+		ex, err := fit.extract(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("core: extracting at %s: %w", specs[i].Name, err)
+			return nil, fmt.Errorf("core: extracting at %s: %w", spec.Name, err)
 		}
-		models[i] = ex
-		res.Fidelity[i] = ex.Fidelity
+		models[i], tests[i], res.Fidelity[i] = ex.Tree, fit.test, ex.Fidelity
 	}
-	for i := range specs {
-		res.Accuracy[i] = make([]float64, n)
-		res.F1[i] = make([]float64, n)
-		for j := range specs {
-			conf := ml.Evaluate(models[i].Tree, testSets[j])
-			res.Accuracy[i][j] = conf.Accuracy()
-			res.F1[i][j] = conf.F1(1)
-		}
-	}
+	res.Accuracy, res.F1 = evalMatrix(models, tests, ml.Confusion.Accuracy, f1)
 	return res, nil
 }
 
+// evalMatrix is the train-here/test-there matrix every multi-campus round
+// reports: cell [i][j] of a and of b is metric fa and fb of model i on
+// campus j's held-out split.
+func evalMatrix[M ml.Classifier](models []M, tests []*features.Dataset, fa, fb func(ml.Confusion) float64) (a, b [][]float64) {
+	a, b = make([][]float64, len(models)), make([][]float64, len(models))
+	for i, model := range models {
+		a[i], b[i] = make([]float64, len(tests)), make([]float64, len(tests))
+		for j, test := range tests {
+			c := ml.Evaluate(model, test)
+			a[i][j], b[i][j] = fa(c), fb(c)
+		}
+	}
+	return a, b
+}
+
+// recall and f1 score the attack class.
+func recall(c ml.Confusion) float64 { return c.Recall(1) }
+func f1(c ml.Confusion) float64     { return c.F1(1) }
+
 // BuildCampusScenario assembles one campus's lab and labeled scenario:
 // the local collection side of both the cross-campus experiment and the
-// fleet coordinator (whose remote campuses stream the same generator
+// federated round (whose remote campuses stream the same generator
 // over the ingest protocol instead of collecting in process).
 func BuildCampusScenario(spec CampusSpec, target traffic.Label) (*Lab, traffic.Generator, error) {
-	hosts := spec.HostsPerDept
-	if hosts <= 0 {
-		hosts = 50
-	}
-	dur := spec.Duration
-	if dur <= 0 {
-		dur = 4 * time.Second
-	}
-	fps := spec.FlowsPerSecond
-	if fps <= 0 {
-		fps = 60
-	}
-	rate := spec.AttackRate
-	if rate <= 0 {
-		rate = 700
-	}
+	hosts, dur := orDefault(spec.HostsPerDept, 50), orDefault(spec.Duration, 4*time.Second)
+	fps, rate := orDefault(spec.FlowsPerSecond, 60), orDefault(spec.AttackRate, 700)
 	plan := traffic.DefaultPlan(hosts)
 	lab, err := NewLab(Config{Name: spec.Name, Plan: plan, Shards: spec.Shards, Workers: spec.Workers})
 	if err != nil {
@@ -197,4 +161,117 @@ func BuildCampusScenario(spec CampusSpec, target traffic.Label) (*Lab, traffic.G
 		Start: dur / 5, Duration: dur / 2, Rate: rate, Seed: spec.Seed + 1,
 	})
 	return lab, traffic.NewMerge(benign, attack), nil
+}
+
+var (
+	obsCoordRounds   = obs.Default.Counter("campuslab_fleet_coordinator_rounds_total")
+	obsCoordCampuses = obs.Default.Gauge("campuslab_fleet_coordinator_campuses")
+)
+
+// FederatedResult is one federated round's output. All matrices are
+// indexed [trainCampus][testCampus] in the caller's campus order; the
+// Log is transition-ordered and contains no wall-clock content, so a
+// round is byte-comparable across runs, fleet sizes, and transports.
+type FederatedResult struct {
+	Campuses []string
+	// Recall[i][j] is campus i's forest recall on campus j's held-out
+	// test traffic — the train-here/test-there generalization matrix.
+	Recall   [][]float64
+	Accuracy [][]float64
+	// FederatedRecall[j] is the merged (vote-pooled) ensemble's recall
+	// on campus j's test set; PooledRecall[j] is the pooled-feature
+	// variant (one forest trained on the concatenated train splits).
+	FederatedRecall   []float64
+	FederatedAccuracy []float64
+	PooledRecall      []float64
+	PooledAccuracy    []float64
+	// Merged is the federated ensemble; MergedBytes its canonical
+	// serialized form (the determinism fingerprint input).
+	Merged      *ml.Forest
+	MergedBytes []byte
+	// Log records the round's state transitions in execution order.
+	Log []string
+}
+
+// RunFederated executes one Figure-2 development round across the fleet:
+// the per-campus fit at every campus (campus i shuffles with Seed+i), the
+// train-here/test-there matrix, and two sharing strategies evaluated on
+// the same held-out splits — vote pooling (merge the forests) and feature
+// pooling (one forest over the concatenated train splits). Deterministic
+// for a fixed campus list and config at any worker count.
+func RunFederated(campuses []Campus, cfg DevelopConfig) (*FederatedResult, error) {
+	if len(campuses) == 0 {
+		return nil, fmt.Errorf("core: federated round needs at least one campus")
+	}
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	obsCoordRounds.Inc()
+	obsCoordCampuses.Set(float64(len(campuses)))
+
+	res := &FederatedResult{Campuses: make([]string, len(campuses))}
+	logf := func(format string, args ...any) {
+		res.Log = append(res.Log, fmt.Sprintf(format, args...))
+	}
+	logf("round start: %d campuses, target=%d, trees=%d, depth=%d",
+		len(campuses), cfg.Target, cfg.ForestTrees, cfg.ForestDepth)
+
+	forests := make([]*ml.Forest, len(campuses))
+	tests := make([]*features.Dataset, len(campuses))
+	pooledTrain := &features.Dataset{}
+	for i, campus := range campuses {
+		res.Campuses[i] = campus.Name
+		fit, err := fitCampus(campus, cfg, int64(i))
+		if err != nil {
+			return nil, err
+		}
+		train, test := fit.train, fit.test
+		logf("campus %s: %d examples (%d train / %d test, %d positive train)",
+			campus.Name, train.Len()+test.Len(), train.Len(), test.Len(), train.ClassCounts()[1])
+		if err := pooledTrain.Append(train); err != nil {
+			return nil, fmt.Errorf("core: pooling campus %q: %w", campus.Name, err)
+		}
+		forests[i], tests[i] = fit.forest, test
+		logf("campus %s: forest fitted (%d trees, %d nodes)",
+			campus.Name, fit.forest.NumTrees(), fit.forest.TotalNodes())
+	}
+
+	res.Recall, res.Accuracy = evalMatrix(forests, tests, recall, ml.Confusion.Accuracy)
+	for i := range forests {
+		for j := range tests {
+			logf("roadtest train=%s test=%s recall=%.6f accuracy=%.6f",
+				res.Campuses[i], res.Campuses[j], res.Recall[i][j], res.Accuracy[i][j])
+		}
+	}
+
+	// Vote pooling: merge every campus's forest into one ensemble.
+	merged, err := ml.MergeForests(forests...)
+	if err != nil {
+		return nil, fmt.Errorf("core: merge: %w", err)
+	}
+	res.Merged = merged
+	if res.MergedBytes, err = merged.MarshalBinary(); err != nil {
+		return nil, fmt.Errorf("core: marshal merged: %w", err)
+	}
+	logf("federated ensemble: %d trees from %d campuses, %d bytes",
+		merged.NumTrees(), len(campuses), len(res.MergedBytes))
+
+	// Feature pooling: one forest over the concatenated train splits
+	// (campus order, no re-shuffle — Append order is the spec).
+	pooled, err := cfg.fitForest(pooledTrain)
+	if err != nil {
+		return nil, fmt.Errorf("core: pooled fit: %w", err)
+	}
+
+	r, a := evalMatrix([]*ml.Forest{merged, pooled}, tests, recall, ml.Confusion.Accuracy)
+	res.FederatedRecall, res.PooledRecall = r[0], r[1]
+	res.FederatedAccuracy, res.PooledAccuracy = a[0], a[1]
+	for j := range tests {
+		logf("federated test=%s recall=%.6f accuracy=%.6f pooled recall=%.6f accuracy=%.6f",
+			res.Campuses[j], res.FederatedRecall[j], res.FederatedAccuracy[j],
+			res.PooledRecall[j], res.PooledAccuracy[j])
+	}
+	logf("round complete")
+	return res, nil
 }

@@ -203,7 +203,10 @@ func (l *Lab) WindowDataset(window time.Duration) *features.Dataset {
 	})
 }
 
-// DevelopConfig parameterizes the Figure 2 development loop.
+// DevelopConfig is Figure 2's slow loop as a recipe — the "open-sourced
+// learning algorithm" every campus runs on its own data, not a trained
+// model. Develop runs it on one lab, RunCrossCampus and RunFederated on
+// many.
 type DevelopConfig struct {
 	// Target is the attack class the automation task detects.
 	Target traffic.Label
@@ -211,14 +214,82 @@ type DevelopConfig struct {
 	ForestTrees, ForestDepth int
 	// DeployDepth bounds the extracted deployable tree (default 4).
 	DeployDepth int
-	// MinConfidence gates fast-path drops (the paper's 90% example;
-	// default 0.9).
-	MinConfidence float64
 	// Seed drives the entire loop deterministically.
 	Seed int64
-	// Workers bounds training fan-out (0 = the lab's Workers setting).
-	// Any value yields the identical deployment; only wall-clock changes.
+	// Workers bounds training fan-out (0 = GOMAXPROCS, or in Develop the
+	// lab's Workers). Any value yields the identical result.
 	Workers int
+}
+
+const (
+	trainFrac     = 0.7 // each campus's train split; the rest is held out
+	minConfidence = 0.9 // gates fast-path drops (the paper's 90% example)
+	minExamples   = 10  // the smallest dataset a campus may learn from
+)
+
+// withDefaults checks Target and fills the zero sizes.
+func (c DevelopConfig) withDefaults() (DevelopConfig, error) {
+	if c.Target == traffic.LabelBenign {
+		return c, fmt.Errorf("core: Target must be an attack class")
+	}
+	c.ForestTrees, c.ForestDepth = orDefault(c.ForestTrees, 30), orDefault(c.ForestDepth, 10)
+	c.DeployDepth = orDefault(c.DeployDepth, 4)
+	return c, nil
+}
+
+// orDefault is v, or def when v is not positive.
+func orDefault[T int | float64 | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
+// fitForest trains the black box on train.
+func (c DevelopConfig) fitForest(train *features.Dataset) (*ml.Forest, error) {
+	return ml.FitForest(train, 2, ml.ForestConfig{
+		Trees: c.ForestTrees, MaxDepth: c.ForestDepth, Seed: c.Seed, Workers: c.Workers,
+	})
+}
+
+// campusFit is one campus's pass through the first half of the slow loop.
+type campusFit struct {
+	train, test *features.Dataset
+	forest      *ml.Forest
+}
+
+// fitCampus is the per-campus fit every entry point shares: the campus's
+// dataset, checked → Shuffle(cfg.Seed+k) → 70/30 split → black-box
+// forest. Develop passes k = 0, RunCrossCampus the campus's scenario seed
+// and RunFederated the campus's index.
+func fitCampus(c Campus, cfg DevelopConfig, k int64) (*campusFit, error) {
+	var ds *features.Dataset
+	switch {
+	case c.Features != nil:
+		ds = c.Features()
+	case c.Store == nil:
+		return nil, fmt.Errorf("core: campus %q has no store", c.Name)
+	default:
+		ds = features.FromPackets(c.Store, 1).BinaryRelabel(cfg.Target)
+	}
+	if ds.Len() < minExamples {
+		return nil, fmt.Errorf("core: campus %q has %d examples (need >=%d)", c.Name, ds.Len(), minExamples)
+	}
+	if ds.ClassCounts()[1] == 0 {
+		return nil, fmt.Errorf("core: campus %q has no %v examples", c.Name, cfg.Target)
+	}
+	ds.Shuffle(cfg.Seed + k)
+	train, test := ds.Split(trainFrac)
+	forest, err := cfg.fitForest(train)
+	if err != nil {
+		return nil, fmt.Errorf("core: campus %q fit: %w", c.Name, err)
+	}
+	return &campusFit{train, test, forest}, nil
+}
+
+// extract distills the campus's forest into the deployable tree.
+func (f *campusFit) extract(cfg DevelopConfig) (*xai.Extraction, error) {
+	return xai.Extract(f.forest, f.train, xai.ExtractConfig{MaxDepth: cfg.DeployDepth, Seed: cfg.Seed + 1})
 }
 
 // Deployment is the development loop's output: every artifact of Figure 2.
@@ -243,51 +314,24 @@ type Deployment struct {
 // train black box → extract deployable model → compile both program
 // variants → report accuracies and rules.
 func (l *Lab) Develop(cfg DevelopConfig) (*Deployment, error) {
-	if cfg.Target == traffic.LabelBenign {
-		return nil, fmt.Errorf("core: Target must be an attack class")
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.ForestTrees <= 0 {
-		cfg.ForestTrees = 30
-	}
-	if cfg.ForestDepth <= 0 {
-		cfg.ForestDepth = 10
-	}
-	if cfg.DeployDepth <= 0 {
-		cfg.DeployDepth = 4
-	}
-	if cfg.MinConfidence <= 0 {
-		cfg.MinConfidence = 0.9
-	}
-	ds := l.PacketDataset(cfg.Target, 1.0)
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("core: data store has no packets to learn from")
-	}
-	counts := ds.ClassCounts()
-	if counts[1] == 0 {
-		return nil, fmt.Errorf("core: no %v examples in the store", cfg.Target)
-	}
-	ds.Shuffle(cfg.Seed)
-	train, test := ds.Split(0.7)
-
 	if cfg.Workers <= 0 {
 		cfg.Workers = l.cfg.Workers
 	}
-	forest, err := ml.FitForest(train, 2, ml.ForestConfig{
-		Trees: cfg.ForestTrees, MaxDepth: cfg.ForestDepth, Seed: cfg.Seed,
-		Workers: cfg.Workers,
-	})
+	fit, err := fitCampus(Campus{Name: l.cfg.Name, Store: l.store}, cfg, 0)
 	if err != nil {
-		return nil, fmt.Errorf("core: training black box: %w", err)
+		return nil, err
 	}
-	ex, err := xai.Extract(forest, train, xai.ExtractConfig{
-		MaxDepth: cfg.DeployDepth, Seed: cfg.Seed + 1,
-	})
+	ex, err := fit.extract(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: extracting deployable model: %w", err)
 	}
 	dropProg, err := dataplane.Compile(ex.Tree, features.PacketSchema, dataplane.CompileConfig{
 		Name:        fmt.Sprintf("%s-%v-drop", l.cfg.Name, cfg.Target),
-		DropClasses: []int{1}, MinConfidence: cfg.MinConfidence,
+		DropClasses: []int{1}, MinConfidence: minConfidence,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling drop program: %w", err)
@@ -305,14 +349,14 @@ func (l *Lab) Develop(cfg DevelopConfig) (*Deployment, error) {
 		return "benign"
 	}
 	return &Deployment{
-		BlackBox:             forest,
+		BlackBox:             fit.forest,
 		Extraction:           ex,
 		DropProgram:          dropProg,
 		AlertProgram:         alertProg,
 		Rules:                xai.RuleSet(ex.Tree, features.PacketSchema, classNames),
-		TrainAccuracy:        ml.Evaluate(ex.Tree, train).Accuracy(),
-		TestAccuracy:         ml.Evaluate(ex.Tree, test).Accuracy(),
-		BlackBoxTestAccuracy: ml.Evaluate(forest, test).Accuracy(),
+		TrainAccuracy:        ml.Evaluate(ex.Tree, fit.train).Accuracy(),
+		TestAccuracy:         ml.Evaluate(ex.Tree, fit.test).Accuracy(),
+		BlackBoxTestAccuracy: ml.Evaluate(fit.forest, fit.test).Accuracy(),
 	}, nil
 }
 

@@ -272,6 +272,12 @@ func TestAddBatchSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		add()
 	}
+	if raceEnabled {
+		// The race detector makes sync.Pool drop Puts at random, so the
+		// pooled scratch is reallocated at random and no budget holds.
+		t.Log("alloc budget not checked under -race")
+		return
+	}
 	if got := testing.AllocsPerRun(10, add); got > 48 {
 		t.Errorf("%v allocations per warmed 2048-frame batch, budget 48", got)
 	}

@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"campuslab/internal/core"
-	"campuslab/internal/fleet"
 	"campuslab/internal/traffic"
 )
 
-// E18FleetFederation runs the fleet coordinator's federated development
-// round across three campus profiles and tabulates the
+// E18FleetFederation runs the federated development round
+// (core.RunFederated) across three campus profiles and tabulates the
 // train-here/test-there recall matrix against the two sharing
 // strategies: vote pooling (merge every campus's forest) and feature
 // pooling (train one forest on the concatenated train splits). The
@@ -23,7 +22,7 @@ func E18FleetFederation() (*Table, error) {
 		{Name: "princeton", HostsPerDept: 45, FlowsPerSecond: 70, AttackRate: 300, StartHour: 17, Seed: 1802},
 		{Name: "columbia", HostsPerDept: 25, FlowsPerSecond: 40, AttackRate: 800, StartHour: 17, Seed: 1803},
 	}
-	campuses := make([]fleet.Campus, len(specs))
+	campuses := make([]core.Campus, len(specs))
 	for i, spec := range specs {
 		spec.Workers = workers()
 		lab, gen, err := core.BuildCampusScenario(spec, traffic.LabelPortScan)
@@ -33,10 +32,10 @@ func E18FleetFederation() (*Table, error) {
 		if _, err := lab.Collect(gen); err != nil {
 			return nil, fmt.Errorf("campus %s: %w", spec.Name, err)
 		}
-		campuses[i] = fleet.Campus{Name: spec.Name, Store: lab.Store()}
+		campuses[i] = core.Campus{Name: spec.Name, Store: lab.Store()}
 	}
-	res, err := fleet.RunFederated(campuses, fleet.CoordinatorConfig{
-		Target: traffic.LabelPortScan, Seed: 1804, Workers: workers(),
+	res, err := core.RunFederated(campuses, core.DevelopConfig{
+		Target: traffic.LabelPortScan, ForestTrees: 12, ForestDepth: 8, Seed: 1804, Workers: workers(),
 	})
 	if err != nil {
 		return nil, err

@@ -77,7 +77,7 @@ func E9CrossCampus() (*Table, error) {
 		{Name: "princeton", HostsPerDept: 45, FlowsPerSecond: 70, AttackRate: 500, StartHour: 17, Seed: 1602},
 		{Name: "columbia", HostsPerDept: 25, FlowsPerSecond: 40, AttackRate: 900, StartHour: 17, Seed: 1603},
 	}
-	res, err := core.RunCrossCampus(specs, core.Algorithm{Target: traffic.LabelDNSAmp, Seed: 1604})
+	res, err := core.RunCrossCampus(specs, core.DevelopConfig{Target: traffic.LabelDNSAmp, Seed: 1604})
 	if err != nil {
 		return nil, err
 	}

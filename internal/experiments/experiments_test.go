@@ -1,14 +1,27 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+// pinnedMarkdown is the sha256 of the Markdown rendering of experiments
+// whose every cell is deterministic and that a refactor of the shared
+// development round must leave byte-identical: E9 (cross-campus matrix)
+// and E18 (federated round). A change that moves every cell alike still
+// fails here, where comparing configurations with each other would not.
+var pinnedMarkdown = map[string]string{
+	"E9":  "73ebf05939d5ee9141b6ea02afb55a0019c910eef2cba49ec199ff6bf91f2874",
+	"E18": "8c0c3775702d3463b25518e50493ede749e78d208f08f151013b6a7c24fa749b",
+}
+
 // TestAllExperimentsRun executes every experiment once and checks the
 // structural invariants: tables are well-formed and non-empty. Shape
-// assertions specific to each experiment live below.
+// assertions specific to each experiment live below; the tables named in
+// pinnedMarkdown are also checked byte for byte.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped with -short")
@@ -51,6 +64,11 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 			if len(tb.Notes) == 0 {
 				t.Error("missing expected-shape note")
+			}
+			if want, ok := pinnedMarkdown[r.ID]; ok {
+				if got := fmt.Sprintf("%x", sha256.Sum256([]byte(tb.Markdown()))); got != want {
+					t.Errorf("%s table sha256 = %s, pinned %s:\n%s", r.ID, got, want, tb.Markdown())
+				}
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package features
 
 import (
 	"campuslab/internal/datastore"
+	"campuslab/internal/obs"
 	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
 )
@@ -49,6 +50,7 @@ func b2f(b bool) float64 {
 // only that fraction of benign packets (class balance; attacks are rare in
 // count of flows but flood in packets — and vice versa for beacons).
 func FromPackets(st *datastore.Store, benignKeep float64) *Dataset {
+	defer obs.Default.StartSpan("featurize")()
 	if benignKeep <= 0 || benignKeep > 1 {
 		benignKeep = 1
 	}

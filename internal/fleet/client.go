@@ -113,55 +113,48 @@ func DialCampus(cfg ClientConfig) (*Client, error) {
 }
 
 // connect dials and handshakes, replacing any previous connection.
-func (c *Client) connect() error {
-	c.dropConn()
+func (c *Client) connect() (err error) {
+	c.Close()
 	conn, err := c.cfg.Dial()
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
 	br := bufio.NewReader(conn)
 	conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 	msg := AppendMessage(nil, MsgHello, EncodeHello(c.cfg.Campus))
 	if _, err := conn.Write(msg); err != nil {
-		conn.Close()
 		return fmt.Errorf("fleet: hello: %w", err)
 	}
 	t, payload, err := ReadMessage(br, &c.scratch)
 	if err != nil {
-		conn.Close()
 		return fmt.Errorf("fleet: hello reply: %w", err)
 	}
 	switch t {
 	case MsgHelloAck:
 	case MsgError:
-		conn.Close()
 		return fmt.Errorf("fleet: server rejected handshake: %s", payload)
 	default:
-		conn.Close()
 		return fmt.Errorf("fleet: unexpected handshake reply %v", t)
 	}
 	version, lastSeq, err := DecodeHelloAck(payload)
 	if err != nil {
-		conn.Close()
 		return err
 	}
 	if version != ProtocolVersion {
-		conn.Close()
 		return fmt.Errorf("fleet: server speaks version %d, client %d", version, ProtocolVersion)
 	}
 	c.conn, c.br, c.serverSeq = conn, br, lastSeq
 	return nil
 }
 
-func (c *Client) dropConn() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn, c.br = nil, nil
-	}
-}
-
-// Close tears down the connection. Acked batches are already in the
-// server's store; unacked ones were never acknowledged to the caller.
+// Close tears down the connection; a later SendBatch redials. Acked
+// batches are already in the server's store; unacked ones were never
+// acknowledged to the caller.
 func (c *Client) Close() error {
 	if c.conn == nil {
 		return nil
@@ -220,25 +213,25 @@ func (c *Client) SendBatch(frames []traffic.Frame) (Ack, error) {
 func (c *Client) exchange(msg []byte, seq uint64) (ack Ack, retry bool, err error) {
 	c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 	if _, werr := c.conn.Write(msg); werr != nil {
-		c.dropConn()
+		c.Close()
 		return Ack{}, true, fmt.Errorf("fleet: write batch %d: %w", seq, werr)
 	}
 	t, payload, rerr := ReadMessage(c.br, &c.scratch)
 	if rerr != nil {
 		// The cut may have landed after ingest: reconnect and re-send;
 		// the server's ack cache makes the retry idempotent.
-		c.dropConn()
+		c.Close()
 		return Ack{}, true, fmt.Errorf("fleet: read reply for batch %d: %w", seq, rerr)
 	}
 	switch t {
 	case MsgAck:
 		ack, aerr := DecodeAck(payload)
 		if aerr != nil {
-			c.dropConn()
+			c.Close()
 			return Ack{}, true, aerr
 		}
 		if ack.Seq != seq {
-			c.dropConn()
+			c.Close()
 			return Ack{}, true, fmt.Errorf("fleet: ack for batch %d while waiting on %d", ack.Seq, seq)
 		}
 		return ack, false, nil
@@ -248,7 +241,7 @@ func (c *Client) exchange(msg []byte, seq uint64) (ack Ack, retry bool, err erro
 	case MsgError:
 		return Ack{}, false, fmt.Errorf("fleet: server error at batch %d: %s", seq, payload)
 	default:
-		c.dropConn()
+		c.Close()
 		return Ack{}, true, fmt.Errorf("fleet: unexpected reply %v to batch %d", t, seq)
 	}
 }

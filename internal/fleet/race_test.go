@@ -4,11 +4,35 @@ import (
 	"sync"
 	"testing"
 
+	"campuslab/internal/core"
 	"campuslab/internal/datastore"
 	"campuslab/internal/features"
 	"campuslab/internal/fleet"
 	"campuslab/internal/traffic"
 )
+
+// synthDataset builds a deterministic, linearly separable two-class
+// dataset whose decision boundary shifts with the campus index, so
+// campus models genuinely differ.
+func synthDataset(campus, n int) *features.Dataset {
+	d := &features.Dataset{Schema: []string{"rate", "size", "spread"}}
+	shift := float64(campus) * 0.4
+	for i := 0; i < n; i++ {
+		// Deterministic pseudo-noise without shared rand state.
+		a := float64((i*2654435761)%1000) / 1000
+		b := float64((i*40503+campus*7919)%1000) / 1000
+		y := 0
+		x := []float64{a, b, a + b}
+		if a+0.7*b > 0.8+shift*0.1 {
+			y = 1
+			x[0] += 0.5 + shift
+			x[2] += shift
+		}
+		d.X = append(d.X, x)
+		d.Y = append(d.Y, y)
+	}
+	return d
+}
 
 // TestRaceConcurrentCampusStreams drives three campuses into one shared
 // listener and store at once — the shape `go test -race` must bless:
@@ -74,7 +98,7 @@ func (e errStored) Error() string { return "short store" }
 func TestRaceCoordinatorDuringStreaming(t *testing.T) {
 	const campuses = 3
 	stores := make([]*datastore.Store, campuses)
-	campusList := make([]fleet.Campus, campuses)
+	campusList := make([]core.Campus, campuses)
 	names := []string{"ucsb", "princeton", "columbia"}
 	var wg sync.WaitGroup
 	errs := make(chan error, campuses)
@@ -95,7 +119,7 @@ func TestRaceCoordinatorDuringStreaming(t *testing.T) {
 				errs <- err
 			}
 		}()
-		campusList[i] = fleet.Campus{
+		campusList[i] = core.Campus{
 			Name: names[i],
 			// The featurizer stands in for FromPackets but still scans the
 			// live store, so coordinator reads overlap ingest writes.
@@ -106,7 +130,7 @@ func TestRaceCoordinatorDuringStreaming(t *testing.T) {
 		}
 	}
 
-	res, err := fleet.RunFederated(campusList, fleet.CoordinatorConfig{
+	res, err := core.RunFederated(campusList, core.DevelopConfig{
 		Target: traffic.LabelDNSAmp, ForestTrees: 4, ForestDepth: 4, Seed: 3,
 	})
 	if err != nil {

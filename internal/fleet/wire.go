@@ -1,11 +1,7 @@
 // Package fleet turns campuslab into a multi-campus system: a binary
 // streaming ingest protocol that lets remote campus nodes push labeled
-// packet-record batches into a labd data store over TCP, and a federated
-// coordinator that runs the Figure-2 development loop across N campus
-// stores — per-campus forests merged into a voted ensemble, cross-campus
-// train-here/test-there evaluation, and a pooled-feature variant — the
-// paper's §5 endgame (many campuses reproducing each other's results)
-// made mechanically checkable.
+// packet-record batches into a labd data store over TCP. The federated
+// development round over the stores it fills is core.RunFederated.
 //
 // Wire format (all integers little-endian):
 //

@@ -107,12 +107,12 @@ echo "==> benchmark module (bench/ is its own module; the root go test does not 
 echo "==> answer hash gate (every workload, seed 1, one second: failed == 0, correct, output_hash == the newest ledger's)"
 bash tools/hashgate.sh
 
-echo "==> go test -race (control, datastore, faults, fleet, ml, xai, netsim, dataplane, features)"
+echo "==> go test -race (control, core, datastore, faults, fleet, ml, xai, netsim, dataplane, features)"
 # The datastore race pass is most of this script's wall time (~8 min on two
 # cores; the other packages run beside it), so the race step runs once,
 # verbosely, and every race gate below checks its output by name
 # (gate_names) instead of running the test again.
-RACE=$(go test -race -v ./internal/control ./internal/datastore ./internal/faults ./internal/fleet \
+RACE=$(go test -race -v ./internal/control ./internal/core ./internal/datastore ./internal/faults ./internal/fleet \
     ./internal/ml ./internal/xai ./internal/netsim ./internal/dataplane ./internal/features 2>&1) || {
     echo "$RACE" | grep -v '^=== \|^ *--- PASS' | tail -n 80
     exit 1
@@ -135,6 +135,8 @@ gate_names "$RACE" ./internal/datastore TestTierCrashKill9 TestTierCrashSwapEqui
     TestTierWriteFailureChangesNothing TestLoadAtShardCountMatchesDefaultLoad TestCommitTierRecomputesTotals
 echo "    fleet race gate (concurrent campus streams, coordinator during live ingest)"
 gate_names "$RACE" ./internal/fleet TestRaceConcurrentCampusStreams TestRaceCoordinatorDuringStreaming TestStreamMatchesLocalIngest
+echo "    development round (the federated round is worker-count independent)"
+gate_names "$RACE" ./internal/core TestFederatedDeterministicAcrossWorkers
 echo "    ml equivalence gate (presorted CART, forest vote, Explain, routing == their reference implementations)"
 gate_names "$RACE" ./internal/ml TestFitTreeMatchesReference TestFitForestMatchesReference \
     TestFitBoostMatchesReference TestForestVoteMatchesReference TestRadixSortOrders \
