@@ -260,7 +260,7 @@ func (l *Loop) Feed(f *traffic.Frame, s *packet.Summary) bool {
 // stateful meters make classification impure) and the remainder of the
 // batch falls back to the per-packet path.
 func (l *Loop) FeedBatch(frames []*traffic.Frame, sums []*packet.Summary, keep []bool) {
-	defer obs.Default.StartSpan("fastloop")()
+	defer obs.Default.StartSpan("fastloop").End()
 	n := len(frames)
 	if cap(l.verdictBuf) < n {
 		l.verdictBuf = make([]dataplane.Verdict, n)

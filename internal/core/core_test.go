@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -179,6 +181,62 @@ func TestDevelopThenRoadTest(t *testing.T) {
 	}
 	if !rep.Passed() {
 		t.Fatalf("road test failed: %s", rep.Summary())
+	}
+}
+
+// TestConcurrentRoadTestsShareCampus road-tests one lab from two
+// goroutines before its campus exists, then runs the same two road tests
+// one after the other: the campus is built once and only read, so the
+// concurrent reports equal the serial ones.
+func TestConcurrentRoadTestsShareCampus(t *testing.T) {
+	lab := newLab(t)
+	if _, err := lab.Collect(scenario(lab, 316, 317)); err != nil {
+		t.Fatal(err)
+	}
+	// A small forest and short episodes: this runs in the race pass.
+	dep, err := lab.Develop(DevelopConfig{Target: traffic.LabelDNSAmp, Seed: 318, ForestTrees: 5, ForestDepth: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	episode := func(seed int64) traffic.Generator {
+		return traffic.NewMerge(
+			traffic.NewCampus(traffic.Profile{Plan: lab.Plan(), FlowsPerSecond: 40, Duration: time.Second, Seed: seed}),
+			traffic.NewAttack(traffic.AttackConfig{
+				Kind: traffic.LabelDNSAmp, Plan: lab.Plan(), Victim: lab.Plan().Host(6),
+				Start: 200 * time.Millisecond, Duration: 600 * time.Millisecond, Rate: 800, Seed: seed + 1,
+			}))
+	}
+	tiers := [2]control.Tier{control.TierDataPlane, control.TierControlPlane}
+	run := func(i int) (string, error) {
+		rep, err := lab.RoadTest(dep, tiers[i], episode(320+2*int64(i)),
+			roadtest.Spec{MinRecall: 0.5, MaxCollateral: 0.05})
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%s\n%+v\n%+v", rep.Summary(), rep.Network, rep.Loop), nil
+	}
+	var concurrent [2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range tiers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			concurrent[i], errs[i] = run(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range tiers {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		serial, err := run(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if concurrent[i] != serial {
+			t.Fatalf("%v: concurrent road test differs from the serial one:\n%s\nvs\n%s", tiers[i], concurrent[i], serial)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"campuslab/internal/control"
@@ -53,6 +54,9 @@ type Lab struct {
 	cfg      Config
 	store    *datastore.Store
 	enforcer *privacy.Enforcer
+
+	campusOnce sync.Once
+	campus     *netsim.Topology // the road-test campus, built on first use
 }
 
 // NewLab validates cfg and builds the lab.
@@ -360,8 +364,18 @@ func (l *Lab) Develop(cfg DevelopConfig) (*Deployment, error) {
 	}, nil
 }
 
-// RoadTest deploys the deployable model on a fresh simulated campus and
-// replays a held-out scenario through it (Figure 1, right half).
+// roadCampus returns the lab's simulated campus, built on first use from
+// the lab's plan and shared, read-only, by every road test.
+func (l *Lab) roadCampus() *netsim.Topology {
+	l.campusOnce.Do(func() {
+		l.campus = netsim.BuildCampus(netsim.Config{Plan: l.cfg.Plan, HostsPerAccess: 25})
+	})
+	return l.campus
+}
+
+// RoadTest deploys the deployable model on a fresh network over the lab's
+// campus and replays a held-out scenario through it (Figure 1, right
+// half). Road tests of one lab may run concurrently.
 func (l *Lab) RoadTest(dep *Deployment, tier control.Tier, scenario traffic.Generator, spec roadtest.Spec) (*roadtest.Report, error) {
 	loopCfg := control.LoopConfig{Tier: tier, Threshold: 0.9, Window: time.Second, MinEvidence: 30}
 	switch tier {
@@ -377,8 +391,7 @@ func (l *Lab) RoadTest(dep *Deployment, tier control.Tier, scenario traffic.Gene
 		return nil, fmt.Errorf("core: unknown tier %v", tier)
 	}
 	return roadtest.Run(roadtest.Config{
-		Plan:     l.cfg.Plan,
-		Net:      netsim.Config{HostsPerAccess: 25},
+		Campus:   l.roadCampus(),
 		Loop:     loopCfg,
 		Scenario: scenario,
 		Spec:     spec,

@@ -27,7 +27,7 @@ type CompileConfig struct {
 // becomes one rule whose per-field intervals are the intersection of the
 // path's threshold conditions.
 func Compile(tree *ml.Tree, schema []string, cfg CompileConfig) (*Program, error) {
-	defer obs.Default.StartSpan("compile")()
+	defer obs.Default.StartSpan("compile").End()
 	fields := make([]Field, len(schema))
 	for i, name := range schema {
 		f, err := FieldByName(name)

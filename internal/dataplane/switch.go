@@ -295,7 +295,7 @@ func (sw *Switch) mutate(edit func(next *pipelineState)) {
 // The program is copied and compiled to a decision DAG (unless the scan
 // path is forced); the caller keeps ownership of prog.
 func (sw *Switch) Load(prog *Program) error {
-	defer obs.Default.StartSpan("install")()
+	defer obs.Default.StartSpan("install").End()
 	if rep := sw.res.Fit(prog); !rep.Fits {
 		return fmt.Errorf("dataplane: program %q does not fit: %s", prog.Name, rep.Reason)
 	}
@@ -326,7 +326,7 @@ func (sw *Switch) Load(prog *Program) error {
 // unloaded. Resource admission already happened at compile time against
 // the EnsembleConfig budget; usage is exported as obs gauges here.
 func (sw *Switch) LoadEnsemble(ep *EnsembleProgram) error {
-	defer obs.Default.StartSpan("install")()
+	defer obs.Default.StartSpan("install").End()
 	if ep == nil {
 		return fmt.Errorf("dataplane: nil ensemble program")
 	}

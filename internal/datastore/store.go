@@ -498,7 +498,7 @@ func (s *Store) addBatch(frames []traffic.Frame, links []uint16, workers int) Pa
 	if n == 0 {
 		return PacketID(s.nextID.Load())
 	}
-	defer obs.Default.StartSpan("ingest")()
+	defer obs.Default.StartSpan("ingest").End()
 	obsIngestBatches.Inc()
 	obsIngestPackets.Add(uint64(n))
 	obsIngestBatchSize.Observe(float64(n))

@@ -44,7 +44,7 @@ func FromFlows(st *datastore.Store, campus netip.Prefix) *Dataset {
 // identical — row for row — at any worker count; workers=1 is the serial
 // path.
 func FromFlowsWorkers(st *datastore.Store, campus netip.Prefix, workers int) *Dataset {
-	defer obs.Default.StartSpan("featurize")()
+	defer obs.Default.StartSpan("featurize").End()
 	flows := st.Flows()
 	d := &Dataset{
 		Schema: FlowSchema,

@@ -50,7 +50,7 @@ func b2f(b bool) float64 {
 // only that fraction of benign packets (class balance; attacks are rare in
 // count of flows but flood in packets — and vice versa for beacons).
 func FromPackets(st *datastore.Store, benignKeep float64) *Dataset {
-	defer obs.Default.StartSpan("featurize")()
+	defer obs.Default.StartSpan("featurize").End()
 	if benignKeep <= 0 || benignKeep > 1 {
 		benignKeep = 1
 	}
@@ -61,6 +61,8 @@ func FromPackets(st *datastore.Store, benignKeep float64) *Dataset {
 		}
 	}
 	d := &Dataset{Schema: PacketSchema}
+	dims := len(PacketSchema)
+	var slab []float64 // rows are cut from 1024-row slabs
 	benignSeen := 0
 	keepEvery := int(1 / benignKeep)
 	if keepEvery < 1 {
@@ -80,7 +82,11 @@ func FromPackets(st *datastore.Store, benignKeep float64) *Dataset {
 				return true
 			}
 		}
-		v := make([]float64, len(PacketSchema))
+		if len(slab) < dims {
+			slab = make([]float64, 1024*dims)
+		}
+		v := slab[:dims:dims]
+		slab = slab[dims:]
 		PacketVector(&sp.Summary, v)
 		d.X = append(d.X, v)
 		d.Y = append(d.Y, int(label))

@@ -283,10 +283,19 @@ func TestRadixSortOrders(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	special := []float64{math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, math.Copysign(0, -1),
 		0, math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1)}
-	for _, n := range []int{1, 2, 17, 1000} {
-		d := &features.Dataset{Schema: []string{"normal", "special", "small"}, Y: make([]int, n)}
+	// bits draws any non-NaN float64, so every 11-bit digit of the sort
+	// key varies; n = 5000 puts thousands of keys through each pass.
+	bits := func() float64 {
+		for {
+			if v := math.Float64frombits(r.Uint64()); !math.IsNaN(v) {
+				return v
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 17, 1000, 5000} {
+		d := &features.Dataset{Schema: []string{"normal", "special", "small", "bits"}, Y: make([]int, n)}
 		for i := 0; i < n; i++ {
-			d.X = append(d.X, []float64{r.NormFloat64() * 1e3, special[r.Intn(len(special))], float64(r.Intn(3))})
+			d.X = append(d.X, []float64{r.NormFloat64() * 1e3, special[r.Intn(len(special))], float64(r.Intn(3)), bits()})
 		}
 		ps := newPresort(d)
 		for f := 0; f < ps.dims; f++ {

@@ -62,7 +62,7 @@ func FitForest(d *features.Dataset, classes int, cfg ForestConfig) (*Forest, err
 	if maxFeat < 1 {
 		maxFeat = 1
 	}
-	defer obs.Default.StartSpan("train")()
+	defer obs.Default.StartSpan("train").End()
 	n := d.Len()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mults := make([]int32, cfg.Trees*n) // tree t drew row i mults[t*n+i] times

@@ -90,21 +90,23 @@ type sortKey struct {
 	row int32
 }
 
-// radixSort sorts keys ascending, least significant byte first, using
-// spare (same length) as the other buffer, and returns whichever of the two
-// holds the result. Each pass is stable, so equal keys keep their row order;
-// a byte on which all keys agree costs no pass, which is most of them for
-// boolean and small-integer columns.
+// radixSort sorts keys ascending, least significant digit first, in six
+// passes of 11 bits, using spare (same length) as the other buffer, and
+// returns whichever of the two holds the result. Each pass is stable, so
+// equal keys keep their row order; a digit on which all keys agree costs
+// no pass, which is most of them for boolean and small-integer columns.
 func radixSort(keys, spare []sortKey) []sortKey {
-	var hist [8][256]int32
+	const bits, passes = 11, 6
+	const mask = 1<<bits - 1
+	var hist [passes][1 << bits]int32
 	for _, k := range keys {
 		for d := range hist {
-			hist[d][byte(k.key>>(8*d))]++
+			hist[d][k.key>>(bits*d)&mask]++
 		}
 	}
 	for d := range hist {
-		h := &hist[d]
-		if h[byte(keys[0].key>>(8*d))] == int32(len(keys)) {
+		h, shift := &hist[d], bits*d
+		if h[keys[0].key>>shift&mask] == int32(len(keys)) {
 			continue
 		}
 		var sum int32
@@ -112,7 +114,7 @@ func radixSort(keys, spare []sortKey) []sortKey {
 			h[i], sum = sum, sum+c
 		}
 		for _, k := range keys {
-			b := byte(k.key >> (8 * d))
+			b := k.key >> shift & mask
 			spare[h[b]] = k
 			h[b]++
 		}

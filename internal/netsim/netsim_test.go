@@ -224,6 +224,67 @@ func TestNodeKindString(t *testing.T) {
 	}
 }
 
+// sliceGen replays a fixed slice of frames.
+type sliceGen struct {
+	frames []traffic.Frame
+	i      int
+}
+
+func (g *sliceGen) Next(f *traffic.Frame) bool {
+	if g.i == len(g.frames) {
+		return false
+	}
+	*f = g.frames[g.i]
+	g.i++
+	return true
+}
+
+// TestReplayAllocsFlat holds a replay to allocating per run, not per
+// frame or hop: over a topology built once, a replay of 8192 frames
+// through the batched border hook allocates no more than one of 1024.
+func TestReplayAllocsFlat(t *testing.T) {
+	plan := traffic.DefaultPlan(30)
+	topo := BuildCampus(Config{Plan: plan, HostsPerAccess: 10})
+	gen := traffic.NewMerge(
+		traffic.NewCampus(traffic.Profile{Plan: plan, FlowsPerSecond: 60, Duration: 4 * time.Second, Seed: 57}),
+		traffic.NewAttack(traffic.AttackConfig{
+			Kind: traffic.LabelDNSAmp, Plan: plan, Victim: plan.Host(3),
+			Start: 500 * time.Millisecond, Duration: 2 * time.Second, Rate: 800, Seed: 58,
+		}))
+	var frames []traffic.Frame
+	for f := (traffic.Frame{}); len(frames) < 8192 && gen.Next(&f); {
+		frames = append(frames, f)
+	}
+	if len(frames) < 8192 {
+		t.Fatalf("scenario has %d frames, want 8192", len(frames))
+	}
+	var net *Network
+	replay := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			net = NewNetwork(topo)
+			net.SetBorderBatchFunc(func(ts []time.Duration, frames []*traffic.Frame, sums []*packet.Summary, keep []bool) {
+				for i, s := range sums {
+					keep[i] = s.Tuple.SrcPort != 53
+				}
+			})
+			net.Replay(&sliceGen{frames: frames[:n]})
+		})
+	}
+	small, large := replay(1024), replay(8192)
+	t.Logf("allocations per replay: %v at 1024 frames, %v at 8192", small, large)
+	if large > small+16 {
+		t.Fatalf("a replay of 8192 frames allocates %v, one of 1024 %v: something allocates per frame", large, small)
+	}
+	// Every event went back: the free list holds whole chunks.
+	free := 0
+	for ev := net.free; ev != nil; ev = ev.next {
+		free++
+	}
+	if free == 0 || free%eventChunk != 0 {
+		t.Fatalf("%d events on the free list after a replay, want a multiple of %d", free, eventChunk)
+	}
+}
+
 func BenchmarkReplay(b *testing.B) {
 	plan := traffic.DefaultPlan(30)
 	topo := BuildCampus(Config{Plan: plan, HostsPerAccess: 10})

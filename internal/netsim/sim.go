@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"time"
 
 	"campuslab/internal/packet"
@@ -12,13 +11,15 @@ import (
 type TapFunc func(ts time.Duration, f *traffic.Frame)
 
 // BorderFunc inspects a frame at the border switch; returning false drops
-// it (the deployed mitigation path). The summary is pre-parsed.
+// it (the deployed mitigation path). The summary is pre-parsed. The frame
+// and the summary are the network's and valid only during the call.
 type BorderFunc func(ts time.Duration, f *traffic.Frame, s *packet.Summary) bool
 
 // BorderBatchFunc inspects a batch of frames arriving at the border in
 // event order, filling keep[i] with whether frame i survives. Deployed
 // control loops prefer this over BorderFunc: consecutive border arrivals
 // are popped together so the loop's sense stage runs once per batch.
+// Frames and summaries are the network's and valid only during the call.
 type BorderBatchFunc func(ts []time.Duration, frames []*traffic.Frame, sums []*packet.Summary, keep []bool)
 
 // Delivery reports one frame reaching its destination.
@@ -59,12 +60,17 @@ func (s *SimStats) Utilization(l Link, span time.Duration) float64 {
 	return float64(s.LinkBytes[l.ID]*8) / (l.Bandwidth * span.Seconds())
 }
 
-// Network is a runnable simulation instance over a topology.
+// Network is a runnable simulation instance over a topology. It reads
+// the topology and never writes it, so any number of networks may run
+// over one topology at once.
 type Network struct {
 	topo   *Topology
-	events eventHeap
+	events []*event // min-heap on (at, seq)
+	free   *event   // released events, linked through next
 	// linkFree[l] is when link l's transmitter is next idle.
-	linkFree    []time.Duration
+	linkFree []time.Duration
+	// linkBytes[l] is what link l carried; Run copies it to stats.LinkBytes.
+	linkBytes   []uint64
 	taps        map[LinkID][]TapFunc
 	border      BorderFunc
 	borderBatch BorderBatchFunc
@@ -76,10 +82,8 @@ type Network struct {
 
 	// Reusable border-batch buffers (see stepBatch).
 	evBuf   []*event
-	inspBuf []int32
 	tsBuf   []time.Duration
 	frmBuf  []*traffic.Frame
-	sumBuf  []packet.Summary
 	sumPtrs []*packet.Summary
 	keepBuf []bool
 }
@@ -87,14 +91,18 @@ type Network struct {
 // borderBatchCap bounds one batched border inspection.
 const borderBatchCap = 256
 
+// eventChunk is how many events the free list grows by at once.
+const eventChunk = 128
+
 // NewNetwork wraps a topology for simulation.
 func NewNetwork(t *Topology) *Network {
 	return &Network{
-		topo:     t,
-		linkFree: make([]time.Duration, len(t.Links)),
-		taps:     make(map[LinkID][]TapFunc),
-		parser:   packet.NewFlowParser(),
-		stats:    SimStats{LinkBytes: make(map[LinkID]uint64)},
+		topo:      t,
+		linkFree:  make([]time.Duration, len(t.Links)),
+		linkBytes: make([]uint64, len(t.Links)),
+		taps:      make(map[LinkID][]TapFunc),
+		parser:    packet.NewFlowParser(),
+		stats:     SimStats{LinkBytes: make(map[LinkID]uint64)},
 	}
 }
 
@@ -113,10 +121,8 @@ func (n *Network) SetBorderBatchFunc(fn BorderBatchFunc) {
 	n.borderBatch = fn
 	if fn != nil && n.evBuf == nil {
 		n.evBuf = make([]*event, 0, borderBatchCap)
-		n.inspBuf = make([]int32, 0, borderBatchCap)
 		n.tsBuf = make([]time.Duration, borderBatchCap)
 		n.frmBuf = make([]*traffic.Frame, borderBatchCap)
-		n.sumBuf = make([]packet.Summary, borderBatchCap)
 		n.sumPtrs = make([]*packet.Summary, borderBatchCap)
 		n.keepBuf = make([]bool, borderBatchCap)
 	}
@@ -125,57 +131,115 @@ func (n *Network) SetBorderBatchFunc(fn BorderBatchFunc) {
 // OnDeliver registers the delivery callback.
 func (n *Network) OnDeliver(fn func(Delivery)) { n.onDeliver = fn }
 
-// event is a frame arriving at a node at a time.
+// event is a frame arriving at a node at a time, on its way to dst. The
+// next link is looked up hop by hop, so an event carries no path.
 type event struct {
 	at    time.Duration
-	node  NodeID
-	hop   int // index into path
-	frame traffic.Frame
-	sent  time.Duration
-	path  []LinkID
 	seq   uint64 // tie-break for determinism
+	node  NodeID
+	dst   NodeID
+	sent  time.Duration
+	frame traffic.Frame
+	sum   packet.Summary // parsed once, at Inject
+	next  *event         // free-list link
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by time, then by scheduling order. seq is unique,
+// so the order is total and any heap pops the same sequence.
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+func (n *Network) push(ev *event) {
+	h := append(n.events, ev)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !before(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	n.events = h
+}
+
+func (n *Network) pop() *event {
+	h := n.events
+	top, last := h[0], len(h)-1
+	h[0], h[last] = h[last], nil
+	h = h[:last]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && before(h[r], h[m]) {
+			m = r
+		}
+		if !before(h[m], h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	n.events = h
+	return top
+}
+
+// newEvent takes an event from the free list, growing it by a chunk when
+// it is empty.
+func (n *Network) newEvent() *event {
+	if n.free == nil {
+		chunk := make([]event, eventChunk)
+		for i := range chunk[:len(chunk)-1] {
+			chunk[i].next = &chunk[i+1]
+		}
+		n.free = &chunk[0]
+	}
+	ev := n.free
+	n.free, ev.next = ev.next, nil
+	return ev
+}
+
+// release returns a delivered or dropped event to the free list.
+func (n *Network) release(ev *event) { ev.next, n.free = n.free, ev }
 
 // Inject schedules a frame: the source/destination nodes are resolved from
 // the frame's IP addresses, and the frame enters the network at f.TS.
 func (n *Network) Inject(f *traffic.Frame) {
-	var s packet.Summary
-	if err := n.parser.Parse(f.Data, &s); err != nil {
+	ev := n.newEvent()
+	if err := n.parser.Parse(f.Data, &ev.sum); err != nil {
 		n.stats.Unroutable++
+		n.release(ev)
 		return
 	}
-	src := n.topo.NodeFor(s.Tuple.SrcIP)
-	dst := n.topo.NodeFor(s.Tuple.DstIP)
-	path := n.topo.Route(src, dst)
-	if path == nil && src != dst {
+	src := n.topo.NodeFor(ev.sum.Tuple.SrcIP)
+	dst := n.topo.NodeFor(ev.sum.Tuple.DstIP)
+	if src != dst && n.topo.nextHop[src][dst] < 0 {
 		n.stats.Unroutable++
+		n.release(ev)
 		return
 	}
 	n.stats.Injected++
 	n.seq++
-	heap.Push(&n.events, &event{
-		at: f.TS, node: src, hop: 0, frame: *f, sent: f.TS, path: path, seq: n.seq,
-	})
+	ev.at, ev.seq, ev.node, ev.dst = f.TS, n.seq, src, dst
+	ev.sent, ev.frame = f.TS, *f
+	n.push(ev)
 }
 
 // Run processes all scheduled events to completion and returns statistics.
 // Call after injecting the full scenario (or interleave Inject/Step).
 func (n *Network) Run() SimStats {
-	for n.events.Len() > 0 {
+	for len(n.events) > 0 {
 		n.stepBatch(1 << 62)
+	}
+	for l, b := range n.linkBytes {
+		if b != 0 {
+			n.stats.LinkBytes[LinkID(l)] = b
+		}
 	}
 	return n.stats
 }
@@ -202,73 +266,60 @@ func (n *Network) stepBatch(bound time.Duration) {
 		n.step()
 		return
 	}
-	evs, insp := n.evBuf[:0], n.inspBuf[:0]
-	k := 0
-	for len(evs) < borderBatchCap && n.events.Len() > 0 {
+	evs := n.evBuf[:0]
+	for len(evs) < borderBatchCap && len(n.events) > 0 {
 		top := n.events[0]
 		if top.at >= bound || n.topo.Nodes[top.node].Kind != KindBorder {
 			break
 		}
-		ev := heap.Pop(&n.events).(*event)
-		evs = append(evs, ev)
-		if err := n.parser.Parse(ev.frame.Data, &n.sumBuf[k]); err == nil {
-			n.tsBuf[k], n.frmBuf[k], n.sumPtrs[k] = ev.at, &ev.frame, &n.sumBuf[k]
-			n.keepBuf[k] = true
-			insp = append(insp, int32(k))
-			k++
-		} else {
-			insp = append(insp, -1) // unparseable: continues uninspected
-		}
+		k := len(evs)
+		evs = append(evs, n.pop())
+		n.tsBuf[k], n.frmBuf[k], n.sumPtrs[k] = top.at, &top.frame, &top.sum
+		n.keepBuf[k] = true
 	}
-	if k > 0 {
-		n.borderBatch(n.tsBuf[:k], n.frmBuf[:k], n.sumPtrs[:k], n.keepBuf[:k])
-	}
+	k := len(evs)
+	n.borderBatch(n.tsBuf[:k], n.frmBuf[:k], n.sumPtrs[:k], n.keepBuf[:k])
 	for i, ev := range evs {
 		n.now = ev.at
-		if j := insp[i]; j >= 0 && !n.keepBuf[j] {
+		if !n.keepBuf[i] {
 			n.stats.BorderDrops++
+			n.release(ev)
 			continue
 		}
 		n.continueFrame(ev)
 	}
-	n.evBuf, n.inspBuf = evs[:0], insp[:0]
+	n.evBuf = evs[:0]
 }
 
 func (n *Network) step() {
-	ev := heap.Pop(&n.events).(*event)
+	ev := n.pop()
 	n.now = ev.at
 
 	// Border inspection on arrival at the border node.
 	if n.topo.Nodes[ev.node].Kind == KindBorder {
+		keep := true
 		if n.border != nil {
-			var s packet.Summary
-			if err := n.parser.Parse(ev.frame.Data, &s); err == nil {
-				if !n.border(ev.at, &ev.frame, &s) {
-					n.stats.BorderDrops++
-					return
-				}
-			}
+			keep = n.border(ev.at, &ev.frame, &ev.sum)
 		} else if n.borderBatch != nil {
 			// Single-frame fallback (taps or delivery hooks present).
-			if err := n.parser.Parse(ev.frame.Data, &n.sumBuf[0]); err == nil {
-				n.tsBuf[0], n.frmBuf[0], n.sumPtrs[0] = ev.at, &ev.frame, &n.sumBuf[0]
-				n.keepBuf[0] = true
-				n.borderBatch(n.tsBuf[:1], n.frmBuf[:1], n.sumPtrs[:1], n.keepBuf[:1])
-				if !n.keepBuf[0] {
-					n.stats.BorderDrops++
-					return
-				}
-			}
+			n.tsBuf[0], n.frmBuf[0], n.sumPtrs[0] = ev.at, &ev.frame, &ev.sum
+			n.keepBuf[0] = true
+			n.borderBatch(n.tsBuf[:1], n.frmBuf[:1], n.sumPtrs[:1], n.keepBuf[:1])
+			keep = n.keepBuf[0]
+		}
+		if !keep {
+			n.stats.BorderDrops++
+			n.release(ev)
+			return
 		}
 	}
 	n.continueFrame(ev)
 }
 
-// continueFrame advances a frame past inspection: delivery at the final
-// node, otherwise transmission onto its next link.
+// continueFrame advances a frame past inspection: delivery at its
+// destination node, otherwise transmission onto the next link toward it.
 func (n *Network) continueFrame(ev *event) {
-	if ev.hop >= len(ev.path) {
-		// Arrived at destination node.
+	if ev.node == ev.dst {
 		n.stats.Delivered++
 		lat := ev.at - ev.sent
 		n.stats.TotalLatency += lat
@@ -278,10 +329,11 @@ func (n *Network) continueFrame(ev *event) {
 		if n.onDeliver != nil {
 			n.onDeliver(Delivery{Frame: ev.frame, Sent: ev.sent, Arrived: ev.at})
 		}
+		n.release(ev)
 		return
 	}
 
-	lid := ev.path[ev.hop]
+	lid := n.topo.nextHop[ev.node][ev.dst]
 	link := &n.topo.Links[lid]
 	// Queue model: the transmitter serializes one packet at a time; a
 	// frame arriving while the queue already holds QueueLen serialization
@@ -293,24 +345,23 @@ func (n *Network) continueFrame(ev *event) {
 		queued := float64(n.linkFree[lid]-start) / float64(txTime+1)
 		if int(queued) >= link.QueueLen {
 			n.stats.QueueDrops++
+			n.release(ev)
 			return
 		}
 		start = n.linkFree[lid]
 	}
 	n.linkFree[lid] = start + txTime
-	n.stats.LinkBytes[lid] += uint64(len(ev.frame.Data))
+	n.linkBytes[lid] += uint64(len(ev.frame.Data))
 
 	for _, tap := range n.taps[lid] {
 		tap(start, &ev.frame)
 	}
 
-	arrive := start + txTime + time.Duration(link.PropDelay*float64(time.Second))
-	ev.at = arrive
+	ev.at = start + txTime + time.Duration(link.PropDelay*float64(time.Second))
 	ev.node = link.To
-	ev.hop++
 	n.seq++
 	ev.seq = n.seq
-	heap.Push(&n.events, ev)
+	n.push(ev)
 }
 
 // Replay injects every frame from gen and runs the simulation,
@@ -321,7 +372,7 @@ func (n *Network) Replay(gen traffic.Generator) SimStats {
 		n.Inject(&f)
 		// Process everything strictly earlier than the next injection to
 		// keep the event heap small.
-		for n.events.Len() > 0 && n.events[0].at < f.TS {
+		for len(n.events) > 0 && n.events[0].at < f.TS {
 			n.stepBatch(f.TS)
 		}
 	}

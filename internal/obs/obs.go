@@ -541,19 +541,30 @@ func (r *Registry) RecordStage(stage string, d time.Duration) {
 	r.tracer.Record(stage, time.Now().Add(-d), d)
 }
 
-// StartSpan begins a stage span; the returned func ends it, recording
-// both the stage counters and the trace entry. Usage:
+// SpanTimer is a started stage span. It is a plain value, so starting
+// and ending one allocates nothing.
+type SpanTimer struct {
+	r     *Registry
+	sc    *stageCounters
+	stage string
+	start time.Time
+}
+
+// StartSpan begins a stage span; End ends it, recording both the stage
+// counters and the trace entry. Usage:
 //
-//	defer obs.Default.StartSpan("ingest")()
-func (r *Registry) StartSpan(stage string) func() {
-	sc := r.stage(stage)
-	start := time.Now()
-	return func() {
-		d := time.Since(start)
-		sc.nanos.Add(uint64(d))
-		sc.calls.Inc()
-		r.tracer.Record(stage, start, d)
-	}
+//	defer obs.Default.StartSpan("ingest").End()
+func (r *Registry) StartSpan(stage string) SpanTimer {
+	return SpanTimer{r: r, sc: r.stage(stage), stage: stage, start: time.Now()}
+}
+
+// End records the span: one call and its wall time on the stage's
+// counters, and one trace entry.
+func (s SpanTimer) End() {
+	d := time.Since(s.start)
+	s.sc.nanos.Add(uint64(d))
+	s.sc.calls.Inc()
+	s.r.tracer.Record(s.stage, s.start, d)
 }
 
 // Tracer returns the registry's span tracer.

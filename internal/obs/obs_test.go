@@ -207,8 +207,7 @@ func TestRecordStageAndTracer(t *testing.T) {
 	r := NewRegistry()
 	r.RecordStage("ingest", 5*time.Millisecond)
 	r.RecordStage("ingest", 5*time.Millisecond)
-	done := r.StartSpan("train")
-	done()
+	r.StartSpan("train").End()
 	nanos := r.SeriesByName(StageNanosName)
 	calls := r.SeriesByName(StageCallsName)
 	if len(nanos) != 2 || len(calls) != 2 {
@@ -263,15 +262,15 @@ func TestTracerRingEviction(t *testing.T) {
 }
 
 // TestSpanResolvesSeriesOnce pins the span cost after a stage's first use:
-// the closure is the only allocation, and the counters a span writes are
-// the ones the registry serves under the stage's labels.
+// nothing is allocated, and the counters a span writes are the ones the
+// registry serves under the stage's labels.
 func TestSpanResolvesSeriesOnce(t *testing.T) {
 	r := NewRegistry()
-	r.StartSpan("x")() // first resolution registers the pair
+	r.StartSpan("x").End() // first resolution registers the pair
 	if n := testing.AllocsPerRun(200, func() {
-		defer r.StartSpan("x")()
-	}); n > 1 {
-		t.Fatalf("span on a resolved stage allocates %v/op, want <= 1 (the closure)", n)
+		defer r.StartSpan("x").End()
+	}); n > 0 {
+		t.Fatalf("span on a resolved stage allocates %v/op, want 0", n)
 	}
 	if got := r.Counter(StageCallsName, "stage", "x").Value(); got != 202 {
 		t.Fatalf("calls{stage=x} = %d, want 202 (1 + AllocsPerRun's warm-up + 200)", got)
@@ -295,7 +294,7 @@ func TestSpanConcurrentStages(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				r.StartSpan(stages[(g+i)%len(stages)])()
+				r.StartSpan(stages[(g+i)%len(stages)]).End()
 			}
 		}(g)
 	}

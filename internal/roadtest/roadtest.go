@@ -61,10 +61,10 @@ func (r *Report) Summary() string {
 
 // Config assembles a road test.
 type Config struct {
-	// Plan is the shared campus address plan.
-	Plan *traffic.AddressPlan
-	// Net sizes the simulated campus (Plan is overridden with the above).
-	Net netsim.Config
+	// Campus is the simulated campus the loop is deployed on (required).
+	// A run only reads it, so one topology serves any number of runs,
+	// concurrent ones included.
+	Campus *netsim.Topology
 	// Loop configures the deployed control loop.
 	Loop control.LoopConfig
 	// Scenario generates the replay traffic (benign + attack episodes).
@@ -73,22 +73,20 @@ type Config struct {
 	Spec Spec
 }
 
-// Run deploys the loop at the border of a fresh simulated campus and
-// replays the scenario through it.
+// Run deploys the loop at the border of a fresh network over the campus
+// and replays the scenario through it.
 func Run(cfg Config) (*Report, error) {
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("roadtest: Scenario is required")
 	}
-	if cfg.Plan == nil {
-		cfg.Plan = traffic.DefaultPlan(200)
+	if cfg.Campus == nil {
+		return nil, fmt.Errorf("roadtest: Campus is required")
 	}
-	cfg.Net.Plan = cfg.Plan
 	loop, err := control.NewLoop(cfg.Loop)
 	if err != nil {
 		return nil, fmt.Errorf("roadtest: %w", err)
 	}
-	topo := netsim.BuildCampus(cfg.Net)
-	net := netsim.NewNetwork(topo)
+	net := netsim.NewNetwork(cfg.Campus)
 
 	rep := &Report{AttackStart: -1}
 	net.SetBorderBatchFunc(func(ts []time.Duration, frames []*traffic.Frame, sums []*packet.Summary, keep []bool) {

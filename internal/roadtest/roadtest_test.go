@@ -18,6 +18,7 @@ import (
 // artifacts trains the deployable model chain once per test binary.
 type artifacts struct {
 	plan      *traffic.AddressPlan
+	campus    *netsim.Topology
 	tree      *ml.Tree
 	dropProg  *dataplane.Program
 	alertProg *dataplane.Program
@@ -61,7 +62,8 @@ func train(t testing.TB) *artifacts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached = &artifacts{plan: plan, tree: ex.Tree, dropProg: dropProg, alertProg: alertProg}
+	campus := netsim.BuildCampus(netsim.Config{Plan: plan, HostsPerAccess: 10})
+	cached = &artifacts{plan: plan, campus: campus, tree: ex.Tree, dropProg: dropProg, alertProg: alertProg}
 	return cached
 }
 
@@ -77,8 +79,7 @@ func (a *artifacts) scenario(benignSeed, attackSeed int64, rate float64) traffic
 func TestRoadTestInlinePasses(t *testing.T) {
 	a := train(t)
 	rep, err := Run(Config{
-		Plan:     a.plan,
-		Net:      netsim.Config{HostsPerAccess: 10},
+		Campus:   a.campus,
 		Loop:     control.LoopConfig{Tier: control.TierDataPlane, Program: a.dropProg},
 		Scenario: a.scenario(211, 212, 800),
 		Spec:     Spec{MinRecall: 0.9, MaxCollateral: 0.02},
@@ -103,8 +104,7 @@ func TestRoadTestInlinePasses(t *testing.T) {
 func TestRoadTestControlPlaneReaction(t *testing.T) {
 	a := train(t)
 	rep, err := Run(Config{
-		Plan: a.plan,
-		Net:  netsim.Config{HostsPerAccess: 10},
+		Campus: a.campus,
 		Loop: control.LoopConfig{
 			Tier: control.TierControlPlane, Program: a.alertProg, Model: a.tree,
 			Threshold: 0.9, Window: time.Second, MinEvidence: 30,
@@ -131,8 +131,7 @@ func TestRoadTestSpecViolationDetected(t *testing.T) {
 	// Impossible spec: zero collateral tolerance AND sub-microsecond
 	// reaction for a detect-then-mitigate tier.
 	rep, err := Run(Config{
-		Plan: a.plan,
-		Net:  netsim.Config{HostsPerAccess: 10},
+		Campus: a.campus,
 		Loop: control.LoopConfig{
 			Tier: control.TierCloud, Program: a.alertProg, Model: a.tree,
 			Threshold: 0.9, MinEvidence: 30,
@@ -154,6 +153,9 @@ func TestRoadTestSpecViolationDetected(t *testing.T) {
 func TestRoadTestValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Error("accepted missing scenario")
+	}
+	if _, err := Run(Config{Scenario: &frameSlice{}}); err == nil {
+		t.Error("accepted missing campus")
 	}
 }
 
@@ -223,4 +225,46 @@ func TestCanaryValidation(t *testing.T) {
 	if _, err := RunCanary(nil, CanaryConfig{}); err == nil {
 		t.Error("accepted empty loop config")
 	}
+}
+
+// frameSlice replays a fixed slice of frames.
+type frameSlice struct {
+	frames []traffic.Frame
+	i      int
+}
+
+func (g *frameSlice) Next(f *traffic.Frame) bool {
+	if g.i == len(g.frames) {
+		return false
+	}
+	*f = g.frames[g.i]
+	g.i++
+	return true
+}
+
+// BenchmarkRoadTest is one data-plane road test over a campus built once:
+// loop set-up, a fresh network and the replay. frames/op is the episode
+// length; allocs/op below it means nothing on the path allocates per
+// frame.
+func BenchmarkRoadTest(b *testing.B) {
+	a := train(b)
+	var frames []traffic.Frame
+	gen := a.scenario(231, 232, 800)
+	for f := (traffic.Frame{}); gen.Next(&f); {
+		frames = append(frames, f)
+	}
+	cfg := Config{
+		Campus: a.campus,
+		Loop:   control.LoopConfig{Tier: control.TierDataPlane, Program: a.dropProg},
+		Spec:   Spec{MinRecall: 0.9, MaxCollateral: 0.02},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Scenario = &frameSlice{frames: frames}
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(frames)), "frames/op")
 }

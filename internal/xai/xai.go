@@ -47,7 +47,7 @@ type Extraction struct {
 // and fit a tree to the black box's behaviour (not to ground truth — the
 // tree mimics the model, which is what makes fidelity meaningful).
 func Extract(blackbox ml.Classifier, ref *features.Dataset, cfg ExtractConfig) (*Extraction, error) {
-	defer obs.Default.StartSpan("extract")()
+	defer obs.Default.StartSpan("extract").End()
 	if ref.Len() == 0 {
 		return nil, fmt.Errorf("xai: empty reference dataset")
 	}

@@ -137,12 +137,16 @@ echo "    fleet race gate (concurrent campus streams, coordinator during live in
 gate_names "$RACE" ./internal/fleet TestRaceConcurrentCampusStreams TestRaceCoordinatorDuringStreaming TestStreamMatchesLocalIngest
 echo "    development round (the federated round is worker-count independent)"
 gate_names "$RACE" ./internal/core TestFederatedDeterministicAcrossWorkers
+echo "    road test (two concurrent road tests of one lab share its campus and equal the serial ones)"
+gate_names "$RACE" ./internal/core TestConcurrentRoadTestsShareCampus
 echo "    ml equivalence gate (presorted CART, forest vote, Explain, routing == their reference implementations)"
 gate_names "$RACE" ./internal/ml TestFitTreeMatchesReference TestFitForestMatchesReference \
     TestFitBoostMatchesReference TestForestVoteMatchesReference TestRadixSortOrders \
     TestFitRejectsBadDataset TestRuleForMatchesRules
 gate_names "$RACE" ./internal/xai TestExplainMatchesEnumeration TestExtractMatchesPerRowSampling TestExtractRejectsRaggedReference
 gate_names "$RACE" ./internal/netsim TestRoutingMatchesQuadraticReference
+echo "    netsim replay (fingerprint pinned, one frame touches exactly its route, allocations flat in the frame count)"
+gate_names "$RACE" ./internal/netsim TestReplayFingerprintPinned TestFrameTouchesExactlyItsRoute TestReplayAllocsFlat
 echo "    dataplane fast path (concurrent install vs batch)"
 gate_names "$RACE" ./internal/dataplane TestConcurrentInstallDuringBatch TestConcurrentEnsembleInstallDuringBatch \
     TestSwitchPipelineEquivalence TestProcessBatchMatchesSequential TestClassifyBatchCommit \
@@ -222,5 +226,19 @@ echo "$FLEET" | awk -v max="$FLEET_ALLOCS_CEILING" '
     /^BenchmarkFleetIngest\/loopback/ { seen = 1; for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) + 0 > max) bad = $(i-1) }
     END { if (!seen) { print "verify: FAIL — BenchmarkFleetIngest/loopback did not run" > "/dev/stderr"; exit 1 }
           if (bad) { print "verify: FAIL — fleet loopback ingest " bad " allocs/op, ceiling " max > "/dev/stderr"; exit 1 } }'
+
+echo "==> bench smoke (road test over a campus built once; allocation ceiling on the replay path)"
+# One data-plane road test of 28 559 frames — loop set-up, a fresh network
+# and the replay — measured 181 allocs/op (160 553 when every frame resolved
+# its own path and event and every batch its own span closure). The ceiling
+# sits far below one allocation per frame, so a per-frame, per-hop or
+# per-batch allocation anywhere on the path trips it.
+ROADTEST_ALLOCS_CEILING=1000
+ROAD=$(gate_bench 5x ./internal/roadtest BenchmarkRoadTest)
+echo "$ROAD"
+echo "$ROAD" | awk -v max="$ROADTEST_ALLOCS_CEILING" '
+    /^BenchmarkRoadTest/ { seen = 1; for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) + 0 > max) bad = $(i-1) }
+    END { if (!seen) { print "verify: FAIL — BenchmarkRoadTest did not run" > "/dev/stderr"; exit 1 }
+          if (bad) { print "verify: FAIL — road test " bad " allocs/op, ceiling " max > "/dev/stderr"; exit 1 } }'
 
 echo "verify: OK"
