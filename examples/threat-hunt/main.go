@@ -1,9 +1,10 @@
 // Threat hunt: a security analyst's session against the campus data store.
 // Everything §5 promises the store enables happens in one sitting:
-// retrospective beacon hunting over retained history, streaming scan
-// detection, filter-language triage queries, an explanation with a
-// counterfactual for the operator, and a differentially-private aggregate
-// release for a cross-campus collaboration.
+// retrospective beacon hunting over retained history, firewall logs linked
+// to the stored flows, streaming scan detection, filter-language triage
+// queries, an explanation with a counterfactual for the operator, and a
+// differentially-private aggregate release for a cross-campus
+// collaboration.
 package main
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"campuslab/internal/datastore"
 	"campuslab/internal/detect"
+	"campuslab/internal/eventlog"
 	"campuslab/internal/features"
 	"campuslab/internal/ml"
 	"campuslab/internal/privacy"
@@ -56,12 +58,43 @@ func main() {
 
 	// 2. Retrospective beacon hunt over the retained history.
 	fmt.Println("\nbeacon hunt (periodicity over the whole store):")
-	for _, finding := range detect.HuntBeacons(st, detect.BeaconConfig{Campus: campus}) {
+	beacons := detect.HuntBeacons(st, detect.BeaconConfig{Campus: campus})
+	for _, finding := range beacons {
 		fmt.Printf("  %v -> %v  score %.2f  (%s)\n",
 			finding.Pair.Host, finding.Pair.Peer, finding.Score, finding.Evidence)
 	}
 
-	// 3. Streaming scan detection (what the control plane would run live).
+	// 3. Link complementary sensor data (§5): the border firewall's log —
+	// the sensor model's background entries plus the denies it wrote for
+	// each controller the hunt named — joins the stored flows on (address,
+	// time). The analyst labels every joined flow of the infected host and
+	// pulls the packet that opened it.
+	fwlog := eventlog.NewGenerator(eventlog.GeneratorConfig{Source: eventlog.SourceFirewall, Rate: 5, Seed: 69}).Generate(10 * time.Second)
+	for _, finding := range beacons {
+		for ts := time.Second; ts < 10*time.Second; ts += 3 * time.Second {
+			fwlog = append(fwlog, eventlog.Event{TS: ts, Source: eventlog.SourceFirewall, Host: "fw-border",
+				Severity: eventlog.SevWarning, Message: fmt.Sprintf("deny tcp %v:443 (threat intel)", finding.Pair.Peer)})
+		}
+	}
+	st.AddEvents(fwlog)
+	fmt.Printf("\nfirewall log (%d events) joined to %v's flows:\n", len(fwlog), infected)
+	joined := 0
+	for _, c := range st.CorrelateEvents(2 * time.Second) {
+		if c.Flow.Key.SrcIP != infected && c.Flow.Key.DstIP != infected {
+			continue
+		}
+		if err := st.LabelFlow(c.Flow.Key, traffic.LabelBeacon); err != nil {
+			log.Fatal(err)
+		}
+		if joined++; joined <= 3 {
+			first, _ := st.Packet(c.Flow.PacketIDs()[0])
+			fmt.Printf("  %v %q: flow %v, %d packets, gap %v, opened by a %d-byte packet at %v\n",
+				c.Event.TS, c.Event.Message, c.Flow.Key, c.Flow.Packets, c.Gap, first.Summary.WireLen, first.TS)
+		}
+	}
+	fmt.Printf("  %d event-flow links; every joined flow labeled %v\n", joined, traffic.LabelBeacon)
+
+	// 4. Streaming scan detection (what the control plane would run live).
 	ds := features.FromSourceWindows(st, features.SourceWindowConfig{Window: time.Second, Campus: campus})
 	forest, err := ml.FitForest(ds, int(traffic.NumLabels), ml.ForestConfig{Trees: 20, MaxDepth: 8, Seed: 65})
 	if err != nil {
@@ -83,7 +116,7 @@ func main() {
 			a.Source, a.At.Round(time.Millisecond), a.Confidence, a.Windows)
 	}
 
-	// 4. Explain one amplification packet and ask for its counterfactual.
+	// 5. Explain one amplification packet and ask for its counterfactual.
 	pkts, err := st.SelectExpr("dns && dns.qtype == ANY && len > 800", 1)
 	if err != nil || len(pkts) == 0 {
 		log.Fatal("no amplification packet found")
@@ -101,11 +134,14 @@ func main() {
 	features.PacketVector(&pkts[0].Summary, x)
 	ev := xai.Explain(ex.Tree, features.PacketSchema, x)
 	fmt.Printf("\nwhy was this packet flagged?\n  %s\n", ev)
+	if fm, ok := st.Flow(pkts[0].Summary.Tuple); ok {
+		fmt.Printf("  (one of %d packets in flow %v, labeled %v)\n", fm.Packets, fm.Key, fm.Label)
+	}
 	if cf, ok := xai.FindCounterfactual(ex.Tree, features.PacketSchema, x, 0, nil); ok {
 		fmt.Printf("what would make it benign?\n  %s\n", cf)
 	}
 
-	// 5. Release an aggregate to a cross-campus collaboration under DP.
+	// 6. Release an aggregate to a cross-campus collaboration under DP.
 	budget, err := privacy.NewReleaseBudget(1.0, 68)
 	if err != nil {
 		log.Fatal(err)

@@ -14,31 +14,31 @@ import (
 )
 
 func TestRingBasicFIFO(t *testing.T) {
-	r := NewRing(8)
+	r := newRing(8)
 	for i := 0; i < 5; i++ {
-		if !r.Push(Record{TS: time.Duration(i)}) {
+		if !r.push(Record{TS: time.Duration(i)}) {
 			t.Fatalf("push %d failed", i)
 		}
 	}
 	var rec Record
 	for i := 0; i < 5; i++ {
-		if !r.Pop(&rec) {
+		if !r.pop(&rec) {
 			t.Fatalf("pop %d failed", i)
 		}
 		if rec.TS != time.Duration(i) {
 			t.Fatalf("pop %d = %v, want %v", i, rec.TS, time.Duration(i))
 		}
 	}
-	if r.Pop(&rec) {
+	if r.pop(&rec) {
 		t.Error("pop from empty ring succeeded")
 	}
 }
 
 func TestRingDropAccounting(t *testing.T) {
-	r := NewRing(8)
+	r := newRing(8)
 	pushed, dropped := 0, 0
 	for i := 0; i < 20; i++ {
-		if r.Push(Record{}) {
+		if r.push(Record{}) {
 			pushed++
 		} else {
 			dropped++
@@ -47,25 +47,25 @@ func TestRingDropAccounting(t *testing.T) {
 	if pushed != 8 || dropped != 12 {
 		t.Errorf("pushed/dropped = %d/%d, want 8/12", pushed, dropped)
 	}
-	if r.Dropped() != 12 || r.Pushed() != 8 {
-		t.Errorf("counters = %d/%d", r.Dropped(), r.Pushed())
+	if r.droppedCount() != 12 || r.pushedCount() != 8 {
+		t.Errorf("counters = %d/%d", r.droppedCount(), r.pushedCount())
 	}
 	// Drain one, push must succeed again.
 	var rec Record
-	r.Pop(&rec)
-	if !r.Push(Record{}) {
+	r.pop(&rec)
+	if !r.push(Record{}) {
 		t.Error("push after drain failed")
 	}
 }
 
 func TestRingCapacityRounding(t *testing.T) {
-	if NewRing(5).Cap() != 8 || NewRing(8).Cap() != 8 || NewRing(9).Cap() != 16 || NewRing(0).Cap() != 8 {
+	if newRing(5).capacity() != 8 || newRing(8).capacity() != 8 || newRing(9).capacity() != 16 || newRing(0).capacity() != 8 {
 		t.Error("capacity rounding wrong")
 	}
 }
 
 func TestRingSPSCConcurrent(t *testing.T) {
-	r := NewRing(1024)
+	r := newRing(1024)
 	const n = 200000
 	var got uint64
 	var wg sync.WaitGroup
@@ -74,8 +74,8 @@ func TestRingSPSCConcurrent(t *testing.T) {
 		defer wg.Done()
 		var rec Record
 		var next time.Duration
-		for int(got)+int(r.Dropped()) < n || r.Len() > 0 {
-			if r.Pop(&rec) {
+		for int(got)+int(r.droppedCount()) < n || r.size() > 0 {
+			if r.pop(&rec) {
 				// FIFO within delivered subsequence: timestamps increase.
 				if rec.TS < next {
 					t.Errorf("out of order: %v < %v", rec.TS, next)
@@ -87,11 +87,11 @@ func TestRingSPSCConcurrent(t *testing.T) {
 		}
 	}()
 	for i := 0; i < n; i++ {
-		r.Push(Record{TS: time.Duration(i)})
+		r.push(Record{TS: time.Duration(i)})
 	}
 	wg.Wait()
-	if got+r.Dropped() != n {
-		t.Errorf("accounting broken: delivered %d + dropped %d != %d", got, r.Dropped(), n)
+	if got+r.droppedCount() != n {
+		t.Errorf("accounting broken: delivered %d + dropped %d != %d", got, r.droppedCount(), n)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestPcapRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Written() != 3 {
-		t.Errorf("Written = %d", w.Written())
+	if w.numWritten() != 3 {
+		t.Errorf("Written = %d", w.numWritten())
 	}
 	r, err := NewPcapReader(&buf)
 	if err != nil {
@@ -158,10 +158,10 @@ func TestPcapSnaplen(t *testing.T) {
 }
 
 func TestPcapRejectsGarbage(t *testing.T) {
-	if _, err := NewPcapReader(bytes.NewReader(make([]byte, 24))); !errors.Is(err, ErrBadPcap) {
+	if _, err := NewPcapReader(bytes.NewReader(make([]byte, 24))); !errors.Is(err, errBadPcap) {
 		t.Errorf("want ErrBadPcap, got %v", err)
 	}
-	if _, err := NewPcapReader(bytes.NewReader([]byte("short"))); !errors.Is(err, ErrBadPcap) {
+	if _, err := NewPcapReader(bytes.NewReader([]byte("short"))); !errors.Is(err, errBadPcap) {
 		t.Errorf("want ErrBadPcap, got %v", err)
 	}
 }
@@ -203,12 +203,12 @@ func TestPcapPropertyRoundTrip(t *testing.T) {
 }
 
 func TestEngineLosslessContract(t *testing.T) {
-	sink := &CountingSink{}
-	e, err := NewEngine(EngineConfig{Taps: 4, RingSize: 1024, Sink: sink})
+	sink := &countingSink{}
+	e, err := newEngine(engineConfig{Taps: 4, RingSize: 1024, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Start(context.Background())
+	e.start(context.Background())
 	const perTap = 50000
 	var wg sync.WaitGroup
 	for tap := 0; tap < 4; tap++ {
@@ -217,15 +217,15 @@ func TestEngineLosslessContract(t *testing.T) {
 			defer wg.Done()
 			data := make([]byte, 200)
 			for i := 0; i < perTap; i++ {
-				e.Inject(tap, time.Duration(i), data)
+				e.inject(tap, time.Duration(i), data)
 			}
 		}(tap)
 	}
 	wg.Wait()
-	if err := e.Stop(); err != nil {
+	if err := e.stop(); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
+	st := e.stats()
 	if st.Injected+st.Dropped != 4*perTap {
 		t.Errorf("offered accounting: %d + %d != %d", st.Injected, st.Dropped, 4*perTap)
 	}
@@ -238,21 +238,21 @@ func TestEngineLosslessContract(t *testing.T) {
 }
 
 func TestEngineConfigValidation(t *testing.T) {
-	if _, err := NewEngine(EngineConfig{Taps: 0, Sink: &CountingSink{}}); err == nil {
+	if _, err := newEngine(engineConfig{Taps: 0, Sink: &countingSink{}}); err == nil {
 		t.Error("accepted zero taps")
 	}
-	if _, err := NewEngine(EngineConfig{Taps: 1}); err == nil {
+	if _, err := newEngine(engineConfig{Taps: 1}); err == nil {
 		t.Error("accepted nil sink")
 	}
 }
 
 func TestEngineSinkErrorPropagates(t *testing.T) {
 	boom := errors.New("disk full")
-	e, _ := NewEngine(EngineConfig{Taps: 1, RingSize: 64, Sink: SinkFunc(func(*Record) error { return boom })})
-	e.Start(context.Background())
-	e.Inject(0, 0, []byte("x"))
+	e, _ := newEngine(engineConfig{Taps: 1, RingSize: 64, Sink: sinkFunc(func(*Record) error { return boom })})
+	e.start(context.Background())
+	e.inject(0, 0, []byte("x"))
 	time.Sleep(10 * time.Millisecond)
-	if err := e.Stop(); !errors.Is(err, boom) {
+	if err := e.stop(); !errors.Is(err, boom) {
 		t.Errorf("want sink error, got %v", err)
 	}
 }
@@ -333,32 +333,32 @@ func TestLoadModelValidation(t *testing.T) {
 }
 
 func TestMeter(t *testing.T) {
-	m := NewMeter(0.5)
+	m := newMeter(0.5)
 	// 1000-byte packets every millisecond => 1000 pps, 8 Mbit/s.
 	for i := 1; i <= 100; i++ {
-		m.Observe(time.Duration(i)*time.Millisecond, 1000)
+		m.observe(time.Duration(i)*time.Millisecond, 1000)
 	}
-	pps, bps := m.Rates()
+	pps, bps := m.rates()
 	if pps < 900 || pps > 1100 {
 		t.Errorf("pps = %v, want ~1000", pps)
 	}
 	if bps < 7e6 || bps > 9e6 {
 		t.Errorf("bps = %v, want ~8M", bps)
 	}
-	pkts, bytes := m.Totals()
+	pkts, bytes := m.totals()
 	if pkts != 100 || bytes != 100_000 {
 		t.Errorf("totals = %d/%d", pkts, bytes)
 	}
 }
 
 func BenchmarkRingPushPop(b *testing.B) {
-	r := NewRing(4096)
+	r := newRing(4096)
 	var rec Record
 	data := make([]byte, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Push(Record{TS: time.Duration(i), Data: data})
-		r.Pop(&rec)
+		r.push(Record{TS: time.Duration(i), Data: data})
+		r.pop(&rec)
 	}
 }
 

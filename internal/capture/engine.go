@@ -9,51 +9,51 @@ import (
 	"time"
 )
 
-// Sink consumes captured records. Implementations must be safe for
+// sink consumes captured records. Implementations must be safe for
 // concurrent use if the engine runs more than one consumer.
-type Sink interface {
+type sink interface {
 	// Consume takes ownership of rec.Data.
 	Consume(rec *Record) error
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(rec *Record) error
+// sinkFunc adapts a function to the sink interface.
+type sinkFunc func(rec *Record) error
 
-// Consume implements Sink.
-func (f SinkFunc) Consume(rec *Record) error { return f(rec) }
+// Consume implements sink.
+func (f sinkFunc) Consume(rec *Record) error { return f(rec) }
 
-// CountingSink is a Sink that only tallies records and bytes; useful as a
+// countingSink is a sink that only tallies records and bytes; useful as a
 // measurement endpoint.
-type CountingSink struct {
+type countingSink struct {
 	Records atomic.Uint64
 	Bytes   atomic.Uint64
 }
 
-// Consume implements Sink.
-func (c *CountingSink) Consume(rec *Record) error {
+// Consume implements sink.
+func (c *countingSink) Consume(rec *Record) error {
 	c.Records.Add(1)
 	c.Bytes.Add(uint64(len(rec.Data)))
 	return nil
 }
 
-// EngineConfig configures a capture engine.
-type EngineConfig struct {
+// engineConfig configures a capture engine.
+type engineConfig struct {
 	// Taps is the number of independent capture points (border links,
 	// distribution links). Each gets its own ring and consumer.
 	Taps int
 	// RingSize is the per-tap ring capacity in packets.
 	RingSize int
 	// Sink receives all captured records.
-	Sink Sink
+	Sink sink
 }
 
-// Engine is the multi-tap capture pipeline: producers call Inject (one
+// engine is the multi-tap capture pipeline: producers call inject (one
 // goroutine per tap), per-tap consumer goroutines drain rings into the
 // sink. Every packet injected is either delivered to the sink or counted
 // as a ring drop — the lossless-capture contract made checkable.
-type Engine struct {
-	cfg       EngineConfig
-	rings     []*Ring
+type engine struct {
+	cfg       engineConfig
+	rings     []*ring
 	wg        sync.WaitGroup
 	cancel    context.CancelFunc
 	sinkErr   atomic.Value // error
@@ -61,8 +61,8 @@ type Engine struct {
 	delivered atomic.Uint64
 }
 
-// NewEngine validates cfg and builds the engine.
-func NewEngine(cfg EngineConfig) (*Engine, error) {
+// newEngine validates cfg and builds the engine.
+func newEngine(cfg engineConfig) (*engine, error) {
 	if cfg.Taps <= 0 {
 		return nil, fmt.Errorf("capture: Taps must be positive, got %d", cfg.Taps)
 	}
@@ -72,15 +72,15 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Sink == nil {
 		return nil, fmt.Errorf("capture: Sink is required")
 	}
-	e := &Engine{cfg: cfg, rings: make([]*Ring, cfg.Taps)}
+	e := &engine{cfg: cfg, rings: make([]*ring, cfg.Taps)}
 	for i := range e.rings {
-		e.rings[i] = NewRing(cfg.RingSize)
+		e.rings[i] = newRing(cfg.RingSize)
 	}
 	return e, nil
 }
 
-// Start launches one consumer goroutine per tap.
-func (e *Engine) Start(ctx context.Context) {
+// start launches one consumer goroutine per tap.
+func (e *engine) start(ctx context.Context) {
 	ctx, e.cancel = context.WithCancel(ctx)
 	e.started = true
 	for _, ring := range e.rings {
@@ -89,12 +89,12 @@ func (e *Engine) Start(ctx context.Context) {
 	}
 }
 
-func (e *Engine) consume(ctx context.Context, ring *Ring) {
+func (e *engine) consume(ctx context.Context, ring *ring) {
 	defer e.wg.Done()
 	var rec Record
 	idle := 0
 	for {
-		if ring.Pop(&rec) {
+		if ring.pop(&rec) {
 			idle = 0
 			if err := e.cfg.Sink.Consume(&rec); err != nil {
 				e.sinkErr.Store(err)
@@ -106,7 +106,7 @@ func (e *Engine) consume(ctx context.Context, ring *Ring) {
 		select {
 		case <-ctx.Done():
 			// Drain what is left, then exit.
-			for ring.Pop(&rec) {
+			for ring.pop(&rec) {
 				if err := e.cfg.Sink.Consume(&rec); err != nil {
 					e.sinkErr.Store(err)
 					return
@@ -124,14 +124,14 @@ func (e *Engine) consume(ctx context.Context, ring *Ring) {
 	}
 }
 
-// Inject offers a frame to tap's ring, returning false if it was dropped.
+// inject offers a frame to tap's ring, returning false if it was dropped.
 // Each tap must be fed from a single goroutine (the SPSC contract).
-func (e *Engine) Inject(tap int, ts time.Duration, data []byte) bool {
-	return e.rings[tap].Push(Record{TS: ts, Link: uint16(tap), Data: data})
+func (e *engine) inject(tap int, ts time.Duration, data []byte) bool {
+	return e.rings[tap].push(Record{TS: ts, Link: uint16(tap), Data: data})
 }
 
-// Stop terminates consumers after draining and returns any sink error.
-func (e *Engine) Stop() error {
+// stop terminates consumers after draining and returns any sink error.
+func (e *engine) stop() error {
 	if e.started {
 		e.cancel()
 		e.wg.Wait()
@@ -142,28 +142,19 @@ func (e *Engine) Stop() error {
 	return nil
 }
 
-// Stats summarizes engine-wide accounting.
-type Stats struct {
+// stats summarizes engine-wide accounting.
+type stats struct {
 	Injected  uint64 // successfully ring-buffered
 	Dropped   uint64 // lost to full rings
 	Delivered uint64 // handed to the sink
 }
 
-// LossRate returns dropped / offered.
-func (s Stats) LossRate() float64 {
-	offered := s.Injected + s.Dropped
-	if offered == 0 {
-		return 0
-	}
-	return float64(s.Dropped) / float64(offered)
-}
-
-// Stats aggregates per-ring counters.
-func (e *Engine) Stats() Stats {
-	var s Stats
+// stats aggregates per-ring counters.
+func (e *engine) stats() stats {
+	var s stats
 	for _, r := range e.rings {
-		s.Injected += r.Pushed()
-		s.Dropped += r.Dropped()
+		s.Injected += r.pushedCount()
+		s.Dropped += r.droppedCount()
 	}
 	s.Delivered = e.delivered.Load()
 	return s

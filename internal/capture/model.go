@@ -154,9 +154,9 @@ func (g *ConstantRateGenerator) Next(f *traffic.Frame) bool {
 	return true
 }
 
-// Meter tracks exponentially weighted packet and bit rates, the live
+// meter tracks exponentially weighted packet and bit rates, the live
 // counters a capture appliance exports.
-type Meter struct {
+type meter struct {
 	alpha      float64
 	lastTS     time.Duration
 	pps, bps   float64
@@ -164,16 +164,16 @@ type Meter struct {
 	totalBytes uint64
 }
 
-// NewMeter returns a meter with the given smoothing factor (0<alpha<=1).
-func NewMeter(alpha float64) *Meter {
+// newMeter returns a meter with the given smoothing factor (0<alpha<=1).
+func newMeter(alpha float64) *meter {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.1
 	}
-	return &Meter{alpha: alpha}
+	return &meter{alpha: alpha}
 }
 
-// Observe folds one packet at ts into the rates.
-func (m *Meter) Observe(ts time.Duration, bytes int) {
+// observe folds one packet at ts into the rates.
+func (m *meter) observe(ts time.Duration, bytes int) {
 	m.count++
 	m.totalBytes += uint64(bytes)
 	if m.lastTS == 0 {
@@ -191,8 +191,8 @@ func (m *Meter) Observe(ts time.Duration, bytes int) {
 	m.lastTS = ts
 }
 
-// Rates returns the smoothed packets/s and bits/s.
-func (m *Meter) Rates() (pps, bps float64) { return m.pps, m.bps }
+// rates returns the smoothed packets/s and bits/s.
+func (m *meter) rates() (pps, bps float64) { return m.pps, m.bps }
 
-// Totals returns cumulative packet and byte counts.
-func (m *Meter) Totals() (packets, bytes uint64) { return m.count, m.totalBytes }
+// totals returns cumulative packet and byte counts.
+func (m *meter) totals() (packets, bytes uint64) { return m.count, m.totalBytes }

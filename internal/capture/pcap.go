@@ -18,8 +18,8 @@ const (
 	linkTypeEther  = 1
 )
 
-// ErrBadPcap reports a malformed pcap stream.
-var ErrBadPcap = errors.New("capture: malformed pcap")
+// errBadPcap reports a malformed pcap stream.
+var errBadPcap = errors.New("capture: malformed pcap")
 
 // PcapWriter streams Records into the classic libpcap file format
 // (nanosecond timestamps, Ethernet link type), so captures interoperate
@@ -73,8 +73,8 @@ func (pw *PcapWriter) Write(rec *Record) error {
 	return nil
 }
 
-// Written returns the number of records written so far.
-func (pw *PcapWriter) Written() uint64 { return pw.written }
+// numWritten returns the number of records written so far.
+func (pw *PcapWriter) numWritten() uint64 { return pw.written }
 
 // Flush drains buffered bytes to the underlying writer.
 func (pw *PcapWriter) Flush() error { return pw.w.Flush() }
@@ -92,7 +92,7 @@ func NewPcapReader(r io.Reader) (*PcapReader, error) {
 	pr := &PcapReader{r: bufio.NewReaderSize(r, 1<<16)}
 	var gh [24]byte
 	if _, err := io.ReadFull(pr.r, gh[:]); err != nil {
-		return nil, fmt.Errorf("%w: global header: %v", ErrBadPcap, err)
+		return nil, fmt.Errorf("%w: global header: %v", errBadPcap, err)
 	}
 	switch binary.LittleEndian.Uint32(gh[0:4]) {
 	case pcapMagicNanos:
@@ -100,10 +100,10 @@ func NewPcapReader(r io.Reader) (*PcapReader, error) {
 	case pcapMagicMicro:
 		pr.nanos = false
 	default:
-		return nil, fmt.Errorf("%w: magic %#x", ErrBadPcap, binary.LittleEndian.Uint32(gh[0:4]))
+		return nil, fmt.Errorf("%w: magic %#x", errBadPcap, binary.LittleEndian.Uint32(gh[0:4]))
 	}
 	if lt := binary.LittleEndian.Uint32(gh[20:24]); lt != linkTypeEther {
-		return nil, fmt.Errorf("%w: link type %d", ErrBadPcap, lt)
+		return nil, fmt.Errorf("%w: link type %d", errBadPcap, lt)
 	}
 	pr.snap = binary.LittleEndian.Uint32(gh[16:20])
 	return pr, nil
@@ -117,13 +117,13 @@ func (pr *PcapReader) Next(rec *Record) error {
 		if errors.Is(err, io.EOF) {
 			return io.EOF
 		}
-		return fmt.Errorf("%w: record header: %v", ErrBadPcap, err)
+		return fmt.Errorf("%w: record header: %v", errBadPcap, err)
 	}
 	sec := binary.LittleEndian.Uint32(hdr[0:4])
 	sub := binary.LittleEndian.Uint32(hdr[4:8])
 	capLen := binary.LittleEndian.Uint32(hdr[8:12])
 	if capLen > pr.snap && pr.snap > 0 {
-		return fmt.Errorf("%w: caplen %d > snaplen %d", ErrBadPcap, capLen, pr.snap)
+		return fmt.Errorf("%w: caplen %d > snaplen %d", errBadPcap, capLen, pr.snap)
 	}
 	if pr.nanos {
 		rec.TS = time.Duration(sec)*time.Second + time.Duration(sub)
@@ -132,7 +132,7 @@ func (pr *PcapReader) Next(rec *Record) error {
 	}
 	rec.Data = make([]byte, capLen)
 	if _, err := io.ReadFull(pr.r, rec.Data); err != nil {
-		return fmt.Errorf("%w: record body: %v", ErrBadPcap, err)
+		return fmt.Errorf("%w: record body: %v", errBadPcap, err)
 	}
 	return nil
 }

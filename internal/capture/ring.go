@@ -21,11 +21,11 @@ type Record struct {
 	Data []byte
 }
 
-// Ring is a bounded single-producer/single-consumer queue of Records.
-// Push never blocks: when the ring is full the record is dropped and
+// ring is a bounded single-producer/single-consumer queue of Records.
+// push never blocks: when the ring is full the record is dropped and
 // counted. This is the classic NIC-ring discipline — loss happens at a
 // known, measured point instead of silently downstream.
-type Ring struct {
+type ring struct {
 	mask    uint64
 	_       [48]byte      // keep head/tail on separate cache lines
 	head    atomic.Uint64 // next slot to read (consumer-owned)
@@ -37,22 +37,22 @@ type Ring struct {
 	slots   []Record
 }
 
-// NewRing returns a ring with capacity rounded up to a power of two
+// newRing returns a ring with capacity rounded up to a power of two
 // (minimum 8).
-func NewRing(capacity int) *Ring {
+func newRing(capacity int) *ring {
 	n := 8
 	for n < capacity {
 		n <<= 1
 	}
-	return &Ring{mask: uint64(n - 1), slots: make([]Record, n)}
+	return &ring{mask: uint64(n - 1), slots: make([]Record, n)}
 }
 
-// Cap returns the ring capacity in records.
-func (r *Ring) Cap() int { return len(r.slots) }
+// capacity returns the ring capacity in records.
+func (r *ring) capacity() int { return len(r.slots) }
 
-// Push attempts to enqueue rec, returning false (and counting a drop) when
+// push attempts to enqueue rec, returning false (and counting a drop) when
 // the ring is full. Producer-side only.
-func (r *Ring) Push(rec Record) bool {
+func (r *ring) push(rec Record) bool {
 	tail := r.tail.Load()
 	if tail-r.head.Load() >= uint64(len(r.slots)) {
 		r.dropped.Add(1)
@@ -64,9 +64,9 @@ func (r *Ring) Push(rec Record) bool {
 	return true
 }
 
-// Pop dequeues the oldest record, reporting false when the ring is empty.
+// pop dequeues the oldest record, reporting false when the ring is empty.
 // Consumer-side only.
-func (r *Ring) Pop(rec *Record) bool {
+func (r *ring) pop(rec *Record) bool {
 	head := r.head.Load()
 	if head == r.tail.Load() {
 		return false
@@ -77,11 +77,11 @@ func (r *Ring) Pop(rec *Record) bool {
 	return true
 }
 
-// Len returns the current queue depth (approximate under concurrency).
-func (r *Ring) Len() int { return int(r.tail.Load() - r.head.Load()) }
+// size returns the current queue depth (approximate under concurrency).
+func (r *ring) size() int { return int(r.tail.Load() - r.head.Load()) }
 
-// Dropped returns the number of records lost to a full ring.
-func (r *Ring) Dropped() uint64 { return r.dropped.Load() }
+// droppedCount returns the number of records lost to a full ring.
+func (r *ring) droppedCount() uint64 { return r.dropped.Load() }
 
-// Pushed returns the number of records successfully enqueued.
-func (r *Ring) Pushed() uint64 { return r.pushed.Load() }
+// pushedCount returns the number of records successfully enqueued.
+func (r *ring) pushedCount() uint64 { return r.pushed.Load() }

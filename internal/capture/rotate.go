@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// RotatingWriter implements continuous capture with bounded retention: it
+// rotatingWriter implements continuous capture with bounded retention: it
 // writes pcap segments, starting a new one when the current segment
 // exceeds the size or time bound, and deletes the oldest segments beyond
 // the retention count — the disk-side half of §5's "data storage
 // requirements of the order of a week".
-type RotatingWriter struct {
+type rotatingWriter struct {
 	dir          string
 	prefix       string
 	maxBytes     int64
@@ -30,8 +30,8 @@ type RotatingWriter struct {
 	rotations    int
 }
 
-// RotateConfig configures a RotatingWriter.
-type RotateConfig struct {
+// rotateConfig configures a rotatingWriter.
+type rotateConfig struct {
 	// Dir receives the segment files.
 	Dir string
 	// Prefix names segments: <prefix>-<seq>.pcap.
@@ -47,8 +47,8 @@ type RotateConfig struct {
 	Snaplen int
 }
 
-// NewRotatingWriter validates cfg and opens the first segment lazily.
-func NewRotatingWriter(cfg RotateConfig) (*RotatingWriter, error) {
+// newRotatingWriter validates cfg and opens the first segment lazily.
+func newRotatingWriter(cfg rotateConfig) (*rotatingWriter, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("capture: rotate: Dir is required")
 	}
@@ -67,15 +67,15 @@ func NewRotatingWriter(cfg RotateConfig) (*RotatingWriter, error) {
 	if st, err := os.Stat(cfg.Dir); err != nil || !st.IsDir() {
 		return nil, fmt.Errorf("capture: rotate: %q is not a directory", cfg.Dir)
 	}
-	return &RotatingWriter{
+	return &rotatingWriter{
 		dir: cfg.Dir, prefix: cfg.Prefix,
 		maxBytes: cfg.MaxBytes, maxSpan: cfg.MaxSpan,
 		keep: cfg.Keep, snaplen: cfg.Snaplen,
 	}, nil
 }
 
-// Write appends a record, rotating first if the current segment is full.
-func (w *RotatingWriter) Write(rec *Record) error {
+// write appends a record, rotating first if the current segment is full.
+func (w *rotatingWriter) write(rec *Record) error {
 	needRotate := w.cur == nil ||
 		w.curBytes >= w.maxBytes ||
 		(w.curHasStart && rec.TS-w.curStart >= w.maxSpan)
@@ -94,7 +94,7 @@ func (w *RotatingWriter) Write(rec *Record) error {
 }
 
 // rotate closes the current segment, opens the next, and enforces Keep.
-func (w *RotatingWriter) rotate() error {
+func (w *rotatingWriter) rotate() error {
 	if err := w.closeCurrent(); err != nil {
 		return err
 	}
@@ -119,11 +119,11 @@ func (w *RotatingWriter) rotate() error {
 	return nil
 }
 
-func (w *RotatingWriter) segmentPath(seq int) string {
+func (w *rotatingWriter) segmentPath(seq int) string {
 	return filepath.Join(w.dir, fmt.Sprintf("%s-%06d.pcap", w.prefix, seq))
 }
 
-func (w *RotatingWriter) closeCurrent() error {
+func (w *rotatingWriter) closeCurrent() error {
 	if w.cur == nil {
 		return nil
 	}
@@ -137,10 +137,10 @@ func (w *RotatingWriter) closeCurrent() error {
 }
 
 // Close flushes and closes the active segment.
-func (w *RotatingWriter) Close() error { return w.closeCurrent() }
+func (w *rotatingWriter) Close() error { return w.closeCurrent() }
 
-// Segments lists retained segment paths, oldest first.
-func (w *RotatingWriter) Segments() ([]string, error) {
+// segments lists retained segment paths, oldest first.
+func (w *rotatingWriter) segments() ([]string, error) {
 	matches, err := filepath.Glob(filepath.Join(w.dir, w.prefix+"-*.pcap"))
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func (w *RotatingWriter) Segments() ([]string, error) {
 	return matches, nil
 }
 
-// Stats reports total records written and rotations performed.
-func (w *RotatingWriter) Stats() (records uint64, rotations int) {
+// stats reports total records written and rotations performed.
+func (w *rotatingWriter) stats() (records uint64, rotations int) {
 	return w.totalWritten, w.rotations
 }

@@ -9,21 +9,21 @@ import (
 
 func TestRotatingWriterBySize(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewRotatingWriter(RotateConfig{Dir: dir, Prefix: "seg", MaxBytes: 10_000, Keep: 100})
+	w, err := newRotatingWriter(rotateConfig{Dir: dir, Prefix: "seg", MaxBytes: 10_000, Keep: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := Record{Data: make([]byte, 1000)}
 	for i := 0; i < 50; i++ {
 		rec.TS = time.Duration(i) * time.Millisecond
-		if err := w.Write(&rec); err != nil {
+		if err := w.write(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := w.Segments()
+	segs, err := w.segments()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +56,14 @@ func TestRotatingWriterBySize(t *testing.T) {
 	if total != 50 {
 		t.Errorf("recovered %d records, want 50", total)
 	}
-	if recs, rots := w.Stats(); recs != 50 || rots != len(segs) {
+	if recs, rots := w.stats(); recs != 50 || rots != len(segs) {
 		t.Errorf("stats = %d/%d", recs, rots)
 	}
 }
 
 func TestRotatingWriterByTimeSpan(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewRotatingWriter(RotateConfig{Dir: dir, MaxSpan: time.Second, Keep: 100})
+	w, err := newRotatingWriter(rotateConfig{Dir: dir, MaxSpan: time.Second, Keep: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +71,12 @@ func TestRotatingWriterByTimeSpan(t *testing.T) {
 	// 5 scenario-seconds of records at 10 per second.
 	for i := 0; i < 50; i++ {
 		rec.TS = time.Duration(i) * 100 * time.Millisecond
-		if err := w.Write(&rec); err != nil {
+		if err := w.write(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.Close()
-	segs, _ := w.Segments()
+	segs, _ := w.segments()
 	if len(segs) != 5 {
 		t.Errorf("segments = %d, want 5 (1s spans)", len(segs))
 	}
@@ -84,19 +84,19 @@ func TestRotatingWriterByTimeSpan(t *testing.T) {
 
 func TestRotatingWriterRetention(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewRotatingWriter(RotateConfig{Dir: dir, MaxBytes: 2_000, Keep: 3})
+	w, err := newRotatingWriter(rotateConfig{Dir: dir, MaxBytes: 2_000, Keep: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := Record{Data: make([]byte, 1000)}
 	for i := 0; i < 30; i++ {
 		rec.TS = time.Duration(i)
-		if err := w.Write(&rec); err != nil {
+		if err := w.write(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.Close()
-	segs, _ := w.Segments()
+	segs, _ := w.segments()
 	if len(segs) != 3 {
 		t.Errorf("retained %d segments, want 3", len(segs))
 	}
@@ -107,10 +107,10 @@ func TestRotatingWriterRetention(t *testing.T) {
 }
 
 func TestRotatingWriterValidation(t *testing.T) {
-	if _, err := NewRotatingWriter(RotateConfig{}); err == nil {
+	if _, err := newRotatingWriter(rotateConfig{}); err == nil {
 		t.Error("accepted empty dir")
 	}
-	if _, err := NewRotatingWriter(RotateConfig{Dir: "/nonexistent-dir-xyz"}); err == nil {
+	if _, err := newRotatingWriter(rotateConfig{Dir: "/nonexistent-dir-xyz"}); err == nil {
 		t.Error("accepted missing dir")
 	}
 }

@@ -49,7 +49,7 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 	seq := mk()
 	seqKeep := make([]bool, len(frames))
 	for i := range frames {
-		seqKeep[i] = seq.Feed(&frames[i], &sums[i])
+		seqKeep[i] = seq.feed(&frames[i], &sums[i])
 	}
 
 	bat := mk()

@@ -62,10 +62,10 @@ func DefaultTierModels() [3]TierModel {
 	}
 }
 
-// InferenceEngine simulates request latency at one tier, including queueing
+// inferenceEngine simulates request latency at one tier, including queueing
 // when offered load exceeds capacity. Deterministic and single-threaded
 // (driven by the replay's virtual clock).
-type InferenceEngine struct {
+type inferenceEngine struct {
 	model     TierModel
 	busyUntil time.Duration
 	requests  uint64
@@ -73,14 +73,14 @@ type InferenceEngine struct {
 	maxLat    time.Duration
 }
 
-// NewInferenceEngine builds an engine for the tier model.
-func NewInferenceEngine(m TierModel) *InferenceEngine {
-	return &InferenceEngine{model: m}
+// newInferenceEngine builds an engine for the tier model.
+func newInferenceEngine(m TierModel) *inferenceEngine {
+	return &inferenceEngine{model: m}
 }
 
-// Submit records a request arriving at now and returns when its verdict is
+// submit records a request arriving at now and returns when its verdict is
 // available to the switch (now + queueing + service + RTT).
-func (e *InferenceEngine) Submit(now time.Duration) time.Duration {
+func (e *inferenceEngine) submit(now time.Duration) time.Duration {
 	start := now
 	if e.model.CapacityPPS > 0 {
 		// The server frees up at busyUntil; capacity expressed as
@@ -101,8 +101,8 @@ func (e *InferenceEngine) Submit(now time.Duration) time.Duration {
 	return done
 }
 
-// LatencyStats reports request count, mean and max verdict latency.
-func (e *InferenceEngine) LatencyStats() (n uint64, mean, max time.Duration) {
+// latencyStats reports request count, mean and max verdict latency.
+func (e *inferenceEngine) latencyStats() (n uint64, mean, max time.Duration) {
 	if e.requests == 0 {
 		return 0, 0, 0
 	}

@@ -165,13 +165,13 @@ func TestCloudTierSlowerThanControlPlane(t *testing.T) {
 }
 
 func TestCapacityQueueingGrowsLatency(t *testing.T) {
-	eng := NewInferenceEngine(TierModel{RTT: time.Millisecond, Service: 10 * time.Microsecond, CapacityPPS: 1000})
+	eng := newInferenceEngine(TierModel{RTT: time.Millisecond, Service: 10 * time.Microsecond, CapacityPPS: 1000})
 	// Offer 10k requests in one virtual second: 10x over capacity.
 	var last time.Duration
 	for i := 0; i < 10000; i++ {
-		last = eng.Submit(time.Duration(i) * 100 * time.Microsecond)
+		last = eng.submit(time.Duration(i) * 100 * time.Microsecond)
 	}
-	n, mean, max := eng.LatencyStats()
+	n, mean, max := eng.latencyStats()
 	if n != 10000 {
 		t.Fatalf("n = %d", n)
 	}
@@ -187,8 +187,8 @@ func TestCapacityQueueingGrowsLatency(t *testing.T) {
 }
 
 func TestUncongestedEngineLatencyIsRTTPlusService(t *testing.T) {
-	eng := NewInferenceEngine(TierModel{RTT: 2 * time.Millisecond, Service: 100 * time.Microsecond, CapacityPPS: 1_000_000})
-	done := eng.Submit(time.Second)
+	eng := newInferenceEngine(TierModel{RTT: 2 * time.Millisecond, Service: 100 * time.Microsecond, CapacityPPS: 1_000_000})
+	done := eng.submit(time.Second)
 	want := time.Second + 2*time.Millisecond + 100*time.Microsecond
 	// Allow the capacity spacing term.
 	if done < want || done > want+10*time.Microsecond {
@@ -228,6 +228,6 @@ func BenchmarkLoopFeedDataplane(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(frames)
-		loop.Feed(&frames[j], &summaries[j])
+		loop.feed(&frames[j], &summaries[j])
 	}
 }

@@ -81,9 +81,9 @@ var (
 	obsDriftRecall   = obs.Default.Gauge("campuslab_drift_recall_proxy")
 )
 
-// DriftDetector compares live windows against a frozen training
+// driftDetector compares live windows against a frozen training
 // reference. Not goroutine-safe; the owning lifecycle serializes access.
-type DriftDetector struct {
+type driftDetector struct {
 	cfg   DriftConfig
 	refs  []featureRef
 	dims  int
@@ -98,15 +98,15 @@ type DriftDetector struct {
 
 type recallCell struct{ positive, hit bool }
 
-// NewDriftDetector freezes ref as the training distribution and watches
+// newDriftDetector freezes ref as the training distribution and watches
 // model's recall on labeled examples. ref must be the dataset (or a
 // faithful sample of it) the model was trained on.
-func NewDriftDetector(ref *features.Dataset, model ml.Classifier, cfg DriftConfig) (*DriftDetector, error) {
+func newDriftDetector(ref *features.Dataset, model ml.Classifier, cfg DriftConfig) (*driftDetector, error) {
 	if ref.Len() == 0 {
 		return nil, fmt.Errorf("control: drift reference is empty")
 	}
 	cfg = cfg.withDefaults()
-	d := &DriftDetector{
+	d := &driftDetector{
 		cfg: cfg, dims: ref.Dims(), model: model,
 		ring: make([]recallCell, cfg.Window),
 	}
@@ -167,9 +167,9 @@ type DriftReport struct {
 	Drifted bool
 }
 
-// Observe scores one labeled window (positives = class 1 in the binary
+// observe scores one labeled window (positives = class 1 in the binary
 // framing the development loop uses) and returns the drift verdict.
-func (d *DriftDetector) Observe(win *features.Dataset) DriftReport {
+func (d *driftDetector) observe(win *features.Dataset) DriftReport {
 	var rep DriftReport
 	if win.Len() == 0 {
 		rep.Recall = d.recall()
@@ -215,7 +215,7 @@ func (d *DriftDetector) Observe(win *features.Dataset) DriftReport {
 	return rep
 }
 
-func (d *DriftDetector) push(c recallCell) {
+func (d *driftDetector) push(c recallCell) {
 	d.ring[d.next] = c
 	d.next++
 	if d.next == len(d.ring) {
@@ -224,7 +224,7 @@ func (d *DriftDetector) push(c recallCell) {
 }
 
 // recall computes the rolling proxy; NaN until enough positives landed.
-func (d *DriftDetector) recall() float64 {
+func (d *driftDetector) recall() float64 {
 	n := d.next
 	if d.filled {
 		n = len(d.ring)
@@ -244,9 +244,9 @@ func (d *DriftDetector) recall() float64 {
 	return float64(hit) / float64(pos)
 }
 
-// SetModel swaps the watched model (after a retrain or rollback) and
+// setModel swaps the watched model (after a retrain or rollback) and
 // clears the rolling recall window — the new model starts fresh.
-func (d *DriftDetector) SetModel(m ml.Classifier) {
+func (d *driftDetector) setModel(m ml.Classifier) {
 	d.model = m
 	d.next, d.filled = 0, false
 	for i := range d.ring {

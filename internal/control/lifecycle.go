@@ -36,11 +36,11 @@ type LifecycleState int32
 const (
 	// StateHealthy: no drift; periodic retrain cadence only.
 	StateHealthy LifecycleState = iota
-	// StateDegraded: drift detected; retrain scheduled now.
-	StateDegraded
-	// StateLameDuck: live model failed validation or drift persisted;
+	// stateDegraded: drift detected; retrain scheduled now.
+	stateDegraded
+	// stateLameDuck: live model failed validation or drift persisted;
 	// last-known-good is serving while retrain attempts continue.
-	StateLameDuck
+	stateLameDuck
 )
 
 // String names the state (healthz, transition log).
@@ -48,7 +48,7 @@ func (s LifecycleState) String() string {
 	switch s {
 	case StateHealthy:
 		return "healthy"
-	case StateDegraded:
+	case stateDegraded:
 		return "degraded"
 	default:
 		return "lame-duck"
@@ -109,7 +109,7 @@ type Transition struct {
 type Lifecycle struct {
 	cfg      LifecycleConfig
 	state    LifecycleState
-	detector *DriftDetector
+	detector *driftDetector
 
 	lastRetrain time.Duration
 	degradedFor int
@@ -162,7 +162,7 @@ func (lc *Lifecycle) activate(bundle []byte) error {
 	if err != nil {
 		return fmt.Errorf("control: activate: %w", err)
 	}
-	det, err := NewDriftDetector(ref, activatedModel{lc}, lc.cfg.Drift)
+	det, err := newDriftDetector(ref, activatedModel{lc}, lc.cfg.Drift)
 	if err != nil {
 		return err
 	}
@@ -246,15 +246,15 @@ type TickResult struct {
 // detector, decides retrain/rollback, and returns what changed.
 func (lc *Lifecycle) Tick(now time.Duration, win *features.Dataset) TickResult {
 	res := TickResult{}
-	res.Drift = lc.detector.Observe(win)
+	res.Drift = lc.detector.observe(win)
 
 	switch lc.state {
 	case StateHealthy:
 		if res.Drift.Drifted {
-			lc.transition(now, StateDegraded, driftReason(res.Drift))
+			lc.transition(now, stateDegraded, driftReason(res.Drift))
 			lc.degradedFor = 1
 		}
-	case StateDegraded:
+	case stateDegraded:
 		if res.Drift.Drifted {
 			lc.degradedFor++
 			if lc.degradedFor > lc.cfg.DegradedPatience {
@@ -266,7 +266,7 @@ func (lc *Lifecycle) Tick(now time.Duration, win *features.Dataset) TickResult {
 			lc.transition(now, StateHealthy, "drift cleared")
 			lc.degradedFor = 0
 		}
-	case StateLameDuck:
+	case stateLameDuck:
 		// Only a successful retrain+validate leaves lame-duck.
 	}
 
@@ -325,17 +325,17 @@ func (lc *Lifecycle) candidateFailed(now time.Duration, res *TickResult, err err
 	if err != nil {
 		res.Err = err
 	}
-	if lc.state == StateDegraded {
+	if lc.state == stateDegraded {
 		lc.rollback(now, res, "candidate failed validation while degraded")
 	}
 }
 
 // rollback reverts to the last-known-good bundle and enters lame-duck.
 func (lc *Lifecycle) rollback(now time.Duration, res *TickResult, reason string) {
-	if lc.state == StateLameDuck {
+	if lc.state == stateLameDuck {
 		return
 	}
-	lc.transition(now, StateLameDuck, reason)
+	lc.transition(now, stateLameDuck, reason)
 	obsLifecycleRollbacks.Inc()
 	res.RolledBack = true
 	if len(lc.lkg) > 0 && string(lc.lkg) != string(lc.live) {

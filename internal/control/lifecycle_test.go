@@ -58,11 +58,11 @@ func (m thresholdModel) NumClasses() int           { return 2 }
 
 func TestDriftDetectorStableWindow(t *testing.T) {
 	ref := driftDataset(2000, 0, 1)
-	det, err := NewDriftDetector(ref, thresholdModel(0), DriftConfig{})
+	det, err := newDriftDetector(ref, thresholdModel(0), DriftConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := det.Observe(driftDataset(1000, 0, 2))
+	rep := det.observe(driftDataset(1000, 0, 2))
 	if rep.FeatureDrift || rep.Drifted {
 		t.Fatalf("same-distribution window reported drift: %+v", rep)
 	}
@@ -73,11 +73,11 @@ func TestDriftDetectorStableWindow(t *testing.T) {
 
 func TestDriftDetectorShiftedWindow(t *testing.T) {
 	ref := driftDataset(2000, 0, 1)
-	det, err := NewDriftDetector(ref, thresholdModel(0), DriftConfig{})
+	det, err := newDriftDetector(ref, thresholdModel(0), DriftConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := det.Observe(driftDataset(1000, 3, 2))
+	rep := det.observe(driftDataset(1000, 3, 2))
 	if !rep.FeatureDrift || !rep.Drifted {
 		t.Fatalf("3σ shift not detected: %+v", rep)
 	}
@@ -89,16 +89,16 @@ func TestDriftDetectorShiftedWindow(t *testing.T) {
 func TestDriftDetectorRecallProxy(t *testing.T) {
 	ref := driftDataset(2000, 0, 1)
 	// A model that never fires: recall 0 once enough positives observed.
-	det, err := NewDriftDetector(ref, constModel(0), DriftConfig{PSIWarn: 100})
+	det, err := newDriftDetector(ref, constModel(0), DriftConfig{PSIWarn: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := det.Observe(driftDataset(10, 0, 2))
+	rep := det.observe(driftDataset(10, 0, 2))
 	if !math.IsNaN(rep.Recall) {
 		// At most 10 positives from 10 rows: below MinLabeled=20.
 		t.Fatalf("recall trusted too early: %+v", rep)
 	}
-	rep = det.Observe(driftDataset(200, 0, 3))
+	rep = det.observe(driftDataset(200, 0, 3))
 	if math.IsNaN(rep.Recall) || rep.Recall != 0 {
 		t.Fatalf("recall = %v, want 0", rep.Recall)
 	}
@@ -106,8 +106,8 @@ func TestDriftDetectorRecallProxy(t *testing.T) {
 		t.Fatalf("zero recall not flagged: %+v", rep)
 	}
 	// Swapping in a perfect model clears the window.
-	det.SetModel(thresholdModel(0))
-	rep = det.Observe(driftDataset(200, 0, 4))
+	det.setModel(thresholdModel(0))
+	rep = det.observe(driftDataset(200, 0, 4))
 	if rep.RecallDrift {
 		t.Fatalf("fresh model inherited stale recall: %+v", rep)
 	}
@@ -183,7 +183,7 @@ func TestLifecycleDriftDegradesThenHeals(t *testing.T) {
 		t.Fatalf("state after promotion = %v", res.State)
 	}
 	log := lc.Transitions()
-	if len(log) != 2 || log[0].To != StateDegraded || log[1].To != StateHealthy {
+	if len(log) != 2 || log[0].To != stateDegraded || log[1].To != StateHealthy {
 		t.Fatalf("transition log %+v", log)
 	}
 }
@@ -203,7 +203,7 @@ func TestLifecycleRollbackToLastKnownGood(t *testing.T) {
 		res := lc.Tick(time.Duration(min)*time.Minute, driftDataset(500, 4, int64(min)))
 		rolledBack = rolledBack || res.RolledBack
 	}
-	if lc.State() != StateLameDuck {
+	if lc.State() != stateLameDuck {
 		t.Fatalf("state = %v, want lame-duck", lc.State())
 	}
 	if !rolledBack {
@@ -301,7 +301,7 @@ func TestLifecycleDeterministicTransitions(t *testing.T) {
 }
 
 func TestLifecycleStateStrings(t *testing.T) {
-	for _, s := range []LifecycleState{StateHealthy, StateDegraded, StateLameDuck} {
+	for _, s := range []LifecycleState{StateHealthy, stateDegraded, stateLameDuck} {
 		if s.String() == "" {
 			t.Errorf("state %d has empty String()", s)
 		}

@@ -206,7 +206,7 @@ func NewLoop(cfg LoopConfig) (*Loop, error) {
 		return &tierRuntime{
 			tier:    t,
 			model:   model,
-			engine:  NewInferenceEngine(tm),
+			engine:  newInferenceEngine(tm),
 			breaker: breaker{cfg: brk, ctr: ctr},
 			opName:  faults.OpInfer(t.String()),
 		}
@@ -242,9 +242,9 @@ func (l *Loop) Switch() *dataplane.Switch { return l.sw }
 // watchdogs (canary deployments) that must act mid-replay.
 func (l *Loop) BenignDroppedSoFar() uint64 { return l.stats.BenignDropped }
 
-// Feed runs one labeled frame through the loop at its timestamp and
+// feed runs one labeled frame through the loop at its timestamp and
 // reports whether the packet survived (was not dropped).
-func (l *Loop) Feed(f *traffic.Frame, s *packet.Summary) bool {
+func (l *Loop) feed(f *traffic.Frame, s *packet.Summary) bool {
 	l.drainPending(f.TS)
 	v := l.sw.ProcessAt(f.TS, s)
 	return l.consume(f, s, v)
@@ -252,7 +252,7 @@ func (l *Loop) Feed(f *traffic.Frame, s *packet.Summary) bool {
 
 // FeedBatch runs a batch of labeled frames (with pre-parsed summaries)
 // through the loop, filling keep[i] with whether frame i survived.
-// Semantically identical to calling Feed per frame in order; the win is
+// Semantically identical to calling feed per frame in order; the win is
 // that the switch sense stage is precomputed for the whole batch from
 // one state snapshot. Because a mitigation installed while draining
 // pending verdicts must affect the packets behind it, the precompute is
@@ -387,7 +387,7 @@ func (l *Loop) escalate(ts time.Duration, s *packet.Summary) {
 	if tr != l.tiers[0] {
 		l.ctr.fallbackInferences.Inc()
 	}
-	readyAt := tr.engine.Submit(ts)
+	readyAt := tr.engine.submit(ts)
 	features.PacketVector(s, l.featBuf)
 	proba := tr.model.Proba(l.featBuf)
 	attackConf := 0.0
@@ -497,7 +497,7 @@ func (l *Loop) Finish() LoopStats {
 	var requests, trips uint64
 	var total, max time.Duration
 	for _, tr := range l.tiers {
-		n, _, mx := tr.engine.LatencyStats()
+		n, _, mx := tr.engine.latencyStats()
 		requests += n
 		total += tr.engine.totalLat
 		if mx > max {

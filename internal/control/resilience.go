@@ -162,7 +162,7 @@ func (b *breaker) success() {
 type tierRuntime struct {
 	tier    Tier
 	model   ml.Classifier // nil only for a data-plane primary
-	engine  *InferenceEngine
+	engine  *inferenceEngine
 	breaker breaker
 	opName  string // faults op name, "infer.<tier>"
 }

@@ -23,10 +23,10 @@ import (
 // scenario builds a labeled benign+attack stream on the lab's plan.
 func scenario(l *Lab, benignSeed, attackSeed int64) traffic.Generator {
 	benign := traffic.NewCampus(traffic.Profile{
-		Plan: l.Plan(), FlowsPerSecond: 60, Duration: 4 * time.Second, Seed: benignSeed,
+		Plan: l.plan(), FlowsPerSecond: 60, Duration: 4 * time.Second, Seed: benignSeed,
 	})
 	amp := traffic.NewAttack(traffic.AttackConfig{
-		Kind: traffic.LabelDNSAmp, Plan: l.Plan(), Victim: l.Plan().Host(6),
+		Kind: traffic.LabelDNSAmp, Plan: l.plan(), Victim: l.plan().Host(6),
 		Start: 800 * time.Millisecond, Duration: 2500 * time.Millisecond, Rate: 800, Seed: attackSeed,
 	})
 	return traffic.NewMerge(benign, amp)
@@ -156,7 +156,7 @@ func TestDevelopValidation(t *testing.T) {
 		t.Error("developed from an empty store")
 	}
 	// Store with benign only: no positives.
-	benign := traffic.NewCampus(traffic.Profile{Plan: lab.Plan(), FlowsPerSecond: 30, Duration: time.Second, Seed: 309})
+	benign := traffic.NewCampus(traffic.Profile{Plan: lab.plan(), FlowsPerSecond: 30, Duration: time.Second, Seed: 309})
 	if _, err := lab.Collect(benign); err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +200,9 @@ func TestConcurrentRoadTestsShareCampus(t *testing.T) {
 	}
 	episode := func(seed int64) traffic.Generator {
 		return traffic.NewMerge(
-			traffic.NewCampus(traffic.Profile{Plan: lab.Plan(), FlowsPerSecond: 40, Duration: time.Second, Seed: seed}),
+			traffic.NewCampus(traffic.Profile{Plan: lab.plan(), FlowsPerSecond: 40, Duration: time.Second, Seed: seed}),
 			traffic.NewAttack(traffic.AttackConfig{
-				Kind: traffic.LabelDNSAmp, Plan: lab.Plan(), Victim: lab.Plan().Host(6),
+				Kind: traffic.LabelDNSAmp, Plan: lab.plan(), Victim: lab.plan().Host(6),
 				Start: 200 * time.Millisecond, Duration: 600 * time.Millisecond, Rate: 800, Seed: seed + 1,
 			}))
 	}
@@ -254,16 +254,28 @@ func TestSensorEventsJoinStore(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	lab.AddSensorEvents(evs, &sync)
+	// Read the stored events back through the sensor join: every event
+	// names one collected host, so each links to that host's flows, and
+	// its true_ts attribute identifies it after the join.
+	if _, err := lab.Collect(scenario(lab, 315, 316)); err != nil {
+		t.Fatal(err)
+	}
+	host := lab.Store().Flows()[0].Key.SrcIP
+	skewed := make(map[string]time.Duration, len(evs))
+	for i := range evs {
+		evs[i].Message = "deny tcp " + host.String() + ":23"
+		skewed[evs[i].Attrs["true_ts"]] = evs[i].TS
+	}
+	lab.addSensorEvents(evs, &sync)
 	// A sensor event at skewed TS 2.5s is really at 0.5s.
-	got := lab.Store().EventsBetween(0, 10*time.Second)
+	got := lab.Store().CorrelateEvents(time.Hour)
 	if len(got) == 0 {
 		t.Fatal("no events stored")
 	}
 	// All corrected times must be earlier than the skewed originals.
-	for i, e := range got {
-		if e.TS >= evs[i].TS {
-			t.Fatalf("event %d not clock-corrected: %v >= %v", i, e.TS, evs[i].TS)
+	for i, c := range got {
+		if orig := skewed[c.Event.Attrs["true_ts"]]; c.Event.TS >= orig {
+			t.Fatalf("event %d not clock-corrected: %v >= %v", i, c.Event.TS, orig)
 		}
 	}
 }
@@ -316,10 +328,10 @@ func TestLabDatasets(t *testing.T) {
 	if _, err := lab.Collect(scenario(lab, 320, 321)); err != nil {
 		t.Fatal(err)
 	}
-	if d := lab.FlowDataset(); d.Len() == 0 {
+	if d := lab.flowDataset(); d.Len() == 0 {
 		t.Error("empty flow dataset")
 	}
-	if d := lab.WindowDataset(time.Second); d.Len() == 0 {
+	if d := lab.windowDataset(time.Second); d.Len() == 0 {
 		t.Error("empty window dataset")
 	}
 	if d := lab.PacketDataset(traffic.LabelDNSAmp, 0.5); d.Len() == 0 {
@@ -334,12 +346,12 @@ func TestLabSnapshotRoundTrip(t *testing.T) {
 	}
 	want := lab.Store().Stats()
 	path := filepath.Join(t.TempDir(), "lab.clds")
-	if err := lab.SaveSnapshot(path); err != nil {
+	if err := lab.saveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := newLab(t)
-	if err := fresh.RestoreSnapshot(path); err != nil {
+	if err := fresh.restoreSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	got := fresh.Store().Stats()
@@ -352,7 +364,7 @@ func TestLabSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveSnapshotLeavesWALIntact: SaveSnapshot is an export, not a
+// TestSaveSnapshotLeavesWALIntact: saveSnapshot is an export, not a
 // checkpoint. On a durable store it must not truncate the write-ahead log
 // — a snapshot at a side path covers nothing Recover will ever read, so a
 // log cut short by it is acked data gone at the next restart.
@@ -379,7 +391,7 @@ func TestSaveSnapshotLeavesWALIntact(t *testing.T) {
 		t.Fatalf("two collections logged %d WAL records", logged)
 	}
 	side := filepath.Join(t.TempDir(), "export.clds")
-	if err := lab.SaveSnapshot(side); err != nil {
+	if err := lab.saveSnapshot(side); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.WALStats().Records; got != logged {
@@ -428,7 +440,7 @@ func TestLabRestoreRejectsCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "lab.clds")
-	if err := lab.SaveSnapshot(path); err != nil {
+	if err := lab.saveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -440,7 +452,7 @@ func TestLabRestoreRejectsCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := lab.Store().Stats()
-	if err := lab.RestoreSnapshot(path); !errors.Is(err, datastore.ErrBadSnapshot) {
+	if err := lab.restoreSnapshot(path); !errors.Is(err, datastore.ErrBadSnapshot) {
 		t.Fatalf("corrupt snapshot: want ErrBadSnapshot, got %v", err)
 	}
 	// The failed restore must not have touched the live store.

@@ -88,25 +88,25 @@ func NewLab(cfg Config) (*Lab, error) {
 // Name returns the campus name.
 func (l *Lab) Name() string { return l.cfg.Name }
 
-// Plan returns the address plan.
-func (l *Lab) Plan() *traffic.AddressPlan { return l.cfg.Plan }
+// plan returns the address plan.
+func (l *Lab) plan() *traffic.AddressPlan { return l.cfg.Plan }
 
 // Store exposes the data store for queries.
 func (l *Lab) Store() *datastore.Store { return l.store }
 
-// SaveSnapshot writes the lab's collected data to path crash-safely:
+// saveSnapshot writes the lab's collected data to path crash-safely:
 // checksummed, fsynced, and atomically renamed into place, so a crash
 // mid-save never clobbers the previous snapshot. It is a pure export: a
 // durable store's write-ahead log is left alone (the checkpoint that
 // truncates it is Store.CheckpointDir).
-func (l *Lab) SaveSnapshot(path string) error {
+func (l *Lab) saveSnapshot(path string) error {
 	return l.store.SaveFile(path)
 }
 
-// RestoreSnapshot replaces the lab's store with the snapshot at path.
+// restoreSnapshot replaces the lab's store with the snapshot at path.
 // Corrupt or truncated snapshots are rejected with a typed error and the
 // current store is left untouched.
-func (l *Lab) RestoreSnapshot(path string) error {
+func (l *Lab) restoreSnapshot(path string) error {
 	st, err := datastore.LoadFile(path)
 	if err != nil {
 		return err
@@ -174,10 +174,10 @@ func (l *Lab) Collect(gen traffic.Generator) (CollectStats, error) {
 	return cs, nil
 }
 
-// AddSensorEvents ingests complementary sensor streams, correcting each
+// addSensorEvents ingests complementary sensor streams, correcting each
 // stream's clock against the capture clock first when a synchronizer is
 // provided (nil sync = trust the sensor clock).
-func (l *Lab) AddSensorEvents(evs []eventlog.Event, sync *eventlog.Synchronizer) {
+func (l *Lab) addSensorEvents(evs []eventlog.Event, sync *eventlog.Synchronizer) {
 	if sync != nil {
 		corrected := make([]eventlog.Event, len(evs))
 		for i, e := range evs {
@@ -195,13 +195,13 @@ func (l *Lab) PacketDataset(target traffic.Label, benignKeep float64) *features.
 	return features.FromPackets(l.store, benignKeep).BinaryRelabel(target)
 }
 
-// FlowDataset extracts per-flow features with multiclass labels.
-func (l *Lab) FlowDataset() *features.Dataset {
+// flowDataset extracts per-flow features with multiclass labels.
+func (l *Lab) flowDataset() *features.Dataset {
 	return features.FromFlowsWorkers(l.store, l.cfg.Plan.CampusPrefix, l.cfg.Workers)
 }
 
-// WindowDataset extracts per-(host, window) features.
-func (l *Lab) WindowDataset(window time.Duration) *features.Dataset {
+// windowDataset extracts per-(host, window) features.
+func (l *Lab) windowDataset(window time.Duration) *features.Dataset {
 	return features.FromWindows(l.store, features.WindowConfig{
 		Window: window, Campus: l.cfg.Plan.CampusPrefix,
 	})

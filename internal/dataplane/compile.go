@@ -30,7 +30,7 @@ func Compile(tree *ml.Tree, schema []string, cfg CompileConfig) (*Program, error
 	defer obs.Default.StartSpan("compile").End()
 	fields := make([]Field, len(schema))
 	for i, name := range schema {
-		f, err := FieldByName(name)
+		f, err := fieldByName(name)
 		if err != nil {
 			return nil, fmt.Errorf("dataplane: schema column %d: %w", i, err)
 		}
@@ -75,8 +75,8 @@ func Compile(tree *ml.Tree, schema []string, cfg CompileConfig) (*Program, error
 				continue // unconstrained
 			}
 			f := fields[i]
-			maxV := float64(f.MaxValue())
-			c := RangeCond{Field: f, Lo: 0, Hi: f.MaxValue()}
+			maxV := float64(f.maxValue())
+			c := RangeCond{Field: f, Lo: 0, Hi: f.maxValue()}
 			// Thresholds come from jittered training samples and can fall
 			// outside the field's integer domain; clamp into [0, max].
 			if !math.IsInf(lo[i], -1) {
@@ -102,7 +102,7 @@ func Compile(tree *ml.Tree, schema []string, cfg CompileConfig) (*Program, error
 				unsat = true // empty interval after integer snapping
 				break
 			}
-			if c.Lo == 0 && c.Hi == f.MaxValue() {
+			if c.Lo == 0 && c.Hi == f.maxValue() {
 				continue // clamping made the condition vacuous
 			}
 			conds = append(conds, c)

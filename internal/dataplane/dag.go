@@ -40,7 +40,7 @@ type compiledProgram struct {
 }
 
 // eval walks the DAG for one field vector. It never allocates.
-func (c *compiledProgram) eval(fv *FieldVector) Verdict {
+func (c *compiledProgram) eval(fv *fieldVector) Verdict {
 	t := c.root
 	for t >= 0 {
 		n := &c.nodes[t]
@@ -89,7 +89,7 @@ func compileDAG(p *Program) *compiledProgram {
 	c.leaves = append(c.leaves, Verdict{Action: p.Default, RuleIndex: -1})
 
 	b := &dagBuilder{prog: p, c: c, memo: make(map[string]int32), ok: true}
-	// The cell domain is the full uint32 space, not Field.MaxValue():
+	// The cell domain is the full uint32 space, not Field.maxValue():
 	// hand-built field vectors can carry out-of-width values and the DAG
 	// must agree with the scan path on them too.
 	var cell cellBounds
@@ -111,7 +111,7 @@ func compileDAG(p *Program) *compiledProgram {
 // cellBounds is the sub-hyperrectangle of field space a builder node
 // covers: lo[f] <= value(f) <= hi[f].
 type cellBounds struct {
-	lo, hi [NumFields]uint32
+	lo, hi [numFields]uint32
 }
 
 // relation classifies rule r against the cell: disjoint (cannot match any
@@ -226,7 +226,7 @@ pruned:
 func (b *dagBuilder) splitField(live []int, cell *cellBounds) (Field, []uint32) {
 	var best Field
 	var bestCuts []uint32
-	for f := Field(0); f < NumFields; f++ {
+	for f := Field(0); f < numFields; f++ {
 		var cuts []uint32
 		for _, ri := range live {
 			for _, c := range b.prog.Rules[ri].Conds {
@@ -273,19 +273,19 @@ func sortedUnique(v []uint32) []uint32 {
 // of the fields those candidates still constrain. Structurally identical
 // subproblems share one DAG node.
 func (b *dagBuilder) memoKey(live []int, cell *cellBounds) string {
-	var used [NumFields]bool
+	var used [numFields]bool
 	for _, ri := range live {
 		for _, c := range b.prog.Rules[ri].Conds {
 			used[c.Field] = true
 		}
 	}
-	buf := make([]byte, 0, 4*len(live)+8*int(NumFields))
+	buf := make([]byte, 0, 4*len(live)+8*int(numFields))
 	var tmp [4]byte
 	for _, ri := range live {
 		binary.LittleEndian.PutUint32(tmp[:], uint32(ri))
 		buf = append(buf, tmp[:]...)
 	}
-	for f := 0; f < int(NumFields); f++ {
+	for f := 0; f < int(numFields); f++ {
 		if !used[f] {
 			continue
 		}

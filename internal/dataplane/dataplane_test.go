@@ -58,23 +58,23 @@ func TestPrefixCountProperty(t *testing.T) {
 func TestRuleMatchAndCost(t *testing.T) {
 	r := Rule{
 		Conds: []RangeCond{
-			{Field: FieldDstPort, Lo: 53, Hi: 53},
-			{Field: FieldDNSResp, Lo: 1, Hi: 1},
+			{Field: fieldDstPort, Lo: 53, Hi: 53},
+			{Field: fieldDNSResp, Lo: 1, Hi: 1},
 		},
 		Action: ActionDrop, Class: 1, Confidence: 0.97,
 	}
-	var fv FieldVector
-	fv.Set(FieldDstPort, 53)
-	fv.Set(FieldDNSResp, 1)
-	if !r.Matches(&fv) {
+	var fv fieldVector
+	fv.set(fieldDstPort, 53)
+	fv.set(fieldDNSResp, 1)
+	if !r.matches(&fv) {
 		t.Error("should match")
 	}
-	fv.Set(FieldDNSResp, 0)
-	if r.Matches(&fv) {
+	fv.set(fieldDNSResp, 0)
+	if r.matches(&fv) {
 		t.Error("should not match")
 	}
-	if r.TCAMCost() != 1 {
-		t.Errorf("cost = %d", r.TCAMCost())
+	if r.tcamCost() != 1 {
+		t.Errorf("cost = %d", r.tcamCost())
 	}
 	if !strings.Contains(r.String(), "drop") {
 		t.Errorf("String = %q", r.String())
@@ -159,15 +159,15 @@ func TestCompileAndClassify(t *testing.T) {
 	}
 	agree, total := 0, 0
 	for i, x := range ds.X {
-		var fv FieldVector
+		var fv fieldVector
 		for j := range x {
-			f, _ := FieldByName(features.PacketSchema[j])
-			fv.Set(f, uint32(x[j]))
+			f, _ := fieldByName(features.PacketSchema[j])
+			fv.set(f, uint32(x[j]))
 		}
 		// Evaluate program manually (bypassing Summary parsing).
 		cls := 0
 		for r := range prog.Rules {
-			if prog.Rules[r].Matches(&fv) {
+			if prog.Rules[r].matches(&fv) {
 				cls = prog.Rules[r].Class
 				break
 			}
@@ -249,7 +249,7 @@ func TestSwitchEndToEndOnTraffic(t *testing.T) {
 		if !sp.Summary.HasIP {
 			return true
 		}
-		v := sw.Process(&sp.Summary)
+		v := sw.ProcessAt(0, &sp.Summary)
 		isAttack := labelOf[sp.Summary.Tuple.Canonical()] == traffic.LabelDNSAmp
 		if isAttack {
 			attackTotal++
@@ -294,13 +294,13 @@ func TestSwitchFilterTable(t *testing.T) {
 		Proto: packet.IPProtocolUDP, SrcIP: netip.MustParseAddr("203.0.113.1"),
 		DstIP: victim, SrcPort: 53, DstPort: 9999,
 	}}
-	v := sw.Process(&s)
+	v := sw.ProcessAt(0, &s)
 	if v.Action != ActionDrop || !v.FilterHit {
 		t.Errorf("verdict = %+v", v)
 	}
 	// Other destinations unaffected.
 	s.Tuple.DstIP = netip.MustParseAddr("10.1.1.6")
-	if v := sw.Process(&s); v.Action != ActionPermit {
+	if v := sw.ProcessAt(0, &s); v.Action != ActionPermit {
 		t.Errorf("innocent traffic dropped: %+v", v)
 	}
 	// Capacity enforcement.
@@ -310,14 +310,14 @@ func TestSwitchFilterTable(t *testing.T) {
 	if err := sw.InstallFilter(FilterKey{DstIP: netip.MustParseAddr("10.1.1.8")}, ActionDrop); err == nil {
 		t.Error("filter table over capacity accepted")
 	}
-	if !sw.RemoveFilter(FilterKey{DstIP: victim}) {
+	if !sw.removeFilter(FilterKey{DstIP: victim}) {
 		t.Error("remove failed")
 	}
-	if sw.RemoveFilter(FilterKey{DstIP: victim}) {
+	if sw.removeFilter(FilterKey{DstIP: victim}) {
 		t.Error("double remove succeeded")
 	}
-	if sw.FilterCount() != 1 {
-		t.Errorf("filter count = %d", sw.FilterCount())
+	if sw.filterCount() != 1 {
+		t.Errorf("filter count = %d", sw.filterCount())
 	}
 }
 
@@ -335,7 +335,7 @@ func TestSwitchSpecificFilterBeatsGeneral(t *testing.T) {
 	s := packet.Summary{HasIP: true, Tuple: packet.FiveTuple{
 		Proto: packet.IPProtocolUDP, SrcIP: resolver, DstIP: victim, SrcPort: 53, DstPort: 7777,
 	}}
-	if v := sw.Process(&s); v.Action != ActionDrop {
+	if v := sw.ProcessAt(0, &s); v.Action != ActionDrop {
 		t.Errorf("specific filter not preferred: %+v", v)
 	}
 }
@@ -345,7 +345,7 @@ func TestLoadRejectsOversizedProgram(t *testing.T) {
 	prog := &Program{Name: "big", Default: ActionPermit}
 	for i := 0; i < 50; i++ {
 		prog.Rules = append(prog.Rules, Rule{
-			Conds:  []RangeCond{{Field: FieldDstPort, Lo: 1, Hi: 0xfffe}}, // 30-entry expansion
+			Conds:  []RangeCond{{Field: fieldDstPort, Lo: 1, Hi: 0xfffe}}, // 30-entry expansion
 			Action: ActionDrop, Class: 1,
 		})
 	}
@@ -361,7 +361,7 @@ func TestLoadRejectsOversizedProgram(t *testing.T) {
 
 func TestStageBudget(t *testing.T) {
 	var conds []RangeCond
-	for f := Field(0); f < NumFields; f++ {
+	for f := Field(0); f < numFields; f++ {
 		conds = append(conds, RangeCond{Field: f, Lo: 0, Hi: 1})
 	}
 	prog := &Program{Rules: []Rule{{Conds: conds, Action: ActionDrop, Class: 1}}}
@@ -373,7 +373,7 @@ func TestStageBudget(t *testing.T) {
 
 func TestMaxConcurrent(t *testing.T) {
 	prog := &Program{Rules: []Rule{{
-		Conds:  []RangeCond{{Field: FieldDstPort, Lo: 53, Hi: 53}, {Field: FieldDNSResp, Lo: 1, Hi: 1}},
+		Conds:  []RangeCond{{Field: fieldDstPort, Lo: 53, Hi: 53}, {Field: fieldDNSResp, Lo: 1, Hi: 1}},
 		Action: ActionDrop, Class: 1,
 	}}}
 	res := Resources{Stages: 12, TCAMEntries: 3072}
@@ -396,7 +396,7 @@ func TestMaxConcurrent(t *testing.T) {
 
 func TestFieldByName(t *testing.T) {
 	for i, name := range features.PacketSchema {
-		f, err := FieldByName(name)
+		f, err := fieldByName(name)
 		if err != nil {
 			t.Fatalf("PacketSchema[%d]=%q not matchable: %v", i, name, err)
 		}
@@ -404,13 +404,13 @@ func TestFieldByName(t *testing.T) {
 			t.Errorf("field order mismatch: %q = %d, schema index %d", name, f, i)
 		}
 	}
-	if _, err := FieldByName("nope"); err == nil {
+	if _, err := fieldByName("nope"); err == nil {
 		t.Error("unknown field accepted")
 	}
 }
 
 func TestFieldMaxValue(t *testing.T) {
-	if FieldDstPort.MaxValue() != 0xffff || FieldIsUDP.MaxValue() != 1 || FieldTTL.MaxValue() != 0xff {
+	if fieldDstPort.maxValue() != 0xffff || FieldIsUDP.maxValue() != 1 || fieldTTL.maxValue() != 0xff {
 		t.Error("field widths wrong")
 	}
 }
@@ -418,7 +418,7 @@ func TestFieldMaxValue(t *testing.T) {
 func TestVerdictDefaults(t *testing.T) {
 	sw := NewSwitch(DefaultResources())
 	s := packet.Summary{HasIP: true}
-	if v := sw.Process(&s); v.Action != ActionPermit || v.RuleIndex != -1 {
+	if v := sw.ProcessAt(0, &s); v.Action != ActionPermit || v.RuleIndex != -1 {
 		t.Errorf("no-program verdict = %+v", v)
 	}
 }
@@ -427,7 +427,7 @@ func TestTCAMCostMonotonicInRuleCount(t *testing.T) {
 	mk := func(n int) *Program {
 		p := &Program{}
 		for i := 0; i < n; i++ {
-			p.Rules = append(p.Rules, Rule{Conds: []RangeCond{{Field: FieldDstPort, Lo: uint32(i), Hi: uint32(i)}}})
+			p.Rules = append(p.Rules, Rule{Conds: []RangeCond{{Field: fieldDstPort, Lo: uint32(i), Hi: uint32(i)}}})
 		}
 		return p
 	}
@@ -457,7 +457,7 @@ func BenchmarkSwitchProcess(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.Process(&summaries[i%len(summaries)])
+		sw.ProcessAt(0, &summaries[i%len(summaries)])
 	}
 }
 

@@ -40,9 +40,9 @@ import (
 	"campuslab/internal/ml"
 )
 
-// MaxEnsembleClasses bounds the vote stage's per-class accumulator, which
+// maxEnsembleClasses bounds the vote stage's per-class accumulator, which
 // lives on the eval stack so the hot path stays allocation-free.
-const MaxEnsembleClasses = 8
+const maxEnsembleClasses = 8
 
 // ResourceBudget is the hardware envelope an ensemble must compile into —
 // the Tofino-ish constraints the paper assumes for in-network ML. A field
@@ -60,9 +60,9 @@ type ResourceBudget struct {
 	Trees int
 }
 
-// DefaultEnsembleBudget returns a Tofino-flavoured envelope: 12 stages,
+// defaultEnsembleBudget returns a Tofino-flavoured envelope: 12 stages,
 // 4096 vote entries, 8192 DAG nodes, 32 parallel tree pipelines.
-func DefaultEnsembleBudget() ResourceBudget {
+func defaultEnsembleBudget() ResourceBudget {
 	return ResourceBudget{Stages: 12, TableEntries: 4096, Nodes: 8192, Trees: 32}
 }
 
@@ -96,24 +96,24 @@ type EnsembleMode uint8
 
 // Degradation ladder, best to worst.
 const (
-	// EnsembleExact: the full ensemble fit; verdicts are byte-identical
+	// ensembleExact: the full ensemble fit; verdicts are byte-identical
 	// to the control-plane model.
-	EnsembleExact EnsembleMode = iota
-	// EnsemblePruned: every tree was depth-capped to fit the budget.
-	EnsemblePruned
-	// EnsembleFallback: the ensemble could not fit at any depth cap; the
+	ensembleExact EnsembleMode = iota
+	// ensemblePruned: every tree was depth-capped to fit the budget.
+	ensemblePruned
+	// ensembleFallback: the ensemble could not fit at any depth cap; the
 	// single fallback tree was compiled instead.
-	EnsembleFallback
+	ensembleFallback
 )
 
 // String returns the mode name.
 func (m EnsembleMode) String() string {
 	switch m {
-	case EnsembleExact:
+	case ensembleExact:
 		return "exact"
-	case EnsemblePruned:
+	case ensemblePruned:
 		return "pruned"
-	case EnsembleFallback:
+	case ensembleFallback:
 		return "fallback"
 	default:
 		return fmt.Sprintf("mode-%d", uint8(m))
@@ -150,7 +150,7 @@ type EnsembleConfig struct {
 	DropClasses []int
 	// MinConfidence converts low-confidence attack verdicts to ActionPunt.
 	MinConfidence float64
-	// Budget is the hardware envelope (zero value = DefaultEnsembleBudget).
+	// Budget is the hardware envelope (zero value = defaultEnsembleBudget).
 	Budget ResourceBudget
 	// Fallback is the extracted single tree compiled when the ensemble
 	// cannot fit at any depth cap. Nil falls back to the ensemble's first
@@ -221,9 +221,6 @@ type EnsembleProgram struct {
 // Usage returns a copy of the compiled program's resource report.
 func (ep *EnsembleProgram) Usage() EnsembleUsage { return ep.usage.clone() }
 
-// NumClasses returns the vote stage's class count.
-func (ep *EnsembleProgram) NumClasses() int { return ep.classes }
-
 // CompileForestEnsemble lowers a bagged forest into per-tree DAGs plus a
 // mean-probability vote stage. Verdict classes and confidences are
 // byte-identical to f.Predict/f.Proba on the matchable schema whenever the
@@ -237,10 +234,10 @@ func CompileForestEnsemble(f *ml.Forest, schema []string, cfg EnsembleConfig) (*
 	return compileEnsemble(ensForest, trees, nil, f.NumClasses(), schema, cfg)
 }
 
-// CompileBoostEnsemble lowers an AdaBoost ensemble into per-tree DAGs plus
+// compileBoostEnsemble lowers an AdaBoost ensemble into per-tree DAGs plus
 // an alpha-weighted vote stage, byte-identical to b.Predict/b.Proba under
 // the same budget contract as CompileForestEnsemble.
-func CompileBoostEnsemble(b *ml.Boost, schema []string, cfg EnsembleConfig) (*EnsembleProgram, error) {
+func compileBoostEnsemble(b *ml.Boost, schema []string, cfg EnsembleConfig) (*EnsembleProgram, error) {
 	trees := make([]*ml.Tree, b.NumTrees())
 	alphas := make([]float64, b.NumTrees())
 	for t := range trees {
@@ -253,15 +250,15 @@ func CompileBoostEnsemble(b *ml.Boost, schema []string, cfg EnsembleConfig) (*En
 // descending from one below the deepest tree, then the single fallback
 // tree (itself capped if necessary).
 func compileEnsemble(kind ensKind, trees []*ml.Tree, alphas []float64, classes int, schema []string, cfg EnsembleConfig) (*EnsembleProgram, error) {
-	if classes < 2 || classes > MaxEnsembleClasses {
-		return nil, fmt.Errorf("dataplane: ensemble with %d classes outside [2,%d]", classes, MaxEnsembleClasses)
+	if classes < 2 || classes > maxEnsembleClasses {
+		return nil, fmt.Errorf("dataplane: ensemble with %d classes outside [2,%d]", classes, maxEnsembleClasses)
 	}
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("dataplane: empty ensemble")
 	}
 	fields := make([]Field, len(schema))
 	for i, name := range schema {
-		f, err := FieldByName(name)
+		f, err := fieldByName(name)
 		if err != nil {
 			return nil, fmt.Errorf("dataplane: schema column %d: %w", i, err)
 		}
@@ -269,7 +266,7 @@ func compileEnsemble(kind ensKind, trees []*ml.Tree, alphas []float64, classes i
 	}
 	budget := cfg.Budget
 	if budget == (ResourceBudget{}) {
-		budget = DefaultEnsembleBudget()
+		budget = defaultEnsembleBudget()
 	}
 	budget = budget.normalized()
 
@@ -303,9 +300,9 @@ func compileEnsemble(kind ensKind, trees []*ml.Tree, alphas []float64, classes i
 					break
 				}
 			}
-			mode := EnsembleExact
+			mode := ensembleExact
 			if cap > 0 {
-				mode = EnsemblePruned
+				mode = ensemblePruned
 			}
 			ep, err := build(exported, alphas, d, mode)
 			if err != nil {
@@ -337,7 +334,7 @@ func compileEnsemble(kind ensKind, trees []*ml.Tree, alphas []float64, classes i
 		if err != nil {
 			return nil, err
 		}
-		ep.usage.Mode = EnsembleFallback
+		ep.usage.Mode = ensembleFallback
 		ep.usage.PrunedDepth = d
 		ep.usage.Budget = budget
 		if budget.admits(ep.usage) {
@@ -533,7 +530,7 @@ type fieldRange struct {
 // collectRanges derives the range tables from the compiled nodes. Constant
 // and dead splits never became nodes, so they contribute no cut.
 func (ep *EnsembleProgram) collectRanges() {
-	var byField [NumFields][]uint32
+	var byField [numFields][]uint32
 	for i := range ep.nodes {
 		n := &ep.nodes[i]
 		byField[n.field] = append(byField[n.field], n.cut)
@@ -565,7 +562,7 @@ func (ep *EnsembleProgram) collectRanges() {
 // take the same branch at every node of every tree, reach the same leaf
 // rows, and accumulate the same float64s in the same order: their verdicts
 // are bit-identical. Pure; only called when ep.coded.
-func (ep *EnsembleProgram) code(fv *FieldVector) uint64 {
+func (ep *EnsembleProgram) code(fv *fieldVector) uint64 {
 	var w uint64
 	for i := range ep.ranges {
 		r := &ep.ranges[i]
@@ -621,8 +618,8 @@ func (m *ensMemo) slot(code uint64) int {
 // evalCompiled is the ensemble fast path: walk every per-tree integer DAG,
 // combine in the vote stage, map the winning class to an action. It never
 // allocates; the accumulator lives on the stack.
-func (ep *EnsembleProgram) evalCompiled(fv *FieldVector) Verdict {
-	var acc [MaxEnsembleClasses]float64
+func (ep *EnsembleProgram) evalCompiled(fv *fieldVector) Verdict {
+	var acc [maxEnsembleClasses]float64
 	if ep.kind == ensBoost {
 		for i, root := range ep.roots {
 			t := root
@@ -659,8 +656,8 @@ func (ep *EnsembleProgram) evalCompiled(fv *FieldVector) Verdict {
 // evalRef is the reference twin: the float walk of the original (possibly
 // depth-capped) trees feeding the same vote tables — what the compiled
 // path is property-tested against, reachable via the scan-path knob.
-func (ep *EnsembleProgram) evalRef(fv *FieldVector) Verdict {
-	var acc [MaxEnsembleClasses]float64
+func (ep *EnsembleProgram) evalRef(fv *fieldVector) Verdict {
+	var acc [maxEnsembleClasses]float64
 	if ep.kind == ensBoost {
 		for i, root := range ep.refRoots {
 			t := root
@@ -699,7 +696,7 @@ func (ep *EnsembleProgram) evalRef(fv *FieldVector) Verdict {
 // the per-class division happens before the comparison exactly as
 // Forest.Proba/Boost.Proba divide before Predict's scan — confidences are
 // the same float64s the control-plane model reports.
-func (ep *EnsembleProgram) vote(acc *[MaxEnsembleClasses]float64, norm float64) Verdict {
+func (ep *EnsembleProgram) vote(acc *[maxEnsembleClasses]float64, norm float64) Verdict {
 	best, bestV := 0, math.Inf(-1)
 	for c := 0; c < ep.classes; c++ {
 		v := acc[c] / norm
@@ -740,7 +737,7 @@ func (es *ensembleState) memoizes() bool {
 // word seen earlier in the batch answers without a walk; a miss or a slot
 // collision walks and overwrites the slot. The reference walk never
 // consults it, so it stays an independent oracle.
-func (es *ensembleState) eval(fv *FieldVector, m *ensMemo) Verdict {
+func (es *ensembleState) eval(fv *fieldVector, m *ensMemo) Verdict {
 	if es.scan {
 		return es.ep.evalRef(fv)
 	}

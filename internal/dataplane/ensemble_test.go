@@ -20,8 +20,8 @@ func randPacketDataset(rng *rand.Rand, rows, classes int) *features.Dataset {
 	for i := 0; i < rows; i++ {
 		x := make([]float64, len(features.PacketSchema))
 		for j := range x {
-			f, _ := FieldByName(features.PacketSchema[j])
-			span := int64(f.MaxValue()) + 1
+			f, _ := fieldByName(features.PacketSchema[j])
+			span := int64(f.maxValue()) + 1
 			if span > 9 {
 				span = 9 // overlap-heavy: many duplicate values per column
 			}
@@ -49,22 +49,22 @@ func randForest(t testing.TB, rng *rand.Rand) *ml.Forest {
 
 // fvToX maps a field vector onto the model's feature space — the exact
 // conversion the equivalence contract is stated over.
-func fvToX(fv *FieldVector, x []float64) {
+func fvToX(fv *fieldVector, x []float64) {
 	for j := range features.PacketSchema {
-		f, _ := FieldByName(features.PacketSchema[j])
-		x[j] = float64(fv.Get(f))
+		f, _ := fieldByName(features.PacketSchema[j])
+		x[j] = float64(fv.get(f))
 	}
 }
 
 // ensRandVector mixes full-domain vectors with small-valued ones that sit
 // right on the fitted thresholds.
-func ensRandVector(rng *rand.Rand) FieldVector {
+func ensRandVector(rng *rand.Rand) fieldVector {
 	if rng.Intn(3) == 0 {
 		return randVector(rng)
 	}
-	var fv FieldVector
-	for f := Field(0); f < NumFields; f++ {
-		fv.Set(f, uint32(rng.Intn(10)))
+	var fv fieldVector
+	for f := Field(0); f < numFields; f++ {
+		fv.set(f, uint32(rng.Intn(10)))
 	}
 	return fv
 }
@@ -86,7 +86,7 @@ func TestForestEnsembleEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if u := ep.Usage(); u.Mode != EnsembleExact {
+		if u := ep.Usage(); u.Mode != ensembleExact {
 			t.Fatalf("trial %d: mode %v, want exact (usage %+v)", trial, u.Mode, u)
 		}
 		for i := 0; i < 300; i++ {
@@ -120,11 +120,11 @@ func TestBoostEnsembleEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ep, err := CompileBoostEnsemble(boost, features.PacketSchema, EnsembleConfig{Name: "rand-boost"})
+		ep, err := compileBoostEnsemble(boost, features.PacketSchema, EnsembleConfig{Name: "rand-boost"})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if u := ep.Usage(); u.Mode != EnsembleExact {
+		if u := ep.Usage(); u.Mode != ensembleExact {
 			t.Fatalf("trial %d: mode %v, want exact", trial, u.Mode)
 		}
 		for i := 0; i < 300; i++ {
@@ -155,14 +155,14 @@ func TestEnsembleBatchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := ep.Usage(); u.Mode != EnsembleExact {
+	if u := ep.Usage(); u.Mode != ensembleExact {
 		t.Fatalf("trained forest should fit the default budget: %+v", u)
 	}
 	sw := NewSwitch(DefaultResources())
 	if err := sw.LoadEnsemble(ep); err != nil {
 		t.Fatal(err)
 	}
-	if !sw.EnsembleLoaded() {
+	if !sw.ensembleLoaded() {
 		t.Fatal("ensemble not loaded")
 	}
 	rng := rand.New(rand.NewSource(503))
@@ -175,8 +175,8 @@ func TestEnsembleBatchEquivalence(t *testing.T) {
 		}
 		out := sw.ProcessBatchAt(nil, sums, nil)
 		for i := range sums {
-			var fv FieldVector
-			fv.FromSummary(&sums[i])
+			var fv fieldVector
+			fv.fromSummary(&sums[i])
 			fvToX(&fv, x)
 			wantClass := forest.Predict(x)
 			wantConf := forest.Proba(x)[wantClass]
@@ -227,7 +227,7 @@ func TestEnsembleBudgetDegradation(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := ep.Usage()
-		if u.Mode != EnsembleExact || u.PrunedDepth != 0 || u.Trees != forest.NumTrees() {
+		if u.Mode != ensembleExact || u.PrunedDepth != 0 || u.Trees != forest.NumTrees() {
 			t.Fatalf("usage %+v", u)
 		}
 		if !u.Budget.admits(u) {
@@ -245,7 +245,7 @@ func TestEnsembleBudgetDegradation(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := ep.Usage()
-		if u.Mode != EnsemblePruned {
+		if u.Mode != ensemblePruned {
 			t.Fatalf("mode %v, want pruned (usage %+v)", u.Mode, u)
 		}
 		if u.Nodes > budget.Nodes {
@@ -274,7 +274,7 @@ func TestEnsembleBudgetDegradation(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := ep.Usage()
-		if u.Mode != EnsembleFallback || u.Trees != 1 {
+		if u.Mode != ensembleFallback || u.Trees != 1 {
 			t.Fatalf("usage %+v", u)
 		}
 		checkRef(t, ep)
@@ -306,9 +306,9 @@ func TestEnsembleVerdictActions(t *testing.T) {
 	x := make([]float64, len(features.PacketSchema))
 
 	for _, tc := range []struct {
-		name    string
-		cfg     EnsembleConfig
-		expect  func(class int, conf float64) ActionKind
+		name   string
+		cfg    EnsembleConfig
+		expect func(class int, conf float64) ActionKind
 	}{
 		{"drop", EnsembleConfig{DropClasses: []int{1}}, func(class int, conf float64) ActionKind {
 			if class == 0 {
@@ -391,19 +391,19 @@ func TestEnsembleInfoCopy(t *testing.T) {
 	if ep.Usage().TreeNodes[0] == -7 {
 		t.Fatal("EnsembleProgram.Usage handed out live state")
 	}
-	if !sw.UnloadEnsemble() {
+	if !sw.unloadEnsemble() {
 		t.Fatal("UnloadEnsemble found nothing")
 	}
 	if _, ok := sw.EnsembleInfo(); ok {
 		t.Fatal("EnsembleInfo reported an ensemble after unload")
 	}
-	if sw.UnloadEnsemble() {
+	if sw.unloadEnsemble() {
 		t.Fatal("second UnloadEnsemble reported success")
 	}
 }
 
 // TestEnsembleScanKnob drives the ensemble path through the scan-path
-// environment knob and SetScanOnly, demanding identical verdicts from the
+// environment knob and setScanOnly, demanding identical verdicts from the
 // reference walk.
 func TestEnsembleScanKnob(t *testing.T) {
 	forest, _, _, _ := trainPacketForest(t)
@@ -411,16 +411,16 @@ func TestEnsembleScanKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv(ScanPathEnv, "1")
+	t.Setenv(scanPathEnv, "1")
 	swScan := NewSwitch(DefaultResources())
 	if err := swScan.LoadEnsemble(ep); err != nil {
 		t.Fatal(err)
 	}
 	if !swScan.state.Load().ens.scan {
-		t.Fatalf("%s did not force the ensemble reference walk", ScanPathEnv)
+		t.Fatalf("%s did not force the ensemble reference walk", scanPathEnv)
 	}
 	swFast := NewSwitch(DefaultResources())
-	swFast.SetScanOnly(false)
+	swFast.setScanOnly(false)
 	if err := swFast.LoadEnsemble(ep); err != nil {
 		t.Fatal(err)
 	}
@@ -436,11 +436,11 @@ func TestEnsembleScanKnob(t *testing.T) {
 		}
 	}
 	// Flipping the knob at runtime swaps the evaluator in place.
-	swFast.SetScanOnly(true)
+	swFast.setScanOnly(true)
 	if !swFast.state.Load().ens.scan {
 		t.Fatal("SetScanOnly(true) did not switch the ensemble to the reference walk")
 	}
-	swFast.SetScanOnly(false)
+	swFast.setScanOnly(false)
 	if swFast.state.Load().ens.scan {
 		t.Fatal("SetScanOnly(false) did not restore the compiled ensemble path")
 	}
@@ -518,7 +518,7 @@ func FuzzEnsembleCompile(f *testing.F) {
 				t.Skip()
 			}
 			model = b
-			ep, err = CompileBoostEnsemble(b, features.PacketSchema, cfg)
+			ep, err = compileBoostEnsemble(b, features.PacketSchema, cfg)
 		} else {
 			fr, ferr := ml.FitForest(ds, classes, ml.ForestConfig{
 				Trees: 1 + int(nTrees)%8, MaxDepth: 1 + int(depth)%6, Seed: rng.Int63(), Workers: 1,
@@ -535,7 +535,7 @@ func FuzzEnsembleCompile(f *testing.F) {
 		u := ep.Usage()
 		norm := budget
 		if budget == (ResourceBudget{}) {
-			norm = DefaultEnsembleBudget()
+			norm = defaultEnsembleBudget()
 		}
 		norm = norm.normalized()
 		if !norm.admits(u) {
@@ -548,7 +548,7 @@ func FuzzEnsembleCompile(f *testing.F) {
 		if sum != u.Nodes || len(u.TreeNodes) != u.Trees {
 			t.Fatalf("per-tree accounting inconsistent: %+v", u)
 		}
-		if (u.Mode == EnsembleExact) != (u.PrunedDepth == 0 && u.Mode != EnsembleFallback) {
+		if (u.Mode == ensembleExact) != (u.PrunedDepth == 0 && u.Mode != ensembleFallback) {
 			t.Fatalf("mode/depth inconsistent: %+v", u)
 		}
 		x := make([]float64, len(features.PacketSchema))
@@ -570,7 +570,7 @@ func FuzzEnsembleCompile(f *testing.F) {
 					t.Fatalf("memo pass %d %+v != compiled %+v (fv %v)", pass, m, got, fv.vals)
 				}
 			}
-			if u.Mode == EnsembleExact {
+			if u.Mode == ensembleExact {
 				fvToX(&fv, x)
 				if want := model.Predict(x); got.Class != want {
 					t.Fatalf("exact-mode class %d != model %d (fv %v)", got.Class, want, fv.vals)

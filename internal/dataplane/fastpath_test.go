@@ -21,8 +21,8 @@ import (
 func randDisjointProgram(rng *rand.Rand, maxRules int) *Program {
 	p := &Program{Name: "rand-disjoint", Default: ActionKind(rng.Intn(2))}
 	var root cellBounds
-	for f := Field(0); f < NumFields; f++ {
-		root.hi[f] = f.MaxValue()
+	for f := Field(0); f < numFields; f++ {
+		root.hi[f] = f.maxValue()
 	}
 	var build func(c cellBounds, depth int)
 	build = func(c cellBounds, depth int) {
@@ -34,8 +34,8 @@ func randDisjointProgram(rng *rand.Rand, maxRules int) *Program {
 				return // gap: the default decides this cell
 			}
 			var conds []RangeCond
-			for f := Field(0); f < NumFields; f++ {
-				if c.lo[f] != 0 || c.hi[f] != f.MaxValue() {
+			for f := Field(0); f < numFields; f++ {
+				if c.lo[f] != 0 || c.hi[f] != f.maxValue() {
 					conds = append(conds, RangeCond{Field: f, Lo: c.lo[f], Hi: c.hi[f]})
 				}
 			}
@@ -48,7 +48,7 @@ func randDisjointProgram(rng *rand.Rand, maxRules int) *Program {
 			})
 			return
 		}
-		f := Field(rng.Intn(int(NumFields)))
+		f := Field(rng.Intn(int(numFields)))
 		if c.lo[f] >= c.hi[f] {
 			build(c, depth-1)
 			return
@@ -74,8 +74,8 @@ func randOverlappingProgram(rng *rand.Rand) *Program {
 		var conds []RangeCond
 		nConds := 1 + rng.Intn(2)
 		for j := 0; j < nConds; j++ {
-			f := Field(rng.Intn(int(NumFields)))
-			max := int64(f.MaxValue())
+			f := Field(rng.Intn(int(numFields)))
+			max := int64(f.maxValue())
 			lo := uint32(rng.Int63n(max + 1))
 			hi := lo + uint32(rng.Int63n(max-int64(lo)+1))
 			conds = append(conds, RangeCond{Field: f, Lo: lo, Hi: hi})
@@ -91,13 +91,13 @@ func randOverlappingProgram(rng *rand.Rand) *Program {
 // randVector draws field values mostly inside the field widths, sometimes
 // far outside them (hand-built vectors are not width-clamped and the DAG
 // must agree with the scan reference there too).
-func randVector(rng *rand.Rand) FieldVector {
-	var fv FieldVector
-	for f := Field(0); f < NumFields; f++ {
+func randVector(rng *rand.Rand) fieldVector {
+	var fv fieldVector
+	for f := Field(0); f < numFields; f++ {
 		if rng.Intn(6) == 0 {
-			fv.Set(f, rng.Uint32())
+			fv.set(f, rng.Uint32())
 		} else {
-			fv.Set(f, uint32(rng.Int63n(int64(f.MaxValue())+1)))
+			fv.set(f, uint32(rng.Int63n(int64(f.maxValue())+1)))
 		}
 	}
 	return fv
@@ -105,10 +105,10 @@ func randVector(rng *rand.Rand) FieldVector {
 
 // scanVerdict is the independent linear-scan reference the DAG is checked
 // against.
-func scanVerdict(p *Program, fv *FieldVector) Verdict {
+func scanVerdict(p *Program, fv *fieldVector) Verdict {
 	for i := range p.Rules {
 		r := &p.Rules[i]
-		if r.Matches(fv) {
+		if r.matches(fv) {
 			return Verdict{Action: r.Action, Class: r.Class, Confidence: r.Confidence, RuleIndex: i}
 		}
 	}
@@ -210,7 +210,7 @@ func TestDAGScanEquivalenceDistilledTree(t *testing.T) {
 	if err := sw.Load(prog); err != nil {
 		t.Fatal(err)
 	}
-	if !sw.Compiled() {
+	if !sw.compiled() {
 		t.Fatal("distilled program did not compile")
 	}
 	dag := sw.state.Load().dag
@@ -233,14 +233,14 @@ func TestSwitchPipelineEquivalence(t *testing.T) {
 		prog := randDisjointProgram(rng, 12)
 		swDag := NewSwitch(DefaultResources())
 		swScan := NewSwitch(DefaultResources())
-		swScan.SetScanOnly(true)
+		swScan.setScanOnly(true)
 		if err := swDag.Load(prog); err != nil {
 			t.Fatal(err)
 		}
 		if err := swScan.Load(prog); err != nil {
 			t.Fatal(err)
 		}
-		if swDag.Compiled() == swScan.Compiled() {
+		if swDag.compiled() == swScan.compiled() {
 			t.Fatal("twins must run different rule paths")
 		}
 		for i := 0; i < 6; i++ {
@@ -348,7 +348,7 @@ func TestSwitchCounterAccounting(t *testing.T) {
 		t.Fatal("attribution lost verdicts")
 	}
 
-	sw.ResetCounters()
+	sw.resetCounters()
 	st = sw.Stats()
 	if st.Processed != 0 || st.Permitted != 0 || st.FilterHits != 0 {
 		t.Fatalf("reset left counters: %+v", st)
@@ -399,9 +399,9 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 	}
 
 	// ProcessBatch (t=0 convenience form) agrees with Process.
-	v1 := swBatch.ProcessBatch(sums[:10])
+	v1 := swBatch.ProcessBatchAt(nil, sums[:10], nil)
 	for i := 0; i < 10; i++ {
-		if v2 := swSeq.Process(&sums[i]); v1[i] != v2 {
+		if v2 := swSeq.ProcessAt(0, &sums[i]); v1[i] != v2 {
 			t.Fatalf("pkt %d: ProcessBatch=%+v Process=%+v", i, v1[i], v2)
 		}
 	}
@@ -468,7 +468,7 @@ func TestProgramViewImmutable(t *testing.T) {
 	origAction := orig.Rules[0].Action
 	orig.Rules[0].Action = ActionPunt
 	orig.Rules[0].Conds[0].Lo = 0xdeadbeef
-	view := sw.Program()
+	view := sw.program()
 	if view.Rules[0].Action != origAction {
 		t.Fatal("Load did not defensively copy the program")
 	}
@@ -478,7 +478,7 @@ func TestProgramViewImmutable(t *testing.T) {
 	view.Rules[0].Action = ActionAlert
 	view.Rules[0].Conds[0].Hi = 0
 	view.Default = ActionPunt
-	again := sw.Program()
+	again := sw.program()
 	if again.Rules[0].Action != origAction || again.Default != origDefault {
 		t.Fatal("Program() handed out live state")
 	}
@@ -491,20 +491,20 @@ func TestScanPathKnob(t *testing.T) {
 	rng := rand.New(rand.NewSource(408))
 	prog := randDisjointProgram(rng, 8)
 
-	t.Setenv(ScanPathEnv, "1")
+	t.Setenv(scanPathEnv, "1")
 	sw := NewSwitch(DefaultResources())
 	if err := sw.Load(prog); err != nil {
 		t.Fatal(err)
 	}
-	if sw.Compiled() {
-		t.Fatalf("%s must force the scan path", ScanPathEnv)
+	if sw.compiled() {
+		t.Fatalf("%s must force the scan path", scanPathEnv)
 	}
-	sw.SetScanOnly(false)
-	if !sw.Compiled() {
+	sw.setScanOnly(false)
+	if !sw.compiled() {
 		t.Fatal("SetScanOnly(false) did not recompile")
 	}
-	sw.SetScanOnly(true)
-	if sw.Compiled() {
+	sw.setScanOnly(true)
+	if sw.compiled() {
 		t.Fatal("SetScanOnly(true) did not drop the DAG")
 	}
 }
@@ -520,7 +520,7 @@ func TestDAGNodeBudgetFallback(t *testing.T) {
 	if err := sw.Load(prog); err != nil {
 		t.Fatal(err)
 	}
-	if sw.Compiled() {
+	if sw.compiled() {
 		t.Fatal("budget of 2 nodes should force scan fallback")
 	}
 	// The fallback still answers correctly.
@@ -568,7 +568,7 @@ func TestConcurrentInstallDuringBatch(t *testing.T) {
 			}
 			k := randFilterKey(r, pool)
 			if i%3 == 0 {
-				sw.RemoveFilter(k)
+				sw.removeFilter(k)
 			} else {
 				_ = sw.InstallFilter(k, ActionDrop)
 			}
@@ -589,7 +589,7 @@ func TestConcurrentInstallDuringBatch(t *testing.T) {
 			} else if i%2 == 0 {
 				_ = sw.InstallRateLimit(k, 5000, 1000)
 			} else {
-				sw.RemoveFilter(k)
+				sw.removeFilter(k)
 			}
 		}
 	}()
@@ -677,9 +677,9 @@ func TestConcurrentEnsembleInstallDuringBatch(t *testing.T) {
 			case 1:
 				_ = sw.LoadEnsemble(epSmall)
 			case 2:
-				sw.UnloadEnsemble()
+				sw.unloadEnsemble()
 			default:
-				sw.SetScanOnly(i%8 == 3)
+				sw.setScanOnly(i%8 == 3)
 			}
 			if u, ok := sw.EnsembleInfo(); ok && u.Trees == 0 {
 				t.Error("EnsembleInfo saw an empty installed ensemble")
@@ -698,7 +698,7 @@ func TestConcurrentEnsembleInstallDuringBatch(t *testing.T) {
 			}
 			k := randFilterKey(r, pool)
 			if i%3 == 0 {
-				sw.RemoveFilter(k)
+				sw.removeFilter(k)
 			} else {
 				_ = sw.InstallFilter(k, ActionDrop)
 			}
@@ -758,11 +758,11 @@ func synthProgram(nRules int) *Program {
 		p.Rules = append(p.Rules, Rule{
 			Conds: []RangeCond{
 				{Field: FieldWireLen, Lo: 0, Hi: 16383},
-				{Field: FieldDstPort, Lo: 0, Hi: 61439},
+				{Field: fieldDstPort, Lo: 0, Hi: 61439},
 				{Field: FieldSrcPort, Lo: 0, Hi: 61439},
-				{Field: FieldSynNoAck, Lo: 0, Hi: 0},
-				{Field: FieldDNSResp, Lo: 1, Hi: 1},
-				{Field: FieldTTL, Lo: uint32(i * span), Hi: uint32((i+1)*span - 1)},
+				{Field: fieldSynNoAck, Lo: 0, Hi: 0},
+				{Field: fieldDNSResp, Lo: 1, Hi: 1},
+				{Field: fieldTTL, Lo: uint32(i * span), Hi: uint32((i+1)*span - 1)},
 			},
 			Action: act, Class: 1, Confidence: 0.95,
 		})
@@ -807,11 +807,11 @@ func BenchmarkSwitchProcessPaths(b *testing.B) {
 				name := fmt.Sprintf("%s/rules=%d/filters=%v", mode, rules, withFilters)
 				b.Run(name, func(b *testing.B) {
 					sw := NewSwitch(DefaultResources())
-					sw.SetScanOnly(mode == "scan")
+					sw.setScanOnly(mode == "scan")
 					if err := sw.Load(prog); err != nil {
 						b.Fatal(err)
 					}
-					if (mode == "dag") != sw.Compiled() {
+					if (mode == "dag") != sw.compiled() {
 						b.Fatal("wrong rule path")
 					}
 					if withFilters {
@@ -820,7 +820,7 @@ func BenchmarkSwitchProcessPaths(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						sw.Process(&sums[i&1023])
+						sw.ProcessAt(0, &sums[i&1023])
 					}
 				})
 			}
@@ -863,15 +863,15 @@ func distinctSummaries(b *testing.B, ep *EnsembleProgram, rng *rand.Rand, pool [
 	b.Helper()
 	sums := make([]packet.Summary, 0, batch*batches)
 	for len(sums) < cap(sums) {
-		seen := map[[NumFields]uint16]bool{}
+		seen := map[[numFields]uint16]bool{}
 		for tries := 0; len(seen) < batch; tries++ {
 			if tries > 1<<20 {
 				b.Fatalf("only %d distinct code words reachable", len(seen))
 			}
 			s := randTestSummary(rng, pool)
-			var fv FieldVector
-			fv.FromSummary(&s)
-			var ranks [NumFields]uint16
+			var fv fieldVector
+			fv.fromSummary(&s)
+			var ranks [numFields]uint16
 			for i := range ep.nodes {
 				if n := &ep.nodes[i]; n.cut < fv.vals[n.field] {
 					ranks[n.field]++
@@ -905,12 +905,12 @@ func BenchmarkEnsembleInference(b *testing.B) {
 	X := make([][]float64, batch)
 	for i := range sums {
 		sums[i] = randTestSummary(rng, pool)
-		var fv FieldVector
-		fv.FromSummary(&sums[i])
+		var fv fieldVector
+		fv.fromSummary(&sums[i])
 		x := make([]float64, len(features.PacketSchema))
 		for j := range features.PacketSchema {
-			f, _ := FieldByName(features.PacketSchema[j])
-			x[j] = float64(fv.Get(f))
+			f, _ := fieldByName(features.PacketSchema[j])
+			x[j] = float64(fv.get(f))
 		}
 		X[i] = x
 	}

@@ -16,7 +16,7 @@ func TestInstallFilterInjectedTransientFault(t *testing.T) {
 		if !faults.IsTransient(err) {
 			t.Fatalf("attempt %d: want transient fault, got %v", i+1, err)
 		}
-		if sw.FilterCount() != 0 {
+		if sw.filterCount() != 0 {
 			t.Fatal("failed install mutated the table")
 		}
 	}
@@ -24,8 +24,8 @@ func TestInstallFilterInjectedTransientFault(t *testing.T) {
 	if err := sw.InstallFilter(key, ActionDrop); err != nil {
 		t.Fatalf("post-window install: %v", err)
 	}
-	if sw.FilterCount() != 1 {
-		t.Fatalf("filter count = %d", sw.FilterCount())
+	if sw.filterCount() != 1 {
+		t.Fatalf("filter count = %d", sw.filterCount())
 	}
 }
 
@@ -47,7 +47,7 @@ func TestTableFullIsTypedAndPermanent(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := sw.InstallFilter(FilterKey{DstPort: 2}, ActionDrop)
-	if !errors.Is(err, ErrTableFull) {
+	if !errors.Is(err, errTableFull) {
 		t.Fatalf("want ErrTableFull, got %v", err)
 	}
 	if faults.IsTransient(err) {
@@ -68,7 +68,7 @@ func TestNilInjectorCostsNothing(t *testing.T) {
 			t.Fatalf("install %d: %v", i, err)
 		}
 	}
-	if sw.FilterCount() != 100 {
-		t.Fatalf("count = %d", sw.FilterCount())
+	if sw.filterCount() != 100 {
+		t.Fatalf("count = %d", sw.filterCount())
 	}
 }

@@ -27,7 +27,7 @@ func schemaFields(t testing.TB) []Field {
 	t.Helper()
 	fields := make([]Field, len(features.PacketSchema))
 	for i, name := range features.PacketSchema {
-		f, err := FieldByName(name)
+		f, err := fieldByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func memoPrograms(t testing.TB, rng *rand.Rand) []namedProgram {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep, err := CompileBoostEnsemble(b, features.PacketSchema, EnsembleConfig{DropClasses: []int{1}})
+		ep, err := compileBoostEnsemble(b, features.PacketSchema, EnsembleConfig{DropClasses: []int{1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func memoPrograms(t testing.TB, rng *rand.Rand) []namedProgram {
 // --- oracles ----------------------------------------------------------------
 
 // leafRows is the test's own walk: the vote-table row each tree reaches.
-func leafRows(ep *EnsembleProgram, fv *FieldVector) []int32 {
+func leafRows(ep *EnsembleProgram, fv *fieldVector) []int32 {
 	rows := make([]int32, len(ep.roots))
 	for i, t := range ep.roots {
 		for t >= 0 {
@@ -159,7 +159,7 @@ func leafRows(ep *EnsembleProgram, fv *FieldVector) []int32 {
 }
 
 // naiveCode recomputes the code word by counting, field by field.
-func naiveCode(ep *EnsembleProgram, fv *FieldVector) uint64 {
+func naiveCode(ep *EnsembleProgram, fv *fieldVector) uint64 {
 	var w uint64
 	for _, r := range ep.ranges {
 		rank := 0
@@ -178,21 +178,21 @@ func naiveCode(ep *EnsembleProgram, fv *FieldVector) uint64 {
 // with its two neighbours, a run of identical vectors, and — when two of
 // the code words drawn share a slot — a run alternating between them, so
 // each lookup evicts the other.
-func memoVectors(rng *rand.Rand, ep *EnsembleProgram) (fvs []FieldVector, collided bool) {
+func memoVectors(rng *rand.Rand, ep *EnsembleProgram) (fvs []fieldVector, collided bool) {
 	for i := 0; i < 600; i++ {
 		fvs = append(fvs, ensRandVector(rng))
 	}
 	for _, r := range ep.ranges {
 		for _, c := range r.cuts {
 			fv := ensRandVector(rng)
-			fv.Set(r.field, c)
+			fv.set(r.field, c)
 			fvs = append(fvs, fv)
 			if c > 0 {
-				fv.Set(r.field, c-1)
+				fv.set(r.field, c-1)
 				fvs = append(fvs, fv)
 			}
 			if c < math.MaxUint32 {
-				fv.Set(r.field, c+1)
+				fv.set(r.field, c+1)
 				fvs = append(fvs, fv)
 			}
 		}
@@ -289,7 +289,7 @@ func TestEnsembleRangeTables(t *testing.T) {
 		case "domain-edges":
 			// -1 and 2^32 make constant splits; 0 and 2^32-1.5 survive.
 			ttl := ep.ranges[len(ep.ranges)-1]
-			if ttl.field != FieldTTL || len(ttl.cuts) != 2 || ttl.cuts[0] != 0 || ttl.cuts[1] != math.MaxUint32-1 {
+			if ttl.field != fieldTTL || len(ttl.cuts) != 2 || ttl.cuts[0] != 0 || ttl.cuts[1] != math.MaxUint32-1 {
 				t.Fatalf("domain-edge cuts = %+v, want ttl {0, 2^32-2}", ttl)
 			}
 		}
@@ -422,8 +422,8 @@ type batchTwins struct{ fast, scan *Switch }
 
 func newBatchTwins() batchTwins {
 	tw := batchTwins{NewSwitch(DefaultResources()), NewSwitch(DefaultResources())}
-	tw.fast.SetScanOnly(false)
-	tw.scan.SetScanOnly(true)
+	tw.fast.setScanOnly(false)
+	tw.scan.setScanOnly(true)
 	return tw
 }
 
@@ -540,7 +540,7 @@ func TestEnsembleMemoCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := NewSwitch(DefaultResources())
-	sw.SetScanOnly(false)
+	sw.setScanOnly(false)
 	if err := sw.LoadEnsemble(ep); err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +568,7 @@ func TestEnsembleMemoCounters(t *testing.T) {
 		t.Fatalf("after ClassifyBatch: %d hits %d misses, want 76 and 2 (a memo lives for one batch)", h, m)
 	}
 	sw.ProcessAt(0, &one)
-	sw.SetScanOnly(true)
+	sw.setScanOnly(true)
 	sw.ProcessBatchAt(nil, sums, nil)
 	if h, m := obsEnsMemoHit.Value()-hit0, obsEnsMemoMiss.Value()-miss0; h != 76 || m != 2 {
 		t.Fatalf("ProcessAt or the reference walk moved the memo counters: %d hits %d misses", h, m)

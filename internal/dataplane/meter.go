@@ -7,16 +7,16 @@ import (
 	"time"
 )
 
-// TokenBucket is the switch meter primitive (P4 meters, simplified to a
+// tokenBucket is the switch meter primitive (P4 meters, simplified to a
 // single-rate two-color marker): traffic within rate+burst conforms,
 // excess is marked for drop. Mitigations can rate-limit a victim's inbound
 // UDP instead of blackholing it — less collateral than a hard drop.
 //
 // State lives in atomics so the lock-free verdict path can charge the
-// bucket without taking a lock. Conforms keeps its original sequential
+// bucket without taking a lock. conforms keeps its original sequential
 // contract (non-decreasing ts from one replay goroutine); concurrent
 // callers are race-safe but may interleave charges.
-type TokenBucket struct {
+type tokenBucket struct {
 	rateBps float64 // refill rate in bytes/second
 	burst   float64 // bucket depth in bytes
 
@@ -28,20 +28,20 @@ type TokenBucket struct {
 	exceeded  atomic.Uint64
 }
 
-// NewTokenBucket builds a meter passing rateBps bytes/second with the
+// newTokenBucket builds a meter passing rateBps bytes/second with the
 // given burst allowance.
-func NewTokenBucket(rateBps, burst float64) (*TokenBucket, error) {
+func newTokenBucket(rateBps, burst float64) (*tokenBucket, error) {
 	if rateBps <= 0 || burst <= 0 {
 		return nil, fmt.Errorf("dataplane: meter rate and burst must be positive (got %v, %v)", rateBps, burst)
 	}
-	tb := &TokenBucket{rateBps: rateBps, burst: burst}
+	tb := &tokenBucket{rateBps: rateBps, burst: burst}
 	tb.tokens.Store(math.Float64bits(burst))
 	return tb, nil
 }
 
-// Conforms charges size bytes at time ts, reporting whether the packet is
+// conforms charges size bytes at time ts, reporting whether the packet is
 // within profile. Calls must have non-decreasing ts.
-func (tb *TokenBucket) Conforms(ts time.Duration, size int) bool {
+func (tb *tokenBucket) conforms(ts time.Duration, size int) bool {
 	if !tb.started.Load() {
 		tb.last.Store(int64(ts))
 		tb.started.Store(true)
@@ -65,7 +65,7 @@ func (tb *TokenBucket) Conforms(ts time.Duration, size int) bool {
 	return false
 }
 
-// Stats returns conforming and exceeding packet counts.
-func (tb *TokenBucket) Stats() (conformed, exceeded uint64) {
+// stats returns conforming and exceeding packet counts.
+func (tb *tokenBucket) stats() (conformed, exceeded uint64) {
 	return tb.conformed.Load(), tb.exceeded.Load()
 }

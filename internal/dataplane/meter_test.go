@@ -10,16 +10,16 @@ import (
 
 func TestTokenBucketSteadyStateUnderRate(t *testing.T) {
 	// 1 MB/s limit, 1000B packets every ms = exactly 1 MB/s: all conform.
-	tb, err := NewTokenBucket(1e6, 10_000)
+	tb, err := newTokenBucket(1e6, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		if !tb.Conforms(time.Duration(i)*time.Millisecond, 1000) {
+		if !tb.conforms(time.Duration(i)*time.Millisecond, 1000) {
 			t.Fatalf("packet %d marked at exactly the rate", i)
 		}
 	}
-	c, e := tb.Stats()
+	c, e := tb.stats()
 	if c != 1000 || e != 0 {
 		t.Errorf("stats = %d/%d", c, e)
 	}
@@ -28,10 +28,10 @@ func TestTokenBucketSteadyStateUnderRate(t *testing.T) {
 func TestTokenBucketMarksExcess(t *testing.T) {
 	// 100 KB/s limit, offered 1 MB/s: ~90% should exceed after the
 	// initial burst drains.
-	tb, _ := NewTokenBucket(100_000, 10_000)
+	tb, _ := newTokenBucket(100_000, 10_000)
 	var conf, exc int
 	for i := 0; i < 2000; i++ {
-		if tb.Conforms(time.Duration(i)*time.Millisecond, 1000) {
+		if tb.conforms(time.Duration(i)*time.Millisecond, 1000) {
 			conf++
 		} else {
 			exc++
@@ -45,14 +45,14 @@ func TestTokenBucketMarksExcess(t *testing.T) {
 
 func TestTokenBucketBurstAbsorbed(t *testing.T) {
 	// After idling, a burst up to the bucket depth passes at once.
-	tb, _ := NewTokenBucket(1e6, 50_000)
-	if !tb.Conforms(0, 1000) {
+	tb, _ := newTokenBucket(1e6, 50_000)
+	if !tb.conforms(0, 1000) {
 		t.Fatal("first packet marked")
 	}
 	// Idle 1s refills fully; then a 50KB burst in one instant conforms.
 	passed := 0
 	for i := 0; i < 60; i++ {
-		if tb.Conforms(time.Second, 1000) {
+		if tb.conforms(time.Second, 1000) {
 			passed++
 		}
 	}
@@ -62,10 +62,10 @@ func TestTokenBucketBurstAbsorbed(t *testing.T) {
 }
 
 func TestTokenBucketValidation(t *testing.T) {
-	if _, err := NewTokenBucket(0, 100); err == nil {
+	if _, err := newTokenBucket(0, 100); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, err := NewTokenBucket(100, 0); err == nil {
+	if _, err := newTokenBucket(100, 0); err == nil {
 		t.Error("zero burst accepted")
 	}
 }
@@ -102,8 +102,8 @@ func TestSwitchRateLimitFilter(t *testing.T) {
 	if v := sw.ProcessAt(3*time.Second, &s); v.FilterHit {
 		t.Error("TCP hit a UDP-scoped meter")
 	}
-	// RemoveFilter clears meters too.
-	if !sw.RemoveFilter(FilterKey{DstIP: victim, Proto: packet.IPProtocolUDP}) {
+	// removeFilter clears meters too.
+	if !sw.removeFilter(FilterKey{DstIP: victim, Proto: packet.IPProtocolUDP}) {
 		t.Error("meter removal failed")
 	}
 	s.Tuple.Proto = packet.IPProtocolUDP
@@ -122,12 +122,12 @@ func TestSwitchSourceOnlyFilter(t *testing.T) {
 		Proto: packet.IPProtocolTCP, SrcIP: scanner,
 		DstIP: netip.MustParseAddr("10.3.1.4"), SrcPort: 55555, DstPort: 22,
 	}}
-	if v := sw.Process(&s); v.Action != ActionDrop || !v.FilterHit {
+	if v := sw.ProcessAt(0, &s); v.Action != ActionDrop || !v.FilterHit {
 		t.Errorf("source filter missed: %+v", v)
 	}
 	// Different sources unaffected.
 	s.Tuple.SrcIP = netip.MustParseAddr("185.220.101.8")
-	if v := sw.Process(&s); v.Action == ActionDrop {
+	if v := sw.ProcessAt(0, &s); v.Action == ActionDrop {
 		t.Error("innocent source dropped")
 	}
 }

@@ -82,9 +82,9 @@ var (
 // the resources the published program consumes.
 func countEnsembleLoad(u EnsembleUsage) {
 	switch u.Mode {
-	case EnsemblePruned:
+	case ensemblePruned:
 		obsEnsLoadPruned.Inc()
-	case EnsembleFallback:
+	case ensembleFallback:
 		obsEnsLoadFallback.Inc()
 	default:
 		obsEnsLoadExact.Inc()

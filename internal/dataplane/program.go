@@ -25,24 +25,24 @@ type Field uint8
 const (
 	FieldWireLen Field = iota
 	FieldIsUDP
-	FieldIsTCP
-	FieldDstPort
+	fieldIsTCP
+	fieldDstPort
 	FieldSrcPort
-	FieldSynNoAck
-	FieldDNSResp
-	FieldDNSAny
-	FieldDNSAnswers
-	FieldTTL
-	NumFields
+	fieldSynNoAck
+	fieldDNSResp
+	fieldDNSAny
+	fieldDNSAnswers
+	fieldTTL
+	numFields
 )
 
-var fieldNames = [NumFields]string{
+var fieldNames = [numFields]string{
 	"wire_len", "is_udp", "is_tcp", "dst_port", "src_port",
 	"tcp_syn_noack", "dns_resp", "dns_any", "dns_answers", "ttl",
 }
 
 // fieldWidths in bits, for TCAM expansion accounting.
-var fieldWidths = [NumFields]int{16, 1, 1, 16, 16, 1, 1, 1, 8, 8}
+var fieldWidths = [numFields]int{16, 1, 1, 16, 16, 1, 1, 1, 8, 8}
 
 // String returns the field name.
 func (f Field) String() string {
@@ -52,8 +52,8 @@ func (f Field) String() string {
 	return fmt.Sprintf("field-%d", uint8(f))
 }
 
-// FieldByName resolves a features schema column to a Field.
-func FieldByName(name string) (Field, error) {
+// fieldByName resolves a features schema column to a Field.
+func fieldByName(name string) (Field, error) {
 	for i, n := range fieldNames {
 		if n == name {
 			return Field(i), nil
@@ -62,8 +62,8 @@ func FieldByName(name string) (Field, error) {
 	return 0, fmt.Errorf("dataplane: no matchable field %q", name)
 }
 
-// MaxValue returns the largest representable value for the field.
-func (f Field) MaxValue() uint32 {
+// maxValue returns the largest representable value for the field.
+func (f Field) maxValue() uint32 {
 	if int(f) >= len(fieldWidths) {
 		return 0
 	}
@@ -81,8 +81,8 @@ type RangeCond struct {
 	Hi    uint32 // inclusive
 }
 
-// Matches reports whether v satisfies the condition.
-func (c RangeCond) Matches(v uint32) bool { return v >= c.Lo && v <= c.Hi }
+// matches reports whether v satisfies the condition.
+func (c RangeCond) matches(v uint32) bool { return v >= c.Lo && v <= c.Hi }
 
 // prefixCount returns how many ternary (prefix) entries the range [lo,hi]
 // expands into — the classic TCAM range-expansion cost.
@@ -148,21 +148,21 @@ type Rule struct {
 	Confidence float64
 }
 
-// Matches evaluates the rule against a field vector.
-func (r *Rule) Matches(fv *FieldVector) bool {
+// matches evaluates the rule against a field vector.
+func (r *Rule) matches(fv *fieldVector) bool {
 	for _, c := range r.Conds {
-		if !c.Matches(fv.Get(c.Field)) {
+		if !c.matches(fv.get(c.Field)) {
 			return false
 		}
 	}
 	return true
 }
 
-// TCAMCost is the rule's naive single-table ternary expansion: the product
+// tcamCost is the rule's naive single-table ternary expansion: the product
 // of per-field prefix counts. This is what the rule would cost if matched
-// as one TCAM entry set; Program.TCAMCost uses the cheaper decomposed
+// as one TCAM entry set; Rule.tcamCost uses the cheaper decomposed
 // layout real tree-to-switch compilers emit.
-func (r *Rule) TCAMCost() int {
+func (r *Rule) tcamCost() int {
 	cost := 1
 	for _, c := range r.Conds {
 		cost *= prefixCount(c.Lo, c.Hi, fieldWidths[c.Field])
@@ -192,7 +192,7 @@ type Program struct {
 	Default ActionKind
 }
 
-// TCAMCost models the decomposed layout real tree-to-switch compilers
+// tcamCost models the decomposed layout real tree-to-switch compilers
 // (IIsy/Mousika-style) emit: one range-encoding table per matched field
 // (each interval between threshold cut points expands to prefixes —
 // additive across fields, not multiplicative), plus one exact-match
@@ -207,7 +207,7 @@ func (p *Program) TCAMCost() int {
 				cuts[c.Field] = m
 			}
 			m[c.Lo] = true
-			if c.Hi < c.Field.MaxValue() {
+			if c.Hi < c.Field.maxValue() {
 				m[c.Hi+1] = true
 			}
 		}
@@ -224,7 +224,7 @@ func (p *Program) TCAMCost() int {
 		sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
 		w := fieldWidths[f]
 		for i, lo := range points {
-			hi := f.MaxValue()
+			hi := f.maxValue()
 			if i+1 < len(points) {
 				hi = points[i+1] - 1
 			}
@@ -234,8 +234,8 @@ func (p *Program) TCAMCost() int {
 	return total
 }
 
-// MatchedFields returns the distinct fields the program matches on.
-func (p *Program) MatchedFields() int {
+// matchedFields returns the distinct fields the program matches on.
+func (p *Program) matchedFields() int {
 	seen := map[Field]bool{}
 	for i := range p.Rules {
 		for _, c := range p.Rules[i].Conds {
@@ -245,26 +245,15 @@ func (p *Program) MatchedFields() int {
 	return len(seen)
 }
 
-// StagesNeeded models the decomposed layout's pipeline depth: field
+// stagesNeeded models the decomposed layout's pipeline depth: field
 // range-encoding tables pack four to a stage (they are independent), plus
 // one verdict stage.
-func (p *Program) StagesNeeded() int {
-	f := p.MatchedFields()
+func (p *Program) stagesNeeded() int {
+	f := p.matchedFields()
 	if f == 0 && len(p.Rules) == 0 {
 		return 0
 	}
 	return (f+3)/4 + 1
-}
-
-// MaxCondsPerRule returns the widest conjunction in the program.
-func (p *Program) MaxCondsPerRule() int {
-	m := 0
-	for i := range p.Rules {
-		if len(p.Rules[i].Conds) > m {
-			m = len(p.Rules[i].Conds)
-		}
-	}
-	return m
 }
 
 // Resources is the switch resource budget, Tofino-flavoured defaults.
@@ -307,7 +296,7 @@ func (res Resources) Fit(programs ...*Program) FitReport {
 		rep.TCAMUsed += p.TCAMCost()
 		// Programs share stages via table packing, so the deepest
 		// program's pipeline bounds the stage requirement.
-		if s := p.StagesNeeded(); s > rep.StagesNeeded {
+		if s := p.stagesNeeded(); s > rep.StagesNeeded {
 			rep.StagesNeeded = s
 		}
 	}
@@ -324,7 +313,7 @@ func (res Resources) Fit(programs ...*Program) FitReport {
 // MaxConcurrent returns how many copies of prog fit the budget — the E4
 // scaling curve in one call.
 func (res Resources) MaxConcurrent(prog *Program) int {
-	if prog.StagesNeeded() > res.Stages {
+	if prog.stagesNeeded() > res.Stages {
 		return 0
 	}
 	cost := prog.TCAMCost()

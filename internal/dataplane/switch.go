@@ -14,40 +14,40 @@ import (
 	"campuslab/internal/packet"
 )
 
-// ErrTableFull reports a rule install rejected because the exact-match
+// errTableFull reports a rule install rejected because the exact-match
 // table budget is exhausted — a permanent condition until entries are
 // removed; retrying without freeing space cannot succeed.
-var ErrTableFull = errors.New("dataplane: filter table full")
+var errTableFull = errors.New("dataplane: filter table full")
 
-// ScanPathEnv, when set to a non-empty value, forces every switch created
+// scanPathEnv, when set to a non-empty value, forces every switch created
 // afterwards onto the linear-scan reference path (no DAG compilation) —
 // the escape hatch for bisecting a suspected fast-path divergence.
-const ScanPathEnv = "CAMPUSLAB_SCAN_PATH"
+const scanPathEnv = "CAMPUSLAB_SCAN_PATH"
 
-// FieldVector is the per-packet header view the pipeline matches on.
-type FieldVector struct {
-	vals [NumFields]uint32
+// fieldVector is the per-packet header view the pipeline matches on.
+type fieldVector struct {
+	vals [numFields]uint32
 }
 
-// Get returns the value of field f.
-func (fv *FieldVector) Get(f Field) uint32 { return fv.vals[f] }
+// get returns the value of field f.
+func (fv *fieldVector) get(f Field) uint32 { return fv.vals[f] }
 
-// Set assigns field f (tests and synthetic traffic).
-func (fv *FieldVector) Set(f Field, v uint32) { fv.vals[f] = v }
+// set assigns field f (tests and synthetic traffic).
+func (fv *fieldVector) set(f Field, v uint32) { fv.vals[f] = v }
 
-// FromSummary fills the vector from a parsed packet summary — the switch
+// fromSummary fills the vector from a parsed packet summary — the switch
 // "parser" stage.
-func (fv *FieldVector) FromSummary(s *packet.Summary) {
+func (fv *fieldVector) fromSummary(s *packet.Summary) {
 	fv.vals[FieldWireLen] = clampU32(s.WireLen)
 	fv.vals[FieldIsUDP] = b2u(s.HasUDP)
-	fv.vals[FieldIsTCP] = b2u(s.HasTCP)
-	fv.vals[FieldDstPort] = uint32(s.Tuple.DstPort)
+	fv.vals[fieldIsTCP] = b2u(s.HasTCP)
+	fv.vals[fieldDstPort] = uint32(s.Tuple.DstPort)
 	fv.vals[FieldSrcPort] = uint32(s.Tuple.SrcPort)
-	fv.vals[FieldSynNoAck] = b2u(s.HasTCP && s.TCPFlags.Has(packet.TCPSyn) && !s.TCPFlags.Has(packet.TCPAck))
-	fv.vals[FieldDNSResp] = b2u(s.IsDNS && s.DNSResponse)
-	fv.vals[FieldDNSAny] = b2u(s.IsDNS && s.DNSQueryType == packet.DNSTypeANY)
-	fv.vals[FieldDNSAnswers] = clampU32(s.DNSAnswerCnt)
-	fv.vals[FieldTTL] = uint32(s.TTL)
+	fv.vals[fieldSynNoAck] = b2u(s.HasTCP && s.TCPFlags.Has(packet.TCPSyn) && !s.TCPFlags.Has(packet.TCPAck))
+	fv.vals[fieldDNSResp] = b2u(s.IsDNS && s.DNSResponse)
+	fv.vals[fieldDNSAny] = b2u(s.IsDNS && s.DNSQueryType == packet.DNSTypeANY)
+	fv.vals[fieldDNSAnswers] = clampU32(s.DNSAnswerCnt)
+	fv.vals[fieldTTL] = uint32(s.TTL)
 }
 
 func b2u(b bool) uint32 {
@@ -128,7 +128,7 @@ func probeShapes(k FilterKey) uint8 {
 type filterEntry struct {
 	act      ActionKind
 	isFilter bool
-	meter    *TokenBucket
+	meter    *tokenBucket
 }
 
 // pipelineState is the switch's entire read-mostly state as one immutable
@@ -159,7 +159,7 @@ type pipelineState struct {
 // (filters already missed): the ensemble pipeline when one is installed,
 // else the rule program. Pure: no counters, no mutation. m is the calling
 // batch's ensemble memo, nil on the single-packet path.
-func (st *pipelineState) evalRules(fv *FieldVector, m *ensMemo) Verdict {
+func (st *pipelineState) evalRules(fv *fieldVector, m *ensMemo) Verdict {
 	if st.ens != nil {
 		return st.ens.eval(fv, m)
 	}
@@ -169,7 +169,7 @@ func (st *pipelineState) evalRules(fv *FieldVector, m *ensMemo) Verdict {
 	if st.prog != nil {
 		for i := range st.prog.Rules {
 			r := &st.prog.Rules[i]
-			if r.Matches(fv) {
+			if r.matches(fv) {
 				return Verdict{
 					Action: r.Action, Class: r.Class,
 					Confidence: r.Confidence, RuleIndex: i,
@@ -190,7 +190,7 @@ func (st *pipelineState) lookup(ts time.Duration, k FilterKey, wireLen int) (Ver
 	if e.isFilter {
 		return Verdict{Action: e.act, RuleIndex: -1, FilterHit: true}, true
 	}
-	if e.meter.Conforms(ts, wireLen) {
+	if e.meter.conforms(ts, wireLen) {
 		return Verdict{Action: ActionPermit, RuleIndex: -1, FilterHit: true}, true
 	}
 	return Verdict{Action: ActionDrop, RuleIndex: -1, FilterHit: true}, true
@@ -199,7 +199,7 @@ func (st *pipelineState) lookup(ts time.Duration, k FilterKey, wireLen int) (Ver
 // eval runs the full pipeline: runtime filters first (mitigations beat
 // classification), then meters, then the program. Meters aside, eval is
 // pure; counters are recorded separately by the caller.
-func (st *pipelineState) eval(ts time.Duration, s *packet.Summary, fv *FieldVector, m *ensMemo) Verdict {
+func (st *pipelineState) eval(ts time.Duration, s *packet.Summary, fv *fieldVector, m *ensMemo) Verdict {
 	if st.shapes != 0 {
 		t := &s.Tuple
 		if st.shapes&shapeFull != 0 {
@@ -258,9 +258,9 @@ type Switch struct {
 
 // NewSwitch creates a switch with the given resource budget. Setting the
 // CAMPUSLAB_SCAN_PATH environment variable forces the linear-scan
-// reference path (see also SetScanOnly).
+// reference path (see also setScanOnly).
 func NewSwitch(res Resources) *Switch {
-	sw := &Switch{res: res, scanOnly: os.Getenv(ScanPathEnv) != "", ctr: newSwitchCounters()}
+	sw := &Switch{res: res, scanOnly: os.Getenv(scanPathEnv) != "", ctr: newSwitchCounters()}
 	sw.state.Store(&pipelineState{table: map[FilterKey]filterEntry{}})
 	return sw
 }
@@ -339,9 +339,9 @@ func (sw *Switch) LoadEnsemble(ep *EnsembleProgram) error {
 	return nil
 }
 
-// UnloadEnsemble removes the ensemble stage (the rule program, if any,
+// unloadEnsemble removes the ensemble stage (the rule program, if any,
 // takes over again), reporting whether one was installed.
-func (sw *Switch) UnloadEnsemble() bool {
+func (sw *Switch) unloadEnsemble() bool {
 	sw.writeMu.Lock()
 	defer sw.writeMu.Unlock()
 	if sw.state.Load().ens == nil {
@@ -351,8 +351,8 @@ func (sw *Switch) UnloadEnsemble() bool {
 	return true
 }
 
-// EnsembleLoaded reports whether an ensemble pipeline is installed.
-func (sw *Switch) EnsembleLoaded() bool {
+// ensembleLoaded reports whether an ensemble pipeline is installed.
+func (sw *Switch) ensembleLoaded() bool {
 	return sw.state.Load().ens != nil
 }
 
@@ -368,7 +368,7 @@ func (sw *Switch) EnsembleInfo() (EnsembleUsage, bool) {
 	return st.ens.ep.usage.clone(), true
 }
 
-// cloneProgram deep-copies a program so neither the loader nor Program()
+// cloneProgram deep-copies a program so neither the loader nor program()
 // callers can mutate the rules the verdict path is executing.
 func cloneProgram(p *Program) *Program {
 	if p == nil {
@@ -382,22 +382,22 @@ func cloneProgram(p *Program) *Program {
 	return cp
 }
 
-// Program returns a copy of the loaded program (nil if none). Mutating
+// program returns a copy of the loaded program (nil if none). Mutating
 // the returned value never affects the running pipeline.
-func (sw *Switch) Program() *Program {
+func (sw *Switch) program() *Program {
 	return cloneProgram(sw.state.Load().prog)
 }
 
-// Compiled reports whether the active program runs on the compiled DAG
+// compiled reports whether the active program runs on the compiled DAG
 // fast path (false: linear-scan reference, by knob or compile fallback).
-func (sw *Switch) Compiled() bool {
+func (sw *Switch) compiled() bool {
 	return sw.state.Load().dag != nil
 }
 
-// SetScanOnly forces (or releases) the linear-scan reference path,
+// setScanOnly forces (or releases) the linear-scan reference path,
 // recompiling the currently loaded program accordingly — the knob the
 // equivalence tests and a suspicious operator flip.
-func (sw *Switch) SetScanOnly(scan bool) {
+func (sw *Switch) setScanOnly(scan bool) {
 	sw.writeMu.Lock()
 	defer sw.writeMu.Unlock()
 	sw.scanOnly = scan
@@ -449,7 +449,7 @@ func (sw *Switch) failInstall() error {
 
 // InstallFilter adds a runtime filter entry, honoring the exact-match
 // table budget. Errors are typed: injected faults classify via
-// faults.IsTransient/IsPermanent, table exhaustion is ErrTableFull
+// faults.IsTransient/IsPermanent, table exhaustion is errTableFull
 // (permanent — retrying cannot succeed until entries are removed).
 func (sw *Switch) InstallFilter(key FilterKey, action ActionKind) error {
 	sw.writeMu.Lock()
@@ -462,7 +462,7 @@ func (sw *Switch) InstallFilter(key FilterKey, action ActionKind) error {
 	exists := cur.table[key].isFilter
 	if !exists && cur.nFilters >= sw.res.ExactEntries {
 		obsInstallErr.Inc()
-		return fmt.Errorf("%w (%d entries)", ErrTableFull, sw.res.ExactEntries)
+		return fmt.Errorf("%w (%d entries)", errTableFull, sw.res.ExactEntries)
 	}
 	sw.mutate(func(next *pipelineState) {
 		e := next.table[key]
@@ -480,7 +480,7 @@ func (sw *Switch) InstallFilter(key FilterKey, action ActionKind) error {
 // passed within rateBps bytes/second (+burst) and dropped beyond — the
 // softer mitigation for victims that still need their protocol to work.
 func (sw *Switch) InstallRateLimit(key FilterKey, rateBps, burst float64) error {
-	tb, err := NewTokenBucket(rateBps, burst)
+	tb, err := newTokenBucket(rateBps, burst)
 	if err != nil {
 		return err
 	}
@@ -494,7 +494,7 @@ func (sw *Switch) InstallRateLimit(key FilterKey, rateBps, burst float64) error 
 	exists := cur.table[key].meter != nil
 	if !exists && cur.nFilters+cur.nMeters >= sw.res.ExactEntries {
 		obsMeterErr.Inc()
-		return fmt.Errorf("%w (%d entries)", ErrTableFull, sw.res.ExactEntries)
+		return fmt.Errorf("%w (%d entries)", errTableFull, sw.res.ExactEntries)
 	}
 	sw.mutate(func(next *pipelineState) {
 		e := next.table[key]
@@ -508,9 +508,9 @@ func (sw *Switch) InstallRateLimit(key FilterKey, rateBps, burst float64) error 
 	return nil
 }
 
-// RemoveFilter deletes a filter or meter entry, reporting whether it
+// removeFilter deletes a filter or meter entry, reporting whether it
 // existed.
-func (sw *Switch) RemoveFilter(key FilterKey) bool {
+func (sw *Switch) removeFilter(key FilterKey) bool {
 	sw.writeMu.Lock()
 	defer sw.writeMu.Unlock()
 	cur := sw.state.Load()
@@ -531,15 +531,11 @@ func (sw *Switch) RemoveFilter(key FilterKey) bool {
 	return true
 }
 
-// FilterCount returns the number of installed filters and meters.
-func (sw *Switch) FilterCount() int {
+// filterCount returns the number of installed filters and meters.
+func (sw *Switch) filterCount() int {
 	st := sw.state.Load()
 	return st.nFilters + st.nMeters
 }
-
-// Process runs one packet through the pipeline with no timestamp (meters
-// see t=0); prefer ProcessAt when replaying timed traffic.
-func (sw *Switch) Process(s *packet.Summary) Verdict { return sw.ProcessAt(0, s) }
 
 // ProcessAt runs one packet summary through the pipeline at time ts:
 // runtime filters first (mitigations beat classification), then meters,
@@ -547,18 +543,11 @@ func (sw *Switch) Process(s *packet.Summary) Verdict { return sw.ProcessAt(0, s)
 // allocation-free: one atomic state load plus atomic counter updates.
 func (sw *Switch) ProcessAt(ts time.Duration, s *packet.Summary) Verdict {
 	st := sw.state.Load()
-	var fv FieldVector
-	fv.FromSummary(s)
+	var fv fieldVector
+	fv.fromSummary(s)
 	v := st.eval(ts, s, &fv, nil)
 	sw.record(st, v)
 	return v
-}
-
-// ProcessBatch runs a batch through the pipeline with no timestamps,
-// returning newly allocated verdicts. The whole batch is served from one
-// state snapshot, amortizing the per-packet dispatch.
-func (sw *Switch) ProcessBatch(sums []packet.Summary) []Verdict {
-	return sw.ProcessBatchAt(nil, sums, make([]Verdict, 0, len(sums)))
 }
 
 // ProcessBatchAt runs a batch at per-packet timestamps (ts may be nil for
@@ -569,7 +558,7 @@ func (sw *Switch) ProcessBatch(sums []packet.Summary) []Verdict {
 // stage behind them is served through the batch's code-word memo.
 func (sw *Switch) ProcessBatchAt(ts []time.Duration, sums []packet.Summary, out []Verdict) []Verdict {
 	st := sw.state.Load()
-	var fv FieldVector
+	var fv fieldVector
 	var memo *ensMemo
 	if st.ens.memoizes() {
 		memo = new(ensMemo) // does not escape: the caller's stack, this batch
@@ -584,7 +573,7 @@ func (sw *Switch) ProcessBatchAt(ts []time.Duration, sums []packet.Summary, out 
 		if ts != nil {
 			t = ts[i]
 		}
-		fv.FromSummary(&sums[i])
+		fv.fromSummary(&sums[i])
 		v := st.eval(t, &sums[i], &fv, memo)
 		a := v.Action
 		if a > ActionPunt {
@@ -631,13 +620,13 @@ func (sw *Switch) ClassifyBatch(sums []*packet.Summary, out []Verdict) (uint64, 
 	if st.nMeters > 0 || sw.state.Load() != st {
 		return gen, false
 	}
-	var fv FieldVector
+	var fv fieldVector
 	var memo *ensMemo
 	if st.ens.memoizes() {
 		memo = new(ensMemo)
 	}
 	for i, s := range sums {
-		fv.FromSummary(s)
+		fv.fromSummary(s)
 		out[i] = st.eval(0, s, &fv, memo)
 	}
 	countBatch(st, len(sums), memo)
@@ -705,8 +694,8 @@ func (sw *Switch) Stats() SwitchStats {
 	return s
 }
 
-// ResetCounters zeroes all counters (not the tables).
-func (sw *Switch) ResetCounters() {
+// resetCounters zeroes all counters (not the tables).
+func (sw *Switch) resetCounters() {
 	sw.writeMu.Lock()
 	defer sw.writeMu.Unlock()
 	sw.ctr.permitted.Store(0)

@@ -24,21 +24,21 @@ var ErrOverloaded = errors.New("datastore: overloaded")
 type AdmitState int32
 
 const (
-	// AdmitAccept: occupancy below the shed watermark; everything lands.
-	AdmitAccept AdmitState = iota
-	// AdmitShed: occupancy between shed watermark and capacity;
+	// admitAccept: occupancy below the shed watermark; everything lands.
+	admitAccept AdmitState = iota
+	// admitShed: occupancy between shed watermark and capacity;
 	// low-priority (benign-labeled) frames are dropped, the rest land.
-	AdmitShed
-	// AdmitReject: at or beyond capacity; batches fail with ErrOverloaded.
-	AdmitReject
+	admitShed
+	// admitReject: at or beyond capacity; batches fail with ErrOverloaded.
+	admitReject
 )
 
 // String names the state.
 func (a AdmitState) String() string {
 	switch a {
-	case AdmitAccept:
+	case admitAccept:
 		return "accept"
-	case AdmitShed:
+	case admitShed:
 		return "shed"
 	default:
 		return "reject"
@@ -89,15 +89,15 @@ func (s *Store) admissionConfig() AdmissionConfig {
 	return s.admission
 }
 
-// AdmissionState reports the gate's posture at current occupancy.
-func (s *Store) AdmissionState() AdmitState {
+// admissionState reports the gate's posture at current occupancy.
+func (s *Store) admissionState() AdmitState {
 	return admitState(s.admissionConfig(), s.totPackets.Load(), s.totBytes.Load())
 }
 
 // admitState computes the posture from occupancy: the tightest cap wins.
 func admitState(cfg AdmissionConfig, packets, bytes uint64) AdmitState {
 	if !cfg.enabled() {
-		return AdmitAccept
+		return admitAccept
 	}
 	frac := 0.0
 	if cfg.MaxPackets > 0 {
@@ -110,11 +110,11 @@ func admitState(cfg AdmissionConfig, packets, bytes uint64) AdmitState {
 	}
 	switch {
 	case frac >= 1:
-		return AdmitReject
+		return admitReject
 	case frac >= cfg.ShedAt:
-		return AdmitShed
+		return admitShed
 	default:
-		return AdmitAccept
+		return admitAccept
 	}
 }
 
@@ -145,19 +145,19 @@ func (s *Store) admitBatch(frames []traffic.Frame, links []uint16) ([]traffic.Fr
 		// streaming collectors submit a trailing flush unconditionally,
 		// and failing it would report ErrOverloaded for data that was
 		// already acknowledged.
-		return frames, links, 0, AdmitAccept, nil
+		return frames, links, 0, admitAccept, nil
 	}
 	cfg := s.admissionConfig()
 	if !cfg.enabled() {
-		return frames, links, 0, AdmitAccept, nil
+		return frames, links, 0, admitAccept, nil
 	}
 	state := admitState(cfg, s.totPackets.Load(), s.totBytes.Load())
 	obsIngestState.Set(float64(state))
 	switch state {
-	case AdmitAccept:
+	case admitAccept:
 		obsIngestAdmitted.Add(uint64(len(frames)))
 		return frames, links, 0, state, nil
-	case AdmitReject:
+	case admitReject:
 		obsIngestRejected.Inc()
 		return nil, nil, 0, state, ErrOverloaded
 	}

@@ -28,7 +28,7 @@ func labeledFrames(n int) []traffic.Frame {
 
 func TestAdmissionDisabledByDefault(t *testing.T) {
 	st := New()
-	if got := st.AdmissionState(); got != AdmitAccept {
+	if got := st.admissionState(); got != admitAccept {
 		t.Fatalf("default state = %v, want accept", got)
 	}
 	r, err := st.AddBatchAdmit(labeledFrames(100), 1)
@@ -44,11 +44,11 @@ func TestAdmissionSheddingKeepsAttackEvidence(t *testing.T) {
 	// crosses the watermark and sheds benign frames.
 	st.SetAdmission(AdmissionConfig{MaxPackets: 200, ShedAt: 0.5})
 	r1, err := st.AddBatchAdmit(labeledFrames(80), 1)
-	if err != nil || r1.State != AdmitAccept || r1.Ingested != 80 {
+	if err != nil || r1.State != admitAccept || r1.Ingested != 80 {
 		t.Fatalf("batch 1 = %+v, %v", r1, err)
 	}
 	r2, err := st.AddBatchAdmit(labeledFrames(80), 1)
-	if err != nil || r2.State != AdmitAccept {
+	if err != nil || r2.State != admitAccept {
 		t.Fatalf("batch 2 = %+v, %v", r2, err)
 	}
 	// 160/200 = 80% ≥ 50%: shed mode. Benign half dropped, attacks kept.
@@ -56,7 +56,7 @@ func TestAdmissionSheddingKeepsAttackEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.State != AdmitShed {
+	if r3.State != admitShed {
 		t.Fatalf("state = %v, want shed", r3.State)
 	}
 	if r3.Ingested != 40 || r3.Shed != 40 {
@@ -85,14 +85,14 @@ func TestAdmissionRejectsAtCapacity(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
-	if r.State != AdmitReject || r.Ingested != 0 {
+	if r.State != admitReject || r.Ingested != 0 {
 		t.Fatalf("rejected batch = %+v", r)
 	}
 	if st.Stats().Packets != 100 {
 		t.Fatalf("store grew past cap: %d", st.Stats().Packets)
 	}
-	if st.AdmissionState() != AdmitReject {
-		t.Fatalf("state = %v, want reject", st.AdmissionState())
+	if st.admissionState() != admitReject {
+		t.Fatalf("state = %v, want reject", st.admissionState())
 	}
 }
 
@@ -115,14 +115,14 @@ func TestAdmissionReopensAfterEviction(t *testing.T) {
 	if _, err := st.AddBatchAdmit(frames, 1); err != nil {
 		t.Fatal(err)
 	}
-	if st.AdmissionState() != AdmitReject {
+	if st.admissionState() != admitReject {
 		t.Fatal("not at capacity")
 	}
 	// Retention reclaims the first half; the gate must reopen.
 	if n := st.EvictBefore(50 * time.Millisecond); n != 50 {
 		t.Fatalf("evicted %d, want 50", n)
 	}
-	if got := st.AdmissionState(); got != AdmitAccept {
+	if got := st.admissionState(); got != admitAccept {
 		t.Fatalf("state after eviction = %v, want accept", got)
 	}
 	r, err := st.AddBatchAdmit(labeledFrames(10), 1)
@@ -152,8 +152,8 @@ func TestAdmitStateThresholds(t *testing.T) {
 		packets uint64
 		want    AdmitState
 	}{
-		{0, AdmitAccept}, {84, AdmitAccept}, {85, AdmitShed},
-		{99, AdmitShed}, {100, AdmitReject}, {150, AdmitReject},
+		{0, admitAccept}, {84, admitAccept}, {85, admitShed},
+		{99, admitShed}, {100, admitReject}, {150, admitReject},
 	} {
 		if got := admitState(cfg, tc.packets, 0); got != tc.want {
 			t.Errorf("admitState(%d pkts) = %v, want %v", tc.packets, got, tc.want)
@@ -161,10 +161,10 @@ func TestAdmitStateThresholds(t *testing.T) {
 	}
 	// Tightest cap wins: bytes can reject even when packets accept.
 	both := AdmissionConfig{MaxPackets: 1000, MaxBytes: 100, ShedAt: 0.85}
-	if got := admitState(both, 10, 100); got != AdmitReject {
+	if got := admitState(both, 10, 100); got != admitReject {
 		t.Errorf("byte-bound state = %v, want reject", got)
 	}
-	for _, s := range []AdmitState{AdmitAccept, AdmitShed, AdmitReject} {
+	for _, s := range []AdmitState{admitAccept, admitShed, admitReject} {
 		if s.String() == "" {
 			t.Errorf("%d has empty String()", s)
 		}

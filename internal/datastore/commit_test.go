@@ -87,8 +87,8 @@ func TestLoadAtShardCountMatchesDefaultLoad(t *testing.T) {
 		for _, shards := range []int{1, 4, 16} {
 			for _, workers := range []int{1, 4} {
 				st := open(shards, workers)
-				if st.NumShards() != shards {
-					t.Fatalf("%s: load(shards=%d) built %d shards", c.name, shards, st.NumShards())
+				if st.numShards() != shards {
+					t.Fatalf("%s: load(shards=%d) built %d shards", c.name, shards, st.numShards())
 				}
 				got := loadFingerprint(t, st)
 				if !reflect.DeepEqual(want, got) {
@@ -118,7 +118,7 @@ func TestLoadChecksumAfterAppliedChunks(t *testing.T) {
 	snap[len(snap)-9] ^= 0x20
 	for _, shards := range []int{0, 4} {
 		st, err := load(bytes.NewReader(snap), shards, 2)
-		if !errors.Is(err, ErrChecksum) || st != nil {
+		if !errors.Is(err, errChecksum) || st != nil {
 			t.Fatalf("load(shards=%d) of a snapshot damaged in its last chunk = %v, %v; want nil, ErrChecksum", shards, st, err)
 		}
 	}
@@ -183,7 +183,7 @@ func TestTierWriteFailureChangesNothing(t *testing.T) {
 			name: "seal", legs: []leg{segWrite, manifestRename(2)},
 			prepare: func(t *testing.T, s, twin *Store) int {
 				addBoth(t, s, twin, frames[:500])
-				if _, err := s.SealHot(450); err != nil { // so there is a manifest to leave alone
+				if _, err := s.sealHot(450); err != nil { // so there is a manifest to leave alone
 					t.Fatal(err)
 				}
 				return 500
@@ -201,7 +201,7 @@ func TestTierWriteFailureChangesNothing(t *testing.T) {
 			prepare: func(t *testing.T, s, twin *Store) int {
 				addBoth(t, s, twin, frames[:500])
 				for _, keep := range []uint64{400, 300} {
-					if _, err := s.SealHot(keep); err != nil {
+					if _, err := s.sealHot(keep); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -216,7 +216,7 @@ func TestTierWriteFailureChangesNothing(t *testing.T) {
 			name: "retain", legs: []leg{manifestRename(1)},
 			prepare: func(t *testing.T, s, twin *Store) int {
 				addBoth(t, s, twin, frames[:500])
-				if _, err := s.SealHot(400); err != nil {
+				if _, err := s.sealHot(400); err != nil {
 					t.Fatal(err)
 				}
 				return 500
@@ -254,9 +254,9 @@ func TestTierWriteFailureChangesNothing(t *testing.T) {
 				}
 				failsBefore := obsTierWriteFails.Value()
 
-				s.SetFaultInjector(lg.inj())
+				s.setFaultInjector(lg.inj())
 				done, err := op.trigger(t, s, twin, at)
-				s.SetFaultInjector(nil)
+				s.setFaultInjector(nil)
 				if done {
 					t.Fatalf("%s went through despite the injected %s failure", op.name, lg.name)
 				}
@@ -432,7 +432,7 @@ func TestCommitTierRecomputesTotals(t *testing.T) {
 				}
 				lo, what = hi, "ingest"
 			case 2: // an explicit seal leaves undersized files, then a compaction
-				if _, err := s.SealHot(uint64(r.Intn(200))); err != nil {
+				if _, err := s.sealHot(uint64(r.Intn(200))); err != nil {
 					t.Fatal(err)
 				}
 				check("seal")

@@ -68,17 +68,12 @@ func TestCorrelateEventsLinksByAddressAndTime(t *testing.T) {
 
 func TestCorrelateEventsGapMeasured(t *testing.T) {
 	st := New()
-	buf := packet.NewSerializeBuffer()
-	err := packet.Serialize(buf,
+	f := traffic.Frame{TS: 10 * time.Second, Data: serializeFrame(t, nil,
 		&packet.Ethernet{EtherType: packet.EtherTypeIPv4},
 		&packet.IPv4{TTL: 64, Protocol: packet.IPProtocolTCP,
 			SrcIP: mustIP("10.0.0.1"), DstIP: mustIP("198.51.100.7")},
 		&packet.TCP{SrcPort: 1000, DstPort: 443, Flags: packet.TCPSyn},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := traffic.Frame{TS: 10 * time.Second, Data: append([]byte(nil), buf.Bytes()...)}
+	)}
 	st.IngestFrame(&f)
 	st.AddEvents([]eventlog.Event{{
 		TS: 12 * time.Second, Source: eventlog.SourceFirewall,

@@ -3,6 +3,7 @@ package datastore
 import (
 	"fmt"
 	"net/netip"
+	"sort"
 	"testing"
 	"time"
 
@@ -10,6 +11,32 @@ import (
 	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
 )
+
+// betweenWin is the window [from, to) with the range helpers' sentinels:
+// from <= 0 starts at the oldest packet and a negative `to` is unbounded.
+func betweenWin(from, to time.Duration) tsWin {
+	return tsWin{from: from, to: to, hasFrom: from > 0, hasTo: to >= 0}
+}
+
+// packetsBetween returns the packets in betweenWin(from, to) in time order,
+// through the store's windowed walk.
+func (s *Store) packetsBetween(from, to time.Duration) []StoredPacket {
+	var out []StoredPacket
+	s.scanRange(betweenWin(from, to), func(sp *StoredPacket) bool {
+		out = append(out, *sp)
+		return true
+	})
+	return out
+}
+
+// eventsBetween returns the stored sensor events in [from, to).
+func (s *Store) eventsBetween(from, to time.Duration) []eventlog.Event {
+	s.eventsMu.RLock()
+	defer s.eventsMu.RUnlock()
+	lo := sort.Search(len(s.events), func(i int) bool { return s.events[i].TS >= from })
+	hi := sort.Search(len(s.events), func(i int) bool { return s.events[i].TS >= to })
+	return append([]eventlog.Event(nil), s.events[lo:hi]...)
+}
 
 // fillStore ingests a small deterministic scenario: benign campus traffic
 // plus a DNS amplification episode.
@@ -42,29 +69,41 @@ func TestIngestAndStats(t *testing.T) {
 	if stats.BytesPerSecond() <= 0 {
 		t.Error("no accrual rate")
 	}
-	// Retention projection scales linearly.
-	day := stats.ProjectRetention(24 * time.Hour)
-	week := stats.ProjectRetention(7 * 24 * time.Hour)
-	if week < day*6 || week > day*8 {
-		t.Errorf("retention projection not linear: day=%d week=%d", day, week)
+}
+
+// serializeFrame writes payload and then layers (listed outermost first)
+// back to front the way the traffic generator does, arming an IPv4 layer's
+// addresses for the transport checksum.
+func serializeFrame(t testing.TB, payload []byte, layers ...interface {
+	SerializeTo(*packet.SerializeBuffer) error
+}) []byte {
+	t.Helper()
+	buf := packet.NewSerializeBuffer()
+	p, _ := buf.PrependBytes(len(payload))
+	copy(p, payload)
+	for _, l := range layers {
+		if ip, ok := l.(*packet.IPv4); ok {
+			buf.SetNetworkLayerForChecksum(ip.SrcIP, ip.DstIP)
+		}
 	}
+	for i := len(layers) - 1; i >= 0; i-- {
+		if err := layers[i].SerializeTo(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return append([]byte(nil), buf.Bytes()...)
 }
 
 func TestFlowAggregation(t *testing.T) {
 	st := New()
 	// Two packets, same flow, opposite directions.
-	buf := packet.NewSerializeBuffer()
 	mk := func(src, dst string, sport, dport uint16, flags packet.TCPFlags) []byte {
-		err := packet.Serialize(buf,
+		return serializeFrame(t, nil,
 			&packet.Ethernet{EtherType: packet.EtherTypeIPv4},
 			&packet.IPv4{TTL: 64, Protocol: packet.IPProtocolTCP,
 				SrcIP: netip.MustParseAddr(src), DstIP: netip.MustParseAddr(dst)},
 			&packet.TCP{SrcPort: sport, DstPort: dport, Flags: flags},
 		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append([]byte(nil), buf.Bytes()...)
 	}
 	st.IngestFrame(&traffic.Frame{Data: mk("10.0.0.1", "93.184.216.34", 5000, 443, packet.TCPSyn)})
 	st.IngestFrame(&traffic.Frame{TS: time.Millisecond, Data: mk("93.184.216.34", "10.0.0.1", 443, 5000, packet.TCPSyn|packet.TCPAck)})
@@ -101,7 +140,7 @@ func TestGroundTruthLabels(t *testing.T) {
 	if counts[traffic.LabelBenign] == 0 {
 		t.Fatal("no benign flows")
 	}
-	attacks := st.FlowsWhere(func(fm *FlowMeta) bool { return fm.Label == traffic.LabelDNSAmp })
+	attacks := st.flowsWhere(func(fm *FlowMeta) bool { return fm.Label == traffic.LabelDNSAmp }, false)
 	for _, fm := range attacks {
 		if !fm.Labeled {
 			t.Error("attack flow not marked labeled")
@@ -135,7 +174,7 @@ func TestEventsIntegration(t *testing.T) {
 	st := New()
 	evs := eventlog.NewGenerator(eventlog.GeneratorConfig{Source: eventlog.SourceFirewall, Rate: 10, Seed: 3}).Generate(10 * time.Second)
 	st.AddEvents(evs)
-	got := st.EventsBetween(2*time.Second, 4*time.Second)
+	got := st.eventsBetween(2*time.Second, 4*time.Second)
 	for _, e := range got {
 		if e.TS < 2*time.Second || e.TS >= 4*time.Second {
 			t.Fatalf("event at %v outside window", e.TS)
@@ -269,7 +308,7 @@ func TestSelectExprBadFilter(t *testing.T) {
 
 func TestPacketsBetween(t *testing.T) {
 	st := fillStore(t)
-	got := st.PacketsBetween(time.Second, 2*time.Second)
+	got := st.packetsBetween(time.Second, 2*time.Second)
 	if len(got) == 0 {
 		t.Fatal("no packets in window")
 	}
@@ -279,8 +318,8 @@ func TestPacketsBetween(t *testing.T) {
 		}
 	}
 	// Windows partition the stream.
-	a := len(st.PacketsBetween(0, 2*time.Second))
-	b := len(st.PacketsBetween(2*time.Second, 100*time.Second))
+	a := len(st.packetsBetween(0, 2*time.Second))
+	b := len(st.packetsBetween(2*time.Second, 100*time.Second))
 	if uint64(a+b) != st.Stats().Packets {
 		t.Errorf("window partition %d+%d != %d", a, b, st.Stats().Packets)
 	}
@@ -291,7 +330,7 @@ func TestIngestClampsReordering(t *testing.T) {
 	data := make([]byte, 60)
 	st.IngestFrame(&traffic.Frame{TS: 5 * time.Second, Data: data})
 	st.IngestFrame(&traffic.Frame{TS: 3 * time.Second, Data: data}) // out of order: clamped to 5s
-	pkts := st.PacketsBetween(0, 100*time.Second)
+	pkts := st.packetsBetween(0, 100*time.Second)
 	if len(pkts) != 2 || pkts[1].TS < pkts[0].TS {
 		t.Error("time index corrupted by reordered ingest")
 	}

@@ -132,7 +132,7 @@ func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, rs, fmt.Errorf("datastore: recover: %w", err)
 	}
-	RemoveStaleTemps(cfg.Dir, "snapshot*"+snapSuffix)
+	removeStaleTemps(cfg.Dir, "snapshot*"+snapSuffix)
 
 	snapPath, covered, haveSnap, err := findSnapshot(cfg.Dir)
 	if err != nil {
@@ -189,7 +189,7 @@ func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
 	// they are only covered once the next checkpoint lands.
 	w.records = records
 	w.bytes = walBytes
-	st.AttachWAL(w)
+	st.attachWAL(w)
 	if !clean {
 		// Seal a torn log immediately: the damaged segment stays on disk
 		// until a checkpoint covers it, and a LATER recovery would stop at
@@ -204,10 +204,10 @@ func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
 	return st, rs, nil
 }
 
-// AttachWAL routes every subsequent acked batch through w: the record is
+// attachWAL routes every subsequent acked batch through w: the record is
 // durable (per w's fsync policy) before the batch's first PacketID is
 // returned. Attach before concurrent ingest begins.
-func (s *Store) AttachWAL(w *WAL) {
+func (s *Store) attachWAL(w *WAL) {
 	s.ingestMu.Lock()
 	s.wal.Store(w)
 	s.ingestMu.Unlock()
@@ -223,7 +223,7 @@ type WALStats struct {
 	Records, Bytes uint64
 	// Segments is the live segment-file count.
 	Segments int
-	// Err is the sticky append/sync failure wedging the log (nil when
+	// stickyErr is the sticky append/sync failure wedging the log (nil when
 	// healthy). Non-nil means new data is NOT crash-safe.
 	Err error
 }
@@ -254,7 +254,7 @@ func (s *Store) FlushWAL() error {
 	if w == nil {
 		return nil
 	}
-	return w.Flush()
+	return w.flush()
 }
 
 // CheckpointDir is the one checkpoint: it writes into the durable
@@ -283,7 +283,7 @@ func (s *Store) CheckpointDir(dir string) error {
 		return err
 	}
 	if w != nil {
-		if err := w.Truncate(); err != nil {
+		if err := w.truncate(); err != nil {
 			return err
 		}
 	}
@@ -320,10 +320,10 @@ func (s *Store) CloseWAL() error {
 	return err
 }
 
-// RemoveStaleTemps sweeps temp files a killed publish left behind in dir
+// removeStaleTemps sweeps temp files a killed publish left behind in dir
 // (base+".tmp*" — see faults.PublishFile). Only call on directories this
 // package owns. Returns how many were removed.
-func RemoveStaleTemps(dir, base string) int {
+func removeStaleTemps(dir, base string) int {
 	matches, err := filepath.Glob(filepath.Join(dir, base+".tmp*"))
 	if err != nil {
 		return 0

@@ -28,8 +28,8 @@ import (
 //	unary   := '!' unary | '(' expr ')' | comparison | flag
 //	compare := field ('=='|'!='|'<'|'<='|'>'|'>='|'in') value
 
-// Predicate is a compiled filter.
-type Predicate func(*StoredPacket) bool
+// predicate is a compiled filter.
+type predicate func(*StoredPacket) bool
 
 // Filter is a parsed, compiled filter expression. A Filter is immutable
 // after ParseFilter returns and safe for concurrent use by any number of
@@ -37,17 +37,17 @@ type Predicate func(*StoredPacket) bool
 // across requests).
 type Filter struct {
 	expr string
-	pred Predicate
+	pred predicate
 	// plan is the query plan the index-assisted engine derived from the
 	// expression's AND-conjuncts (see plan.go).
 	plan queryPlan
 }
 
-// Expr returns the original expression text.
-func (f *Filter) Expr() string { return f.expr }
+// source returns the original expression text.
+func (f *Filter) source() string { return f.expr }
 
-// Match reports whether sp satisfies the filter.
-func (f *Filter) Match(sp *StoredPacket) bool { return f.pred(sp) }
+// match reports whether sp satisfies the filter.
+func (f *Filter) match(sp *StoredPacket) bool { return f.pred(sp) }
 
 // Indexable reports whether the planner found at least one posting-list
 // conjunct in the expression — i.e. whether the index-assisted path is
@@ -183,7 +183,7 @@ func classifyWord(w string) token {
 // node carries a compiled predicate plus structural info for time-bound
 // extraction and planning.
 type node struct {
-	pred Predicate
+	pred predicate
 	// and-children for bound extraction; comparisons on ts fill tsCmp.
 	kind  string // "and", "or", "not", "cmp", "flag"
 	kids  []*node
@@ -480,7 +480,7 @@ func qtypeNode(op string, val token) (*node, error) {
 	}}, nil
 }
 
-func ordPredicate(op string, get func(*StoredPacket) int64, want int64) (Predicate, error) {
+func ordPredicate(op string, get func(*StoredPacket) int64, want int64) (predicate, error) {
 	switch op {
 	case "==":
 		return func(sp *StoredPacket) bool { return get(sp) == want }, nil

@@ -135,10 +135,10 @@ func TestParseSegmentRefusesVersion1(t *testing.T) {
 	binary.LittleEndian.PutUint16(relabelled[4:6], 1)
 	binary.LittleEndian.PutUint32(relabelled[44:48], frame.Sum(relabelled[:44]))
 	for name, b := range map[string][]byte{"v1 blob": formatFixture(t, "seg-v1.clsg"), "v1 header": relabelled} {
-		if _, err := parseSegment(b); !errors.Is(err, ErrSegmentCorrupt) {
+		if _, err := parseSegment(b); !errors.Is(err, errSegmentCorrupt) {
 			t.Errorf("%s: parseSegment err = %v, want ErrSegmentCorrupt", name, err)
 		}
-		if _, err := openSegMeta(b); !errors.Is(err, ErrSegmentCorrupt) {
+		if _, err := openSegMeta(b); !errors.Is(err, errSegmentCorrupt) {
 			t.Errorf("%s: attach err = %v, want ErrSegmentCorrupt", name, err)
 		}
 	}

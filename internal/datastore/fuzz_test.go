@@ -94,14 +94,14 @@ func FuzzParseFilter(f *testing.F) {
 		if err1 != nil {
 			return
 		}
-		if f1.Expr() != expr {
-			t.Fatalf("Expr() = %q, want %q", f1.Expr(), expr)
+		if f1.source() != expr {
+			t.Fatalf("Expr() = %q, want %q", f1.source(), expr)
 		}
 		if f1.Indexable() != f2.Indexable() || len(f1.plan.keys) != len(f2.plan.keys) || f1.plan.win != f2.plan.win {
 			t.Fatalf("plan not deterministic for %q", expr)
 		}
 		for _, sp := range fuzzEvalPackets() {
-			if f1.Match(sp) != f2.Match(sp) {
+			if f1.match(sp) != f2.match(sp) {
 				t.Fatalf("match not deterministic for %q on packet %d", expr, sp.ID)
 			}
 		}

@@ -57,17 +57,17 @@ const (
 // ErrBadSnapshot reports a corrupt or incompatible snapshot stream.
 var ErrBadSnapshot = errors.New("datastore: bad snapshot")
 
-// ErrChecksum reports a snapshot whose section checksum does not match —
+// errChecksum reports a snapshot whose section checksum does not match —
 // truncation or bit rot. It wraps ErrBadSnapshot, so errors.Is works
 // against either sentinel.
-var ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
+var errChecksum = fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 
-// SetFaultInjector points the write/sync/rename steps of every file the
+// setFaultInjector points the write/sync/rename steps of every file the
 // store publishes — snapshots, cold segments and the tier manifest — at a
 // fault injector (nil restores always-healthy), so crash-safety tests can
 // kill a save, a seal or a compaction midway. Set it while the store is
 // quiescent.
-func (s *Store) SetFaultInjector(inj faults.Injector) {
+func (s *Store) setFaultInjector(inj faults.Injector) {
 	s.persistFaults = inj
 	if tr := s.tier.Load(); tr != nil {
 		tr.faults = inj
@@ -384,18 +384,18 @@ func checkCRC(r io.Reader, cr *crcReader, section string) error {
 		return fmt.Errorf("%w: %s crc: %v", ErrBadSnapshot, section, err)
 	}
 	if stored := binary.LittleEndian.Uint32(b[:]); stored != sum {
-		return fmt.Errorf("%w: %s section (stored %08x, computed %08x)", ErrChecksum, section, stored, sum)
+		return fmt.Errorf("%w: %s section (stored %08x, computed %08x)", errChecksum, section, stored, sum)
 	}
 	return nil
 }
 
 // Load reads a snapshot into a fresh store, re-ingesting every packet so
 // all indexes and flow metadata are rebuilt. Truncated or corrupt
-// snapshots return an error wrapping ErrBadSnapshot (ErrChecksum for
+// snapshots return an error wrapping ErrBadSnapshot (errChecksum for
 // checksum mismatches) — never a silently wrong store.
 func Load(r io.Reader) (*Store, error) { return load(r, 0, 0) }
 
-// load is Load into a store of the given shard count (0 = DefaultShards),
+// load is Load into a store of the given shard count (0 = defaultShards),
 // applying packets through addBatch — the function WAL replay applies
 // through — one arena chunk of records at a time with the given parse
 // fan-out (0 = GOMAXPROCS). A snapshot holds the same bytes at any shard
@@ -551,7 +551,7 @@ func load(r io.Reader, shards, workers int) (*Store, error) {
 }
 
 // SaveFile writes a crash-safe snapshot to path through
-// faults.PublishFile: a crash (or a fault injected via SetFaultInjector)
+// faults.PublishFile: a crash (or a fault injected via setFaultInjector)
 // at any point leaves either the old snapshot or the new one at path —
 // never a truncated hybrid.
 func (s *Store) SaveFile(path string) error {

@@ -46,8 +46,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("query counts differ: %d vs %d", st.Count(f), got.Count(f))
 	}
 	// Packet bytes identical in order.
-	orig := st.PacketsBetween(0, 1<<62)
-	loaded := got.PacketsBetween(0, 1<<62)
+	orig := st.packetsBetween(0, 1<<62)
+	loaded := got.packetsBetween(0, 1<<62)
 	if len(orig) != len(loaded) {
 		t.Fatal("packet counts differ")
 	}
@@ -60,7 +60,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Events identical.
-	oe, le := st.EventsBetween(0, 1<<62), got.EventsBetween(0, 1<<62)
+	oe, le := st.eventsBetween(0, 1<<62), got.eventsBetween(0, 1<<62)
 	for i := range oe {
 		if oe[i].TS != le[i].TS || oe[i].Message != le[i].Message || oe[i].Host != le[i].Host {
 			t.Fatalf("event %d differs", i)
@@ -148,10 +148,10 @@ func TestLoadDetectsBitFlips(t *testing.T) {
 		}
 	}
 	// A flip in the middle of packet payload bytes is only catchable by
-	// the checksum: verify it reports as ErrChecksum specifically.
+	// the checksum: verify it reports as errChecksum specifically.
 	mut := append([]byte(nil), full...)
 	mut[len(full)/3] ^= 0x01
-	if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrBadSnapshot) {
+	if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, errChecksum) && !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("payload flip: want typed corruption error, got %v", err)
 	}
 }
@@ -206,8 +206,8 @@ func TestCrashMidSaveLeavesOldSnapshot(t *testing.T) {
 	}
 	for _, k := range kills {
 		t.Run(k.name, func(t *testing.T) {
-			bigger.SetFaultInjector(k.inj)
-			defer bigger.SetFaultInjector(nil)
+			bigger.setFaultInjector(k.inj)
+			defer bigger.setFaultInjector(nil)
 			if err := bigger.SaveFile(path); err == nil {
 				t.Fatal("injected crash did not surface as an error")
 			}
@@ -230,7 +230,7 @@ func TestCrashMidSaveLeavesOldSnapshot(t *testing.T) {
 
 	// After the faults clear, the same store saves fine and the new
 	// snapshot replaces the old one atomically.
-	bigger.SetFaultInjector(nil)
+	bigger.setFaultInjector(nil)
 	if err := bigger.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

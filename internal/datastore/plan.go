@@ -28,13 +28,6 @@ type tsWin struct {
 	hasFrom, hasTo bool
 }
 
-// betweenWin is the window of the public [from, to) range calls, which
-// keep their documented sentinels: from <= 0 starts at the oldest packet
-// and a negative `to` is unbounded.
-func betweenWin(from, to time.Duration) tsWin {
-	return tsWin{from: from, to: to, hasFrom: from > 0, hasTo: to >= 0}
-}
-
 func (w *tsWin) clipFrom(v time.Duration) {
 	if !w.hasFrom || v > w.from {
 		w.from, w.hasFrom = v, true
@@ -113,7 +106,7 @@ type queryPlan struct {
 	// residual is the conjunction of the conjuncts neither a posting list
 	// nor the window states exactly. nil means candidates inside the
 	// window need no re-check.
-	residual Predicate
+	residual predicate
 }
 
 // selectivityFactor: a shard takes the index path only when its smallest
@@ -130,7 +123,7 @@ func buildPlan(root *node) queryPlan {
 	var conjuncts []*node
 	collectConjuncts(root, &conjuncts)
 	var p queryPlan
-	var resid []Predicate
+	var resid []predicate
 	for _, c := range conjuncts {
 		switch {
 		case c.key.kind != ixNone:

@@ -167,7 +167,7 @@ func (s *Store) Select(f *Filter, limit int) []StoredPacket {
 func (s *Store) selectScan(f *Filter, limit int) []StoredPacket {
 	var out []StoredPacket
 	s.scanRange(f.plan.win, func(sp *StoredPacket) bool {
-		if f.Match(sp) {
+		if f.match(sp) {
 			out = append(out, *sp)
 			if limit > 0 && len(out) >= limit {
 				return false
@@ -228,7 +228,7 @@ func (s *Store) Count(f *Filter) int {
 func (s *Store) countScan(f *Filter) int {
 	n := 0
 	s.scanRange(tsWin{}, func(sp *StoredPacket) bool {
-		if f.Match(sp) {
+		if f.match(sp) {
 			n++
 		}
 		return true
@@ -256,16 +256,6 @@ func (s *Store) CountExpr(expr string) (int, error) {
 	return s.Count(f), nil
 }
 
-// PacketsBetween returns packets in [from, to), via the time index.
-func (s *Store) PacketsBetween(from, to time.Duration) []StoredPacket {
-	var out []StoredPacket
-	s.scanRange(betweenWin(from, to), func(sp *StoredPacket) bool {
-		out = append(out, *sp)
-		return true
-	})
-	return out
-}
-
 // Scan streams every stored packet through visit in time order, stopping
 // early if visit returns false. It holds the shard read locks for the
 // duration; visitors must be fast and must not call back into the store.
@@ -273,21 +263,10 @@ func (s *Store) Scan(visit func(*StoredPacket) bool) {
 	s.scanRange(tsWin{}, visit)
 }
 
-// FlowsWhere returns flow metadata satisfying pred, ordered by first TS.
-// The returned metas carry no per-flow packet IDs (PacketIDs reports nil)
-// — skipping that deep copy keeps predicate-driven listings cheap; use
-// FlowsWhereIDs when the IDs are needed. pred runs concurrently across
-// shards, so it must be safe for concurrent calls (any pure function is).
-func (s *Store) FlowsWhere(pred func(*FlowMeta) bool) []FlowMeta {
-	return s.flowsWhere(pred, false)
-}
-
-// FlowsWhereIDs is FlowsWhere with each flow's packet-ID list deep-copied
-// into the result.
-func (s *Store) FlowsWhereIDs(pred func(*FlowMeta) bool) []FlowMeta {
-	return s.flowsWhere(pred, true)
-}
-
+// flowsWhere returns flow metadata satisfying pred, ordered by first TS,
+// with each flow's packet-ID list deep-copied only when withIDs is set.
+// pred runs concurrently across shards, so it must be safe for concurrent
+// calls (any pure function is).
 func (s *Store) flowsWhere(pred func(*FlowMeta) bool, withIDs bool) []FlowMeta {
 	unlock := s.rlockAll()
 	partial := make([][]FlowMeta, len(s.shards))

@@ -62,14 +62,18 @@ func genQueryAtom(r *rand.Rand) string {
 // dataplane's DAG≡scan property test.
 func TestPlannerScanPropertyEquivalence(t *testing.T) {
 	frames := equivFrames(t)
-	for _, shards := range []int{1, 4, 16} {
+	shardCases, exprs := []int{1, 4, 16}, 120
+	if raceEnabled { // the race gates cover concurrency; one shard count and half the expressions are the budget here
+		shardCases, exprs = []int{4}, 60
+	}
+	for _, shards := range shardCases {
 		st := NewSharded(shards)
 		st.AddBatch(frames, 4)
 		for _, workers := range []int{1, 4} {
 			st.SetQueryWorkers(workers)
 			r := rand.New(rand.NewSource(int64(1000*shards + workers)))
 			indexedHits := 0
-			for i := 0; i < 120; i++ {
+			for i := 0; i < exprs; i++ {
 				expr := genQueryExpr(r, 3)
 				f, err := ParseFilter(expr)
 				if err != nil {

@@ -122,7 +122,7 @@ func TestRunContract(t *testing.T) {
 					f := MustFilter(strings.Join(keys, " && "))
 					var want []uint32
 					for i := lo; i < hi; i++ {
-						if f.Match(&rows[i]) {
+						if f.match(&rows[i]) {
 							want = append(want, uint32(i))
 						}
 					}
@@ -130,7 +130,7 @@ func TestRunContract(t *testing.T) {
 					for _, k := range keys {
 						kf, m := MustFilter(k), 0
 						for i := lo; i < hi; i++ {
-							if kf.Match(&rows[i]) {
+							if kf.match(&rows[i]) {
 								m++
 							}
 						}
@@ -143,10 +143,10 @@ func TestRunContract(t *testing.T) {
 					}
 					got, ok := r.candidates(&f.plan, lo, hi)
 					if ok != wantOK {
-						t.Fatalf("%q over [%d, %d): ok = %v, want %v (shortest list %d)", f.Expr(), lo, hi, ok, wantOK, shortest)
+						t.Fatalf("%q over [%d, %d): ok = %v, want %v (shortest list %d)", f.source(), lo, hi, ok, wantOK, shortest)
 					}
 					if ok && !slices.Equal(got, want) {
-						t.Fatalf("%q over [%d, %d): %d candidates, brute force finds %d", f.Expr(), lo, hi, len(got), len(want))
+						t.Fatalf("%q over [%d, %d): %d candidates, brute force finds %d", f.source(), lo, hi, len(got), len(want))
 					}
 					if ok {
 						taken++
@@ -202,11 +202,11 @@ func TestEachMaterialisesOnlyWhatItMust(t *testing.T) {
 				keys := MustFilter("udp")
 				walked := 0
 				for i := range rows {
-					if !keys.Match(&rows[i]) {
+					if !keys.match(&rows[i]) {
 						continue
 					}
 					walked++
-					if f.Match(&rows[i]) {
+					if f.match(&rows[i]) {
 						if n++; n == k {
 							kth = walked
 						}
@@ -348,7 +348,7 @@ func TestColdRunFailureDegradesAlike(t *testing.T) {
 	if err := s.EnableTiering(TierPolicy{Dir: dir, SegmentPackets: 2048, CacheBytes: 64 << 20}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SealHot(0); err != nil {
+	if _, err := s.sealHot(0); err != nil {
 		t.Fatal(err)
 	}
 	s.SetQueryWorkers(1)
@@ -394,7 +394,7 @@ func TestColdRunFailureDegradesAlike(t *testing.T) {
 	before := s.TierStats()
 	got := s.Select(f, 0)
 	ts := s.TierStats()
-	if ts.CorruptSegments != before.CorruptSegments+1 || !errors.Is(ts.Err, ErrSegmentCorrupt) {
+	if ts.CorruptSegments != before.CorruptSegments+1 || !errors.Is(ts.Err, errSegmentCorrupt) {
 		t.Fatalf("Select noted the failing run %d times (err %v), want once", ts.CorruptSegments-before.CorruptSegments, ts.Err)
 	}
 	if ts.CacheHits == before.CacheHits {

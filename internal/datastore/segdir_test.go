@@ -165,7 +165,7 @@ func TestTierCacheMixedLRU(t *testing.T) {
 func coldOnly(t *testing.T, pol TierPolicy) *Store {
 	t.Helper()
 	s := ingestTiered(t, 4, 1, pol)
-	if _, err := s.SealHot(0); err != nil {
+	if _, err := s.sealHot(0); err != nil {
 		t.Fatal(err)
 	}
 	s.SetQueryWorkers(1)
@@ -331,7 +331,7 @@ func TestSegDirCorruptColumnCachesNothing(t *testing.T) {
 			if err := s.EnableTiering(TierPolicy{Dir: dir, SegmentPackets: 1 << 20, CacheBytes: 64 << 20}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.SealHot(0); err != nil {
+			if _, err := s.sealHot(0); err != nil {
 				t.Fatal(err)
 			}
 			segs, err := filepath.Glob(filepath.Join(dir, "seg-*"+segSuffix))
@@ -346,7 +346,7 @@ func TestSegDirCorruptColumnCachesNothing(t *testing.T) {
 					t.Fatalf("round %d: counted %d rows out of a corrupt segment", round, n)
 				}
 				ts := s.TierStats()
-				if !errors.Is(ts.Err, ErrSegmentCorrupt) || ts.CorruptSegments != uint64(round+1) {
+				if !errors.Is(ts.Err, errSegmentCorrupt) || ts.CorruptSegments != uint64(round+1) {
 					t.Fatalf("round %d: corruption not surfaced typed, once per query: err %v, corrupt %d", round, ts.Err, ts.CorruptSegments)
 				}
 				if ts.DirEntries != 0 || ts.DirBytes != 0 || ts.CacheEntries != 0 || ts.DirMisses != uint64(round+1) {
@@ -442,7 +442,7 @@ func TestColdSelectLimitStopsDecoding(t *testing.T) {
 	if err := s.EnableTiering(TierPolicy{Dir: t.TempDir(), SegmentPackets: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SealHot(0); err != nil {
+	if _, err := s.sealHot(0); err != nil {
 		t.Fatal(err)
 	}
 	s.SetQueryWorkers(1)

@@ -51,7 +51,7 @@ import (
 //
 // The version field is 2. Version 1 (one DEFLATE stream for the whole data
 // column, no dict column) is no longer written or read: parseSegment
-// answers it, like any other version, with ErrSegmentCorrupt.
+// answers it, like any other version, with errSegmentCorrupt.
 //
 // Per-packet Summary metadata is NOT stored: decode re-parses the raw
 // bytes with the same allocation-free parser ingest used, which is
@@ -64,7 +64,7 @@ import (
 // Every decode validates structure strictly (sorted runs, total
 // partitions, exact column lengths, no trailing bytes) and every
 // corruption — CRC mismatch, truncation, bit flips — surfaces as an error
-// wrapping ErrSegmentCorrupt, never a panic or a silently wrong row.
+// wrapping errSegmentCorrupt, never a panic or a silently wrong row.
 
 const (
 	segMagic    = "CLSG"
@@ -91,12 +91,12 @@ const (
 	segMaxPacket = frame.MaxRecordData
 )
 
-// ErrSegmentCorrupt reports a segment that failed structural or checksum
+// errSegmentCorrupt reports a segment that failed structural or checksum
 // validation. Every decode error wraps it.
-var ErrSegmentCorrupt = errors.New("datastore: corrupt segment")
+var errSegmentCorrupt = errors.New("datastore: corrupt segment")
 
 func segErr(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrSegmentCorrupt, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%w: %s", errSegmentCorrupt, fmt.Sprintf(format, args...))
 }
 
 // zigzag maps signed deltas onto unsigned varint space.

@@ -36,7 +36,7 @@ func fuzzSeedSegment(n int) []byte {
 }
 
 // FuzzSegmentDecode: for arbitrary bytes, the segment decoder must never
-// panic; a failed decode must return a typed ErrSegmentCorrupt; and a
+// panic; a failed decode must return a typed errSegmentCorrupt; and a
 // successful decode must be a logical fixpoint — re-encoding the decoded
 // rows and decoding again yields identical rows. (Byte identity is only
 // guaranteed for encoder-canonical inputs: DEFLATE admits more than one
@@ -65,7 +65,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, err := decodeSegmentRows(data)
 		if err != nil {
-			if !errors.Is(err, ErrSegmentCorrupt) {
+			if !errors.Is(err, errSegmentCorrupt) {
 				t.Fatalf("decode error does not wrap ErrSegmentCorrupt: %v", err)
 			}
 			return

@@ -94,7 +94,7 @@ func TestSegmentEncodeRejectsUnsorted(t *testing.T) {
 }
 
 // TestSegmentCorruptionDetected: single-bit damage anywhere in the blob
-// must surface as a typed ErrSegmentCorrupt — never a panic, never
+// must surface as a typed errSegmentCorrupt — never a panic, never
 // silently wrong rows.
 func TestSegmentCorruptionDetected(t *testing.T) {
 	rows := segTestRows(t, 400)
@@ -107,7 +107,7 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 		mut[off] ^= 0x40
 		if _, err := decodeSegmentRows(mut); err == nil {
 			t.Fatalf("flip at offset %d/%d not detected", off, len(blob))
-		} else if !errors.Is(err, ErrSegmentCorrupt) {
+		} else if !errors.Is(err, errSegmentCorrupt) {
 			t.Fatalf("flip at offset %d: error does not wrap ErrSegmentCorrupt: %v", off, err)
 		}
 	}
@@ -120,11 +120,11 @@ func TestSegmentTruncationDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(blob); cut += 11 {
-		if _, err := decodeSegmentRows(blob[:cut]); !errors.Is(err, ErrSegmentCorrupt) {
+		if _, err := decodeSegmentRows(blob[:cut]); !errors.Is(err, errSegmentCorrupt) {
 			t.Fatalf("truncation at %d/%d not detected (err %v)", cut, len(blob), err)
 		}
 	}
-	if _, err := decodeSegmentRows(append(append([]byte(nil), blob...), 0)); !errors.Is(err, ErrSegmentCorrupt) {
+	if _, err := decodeSegmentRows(append(append([]byte(nil), blob...), 0)); !errors.Is(err, errSegmentCorrupt) {
 		t.Fatal("trailing garbage not detected")
 	}
 }
@@ -197,7 +197,7 @@ func TestSegmentSelectiveDecodeSkipsData(t *testing.T) {
 	}
 	want := 0
 	for i := range rows {
-		if f.Match(&rows[i]) {
+		if f.match(&rows[i]) {
 			want++
 		}
 	}
@@ -213,7 +213,7 @@ func TestSegmentSelectiveDecodeSkipsData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range got {
-		if !f.Match(&r) {
+		if !f.match(&r) {
 			t.Fatalf("materialized candidate %d does not match", i)
 		}
 	}

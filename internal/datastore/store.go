@@ -164,11 +164,11 @@ type Store struct {
 	tier atomic.Pointer[tier]
 }
 
-// ScanQueryEnv, when set to any non-empty value, makes every new Store
+// scanQueryEnv, when set to any non-empty value, makes every new Store
 // answer queries through the serial full-scan reference path instead of
 // the index-assisted planner — the query-engine counterpart of the
 // dataplane's CAMPUSLAB_SCAN_PATH knob.
-const ScanQueryEnv = "CAMPUSLAB_SCAN_QUERY"
+const scanQueryEnv = "CAMPUSLAB_SCAN_QUERY"
 
 // SetScanQuery forces (or releases) the serial full-scan reference path
 // for Select/Count. Results are identical either way; the knob exists so
@@ -184,10 +184,10 @@ func (s *Store) SetQueryWorkers(n int) { s.queryWorkers.Store(int32(n)) }
 // private scratch parser without per-packet allocation.
 var parserPool = sync.Pool{New: func() any { return packet.NewFlowParser() }}
 
-// DefaultShards is the shard count New uses: GOMAXPROCS rounded up to a
+// defaultShards is the shard count New uses: GOMAXPROCS rounded up to a
 // power of two, capped at 16 (past that, merge cost outweighs lock spread
 // at campus scale).
-func DefaultShards() int {
+func defaultShards() int {
 	n := parallel.Workers(0)
 	if n > 16 {
 		n = 16
@@ -203,15 +203,15 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// New returns an empty store with DefaultShards shards.
+// New returns an empty store with defaultShards shards.
 func New() *Store { return NewSharded(0) }
 
 // NewSharded returns an empty store with n shards (rounded up to a power
-// of two; n<=0 means DefaultShards). Results of every query are identical
+// of two; n<=0 means defaultShards). Results of every query are identical
 // at any shard count.
 func NewSharded(n int) *Store {
 	if n <= 0 {
-		n = DefaultShards()
+		n = defaultShards()
 	}
 	if n > 256 {
 		n = 256
@@ -222,12 +222,12 @@ func NewSharded(n int) *Store {
 		s.shards[i] = &shard{flows: make(map[FlowKey]*FlowMeta), index: newPostings()}
 	}
 	s.lastTS.Store(int64(-1 << 62))
-	s.scanQuery.Store(os.Getenv(ScanQueryEnv) != "")
+	s.scanQuery.Store(os.Getenv(scanQueryEnv) != "")
 	return s
 }
 
-// NumShards returns the shard count.
-func (s *Store) NumShards() int { return len(s.shards) }
+// numShards returns the shard count.
+func (s *Store) numShards() int { return len(s.shards) }
 
 // shardFor routes a parsed packet: flows hash to a fixed shard so per-flow
 // state never crosses shards; non-IP packets spread round-robin by ID.
@@ -703,17 +703,6 @@ func (s *Store) AddEvents(evs []eventlog.Event) {
 	}
 }
 
-// EventsBetween returns sensor events in [from, to).
-func (s *Store) EventsBetween(from, to time.Duration) []eventlog.Event {
-	s.eventsMu.RLock()
-	defer s.eventsMu.RUnlock()
-	lo := sort.Search(len(s.events), func(i int) bool { return s.events[i].TS >= from })
-	hi := sort.Search(len(s.events), func(i int) bool { return s.events[i].TS >= to })
-	out := make([]eventlog.Event, hi-lo)
-	copy(out, s.events[lo:hi])
-	return out
-}
-
 // Stats describes store volume — the E7 storage-accounting surface.
 // Packets/DataBytes/IndexBytes describe the hot tier (the RAM-resident
 // bytes the admission gate meters); the Cold* fields describe sealed
@@ -732,23 +721,16 @@ type Stats struct {
 	Segments    uint64
 }
 
-// TotalBytes is data plus index plus cold segments — the full footprint
+// totalBytes is data plus index plus cold segments — the full footprint
 // across both tiers (identical to the old definition when tiering is off).
-func (st Stats) TotalBytes() uint64 { return st.DataBytes + st.IndexBytes + st.ColdBytes }
+func (st Stats) totalBytes() uint64 { return st.DataBytes + st.IndexBytes + st.ColdBytes }
 
 // BytesPerSecond returns the storage accrual rate over the stored span.
 func (st Stats) BytesPerSecond() float64 {
 	if st.Span <= 0 {
 		return 0
 	}
-	return float64(st.TotalBytes()) / st.Span.Seconds()
-}
-
-// ProjectRetention extrapolates the bytes needed to retain dur of traffic
-// at the observed accrual rate (the paper's "10 Gbps upstream, data
-// storage requirements of the order of a week" estimate).
-func (st Stats) ProjectRetention(dur time.Duration) uint64 {
-	return uint64(st.BytesPerSecond() * dur.Seconds())
+	return float64(st.totalBytes()) / st.Span.Seconds()
 }
 
 // Stats returns current volume accounting.
@@ -808,7 +790,7 @@ func (s *Store) Stats() Stats {
 // TierPolicy's Retain horizon, enforced by the compactor).
 func (s *Store) EvictBefore(ts time.Duration) int {
 	if tr := s.tier.Load(); tr != nil {
-		n, _ := s.SealBefore(ts)
+		n, _ := s.sealBefore(ts)
 		return n
 	}
 	total := 0

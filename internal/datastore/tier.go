@@ -166,7 +166,7 @@ type tier struct {
 	policy TierPolicy
 	// cache is the block-and-directory LRU (nil when CacheBytes == 0).
 	cache *tierCache
-	// faults mirrors the store's injector (SetFaultInjector; nil = healthy).
+	// faults mirrors the store's injector (setFaultInjector; nil = healthy).
 	faults faults.Injector
 
 	// sealMu serializes every cold-tier mutation (seal/compact/retain).
@@ -368,8 +368,8 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 	if err := os.MkdirAll(pol.Dir, 0o755); err != nil {
 		return err
 	}
-	RemoveStaleTemps(pol.Dir, tierManifestName)
-	RemoveStaleTemps(pol.Dir, "seg-*"+segSuffix)
+	removeStaleTemps(pol.Dir, tierManifestName)
+	removeStaleTemps(pol.Dir, "seg-*"+segSuffix)
 	sealedBelow, nextSeq, names, ok, err := loadManifest(pol.Dir)
 	if err != nil {
 		return err
@@ -528,10 +528,10 @@ func (s *Store) maybeSeal() {
 	_, _ = s.sealTo(tr, PacketID(sealed+eligible), false)
 }
 
-// SealHot seals every hot packet except the newest keepRecent into cold
+// sealHot seals every hot packet except the newest keepRecent into cold
 // segments, returning the number sealed. Manual counterpart of the
 // automatic policy trigger (tests, shutdown flush, operators).
-func (s *Store) SealHot(keepRecent uint64) (int, error) {
+func (s *Store) sealHot(keepRecent uint64) (int, error) {
 	tr := s.tier.Load()
 	if tr == nil {
 		return 0, nil
@@ -543,10 +543,10 @@ func (s *Store) SealHot(keepRecent uint64) (int, error) {
 	return s.sealTo(tr, PacketID(next-keepRecent), true)
 }
 
-// SealBefore seals all packets with TS < ts (plus any later-stamped
+// sealBefore seals all packets with TS < ts (plus any later-stamped
 // packets whose IDs interleave below the covering watermark — harmless,
 // they just go cold early). Returns the number of hot packets sealed.
-func (s *Store) SealBefore(ts time.Duration) (int, error) {
+func (s *Store) sealBefore(ts time.Duration) (int, error) {
 	tr := s.tier.Load()
 	if tr == nil {
 		return 0, nil

@@ -69,7 +69,7 @@ func coldBenchStore(b *testing.B, key coldBenchKey) *Store {
 	if _, err := st.AddBatch(tierBenchFrames(), 0); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := st.SealHot(0); err != nil {
+	if _, err := st.sealHot(0); err != nil {
 		b.Fatal(err)
 	}
 	coldBenchStores.Store(key, st)
@@ -91,7 +91,7 @@ func BenchmarkSeal(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		n, err := st.SealHot(0)
+		n, err := st.sealHot(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkEncodeSegment(b *testing.B) {
 			if _, err := st.AddBatch(c.frames(), 0); err != nil {
 				b.Fatal(err)
 			}
-			rows := st.PacketsBetween(0, -1)
+			rows := st.packetsBetween(0, -1)
 			if len(rows) < 8192 {
 				b.Fatalf("episode holds %d rows, need 8192", len(rows))
 			}
@@ -310,7 +310,7 @@ func BenchmarkColdCount(b *testing.B) {
 }
 
 // BenchmarkEvictBefore pins the untiered eviction path (per-shard slab cut
-// + full posting trim): the tiered EvictBefore routes to SealBefore, so
+// + full posting trim): the tiered EvictBefore routes to sealBefore, so
 // this guards the legacy drop path against regressions.
 func BenchmarkEvictBefore(b *testing.B) {
 	frames := tierBenchFrames()

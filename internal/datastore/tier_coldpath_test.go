@@ -135,8 +135,8 @@ func TestTierFormatEquivalence(t *testing.T) {
 					}
 
 					for _, w := range [][2]time.Duration{{0, span / 4}, {span / 4, 3 * span / 4}, {span / 2, -1}} {
-						a := ref.PacketsBetween(w[0], w[1])
-						b := s.PacketsBetween(w[0], w[1])
+						a := ref.packetsBetween(w[0], w[1])
+						b := s.packetsBetween(w[0], w[1])
 						if !reflect.DeepEqual(a, b) {
 							t.Fatalf("PacketsBetween(%v,%v) differs: %d vs %d rows", w[0], w[1], len(a), len(b))
 						}

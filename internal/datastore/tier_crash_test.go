@@ -45,7 +45,7 @@ func tierCrashPrepare(st *Store, stage string) error {
 		keeps = []uint64{100}
 	}
 	for _, keep := range keeps {
-		if _, err := st.SealHot(keep); err != nil {
+		if _, err := st.sealHot(keep); err != nil {
 			return err
 		}
 	}
@@ -60,7 +60,7 @@ func tierCrashMutate(st *Store, stage string) (err error) {
 	case strings.HasPrefix(stage, "retain-"):
 		_, err = st.RetainCold(tierCrashRetainBefore)
 	default:
-		_, err = st.SealHot(50)
+		_, err = st.sealHot(50)
 	}
 	return err
 }
@@ -212,7 +212,7 @@ func TestTierCrashKill9(t *testing.T) {
 
 			// The recovered store must keep working: a fresh seal on top of
 			// whatever generation survived, then a final full check.
-			if _, err := st.SealHot(20); err != nil {
+			if _, err := st.sealHot(20); err != nil {
 				t.Fatalf("post-recovery seal: %v", err)
 			}
 			if ts := st.TierStats(); ts.ColdPackets == 0 {

@@ -62,7 +62,7 @@ func TestTierIngestSealQueryRace(t *testing.T) {
 				return
 			case <-time.After(time.Millisecond):
 			}
-			s.SealHot(256)
+			s.sealHot(256)
 			s.CompactTier()
 		}
 	}()
@@ -198,7 +198,7 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 				return
 			case <-time.After(time.Millisecond):
 			}
-			s.SealHot(256)
+			s.sealHot(256)
 			s.CompactTier()
 		}
 	}()
@@ -229,7 +229,7 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 					return
 				}
 				lastMeta = m
-				s.PacketsBetween(0, -1)
+				s.packetsBetween(0, -1)
 			}
 		}()
 	}

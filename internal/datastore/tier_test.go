@@ -68,7 +68,7 @@ func ingestTiered(t *testing.T, shards, workers int, pol TierPolicy) *Store {
 func flushUndersized(t *testing.T, s *Store) {
 	t.Helper()
 	for _, keep := range []uint64{128, 64} {
-		if _, err := s.SealHot(keep); err != nil {
+		if _, err := s.sealHot(keep); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,8 +195,8 @@ func TestTieredStoreEquivalence(t *testing.T) {
 			// Time-window surface across the seal boundary.
 			span := want.scan[len(want.scan)-1].TS
 			for _, w := range [][2]time.Duration{{0, span / 3}, {span / 3, 2 * span / 3}, {span / 2, -1}} {
-				a := ref.PacketsBetween(w[0], w[1])
-				b := s.PacketsBetween(w[0], w[1])
+				a := ref.packetsBetween(w[0], w[1])
+				b := s.packetsBetween(w[0], w[1])
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("%s: PacketsBetween(%v,%v) differs: %d vs %d rows", name, w[0], w[1], len(a), len(b))
 				}
@@ -229,7 +229,7 @@ func TestTieredStoreEquivalence(t *testing.T) {
 }
 
 // TestTierSealStats: manual sealing moves packets cold, Stats separates
-// the tiers, and TotalBytes/Span keep covering both.
+// the tiers, and totalBytes/Span keep covering both.
 func TestTierSealStats(t *testing.T) {
 	s := ingestTiered(t, 4, 1, TierPolicy{})
 	pre := s.Stats()
@@ -237,7 +237,7 @@ func TestTierSealStats(t *testing.T) {
 	if err := s.EnableTiering(TierPolicy{Dir: dir, SegmentPackets: 256}); err != nil {
 		t.Fatal(err)
 	}
-	moved, err := s.SealHot(100)
+	moved, err := s.sealHot(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestTierSealStats(t *testing.T) {
 	if st.DataBytes >= pre.DataBytes {
 		t.Fatal("hot data bytes did not shrink after seal")
 	}
-	if st.TotalBytes() != st.DataBytes+st.IndexBytes+st.ColdBytes {
+	if st.totalBytes() != st.DataBytes+st.IndexBytes+st.ColdBytes {
 		t.Fatal("TotalBytes must include the cold tier")
 	}
 	if st.Span != pre.Span || st.Flows != pre.Flows {
@@ -297,7 +297,7 @@ func TestEvictBeforeSealAware(t *testing.T) {
 // the flows that ended inside them) once they age out.
 func TestRetainColdDropsHistory(t *testing.T) {
 	s := ingestTiered(t, 4, 1, aggressiveTier(t.TempDir()))
-	if _, err := s.SealHot(0); err != nil { // everything cold
+	if _, err := s.sealHot(0); err != nil { // everything cold
 		t.Fatal(err)
 	}
 	pre := s.TierStats()
@@ -353,10 +353,10 @@ func TestCompactTierMergesSmallSegments(t *testing.T) {
 	if err := s.EnableTiering(TierPolicy{Dir: t.TempDir(), SegmentPackets: 1024, MinSealPackets: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Seal in thin slices: each SealHot call moves ~total/8 packets.
+	// Seal in thin slices: each sealHot call moves ~total/8 packets.
 	total := want.total
 	for keep := total * 7 / 8; ; keep -= total / 8 {
-		if _, err := s.SealHot(keep); err != nil {
+		if _, err := s.sealHot(keep); err != nil {
 			t.Fatal(err)
 		}
 		if keep == 0 {
@@ -460,7 +460,7 @@ func TestTierCorruptSegmentDegradesLoudly(t *testing.T) {
 	if err := s.EnableTiering(TierPolicy{Dir: dir, SegmentPackets: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SealHot(100); err != nil {
+	if _, err := s.sealHot(100); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*"+segSuffix))
@@ -484,7 +484,7 @@ func TestTierCorruptSegmentDegradesLoudly(t *testing.T) {
 	if ts.Err == nil || ts.CorruptSegments == 0 {
 		t.Fatalf("corruption not surfaced: %+v", ts)
 	}
-	if !errors.Is(ts.Err, ErrSegmentCorrupt) {
+	if !errors.Is(ts.Err, errSegmentCorrupt) {
 		t.Fatalf("sticky error should wrap ErrSegmentCorrupt, got %v", ts.Err)
 	}
 }

@@ -50,11 +50,11 @@ const (
 	walSyncAfter = 16
 )
 
-// ErrWALCorrupt reports a write-ahead-log segment whose tail (or body)
+// errWALCorrupt reports a write-ahead-log segment whose tail (or body)
 // failed validation. Replay treats corruption as end-of-log — the error is
 // surfaced in RecoveryStats, not returned — so this sentinel is mainly for
 // the explicit segment-inspection paths and tests.
-var ErrWALCorrupt = errors.New("datastore: wal corrupt")
+var errWALCorrupt = errors.New("datastore: wal corrupt")
 
 // FsyncPolicy selects how eagerly the WAL syncs appends to stable storage.
 type FsyncPolicy int
@@ -65,7 +65,7 @@ const (
 	// acked batch survives an immediate power cut. The safest and
 	// slowest policy.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs every walSyncAfter appends (and on Flush/rotate/
+	// FsyncInterval syncs every walSyncAfter appends (and on flush/rotate/
 	// truncate): a crash loses at most the unsynced suffix of acked
 	// batches on power loss, nothing on a process kill (the OS still has
 	// the writes). The operational default.
@@ -336,9 +336,9 @@ func (w *WAL) rotate() error {
 	return nil
 }
 
-// Flush syncs any unsynced appends (SIGTERM drains call this before the
+// flush syncs any unsynced appends (SIGTERM drains call this before the
 // final snapshot).
-func (w *WAL) Flush() error {
+func (w *WAL) flush() error {
 	if w.err != nil {
 		return w.err
 	}
@@ -348,12 +348,12 @@ func (w *WAL) Flush() error {
 	return w.sync()
 }
 
-// Truncate drops every segment older than the current one and restarts
+// truncate drops every segment older than the current one and restarts
 // the current one empty — called after a successful checkpoint, whose
 // snapshot now covers everything the log held. The caller must guarantee
 // no record appended after the snapshot's cut is discarded; the Store does
 // so by holding its ingest mutex across checkpoint and truncation.
-func (w *WAL) Truncate() error {
+func (w *WAL) truncate() error {
 	if w.err != nil {
 		return w.err
 	}
@@ -394,7 +394,7 @@ func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	ferr := w.Flush()
+	ferr := w.flush()
 	cerr := w.f.Close()
 	w.f = nil
 	if ferr != nil {
@@ -403,17 +403,17 @@ func (w *WAL) Close() error {
 	return cerr
 }
 
-// Err returns the sticky append/sync failure, if any. A non-nil Err means
+// stickyErr returns the sticky append/sync failure, if any. A non-nil stickyErr means
 // durability is degraded: in-memory ingest continues but new data is not
 // crash-safe. Healthz surfaces this.
-func (w *WAL) Err() error { return w.err }
+func (w *WAL) stickyErr() error { return w.err }
 
 // decodeWALRecord parses one record payload. Corruption returns
-// ErrWALCorrupt (wrapped) — never a panic, whatever the bytes.
+// errWALCorrupt (wrapped) — never a panic, whatever the bytes.
 func decodeWALRecord(payload []byte) ([]traffic.Frame, []uint16, error) {
 	frames, links, err := frame.DecodeRecords(payload)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrWALCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: %v", errWALCorrupt, err)
 	}
 	return frames, links, nil
 }

@@ -253,7 +253,7 @@ func TestWALTruncateResetsLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Truncate(); err != nil {
+	if err := w.truncate(); err != nil {
 		t.Fatal(err)
 	}
 	if w.records != 0 || w.bytes != 0 {
@@ -321,7 +321,7 @@ func TestDecodeRecordNeverPanics(t *testing.T) {
 		{1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0}, // short frame header
 	}
 	for i, payload := range cases {
-		if _, _, err := decodeWALRecord(payload); !errors.Is(err, ErrWALCorrupt) {
+		if _, _, err := decodeWALRecord(payload); !errors.Is(err, errWALCorrupt) {
 			t.Errorf("case %d: want ErrWALCorrupt, got %v", i, err)
 		}
 	}
@@ -530,8 +530,8 @@ func TestRecoverReshards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.CloseWAL()
-	if st2.NumShards() != 8 {
-		t.Fatalf("shards = %d, want 8", st2.NumShards())
+	if st2.numShards() != 8 {
+		t.Fatalf("shards = %d, want 8", st2.numShards())
 	}
 	if st2.Stats().Packets != 32 {
 		t.Fatalf("packets = %d, want 32", st2.Stats().Packets)
@@ -550,10 +550,10 @@ func TestWALStickyError(t *testing.T) {
 	if err := w.Append(walFrames(1, 1), nil); err == nil {
 		t.Fatal("append on closed file succeeded")
 	}
-	if w.Err() == nil {
+	if w.stickyErr() == nil {
 		t.Fatal("sticky error not set")
 	}
-	if err := w.Append(walFrames(1, 2), nil); !errors.Is(err, w.Err()) {
+	if err := w.Append(walFrames(1, 2), nil); !errors.Is(err, w.stickyErr()) {
 		t.Fatal("wedged log accepted another append")
 	}
 }
@@ -599,7 +599,7 @@ func TestCheckpointCrashBeforeTruncateNoDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash mid-checkpoint: replicate CheckpointDir up to and including
-	// the snapshot rename, then die before Truncate runs.
+	// the snapshot rename, then die before truncate runs.
 	w := st.wal.Load()
 	if err := st.SaveFile(filepath.Join(dir, snapName(w.seq))); err != nil {
 		t.Fatal(err)
@@ -752,7 +752,7 @@ func TestRemoveStaleTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := RemoveStaleTemps(dir, "snapshot.clds"); n != 2 {
+	if n := removeStaleTemps(dir, "snapshot.clds"); n != 2 {
 		t.Fatalf("removed %d temps, want 2", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "other.file")); err != nil {

@@ -20,7 +20,7 @@ type Source uint8
 const (
 	SourceSyslog Source = iota
 	SourceFirewall
-	SourceConfig
+	sourceConfig
 	SourceIDS
 	numSources
 )
@@ -42,8 +42,8 @@ type Severity uint8
 const (
 	SevInfo Severity = iota
 	SevWarning
-	SevError
-	SevCritical
+	sevError
+	sevCritical
 )
 
 // String returns the severity name.
@@ -53,7 +53,7 @@ func (s Severity) String() string {
 		return "info"
 	case SevWarning:
 		return "warning"
-	case SevError:
+	case sevError:
 		return "error"
 	default:
 		return "critical"
@@ -119,10 +119,10 @@ var syslogTemplates = []struct {
 	{SevInfo, "sshd: accepted publickey for %s"},
 	{SevWarning, "sshd: failed password for invalid user %s"},
 	{SevInfo, "systemd: started nightly backup job"},
-	{SevError, "nginx: upstream timed out while reading response"},
+	{sevError, "nginx: upstream timed out while reading response"},
 	{SevWarning, "kernel: nf_conntrack table 90%% full"},
 	{SevInfo, "dhcpd: DHCPACK on 10.4.12.%s"},
-	{SevCritical, "raid: degraded array md0, disk %s failed"},
+	{sevCritical, "raid: degraded array md0, disk %s failed"},
 }
 
 var firewallTemplates = []struct {
@@ -132,7 +132,7 @@ var firewallTemplates = []struct {
 	{SevInfo, "allow tcp %s:443"},
 	{SevWarning, "deny tcp %s:23 (policy: no-telnet)"},
 	{SevWarning, "deny udp %s:161 external snmp probe"},
-	{SevError, "rate-limit triggered for %s"},
+	{sevError, "rate-limit triggered for %s"},
 }
 
 var users = []string{"alice", "bob", "carol", "dave", "svc-ci", "guest"}
@@ -160,7 +160,7 @@ func (g *Generator) Generate(dur time.Duration) []Event {
 			tpl := firewallTemplates[g.rng.Intn(len(firewallTemplates))]
 			ev.Severity = tpl.sev
 			ev.Message = fmt.Sprintf(tpl.msg, fmt.Sprintf("198.51.100.%d", g.rng.Intn(255)))
-		case SourceConfig:
+		case sourceConfig:
 			ev.Severity = SevInfo
 			ev.Message = fmt.Sprintf("config commit %08x by netops", g.rng.Uint32())
 		case SourceIDS:
@@ -233,11 +233,11 @@ func (s *Synchronizer) Correct(sensorTS time.Duration) time.Duration {
 	return time.Duration((sensorTS.Seconds() - s.offset.Seconds()) / slope * float64(time.Second))
 }
 
-// Model returns the fitted offset and drift (ns/s).
-func (s *Synchronizer) Model() (offset time.Duration, drift float64) { return s.offset, s.drift }
+// model returns the fitted offset and drift (ns/s).
+func (s *Synchronizer) model() (offset time.Duration, drift float64) { return s.offset, s.drift }
 
-// MergeSorted merges multiple event slices into one stream ordered by TS.
-func MergeSorted(streams ...[]Event) []Event {
+// mergeSorted merges multiple event slices into one stream ordered by TS.
+func mergeSorted(streams ...[]Event) []Event {
 	var out []Event
 	for _, s := range streams {
 		out = append(out, s...)
@@ -246,9 +246,9 @@ func MergeSorted(streams ...[]Event) []Event {
 	return out
 }
 
-// Grep returns events whose message contains the substring, a primitive
+// grep returns events whose message contains the substring, a primitive
 // the data store's query layer builds on.
-func Grep(events []Event, substr string) []Event {
+func grep(events []Event, substr string) []Event {
 	var out []Event
 	for _, e := range events {
 		if strings.Contains(e.Message, substr) {

@@ -63,7 +63,7 @@ func TestSynchronizerFitsOffsetAndDrift(t *testing.T) {
 	if err := sync.Fit(sensor, capture); err != nil {
 		t.Fatal(err)
 	}
-	offset, drift := sync.Model()
+	offset, drift := sync.model()
 	if offset < 2900*time.Millisecond || offset > 3100*time.Millisecond {
 		t.Errorf("offset = %v, want ~3s", offset)
 	}
@@ -114,7 +114,7 @@ func TestSynchronizerErrors(t *testing.T) {
 func TestMergeSortedAndGrep(t *testing.T) {
 	a := NewGenerator(GeneratorConfig{Source: SourceSyslog, Rate: 5, Seed: 1}).Generate(30 * time.Second)
 	b := NewGenerator(GeneratorConfig{Source: SourceFirewall, Rate: 5, Seed: 2}).Generate(30 * time.Second)
-	merged := MergeSorted(a, b)
+	merged := mergeSorted(a, b)
 	if len(merged) != len(a)+len(b) {
 		t.Fatal("merge lost events")
 	}
@@ -123,7 +123,7 @@ func TestMergeSortedAndGrep(t *testing.T) {
 			t.Fatal("merged stream out of order")
 		}
 	}
-	denies := Grep(merged, "deny")
+	denies := grep(merged, "deny")
 	if len(denies) == 0 {
 		t.Error("no deny events found in firewall stream")
 	}
@@ -135,7 +135,7 @@ func TestMergeSortedAndGrep(t *testing.T) {
 }
 
 func TestSourceSeverityStrings(t *testing.T) {
-	if SourceFirewall.String() != "firewall" || SevCritical.String() != "critical" {
+	if SourceFirewall.String() != "firewall" || sevCritical.String() != "critical" {
 		t.Error("names wrong")
 	}
 }

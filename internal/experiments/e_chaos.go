@@ -8,14 +8,14 @@ import (
 	"campuslab/internal/faults"
 )
 
-// E14ChaosLoop replays the E5 DNS-amplification episode under injected
+// e14ChaosLoop replays the E5 DNS-amplification episode under injected
 // faults — transient install failures, a full install outage, and a
 // data-plane inference blackout that trips the circuit breaker — and
 // measures what §4's operator actually cares about: does the loop still
 // mitigate the right victim, how much later, and at what collateral cost.
 // All fault schedules are seeded and deterministic; the healthy rows are
 // byte-identical to a run with no injector at all.
-func E14ChaosLoop() (*Table, error) {
+func e14ChaosLoop() (*Table, error) {
 	fx := newFixture()
 	_, dep, err := fx.developedLab()
 	if err != nil {
@@ -62,7 +62,7 @@ func E14ChaosLoop() (*Table, error) {
 		case len(stats.Mitigations) == 0 && cfg.Tier != control.TierDataPlane:
 			verdict = "FAIL: never mitigated"
 		}
-		t.AddRow(name, pct(stats.DetectionRecall()), pct(stats.CollateralRate()), reaction,
+		t.addRow(name, pct(stats.DetectionRecall()), pct(stats.CollateralRate()), reaction,
 			fmt.Sprintf("%d", stats.InstallRetries), fmt.Sprintf("%d", stats.BreakerTrips),
 			fmt.Sprintf("%d", stats.FallbackInferences), fmt.Sprintf("%d", stats.DroppedMitigations),
 			fmt.Sprintf("%d", falseVictims), verdict)

@@ -9,7 +9,7 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// E19ColdQueryFastPath re-runs the E17 25x stream against two cold tiers
+// e19ColdQueryFastPath re-runs the E17 25x stream against two cold tiers
 // — block-compressed + dictionary (v2) segments read cold every time, and
 // the same segments behind the tier cache (decoded blocks plus resident
 // segment directories) — and substantiates the fast-path claims:
@@ -25,7 +25,7 @@ import (
 //     answered from the segment directories alone — on the cached tier
 //     every directory is a hit and no data block is looked up, let alone
 //     inflated (latency reported, the block traffic asserted).
-func E19ColdQueryFastPath() (*Table, error) {
+func e19ColdQueryFastPath() (*Table, error) {
 	t := &Table{
 		ID:      "E19",
 		Title:   "cold-tier query fast path: block decode, dictionaries, cache",
@@ -139,14 +139,14 @@ func E19ColdQueryFastPath() (*Table, error) {
 	misses := post.CacheMisses - pre.CacheMisses
 	hitRate := float64(hits) / float64(max(1, int(hits+misses)))
 
-	t.AddRow("cold selective Select", lats[0].String(), lats[1].String(),
+	t.addRow("cold selective Select", lats[0].String(), lats[1].String(),
 		"oldest-window needle, best of 3", "report")
 
 	cacheOutcome := fmt.Sprintf("PASS: %.0f%% served from cache", 100*hitRate)
 	if hitRate < 0.5 {
 		cacheOutcome = fmt.Sprintf("FAIL: hit rate %.0f%% < 50%%", 100*hitRate)
 	}
-	t.AddRow("cache hit rate", "", fmt.Sprintf("%d/%d", hits, hits+misses),
+	t.addRow("cache hit rate", "", fmt.Sprintf("%d/%d", hits, hits+misses),
 		fmt.Sprintf("%s resident, %d blocks", fmtBytes(uint64(post.CacheBytes)), post.CacheEntries),
 		cacheOutcome)
 
@@ -176,7 +176,7 @@ func E19ColdQueryFastPath() (*Table, error) {
 		clats[i] = best
 	}
 	post = cached.TierStats()
-	t.AddRow("cold windowed Count", clats[0].String(), clats[1].String(),
+	t.addRow("cold windowed Count", clats[0].String(), clats[1].String(),
 		fmt.Sprintf("%d matches, best of 3", want), "report")
 	dirHits, dirMisses := post.DirHits-pre.DirHits, post.DirMisses-pre.DirMisses
 	blockLookups := (post.CacheHits - pre.CacheHits) + (post.CacheMisses - pre.CacheMisses)
@@ -184,7 +184,7 @@ func E19ColdQueryFastPath() (*Table, error) {
 	if dirHits == 0 || dirMisses != 0 || blockLookups != 0 {
 		dirOutcome = fmt.Sprintf("FAIL: %d directory hits, %d built, %d block lookups", dirHits, dirMisses, blockLookups)
 	}
-	t.AddRow("Count from directories", "", fmt.Sprintf("%d/%d", dirHits, dirHits+dirMisses),
+	t.addRow("Count from directories", "", fmt.Sprintf("%d/%d", dirHits, dirHits+dirMisses),
 		fmt.Sprintf("%s resident in %d directories", fmtBytes(uint64(post.DirBytes)), post.DirEntries), dirOutcome)
 
 	t.Notes = append(t.Notes,
@@ -210,7 +210,7 @@ func tierEquivRow19(t *Table, name string, st, ref *datastore.Store, ingested in
 			cells[i] = cell
 		}
 	}
-	t.AddRow("equivalence "+name, cells[0], cells[1],
+	t.addRow("equivalence "+name, cells[0], cells[1],
 		fmt.Sprintf("scan + 5 filters + flows (%d pkts)", ingested), row[len(row)-1])
 	return nil
 }

@@ -12,10 +12,10 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// E1Pipeline measures the data-source half of Figure 1 end to end:
+// e1Pipeline measures the data-source half of Figure 1 end to end:
 // generate → anonymize → store → featurize, reporting stage throughputs in
 // packets/second of wall-clock work.
-func E1Pipeline() (*Table, error) {
+func e1Pipeline() (*Table, error) {
 	fx := newFixture()
 	frames := traffic.Collect(fx.trainingScenario(), 0)
 	n := len(frames)
@@ -27,7 +27,7 @@ func E1Pipeline() (*Table, error) {
 	}
 	row := func(stage string, dur time.Duration) {
 		pps := float64(n) / dur.Seconds()
-		t.AddRow(stage, fmt.Sprintf("%d", n), fmtDur(dur), fmt.Sprintf("%.0f", pps))
+		t.addRow(stage, fmt.Sprintf("%d", n), fmtDur(dur), fmt.Sprintf("%.0f", pps))
 	}
 
 	enf, err := privacy.NewEnforcer(privacy.Policy{Scope: privacy.AnonAll}, []byte("e1-key"))
@@ -67,10 +67,10 @@ func E1Pipeline() (*Table, error) {
 	return t, nil
 }
 
-// E3CaptureRate sweeps offered load against capture capacity: the §5 claim
+// e3CaptureRate sweeps offered load against capture capacity: the §5 claim
 // that lossless capture at 10-20 Gbps is practical, and that loss appears
 // when offered load exceeds the appliance envelope.
-func E3CaptureRate() (*Table, error) {
+func e3CaptureRate() (*Table, error) {
 	t := &Table{
 		ID:      "E3",
 		Title:   "lossless capture vs offered load (120ns/pkt + 0.15ns/B per core, 800B frames)",
@@ -99,7 +99,7 @@ func E3CaptureRate() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(
+		t.addRow(
 			fmt.Sprintf("%.0f", tc.gbps),
 			fmt.Sprintf("%d", tc.consumers),
 			fmt.Sprintf("%d", tc.ring),
@@ -113,9 +113,9 @@ func E3CaptureRate() (*Table, error) {
 	return t, nil
 }
 
-// E7StoreRetention measures store volume and query latency, projecting the
+// e7StoreRetention measures store volume and query latency, projecting the
 // §5 sizing claim (10 Gbps upstream, a week of retention).
-func E7StoreRetention() (*Table, error) {
+func e7StoreRetention() (*Table, error) {
 	fx := newFixture()
 	st := datastore.New()
 	var f traffic.Frame
@@ -130,18 +130,18 @@ func E7StoreRetention() (*Table, error) {
 		Title:   "data store volume, retention projection and query latency",
 		Columns: []string{"metric", "value"},
 	}
-	t.AddRow("packets stored", fmt.Sprintf("%d", stats.Packets))
-	t.AddRow("flows indexed", fmt.Sprintf("%d", stats.Flows))
-	t.AddRow("raw bytes", fmtBytes(stats.DataBytes))
-	t.AddRow("index overhead", fmtBytes(stats.IndexBytes))
-	t.AddRow("index/data ratio", pct(float64(stats.IndexBytes)/float64(stats.DataBytes)))
-	t.AddRow("accrual (scenario)", fmt.Sprintf("%s/s", fmtBytes(uint64(stats.BytesPerSecond()))))
+	t.addRow("packets stored", fmt.Sprintf("%d", stats.Packets))
+	t.addRow("flows indexed", fmt.Sprintf("%d", stats.Flows))
+	t.addRow("raw bytes", fmtBytes(stats.DataBytes))
+	t.addRow("index overhead", fmtBytes(stats.IndexBytes))
+	t.addRow("index/data ratio", pct(float64(stats.IndexBytes)/float64(stats.DataBytes)))
+	t.addRow("accrual (scenario)", fmt.Sprintf("%s/s", fmtBytes(uint64(stats.BytesPerSecond()))))
 	// Project the paper's sizing: a 10 Gbps uplink at 35% mean utilization.
 	const uplinkBps = 10e9 * 0.35 / 8
 	overhead := 1 + float64(stats.IndexBytes)/float64(stats.DataBytes)
 	day := uint64(uplinkBps * 86400 * overhead)
-	t.AddRow("10Gbps@35% 1 day", fmtBytes(day))
-	t.AddRow("10Gbps@35% 1 week", fmtBytes(day*7))
+	t.addRow("10Gbps@35% 1 day", fmtBytes(day))
+	t.addRow("10Gbps@35% 1 week", fmtBytes(day*7))
 
 	for _, expr := range []string{
 		"proto == udp && dst.port == 53",
@@ -159,7 +159,7 @@ func E7StoreRetention() (*Table, error) {
 		}
 		start := time.Now()
 		matches := st.Select(fl, 0)
-		t.AddRow(fmt.Sprintf("query %q", expr),
+		t.addRow(fmt.Sprintf("query %q", expr),
 			fmt.Sprintf("%d hits in %s (%s path)", len(matches), fmtDur(time.Since(start)), path))
 	}
 	t.Notes = append(t.Notes,
@@ -167,9 +167,9 @@ func E7StoreRetention() (*Table, error) {
 	return t, nil
 }
 
-// E8Anonymization measures Crypto-PAn cost and verifies its properties on
+// e8Anonymization measures Crypto-PAn cost and verifies its properties on
 // the live address population.
-func E8Anonymization() (*Table, error) {
+func e8Anonymization() (*Table, error) {
 	anon, err := privacy.NewAnonymizer([]byte("e8-key"))
 	if err != nil {
 		return nil, err
@@ -186,7 +186,7 @@ func E8Anonymization() (*Table, error) {
 		anon.Anonymize(netip.AddrFrom4([4]byte{10, byte(i >> 12), byte(i >> 4), byte(i)}))
 	}
 	cold := time.Since(start) / nCold
-	t.AddRow("cold anonymize (cache miss)", fmtDur(cold))
+	t.addRow("cold anonymize (cache miss)", fmtDur(cold))
 	// Warm path.
 	addr := netip.MustParseAddr("10.1.2.3")
 	anon.Anonymize(addr)
@@ -195,7 +195,7 @@ func E8Anonymization() (*Table, error) {
 	for i := 0; i < nWarm; i++ {
 		anon.Anonymize(addr)
 	}
-	t.AddRow("warm anonymize (cache hit)", fmtDur(time.Since(start)/nWarm))
+	t.addRow("warm anonymize (cache hit)", fmtDur(time.Since(start)/nWarm))
 
 	// Property checks over the campus population.
 	plan := traffic.DefaultPlan(40)
@@ -210,7 +210,7 @@ func E8Anonymization() (*Table, error) {
 		}
 		prev, prevA = cur, curA
 	}
-	t.AddRow("prefix violations (320 host pairs)", fmt.Sprintf("%d", violations))
+	t.addRow("prefix violations (320 host pairs)", fmt.Sprintf("%d", violations))
 	if violations > 0 {
 		return nil, fmt.Errorf("E8: prefix preservation violated %d times", violations)
 	}
@@ -229,9 +229,9 @@ func E8Anonymization() (*Table, error) {
 		}
 	}
 	perPkt := time.Since(start) / time.Duration(len(frames))
-	t.AddRow("full policy enforcement per packet", fmtDur(perPkt))
+	t.addRow("full policy enforcement per packet", fmtDur(perPkt))
 	_, in, out := enf.Stats()
-	t.AddRow("stored-byte reduction (strip policy)", pct(1-float64(out)/float64(in)))
+	t.addRow("stored-byte reduction (strip policy)", pct(1-float64(out)/float64(in)))
 	t.Notes = append(t.Notes,
 		"expected shape: warm-path cost is a map lookup (tens of ns) so anonymization never gates 10-20 Gbps collection; prefix preservation holds exactly")
 	return t, nil

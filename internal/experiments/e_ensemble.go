@@ -10,12 +10,12 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// E15EnsembleFrontier measures the accuracy-vs-resources frontier of
+// e15EnsembleFrontier measures the accuracy-vs-resources frontier of
 // whole-ensemble compilation (Homunculus-style): the black-box forest
 // lowered into per-tree decision DAGs plus a vote stage under shrinking
 // hardware budgets, against the extracted single tree and control-plane
 // forest inference — each with its tier's latency envelope.
-func E15EnsembleFrontier() (*Table, error) {
+func e15EnsembleFrontier() (*Table, error) {
 	fx := newFixture()
 	_, dep, err := fx.developedLab()
 	if err != nil {
@@ -115,7 +115,7 @@ func E15EnsembleFrontier() (*Table, error) {
 		u, _ := sw.EnsembleInfo()
 		verdicts, perPkt := measureSwitch(sw)
 		acc := accuracyOf(func(i int) int { return verdicts[i].Class })
-		t.AddRow(sc.label, u.Mode.String(), fmt.Sprintf("%d", u.Trees),
+		t.addRow(sc.label, u.Mode.String(), fmt.Sprintf("%d", u.Trees),
 			fmt.Sprintf("%d", u.Nodes), fmt.Sprintf("%d", u.TableEntries),
 			fmt.Sprintf("%d", u.Stages), pct(acc),
 			fmt.Sprintf("%d", perPkt.Nanoseconds()), dpLatency)
@@ -129,7 +129,7 @@ func E15EnsembleFrontier() (*Table, error) {
 	}
 	verdicts, perPkt := measureSwitch(sw)
 	acc := accuracyOf(func(i int) int { return verdicts[i].Class })
-	t.AddRow("extracted-tree dag", "-", "1", "-", "-", "-",
+	t.addRow("extracted-tree dag", "-", "1", "-", "-", "-",
 		pct(acc), fmt.Sprintf("%d", perPkt.Nanoseconds()), dpLatency)
 
 	// Control-plane forest inference: same model, per-packet PredictBatch
@@ -143,7 +143,7 @@ func E15EnsembleFrontier() (*Table, error) {
 	cpPerPkt := time.Since(start) / time.Duration(reps*len(X))
 	acc = accuracyOf(func(i int) int { return preds[i] })
 	cpModel := control.DefaultTierModels()[control.TierControlPlane]
-	t.AddRow("controlplane forest", "-", fmt.Sprintf("%d", forest.NumTrees()), "-", "-", "-",
+	t.addRow("controlplane forest", "-", fmt.Sprintf("%d", forest.NumTrees()), "-", "-", "-",
 		pct(acc), fmt.Sprintf("%d", cpPerPkt.Nanoseconds()), fmtDur(cpModel.RTT+cpModel.Service))
 
 	// Close the loop: the TierDataPlane ensemble mode end to end (batched

@@ -7,7 +7,7 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// E18FleetFederation runs the federated development round
+// e18FleetFederation runs the federated development round
 // (core.RunFederated) across three campus profiles and tabulates the
 // train-here/test-there recall matrix against the two sharing
 // strategies: vote pooling (merge every campus's forest) and feature
@@ -16,7 +16,7 @@ import (
 // generalization gap a model pays when road-tested on another campus's
 // traffic, and the federated rows show how much of that gap sharing
 // recovers without moving raw data.
-func E18FleetFederation() (*Table, error) {
+func e18FleetFederation() (*Table, error) {
 	specs := []core.CampusSpec{
 		{Name: "ucsb", HostsPerDept: 30, FlowsPerSecond: 50, AttackRate: 500, StartHour: 14, Seed: 1801},
 		{Name: "princeton", HostsPerDept: 45, FlowsPerSecond: 70, AttackRate: 300, StartHour: 17, Seed: 1802},
@@ -52,7 +52,7 @@ func E18FleetFederation() (*Table, error) {
 		for j := range res.Campuses {
 			row = append(row, pct(res.Recall[i][j]))
 		}
-		tb.AddRow(row...)
+		tb.addRow(row...)
 	}
 	fed := []string{"federated (vote-pooled)"}
 	pooled := []string{"pooled features"}
@@ -60,8 +60,8 @@ func E18FleetFederation() (*Table, error) {
 		fed = append(fed, pct(res.FederatedRecall[j]))
 		pooled = append(pooled, pct(res.PooledRecall[j]))
 	}
-	tb.AddRow(fed...)
-	tb.AddRow(pooled...)
+	tb.addRow(fed...)
+	tb.addRow(pooled...)
 
 	// The contrast the table exists for: the worst single-campus model's
 	// average recall vs the federated ensemble's worst-case cell.

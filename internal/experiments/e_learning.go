@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"campuslab/internal/core"
 	"campuslab/internal/datastore"
@@ -13,9 +12,9 @@ import (
 	"campuslab/internal/xai"
 )
 
-// E6ModelExtraction sweeps extraction depth: fidelity to the black box,
+// e6ModelExtraction sweeps extraction depth: fidelity to the black box,
 // accuracy on ground truth, and size — the road-map step (ii) tradeoff.
-func E6ModelExtraction() (*Table, error) {
+func e6ModelExtraction() (*Table, error) {
 	fx := newFixture()
 	lab, err := core.NewLab(core.Config{Name: "e6", Plan: fx.plan, Workers: workers()})
 	if err != nil {
@@ -44,7 +43,7 @@ func E6ModelExtraction() (*Table, error) {
 			return nil, err
 		}
 		acc := ml.Evaluate(ex.Tree, test).Accuracy()
-		t.AddRow(fmt.Sprintf("%d", depth), pct(ex.Fidelity), pct(acc), pct(bbAcc),
+		t.addRow(fmt.Sprintf("%d", depth), pct(ex.Fidelity), pct(acc), pct(bbAcc),
 			fmt.Sprintf("%d", ex.Tree.NumNodes()),
 			fmt.Sprintf("%d", forest.TotalNodes()),
 			fmt.Sprintf("%.4f", float64(ex.Tree.NumNodes())/float64(forest.TotalNodes())))
@@ -60,7 +59,7 @@ func E6ModelExtraction() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("4 (from AdaBoost)", pct(exB.Fidelity), pct(ml.Evaluate(exB.Tree, test).Accuracy()),
+	t.addRow("4 (from AdaBoost)", pct(exB.Fidelity), pct(ml.Evaluate(exB.Tree, test).Accuracy()),
 		pct(boostAcc), fmt.Sprintf("%d", exB.Tree.NumNodes()),
 		fmt.Sprintf("%d", boost.TotalNodes()),
 		fmt.Sprintf("%.4f", float64(exB.Tree.NumNodes())/float64(boost.TotalNodes())))
@@ -69,9 +68,9 @@ func E6ModelExtraction() (*Table, error) {
 	return t, nil
 }
 
-// E9CrossCampus runs the §5 reproducibility experiment: one open-sourced
+// e9CrossCampus runs the §5 reproducibility experiment: one open-sourced
 // algorithm, three simulated campuses, full train/eval matrix.
-func E9CrossCampus() (*Table, error) {
+func e9CrossCampus() (*Table, error) {
 	specs := []core.CampusSpec{
 		{Name: "ucsb", HostsPerDept: 30, FlowsPerSecond: 50, AttackRate: 700, StartHour: 14, Seed: 1601},
 		{Name: "princeton", HostsPerDept: 45, FlowsPerSecond: 70, AttackRate: 500, StartHour: 17, Seed: 1602},
@@ -91,23 +90,23 @@ func E9CrossCampus() (*Table, error) {
 		for j := range res.Campuses {
 			row = append(row, pct(res.Accuracy[i][j]))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
-	t.AddRow("---", "", "", "")
-	t.AddRow("self mean", pct(res.DiagonalMean()), "", "")
-	t.AddRow("transfer mean", pct(res.OffDiagonalMean()), "", "")
+	t.addRow("---", "", "", "")
+	t.addRow("self mean", pct(res.DiagonalMean()), "", "")
+	t.addRow("transfer mean", pct(res.OffDiagonalMean()), "", "")
 	for i, name := range res.Campuses {
-		t.AddRow("fidelity@"+name, pct(res.Fidelity[i]), "", "")
+		t.addRow("fidelity@"+name, pct(res.Fidelity[i]), "", "")
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: high self-accuracy at every campus and modest transfer degradation — evidence that open-sourcing the algorithm (not the data) yields the reproducibility §5 argues for")
 	return t, nil
 }
 
-// E10TopDownVsBottomUp compares the model quality the full-capture data
+// e10TopDownVsBottomUp compares the model quality the full-capture data
 // store enables (top-down, §3) against the sampled-NetFlow features that
 // bottom-up collection typically yields (§2's "data problem").
-func E10TopDownVsBottomUp() (*Table, error) {
+func e10TopDownVsBottomUp() (*Table, error) {
 	fx := newFixture()
 	st := datastore.New()
 	gen := fx.trainingScenario()
@@ -156,7 +155,7 @@ func E10TopDownVsBottomUp() (*Table, error) {
 		seen := counts[1]
 		coverage := float64(seen) / float64(totalAttackFlows)
 		if seen < 5 || counts[0] < 5 || ds.Len() < 20 {
-			t.AddRow(name, fmt.Sprintf("%d/%d", seen, totalAttackFlows), pct(coverage),
+			t.addRow(name, fmt.Sprintf("%d/%d", seen, totalAttackFlows), pct(coverage),
 				"class collapsed", pct(0))
 			return nil
 		}
@@ -169,7 +168,7 @@ func E10TopDownVsBottomUp() (*Table, error) {
 		conf := ml.Evaluate(tree, test)
 		f1 := conf.F1(1)
 		effRecall := conf.Recall(1) * coverage
-		t.AddRow(name, fmt.Sprintf("%d/%d", seen, totalAttackFlows), pct(coverage),
+		t.addRow(name, fmt.Sprintf("%d/%d", seen, totalAttackFlows), pct(coverage),
 			fmt.Sprintf("%.3f", f1), pct(effRecall))
 		return nil
 	}
@@ -192,6 +191,3 @@ func E10TopDownVsBottomUp() (*Table, error) {
 
 // flowKeyT aliases the canonical flow key for the truth map.
 type flowKeyT = datastore.FlowKey
-
-// E1Duration is a shared knob for how long synthetic scenarios run.
-const E1Duration = 4 * time.Second

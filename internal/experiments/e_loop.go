@@ -22,10 +22,10 @@ type (
 func newFlowParser() *packet.FlowParser { return packet.NewFlowParser() }
 func packetSchema() []string            { return features.PacketSchema }
 
-// E2ControlLoopTiers reproduces Figure 2's fast-vs-slow distinction as
+// e2ControlLoopTiers reproduces Figure 2's fast-vs-slow distinction as
 // numbers: per-tier inference latency, mitigation reaction time, and the
 // accuracy each placement achieves on the same episode.
-func E2ControlLoopTiers() (*Table, error) {
+func e2ControlLoopTiers() (*Table, error) {
 	fx := newFixture()
 	_, dep, err := fx.developedLab()
 	if err != nil {
@@ -64,7 +64,7 @@ func E2ControlLoopTiers() (*Table, error) {
 		if tier == control.TierDataPlane {
 			inferMean, inferMax = 100*time.Nanosecond, 100*time.Nanosecond // pipeline latency model
 		}
-		t.AddRow(tier.String(), fmtDur(inferMean), fmtDur(inferMax), fmtDur(reaction),
+		t.addRow(tier.String(), fmtDur(inferMean), fmtDur(inferMax), fmtDur(reaction),
 			pct(stats.DetectionRecall()), pct(stats.CollateralRate()))
 		return nil
 	}
@@ -78,10 +78,10 @@ func E2ControlLoopTiers() (*Table, error) {
 	return t, nil
 }
 
-// E4TaskScaling sweeps the number of concurrent automation tasks against
+// e4TaskScaling sweeps the number of concurrent automation tasks against
 // the switch's TCAM/stage budget — §2's "not capable of supporting this
 // capability at scale" made quantitative.
-func E4TaskScaling() (*Table, error) {
+func e4TaskScaling() (*Table, error) {
 	fx := newFixture()
 	_, dep, err := fx.developedLab()
 	if err != nil {
@@ -108,20 +108,20 @@ func E4TaskScaling() (*Table, error) {
 		if !rep.Fits {
 			reason = rep.Reason
 		}
-		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", rep.TCAMUsed),
+		t.addRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", rep.TCAMUsed),
 			fmt.Sprintf("%v", rep.Fits), reason)
 	}
-	t.AddRow("per-task cost", fmt.Sprintf("%d entries", perTask), "", "")
-	t.AddRow("max concurrent", fmt.Sprintf("%d tasks", maxFit), "", "")
+	t.addRow("per-task cost", fmt.Sprintf("%d entries", perTask), "", "")
+	t.addRow("max concurrent", fmt.Sprintf("%d tasks", maxFit), "", "")
 	t.Notes = append(t.Notes,
 		"expected shape: a handful-to-hundreds of tasks fit; 'hundreds or thousands ... concurrently' (§2) exhausts the TCAM, which is exactly the paper's argument for tiered offload (E2)")
 	return t, nil
 }
 
-// E5DNSAmpMitigation is the paper's worked example: "drop attack traffic
+// e5DNSAmpMitigation is the paper's worked example: "drop attack traffic
 // on ingress if confidence in detection is at least 90%", measured as
 // precision/recall and victim-goodput protection on the simulated campus.
-func E5DNSAmpMitigation() (*Table, error) {
+func e5DNSAmpMitigation() (*Table, error) {
 	fx := newFixture()
 	lab, dep, err := fx.developedLab()
 	if err != nil {
@@ -150,7 +150,7 @@ func E5DNSAmpMitigation() (*Table, error) {
 		if !rep.Passed() {
 			verdict = "FAIL: " + rep.Violations[0]
 		}
-		t.AddRow(tc.name, pct(rep.Loop.DetectionRecall()), pct(rep.Loop.CollateralRate()),
+		t.addRow(tc.name, pct(rep.Loop.DetectionRecall()), pct(rep.Loop.CollateralRate()),
 			fmtDur(rep.Reaction), verdict)
 	}
 	// Evidence ablation: how much proof the controller demands before it
@@ -171,7 +171,7 @@ func E5DNSAmpMitigation() (*Table, error) {
 		if len(stats.Mitigations) > 0 {
 			reaction = fmtDur(stats.Mitigations[0].InstalledAt - time.Second)
 		}
-		t.AddRow(fmt.Sprintf("min evidence=%d pkts", minEv), pct(stats.DetectionRecall()),
+		t.addRow(fmt.Sprintf("min evidence=%d pkts", minEv), pct(stats.DetectionRecall()),
 			pct(stats.CollateralRate()), reaction,
 			fmt.Sprintf("%d mitigations", len(stats.Mitigations)))
 	}
@@ -180,9 +180,9 @@ func E5DNSAmpMitigation() (*Table, error) {
 	return t, nil
 }
 
-// E11CanaryRollback measures the §4 safety mechanism: a harmful model is
+// e11CanaryRollback measures the §4 safety mechanism: a harmful model is
 // rolled back within its harm budget; a good one is left running.
-func E11CanaryRollback() (*Table, error) {
+func e11CanaryRollback() (*Table, error) {
 	fx := newFixture()
 	_, dep, err := fx.developedLab()
 	if err != nil {
@@ -219,7 +219,7 @@ func E11CanaryRollback() (*Table, error) {
 		if res.RolledBack {
 			at = fmtDur(res.RollbackAt)
 		}
-		t.AddRow(tc.name, fmt.Sprintf("%v", res.RolledBack), at,
+		t.addRow(tc.name, fmt.Sprintf("%v", res.RolledBack), at,
 			fmt.Sprintf("%d", res.Final.BenignDropped), pct(res.Final.DetectionRecall()))
 	}
 	t.Notes = append(t.Notes,
@@ -227,9 +227,9 @@ func E11CanaryRollback() (*Table, error) {
 	return t, nil
 }
 
-// E12Compile measures tree→match-action compilation: rule count, TCAM
+// e12Compile measures tree→match-action compilation: rule count, TCAM
 // expansion and switch lookup cost as the deployable tree deepens.
-func E12Compile() (*Table, error) {
+func e12Compile() (*Table, error) {
 	fx := newFixture()
 	lab, _, err := fx.developedLab()
 	if err != nil {
@@ -270,7 +270,7 @@ func E12Compile() (*Table, error) {
 			verdicts = sw.ProcessBatchAt(nil, summaries, verdicts[:0])
 		}
 		lookup := time.Since(start) / time.Duration(lookupReps*len(summaries))
-		t.AddRow(fmt.Sprintf("%d", depth),
+		t.addRow(fmt.Sprintf("%d", depth),
 			fmt.Sprintf("%d", dep.Extraction.Tree.NumLeaves()),
 			fmt.Sprintf("%d", len(prog.Rules)),
 			fmt.Sprintf("%d", prog.TCAMCost()),

@@ -13,7 +13,7 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// E13MultiTask runs four concurrent automation tasks over one scenario,
+// e13MultiTask runs four concurrent automation tasks over one scenario,
 // each at the compute tier its state requires — §2's observation that
 // resource allocation "will depend on how fast and with what accuracy that
 // task has to be performed", demonstrated across the whole task spectrum:
@@ -22,7 +22,7 @@ import (
 //	syn-flood  per-victim counters     -> dataplane sketch registers
 //	port-scan  per-source fan-out      -> control-plane windows
 //	beacon     per-pair periodicity    -> offline data-store analytics
-func E13MultiTask() (*Table, error) {
+func e13MultiTask() (*Table, error) {
 	plan := traffic.DefaultPlan(40)
 	campus := plan.CampusPrefix
 	infected := plan.Host(12)
@@ -81,7 +81,7 @@ func E13MultiTask() (*Table, error) {
 			}
 			return true
 		})
-		t.AddRow("dns-amp", "dataplane (match-action)", "~50 TCAM entries",
+		t.addRow("dns-amp", "dataplane (match-action)", "~50 TCAM entries",
 			fmt.Sprintf("per-packet recall %s", pct(float64(hit)/float64(total))))
 	}
 
@@ -108,7 +108,7 @@ func E13MultiTask() (*Table, error) {
 		if len(top) > 0 && addrOf[top[0].Key] == floodVictim {
 			outcome = fmt.Sprintf("victim %v identified (%d SYNs, err<=%d)", floodVictim, top[0].Count, top[0].Err)
 		}
-		t.AddRow("syn-flood", "dataplane (sketch registers)", "32-entry space-saving", outcome)
+		t.addRow("syn-flood", "dataplane (sketch registers)", "32-entry space-saving", outcome)
 	}
 
 	// Task 3: port scan — streaming source-window detector (control plane).
@@ -142,7 +142,7 @@ func E13MultiTask() (*Table, error) {
 				correct++
 			}
 		}
-		t.AddRow("port-scan", "control plane (windows)", "per-source dst/port sets",
+		t.addRow("port-scan", "control plane (windows)", "per-source dst/port sets",
 			fmt.Sprintf("%d/%d scanners convicted, %d false", correct, len(truth), len(alerts)-correct))
 	}
 
@@ -154,7 +154,7 @@ func E13MultiTask() (*Table, error) {
 			hit := findings[0].Pair.Host == infected
 			outcome = fmt.Sprintf("top finding %v (correct=%v): %s", findings[0].Pair.Host, hit, findings[0].Evidence)
 		}
-		t.AddRow("beacon", "offline (data store)", "per-pair connection history", outcome)
+		t.addRow("beacon", "offline (data store)", "per-pair connection history", outcome)
 	}
 
 	t.Notes = append(t.Notes,

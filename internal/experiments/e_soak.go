@@ -17,7 +17,7 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// E16ChaosSoak is the continuous-operation acceptance run: a virtual-clock
+// e16ChaosSoak is the continuous-operation acceptance run: a virtual-clock
 // soak that (a) hard-crashes and restarts the durable store between ingest
 // epochs, asserting zero acknowledged-batch loss and byte-identical reads
 // versus an uncrashed reference, and (b) drives the model lifecycle through
@@ -25,7 +25,7 @@ import (
 // (healthy → degraded → lame-duck rollback → recovered) replays identically
 // at the same seed. It is the end-to-end proof that the fault plumbing from
 // the chaos work actually heals the system instead of merely observing it.
-func E16ChaosSoak() (*Table, error) {
+func e16ChaosSoak() (*Table, error) {
 	t := &Table{
 		ID:      "E16",
 		Title:   "chaos soak: crash/restart durability and self-healing model lifecycle",
@@ -49,7 +49,7 @@ func E16ChaosSoak() (*Table, error) {
 	if !reflect.DeepEqual(runA, runB) {
 		verdict = "FAIL: seeded lifecycle runs diverged"
 	}
-	t.AddRow("lifecycle", "determinism", "two runs, same seed", "", "", "", verdict)
+	t.addRow("lifecycle", "determinism", "two runs, same seed", "", "", "", verdict)
 	t.Notes = append(t.Notes,
 		"expected shape: every crash row recovers byte-identically (the WAL holds every acked batch the snapshot misses); the lifecycle row sequence shows drift degrade the model, a poisoned retrain fail the canary and trigger rollback to last-known-good, and a clean retrain promote its way back to healthy — the same trajectory on every run at this seed",
 		"wall-clock recovery times are environment-dependent and reported here only as a bound, not a deterministic cell")
@@ -159,7 +159,7 @@ func soakDurability(t *Table) error {
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			outcome = "FAIL: recovered store diverged from acked stream"
 		}
-		t.AddRow("durability", fmt.Sprintf("epoch %d", e), kind,
+		t.addRow("durability", fmt.Sprintf("epoch %d", e), kind,
 			fmt.Sprintf("%d", acked), fmt.Sprintf("%d", shed),
 			fmt.Sprintf("wal=%d snap=%d", rs.WALRecords, rs.SnapshotPackets),
 			outcome)
@@ -356,7 +356,7 @@ func soakLifecycle(t *Table, report bool) (*lifecycleTrace, error) {
 			case res.Retrained:
 				event = "candidate rejected by canary"
 			}
-			t.AddRow("lifecycle", fmt.Sprintf("tick %d", tick),
+			t.addRow("lifecycle", fmt.Sprintf("tick %d", tick),
 				fmt.Sprintf("drift=%v poisoned=%v psi=%.2f recall=%s", drifted, poisoned, res.Drift.MaxPSI, recall),
 				"", "", "", fmt.Sprintf("%s (%s)", res.State, event))
 		}
@@ -371,7 +371,7 @@ func soakLifecycle(t *Table, report bool) (*lifecycleTrace, error) {
 			verdict = fmt.Sprintf("FAIL: arc incomplete (rollbacks=%d promotions=%d final=%v)",
 				trace.Rollbacks, trace.Promotions, trace.States[len(trace.States)-1])
 		}
-		t.AddRow("lifecycle", "self-healing arc", fmt.Sprintf("%d transitions", len(trace.Transitions)),
+		t.addRow("lifecycle", "self-healing arc", fmt.Sprintf("%d transitions", len(trace.Transitions)),
 			"", "", "", verdict)
 	}
 	return trace, nil

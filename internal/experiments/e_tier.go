@@ -10,7 +10,7 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// E17TieredRetention is the tiered-storage acceptance run: a store whose
+// e17TieredRetention is the tiered-storage acceptance run: a store whose
 // hot slab is capped at 1/25 of the offered stream ingests 20 epochs of
 // campus + DNS-amp traffic, spilling sealed history into compressed
 // columnar segments as it goes. The table substantiates four claims:
@@ -23,7 +23,7 @@ import (
 //     cold segments — TS bounds and zone maps skip the rest;
 //   - equivalence: every query surface returns exactly what an untiered
 //     store holding the full stream in RAM returns.
-func E17TieredRetention() (*Table, error) {
+func e17TieredRetention() (*Table, error) {
 	t := &Table{
 		ID:      "E17",
 		Title:   "tiered retention: bounded hot slab over a 25x stream",
@@ -91,7 +91,7 @@ func E17TieredRetention() (*Table, error) {
 			if ss.Packets > uint64(capacity+batch) {
 				outcome = fmt.Sprintf("FAIL: hot %d over cap %d", ss.Packets, capacity)
 			}
-			t.AddRow(fmt.Sprintf("epoch %d", e+1), fmt.Sprintf("%d", ingested),
+			t.addRow(fmt.Sprintf("epoch %d", e+1), fmt.Sprintf("%d", ingested),
 				fmt.Sprintf("%d", ss.Packets), fmt.Sprintf("%d", ss.ColdPackets),
 				fmt.Sprintf("%d", ss.Segments), fmt.Sprintf("cap %d", capacity), outcome)
 		}
@@ -108,7 +108,7 @@ func E17TieredRetention() (*Table, error) {
 	if maxHot > uint64(capacity+batch) {
 		boundOutcome = fmt.Sprintf("FAIL: peak hot %d over cap %d + batch %d", maxHot, capacity, batch)
 	}
-	t.AddRow("bounded memory", fmt.Sprintf("%d", ingested), fmt.Sprintf("%d", ss.Packets),
+	t.addRow("bounded memory", fmt.Sprintf("%d", ingested), fmt.Sprintf("%d", ss.Packets),
 		fmt.Sprintf("%d", ss.ColdPackets), fmt.Sprintf("%d", ss.Segments),
 		fmt.Sprintf("stream %.1fx hot cap", float64(total)/float64(capacity)), boundOutcome)
 
@@ -122,7 +122,7 @@ func E17TieredRetention() (*Table, error) {
 	if ratio > 0.5 {
 		compOutcome = fmt.Sprintf("FAIL: cold/hot = %.1f%% > 50%%", 100*ratio)
 	}
-	t.AddRow("compression", "", fmt.Sprintf("%.0f B/pkt", hotBPP),
+	t.addRow("compression", "", fmt.Sprintf("%.0f B/pkt", hotBPP),
 		fmt.Sprintf("%.0f B/pkt", coldBPP), fmt.Sprintf("%d", ss.Segments),
 		fmtBytes(ss.ColdBytes)+" on disk", compOutcome)
 
@@ -145,7 +145,7 @@ func E17TieredRetention() (*Table, error) {
 	if pruneRate < 0.8 {
 		pruneOutcome = fmt.Sprintf("FAIL: only %.0f%% pruned", 100*pruneRate)
 	}
-	t.AddRow("segment pruning", fmt.Sprintf("%d hits", nRecent), "",
+	t.addRow("segment pruning", fmt.Sprintf("%d hits", nRecent), "",
 		fmt.Sprintf("scanned %d", scanned), fmt.Sprintf("pruned %d", pruned),
 		"recent-window selective query", pruneOutcome)
 
@@ -167,7 +167,7 @@ func E17TieredRetention() (*Table, error) {
 		}
 		return best
 	}
-	t.AddRow("query latency", "", lat(fRecent).String(), lat(fOld).String(), "",
+	t.addRow("query latency", "", lat(fRecent).String(), lat(fOld).String(), "",
 		"selective count: hot window vs cold window (best of 3)", "report")
 
 	// Claim 4: equivalence. The tiered store must be indistinguishable
@@ -267,7 +267,7 @@ func tierEquivRow(t *Table, step string, st, ref *datastore.Store, ingested int)
 		outcome = "FAIL: " + mismatch
 	}
 	ss := st.Stats()
-	t.AddRow(step, fmt.Sprintf("%d", ingested), fmt.Sprintf("%d", ss.Packets),
+	t.addRow(step, fmt.Sprintf("%d", ingested), fmt.Sprintf("%d", ss.Packets),
 		fmt.Sprintf("%d", ss.ColdPackets), fmt.Sprintf("%d", ss.Segments),
 		fmt.Sprintf("scan + 5 filters + flows (%d pkts)", gotN), outcome)
 	if mismatch != "" {

@@ -21,8 +21,8 @@ type Table struct {
 	Notes   []string
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) {
+// addRow appends a formatted row.
+func (t *Table) addRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
@@ -91,25 +91,25 @@ type Runner struct {
 // All returns every experiment in index order.
 func All() []Runner {
 	return []Runner{
-		{"E1", "data-source pipeline throughput", E1Pipeline},
-		{"E2", "control-loop tier latency (Figure 2)", E2ControlLoopTiers},
-		{"E3", "lossless capture vs offered load", E3CaptureRate},
-		{"E4", "concurrent tasks vs dataplane resources", E4TaskScaling},
-		{"E5", "DNS-amplification mitigation at 90% confidence", E5DNSAmpMitigation},
-		{"E6", "model extraction fidelity vs depth", E6ModelExtraction},
-		{"E7", "store volume vs retention", E7StoreRetention},
-		{"E8", "anonymization cost and property checks", E8Anonymization},
-		{"E9", "cross-campus reproducibility", E9CrossCampus},
-		{"E10", "top-down vs bottom-up data", E10TopDownVsBottomUp},
-		{"E11", "canary rollback safety", E11CanaryRollback},
-		{"E12", "tree compile cost vs depth", E12Compile},
-		{"E13", "multi-task suite across tiers", E13MultiTask},
-		{"E14", "chaos road test: mitigation under injected faults", E14ChaosLoop},
-		{"E15", "ensemble-in-dataplane frontier vs resource budgets", E15EnsembleFrontier},
-		{"E16", "chaos soak: crash/restart durability and self-healing lifecycle", E16ChaosSoak},
-		{"E17", "tiered retention: bounded hot slab over a 25x stream", E17TieredRetention},
-		{"E18", "multi-campus fleet: train-here/test-there vs federated recall", E18FleetFederation},
-		{"E19", "cold-tier query fast path: block decode, dictionaries, cache", E19ColdQueryFastPath},
+		{"E1", "data-source pipeline throughput", e1Pipeline},
+		{"E2", "control-loop tier latency (Figure 2)", e2ControlLoopTiers},
+		{"E3", "lossless capture vs offered load", e3CaptureRate},
+		{"E4", "concurrent tasks vs dataplane resources", e4TaskScaling},
+		{"E5", "DNS-amplification mitigation at 90% confidence", e5DNSAmpMitigation},
+		{"E6", "model extraction fidelity vs depth", e6ModelExtraction},
+		{"E7", "store volume vs retention", e7StoreRetention},
+		{"E8", "anonymization cost and property checks", e8Anonymization},
+		{"E9", "cross-campus reproducibility", e9CrossCampus},
+		{"E10", "top-down vs bottom-up data", e10TopDownVsBottomUp},
+		{"E11", "canary rollback safety", e11CanaryRollback},
+		{"E12", "tree compile cost vs depth", e12Compile},
+		{"E13", "multi-task suite across tiers", e13MultiTask},
+		{"E14", "chaos road test: mitigation under injected faults", e14ChaosLoop},
+		{"E15", "ensemble-in-dataplane frontier vs resource budgets", e15EnsembleFrontier},
+		{"E16", "chaos soak: crash/restart durability and self-healing lifecycle", e16ChaosSoak},
+		{"E17", "tiered retention: bounded hot slab over a 25x stream", e17TieredRetention},
+		{"E18", "multi-campus fleet: train-here/test-there vs federated recall", e18FleetFederation},
+		{"E19", "cold-tier query fast path: block decode, dictionaries, cache", e19ColdQueryFastPath},
 	}
 }
 

@@ -90,7 +90,7 @@ func TestE3Shape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full-run duplicate; E3 is race-covered by TestAllExperimentsRun/E3")
 	}
-	tb, err := E3CaptureRate()
+	tb, err := e3CaptureRate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestE6Shape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full-run duplicate; E6 is race-covered by TestAllExperimentsRun/E6")
 	}
-	tb, err := E6ModelExtraction()
+	tb, err := e6ModelExtraction()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestE15Shape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full-run duplicate; E15 is race-covered by TestAllExperimentsRun/E15")
 	}
-	tb, err := E15EnsembleFrontier()
+	tb, err := e15EnsembleFrontier()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestE15Shape(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tb := &Table{ID: "T", Title: "demo", Columns: []string{"a", "bb"}}
-	tb.AddRow("1", "2")
+	tb.addRow("1", "2")
 	tb.Notes = append(tb.Notes, "a note")
 	s := tb.String()
 	if !strings.Contains(s, "T — demo") || !strings.Contains(s, "note: a note") {
@@ -238,7 +238,7 @@ func TestE16Shape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full-soak duplicate; E16 is race-covered by TestAllExperimentsRun/E16")
 	}
-	tb, err := E16ChaosSoak()
+	tb, err := e16ChaosSoak()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 package experiments
 
-import "campuslab/internal/parallel"
-
 // workerCount is the offline-loop fan-out every experiment uses for
 // sharded ingest, feature extraction and forest training. 0 means
 // GOMAXPROCS; 1 forces the serial path. cmd/campuslab plumbs its -workers
@@ -12,9 +10,6 @@ var workerCount int
 // (0 = GOMAXPROCS, 1 = serial). Tables are identical at any setting —
 // only wall-clock changes.
 func SetWorkers(n int) { workerCount = n }
-
-// Workers returns the configured count, resolved (never 0).
-func Workers() int { return parallel.Workers(workerCount) }
 
 // workers returns the raw configured value for passing into Workers
 // fields that resolve 0 themselves.

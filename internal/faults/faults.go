@@ -61,16 +61,16 @@ const (
 // "infer.controlplane", "infer.cloud").
 func OpInfer(tier string) string { return "infer." + tier }
 
-// Error is the typed error every injector returns. Callers classify it
+// faultError is the typed error every injector returns. Callers classify it
 // with IsTransient/IsPermanent (via errors.As), never by string.
-type Error struct {
+type faultError struct {
 	Op   string // instrumented operation that failed
 	Kind Kind   // transient vs permanent
 	Seq  uint64 // 1-based call index of the failed call, per op
 }
 
 // Error renders the fault.
-func (e *Error) Error() string {
+func (e *faultError) Error() string {
 	return fmt.Sprintf("faults: injected %s failure at %s (call %d)", e.Kind, e.Op, e.Seq)
 }
 
@@ -88,9 +88,9 @@ func IsPermanent(err error) bool {
 	return ok && fe.Kind == KindPermanent
 }
 
-func asFault(err error) (*Error, bool) {
+func asFault(err error) (*faultError, bool) {
 	for ; err != nil; err = unwrap(err) {
-		if fe, ok := err.(*Error); ok {
+		if fe, ok := err.(*faultError); ok {
 			return fe, true
 		}
 	}
@@ -112,8 +112,8 @@ type Injector interface {
 	Fail(op string) error
 }
 
-// OpStats counts one op's traffic through an injector.
-type OpStats struct {
+// opStats counts one op's traffic through an injector.
+type opStats struct {
 	Calls     uint64 // instrumented calls observed
 	Transient uint64 // transient faults injected
 	Permanent uint64 // permanent faults injected
@@ -122,16 +122,16 @@ type OpStats struct {
 // counters is the shared per-op accounting every injector embeds.
 type counters struct {
 	mu    sync.Mutex
-	perOp map[string]*OpStats
+	perOp map[string]*opStats
 }
 
 func (c *counters) record(op string, k Kind, injected bool) (seq uint64) {
 	if c.perOp == nil {
-		c.perOp = make(map[string]*OpStats)
+		c.perOp = make(map[string]*opStats)
 	}
 	st := c.perOp[op]
 	if st == nil {
-		st = &OpStats{}
+		st = &opStats{}
 		c.perOp[op] = st
 	}
 	st.Calls++
@@ -151,23 +151,23 @@ func (c *counters) record(op string, k Kind, injected bool) (seq uint64) {
 	return st.Calls
 }
 
-func (c *counters) stats() map[string]OpStats {
-	out := make(map[string]OpStats, len(c.perOp))
+func (c *counters) stats() map[string]opStats {
+	out := make(map[string]opStats, len(c.perOp))
 	for op, st := range c.perOp {
 		out[op] = *st
 	}
 	return out
 }
 
-// None is the always-healthy injector: every call succeeds. Its zero cost
+// none is the always-healthy injector: every call succeeds. Its zero cost
 // is the contract that lets fault plumbing stay wired in production paths.
-type None struct{}
+type none struct{}
 
 // Fail always returns nil.
-func (None) Fail(string) error { return nil }
+func (none) Fail(string) error { return nil }
 
-// Healthy is the shared no-op injector.
-var Healthy Injector = None{}
+// healthy is the shared no-op injector.
+var healthy Injector = none{}
 
 // Prob injects faults probabilistically at per-op rates, driven by a
 // per-op RNG derived from one seed — deterministic for a fixed per-op call
@@ -229,14 +229,7 @@ func (p *Prob) Fail(op string) error {
 		return nil
 	}
 	seq := p.cnt.record(op, kind, true)
-	return &Error{Op: op, Kind: kind, Seq: seq}
-}
-
-// Stats snapshots per-op call and fault counts.
-func (p *Prob) Stats() map[string]OpStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cnt.stats()
+	return &faultError{Op: op, Kind: kind, Seq: seq}
 }
 
 // Schedule injects faults on scripted per-op call-index windows: "fail
@@ -281,14 +274,14 @@ func (s *Schedule) Fail(op string) error {
 			} else {
 				st.Permanent++
 			}
-			return &Error{Op: op, Kind: w.kind, Seq: seq}
+			return &faultError{Op: op, Kind: w.kind, Seq: seq}
 		}
 	}
 	return nil
 }
 
-// Stats snapshots per-op call and fault counts.
-func (s *Schedule) Stats() map[string]OpStats {
+// stats snapshots per-op call and fault counts.
+func (s *Schedule) stats() map[string]opStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cnt.stats()

@@ -8,7 +8,7 @@ import (
 
 func TestHealthyInjectsNothing(t *testing.T) {
 	for i := 0; i < 1000; i++ {
-		if err := Healthy.Fail(OpInstall); err != nil {
+		if err := healthy.Fail(OpInstall); err != nil {
 			t.Fatalf("healthy injector failed call %d: %v", i, err)
 		}
 	}
@@ -36,7 +36,7 @@ func TestScheduleFiresOnExactWindows(t *testing.T) {
 			t.Fatalf("call %d: got %v, want %v (all: %v)", i+1, got[i], want[i], got)
 		}
 	}
-	st := s.Stats()[OpInstall]
+	st := s.stats()[OpInstall]
 	if st.Calls != 8 || st.Transient != 3 || st.Permanent != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -59,7 +59,7 @@ func TestProbIsDeterministicAndRateBounded(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			if err := p.Fail(OpInstall); err != nil {
 				faults++
-				var fe *Error
+				var fe *faultError
 				errors.As(err, &fe)
 				kinds = append(kinds, fe.Kind)
 			}
@@ -93,7 +93,7 @@ func TestProbPerOpStreamsAreIndependent(t *testing.T) {
 				p.Fail(OpStoreWrite)
 			}
 			if err := p.Fail(OpInstall); err != nil {
-				var fe *Error
+				var fe *faultError
 				errors.As(err, &fe)
 				out = append(out, fe.Seq)
 			}
@@ -125,8 +125,8 @@ func TestChainFirstFaultWins(t *testing.T) {
 }
 
 func TestErrorClassification(t *testing.T) {
-	te := &Error{Op: OpInstall, Kind: KindTransient, Seq: 3}
-	pe := &Error{Op: OpInstall, Kind: KindPermanent, Seq: 4}
+	te := &faultError{Op: OpInstall, Kind: KindTransient, Seq: 3}
+	pe := &faultError{Op: OpInstall, Kind: KindPermanent, Seq: 4}
 	if !IsTransient(te) || IsPermanent(te) {
 		t.Error("transient misclassified")
 	}
@@ -140,7 +140,7 @@ func TestErrorClassification(t *testing.T) {
 	if IsTransient(errors.New("plain")) || IsPermanent(nil) {
 		t.Error("non-fault errors misclassified")
 	}
-	for _, e := range []*Error{te, pe} {
+	for _, e := range []*faultError{te, pe} {
 		if e.Error() == "" {
 			t.Error("empty rendering")
 		}

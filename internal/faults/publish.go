@@ -21,7 +21,7 @@ import (
 // so a scripted schedule can kill a publish at an exact step.
 func PublishFile(path string, inj Injector, write func(io.Writer) error) (err error) {
 	if inj == nil {
-		inj = Healthy
+		inj = healthy
 	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp")

@@ -13,8 +13,8 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// FlowSchema names the per-flow feature columns produced by FromFlows.
-var FlowSchema = []string{
+// flowSchema names the per-flow feature columns produced by FromFlows.
+var flowSchema = []string{
 	"duration_s",      // 0
 	"pkts",            // 1
 	"bytes",           // 2
@@ -47,7 +47,7 @@ func FromFlowsWorkers(st *datastore.Store, campus netip.Prefix, workers int) *Da
 	defer obs.Default.StartSpan("featurize").End()
 	flows := st.Flows()
 	d := &Dataset{
-		Schema: FlowSchema,
+		Schema: flowSchema,
 		X:      make([][]float64, len(flows)),
 		Y:      make([]int, len(flows)),
 	}
@@ -63,7 +63,7 @@ func flowVector(fm *datastore.FlowMeta, campus netip.Prefix) []float64 {
 	dur := (fm.Last - fm.First).Seconds()
 	pkts := float64(fm.Packets)
 	bytes := float64(fm.Bytes)
-	v := make([]float64, len(FlowSchema))
+	v := make([]float64, len(flowSchema))
 	v[0] = dur
 	v[1] = pkts
 	v[2] = bytes
@@ -106,8 +106,8 @@ func flowVector(fm *datastore.FlowMeta, campus netip.Prefix) []float64 {
 	return v
 }
 
-// WindowSchema names the per-(host, window) feature columns.
-var WindowSchema = []string{
+// windowSchema names the per-(host, window) feature columns.
+var windowSchema = []string{
 	"pps",             // 0: packets/s toward the host
 	"bps",             // 1: bits/s toward the host
 	"distinct_srcs",   // 2
@@ -216,7 +216,7 @@ func FromWindows(st *datastore.Store, cfg WindowConfig) *Dataset {
 		return true
 	})
 
-	d := &Dataset{Schema: WindowSchema}
+	d := &Dataset{Schema: windowSchema}
 	secs := cfg.Window.Seconds()
 	for _, k := range sortedKeys(wins, func(a, b key) int {
 		return cmp.Or(cmp.Compare(a.win, b.win), a.host.Compare(b.host))
@@ -225,11 +225,11 @@ func FromWindows(st *datastore.Store, cfg WindowConfig) *Dataset {
 		if hw.pkts < cfg.MinPackets {
 			continue
 		}
-		v := make([]float64, len(WindowSchema))
+		v := make([]float64, len(windowSchema))
 		v[0] = float64(hw.pkts) / secs
 		v[1] = float64(hw.bytes*8) / secs
 		v[2] = float64(len(hw.srcs))
-		v[3] = Entropy(hw.srcs)
+		v[3] = entropy(hw.srcs)
 		v[4] = float64(hw.syn) / float64(hw.pkts)
 		v[5] = float64(hw.dnsResp) / float64(hw.pkts)
 		if hw.dnsResp > 0 {
@@ -243,7 +243,7 @@ func FromWindows(st *datastore.Store, cfg WindowConfig) *Dataset {
 			}
 			v[8] = float64(un) / float64(hw.dnsResp)
 		}
-		v[9] = Entropy(hw.ports)
+		v[9] = entropy(hw.ports)
 		d.X = append(d.X, v)
 		d.Y = append(d.Y, int(hw.label))
 	}
@@ -259,20 +259,20 @@ func newHostWindow() *hostWindow {
 // payload fraction, DNS internals and per-packet details are gone, which
 // is exactly the handicap being measured. Labels come from the truth map
 // (canonical tuple -> label).
-var FlowRecordSchema = []string{
+var flowRecordSchema = []string{
 	"duration_s", "pkts", "bytes", "bytes_per_pkt", "pkts_per_s",
 	"syn_no_ack", "has_rst", "has_fin", "dst_port_wk", "is_udp",
 }
 
 // FromFlowRecords builds a dataset from sampled exporter output.
 func FromFlowRecords(recs []telemetry.FlowRecord, sampleRate int, truth map[packet.FiveTuple]traffic.Label) *Dataset {
-	d := &Dataset{Schema: FlowRecordSchema}
+	d := &Dataset{Schema: flowRecordSchema}
 	for i := range recs {
 		r := &recs[i]
 		dur := (r.Last - r.First).Seconds()
 		pkts := float64(r.Packets) * float64(sampleRate) // inverse-probability estimate
 		bytes := float64(r.Bytes) * float64(sampleRate)
-		v := make([]float64, len(FlowRecordSchema))
+		v := make([]float64, len(flowRecordSchema))
 		v[0] = dur
 		v[1] = pkts
 		v[2] = bytes

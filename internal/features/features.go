@@ -27,8 +27,8 @@ func (d *Dataset) Len() int { return len(d.X) }
 // Dims returns the feature dimensionality.
 func (d *Dataset) Dims() int { return len(d.Schema) }
 
-// Validate checks internal consistency.
-func (d *Dataset) Validate() error {
+// validate checks internal consistency.
+func (d *Dataset) validate() error {
 	if len(d.X) != len(d.Y) {
 		return fmt.Errorf("features: %d rows vs %d labels", len(d.X), len(d.Y))
 	}
@@ -78,8 +78,8 @@ func (d *Dataset) Split(trainFrac float64) (train, test *Dataset) {
 	return train, test
 }
 
-// Subsample returns up to n examples per class, deterministically.
-func (d *Dataset) Subsample(perClass int, seed int64) *Dataset {
+// subsample returns up to n examples per class, deterministically.
+func (d *Dataset) subsample(perClass int, seed int64) *Dataset {
 	r := rand.New(rand.NewSource(seed))
 	byClass := map[int][]int{}
 	for i, y := range d.Y {
@@ -167,8 +167,8 @@ func FitStandardizer(d *Dataset) *Standardizer {
 	return s
 }
 
-// Apply rescales d in place and returns it.
-func (s *Standardizer) Apply(d *Dataset) *Dataset {
+// apply rescales d in place and returns it.
+func (s *Standardizer) apply(d *Dataset) *Dataset {
 	for _, row := range d.X {
 		for j := range row {
 			row[j] = (row[j] - s.Mean[j]) / s.Scale[j]
@@ -177,12 +177,12 @@ func (s *Standardizer) Apply(d *Dataset) *Dataset {
 	return d
 }
 
-// Entropy computes the Shannon entropy (bits) of a count distribution — a
+// entropy computes the Shannon entropy (bits) of a count distribution — a
 // workhorse feature for scan/amplification detection. The terms are summed
 // in ascending count order, not map order: float addition does not
 // commute, so a map walk gave the same distribution different last bits
 // from one call to the next.
-func Entropy[K comparable](counts map[K]int) float64 {
+func entropy[K comparable](counts map[K]int) float64 {
 	total := 0
 	cs := make([]int, 0, len(counts))
 	for _, c := range counts {

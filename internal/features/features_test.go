@@ -42,7 +42,7 @@ func scenarioStore(t testing.TB) *datastore.Store {
 func TestFromFlowsProducesValidDataset(t *testing.T) {
 	st := scenarioStore(t)
 	d := FromFlows(st, campusPfx)
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if d.Len() < 100 {
@@ -57,9 +57,9 @@ func TestFromFlowsProducesValidDataset(t *testing.T) {
 func TestFlowFeatureSemantics(t *testing.T) {
 	st := scenarioStore(t)
 	d := FromFlows(st, campusPfx)
-	ampIdx := index(FlowSchema, "dns_resp_excess")
-	anyIdx := index(FlowSchema, "dns_any_frac")
-	synIdx := index(FlowSchema, "syn_no_ack")
+	ampIdx := index(flowSchema, "dns_resp_excess")
+	anyIdx := index(flowSchema, "dns_any_frac")
+	synIdx := index(flowSchema, "syn_no_ack")
 	var ampExcess, benignExcess, ampAny, benignAny, nAmp, nBenign float64
 	for i, row := range d.X {
 		switch d.Y[i] {
@@ -88,14 +88,14 @@ func TestFlowFeatureSemantics(t *testing.T) {
 func TestFromWindowsSeparatesVictims(t *testing.T) {
 	st := scenarioStore(t)
 	d := FromWindows(st, WindowConfig{Window: time.Second, Campus: campusPfx})
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
 	counts := d.ClassCounts()
 	if counts[int(traffic.LabelDNSAmp)] == 0 {
 		t.Fatal("no dns-amp windows")
 	}
-	ppsIdx := index(WindowSchema, "pps")
+	ppsIdx := index(windowSchema, "pps")
 	var ampPPS, benignPPS, nAmp, nBenign float64
 	for i, row := range d.X {
 		if d.Y[i] == int(traffic.LabelDNSAmp) {
@@ -146,7 +146,7 @@ func TestSubsampleBalances(t *testing.T) {
 		}
 		d.Y = append(d.Y, y)
 	}
-	sub := d.Subsample(50, 1)
+	sub := d.subsample(50, 1)
 	counts := sub.ClassCounts()
 	if counts[0] != 50 || counts[1] != 50 {
 		t.Errorf("subsample counts = %v", counts)
@@ -168,7 +168,7 @@ func TestStandardizer(t *testing.T) {
 		d.Y = append(d.Y, 0)
 	}
 	s := FitStandardizer(d)
-	s.Apply(d)
+	s.apply(d)
 	var mean, variance float64
 	for _, row := range d.X {
 		mean += row[0]
@@ -182,19 +182,19 @@ func TestStandardizer(t *testing.T) {
 		t.Errorf("standardized mean/var = %v/%v", mean, variance)
 	}
 	// Constant column must not produce NaN.
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEntropy(t *testing.T) {
-	if got := Entropy(map[string]int{"a": 1, "b": 1}); math.Abs(got-1) > 1e-9 {
+	if got := entropy(map[string]int{"a": 1, "b": 1}); math.Abs(got-1) > 1e-9 {
 		t.Errorf("uniform 2 = %v, want 1 bit", got)
 	}
-	if got := Entropy(map[string]int{"a": 10}); got != 0 {
+	if got := entropy(map[string]int{"a": 10}); got != 0 {
 		t.Errorf("single = %v, want 0", got)
 	}
-	if got := Entropy(map[string]int{}); got != 0 {
+	if got := entropy(map[string]int{}); got != 0 {
 		t.Errorf("empty = %v, want 0", got)
 	}
 }
@@ -208,7 +208,7 @@ func TestEntropyProperty(t *testing.T) {
 		for i := 0; i < k; i++ {
 			m[i] = 7
 		}
-		return math.Abs(Entropy(m)-math.Log2(float64(k))) < 1e-9
+		return math.Abs(entropy(m)-math.Log2(float64(k))) < 1e-9
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Error(err)
@@ -217,15 +217,15 @@ func TestEntropyProperty(t *testing.T) {
 
 func TestValidateCatchesBadData(t *testing.T) {
 	d := &Dataset{Schema: []string{"a"}, X: [][]float64{{math.NaN()}}, Y: []int{0}}
-	if err := d.Validate(); err == nil {
+	if err := d.validate(); err == nil {
 		t.Error("NaN accepted")
 	}
 	d = &Dataset{Schema: []string{"a"}, X: [][]float64{{1, 2}}, Y: []int{0}}
-	if err := d.Validate(); err == nil {
+	if err := d.validate(); err == nil {
 		t.Error("dim mismatch accepted")
 	}
 	d = &Dataset{Schema: []string{"a"}, X: [][]float64{{1}}, Y: []int{}}
-	if err := d.Validate(); err == nil {
+	if err := d.validate(); err == nil {
 		t.Error("row/label mismatch accepted")
 	}
 }
@@ -254,13 +254,13 @@ func TestFromFlowRecords(t *testing.T) {
 	}}
 	truth := map[packet.FiveTuple]traffic.Label{tuple.Canonical(): traffic.LabelDNSAmp}
 	d := FromFlowRecords(recs, 10, truth)
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if d.Y[0] != int(traffic.LabelDNSAmp) {
 		t.Error("truth label not applied")
 	}
-	if d.X[0][index(FlowRecordSchema, "pkts")] != 50 {
+	if d.X[0][index(flowRecordSchema, "pkts")] != 50 {
 		t.Errorf("sampling scale-up wrong: %v", d.X[0][1])
 	}
 }

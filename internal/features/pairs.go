@@ -12,12 +12,12 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// PairSchema names per-(internal host, external peer) features for beacon
+// pairSchema names per-(internal host, external peer) features for beacon
 // hunting: C&C beaconing is low-and-slow but *periodic* — a statistic only
 // visible across many connections in the data store, never in a single
 // packet or flow. This is the paper's case for retrospective analysis over
 // a retained store.
-var PairSchema = []string{
+var pairSchema = []string{
 	"conn_count",    // 0: connections host->peer in the analysis span
 	"mean_gap_s",    // 1: mean inter-connection gap
 	"gap_cv",        // 2: coefficient of variation of gaps (low = periodic)
@@ -83,7 +83,7 @@ func FromPairs(st *datastore.Store, cfg PairConfig) (*Dataset, []PairID) {
 		}
 	}
 
-	d := &Dataset{Schema: PairSchema}
+	d := &Dataset{Schema: pairSchema}
 	var ids []PairID
 	for _, id := range sortedKeys(pairs, func(a, b PairID) int {
 		return cmp.Or(a.Host.Compare(b.Host), a.Peer.Compare(b.Peer))
@@ -97,7 +97,7 @@ func FromPairs(st *datastore.Store, cfg PairConfig) (*Dataset, []PairID) {
 		for i := 1; i < len(ps.starts); i++ {
 			gaps = append(gaps, (ps.starts[i] - ps.starts[i-1]).Seconds())
 		}
-		v := make([]float64, len(PairSchema))
+		v := make([]float64, len(pairSchema))
 		v[0] = float64(len(ps.starts))
 		v[1] = mean(gaps)
 		v[2] = cv(gaps)

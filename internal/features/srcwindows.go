@@ -10,11 +10,11 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// SourceWindowSchema names per-(source, window) features — the view a
+// sourceWindowSchema names per-(source, window) features — the view a
 // scan/sweep detector needs. A port scanner touches many destinations and
 // ports from one source; no per-packet or per-destination feature ever
 // sees that fan-out.
-var SourceWindowSchema = []string{
+var sourceWindowSchema = []string{
 	"pps",            // 0: packets/s from the source
 	"distinct_dsts",  // 1
 	"dst_entropy",    // 2
@@ -63,15 +63,15 @@ func (a *srcAgg) observe(s *packet.Summary) {
 	}
 }
 
-// vector renders the aggregate as a SourceWindowSchema feature row.
+// vector renders the aggregate as a sourceWindowSchema feature row.
 func (a *srcAgg) vector(src netip.Addr, campus netip.Prefix, window time.Duration) []float64 {
-	v := make([]float64, len(SourceWindowSchema))
+	v := make([]float64, len(sourceWindowSchema))
 	secs := window.Seconds()
 	v[0] = float64(a.pkts) / secs
 	v[1] = float64(len(a.dsts))
-	v[2] = Entropy(a.dsts)
+	v[2] = entropy(a.dsts)
 	v[3] = float64(len(a.ports))
-	v[4] = Entropy(a.ports)
+	v[4] = entropy(a.ports)
 	v[5] = float64(a.syn) / float64(a.pkts)
 	v[6] = float64(a.bytes) / float64(a.pkts)
 	v[7] = float64(a.dns) / float64(a.pkts)
@@ -184,7 +184,7 @@ func FromSourceWindows(st *datastore.Store, cfg SourceWindowConfig) *Dataset {
 		}
 		return true
 	})
-	d := &Dataset{Schema: SourceWindowSchema}
+	d := &Dataset{Schema: sourceWindowSchema}
 	for _, k := range sortedKeys(aggs, func(a, b key) int {
 		return cmp.Or(cmp.Compare(a.win, b.win), a.src.Compare(b.src))
 	}) {

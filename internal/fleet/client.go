@@ -126,27 +126,27 @@ func (c *Client) connect() (err error) {
 	}()
 	br := bufio.NewReader(conn)
 	conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-	msg := AppendMessage(nil, MsgHello, EncodeHello(c.cfg.Campus))
+	msg := AppendMessage(nil, msgHello, encodeHello(c.cfg.Campus))
 	if _, err := conn.Write(msg); err != nil {
 		return fmt.Errorf("fleet: hello: %w", err)
 	}
-	t, payload, err := ReadMessage(br, &c.scratch)
+	t, payload, err := readMessage(br, &c.scratch)
 	if err != nil {
 		return fmt.Errorf("fleet: hello reply: %w", err)
 	}
 	switch t {
-	case MsgHelloAck:
-	case MsgError:
+	case msgHelloAck:
+	case msgError:
 		return fmt.Errorf("fleet: server rejected handshake: %s", payload)
 	default:
 		return fmt.Errorf("fleet: unexpected handshake reply %v", t)
 	}
-	version, lastSeq, err := DecodeHelloAck(payload)
+	version, lastSeq, err := decodeHelloAck(payload)
 	if err != nil {
 		return err
 	}
-	if version != ProtocolVersion {
-		return fmt.Errorf("fleet: server speaks version %d, client %d", version, ProtocolVersion)
+	if version != protocolVersion {
+		return fmt.Errorf("fleet: server speaks version %d, client %d", version, protocolVersion)
 	}
 	c.conn, c.br, c.serverSeq = conn, br, lastSeq
 	return nil
@@ -168,7 +168,7 @@ func (c *Client) Close() error {
 // acknowledges it or the retry budget runs out. Delivery is exactly-once
 // from the store's point of view: a connection cut after the batch landed
 // but before the ack arrived is retried and answered from the server's
-// ack cache, never re-ingested. A MsgOverloaded reply (admission gate
+// ack cache, never re-ingested. A msgOverloaded reply (admission gate
 // shut) backs off with the control plane's jittered schedule and retries
 // the same sequence.
 func (c *Client) SendBatch(frames []traffic.Frame) (Ack, error) {
@@ -216,7 +216,7 @@ func (c *Client) exchange(msg []byte, seq uint64) (ack Ack, retry bool, err erro
 		c.Close()
 		return Ack{}, true, fmt.Errorf("fleet: write batch %d: %w", seq, werr)
 	}
-	t, payload, rerr := ReadMessage(c.br, &c.scratch)
+	t, payload, rerr := readMessage(c.br, &c.scratch)
 	if rerr != nil {
 		// The cut may have landed after ingest: reconnect and re-send;
 		// the server's ack cache makes the retry idempotent.
@@ -224,8 +224,8 @@ func (c *Client) exchange(msg []byte, seq uint64) (ack Ack, retry bool, err erro
 		return Ack{}, true, fmt.Errorf("fleet: read reply for batch %d: %w", seq, rerr)
 	}
 	switch t {
-	case MsgAck:
-		ack, aerr := DecodeAck(payload)
+	case msgAck:
+		ack, aerr := decodeAck(payload)
 		if aerr != nil {
 			c.Close()
 			return Ack{}, true, aerr
@@ -235,10 +235,10 @@ func (c *Client) exchange(msg []byte, seq uint64) (ack Ack, retry bool, err erro
 			return Ack{}, true, fmt.Errorf("fleet: ack for batch %d while waiting on %d", ack.Seq, seq)
 		}
 		return ack, false, nil
-	case MsgOverloaded:
+	case msgOverloaded:
 		obsCliBackoffs.Inc()
 		return Ack{}, true, fmt.Errorf("fleet: server overloaded at batch %d", seq)
-	case MsgError:
+	case msgError:
 		return Ack{}, false, fmt.Errorf("fleet: server error at batch %d: %s", seq, payload)
 	default:
 		c.Close()
@@ -254,16 +254,16 @@ type StreamStats struct {
 	Batches uint64 // acked batches
 }
 
-// DefaultStreamBatch mirrors the local collector's ingest batch size, so
+// defaultStreamBatch mirrors the local collector's ingest batch size, so
 // a streamed campus and a locally collected one land byte-identical
 // stores.
-const DefaultStreamBatch = 4096
+const defaultStreamBatch = 4096
 
 // Stream drains a generator into the server in batches of batchSize
-// (<=0 = DefaultStreamBatch), the streaming counterpart of Lab.Collect.
+// (<=0 = defaultStreamBatch), the streaming counterpart of Lab.Collect.
 func (c *Client) Stream(gen traffic.Generator, batchSize int) (StreamStats, error) {
 	if batchSize <= 0 {
-		batchSize = DefaultStreamBatch
+		batchSize = defaultStreamBatch
 	}
 	var st StreamStats
 	batch := make([]traffic.Frame, 0, batchSize)

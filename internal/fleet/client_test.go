@@ -41,8 +41,8 @@ func (c *scriptedConn) Close() error                { return nil }
 func (c *scriptedConn) Write(b []byte) (int, error) {
 	s := c.srv
 	switch MsgType(b[0]) {
-	case MsgHello:
-		c.buf = AppendMessage(c.buf[:0], MsgHelloAck, EncodeHelloAck(s.lastSeq))
+	case msgHello:
+		c.buf = AppendMessage(c.buf[:0], msgHelloAck, encodeHelloAck(s.lastSeq))
 		c.reply = c.buf
 	case MsgBatch:
 		s.nwrites++
@@ -54,7 +54,7 @@ func (c *scriptedConn) Write(b []byte) (int, error) {
 		s.lastSeq = seq // the batch landed, whether or not its ack arrives
 		c.reply = nil
 		if !s.loseAck[s.nwrites] {
-			c.buf = AppendMessage(c.buf[:0], MsgAck, EncodeAck(Ack{Seq: seq, Ingested: count}))
+			c.buf = AppendMessage(c.buf[:0], msgAck, encodeAck(Ack{Seq: seq, Ingested: count}))
 			c.reply = c.buf
 		}
 	}

@@ -9,20 +9,20 @@ import (
 // FuzzFleetFrame drives the wire decoder with arbitrary bytes. The
 // invariants under fuzz:
 //
-//  1. DecodeMessage/ReadMessage never panic; every failure is
+//  1. DecodeMessage/readMessage never panic; every failure is
 //     ErrFrameCorrupt (structural) or an io error (truncation).
 //  2. The streaming and in-memory decoders agree on well-formed input.
 //  3. A successfully decoded message re-encodes to the identical bytes —
 //     the encoding is canonical, so decode∘encode is the identity and a
 //     single flipped bit can never round-trip cleanly.
 func FuzzFleetFrame(f *testing.F) {
-	f.Add(AppendMessage(nil, MsgHello, EncodeHello("ucsb")))
-	f.Add(AppendMessage(nil, MsgHelloAck, EncodeHelloAck(12)))
+	f.Add(AppendMessage(nil, msgHello, encodeHello("ucsb")))
+	f.Add(AppendMessage(nil, msgHelloAck, encodeHelloAck(12)))
 	f.Add(AppendMessage(nil, MsgBatch, EncodeBatch(1, testFrames(3, 5), []uint16{0, 1, 2})))
 	f.Add(AppendMessage(nil, MsgBatch, EncodeBatch(2, nil, nil)))
-	f.Add(AppendMessage(nil, MsgAck, EncodeAck(Ack{Seq: 2, First: 77, Ingested: 10, Shed: 1})))
-	f.Add(AppendMessage(nil, MsgOverloaded, EncodeSeq(9)))
-	f.Add(AppendMessage(nil, MsgError, []byte("campus x: ingest wedged")))
+	f.Add(AppendMessage(nil, msgAck, encodeAck(Ack{Seq: 2, First: 77, Ingested: 10, Shed: 1})))
+	f.Add(AppendMessage(nil, msgOverloaded, encodeSeq(9)))
+	f.Add(AppendMessage(nil, msgError, []byte("campus x: ingest wedged")))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
 
@@ -35,14 +35,14 @@ func FuzzFleetFrame(f *testing.F) {
 			// The streaming decoder must also refuse (with a frame or io
 			// error), never panic.
 			var scratch []byte
-			if _, _, rerr := ReadMessage(bytes.NewReader(b), &scratch); rerr == nil {
+			if _, _, rerr := readMessage(bytes.NewReader(b), &scratch); rerr == nil {
 				t.Fatal("ReadMessage accepted what DecodeMessage refused")
 			}
 			return
 		}
 		// Streaming decoder agrees byte for byte.
 		var scratch []byte
-		rt, rp, rerr := ReadMessage(bytes.NewReader(b), &scratch)
+		rt, rp, rerr := readMessage(bytes.NewReader(b), &scratch)
 		if rerr != nil || rt != mt || !bytes.Equal(rp, payload) {
 			t.Fatalf("ReadMessage disagrees: %v %v vs %v", rt, rerr, mt)
 		}
@@ -53,22 +53,22 @@ func FuzzFleetFrame(f *testing.F) {
 
 		// Payload decoders: never panic, typed errors, canonical re-encode.
 		switch mt {
-		case MsgHello:
-			campus, version, err := DecodeHello(payload)
+		case msgHello:
+			campus, version, err := decodeHello(payload)
 			if err != nil {
 				if !errors.Is(err, ErrFrameCorrupt) {
 					t.Fatalf("DecodeHello: %v", err)
 				}
-			} else if version == ProtocolVersion && !bytes.Equal(EncodeHello(campus), payload) {
+			} else if version == protocolVersion && !bytes.Equal(encodeHello(campus), payload) {
 				t.Fatal("hello re-encode differs")
 			}
-		case MsgHelloAck:
-			version, lastSeq, err := DecodeHelloAck(payload)
+		case msgHelloAck:
+			version, lastSeq, err := decodeHelloAck(payload)
 			if err != nil {
 				if !errors.Is(err, ErrFrameCorrupt) {
 					t.Fatalf("DecodeHelloAck: %v", err)
 				}
-			} else if version == ProtocolVersion && !bytes.Equal(EncodeHelloAck(lastSeq), payload) {
+			} else if version == protocolVersion && !bytes.Equal(encodeHelloAck(lastSeq), payload) {
 				t.Fatal("hello-ack re-encode differs")
 			}
 		case MsgBatch:
@@ -80,22 +80,22 @@ func FuzzFleetFrame(f *testing.F) {
 			} else if !bytes.Equal(EncodeBatch(seq, frames, links), payload) {
 				t.Fatal("batch re-encode differs")
 			}
-		case MsgAck:
-			ack, err := DecodeAck(payload)
+		case msgAck:
+			ack, err := decodeAck(payload)
 			if err != nil {
 				if !errors.Is(err, ErrFrameCorrupt) {
 					t.Fatalf("DecodeAck: %v", err)
 				}
-			} else if !bytes.Equal(EncodeAck(ack), payload) {
+			} else if !bytes.Equal(encodeAck(ack), payload) {
 				t.Fatal("ack re-encode differs")
 			}
-		case MsgOverloaded:
-			seq, err := DecodeSeq(payload)
+		case msgOverloaded:
+			seq, err := decodeSeq(payload)
 			if err != nil {
 				if !errors.Is(err, ErrFrameCorrupt) {
 					t.Fatalf("DecodeSeq: %v", err)
 				}
-			} else if !bytes.Equal(EncodeSeq(seq), payload) {
+			} else if !bytes.Equal(encodeSeq(seq), payload) {
 				t.Fatal("seq re-encode differs")
 			}
 		}

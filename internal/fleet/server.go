@@ -32,7 +32,7 @@ var (
 // ServerConfig parameterizes an ingest listener.
 type ServerConfig struct {
 	// Store receives every acked batch (required). When the store is
-	// durable (WAL attached), a MsgAck means the batch is on disk.
+	// durable (WAL attached), a msgAck means the batch is on disk.
 	Store *datastore.Store
 	// Workers bounds per-batch ingest fan-out (0 = GOMAXPROCS).
 	Workers int
@@ -148,10 +148,10 @@ func reply(w *bufio.Writer, t MsgType, payload []byte) error {
 	return w.Flush()
 }
 
-// fail sends a fatal MsgError (best effort) and counts it.
+// fail sends a fatal msgError (best effort) and counts it.
 func fail(w *bufio.Writer, format string, args ...any) {
 	obsSrvErrors.Inc()
-	_ = reply(w, MsgError, []byte(fmt.Sprintf(format, args...)))
+	_ = reply(w, msgError, []byte(fmt.Sprintf(format, args...)))
 }
 
 // handle runs one connection: handshake, then a batch/ack loop until the
@@ -163,20 +163,20 @@ func (s *Server) handle(conn net.Conn) {
 	var scratch []byte
 
 	conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-	t, payload, err := ReadMessage(br, &scratch)
-	if err != nil || t != MsgHello {
+	t, payload, err := readMessage(br, &scratch)
+	if err != nil || t != msgHello {
 		if err == nil {
 			fail(bw, "expected hello, got %v", t)
 		}
 		return
 	}
-	campus, version, err := DecodeHello(payload)
+	campus, version, err := decodeHello(payload)
 	if err != nil {
 		fail(bw, "bad hello: %v", err)
 		return
 	}
-	if version != ProtocolVersion {
-		fail(bw, "protocol version %d not supported (want %d)", version, ProtocolVersion)
+	if version != protocolVersion {
+		fail(bw, "protocol version %d not supported (want %d)", version, protocolVersion)
 		return
 	}
 	if campus == "" {
@@ -187,13 +187,13 @@ func (s *Server) handle(conn net.Conn) {
 	cs.mu.Lock()
 	lastSeq := cs.lastSeq
 	cs.mu.Unlock()
-	if err := reply(bw, MsgHelloAck, EncodeHelloAck(lastSeq)); err != nil {
+	if err := reply(bw, msgHelloAck, encodeHelloAck(lastSeq)); err != nil {
 		return
 	}
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		t, payload, err := ReadMessage(br, &scratch)
+		t, payload, err := readMessage(br, &scratch)
 		switch {
 		case err == io.EOF:
 			return // clean hangup at a message boundary
@@ -232,7 +232,7 @@ func (s *Server) ingestBatch(bw *bufio.Writer, cs *campusState, campus string, s
 		// Retry of the batch we just acked: the ack was lost, not the
 		// batch. Answer from the cache; the store never sees it again.
 		obsSrvDups.Inc()
-		return reply(bw, MsgAck, EncodeAck(cs.lastAck)) == nil
+		return reply(bw, msgAck, encodeAck(cs.lastAck)) == nil
 	case seq != cs.lastSeq+1:
 		fail(bw, "campus %s: batch seq %d after %d", campus, seq, cs.lastSeq)
 		return false
@@ -243,7 +243,7 @@ func (s *Server) ingestBatch(bw *bufio.Writer, cs *campusState, campus string, s
 		// Typed backpressure: the whole batch was refused before any WAL
 		// append; the client backs off and retries the same sequence.
 		obsSrvOverloaded.Inc()
-		return reply(bw, MsgOverloaded, EncodeSeq(seq)) == nil
+		return reply(bw, msgOverloaded, encodeSeq(seq)) == nil
 	case err != nil:
 		// WAL failure or other refusal: the batch is NOT durable and must
 		// not be acked. Fatal for the stream — a wedged log will not heal
@@ -256,5 +256,5 @@ func (s *Server) ingestBatch(bw *bufio.Writer, cs *campusState, campus string, s
 	obsSrvBatches.Inc()
 	obsSrvFrames.Add(uint64(len(frames)))
 	obsSrvBytes.Add(nbytes)
-	return reply(bw, MsgAck, EncodeAck(cs.lastAck)) == nil
+	return reply(bw, msgAck, encodeAck(cs.lastAck)) == nil
 }

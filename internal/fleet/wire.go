@@ -8,21 +8,21 @@
 //	message: type u8, then a frame checked block:
 //	         payload len u32 | payload crc32 u32 | payload
 //
-//	MsgHello      payload: magic "CLFT" | version u16 |
+//	msgHello      payload: magic "CLFT" | version u16 |
 //	              name len u16 | campus name
-//	MsgHelloAck   payload: version u16 | last acked batch seq u64
+//	msgHelloAck   payload: version u16 | last acked batch seq u64
 //	MsgBatch      payload: batch seq u64, then a frame record list:
 //	              frame count u32, per frame:
 //	              ts i64 | link u16 | label u8 | actor u8 | dlen u32 | data
-//	MsgAck        payload: batch seq u64 | first packet id u64 |
+//	msgAck        payload: batch seq u64 | first packet id u64 |
 //	              ingested u32 | shed u32
-//	MsgOverloaded payload: batch seq u64   (backpressure: retry later)
-//	MsgError      payload: utf-8 reason    (fatal for the stream)
+//	msgOverloaded payload: batch seq u64   (backpressure: retry later)
+//	msgError      payload: utf-8 reason    (fatal for the stream)
 //
 // Batches are CRC-framed so a cut connection or bit rot is detected
 // before any frame reaches the store: a batch is ingested entirely or not
 // at all, and an acked batch rides the store's admission + WAL path, so a
-// MsgAck is a durability acknowledgment whenever the serving store is
+// msgAck is a durability acknowledgment whenever the serving store is
 // durable. Batch sequence numbers are per-campus and strictly
 // consecutive; the server remembers the last acked sequence per campus
 // and answers a re-sent batch from its ack cache without re-ingesting, so
@@ -44,29 +44,29 @@ type MsgType uint8
 
 // Protocol message types.
 const (
-	MsgHello MsgType = iota + 1
-	MsgHelloAck
+	msgHello MsgType = iota + 1
+	msgHelloAck
 	MsgBatch
-	MsgAck
-	MsgOverloaded
-	MsgError
+	msgAck
+	msgOverloaded
+	msgError
 	msgTypeEnd
 )
 
 // String names the message type (errors, tests).
 func (t MsgType) String() string {
 	switch t {
-	case MsgHello:
+	case msgHello:
 		return "hello"
-	case MsgHelloAck:
+	case msgHelloAck:
 		return "hello-ack"
 	case MsgBatch:
 		return "batch"
-	case MsgAck:
+	case msgAck:
 		return "ack"
-	case MsgOverloaded:
+	case msgOverloaded:
 		return "overloaded"
-	case MsgError:
+	case msgError:
 		return "error"
 	}
 	return fmt.Sprintf("msg-%d", uint8(t))
@@ -76,8 +76,8 @@ const (
 	// helloMagic opens every stream; a dialer that is not a fleet client
 	// is rejected at the first message.
 	helloMagic = "CLFT"
-	// ProtocolVersion is the handshake version both ends must speak.
-	ProtocolVersion = 1
+	// protocolVersion is the handshake version both ends must speak.
+	protocolVersion = 1
 
 	// maxCampusName bounds the handshake's campus name.
 	maxCampusName = 255
@@ -93,7 +93,7 @@ func corrupt(err error) error { return fmt.Errorf("%w: %v", ErrFrameCorrupt, err
 
 // checkType rejects a type byte outside the protocol.
 func checkType(b byte) (MsgType, error) {
-	if t := MsgType(b); t >= MsgHello && t < msgTypeEnd {
+	if t := MsgType(b); t >= msgHello && t < msgTypeEnd {
 		return t, nil
 	}
 	return 0, fmt.Errorf("%w: unknown message type %d", ErrFrameCorrupt, b)
@@ -123,10 +123,10 @@ func DecodeMessage(b []byte) (t MsgType, payload, rest []byte, err error) {
 	return t, payload, rest, nil
 }
 
-// ReadMessage reads one framed message from r, reusing *scratch for the
+// readMessage reads one framed message from r, reusing *scratch for the
 // payload. io.EOF at a message boundary is returned as io.EOF; a
 // mid-message cut is io.ErrUnexpectedEOF; corruption is ErrFrameCorrupt.
-func ReadMessage(r io.Reader, scratch *[]byte) (MsgType, []byte, error) {
+func readMessage(r io.Reader, scratch *[]byte) (MsgType, []byte, error) {
 	var tb [1]byte
 	if _, err := io.ReadFull(r, tb[:]); err != nil {
 		return 0, nil, err
@@ -147,17 +147,17 @@ func ReadMessage(r io.Reader, scratch *[]byte) (MsgType, []byte, error) {
 	return t, payload, nil
 }
 
-// EncodeHello builds the handshake payload for a campus name.
-func EncodeHello(campus string) []byte {
+// encodeHello builds the handshake payload for a campus name.
+func encodeHello(campus string) []byte {
 	b := make([]byte, 0, 8+len(campus))
 	b = append(b, helloMagic...)
-	b = binary.LittleEndian.AppendUint16(b, ProtocolVersion)
+	b = binary.LittleEndian.AppendUint16(b, protocolVersion)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(campus)))
 	return append(b, campus...)
 }
 
-// DecodeHello parses a handshake payload into (campus, version).
-func DecodeHello(p []byte) (campus string, version uint16, err error) {
+// decodeHello parses a handshake payload into (campus, version).
+func decodeHello(p []byte) (campus string, version uint16, err error) {
 	if len(p) < 8 {
 		return "", 0, fmt.Errorf("%w: short hello", ErrFrameCorrupt)
 	}
@@ -172,17 +172,17 @@ func DecodeHello(p []byte) (campus string, version uint16, err error) {
 	return string(p[8:]), version, nil
 }
 
-// EncodeHelloAck builds the server's handshake reply: its protocol
+// encodeHelloAck builds the server's handshake reply: its protocol
 // version and the last batch sequence it has acknowledged for this campus
 // (0 = none), so a reconnecting client knows where to resume.
-func EncodeHelloAck(lastSeq uint64) []byte {
+func encodeHelloAck(lastSeq uint64) []byte {
 	b := make([]byte, 0, 10)
-	b = binary.LittleEndian.AppendUint16(b, ProtocolVersion)
+	b = binary.LittleEndian.AppendUint16(b, protocolVersion)
 	return binary.LittleEndian.AppendUint64(b, lastSeq)
 }
 
-// DecodeHelloAck parses the handshake reply.
-func DecodeHelloAck(p []byte) (version uint16, lastSeq uint64, err error) {
+// decodeHelloAck parses the handshake reply.
+func decodeHelloAck(p []byte) (version uint16, lastSeq uint64, err error) {
 	if len(p) != 10 {
 		return 0, 0, fmt.Errorf("%w: hello-ack length %d", ErrFrameCorrupt, len(p))
 	}
@@ -244,8 +244,8 @@ type Ack struct {
 	Shed uint32
 }
 
-// EncodeAck serializes an acknowledgment payload.
-func EncodeAck(a Ack) []byte {
+// encodeAck serializes an acknowledgment payload.
+func encodeAck(a Ack) []byte {
 	b := make([]byte, 0, 24)
 	b = binary.LittleEndian.AppendUint64(b, a.Seq)
 	b = binary.LittleEndian.AppendUint64(b, a.First)
@@ -253,8 +253,8 @@ func EncodeAck(a Ack) []byte {
 	return binary.LittleEndian.AppendUint32(b, a.Shed)
 }
 
-// DecodeAck parses an acknowledgment payload.
-func DecodeAck(p []byte) (Ack, error) {
+// decodeAck parses an acknowledgment payload.
+func decodeAck(p []byte) (Ack, error) {
 	if len(p) != 24 {
 		return Ack{}, fmt.Errorf("%w: ack length %d", ErrFrameCorrupt, len(p))
 	}
@@ -266,13 +266,13 @@ func DecodeAck(p []byte) (Ack, error) {
 	}, nil
 }
 
-// EncodeSeq serializes a bare sequence payload (MsgOverloaded).
-func EncodeSeq(seq uint64) []byte {
+// encodeSeq serializes a bare sequence payload (msgOverloaded).
+func encodeSeq(seq uint64) []byte {
 	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), seq)
 }
 
-// DecodeSeq parses a bare sequence payload.
-func DecodeSeq(p []byte) (uint64, error) {
+// decodeSeq parses a bare sequence payload.
+func decodeSeq(p []byte) (uint64, error) {
 	if len(p) != 8 {
 		return 0, fmt.Errorf("%w: seq length %d", ErrFrameCorrupt, len(p))
 	}

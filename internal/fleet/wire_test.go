@@ -34,7 +34,7 @@ func testFrames(n, seed int) []traffic.Frame {
 func TestMessageRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 1000)}
 	for _, p := range payloads {
-		for mt := MsgHello; mt < msgTypeEnd; mt++ {
+		for mt := msgHello; mt < msgTypeEnd; mt++ {
 			msg := AppendMessage(nil, mt, p)
 			gt, gp, rest, err := DecodeMessage(msg)
 			if err != nil {
@@ -78,25 +78,25 @@ func TestMessageDecodeRejectsCorruption(t *testing.T) {
 }
 
 func TestReadMessageEOFSemantics(t *testing.T) {
-	msg := AppendMessage(nil, MsgAck, EncodeAck(Ack{Seq: 3, First: 100, Ingested: 50}))
+	msg := AppendMessage(nil, msgAck, encodeAck(Ack{Seq: 3, First: 100, Ingested: 50}))
 	var scratch []byte
 
 	// Clean read then boundary EOF.
 	r := bytes.NewReader(msg)
-	mt, p, err := ReadMessage(r, &scratch)
-	if err != nil || mt != MsgAck {
+	mt, p, err := readMessage(r, &scratch)
+	if err != nil || mt != msgAck {
 		t.Fatalf("read: %v %v", mt, err)
 	}
-	if a, err := DecodeAck(p); err != nil || a.Seq != 3 || a.First != 100 || a.Ingested != 50 {
+	if a, err := decodeAck(p); err != nil || a.Seq != 3 || a.First != 100 || a.Ingested != 50 {
 		t.Fatalf("ack round trip: %+v %v", a, err)
 	}
-	if _, _, err := ReadMessage(r, &scratch); err != io.EOF {
+	if _, _, err := readMessage(r, &scratch); err != io.EOF {
 		t.Fatalf("boundary EOF: got %v", err)
 	}
 
 	// A cut anywhere inside the message is ErrUnexpectedEOF, never EOF.
 	for n := 1; n < len(msg); n++ {
-		_, _, err := ReadMessage(bytes.NewReader(msg[:n]), &scratch)
+		_, _, err := readMessage(bytes.NewReader(msg[:n]), &scratch)
 		if err != io.ErrUnexpectedEOF {
 			t.Fatalf("cut at %d: got %v", n, err)
 		}
@@ -167,36 +167,36 @@ func TestBatchDecodeRejectsBadFields(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	for _, name := range []string{"ucsb", "a", string(bytes.Repeat([]byte{'x'}, maxCampusName))} {
-		campus, version, err := DecodeHello(EncodeHello(name))
-		if err != nil || campus != name || version != ProtocolVersion {
+		campus, version, err := decodeHello(encodeHello(name))
+		if err != nil || campus != name || version != protocolVersion {
 			t.Fatalf("hello %q: got %q v%d, %v", name, campus, version, err)
 		}
 	}
 	bad := [][]byte{
 		{}, []byte("CLF"), []byte("XXXX\x01\x00\x00\x00"),
-		append(EncodeHello("abc"), 'd'), // length shorter than payload
-		EncodeHello("abc")[:9],          // payload shorter than length
+		append(encodeHello("abc"), 'd'), // length shorter than payload
+		encodeHello("abc")[:9],          // payload shorter than length
 	}
 	for i, b := range bad {
-		if _, _, err := DecodeHello(b); !errors.Is(err, ErrFrameCorrupt) {
+		if _, _, err := decodeHello(b); !errors.Is(err, ErrFrameCorrupt) {
 			t.Errorf("bad hello %d: got %v", i, err)
 		}
 	}
-	version, lastSeq, err := DecodeHelloAck(EncodeHelloAck(991))
-	if err != nil || version != ProtocolVersion || lastSeq != 991 {
+	version, lastSeq, err := decodeHelloAck(encodeHelloAck(991))
+	if err != nil || version != protocolVersion || lastSeq != 991 {
 		t.Fatalf("hello-ack: v%d seq=%d %v", version, lastSeq, err)
 	}
-	if _, _, err := DecodeHelloAck([]byte{1, 2, 3}); !errors.Is(err, ErrFrameCorrupt) {
+	if _, _, err := decodeHelloAck([]byte{1, 2, 3}); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("short hello-ack: %v", err)
 	}
 }
 
 func TestSeqRoundTrip(t *testing.T) {
-	got, err := DecodeSeq(EncodeSeq(1 << 40))
+	got, err := decodeSeq(encodeSeq(1 << 40))
 	if err != nil || got != 1<<40 {
 		t.Fatalf("seq: %d %v", got, err)
 	}
-	if _, err := DecodeSeq([]byte{1}); !errors.Is(err, ErrFrameCorrupt) {
+	if _, err := decodeSeq([]byte{1}); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("short seq: %v", err)
 	}
 }
@@ -215,7 +215,7 @@ func TestFormatBatchMessagePinned(t *testing.T) {
 		t.Fatalf("DecodeMessage: %v %v, %d trailing bytes", mt, err, len(rest))
 	}
 	var scratch []byte
-	if rt, rp, err := ReadMessage(bytes.NewReader(want), &scratch); err != nil || rt != mt || !bytes.Equal(rp, payload) {
+	if rt, rp, err := readMessage(bytes.NewReader(want), &scratch); err != nil || rt != mt || !bytes.Equal(rp, payload) {
 		t.Fatalf("ReadMessage disagrees with DecodeMessage: %v %v", rt, err)
 	}
 	seq, frames, links, err := DecodeBatch(payload)

@@ -162,20 +162,3 @@ func (f *Forest) TotalNodes() int {
 	}
 	return n
 }
-
-// FeatureImportance averages member-tree importances.
-func (f *Forest) FeatureImportance() []float64 {
-	if len(f.trees) == 0 {
-		return nil
-	}
-	out := make([]float64, f.trees[0].dims)
-	for _, t := range f.trees {
-		for i, v := range t.FeatureImportance() {
-			out[i] += v
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(f.trees))
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"campuslab/internal/features"
@@ -12,14 +11,14 @@ import (
 // class i predicted as class j.
 type Confusion [][]int
 
-// BatchPredictor is implemented by classifiers whose inference
+// batchPredictor is implemented by classifiers whose inference
 // parallelizes over examples (the Forest); Evaluate uses it when present.
-type BatchPredictor interface {
+type batchPredictor interface {
 	PredictBatch(X [][]float64, workers int) []int
 }
 
 // Evaluate runs the classifier over d and returns the confusion matrix.
-// Classifiers implementing BatchPredictor are evaluated with fan-out; the
+// Classifiers implementing batchPredictor are evaluated with fan-out; the
 // matrix is identical either way because predictions are index-addressed.
 func Evaluate(c Classifier, d *features.Dataset) Confusion {
 	n := c.NumClasses()
@@ -27,7 +26,7 @@ func Evaluate(c Classifier, d *features.Dataset) Confusion {
 	for i := range m {
 		m[i] = make([]int, n)
 	}
-	if bp, ok := c.(BatchPredictor); ok {
+	if bp, ok := c.(batchPredictor); ok {
 		preds := bp.PredictBatch(d.X, 0)
 		for i, y := range d.Y {
 			if y >= n {
@@ -64,8 +63,8 @@ func (m Confusion) Accuracy() float64 {
 	return float64(correct) / float64(total)
 }
 
-// Precision of class c: TP / (TP + FP).
-func (m Confusion) Precision(c int) float64 {
+// precision of class c: TP / (TP + FP).
+func (m Confusion) precision(c int) float64 {
 	var tp, fp int
 	for i := range m {
 		if i == c {
@@ -98,7 +97,7 @@ func (m Confusion) Recall(c int) float64 {
 
 // F1 of class c.
 func (m Confusion) F1(c int) float64 {
-	p, r := m.Precision(c), m.Recall(c)
+	p, r := m.precision(c), m.Recall(c)
 	if p+r == 0 {
 		return 0
 	}
@@ -117,47 +116,6 @@ func (m Confusion) String() string {
 	return sb.String()
 }
 
-// AUC computes the area under the ROC curve for binary scores: ys are 0/1
-// truths, scores are P(class 1). Ties are handled by midrank.
-func AUC(ys []int, scores []float64) float64 {
-	type pair struct {
-		s float64
-		y int
-	}
-	ps := make([]pair, len(ys))
-	for i := range ys {
-		ps[i] = pair{scores[i], ys[i]}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].s < ps[j].s })
-	// Midranks for ties.
-	ranks := make([]float64, len(ps))
-	for i := 0; i < len(ps); {
-		j := i
-		for j < len(ps) && ps[j].s == ps[i].s {
-			j++
-		}
-		mid := float64(i+j-1)/2 + 1
-		for k := i; k < j; k++ {
-			ranks[k] = mid
-		}
-		i = j
-	}
-	var sumPos float64
-	var nPos, nNeg float64
-	for i, p := range ps {
-		if p.y == 1 {
-			sumPos += ranks[i]
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	if nPos == 0 || nNeg == 0 {
-		return 0.5
-	}
-	return (sumPos - nPos*(nPos+1)/2) / (nPos * nNeg)
-}
-
 // Agreement measures the fraction of examples on which two classifiers
 // produce the same prediction — the fidelity metric for model extraction.
 func Agreement(a, b Classifier, d *features.Dataset) float64 {
@@ -171,51 +129,4 @@ func Agreement(a, b Classifier, d *features.Dataset) float64 {
 		}
 	}
 	return float64(same) / float64(d.Len())
-}
-
-// CrossValidate runs k-fold CV, training with fit on each fold's training
-// split and returning per-fold accuracies.
-func CrossValidate(d *features.Dataset, k int, seed int64, fit func(train *features.Dataset) (Classifier, error)) ([]float64, error) {
-	if k < 2 || d.Len() < k {
-		return nil, fmt.Errorf("ml: need k>=2 folds over %d examples, got k=%d", d.Len(), k)
-	}
-	shuffled := &features.Dataset{Schema: d.Schema, X: append([][]float64(nil), d.X...), Y: append([]int(nil), d.Y...)}
-	shuffled.Shuffle(seed)
-	foldSize := shuffled.Len() / k
-	accs := make([]float64, 0, k)
-	for f := 0; f < k; f++ {
-		lo, hi := f*foldSize, (f+1)*foldSize
-		if f == k-1 {
-			hi = shuffled.Len()
-		}
-		train := &features.Dataset{Schema: d.Schema}
-		test := &features.Dataset{Schema: d.Schema}
-		for i := 0; i < shuffled.Len(); i++ {
-			if i >= lo && i < hi {
-				test.X = append(test.X, shuffled.X[i])
-				test.Y = append(test.Y, shuffled.Y[i])
-			} else {
-				train.X = append(train.X, shuffled.X[i])
-				train.Y = append(train.Y, shuffled.Y[i])
-			}
-		}
-		c, err := fit(train)
-		if err != nil {
-			return nil, fmt.Errorf("ml: fold %d: %w", f, err)
-		}
-		accs = append(accs, Evaluate(c, test).Accuracy())
-	}
-	return accs, nil
-}
-
-// Mean returns the mean of xs (0 for empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

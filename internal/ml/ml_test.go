@@ -163,7 +163,7 @@ func TestTreeFeatureImportance(t *testing.T) {
 		d.Y = append(d.Y, c)
 	}
 	tree, _ := FitTree(d, 0, TreeConfig{MaxDepth: 4})
-	imp := tree.FeatureImportance()
+	imp := tree.featureImportance()
 	if imp[0] < 0.9 {
 		t.Errorf("importance = %v, signal should dominate", imp)
 	}
@@ -212,32 +212,6 @@ func TestForestProbaSumsToOne(t *testing.T) {
 	}
 }
 
-func TestLogRegLearnsLinear(t *testing.T) {
-	train := blobs(600, 1.0, 41)
-	test := blobs(300, 1.0, 42)
-	std := features.FitStandardizer(train)
-	std.Apply(train)
-	std.Apply(test)
-	m, err := FitLogReg(train, 0, LogRegConfig{Epochs: 30, Seed: 43})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := Evaluate(m, test).Accuracy(); acc < 0.93 {
-		t.Errorf("logreg accuracy %v", acc)
-	}
-}
-
-func TestLogRegFailsXOR(t *testing.T) {
-	// Sanity: a linear model cannot solve XOR — protects against the
-	// test data being accidentally separable.
-	train := xorData(600, 44)
-	test := xorData(300, 45)
-	m, _ := FitLogReg(train, 0, LogRegConfig{Epochs: 40, Seed: 46})
-	if acc := Evaluate(m, test).Accuracy(); acc > 0.8 {
-		t.Errorf("linear model 'solved' XOR with %v — test harness broken", acc)
-	}
-}
-
 func TestConfusionMetrics(t *testing.T) {
 	m := Confusion{
 		{50, 10}, // true 0: 50 right, 10 wrong
@@ -246,13 +220,13 @@ func TestConfusionMetrics(t *testing.T) {
 	if got := m.Accuracy(); math.Abs(got-0.85) > 1e-9 {
 		t.Errorf("accuracy = %v", got)
 	}
-	if got := m.Precision(1); math.Abs(got-35.0/45.0) > 1e-9 {
+	if got := m.precision(1); math.Abs(got-35.0/45.0) > 1e-9 {
 		t.Errorf("precision = %v", got)
 	}
 	if got := m.Recall(1); math.Abs(got-35.0/40.0) > 1e-9 {
 		t.Errorf("recall = %v", got)
 	}
-	p, r := m.Precision(1), m.Recall(1)
+	p, r := m.precision(1), m.Recall(1)
 	if got := m.F1(1); math.Abs(got-2*p*r/(p+r)) > 1e-9 {
 		t.Errorf("f1 = %v", got)
 	}
@@ -261,49 +235,11 @@ func TestConfusionMetrics(t *testing.T) {
 	}
 }
 
-func TestAUC(t *testing.T) {
-	// Perfect separation.
-	if got := AUC([]int{0, 0, 1, 1}, []float64{0.1, 0.2, 0.8, 0.9}); got != 1 {
-		t.Errorf("perfect AUC = %v", got)
-	}
-	// Inverted.
-	if got := AUC([]int{1, 1, 0, 0}, []float64{0.1, 0.2, 0.8, 0.9}); got != 0 {
-		t.Errorf("inverted AUC = %v", got)
-	}
-	// Random scores → about 0.5; all-ties → exactly 0.5.
-	if got := AUC([]int{0, 1, 0, 1}, []float64{0.5, 0.5, 0.5, 0.5}); got != 0.5 {
-		t.Errorf("tied AUC = %v", got)
-	}
-	// Degenerate single class.
-	if got := AUC([]int{1, 1}, []float64{0.1, 0.2}); got != 0.5 {
-		t.Errorf("single-class AUC = %v", got)
-	}
-}
-
 func TestAgreement(t *testing.T) {
 	train := blobs(300, 0.5, 51)
 	a, _ := FitTree(train, 0, TreeConfig{MaxDepth: 5})
 	if got := Agreement(a, a, train); got != 1 {
 		t.Errorf("self agreement = %v", got)
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	d := blobs(300, 0.8, 61)
-	accs, err := CrossValidate(d, 5, 62, func(train *features.Dataset) (Classifier, error) {
-		return FitTree(train, 2, TreeConfig{MaxDepth: 4})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accs) != 5 {
-		t.Fatalf("folds = %d", len(accs))
-	}
-	if Mean(accs) < 0.9 {
-		t.Errorf("cv mean accuracy = %v", Mean(accs))
-	}
-	if _, err := CrossValidate(d, 1, 0, nil); err == nil {
-		t.Error("accepted k=1")
 	}
 }
 

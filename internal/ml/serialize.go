@@ -32,9 +32,9 @@ const (
 	maxModelNodes = 1 << 24 // a flipped count must not drive a huge alloc
 )
 
-// ErrBadModel reports model bytes that fail structural validation or
+// errBadModel reports model bytes that fail structural validation or
 // checksum — never a panic.
-var ErrBadModel = errors.New("ml: bad model bytes")
+var errBadModel = errors.New("ml: bad model bytes")
 
 // MarshalBinary serializes the fitted tree.
 func (t *Tree) MarshalBinary() ([]byte, error) {
@@ -67,7 +67,7 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalTree restores a tree serialized by MarshalBinary. Corrupt input
-// yields ErrBadModel; the returned tree predicts identically to the
+// yields errBadModel; the returned tree predicts identically to the
 // original.
 func UnmarshalTree(b []byte) (*Tree, error) {
 	body, err := checkModelFrame(b, treeMagic)
@@ -81,17 +81,17 @@ func UnmarshalTree(b []byte) (*Tree, error) {
 // the body between the version and the checksum.
 func checkModelFrame(b []byte, magic string) ([]byte, error) {
 	if len(b) < 10 {
-		return nil, fmt.Errorf("%w: short", ErrBadModel)
+		return nil, fmt.Errorf("%w: short", errBadModel)
 	}
 	if string(b[:4]) != magic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadModel, b[:4])
+		return nil, fmt.Errorf("%w: magic %q", errBadModel, b[:4])
 	}
 	if v := binary.LittleEndian.Uint16(b[4:6]); v != modelVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadModel, v)
+		return nil, fmt.Errorf("%w: version %d", errBadModel, v)
 	}
 	body, sum := b[6:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadModel)
+		return nil, fmt.Errorf("%w: checksum mismatch", errBadModel)
 	}
 	return body, nil
 }
@@ -99,7 +99,7 @@ func checkModelFrame(b []byte, magic string) ([]byte, error) {
 // decodeTree parses the checksummed tree body.
 func decodeTree(b []byte) (*Tree, error) {
 	if len(b) < 28 {
-		return nil, fmt.Errorf("%w: short tree header", ErrBadModel)
+		return nil, fmt.Errorf("%w: short tree header", errBadModel)
 	}
 	t := &Tree{
 		classes: int(binary.LittleEndian.Uint32(b[0:4])),
@@ -112,16 +112,16 @@ func decodeTree(b []byte) (*Tree, error) {
 		},
 	}
 	if t.classes <= 0 || t.classes > 1<<16 || t.dims < 0 || t.dims > 1<<16 {
-		return nil, fmt.Errorf("%w: %d classes / %d dims", ErrBadModel, t.classes, t.dims)
+		return nil, fmt.Errorf("%w: %d classes / %d dims", errBadModel, t.classes, t.dims)
 	}
 	nNodes := int(binary.LittleEndian.Uint32(b[28:32]))
 	if nNodes <= 0 || nNodes > maxModelNodes {
-		return nil, fmt.Errorf("%w: %d nodes", ErrBadModel, nNodes)
+		return nil, fmt.Errorf("%w: %d nodes", errBadModel, nNodes)
 	}
 	off := 32
 	nodeSize := 28 + 8*t.classes
 	if len(b)-off != nNodes*nodeSize {
-		return nil, fmt.Errorf("%w: %d body bytes for %d nodes", ErrBadModel, len(b)-off, nNodes)
+		return nil, fmt.Errorf("%w: %d body bytes for %d nodes", errBadModel, len(b)-off, nNodes)
 	}
 	t.nodes = make([]treeNode, nNodes)
 	for i := range t.nodes {
@@ -133,7 +133,7 @@ func decodeTree(b []byte) (*Tree, error) {
 		n.total = math.Float64frombits(binary.LittleEndian.Uint64(b[off+20 : off+28]))
 		off += 28
 		if n.feature >= t.dims || (n.feature >= 0 && (n.left >= nNodes || n.right >= nNodes)) {
-			return nil, fmt.Errorf("%w: node %d references out of range", ErrBadModel, i)
+			return nil, fmt.Errorf("%w: node %d references out of range", errBadModel, i)
 		}
 		n.counts = make([]float64, t.classes)
 		for c := range n.counts {
@@ -163,43 +163,43 @@ func (f *Forest) MarshalBinary() ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalForest restores a forest serialized by MarshalBinary.
-func UnmarshalForest(b []byte) (*Forest, error) {
+// unmarshalForest restores a forest serialized by MarshalBinary.
+func unmarshalForest(b []byte) (*Forest, error) {
 	body, err := checkModelFrame(b, forestMagic)
 	if err != nil {
 		return nil, err
 	}
 	if len(body) < 8 {
-		return nil, fmt.Errorf("%w: short forest header", ErrBadModel)
+		return nil, fmt.Errorf("%w: short forest header", errBadModel)
 	}
 	f := &Forest{classes: int(binary.LittleEndian.Uint32(body[0:4]))}
 	nTrees := int(binary.LittleEndian.Uint32(body[4:8]))
 	if f.classes <= 0 || nTrees <= 0 || nTrees > 1<<16 {
-		return nil, fmt.Errorf("%w: %d classes / %d trees", ErrBadModel, f.classes, nTrees)
+		return nil, fmt.Errorf("%w: %d classes / %d trees", errBadModel, f.classes, nTrees)
 	}
 	off := 8
 	f.trees = make([]*Tree, nTrees)
 	for i := range f.trees {
 		if off+4 > len(body) {
-			return nil, fmt.Errorf("%w: truncated at tree %d", ErrBadModel, i)
+			return nil, fmt.Errorf("%w: truncated at tree %d", errBadModel, i)
 		}
 		tl := int(binary.LittleEndian.Uint32(body[off : off+4]))
 		off += 4
 		if tl < 0 || off+tl > len(body) {
-			return nil, fmt.Errorf("%w: tree %d claims %d bytes", ErrBadModel, i, tl)
+			return nil, fmt.Errorf("%w: tree %d claims %d bytes", errBadModel, i, tl)
 		}
 		t, err := UnmarshalTree(body[off : off+tl])
 		if err != nil {
 			return nil, fmt.Errorf("ml: forest tree %d: %w", i, err)
 		}
 		if t.classes != f.classes {
-			return nil, fmt.Errorf("%w: tree %d has %d classes, forest %d", ErrBadModel, i, t.classes, f.classes)
+			return nil, fmt.Errorf("%w: tree %d has %d classes, forest %d", errBadModel, i, t.classes, f.classes)
 		}
 		f.trees[i] = t
 		off += tl
 	}
 	if off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadModel, len(body)-off)
+		return nil, fmt.Errorf("%w: %d trailing bytes", errBadModel, len(body)-off)
 	}
 	return f, nil
 }

@@ -75,7 +75,7 @@ func TestForestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalForest(b)
+	got, err := unmarshalForest(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	cases["bit flip"] = flipped
 
 	for name, b := range cases {
-		if _, err := UnmarshalTree(b); !errors.Is(err, ErrBadModel) {
+		if _, err := UnmarshalTree(b); !errors.Is(err, errBadModel) {
 			t.Errorf("%s: want ErrBadModel, got %v", name, err)
 		}
 	}
@@ -118,10 +118,10 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	fb, _ := f.MarshalBinary()
 	fflip := append([]byte(nil), fb...)
 	fflip[len(fflip)/3] ^= 0x01
-	if _, err := UnmarshalForest(fflip); !errors.Is(err, ErrBadModel) {
+	if _, err := unmarshalForest(fflip); !errors.Is(err, errBadModel) {
 		t.Errorf("forest bit flip: want ErrBadModel, got %v", err)
 	}
-	if _, err := UnmarshalForest(good); !errors.Is(err, ErrBadModel) {
+	if _, err := unmarshalForest(good); !errors.Is(err, errBadModel) {
 		t.Error("forest unmarshal accepted tree bytes")
 	}
 }

@@ -262,8 +262,8 @@ func (t *Tree) Export() []ExportedNode {
 	return out
 }
 
-// FeatureImportance returns normalized Gini importance per feature.
-func (t *Tree) FeatureImportance() []float64 {
+// featureImportance returns normalized Gini importance per feature.
+func (t *Tree) featureImportance() []float64 {
 	imp := make([]float64, t.dims)
 	for i := range t.nodes {
 		n := &t.nodes[i]

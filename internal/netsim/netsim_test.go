@@ -17,21 +17,21 @@ func smallTopo(t testing.TB) *Topology {
 func TestBuildCampusStructure(t *testing.T) {
 	plan := traffic.DefaultPlan(30)
 	topo := BuildCampus(Config{Plan: plan, HostsPerAccess: 10})
-	if topo.HostCount() != plan.TotalHosts() {
-		t.Errorf("hosts = %d, want %d", topo.HostCount(), plan.TotalHosts())
+	if topo.hostCount() != plan.TotalHosts() {
+		t.Errorf("hosts = %d, want %d", topo.hostCount(), plan.TotalHosts())
 	}
 	var kinds [6]int
 	for _, n := range topo.Nodes {
 		kinds[n.Kind]++
 	}
-	if kinds[KindCore] != 1 || kinds[KindBorder] != 1 || kinds[KindInternet] != 1 {
-		t.Errorf("core/border/internet = %d/%d/%d", kinds[KindCore], kinds[KindBorder], kinds[KindInternet])
+	if kinds[kindCore] != 1 || kinds[kindBorder] != 1 || kinds[kindInternet] != 1 {
+		t.Errorf("core/border/internet = %d/%d/%d", kinds[kindCore], kinds[kindBorder], kinds[kindInternet])
 	}
-	if kinds[KindDist] != len(plan.Departments) {
-		t.Errorf("dist = %d, want %d", kinds[KindDist], len(plan.Departments))
+	if kinds[kindDist] != len(plan.Departments) {
+		t.Errorf("dist = %d, want %d", kinds[kindDist], len(plan.Departments))
 	}
-	if kinds[KindHost] != plan.TotalHosts() {
-		t.Errorf("host nodes = %d", kinds[KindHost])
+	if kinds[kindHost] != plan.TotalHosts() {
+		t.Errorf("host nodes = %d", kinds[kindHost])
 	}
 	// Every link must be paired with its reverse.
 	for _, l := range topo.Links {
@@ -55,14 +55,14 @@ func TestBuildCampusStructure(t *testing.T) {
 func TestRouting(t *testing.T) {
 	plan := traffic.DefaultPlan(30)
 	topo := BuildCampus(Config{Plan: plan, HostsPerAccess: 10})
-	h0 := topo.NodeFor(plan.Host(0))
-	hLast := topo.NodeFor(plan.Host(plan.TotalHosts() - 1))
-	ext := topo.NodeFor(netip.MustParseAddr("93.184.216.34"))
+	h0 := topo.nodeFor(plan.Host(0))
+	hLast := topo.nodeFor(plan.Host(plan.TotalHosts() - 1))
+	ext := topo.nodeFor(netip.MustParseAddr("93.184.216.34"))
 	if ext != topo.Internet {
 		t.Fatal("external IP not mapped to internet")
 	}
 	// Host to internet passes the border.
-	path := topo.Route(h0, ext)
+	path := topo.route(h0, ext)
 	if path == nil {
 		t.Fatal("no route host->internet")
 	}
@@ -76,7 +76,7 @@ func TestRouting(t *testing.T) {
 		t.Error("host->internet route avoids border")
 	}
 	// Host to host in different departments passes the core, not border.
-	path = topo.Route(h0, hLast)
+	path = topo.route(h0, hLast)
 	if path == nil {
 		t.Fatal("no route host->host")
 	}
@@ -89,7 +89,7 @@ func TestRouting(t *testing.T) {
 	if topo.Links[path[0]].From != h0 || topo.Links[path[len(path)-1]].To != hLast {
 		t.Error("path endpoints wrong")
 	}
-	if topo.Route(h0, h0) != nil {
+	if topo.route(h0, h0) != nil {
 		t.Error("self route should be empty")
 	}
 }
@@ -112,7 +112,7 @@ func TestReplayDeliversTraffic(t *testing.T) {
 		t.Errorf("accounting: %d delivered + %d qdrop + %d bdrop != %d injected",
 			stats.Delivered, stats.QueueDrops, stats.BorderDrops, stats.Injected)
 	}
-	if stats.MeanLatency() <= 0 {
+	if stats.meanLatency() <= 0 {
 		t.Error("zero mean latency")
 	}
 	// External RTT dominated by the 5ms uplink propagation.
@@ -128,7 +128,7 @@ func TestBorderFuncDrops(t *testing.T) {
 	topo := BuildCampus(Config{Plan: plan, HostsPerAccess: 10})
 	net := NewNetwork(topo)
 	victim := plan.Host(0)
-	net.SetBorderFunc(func(ts time.Duration, f *traffic.Frame, s *packet.Summary) bool {
+	net.setBorderFunc(func(ts time.Duration, f *traffic.Frame, s *packet.Summary) bool {
 		return s.Tuple.DstIP != victim // drop everything to the victim
 	})
 	amp := traffic.NewAttack(traffic.AttackConfig{
@@ -149,7 +149,7 @@ func TestTapsSeeBorderTraffic(t *testing.T) {
 	topo := BuildCampus(Config{Plan: plan, HostsPerAccess: 10})
 	net := NewNetwork(topo)
 	var tapped int
-	net.AddTap(topo.DownLink, func(ts time.Duration, f *traffic.Frame) { tapped++ })
+	net.addTap(topo.DownLink, func(ts time.Duration, f *traffic.Frame) { tapped++ })
 	amp := traffic.NewAttack(traffic.AttackConfig{
 		Kind: traffic.LabelDNSAmp, Plan: plan, Victim: plan.Host(1),
 		Duration: time.Second, Rate: 100, Seed: 53,
@@ -212,14 +212,14 @@ func TestUtilizationAccounting(t *testing.T) {
 	gen := traffic.NewCampus(traffic.Profile{Plan: plan, FlowsPerSecond: 100, Duration: 2 * time.Second, Seed: 55})
 	stats := net.Replay(gen)
 	up := topo.Links[topo.Uplink]
-	u := stats.Utilization(up, 2*time.Second)
+	u := stats.utilization(up, 2*time.Second)
 	if u <= 0 || u > 1.5 {
 		t.Errorf("uplink utilization = %v", u)
 	}
 }
 
 func TestNodeKindString(t *testing.T) {
-	if KindBorder.String() != "border" || KindHost.String() != "host" {
+	if kindBorder.String() != "border" || kindHost.String() != "host" {
 		t.Error("kind names wrong")
 	}
 }

@@ -47,11 +47,11 @@ func TestRoutingMatchesQuadraticReference(t *testing.T) {
 		if !reflect.DeepEqual(topo.nextHop, want) {
 			t.Fatalf("hosts=%d: next-hop tables differ from the reference", tc.hosts)
 		}
-		// Route reads nextHop; walk every pair against the reference tables.
+		// route reads nextHop; walk every pair against the reference tables.
 		ref := &Topology{Nodes: topo.Nodes, Links: topo.Links, nextHop: want}
 		for src := range topo.Nodes {
 			for dst := range topo.Nodes {
-				got, exp := topo.Route(NodeID(src), NodeID(dst)), ref.Route(NodeID(src), NodeID(dst))
+				got, exp := topo.route(NodeID(src), NodeID(dst)), ref.route(NodeID(src), NodeID(dst))
 				if !reflect.DeepEqual(got, exp) {
 					t.Fatalf("hosts=%d: Route(%d,%d) = %v, reference %v", tc.hosts, src, dst, got, exp)
 				}

@@ -7,17 +7,17 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// TapFunc observes a frame crossing a link (capture integration point).
-type TapFunc func(ts time.Duration, f *traffic.Frame)
+// tapFunc observes a frame crossing a link (capture integration point).
+type tapFunc func(ts time.Duration, f *traffic.Frame)
 
-// BorderFunc inspects a frame at the border switch; returning false drops
+// borderFunc inspects a frame at the border switch; returning false drops
 // it (the deployed mitigation path). The summary is pre-parsed. The frame
 // and the summary are the network's and valid only during the call.
-type BorderFunc func(ts time.Duration, f *traffic.Frame, s *packet.Summary) bool
+type borderFunc func(ts time.Duration, f *traffic.Frame, s *packet.Summary) bool
 
 // BorderBatchFunc inspects a batch of frames arriving at the border in
 // event order, filling keep[i] with whether frame i survives. Deployed
-// control loops prefer this over BorderFunc: consecutive border arrivals
+// control loops prefer this over borderFunc: consecutive border arrivals
 // are popped together so the loop's sense stage runs once per batch.
 // Frames and summaries are the network's and valid only during the call.
 type BorderBatchFunc func(ts []time.Duration, frames []*traffic.Frame, sums []*packet.Summary, keep []bool)
@@ -44,16 +44,16 @@ type SimStats struct {
 	LinkBytes    map[LinkID]uint64
 }
 
-// MeanLatency over delivered frames.
-func (s *SimStats) MeanLatency() time.Duration {
+// meanLatency over delivered frames.
+func (s *SimStats) meanLatency() time.Duration {
 	if s.Delivered == 0 {
 		return 0
 	}
 	return s.TotalLatency / time.Duration(s.Delivered)
 }
 
-// Utilization returns a link's average utilization over the run span.
-func (s *SimStats) Utilization(l Link, span time.Duration) float64 {
+// utilization returns a link's average utilization over the run span.
+func (s *SimStats) utilization(l Link, span time.Duration) float64 {
 	if span <= 0 {
 		return 0
 	}
@@ -69,10 +69,10 @@ type Network struct {
 	free   *event   // released events, linked through next
 	// linkFree[l] is when link l's transmitter is next idle.
 	linkFree []time.Duration
-	// linkBytes[l] is what link l carried; Run copies it to stats.LinkBytes.
+	// linkBytes[l] is what link l carried; run copies it to stats.LinkBytes.
 	linkBytes   []uint64
-	taps        map[LinkID][]TapFunc
-	border      BorderFunc
+	taps        map[LinkID][]tapFunc
+	border      borderFunc
 	borderBatch BorderBatchFunc
 	onDeliver   func(Delivery)
 	stats       SimStats
@@ -100,23 +100,20 @@ func NewNetwork(t *Topology) *Network {
 		topo:      t,
 		linkFree:  make([]time.Duration, len(t.Links)),
 		linkBytes: make([]uint64, len(t.Links)),
-		taps:      make(map[LinkID][]TapFunc),
+		taps:      make(map[LinkID][]tapFunc),
 		parser:    packet.NewFlowParser(),
 		stats:     SimStats{LinkBytes: make(map[LinkID]uint64)},
 	}
 }
 
-// Topology returns the underlying topology.
-func (n *Network) Topology() *Topology { return n.topo }
+// addTap attaches a tap to a link.
+func (n *Network) addTap(l LinkID, fn tapFunc) { n.taps[l] = append(n.taps[l], fn) }
 
-// AddTap attaches a tap to a link.
-func (n *Network) AddTap(l LinkID, fn TapFunc) { n.taps[l] = append(n.taps[l], fn) }
-
-// SetBorderFunc installs the border inspection hook.
-func (n *Network) SetBorderFunc(fn BorderFunc) { n.border = fn }
+// setBorderFunc installs the border inspection hook.
+func (n *Network) setBorderFunc(fn borderFunc) { n.border = fn }
 
 // SetBorderBatchFunc installs the batched border inspection hook. When
-// both hooks are set the per-frame BorderFunc wins.
+// both hooks are set the per-frame borderFunc wins.
 func (n *Network) SetBorderBatchFunc(fn BorderBatchFunc) {
 	n.borderBatch = fn
 	if fn != nil && n.evBuf == nil {
@@ -140,7 +137,7 @@ type event struct {
 	dst   NodeID
 	sent  time.Duration
 	frame traffic.Frame
-	sum   packet.Summary // parsed once, at Inject
+	sum   packet.Summary // parsed once, at inject
 	next  *event         // free-list link
 }
 
@@ -207,17 +204,17 @@ func (n *Network) newEvent() *event {
 // release returns a delivered or dropped event to the free list.
 func (n *Network) release(ev *event) { ev.next, n.free = n.free, ev }
 
-// Inject schedules a frame: the source/destination nodes are resolved from
+// inject schedules a frame: the source/destination nodes are resolved from
 // the frame's IP addresses, and the frame enters the network at f.TS.
-func (n *Network) Inject(f *traffic.Frame) {
+func (n *Network) inject(f *traffic.Frame) {
 	ev := n.newEvent()
 	if err := n.parser.Parse(f.Data, &ev.sum); err != nil {
 		n.stats.Unroutable++
 		n.release(ev)
 		return
 	}
-	src := n.topo.NodeFor(ev.sum.Tuple.SrcIP)
-	dst := n.topo.NodeFor(ev.sum.Tuple.DstIP)
+	src := n.topo.nodeFor(ev.sum.Tuple.SrcIP)
+	dst := n.topo.nodeFor(ev.sum.Tuple.DstIP)
 	if src != dst && n.topo.nextHop[src][dst] < 0 {
 		n.stats.Unroutable++
 		n.release(ev)
@@ -230,9 +227,9 @@ func (n *Network) Inject(f *traffic.Frame) {
 	n.push(ev)
 }
 
-// Run processes all scheduled events to completion and returns statistics.
-// Call after injecting the full scenario (or interleave Inject/Step).
-func (n *Network) Run() SimStats {
+// run processes all scheduled events to completion and returns statistics.
+// Call after injecting the full scenario (or interleave inject/Step).
+func (n *Network) run() SimStats {
 	for len(n.events) > 0 {
 		n.stepBatch(1 << 62)
 	}
@@ -243,9 +240,6 @@ func (n *Network) Run() SimStats {
 	}
 	return n.stats
 }
-
-// Now returns the simulation clock (time of the last processed event).
-func (n *Network) Now() time.Duration { return n.now }
 
 // batchable reports whether batched border inspection preserves event
 // semantics: it reorders a border frame's continuation (link transmit,
@@ -262,14 +256,14 @@ func (n *Network) batchable() bool {
 // preserving), the whole run is inspected with one BorderBatchFunc call
 // before the survivors continue in order.
 func (n *Network) stepBatch(bound time.Duration) {
-	if !n.batchable() || n.topo.Nodes[n.events[0].node].Kind != KindBorder {
+	if !n.batchable() || n.topo.Nodes[n.events[0].node].Kind != kindBorder {
 		n.step()
 		return
 	}
 	evs := n.evBuf[:0]
 	for len(evs) < borderBatchCap && len(n.events) > 0 {
 		top := n.events[0]
-		if top.at >= bound || n.topo.Nodes[top.node].Kind != KindBorder {
+		if top.at >= bound || n.topo.Nodes[top.node].Kind != kindBorder {
 			break
 		}
 		k := len(evs)
@@ -296,7 +290,7 @@ func (n *Network) step() {
 	n.now = ev.at
 
 	// Border inspection on arrival at the border node.
-	if n.topo.Nodes[ev.node].Kind == KindBorder {
+	if n.topo.Nodes[ev.node].Kind == kindBorder {
 		keep := true
 		if n.border != nil {
 			keep = n.border(ev.at, &ev.frame, &ev.sum)
@@ -369,12 +363,12 @@ func (n *Network) continueFrame(ev *event) {
 func (n *Network) Replay(gen traffic.Generator) SimStats {
 	var f traffic.Frame
 	for gen.Next(&f) {
-		n.Inject(&f)
+		n.inject(&f)
 		// Process everything strictly earlier than the next injection to
 		// keep the event heap small.
 		for len(n.events) > 0 && n.events[0].at < f.TS {
 			n.stepBatch(f.TS)
 		}
 	}
-	return n.Run()
+	return n.run()
 }

@@ -22,28 +22,28 @@ type NodeKind uint8
 
 // Node kinds, edge to core.
 const (
-	KindHost NodeKind = iota
-	KindAccess
-	KindDist
-	KindCore
-	KindBorder
-	KindInternet
+	kindHost NodeKind = iota
+	kindAccess
+	kindDist
+	kindCore
+	kindBorder
+	kindInternet
 )
 
 // String returns the kind name.
 func (k NodeKind) String() string {
 	switch k {
-	case KindHost:
+	case kindHost:
 		return "host"
-	case KindAccess:
+	case kindAccess:
 		return "access"
-	case KindDist:
+	case kindDist:
 		return "dist"
-	case KindCore:
+	case kindCore:
 		return "core"
-	case KindBorder:
+	case kindBorder:
 		return "border"
-	case KindInternet:
+	case kindInternet:
 		return "internet"
 	default:
 		return fmt.Sprintf("kind-%d", uint8(k))
@@ -143,23 +143,23 @@ func BuildCampus(cfg Config) *Topology {
 		}
 	}
 
-	core := addNode(KindCore, "core-1")
-	t.Border = addNode(KindBorder, "border-1")
-	t.Internet = addNode(KindInternet, "internet")
+	core := addNode(kindCore, "core-1")
+	t.Border = addNode(kindBorder, "border-1")
+	t.Internet = addNode(kindInternet, "internet")
 	addPipe(core, t.Border, cfg.CoreBW, 50e-6)
 	addPipe(t.Border, t.Internet, cfg.UplinkBW, 5e-3) // 5ms to upstream
 
 	hostIdx := 0
 	for _, dept := range cfg.Plan.Departments {
-		dist := addNode(KindDist, "dist-"+dept.Name)
+		dist := addNode(kindDist, "dist-"+dept.Name)
 		addPipe(dist, core, cfg.DistBW, 100e-6)
 		nAccess := (dept.Hosts + cfg.HostsPerAccess - 1) / cfg.HostsPerAccess
 		for a := 0; a < nAccess; a++ {
-			acc := addNode(KindAccess, fmt.Sprintf("acc-%s-%d", dept.Name, a))
+			acc := addNode(kindAccess, fmt.Sprintf("acc-%s-%d", dept.Name, a))
 			addPipe(acc, dist, cfg.AccessBW, 50e-6)
 			for h := 0; h < cfg.HostsPerAccess && a*cfg.HostsPerAccess+h < dept.Hosts; h++ {
 				addr := cfg.Plan.Host(hostIdx)
-				hn := addNode(KindHost, "host-"+addr.String())
+				hn := addNode(kindHost, "host-"+addr.String())
 				addPipe(hn, acc, cfg.AccessBW, 10e-6)
 				t.hostNode[addr] = hn
 				hostIdx++
@@ -220,17 +220,17 @@ func (t *Topology) buildRouting() {
 	}
 }
 
-// NodeFor maps an IP to its topology node: campus hosts to their access
+// nodeFor maps an IP to its topology node: campus hosts to their access
 // port, everything else to the Internet node.
-func (t *Topology) NodeFor(addr netip.Addr) NodeID {
+func (t *Topology) nodeFor(addr netip.Addr) NodeID {
 	if id, ok := t.hostNode[addr]; ok {
 		return id
 	}
 	return t.Internet
 }
 
-// Route returns the link path from src to dst node.
-func (t *Topology) Route(src, dst NodeID) []LinkID {
+// route returns the link path from src to dst node.
+func (t *Topology) route(src, dst NodeID) []LinkID {
 	if src == dst {
 		return nil
 	}
@@ -250,5 +250,5 @@ func (t *Topology) Route(src, dst NodeID) []LinkID {
 	return path
 }
 
-// HostCount returns the number of host nodes.
-func (t *Topology) HostCount() int { return len(t.hostNode) }
+// hostCount returns the number of host nodes.
+func (t *Topology) hostCount() int { return len(t.hostNode) }

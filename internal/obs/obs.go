@@ -61,8 +61,8 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds delta with a CAS loop.
-func (g *Gauge) Add(delta float64) {
+// add adds delta with a CAS loop.
+func (g *Gauge) add(delta float64) {
 	for {
 		old := g.bits.Load()
 		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
@@ -108,11 +108,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n.Load() }
+// count returns the number of observations.
+func (h *Histogram) count() uint64 { return h.n.Load() }
 
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+// sum returns the sum of observed values.
+func (h *Histogram) sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 func (h *Histogram) reset() {
 	for i := range h.counts {
@@ -126,16 +126,16 @@ func (h *Histogram) reset() {
 type Kind uint8
 
 const (
-	KindCounter Kind = iota
-	KindGauge
-	KindHistogram
+	kindCounter Kind = iota
+	kindGauge
+	kindHistogram
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindCounter:
+	case kindCounter:
 		return "counter"
-	case KindGauge:
+	case kindGauge:
 		return "gauge"
 	default:
 		return "histogram"
@@ -190,17 +190,17 @@ type Registry struct {
 // stageCounters is one stage's series pair, resolved once.
 type stageCounters struct{ nanos, calls *Counter }
 
-// NewRegistry returns an empty registry with its own span tracer.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry with its own span tracer.
+func newRegistry() *Registry {
 	return &Registry{
 		entries: make(map[string]*entry),
 		help:    make(map[string]string),
-		tracer:  NewTracer(DefaultTraceCap),
+		tracer:  newTracer(defaultTraceCap),
 	}
 }
 
 // Default is the process-wide registry every component records into.
-var Default = NewRegistry()
+var Default = newRegistry()
 
 // labelsOf turns alternating key/value strings into sorted labels.
 func labelsOf(kv []string) []Label {
@@ -244,11 +244,11 @@ func (r *Registry) instrument(name string, kind Kind, kv []string, bounds []floa
 	}
 	e := &entry{name: name, labels: labels, kind: kind}
 	switch kind {
-	case KindCounter:
+	case kindCounter:
 		e.c = &Counter{}
-	case KindGauge:
+	case kindGauge:
 		e.g = &Gauge{}
-	case KindHistogram:
+	case kindHistogram:
 		e.h = newHistogram(bounds)
 	}
 	r.entries[key] = e
@@ -258,22 +258,22 @@ func (r *Registry) instrument(name string, kind Kind, kv []string, bounds []floa
 // Counter returns the counter for name with the given label pairs,
 // registering it on first use. Repeated calls return the same instrument.
 func (r *Registry) Counter(name string, kv ...string) *Counter {
-	return r.instrument(name, KindCounter, kv, nil).c
+	return r.instrument(name, kindCounter, kv, nil).c
 }
 
 // Gauge returns the gauge for name with the given label pairs.
 func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	return r.instrument(name, KindGauge, kv, nil).g
+	return r.instrument(name, kindGauge, kv, nil).g
 }
 
 // Histogram returns the histogram for name with the given bucket upper
 // bounds and label pairs. Bounds are fixed at first registration.
 func (r *Registry) Histogram(name string, bounds []float64, kv ...string) *Histogram {
-	return r.instrument(name, KindHistogram, kv, bounds).h
+	return r.instrument(name, kindHistogram, kv, bounds).h
 }
 
-// Help records the help text rendered for a family in text exposition.
-func (r *Registry) Help(name, text string) {
+// setHelp records the help text rendered for a family in text exposition.
+func (r *Registry) setHelp(name, text string) {
 	r.mu.Lock()
 	r.help[name] = text
 	r.mu.Unlock()
@@ -308,12 +308,12 @@ func (e *Emitter) add(name string, kind Kind, v float64, kv []string) {
 
 // Counter emits one counter sample.
 func (e *Emitter) Counter(name string, v uint64, kv ...string) {
-	e.add(name, KindCounter, float64(v), kv)
+	e.add(name, kindCounter, float64(v), kv)
 }
 
 // Gauge emits one gauge sample.
 func (e *Emitter) Gauge(name string, v float64, kv ...string) {
-	e.add(name, KindGauge, v, kv)
+	e.add(name, kindGauge, v, kv)
 }
 
 // Snapshot returns every series — owned instruments plus collector
@@ -324,11 +324,11 @@ func (r *Registry) Snapshot() []Series {
 	for key, e := range r.entries {
 		s := Series{Name: e.name, Labels: e.labels, Kind: e.kind}
 		switch e.kind {
-		case KindCounter:
+		case kindCounter:
 			s.Value = float64(e.c.Value())
-		case KindGauge:
+		case kindGauge:
 			s.Value = e.g.Value()
-		case KindHistogram:
+		case kindHistogram:
 			s.Buckets = make([]Bucket, len(e.h.counts))
 			cum := uint64(0)
 			for i := range e.h.counts {
@@ -339,8 +339,8 @@ func (r *Registry) Snapshot() []Series {
 				}
 				s.Buckets[i] = Bucket{LE: le, Count: cum}
 			}
-			s.Sum = e.h.Sum()
-			s.Count = e.h.Count()
+			s.Sum = e.h.sum()
+			s.Count = e.h.count()
 		}
 		em.m[key] = &s
 	}
@@ -372,9 +372,9 @@ func (r *Registry) SeriesByName(name string) []Series {
 	return out
 }
 
-// ResetNames zeroes the owned instruments of the given families (test
+// resetNames zeroes the owned instruments of the given families (test
 // support; collector-backed series are not affected).
-func (r *Registry) ResetNames(names ...string) {
+func (r *Registry) resetNames(names ...string) {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
 		want[n] = true
@@ -386,11 +386,11 @@ func (r *Registry) ResetNames(names ...string) {
 			continue
 		}
 		switch e.kind {
-		case KindCounter:
+		case kindCounter:
 			e.c.reset()
-		case KindGauge:
+		case kindGauge:
 			e.g.reset()
-		case KindHistogram:
+		case kindHistogram:
 			e.h.reset()
 		}
 	}
@@ -458,7 +458,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 			fmt.Fprintf(&sb, "# TYPE %s %s\n", s.Name, s.Kind)
 		}
 		switch s.Kind {
-		case KindHistogram:
+		case kindHistogram:
 			for _, b := range s.Buckets {
 				sb.WriteString(s.Name)
 				sb.WriteString("_bucket")
@@ -495,7 +495,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 // extract → compile → install) and fast-loop tick records one call count
 // and one cumulative wall-time counter under its stage label.
 const (
-	StageNanosName = "campuslab_stage_nanos_total"
+	stageNanosName = "campuslab_stage_nanos_total"
 	StageCallsName = "campuslab_stage_calls_total"
 
 	// ShardContentionName counts contended datastore shard-lock
@@ -517,7 +517,7 @@ func (r *Registry) stage(stage string) *stageCounters {
 		}
 	}
 	sc := &stageCounters{
-		nanos: r.Counter(StageNanosName, "stage", stage),
+		nanos: r.Counter(stageNanosName, "stage", stage),
 		calls: r.Counter(StageCallsName, "stage", stage),
 	}
 	r.mu.Lock()
@@ -532,13 +532,13 @@ func (r *Registry) stage(stage string) *stageCounters {
 	return sc
 }
 
-// RecordStage adds one invocation of stage taking d of wall time, and
+// recordStage adds one invocation of stage taking d of wall time, and
 // appends a span to the registry's tracer.
-func (r *Registry) RecordStage(stage string, d time.Duration) {
+func (r *Registry) recordStage(stage string, d time.Duration) {
 	sc := r.stage(stage)
 	sc.nanos.Add(uint64(d))
 	sc.calls.Inc()
-	r.tracer.Record(stage, time.Now().Add(-d), d)
+	r.tracer.record(stage, time.Now().Add(-d), d)
 }
 
 // SpanTimer is a started stage span. It is a plain value, so starting
@@ -564,7 +564,7 @@ func (s SpanTimer) End() {
 	d := time.Since(s.start)
 	s.sc.nanos.Add(uint64(d))
 	s.sc.calls.Inc()
-	s.r.tracer.Record(s.stage, s.start, d)
+	s.r.tracer.record(s.stage, s.start, d)
 }
 
 // Tracer returns the registry's span tracer.

@@ -12,7 +12,7 @@ import (
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("requests_total")
 	c.Inc()
 	c.Add(4)
@@ -24,14 +24,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("queue_depth")
 	g.Set(3.5)
-	g.Add(-1.5)
+	g.add(-1.5)
 	if got := g.Value(); got != 2 {
 		t.Fatalf("gauge = %v, want 2", got)
 	}
 }
 
 func TestLabeledFamilies(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	a := r.Counter("verdicts_total", "action", "drop")
 	b := r.Counter("verdicts_total", "action", "permit")
 	if a == b {
@@ -46,7 +46,7 @@ func TestLabeledFamilies(t *testing.T) {
 }
 
 func TestKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("thing")
 	defer func() {
 		if recover() == nil {
@@ -57,16 +57,16 @@ func TestKindMismatchPanics(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("batch_size", []float64{1, 4, 16})
 	for _, v := range []float64{0.5, 1, 2, 5, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if h.count() != 5 {
+		t.Fatalf("count = %d, want 5", h.count())
 	}
-	if h.Sum() != 108.5 {
-		t.Fatalf("sum = %v, want 108.5", h.Sum())
+	if h.sum() != 108.5 {
+		t.Fatalf("sum = %v, want 108.5", h.sum())
 	}
 	snap := r.SeriesByName("batch_size")
 	if len(snap) != 1 {
@@ -79,7 +79,7 @@ func TestHistogram(t *testing.T) {
 }
 
 func TestConcurrentWriters(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	const goroutines, per = 8, 1000
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -91,7 +91,7 @@ func TestConcurrentWriters(t *testing.T) {
 			h := r.Histogram("sizes", []float64{10, 100})
 			for j := 0; j < per; j++ {
 				c.Inc()
-				g.Add(1)
+				g.add(1)
 				h.Observe(float64(j % 200))
 			}
 		}()
@@ -103,13 +103,13 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := r.Gauge("level").Value(); got != goroutines*per {
 		t.Fatalf("gauge = %v, want %d", got, goroutines*per)
 	}
-	if got := r.Histogram("sizes", nil).Count(); got != goroutines*per {
+	if got := r.Histogram("sizes", nil).count(); got != goroutines*per {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*per)
 	}
 }
 
 func TestSnapshotDeterministic(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("z_total").Add(1)
 	r.Counter("a_total", "k", "v2").Add(2)
 	r.Counter("a_total", "k", "v1").Add(3)
@@ -133,7 +133,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 func TestCollectorSumsDuplicateSeries(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	// Two "instance blocks" emitting the same series must aggregate.
 	blocks := []uint64{3, 4}
 	r.RegisterCollector(func(e *Emitter) {
@@ -155,8 +155,8 @@ func TestCollectorSumsDuplicateSeries(t *testing.T) {
 }
 
 func TestWriteText(t *testing.T) {
-	r := NewRegistry()
-	r.Help("up_total", "things that went up")
+	r := newRegistry()
+	r.setHelp("up_total", "things that went up")
 	r.Counter("up_total", "stage", "in\"gest\n").Add(3)
 	r.Gauge("temp").Set(1.5)
 	r.Histogram("sz", []float64{2}).Observe(1)
@@ -187,36 +187,36 @@ func TestWriteText(t *testing.T) {
 }
 
 func TestResetNames(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("a_total").Add(5)
 	r.Counter("b_total").Add(7)
 	r.Histogram("h", []float64{1}).Observe(3)
-	r.ResetNames("a_total", "h")
+	r.resetNames("a_total", "h")
 	if got := r.Counter("a_total").Value(); got != 0 {
 		t.Fatalf("a_total = %d after reset", got)
 	}
 	if got := r.Counter("b_total").Value(); got != 7 {
 		t.Fatalf("b_total = %d, reset must be targeted", got)
 	}
-	if got := r.Histogram("h", nil).Count(); got != 0 {
+	if got := r.Histogram("h", nil).count(); got != 0 {
 		t.Fatalf("histogram count = %d after reset", got)
 	}
 }
 
 func TestRecordStageAndTracer(t *testing.T) {
-	r := NewRegistry()
-	r.RecordStage("ingest", 5*time.Millisecond)
-	r.RecordStage("ingest", 5*time.Millisecond)
+	r := newRegistry()
+	r.recordStage("ingest", 5*time.Millisecond)
+	r.recordStage("ingest", 5*time.Millisecond)
 	r.StartSpan("train").End()
-	nanos := r.SeriesByName(StageNanosName)
+	nanos := r.SeriesByName(stageNanosName)
 	calls := r.SeriesByName(StageCallsName)
 	if len(nanos) != 2 || len(calls) != 2 {
 		t.Fatalf("stage series = %d/%d, want 2/2", len(nanos), len(calls))
 	}
-	if v := r.Counter(StageNanosName, "stage", "ingest").Value(); v != uint64(10*time.Millisecond) {
+	if v := r.Counter(stageNanosName, "stage", "ingest").Value(); v != uint64(10*time.Millisecond) {
 		t.Fatalf("ingest nanos = %d, want 10ms", v)
 	}
-	spans := r.Tracer().Spans()
+	spans := r.Tracer().spans()
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
@@ -226,15 +226,15 @@ func TestRecordStageAndTracer(t *testing.T) {
 }
 
 func TestTracerRingEviction(t *testing.T) {
-	tr := NewTracer(4)
+	tr := newTracer(4)
 	base := time.Unix(0, 0)
 	for i := 0; i < 10; i++ {
-		tr.Record("s", base.Add(time.Duration(i)), time.Duration(i))
+		tr.record("s", base.Add(time.Duration(i)), time.Duration(i))
 	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tr.Total())
+	if tr.totalSpans() != 10 {
+		t.Fatalf("total = %d, want 10", tr.totalSpans())
 	}
-	spans := tr.Spans()
+	spans := tr.spans()
 	if len(spans) != 4 {
 		t.Fatalf("retained = %d, want 4", len(spans))
 	}
@@ -265,7 +265,7 @@ func TestTracerRingEviction(t *testing.T) {
 // nothing is allocated, and the counters a span writes are the ones the
 // registry serves under the stage's labels.
 func TestSpanResolvesSeriesOnce(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.StartSpan("x").End() // first resolution registers the pair
 	if n := testing.AllocsPerRun(200, func() {
 		defer r.StartSpan("x").End()
@@ -275,9 +275,9 @@ func TestSpanResolvesSeriesOnce(t *testing.T) {
 	if got := r.Counter(StageCallsName, "stage", "x").Value(); got != 202 {
 		t.Fatalf("calls{stage=x} = %d, want 202 (1 + AllocsPerRun's warm-up + 200)", got)
 	}
-	r.ResetNames(StageCallsName, StageNanosName)
-	r.RecordStage("x", time.Millisecond)
-	if c, n := r.Counter(StageCallsName, "stage", "x").Value(), r.Counter(StageNanosName, "stage", "x").Value(); c != 1 || n != uint64(time.Millisecond) {
+	r.resetNames(StageCallsName, stageNanosName)
+	r.recordStage("x", time.Millisecond)
+	if c, n := r.Counter(StageCallsName, "stage", "x").Value(), r.Counter(stageNanosName, "stage", "x").Value(); c != 1 || n != uint64(time.Millisecond) {
 		t.Fatalf("after reset: calls %d nanos %d, want 1 and 1ms", c, n)
 	}
 }
@@ -285,7 +285,7 @@ func TestSpanResolvesSeriesOnce(t *testing.T) {
 // TestSpanConcurrentStages resolves many stages from many goroutines at
 // once: every span must land on its own stage's pair.
 func TestSpanConcurrentStages(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	stages := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	const perG = 200
 	var wg sync.WaitGroup
@@ -304,7 +304,7 @@ func TestSpanConcurrentStages(t *testing.T) {
 			t.Fatalf("calls{stage=%s} = %d, want %d", s, got, perG)
 		}
 	}
-	if got := r.Tracer().Total(); got != 8*perG {
+	if got := r.Tracer().totalSpans(); got != 8*perG {
 		t.Fatalf("tracer total = %d, want %d", got, 8*perG)
 	}
 }

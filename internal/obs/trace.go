@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// DefaultTraceCap is the span ring capacity of a new registry's tracer.
-const DefaultTraceCap = 512
+// defaultTraceCap is the span ring capacity of a new registry's tracer.
+const defaultTraceCap = 512
 
-// Span is one timed stage execution.
-type Span struct {
+// span is one timed stage execution.
+type span struct {
 	Name  string        `json:"name"`
 	Start time.Time     `json:"start"`
 	Dur   time.Duration `json:"dur_ns"`
@@ -23,25 +23,25 @@ type Span struct {
 // nowhere near any hot path.
 type Tracer struct {
 	mu    sync.Mutex
-	ring  []Span
+	ring  []span
 	cap   int
 	next  int
 	total uint64
 }
 
-// NewTracer returns a tracer holding the last capacity spans.
-func NewTracer(capacity int) *Tracer {
+// newTracer returns a tracer holding the last capacity spans.
+func newTracer(capacity int) *Tracer {
 	if capacity <= 0 {
-		capacity = DefaultTraceCap
+		capacity = defaultTraceCap
 	}
 	return &Tracer{cap: capacity}
 }
 
-// Record appends one span, evicting the oldest when full.
-func (t *Tracer) Record(name string, start time.Time, d time.Duration) {
+// record appends one span, evicting the oldest when full.
+func (t *Tracer) record(name string, start time.Time, d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sp := Span{Name: name, Start: start, Dur: d}
+	sp := span{Name: name, Start: start, Dur: d}
 	if len(t.ring) < t.cap {
 		t.ring = append(t.ring, sp)
 	} else {
@@ -51,18 +51,18 @@ func (t *Tracer) Record(name string, start time.Time, d time.Duration) {
 	t.total++
 }
 
-// Total returns the number of spans ever recorded (including evicted).
-func (t *Tracer) Total() uint64 {
+// totalSpans returns the number of spans ever recorded (including evicted).
+func (t *Tracer) totalSpans() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
 }
 
-// Spans returns the retained spans, oldest first.
-func (t *Tracer) Spans() []Span {
+// spans returns the retained spans, oldest first.
+func (t *Tracer) spans() []span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.ring))
+	out := make([]span, 0, len(t.ring))
 	out = append(out, t.ring[t.next:]...)
 	out = append(out, t.ring[:t.next]...)
 	return out
@@ -71,7 +71,7 @@ func (t *Tracer) Spans() []Span {
 // traceDump is the JSON shape served at /debug/trace.
 type traceDump struct {
 	Total uint64 `json:"total_spans"`
-	Spans []Span `json:"spans"`
+	Spans []span `json:"spans"`
 }
 
 // WriteJSON dumps the retained spans as JSON, oldest first.

@@ -13,9 +13,9 @@ type DNSType uint16
 const (
 	DNSTypeA     DNSType = 1
 	DNSTypeNS    DNSType = 2
-	DNSTypeCNAME DNSType = 5
-	DNSTypeSOA   DNSType = 6
-	DNSTypePTR   DNSType = 12
+	dnsTypeCNAME DNSType = 5
+	dnsTypeSOA   DNSType = 6
+	dnsTypePTR   DNSType = 12
 	DNSTypeMX    DNSType = 15
 	DNSTypeTXT   DNSType = 16
 	DNSTypeAAAA  DNSType = 28
@@ -29,11 +29,11 @@ func (t DNSType) String() string {
 		return "A"
 	case DNSTypeNS:
 		return "NS"
-	case DNSTypeCNAME:
+	case dnsTypeCNAME:
 		return "CNAME"
-	case DNSTypeSOA:
+	case dnsTypeSOA:
 		return "SOA"
-	case DNSTypePTR:
+	case dnsTypePTR:
 		return "PTR"
 	case DNSTypeMX:
 		return "MX"
@@ -92,23 +92,11 @@ const dnsHeaderLen = 12
 // maxDNSNameLen bounds name decompression to defeat pointer loops.
 const maxDNSNameLen = 255
 
-// LayerType implements Layer.
-func (*DNS) LayerType() LayerType { return LayerTypeDNS }
-
-// LayerPayload implements Layer; DNS is terminal.
-func (*DNS) LayerPayload() []byte { return nil }
-
-// NextLayerType implements DecodingLayer.
-func (*DNS) NextLayerType() LayerType { return LayerTypeInvalid }
-
-// DecodedSize reports the total message size consumed by the last decode.
-func (d *DNS) DecodedSize() int { return d.decodedSize }
-
-// DecodeFromBytes implements DecodingLayer, including compressed-name
+// decodeFromBytes parses a whole message from data, including compressed-name
 // handling with loop protection.
-func (d *DNS) DecodeFromBytes(data []byte) error {
+func (d *DNS) decodeFromBytes(data []byte) error {
 	if len(data) < dnsHeaderLen {
-		return fmt.Errorf("%w: dns needs %d bytes, have %d", ErrTruncated, dnsHeaderLen, len(data))
+		return fmt.Errorf("%w: dns needs %d bytes, have %d", errTruncated, dnsHeaderLen, len(data))
 	}
 	d.ID = binary.BigEndian.Uint16(data[0:2])
 	flags := binary.BigEndian.Uint16(data[2:4])
@@ -138,7 +126,7 @@ func (d *DNS) DecodeFromBytes(data []byte) error {
 			return err
 		}
 		if off+4 > len(data) {
-			return fmt.Errorf("%w: dns question fixed part", ErrTruncated)
+			return fmt.Errorf("%w: dns question fixed part", errTruncated)
 		}
 		q.Type = DNSType(binary.BigEndian.Uint16(data[off : off+2]))
 		q.Class = binary.BigEndian.Uint16(data[off+2 : off+4])
@@ -157,7 +145,7 @@ func (d *DNS) DecodeFromBytes(data []byte) error {
 				return err
 			}
 			if off+10 > len(data) {
-				return fmt.Errorf("%w: dns rr fixed part", ErrTruncated)
+				return fmt.Errorf("%w: dns rr fixed part", errTruncated)
 			}
 			rr.Type = DNSType(binary.BigEndian.Uint16(data[off : off+2]))
 			rr.Class = binary.BigEndian.Uint16(data[off+2 : off+4])
@@ -165,7 +153,7 @@ func (d *DNS) DecodeFromBytes(data []byte) error {
 			rdlen := int(binary.BigEndian.Uint16(data[off+8 : off+10]))
 			off += 10
 			if off+rdlen > len(data) {
-				return fmt.Errorf("%w: dns rdata %d bytes", ErrTruncated, rdlen)
+				return fmt.Errorf("%w: dns rdata %d bytes", errTruncated, rdlen)
 			}
 			rr.Data = data[off : off+rdlen]
 			off += rdlen
@@ -185,7 +173,7 @@ func decodeDNSName(data []byte, off int) (string, int, error) {
 	hops := 0
 	for {
 		if off >= len(data) {
-			return "", 0, fmt.Errorf("%w: dns name", ErrTruncated)
+			return "", 0, fmt.Errorf("%w: dns name", errTruncated)
 		}
 		b := data[off]
 		switch {
@@ -200,7 +188,7 @@ func decodeDNSName(data []byte, off int) (string, int, error) {
 			return name, end, nil
 		case b&0xc0 == 0xc0:
 			if off+1 >= len(data) {
-				return "", 0, fmt.Errorf("%w: dns compression pointer", ErrTruncated)
+				return "", 0, fmt.Errorf("%w: dns compression pointer", errTruncated)
 			}
 			ptr := int(binary.BigEndian.Uint16(data[off:off+2]) & 0x3fff)
 			if !jumped {
@@ -208,21 +196,21 @@ func decodeDNSName(data []byte, off int) (string, int, error) {
 				jumped = true
 			}
 			if hops++; hops > 16 || ptr >= len(data) {
-				return "", 0, fmt.Errorf("%w: dns compression loop", ErrMalformed)
+				return "", 0, fmt.Errorf("%w: dns compression loop", errMalformed)
 			}
 			off = ptr
 		case b&0xc0 != 0:
-			return "", 0, fmt.Errorf("%w: dns label flag %#x", ErrMalformed, b&0xc0)
+			return "", 0, fmt.Errorf("%w: dns label flag %#x", errMalformed, b&0xc0)
 		default:
 			l := int(b)
 			if off+1+l > len(data) {
-				return "", 0, fmt.Errorf("%w: dns label", ErrTruncated)
+				return "", 0, fmt.Errorf("%w: dns label", errTruncated)
 			}
 			if sb.Len() > 0 {
 				sb.WriteByte('.')
 			}
 			if sb.Len()+l > maxDNSNameLen {
-				return "", 0, fmt.Errorf("%w: dns name too long", ErrMalformed)
+				return "", 0, fmt.Errorf("%w: dns name too long", errMalformed)
 			}
 			sb.Write(data[off+1 : off+1+l])
 			off += 1 + l
@@ -237,7 +225,7 @@ func encodeDNSName(dst []byte, name string) ([]byte, error) {
 	}
 	for _, label := range strings.Split(strings.TrimSuffix(name, "."), ".") {
 		if len(label) == 0 || len(label) > 63 {
-			return nil, fmt.Errorf("%w: dns label %q", ErrMalformed, label)
+			return nil, fmt.Errorf("%w: dns label %q", errMalformed, label)
 		}
 		dst = append(dst, byte(len(label)))
 		dst = append(dst, label...)
@@ -245,7 +233,7 @@ func encodeDNSName(dst []byte, name string) ([]byte, error) {
 	return append(dst, 0), nil
 }
 
-// SerializeTo implements SerializableLayer (no name compression).
+// SerializeTo prepends the message to b (no name compression).
 func (d *DNS) SerializeTo(b *SerializeBuffer) error {
 	var msg []byte
 	var hdr [dnsHeaderLen]byte

@@ -13,21 +13,12 @@ func (m MACAddr) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsBroadcast reports whether m is ff:ff:ff:ff:ff:ff.
-func (m MACAddr) IsBroadcast() bool {
-	return m == MACAddr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-}
-
-// IsMulticast reports whether the group bit is set.
-func (m MACAddr) IsMulticast() bool { return m[0]&1 == 1 }
-
 // EtherType values understood by the decoder.
 type EtherType uint16
 
 const (
 	EtherTypeIPv4 EtherType = 0x0800
-	EtherTypeARP  EtherType = 0x0806
-	EtherTypeIPv6 EtherType = 0x86dd
+	etherTypeIPv6 EtherType = 0x86dd
 )
 
 const ethernetHeaderLen = 14
@@ -39,16 +30,10 @@ type Ethernet struct {
 	payload        []byte
 }
 
-// LayerType implements Layer.
-func (*Ethernet) LayerType() LayerType { return LayerTypeEthernet }
-
-// LayerPayload implements Layer.
-func (e *Ethernet) LayerPayload() []byte { return e.payload }
-
-// DecodeFromBytes implements DecodingLayer.
-func (e *Ethernet) DecodeFromBytes(data []byte) error {
+// decodeFromBytes parses the header from data; the payload aliases data.
+func (e *Ethernet) decodeFromBytes(data []byte) error {
 	if len(data) < ethernetHeaderLen {
-		return fmt.Errorf("%w: ethernet needs %d bytes, have %d", ErrTruncated, ethernetHeaderLen, len(data))
+		return fmt.Errorf("%w: ethernet needs %d bytes, have %d", errTruncated, ethernetHeaderLen, len(data))
 	}
 	copy(e.DstMAC[:], data[0:6])
 	copy(e.SrcMAC[:], data[6:12])
@@ -57,21 +42,7 @@ func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// NextLayerType implements DecodingLayer.
-func (e *Ethernet) NextLayerType() LayerType {
-	switch e.EtherType {
-	case EtherTypeIPv4:
-		return LayerTypeIPv4
-	case EtherTypeIPv6:
-		return LayerTypeIPv6
-	case EtherTypeARP:
-		return LayerTypeARP
-	default:
-		return LayerTypePayload
-	}
-}
-
-// SerializeTo implements SerializableLayer.
+// SerializeTo prepends the header to b.
 func (e *Ethernet) SerializeTo(b *SerializeBuffer) error {
 	hdr, err := b.PrependBytes(ethernetHeaderLen)
 	if err != nil {
@@ -80,58 +51,5 @@ func (e *Ethernet) SerializeTo(b *SerializeBuffer) error {
 	copy(hdr[0:6], e.DstMAC[:])
 	copy(hdr[6:12], e.SrcMAC[:])
 	binary.BigEndian.PutUint16(hdr[12:14], uint16(e.EtherType))
-	return nil
-}
-
-// ARP is an Address Resolution Protocol packet (IPv4-over-Ethernet only).
-type ARP struct {
-	Operation          uint16 // 1 request, 2 reply
-	SenderHW, TargetHW MACAddr
-	SenderIP, TargetIP [4]byte
-}
-
-const arpLen = 28
-
-// LayerType implements Layer.
-func (*ARP) LayerType() LayerType { return LayerTypeARP }
-
-// LayerPayload implements Layer; ARP is terminal.
-func (*ARP) LayerPayload() []byte { return nil }
-
-// NextLayerType implements DecodingLayer.
-func (*ARP) NextLayerType() LayerType { return LayerTypeInvalid }
-
-// DecodeFromBytes implements DecodingLayer.
-func (a *ARP) DecodeFromBytes(data []byte) error {
-	if len(data) < arpLen {
-		return fmt.Errorf("%w: arp needs %d bytes, have %d", ErrTruncated, arpLen, len(data))
-	}
-	htype := binary.BigEndian.Uint16(data[0:2])
-	ptype := binary.BigEndian.Uint16(data[2:4])
-	if htype != 1 || ptype != uint16(EtherTypeIPv4) || data[4] != 6 || data[5] != 4 {
-		return fmt.Errorf("%w: arp hw/proto %d/%#x", ErrUnsupported, htype, ptype)
-	}
-	a.Operation = binary.BigEndian.Uint16(data[6:8])
-	copy(a.SenderHW[:], data[8:14])
-	copy(a.SenderIP[:], data[14:18])
-	copy(a.TargetHW[:], data[18:24])
-	copy(a.TargetIP[:], data[24:28])
-	return nil
-}
-
-// SerializeTo implements SerializableLayer.
-func (a *ARP) SerializeTo(b *SerializeBuffer) error {
-	hdr, err := b.PrependBytes(arpLen)
-	if err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint16(hdr[0:2], 1)
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(EtherTypeIPv4))
-	hdr[4], hdr[5] = 6, 4
-	binary.BigEndian.PutUint16(hdr[6:8], a.Operation)
-	copy(hdr[8:14], a.SenderHW[:])
-	copy(hdr[14:18], a.SenderIP[:])
-	copy(hdr[18:24], a.TargetHW[:])
-	copy(hdr[24:28], a.TargetIP[:])
 	return nil
 }

@@ -40,9 +40,6 @@ func (f FiveTuple) Canonical() FiveTuple {
 	return f.Reverse()
 }
 
-// IsCanonical reports whether f is already in canonical orientation.
-func (f FiveTuple) IsCanonical() bool { return f.less() }
-
 func (f FiveTuple) less() bool {
 	switch c := f.SrcIP.Compare(f.DstIP); {
 	case c < 0:
@@ -79,26 +76,4 @@ func (f FiveTuple) Hash() uint64 {
 	mix(byte(c.DstPort >> 8))
 	mix(byte(c.DstPort))
 	return h
-}
-
-// TupleFromPacket extracts the five-tuple from a decoded packet, reporting
-// ok=false when the packet has no IP layer. Non-TCP/UDP packets get zero
-// ports.
-func TupleFromPacket(p *Packet) (FiveTuple, bool) {
-	var ft FiveTuple
-	switch nl := p.NetworkLayer().(type) {
-	case *IPv4:
-		ft.SrcIP, ft.DstIP, ft.Proto = nl.SrcIP, nl.DstIP, nl.Protocol
-	case *IPv6:
-		ft.SrcIP, ft.DstIP, ft.Proto = nl.SrcIP, nl.DstIP, nl.NextHeader
-	default:
-		return ft, false
-	}
-	switch tl := p.TransportLayer().(type) {
-	case *TCP:
-		ft.SrcPort, ft.DstPort = tl.SrcPort, tl.DstPort
-	case *UDP:
-		ft.SrcPort, ft.DstPort = tl.SrcPort, tl.DstPort
-	}
-	return ft, true
 }

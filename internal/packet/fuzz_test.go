@@ -92,6 +92,13 @@ func FuzzParse(f *testing.F) {
 		if s.PayloadLen < 0 || s.IPLen < 0 || s.DNSMsgLen < 0 {
 			t.Fatalf("negative length: %+v", s)
 		}
+		// A non-first IPv4 fragment carries no transport header.
+		var eth packet.Ethernet
+		var ip packet.IPv4
+		if set > 0 && eth.DecodeFromBytes(frame) == nil && eth.EtherType == packet.EtherTypeIPv4 &&
+			ip.DecodeFromBytes(frame[14:]) == nil && ip.FragOffset > 0 {
+			t.Fatalf("fragment at offset %d has a transport flag: %+v", ip.FragOffset, s)
+		}
 
 		// Parsing is deterministic: a reused parser yields the same summary.
 		var s2 packet.Summary
@@ -104,24 +111,50 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzDecode drives the full layer decoder (the slow, allocating path
-// used by pcap tooling) with the same corpus.
+// FuzzDecode drives the layer decoders — the reference the serializer
+// round trips are checked against — with the same corpus: none may panic,
+// and on every IPv4 frame FlowParser summarizes, the decoded headers must
+// agree with its summary.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		p, err := packet.Decode(frame, packet.LayerTypeEthernet)
-		if err != nil {
+		var (
+			eth packet.Ethernet
+			ip  packet.IPv4
+			tcp packet.TCP
+			udp packet.UDP
+			dns packet.DNS
+			s   packet.Summary
+		)
+		for _, decode := range []func([]byte) error{eth.DecodeFromBytes, ip.DecodeFromBytes,
+			tcp.DecodeFromBytes, udp.DecodeFromBytes, dns.DecodeFromBytes} {
+			_ = decode(frame)
+		}
+		if packet.NewFlowParser().Parse(frame, &s) != nil || eth.DecodeFromBytes(frame) != nil ||
+			eth.EtherType != packet.EtherTypeIPv4 {
 			return
 		}
-		// A successful decode yields at least one layer unless the frame
-		// was empty or ran out mid-layer (Truncated keeps what it has).
-		if len(p.Layers()) == 0 && len(frame) > 0 && !p.Truncated {
-			t.Fatal("decoded packet has no layers")
+		if err := ip.DecodeFromBytes(frame[14:]); err != nil {
+			t.Fatalf("FlowParser summarized an IPv4 header the decoder refuses: %v", err)
 		}
-		if !bytes.Equal(p.Data(), frame) {
-			t.Fatal("Data() does not round-trip the input frame")
+		if ip.SrcIP != s.Tuple.SrcIP || ip.DstIP != s.Tuple.DstIP || ip.TTL != s.TTL ||
+			ip.Protocol != s.Tuple.Proto || int(ip.Length) != s.IPLen {
+			t.Fatalf("ipv4 %+v disagrees with summary %+v", ip, s)
+		}
+		l4 := frame[14+ip.HeaderLen():]
+		switch {
+		case s.HasTCP:
+			if err := tcp.DecodeFromBytes(l4); err != nil || tcp.SrcPort != s.Tuple.SrcPort ||
+				tcp.DstPort != s.Tuple.DstPort || tcp.Flags != s.TCPFlags {
+				t.Fatalf("tcp %+v (%v) disagrees with summary %+v", tcp, err, s)
+			}
+		case s.HasUDP:
+			if err := udp.DecodeFromBytes(l4); err != nil || udp.SrcPort != s.Tuple.SrcPort ||
+				udp.DstPort != s.Tuple.DstPort {
+				t.Fatalf("udp %+v (%v) disagrees with summary %+v", udp, err, s)
+			}
 		}
 	})
 }

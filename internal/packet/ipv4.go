@@ -13,7 +13,7 @@ const (
 	IPProtocolICMPv4 IPProtocol = 1
 	IPProtocolTCP    IPProtocol = 6
 	IPProtocolUDP    IPProtocol = 17
-	IPProtocolICMPv6 IPProtocol = 58
+	ipProtocolICMPv6 IPProtocol = 58
 )
 
 // String returns the protocol name.
@@ -25,7 +25,7 @@ func (p IPProtocol) String() string {
 		return "TCP"
 	case IPProtocolUDP:
 		return "UDP"
-	case IPProtocolICMPv6:
+	case ipProtocolICMPv6:
 		return "ICMPv6"
 	default:
 		return fmt.Sprintf("proto-%d", uint8(p))
@@ -50,35 +50,27 @@ type IPv4 struct {
 	payload    []byte
 }
 
-// Fragment flag bits within IPv4.Flags.
-const (
-	IPv4DontFragment = 0x2
-	IPv4MoreFragment = 0x1
-)
-
-// LayerType implements Layer.
-func (*IPv4) LayerType() LayerType { return LayerTypeIPv4 }
-
-// LayerPayload implements Layer.
-func (ip *IPv4) LayerPayload() []byte { return ip.payload }
+// IPv4DontFragment is the DF bit within IPv4.Flags.
+const IPv4DontFragment = 0x2
 
 // HeaderLen returns the header length in bytes implied by Options.
 func (ip *IPv4) HeaderLen() int { return ipv4MinHeaderLen + len(ip.Options) }
 
-// DecodeFromBytes implements DecodingLayer.
+// DecodeFromBytes parses the header from data; Options and the payload
+// alias data.
 func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	if len(data) < ipv4MinHeaderLen {
-		return fmt.Errorf("%w: ipv4 needs %d bytes, have %d", ErrTruncated, ipv4MinHeaderLen, len(data))
+		return fmt.Errorf("%w: ipv4 needs %d bytes, have %d", errTruncated, ipv4MinHeaderLen, len(data))
 	}
 	if v := data[0] >> 4; v != 4 {
-		return fmt.Errorf("%w: ip version %d in ipv4 decoder", ErrMalformed, v)
+		return fmt.Errorf("%w: ip version %d in ipv4 decoder", errMalformed, v)
 	}
 	ihl := int(data[0]&0x0f) * 4
 	if ihl < ipv4MinHeaderLen {
-		return fmt.Errorf("%w: ihl %d", ErrMalformed, ihl)
+		return fmt.Errorf("%w: ihl %d", errMalformed, ihl)
 	}
 	if len(data) < ihl {
-		return fmt.Errorf("%w: ipv4 header len %d, have %d", ErrTruncated, ihl, len(data))
+		return fmt.Errorf("%w: ipv4 header len %d, have %d", errTruncated, ihl, len(data))
 	}
 	ip.TOS = data[1]
 	ip.Length = binary.BigEndian.Uint16(data[2:4])
@@ -97,7 +89,7 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	ip.Options = data[ipv4MinHeaderLen:ihl]
 	end := int(ip.Length)
 	if end < ihl {
-		return fmt.Errorf("%w: total length %d < header %d", ErrMalformed, end, ihl)
+		return fmt.Errorf("%w: total length %d < header %d", errMalformed, end, ihl)
 	}
 	if end > len(data) {
 		// Snap to what we actually have; capture may have snapped the frame.
@@ -107,29 +99,12 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// NextLayerType implements DecodingLayer.
-func (ip *IPv4) NextLayerType() LayerType {
-	if ip.FragOffset != 0 || ip.Flags&IPv4MoreFragment != 0 && ip.FragOffset > 0 {
-		return LayerTypePayload // non-first fragments carry no parseable L4 header
-	}
-	switch ip.Protocol {
-	case IPProtocolTCP:
-		return LayerTypeTCP
-	case IPProtocolUDP:
-		return LayerTypeUDP
-	case IPProtocolICMPv4:
-		return LayerTypeICMPv4
-	default:
-		return LayerTypePayload
-	}
-}
-
-// SerializeTo implements SerializableLayer. Length and Checksum are
+// SerializeTo prepends the header to b. Length and Checksum are
 // computed from the buffer contents, overwriting any caller-set values.
 func (ip *IPv4) SerializeTo(b *SerializeBuffer) error {
 	optLen := len(ip.Options)
 	if optLen%4 != 0 {
-		return fmt.Errorf("%w: ipv4 options not 32-bit aligned (%d bytes)", ErrMalformed, optLen)
+		return fmt.Errorf("%w: ipv4 options not 32-bit aligned (%d bytes)", errMalformed, optLen)
 	}
 	hlen := ipv4MinHeaderLen + optLen
 	payloadLen := len(b.Bytes())

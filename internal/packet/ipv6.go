@@ -8,10 +8,10 @@ import (
 
 const ipv6HeaderLen = 40
 
-// IPv6 is an IPv6 fixed header. Extension headers other than opaque
-// payloads are not modeled; campus traffic in the simulator does not emit
-// them, and real captures that contain them fall back to LayerTypePayload.
-type IPv6 struct {
+// ipv6 is an IPv6 fixed header. Extension headers are not modeled; campus
+// traffic in the simulator does not emit them, and FlowParser counts a
+// packet that carries one as IP-only.
+type ipv6 struct {
 	TrafficClass uint8
 	FlowLabel    uint32
 	Length       uint16 // payload length
@@ -22,19 +22,13 @@ type IPv6 struct {
 	payload      []byte
 }
 
-// LayerType implements Layer.
-func (*IPv6) LayerType() LayerType { return LayerTypeIPv6 }
-
-// LayerPayload implements Layer.
-func (ip *IPv6) LayerPayload() []byte { return ip.payload }
-
-// DecodeFromBytes implements DecodingLayer.
-func (ip *IPv6) DecodeFromBytes(data []byte) error {
+// decodeFromBytes parses the header from data; the payload aliases data.
+func (ip *ipv6) decodeFromBytes(data []byte) error {
 	if len(data) < ipv6HeaderLen {
-		return fmt.Errorf("%w: ipv6 needs %d bytes, have %d", ErrTruncated, ipv6HeaderLen, len(data))
+		return fmt.Errorf("%w: ipv6 needs %d bytes, have %d", errTruncated, ipv6HeaderLen, len(data))
 	}
 	if v := data[0] >> 4; v != 6 {
-		return fmt.Errorf("%w: ip version %d in ipv6 decoder", ErrMalformed, v)
+		return fmt.Errorf("%w: ip version %d in ipv6 decoder", errMalformed, v)
 	}
 	ip.TrafficClass = data[0]<<4 | data[1]>>4
 	ip.FlowLabel = binary.BigEndian.Uint32(data[0:4]) & 0xfffff
@@ -51,35 +45,5 @@ func (ip *IPv6) DecodeFromBytes(data []byte) error {
 		end = len(data)
 	}
 	ip.payload = data[ipv6HeaderLen:end]
-	return nil
-}
-
-// NextLayerType implements DecodingLayer.
-func (ip *IPv6) NextLayerType() LayerType {
-	switch ip.NextHeader {
-	case IPProtocolTCP:
-		return LayerTypeTCP
-	case IPProtocolUDP:
-		return LayerTypeUDP
-	default:
-		return LayerTypePayload
-	}
-}
-
-// SerializeTo implements SerializableLayer. Length is computed from the
-// buffer contents.
-func (ip *IPv6) SerializeTo(b *SerializeBuffer) error {
-	payloadLen := len(b.Bytes())
-	hdr, err := b.PrependBytes(ipv6HeaderLen)
-	if err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(hdr[0:4], 6<<28|uint32(ip.TrafficClass)<<20|ip.FlowLabel&0xfffff)
-	binary.BigEndian.PutUint16(hdr[4:6], uint16(payloadLen))
-	hdr[6] = uint8(ip.NextHeader)
-	hdr[7] = ip.HopLimit
-	src, dst := ip.SrcIP.As16(), ip.DstIP.As16()
-	copy(hdr[8:24], src[:])
-	copy(hdr[24:40], dst[:])
 	return nil
 }

@@ -1,224 +1,21 @@
-// Package packet implements the wire-format substrate for campuslab: a
-// gopacket-inspired layered packet model covering Ethernet, IPv4/IPv6,
-// TCP/UDP/ICMPv4 and DNS, with both a convenient eager decoder and an
-// allocation-free FlowParser for hot capture paths.
+// Package packet implements the wire-format substrate for campuslab: the
+// Ethernet, IPv4/IPv6, TCP/UDP/ICMPv4 and DNS headers, their serializers
+// (the traffic generator writes every frame with them) and FlowParser, the
+// allocation-free decoder that capture, storage and the data plane read
+// frames through.
 //
-// The design follows the layering idiom of gopacket: every protocol is a
-// Layer; decoding walks the layer chain; serialization walks it in reverse
-// so that lengths and checksums can be fixed up. Unlike gopacket, the set
-// of layers is closed (campus traffic only), which lets the fast path avoid
-// all interface allocation.
+// The design follows the layering idiom of gopacket: every header decodes
+// itself from bytes, and serialization runs back to front so that lengths
+// and checksums can be fixed up. Unlike gopacket, the set of layers is
+// closed (campus traffic only), which lets the fast path avoid all
+// interface allocation.
 package packet
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
-// LayerType identifies a protocol layer within a packet.
-type LayerType uint8
-
-// The closed set of layer types campuslab understands.
-const (
-	LayerTypeInvalid LayerType = iota
-	LayerTypeEthernet
-	LayerTypeIPv4
-	LayerTypeIPv6
-	LayerTypeTCP
-	LayerTypeUDP
-	LayerTypeICMPv4
-	LayerTypeDNS
-	LayerTypeARP
-	LayerTypePayload
-	numLayerTypes
-)
-
-var layerTypeNames = [numLayerTypes]string{
-	"Invalid", "Ethernet", "IPv4", "IPv6", "TCP", "UDP", "ICMPv4", "DNS", "ARP", "Payload",
-}
-
-// String returns the human-readable protocol name.
-func (t LayerType) String() string {
-	if int(t) < len(layerTypeNames) {
-		return layerTypeNames[t]
-	}
-	return fmt.Sprintf("LayerType(%d)", uint8(t))
-}
-
-// Common decode errors. Decoders wrap these so callers can classify
-// malformed traffic without string matching.
+// Decode errors. Decoders wrap these so malformed traffic can be
+// classified without string matching.
 var (
-	ErrTruncated   = errors.New("packet: truncated layer")
-	ErrMalformed   = errors.New("packet: malformed layer")
-	ErrUnsupported = errors.New("packet: unsupported protocol")
+	errTruncated = errors.New("packet: truncated layer")
+	errMalformed = errors.New("packet: malformed layer")
 )
-
-// Layer is one decoded protocol layer.
-type Layer interface {
-	// LayerType reports which protocol this layer is.
-	LayerType() LayerType
-	// LayerPayload returns the bytes this layer carries for the next
-	// layer up the stack (nil when the layer is terminal).
-	LayerPayload() []byte
-}
-
-// DecodingLayer is a Layer that can overwrite itself from wire bytes.
-// Implementations must not retain data beyond the call unless the caller
-// guaranteed the buffer is immutable (the NoCopy contract).
-type DecodingLayer interface {
-	Layer
-	// DecodeFromBytes parses data into the receiver. The receiver is
-	// fully overwritten; previous contents do not leak through.
-	DecodeFromBytes(data []byte) error
-	// NextLayerType reports the type of the layer carried in
-	// LayerPayload, or LayerTypePayload when unknown/opaque.
-	NextLayerType() LayerType
-}
-
-// Packet is an eagerly decoded packet: the full layer chain plus the raw
-// bytes it was decoded from. Packet is the convenient API; hot paths should
-// prefer FlowParser.
-type Packet struct {
-	data   []byte
-	layers []Layer
-	// Truncated reports that decoding stopped early because the bytes
-	// ran out mid-layer; the layers decoded so far are still valid.
-	Truncated bool
-}
-
-// Decode eagerly parses data starting at first. The returned Packet
-// references data; the caller must not mutate it afterwards.
-func Decode(data []byte, first LayerType) (*Packet, error) {
-	p := &Packet{data: data, layers: make([]Layer, 0, 4)}
-	cur, rest := first, data
-	for cur != LayerTypeInvalid && len(rest) > 0 {
-		dl, err := newLayer(cur)
-		if err != nil {
-			// Unknown next protocol: keep what we have as payload.
-			p.layers = append(p.layers, &Payload{Data: rest})
-			return p, nil
-		}
-		if err := dl.DecodeFromBytes(rest); err != nil {
-			if errors.Is(err, ErrTruncated) {
-				p.Truncated = true
-				return p, nil
-			}
-			return p, fmt.Errorf("decoding %v: %w", cur, err)
-		}
-		p.layers = append(p.layers, dl)
-		next := dl.NextLayerType()
-		rest = dl.LayerPayload()
-		if next == LayerTypePayload {
-			if len(rest) > 0 {
-				p.layers = append(p.layers, &Payload{Data: rest})
-			}
-			return p, nil
-		}
-		cur = next
-	}
-	return p, nil
-}
-
-// newLayer constructs a fresh DecodingLayer for t.
-func newLayer(t LayerType) (DecodingLayer, error) {
-	switch t {
-	case LayerTypeEthernet:
-		return new(Ethernet), nil
-	case LayerTypeIPv4:
-		return new(IPv4), nil
-	case LayerTypeIPv6:
-		return new(IPv6), nil
-	case LayerTypeTCP:
-		return new(TCP), nil
-	case LayerTypeUDP:
-		return new(UDP), nil
-	case LayerTypeICMPv4:
-		return new(ICMPv4), nil
-	case LayerTypeDNS:
-		return new(DNS), nil
-	case LayerTypeARP:
-		return new(ARP), nil
-	case LayerTypePayload:
-		return new(Payload), nil
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrUnsupported, t)
-	}
-}
-
-// Data returns the raw bytes the packet was decoded from.
-func (p *Packet) Data() []byte { return p.data }
-
-// Layers returns the decoded layer chain in wire order.
-func (p *Packet) Layers() []Layer { return p.layers }
-
-// Layer returns the first layer of type t, or nil.
-func (p *Packet) Layer(t LayerType) Layer {
-	for _, l := range p.layers {
-		if l.LayerType() == t {
-			return l
-		}
-	}
-	return nil
-}
-
-// TransportLayer returns the TCP or UDP layer, or nil.
-func (p *Packet) TransportLayer() Layer {
-	for _, l := range p.layers {
-		if t := l.LayerType(); t == LayerTypeTCP || t == LayerTypeUDP {
-			return l
-		}
-	}
-	return nil
-}
-
-// NetworkLayer returns the IPv4 or IPv6 layer, or nil.
-func (p *Packet) NetworkLayer() Layer {
-	for _, l := range p.layers {
-		if t := l.LayerType(); t == LayerTypeIPv4 || t == LayerTypeIPv6 {
-			return l
-		}
-	}
-	return nil
-}
-
-// String renders a one-line summary, e.g. "Ethernet/IPv4/UDP/DNS (90B)".
-func (p *Packet) String() string {
-	s := ""
-	for i, l := range p.layers {
-		if i > 0 {
-			s += "/"
-		}
-		s += l.LayerType().String()
-	}
-	return fmt.Sprintf("%s (%dB)", s, len(p.data))
-}
-
-// Payload is an opaque application payload layer.
-type Payload struct {
-	Data []byte
-}
-
-// LayerType implements Layer.
-func (*Payload) LayerType() LayerType { return LayerTypePayload }
-
-// LayerPayload implements Layer; a payload is terminal.
-func (*Payload) LayerPayload() []byte { return nil }
-
-// DecodeFromBytes implements DecodingLayer.
-func (pl *Payload) DecodeFromBytes(data []byte) error {
-	pl.Data = data
-	return nil
-}
-
-// NextLayerType implements DecodingLayer.
-func (*Payload) NextLayerType() LayerType { return LayerTypeInvalid }
-
-// SerializeTo implements SerializableLayer.
-func (pl *Payload) SerializeTo(b *SerializeBuffer) error {
-	dst, err := b.PrependBytes(len(pl.Data))
-	if err != nil {
-		return err
-	}
-	copy(dst, pl.Data)
-	return nil
-}

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"strings"
@@ -11,20 +12,54 @@ import (
 
 func ip4(s string) netip.Addr { return netip.MustParseAddr(s) }
 
-// buildUDPDNS serializes a full Ethernet/IPv4/UDP/DNS frame for tests.
-func buildUDPDNS(t testing.TB, d *DNS, src, dst netip.Addr, sport, dport uint16) []byte {
+// serializeFrame writes payload and then layers (listed outermost first)
+// back to front the way the traffic generator does, arming an IPv4 layer's
+// addresses for the transport checksum.
+func serializeFrame(t testing.TB, payload []byte, layers ...interface{ SerializeTo(*SerializeBuffer) error }) []byte {
 	t.Helper()
 	buf := NewSerializeBuffer()
-	err := Serialize(buf,
+	p, _ := buf.PrependBytes(len(payload))
+	copy(p, payload)
+	for _, l := range layers {
+		if ip, ok := l.(*IPv4); ok {
+			buf.SetNetworkLayerForChecksum(ip.SrcIP, ip.DstIP)
+		}
+	}
+	for i := len(layers) - 1; i >= 0; i-- {
+		if err := layers[i].SerializeTo(buf); err != nil {
+			t.Fatalf("serialize: %v", err)
+		}
+	}
+	return append([]byte(nil), buf.Bytes()...)
+}
+
+// buildUDPDNS serializes a full Ethernet/IPv4/UDP/DNS frame for tests.
+func buildUDPDNS(t testing.TB, d *DNS, src, dst netip.Addr, sport, dport uint16) []byte {
+	return serializeFrame(t, nil,
 		&Ethernet{SrcMAC: MACAddr{2, 0, 0, 0, 0, 1}, DstMAC: MACAddr{2, 0, 0, 0, 0, 2}, EtherType: EtherTypeIPv4},
 		&IPv4{TTL: 64, Protocol: IPProtocolUDP, SrcIP: src, DstIP: dst},
 		&UDP{SrcPort: sport, DstPort: dport},
 		d,
 	)
-	if err != nil {
-		t.Fatalf("serialize: %v", err)
+}
+
+// verifyTCPChecksum and verifyUDPChecksum recompute a transport checksum
+// over the segment or datagram and its pseudo-header; a zero UDP checksum
+// field (checksum disabled) verifies trivially.
+func verifyTCPChecksum(src, dst netip.Addr, segment []byte) bool {
+	sum := pseudoHeaderChecksum(src, dst, IPProtocolTCP, len(segment))
+	return finishChecksum(sumBytes(sum, segment)) == 0
+}
+
+func verifyUDPChecksum(src, dst netip.Addr, dgram []byte) bool {
+	if len(dgram) < udpHeaderLen {
+		return false
 	}
-	return append([]byte(nil), buf.Bytes()...)
+	if dgram[6] == 0 && dgram[7] == 0 {
+		return true
+	}
+	sum := pseudoHeaderChecksum(src, dst, IPProtocolUDP, len(dgram))
+	return finishChecksum(sumBytes(sum, dgram)) == 0
 }
 
 func TestEthernetRoundTrip(t *testing.T) {
@@ -42,35 +77,26 @@ func TestEthernetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got Ethernet
-	if err := got.DecodeFromBytes(buf.Bytes()); err != nil {
+	if err := got.decodeFromBytes(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got.SrcMAC != e.SrcMAC || got.DstMAC != e.DstMAC || got.EtherType != e.EtherType {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, e)
 	}
-	if string(got.LayerPayload()) != "data" {
-		t.Errorf("payload = %q", got.LayerPayload())
+	if string(got.payload) != "data" {
+		t.Errorf("payload = %q", got.payload)
 	}
 }
 
 func TestEthernetTruncated(t *testing.T) {
 	var e Ethernet
-	err := e.DecodeFromBytes(make([]byte, 13))
-	if !errors.Is(err, ErrTruncated) {
-		t.Errorf("want ErrTruncated, got %v", err)
+	err := e.decodeFromBytes(make([]byte, 13))
+	if !errors.Is(err, errTruncated) {
+		t.Errorf("want errTruncated, got %v", err)
 	}
 }
 
 func TestMACAddrPredicates(t *testing.T) {
-	if !(MACAddr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}).IsBroadcast() {
-		t.Error("broadcast not detected")
-	}
-	if !(MACAddr{0x01, 0, 0x5e, 1, 2, 3}).IsMulticast() {
-		t.Error("multicast not detected")
-	}
-	if (MACAddr{2, 0, 0, 0, 0, 1}).IsMulticast() {
-		t.Error("unicast misdetected as multicast")
-	}
 	if got := (MACAddr{0xaa, 0, 1, 2, 3, 4}).String(); got != "aa:00:01:02:03:04" {
 		t.Errorf("String = %q", got)
 	}
@@ -101,8 +127,8 @@ func TestIPv4RoundTripAndChecksum(t *testing.T) {
 		got.Protocol != IPProtocolUDP || got.Flags != IPv4DontFragment || got.ID != 0x1234 {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
-	if string(got.LayerPayload()) != "hello world" {
-		t.Errorf("payload = %q", got.LayerPayload())
+	if string(got.payload) != "hello world" {
+		t.Errorf("payload = %q", got.payload)
 	}
 	if got.Length != 31 {
 		t.Errorf("Length = %d, want 31", got.Length)
@@ -115,9 +141,9 @@ func TestIPv4Malformed(t *testing.T) {
 		data []byte
 		want error
 	}{
-		{"short", make([]byte, 10), ErrTruncated},
-		{"version6", append([]byte{0x65}, make([]byte, 19)...), ErrMalformed},
-		{"badIHL", append([]byte{0x42}, make([]byte, 19)...), ErrMalformed},
+		{"short", make([]byte, 10), errTruncated},
+		{"version6", append([]byte{0x65}, make([]byte, 19)...), errMalformed},
+		{"badIHL", append([]byte{0x42}, make([]byte, 19)...), errMalformed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,26 +156,30 @@ func TestIPv4Malformed(t *testing.T) {
 }
 
 func TestIPv6RoundTrip(t *testing.T) {
-	ip := &IPv6{
+	ip := &ipv6{
 		TrafficClass: 3, FlowLabel: 0x54321, NextHeader: IPProtocolTCP, HopLimit: 61,
 		SrcIP: netip.MustParseAddr("2001:db8::1"), DstIP: netip.MustParseAddr("2001:db8::2"),
 	}
-	buf := NewSerializeBuffer()
-	p, _ := buf.PrependBytes(5)
-	copy(p, "six!!")
-	if err := ip.SerializeTo(buf); err != nil {
-		t.Fatal(err)
-	}
-	var got IPv6
-	if err := got.DecodeFromBytes(buf.Bytes()); err != nil {
+	// No serializer writes IPv6 (the generator emits none), so the header
+	// is laid out by hand.
+	wire := make([]byte, ipv6HeaderLen, ipv6HeaderLen+5)
+	binary.BigEndian.PutUint32(wire[0:4], 6<<28|uint32(ip.TrafficClass)<<20|ip.FlowLabel)
+	binary.BigEndian.PutUint16(wire[4:6], 5)
+	wire[6], wire[7] = uint8(ip.NextHeader), ip.HopLimit
+	src, dst := ip.SrcIP.As16(), ip.DstIP.As16()
+	copy(wire[8:24], src[:])
+	copy(wire[24:40], dst[:])
+	wire = append(wire, "six!!"...)
+	var got ipv6
+	if err := got.decodeFromBytes(wire); err != nil {
 		t.Fatal(err)
 	}
 	if got.SrcIP != ip.SrcIP || got.DstIP != ip.DstIP || got.HopLimit != 61 ||
 		got.FlowLabel != 0x54321 || got.TrafficClass != 3 || got.NextHeader != IPProtocolTCP {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
-	if got.Length != 5 || string(got.LayerPayload()) != "six!!" {
-		t.Errorf("payload: len=%d %q", got.Length, got.LayerPayload())
+	if got.Length != 5 || string(got.payload) != "six!!" {
+		t.Errorf("payload: len=%d %q", got.Length, got.payload)
 	}
 }
 
@@ -158,8 +188,8 @@ func TestTCPRoundTripWithOptions(t *testing.T) {
 		SrcPort: 443, DstPort: 53211, Seq: 0xdeadbeef, Ack: 0x01020304,
 		Flags: TCPSyn | TCPAck, Window: 65000,
 		Options: []TCPOption{
-			{Kind: TCPOptMSS, Data: []byte{0x05, 0xb4}},
-			{Kind: TCPOptWScale, Data: []byte{7}},
+			{Kind: tcpOptMSS, Data: []byte{0x05, 0xb4}},
+			{Kind: tcpOptWScale, Data: []byte{7}},
 		},
 	}
 	src, dst := ip4("10.0.0.1"), ip4("10.0.0.2")
@@ -171,22 +201,22 @@ func TestTCPRoundTripWithOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := buf.Bytes()
-	if !VerifyTCPChecksum(src, dst, seg) {
+	if !verifyTCPChecksum(src, dst, seg) {
 		t.Error("tcp checksum does not verify")
 	}
 	var got TCP
-	if err := got.DecodeFromBytes(seg); err != nil {
+	if err := got.decodeFromBytes(seg); err != nil {
 		t.Fatal(err)
 	}
 	if got.SrcPort != 443 || got.DstPort != 53211 || got.Seq != 0xdeadbeef ||
 		!got.Flags.Has(TCPSyn|TCPAck) || got.Window != 65000 {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
-	if len(got.Options) != 2 || got.Options[0].Kind != TCPOptMSS || got.Options[1].Kind != TCPOptWScale {
+	if len(got.Options) != 2 || got.Options[0].Kind != tcpOptMSS || got.Options[1].Kind != tcpOptWScale {
 		t.Errorf("options = %+v", got.Options)
 	}
-	if string(got.LayerPayload()) != "abc" {
-		t.Errorf("payload = %q", got.LayerPayload())
+	if string(got.payload) != "abc" {
+		t.Errorf("payload = %q", got.payload)
 	}
 }
 
@@ -203,11 +233,11 @@ func TestTCPMalformedOptions(t *testing.T) {
 	// DataOffset claims 6 words (4 bytes of options) but option length runs off.
 	seg := make([]byte, 24)
 	seg[12] = 6 << 4
-	seg[20] = TCPOptMSS
+	seg[20] = tcpOptMSS
 	seg[21] = 10 // longer than remaining option space
 	var tc TCP
-	if err := tc.DecodeFromBytes(seg); !errors.Is(err, ErrMalformed) {
-		t.Errorf("got %v, want ErrMalformed", err)
+	if err := tc.decodeFromBytes(seg); !errors.Is(err, errMalformed) {
+		t.Errorf("got %v, want errMalformed", err)
 	}
 }
 
@@ -222,56 +252,31 @@ func TestUDPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dgram := buf.Bytes()
-	if !VerifyUDPChecksum(src, dst, dgram) {
+	if !verifyUDPChecksum(src, dst, dgram) {
 		t.Error("udp checksum does not verify")
 	}
 	var got UDP
-	if err := got.DecodeFromBytes(dgram); err != nil {
+	if err := got.decodeFromBytes(dgram); err != nil {
 		t.Fatal(err)
 	}
 	if got.SrcPort != 53 || got.DstPort != 31337 || got.Length != 12 {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
-	if got.NextLayerType() != LayerTypeDNS {
-		t.Errorf("NextLayerType = %v, want DNS", got.NextLayerType())
-	}
 }
 
 func TestICMPRoundTrip(t *testing.T) {
-	ic := &ICMPv4{Type: ICMPv4EchoRequest, ID: 7, Seq: 42}
-	buf := NewSerializeBuffer()
-	p, _ := buf.PrependBytes(8)
-	copy(p, "pingdata")
-	if err := ic.SerializeTo(buf); err != nil {
-		t.Fatal(err)
-	}
-	if internetChecksum(buf.Bytes()) != 0 {
+	// An echo request (type 8), ID 7, sequence 42, laid out by hand: no
+	// serializer writes ICMP.
+	wire := append([]byte{8, 0, 0, 0, 0, 7, 0, 42}, "pingdata"...)
+	binary.BigEndian.PutUint16(wire[2:4], internetChecksum(wire))
+	if internetChecksum(wire) != 0 {
 		t.Error("icmp checksum does not verify")
 	}
-	var got ICMPv4
-	if err := got.DecodeFromBytes(buf.Bytes()); err != nil {
+	var got icmpv4
+	if err := got.decodeFromBytes(wire); err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != ICMPv4EchoRequest || got.ID != 7 || got.Seq != 42 {
-		t.Errorf("round trip mismatch: %+v", got)
-	}
-}
-
-func TestARPRoundTrip(t *testing.T) {
-	a := &ARP{
-		Operation: 1,
-		SenderHW:  MACAddr{2, 0, 0, 0, 0, 1}, SenderIP: [4]byte{10, 0, 0, 1},
-		TargetIP: [4]byte{10, 0, 0, 2},
-	}
-	buf := NewSerializeBuffer()
-	if err := a.SerializeTo(buf); err != nil {
-		t.Fatal(err)
-	}
-	var got ARP
-	if err := got.DecodeFromBytes(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if got.Operation != 1 || got.SenderHW != a.SenderHW || got.SenderIP != a.SenderIP || got.TargetIP != a.TargetIP {
+	if got.Type != 8 || got.ID != 7 || got.Seq != 42 {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
 }
@@ -290,7 +295,7 @@ func TestDNSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got DNS
-	if err := got.DecodeFromBytes(buf.Bytes()); err != nil {
+	if err := got.decodeFromBytes(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got.ID != 0xbeef || !got.QR || !got.AA || !got.RD || !got.RA {
@@ -302,8 +307,8 @@ func TestDNSRoundTrip(t *testing.T) {
 	if len(got.Answers) != 2 || !bytes.Equal(got.Answers[0].Data, []byte{93, 184, 216, 34}) {
 		t.Errorf("answers = %+v", got.Answers)
 	}
-	if got.DecodedSize() != len(buf.Bytes()) {
-		t.Errorf("DecodedSize = %d, want %d", got.DecodedSize(), len(buf.Bytes()))
+	if got.decodedSize != len(buf.Bytes()) {
+		t.Errorf("decodedSize = %d, want %d", got.decodedSize, len(buf.Bytes()))
 	}
 }
 
@@ -317,7 +322,7 @@ func TestDNSCompressedName(t *testing.T) {
 		0, 1, 0, 1, 0, 0, 1, 0, 0, 4, 1, 2, 3, 4,
 	}
 	var d DNS
-	if err := d.DecodeFromBytes(msg); err != nil {
+	if err := d.decodeFromBytes(msg); err != nil {
 		t.Fatal(err)
 	}
 	if d.Questions[0].Name != "ab.cd" {
@@ -336,8 +341,8 @@ func TestDNSCompressionLoopRejected(t *testing.T) {
 		0, 1, 0, 1,
 	}
 	var d DNS
-	if err := d.DecodeFromBytes(msg); !errors.Is(err, ErrMalformed) {
-		t.Errorf("got %v, want ErrMalformed", err)
+	if err := d.decodeFromBytes(msg); !errors.Is(err, errMalformed) {
+		t.Errorf("got %v, want errMalformed", err)
 	}
 }
 
@@ -354,7 +359,7 @@ func TestDNSNameTooLongRejected(t *testing.T) {
 		return
 	}
 	var got DNS
-	if err := got.DecodeFromBytes(buf.Bytes()); !errors.Is(err, ErrMalformed) {
+	if err := got.decodeFromBytes(buf.Bytes()); !errors.Is(err, errMalformed) {
 		t.Errorf("decoder accepted >255 byte name: %v", err)
 	}
 }
@@ -365,44 +370,43 @@ func TestFullStackDecode(t *testing.T) {
 		Questions: []DNSQuestion{{Name: "cs.ucsb.edu", Type: DNSTypeANY, Class: 1}},
 	}
 	frame := buildUDPDNS(t, d, ip4("10.3.0.5"), ip4("8.8.4.4"), 51234, 53)
-	p, err := Decode(frame, LayerTypeEthernet)
-	if err != nil {
-		t.Fatal(err)
+	var (
+		eth Ethernet
+		ip  IPv4
+		udp UDP
+		dns DNS
+	)
+	if err := eth.decodeFromBytes(frame); err != nil || eth.EtherType != EtherTypeIPv4 {
+		t.Fatalf("ethernet: %v, type %#x", err, eth.EtherType)
 	}
-	wantChain := []LayerType{LayerTypeEthernet, LayerTypeIPv4, LayerTypeUDP, LayerTypeDNS}
-	if len(p.Layers()) != len(wantChain) {
-		t.Fatalf("layer chain %v", p.String())
+	if err := ip.DecodeFromBytes(eth.payload); err != nil || ip.Protocol != IPProtocolUDP {
+		t.Fatalf("ipv4: %v, proto %v", err, ip.Protocol)
 	}
-	for i, l := range p.Layers() {
-		if l.LayerType() != wantChain[i] {
-			t.Errorf("layer %d = %v, want %v", i, l.LayerType(), wantChain[i])
-		}
+	if err := udp.decodeFromBytes(ip.payload); err != nil {
+		t.Fatalf("udp: %v", err)
 	}
-	dns := p.Layer(LayerTypeDNS).(*DNS)
+	if err := dns.decodeFromBytes(udp.payload); err != nil {
+		t.Fatalf("dns: %v", err)
+	}
 	if dns.Questions[0].Name != "cs.ucsb.edu" || dns.Questions[0].Type != DNSTypeANY {
 		t.Errorf("dns question = %+v", dns.Questions[0])
 	}
-	ft, ok := TupleFromPacket(p)
-	if !ok || ft.Proto != IPProtocolUDP || ft.SrcPort != 51234 || ft.DstPort != 53 {
-		t.Errorf("tuple = %v ok=%v", ft, ok)
-	}
-	if got := p.String(); got != "Ethernet/IPv4/UDP/DNS (81B)" && !strings.HasPrefix(got, "Ethernet/IPv4/UDP/DNS") {
-		t.Errorf("String = %q", got)
+	if ip.SrcIP != ip4("10.3.0.5") || ip.DstIP != ip4("8.8.4.4") || udp.SrcPort != 51234 || udp.DstPort != 53 {
+		t.Errorf("tuple = %v:%d > %v:%d", ip.SrcIP, udp.SrcPort, ip.DstIP, udp.DstPort)
 	}
 }
 
 func TestDecodeTruncatedMarksPacket(t *testing.T) {
 	d := &DNS{ID: 1, Questions: []DNSQuestion{{Name: "x.edu", Type: DNSTypeA, Class: 1}}}
 	frame := buildUDPDNS(t, d, ip4("10.0.0.1"), ip4("10.0.0.2"), 1000, 53)
-	p, err := Decode(frame[:20], LayerTypeEthernet) // cut mid-IPv4
-	if err != nil {
-		t.Fatalf("truncated decode should not error: %v", err)
+	cut := frame[:20] // cut mid-IPv4
+	var eth Ethernet
+	if err := eth.decodeFromBytes(cut); err != nil {
+		t.Fatalf("ethernet layer should have survived: %v", err)
 	}
-	if !p.Truncated {
-		t.Error("Truncated flag not set")
-	}
-	if p.Layer(LayerTypeEthernet) == nil {
-		t.Error("ethernet layer should have survived")
+	var ip IPv4
+	if err := ip.DecodeFromBytes(eth.payload); !errors.Is(err, errTruncated) {
+		t.Errorf("ipv4 of a cut frame: %v, want errTruncated", err)
 	}
 }
 
@@ -418,7 +422,7 @@ func TestFiveTupleCanonical(t *testing.T) {
 	if f.Hash() != f.Reverse().Hash() {
 		t.Error("hash not direction independent")
 	}
-	if !c.IsCanonical() {
+	if !c.less() {
 		t.Error("canonical form not reported canonical")
 	}
 }
@@ -499,17 +503,13 @@ func TestFlowParserSummary(t *testing.T) {
 }
 
 func TestFlowParserNonIP(t *testing.T) {
-	a := &ARP{Operation: 1}
-	buf := NewSerializeBuffer()
-	if err := Serialize(buf, &Ethernet{EtherType: EtherTypeARP}, a); err != nil {
-		t.Fatal(err)
-	}
+	frame := serializeFrame(t, make([]byte, 28), &Ethernet{EtherType: 0x0806}) // an ARP request
 	fp := NewFlowParser()
 	var s Summary
-	if err := fp.Parse(buf.Bytes(), &s); !errors.Is(err, ErrNotIP) {
+	if err := fp.Parse(frame, &s); !errors.Is(err, ErrNotIP) {
 		t.Errorf("got %v, want ErrNotIP", err)
 	}
-	if s.WireLen != len(buf.Bytes()) {
+	if s.WireLen != len(frame) {
 		t.Error("WireLen should be set even for non-IP")
 	}
 }
@@ -523,16 +523,12 @@ func TestFlowParserReuseDoesNotLeakState(t *testing.T) {
 		t.Fatalf("dns parse: %v %+v", err, s)
 	}
 	// Now a plain TCP frame: DNS fields must be cleared.
-	buf := NewSerializeBuffer()
-	err := Serialize(buf,
+	frame := serializeFrame(t, nil,
 		&Ethernet{EtherType: EtherTypeIPv4},
 		&IPv4{TTL: 64, Protocol: IPProtocolTCP, SrcIP: ip4("10.0.0.1"), DstIP: ip4("10.0.0.2")},
 		&TCP{SrcPort: 1234, DstPort: 80, Flags: TCPSyn},
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fp.Parse(buf.Bytes(), &s); err != nil {
+	if err := fp.Parse(frame, &s); err != nil {
 		t.Fatal(err)
 	}
 	if s.IsDNS || s.DNSAnswerCnt != 0 || !s.HasTCP || !s.TCPFlags.Has(TCPSyn) {
@@ -540,23 +536,53 @@ func TestFlowParserReuseDoesNotLeakState(t *testing.T) {
 	}
 }
 
+// TestFlowParserNonFirstFragmentIsIPOnly: a non-first IPv4 fragment
+// carries no transport header, whatever its protocol, so the summary is
+// IP-only and parsing succeeds however short the fragment is.
+func TestFlowParserNonFirstFragmentIsIPOnly(t *testing.T) {
+	for _, proto := range []IPProtocol{IPProtocolICMPv4, IPProtocolTCP} {
+		for _, n := range []int{4, 40} {
+			frame := serializeFrame(t, make([]byte, n),
+				&Ethernet{EtherType: EtherTypeIPv4},
+				&IPv4{TTL: 64, Protocol: proto, FragOffset: 100, SrcIP: ip4("10.0.0.1"), DstIP: ip4("10.0.0.2")},
+			)
+			var s Summary
+			if err := NewFlowParser().Parse(frame, &s); err != nil {
+				t.Errorf("%v fragment of %d bytes: %v", proto, n, err)
+				continue
+			}
+			if !s.HasIP || s.HasTCP || s.HasUDP || s.HasICMP || s.PayloadLen != 0 || s.Tuple.Proto != proto {
+				t.Errorf("%v fragment of %d bytes: summary %+v, want IP-only", proto, n, s)
+			}
+		}
+	}
+}
+
 func TestDecodeFuzzNoPanic(t *testing.T) {
-	// Property: arbitrary bytes never panic the eager decoder or FlowParser.
+	// Property: arbitrary bytes never panic a layer decoder or FlowParser.
 	fn := func(data []byte) bool {
-		_, _ = Decode(data, LayerTypeEthernet)
-		var s Summary
+		var (
+			eth Ethernet
+			ip  IPv4
+			ip6 ipv6
+			tcp TCP
+			udp UDP
+			ic  icmpv4
+			dns DNS
+			s   Summary
+		)
+		for _, decode := range []func([]byte) error{
+			eth.decodeFromBytes, ip.DecodeFromBytes, ip6.decodeFromBytes, tcp.decodeFromBytes,
+			udp.decodeFromBytes, ic.decodeFromBytes, dns.decodeFromBytes,
+		} {
+			_ = decode(data)
+		}
 		_ = NewFlowParser().Parse(data, &s)
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 2000}
 	if err := quick.Check(fn, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLayerTypeString(t *testing.T) {
-	if LayerTypeDNS.String() != "DNS" || LayerType(200).String() != "LayerType(200)" {
-		t.Error("LayerType.String wrong")
 	}
 }
 
@@ -569,18 +595,6 @@ func BenchmarkFlowParser(b *testing.B) {
 	b.SetBytes(int64(len(frame)))
 	for i := 0; i < b.N; i++ {
 		if err := fp.Parse(frame, &s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEagerDecode(b *testing.B) {
-	d := &DNS{ID: 9, QR: true, Questions: []DNSQuestion{{Name: "www.ucsb.edu", Type: DNSTypeA, Class: 1}}}
-	frame := buildUDPDNS(b, d, ip4("8.8.8.8"), ip4("10.2.3.4"), 53, 40000)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(frame, LayerTypeEthernet); err != nil {
 			b.Fatal(err)
 		}
 	}

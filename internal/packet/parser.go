@@ -32,10 +32,10 @@ type Summary struct {
 type FlowParser struct {
 	eth  Ethernet
 	ip4  IPv4
-	ip6  IPv6
+	ip6  ipv6
 	tcp  TCP
 	udp  UDP
-	icmp ICMPv4
+	icmp icmpv4
 }
 
 // NewFlowParser returns a ready parser. The zero value is also usable.
@@ -49,38 +49,39 @@ var ErrNotIP = errors.New("packet: frame is not IPv4/IPv6")
 // a malformed/truncated packet.
 func (fp *FlowParser) Parse(frame []byte, s *Summary) error {
 	*s = Summary{WireLen: len(frame)}
-	if err := fp.eth.DecodeFromBytes(frame); err != nil {
+	if err := fp.eth.decodeFromBytes(frame); err != nil {
 		return err
 	}
 	var (
 		payload []byte
 		proto   IPProtocol
 	)
-	switch fp.eth.NextLayerType() {
-	case LayerTypeIPv4:
-		if err := fp.ip4.DecodeFromBytes(fp.eth.LayerPayload()); err != nil {
+	switch fp.eth.EtherType {
+	case EtherTypeIPv4:
+		if err := fp.ip4.DecodeFromBytes(fp.eth.payload); err != nil {
 			return err
 		}
 		s.Tuple.SrcIP, s.Tuple.DstIP = fp.ip4.SrcIP, fp.ip4.DstIP
 		s.TTL = fp.ip4.TTL
 		s.IPLen = int(fp.ip4.Length)
 		proto = fp.ip4.Protocol
-		if fp.ip4.NextLayerType() == LayerTypePayload && proto != IPProtocolICMPv4 {
-			// fragment or unsupported proto: record what we know
+		if fp.ip4.FragOffset != 0 || proto != IPProtocolTCP && proto != IPProtocolUDP && proto != IPProtocolICMPv4 {
+			// A non-first fragment carries no transport header, whatever
+			// the protocol; an unsupported protocol has none we read.
 			s.Tuple.Proto = proto
 			s.HasIP = true
 			return nil
 		}
-		payload = fp.ip4.LayerPayload()
-	case LayerTypeIPv6:
-		if err := fp.ip6.DecodeFromBytes(fp.eth.LayerPayload()); err != nil {
+		payload = fp.ip4.payload
+	case etherTypeIPv6:
+		if err := fp.ip6.decodeFromBytes(fp.eth.payload); err != nil {
 			return err
 		}
 		s.Tuple.SrcIP, s.Tuple.DstIP = fp.ip6.SrcIP, fp.ip6.DstIP
 		s.TTL = fp.ip6.HopLimit
 		s.IPLen = ipv6HeaderLen + int(fp.ip6.Length)
 		proto = fp.ip6.NextHeader
-		payload = fp.ip6.LayerPayload()
+		payload = fp.ip6.payload
 	default:
 		return ErrNotIP
 	}
@@ -89,29 +90,29 @@ func (fp *FlowParser) Parse(frame []byte, s *Summary) error {
 
 	switch proto {
 	case IPProtocolTCP:
-		if err := fp.tcp.DecodeFromBytes(payload); err != nil {
+		if err := fp.tcp.decodeFromBytes(payload); err != nil {
 			return err
 		}
 		s.HasTCP = true
 		s.Tuple.SrcPort, s.Tuple.DstPort = fp.tcp.SrcPort, fp.tcp.DstPort
 		s.TCPFlags = fp.tcp.Flags
-		s.PayloadLen = len(fp.tcp.LayerPayload())
+		s.PayloadLen = len(fp.tcp.payload)
 	case IPProtocolUDP:
-		if err := fp.udp.DecodeFromBytes(payload); err != nil {
+		if err := fp.udp.decodeFromBytes(payload); err != nil {
 			return err
 		}
 		s.HasUDP = true
 		s.Tuple.SrcPort, s.Tuple.DstPort = fp.udp.SrcPort, fp.udp.DstPort
-		s.PayloadLen = len(fp.udp.LayerPayload())
+		s.PayloadLen = len(fp.udp.payload)
 		if fp.udp.SrcPort == PortDNS || fp.udp.DstPort == PortDNS {
-			fp.peekDNS(fp.udp.LayerPayload(), s)
+			fp.peekDNS(fp.udp.payload, s)
 		}
 	case IPProtocolICMPv4:
-		if err := fp.icmp.DecodeFromBytes(payload); err != nil {
+		if err := fp.icmp.decodeFromBytes(payload); err != nil {
 			return err
 		}
 		s.HasICMP = true
-		s.PayloadLen = len(fp.icmp.LayerPayload())
+		s.PayloadLen = len(fp.icmp.payload)
 	default:
 		s.PayloadLen = len(payload)
 	}

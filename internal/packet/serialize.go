@@ -5,15 +5,6 @@ import (
 	"net/netip"
 )
 
-// SerializableLayer is a Layer that can write itself to a SerializeBuffer.
-type SerializableLayer interface {
-	Layer
-	// SerializeTo prepends this layer's wire bytes to b. Layers that
-	// depend on payload length or checksums read the current buffer
-	// contents, so serialization runs outermost-last.
-	SerializeTo(b *SerializeBuffer) error
-}
-
 // SerializeBuffer accumulates wire bytes back-to-front so that inner layers
 // are written first and outer layers can compute lengths/checksums over
 // them — the gopacket serialization idiom.
@@ -66,25 +57,4 @@ func (b *SerializeBuffer) SetNetworkLayerForChecksum(src, dst netip.Addr) {
 
 func (b *SerializeBuffer) checksumAddrs() (src, dst netip.Addr, ok bool) {
 	return b.ckSrc, b.ckDst, b.ckSet
-}
-
-// Serialize writes layers to b in wire order (outermost first in the
-// argument list, like gopacket.SerializeLayers). IPv4/IPv6 layers
-// automatically arm the transport pseudo-header checksum.
-func Serialize(b *SerializeBuffer, layers ...SerializableLayer) error {
-	b.Clear()
-	for _, l := range layers {
-		switch ip := l.(type) {
-		case *IPv4:
-			b.SetNetworkLayerForChecksum(ip.SrcIP, ip.DstIP)
-		case *IPv6:
-			b.SetNetworkLayerForChecksum(ip.SrcIP, ip.DstIP)
-		}
-	}
-	for i := len(layers) - 1; i >= 0; i-- {
-		if err := layers[i].SerializeTo(b); err != nil {
-			return fmt.Errorf("serializing %v: %w", layers[i].LayerType(), err)
-		}
-	}
-	return nil
 }

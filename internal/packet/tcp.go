@@ -3,7 +3,6 @@ package packet
 import (
 	"encoding/binary"
 	"fmt"
-	"net/netip"
 )
 
 const tcpMinHeaderLen = 20
@@ -18,9 +17,9 @@ const (
 	TCPRst
 	TCPPsh
 	TCPAck
-	TCPUrg
-	TCPEce
-	TCPCwr
+	tcpUrg
+	tcpEce
+	tcpCwr
 )
 
 // Has reports whether all bits in f are set.
@@ -33,7 +32,7 @@ func (fl TCPFlags) String() string {
 		name string
 	}{
 		{TCPSyn, "SYN"}, {TCPAck, "ACK"}, {TCPFin, "FIN"}, {TCPRst, "RST"},
-		{TCPPsh, "PSH"}, {TCPUrg, "URG"}, {TCPEce, "ECE"}, {TCPCwr, "CWR"},
+		{TCPPsh, "PSH"}, {tcpUrg, "URG"}, {tcpEce, "ECE"}, {tcpCwr, "CWR"},
 	}
 	s := ""
 	for _, n := range names {
@@ -58,12 +57,10 @@ type TCPOption struct {
 
 // Well-known TCP option kinds.
 const (
-	TCPOptEndOfList = 0
-	TCPOptNop       = 1
-	TCPOptMSS       = 2
-	TCPOptWScale    = 3
-	TCPOptSACKPerm  = 4
-	TCPOptTimestamp = 8
+	tcpOptEndOfList = 0
+	tcpOptNop       = 1
+	tcpOptMSS       = 2
+	tcpOptWScale    = 3
 )
 
 // TCP is a TCP segment header.
@@ -79,19 +76,11 @@ type TCP struct {
 	payload          []byte
 }
 
-// LayerType implements Layer.
-func (*TCP) LayerType() LayerType { return LayerTypeTCP }
-
-// LayerPayload implements Layer.
-func (t *TCP) LayerPayload() []byte { return t.payload }
-
-// NextLayerType implements DecodingLayer. Application payloads are opaque.
-func (*TCP) NextLayerType() LayerType { return LayerTypePayload }
-
-// DecodeFromBytes implements DecodingLayer.
-func (t *TCP) DecodeFromBytes(data []byte) error {
+// decodeFromBytes parses the header from data; Options and the payload
+// alias data.
+func (t *TCP) decodeFromBytes(data []byte) error {
 	if len(data) < tcpMinHeaderLen {
-		return fmt.Errorf("%w: tcp needs %d bytes, have %d", ErrTruncated, tcpMinHeaderLen, len(data))
+		return fmt.Errorf("%w: tcp needs %d bytes, have %d", errTruncated, tcpMinHeaderLen, len(data))
 	}
 	t.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	t.DstPort = binary.BigEndian.Uint16(data[2:4])
@@ -100,10 +89,10 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 	t.DataOffset = data[12] >> 4
 	hlen := int(t.DataOffset) * 4
 	if hlen < tcpMinHeaderLen {
-		return fmt.Errorf("%w: tcp data offset %d", ErrMalformed, t.DataOffset)
+		return fmt.Errorf("%w: tcp data offset %d", errMalformed, t.DataOffset)
 	}
 	if len(data) < hlen {
-		return fmt.Errorf("%w: tcp header len %d, have %d", ErrTruncated, hlen, len(data))
+		return fmt.Errorf("%w: tcp header len %d, have %d", errTruncated, hlen, len(data))
 	}
 	t.Flags = TCPFlags(data[13])
 	t.Window = binary.BigEndian.Uint16(data[14:16])
@@ -121,17 +110,17 @@ func (t *TCP) decodeOptions(opts []byte) error {
 	for len(opts) > 0 {
 		kind := opts[0]
 		switch kind {
-		case TCPOptEndOfList:
+		case tcpOptEndOfList:
 			return nil
-		case TCPOptNop:
+		case tcpOptNop:
 			opts = opts[1:]
 		default:
 			if len(opts) < 2 {
-				return fmt.Errorf("%w: tcp option %d missing length", ErrMalformed, kind)
+				return fmt.Errorf("%w: tcp option %d missing length", errMalformed, kind)
 			}
 			olen := int(opts[1])
 			if olen < 2 || olen > len(opts) {
-				return fmt.Errorf("%w: tcp option %d length %d", ErrMalformed, kind, olen)
+				return fmt.Errorf("%w: tcp option %d length %d", errMalformed, kind, olen)
 			}
 			t.Options = append(t.Options, TCPOption{Kind: kind, Data: opts[2:olen]})
 			opts = opts[olen:]
@@ -149,7 +138,7 @@ func (t *TCP) optionsWireLen() int {
 	return (n + 3) &^ 3 // pad to 32-bit boundary
 }
 
-// SerializeTo implements SerializableLayer. DataOffset and Checksum are
+// SerializeTo prepends the header to b. DataOffset and Checksum are
 // computed; SetNetworkLayerForChecksum must have been called on the buffer
 // (or the checksum is left zero).
 func (t *TCP) SerializeTo(b *SerializeBuffer) error {
@@ -177,7 +166,7 @@ func (t *TCP) SerializeTo(b *SerializeBuffer) error {
 		off += 2 + len(o.Data)
 	}
 	for ; off < hlen; off++ {
-		hdr[off] = TCPOptEndOfList
+		hdr[off] = tcpOptEndOfList
 	}
 	if src, dst, ok := b.checksumAddrs(); ok {
 		sum := pseudoHeaderChecksum(src, dst, IPProtocolTCP, segLen)
@@ -185,12 +174,4 @@ func (t *TCP) SerializeTo(b *SerializeBuffer) error {
 		binary.BigEndian.PutUint16(hdr[16:18], finishChecksum(sum))
 	}
 	return nil
-}
-
-// VerifyChecksum recomputes the TCP checksum over the given segment bytes
-// (header+payload) and pseudo-header addresses, reporting whether it is
-// consistent.
-func VerifyTCPChecksum(src, dst netip.Addr, segment []byte) bool {
-	sum := pseudoHeaderChecksum(src, dst, IPProtocolTCP, len(segment))
-	return finishChecksum(sumBytes(sum, segment)) == 0
 }

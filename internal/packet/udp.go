@@ -3,7 +3,6 @@ package packet
 import (
 	"encoding/binary"
 	"fmt"
-	"net/netip"
 )
 
 const udpHeaderLen = 8
@@ -11,15 +10,10 @@ const udpHeaderLen = 8
 // Well-known UDP/TCP service ports the feature extractors care about.
 const (
 	PortDNS   = 53
-	PortHTTP  = 80
 	PortHTTPS = 443
 	PortNTP   = 123
 	PortSSH   = 22
-	PortSMTP  = 25
 	PortIMAPS = 993
-	PortRTP   = 5004
-	PortQUIC  = 443
-	PortSNMP  = 161
 )
 
 // UDP is a UDP datagram header.
@@ -30,31 +24,17 @@ type UDP struct {
 	payload          []byte
 }
 
-// LayerType implements Layer.
-func (*UDP) LayerType() LayerType { return LayerTypeUDP }
-
-// LayerPayload implements Layer.
-func (u *UDP) LayerPayload() []byte { return u.payload }
-
-// NextLayerType implements DecodingLayer: DNS on port 53, opaque otherwise.
-func (u *UDP) NextLayerType() LayerType {
-	if u.SrcPort == PortDNS || u.DstPort == PortDNS {
-		return LayerTypeDNS
-	}
-	return LayerTypePayload
-}
-
-// DecodeFromBytes implements DecodingLayer.
-func (u *UDP) DecodeFromBytes(data []byte) error {
+// decodeFromBytes parses the header from data; the payload aliases data.
+func (u *UDP) decodeFromBytes(data []byte) error {
 	if len(data) < udpHeaderLen {
-		return fmt.Errorf("%w: udp needs %d bytes, have %d", ErrTruncated, udpHeaderLen, len(data))
+		return fmt.Errorf("%w: udp needs %d bytes, have %d", errTruncated, udpHeaderLen, len(data))
 	}
 	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	u.DstPort = binary.BigEndian.Uint16(data[2:4])
 	u.Length = binary.BigEndian.Uint16(data[4:6])
 	u.Checksum = binary.BigEndian.Uint16(data[6:8])
 	if int(u.Length) < udpHeaderLen {
-		return fmt.Errorf("%w: udp length %d", ErrMalformed, u.Length)
+		return fmt.Errorf("%w: udp length %d", errMalformed, u.Length)
 	}
 	end := int(u.Length)
 	if end > len(data) {
@@ -64,7 +44,7 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements SerializableLayer. Length and Checksum are
+// SerializeTo prepends the header to b. Length and Checksum are
 // computed from the buffer contents.
 func (u *UDP) SerializeTo(b *SerializeBuffer) error {
 	dgramLen := udpHeaderLen + len(b.Bytes())
@@ -88,51 +68,20 @@ func (u *UDP) SerializeTo(b *SerializeBuffer) error {
 	return nil
 }
 
-// VerifyUDPChecksum recomputes the UDP checksum over datagram bytes
-// (header+payload), reporting whether it is consistent. A zero checksum
-// field (checksum disabled) verifies trivially.
-func VerifyUDPChecksum(src, dst netip.Addr, dgram []byte) bool {
-	if len(dgram) < udpHeaderLen {
-		return false
-	}
-	if binary.BigEndian.Uint16(dgram[6:8]) == 0 {
-		return true
-	}
-	sum := pseudoHeaderChecksum(src, dst, IPProtocolUDP, len(dgram))
-	return finishChecksum(sumBytes(sum, dgram)) == 0
-}
-
-// ICMPv4 is an ICMP echo/unreachable style message header.
-type ICMPv4 struct {
+// icmpv4 is an ICMP echo/unreachable style message header.
+type icmpv4 struct {
 	Type, Code uint8
 	Checksum   uint16
 	ID, Seq    uint16 // meaningful for echo; raw rest-of-header otherwise
 	payload    []byte
 }
 
-// ICMPv4 message types used by the simulator.
-const (
-	ICMPv4EchoReply       = 0
-	ICMPv4DestUnreachable = 3
-	ICMPv4EchoRequest     = 8
-	ICMPv4TimeExceeded    = 11
-)
-
 const icmpv4HeaderLen = 8
 
-// LayerType implements Layer.
-func (*ICMPv4) LayerType() LayerType { return LayerTypeICMPv4 }
-
-// LayerPayload implements Layer.
-func (ic *ICMPv4) LayerPayload() []byte { return ic.payload }
-
-// NextLayerType implements DecodingLayer.
-func (*ICMPv4) NextLayerType() LayerType { return LayerTypePayload }
-
-// DecodeFromBytes implements DecodingLayer.
-func (ic *ICMPv4) DecodeFromBytes(data []byte) error {
+// decodeFromBytes parses the header from data; the payload aliases data.
+func (ic *icmpv4) decodeFromBytes(data []byte) error {
 	if len(data) < icmpv4HeaderLen {
-		return fmt.Errorf("%w: icmpv4 needs %d bytes, have %d", ErrTruncated, icmpv4HeaderLen, len(data))
+		return fmt.Errorf("%w: icmpv4 needs %d bytes, have %d", errTruncated, icmpv4HeaderLen, len(data))
 	}
 	ic.Type = data[0]
 	ic.Code = data[1]
@@ -140,21 +89,5 @@ func (ic *ICMPv4) DecodeFromBytes(data []byte) error {
 	ic.ID = binary.BigEndian.Uint16(data[4:6])
 	ic.Seq = binary.BigEndian.Uint16(data[6:8])
 	ic.payload = data[icmpv4HeaderLen:]
-	return nil
-}
-
-// SerializeTo implements SerializableLayer; the checksum is computed over
-// header and current buffer contents.
-func (ic *ICMPv4) SerializeTo(b *SerializeBuffer) error {
-	hdr, err := b.PrependBytes(icmpv4HeaderLen)
-	if err != nil {
-		return err
-	}
-	hdr[0] = ic.Type
-	hdr[1] = ic.Code
-	hdr[2], hdr[3] = 0, 0
-	binary.BigEndian.PutUint16(hdr[4:6], ic.ID)
-	binary.BigEndian.PutUint16(hdr[6:8], ic.Seq)
-	binary.BigEndian.PutUint16(hdr[2:4], internetChecksum(b.Bytes()))
 	return nil
 }

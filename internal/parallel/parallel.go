@@ -11,18 +11,18 @@ import (
 	"sync"
 )
 
-// MaxWorkers caps fan-out; beyond this the offline stages are memory- not
+// maxWorkers caps fan-out; beyond this the offline stages are memory- not
 // core-bound and extra goroutines only add scheduling noise.
-const MaxWorkers = 64
+const maxWorkers = 64
 
 // Workers resolves a configured worker count: n itself when positive,
-// otherwise GOMAXPROCS, clamped to MaxWorkers.
+// otherwise GOMAXPROCS, clamped to maxWorkers.
 func Workers(n int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n > MaxWorkers {
-		n = MaxWorkers
+	if n > maxWorkers {
+		n = maxWorkers
 	}
 	if n < 1 {
 		n = 1

@@ -7,7 +7,7 @@ import (
 )
 
 func TestWorkersDefaults(t *testing.T) {
-	if got := Workers(0); got != min(runtime.GOMAXPROCS(0), MaxWorkers) {
+	if got := Workers(0); got != min(runtime.GOMAXPROCS(0), maxWorkers) {
 		t.Errorf("Workers(0) = %d", got)
 	}
 	if got := Workers(-3); got < 1 {
@@ -16,8 +16,8 @@ func TestWorkersDefaults(t *testing.T) {
 	if got := Workers(4); got != 4 {
 		t.Errorf("Workers(4) = %d", got)
 	}
-	if got := Workers(MaxWorkers + 100); got != MaxWorkers {
-		t.Errorf("Workers(huge) = %d, want cap %d", got, MaxWorkers)
+	if got := Workers(maxWorkers + 100); got != maxWorkers {
+		t.Errorf("Workers(huge) = %d, want cap %d", got, maxWorkers)
 	}
 }
 

@@ -157,9 +157,9 @@ func (a *Anonymizer) anon16(addr netip.Addr) netip.Addr {
 	return netip.AddrFrom16(anon)
 }
 
-// CacheSize reports how many addresses are cached now. It never exceeds
+// cacheSize reports how many addresses are cached now. It never exceeds
 // the cache bound: a full cache is emptied and refilled.
-func (a *Anonymizer) CacheSize() int {
+func (a *Anonymizer) cacheSize() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return len(a.v4) + len(a.v6)

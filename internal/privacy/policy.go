@@ -16,12 +16,12 @@ type PayloadMode uint8
 
 // Payload handling modes, from most to least revealing.
 const (
-	// PayloadKeep stores full payloads (the paper's full-packet-capture
+	// payloadKeep stores full payloads (the paper's full-packet-capture
 	// default: collection is campus-internal, see §3).
-	PayloadKeep PayloadMode = iota
-	// PayloadHash replaces the payload with its 8-byte SHA-256 prefix,
+	payloadKeep PayloadMode = iota
+	// payloadHash replaces the payload with its 8-byte SHA-256 prefix,
 	// preserving equality/dedup analysis but not content.
-	PayloadHash
+	payloadHash
 	// PayloadStrip truncates to transport headers.
 	PayloadStrip
 )
@@ -29,9 +29,9 @@ const (
 // String returns the mode name.
 func (m PayloadMode) String() string {
 	switch m {
-	case PayloadKeep:
+	case payloadKeep:
 		return "keep"
-	case PayloadHash:
+	case payloadHash:
 		return "hash"
 	case PayloadStrip:
 		return "strip"
@@ -45,8 +45,8 @@ type AnonScope uint8
 
 // Anonymization scopes.
 const (
-	// AnonNone stores addresses as seen (internal-only data stores).
-	AnonNone AnonScope = iota
+	// anonNone stores addresses as seen (internal-only data stores).
+	anonNone AnonScope = iota
 	// AnonInternal anonymizes campus addresses only — protects users
 	// while keeping external infrastructure analyzable.
 	AnonInternal
@@ -57,7 +57,7 @@ const (
 // String returns the scope name.
 func (s AnonScope) String() string {
 	switch s {
-	case AnonNone:
+	case anonNone:
 		return "none"
 	case AnonInternal:
 		return "internal"
@@ -109,9 +109,6 @@ func NewEnforcer(policy Policy, secret []byte) (*Enforcer, error) {
 	return &Enforcer{policy: policy, anon: anon, parser: packet.NewFlowParser()}, nil
 }
 
-// Policy returns the enforced policy.
-func (e *Enforcer) Policy() Policy { return e.policy }
-
 // Apply transforms one Ethernet frame according to the policy, returning a
 // new frame (the input is not modified). Non-IP frames pass through
 // unchanged. Malformed frames are returned as-is with an error so callers
@@ -131,10 +128,10 @@ func (e *Enforcer) Apply(frame []byte) ([]byte, error) {
 		return out, fmt.Errorf("privacy: unparseable frame passed through: %w", err)
 	}
 
-	if e.policy.Scope != AnonNone && s.Tuple.SrcIP.Is4() {
+	if e.policy.Scope != anonNone && s.Tuple.SrcIP.Is4() {
 		e.rewriteIPv4Addrs(out, s)
 	}
-	if e.policy.Payload != PayloadKeep {
+	if e.policy.Payload != payloadKeep {
 		out = e.handlePayload(out, s)
 	}
 	e.bytesOut += uint64(len(out))
@@ -192,7 +189,7 @@ func (e *Enforcer) handlePayload(frame []byte, s packet.Summary) []byte {
 	switch e.policy.Payload {
 	case PayloadStrip:
 		return frame[:cut]
-	case PayloadHash:
+	case payloadHash:
 		h := sha256.Sum256(frame[cut:])
 		out := append(frame[:cut], h[:8]...)
 		return out
@@ -207,11 +204,11 @@ func (e *Enforcer) Stats() (processed, bytesIn, bytesOut uint64) {
 	return e.processed, e.bytesIn, e.bytesOut
 }
 
-// KAnonymity checks the k-anonymity of a released dataset under a
+// kAnonymity checks the k-anonymity of a released dataset under a
 // quasi-identifier function: every group must contain at least k records.
 // It returns the smallest group size and the identifiers of violating
 // groups (capped at 10 for reporting).
-func KAnonymity[T any](records []T, quasiID func(T) string, k int) (minGroup int, violations []string) {
+func kAnonymity[T any](records []T, quasiID func(T) string, k int) (minGroup int, violations []string) {
 	if len(records) == 0 {
 		return 0, nil
 	}

@@ -108,15 +108,15 @@ func TestAnonymizerCache(t *testing.T) {
 	a.Anonymize(addr)
 	a.Anonymize(addr)
 	a.Anonymize(netip.MustParseAddr("10.1.1.2"))
-	if a.CacheSize() != 2 {
-		t.Errorf("cache size = %d, want 2", a.CacheSize())
+	if a.cacheSize() != 2 {
+		t.Errorf("cache size = %d, want 2", a.cacheSize())
 	}
 }
 
 // TestAnonymizerCacheBound drives a flood-shaped address stream (mostly
 // never-repeated IPv4 sources, some repeats, some IPv6) through anonymizers
 // whose cache holds 1, 64 and every address: the bound may cost time,
-// never output, and CacheSize never passes it.
+// never output, and cacheSize never passes it.
 func TestAnonymizerCacheBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	addrs := make([]netip.Addr, 10000)
@@ -142,7 +142,7 @@ func TestAnonymizerCacheBound(t *testing.T) {
 		got := make([]netip.Addr, len(addrs))
 		for i, addr := range addrs {
 			got[i] = a.Anonymize(addr)
-			if n := a.CacheSize(); n < 1 || n > limit {
+			if n := a.cacheSize(); n < 1 || n > limit {
 				t.Fatalf("limit %d: cache holds %d after %d addresses", limit, n, i+1)
 			}
 		}
@@ -168,7 +168,7 @@ func TestAnonymizerDefaultBound(t *testing.T) {
 	for i := 0; i <= maxCached; i++ {
 		a.Anonymize(netip.AddrFrom4([4]byte{11, byte(i >> 16), byte(i >> 8), byte(i)}))
 	}
-	if n := a.CacheSize(); n != 1 {
+	if n := a.cacheSize(); n != 1 {
 		t.Errorf("cache holds %d after %d distinct addresses, want 1", n, maxCached+1)
 	}
 }
@@ -232,20 +232,37 @@ func TestCommonPrefixLen(t *testing.T) {
 // genFrame builds a test TCP frame with payload.
 func genFrame(t testing.TB, src, dst string, payload int) []byte {
 	t.Helper()
-	buf := packet.NewSerializeBuffer()
 	pl := make([]byte, payload)
 	for i := range pl {
 		pl[i] = byte(i)
 	}
-	err := packet.Serialize(buf,
+	return serializeFrame(t, pl,
 		&packet.Ethernet{EtherType: packet.EtherTypeIPv4},
 		&packet.IPv4{TTL: 64, Protocol: packet.IPProtocolTCP,
 			SrcIP: netip.MustParseAddr(src), DstIP: netip.MustParseAddr(dst)},
 		&packet.TCP{SrcPort: 50000, DstPort: 443, Flags: packet.TCPAck | packet.TCPPsh},
-		&packet.Payload{Data: pl},
 	)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// serializeFrame writes payload and then layers (listed outermost first)
+// back to front the way the traffic generator does, arming an IPv4 layer's
+// addresses for the transport checksum.
+func serializeFrame(t testing.TB, payload []byte, layers ...interface {
+	SerializeTo(*packet.SerializeBuffer) error
+}) []byte {
+	t.Helper()
+	buf := packet.NewSerializeBuffer()
+	p, _ := buf.PrependBytes(len(payload))
+	copy(p, payload)
+	for _, l := range layers {
+		if ip, ok := l.(*packet.IPv4); ok {
+			buf.SetNetworkLayerForChecksum(ip.SrcIP, ip.DstIP)
+		}
+	}
+	for i := len(layers) - 1; i >= 0; i-- {
+		if err := layers[i].SerializeTo(buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return append([]byte(nil), buf.Bytes()...)
 }
@@ -264,11 +281,10 @@ func TestEnforcerAnonymizesInternalOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := packet.Decode(out, packet.LayerTypeEthernet)
-	if err != nil {
+	var ip packet.IPv4
+	if err := ip.DecodeFromBytes(out[14:]); err != nil {
 		t.Fatal(err)
 	}
-	ip := p.Layer(packet.LayerTypeIPv4).(*packet.IPv4)
 	if ip.SrcIP == netip.MustParseAddr("10.3.0.7") {
 		t.Error("internal source not anonymized")
 	}
@@ -276,8 +292,8 @@ func TestEnforcerAnonymizesInternalOnly(t *testing.T) {
 		t.Errorf("external destination modified: %v", ip.DstIP)
 	}
 	// Original frame untouched.
-	orig, _ := packet.Decode(frame, packet.LayerTypeEthernet)
-	if orig.Layer(packet.LayerTypeIPv4).(*packet.IPv4).SrcIP != netip.MustParseAddr("10.3.0.7") {
+	var orig packet.IPv4
+	if err := orig.DecodeFromBytes(frame[14:]); err != nil || orig.SrcIP != netip.MustParseAddr("10.3.0.7") {
 		t.Error("Apply mutated its input")
 	}
 }
@@ -326,7 +342,7 @@ func TestEnforcerPayloadStrip(t *testing.T) {
 }
 
 func TestEnforcerPayloadHash(t *testing.T) {
-	pol := Policy{Payload: PayloadHash}
+	pol := Policy{Payload: payloadHash}
 	e, _ := NewEnforcer(pol, []byte("secret"))
 	frameA := genFrame(t, "10.1.2.3", "93.184.216.34", 500)
 	outA1, _ := e.Apply(frameA)
@@ -342,23 +358,19 @@ func TestEnforcerPayloadHash(t *testing.T) {
 func TestEnforcerKeepsDNS(t *testing.T) {
 	pol := Policy{Payload: PayloadStrip}
 	e, _ := NewEnforcer(pol, []byte("secret"))
-	buf := packet.NewSerializeBuffer()
 	d := &packet.DNS{ID: 5, Questions: []packet.DNSQuestion{{Name: "x.edu", Type: packet.DNSTypeA, Class: 1}}}
-	err := packet.Serialize(buf,
+	frame := serializeFrame(t, nil,
 		&packet.Ethernet{EtherType: packet.EtherTypeIPv4},
 		&packet.IPv4{TTL: 64, Protocol: packet.IPProtocolUDP,
 			SrcIP: netip.MustParseAddr("10.1.1.1"), DstIP: netip.MustParseAddr("8.8.8.8")},
 		&packet.UDP{SrcPort: 5353, DstPort: 53},
 		d,
 	)
+	out, err := e.Apply(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Apply(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(buf.Bytes()) {
+	if len(out) != len(frame) {
 		t.Error("DNS payload was stripped; should be kept as metadata")
 	}
 }
@@ -414,24 +426,24 @@ func TestEnforcerOnGeneratedTraffic(t *testing.T) {
 func TestKAnonymity(t *testing.T) {
 	type rec struct{ dept string }
 	records := []rec{{"cs"}, {"cs"}, {"cs"}, {"ece"}, {"ece"}, {"med"}}
-	minG, viol := KAnonymity(records, func(r rec) string { return r.dept }, 2)
+	minG, viol := kAnonymity(records, func(r rec) string { return r.dept }, 2)
 	if minG != 1 {
 		t.Errorf("minGroup = %d, want 1", minG)
 	}
 	if len(viol) != 1 || viol[0] != "med" {
 		t.Errorf("violations = %v, want [med]", viol)
 	}
-	minG, viol = KAnonymity(records, func(r rec) string { return r.dept }, 1)
+	minG, viol = kAnonymity(records, func(r rec) string { return r.dept }, 1)
 	if len(viol) != 0 {
 		t.Errorf("k=1 should have no violations, got %v", viol)
 	}
-	if minG, _ := KAnonymity([]rec{}, func(r rec) string { return "" }, 5); minG != 0 {
+	if minG, _ := kAnonymity([]rec{}, func(r rec) string { return "" }, 5); minG != 0 {
 		t.Error("empty dataset should report 0")
 	}
 }
 
 func TestPolicyModeStrings(t *testing.T) {
-	if PayloadHash.String() != "hash" || AnonInternal.String() != "internal" {
+	if payloadHash.String() != "hash" || AnonInternal.String() != "internal" {
 		t.Error("mode strings wrong")
 	}
 	if !strings.HasPrefix(PayloadMode(9).String(), "mode-") {

@@ -36,11 +36,11 @@ func NewReleaseBudget(epsilonTotal float64, seed int64) (*ReleaseBudget, error) 
 // Remaining returns the unspent budget.
 func (b *ReleaseBudget) Remaining() float64 { return b.epsilonTotal - b.spent }
 
-// ReleaseCount releases a count with Laplace noise calibrated to
+// releaseCount releases a count with Laplace noise calibrated to
 // sensitivity/epsilon, charging epsilon to the budget. sensitivity is the
 // maximum change one user can cause in the count (1 for per-user counts,
 // larger for per-packet counts with a per-user cap).
-func (b *ReleaseBudget) ReleaseCount(trueCount float64, sensitivity, epsilon float64) (float64, error) {
+func (b *ReleaseBudget) releaseCount(trueCount float64, sensitivity, epsilon float64) (float64, error) {
 	if epsilon <= 0 || sensitivity <= 0 {
 		return 0, fmt.Errorf("privacy: epsilon and sensitivity must be positive")
 	}

@@ -13,10 +13,10 @@ import (
 	"campuslab/internal/packet"
 )
 
-// CountMinSketch approximates per-key counts in sublinear space; the
+// countMinSketch approximates per-key counts in sublinear space; the
 // estimate only ever overshoots. Used for per-flow counters that must fit
 // in dataplane-sized memory.
-type CountMinSketch struct {
+type countMinSketch struct {
 	rows  int
 	cols  int
 	table []uint32
@@ -24,12 +24,12 @@ type CountMinSketch struct {
 	total uint64
 }
 
-// NewCountMin builds a sketch with the given depth (rows) and width (cols).
-func NewCountMin(rows, cols int) (*CountMinSketch, error) {
+// newCountMin builds a sketch with the given depth (rows) and width (cols).
+func newCountMin(rows, cols int) (*countMinSketch, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("telemetry: sketch dims must be positive, got %dx%d", rows, cols)
 	}
-	s := &CountMinSketch{rows: rows, cols: cols, table: make([]uint32, rows*cols), seeds: make([]uint64, rows)}
+	s := &countMinSketch{rows: rows, cols: cols, table: make([]uint32, rows*cols), seeds: make([]uint64, rows)}
 	seed := uint64(0x9e3779b97f4a7c15)
 	for i := range s.seeds {
 		seed ^= seed << 13
@@ -40,23 +40,23 @@ func NewCountMin(rows, cols int) (*CountMinSketch, error) {
 	return s, nil
 }
 
-func (s *CountMinSketch) idx(row int, key uint64) int {
+func (s *countMinSketch) idx(row int, key uint64) int {
 	h := key ^ s.seeds[row]
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return row*s.cols + int(h%uint64(s.cols))
 }
 
-// Add increments key's count by n.
-func (s *CountMinSketch) Add(key uint64, n uint32) {
+// add increments key's count by n.
+func (s *countMinSketch) add(key uint64, n uint32) {
 	for r := 0; r < s.rows; r++ {
 		s.table[s.idx(r, key)] += n
 	}
 	s.total += uint64(n)
 }
 
-// Estimate returns the (over-)estimate of key's count.
-func (s *CountMinSketch) Estimate(key uint64) uint32 {
+// estimate returns the (over-)estimate of key's count.
+func (s *countMinSketch) estimate(key uint64) uint32 {
 	min := s.table[s.idx(0, key)]
 	for r := 1; r < s.rows; r++ {
 		if v := s.table[s.idx(r, key)]; v < min {
@@ -66,11 +66,11 @@ func (s *CountMinSketch) Estimate(key uint64) uint32 {
 	return min
 }
 
-// Total returns the sum of all added counts.
-func (s *CountMinSketch) Total() uint64 { return s.total }
+// totalCount returns the sum of all added counts.
+func (s *countMinSketch) totalCount() uint64 { return s.total }
 
-// Reset zeroes the sketch.
-func (s *CountMinSketch) Reset() {
+// reset zeroes the sketch.
+func (s *countMinSketch) reset() {
 	clear(s.table)
 	s.total = 0
 }
@@ -220,6 +220,3 @@ func (e *SampledExporter) Flush() []FlowRecord {
 	e.export = nil
 	return out
 }
-
-// SampleRate returns the configured 1-in-N rate.
-func (e *SampledExporter) SampleRate() int { return e.rate }

@@ -11,37 +11,37 @@ import (
 )
 
 func TestCountMinNeverUndercounts(t *testing.T) {
-	s, err := NewCountMin(4, 256)
+	s, err := newCountMin(4, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	truth := map[uint64]uint32{}
 	for i := uint64(0); i < 2000; i++ {
 		key := i % 300
-		s.Add(key, 1)
+		s.add(key, 1)
 		truth[key]++
 	}
 	for k, v := range truth {
-		if est := s.Estimate(k); est < v {
+		if est := s.estimate(k); est < v {
 			t.Fatalf("undercount: key %d est %d < true %d", k, est, v)
 		}
 	}
-	if s.Total() != 2000 {
-		t.Errorf("Total = %d", s.Total())
+	if s.totalCount() != 2000 {
+		t.Errorf("Total = %d", s.totalCount())
 	}
-	s.Reset()
-	if s.Estimate(5) != 0 || s.Total() != 0 {
+	s.reset()
+	if s.estimate(5) != 0 || s.totalCount() != 0 {
 		t.Error("Reset incomplete")
 	}
 }
 
 func TestCountMinProperty(t *testing.T) {
-	s, _ := NewCountMin(4, 1024)
+	s, _ := newCountMin(4, 1024)
 	counts := map[uint64]uint32{}
 	fn := func(key uint64, n uint8) bool {
-		s.Add(key, uint32(n))
+		s.add(key, uint32(n))
 		counts[key] += uint32(n)
-		return s.Estimate(key) >= counts[key]
+		return s.estimate(key) >= counts[key]
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -49,10 +49,10 @@ func TestCountMinProperty(t *testing.T) {
 }
 
 func TestCountMinValidation(t *testing.T) {
-	if _, err := NewCountMin(0, 10); err == nil {
+	if _, err := newCountMin(0, 10); err == nil {
 		t.Error("accepted zero rows")
 	}
-	if _, err := NewCountMin(2, 0); err == nil {
+	if _, err := newCountMin(2, 0); err == nil {
 		t.Error("accepted zero cols")
 	}
 }

@@ -96,8 +96,8 @@ func (p *AddressPlan) Contains(addr netip.Addr) bool {
 	return p.CampusPrefix.Contains(addr)
 }
 
-// DepartmentOf returns the department containing addr, or nil.
-func (p *AddressPlan) DepartmentOf(addr netip.Addr) *Department {
+// departmentOf returns the department containing addr, or nil.
+func (p *AddressPlan) departmentOf(addr netip.Addr) *Department {
 	for i := range p.Departments {
 		if p.Departments[i].Prefix.Contains(addr) {
 			return &p.Departments[i]

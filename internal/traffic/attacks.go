@@ -55,7 +55,7 @@ func (c AttackConfig) withDefaults() AttackConfig {
 // NewAttack returns a generator for the configured attack episode.
 func NewAttack(c AttackConfig) Generator {
 	c = c.withDefaults()
-	rng := NewRNG(c.Seed)
+	rng := newPRNG(c.Seed)
 	fb := newFrameBuilder()
 	switch c.Kind {
 	case LabelDNSAmp:
@@ -64,10 +64,10 @@ func NewAttack(c AttackConfig) Generator {
 		return &synFloodAttack{cfg: c, rng: rng, fb: fb, at: c.Start}
 	case LabelPortScan:
 		return &portScanAttack{cfg: c, rng: rng, fb: fb, at: c.Start,
-			scanner: netip.AddrFrom4([4]byte{185, 220, 101, byte(1 + rng.Intn(200))})}
+			scanner: netip.AddrFrom4([4]byte{185, 220, 101, byte(1 + rng.intn(200))})}
 	case LabelBeacon:
 		return &beaconAttack{cfg: c, rng: rng, fb: fb, at: c.Start,
-			cnc: netip.AddrFrom4([4]byte{45, 155, 205, byte(1 + rng.Intn(200))})}
+			cnc: netip.AddrFrom4([4]byte{45, 155, 205, byte(1 + rng.intn(200))})}
 	default:
 		panic("traffic: unknown attack kind " + c.Kind.String())
 	}
@@ -79,7 +79,7 @@ func NewAttack(c AttackConfig) Generator {
 // event ("a DDoS attack in the form of a DNS amplification attack").
 type dnsAmpAttack struct {
 	cfg  AttackConfig
-	rng  *RNG
+	rng  *prng
 	fb   *frameBuilder
 	at   time.Duration
 	fid  uint64
@@ -95,19 +95,19 @@ func (a *dnsAmpAttack) Next(f *Frame) bool {
 	if a.at >= end {
 		return false
 	}
-	resolver := a.cfg.Plan.OpenResolver[a.rng.Intn(len(a.cfg.Plan.OpenResolver))]
-	name := amplifiedDomains[a.rng.Intn(len(amplifiedDomains))]
+	resolver := a.cfg.Plan.OpenResolver[a.rng.intn(len(a.cfg.Plan.OpenResolver))]
+	name := amplifiedDomains[a.rng.intn(len(amplifiedDomains))]
 	// Amplified responses: mostly ANY, but real attacks also abuse bulky
 	// TXT/DNSSEC records, and record counts vary — the attack is not a
 	// single clean signature.
 	qtype := packet.DNSTypeANY
-	if a.rng.Bool(0.3) {
+	if a.rng.bool(0.3) {
 		qtype = packet.DNSTypeTXT
 	}
-	nrec := 2 + a.rng.Intn(7)
+	nrec := 2 + a.rng.intn(7)
 	ans := make([]packet.DNSResourceRecord, nrec)
 	for i := range ans {
-		blob := make([]byte, 100+a.rng.Intn(160))
+		blob := make([]byte, 100+a.rng.intn(160))
 		ans[i] = packet.DNSResourceRecord{Name: name, Type: packet.DNSTypeTXT, Class: 1, TTL: 3600, Data: blob}
 	}
 	a.resp = packet.DNS{
@@ -117,12 +117,12 @@ func (a *dnsAmpAttack) Next(f *Frame) bool {
 	}
 	a.fid++
 	f.TS = a.at
-	f.Data = a.fb.dnsFrame(resolver, a.cfg.Victim, packet.PortDNS, uint16(1024+a.rng.Intn(60000)), &a.resp)
+	f.Data = a.fb.dnsFrame(resolver, a.cfg.Victim, packet.PortDNS, uint16(1024+a.rng.intn(60000)), &a.resp)
 	f.Dir = DirInbound
 	f.Label = LabelDNSAmp
 	f.Actor = true
 	f.FlowID = 1<<40 | a.fid
-	a.at += time.Duration(a.rng.Exp(float64(time.Second) / a.cfg.Rate))
+	a.at += time.Duration(a.rng.exp(float64(time.Second) / a.cfg.Rate))
 	return true
 }
 
@@ -130,7 +130,7 @@ func (a *dnsAmpAttack) Next(f *Frame) bool {
 // sources.
 type synFloodAttack struct {
 	cfg AttackConfig
-	rng *RNG
+	rng *prng
 	fb  *frameBuilder
 	at  time.Duration
 	fid uint64
@@ -142,18 +142,18 @@ func (a *synFloodAttack) Next(f *Frame) bool {
 		return false
 	}
 	src := netip.AddrFrom4([4]byte{
-		byte(1 + a.rng.Intn(220)), byte(a.rng.Intn(256)),
-		byte(a.rng.Intn(256)), byte(1 + a.rng.Intn(254)),
+		byte(1 + a.rng.intn(220)), byte(a.rng.intn(256)),
+		byte(a.rng.intn(256)), byte(1 + a.rng.intn(254)),
 	})
 	a.fid++
 	f.TS = a.at
-	f.Data = a.fb.tcpFrame(src, a.cfg.Victim, uint16(1024+a.rng.Intn(60000)), packet.PortHTTPS,
+	f.Data = a.fb.tcpFrame(src, a.cfg.Victim, uint16(1024+a.rng.intn(60000)), packet.PortHTTPS,
 		packet.TCPSyn, uint32(a.rng.Uint64()), 0, 0)
 	f.Dir = DirInbound
 	f.Label = LabelSYNFlood
 	f.Actor = true
 	f.FlowID = 2<<40 | a.fid
-	a.at += time.Duration(a.rng.Exp(float64(time.Second) / a.cfg.Rate))
+	a.at += time.Duration(a.rng.exp(float64(time.Second) / a.cfg.Rate))
 	return true
 }
 
@@ -161,7 +161,7 @@ func (a *synFloodAttack) Next(f *Frame) bool {
 // scanner, eliciting occasional RSTs.
 type portScanAttack struct {
 	cfg     AttackConfig
-	rng     *RNG
+	rng     *prng
 	fb      *frameBuilder
 	at      time.Duration
 	fid     uint64
@@ -178,9 +178,9 @@ var scannedPorts = []uint16{22, 23, 80, 443, 445, 3389, 8080, 8443, 25, 110, 139
 func (a *portScanAttack) Next(f *Frame) bool {
 	if a.rstTo.IsValid() {
 		f.TS = a.rstAt
-		f.Data = a.fb.tcpFrame(a.rstTo, a.scanner, a.rstPort, uint16(40000+a.rng.Intn(20000)),
+		f.Data = a.fb.tcpFrame(a.rstTo, a.scanner, a.rstPort, uint16(40000+a.rng.intn(20000)),
 			packet.TCPRst|packet.TCPAck, 0, 0, 0)
-		f.Dir = DirOutbound
+		f.Dir = dirOutbound
 		f.Label = LabelPortScan
 		f.Actor = false // victim's RST, not the scanner
 		f.FlowID = 3<<40 | a.fid
@@ -191,22 +191,22 @@ func (a *portScanAttack) Next(f *Frame) bool {
 	if a.at >= end {
 		return false
 	}
-	target := a.cfg.Plan.Host(a.rng.Intn(a.cfg.Plan.TotalHosts()))
-	port := scannedPorts[a.rng.Intn(len(scannedPorts))]
+	target := a.cfg.Plan.Host(a.rng.intn(a.cfg.Plan.TotalHosts()))
+	port := scannedPorts[a.rng.intn(len(scannedPorts))]
 	a.fid++
 	f.TS = a.at
-	f.Data = a.fb.tcpFrame(a.scanner, target, uint16(40000+a.rng.Intn(20000)), port,
+	f.Data = a.fb.tcpFrame(a.scanner, target, uint16(40000+a.rng.intn(20000)), port,
 		packet.TCPSyn, uint32(a.rng.Uint64()), 0, 0)
 	f.Dir = DirInbound
 	f.Label = LabelPortScan
 	f.Actor = true
 	f.FlowID = 3<<40 | a.fid
 	// ~70% of probes hit closed ports and elicit a RST.
-	if a.rng.Bool(0.7) {
+	if a.rng.bool(0.7) {
 		a.rstTo, a.rstPort = target, port
-		a.rstAt = a.at + time.Duration(a.rng.LogNormal(-0.5, 0.3)*float64(time.Millisecond))
+		a.rstAt = a.at + time.Duration(a.rng.logNormal(-0.5, 0.3)*float64(time.Millisecond))
 	}
-	a.at += time.Duration(a.rng.Exp(float64(time.Second) / a.cfg.Rate))
+	a.at += time.Duration(a.rng.exp(float64(time.Second) / a.cfg.Rate))
 	return true
 }
 
@@ -215,7 +215,7 @@ func (a *portScanAttack) Next(f *Frame) bool {
 // slow, the opposite of the volumetric attacks.
 type beaconAttack struct {
 	cfg   AttackConfig
-	rng   *RNG
+	rng   *prng
 	fb    *frameBuilder
 	at    time.Duration
 	fid   uint64
@@ -236,11 +236,11 @@ func (a *beaconAttack) Next(f *Frame) bool {
 	f.FlowID = 4<<40 | a.fid
 	switch a.phase {
 	case 0: // SYN out
-		a.cport = uint16(32768 + a.rng.Intn(28000))
+		a.cport = uint16(32768 + a.rng.intn(28000))
 		a.fid++
 		f.FlowID = 4<<40 | a.fid
 		f.Data = a.fb.tcpFrame(host, a.cnc, a.cport, packet.PortHTTPS, packet.TCPSyn, 1, 0, 0)
-		f.Dir = DirOutbound
+		f.Dir = dirOutbound
 		a.phase = 1
 		a.at += 40 * time.Millisecond
 	case 1: // SYN|ACK in
@@ -250,7 +250,7 @@ func (a *beaconAttack) Next(f *Frame) bool {
 		a.at += 40 * time.Millisecond
 	case 2: // small exfil push out
 		f.Data = a.fb.tcpFrame(host, a.cnc, a.cport, packet.PortHTTPS, packet.TCPAck|packet.TCPPsh, 2, 2, 240)
-		f.Dir = DirOutbound
+		f.Dir = dirOutbound
 		a.phase = 3
 		a.at += 60 * time.Millisecond
 	case 3: // command reply in, then sleep until next beacon
@@ -258,7 +258,7 @@ func (a *beaconAttack) Next(f *Frame) bool {
 		f.Dir = DirInbound
 		a.phase = 0
 		period := time.Duration(3600 / a.cfg.Rate * float64(time.Second))
-		jitter := time.Duration(a.rng.Normal(0, 0.05*float64(period)))
+		jitter := time.Duration(a.rng.normal(0, 0.05*float64(period)))
 		a.at += period + jitter
 	}
 	return true

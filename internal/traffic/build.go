@@ -104,9 +104,9 @@ func directionOf(plan *AddressPlan, src, dst netip.Addr) Direction {
 	out := plan.Contains(src)
 	switch {
 	case in && out:
-		return DirInternal
+		return dirInternal
 	case out:
-		return DirOutbound
+		return dirOutbound
 	default:
 		return DirInbound
 	}

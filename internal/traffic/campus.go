@@ -9,25 +9,25 @@ import (
 	"campuslab/internal/packet"
 )
 
-// AppClass is one application in the campus mix.
-type AppClass uint8
+// appClass is one application in the campus mix.
+type appClass uint8
 
 // Application classes in the benign campus mix.
 const (
-	AppWeb AppClass = iota
-	AppVideo
-	AppDNS
-	AppMail
-	AppSSH
-	AppNTP
-	AppBackup
+	appWeb appClass = iota
+	appVideo
+	appDNS
+	appMail
+	appSSH
+	appNTP
+	appBackup
 	numAppClasses
 )
 
 var appNames = [numAppClasses]string{"web", "video", "dns", "mail", "ssh", "ntp", "backup"}
 
 // String returns the application name.
-func (a AppClass) String() string {
+func (a appClass) String() string {
 	if int(a) < len(appNames) {
 		return appNames[a]
 	}
@@ -68,8 +68,8 @@ func (p Profile) withDefaults() Profile {
 	var zero [numAppClasses]float64
 	if p.Mix == zero {
 		p.Mix = [numAppClasses]float64{
-			AppWeb: 0.42, AppVideo: 0.14, AppDNS: 0.25,
-			AppMail: 0.07, AppSSH: 0.05, AppNTP: 0.04, AppBackup: 0.03,
+			appWeb: 0.42, appVideo: 0.14, appDNS: 0.25,
+			appMail: 0.07, appSSH: 0.05, appNTP: 0.04, appBackup: 0.03,
 		}
 	}
 	return p
@@ -94,7 +94,7 @@ func diurnalFactor(hour float64) float64 {
 // CampusGenerator emits the benign campus mix in timestamp order.
 type CampusGenerator struct {
 	prof    Profile
-	rng     *RNG
+	rng     *prng
 	fb      *frameBuilder
 	heap    emitterHeap
 	nextFID uint64
@@ -106,7 +106,7 @@ func NewCampus(p Profile) *CampusGenerator {
 	p = p.withDefaults()
 	g := &CampusGenerator{
 		prof: p,
-		rng:  NewRNG(p.Seed),
+		rng:  newPRNG(p.Seed),
 		fb:   newFrameBuilder(),
 	}
 	arr := &arrivalProcess{gen: g}
@@ -115,10 +115,6 @@ func NewCampus(p Profile) *CampusGenerator {
 	heap.Push(&g.heap, arr)
 	return g
 }
-
-// Plan exposes the address plan in use (useful to attack generators and
-// tests that must agree on the victim population).
-func (g *CampusGenerator) Plan() *AddressPlan { return g.prof.Plan }
 
 // Next implements Generator.
 func (g *CampusGenerator) Next(f *Frame) bool {
@@ -164,7 +160,7 @@ func (a *arrivalProcess) schedule(now time.Duration) {
 	if rate < 0.001 {
 		rate = 0.001
 	}
-	a.at = now + time.Duration(a.gen.rng.Exp(1/rate)*float64(time.Second))
+	a.at = now + time.Duration(a.gen.rng.exp(1/rate)*float64(time.Second))
 }
 
 func (a *arrivalProcess) emit(f *Frame) bool {
@@ -178,37 +174,37 @@ func (a *arrivalProcess) emit(f *Frame) bool {
 }
 
 // pickApp draws an application class from the mix.
-func (g *CampusGenerator) pickApp() AppClass {
+func (g *CampusGenerator) pickApp() appClass {
 	var total float64
 	for _, w := range g.prof.Mix {
 		total += w
 	}
-	u := g.rng.Float64() * total
+	u := g.rng.float64() * total
 	var acc float64
 	for i, w := range g.prof.Mix {
 		acc += w
 		if u <= acc {
-			return AppClass(i)
+			return appClass(i)
 		}
 	}
-	return AppWeb
+	return appWeb
 }
 
 // spawnFlow creates a new benign flow emitter starting at now.
 func (g *CampusGenerator) spawnFlow(now time.Duration) {
 	app := g.pickApp()
 	plan := g.prof.Plan
-	client := plan.Host(g.rng.Intn(plan.TotalHosts()))
-	cport := uint16(32768 + g.rng.Intn(28000))
+	client := plan.Host(g.rng.intn(plan.TotalHosts()))
+	cport := uint16(32768 + g.rng.intn(28000))
 	g.nextFID++
 	fid := g.nextFID
 
 	var em emitter
 	switch app {
-	case AppDNS:
-		server := plan.Resolvers[g.rng.Zipf(len(plan.Resolvers))]
+	case appDNS:
+		server := plan.Resolvers[g.rng.zipf(len(plan.Resolvers))]
 		em = newDNSExchange(g, now, fid, client, server, cport)
-	case AppNTP:
+	case appNTP:
 		em = &udpExchange{
 			gen: g, at: now, fid: fid,
 			client: client, server: netip.AddrFrom4([4]byte{129, 6, 15, 28}),
@@ -225,9 +221,9 @@ func (g *CampusGenerator) spawnFlow(now time.Duration) {
 // rttTo draws a round-trip time; internal targets are LAN-fast.
 func (g *CampusGenerator) rttTo(internal bool) time.Duration {
 	if internal {
-		return time.Duration(g.rng.LogNormal(-1.0, 0.4) * float64(time.Millisecond))
+		return time.Duration(g.rng.logNormal(-1.0, 0.4) * float64(time.Millisecond))
 	}
-	return time.Duration(g.rng.LogNormal(2.8, 0.6) * float64(time.Millisecond))
+	return time.Duration(g.rng.logNormal(2.8, 0.6) * float64(time.Millisecond))
 }
 
 // tcpFlow is a scripted TCP connection: handshake, request, response
@@ -236,7 +232,7 @@ type tcpFlow struct {
 	gen    *CampusGenerator
 	at     time.Duration
 	fid    uint64
-	app    AppClass
+	app    appClass
 	client netip.Addr
 	server netip.Addr
 	cport  uint16
@@ -252,7 +248,7 @@ type tcpFlow struct {
 
 const tcpMSS = 1448
 
-func newTCPFlow(g *CampusGenerator, now time.Duration, fid uint64, app AppClass, client netip.Addr, cport uint16) *tcpFlow {
+func newTCPFlow(g *CampusGenerator, now time.Duration, fid uint64, app appClass, client netip.Addr, cport uint16) *tcpFlow {
 	f := &tcpFlow{
 		gen: g, at: now, fid: fid, app: app,
 		client: client, cport: cport,
@@ -260,28 +256,28 @@ func newTCPFlow(g *CampusGenerator, now time.Duration, fid uint64, app AppClass,
 	}
 	plan := g.prof.Plan
 	switch app {
-	case AppWeb:
-		f.server, f.sport = plan.WebServers[g.rng.Zipf(len(plan.WebServers))], packet.PortHTTPS
-		f.reqLeft = int(g.rng.LogNormal(6.0, 0.8)) // ~400B request
-		f.respLeft = int(g.rng.Pareto(4000, 1.2))  // heavy-tailed response
-	case AppVideo:
-		f.server, f.sport = plan.VideoCDNs[g.rng.Zipf(len(plan.VideoCDNs))], packet.PortHTTPS
+	case appWeb:
+		f.server, f.sport = plan.WebServers[g.rng.zipf(len(plan.WebServers))], packet.PortHTTPS
+		f.reqLeft = int(g.rng.logNormal(6.0, 0.8)) // ~400B request
+		f.respLeft = int(g.rng.pareto(4000, 1.2))  // heavy-tailed response
+	case appVideo:
+		f.server, f.sport = plan.VideoCDNs[g.rng.zipf(len(plan.VideoCDNs))], packet.PortHTTPS
 		f.reqLeft = 500
-		f.respLeft = int(g.rng.Pareto(200_000, 1.1)) // video segments, very heavy tail
-	case AppMail:
-		f.server, f.sport = plan.MailServers[g.rng.Zipf(len(plan.MailServers))], packet.PortIMAPS
-		f.reqLeft = int(g.rng.LogNormal(5.5, 0.7))
-		f.respLeft = int(g.rng.LogNormal(8.5, 1.2))
-	case AppSSH:
+		f.respLeft = int(g.rng.pareto(200_000, 1.1)) // video segments, very heavy tail
+	case appMail:
+		f.server, f.sport = plan.MailServers[g.rng.zipf(len(plan.MailServers))], packet.PortIMAPS
+		f.reqLeft = int(g.rng.logNormal(5.5, 0.7))
+		f.respLeft = int(g.rng.logNormal(8.5, 1.2))
+	case appSSH:
 		// internal host-to-host administration
-		f.server, f.sport = plan.Host(g.rng.Intn(plan.TotalHosts())), packet.PortSSH
-		f.reqLeft = int(g.rng.LogNormal(7.0, 1.0))
-		f.respLeft = int(g.rng.LogNormal(7.5, 1.0))
-	case AppBackup:
+		f.server, f.sport = plan.Host(g.rng.intn(plan.TotalHosts())), packet.PortSSH
+		f.reqLeft = int(g.rng.logNormal(7.0, 1.0))
+		f.respLeft = int(g.rng.logNormal(7.5, 1.0))
+	case appBackup:
 		f.server, f.sport = netip.AddrFrom4([4]byte{10, 7, 1, 10}), 873 // rsync to admin net
 		f.reqLeft = 1000
 		f.respLeft = 200
-		f.reqLeft = int(g.rng.Pareto(500_000, 1.3)) // uploads, not downloads
+		f.reqLeft = int(g.rng.pareto(500_000, 1.3)) // uploads, not downloads
 	default:
 		f.server, f.sport = plan.WebServers[0], packet.PortHTTPS
 		f.reqLeft, f.respLeft = 400, 4000
@@ -326,7 +322,7 @@ func (f *tcpFlow) emit(out *Frame) bool {
 	case 2: // ACK
 		c2s(packet.TCPAck, 0)
 		f.phase = 3
-		f.at += time.Duration(g.rng.Exp(float64(2 * time.Millisecond)))
+		f.at += time.Duration(g.rng.exp(float64(2 * time.Millisecond)))
 	case 3: // request data
 		n := min(f.reqLeft, tcpMSS)
 		c2s(packet.TCPAck|packet.TCPPsh, n)
@@ -335,7 +331,7 @@ func (f *tcpFlow) emit(out *Frame) bool {
 			f.phase = 4
 			f.at += f.rtt / 2
 		} else {
-			f.at += time.Duration(g.rng.Exp(float64(300 * time.Microsecond)))
+			f.at += time.Duration(g.rng.exp(float64(300 * time.Microsecond)))
 		}
 	case 4: // response data
 		n := min(f.respLeft, tcpMSS)
@@ -346,7 +342,7 @@ func (f *tcpFlow) emit(out *Frame) bool {
 			f.at += f.rtt / 2
 		} else {
 			// pacing approximates cwnd growth: fast once warmed up
-			f.at += time.Duration(g.rng.Exp(float64(120 * time.Microsecond)))
+			f.at += time.Duration(g.rng.exp(float64(120 * time.Microsecond)))
 		}
 	case 5: // FIN from client
 		c2s(packet.TCPFin|packet.TCPAck, 0)
@@ -418,16 +414,16 @@ func newDNSExchange(g *CampusGenerator, now time.Duration, fid uint64, client, s
 		client: client, server: server, cport: cport,
 		rtt: g.rttTo(g.prof.Plan.Contains(server)),
 	}
-	name := benignDomains[g.rng.Zipf(len(benignDomains))]
+	name := benignDomains[g.rng.zipf(len(benignDomains))]
 	qt := packet.DNSTypeA
 	switch {
-	case g.rng.Bool(0.25):
+	case g.rng.bool(0.25):
 		qt = packet.DNSTypeAAAA
-	case g.rng.Bool(0.04):
+	case g.rng.bool(0.04):
 		// Legacy resolvers and debugging tools still issue ANY queries;
 		// benign ANY must not be sufficient evidence of amplification.
 		qt = packet.DNSTypeANY
-	case g.rng.Bool(0.03):
+	case g.rng.bool(0.03):
 		qt = packet.DNSTypeTXT
 	}
 	id := uint16(g.rng.Uint64())
@@ -439,24 +435,24 @@ func newDNSExchange(g *CampusGenerator, now time.Duration, fid uint64, client, s
 	switch qt {
 	case packet.DNSTypeTXT:
 		// SPF/DKIM-style records: few answers, bulky blobs.
-		for i, n := 0, 2+g.rng.Intn(3); i < n; i++ {
+		for i, n := 0, 2+g.rng.intn(3); i < n; i++ {
 			ans = append(ans, packet.DNSResourceRecord{
 				Name: name, Type: qt, Class: 1, TTL: 300,
-				Data: make([]byte, 80+g.rng.Intn(170)),
+				Data: make([]byte, 80+g.rng.intn(170)),
 			})
 		}
 	case packet.DNSTypeANY:
 		// Legitimate ANY responses return the whole mixed RRset.
-		for i, n := 0, 3+g.rng.Intn(4); i < n; i++ {
+		for i, n := 0, 3+g.rng.intn(4); i < n; i++ {
 			rtype, rdata := packet.DNSTypeA, make([]byte, 4)
-			if g.rng.Bool(0.4) {
-				rtype, rdata = packet.DNSTypeTXT, make([]byte, 40+g.rng.Intn(120))
+			if g.rng.bool(0.4) {
+				rtype, rdata = packet.DNSTypeTXT, make([]byte, 40+g.rng.intn(120))
 			}
 			ans = append(ans, packet.DNSResourceRecord{Name: name, Type: rtype, Class: 1, TTL: 300, Data: rdata})
 		}
 	default:
-		for i, n := 0, 1+g.rng.Intn(5); i < n; i++ {
-			rdata := []byte{93, 184, byte(g.rng.Intn(256)), byte(g.rng.Intn(256))}
+		for i, n := 0, 1+g.rng.intn(5); i < n; i++ {
+			rdata := []byte{93, 184, byte(g.rng.intn(256)), byte(g.rng.intn(256))}
 			if qt == packet.DNSTypeAAAA {
 				rdata = make([]byte, 16)
 				rdata[0], rdata[1] = 0x20, 0x01

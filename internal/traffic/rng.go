@@ -5,33 +5,33 @@ import (
 	"math/rand"
 )
 
-// RNG wraps a seeded PRNG with the distributions the generators draw from.
+// prng wraps a seeded PRNG with the distributions the generators draw from.
 // All generation is deterministic given the seed, which is what makes the
 // cross-campus reproducibility experiments exact.
-type RNG struct {
+type prng struct {
 	r *rand.Rand
 }
 
-// NewRNG returns a deterministic RNG for the given seed.
-func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+// newPRNG returns a deterministic prng for the given seed.
+func newPRNG(seed int64) *prng {
+	return &prng{r: rand.New(rand.NewSource(seed))}
 }
 
-// Float64 returns a uniform draw in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// float64 returns a uniform draw in [0, 1).
+func (g *prng) float64() float64 { return g.r.Float64() }
 
-// Intn returns a uniform draw in [0, n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+// intn returns a uniform draw in [0, n).
+func (g *prng) intn(n int) int { return g.r.Intn(n) }
 
 // Uint64 returns a uniform 64-bit draw.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+func (g *prng) Uint64() uint64 { return g.r.Uint64() }
 
-// Exp returns an exponential draw with the given mean.
-func (g *RNG) Exp(mean float64) float64 { return g.r.ExpFloat64() * mean }
+// exp returns an exponential draw with the given mean.
+func (g *prng) exp(mean float64) float64 { return g.r.ExpFloat64() * mean }
 
-// Pareto returns a bounded Pareto draw with shape alpha and scale xm.
+// pareto returns a bounded pareto draw with shape alpha and scale xm.
 // Heavy-tailed flow sizes in campus traffic follow this shape.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
+func (g *prng) pareto(xm, alpha float64) float64 {
 	u := g.r.Float64()
 	for u == 0 {
 		u = g.r.Float64()
@@ -39,19 +39,19 @@ func (g *RNG) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// LogNormal returns a draw from exp(N(mu, sigma)).
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
+// logNormal returns a draw from exp(N(mu, sigma)).
+func (g *prng) logNormal(mu, sigma float64) float64 {
 	return math.Exp(g.r.NormFloat64()*sigma + mu)
 }
 
-// Normal returns a draw from N(mu, sigma).
-func (g *RNG) Normal(mu, sigma float64) float64 {
+// normal returns a draw from N(mu, sigma).
+func (g *prng) normal(mu, sigma float64) float64 {
 	return g.r.NormFloat64()*sigma + mu
 }
 
-// Zipf returns a draw in [0, n) with Zipfian popularity (s=1.2), used for
+// zipf returns a draw in [0, n) with Zipfian popularity (s=1.2), used for
 // destination/domain popularity.
-func (g *RNG) Zipf(n int) int {
+func (g *prng) zipf(n int) int {
 	if n <= 1 {
 		return 0
 	}
@@ -75,8 +75,5 @@ func (g *RNG) Zipf(n int) int {
 	return n - 1
 }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Bool returns true with probability p.
-func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
+// bool returns true with probability p.
+func (g *prng) bool(p float64) bool { return g.r.Float64() < p }

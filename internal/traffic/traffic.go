@@ -52,8 +52,8 @@ type Direction uint8
 // Frame directions at the campus border tap.
 const (
 	DirInbound  Direction = iota // from the Internet into campus
-	DirOutbound                  // from campus to the Internet
-	DirInternal                  // both endpoints on campus
+	dirOutbound                  // from campus to the Internet
+	dirInternal                  // both endpoints on campus
 )
 
 // String returns the direction name.
@@ -61,7 +61,7 @@ func (d Direction) String() string {
 	switch d {
 	case DirInbound:
 		return "in"
-	case DirOutbound:
+	case dirOutbound:
 		return "out"
 	default:
 		return "internal"

@@ -35,7 +35,7 @@ func TestAddressPlan(t *testing.T) {
 			t.Fatalf("duplicate host address %v", a)
 		}
 		seen[a.String()] = true
-		if p.DepartmentOf(a) == nil {
+		if p.departmentOf(a) == nil {
 			t.Fatalf("host %v has no department", a)
 		}
 	}
@@ -304,33 +304,33 @@ func TestStatsOfferedRate(t *testing.T) {
 }
 
 func TestRNGDistributions(t *testing.T) {
-	g := NewRNG(5)
+	g := newPRNG(5)
 	// Pareto: all draws >= xm; mean for alpha>1 is finite.
 	for i := 0; i < 1000; i++ {
-		if v := g.Pareto(100, 1.5); v < 100 {
+		if v := g.pareto(100, 1.5); v < 100 {
 			t.Fatalf("pareto draw %v < xm", v)
 		}
 	}
 	// Zipf: index 0 should be the most frequent.
 	counts := make([]int, 10)
 	for i := 0; i < 20000; i++ {
-		counts[g.Zipf(10)]++
+		counts[g.zipf(10)]++
 	}
 	if counts[0] <= counts[9] {
 		t.Errorf("zipf head %d <= tail %d", counts[0], counts[9])
 	}
-	if g.Zipf(1) != 0 || g.Zipf(0) != 0 {
+	if g.zipf(1) != 0 || g.zipf(0) != 0 {
 		t.Error("zipf degenerate cases wrong")
 	}
 }
 
 func TestRNGExpProperty(t *testing.T) {
 	fn := func(seed int64) bool {
-		g := NewRNG(seed)
+		g := newPRNG(seed)
 		var sum float64
 		const n = 2000
 		for i := 0; i < n; i++ {
-			v := g.Exp(10)
+			v := g.exp(10)
 			if v < 0 {
 				return false
 			}

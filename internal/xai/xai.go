@@ -167,9 +167,9 @@ func RuleSet(t *ml.Tree, schema []string, classNames func(int) string) []string 
 	return out
 }
 
-// ComparisonReport quantifies what extraction traded away: the black box
+// comparisonReport quantifies what extraction traded away: the black box
 // vs deployable model on the same test set.
-type ComparisonReport struct {
+type comparisonReport struct {
 	BlackBoxAccuracy  float64
 	ExtractedAccuracy float64
 	Fidelity          float64
@@ -178,9 +178,9 @@ type ComparisonReport struct {
 	Rules             int
 }
 
-// Compare evaluates both models on test data.
-func Compare(blackbox *ml.Forest, ex *Extraction, test *features.Dataset) ComparisonReport {
-	return ComparisonReport{
+// compare evaluates both models on test data.
+func compare(blackbox *ml.Forest, ex *Extraction, test *features.Dataset) comparisonReport {
+	return comparisonReport{
 		BlackBoxAccuracy:  ml.Evaluate(blackbox, test).Accuracy(),
 		ExtractedAccuracy: ml.Evaluate(ex.Tree, test).Accuracy(),
 		Fidelity:          ml.Agreement(blackbox, ex.Tree, test),

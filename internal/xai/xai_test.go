@@ -46,7 +46,7 @@ func TestExtractHighFidelity(t *testing.T) {
 	if ex.Fidelity < 0.9 {
 		t.Errorf("fidelity = %v, want >= 0.9", ex.Fidelity)
 	}
-	rep := Compare(forest, ex, test)
+	rep := compare(forest, ex, test)
 	if rep.ExtractedAccuracy < rep.BlackBoxAccuracy-0.1 {
 		t.Errorf("extracted accuracy %v much worse than black box %v",
 			rep.ExtractedAccuracy, rep.BlackBoxAccuracy)

@@ -1,0 +1,5 @@
+package lib
+
+import "testing"
+
+func TestOwn(t *testing.T) { OwnTestOnly() }

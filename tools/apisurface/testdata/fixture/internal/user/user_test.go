@@ -1,0 +1,9 @@
+package user
+
+import (
+	"testing"
+
+	"fix/internal/lib"
+)
+
+func TestUse(t *testing.T) { use(); lib.TestOnly() }

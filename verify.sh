@@ -85,6 +85,14 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> exported surface (tools/apisurface -check: api/*.txt is current and every exported name has a caller outside its package)"
+SURFACE=$(go run ./tools/apisurface -check 2>&1) || {
+    echo "$SURFACE"
+    echo "verify: FAIL — exported surface: regenerate api/ with go run ./tools/apisurface, and unexport or delete every name it reports unused" >&2
+    exit 1
+}
+echo "$SURFACE" | grep -E '^(package|total) '
+
 echo "==> non-test lines per package (tools/lines.sh; the re-anchor reads internal/datastore from here)"
 bash tools/lines.sh | grep -E ' (internal/datastore|total)$'
 
