@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"campuslab/internal/faults"
+	"campuslab/internal/frame"
 	"campuslab/internal/traffic"
 )
 
@@ -43,16 +44,10 @@ func loadFingerprint(t *testing.T, s *Store) loadPrint {
 
 // TestLoadAtShardCountMatchesDefaultLoad: a snapshot holds the same bytes
 // at any shard count, and load rebuilds the same store from them at any
-// (shards, workers) — the pinned v2 and v3 fixtures and a fresh tiered
-// snapshot whose flows straddle the seal each re-encode to their input
-// bytes and answer like the default-shard Load.
+// (shards, workers) — the pinned untiered and tiered fixtures and a fresh
+// tiered snapshot whose flows straddle the seal each re-encode to their
+// input bytes and answer like the default-shard Load.
 func TestLoadAtShardCountMatchesDefaultLoad(t *testing.T) {
-	fixtureTier := t.TempDir()
-	for _, name := range []string{tierManifestName, tierSegName(0)} {
-		if err := os.WriteFile(filepath.Join(fixtureTier, name), formatFixture(t, "tier", name), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	live := ingestTiered(t, 4, 2, aggressiveTier(t.TempDir()))
 	if ts := live.TierStats(); ts.Segments == 0 || live.Stats().Packets == 0 {
 		t.Fatalf("fresh tiered store has %d segments, %d hot packets; want both", ts.Segments, live.Stats().Packets)
@@ -60,11 +55,11 @@ func TestLoadAtShardCountMatchesDefaultLoad(t *testing.T) {
 	cases := []struct {
 		name    string
 		snap    []byte
-		tierDir string // attached after the load, like Recover; "" for v2
+		tierDir string // attached after the load, like Recover; "" when untiered
 	}{
-		{"v2 fixture", formatFixture(t, "snapshot-v2.clds"), ""},
-		{"v3 fixture", formatFixture(t, "snapshot-v3.clds"), fixtureTier},
-		{"v3 fresh", storeBytes(t, live), live.tier.Load().dir},
+		{"untiered fixture", formatFixture(t, "snapshot-v4-untiered.clds"), ""},
+		{"tiered fixture", formatFixture(t, "snapshot-v4-tiered.clds"), fixtureTierDir(t)},
+		{"tiered fresh", storeBytes(t, live), live.tier.Load().dir},
 	}
 	for _, c := range cases {
 		open := func(shards, workers int) *Store {
@@ -100,26 +95,25 @@ func TestLoadAtShardCountMatchesDefaultLoad(t *testing.T) {
 	}
 }
 
-// TestLoadChecksumAfterAppliedChunks: load applies a full arena chunk's
-// records before it has read the packets-section CRC, so damage in the
-// last chunk is found with earlier chunks already in the store being
-// built. That store must not be returned.
+// TestLoadChecksumAfterAppliedChunks: load applies each packet block as it
+// is read, so damage in the last one is found with earlier blocks already
+// in the store being built. That store must not be returned.
 func TestLoadChecksumAfterAppliedChunks(t *testing.T) {
 	src := NewSharded(2)
 	if _, err := src.AddBatch(equivFrames(t), 2); err != nil {
 		t.Fatal(err)
 	}
 	snap := storeBytes(t, src)
-	if data := src.Stats().DataBytes; data < 2*loadChunk {
-		t.Fatalf("snapshot holds %d packet bytes; the test needs more than two %d-byte chunks", data, loadChunk)
+	ends := packetBlockEnds(t, snap)
+	if len(ends) < 3 {
+		t.Fatalf("snapshot holds %d packet blocks; the test needs more than two", len(ends))
 	}
-	// No events, untiered: the file ends packets | crc | crc, so the byte
-	// before the two checksums is the last packet's last data byte.
-	snap[len(snap)-9] ^= 0x20
+	// The last packet block's last byte is the last packet's last data byte.
+	snap[ends[len(ends)-1]-1] ^= 0x20
 	for _, shards := range []int{0, 4} {
 		st, err := load(bytes.NewReader(snap), shards, 2)
-		if !errors.Is(err, errChecksum) || st != nil {
-			t.Fatalf("load(shards=%d) of a snapshot damaged in its last chunk = %v, %v; want nil, ErrChecksum", shards, st, err)
+		if !errors.Is(err, ErrBadSnapshot) || !errors.Is(err, frame.ErrCorrupt) || st != nil {
+			t.Fatalf("load(shards=%d) of a snapshot damaged in its last packet block = %v, %v; want nil, a checksum ErrBadSnapshot", shards, st, err)
 		}
 	}
 }

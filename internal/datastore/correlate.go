@@ -47,12 +47,7 @@ func (s *Store) CorrelateEvents(window time.Duration) []Correlation {
 		}
 	}
 	for _, fms := range byAddr {
-		sort.Slice(fms, func(i, j int) bool {
-			if fms[i].First != fms[j].First {
-				return fms[i].First < fms[j].First
-			}
-			return fms[i].Key.Hash() < fms[j].Key.Hash()
-		})
+		sort.Slice(fms, func(i, j int) bool { return flowBefore(fms[i], fms[j]) })
 	}
 
 	var out []Correlation

@@ -13,12 +13,15 @@ import (
 // A durable store couples the in-memory sharded store with a snapshot file
 // and a write-ahead log in one directory:
 //
-//	<dir>/snapshot-<seq>.clds   the newest checkpoint (v2 snapshot format;
-//	                            v3 once a cold tier is attached)
+//	<dir>/snapshot-<seq>.clds   the newest checkpoint (the v4 snapshot:
+//	                            checked blocks, one layout for every store)
 //	<dir>/<seq>.wal             segments holding every acked batch since
 //
 // Recover rebuilds the store as snapshot ⊕ WAL replay; CheckpointDir
-// writes a fresh snapshot and truncates the log. Between checkpoints,
+// writes a fresh snapshot and truncates the log. The snapshot keeps the
+// hot rows' IDs and every flow aggregate, so replay lands on the store the
+// log was written against, evicted or sealed rows or not; an older snapshot
+// version is refused (ErrBadSnapshot), not migrated. Between checkpoints,
 // every acked AddBatch is WAL-logged before its PacketID is returned, so a
 // hard kill at any instant loses nothing that was acknowledged (under
 // FsyncAlways; weaker policies trade the power-loss window for speed —
@@ -170,8 +173,7 @@ func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
 	// re-ingested every acked batch since the checkpoint, including rows
 	// that a pre-crash seal already moved into segments; EnableTiering
 	// trims the hot tier below the manifest's watermark so those rows are
-	// served from cold storage exactly once. Attaching before OpenWAL also
-	// means a torn-log checkpoint below writes the tiered snapshot format.
+	// served from cold storage exactly once.
 	if cfg.Tier.Dir != "" {
 		if err := st.EnableTiering(cfg.Tier); err != nil {
 			return nil, rs, fmt.Errorf("datastore: recover tier: %w", err)

@@ -16,11 +16,15 @@ import (
 // before they moved onto internal/frame: one WAL segment (two records,
 // the second with nil links), a v2 snapshot of an untiered store, and a
 // tiered store's directory — its v3 snapshot, one v2 segment and the
-// manifest naming it. Each test below decodes a file with the current code and
-// re-encodes it; every byte must come back. A deliberate format change
-// bumps a version and adds fixtures, it does not regenerate these.
+// manifest naming it. The v4 snapshots hold the same two stores: each is
+// its v2 or v3 source as the v3-era reader loaded it (the v3 one with tier/
+// attached), saved by the v4 writer. Each test below decodes a file with
+// the current code and re-encodes it; every byte must come back. A
+// deliberate format change bumps a version and adds fixtures, it does not
+// regenerate these. The v2 and v3 snapshots and seg-v1.clsg stay as
+// fixtures a retired format must be refused on.
 
-func formatFixture(t *testing.T, name ...string) []byte {
+func formatFixture(t testing.TB, name ...string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join(append([]string{"testdata", "format"}, name...)...))
 	if err != nil {
@@ -57,38 +61,45 @@ func TestFormatWALSegmentPinned(t *testing.T) {
 	}
 }
 
+// fixtureTierDir copies the pinned tier directory (manifest and segment)
+// into a fresh directory a store can attach.
+func fixtureTierDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range []string{tierManifestName, tierSegName(0)} {
+		if err := os.WriteFile(filepath.Join(dir, name), formatFixture(t, "tier", name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 func TestFormatSnapshotsPinned(t *testing.T) {
-	t.Run("v2", func(t *testing.T) {
-		want := formatFixture(t, "snapshot-v2.clds")
+	t.Run("untiered", func(t *testing.T) {
+		want := formatFixture(t, "snapshot-v4-untiered.clds")
 		st, err := Load(bytes.NewReader(want))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(storeBytes(t, st), want) {
-			t.Fatal("re-saved v2 snapshot differs from the pinned one")
+			t.Fatal("re-saved untiered snapshot differs from the pinned one")
 		}
 	})
-	t.Run("v3", func(t *testing.T) {
+	t.Run("tiered", func(t *testing.T) {
 		// The recovery order: load the hot tier, then attach the cold one.
-		want := formatFixture(t, "snapshot-v3.clds")
-		dir := t.TempDir()
-		for _, name := range []string{tierManifestName, tierSegName(0)} {
-			if err := os.WriteFile(filepath.Join(dir, name), formatFixture(t, "tier", name), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		want := formatFixture(t, "snapshot-v4-tiered.clds")
 		st, err := Load(bytes.NewReader(want))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.EnableTiering(TierPolicy{Dir: dir}); err != nil {
+		if err := st.EnableTiering(TierPolicy{Dir: fixtureTierDir(t)}); err != nil {
 			t.Fatal(err)
 		}
 		if ss := st.Stats(); ss.Packets != 8 || ss.ColdPackets != 40 {
 			t.Fatalf("recovered %d hot + %d cold packets, want 8 + 40", ss.Packets, ss.ColdPackets)
 		}
 		if !bytes.Equal(storeBytes(t, st), want) {
-			t.Fatal("re-saved v3 snapshot differs from the pinned one")
+			t.Fatal("re-saved tiered snapshot differs from the pinned one")
 		}
 	})
 }

@@ -1,11 +1,9 @@
 package datastore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/netip"
 	"os"
@@ -19,48 +17,51 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// The persistence format is a simple length-prefixed binary stream, with
-// a CRC32 (IEEE) per section so corruption is detected instead of loaded:
+// A snapshot is a six-byte preamble and a sequence of frame checked blocks
+// (all integers little-endian), one layout for every store:
 //
-//	header:  magic "CLDS" | version u16 |
-//	         packet count u64 | event count u64 | header crc u32
-//	packets: per packet: a frame record header (ts i64 | link u16 |
-//	         label u8 | actor u8 | len u32) | bytes
-//	         then: packets-section crc u32
-//	events:  per event: ts i64 | source u8 | severity u8 |
-//	         hostLen u16 | host | msgLen u32 | msg
-//	         then: events-section crc u32
+//	preamble: magic "CLDS" | version u16 (4)
+//	header:   one block: packet count u64 | event count u64 |
+//	          flow count u64 | base ID u64 | last TS i64
+//	packets:  record-list blocks (frame.AppendRecords, the WAL record's
+//	          payload) in (TS, ID) order, each at most loadChunk bytes or
+//	          one larger record alone: one addBatch on load
+//	events:   ts i64 | source u8 | severity u8 | hostLen u16 | host |
+//	          msgLen u32 | msg, per event
+//	flows:    per flow, in Flows() order: key, totals, packet IDs
 //
-// Flow metadata and indexes are rebuilt on load (they are derived data),
-// which keeps the format stable across index-layout changes — the same
-// choice real capture stores make. File-level snapshots (SaveFile) are
-// crash-safe: published through faults.PublishFile, so a crash mid-save
-// always leaves the previous snapshot intact.
+// Events and flows are byte streams cut into loadChunk-byte blocks, the
+// last holding the rest (so a flow of any length fits); the header's
+// counts end each section.
 //
-// Version 3 is written by tiered stores: once packets live in cold
-// segments, a snapshot of the hot tier alone can no longer rebuild
-// everything, so the header carries the base packet ID and the timestamp
-// watermark (re-ingest on load reassigns the ORIGINAL IDs — cold segments
-// store IDs, so recovery must not renumber), and a flows section persists
-// the full flow aggregates (hot re-ingest alone would reconstruct only
-// the hot packets' share). Version 2 stays the untiered format,
-// bit-identical to what earlier releases wrote.
+// The base ID, the flows and the TS watermark are what the hot rows alone
+// cannot rebuild. Load seeds the ID sequence at the base ID, so re-ingest
+// reassigns the original IDs: the WAL and cold segments name packets by
+// ID, and eviction or a seal may have taken a prefix of them away. It then
+// overlays the persisted flows, whose totals and ID lists still count rows
+// that are no longer hot. Indexes are derived data and are rebuilt.
+//
+// The layout is canonical: Load refuses what Save would not have written
+// (a block cut elsewhere, rows, events or flows out of order, a hot packet
+// whose flow is missing, trailing bytes), so a snapshot that loads re-saves
+// to its own bytes. Versions 1 to 3 are refused, not migrated.
 
 const (
-	persistMagic         = "CLDS"
-	persistVersion       = 2
-	persistVersionTiered = 3
-	// loadChunk is the arena Load cuts packet bytes from.
+	persistMagic   = "CLDS"
+	persistVersion = 4
+	// loadChunk is a snapshot block's byte budget.
 	loadChunk = 256 << 10
+	// snapBlockMax bounds a block on read: a full chunk, or one record of
+	// the largest size alone.
+	snapBlockMax = 4 + frame.RecordHeaderSize + frame.MaxRecordData
+	// snapHeaderSize is the header block's payload.
+	snapHeaderSize = 5 * 8
+	// flowFixed is a persisted flow's size before its ID list.
+	flowFixed = 1 + 2*17 + 2*2 + 5*8 + 3 + 4*4
 )
 
 // ErrBadSnapshot reports a corrupt or incompatible snapshot stream.
 var ErrBadSnapshot = errors.New("datastore: bad snapshot")
-
-// errChecksum reports a snapshot whose section checksum does not match —
-// truncation or bit rot. It wraps ErrBadSnapshot, so errors.Is works
-// against either sentinel.
-var errChecksum = fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 
 // setFaultInjector points the write/sync/rename steps of every file the
 // store publishes — snapshots, cold segments and the tier manifest — at a
@@ -74,478 +75,351 @@ func (s *Store) setFaultInjector(inj faults.Injector) {
 	}
 }
 
-// crcWriter accumulates a CRC32 over everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-func (cw *crcWriter) WriteString(s string) (int, error) { return cw.Write([]byte(s)) }
-
-// crcReader accumulates a CRC32 over everything read through it.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-// Save writes the store's packets and events to w. Packets stream out in
-// global (timestamp, ID) order — the serial ingest order — so snapshots
-// are byte-identical at any shard count. The store remains usable;
-// concurrent ingest during Save is blocked by the shard locks.
+// Save writes the store's packets, events and flows to w. Packets stream
+// out in global (timestamp, ID) order — the serial ingest order — and
+// flows in listing order, so snapshots are byte-identical at any shard
+// count. The store remains usable; concurrent ingest during Save is
+// blocked by the shard locks.
 func (s *Store) Save(w io.Writer) error {
 	unlock := s.rlockAll()
 	defer unlock()
 	s.eventsMu.RLock()
 	defer s.eventsMu.RUnlock()
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(persistMagic); err != nil {
-		return err
-	}
-	tiered := s.tier.Load() != nil
-	version := uint16(persistVersion)
-	if tiered {
-		version = persistVersionTiered
-	}
+	// The base ID is the smallest hot ID, or nextID when nothing is hot:
+	// a slab is ID-ordered and the hot IDs run contiguously up to nextID.
+	baseID := s.nextID.Load()
 	nPackets := 0
-	var flows []*FlowMeta
 	slabs := make([][]StoredPacket, len(s.shards))
+	var flows []*FlowMeta
 	for i, sh := range s.shards {
-		nPackets += len(sh.packets)
 		slabs[i] = sh.packets
-		if tiered {
-			for _, fm := range sh.flows {
-				flows = append(flows, fm)
-			}
+		nPackets += len(sh.packets)
+		if len(sh.packets) > 0 {
+			baseID = min(baseID, uint64(sh.packets[0].ID))
+		}
+		for _, fm := range sh.flows {
+			flows = append(flows, fm)
 		}
 	}
-	if tiered {
-		// Deterministic flow order (same comparator as every listing), so
-		// snapshots stay byte-identical across shard counts.
-		sort.Slice(flows, func(i, j int) bool {
-			if flows[i].First != flows[j].First {
-				return flows[i].First < flows[j].First
-			}
-			return flows[i].Key.Hash() < flows[j].Key.Hash()
-		})
+	sort.Slice(flows, func(i, j int) bool { return flowBefore(flows[i], flows[j]) })
+
+	sw := &snapWriter{w: w, buf: make([]byte, frame.BlockHeaderSize, frame.BlockHeaderSize+2*loadChunk)}
+	_, sw.err = w.Write(binary.LittleEndian.AppendUint16([]byte(persistMagic), persistVersion))
+	for _, v := range []uint64{uint64(nPackets), uint64(len(s.events)), uint64(len(flows)), baseID, uint64(s.lastTS.Load())} {
+		sw.buf = binary.LittleEndian.AppendUint64(sw.buf, v)
 	}
-	var scratch [frame.RecordHeaderSize]byte
-	binary.LittleEndian.PutUint16(scratch[:2], version)
-	if _, err := bw.Write(scratch[:2]); err != nil {
-		return err
-	}
-	cw := &crcWriter{w: bw}
-	binary.LittleEndian.PutUint64(scratch[:8], uint64(nPackets))
-	if _, err := cw.Write(scratch[:8]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(scratch[:8], uint64(len(s.events)))
-	if _, err := cw.Write(scratch[:8]); err != nil {
-		return err
-	}
-	if tiered {
-		// Base ID: the smallest hot ID (all hot IDs are contiguous up to
-		// nextID), or nextID itself when everything is sealed. Load seeds
-		// the sequence here so re-ingest reassigns the original IDs.
-		baseID := s.nextID.Load()
-		for _, slab := range slabs {
-			for i := range slab {
-				if uint64(slab[i].ID) < baseID {
-					baseID = uint64(slab[i].ID)
-				}
-			}
-		}
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(len(flows)))
-		if _, err := cw.Write(scratch[:8]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(scratch[:8], baseID)
-		if _, err := cw.Write(scratch[:8]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(s.lastTS.Load()))
-		if _, err := cw.Write(scratch[:8]); err != nil {
-			return err
-		}
-	}
-	if err := writeCRC(bw, cw); err != nil {
-		return err
-	}
+	sw.flush()
+
+	frames, links, size := []traffic.Frame(nil), []uint16(nil), frame.RecordsSize(nil)
 	cur := newMergeCursor(slabs)
-	for sp := cur.next(); sp != nil; sp = cur.next() {
-		h := frame.RecordHeader{TS: sp.TS, Link: sp.Link, Label: sp.Label, Actor: sp.Actor, DataLen: len(sp.Data)}
-		if _, err := cw.Write(h.Append(scratch[:0])); err != nil {
-			return err
+	for sp := cur.next(); ; sp = cur.next() {
+		if len(frames) > 0 && (sp == nil || size+frame.RecordHeaderSize+len(sp.Data) > loadChunk) {
+			sw.buf = frame.AppendRecords(sw.buf, frames, links)
+			sw.flush()
+			frames, links, size = frames[:0], links[:0], frame.RecordsSize(nil)
 		}
-		if _, err := cw.Write(sp.Data); err != nil {
-			return err
+		if sp == nil {
+			break
 		}
+		frames = append(frames, traffic.Frame{TS: sp.TS, Data: sp.Data, Label: sp.Label, Actor: sp.Actor})
+		links = append(links, sp.Link)
+		size += frame.RecordHeaderSize + len(sp.Data)
 	}
-	if err := writeCRC(bw, cw); err != nil {
-		return err
-	}
+
 	for i := range s.events {
-		ev := &s.events[i]
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(ev.TS))
-		scratch[8] = byte(ev.Source)
-		scratch[9] = byte(ev.Severity)
-		binary.LittleEndian.PutUint16(scratch[10:12], uint16(len(ev.Host)))
-		if _, err := cw.Write(scratch[:12]); err != nil {
-			return err
-		}
-		if _, err := cw.WriteString(ev.Host); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(ev.Message)))
-		if _, err := cw.Write(scratch[:4]); err != nil {
-			return err
-		}
-		if _, err := cw.WriteString(ev.Message); err != nil {
-			return err
-		}
+		sw.buf = appendEvent(sw.buf, &s.events[i])
+		sw.cut(false)
 	}
-	if err := writeCRC(bw, cw); err != nil {
-		return err
+	sw.cut(true)
+	for _, fm := range flows {
+		sw.buf = appendFlow(sw.buf, fm)
+		sw.cut(false)
 	}
-	if tiered {
-		for _, fm := range flows {
-			if err := writeFlowMeta(cw, fm); err != nil {
-				return err
-			}
-		}
-		if err := writeCRC(bw, cw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	sw.cut(true)
+	return sw.err
 }
 
-// writeFlowMeta serializes one flow aggregate (v3 flows section).
-func writeFlowMeta(cw *crcWriter, fm *FlowMeta) error {
-	var b [16]byte
-	addr := func(a netip.Addr) error {
-		flag := byte(0)
-		if a.Is4() {
-			flag = 1
-		}
-		if _, err := cw.Write([]byte{flag}); err != nil {
-			return err
-		}
+// snapWriter builds a snapshot's blocks in one buffer whose first
+// frame.BlockHeaderSize bytes are room for the header of the block being
+// built; the first write error sticks.
+type snapWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// flush writes the pending payload as one block.
+func (sw *snapWriter) flush() {
+	sw.write(sw.buf)
+	sw.buf = sw.buf[:frame.BlockHeaderSize]
+}
+
+// cut writes the pending section bytes as blocks of loadChunk bytes and
+// keeps the rest pending; at the section's end (last) the rest, if any, is
+// the last block. A block after the first is sealed in place: its header
+// overwrites the tail of the block just written.
+func (sw *snapWriter) cut(last bool) {
+	at := 0
+	for ; len(sw.buf)-frame.BlockHeaderSize-at >= loadChunk; at += loadChunk {
+		sw.write(sw.buf[at : at+frame.BlockHeaderSize+loadChunk])
+	}
+	if at > 0 {
+		sw.buf = append(sw.buf[:frame.BlockHeaderSize], sw.buf[frame.BlockHeaderSize+at:]...)
+	}
+	if last && len(sw.buf) > frame.BlockHeaderSize {
+		sw.flush()
+	}
+}
+
+func (sw *snapWriter) write(block []byte) {
+	frame.SealBlock(block)
+	if sw.err == nil {
+		_, sw.err = sw.w.Write(block)
+	}
+}
+
+func appendEvent(b []byte, ev *eventlog.Event) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint64(b, uint64(ev.TS))
+	b = append(b, byte(ev.Source), byte(ev.Severity))
+	b = le.AppendUint16(b, uint16(len(ev.Host)))
+	b = append(b, ev.Host...)
+	b = le.AppendUint32(b, uint32(len(ev.Message)))
+	return append(b, ev.Message...)
+}
+
+func appendFlow(b []byte, fm *FlowMeta) []byte {
+	le := binary.LittleEndian
+	b = append(b, byte(fm.Key.Proto))
+	for _, a := range []netip.Addr{fm.Key.SrcIP, fm.Key.DstIP} {
 		a16 := a.As16()
-		_, err := cw.Write(a16[:])
-		return err
+		b = append(append(b, boolByte(a.Is4())), a16[:]...)
 	}
-	if _, err := cw.Write([]byte{byte(fm.Key.Proto)}); err != nil {
-		return err
+	b = le.AppendUint16(b, fm.Key.SrcPort)
+	b = le.AppendUint16(b, fm.Key.DstPort)
+	for _, v := range []uint64{uint64(fm.First), uint64(fm.Last), fm.Packets, fm.Bytes, fm.PayloadBytes} {
+		b = le.AppendUint64(b, v)
 	}
-	if err := addr(fm.Key.SrcIP); err != nil {
-		return err
-	}
-	if err := addr(fm.Key.DstIP); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint16(b[:2], fm.Key.SrcPort)
-	binary.LittleEndian.PutUint16(b[2:4], fm.Key.DstPort)
-	if _, err := cw.Write(b[:4]); err != nil {
-		return err
-	}
-	for _, v := range []uint64{
-		uint64(fm.First), uint64(fm.Last), fm.Packets, fm.Bytes, fm.PayloadBytes,
-	} {
-		binary.LittleEndian.PutUint64(b[:8], v)
-		if _, err := cw.Write(b[:8]); err != nil {
-			return err
-		}
-	}
-	labeled := byte(0)
-	if fm.Labeled {
-		labeled = 1
-	}
-	b[0] = byte(fm.TCPFlags)
-	b[1] = byte(fm.Label)
-	b[2] = labeled
-	binary.LittleEndian.PutUint32(b[3:7], fm.DNSQueries)
-	binary.LittleEndian.PutUint32(b[7:11], fm.DNSResponses)
-	binary.LittleEndian.PutUint32(b[11:15], fm.DNSAnyCount)
-	if _, err := cw.Write(b[:15]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(fm.pktIDs)))
-	if _, err := cw.Write(b[:4]); err != nil {
-		return err
+	b = append(b, byte(fm.TCPFlags), byte(fm.Label), boolByte(fm.Labeled))
+	for _, v := range []uint32{fm.DNSQueries, fm.DNSResponses, fm.DNSAnyCount, uint32(len(fm.pktIDs))} {
+		b = le.AppendUint32(b, v)
 	}
 	for _, id := range fm.pktIDs {
-		binary.LittleEndian.PutUint64(b[:8], uint64(id))
-		if _, err := cw.Write(b[:8]); err != nil {
-			return err
-		}
+		b = le.AppendUint64(b, uint64(id))
 	}
-	return nil
+	return b
 }
 
-// readFlowMeta inverts writeFlowMeta.
-func readFlowMeta(cr *crcReader) (*FlowMeta, error) {
-	var b [16]byte
-	fm := &FlowMeta{}
-	addr := func() (netip.Addr, error) {
-		var hdr [17]byte
-		if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-			return netip.Addr{}, err
-		}
-		var a16 [16]byte
-		copy(a16[:], hdr[1:])
-		if hdr[0] == 1 {
-			var a4 [4]byte
-			copy(a4[:], hdr[13:17])
-			return netip.AddrFrom4(a4), nil
-		}
-		return netip.AddrFrom16(a16), nil
+func boolByte(v bool) byte {
+	if v {
+		return 1
 	}
-	if _, err := io.ReadFull(cr, b[:1]); err != nil {
-		return nil, err
+	return 0
+}
+
+var errShortItem = errors.New("item runs past its section")
+
+// parseEvent splits one event off the front of b onto evs, refusing one
+// older than the last.
+func parseEvent(evs *[]eventlog.Event, b []byte) ([]byte, error) {
+	le := binary.LittleEndian
+	if len(b) < 12 || len(b) < 16+int(le.Uint16(b[10:])) {
+		return nil, errShortItem
 	}
+	host := 12 + int(le.Uint16(b[10:]))
+	msg := host + 4 + int(le.Uint32(b[host:]))
+	if len(b) < msg {
+		return nil, errShortItem
+	}
+	ev := eventlog.Event{
+		TS:       time.Duration(le.Uint64(b)),
+		Source:   eventlog.Source(b[8]),
+		Severity: eventlog.Severity(b[9]),
+		Host:     string(b[12:host]),
+		Message:  string(b[host+4 : msg]),
+	}
+	if n := len(*evs); n > 0 && ev.TS < (*evs)[n-1].TS {
+		return nil, fmt.Errorf("at %v after %v", ev.TS, (*evs)[n-1].TS)
+	}
+	*evs = append(*evs, ev)
+	return b[msg:], nil
+}
+
+// parseFlow splits one flow aggregate off the front of b.
+func parseFlow(b []byte) (*FlowMeta, []byte, error) {
+	le := binary.LittleEndian
+	if len(b) < flowFixed {
+		return nil, nil, errShortItem
+	}
+	n := int(le.Uint32(b[flowFixed-4:]))
+	if (len(b)-flowFixed)/8 < n {
+		return nil, nil, errShortItem
+	}
+	fm := &FlowMeta{pktIDs: make([]PacketID, n)}
 	fm.Key.Proto = packet.IPProtocol(b[0])
-	var err error
-	if fm.Key.SrcIP, err = addr(); err != nil {
-		return nil, err
-	}
-	if fm.Key.DstIP, err = addr(); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(cr, b[:4]); err != nil {
-		return nil, err
-	}
-	fm.Key.SrcPort = binary.LittleEndian.Uint16(b[:2])
-	fm.Key.DstPort = binary.LittleEndian.Uint16(b[2:4])
-	var u64s [5]uint64
-	for i := range u64s {
-		if _, err := io.ReadFull(cr, b[:8]); err != nil {
-			return nil, err
+	for i, a := range []*netip.Addr{&fm.Key.SrcIP, &fm.Key.DstIP} {
+		is4 := b[1+17*i]
+		*a = netip.AddrFrom16([16]byte(b[2+17*i:]))
+		if is4 == 1 && a.Is4In6() {
+			*a = a.Unmap()
+		} else if is4 != 0 {
+			return nil, nil, fmt.Errorf("address form byte %d for %v", is4, *a)
 		}
-		u64s[i] = binary.LittleEndian.Uint64(b[:8])
 	}
-	fm.First = time.Duration(u64s[0])
-	fm.Last = time.Duration(u64s[1])
-	fm.Packets, fm.Bytes, fm.PayloadBytes = u64s[2], u64s[3], u64s[4]
-	if _, err := io.ReadFull(cr, b[:15]); err != nil {
-		return nil, err
+	f := b[35:flowFixed]
+	fm.Key.SrcPort, fm.Key.DstPort = le.Uint16(f), le.Uint16(f[2:])
+	fm.First, fm.Last = time.Duration(le.Uint64(f[4:])), time.Duration(le.Uint64(f[12:]))
+	fm.Packets, fm.Bytes, fm.PayloadBytes = le.Uint64(f[20:]), le.Uint64(f[28:]), le.Uint64(f[36:])
+	fm.TCPFlags, fm.Label, fm.Labeled = packet.TCPFlags(f[44]), traffic.Label(f[45]), f[46] == 1
+	if f[46] > 1 {
+		return nil, nil, fmt.Errorf("labeled byte %d", f[46])
 	}
-	fm.TCPFlags = packet.TCPFlags(b[0])
-	fm.Label = traffic.Label(b[1])
-	fm.Labeled = b[2] == 1
-	fm.DNSQueries = binary.LittleEndian.Uint32(b[3:7])
-	fm.DNSResponses = binary.LittleEndian.Uint32(b[7:11])
-	fm.DNSAnyCount = binary.LittleEndian.Uint32(b[11:15])
-	if _, err := io.ReadFull(cr, b[:4]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	if n > 1<<28 {
-		return nil, fmt.Errorf("%w: flow claims %d packet IDs", ErrBadSnapshot, n)
-	}
-	fm.pktIDs = make([]PacketID, n)
+	fm.DNSQueries, fm.DNSResponses, fm.DNSAnyCount = le.Uint32(f[47:]), le.Uint32(f[51:]), le.Uint32(f[55:])
+	b = b[flowFixed:]
 	for i := range fm.pktIDs {
-		if _, err := io.ReadFull(cr, b[:8]); err != nil {
-			return nil, err
-		}
-		fm.pktIDs[i] = PacketID(binary.LittleEndian.Uint64(b[:8]))
+		fm.pktIDs[i] = PacketID(le.Uint64(b[8*i:]))
 	}
-	return fm, nil
-}
-
-// writeCRC emits cw's accumulated section checksum (bypassing cw so the
-// checksum doesn't checksum itself) and resets it for the next section.
-func writeCRC(w io.Writer, cw *crcWriter) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], cw.crc)
-	cw.crc = 0
-	_, err := w.Write(b[:])
-	return err
-}
-
-// checkCRC reads a stored section checksum (bypassing cr) and compares it
-// against the accumulated one, resetting cr for the next section.
-func checkCRC(r io.Reader, cr *crcReader, section string) error {
-	sum := cr.crc
-	cr.crc = 0
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return fmt.Errorf("%w: %s crc: %v", ErrBadSnapshot, section, err)
-	}
-	if stored := binary.LittleEndian.Uint32(b[:]); stored != sum {
-		return fmt.Errorf("%w: %s section (stored %08x, computed %08x)", errChecksum, section, stored, sum)
-	}
-	return nil
+	return fm, b[8*n:], nil
 }
 
 // Load reads a snapshot into a fresh store, re-ingesting every packet so
-// all indexes and flow metadata are rebuilt. Truncated or corrupt
-// snapshots return an error wrapping ErrBadSnapshot (errChecksum for
-// checksum mismatches) — never a silently wrong store.
+// all indexes are rebuilt. A truncated, corrupt, non-canonical or
+// other-version snapshot returns an error wrapping ErrBadSnapshot (and
+// frame.ErrCorrupt for a block that fails its checksum) — never a silently
+// wrong store.
 func Load(r io.Reader) (*Store, error) { return load(r, 0, 0) }
 
 // load is Load into a store of the given shard count (0 = defaultShards),
-// applying packets through addBatch — the function WAL replay applies
-// through — one arena chunk of records at a time with the given parse
-// fan-out (0 = GOMAXPROCS). A snapshot holds the same bytes at any shard
-// count and loads to the same answers at any (shards, workers).
-func load(r io.Reader, shards, workers int) (*Store, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, 4+2)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadSnapshot, err)
-	}
-	if string(head[:4]) != persistMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadSnapshot, head[:4])
-	}
-	v := binary.LittleEndian.Uint16(head[4:6])
-	if v != persistVersion && v != persistVersionTiered {
-		return nil, fmt.Errorf("%w: version %d", ErrBadSnapshot, v)
-	}
-	tiered := v == persistVersionTiered
-	cr := &crcReader{r: br}
-	var counts [16]byte
-	if _, err := io.ReadFull(cr, counts[:]); err != nil {
-		return nil, fmt.Errorf("%w: header counts: %v", ErrBadSnapshot, err)
-	}
-	nPkts := binary.LittleEndian.Uint64(counts[:8])
-	nEvts := binary.LittleEndian.Uint64(counts[8:16])
-	var nFlows, baseID, storedLastTS uint64
-	if tiered {
-		var extra [24]byte
-		if _, err := io.ReadFull(cr, extra[:]); err != nil {
-			return nil, fmt.Errorf("%w: tiered header: %v", ErrBadSnapshot, err)
+// applying each packet block through addBatch — the function WAL replay
+// applies through — with the given parse fan-out (0 = GOMAXPROCS). A
+// snapshot holds the same bytes at any shard count and loads to the same
+// answers at any (shards, workers).
+func load(r io.Reader, shards, workers int) (_ *Store, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 		}
-		nFlows = binary.LittleEndian.Uint64(extra[:8])
-		baseID = binary.LittleEndian.Uint64(extra[8:16])
-		storedLastTS = binary.LittleEndian.Uint64(extra[16:24])
+	}()
+	var scratch []byte
+	block := func(max int) (p []byte, err error) {
+		if p, err = frame.ReadBlock(r, max, &scratch); err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return p, err
 	}
-	if err := checkCRC(br, cr, "header"); err != nil {
-		return nil, err
+	// section splits n items off a stream section with item. It reads a
+	// block only when the next item runs past the bytes in hand, so what it
+	// holds grows with the bytes read, never with n; only the section's last
+	// block may be short, and no bytes may follow its last item.
+	section := func(n uint64, item func([]byte) ([]byte, error)) error {
+		var b []byte
+		for full := true; n > 0; {
+			rest, err := item(b)
+			if err == errShortItem && full {
+				var p []byte
+				if p, err = block(loadChunk); err == nil {
+					b, full = append(b, p...), len(p) == loadChunk
+					continue
+				}
+			}
+			if err != nil {
+				return err
+			}
+			b, n = rest, n-1
+		}
+		if len(b) > 0 {
+			return fmt.Errorf("%d bytes after the last item", len(b))
+		}
+		return nil
 	}
+	le := binary.LittleEndian
+	var pre [6]byte
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
+		return nil, fmt.Errorf("preamble: %w", err)
+	}
+	if v := le.Uint16(pre[4:]); string(pre[:4]) != persistMagic || v != persistVersion {
+		return nil, fmt.Errorf("magic %q version %d (this build reads %s version %d only)", pre[:4], v, persistMagic, persistVersion)
+	}
+	h, err := block(snapHeaderSize)
+	if err == nil && len(h) != snapHeaderSize {
+		err = fmt.Errorf("%d bytes", len(h))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("header: %w", err)
+	}
+	nPkts, nEvts, nFlows := le.Uint64(h), le.Uint64(h[8:]), le.Uint64(h[16:])
+	baseID, lastTS := le.Uint64(h[24:]), int64(le.Uint64(h[32:]))
 
 	st := NewSharded(shards)
-	if tiered {
-		// Seed the ID sequence so re-ingest reassigns the ORIGINAL hot IDs:
-		// cold segments reference packets by ID, so recovery must not
-		// renumber the hot tier underneath them.
-		st.nextID.Store(baseID)
-	}
-	var scratch [frame.RecordHeaderSize]byte
-	var arena []byte
-	// The stored link ids ride beside the frames so flow metadata and the
-	// secondary indexes (the link posting lists included) rebuild exactly
-	// as they were at save time.
-	var frames []traffic.Frame
-	var links []uint16
-	flush := func() {
-		st.addBatch(frames, links, workers)
-		frames, links = frames[:0], links[:0]
-	}
-	for i := uint64(0); i < nPkts; i++ {
-		if _, err := io.ReadFull(cr, scratch[:]); err != nil {
-			return nil, fmt.Errorf("%w: packet %d header: %v", ErrBadSnapshot, i, err)
-		}
-		h, err := frame.ParseRecordHeader(scratch[:])
+	st.nextID.Store(baseID)
+	prevTS, prevSize := time.Duration(st.lastTS.Load()), 0
+	for left := nPkts; left > 0; {
+		p, err := block(snapBlockMax)
 		if err != nil {
-			return nil, fmt.Errorf("%w: packet %d: %v", ErrBadSnapshot, i, err)
+			return nil, fmt.Errorf("packets: %w", err)
 		}
-		// Packet bytes are cut from shared chunks with their capacity
-		// fenced off, like a decoded batch's arena (frame.DecodeRecords);
-		// a chunk is sized by a constant or one checked record length. A
-		// full chunk's records are applied as one batch.
-		if arena == nil || h.DataLen > cap(arena)-len(arena) {
-			flush()
-			arena = make([]byte, 0, max(loadChunk, h.DataLen))
+		frames, links, err := frame.DecodeRecords(p)
+		switch {
+		case err != nil:
+		case len(frames) == 0 || uint64(len(frames)) > left:
+			err = fmt.Errorf("block of %d records, %d left", len(frames), left)
+		case len(p) > loadChunk && len(frames) > 1, prevSize > 0 && prevSize+frame.RecordHeaderSize+len(frames[0].Data) <= loadChunk:
+			err = fmt.Errorf("%d-byte block of %d records cut off the chunk budget", len(p), len(frames))
 		}
-		at := len(arena)
-		arena = arena[:at+h.DataLen]
-		data := arena[at:len(arena):len(arena)]
-		if _, err := io.ReadFull(cr, data); err != nil {
-			return nil, fmt.Errorf("%w: packet %d body: %v", ErrBadSnapshot, i, err)
-		}
-		frames = append(frames, traffic.Frame{TS: h.TS, Data: data, Label: h.Label, Actor: h.Actor})
-		links = append(links, h.Link)
-	}
-	if err := checkCRC(br, cr, "packets"); err != nil {
-		return nil, err
-	}
-	flush()
-	evs := make([]eventlog.Event, 0, min(nEvts, 1<<16))
-	for i := uint64(0); i < nEvts; i++ {
-		if _, err := io.ReadFull(cr, scratch[:12]); err != nil {
-			return nil, fmt.Errorf("%w: event %d header: %v", ErrBadSnapshot, i, err)
-		}
-		var ev eventlog.Event
-		ev.TS = time.Duration(binary.LittleEndian.Uint64(scratch[:8]))
-		ev.Source = eventlog.Source(scratch[8])
-		ev.Severity = eventlog.Severity(scratch[9])
-		hostLen := binary.LittleEndian.Uint16(scratch[10:12])
-		host := make([]byte, hostLen)
-		if _, err := io.ReadFull(cr, host); err != nil {
-			return nil, fmt.Errorf("%w: event %d host: %v", ErrBadSnapshot, i, err)
-		}
-		ev.Host = string(host)
-		if _, err := io.ReadFull(cr, scratch[:4]); err != nil {
-			return nil, fmt.Errorf("%w: event %d msg len: %v", ErrBadSnapshot, i, err)
-		}
-		msgLen := binary.LittleEndian.Uint32(scratch[:4])
-		if msgLen > 1<<20 {
-			return nil, fmt.Errorf("%w: event %d claims %d-byte message", ErrBadSnapshot, i, msgLen)
-		}
-		msg := make([]byte, msgLen)
-		if _, err := io.ReadFull(cr, msg); err != nil {
-			return nil, fmt.Errorf("%w: event %d msg: %v", ErrBadSnapshot, i, err)
-		}
-		ev.Message = string(msg)
-		evs = append(evs, ev)
-	}
-	if err := checkCRC(br, cr, "events"); err != nil {
-		return nil, err
-	}
-	if len(evs) > 0 {
-		st.AddEvents(evs)
-	}
-	if tiered {
-		// Overlay the persisted flow aggregates: re-ingest above rebuilt only
-		// the hot packets' share, but a flow that straddles the seal boundary
-		// (or lives entirely in cold segments) has byte/packet totals and ID
-		// lists the hot slabs cannot reproduce.
-		if nFlows > 1<<32 {
-			return nil, fmt.Errorf("%w: header claims %d flows", ErrBadSnapshot, nFlows)
-		}
-		for i := uint64(0); i < nFlows; i++ {
-			fm, err := readFlowMeta(cr)
-			if err != nil {
-				return nil, fmt.Errorf("%w: flow %d: %v", ErrBadSnapshot, i, err)
+		for i := 0; err == nil && i < len(frames); i++ {
+			if frames[i].TS < prevTS {
+				err = fmt.Errorf("record at %v after %v", frames[i].TS, prevTS)
 			}
-			sh := st.shards[fm.Key.Hash()&st.mask]
-			if old, ok := sh.flows[fm.Key]; ok {
-				if d := len(fm.pktIDs) - len(old.pktIDs); d > 0 {
-					sh.indexBytes += 8 * uint64(d)
-				}
-			} else {
-				sh.indexBytes += 96 + 8*uint64(len(fm.pktIDs))
-			}
-			sh.flows[fm.Key] = fm
+			prevTS = frames[i].TS
 		}
-		if err := checkCRC(br, cr, "flows"); err != nil {
+		if err != nil {
+			return nil, fmt.Errorf("packets: %w", err)
+		}
+		st.addBatch(frames, links, workers)
+		left -= uint64(len(frames))
+		prevSize = len(p)
+	}
+	if lastTS < int64(prevTS) {
+		return nil, fmt.Errorf("TS watermark %v below the last packet's %v", time.Duration(lastTS), prevTS)
+	}
+	st.lastTS.Store(lastTS)
+
+	var evs []eventlog.Event
+	if err := section(nEvts, func(b []byte) ([]byte, error) { return parseEvent(&evs, b) }); err != nil {
+		return nil, fmt.Errorf("events: %w", err)
+	}
+	st.AddEvents(evs)
+
+	// Overlay the persisted flow aggregates: re-ingest above rebuilt only
+	// the hot packets' share, but a flow that straddles an eviction or the
+	// seal boundary (or lives entirely in cold segments) has totals and ID
+	// lists the hot slabs cannot reproduce.
+	var prev *FlowMeta
+	err = section(nFlows, func(b []byte) ([]byte, error) {
+		fm, rest, err := parseFlow(b)
+		if err == nil && prev != nil && !flowBefore(prev, fm) {
+			err = errors.New("out of order")
+		}
+		if err != nil {
 			return nil, err
 		}
-		if int64(storedLastTS) > st.lastTS.Load() {
-			st.lastTS.Store(int64(storedLastTS))
+		prev = fm
+		sh, had := st.shards[fm.Key.Hash()&st.mask], 0
+		if old, ok := sh.flows[fm.Key]; ok {
+			had = 96 + 8*len(old.pktIDs)
 		}
+		sh.indexBytes += uint64(max(96+8*len(fm.pktIDs)-had, 0))
+		sh.flows[fm.Key] = fm
+		return rest, nil
+	})
+	if n := st.Stats().Flows; err == nil && n != nFlows {
+		err = fmt.Errorf("%d persisted, %d after load", nFlows, n)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("flows: %w", err)
+	}
+	if _, err := io.ReadFull(r, pre[:1]); err != io.EOF {
+		return nil, errors.New("bytes after the flows")
 	}
 	return st, nil
 }

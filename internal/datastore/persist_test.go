@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"campuslab/internal/eventlog"
 	"campuslab/internal/faults"
+	"campuslab/internal/frame"
+	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
 )
 
@@ -95,33 +100,112 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	}
 }
 
+// handSnapshot lays out a v4 snapshot by hand: the preamble, a header
+// block of counts {packets, events, flows, base ID, last TS}, then payloads
+// as blocks — every checksum right, so only what the fields say is wrong.
+func handSnapshot(counts [5]uint64, payloads ...[]byte) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint16([]byte(persistMagic), persistVersion)
+	var h []byte
+	for _, c := range counts {
+		h = le.AppendUint64(h, c)
+	}
+	b = frame.AppendBlock(b, h)
+	for _, p := range payloads {
+		b = frame.AppendBlock(b, p)
+	}
+	return b
+}
+
+// twinFlowFrames returns a UDP packet over IPv4 and the same packet over
+// IPv6 between the ::ffff:-mapped forms of its addresses, at one TS: two
+// flows whose keys differ but whose hashes and first times are equal.
+func twinFlowFrames(t testing.TB) []traffic.Frame {
+	v4 := serializeFrame(t, []byte("twin"),
+		&packet.Ethernet{EtherType: packet.EtherTypeIPv4},
+		&packet.IPv4{TTL: 64, Protocol: packet.IPProtocolUDP,
+			SrcIP: netip.MustParseAddr("10.0.0.1"), DstIP: netip.MustParseAddr("10.0.0.2")},
+		&packet.UDP{SrcPort: 5000, DstPort: 53},
+	)
+	udp := v4[14+20:]
+	v6 := append(bytes.Clone(v4[:12]), 0x86, 0xdd, 6<<4, 0, 0, 0)
+	v6 = binary.BigEndian.AppendUint16(v6, uint16(len(udp)))
+	v6 = append(v6, byte(packet.IPProtocolUDP), 64)
+	for _, a := range []string{"::ffff:10.0.0.1", "::ffff:10.0.0.2"} {
+		a16 := netip.MustParseAddr(a).As16()
+		v6 = append(v6, a16[:]...)
+	}
+	v6 = append(v6, udp...)
+	return []traffic.Frame{{TS: time.Second, Data: v4}, {TS: time.Second, Data: v6}}
+}
+
+// packetBlockEnds returns the offset just past each packet block of a
+// snapshot Save wrote.
+func packetBlockEnds(t *testing.T, snap []byte) []int {
+	t.Helper()
+	h, _, rest, err := frame.Next(snap[6:], snapHeaderSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	for left := binary.LittleEndian.Uint64(h); left > 0; {
+		var p []byte
+		if p, _, rest, err = frame.Next(rest, snapBlockMax); err != nil {
+			t.Fatal(err)
+		}
+		left -= uint64(binary.LittleEndian.Uint32(p))
+		ends = append(ends, len(snap)-len(rest))
+	}
+	return ends
+}
+
 func TestLoadRejectsAbsurdLengths(t *testing.T) {
-	// Hand-built v2 header (with a valid header CRC) claiming one packet
-	// with a 1 GiB body: the length sanity check must fire before any
-	// allocation, not the section checksum at the end.
-	counts := make([]byte, 16)
-	counts[0] = 1 // 1 packet, 0 events
-	var buf bytes.Buffer
-	buf.WriteString("CLDS")
-	buf.Write([]byte{2, 0}) // version
-	buf.Write(counts)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(counts))
-	buf.Write(crc[:])
-	buf.Write(make([]byte, 12))      // packet header
-	buf.Write([]byte{0, 0, 0, 0x40}) // len = 1 GiB
-	if _, err := Load(&buf); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("want ErrBadSnapshot, got %v", err)
+	// Each snapshot claims more than it holds, with every checksum right:
+	// the length checks must fire before anything is allocated for the
+	// claim, not the end of the input.
+	le := binary.LittleEndian
+	record := func(dlen uint32) []byte {
+		b := le.AppendUint32(nil, 1)       // one record
+		b = append(b, make([]byte, 12)...) // ts, link, label, actor
+		return le.AppendUint32(b, dlen)    // the claimed data length
+	}
+	flow := le.AppendUint32(make([]byte, 94), 1<<31) // a flow claiming 2^31 packet IDs
+	cases := map[string][]byte{
+		"1 GiB packet block": append(handSnapshot([5]uint64{1, 0, 0, 0, 0}), 0, 0, 0, 0x40, 0, 0, 0, 0),
+		"1 GiB record":       handSnapshot([5]uint64{1, 0, 0, 0, 0}, record(1<<30)),
+		"1 GiB event":        handSnapshot([5]uint64{0, 1 << 40, 0, 0, 0}, le.AppendUint32(make([]byte, 12), 1<<30)),
+		"2^31-ID flow":       handSnapshot([5]uint64{0, 0, 1 << 40, 0, 0}, flow),
+	}
+	for name, snap := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(bytes.NewReader(snap))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: want ErrBadSnapshot, got %v", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 8<<20 {
+			t.Errorf("%s: loading a %d-byte snapshot allocated %d bytes", name, len(snap), n)
+		}
 	}
 }
 
 func TestLoadRejectsOldVersion(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("CLDS")
-	buf.Write([]byte{1, 0}) // v1: pre-checksum format, no longer readable
-	buf.Write(make([]byte, 20))
-	if _, err := Load(&buf); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("want ErrBadSnapshot for v1 snapshot, got %v", err)
+	var v1 bytes.Buffer
+	v1.WriteString("CLDS")
+	v1.Write([]byte{1, 0}) // v1: pre-checksum format, no longer readable
+	v1.Write(make([]byte, 20))
+	// v2 (untiered) and v3 (tiered) streamed CRC-checked sections; their
+	// readers are gone too, and the pinned files must be refused by name.
+	for v, snap := range map[int][]byte{
+		1: v1.Bytes(),
+		2: formatFixture(t, "snapshot-v2.clds"),
+		3: formatFixture(t, "snapshot-v3.clds"),
+	} {
+		_, err := Load(bytes.NewReader(snap))
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), fmt.Sprintf("version %d ", v)) {
+			t.Errorf("want ErrBadSnapshot naming version %d, got %v", v, err)
+		}
 	}
 }
 
@@ -148,10 +232,10 @@ func TestLoadDetectsBitFlips(t *testing.T) {
 		}
 	}
 	// A flip in the middle of packet payload bytes is only catchable by
-	// the checksum: verify it reports as errChecksum specifically.
+	// the checksum: verify it reports as a corrupt block specifically.
 	mut := append([]byte(nil), full...)
 	mut[len(full)/3] ^= 0x01
-	if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, errChecksum) && !errors.Is(err, ErrBadSnapshot) {
+	if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, frame.ErrCorrupt) || !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("payload flip: want typed corruption error, got %v", err)
 	}
 }

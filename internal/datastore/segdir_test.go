@@ -4,12 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"campuslab/internal/frame"
 )
 
 // Tests for the segment directory and the row cursor: residency under the
@@ -299,7 +300,7 @@ func corruptColumn(t *testing.T, path string, col byte, reseal bool) {
 		if id == col {
 			b[off+9+n/2] ^= 0x55
 			if reseal {
-				binary.LittleEndian.PutUint32(b[off+5:off+9], crc32.ChecksumIEEE(b[off+9:off+9+n]))
+				binary.LittleEndian.PutUint32(b[off+5:off+9], frame.Sum(b[off+9:off+9+n]))
 			}
 			break
 		}

@@ -13,6 +13,7 @@
 package datastore
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"sort"
@@ -681,15 +682,23 @@ func (s *Store) Flows() []FlowMeta {
 	return out
 }
 
-// sortFlows orders flow snapshots deterministically: by first packet time,
-// ties broken by key hash — the shard-merge order every listing uses.
+// flowBefore is the total flow order every listing and snapshot uses: by
+// first packet time, then key hash, then the key itself — two keys can
+// share a hash (an IPv4 flow and its ::ffff:-mapped IPv6 twin always do).
+func flowBefore(a, b *FlowMeta) bool {
+	if a.First != b.First {
+		return a.First < b.First
+	}
+	if ha, hb := a.Key.Hash(), b.Key.Hash(); ha != hb {
+		return ha < hb
+	}
+	return cmp.Or(cmp.Compare(a.Key.Proto, b.Key.Proto), a.Key.SrcIP.Compare(b.Key.SrcIP), a.Key.DstIP.Compare(b.Key.DstIP),
+		cmp.Compare(a.Key.SrcPort, b.Key.SrcPort), cmp.Compare(a.Key.DstPort, b.Key.DstPort)) < 0
+}
+
+// sortFlows orders flow snapshots by flowBefore.
 func sortFlows(out []FlowMeta) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].First != out[j].First {
-			return out[i].First < out[j].First
-		}
-		return out[i].Key.Hash() < out[j].Key.Hash()
-	})
+	sort.Slice(out, func(i, j int) bool { return flowBefore(&out[i], &out[j]) })
 }
 
 // AddEvents ingests complementary sensor events (already clock-corrected).

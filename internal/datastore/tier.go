@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"campuslab/internal/faults"
+	"campuslab/internal/frame"
 	"campuslab/internal/obs"
 	"campuslab/internal/parallel"
 )
@@ -295,7 +295,7 @@ func (tr *tier) writeManifestLocked(sealedBelow PacketID, segs []*tierSegment) e
 		b = le.AppendUint16(b, uint16(len(sg.name)))
 		b = append(b, sg.name...)
 	}
-	b = le.AppendUint32(b, crc32.ChecksumIEEE(b))
+	b = le.AppendUint32(b, frame.Sum(b))
 	return tr.publishFile(tierManifestName, b)
 }
 
@@ -319,7 +319,7 @@ func loadManifest(dir string) (sealedBelow PacketID, nextSeq uint64, names []str
 	}
 	le := binary.LittleEndian
 	body, sum := b[:len(b)-4], le.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
+	if frame.Sum(body) != sum {
 		return 0, 0, nil, false, bad("checksum mismatch")
 	}
 	if v := le.Uint16(b[4:]); v != tierManifestVer {

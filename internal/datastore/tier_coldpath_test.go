@@ -3,13 +3,14 @@ package datastore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"campuslab/internal/frame"
 )
 
 // Tests for the cold-tier query fast path: read-path equivalence, the
@@ -411,7 +412,7 @@ func TestSegmentPartialDecodeIsolatesCorruptBlock(t *testing.T) {
 	for {
 		id, n := blob[off], int(binary.LittleEndian.Uint32(blob[off+1:off+5]))
 		if id == segColData {
-			binary.LittleEndian.PutUint32(blob[off+5:off+9], crc32.ChecksumIEEE(blob[off+9:off+9+n]))
+			binary.LittleEndian.PutUint32(blob[off+5:off+9], frame.Sum(blob[off+9:off+9+n]))
 			break
 		}
 		off += 9 + n

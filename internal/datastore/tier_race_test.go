@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -171,6 +172,13 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
+	// rounds[g] counts query goroutine g's completed rounds. The ingester
+	// lands its next batch only once every goroutine has completed a round
+	// since the previous one, so queries and seals interleave by
+	// construction: an ingester that ran ahead would leave no directory to
+	// reuse. A goroutine that stops parks its count at MaxInt64, which the
+	// ingester no longer waits on.
+	var rounds [3]atomic.Int64
 
 	wg.Add(1)
 	go func() { // ingester
@@ -181,11 +189,20 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 			if hi > len(frames) {
 				hi = len(frames)
 			}
+			var seen [len(rounds)]int64
+			for g := range rounds {
+				seen[g] = rounds[g].Load()
+			}
 			if _, err := s.AddBatch(frames[lo:hi], 2); err != nil {
 				t.Errorf("AddBatch: %v", err)
 				return
 			}
 			lo = hi
+			for g := range rounds {
+				for seen[g] != math.MaxInt64 && rounds[g].Load() == seen[g] {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
 		}
 	}()
 
@@ -203,10 +220,11 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 		}
 	}()
 
-	for g := 0; g < 3; g++ { // cache-hitting query load
+	for g := range rounds { // cache-hitting query load
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer rounds[g].Store(math.MaxInt64)
 			var lastN, lastMeta int
 			for {
 				select {
@@ -230,6 +248,7 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 				}
 				lastMeta = m
 				s.packetsBetween(0, -1)
+				rounds[g].Add(1)
 			}
 		}()
 	}

@@ -385,7 +385,7 @@ func TestCompactTierMergesSmallSegments(t *testing.T) {
 }
 
 // TestTieredDurableRecovery: a durable store with tiering survives a clean
-// close/recover cycle — v3 snapshot, WAL replay, segment re-attach — with
+// close/recover cycle — snapshot, WAL replay, segment re-attach — with
 // every surface identical, including after a reshard.
 func TestTieredDurableRecovery(t *testing.T) {
 	frames := tierFrames(t)
@@ -408,7 +408,7 @@ func TestTieredDurableRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.CheckpointDir(dir); err != nil { // v3 snapshot under a live tier
+	if err := st.CheckpointDir(dir); err != nil { // snapshot under a live tier
 		t.Fatal(err)
 	}
 	for lo := mid; lo < len(frames); lo += 500 {

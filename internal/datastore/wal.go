@@ -36,7 +36,7 @@ import (
 // Replay walks segments in ascending sequence order and stops — cleanly,
 // never with a panic — at the first invalid byte: a short header, a bad
 // magic, a record length past the segment end, a checksum mismatch, or a
-// packet record the shared parser refuses (frame.ParseRecordHeader).
+// packet record the shared parser refuses (frame.DecodeRecords).
 // Everything before that point is applied; everything after (including
 // later segments) is discarded, so the recovered store is always a prefix
 // of the acknowledged batch stream.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -414,6 +415,138 @@ func TestRecoverSnapshotPlusWAL(t *testing.T) {
 	st2.CloseWAL()
 }
 
+// TestRecoverAfterEviction: an untiered durable store that evicted before
+// its checkpoint, then acked more batches into the WAL, recovers with every
+// acked PacketID naming the same packet and every flow aggregate unchanged.
+// The flows that straddle the eviction keep their whole-flow totals, which
+// the surviving rows alone cannot rebuild.
+func TestRecoverAfterEviction(t *testing.T) {
+	frames := tierFrames(t)
+	if raceEnabled { // every check is per packet; a third of the scenario keeps the race pass in budget
+		frames = frames[:2000]
+	}
+	dir := t.TempDir()
+	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4}
+	st, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acked []PacketID
+	ingest := func(fs []traffic.Frame) {
+		for lo := 0; lo < len(fs); lo += 500 {
+			hi := min(lo+500, len(fs))
+			first, err := st.AddBatch(fs[lo:hi], 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range hi - lo {
+				acked = append(acked, first+PacketID(i))
+			}
+		}
+	}
+	mid := len(frames) / 2
+	ingest(frames[:mid])
+	if n := st.EvictBefore(frames[mid/2].TS); n == 0 {
+		t.Fatal("nothing evicted")
+	}
+	if err := st.CheckpointDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ingest(frames[mid:])
+	type lookup struct {
+		sp StoredPacket
+		ok bool
+	}
+	want := make([]lookup, len(acked))
+	for i, id := range acked {
+		want[i].sp, want[i].ok = st.Packet(id)
+	}
+	wantFlows := st.Flows()
+	st.CloseWAL()
+
+	rec, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.CloseWAL()
+	t.Run("acked-ids", func(t *testing.T) {
+		moved := 0
+		for i, id := range acked {
+			sp, ok := rec.Packet(id)
+			if ok != want[i].ok || ok && (sp.TS != want[i].sp.TS || !bytes.Equal(sp.Data, want[i].sp.Data)) {
+				if moved++; moved <= 3 {
+					t.Errorf("acked packet %d: found=%v after recovery, found=%v before (or its bytes differ)", id, ok, want[i].ok)
+				}
+			}
+		}
+		if moved > 0 {
+			t.Errorf("%d of %d acked IDs resolve differently after recovery", moved, len(acked))
+		}
+	})
+	t.Run("flows", func(t *testing.T) {
+		got := rec.Flows()
+		if len(got) != len(wantFlows) {
+			t.Fatalf("%d flows after recovery, %d before", len(got), len(wantFlows))
+		}
+		changed := 0
+		for i := range got {
+			g, w := &got[i], &wantFlows[i]
+			if g.Key != w.Key || g.Packets != w.Packets || g.Bytes != w.Bytes || !reflect.DeepEqual(g.PacketIDs(), w.PacketIDs()) {
+				changed++
+			}
+		}
+		if changed > 0 {
+			t.Errorf("%d of %d flows changed key, Packets, Bytes or PacketIDs across recovery", changed, len(got))
+		}
+	})
+}
+
+// TestRecoverTwinFlows checkpoints two flows that tie on first time and key
+// hash (an IPv4 flow and its ::ffff:-mapped IPv6 twin): the snapshot must
+// order them by key, so Recover loads it and re-saves the same bytes.
+func TestRecoverTwinFlows(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone}
+	st, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddBatch(twinFlowFrames(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	fs := st.Flows()
+	if len(fs) != 2 || fs[0].Key == fs[1].Key || fs[0].Key.Hash() != fs[1].Key.Hash() || fs[0].First != fs[1].First {
+		t.Fatalf("want two distinct flows tied on first time and hash, got %+v", fs)
+	}
+	if err := st.CheckpointDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	st.CloseWAL()
+	rec, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.CloseWAL()
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*"+snapSuffix))
+	if len(snaps) != 1 {
+		t.Fatalf("checkpoints: %v", snaps)
+	}
+	want, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := rec.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("recovered store re-saves %d bytes, the checkpoint holds %d different ones", got.Len(), len(want))
+	}
+	if !reflect.DeepEqual(rec.Flows(), fs) {
+		t.Errorf("flows after recovery %+v, before %+v", rec.Flows(), fs)
+	}
+}
+
 func TestRecoverTornWALIsPrefix(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: 2}
@@ -689,26 +822,36 @@ func TestCheckpointCrashMidTruncateNoDuplicates(t *testing.T) {
 }
 
 func TestRecoverRefusesLegacySnapshot(t *testing.T) {
-	// A directory written before checkpoints were coverage-stamped holds a
-	// bare snapshot.clds. This build no longer reads it, and must say so
-	// rather than start an empty store over checkpointed data.
-	dir := t.TempDir()
+	// Two checkpoints this build no longer reads: a bare snapshot.clds,
+	// written before checkpoints were coverage-stamped, and a stamped
+	// checkpoint in snapshot version 3. Recover must say so rather than
+	// start an empty store over checkpointed data, and touch neither.
 	st := NewSharded(2)
 	st.addBatch(walFrames(16, 37), nil, 1)
+	for name, snap := range map[string][]byte{
+		bareSnapshot: storeBytes(t, st),
+		snapName(7):  formatFixture(t, "snapshot-v3.clds"),
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Recover(DurableConfig{Dir: dir, Shards: 2}); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("Recover over %s: err = %v, want ErrBadSnapshot", name, err)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, snap) {
+			t.Fatalf("refused recovery touched %s: %v", name, err)
+		}
+		if seqs, _ := listSegments(dir); len(seqs) != 0 {
+			t.Fatalf("refused recovery over %s opened a WAL: segments %v", name, seqs)
+		}
+	}
+
+	// Beside a stamped checkpoint the bare legacy file is ignored.
+	dir := t.TempDir()
 	if err := st.SaveFile(filepath.Join(dir, bareSnapshot)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Recover(DurableConfig{Dir: dir, Shards: 2}); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("Recover over a bare legacy snapshot: err = %v, want ErrBadSnapshot", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, bareSnapshot)); err != nil {
-		t.Fatalf("refused recovery touched the legacy snapshot: %v", err)
-	}
-	if seqs, _ := listSegments(dir); len(seqs) != 0 {
-		t.Fatalf("refused recovery opened a WAL: segments %v", seqs)
-	}
-
-	// Beside a stamped checkpoint the legacy file is ignored.
 	if err := st.CheckpointDir(dir); err != nil {
 		t.Fatal(err)
 	}

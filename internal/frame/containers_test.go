@@ -16,7 +16,7 @@ import (
 )
 
 // The three containers that carry packet records — a WAL record, a fleet
-// batch and a snapshot's packets section — share one record parser, so one
+// batch and a snapshot's packet block — share one record parser, so one
 // malformed record gets one verdict. Every checksum below is recomputed
 // over the malformed bytes: the only thing wrong is the field (or the
 // count, or the tail) under test. At PR 17 the label and actor rows
@@ -36,15 +36,15 @@ func goodFrames() []traffic.Frame {
 	return frames
 }
 
-// snapshotOf wraps records (record headers + data, no list count) as a v2
-// snapshot with count packets and no events.
-func snapshotOf(count uint64, records []byte) []byte {
+// snapshotOf wraps a record list as the one packet block of a v4 snapshot
+// whose header claims the list's count, no events, no flows, base ID 0 and
+// a TS watermark of last.
+func snapshotOf(list []byte, last time.Duration) []byte {
 	le := binary.LittleEndian
-	b := le.AppendUint16([]byte("CLDS"), 2)
-	counts := le.AppendUint64(le.AppendUint64(nil, count), 0)
-	b = le.AppendUint32(append(b, counts...), frame.Sum(counts))
-	b = le.AppendUint32(append(b, records...), frame.Sum(records))
-	return le.AppendUint32(b, frame.Sum(nil)) // empty events section
+	b := le.AppendUint16([]byte("CLDS"), 4)
+	header := le.AppendUint64(le.AppendUint64(le.AppendUint64(nil, uint64(le.Uint32(list))), 0), 0)
+	b = frame.AppendBlock(b, le.AppendUint64(le.AppendUint64(header, 0), uint64(last)))
+	return frame.AppendBlock(b, list)
 }
 
 func TestOneRecordOneVerdict(t *testing.T) {
@@ -120,9 +120,8 @@ func TestOneRecordOneVerdict(t *testing.T) {
 				t.Errorf("WAL replay: %d records, clean=%v; want %d, clean=%v, the acked batch first", records, clean, wantRecords, tc.ok)
 			}
 
-			// Snapshot: the same records as its packets section.
-			count := uint64(le.Uint32(tc.list))
-			st, err := datastore.Load(bytes.NewReader(snapshotOf(count, tc.list[4:])))
+			// Snapshot: the same list as its packet block.
+			st, err := datastore.Load(bytes.NewReader(snapshotOf(tc.list, prefix[2].TS)))
 			if (err == nil) != tc.ok || (err != nil && !errors.Is(err, datastore.ErrBadSnapshot)) {
 				t.Errorf("datastore.Load: %v", err)
 			}

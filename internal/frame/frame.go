@@ -8,9 +8,10 @@
 //
 // A WAL record is a block holding a list; a fleet message is a type byte
 // and a block, its batch payload a u64 sequence and a list; a segment
-// column is an id byte and a block; a snapshot streams record headers and
-// data under a section checksum. The containers keep their magics,
-// versions and error sentinels (DESIGN.md §16) and wrap ErrCorrupt in them.
+// column is an id byte and a block; a snapshot is checked blocks: a header
+// block, blocks of record lists, then event and flow blocks. The
+// containers keep their magics, versions and error sentinels (DESIGN.md
+// §16) and wrap ErrCorrupt in them.
 //
 // Decoding never panics and never allocates from an unchecked length.
 package frame
@@ -119,9 +120,9 @@ func ReadBlock(r io.Reader, max int, scratch *[]byte) ([]byte, error) {
 	return payload, nil
 }
 
-// RecordHeader is one packet record's fixed fields; DataLen raw bytes
+// recordHeader is one packet record's fixed fields; DataLen raw bytes
 // follow it.
-type RecordHeader struct {
+type recordHeader struct {
 	TS      time.Duration
 	Link    uint16
 	Label   traffic.Label
@@ -129,8 +130,8 @@ type RecordHeader struct {
 	DataLen int
 }
 
-// Append appends the header's RecordHeaderSize bytes.
-func (h RecordHeader) Append(dst []byte) []byte {
+// appendTo appends the header's RecordHeaderSize bytes.
+func (h recordHeader) appendTo(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(h.TS))
 	dst = binary.LittleEndian.AppendUint16(dst, h.Link)
 	actor := byte(0)
@@ -141,19 +142,19 @@ func (h RecordHeader) Append(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(h.DataLen))
 }
 
-// ParseRecordHeader parses the header at the front of b under the one
+// parseRecordHeader parses the header at the front of b under the one
 // rule set every container shares — label in its domain, actor byte 0 or
 // 1, data length within MaxRecordData — so a record the fleet refuses
 // does not replay from a WAL or load from a snapshot either.
-func ParseRecordHeader(b []byte) (RecordHeader, error) {
+func parseRecordHeader(b []byte) (recordHeader, error) {
 	if len(b) < RecordHeaderSize {
-		return RecordHeader{}, corrupt("short record header (%d bytes)", len(b))
+		return recordHeader{}, corrupt("short record header (%d bytes)", len(b))
 	}
 	label, actor, dlen := b[10], b[11], binary.LittleEndian.Uint32(b[12:16])
 	if label >= byte(traffic.NumLabels) || actor > 1 || dlen > MaxRecordData {
-		return RecordHeader{}, corrupt("record label %d, actor byte %d, %d data bytes", label, actor, dlen)
+		return recordHeader{}, corrupt("record label %d, actor byte %d, %d data bytes", label, actor, dlen)
 	}
-	return RecordHeader{
+	return recordHeader{
 		TS:      time.Duration(binary.LittleEndian.Uint64(b[:8])),
 		Link:    binary.LittleEndian.Uint16(b[8:10]),
 		Label:   traffic.Label(label),
@@ -179,17 +180,17 @@ func AppendRecords(dst []byte, frames []traffic.Frame, links []uint16) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(frames)))
 	for i := range frames {
 		f := &frames[i]
-		h := RecordHeader{TS: f.TS, Label: f.Label, Actor: f.Actor, DataLen: len(f.Data)}
+		h := recordHeader{TS: f.TS, Label: f.Label, Actor: f.Actor, DataLen: len(f.Data)}
 		if links != nil {
 			h.Link = links[i]
 		}
-		dst = append(h.Append(dst), f.Data...)
+		dst = append(h.appendTo(dst), f.Data...)
 	}
 	return dst
 }
 
 // DecodeRecords parses a record list that must fill p exactly: a count the
-// bytes present could not hold, a record ParseRecordHeader refuses, data
+// bytes present could not hold, a record parseRecordHeader refuses, data
 // running past the end and trailing bytes are all ErrCorrupt. Frame Data
 // is copied out of p, so the caller may reuse its read buffer: every
 // record's bytes go into one arena for the list, sized from the bytes
@@ -208,7 +209,7 @@ func DecodeRecords(p []byte) (frames []traffic.Frame, links []uint16, err error)
 	links = make([]uint16, 0, count)
 	arena := make([]byte, 0, len(p)-int(count)*RecordHeaderSize)
 	for i := uint32(0); i < count; i++ {
-		h, err := ParseRecordHeader(p)
+		h, err := parseRecordHeader(p)
 		// room is what p holds beyond the headers still owed, so a record
 		// that fits it also fits p and the arena never regrows.
 		if room := cap(arena) - len(arena); err == nil && h.DataLen > room {

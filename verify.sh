@@ -136,8 +136,9 @@ gate_names "$RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRe
     TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
 echo "    key table (seal's postings == the decoded index column; hot, cold and keyVal/keyFlags agree on every key; README field table == compiler)"
 gate_names "$RACE" ./internal/datastore TestBuildSegPostingsMatchesDecodeIndex TestHotAndColdIndexTheSameKeys TestFilterDocListsEveryField
-echo "    crash recovery (kill -9 mid-ingest must lose nothing acked)"
-gate_names "$RACE" ./internal/datastore TestWALCrashKill9 TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery
+echo "    crash recovery (kill -9 mid-ingest must lose nothing acked; eviction before a checkpoint renumbers nothing; flows tied on time and hash reload; v2/v3 snapshots are refused)"
+gate_names "$RACE" ./internal/datastore TestWALCrashKill9 TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery \
+    TestRecoverAfterEviction TestRecoverTwinFlows TestRecoverRefusesLegacySnapshot
 echo "    tier crash (kill -9 mid-seal, mid-compact, mid-retain must lose nothing acked) and the write seams"
 gate_names "$RACE" ./internal/datastore TestTierCrashKill9 TestTierCrashSwapEquivalence \
     TestTierWriteFailureChangesNothing TestLoadAtShardCountMatchesDefaultLoad TestCommitTierRecomputesTotals
@@ -203,13 +204,14 @@ gate_bench 5x ./internal/datastore BenchmarkSelect BenchmarkCount
 echo "==> bench smoke (cold tier: seal, segment encode, hot vs cold segment query sweep, cache on/off Select and metadata-only Count, eviction)"
 gate_bench 2x ./internal/datastore BenchmarkSeal BenchmarkEncodeSegment BenchmarkSegmentQuery BenchmarkColdSelect BenchmarkColdCount BenchmarkEvictBefore
 
-echo "==> fuzz smoke (packet parser, labd dispatcher, filter parser, ensemble compiler, block + record codec, WAL replay, segment codec, fleet protocol)"
+echo "==> fuzz smoke (packet parser, labd dispatcher, filter parser, ensemble compiler, block + record codec, WAL replay, snapshot load, segment codec, fleet protocol)"
 gate_fuzz 10s ./internal/packet FuzzParse
 gate_fuzz 5s ./cmd/labd FuzzDispatch
 gate_fuzz 5s ./internal/datastore FuzzParseFilter
 gate_fuzz 5s ./internal/dataplane FuzzEnsembleCompile
 gate_fuzz 5s ./internal/frame FuzzFrame
 gate_fuzz 5s ./internal/datastore FuzzWALReplay
+gate_fuzz 5s ./internal/datastore FuzzSnapshotLoad
 gate_fuzz 5s ./internal/datastore FuzzSegmentDecode
 gate_fuzz 5s ./internal/fleet FuzzFleetFrame
 
