@@ -2,10 +2,12 @@ package datastore
 
 import (
 	"math/rand"
+	"net/netip"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
@@ -353,4 +355,184 @@ func TestEvictAfterEmptiedShardStillTrimsPostings(t *testing.T) {
 		t.Fatalf("evicting %d packets released %d index bytes, want %d (8 per posting entry)", n, got, want)
 	}
 	checkQueries("after evicting half")
+}
+
+// synFrame is one TCP SYN from src:sport to 93.184.216.34:443 at ts.
+func synFrame(t testing.TB, src netip.Addr, sport uint16, ts time.Duration) traffic.Frame {
+	return traffic.Frame{TS: ts, Data: serializeFrame(t, []byte("slab"),
+		&packet.Ethernet{EtherType: packet.EtherTypeIPv4},
+		&packet.IPv4{TTL: 64, Protocol: packet.IPProtocolTCP, SrcIP: src, DstIP: netip.MustParseAddr("93.184.216.34")},
+		&packet.TCP{SrcPort: sport, DstPort: 443, Flags: packet.TCPSyn},
+	)}
+}
+
+// TestFlowSlabWindowsStayApart: a new flow's FlowMeta and its first two
+// packet IDs are cut from per-shard slabs, so two flows created one after
+// the other keep their ID lists side by side in one backing array. Each
+// list grows past its window, is trimmed in place by an eviction and grows
+// again, then goes through a checkpoint and a recovery at another shard
+// count; after every step Flows() and every PacketIDs() list must equal a
+// model that knows nothing of slabs.
+func TestFlowSlabWindowsStayApart(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := Recover(DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type flowModel struct {
+		ids         []PacketID
+		first, last time.Duration
+		pkts, bytes uint64
+	}
+	model := map[FlowKey]*flowModel{}
+	tsOf := map[PacketID]time.Duration{}
+	hosts := map[string]FlowKey{}
+	var ts time.Duration
+	add := func(host string) {
+		t.Helper()
+		ts += time.Millisecond
+		f := synFrame(t, netip.MustParseAddr(host), 1000, ts)
+		id, err := st.AddBatch([]traffic.Frame{f}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s packet.Summary
+		if err := packet.NewFlowParser().Parse(f.Data, &s); err != nil {
+			t.Fatal(err)
+		}
+		key := s.Tuple.Canonical()
+		hosts[host] = key
+		m := model[key]
+		if m == nil {
+			m = &flowModel{first: ts}
+			model[key] = m
+		}
+		m.ids = append(m.ids, id)
+		m.last, m.pkts, m.bytes = ts, m.pkts+1, m.bytes+uint64(len(f.Data))
+		tsOf[id] = ts
+	}
+	check := func(when string) {
+		t.Helper()
+		got := st.Flows()
+		if len(got) != len(model) {
+			t.Fatalf("%s: %d flows, model has %d", when, len(got), len(model))
+		}
+		for i := range got {
+			fm := &got[i]
+			m := model[fm.Key]
+			if m == nil {
+				t.Fatalf("%s: flow %v is not in the model", when, fm.Key)
+			}
+			if fm.First != m.first || fm.Last != m.last || fm.Packets != m.pkts || fm.Bytes != m.bytes ||
+				!slices.Equal(fm.PacketIDs(), m.ids) {
+				t.Fatalf("%s: flow %v: first %v last %v packets %d bytes %d IDs %v, model %+v",
+					when, fm.Key, fm.First, fm.Last, fm.Packets, fm.Bytes, fm.PacketIDs(), *m)
+			}
+			live, ok := st.Flow(fm.Key)
+			if !ok || !slices.Equal(live.PacketIDs(), m.ids) {
+				t.Fatalf("%s: Flow(%v) IDs %v, model %v", when, fm.Key, live.PacketIDs(), m.ids)
+			}
+		}
+	}
+
+	add("10.0.0.1") // A's window, then B's right after it
+	add("10.0.0.2")
+	sh := st.shards[0]
+	a, b := sh.flows[hosts["10.0.0.1"]].pktIDs, sh.flows[hosts["10.0.0.2"]].pktIDs
+	if cap(a) != 2 || cap(b) != 2 || unsafe.SliceData(b) != (*PacketID)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), 2*unsafe.Sizeof(PacketID(0)))) {
+		t.Fatalf("the two flows' first IDs are not adjacent windows of one ID slab (caps %d, %d)", cap(a), cap(b))
+	}
+	check("two new flows")
+	add("10.0.0.1") // both windows full
+	add("10.0.0.2")
+	check("both windows full")
+	add("10.0.0.1") // A outgrows its window; B's is unchanged
+	check("A past its window")
+
+	// Evict below B's first packet: A's first ID goes, and A's list is
+	// trimmed in place.
+	cut := tsOf[model[hosts["10.0.0.2"]].ids[0]]
+	if n := st.EvictBefore(cut); n != 1 {
+		t.Fatalf("evicted %d packets, want 1", n)
+	}
+	for _, m := range model {
+		if m.first < cut {
+			m.ids = slices.DeleteFunc(m.ids, func(id PacketID) bool { return tsOf[id] < cut })
+		}
+	}
+	check("after evicting A's first packet")
+	add("10.0.0.2") // B outgrows its window
+	add("10.0.0.1")
+	add("10.0.0.3") // C's window follows B's
+	add("10.0.0.3")
+	add("10.0.0.2")
+	check("more packets after the eviction")
+
+	if err := st.CheckpointDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	add("10.0.0.3")
+	add("10.0.0.4")
+	check("packets after the checkpoint")
+	st.CloseWAL()
+	if st, _, err = Recover(DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.CloseWAL()
+	check("recovered at 4 shards")
+	add("10.0.0.1")
+	add("10.0.0.4")
+	add("10.0.0.5")
+	check("packets after the recovery")
+}
+
+// TestAddBatchNewFlowsAllocs: a 2048-packet batch of single-packet flows —
+// a spoofed-source SYN flood, every packet a new flow — takes its flows'
+// metadata and first ID windows from the shard slabs, so it costs a few
+// dozen amortised growth steps (slabs, flow maps, posting lists), not the
+// two allocations per flow (a FlowMeta and its ID list) it took before.
+func TestAddBatchNewFlowsAllocs(t *testing.T) {
+	const batch = 2048
+	tmpl := synFrame(t, netip.MustParseAddr("10.0.0.0"), 1000, 0)
+	next := 0
+	flood := func() []traffic.Frame {
+		frames := make([]traffic.Frame, batch)
+		for i := range frames {
+			next++
+			data := slices.Clone(tmpl.Data)
+			data[14+12], data[14+13], data[14+14], data[14+15] = 10, byte(next>>16), byte(next>>8), byte(next)
+			frames[i] = traffic.Frame{TS: time.Duration(next) * time.Microsecond, Data: data}
+		}
+		return frames
+	}
+	const warm, runs = 4, 10
+	batches := make([][]traffic.Frame, warm+runs+1)
+	for i := range batches {
+		batches[i] = flood()
+	}
+	s := NewSharded(4)
+	add := func() {
+		fs := batches[0]
+		batches = batches[1:]
+		if r, err := s.AddBatchAdmit(fs, 1); err != nil || r.Ingested != batch {
+			t.Fatalf("AddBatchAdmit: %+v, %v", r, err)
+		}
+	}
+	for range warm {
+		add()
+	}
+	if raceEnabled {
+		// The race detector makes sync.Pool drop Puts at random, so the
+		// pooled scratch is reallocated at random and no budget holds.
+		t.Log("alloc budget not checked under -race")
+		return
+	}
+	got := testing.AllocsPerRun(runs, add)
+	if got > 256 {
+		t.Errorf("%v allocations per 2048-flow batch, budget 256", got)
+	}
+	if n := s.Stats().Flows; n != uint64((warm+runs+1)*batch) {
+		t.Fatalf("%d flows, want one per packet", n)
+	}
+	t.Logf("%v allocations per 2048-flow batch", got)
 }

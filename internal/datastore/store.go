@@ -85,6 +85,31 @@ type shard struct {
 	index      *postings
 	dataBytes  uint64
 	indexBytes uint64
+
+	// flowSlab and idSlab are the unused tails newFlow cuts new flows
+	// from. A slab lives while any flow cut from it does.
+	flowSlab []FlowMeta
+	idSlab   []PacketID
+}
+
+// flowSlabLen is how many flows one slab refill serves: one FlowMeta slab
+// (38 KB) and one ID slab of two entries a flow (4 KB) per 256 new flows.
+const flowSlabLen = 256
+
+// newFlow cuts a flow's metadata from the shard's FlowMeta slab and starts
+// its ID list as an empty window of capacity 2 cut from the ID slab, so a
+// flow's first two packets allocate nothing; the third reallocates through
+// append, and in-place edits (insert-sort, eviction's trim) stay inside the
+// window. Caller holds the shard write lock.
+func (sh *shard) newFlow(key FlowKey, first time.Duration) *FlowMeta {
+	if len(sh.flowSlab) == 0 {
+		sh.flowSlab = make([]FlowMeta, flowSlabLen)
+		sh.idSlab = make([]PacketID, 2*flowSlabLen)
+	}
+	fm := &sh.flowSlab[0]
+	fm.Key, fm.First, fm.pktIDs = key, first, sh.idSlab[:0:2]
+	sh.flowSlab, sh.idSlab = sh.flowSlab[1:], sh.idSlab[2:]
+	return fm
 }
 
 // Store-level metrics, registered once in the process-wide registry.
@@ -363,7 +388,7 @@ func (sh *shard) apply(it *ingestItem) {
 	}
 	fm, ok := sh.flows[it.key]
 	if !ok {
-		fm = &FlowMeta{Key: it.key, First: sp.TS}
+		fm = sh.newFlow(it.key, sp.TS)
 		sh.flows[it.key] = fm
 		sh.indexBytes += 96 // rough per-flow index cost
 	}

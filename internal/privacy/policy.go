@@ -85,16 +85,31 @@ type Policy struct {
 }
 
 // Enforcer applies a Policy to captured frames. It rewrites a copy of each
-// frame; originals are never modified.
+// frame; originals are never modified. An Enforcer is not safe for
+// concurrent use: its counters, its parser and its output chunk are
+// unsynchronised, so each collector goroutine needs its own.
 type Enforcer struct {
 	policy Policy
 	anon   *Anonymizer
 	parser *packet.FlowParser
 
+	// chunk is the arena copyFrame cuts output frames from; a full chunk
+	// is replaced, never reused.
+	chunk []byte
+
 	processed uint64
 	bytesIn   uint64
 	bytesOut  uint64
 }
+
+// Output chunk sizing: Apply copies a frame into the current chunk, so a
+// 64 KiB chunk serves a few hundred small frames with one allocation. A
+// frame over an eighth of a chunk gets its own buffer, which bounds the
+// tail a replaced chunk can waste.
+const (
+	anonChunk    = 64 << 10
+	anonOwnFrame = anonChunk / 8
+)
 
 // NewEnforcer builds an enforcer; secret keys the anonymizer and must be
 // managed by the IT organization.
@@ -112,12 +127,13 @@ func NewEnforcer(policy Policy, secret []byte) (*Enforcer, error) {
 // Apply transforms one Ethernet frame according to the policy, returning a
 // new frame (the input is not modified). Non-IP frames pass through
 // unchanged. Malformed frames are returned as-is with an error so callers
-// can quarantine them.
+// can quarantine them. The result may share a backing array with other
+// results but never overlaps one, and its capacity equals its length, so
+// appending to it reallocates instead of writing into a neighbour.
 func (e *Enforcer) Apply(frame []byte) ([]byte, error) {
 	e.processed++
 	e.bytesIn += uint64(len(frame))
-	out := make([]byte, len(frame))
-	copy(out, frame)
+	out := e.copyFrame(frame)
 
 	var s packet.Summary
 	if err := e.parser.Parse(frame, &s); err != nil {
@@ -133,9 +149,30 @@ func (e *Enforcer) Apply(frame []byte) ([]byte, error) {
 	}
 	if e.policy.Payload != payloadKeep {
 		out = e.handlePayload(out, s)
+		out = out[:len(out):len(out)]
 	}
 	e.bytesOut += uint64(len(out))
 	return out, nil
+}
+
+// copyFrame returns a copy of frame cut from the current chunk as
+// chunk[off:off+n:off+n]. The capacity cap is what lets handlePayload
+// append a hash to one frame without running into the next, the rule
+// frame.DecodeRecords' batch arena follows too. A chunk stays reachable
+// while any frame cut from it does.
+func (e *Enforcer) copyFrame(frame []byte) []byte {
+	n := len(frame)
+	if n > anonOwnFrame {
+		out := make([]byte, n)
+		copy(out, frame)
+		return out
+	}
+	if cap(e.chunk)-len(e.chunk) < n {
+		e.chunk = make([]byte, 0, anonChunk)
+	}
+	off := len(e.chunk)
+	e.chunk = append(e.chunk, frame...)
+	return e.chunk[off : off+n : off+n]
 }
 
 // rewriteIPv4Addrs replaces addresses in the IPv4 header in place and
