@@ -161,6 +161,12 @@ func classifyWord(w string) token {
 	if w == "in" {
 		return token{tokOp, "in"}
 	}
+	// A word that starts with an ASCII letter or '_' and has no ':' cannot
+	// be an address, a prefix, a number or a duration: skip the probes,
+	// each of which allocates an error when it fails.
+	if w != "" && isIdentStart(w[0]) && !strings.Contains(w, ":") {
+		return token{tokIdent, w}
+	}
 	if strings.Contains(w, "/") {
 		if _, err := netip.ParsePrefix(w); err == nil {
 			return token{tokCIDR, w}
@@ -176,6 +182,10 @@ func classifyWord(w string) token {
 		return token{tokDuration, w}
 	}
 	return token{tokIdent, w}
+}
+
+func isIdentStart(c byte) bool {
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 // --- parser / compiler ---

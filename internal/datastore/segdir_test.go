@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,16 +46,30 @@ func cacheHas(c *tierCache, k blockKey) bool {
 	return ok
 }
 
-// checkCacheAccounting recomputes both byte totals from the entries and
-// checks the budget.
+// checkCacheAccounting recomputes every byte total from the entries,
+// checks that each entry sits in the segment it claims and that the two
+// segments hold exactly the map's entries, and checks the budget and the
+// protected segment's cap.
 func checkCacheAccounting(t *testing.T, c *tierCache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var blocks, dirs int64
+	inList := map[*list.Element]bool{}
+	for _, seg := range []*list.List{&c.probation, &c.protected} {
+		for e := seg.Front(); e != nil; e = e.Next() {
+			if e.Value.(*cacheEnt).protected != (seg == &c.protected) {
+				t.Fatalf("entry %v sits in the other segment", e.Value.(*cacheEnt).key)
+			}
+			inList[e] = true
+		}
+	}
+	var blocks, dirs, prot int64
 	ndirs := 0
 	for k, e := range c.entries {
 		ent := e.Value.(*cacheEnt)
+		if !inList[e] || ent.key != k {
+			t.Fatalf("entry %v: map and segment lists disagree", k)
+		}
 		if (k.block == dirBlock) != (ent.dir != nil) {
 			t.Fatalf("entry %v: key kind and payload kind disagree", k)
 		}
@@ -64,22 +79,28 @@ func checkCacheAccounting(t *testing.T, c *tierCache) {
 		} else {
 			blocks += int64(len(ent.buf))
 		}
+		if ent.protected {
+			prot += ent.size()
+		}
 	}
-	if blocks != c.bytes || dirs != c.dirBytes || ndirs != c.dirs {
-		t.Fatalf("accounting drifted: entries sum (%d blocks, %d dirs in %d), cache says (%d, %d in %d)",
-			blocks, dirs, ndirs, c.bytes, c.dirBytes, c.dirs)
+	if blocks != c.bytes || dirs != c.dirBytes || ndirs != c.dirs || prot != c.protBytes {
+		t.Fatalf("accounting drifted: entries sum (%d blocks, %d dirs in %d, %d protected), cache says (%d, %d in %d, %d)",
+			blocks, dirs, ndirs, prot, c.bytes, c.dirBytes, c.dirs, c.protBytes)
 	}
 	if c.bytes+c.dirBytes > c.max {
 		t.Fatalf("budget %d exceeded: %d block + %d directory bytes", c.max, c.bytes, c.dirBytes)
 	}
-	if len(c.entries) != c.ll.Len() {
-		t.Fatalf("map holds %d entries, list %d", len(c.entries), c.ll.Len())
+	if c.protBytes > c.max/5*protectedFifths {
+		t.Fatalf("protected segment holds %d bytes, over %d/5 of the budget %d", c.protBytes, protectedFifths, c.max)
+	}
+	if len(c.entries) != len(inList) {
+		t.Fatalf("map holds %d entries, segments %d", len(c.entries), len(inList))
 	}
 }
 
-// TestTierCacheMixedLRU: directories and blocks are entries of one LRU
-// under one budget — either kind can be the victim, a touch protects
-// either, and each kind keeps its own byte count.
+// TestTierCacheMixedLRU: directories and blocks are entries of one
+// segmented LRU under one budget — a touch protects either kind, either
+// kind ages out untouched, and each keeps its own byte count.
 func TestTierCacheMixedLRU(t *testing.T) {
 	buf := func(n int) []byte { return make([]byte, n) }
 	c := newTierCache(1000)
@@ -94,13 +115,21 @@ func TestTierCacheMixedLRU(t *testing.T) {
 		t.Fatal("evicted while exactly at budget")
 	}
 
-	// Touch the directory: the oldest block becomes the victim.
+	// Touch the directory, then scan a block stream three times the
+	// budget past it once: every block is a victim in turn, the touched
+	// directory never is.
 	if got, ok := c.getDir(1); !ok || got != d1 {
 		t.Fatal("resident directory missed")
 	}
-	c.put(blockKey{2, 0}, buf(300))
-	if cacheHas(c, blockKey{1, 0}) || !cacheHas(c, blockKey{1, dirBlock}) || !cacheHas(c, blockKey{1, 1}) {
-		t.Fatal("LRU victim should be block {1,0}, not the touched directory or the newer block")
+	for i := 0; i < 10; i++ {
+		c.put(blockKey{2, i}, buf(300))
+		if !cacheHas(c, blockKey{1, dirBlock}) {
+			t.Fatalf("touched directory evicted by one-pass block %d", i)
+		}
+		checkCacheAccounting(t, c)
+	}
+	if cacheHas(c, blockKey{1, 0}) || cacheHas(c, blockKey{1, 1}) {
+		t.Fatal("untouched blocks survived a scan past the budget")
 	}
 	if b, n := c.size(); b != 600 || n != 2 {
 		t.Fatalf("block size = (%d, %d), want (600, 2)", b, n)
@@ -108,7 +137,6 @@ func TestTierCacheMixedLRU(t *testing.T) {
 	if b, n := c.dirSize(); b != 400 || n != 1 {
 		t.Fatalf("dir size = (%d, %d), want (400, 1)", b, n)
 	}
-	checkCacheAccounting(t, c)
 
 	// A racing build keeps the incumbent.
 	if got := c.putDir(1, &segDir{bytes: 400}); got != d1 {
@@ -116,21 +144,22 @@ func TestTierCacheMixedLRU(t *testing.T) {
 	}
 	checkCacheAccounting(t, c)
 
-	// Untouched, the directory ages out like any entry. Order, oldest
-	// first: {1,1}, {2,0}, dir 1 (moved up by the racing put).
-	c.put(blockKey{2, 1}, buf(300)) // evicts {1,1}
-	c.put(blockKey{2, 2}, buf(300)) // evicts {2,0}
-	if !cacheHas(c, blockKey{1, dirBlock}) {
-		t.Fatal("directory evicted ahead of older blocks")
+	// Untouched, a directory ages out like any entry: dir 3 enters
+	// probation (evicting the scan's two blocks) and the second block
+	// after it pushes it off the cold end.
+	c.putDir(3, &segDir{bytes: 300})
+	c.put(blockKey{4, 0}, buf(300))
+	if !cacheHas(c, blockKey{3, dirBlock}) {
+		t.Fatal("directory evicted while the budget still held it")
 	}
-	c.put(blockKey{2, 3}, buf(300)) // evicts dir 1
-	if cacheHas(c, blockKey{1, dirBlock}) {
-		t.Fatal("directory survived as the LRU entry over budget")
+	c.put(blockKey{4, 1}, buf(300))
+	if cacheHas(c, blockKey{3, dirBlock}) {
+		t.Fatal("untouched directory survived as probation's oldest entry over budget")
 	}
-	if b, n := c.dirSize(); b != 0 || n != 0 {
-		t.Fatalf("dir size after eviction = (%d, %d)", b, n)
+	if b, n := c.dirSize(); b != 400 || n != 1 {
+		t.Fatalf("dir size after eviction = (%d, %d), want (400, 1)", b, n)
 	}
-	if _, ok := c.getDir(1); ok {
+	if _, ok := c.getDir(3); ok {
 		t.Fatal("evicted directory still served")
 	}
 	checkCacheAccounting(t, c)
@@ -147,8 +176,7 @@ func TestTierCacheMixedLRU(t *testing.T) {
 	}
 
 	// dropSegs takes a segment's directory with its blocks.
-	c.putDir(2, &segDir{bytes: 100})
-	c.dropSegs(map[uint64]bool{2: true})
+	c.dropSegs(map[uint64]bool{1: true, 2: true, 4: true})
 	if b, n := c.size(); b != 0 || n != 0 {
 		t.Fatalf("blocks left after dropSegs: (%d, %d)", b, n)
 	}
@@ -160,6 +188,69 @@ func TestTierCacheMixedLRU(t *testing.T) {
 		t.Fatalf("directory traffic leaked into the block series: dir %d/%d, block %d/%d",
 			c.dirHits.Load(), c.dirMisses.Load(), c.hits.Load(), c.misses.Load())
 	}
+}
+
+// TestTierCacheScanResistant: a working set touched twice survives a
+// one-pass scan three times the budget, and the protected segment's
+// overflow goes back through probation rather than out of the cache.
+//
+// The limit: a strict cycle over more blocks than the budget holds still
+// gets 0 hits, exactly as under a plain LRU — every block is evicted from
+// probation before its second touch comes round, so nothing is promoted.
+// Scan resistance protects what is reused within the budget, not a loop
+// larger than it.
+func TestTierCacheScanResistant(t *testing.T) {
+	buf := func(n int) []byte { return make([]byte, n) }
+	c := newTierCache(1000)
+	for i := 0; i < 5; i++ { // the working set: 500 bytes, touched twice
+		c.put(blockKey{1, i}, buf(100))
+		if _, ok := c.get(blockKey{1, i}); !ok {
+			t.Fatalf("working-set block %d missed right after put", i)
+		}
+	}
+	for i := 0; i < 30; i++ { // one pass over 3000 bytes
+		c.put(blockKey{2, i}, buf(100))
+		checkCacheAccounting(t, c)
+	}
+	for i := 0; i < 5; i++ {
+		if _, ok := c.get(blockKey{1, i}); !ok {
+			t.Fatalf("working-set block %d evicted by a one-pass scan", i)
+		}
+	}
+	if n := c.evictions.Load(); n != 25 {
+		t.Fatalf("evictions = %d, want 25: the scan's own oldest blocks", n)
+	}
+
+	// Protected overflow is demoted, not evicted: promoting probation's
+	// 500 bytes takes protected to 1000, past its 800-byte cap, and its two
+	// oldest entries fall back to probation's front, still resident.
+	for i := 25; i < 30; i++ {
+		c.get(blockKey{2, i})
+	}
+	checkCacheAccounting(t, c)
+	if b, n := c.size(); b != 1000 || n != 10 {
+		t.Fatalf("size = (%d, %d), want (1000, 10): nothing leaves on promotion", b, n)
+	}
+	if c.protBytes != 800 {
+		t.Fatalf("protected holds %d bytes, want its 800-byte cap", c.protBytes)
+	}
+
+	// The limit: a strict cycle one block over budget never hits.
+	c = newTierCache(1000)
+	hits := 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 11; i++ {
+			if _, ok := c.get(blockKey{3, i}); ok {
+				hits++
+			} else {
+				c.put(blockKey{3, i}, buf(100))
+			}
+		}
+	}
+	if hits != 0 {
+		t.Fatalf("a cycle over budget hit %d times; the documented limit moved", hits)
+	}
+	checkCacheAccounting(t, c)
 }
 
 // coldOnly builds a store whose every packet is cold.

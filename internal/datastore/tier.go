@@ -78,9 +78,13 @@ type TierPolicy struct {
 	// Retain bounds cold history: segments whose newest packet is older
 	// than lastTS-Retain are deleted by the compactor (0 = keep forever).
 	Retain time.Duration
-	// CacheBytes bounds the LRU cache serving cold queries: decoded data
+	// CacheBytes bounds the cache serving cold queries: decoded data
 	// blocks and the segments' resident directories share the one budget
 	// (0 = disabled: every query decodes what it needs and discards it).
+	// The cache is a segmented LRU: an entry is protected from eviction
+	// once it is used a second time, so a one-pass scan larger than the
+	// budget cycles through the rest and leaves reused blocks and
+	// directories resident (tiercache.go).
 	CacheBytes int64
 }
 
@@ -164,7 +168,8 @@ type tierSegment struct {
 type tier struct {
 	dir    string
 	policy TierPolicy
-	// cache is the block-and-directory LRU (nil when CacheBytes == 0).
+	// cache holds decoded blocks and directories under a scan-resistant
+	// segmented LRU (nil when CacheBytes == 0).
 	cache *tierCache
 	// faults mirrors the store's injector (setFaultInjector; nil = healthy).
 	faults faults.Injector

@@ -214,8 +214,14 @@ func BenchmarkSegmentQuery(b *testing.B) {
 
 // BenchmarkColdSelect is the cache axis: the selective materializing
 // query against hot RAM, the cold tier decoding every time, and the cold
-// tier with a warm decoded-block cache.
+// tier with a warm decoded-block cache. The cache=on/scan leg isolates
+// the cache policy: each op is the warm selective query followed by a
+// one-pass Select over a window whose decoded rows outgrow the budget, so
+// nothing the scan reads is cached when it next comes round. A plain LRU
+// let every scan flush the selective query's blocks and directories; the
+// segmented LRU keeps them, and only the scan's own blocks inflate.
 func BenchmarkColdSelect(b *testing.B) {
+	b.Run("tier=cold/cache=on/scan", benchColdSelectScan)
 	f := MustFilter("proto == udp && dst.port == 53")
 	cases := []struct {
 		name string
@@ -260,6 +266,36 @@ func BenchmarkColdSelect(b *testing.B) {
 			}
 		})
 	}
+}
+
+func benchColdSelectScan(b *testing.B) {
+	const windows = 6
+	f := MustFilter("proto == udp && dst.port == 53")
+	st := coldBenchStore(b, coldBenchKey{segPackets: 4096, cacheBytes: 4 << 20})
+	st.SetQueryWorkers(1)
+	span := time.Duration(st.lastTS.Load())
+	scans := make([]*Filter, windows)
+	for i := range scans {
+		scans[i] = MustFilter(fmt.Sprintf("ts >= %dns && ts < %dns && len > 0", span*time.Duration(i)/windows, span*time.Duration(i+1)/windows+1))
+	}
+	st.Select(f, 0) // warm the cache outside the timer
+	inflated := obsQueryBytesInflated.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n = len(st.Select(f, 0))
+		st.Select(scans[i%windows], 0)
+	}
+	b.StopTimer()
+	if n == 0 {
+		b.Fatal("selective Select matched nothing; segment reads are failing")
+	}
+	if ts := st.TierStats(); ts.Err != nil {
+		b.Fatal(ts.Err)
+	}
+	b.ReportMetric(float64(n), "hits")
+	b.ReportMetric(float64(obsQueryBytesInflated.Value()-inflated)/float64(b.N), "inflatedB/op")
 }
 
 // BenchmarkColdCount is the metadata-only query: an indexable Count over a

@@ -133,6 +133,8 @@ echo "    tiered-store equivalence (tiered == untiered, byte for byte, across sh
 gate_names "$RACE" ./internal/datastore TestTieredStoreEquivalence TestTierFormatEquivalence
 echo "    tier cache race (queries vs seal/compact churn with the block cache on)"
 gate_names "$RACE" ./internal/datastore TestTierCacheQueryCompactRace TestTierIngestSealQueryRace
+echo "    tier cache policy (segmented LRU: a touched working set survives a one-pass scan over budget)"
+gate_names "$RACE" ./internal/datastore TestTierCacheScanResistant TestTierCacheLRU
 echo "    segment directory (shared budget, invalidation, corrupt columns, metadata-only Count, limit-bounded decode, exact window ≡ scan)"
 gate_names "$RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRespected TestSegDirOversizeNotAdmitted \
     TestSegDirDroppedWithSegments TestSegDirCorruptColumnCachesNothing TestColdCountWindowedTouchesNoBlock \
@@ -262,5 +264,12 @@ echo "==> allocation ceilings on the ingest path (anonymize cuts frames from a c
 # Both tests hold their ceilings themselves and fail above them.
 gate_tests "" ./internal/privacy TestApplyAllocsAmortised TestApplyOutputsNeverOverlap
 gate_tests "" ./internal/datastore TestAddBatchNewFlowsAllocs TestFlowSlabWindowsStayApart
+
+echo "==> allocation ceiling on the query path (the filter tokenizer classifies an identifier without a failing probe)"
+# A windowed selective query parsed in 32 allocations (67 when every
+# identifier ran the address, number and duration probes, each failure
+# allocating an error); the test holds a ceiling of 38, beside the oracle
+# test that pins the fast path to the full probe chain.
+gate_tests "" ./internal/datastore TestParseFilterAllocs TestClassifyWordMatchesProbes
 
 echo "verify: OK"
