@@ -3,7 +3,6 @@ package control
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -118,8 +117,8 @@ type Lifecycle struct {
 	classifier  classifierHolder
 	log         []Transition
 
-	// lkgFaults (nil outside tests) kills a bundle publish at a chosen step.
-	lkgFaults faults.Injector
+	// fsys holds the persisted bundle (faults.OS outside tests).
+	fsys faults.FS
 }
 
 // NewLifecycle starts a lifecycle in the healthy state with bundle as the
@@ -135,7 +134,7 @@ func NewLifecycle(cfg LifecycleConfig, bundle []byte, now time.Duration) (*Lifec
 	if cfg.DegradedPatience <= 0 {
 		cfg.DegradedPatience = 2
 	}
-	lc := &Lifecycle{cfg: cfg, lastRetrain: now}
+	lc := &Lifecycle{cfg: cfg, lastRetrain: now, fsys: faults.OS}
 	if err := lc.activate(bundle); err != nil {
 		return nil, err
 	}
@@ -149,7 +148,7 @@ func NewLifecycle(cfg LifecycleConfig, bundle []byte, now time.Duration) (*Lifec
 
 // LoadLKG reads a persisted last-known-good bundle from dir, if any.
 func LoadLKG(dir string) ([]byte, bool) {
-	b, err := os.ReadFile(filepath.Join(dir, lkgName))
+	b, err := faults.OS.ReadFile(filepath.Join(dir, lkgName))
 	if err != nil || len(b) == 0 {
 		return nil, false
 	}
@@ -196,10 +195,10 @@ func (lc *Lifecycle) persistLKG() error {
 	if lc.cfg.Dir == "" || len(lc.lkg) == 0 {
 		return nil
 	}
-	if err := os.MkdirAll(lc.cfg.Dir, 0o755); err != nil {
+	if err := lc.fsys.MkdirAll(lc.cfg.Dir); err != nil {
 		return err
 	}
-	return faults.PublishFile(filepath.Join(lc.cfg.Dir, lkgName), lc.lkgFaults, func(w io.Writer) error {
+	return faults.PublishFile(lc.fsys, filepath.Join(lc.cfg.Dir, lkgName), func(w io.Writer) error {
 		_, err := w.Write(lc.lkg)
 		return err
 	})

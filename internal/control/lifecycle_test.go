@@ -2,10 +2,12 @@ package control
 
 import (
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
 	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
@@ -241,10 +243,12 @@ func TestLifecycleLKGPersistedAtStart(t *testing.T) {
 }
 
 // TestLifecycleLKGSurvivesFailedPublish: a bundle write that dies at any
-// step — mid-write, at the fsync, at the rename — must leave the previous
+// file operation up to and including the rename — the temp file's create,
+// a write, the fsync, the close, the rename — must leave the previous
 // last-known-good bundle loadable and nothing else in the directory. (The
 // old os.WriteFile + os.Rename could publish an empty file after a power
-// cut, and left model.lkg.tmp behind on a failed write.)
+// cut, and left model.lkg.tmp behind on a failed write.) Past the rename
+// only the directory sync is left, and the new bundle is already in place.
 func TestLifecycleLKGSurvivesFailedPublish(t *testing.T) {
 	dir := t.TempDir()
 	h := &lifecycleHarness{}
@@ -252,10 +256,16 @@ func TestLifecycleLKGSurvivesFailedPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []string{faults.OpStoreWrite, faults.OpStoreSync, faults.OpStoreRename} {
-		lc.lkgFaults = faults.NewSchedule().FailCalls(op, 1, 1, faults.KindPermanent)
+	for k := 1; ; k++ {
+		ffs := &failingFS{FS: faults.OS, k: k}
+		lc.fsys = ffs
 		lc.lkg = []byte("candidate-that-never-lands")
-		if err := lc.persistLKG(); err == nil {
+		err := lc.persistLKG()
+		op := ffs.failed
+		if op == "" {
+			t.Fatalf("operation %d: the publish has only %d operations and never reached its rename", k, ffs.ops)
+		}
+		if err == nil {
 			t.Fatalf("%s: injected failure did not surface", op)
 		}
 		if b, ok := LoadLKG(dir); !ok || string(b) != "boot-model" {
@@ -264,14 +274,99 @@ func TestLifecycleLKGSurvivesFailedPublish(t *testing.T) {
 		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
 			t.Fatalf("%s: failed publish left %d entries behind", op, len(ents))
 		}
+		if op == "rename" {
+			break
+		}
 	}
-	lc.lkgFaults = nil
+	lc.fsys = faults.OS
 	if err := lc.persistLKG(); err != nil {
 		t.Fatal(err)
 	}
 	if b, ok := LoadLKG(dir); !ok || string(b) != "candidate-that-never-lands" {
 		t.Fatalf("healthy publish did not replace the bundle: %q/%v", b, ok)
 	}
+}
+
+// failingFS is a file system whose k-th operation (counting from 1, the
+// methods of an open file included) fails with EIO and changes nothing.
+type failingFS struct {
+	faults.FS
+	k, ops int
+	failed string // the operation that failed
+}
+
+func (f *failingFS) step(op string) error {
+	if f.ops++; f.ops == f.k {
+		f.failed = op
+		return &fs.PathError{Op: op, Err: syscall.EIO}
+	}
+	return nil
+}
+
+func (f *failingFS) MkdirAll(dir string) error {
+	if err := f.step("mkdir"); err != nil {
+		return err
+	}
+	return f.FS.MkdirAll(dir)
+}
+
+func (f *failingFS) CreateTemp(dir, pattern string) (faults.File, error) {
+	if err := f.step("create-temp"); err != nil {
+		return nil, err
+	}
+	file, err := f.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return failingFile{file, f}, nil
+}
+
+func (f *failingFS) Rename(oldpath, newpath string) error {
+	if err := f.step("rename"); err != nil {
+		return err
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f *failingFS) Remove(path string) error {
+	if err := f.step("remove"); err != nil {
+		return err
+	}
+	return f.FS.Remove(path)
+}
+
+func (f *failingFS) SyncDir(dir string) error {
+	if err := f.step("syncdir"); err != nil {
+		return err
+	}
+	return f.FS.SyncDir(dir)
+}
+
+// failingFile counts its writes, syncs and closes as operations of its fs.
+type failingFile struct {
+	faults.File
+	fs *failingFS
+}
+
+func (f failingFile) Write(p []byte) (int, error) {
+	if err := f.fs.step("write"); err != nil {
+		return 0, err
+	}
+	return f.File.Write(p)
+}
+
+func (f failingFile) Sync() error {
+	if err := f.fs.step("sync"); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+func (f failingFile) Close() error {
+	if err := f.fs.step("close"); err != nil {
+		return err
+	}
+	return f.File.Close()
 }
 
 func TestLifecycleDeterministicTransitions(t *testing.T) {

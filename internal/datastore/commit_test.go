@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"campuslab/internal/faults"
@@ -134,7 +135,7 @@ func tierState(t *testing.T, s *Store) tierDirState {
 		st.segs = append(st.segs, sg.name)
 	}
 	st.sealedBelow = PacketID(tr.sealedBelow.Load())
-	st.manifest, _ = os.ReadFile(filepath.Join(tr.dir, tierManifestName))
+	st.manifest, _ = tr.fsys.ReadFile(filepath.Join(tr.dir, tierManifestName))
 	st.hot = s.Stats().Packets
 	return st
 }
@@ -151,20 +152,16 @@ func TestTierWriteFailureChangesNothing(t *testing.T) {
 	pol := func(dir string) TierPolicy {
 		return TierPolicy{Dir: dir, HotPackets: 512, MinSealPackets: 64, SegmentPackets: 256}
 	}
+	// A leg fails the call-th operation op in the tier directory.
 	type leg struct {
 		name string
-		inj  func() faults.Injector
+		op   string
+		call int
 	}
 	// Every seal and compaction below writes exactly one segment file, so
 	// the manifest's rename is the op's second; retention writes none.
-	segWrite := leg{"segment write", func() faults.Injector {
-		return faults.NewSchedule().FailCalls(faults.OpStoreWrite, 1, 1, faults.KindPermanent)
-	}}
-	manifestRename := func(call uint64) leg {
-		return leg{"manifest rename", func() faults.Injector {
-			return faults.NewSchedule().FailCalls(faults.OpStoreRename, call, call, faults.KindPermanent)
-		}}
-	}
+	segWrite := leg{"segment write", "write", 1}
+	manifestRename := func(call int) leg { return leg{"manifest rename", "rename", call} }
 	ops := []struct {
 		name string
 		legs []leg
@@ -230,11 +227,11 @@ func TestTierWriteFailureChangesNothing(t *testing.T) {
 	for _, op := range ops {
 		for _, lg := range op.legs {
 			t.Run(op.name+"/"+lg.name, func(t *testing.T) {
-				dir := t.TempDir()
+				dir, mfs := "/data", newMemFS(1)
 				tierDir := filepath.Join(dir, "tier")
 				recoverAt := func(shards int) *Store {
 					t.Helper()
-					st, _, err := Recover(DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: shards, Tier: pol(tierDir)})
+					st, _, err := recoverOn(mfs, DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: shards, Tier: pol(tierDir)})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -248,9 +245,9 @@ func TestTierWriteFailureChangesNothing(t *testing.T) {
 				}
 				failsBefore := obsTierWriteFails.Value()
 
-				s.setFaultInjector(lg.inj())
+				mfs.failOp(lg.op, tierDir+"/", lg.call, syscall.EIO)
 				done, err := op.trigger(t, s, twin, at)
-				s.setFaultInjector(nil)
+				mfs.heal()
 				if done {
 					t.Fatalf("%s went through despite the injected %s failure", op.name, lg.name)
 				}
@@ -265,7 +262,7 @@ func TestTierWriteFailureChangesNothing(t *testing.T) {
 					t.Fatalf("failed %s: Err = %v, corrupt = %d, write failures +%d; want an error, 0, +1",
 						op.name, ts.Err, ts.CorruptSegments, obsTierWriteFails.Value()-failsBefore)
 				}
-				if tmps, _ := filepath.Glob(filepath.Join(tierDir, "*.tmp*")); len(tmps) != 0 {
+				if tmps := matchDir(mfs, tierDir, "*.tmp*"); len(tmps) != 0 {
 					t.Fatalf("failed %s left temp files: %v", op.name, tmps)
 				}
 				compareToTwin(t, "after the failed "+op.name, s, twin)
@@ -286,7 +283,7 @@ func TestTierWriteFailureChangesNothing(t *testing.T) {
 				}
 				re := recoverAt(2)
 				defer re.CloseWAL()
-				onDisk, _ := filepath.Glob(filepath.Join(tierDir, "seg-*"+segSuffix))
+				onDisk := matchDir(mfs, tierDir, "seg-*"+segSuffix)
 				if len(onDisk) != re.TierStats().Segments {
 					t.Fatalf("re-attach left %d segment files for %d registered segments", len(onDisk), re.TierStats().Segments)
 				}
@@ -340,7 +337,7 @@ func compareToTwin(t *testing.T, when string, s, twin *Store) {
 func TestEnableTieringRefusesForeignSegmentName(t *testing.T) {
 	for _, name := range []string{"x.clsg", "seg-1.clsg", "seg-0000000000000000.clsg.bak"} {
 		dir := t.TempDir()
-		tr := &tier{dir: dir, nextSeq: 1}
+		tr := &tier{dir: dir, fsys: faults.OS, nextSeq: 1}
 		if err := tr.writeManifestLocked(40, []*tierSegment{{name: name}}); err != nil {
 			t.Fatal(err)
 		}

@@ -2,11 +2,11 @@ package datastore
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
+	"campuslab/internal/faults"
 	"campuslab/internal/traffic"
 )
 
@@ -70,8 +70,8 @@ func parseSnapName(name string) (uint64, bool) {
 // with the highest covered sequence wins (an interrupted checkpoint can
 // leave older ones behind). A directory whose only checkpoint is a legacy
 // bare snapshot.clds is an error wrapping ErrBadSnapshot.
-func findSnapshot(dir string) (path string, covered uint64, ok bool, err error) {
-	ents, err := os.ReadDir(dir)
+func findSnapshot(fsys faults.FS, dir string) (path string, covered uint64, ok bool, err error) {
+	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return "", 0, false, err
 	}
@@ -127,23 +127,27 @@ type RecoveryStats struct {
 // WAL is replayed on top — both through addBatch, stopping cleanly at a
 // torn tail — and a fresh log segment is attached for new writes. The
 // returned store acknowledges every subsequent batch through the WAL.
-func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
+func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) { return recoverOn(faults.OS, cfg) }
+
+// recoverOn is Recover on fsys; the returned store keeps every later
+// snapshot, log and tier file on it.
+func recoverOn(fsys faults.FS, cfg DurableConfig) (*Store, RecoveryStats, error) {
 	var rs RecoveryStats
 	if cfg.Dir == "" {
 		return nil, rs, fmt.Errorf("datastore: recover: Dir is required")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := mkdirDurable(fsys, cfg.Dir); err != nil {
 		return nil, rs, fmt.Errorf("datastore: recover: %w", err)
 	}
-	removeStaleTemps(cfg.Dir, "snapshot*"+snapSuffix)
+	removeStaleTemps(fsys, cfg.Dir, "snapshot*"+snapSuffix)
 
-	snapPath, covered, haveSnap, err := findSnapshot(cfg.Dir)
+	snapPath, covered, haveSnap, err := findSnapshot(fsys, cfg.Dir)
 	if err != nil {
 		return nil, rs, fmt.Errorf("datastore: recover: %w", err)
 	}
 	var st *Store
 	if haveSnap {
-		st, err = loadFile(snapPath, cfg.Shards, cfg.Workers)
+		st, err = loadFile(fsys, snapPath, cfg.Shards, cfg.Workers)
 		if err != nil {
 			// SaveFile publishes snapshots atomically, so a corrupt
 			// snapshot is real damage, not a crash artifact: refuse to
@@ -154,9 +158,10 @@ func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
 	} else {
 		st = NewSharded(cfg.Shards)
 	}
+	st.fsys = fsys
 
 	var walBytes uint64
-	records, clean, err := ReplayWALFrom(cfg.Dir, covered, func(frames []traffic.Frame, links []uint16) {
+	records, clean, err := replayWALFrom(fsys, cfg.Dir, covered, func(frames []traffic.Frame, links []uint16) {
 		st.addBatch(frames, links, cfg.Workers)
 		rs.WALPackets += uint64(len(frames))
 		for i := range frames {
@@ -180,7 +185,7 @@ func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) {
 		}
 	}
 
-	w, err := OpenWAL(WALConfig{
+	w, err := openWAL(fsys, WALConfig{
 		Dir: cfg.Dir, Fsync: cfg.Fsync, SegmentBytes: cfg.SegmentBytes,
 		StartSeq: covered + 1,
 	})
@@ -225,8 +230,9 @@ type WALStats struct {
 	Records, Bytes uint64
 	// Segments is the live segment-file count.
 	Segments int
-	// stickyErr is the sticky append/sync failure wedging the log (nil when
-	// healthy). Non-nil means new data is NOT crash-safe.
+	// Err is the sticky failure wedging the log (nil when healthy): a failed
+	// append or sync, or a checkpoint that failed once its snapshot was
+	// visible (CheckpointDir). Non-nil means no batch is acked any more.
 	Err error
 }
 
@@ -270,6 +276,13 @@ func (s *Store) FlushWAL() error {
 // snapshot plus only newer segments — never a state where recovery
 // replays a record the loaded snapshot already contains. SaveFile alone is
 // a pure export and never touches the log.
+//
+// A failed file operation returns its error (errors.Is finds the errno)
+// and, before the snapshot is visible, changes nothing. Once it is visible
+// (a failed directory sync, any truncation step) the failure wedges the
+// log, WALStats.Err: the snapshot covers the live segment, so the next
+// replay would skip a record appended there, and every append fails
+// instead until the store is recovered.
 func (s *Store) CheckpointDir(dir string) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
@@ -282,28 +295,32 @@ func (s *Store) CheckpointDir(dir string) error {
 		covered = w.seq
 	}
 	if err := s.SaveFile(filepath.Join(dir, snapName(covered))); err != nil {
+		if _, c, ok, ferr := findSnapshot(s.fsys, dir); w != nil && (ferr != nil || ok && c == covered) {
+			w.err = err // the snapshot may be visible
+		}
 		return err
 	}
 	if w != nil {
 		if err := w.truncate(); err != nil {
+			w.err = err
 			return err
 		}
 	}
-	sweepSnapshots(dir, covered)
+	sweepSnapshots(s.fsys, dir, covered)
 	return nil
 }
 
 // sweepSnapshots removes checkpoint files superseded by the one covering
 // `covered` — best effort: Recover always picks the highest stamp, so a
 // leftover is garbage on disk, not a recovery hazard.
-func sweepSnapshots(dir string, covered uint64) {
-	ents, err := os.ReadDir(dir)
+func sweepSnapshots(fsys faults.FS, dir string, covered uint64) {
+	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range ents {
 		if c, stamped := parseSnapName(e.Name()); stamped && c < covered {
-			os.Remove(filepath.Join(dir, e.Name()))
+			fsys.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }
@@ -323,18 +340,41 @@ func (s *Store) CloseWAL() error {
 }
 
 // removeStaleTemps sweeps temp files a killed publish left behind in dir
-// (base+".tmp*" — see faults.PublishFile). Only call on directories this
-// package owns. Returns how many were removed.
-func removeStaleTemps(dir, base string) int {
-	matches, err := filepath.Glob(filepath.Join(dir, base+".tmp*"))
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, m := range matches {
-		if os.Remove(m) == nil {
+// (base+".tmp*" — see faults.PublishFile). Returns how many were removed.
+func removeStaleTemps(fsys faults.FS, dir, base string) int {
+	return removeMatching(fsys, dir, base+".tmp*", nil)
+}
+
+// removeMatching removes the files in dir that match a filepath.Match
+// pattern, except those keep names, and returns how many it removed. Only
+// call on directories this package owns.
+func removeMatching(fsys faults.FS, dir, pattern string, keep map[string]bool) (n int) {
+	ents, _ := fsys.ReadDir(dir) // an unreadable dir has nothing to sweep
+	for _, e := range ents {
+		if ok, _ := filepath.Match(pattern, e.Name()); ok && !keep[e.Name()] && fsys.Remove(filepath.Join(dir, e.Name())) == nil {
 			n++
 		}
 	}
 	return n
+}
+
+// mkdirDurable creates dir and its missing parents and fsyncs the parent
+// of each directory it created, so the new entries survive a power cut:
+// without the parent sync, a batch acked under FsyncAlways in a fresh
+// directory can vanish with the directory's entry.
+func mkdirDurable(fsys faults.FS, dir string) (err error) {
+	var missing []string // deepest first
+	for d := filepath.Clean(dir); filepath.Dir(d) != d; d = filepath.Dir(d) {
+		if _, err := fsys.ReadDir(d); err == nil {
+			break
+		}
+		missing = append(missing, d)
+	}
+	if len(missing) > 0 {
+		err = fsys.MkdirAll(dir)
+	}
+	for i := len(missing) - 1; i >= 0 && err == nil; i-- {
+		err = fsys.SyncDir(filepath.Dir(missing[i]))
+	}
+	return err
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"campuslab/internal/faults"
 	"campuslab/internal/frame"
 	"campuslab/internal/traffic"
 )
@@ -123,11 +124,11 @@ func TestFormatSegmentAndManifestPinned(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, tierManifestName), wantManifest, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sealedBelow, nextSeq, names, ok, err := loadManifest(dir)
+	sealedBelow, nextSeq, names, ok, err := loadManifest(faults.OS, dir)
 	if err != nil || !ok || sealedBelow != 40 || len(names) != 1 || names[0] != tierSegName(0) {
 		t.Fatalf("manifest: below %d, next %d, names %v, ok %v, err %v", sealedBelow, nextSeq, names, ok, err)
 	}
-	tr := &tier{dir: dir, nextSeq: nextSeq}
+	tr := &tier{dir: dir, fsys: faults.OS, nextSeq: nextSeq}
 	if err := tr.writeManifestLocked(sealedBelow, []*tierSegment{{name: names[0]}}); err != nil {
 		t.Fatal(err)
 	}

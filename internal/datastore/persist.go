@@ -63,18 +63,6 @@ const (
 // ErrBadSnapshot reports a corrupt or incompatible snapshot stream.
 var ErrBadSnapshot = errors.New("datastore: bad snapshot")
 
-// setFaultInjector points the write/sync/rename steps of every file the
-// store publishes — snapshots, cold segments and the tier manifest — at a
-// fault injector (nil restores always-healthy), so crash-safety tests can
-// kill a save, a seal or a compaction midway. Set it while the store is
-// quiescent.
-func (s *Store) setFaultInjector(inj faults.Injector) {
-	s.persistFaults = inj
-	if tr := s.tier.Load(); tr != nil {
-		tr.faults = inj
-	}
-}
-
 // Save writes the store's packets, events and flows to w. Packets stream
 // out in global (timestamp, ID) order — the serial ingest order — and
 // flows in listing order, so snapshots are byte-identical at any shard
@@ -425,22 +413,22 @@ func load(r io.Reader, shards, workers int) (_ *Store, err error) {
 }
 
 // SaveFile writes a crash-safe snapshot to path through
-// faults.PublishFile: a crash (or a fault injected via setFaultInjector)
-// at any point leaves either the old snapshot or the new one at path —
-// never a truncated hybrid.
+// faults.PublishFile: a crash or a failed file operation at any point
+// leaves either the old snapshot or the new one at path — never a
+// truncated hybrid.
 func (s *Store) SaveFile(path string) error {
-	if err := faults.PublishFile(path, s.persistFaults, s.Save); err != nil {
+	if err := faults.PublishFile(s.fsys, path, s.Save); err != nil {
 		return fmt.Errorf("datastore: snapshot: %w", err)
 	}
 	return nil
 }
 
 // LoadFile reads a snapshot file written by SaveFile.
-func LoadFile(path string) (*Store, error) { return loadFile(path, 0, 0) }
+func LoadFile(path string) (*Store, error) { return loadFile(faults.OS, path, 0, 0) }
 
 // loadFile is load over the file at path.
-func loadFile(path string, shards, workers int) (*Store, error) {
-	f, err := os.Open(path)
+func loadFile(fsys faults.FS, path string, shards, workers int) (*Store, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY)
 	if err != nil {
 		return nil, fmt.Errorf("datastore: snapshot open: %w", err)
 	}

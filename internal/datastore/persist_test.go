@@ -10,12 +10,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"campuslab/internal/eventlog"
-	"campuslab/internal/faults"
 	"campuslab/internal/frame"
 	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
@@ -268,41 +268,48 @@ func TestSaveFileAtomicAndLoadable(t *testing.T) {
 // fsync, or during rename must leave the previous snapshot intact and
 // loadable, with no temp litter.
 func TestCrashMidSaveLeavesOldSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.clds")
+	mfs := newMemFS(1)
+	if err := mfs.MkdirAll("/snap"); err != nil {
+		t.Fatal(err)
+	}
+	path := "/snap/snap.clds"
 	old := fillStore(t)
+	old.fsys = mfs
 	if err := old.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	wantPackets := old.Stats().Packets
 
 	bigger := fillStore(t)
+	bigger.fsys = mfs
 	bigger.AddEvents([]eventlog.Event{{TS: time.Second, Host: "h", Message: "extra"}})
 
 	kills := []struct {
 		name string
-		inj  faults.Injector
+		op   string // the file operation that fails
+		call int    // which call of it
 	}{
 		// Write call 40 dies mid-stream: the temp file is truncated.
-		{"write", faults.NewSchedule().FailCalls(faults.OpStoreWrite, 40, 40, faults.KindPermanent)},
-		{"first-write", faults.NewSchedule().FailCalls(faults.OpStoreWrite, 1, 1, faults.KindPermanent)},
-		{"sync", faults.NewSchedule().FailCalls(faults.OpStoreSync, 1, 1, faults.KindPermanent)},
-		{"rename", faults.NewSchedule().FailCalls(faults.OpStoreRename, 1, 1, faults.KindPermanent)},
+		{"write", "write", 40},
+		{"first-write", "write", 1},
+		{"sync", "sync", 1},
+		{"rename", "rename", 1},
 	}
 	for _, k := range kills {
 		t.Run(k.name, func(t *testing.T) {
-			bigger.setFaultInjector(k.inj)
-			defer bigger.setFaultInjector(nil)
+			mfs.failOp(k.op, "", k.call, syscall.EIO)
+			defer mfs.heal()
 			if err := bigger.SaveFile(path); err == nil {
 				t.Fatal("injected crash did not surface as an error")
 			}
-			got, err := LoadFile(path)
+			got, err := loadFile(mfs, path, 0, 0)
 			if err != nil {
 				t.Fatalf("old snapshot unreadable after crashed save: %v", err)
 			}
 			if got.Stats().Packets != wantPackets {
 				t.Fatalf("old snapshot altered: %d packets, want %d", got.Stats().Packets, wantPackets)
 			}
-			ents, err := os.ReadDir(filepath.Dir(path))
+			ents, err := mfs.ReadDir(filepath.Dir(path))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,11 +321,11 @@ func TestCrashMidSaveLeavesOldSnapshot(t *testing.T) {
 
 	// After the faults clear, the same store saves fine and the new
 	// snapshot replaces the old one atomically.
-	bigger.setFaultInjector(nil)
+	mfs.heal()
 	if err := bigger.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := loadFile(mfs, path, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

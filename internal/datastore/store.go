@@ -148,10 +148,9 @@ type Store struct {
 	events          []eventlog.Event // time-ordered after AddEvents sorts
 	eventIndexBytes uint64
 
-	// persistFaults injects failures into the write/sync/rename steps of
-	// SaveFile (and, mirrored on the tier, of segment and manifest
-	// publishes) for crash-safety tests (nil = healthy).
-	persistFaults faults.Injector
+	// fsys is the file system snapshots, the WAL and the cold tier live
+	// on: faults.OS, or the test's in-memory one (recoverOn).
+	fsys faults.FS
 
 	// scanQuery forces Select/Count onto the serial full-scan reference
 	// path (see SetScanQuery); queryWorkers bounds query fan-out
@@ -243,7 +242,7 @@ func NewSharded(n int) *Store {
 		n = 256
 	}
 	n = ceilPow2(n)
-	s := &Store{shards: make([]*shard, n), mask: uint64(n - 1)}
+	s := &Store{shards: make([]*shard, n), mask: uint64(n - 1), fsys: faults.OS}
 	for i := range s.shards {
 		s.shards[i] = &shard{flows: make(map[FlowKey]*FlowMeta), index: newPostings()}
 	}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -144,17 +144,6 @@ var (
 
 var tierSecondsBounds = []float64{1e-3, 1e-2, 1e-1, 1, 10}
 
-// tierTestHook, when set, is called at the named stages of the seal and
-// compact protocols so crash tests can kill -9 the process between the
-// file writes, the manifest commit, and the in-RAM swap.
-var tierTestHook func(stage string)
-
-func tierHook(stage string) {
-	if tierTestHook != nil {
-		tierTestHook(stage)
-	}
-}
-
 // tierSegment is one registered cold segment: its file name, the seq the
 // name encodes (the cache key space), resident metadata and on-disk size.
 type tierSegment struct {
@@ -167,12 +156,11 @@ type tierSegment struct {
 // tier is the cold-tier registry attached to a store.
 type tier struct {
 	dir    string
+	fsys   faults.FS
 	policy TierPolicy
 	// cache holds decoded blocks and directories under a scan-resistant
 	// segmented LRU (nil when CacheBytes == 0).
 	cache *tierCache
-	// faults mirrors the store's injector (setFaultInjector; nil = healthy).
-	faults faults.Injector
 
 	// sealMu serializes every cold-tier mutation (seal/compact/retain).
 	sealMu sync.Mutex
@@ -276,7 +264,7 @@ func tierSegName(seq uint64) string { return fmt.Sprintf("seg-%016x%s", seq, seg
 // faults.PublishFile, so the file is either absent or complete and
 // durable. A failure is noted here, once for every tier write.
 func (tr *tier) publishFile(name string, data []byte) error {
-	err := faults.PublishFile(filepath.Join(tr.dir, name), tr.faults, func(w io.Writer) error {
+	err := faults.PublishFile(tr.fsys, filepath.Join(tr.dir, name), func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
@@ -308,10 +296,10 @@ func (tr *tier) writeManifestLocked(sealedBelow PacketID, segs []*tierSegment) e
 // manifest yet). A present-but-invalid manifest is an error — refusing to
 // open beats silently dropping cold history — and so is one naming a file
 // this package never writes: every name is a tierSegName.
-func loadManifest(dir string) (sealedBelow PacketID, nextSeq uint64, names []string, ok bool, err error) {
-	b, rerr := os.ReadFile(filepath.Join(dir, tierManifestName))
+func loadManifest(fsys faults.FS, dir string) (sealedBelow PacketID, nextSeq uint64, names []string, ok bool, err error) {
+	b, rerr := fsys.ReadFile(filepath.Join(dir, tierManifestName))
 	if rerr != nil {
-		if errors.Is(rerr, os.ErrNotExist) {
+		if errors.Is(rerr, fs.ErrNotExist) {
 			return 0, 0, nil, false, nil
 		}
 		return 0, 0, nil, false, rerr
@@ -370,16 +358,16 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 		return errors.New("datastore: tiering already enabled")
 	}
 	pol.applyDefaults()
-	if err := os.MkdirAll(pol.Dir, 0o755); err != nil {
+	if err := mkdirDurable(s.fsys, pol.Dir); err != nil {
 		return err
 	}
-	removeStaleTemps(pol.Dir, tierManifestName)
-	removeStaleTemps(pol.Dir, "seg-*"+segSuffix)
-	sealedBelow, nextSeq, names, ok, err := loadManifest(pol.Dir)
+	removeStaleTemps(s.fsys, pol.Dir, tierManifestName)
+	removeStaleTemps(s.fsys, pol.Dir, "seg-*"+segSuffix)
+	sealedBelow, nextSeq, names, ok, err := loadManifest(s.fsys, pol.Dir)
 	if err != nil {
 		return err
 	}
-	tr := &tier{dir: pol.Dir, policy: pol, nextSeq: nextSeq, faults: s.persistFaults}
+	tr := &tier{dir: pol.Dir, fsys: s.fsys, policy: pol, nextSeq: nextSeq}
 	if pol.CacheBytes > 0 {
 		tr.cache = newTierCache(pol.CacheBytes)
 	}
@@ -389,7 +377,7 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 		var maxTS time.Duration
 		for _, name := range names {
 			inManifest[name] = true
-			b, err := os.ReadFile(filepath.Join(pol.Dir, name))
+			b, err := s.fsys.ReadFile(filepath.Join(pol.Dir, name))
 			if err != nil {
 				return fmt.Errorf("datastore: tier segment %s: %w", name, err)
 			}
@@ -422,13 +410,7 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 	// Sweep orphan segment files (written by a seal/compact that died
 	// before its manifest commit, or replaced by one that died before
 	// unlinking its inputs).
-	if matches, _ := filepath.Glob(filepath.Join(pol.Dir, "seg-*"+segSuffix)); matches != nil {
-		for _, m := range matches {
-			if !inManifest[filepath.Base(m)] {
-				os.Remove(m)
-			}
-		}
-	}
+	removeMatching(s.fsys, pol.Dir, "seg-*"+segSuffix, inManifest)
 	// Idempotent dedup: recovery may have re-ingested rows that are
 	// already sealed; drop them from the hot tier (occupancy follows).
 	var removed int
@@ -612,13 +594,12 @@ func (s *Store) sealTo(tr *tier, limit PacketID, wait bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	tierHook("seal-files")
 	// The hot side of the swap: trim the slabs in the same critical section
 	// that registers the segments, so no query sees the rows double or gone.
 	var removed int
 	var freed uint64
 	next := append(append([]*tierSegment(nil), tr.segs...), newSegs...)
-	if err := s.commitTier(tr, "seal", limit, next, func() {
+	if err := s.commitTier(tr, limit, next, func() {
 		for _, sh := range s.shards {
 			n, b := sh.trimBelowID(limit)
 			removed += n
@@ -642,15 +623,13 @@ func (s *Store) sealTo(tr *tier, limit PacketID, wait bool) (int, error) {
 // plus, when hot is non-nil, every shard write lock, with hot run inside
 // them to change the hot tier in the same critical section — next becomes
 // the registry; then the segments only the old set named are dropped from
-// the cache and unlinked (best effort; orphans are swept at attach).
-// tierHook fires at op+"-manifest" and op+"-swap". An error means the
-// manifest was not published and nothing changed. Caller holds sealMu and
-// has already written every file next names.
-func (s *Store) commitTier(tr *tier, op string, sealedBelow PacketID, next []*tierSegment, hot func()) error {
+// the cache and unlinked (best effort; orphans are swept at attach). An
+// error means the manifest was not published and nothing changed. Caller
+// holds sealMu and has already written every file next names.
+func (s *Store) commitTier(tr *tier, sealedBelow PacketID, next []*tierSegment, hot func()) error {
 	if err := tr.writeManifestLocked(sealedBelow, next); err != nil {
 		return err
 	}
-	tierHook(op + "-manifest")
 	old := tr.segs
 	tr.mu.Lock()
 	if hot != nil {
@@ -666,7 +645,6 @@ func (s *Store) commitTier(tr *tier, op string, sealedBelow PacketID, next []*ti
 		}
 	}
 	tr.mu.Unlock()
-	tierHook(op + "-swap")
 	gone := make(map[uint64]bool, len(old))
 	for _, sg := range old {
 		gone[sg.seq] = true
@@ -675,7 +653,7 @@ func (s *Store) commitTier(tr *tier, op string, sealedBelow PacketID, next []*ti
 		delete(gone, sg.seq)
 	}
 	for seq := range gone {
-		os.Remove(filepath.Join(tr.dir, tierSegName(seq)))
+		tr.fsys.Remove(filepath.Join(tr.dir, tierSegName(seq)))
 	}
 	if tr.cache != nil {
 		tr.cache.dropSegs(gone)
@@ -760,10 +738,9 @@ func (s *Store) CompactTier() (int, error) {
 		if err != nil {
 			return replaced, err
 		}
-		tierHook("compact-files")
 		next := make([]*tierSegment, 0, len(tr.segs)-(hi-lo)+len(newSegs))
 		next = append(append(append(next, tr.segs[:lo]...), newSegs...), tr.segs[hi:]...)
-		if err := s.commitTier(tr, "compact", PacketID(tr.sealedBelow.Load()), next, nil); err != nil {
+		if err := s.commitTier(tr, PacketID(tr.sealedBelow.Load()), next, nil); err != nil {
 			return replaced, err
 		}
 		replaced += hi - lo
@@ -821,7 +798,7 @@ func (s *Store) RetainCold(before time.Duration) (int, error) {
 	if dropped == 0 {
 		return 0, nil
 	}
-	if err := s.commitTier(tr, "retain", PacketID(tr.sealedBelow.Load()), keep, func() {
+	if err := s.commitTier(tr, PacketID(tr.sealedBelow.Load()), keep, func() {
 		for _, sh := range s.shards {
 			for k, fm := range sh.flows {
 				if fm.Last < before {
@@ -872,42 +849,24 @@ func (s *Store) StartTierCompactor(interval time.Duration) (stop func()) {
 	}
 }
 
-// errMmapUnavailable makes mmapFile fall back to os.ReadFile (non-Linux
-// builds, zero-length files, size overflow). Never surfaced to callers.
-var errMmapUnavailable = errors.New("datastore: mmap unavailable")
-
-// tierNoMmap forces loadSeg onto its plain-read fallback — the only path
-// off Linux and after an mmap failure — so a test can cover it on Linux.
-var tierNoMmap bool
-
-// loadSeg is the single segment file read: it maps (or, off Linux or on
-// any mmap failure, reads) the file exactly once and frame-validates it.
-// Column CRCs verify on access, memoized per blob. Only openSeg's
-// directory build and a cursor's first block-cache miss call it. The
-// release func must be called once decoding is done; directories and
-// decoded rows never alias the mapping.
+// loadSeg is the single segment file read: it maps the file exactly once
+// (faults.FS.Map; on the real disk an mmap, or a plain read where that is
+// unavailable) and frame-validates it. Column CRCs verify on access,
+// memoized per blob. Only openSeg's directory build and a cursor's first
+// block-cache miss call it. The release func must be called once decoding
+// is done; directories and decoded rows never alias the mapping.
 // Caller holds tr.mu.RLock (registry membership) or sealMu (mutators).
 func (tr *tier) loadSeg(sg *tierSegment) (*segBlob, func(), error) {
-	path := filepath.Join(tr.dir, sg.name)
-	if mmapSupported && !tierNoMmap {
-		if b, unmap, err := mmapFile(path); err == nil {
-			sb, perr := parseSegment(b)
-			if perr != nil {
-				unmap()
-				return nil, nil, perr
-			}
-			return sb, unmap, nil
-		}
-	}
-	b, err := os.ReadFile(path)
+	b, release, err := tr.fsys.Map(filepath.Join(tr.dir, sg.name))
 	if err != nil {
 		return nil, nil, err
 	}
 	sb, err := parseSegment(b)
 	if err != nil {
+		release()
 		return nil, nil, err
 	}
-	return sb, func() {}, nil
+	return sb, release, nil
 }
 
 // readSegRows fully decodes one segment file for compaction. It bypasses

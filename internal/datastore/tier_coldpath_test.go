@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"campuslab/internal/faults"
 	"campuslab/internal/frame"
 )
 
@@ -25,9 +25,9 @@ func tierFmtPolicy(dir string, cacheBytes int64) TierPolicy {
 }
 
 // diskSegVersions reads the version field of every segment file in dir.
-func diskSegVersions(t *testing.T, dir string) map[uint16]int {
+func diskSegVersions(t *testing.T, fsys faults.FS, dir string) map[uint16]int {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
+	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func diskSegVersions(t *testing.T, dir string) map[uint16]int {
 		if filepath.Ext(e.Name()) != ".clsg" {
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		b, err := fsys.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,17 +88,18 @@ func TestTierFormatEquivalence(t *testing.T) {
 			for _, workers := range workerCases {
 				tc, shards, workers := tc, shards, workers
 				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", tc.name, shards, workers), func(t *testing.T) {
+					// The in-memory file system has no mmap: its Map is
+					// the plain read faults.OS falls back to off Linux.
+					dir, fsys := t.TempDir(), faults.OS
 					if tc.noMmap {
-						tierNoMmap = true
-						defer func() { tierNoMmap = false }()
+						dir, fsys = "/tier", newMemFS(1)
 					}
-					dir := t.TempDir()
-					s := ingestTiered(t, shards, workers, tierFmtPolicy(dir, tc.cache))
+					s := ingestTieredOn(t, fsys, shards, workers, tierFmtPolicy(dir, tc.cache))
 					s.SetQueryWorkers(workers)
 					if ts := s.TierStats(); ts.Segments == 0 {
 						t.Fatalf("no seal happened: %+v", ts)
 					}
-					if vers := diskSegVersions(t, dir); vers[uint16(tc.format)] == 0 || len(vers) != 1 {
+					if vers := diskSegVersions(t, fsys, dir); vers[uint16(tc.format)] == 0 || len(vers) != 1 {
 						t.Fatalf("on-disk segment versions %v, want only v%d", vers, tc.format)
 					}
 					compareTierPrints(t, tc.name, want, tierFingerprint(t, s))

@@ -2,7 +2,9 @@ package datastore
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,35 +15,41 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"campuslab/internal/faults"
 )
 
-// Environment contract for the re-exec'd child of TestTierCrashKill9:
-// the durable directory, and the seal/compact protocol stage at which the
-// child SIGKILLs itself (tierTestHook).
-const (
-	tierCrashDirEnv   = "CAMPUSLAB_TIER_CRASH_DIR"
-	tierCrashStageEnv = "CAMPUSLAB_TIER_CRASH_STAGE"
-)
+// tierCrashDirEnv is the durable directory of TestTierCrashKill9's
+// re-exec'd child.
+const tierCrashDirEnv = "CAMPUSLAB_TIER_CRASH_DIR"
 
-// tierCrashBatches is the exact acked workload: the child ingests and
-// acks all of them (FsyncAlways) before it starts the tier mutation that
-// kills it, so recovery owes every single one back.
+// tierCrashBatches is the exact acked workload: every crash test below
+// acks all of them (FsyncAlways) before it starts the mutation that is
+// killed, so recovery owes every single one back.
 const tierCrashBatches = 30
 
-// tierCrashRetainBefore is the horizon of the retain stages' fatal
-// retention pass: walFrames' clamped timestamps stop at 4ms, so it is past
-// every sealed row and the pass drops whatever has been sealed.
+// tierCrashRetainBefore is the horizon of the fatal retention pass:
+// walFrames' clamped timestamps stop at 4ms, so it is past every sealed row
+// and the pass drops whatever has been sealed.
 const tierCrashRetainBefore = 5 * time.Millisecond
 
-// tierCrashPrepare builds what the stage's fatal mutation works on: two
-// thin seals (the confetti a compaction merges) or one sealed prefix (what
-// a retention pass drops). The seal stages need nothing.
-func tierCrashPrepare(st *Store, stage string) error {
+// tierCrashConfig is the durable tiered store every tier crash test runs.
+func tierCrashConfig(dir string) DurableConfig {
+	return DurableConfig{
+		Dir: dir, Fsync: FsyncAlways, Shards: 2,
+		Tier: TierPolicy{Dir: filepath.Join(dir, "tier"), SegmentPackets: 40, MinSealPackets: 1},
+	}
+}
+
+// tierCrashPrepare builds what a mutation works on: two thin seals (the
+// confetti a compaction merges) or one sealed prefix (what a retention pass
+// drops, and what a checkpoint snapshots beside). A seal needs nothing.
+func tierCrashPrepare(st *Store, mutation string) error {
 	var keeps []uint64
-	switch {
-	case strings.HasPrefix(stage, "compact-"):
+	switch mutation {
+	case "compact":
 		keeps = []uint64{100, 50}
-	case strings.HasPrefix(stage, "retain-"):
+	case "retain", "checkpoint":
 		keeps = []uint64{100}
 	}
 	for _, keep := range keeps {
@@ -52,87 +60,34 @@ func tierCrashPrepare(st *Store, stage string) error {
 	return nil
 }
 
-// tierCrashMutate runs the stage's mutation, the one the child dies in.
-func tierCrashMutate(st *Store, stage string) (err error) {
-	switch {
-	case strings.HasPrefix(stage, "compact-"):
+// tierCrashMutate runs the mutation a crash lands in.
+func tierCrashMutate(st *Store, mutation, dir string) (err error) {
+	switch mutation {
+	case "compact":
 		_, err = st.CompactTier()
-	case strings.HasPrefix(stage, "retain-"):
+	case "retain":
 		_, err = st.RetainCold(tierCrashRetainBefore)
+	case "checkpoint":
+		err = st.CheckpointDir(dir)
 	default:
 		_, err = st.sealHot(50)
 	}
 	return err
 }
 
-// TestTierCrashChildProcess is the child half of the tier kill -9 gate,
-// selected by environment variable. It ingests a deterministic batch
-// stream into a durable tiered store, acks each batch on stdout, then
-// runs the stage's mutation — a seal, a compaction or a retention pass —
-// with a hook that SIGKILLs the process at the requested protocol stage.
-func TestTierCrashChildProcess(t *testing.T) {
-	dir := os.Getenv(tierCrashDirEnv)
-	if dir == "" {
-		t.Skip("child-process helper; driven by TestTierCrashKill9")
-	}
-	stage := os.Getenv(tierCrashStageEnv)
-	st, _, err := Recover(DurableConfig{
-		Dir: dir, Fsync: FsyncAlways, Shards: 2,
-		Tier: TierPolicy{Dir: filepath.Join(dir, "tier"), SegmentPackets: 40, MinSealPackets: 1},
-	})
-	if err != nil {
-		fmt.Println("ERR", err)
-		os.Exit(1)
-	}
-	out := bufio.NewWriter(os.Stdout)
-	for i := 0; i < tierCrashBatches; i++ {
-		if _, err := st.AddBatch(walFrames(5, i), 0); err != nil {
-			fmt.Println("ERR", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(out, "acked %d\n", i)
-		out.Flush()
-	}
-	if err := tierCrashPrepare(st, stage); err != nil {
-		fmt.Println("ERR", err)
-		os.Exit(1)
-	}
-	tierTestHook = func(s string) {
-		if s == stage {
-			syscall.Kill(os.Getpid(), syscall.SIGKILL)
-			select {} // unreachable; SIGKILL is not deliverable to a handler
-		}
-	}
-	if err := tierCrashMutate(st, stage); err != nil {
-		fmt.Println("ERR", err)
-	}
-	fmt.Println("ERR survived the crash stage") // hook did not fire
-	os.Exit(1)
-}
-
-// TestTierCrashKill9 is the tier crash gate: a child acks a fixed batch
-// stream under FsyncAlways, then kill -9s itself inside the seal, compact
-// or retain protocol — after the segment files, after the manifest commit,
-// and after the registry swap. Recovery must hold exactly the acked stream,
-// with no lost and no duplicated packets, and be query-identical to an
-// untiered serial rebuild of the same batches (less, for a committed
-// retention pass, exactly the rows it set out to delete).
-func TestTierCrashKill9(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test")
-	}
+// tierCrashRefs are the stores recovery owes back: the acked stream, and
+// what a retention pass that was not killed leaves of it.
+func tierCrashRefs(t *testing.T) (want, wantRetained tierPrint) {
+	t.Helper()
 	ref := NewSharded(2)
 	for i := 0; i < tierCrashBatches; i++ {
 		if _, err := ref.AddBatch(walFrames(5, i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := tierFingerprint(t, ref)
-	// Retention deletes on purpose, and both retain stages lie past its
-	// commit point: what recovery owes back is what a retention pass that
-	// was not killed leaves of the same acked stream.
+	want = tierFingerprint(t, ref)
 	retained := NewSharded(2)
-	if err := retained.EnableTiering(TierPolicy{Dir: t.TempDir(), SegmentPackets: 40, MinSealPackets: 1}); err != nil {
+	if err := retained.EnableTiering(tierCrashConfig(t.TempDir()).Tier); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < tierCrashBatches; i++ {
@@ -140,28 +95,260 @@ func TestTierCrashKill9(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tierCrashPrepare(retained, "retain-"); err != nil {
+	if err := tierCrashPrepare(retained, "retain"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tierCrashMutate(retained, "retain-"); err != nil {
+	if err := tierCrashMutate(retained, "retain", ""); err != nil {
 		t.Fatal(err)
 	}
-	wantRetained := tierFingerprint(t, retained)
+	wantRetained = tierFingerprint(t, retained)
 	if wantRetained.total == 0 || wantRetained.total >= want.total {
 		t.Fatalf("the reference retention pass left %d of %d packets; want some dropped, some kept", wantRetained.total, want.total)
 	}
+	return want, wantRetained
+}
 
-	for _, stage := range []string{"seal-files", "seal-manifest", "compact-files", "compact-manifest",
-		"compact-swap", "retain-manifest", "retain-swap"} {
+// checkTierRecovery is what every tier crash owes: recovery of the surviving
+// image holds exactly the want stream, with no lost and no duplicated
+// packet, query-identical to the reference; the manifest names exactly the
+// segment files on disk and no temp file is left; and the store keeps
+// working — a fresh seal on top of whatever generation survived.
+func checkTierRecovery(t *testing.T, name string, fsys faults.FS, dir string, want tierPrint) {
+	t.Helper()
+	st, _, err := recoverOn(fsys, tierCrashConfig(dir))
+	if err != nil {
+		t.Fatalf("recovery after %s: %v", name, err)
+	}
+	defer st.CloseWAL()
+	got := tierFingerprint(t, st)
+	if got.total != want.total {
+		t.Fatalf("%s: recovered %d packets, acked stream has %d (lost or duplicated)", name, got.total, want.total)
+	}
+	seen := make(map[PacketID]bool, len(got.scan))
+	for _, sp := range got.scan {
+		if seen[sp.ID] {
+			t.Fatalf("%s: packet ID %d recovered twice", name, sp.ID)
+		}
+		seen[sp.ID] = true
+	}
+	compareTierPrints(t, name, want, got)
+
+	tierDir := filepath.Join(dir, "tier")
+	_, _, names, _, err := loadManifest(fsys, tierDir)
+	if err != nil {
+		t.Fatalf("%s: manifest after recovery: %v", name, err)
+	}
+	diskNames := matchDir(fsys, tierDir, "seg-*"+segSuffix)
+	sort.Strings(names)
+	if len(names) != len(diskNames) || len(names) > 0 && !reflect.DeepEqual(names, diskNames) {
+		t.Fatalf("%s: manifest/disk mismatch after recovery:\nmanifest %v\ndisk     %v", name, names, diskNames)
+	}
+	for _, d := range []string{dir, tierDir} {
+		if tmps := matchDir(fsys, d, "*.tmp*"); len(tmps) != 0 {
+			t.Fatalf("%s: stale temp files survived recovery in %s: %v", name, d, tmps)
+		}
+	}
+
+	if _, err := st.sealHot(20); err != nil {
+		t.Fatalf("%s: post-recovery seal: %v", name, err)
+	}
+	if ts := st.TierStats(); ts.ColdPackets == 0 {
+		t.Fatalf("%s: post-recovery seal left cold tier empty: %+v", name, ts)
+	}
+	compareTierPrints(t, name+" post-reseal", want, tierFingerprint(t, st))
+}
+
+// TestTierCrashEnumeration is the tier crash gate: a store acks a fixed
+// batch stream under FsyncAlways, then the machine dies after file
+// operation k of a seal, a compaction, a retention pass or a checkpoint —
+// for every k the mutation issues, and under a process kill, a power loss
+// and a torn write alike. Recovery of what survives must pass
+// checkTierRecovery. A retention pass deletes on purpose: recovery owes the
+// unretained stream until its manifest rename is durable, and the
+// retained one from then on, decided from the surviving manifest.
+func TestTierCrashEnumeration(t *testing.T) {
+	want, wantRetained := tierCrashRefs(t)
+	const dir = "/data"
+	manifest := filepath.Join(dir, "tier", tierManifestName)
+	// setup acks the stream and prepares the mutation on a fresh file
+	// system, then arms it to die after k more operations (k < 0: never).
+	setup := func(t *testing.T, mutation string, k int) (*memFS, *Store) {
+		t.Helper()
+		mfs := newMemFS(int64(k))
+		st, _, err := recoverOn(mfs, tierCrashConfig(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tierCrashBatches; i++ {
+			if _, err := st.AddBatch(walFrames(5, i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tierCrashPrepare(st, mutation); err != nil {
+			t.Fatal(err)
+		}
+		if k >= 0 {
+			mfs.crashAfter(k)
+		}
+		return mfs, st
+	}
+	for _, mutation := range []string{"seal", "compact", "retain", "checkpoint"} {
+		t.Run(mutation, func(t *testing.T) {
+			// A run that does not crash counts the mutation's operations
+			// and records the manifests either side of it.
+			mfs, st := setup(t, mutation, -1)
+			before, _ := mfs.ReadFile(manifest)
+			start := mfs.opCount()
+			if err := tierCrashMutate(st, mutation, dir); err != nil {
+				t.Fatal(err)
+			}
+			n := mfs.opCount() - start
+			after, _ := mfs.ReadFile(manifest)
+			if n == 0 {
+				t.Fatalf("%s issued no file operation", mutation)
+			}
+			t.Logf("%s: %d file operations, each crashed after under %v", mutation, n, crashModes)
+			for k := 0; k <= n; k++ {
+				mfs, st := setup(t, mutation, k)
+				tierCrashMutate(st, mutation, dir) // fails from operation k+1 on
+				for _, mode := range crashModes {
+					img := mfs.crash(mode)
+					name := fmt.Sprintf("%s crash after operation %d of %d (%s)", mutation, k, n, mode)
+					w := want
+					if mutation == "retain" {
+						switch got, _ := img.ReadFile(manifest); {
+						case bytes.Equal(got, after):
+							w = wantRetained
+						case !bytes.Equal(got, before):
+							t.Fatalf("%s: the surviving manifest is neither the old nor the new one", name)
+						}
+					}
+					checkTierRecovery(t, name, img, dir, w)
+				}
+			}
+		})
+	}
+}
+
+// tierCrashStages are the points TestTierCrashKill9's child kills itself
+// at, named mutation-point: after a mutation's new segment files
+// ("-files"), after its manifest commit ("-manifest"), and after its
+// registry swap ("-swap").
+var tierCrashStages = []string{"seal-files", "seal-manifest", "compact-files", "compact-manifest",
+	"compact-swap", "retain-manifest", "retain-swap"}
+
+// killAtStageFS is the real disk, except that once armed with a stage the
+// process SIGKILLs itself at that point of the mutation it then runs:
+// "-files" when the manifest's temp file is created (every new segment
+// file is durable, the manifest not begun), "-manifest" as soon as a
+// rename has published the manifest (the commit point, before the
+// directory sync and the registry swap), "-swap" at the first unlink of a
+// replaced segment (the registry has swapped).
+type killAtStageFS struct {
+	faults.FS
+	stage     string // "" until armed
+	published bool   // the armed mutation has renamed its manifest
+}
+
+func (k *killAtStageFS) at(point string) bool {
+	_, p, _ := strings.Cut(k.stage, "-")
+	return p == point
+}
+
+func (k *killAtStageFS) kill() {
+	syscall.Kill(os.Getpid(), syscall.SIGKILL)
+	select {} // unreachable; SIGKILL is not deliverable to a handler
+}
+
+func (k *killAtStageFS) CreateTemp(dir, pattern string) (faults.File, error) {
+	if k.at("files") && strings.HasPrefix(pattern, tierManifestName) {
+		k.kill()
+	}
+	return k.FS.CreateTemp(dir, pattern)
+}
+
+func (k *killAtStageFS) Rename(oldpath, newpath string) error {
+	err := k.FS.Rename(oldpath, newpath)
+	if err == nil && k.stage != "" && filepath.Base(newpath) == tierManifestName {
+		if k.at("manifest") {
+			k.kill()
+		}
+		k.published = true
+	}
+	return err
+}
+
+func (k *killAtStageFS) Remove(path string) error {
+	if k.at("swap") && k.published && strings.HasSuffix(path, segSuffix) {
+		k.kill()
+	}
+	return k.FS.Remove(path)
+}
+
+// TestTierCrashChildProcess is the child half of the tier kill -9 smoke
+// test, selected by environment variable, one subtest a stage. It ingests
+// a deterministic batch stream into a durable tiered store, acks each
+// batch on stdout, prepares the stage's mutation, then runs it, dying at
+// the stage.
+func TestTierCrashChildProcess(t *testing.T) {
+	dir := os.Getenv(tierCrashDirEnv)
+	if dir == "" {
+		t.Skip("child-process helper; driven by TestTierCrashKill9")
+	}
+	for _, stage := range tierCrashStages {
+		t.Run(stage, func(t *testing.T) {
+			mutation, _, _ := strings.Cut(stage, "-")
+			fsys := &killAtStageFS{FS: faults.OS}
+			st, _, err := recoverOn(fsys, tierCrashConfig(dir))
+			if err != nil {
+				fmt.Println("ERR", err)
+				os.Exit(1)
+			}
+			out := bufio.NewWriter(os.Stdout)
+			for i := 0; i < tierCrashBatches; i++ {
+				if _, err := st.AddBatch(walFrames(5, i), 0); err != nil {
+					fmt.Println("ERR", err)
+					os.Exit(1)
+				}
+				fmt.Fprintf(out, "acked %d\n", i)
+				out.Flush()
+			}
+			if err := tierCrashPrepare(st, mutation); err != nil {
+				fmt.Println("ERR", err)
+				os.Exit(1)
+			}
+			fsys.stage = stage
+			if err := tierCrashMutate(st, mutation, dir); err != nil {
+				fmt.Println("ERR", err)
+			}
+			fmt.Println("ERR survived the crash stage")
+			os.Exit(1)
+		})
+	}
+}
+
+// TestTierCrashKill9 is the tier crash smoke test on the real page cache:
+// a child acks a fixed batch stream under FsyncAlways, then kill -9s itself
+// inside a seal, a compaction or a retention pass — after the segment
+// files, after the manifest commit, and after the registry swap. Recovery
+// must pass checkTierRecovery on the real disk, owing back the acked
+// stream, less, for a retention pass past its commit point, exactly the
+// rows it set out to delete. TestTierCrashEnumeration covers every crash
+// point in memory.
+func TestTierCrashKill9(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	want, wantRetained := tierCrashRefs(t)
+	for _, stage := range tierCrashStages {
 		t.Run(stage, func(t *testing.T) {
 			want := want
 			if strings.HasPrefix(stage, "retain-") {
 				want = wantRetained
 			}
 			dir := t.TempDir()
-			cmd := exec.Command(os.Args[0], "-test.run", "TestTierCrashChildProcess")
-			cmd.Env = append(os.Environ(),
-				tierCrashDirEnv+"="+dir, tierCrashStageEnv+"="+stage)
+			cmd := exec.Command(os.Args[0], "-test.run", "^TestTierCrashChildProcess$/^"+stage+"$")
+			cmd.Env = append(os.Environ(), tierCrashDirEnv+"="+dir)
 			stdout, err := cmd.StdoutPipe()
 			if err != nil {
 				t.Fatal(err)
@@ -183,101 +370,69 @@ func TestTierCrashKill9(t *testing.T) {
 					}
 				}
 			}
-			cmd.Wait() // child killed itself at the hook stage
+			cmd.Wait()
+			if ws, ok := cmd.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+				t.Fatalf("the child did not kill itself at %s: %v", stage, cmd.ProcessState)
+			}
 			if lastAcked != tierCrashBatches-1 {
 				t.Fatalf("child acked %d batches, want %d", lastAcked+1, tierCrashBatches)
 			}
-
-			st, _, err := Recover(DurableConfig{
-				Dir: dir, Fsync: FsyncAlways, Shards: 2,
-				Tier: TierPolicy{Dir: filepath.Join(dir, "tier"), SegmentPackets: 40, MinSealPackets: 1},
-			})
-			if err != nil {
-				t.Fatalf("recovery after kill -9 at %s: %v", stage, err)
-			}
-			defer st.CloseWAL()
-			got := tierFingerprint(t, st)
-			if got.total != want.total {
-				t.Fatalf("kill -9 at %s: recovered %d packets, acked stream has %d (lost or duplicated)",
-					stage, got.total, want.total)
-			}
-			seen := make(map[PacketID]bool, len(got.scan))
-			for _, sp := range got.scan {
-				if seen[sp.ID] {
-					t.Fatalf("kill -9 at %s: packet ID %d recovered twice", stage, sp.ID)
-				}
-				seen[sp.ID] = true
-			}
-			compareTierPrints(t, stage, want, got)
-
-			// The recovered store must keep working: a fresh seal on top of
-			// whatever generation survived, then a final full check.
-			if _, err := st.sealHot(20); err != nil {
-				t.Fatalf("post-recovery seal: %v", err)
-			}
-			if ts := st.TierStats(); ts.ColdPackets == 0 {
-				t.Fatalf("post-recovery seal left cold tier empty: %+v", ts)
-			}
-			compareTierPrints(t, stage+" post-reseal", want, tierFingerprint(t, st))
+			checkTierRecovery(t, "kill -9 at "+stage, faults.OS, dir, want)
 		})
 	}
 }
 
-// TestTierCrashRecoveredMatchesManifest: crashing between the manifest
-// commit and the registry swap (the in-RAM step) must behave exactly like
-// crashing after the whole seal — EnableTiering's watermark trim is the
-// idempotent dedup.
-func TestTierCrashSwapEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test")
-	}
-	// The "seal-manifest" stage in TestTierCrashKill9 already kills between
-	// manifest and swap; this test asserts the on-disk layout is sane: the
-	// manifest's segments all exist and parse, and no orphan temp files
-	// remain after recovery.
-	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run", "TestTierCrashChildProcess")
-	cmd.Env = append(os.Environ(),
-		tierCrashDirEnv+"="+dir, tierCrashStageEnv+"="+"seal-manifest")
-	out, _ := cmd.StdoutPipe()
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(out)
-	for sc.Scan() {
-	}
-	cmd.Wait()
-
-	tierDir := filepath.Join(dir, "tier")
-	st, _, err := Recover(DurableConfig{
-		Dir: dir, Fsync: FsyncAlways, Shards: 2,
-		Tier: TierPolicy{Dir: tierDir, SegmentPackets: 40, MinSealPackets: 1},
-	})
+// TestTierManifestCorruptAtRest: a tier manifest cut to every shorter
+// length, or with one of a seeded set of bits flipped, makes Recover fail
+// with an error that names the manifest — no panic, and no store with a
+// partly attached tier.
+func TestTierManifestCorruptAtRest(t *testing.T) {
+	const dir = "/data"
+	cfg := tierCrashConfig(dir)
+	manifest := filepath.Join(cfg.Tier.Dir, tierManifestName)
+	mfs := newMemFS(1)
+	st, _, err := recoverOn(mfs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.CloseWAL()
-	_, _, names, ok, err := loadManifest(tierDir)
-	if err != nil || !ok {
-		t.Fatalf("manifest after recovery: ok=%v err=%v", ok, err)
+	for i := 0; i < tierCrashBatches; i++ {
+		if _, err := st.AddBatch(walFrames(5, i), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(names) == 0 {
-		t.Fatal("seal-manifest crash should leave committed segments")
+	if err := tierCrashPrepare(st, "compact"); err != nil {
+		t.Fatal(err)
 	}
-	onDisk, err := filepath.Glob(filepath.Join(tierDir, "seg-*"+segSuffix))
+	if err := st.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := mfs.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var diskNames []string
-	for _, p := range onDisk {
-		diskNames = append(diskNames, filepath.Base(p))
+	var bad [][]byte
+	for n := range good {
+		bad = append(bad, good[:n])
 	}
-	sort.Strings(names)
-	sort.Strings(diskNames)
-	if !reflect.DeepEqual(names, diskNames) {
-		t.Fatalf("manifest/disk mismatch after recovery:\nmanifest %v\ndisk     %v", names, diskNames)
+	r := rand.New(rand.NewSource(1))
+	for range 64 {
+		b := bytes.Clone(good)
+		b[r.Intn(len(b))] ^= 1 << r.Intn(8)
+		bad = append(bad, b)
 	}
-	if tmps, _ := filepath.Glob(filepath.Join(tierDir, "*.tmp*")); len(tmps) != 0 {
-		t.Fatalf("stale temp files survived recovery: %v", tmps)
+	for i, b := range bad {
+		img := mfs.crash(crashKill)
+		f, err := img.OpenFile(manifest, os.O_WRONLY|os.O_TRUNC)
+		if err == nil {
+			_, err = f.Write(b)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _, err := recoverOn(img, cfg)
+		if err == nil || !strings.Contains(err.Error(), "tier manifest") || rec != nil {
+			t.Fatalf("manifest %d (%d of %d bytes): Recover = %v, %v; want no store and an error naming the manifest",
+				i, len(b), len(good), rec != nil, err)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"campuslab/internal/faults"
 	"campuslab/internal/traffic"
 )
 
@@ -41,8 +42,15 @@ func tierFrames(t *testing.T) []traffic.Frame {
 // seal trigger fires mid-stream.
 func ingestTiered(t *testing.T, shards, workers int, pol TierPolicy) *Store {
 	t.Helper()
+	return ingestTieredOn(t, faults.OS, shards, workers, pol)
+}
+
+// ingestTieredOn is ingestTiered with the cold tier on fsys.
+func ingestTieredOn(t *testing.T, fsys faults.FS, shards, workers int, pol TierPolicy) *Store {
+	t.Helper()
 	frames := tierFrames(t)
 	s := NewSharded(shards)
+	s.fsys = fsys
 	if pol.Dir != "" {
 		if err := s.EnableTiering(pol); err != nil {
 			t.Fatal(err)
@@ -147,7 +155,7 @@ func TestTieredStoreEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("shards=%d workers=%d", shards, workers)
-			s := ingestTiered(t, shards, workers, aggressiveTier(t.TempDir()))
+			s := ingestTieredOn(t, newMemFS(int64(shards)), shards, workers, aggressiveTier("/tier"))
 			s.SetQueryWorkers(workers)
 			ts := s.TierStats()
 			if ts.Segments == 0 || ts.ColdPackets == 0 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -134,7 +135,8 @@ var (
 // ingest mutex.
 type WAL struct {
 	cfg     WALConfig
-	f       *os.File
+	fsys    faults.FS
+	f       faults.File
 	seq     uint64 // current segment sequence
 	segSize int64  // bytes written to the current segment
 	pending int    // appends since the last sync
@@ -166,7 +168,7 @@ func parseSegName(name string) (uint64, bool) {
 // in dir — the one a crash mid-append would tear. Chaos harnesses use it
 // to plant torn tails; an error means no segments exist.
 func NewestWALSegment(dir string) (string, error) {
-	seqs, err := listSegments(dir)
+	seqs, err := listSegments(faults.OS, dir)
 	if err != nil {
 		return "", err
 	}
@@ -177,8 +179,8 @@ func NewestWALSegment(dir string) (string, error) {
 }
 
 // listSegments returns the WAL segment sequences in dir, ascending.
-func listSegments(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
+func listSegments(fsys faults.FS, dir string) ([]uint64, error) {
+	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -200,21 +202,24 @@ func listSegments(dir string) ([]uint64, error) {
 // new records go to a fresh segment numbered after the newest existing
 // one, so a recovered process never overwrites history it has not yet
 // replayed.
-func OpenWAL(cfg WALConfig) (*WAL, error) {
+func OpenWAL(cfg WALConfig) (*WAL, error) { return openWAL(faults.OS, cfg) }
+
+// openWAL is OpenWAL on fsys.
+func openWAL(fsys faults.FS, cfg WALConfig) (*WAL, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 4 << 20
 	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("datastore: wal: Dir is required")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := mkdirDurable(fsys, cfg.Dir); err != nil {
 		return nil, fmt.Errorf("datastore: wal: %w", err)
 	}
-	seqs, err := listSegments(cfg.Dir)
+	seqs, err := listSegments(fsys, cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("datastore: wal: %w", err)
 	}
-	w := &WAL{cfg: cfg, segments: len(seqs)}
+	w := &WAL{cfg: cfg, fsys: fsys, segments: len(seqs)}
 	next := uint64(1)
 	if n := len(seqs); n > 0 {
 		next = seqs[n-1] + 1
@@ -230,8 +235,8 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 
 // openSegment starts segment seq and writes its header.
 func (w *WAL) openSegment(seq uint64) error {
-	f, err := os.OpenFile(filepath.Join(w.cfg.Dir, segName(seq)),
-		os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := w.fsys.OpenFile(filepath.Join(w.cfg.Dir, segName(seq)),
+		os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("datastore: wal segment: %w", err)
 	}
@@ -251,7 +256,7 @@ func (w *WAL) openSegment(seq uint64) error {
 			f.Close()
 			return fmt.Errorf("datastore: wal header sync: %w", err)
 		}
-		if err := faults.SyncDir(w.cfg.Dir); err != nil {
+		if err := w.fsys.SyncDir(w.cfg.Dir); err != nil {
 			f.Close()
 			return fmt.Errorf("datastore: wal dir sync: %w", err)
 		}
@@ -357,7 +362,7 @@ func (w *WAL) truncate() error {
 	if w.err != nil {
 		return w.err
 	}
-	seqs, err := listSegments(w.cfg.Dir)
+	seqs, err := listSegments(w.fsys, w.cfg.Dir)
 	if err != nil {
 		return fmt.Errorf("datastore: wal truncate: %w", err)
 	}
@@ -365,23 +370,21 @@ func (w *WAL) truncate() error {
 		if seq >= w.seq {
 			continue
 		}
-		if err := os.Remove(filepath.Join(w.cfg.Dir, segName(seq))); err != nil {
+		if err := w.fsys.Remove(filepath.Join(w.cfg.Dir, segName(seq))); err != nil {
 			return fmt.Errorf("datastore: wal truncate: %w", err)
 		}
 	}
 	// Restart the live segment under the next sequence number so a
 	// replayer never sees a sequence reused with different contents.
 	if err := w.f.Close(); err != nil {
-		w.err = fmt.Errorf("datastore: wal close: %w", err)
-		return w.err
+		return fmt.Errorf("datastore: wal close: %w", err)
 	}
 	old := w.seq
 	w.segments = 0
 	if err := w.openSegment(w.seq + 1); err != nil {
-		w.err = err
 		return err
 	}
-	if err := os.Remove(filepath.Join(w.cfg.Dir, segName(old))); err != nil {
+	if err := w.fsys.Remove(filepath.Join(w.cfg.Dir, segName(old))); err != nil {
 		return fmt.Errorf("datastore: wal truncate: %w", err)
 	}
 	w.records, w.bytes = 0, 0
@@ -403,11 +406,6 @@ func (w *WAL) Close() error {
 	return cerr
 }
 
-// stickyErr returns the sticky append/sync failure, if any. A non-nil stickyErr means
-// durability is degraded: in-memory ingest continues but new data is not
-// crash-safe. Healthz surfaces this.
-func (w *WAL) stickyErr() error { return w.err }
-
 // decodeWALRecord parses one record payload. Corruption returns
 // errWALCorrupt (wrapped) — never a panic, whatever the bytes.
 func decodeWALRecord(payload []byte) ([]traffic.Frame, []uint16, error) {
@@ -422,8 +420,8 @@ func decodeWALRecord(payload []byte) ([]traffic.Frame, []uint16, error) {
 // at the first invalid byte. Returns (records applied, clean); clean=false
 // means the segment ended in corruption or a torn tail and replay of later
 // segments must not proceed.
-func replaySegment(path string, wantSeq uint64, apply func(frames []traffic.Frame, links []uint16)) (uint64, bool) {
-	f, err := os.Open(path)
+func replaySegment(fsys faults.FS, path string, wantSeq uint64, apply func(frames []traffic.Frame, links []uint16)) (uint64, bool) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY)
 	if err != nil {
 		return 0, false
 	}
@@ -466,22 +464,19 @@ func replaySegment(path string, wantSeq uint64, apply func(frames []traffic.Fram
 // replayed segment must be exactly covered+1; a later start means
 // uncovered segments are missing, which is a loss, not a prefix.
 func ReplayWALFrom(dir string, covered uint64, apply func(frames []traffic.Frame, links []uint16)) (records uint64, clean bool, err error) {
-	seqs, err := listSegments(dir)
+	return replayWALFrom(faults.OS, dir, covered, apply)
+}
+
+// replayWALFrom is ReplayWALFrom on fsys.
+func replayWALFrom(fsys faults.FS, dir string, covered uint64, apply func(frames []traffic.Frame, links []uint16)) (records uint64, clean bool, err error) {
+	seqs, err := listSegments(fsys, dir)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return 0, true, nil
 		}
 		return 0, false, fmt.Errorf("datastore: wal replay: %w", err)
 	}
-	if covered > 0 {
-		live := seqs[:0]
-		for _, seq := range seqs {
-			if seq > covered {
-				live = append(live, seq)
-			}
-		}
-		seqs = live
-	}
+	seqs = seqs[sort.Search(len(seqs), func(i int) bool { return seqs[i] > covered }):]
 	clean = true
 	for i, seq := range seqs {
 		if i == 0 && covered > 0 && seq != covered+1 {
@@ -494,7 +489,7 @@ func ReplayWALFrom(dir string, covered uint64, apply func(frames []traffic.Frame
 			clean = false
 			break
 		}
-		n, ok := replaySegment(filepath.Join(dir, segName(seq)), seq, apply)
+		n, ok := replaySegment(fsys, filepath.Join(dir, segName(seq)), seq, apply)
 		records += n
 		obsWALReplayed.Add(n)
 		if !ok {

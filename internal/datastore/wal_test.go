@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"campuslab/internal/faults"
 	"campuslab/internal/traffic"
 )
 
@@ -103,7 +104,7 @@ func TestWALRotationAcrossSegments(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seqs, err := listSegments(dir)
+	seqs, err := listSegments(faults.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestWALBadHeaderIgnored(t *testing.T) {
 	dir := t.TempDir()
 	appendN(t, dir, 3)
 	// A second segment with a trashed header: replay stops before it.
-	seqs, _ := listSegments(dir)
+	seqs, _ := listSegments(faults.OS, dir)
 	next := seqs[len(seqs)-1] + 1
 	if err := os.WriteFile(filepath.Join(dir, segName(next)), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
@@ -223,7 +224,7 @@ func TestWALSegmentGapStopsReplay(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seqs, _ := listSegments(dir)
+	seqs, _ := listSegments(faults.OS, dir)
 	if len(seqs) < 3 {
 		t.Fatalf("need ≥3 segments, got %d", len(seqs))
 	}
@@ -236,7 +237,7 @@ func TestWALSegmentGapStopsReplay(t *testing.T) {
 		t.Fatal("segment gap reported clean")
 	}
 	// Only the first segment's records may be applied: a prefix.
-	first, _ := replaySegment(filepath.Join(dir, segName(seqs[0])), seqs[0], func([]traffic.Frame, []uint16) {})
+	first, _ := replaySegment(faults.OS, filepath.Join(dir, segName(seqs[0])), seqs[0], func([]traffic.Frame, []uint16) {})
 	if records != first {
 		t.Fatalf("replayed %d records, want first segment's %d", records, first)
 	}
@@ -425,9 +426,9 @@ func TestRecoverAfterEviction(t *testing.T) {
 	if raceEnabled { // every check is per packet; a third of the scenario keeps the race pass in budget
 		frames = frames[:2000]
 	}
-	dir := t.TempDir()
+	dir, mfs := "/data", newMemFS(1)
 	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4}
-	st, _, err := Recover(cfg)
+	st, _, err := recoverOn(mfs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +465,7 @@ func TestRecoverAfterEviction(t *testing.T) {
 	wantFlows := st.Flows()
 	st.CloseWAL()
 
-	rec, _, err := Recover(cfg)
+	rec, _, err := recoverOn(mfs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,9 +506,9 @@ func TestRecoverAfterEviction(t *testing.T) {
 // hash (an IPv4 flow and its ::ffff:-mapped IPv6 twin): the snapshot must
 // order them by key, so Recover loads it and re-saves the same bytes.
 func TestRecoverTwinFlows(t *testing.T) {
-	dir := t.TempDir()
+	dir, mfs := "/data", newMemFS(1)
 	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone}
-	st, _, err := Recover(cfg)
+	st, _, err := recoverOn(mfs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,16 +523,16 @@ func TestRecoverTwinFlows(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.CloseWAL()
-	rec, _, err := Recover(cfg)
+	rec, _, err := recoverOn(mfs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rec.CloseWAL()
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*"+snapSuffix))
+	snaps := matchDir(mfs, dir, "snapshot-*"+snapSuffix)
 	if len(snaps) != 1 {
 		t.Fatalf("checkpoints: %v", snaps)
 	}
-	want, err := os.ReadFile(snaps[0])
+	want, err := mfs.ReadFile(filepath.Join(dir, snaps[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +563,7 @@ func TestRecoverTornWALIsPrefix(t *testing.T) {
 	}
 	st.CloseWAL()
 	// Tear the newest segment's tail.
-	seqs, _ := listSegments(dir)
+	seqs, _ := listSegments(faults.OS, dir)
 	path := filepath.Join(dir, segName(seqs[len(seqs)-1]))
 	data, _ := os.ReadFile(path)
 	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
@@ -606,7 +607,7 @@ func TestRecoverTornThenCrashAgain(t *testing.T) {
 	st.CloseWAL()
 	// Tear: garbage appended to the live segment (a partial record the
 	// crash never finished — it was never acked).
-	seqs, _ := listSegments(dir)
+	seqs, _ := listSegments(faults.OS, dir)
 	path := filepath.Join(dir, segName(seqs[len(seqs)-1]))
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -683,10 +684,10 @@ func TestWALStickyError(t *testing.T) {
 	if err := w.Append(walFrames(1, 1), nil); err == nil {
 		t.Fatal("append on closed file succeeded")
 	}
-	if w.stickyErr() == nil {
+	if w.err == nil {
 		t.Fatal("sticky error not set")
 	}
-	if err := w.Append(walFrames(1, 2), nil); !errors.Is(err, w.stickyErr()) {
+	if err := w.Append(walFrames(1, 2), nil); !errors.Is(err, w.err) {
 		t.Fatal("wedged log accepted another append")
 	}
 }
@@ -790,7 +791,7 @@ func TestCheckpointCrashMidTruncateNoDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seqs, err := listSegments(dir)
+	seqs, err := listSegments(faults.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -842,7 +843,7 @@ func TestRecoverRefusesLegacySnapshot(t *testing.T) {
 		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, snap) {
 			t.Fatalf("refused recovery touched %s: %v", name, err)
 		}
-		if seqs, _ := listSegments(dir); len(seqs) != 0 {
+		if seqs, _ := listSegments(faults.OS, dir); len(seqs) != 0 {
 			t.Fatalf("refused recovery over %s opened a WAL: segments %v", name, seqs)
 		}
 	}
@@ -895,7 +896,7 @@ func TestRemoveStaleTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := removeStaleTemps(dir, "snapshot.clds"); n != 2 {
+	if n := removeStaleTemps(faults.OS, dir, "snapshot.clds"); n != 2 {
 		t.Fatalf("removed %d temps, want 2", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "other.file")); err != nil {

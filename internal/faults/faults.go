@@ -1,11 +1,12 @@
 // Package faults is a deterministic, seedable fault-injection layer for
 // road-testing the system the way a production campus network would break
 // it: transient rule-install failures, full switch tables, dead inference
-// tiers, interrupted snapshot writes. Instrumented call sites (the
-// dataplane install path, the control loop's inference tiers, the
-// datastore's file writer) ask an Injector whether this call fails; the
-// healthy no-op injector costs one nil check and changes nothing, so the
-// plumbing is free in production configurations.
+// tiers. Instrumented call sites (the dataplane install path, the control
+// loop's inference tiers) ask an Injector whether this call fails; a nil
+// injector costs one nil check and changes nothing, so the plumbing is
+// free in production configurations. Disk faults are not injected: every
+// file operation goes through an FS, and a test hands the code a file
+// system that fails or crashes.
 //
 // All injectors are deterministic: probabilistic faults derive from a
 // seed, scripted schedules fire on exact per-op call indices, and nothing
@@ -49,12 +50,6 @@ const (
 	// OpInstall is a dataplane rule/meter install (Switch.InstallFilter,
 	// Switch.InstallRateLimit).
 	OpInstall = "dataplane.install"
-	// OpStoreWrite is one buffered write during a datastore snapshot save.
-	OpStoreWrite = "store.write"
-	// OpStoreSync is the pre-rename fsync of a snapshot temp file.
-	OpStoreSync = "store.sync"
-	// OpStoreRename is the atomic rename publishing a snapshot.
-	OpStoreRename = "store.rename"
 )
 
 // OpInfer returns the inference-op name for a tier ("infer.dataplane",
@@ -158,16 +153,6 @@ func (c *counters) stats() map[string]opStats {
 	}
 	return out
 }
-
-// none is the always-healthy injector: every call succeeds. Its zero cost
-// is the contract that lets fault plumbing stay wired in production paths.
-type none struct{}
-
-// Fail always returns nil.
-func (none) Fail(string) error { return nil }
-
-// healthy is the shared no-op injector.
-var healthy Injector = none{}
 
 // Prob injects faults probabilistically at per-op rates, driven by a
 // per-op RNG derived from one seed — deterministic for a fixed per-op call

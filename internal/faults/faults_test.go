@@ -7,9 +7,12 @@ import (
 )
 
 func TestHealthyInjectsNothing(t *testing.T) {
-	for i := 0; i < 1000; i++ {
-		if err := healthy.Fail(OpInstall); err != nil {
-			t.Fatalf("healthy injector failed call %d: %v", i, err)
+	// Injectors with nothing scripted and no rates set.
+	for _, healthy := range []Injector{NewSchedule(), NewProb(1), Chain{}} {
+		for i := 0; i < 1000; i++ {
+			if err := healthy.Fail(OpInstall); err != nil {
+				t.Fatalf("healthy injector failed call %d: %v", i, err)
+			}
 		}
 	}
 }
@@ -45,7 +48,7 @@ func TestScheduleFiresOnExactWindows(t *testing.T) {
 func TestScheduleCountsPerOp(t *testing.T) {
 	s := NewSchedule().FailCalls(OpInstall, 1, 1, KindTransient)
 	// Calls to a different op must not advance OpInstall's counter.
-	if err := s.Fail(OpStoreWrite); err != nil {
+	if err := s.Fail(OpInfer("cloud")); err != nil {
 		t.Fatal("unscripted op failed")
 	}
 	if err := s.Fail(OpInstall); !IsTransient(err) {
@@ -86,11 +89,11 @@ func TestProbPerOpStreamsAreIndependent(t *testing.T) {
 	// Interleaving calls to another op must not change this op's fault
 	// sequence: per-op RNGs are derived independently from the seed.
 	seq := func(interleave bool) []uint64 {
-		p := NewProb(7).Rate(OpInstall, 0.2, 0).Rate(OpStoreWrite, 0.5, 0)
+		p := NewProb(7).Rate(OpInstall, 0.2, 0).Rate(OpInfer("cloud"), 0.5, 0)
 		var out []uint64
 		for i := 0; i < 500; i++ {
 			if interleave {
-				p.Fail(OpStoreWrite)
+				p.Fail(OpInfer("cloud"))
 			}
 			if err := p.Fail(OpInstall); err != nil {
 				var fe *faultError

@@ -141,12 +141,15 @@ gate_names "$RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRe
     TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
 echo "    key table (seal's postings == the decoded index column; hot, cold and keyVal/keyFlags agree on every key; README field table == compiler)"
 gate_names "$RACE" ./internal/datastore TestBuildSegPostingsMatchesDecodeIndex TestHotAndColdIndexTheSameKeys TestFilterDocListsEveryField
-echo "    crash recovery (kill -9 mid-ingest must lose nothing acked; eviction before a checkpoint renumbers nothing; flows tied on time and hash reload; v2/v3 snapshots are refused)"
-gate_names "$RACE" ./internal/datastore TestWALCrashKill9 TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery \
+echo "    crash recovery (a crash after any file operation of ingest, under kill, power loss or a torn write, and kill -9 mid-ingest lose nothing acked; a fresh directory survives power loss; a failed checkpoint is typed and loses nothing; eviction before a checkpoint renumbers nothing; flows tied on time and hash reload; v2/v3 snapshots are refused)"
+gate_names "$RACE" ./internal/datastore TestWALCrashEnumeration TestWALCrashKill9 TestRecoverFreshDirPowerLoss \
+    TestCheckpointDirFailsTyped TestCrashMidSaveLeavesOldSnapshot TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery \
     TestRecoverAfterEviction TestRecoverTwinFlows TestRecoverRefusesLegacySnapshot
-echo "    tier crash (kill -9 mid-seal, mid-compact, mid-retain must lose nothing acked) and the write seams"
-gate_names "$RACE" ./internal/datastore TestTierCrashKill9 TestTierCrashSwapEquivalence \
+echo "    tier crash (a crash after any file operation of a seal, compaction, retention pass or checkpoint, under kill, power loss or a torn write, and kill -9 at a manifest rename lose nothing acked; a corrupt manifest is refused) and the write seams"
+gate_names "$RACE" ./internal/datastore TestTierCrashEnumeration TestTierCrashKill9 TestTierManifestCorruptAtRest \
     TestTierWriteFailureChangesNothing TestLoadAtShardCountMatchesDefaultLoad TestCommitTierRecomputesTotals
+echo "    last-known-good bundle (a publish failed at any file operation up to its rename leaves the previous bundle)"
+gate_names "$RACE" ./internal/control TestLifecycleLKGSurvivesFailedPublish
 echo "    fleet race gate (concurrent campus streams, coordinator during live ingest)"
 gate_names "$RACE" ./internal/fleet TestRaceConcurrentCampusStreams TestRaceCoordinatorDuringStreaming TestStreamMatchesLocalIngest
 echo "    development round (the federated round is worker-count independent)"
