@@ -147,10 +147,9 @@ func main() {
 }
 
 // drainDurable is the durability half of SIGTERM shutdown: flush unsynced
-// WAL appends, write a final snapshot covering everything acknowledged,
-// and detach the log. A daemon killed mid-drain still loses nothing — the
-// flushed WAL replays on the next boot; the checkpoint just makes that
-// replay empty.
+// WAL appends, write a final checkpoint, and detach the log. A daemon
+// killed mid-drain still loses nothing — the flushed WAL replays on the
+// next boot, from the newest checkpoint's position either way.
 func (s *server) drainDurable() error {
 	if s.dataDir == "" {
 		return nil
@@ -165,7 +164,7 @@ func (s *server) drainDurable() error {
 	if err := st.CloseWAL(); err != nil {
 		return fmt.Errorf("wal close: %w", err)
 	}
-	log.Printf("final snapshot written to %s", s.dataDir)
+	log.Printf("final checkpoint written to %s", s.dataDir)
 	return nil
 }
 
@@ -260,8 +259,8 @@ func newServer(dc daemonConfig) (*server, error) {
 		}
 		recovered = rs.SnapshotPackets+rs.WALPackets > 0
 		if recovered {
-			log.Printf("recovered %s: %d snapshot + %d replayed packets (torn=%v)",
-				dc.DataDir, rs.SnapshotPackets, rs.WALPackets, rs.Torn)
+			log.Printf("recovered %s: %d hot packets the checkpoint covered + %d acked after it, from %d WAL records (torn=%v)",
+				dc.DataDir, rs.SnapshotPackets, rs.WALPackets, rs.WALRecords, rs.Torn)
 		}
 	} else if dc.Tier.Dir != "" {
 		st = datastore.NewSharded(0)

@@ -543,9 +543,11 @@ func TestLabdDurableLifecycle(t *testing.T) {
 	if got := srv2.lab.Store().Stats().Packets; got != packets {
 		t.Fatalf("recovered %d packets, first boot had %d", got, packets)
 	}
+	// The log is the hot tier's only durable copy, so after a clean drain
+	// the lag is the hot rows a recovery replays, not zero.
 	h2 := srv2.health()
-	if h2.WAL.Records != 0 {
-		t.Fatalf("clean recovery reports WAL lag: %+v", h2.WAL)
+	if h2.WAL.Records == 0 || h2.WAL.Error != "" {
+		t.Fatalf("clean recovery reports no WAL to replay, or a wedged one: %+v", h2.WAL)
 	}
 }
 

@@ -58,14 +58,14 @@ func TestLoadAtShardCountMatchesDefaultLoad(t *testing.T) {
 		snap    []byte
 		tierDir string // attached after the load, like Recover; "" when untiered
 	}{
-		{"untiered fixture", formatFixture(t, "snapshot-v4-untiered.clds"), ""},
-		{"tiered fixture", formatFixture(t, "snapshot-v4-tiered.clds"), fixtureTierDir(t)},
+		{"untiered fixture", formatFixture(t, "snapshot-v5-untiered.clds"), ""},
+		{"tiered fixture", formatFixture(t, "snapshot-v5-tiered.clds"), fixtureTierDir(t)},
 		{"tiered fresh", storeBytes(t, live), live.tier.Load().dir},
 	}
 	for _, c := range cases {
 		open := func(shards, workers int) *Store {
 			t.Helper()
-			st, err := load(bytes.NewReader(c.snap), shards, workers)
+			st, _, _, err := load(bytes.NewReader(c.snap), shards, workers)
 			if err != nil {
 				t.Fatalf("%s: load(shards=%d, workers=%d): %v", c.name, shards, workers, err)
 			}
@@ -112,7 +112,7 @@ func TestLoadChecksumAfterAppliedChunks(t *testing.T) {
 	// The last packet block's last byte is the last packet's last data byte.
 	snap[ends[len(ends)-1]-1] ^= 0x20
 	for _, shards := range []int{0, 4} {
-		st, err := load(bytes.NewReader(snap), shards, 2)
+		st, _, _, err := load(bytes.NewReader(snap), shards, 2)
 		if !errors.Is(err, ErrBadSnapshot) || !errors.Is(err, frame.ErrCorrupt) || st != nil {
 			t.Fatalf("load(shards=%d) of a snapshot damaged in its last packet block = %v, %v; want nil, a checksum ErrBadSnapshot", shards, st, err)
 		}

@@ -1,89 +1,79 @@
 package datastore
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"campuslab/internal/faults"
+	"campuslab/internal/frame"
 	"campuslab/internal/traffic"
 )
 
-// A durable store couples the in-memory sharded store with a snapshot file
-// and a write-ahead log in one directory:
+// A durable store couples the in-memory sharded store with a write-ahead
+// log and a checkpoint in one directory:
 //
-//	<dir>/snapshot-<seq>.clds   the newest checkpoint (the v4 snapshot:
-//	                            checked blocks, one layout for every store)
-//	<dir>/<seq>.wal             segments holding every acked batch since
+//	<dir>/<seq>.wal           segments holding every acked batch whose rows
+//	                          are not all sealed or evicted
+//	<dir>/snapshot-<n>.clds   the newest checkpoint, the n-th written here
+//	                          (a v5 snapshot with no packets)
 //
-// Recover rebuilds the store as snapshot ⊕ WAL replay; CheckpointDir
-// writes a fresh snapshot and truncates the log. The snapshot keeps the
-// hot rows' IDs and every flow aggregate, so replay lands on the store the
-// log was written against, evicted or sealed rows or not; an older snapshot
-// version is refused (ErrBadSnapshot), not migrated. Between checkpoints,
-// every acked AddBatch is WAL-logged before its PacketID is returned, so a
-// hard kill at any instant loses nothing that was acknowledged (under
-// FsyncAlways; weaker policies trade the power-loss window for speed —
-// see FsyncPolicy).
+// The WAL is the hot tier's only durable copy: every acked AddBatch is
+// logged before its PacketID is returned, so a hard kill at any instant
+// loses nothing that was acknowledged (under FsyncAlways; weaker policies
+// trade the power-loss window for speed — see FsyncPolicy). A checkpoint
+// holds what the log cannot rebuild — the events, the flow aggregates, the
+// base ID (the oldest row neither sealed nor evicted) and the cut ID (the
+// next ID at the checkpoint) — and a replay position: the newest segment
+// starting at or below the base ID, with the first ID in it and the TS
+// watermark before it (walPos, noted in memory as each segment opens).
 //
-// The <seq> stamped into the snapshot name is the WAL segment sequence the
-// snapshot covers: the checkpoint's single atomic rename publishes the
-// data and the coverage watermark together, and Recover replays only
-// segments newer than the stamp. Without the stamp, a crash between the
-// snapshot rename and the end of truncation would leave already-covered
-// segments on disk and the next recovery would replay every acked batch
-// since the previous checkpoint twice.
+// Recover loads the newest checkpoint and replays the log from its
+// position through replayBatch: rows below the cut go back into the slabs
+// and postings without touching the checkpoint's flows, rows at or above
+// it apply normally, and the rows below the base are trimmed away again,
+// so every row gets its ID back and every flow counts it once. A log that
+// ends below the cut, or is missing the position's segment, is an error
+// wrapping ErrBadSnapshot, never a short store.
+//
+// CheckpointDir publishes a checkpoint, then removes the segments below
+// its position; nothing else removes one, eviction and seals included.
+// The cost is the log it keeps: WAL disk usage grows to the hot set, and
+// an untiered store that never evicts keeps its whole WAL.
 
 // snapSuffix ends every checkpoint file name.
 const snapSuffix = ".clds"
 
-// bareSnapshot is the pre-watermark checkpoint name. It says nothing
-// about WAL coverage and is no longer read: Recover refuses a directory
-// where it is the only checkpoint rather than start empty over it.
+// bareSnapshot is the pre-stamp checkpoint name. It is no longer read:
+// Recover refuses a directory where it is the only checkpoint rather than
+// start empty over it.
 const bareSnapshot = "snapshot" + snapSuffix
 
-// snapName formats a coverage-stamped checkpoint name; names sort in
-// coverage order.
-func snapName(covered uint64) string {
-	return fmt.Sprintf("snapshot-%016x%s", covered, snapSuffix)
+// snapName formats the name of the n-th checkpoint; names sort in
+// checkpoint order.
+func snapName(n uint64) string {
+	return fmt.Sprintf("snapshot-%016x%s", n, snapSuffix)
 }
 
-// parseSnapName inverts snapName; ok=false for foreign files.
-func parseSnapName(name string) (uint64, bool) {
-	const prefix = "snapshot-"
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, snapSuffix) {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, prefix), snapSuffix)
-	if len(hex) != 16 {
-		return 0, false
-	}
-	covered, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return covered, true
-}
-
-// findSnapshot picks the checkpoint Recover loads: the stamped snapshot
-// with the highest covered sequence wins (an interrupted checkpoint can
-// leave older ones behind). A directory whose only checkpoint is a legacy
-// bare snapshot.clds is an error wrapping ErrBadSnapshot.
-func findSnapshot(fsys faults.FS, dir string) (path string, covered uint64, ok bool, err error) {
+// findSnapshot picks the checkpoint Recover loads: the highest stamp wins
+// (an interrupted checkpoint can leave older ones behind). A directory
+// whose only checkpoint is a legacy bare snapshot.clds is an error
+// wrapping ErrBadSnapshot.
+func findSnapshot(fsys faults.FS, dir string) (path string, stamp uint64, ok bool, err error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return "", 0, false, err
 	}
 	legacy := false
 	for _, e := range ents {
-		if c, stamped := parseSnapName(e.Name()); stamped && (!ok || c > covered) {
-			covered, ok = c, true
+		if n, isSnap := parseSeq(e.Name(), "snapshot-", snapSuffix); isSnap && (!ok || n > stamp) {
+			stamp, ok = n, true
 		}
 		legacy = legacy || e.Name() == bareSnapshot
 	}
 	if ok {
-		return filepath.Join(dir, snapName(covered)), covered, true, nil
+		return filepath.Join(dir, snapName(stamp)), stamp, true, nil
 	}
 	if legacy {
 		return "", 0, false, fmt.Errorf("%w: %s is an unstamped legacy checkpoint, which this build does not read",
@@ -94,7 +84,7 @@ func findSnapshot(fsys faults.FS, dir string) (path string, covered uint64, ok b
 
 // DurableConfig parameterizes a durable store directory.
 type DurableConfig struct {
-	// Dir is the durability root (snapshot + WAL segments).
+	// Dir is the durability root (checkpoint + WAL segments).
 	Dir string
 	// Fsync is the WAL durability policy (default FsyncInterval).
 	Fsync FsyncPolicy
@@ -113,20 +103,47 @@ type DurableConfig struct {
 
 // RecoveryStats reports what Recover rebuilt.
 type RecoveryStats struct {
-	// SnapshotPackets came from the checkpoint (0 when none existed).
+	// SnapshotPackets are the hot rows the checkpoint covered, rebuilt
+	// from the WAL below its cut (0 when there was no checkpoint).
 	SnapshotPackets uint64
-	// WALRecords / WALPackets were replayed from the log on top.
+	// WALRecords were replayed from the checkpoint's position on;
+	// WALPackets are their rows at or above the cut, acked after it.
 	WALRecords, WALPackets uint64
 	// Torn reports that replay stopped early at a torn tail or corrupt
 	// frame; everything before the stop point was applied.
 	Torn bool
 }
 
-// Recover opens (or initializes) the durable directory: stale snapshot
-// temp files are swept, the newest snapshot is loaded at cfg.Shards, the
-// WAL is replayed on top — both through addBatch, stopping cleanly at a
-// torn tail — and a fresh log segment is attached for new writes. The
-// returned store acknowledges every subsequent batch through the WAL.
+// walPos is a WAL replay position: a segment, the first PacketID its
+// first record takes, and the TS watermark before that record, so replay
+// from it gives every row the ID and the clamped TS it took at ingest.
+type walPos struct {
+	seq     uint64
+	firstID PacketID
+	lastTS  int64
+}
+
+// walSeg notes a live WAL segment: its position, and the log's record
+// and byte totals when it opened.
+type walSeg struct {
+	walPos
+	records, bytes uint64
+}
+
+// noteSegment notes w's live segment if it is new. Caller holds ingestMu
+// and has applied every batch appended so far.
+func (s *Store) noteSegment(w *WAL) {
+	if n := len(s.walSegs); n == 0 || s.walSegs[n-1].seq != w.seq {
+		s.walSegs = append(s.walSegs, walSeg{walPos{w.seq, PacketID(s.nextID.Load()), s.lastTS.Load()}, w.records, w.bytes})
+	}
+}
+
+// Recover opens (or initializes) the durable directory: stale temp files
+// are swept, the newest checkpoint is loaded at cfg.Shards, the WAL is
+// replayed from its position through replayBatch — stopping cleanly at a
+// torn tail, whose valid prefix is republished — and a fresh log segment
+// is attached for new writes. The returned store acknowledges every
+// subsequent batch through the WAL.
 func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) { return recoverOn(faults.OS, cfg) }
 
 // recoverOn is Recover on fsys; the returned store keeps every later
@@ -139,75 +156,78 @@ func recoverOn(fsys faults.FS, cfg DurableConfig) (*Store, RecoveryStats, error)
 	if err := mkdirDurable(fsys, cfg.Dir); err != nil {
 		return nil, rs, fmt.Errorf("datastore: recover: %w", err)
 	}
-	removeStaleTemps(fsys, cfg.Dir, "snapshot*"+snapSuffix)
+	removeStaleTemps(fsys, cfg.Dir, "*") // checkpoints and repaired segments
 
-	snapPath, covered, haveSnap, err := findSnapshot(fsys, cfg.Dir)
+	snapPath, _, haveSnap, err := findSnapshot(fsys, cfg.Dir)
 	if err != nil {
 		return nil, rs, fmt.Errorf("datastore: recover: %w", err)
 	}
-	var st *Store
+	st := NewSharded(cfg.Shards)
+	var base, cut PacketID
+	var pos walPos
 	if haveSnap {
-		st, err = loadFile(fsys, snapPath, cfg.Shards, cfg.Workers)
+		// Checkpoints are published atomically, so a corrupt one is real
+		// damage, not a crash artifact: refuse to guess rather than
+		// silently drop checkpointed data.
+		st, base, pos, err = loadFile(fsys, snapPath, cfg.Shards, cfg.Workers)
+		if err == nil && pos.seq == 0 {
+			err = fmt.Errorf("%w: %s is an export, not a checkpoint", ErrBadSnapshot, snapPath)
+		}
 		if err != nil {
-			// SaveFile publishes snapshots atomically, so a corrupt
-			// snapshot is real damage, not a crash artifact: refuse to
-			// guess rather than silently drop checkpointed data.
 			return nil, rs, fmt.Errorf("datastore: recover snapshot: %w", err)
 		}
-		rs.SnapshotPackets = st.Stats().Packets
-	} else {
-		st = NewSharded(cfg.Shards)
+		cut = PacketID(st.nextID.Load())
+		st.nextID.Store(uint64(pos.firstID))
+		st.lastTS.Store(pos.lastTS)
 	}
 	st.fsys = fsys
 
-	var walBytes uint64
-	records, clean, err := replayWALFrom(fsys, cfg.Dir, covered, func(frames []traffic.Frame, links []uint16) {
-		st.addBatch(frames, links, cfg.Workers)
-		rs.WALPackets += uint64(len(frames))
-		for i := range frames {
-			walBytes += uint64(len(frames[i].Data))
-		}
+	var segs []walSeg
+	var nbytes uint64
+	stop, valid, err := replayWALFrom(fsys, cfg.Dir, pos.seq, func(seq uint64) {
+		segs = append(segs, walSeg{walPos{seq, PacketID(st.nextID.Load()), st.lastTS.Load()}, rs.WALRecords, nbytes})
+	}, func(frames []traffic.Frame, links []uint16) {
+		st.replayBatch(frames, links, cfg.Workers, cut)
+		rs.WALRecords++
+		nbytes += uint64(frame.BlockHeaderSize + frame.RecordsSize(frames))
 	})
 	if err != nil {
-		return nil, rs, err
+		return nil, rs, fmt.Errorf("datastore: recover: %w", err)
 	}
-	rs.WALRecords = records
-	rs.Torn = !clean
+	next := PacketID(st.nextID.Load())
+	if next < cut {
+		return nil, rs, fmt.Errorf("datastore: recover: %w: the WAL in %s ends at packet %d, below the cut %d of %s",
+			ErrBadSnapshot, cfg.Dir, next, cut, snapPath)
+	}
+	rs.SnapshotPackets, rs.WALPackets = uint64(cut-base), uint64(next-cut)
+	st.trimHotBelow(base)
+	// A torn log is repaired before anything is appended to it: a later
+	// recovery would otherwise stop at the old tear and discard the acked
+	// batches appended after it.
+	if rs.Torn = stop != 0; rs.Torn {
+		if err := repairWAL(fsys, cfg.Dir, stop, valid); err != nil {
+			return nil, rs, fmt.Errorf("datastore: recover: repairing torn wal: %w", err)
+		}
+	}
 
 	// Attach the cold tier after replay and before the WAL reopens: replay
-	// re-ingested every acked batch since the checkpoint, including rows
-	// that a pre-crash seal already moved into segments; EnableTiering
-	// trims the hot tier below the manifest's watermark so those rows are
-	// served from cold storage exactly once.
+	// re-ingested every acked batch from the checkpoint's position,
+	// including rows a seal after the checkpoint moved into segments;
+	// EnableTiering trims the hot tier below the manifest's watermark so
+	// those rows are served from cold storage exactly once.
 	if cfg.Tier.Dir != "" {
 		if err := st.EnableTiering(cfg.Tier); err != nil {
 			return nil, rs, fmt.Errorf("datastore: recover tier: %w", err)
 		}
 	}
 
-	w, err := openWAL(fsys, WALConfig{
-		Dir: cfg.Dir, Fsync: cfg.Fsync, SegmentBytes: cfg.SegmentBytes,
-		StartSeq: covered + 1,
-	})
+	w, err := openWAL(fsys, WALConfig{Dir: cfg.Dir, Fsync: cfg.Fsync, SegmentBytes: cfg.SegmentBytes})
 	if err != nil {
 		return nil, rs, err
 	}
-	// The replayed-but-not-checkpointed records still count as WAL lag:
-	// they are only covered once the next checkpoint lands.
-	w.records = records
-	w.bytes = walBytes
+	w.records, w.bytes = rs.WALRecords, nbytes
+	st.walSegs = segs
 	st.attachWAL(w)
-	if !clean {
-		// Seal a torn log immediately: the damaged segment stays on disk
-		// until a checkpoint covers it, and a LATER recovery would stop at
-		// the old tear and discard acked batches appended after it. A
-		// fresh snapshot + truncation makes the recovered prefix the new
-		// ground truth before any new write is acknowledged.
-		if err := st.CheckpointDir(cfg.Dir); err != nil {
-			st.CloseWAL()
-			return nil, rs, fmt.Errorf("datastore: recover: sealing torn wal: %w", err)
-		}
-	}
 	return st, rs, nil
 }
 
@@ -217,6 +237,7 @@ func recoverOn(fsys faults.FS, cfg DurableConfig) (*Store, RecoveryStats, error)
 func (s *Store) attachWAL(w *WAL) {
 	s.ingestMu.Lock()
 	s.wal.Store(w)
+	s.noteSegment(w)
 	s.ingestMu.Unlock()
 }
 
@@ -224,15 +245,14 @@ func (s *Store) attachWAL(w *WAL) {
 type WALStats struct {
 	// Attached reports whether a WAL is wired in.
 	Attached bool
-	// Records / Bytes are the appended-but-not-checkpointed backlog —
-	// the "WAL lag" healthz reports: how much replay a crash right now
-	// would cost.
+	// Records / Bytes are the log from the newest checkpoint's replay
+	// position on — the "WAL lag" healthz reports: what a recovery right
+	// now would replay.
 	Records, Bytes uint64
 	// Segments is the live segment-file count.
 	Segments int
-	// Err is the sticky failure wedging the log (nil when healthy): a failed
-	// append or sync, or a checkpoint that failed once its snapshot was
-	// visible (CheckpointDir). Non-nil means no batch is acked any more.
+	// Err is the sticky failure wedging the log (nil when healthy): a
+	// failed append or sync. Non-nil means no batch is acked any more.
 	Err error
 }
 
@@ -244,13 +264,8 @@ func (s *Store) WALStats() WALStats {
 	if w == nil {
 		return WALStats{}
 	}
-	return WALStats{
-		Attached: true,
-		Records:  w.records,
-		Bytes:    w.bytes,
-		Segments: w.segments,
-		Err:      w.err,
-	}
+	from := s.walSegs[0]
+	return WALStats{Attached: true, Records: w.records - from.records, Bytes: w.bytes - from.bytes, Segments: w.segments, Err: w.err}
 }
 
 // FlushWAL syncs unsynced WAL appends to disk (no-op without a WAL) —
@@ -266,63 +281,44 @@ func (s *Store) FlushWAL() error {
 }
 
 // CheckpointDir is the one checkpoint: it writes into the durable
-// directory layout Recover reads. The snapshot lands under a name
-// embedding the WAL segment sequence it covers (snapName), published
-// together with that watermark by SaveFile's one atomic rename, then the
-// covered log is truncated and older snapshot files are swept. Ingest is
-// excluded for the duration (the ingest mutex), so no batch can land in
-// the truncated log without being in the snapshot. A crash at any point
-// leaves either the previous snapshot plus the full log, or the new
-// snapshot plus only newer segments — never a state where recovery
-// replays a record the loaded snapshot already contains. SaveFile alone is
-// a pure export and never touches the log.
-//
-// A failed file operation returns its error (errors.Is finds the errno)
-// and, before the snapshot is visible, changes nothing. Once it is visible
-// (a failed directory sync, any truncation step) the failure wedges the
-// log, WALStats.Err: the snapshot covers the live segment, so the next
-// replay would skip a record appended there, and every append fails
-// instead until the store is recovered.
+// directory layout Recover reads. With ingest excluded (the ingest mutex)
+// it flushes the log, so every row the checkpoint counts is on disk under
+// every FsyncPolicy, publishes the checkpoint (no packets, a replay
+// position) under the next stamp with one atomic rename, and then removes
+// the WAL segments below the position and the older checkpoints. A failed
+// file operation returns its error (errors.Is finds the errno) and never
+// wedges the log: before the rename nothing has changed, and after it both
+// checkpoints are valid starting points. A store without a log has no
+// checkpoint; SaveFile is a pure export and never touches the log.
 func (s *Store) CheckpointDir(dir string) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	w := s.wal.Load()
-	var covered uint64
-	if w != nil {
-		// Every record appended so far lives in a segment <= the live
-		// sequence, and the ingest mutex keeps it that way until the
-		// snapshot and truncation are done.
-		covered = w.seq
+	if w == nil {
+		return errors.New("datastore: checkpoint: no WAL attached (SaveFile writes an export)")
 	}
-	if err := s.SaveFile(filepath.Join(dir, snapName(covered))); err != nil {
-		if _, c, ok, ferr := findSnapshot(s.fsys, dir); w != nil && (ferr != nil || ok && c == covered) {
-			w.err = err // the snapshot may be visible
-		}
+	_, stamp, _, err := findSnapshot(s.fsys, dir)
+	if err != nil && !errors.Is(err, ErrBadSnapshot) {
+		return fmt.Errorf("datastore: checkpoint: %w", err)
+	}
+	if err := w.flush(); err != nil {
 		return err
 	}
-	if w != nil {
-		if err := w.truncate(); err != nil {
-			w.err = err
-			return err
-		}
+	var pos walPos
+	name := snapName(stamp + 1)
+	if err := faults.PublishFile(s.fsys, filepath.Join(dir, name), func(out io.Writer) (err error) {
+		pos, err = s.save(out, s.walSegs)
+		return err
+	}); err != nil {
+		return fmt.Errorf("datastore: checkpoint: %w", err)
 	}
-	sweepSnapshots(s.fsys, dir, covered)
-	return nil
-}
-
-// sweepSnapshots removes checkpoint files superseded by the one covering
-// `covered` — best effort: Recover always picks the highest stamp, so a
-// leftover is garbage on disk, not a recovery hazard.
-func sweepSnapshots(fsys faults.FS, dir string, covered uint64) {
-	ents, err := fsys.ReadDir(dir)
-	if err != nil {
-		return
+	for len(s.walSegs) > 1 && s.walSegs[0].seq < pos.seq {
+		s.walSegs = s.walSegs[1:]
 	}
-	for _, e := range ents {
-		if c, stamped := parseSnapName(e.Name()); stamped && c < covered {
-			fsys.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
+	err = w.truncate(pos.seq)
+	// Best effort: a leftover is garbage, since Recover picks the newest.
+	removeMatching(s.fsys, dir, "snapshot-*"+snapSuffix, map[string]bool{name: true})
+	return err
 }
 
 // CloseWAL flushes and detaches the log (final drain). The store remains

@@ -19,11 +19,14 @@ import (
 // tiered store's directory — its v3 snapshot, one v2 segment and the
 // manifest naming it. The v4 snapshots hold the same two stores: each is
 // its v2 or v3 source as the v3-era reader loaded it (the v3 one with tier/
-// attached), saved by the v4 writer. Each test below decodes a file with
-// the current code and re-encodes it; every byte must come back. A
-// deliberate format change bumps a version and adds fixtures, it does not
-// regenerate these. The v2 and v3 snapshots and seg-v1.clsg stay as
-// fixtures a retired format must be refused on.
+// attached), saved by the v4 writer; the v5 exports are the v4 ones with
+// the v5 header (cut ID = base ID + packets, no replay position). The v5
+// checkpoint is a store recovered from the WAL segment, with one event
+// added and its first two packets evicted, checkpointed beside it. Each
+// test below decodes a file with the current code and re-encodes it; every
+// byte must come back. A deliberate format change bumps a version and adds
+// fixtures, it does not regenerate these. The v2, v3 and v4 snapshots and
+// seg-v1.clsg stay as fixtures a retired format must be refused on.
 
 func formatFixture(t testing.TB, name ...string) []byte {
 	t.Helper()
@@ -77,7 +80,7 @@ func fixtureTierDir(t *testing.T) string {
 
 func TestFormatSnapshotsPinned(t *testing.T) {
 	t.Run("untiered", func(t *testing.T) {
-		want := formatFixture(t, "snapshot-v4-untiered.clds")
+		want := formatFixture(t, "snapshot-v5-untiered.clds")
 		st, err := Load(bytes.NewReader(want))
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +91,7 @@ func TestFormatSnapshotsPinned(t *testing.T) {
 	})
 	t.Run("tiered", func(t *testing.T) {
 		// The recovery order: load the hot tier, then attach the cold one.
-		want := formatFixture(t, "snapshot-v4-tiered.clds")
+		want := formatFixture(t, "snapshot-v5-tiered.clds")
 		st, err := Load(bytes.NewReader(want))
 		if err != nil {
 			t.Fatal(err)
@@ -101,6 +104,34 @@ func TestFormatSnapshotsPinned(t *testing.T) {
 		}
 		if !bytes.Equal(storeBytes(t, st), want) {
 			t.Fatal("re-saved tiered snapshot differs from the pinned one")
+		}
+	})
+	t.Run("checkpoint", func(t *testing.T) {
+		// Recovered beside the WAL segment it was taken over, the
+		// checkpoint checkpoints again to its own bytes.
+		want := formatFixture(t, "snapshot-v5-checkpoint.clds")
+		dir := t.TempDir()
+		for name, b := range map[string][]byte{segName(1): formatFixture(t, segName(1)), snapName(1): want} {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, rs, err := Recover(DurableConfig{Dir: dir, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.CloseWAL()
+		if ss := st.Stats(); ss.Packets != 3 || ss.Flows != 2 || ss.Events != 1 || rs.SnapshotPackets != 3 || rs.WALPackets != 0 {
+			t.Fatalf("recovered %+v (%+v), want 3 hot packets below the cut, 2 flows, 1 event", ss, rs)
+		}
+		if _, err := Load(bytes.NewReader(want)); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("Load of a checkpoint: err = %v, want ErrBadSnapshot", err)
+		}
+		if err := st.CheckpointDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, snapName(2))); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("re-checkpointed snapshot differs from the pinned one (%v)", err)
 		}
 	})
 }

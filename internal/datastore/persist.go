@@ -20,9 +20,10 @@ import (
 // A snapshot is a six-byte preamble and a sequence of frame checked blocks
 // (all integers little-endian), one layout for every store:
 //
-//	preamble: magic "CLDS" | version u16 (4)
+//	preamble: magic "CLDS" | version u16 (5)
 //	header:   one block: packet count u64 | event count u64 |
-//	          flow count u64 | base ID u64 | last TS i64
+//	          flow count u64 | base ID u64 | cut ID u64 | last TS i64 |
+//	          replay seq u64 | replay first ID u64 | replay TS i64
 //	packets:  record-list blocks (frame.AppendRecords, the WAL record's
 //	          payload) in (TS, ID) order, each at most loadChunk bytes or
 //	          one larger record alone: one addBatch on load
@@ -34,8 +35,14 @@ import (
 // last holding the rest (so a flow of any length fits); the header's
 // counts end each section.
 //
-// The base ID, the flows and the TS watermark are what the hot rows alone
-// cannot rebuild. Load seeds the ID sequence at the base ID, so re-ingest
+// Two writers share the layout. An export (Save) holds the hot packets
+// and a zero replay position. A checkpoint (CheckpointDir) holds no
+// packets: its hot rows are the WAL's records from the replay position on
+// (walPos), which Recover replays on top of it.
+//
+// The base ID (the smallest hot ID), the cut ID (the next ID to assign),
+// the flows and the TS watermark are what the hot rows alone cannot
+// rebuild. Load seeds the ID sequence at the base ID, so re-ingest
 // reassigns the original IDs: the WAL and cold segments name packets by
 // ID, and eviction or a seal may have taken a prefix of them away. It then
 // overlays the persisted flows, whose totals and ID lists still count rows
@@ -43,19 +50,20 @@ import (
 //
 // The layout is canonical: Load refuses what Save would not have written
 // (a block cut elsewhere, rows, events or flows out of order, a hot packet
-// whose flow is missing, trailing bytes), so a snapshot that loads re-saves
-// to its own bytes. Versions 1 to 3 are refused, not migrated.
+// whose flow is missing, an ID or a watermark out of range, trailing
+// bytes), so a snapshot that loads re-saves to its own bytes. Versions 1
+// to 4 are refused, not migrated.
 
 const (
 	persistMagic   = "CLDS"
-	persistVersion = 4
+	persistVersion = 5
 	// loadChunk is a snapshot block's byte budget.
 	loadChunk = 256 << 10
 	// snapBlockMax bounds a block on read: a full chunk, or one record of
 	// the largest size alone.
 	snapBlockMax = 4 + frame.RecordHeaderSize + frame.MaxRecordData
 	// snapHeaderSize is the header block's payload.
-	snapHeaderSize = 5 * 8
+	snapHeaderSize = 9 * 8
 	// flowFixed is a persisted flow's size before its ID list.
 	flowFixed = 1 + 2*17 + 2*2 + 5*8 + 3 + 4*4
 )
@@ -63,19 +71,28 @@ const (
 // ErrBadSnapshot reports a corrupt or incompatible snapshot stream.
 var ErrBadSnapshot = errors.New("datastore: bad snapshot")
 
-// Save writes the store's packets, events and flows to w. Packets stream
-// out in global (timestamp, ID) order — the serial ingest order — and
-// flows in listing order, so snapshots are byte-identical at any shard
-// count. The store remains usable; concurrent ingest during Save is
-// blocked by the shard locks.
+// Save writes the store's packets, events and flows to w: an export.
+// Packets stream out in global (timestamp, ID) order — the serial ingest
+// order — and flows in listing order, so snapshots are byte-identical at
+// any shard count. The store remains usable; concurrent ingest during Save
+// is blocked by the shard locks.
 func (s *Store) Save(w io.Writer) error {
+	_, err := s.save(w, nil)
+	return err
+}
+
+// save is Save, or with live (the WAL's segments, oldest first) a
+// checkpoint: no packets, and the replay position of the newest segment
+// that starts at or below the base ID, which it returns.
+func (s *Store) save(w io.Writer, live []walSeg) (walPos, error) {
 	unlock := s.rlockAll()
 	defer unlock()
 	s.eventsMu.RLock()
 	defer s.eventsMu.RUnlock()
 	// The base ID is the smallest hot ID, or nextID when nothing is hot:
 	// a slab is ID-ordered and the hot IDs run contiguously up to nextID.
-	baseID := s.nextID.Load()
+	cutID := s.nextID.Load()
+	baseID := cutID
 	nPackets := 0
 	slabs := make([][]StoredPacket, len(s.shards))
 	var flows []*FlowMeta
@@ -90,10 +107,23 @@ func (s *Store) Save(w io.Writer) error {
 		}
 	}
 	sort.Slice(flows, func(i, j int) bool { return flowBefore(flows[i], flows[j]) })
+	var pos walPos
+	for _, sg := range live {
+		if uint64(sg.firstID) <= baseID {
+			pos = sg.walPos
+		}
+	}
+	if live != nil {
+		if pos.seq == 0 {
+			return pos, fmt.Errorf("datastore: no WAL segment starts at or below hot packet %d", baseID)
+		}
+		slabs, nPackets = nil, 0
+	}
 
 	sw := &snapWriter{w: w, buf: make([]byte, frame.BlockHeaderSize, frame.BlockHeaderSize+2*loadChunk)}
 	_, sw.err = w.Write(binary.LittleEndian.AppendUint16([]byte(persistMagic), persistVersion))
-	for _, v := range []uint64{uint64(nPackets), uint64(len(s.events)), uint64(len(flows)), baseID, uint64(s.lastTS.Load())} {
+	for _, v := range []uint64{uint64(nPackets), uint64(len(s.events)), uint64(len(flows)), baseID, cutID,
+		uint64(s.lastTS.Load()), pos.seq, uint64(pos.firstID), uint64(pos.lastTS)} {
 		sw.buf = binary.LittleEndian.AppendUint64(sw.buf, v)
 	}
 	sw.flush()
@@ -124,7 +154,7 @@ func (s *Store) Save(w io.Writer) error {
 		sw.cut(false)
 	}
 	sw.cut(true)
-	return sw.err
+	return pos, sw.err
 }
 
 // snapWriter builds a snapshot's blocks in one buffer whose first
@@ -274,15 +304,24 @@ func parseFlow(b []byte) (*FlowMeta, []byte, error) {
 // all indexes are rebuilt. A truncated, corrupt, non-canonical or
 // other-version snapshot returns an error wrapping ErrBadSnapshot (and
 // frame.ErrCorrupt for a block that fails its checksum) — never a silently
-// wrong store.
-func Load(r io.Reader) (*Store, error) { return load(r, 0, 0) }
+// wrong store. A checkpoint is refused too: its hot rows are in its WAL.
+func Load(r io.Reader) (*Store, error) { return exportOnly(load(r, 0, 0)) }
+
+// exportOnly passes on a loaded export and refuses a checkpoint.
+func exportOnly(st *Store, _ PacketID, pos walPos, err error) (*Store, error) {
+	if err == nil && pos.seq != 0 {
+		return nil, fmt.Errorf("%w: a checkpoint, whose hot rows are WAL segment %d on: Recover its directory", ErrBadSnapshot, pos.seq)
+	}
+	return st, err
+}
 
 // load is Load into a store of the given shard count (0 = defaultShards),
 // applying each packet block through addBatch — the function WAL replay
-// applies through — with the given parse fan-out (0 = GOMAXPROCS). A
-// snapshot holds the same bytes at any shard count and loads to the same
-// answers at any (shards, workers).
-func load(r io.Reader, shards, workers int) (_ *Store, err error) {
+// applies through — with the given parse fan-out (0 = GOMAXPROCS), and
+// returning the base ID and the replay position as well. A snapshot holds
+// the same bytes at any shard count and loads to the same answers at any
+// (shards, workers).
+func load(r io.Reader, shards, workers int) (_ *Store, base PacketID, pos walPos, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("%w: %w", ErrBadSnapshot, err)
@@ -323,20 +362,27 @@ func load(r io.Reader, shards, workers int) (_ *Store, err error) {
 	le := binary.LittleEndian
 	var pre [6]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		return nil, fmt.Errorf("preamble: %w", err)
+		return nil, 0, pos, fmt.Errorf("preamble: %w", err)
 	}
 	if v := le.Uint16(pre[4:]); string(pre[:4]) != persistMagic || v != persistVersion {
-		return nil, fmt.Errorf("magic %q version %d (this build reads %s version %d only)", pre[:4], v, persistMagic, persistVersion)
+		return nil, 0, pos, fmt.Errorf("magic %q version %d (this build reads %s version %d only)", pre[:4], v, persistMagic, persistVersion)
 	}
 	h, err := block(snapHeaderSize)
 	if err == nil && len(h) != snapHeaderSize {
 		err = fmt.Errorf("%d bytes", len(h))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("header: %w", err)
+		return nil, 0, pos, fmt.Errorf("header: %w", err)
 	}
 	nPkts, nEvts, nFlows := le.Uint64(h), le.Uint64(h[8:]), le.Uint64(h[16:])
-	baseID, lastTS := le.Uint64(h[24:]), int64(le.Uint64(h[32:]))
+	baseID, cutID, lastTS := le.Uint64(h[24:]), le.Uint64(h[32:]), int64(le.Uint64(h[40:]))
+	pos = walPos{seq: le.Uint64(h[48:]), firstID: PacketID(le.Uint64(h[56:])), lastTS: int64(le.Uint64(h[64:]))}
+	// An export has no replay position; a checkpoint has no packets, and
+	// its position starts at or below the base, before the watermark.
+	if baseID > cutID || pos.seq == 0 && pos != (walPos{}) || pos.seq != 0 && (nPkts > 0 || uint64(pos.firstID) > baseID || pos.lastTS > lastTS) {
+		return nil, 0, pos, fmt.Errorf("header: %d packets, base ID %d, cut ID %d, TS watermark %v, replay position %+v",
+			nPkts, baseID, cutID, time.Duration(lastTS), pos)
+	}
 
 	st := NewSharded(shards)
 	st.nextID.Store(baseID)
@@ -344,7 +390,7 @@ func load(r io.Reader, shards, workers int) (_ *Store, err error) {
 	for left := nPkts; left > 0; {
 		p, err := block(snapBlockMax)
 		if err != nil {
-			return nil, fmt.Errorf("packets: %w", err)
+			return nil, 0, pos, fmt.Errorf("packets: %w", err)
 		}
 		frames, links, err := frame.DecodeRecords(p)
 		switch {
@@ -361,20 +407,24 @@ func load(r io.Reader, shards, workers int) (_ *Store, err error) {
 			prevTS = frames[i].TS
 		}
 		if err != nil {
-			return nil, fmt.Errorf("packets: %w", err)
+			return nil, 0, pos, fmt.Errorf("packets: %w", err)
 		}
 		st.addBatch(frames, links, workers)
 		left -= uint64(len(frames))
 		prevSize = len(p)
 	}
 	if lastTS < int64(prevTS) {
-		return nil, fmt.Errorf("TS watermark %v below the last packet's %v", time.Duration(lastTS), prevTS)
+		return nil, 0, pos, fmt.Errorf("TS watermark %v below the last packet's %v", time.Duration(lastTS), prevTS)
 	}
+	if next := st.nextID.Load(); next > cutID {
+		return nil, 0, pos, fmt.Errorf("hot IDs run to %d, past the cut ID %d", next, cutID)
+	}
+	st.nextID.Store(cutID)
 	st.lastTS.Store(lastTS)
 
 	var evs []eventlog.Event
 	if err := section(nEvts, func(b []byte) ([]byte, error) { return parseEvent(&evs, b) }); err != nil {
-		return nil, fmt.Errorf("events: %w", err)
+		return nil, 0, pos, fmt.Errorf("events: %w", err)
 	}
 	st.AddEvents(evs)
 
@@ -404,12 +454,12 @@ func load(r io.Reader, shards, workers int) (_ *Store, err error) {
 		err = fmt.Errorf("%d persisted, %d after load", nFlows, n)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("flows: %w", err)
+		return nil, 0, pos, fmt.Errorf("flows: %w", err)
 	}
 	if _, err := io.ReadFull(r, pre[:1]); err != io.EOF {
-		return nil, errors.New("bytes after the flows")
+		return nil, 0, pos, errors.New("bytes after the flows")
 	}
-	return st, nil
+	return st, PacketID(baseID), pos, nil
 }
 
 // SaveFile writes a crash-safe snapshot to path through
@@ -424,13 +474,13 @@ func (s *Store) SaveFile(path string) error {
 }
 
 // LoadFile reads a snapshot file written by SaveFile.
-func LoadFile(path string) (*Store, error) { return loadFile(faults.OS, path, 0, 0) }
+func LoadFile(path string) (*Store, error) { return exportOnly(loadFile(faults.OS, path, 0, 0)) }
 
 // loadFile is load over the file at path.
-func loadFile(fsys faults.FS, path string, shards, workers int) (*Store, error) {
+func loadFile(fsys faults.FS, path string, shards, workers int) (*Store, PacketID, walPos, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY)
 	if err != nil {
-		return nil, fmt.Errorf("datastore: snapshot open: %w", err)
+		return nil, 0, walPos{}, fmt.Errorf("datastore: snapshot open: %w", err)
 	}
 	defer f.Close()
 	return load(f, shards, workers)

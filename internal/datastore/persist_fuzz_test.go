@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzSnapshotLoad drives Load with arbitrary bytes, seeded with the pinned
-// v4 snapshots, an empty store's and one holding two flows tied on first
-// time and key hash. Invariants: Load never panics; it
+// v5 exports, an empty store's, one holding two flows tied on first time
+// and key hash, and the pinned v5 checkpoint (which Load refuses: its hot
+// rows are in a WAL). Invariants: Load never panics; it
 // either refuses the input with an error wrapping ErrBadSnapshot or returns
 // a store whose Save re-encodes exactly the input (the layout is
 // canonical); and what it allocates is bounded by the bytes present, never
@@ -17,8 +18,8 @@ import (
 // scratch, whose coverage differs from run to run, so the engine spends a
 // short session minimizing; add -fuzzminimizetime 1x for a long one.
 func FuzzSnapshotLoad(f *testing.F) {
-	f.Add(formatFixture(f, "snapshot-v4-untiered.clds"))
-	f.Add(formatFixture(f, "snapshot-v4-tiered.clds"))
+	f.Add(formatFixture(f, "snapshot-v5-untiered.clds"))
+	f.Add(formatFixture(f, "snapshot-v5-tiered.clds"))
 	twins := New()
 	for _, fr := range twinFlowFrames(f) {
 		twins.IngestFrame(&fr)
@@ -30,6 +31,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 		f.Add(b.Bytes())
 	}
+	f.Add(formatFixture(f, "snapshot-v5-checkpoint.clds"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

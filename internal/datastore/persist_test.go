@@ -100,17 +100,18 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	}
 }
 
-// handSnapshot lays out a v4 snapshot by hand: the preamble, a header
-// block of counts {packets, events, flows, base ID, last TS}, then payloads
-// as blocks — every checksum right, so only what the fields say is wrong.
-func handSnapshot(counts [5]uint64, payloads ...[]byte) []byte {
+// handSnapshot lays out a v5 export by hand: the preamble, a header block
+// {packets, events, flows, base ID, cut ID, last TS} with no replay
+// position, then payloads as blocks — every checksum right, so only what
+// the fields say is wrong.
+func handSnapshot(counts [6]uint64, payloads ...[]byte) []byte {
 	le := binary.LittleEndian
 	b := le.AppendUint16([]byte(persistMagic), persistVersion)
 	var h []byte
 	for _, c := range counts {
 		h = le.AppendUint64(h, c)
 	}
-	b = frame.AppendBlock(b, h)
+	b = frame.AppendBlock(b, append(h, make([]byte, 3*8)...))
 	for _, p := range payloads {
 		b = frame.AppendBlock(b, p)
 	}
@@ -171,10 +172,10 @@ func TestLoadRejectsAbsurdLengths(t *testing.T) {
 	}
 	flow := le.AppendUint32(make([]byte, 94), 1<<31) // a flow claiming 2^31 packet IDs
 	cases := map[string][]byte{
-		"1 GiB packet block": append(handSnapshot([5]uint64{1, 0, 0, 0, 0}), 0, 0, 0, 0x40, 0, 0, 0, 0),
-		"1 GiB record":       handSnapshot([5]uint64{1, 0, 0, 0, 0}, record(1<<30)),
-		"1 GiB event":        handSnapshot([5]uint64{0, 1 << 40, 0, 0, 0}, le.AppendUint32(make([]byte, 12), 1<<30)),
-		"2^31-ID flow":       handSnapshot([5]uint64{0, 0, 1 << 40, 0, 0}, flow),
+		"1 GiB packet block": append(handSnapshot([6]uint64{1, 0, 0, 0, 1, 0}), 0, 0, 0, 0x40, 0, 0, 0, 0),
+		"1 GiB record":       handSnapshot([6]uint64{1, 0, 0, 0, 1, 0}, record(1<<30)),
+		"1 GiB event":        handSnapshot([6]uint64{0, 1 << 40, 0, 0, 0, 0}, le.AppendUint32(make([]byte, 12), 1<<30)),
+		"2^31-ID flow":       handSnapshot([6]uint64{0, 0, 1 << 40, 0, 0, 0}, flow),
 	}
 	for name, snap := range cases {
 		var before, after runtime.MemStats
@@ -195,12 +196,14 @@ func TestLoadRejectsOldVersion(t *testing.T) {
 	v1.WriteString("CLDS")
 	v1.Write([]byte{1, 0}) // v1: pre-checksum format, no longer readable
 	v1.Write(make([]byte, 20))
-	// v2 (untiered) and v3 (tiered) streamed CRC-checked sections; their
-	// readers are gone too, and the pinned files must be refused by name.
+	// v2 (untiered) and v3 (tiered) streamed CRC-checked sections, and v4
+	// checkpoints held their packets; their readers are gone too, and the
+	// pinned files must be refused by name.
 	for v, snap := range map[int][]byte{
 		1: v1.Bytes(),
 		2: formatFixture(t, "snapshot-v2.clds"),
 		3: formatFixture(t, "snapshot-v3.clds"),
+		4: formatFixture(t, "snapshot-v4-untiered.clds"),
 	} {
 		_, err := Load(bytes.NewReader(snap))
 		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), fmt.Sprintf("version %d ", v)) {
@@ -302,7 +305,7 @@ func TestCrashMidSaveLeavesOldSnapshot(t *testing.T) {
 			if err := bigger.SaveFile(path); err == nil {
 				t.Fatal("injected crash did not surface as an error")
 			}
-			got, err := loadFile(mfs, path, 0, 0)
+			got, _, _, err := loadFile(mfs, path, 0, 0)
 			if err != nil {
 				t.Fatalf("old snapshot unreadable after crashed save: %v", err)
 			}
@@ -325,7 +328,7 @@ func TestCrashMidSaveLeavesOldSnapshot(t *testing.T) {
 	if err := bigger.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadFile(mfs, path, 0, 0)
+	got, _, _, err := loadFile(mfs, path, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,14 +159,15 @@ type Store struct {
 	queryWorkers atomic.Int32
 
 	// ingestMu serializes the durability-critical ingest section (WAL
-	// append + shard apply) against Checkpoint, so no batch can land in a
-	// truncated log without being in the snapshot. It is only taken when
-	// a WAL is attached — the lock-free batched path is untouched
-	// otherwise. wal is nil for a purely in-memory store; it is an atomic
-	// pointer so the hot ingest paths pay one load, not a lock, to learn
-	// there is no log.
+	// append + shard apply, and walSegs, where each live segment starts)
+	// against CheckpointDir, so a checkpoint's cut falls between logged
+	// batches. It is only taken when a WAL is attached — the lock-free
+	// batched path is untouched otherwise. wal is nil for a purely
+	// in-memory store; it is an atomic pointer so the hot ingest paths pay
+	// one load, not a lock, to learn there is no log.
 	ingestMu sync.Mutex
 	wal      atomic.Pointer[WAL]
+	walSegs  []walSeg
 
 	// totPackets/totBytes track live occupancy for the admission gate
 	// (updated per batch and by eviction, never per packet on a hot loop).
@@ -293,6 +294,7 @@ type ingestItem struct {
 	hash    uint64
 	label   traffic.Label
 	actor   bool
+	counted bool // its flow already counts it: apply leaves the flow alone
 }
 
 // parse fills the item's summary, flow key and hash from its bytes.
@@ -382,7 +384,7 @@ func (sh *shard) apply(it *ingestItem) {
 	sh.dataBytes += uint64(len(sp.Data))
 	sh.indexBytes += 8 * uint64(sh.index.add(&sp))
 
-	if !sp.Summary.HasIP {
+	if !sp.Summary.HasIP || it.counted {
 		return
 	}
 	fm, ok := sh.flows[it.key]
@@ -485,8 +487,9 @@ func (s *Store) AddBatchAdmit(frames []traffic.Frame, workers int) (IngestResult
 
 // appendBatch is the guarded batched-ingest front door: admission gate,
 // then write-ahead log, then shard apply. The WAL append and the apply sit
-// under ingestMu so a concurrent Checkpoint can never truncate a record
-// whose batch is not yet in the snapshot.
+// under ingestMu so a concurrent CheckpointDir sees every logged batch
+// applied, and the segment a rotation opened noted with the ID and TS
+// watermark its first record starts from.
 func (s *Store) appendBatch(frames []traffic.Frame, links []uint16, workers int) (IngestResult, error) {
 	kept, keptLinks, shed, state, err := s.admitBatch(frames, links)
 	r := IngestResult{Shed: shed, State: state}
@@ -504,6 +507,7 @@ func (s *Store) appendBatch(frames []traffic.Frame, links []uint16, workers int)
 			return r, err
 		}
 		r.First = s.addBatch(kept, keptLinks, workers)
+		s.noteSegment(w)
 		s.ingestMu.Unlock()
 	} else {
 		r.First = s.addBatch(kept, keptLinks, workers)
@@ -519,6 +523,14 @@ func (s *Store) appendBatch(frames []traffic.Frame, links []uint16, workers int)
 // everywhere — the generator path). Links ride through parsing so every
 // packet is indexed under its final link value.
 func (s *Store) addBatch(frames []traffic.Frame, links []uint16, workers int) PacketID {
+	return s.replayBatch(frames, links, workers, 0)
+}
+
+// replayBatch is addBatch as WAL replay on top of a checkpoint applies a
+// record: a row below counted goes into the slab and the postings without
+// touching its flow, whose aggregate the checkpoint holds — the
+// exactly-once rule for flows.
+func (s *Store) replayBatch(frames []traffic.Frame, links []uint16, workers int, counted PacketID) PacketID {
 	n := len(frames)
 	if n == 0 {
 		return PacketID(s.nextID.Load())
@@ -557,6 +569,7 @@ func (s *Store) addBatch(frames []traffic.Frame, links []uint16, workers int) Pa
 	prev := time.Duration(s.lastTS.Load())
 	for i := range items {
 		items[i].id = base + PacketID(i)
+		items[i].counted = items[i].id < counted
 		if items[i].ts < prev {
 			items[i].ts = prev
 		}

@@ -413,16 +413,7 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 	removeMatching(s.fsys, pol.Dir, "seg-*"+segSuffix, inManifest)
 	// Idempotent dedup: recovery may have re-ingested rows that are
 	// already sealed; drop them from the hot tier (occupancy follows).
-	var removed int
-	var freed uint64
-	for _, sh := range s.shards {
-		sh.lock()
-		n, b := sh.trimBelowID(sealedBelow)
-		removed += n
-		freed += b
-		sh.mu.Unlock()
-	}
-	s.releaseHot(removed, freed)
+	s.trimHotBelow(sealedBelow)
 	tr.mu.Lock()
 	tr.setRegistryLocked(sealedBelow, tr.segs)
 	tr.mu.Unlock()
@@ -481,6 +472,22 @@ func (sh *shard) trimBelowID(limit PacketID) (int, uint64) {
 		return 0, 0
 	}
 	return cut, sh.dropRows(cut, limit)
+}
+
+// trimHotBelow drops every hot row with ID < limit and its occupancy,
+// leaving the flows alone: rows recovery re-ingested that a seal or an
+// eviction had already taken.
+func (s *Store) trimHotBelow(limit PacketID) {
+	var removed int
+	var freed uint64
+	for _, sh := range s.shards {
+		sh.lock()
+		n, b := sh.trimBelowID(limit)
+		removed += n
+		freed += b
+		sh.mu.Unlock()
+	}
+	s.releaseHot(removed, freed)
 }
 
 // maybeSeal is the per-batch seal trigger: two atomic loads when the hot

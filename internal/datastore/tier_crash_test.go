@@ -34,26 +34,39 @@ const tierCrashBatches = 30
 const tierCrashRetainBefore = 5 * time.Millisecond
 
 // tierCrashConfig is the durable tiered store every tier crash test runs.
+// Its WAL segments hold two batches each, so a checkpoint that moves the
+// replay position has segments to remove.
 func tierCrashConfig(dir string) DurableConfig {
 	return DurableConfig{
-		Dir: dir, Fsync: FsyncAlways, Shards: 2,
+		Dir: dir, Fsync: FsyncAlways, Shards: 2, SegmentBytes: 600,
 		Tier: TierPolicy{Dir: filepath.Join(dir, "tier"), SegmentPackets: 40, MinSealPackets: 1},
 	}
 }
 
 // tierCrashPrepare builds what a mutation works on: two thin seals (the
-// confetti a compaction merges) or one sealed prefix (what a retention pass
-// drops, and what a checkpoint snapshots beside). A seal needs nothing.
-func tierCrashPrepare(st *Store, mutation string) error {
+// confetti a compaction merges), one sealed prefix (what a retention pass
+// drops, and what a checkpoint is taken beside), or a sealed prefix, a
+// checkpoint and a second seal (so the checkpoint under test moves the
+// replay position mid-stream, past segments the earlier one still needs).
+// A seal needs nothing.
+func tierCrashPrepare(st *Store, mutation, dir string) error {
 	var keeps []uint64
 	switch mutation {
 	case "compact":
 		keeps = []uint64{100, 50}
 	case "retain", "checkpoint":
 		keeps = []uint64{100}
+	case "checkpoint-midstream":
+		keeps = []uint64{100, 0, 40}
 	}
 	for _, keep := range keeps {
-		if _, err := st.sealHot(keep); err != nil {
+		var err error
+		if keep == 0 {
+			err = st.CheckpointDir(dir)
+		} else {
+			_, err = st.sealHot(keep)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -67,7 +80,7 @@ func tierCrashMutate(st *Store, mutation, dir string) (err error) {
 		_, err = st.CompactTier()
 	case "retain":
 		_, err = st.RetainCold(tierCrashRetainBefore)
-	case "checkpoint":
+	case "checkpoint", "checkpoint-midstream":
 		err = st.CheckpointDir(dir)
 	default:
 		_, err = st.sealHot(50)
@@ -95,7 +108,7 @@ func tierCrashRefs(t *testing.T) (want, wantRetained tierPrint) {
 			t.Fatal(err)
 		}
 	}
-	if err := tierCrashPrepare(retained, "retain"); err != nil {
+	if err := tierCrashPrepare(retained, "retain", ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := tierCrashMutate(retained, "retain", ""); err != nil {
@@ -160,7 +173,8 @@ func checkTierRecovery(t *testing.T, name string, fsys faults.FS, dir string, wa
 
 // TestTierCrashEnumeration is the tier crash gate: a store acks a fixed
 // batch stream under FsyncAlways, then the machine dies after file
-// operation k of a seal, a compaction, a retention pass or a checkpoint —
+// operation k of a seal, a compaction, a retention pass or a checkpoint
+// (the first of the store's, or one that moves the replay position) —
 // for every k the mutation issues, and under a process kill, a power loss
 // and a torn write alike. Recovery of what survives must pass
 // checkTierRecovery. A retention pass deletes on purpose: recovery owes the
@@ -184,7 +198,7 @@ func TestTierCrashEnumeration(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := tierCrashPrepare(st, mutation); err != nil {
+		if err := tierCrashPrepare(st, mutation, dir); err != nil {
 			t.Fatal(err)
 		}
 		if k >= 0 {
@@ -192,7 +206,7 @@ func TestTierCrashEnumeration(t *testing.T) {
 		}
 		return mfs, st
 	}
-	for _, mutation := range []string{"seal", "compact", "retain", "checkpoint"} {
+	for _, mutation := range []string{"seal", "compact", "retain", "checkpoint", "checkpoint-midstream"} {
 		t.Run(mutation, func(t *testing.T) {
 			// A run that does not crash counts the mutation's operations
 			// and records the manifests either side of it.
@@ -313,7 +327,7 @@ func TestTierCrashChildProcess(t *testing.T) {
 				fmt.Fprintf(out, "acked %d\n", i)
 				out.Flush()
 			}
-			if err := tierCrashPrepare(st, mutation); err != nil {
+			if err := tierCrashPrepare(st, mutation, dir); err != nil {
 				fmt.Println("ERR", err)
 				os.Exit(1)
 			}
@@ -400,7 +414,7 @@ func TestTierManifestCorruptAtRest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tierCrashPrepare(st, "compact"); err != nil {
+	if err := tierCrashPrepare(st, "compact", dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.CloseWAL(); err != nil {

@@ -18,13 +18,13 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// The write-ahead log makes acknowledged ingest durable between snapshots:
-// every acked batch is appended (and, per the fsync policy, synced) to a
-// segment file before the caller sees its PacketID, and recovery replays
-// the log on top of the newest snapshot. The log is segmented so
-// truncation after a checkpoint is a handful of unlinks, and CRC-framed
-// so a torn tail or bit rot stops replay at the last valid record instead
-// of corrupting the store.
+// The write-ahead log is the hot tier's durable copy: every acked batch is
+// appended (and, per the fsync policy, synced) to a segment file before
+// the caller sees its PacketID, and recovery replays the log on top of the
+// newest checkpoint from the position it records. The log is segmented so
+// dropping the rows a checkpoint no longer needs is a handful of unlinks,
+// and CRC-framed so a torn tail or bit rot stops replay at the last valid
+// record instead of corrupting the store.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -111,12 +111,6 @@ type WALConfig struct {
 	// SegmentBytes rotates to a new segment once the current one exceeds
 	// this size (default 4 MiB).
 	SegmentBytes int64
-	// StartSeq forces the first new segment's sequence to be at least
-	// this value (0 = right after the newest existing segment). Recover
-	// passes the loaded snapshot's covered sequence + 1 so a record
-	// appended after recovery can never land in a segment a snapshot
-	// already claims to cover.
-	StartSeq uint64
 }
 
 // WAL metrics: appended records/bytes, syncs, truncations, and the replay
@@ -142,8 +136,8 @@ type WAL struct {
 	pending int    // appends since the last sync
 	err     error  // sticky: first append/sync failure wedges the log
 
-	records  uint64 // records appended since the last truncation
-	bytes    uint64 // payload+frame bytes appended since the last truncation
+	records  uint64 // records appended (Recover seeds it with those replayed)
+	bytes    uint64 // their bytes, block headers included
 	segments int    // live segment files (including the current one)
 
 	buf []byte // encode scratch, reused across appends
@@ -152,16 +146,14 @@ type WAL struct {
 // segName formats a segment file name; names sort in sequence order.
 func segName(seq uint64) string { return fmt.Sprintf("%016x.wal", seq) }
 
-// parseSegName inverts segName; ok=false for foreign files.
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasSuffix(name, ".wal") || len(name) != 16+4 {
-		return 0, false
+// parseSeq inverts prefix + %016x + suffix (segName, snapName), without
+// allocating; ok=false for any other name.
+func parseSeq(name, prefix, suffix string) (uint64, bool) {
+	if hex := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix); len(hex) == 16 && len(name) == len(prefix)+16+len(suffix) {
+		n, err := strconv.ParseUint(hex, 16, 64)
+		return n, err == nil
 	}
-	seq, err := strconv.ParseUint(name[:16], 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
+	return 0, false
 }
 
 // NewestWALSegment returns the path of the highest-sequence segment file
@@ -186,10 +178,7 @@ func listSegments(fsys faults.FS, dir string) ([]uint64, error) {
 	}
 	var seqs []uint64
 	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		if seq, ok := parseSegName(e.Name()); ok {
+		if seq, ok := parseSeq(e.Name(), "", ".wal"); ok && !e.IsDir() {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -224,9 +213,6 @@ func openWAL(fsys faults.FS, cfg WALConfig) (*WAL, error) {
 	if n := len(seqs); n > 0 {
 		next = seqs[n-1] + 1
 	}
-	if next < cfg.StartSeq {
-		next = cfg.StartSeq
-	}
 	if err := w.openSegment(next); err != nil {
 		return nil, err
 	}
@@ -240,11 +226,7 @@ func (w *WAL) openSegment(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("datastore: wal segment: %w", err)
 	}
-	var hdr [walHeaderSize]byte
-	copy(hdr[:4], walMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], walVersion)
-	binary.LittleEndian.PutUint64(hdr[6:14], seq)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(walHeader(seq)); err != nil {
 		f.Close()
 		return fmt.Errorf("datastore: wal header: %w", err)
 	}
@@ -264,6 +246,12 @@ func (w *WAL) openSegment(seq uint64) error {
 	w.f, w.seq, w.segSize, w.pending = f, seq, walHeaderSize, 0
 	w.segments++
 	return nil
+}
+
+// walHeader is segment seq's header.
+func walHeader(seq uint64) []byte {
+	hdr := binary.LittleEndian.AppendUint16([]byte(walMagic), walVersion)
+	return binary.LittleEndian.AppendUint64(hdr, seq)
 }
 
 // encodeBatch serializes one batch as a checked block in w.buf, sized
@@ -341,8 +329,8 @@ func (w *WAL) rotate() error {
 	return nil
 }
 
-// flush syncs any unsynced appends (SIGTERM drains call this before the
-// final snapshot).
+// flush syncs any unsynced appends (SIGTERM drains and every checkpoint
+// call it first).
 func (w *WAL) flush() error {
 	if w.err != nil {
 		return w.err
@@ -353,41 +341,23 @@ func (w *WAL) flush() error {
 	return w.sync()
 }
 
-// truncate drops every segment older than the current one and restarts
-// the current one empty — called after a successful checkpoint, whose
-// snapshot now covers everything the log held. The caller must guarantee
-// no record appended after the snapshot's cut is discarded; the Store does
-// so by holding its ingest mutex across checkpoint and truncation.
-func (w *WAL) truncate() error {
-	if w.err != nil {
-		return w.err
-	}
+// truncate removes the segments below seq, oldest first — called by a
+// checkpoint once it is published, with its replay position: nothing the
+// checkpoint needs is below it. The live segment is never below it.
+func (w *WAL) truncate(seq uint64) error {
 	seqs, err := listSegments(w.fsys, w.cfg.Dir)
 	if err != nil {
 		return fmt.Errorf("datastore: wal truncate: %w", err)
 	}
-	for _, seq := range seqs {
-		if seq >= w.seq {
-			continue
+	for _, old := range seqs {
+		if old >= seq {
+			break
 		}
-		if err := w.fsys.Remove(filepath.Join(w.cfg.Dir, segName(seq))); err != nil {
+		if err := w.fsys.Remove(filepath.Join(w.cfg.Dir, segName(old))); err != nil {
 			return fmt.Errorf("datastore: wal truncate: %w", err)
 		}
+		w.segments--
 	}
-	// Restart the live segment under the next sequence number so a
-	// replayer never sees a sequence reused with different contents.
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("datastore: wal close: %w", err)
-	}
-	old := w.seq
-	w.segments = 0
-	if err := w.openSegment(w.seq + 1); err != nil {
-		return err
-	}
-	if err := w.fsys.Remove(filepath.Join(w.cfg.Dir, segName(old))); err != nil {
-		return fmt.Errorf("datastore: wal truncate: %w", err)
-	}
-	w.records, w.bytes = 0, 0
 	obsWALTruncates.Inc()
 	return nil
 }
@@ -416,89 +386,115 @@ func decodeWALRecord(payload []byte) ([]traffic.Frame, []uint16, error) {
 	return frames, links, nil
 }
 
-// replaySegment streams records from one segment file into apply, stopping
-// at the first invalid byte. Returns (records applied, clean); clean=false
-// means the segment ended in corruption or a torn tail and replay of later
-// segments must not proceed.
-func replaySegment(fsys faults.FS, path string, wantSeq uint64, apply func(frames []traffic.Frame, links []uint16)) (uint64, bool) {
+// replaySegment streams records from one segment file into apply, reading
+// each through *scratch, and stops at the first invalid byte. Returns the
+// records applied and the length of the segment's valid prefix, header
+// included (0 when the header itself is bad); ok=false means the segment
+// ended in corruption or a torn tail and replay of later segments must not
+// proceed.
+func replaySegment(fsys faults.FS, path string, wantSeq uint64, scratch *[]byte, apply func(frames []traffic.Frame, links []uint16)) (applied uint64, valid int64, ok bool) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY)
 	if err != nil {
-		return 0, false
+		return 0, 0, false
 	}
 	defer f.Close()
 	var hdr [walHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, false
+	if _, err := io.ReadFull(f, hdr[:]); err != nil || string(hdr[:]) != string(walHeader(wantSeq)) {
+		return 0, 0, false
 	}
-	if string(hdr[:4]) != walMagic ||
-		binary.LittleEndian.Uint16(hdr[4:6]) != walVersion ||
-		binary.LittleEndian.Uint64(hdr[6:14]) != wantSeq {
-		return 0, false
-	}
-	var applied uint64
-	var scratch []byte
-	for {
-		payload, err := frame.ReadBlock(f, frame.MaxBlock, &scratch)
+	for valid = walHeaderSize; ; applied++ {
+		payload, err := frame.ReadBlock(f, frame.MaxBlock, scratch)
 		if err != nil {
 			// io.EOF: clean end. Anything else — a torn header or payload,
 			// an oversized length, bit rot — ends the log here.
-			return applied, err == io.EOF
+			return applied, valid, err == io.EOF
 		}
 		frames, links, err := decodeWALRecord(payload)
 		if err != nil {
-			return applied, false
+			return applied, valid, false
 		}
 		apply(frames, links)
-		applied++
+		valid += int64(frame.BlockHeaderSize + len(payload))
 	}
 }
 
 // ReplayWALFrom applies every valid record in dir's segments, in sequence
-// order, to apply. It stops at the first corruption (reporting clean=false)
-// and never panics; the applied records are always a prefix of the
-// appended record stream. covered is for a store loaded from a snapshot
-// that already covers every segment with sequence <= covered (0 = none):
-// those segments — left behind when a crash lands between a checkpoint's
-// snapshot rename and the end of truncation — are skipped, never replayed
-// on top of the data they are already part of. With covered > 0 the first
-// replayed segment must be exactly covered+1; a later start means
-// uncovered segments are missing, which is a loss, not a prefix.
-func ReplayWALFrom(dir string, covered uint64, apply func(frames []traffic.Frame, links []uint16)) (records uint64, clean bool, err error) {
-	return replayWALFrom(faults.OS, dir, covered, apply)
+// order from segment from (0: the oldest there is), to apply. It stops at
+// the first corruption or gap (reporting clean=false) and never panics;
+// the applied records are always a prefix of the record stream appended
+// from that segment on. A missing segment from > 0 is an error wrapping
+// ErrBadSnapshot: the checkpoint that names it cannot be completed.
+func ReplayWALFrom(dir string, from uint64, apply func(frames []traffic.Frame, links []uint16)) (records uint64, clean bool, err error) {
+	stop, _, err := replayWALFrom(faults.OS, dir, from, func(uint64) {}, func(frames []traffic.Frame, links []uint16) {
+		apply(frames, links)
+		records++
+	})
+	return records, stop == 0, err
 }
 
-// replayWALFrom is ReplayWALFrom on fsys.
-func replayWALFrom(fsys faults.FS, dir string, covered uint64, apply func(frames []traffic.Frame, links []uint16)) (records uint64, clean bool, err error) {
+// replayWALFrom is ReplayWALFrom on fsys, calling seg before each segment
+// it replays. A replay that stops early reports the segment it stopped in
+// (stop 0: it did not) and the length of that segment's valid prefix (all
+// of it when a gap follows it).
+func replayWALFrom(fsys faults.FS, dir string, from uint64, seg func(seq uint64), apply func(frames []traffic.Frame, links []uint16)) (stop uint64, valid int64, err error) {
 	seqs, err := listSegments(fsys, dir)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return 0, true, nil
+		if errors.Is(err, fs.ErrNotExist) && from == 0 {
+			return 0, 0, nil
 		}
-		return 0, false, fmt.Errorf("datastore: wal replay: %w", err)
+		return 0, 0, fmt.Errorf("datastore: wal replay: %w", err)
 	}
-	seqs = seqs[sort.Search(len(seqs), func(i int) bool { return seqs[i] > covered }):]
-	clean = true
+	seqs = seqs[sort.Search(len(seqs), func(i int) bool { return seqs[i] >= from }):]
+	if from > 0 && (len(seqs) == 0 || seqs[0] != from) {
+		return 0, 0, fmt.Errorf("%w: wal segment %s at the replay position is missing", ErrBadSnapshot, filepath.Join(dir, segName(from)))
+	}
+	var scratch []byte // one read buffer for every record
 	for i, seq := range seqs {
-		if i == 0 && covered > 0 && seq != covered+1 {
-			clean = false
-			break
-		}
 		if i > 0 && seq != seqs[i-1]+1 {
-			// A gap means an interrupted truncation removed a middle
-			// segment; anything after the gap is not a prefix. Stop.
-			clean = false
+			// A gap means a middle segment is gone; anything after the
+			// gap is not a prefix. Stop.
+			stop = seqs[i-1]
 			break
 		}
-		n, ok := replaySegment(fsys, filepath.Join(dir, segName(seq)), seq, apply)
-		records += n
+		seg(seq)
+		n, v, ok := replaySegment(fsys, filepath.Join(dir, segName(seq)), seq, &scratch, apply)
 		obsWALReplayed.Add(n)
-		if !ok {
-			clean = false
+		if valid = v; !ok {
+			stop = seq
 			break
 		}
 	}
-	if !clean {
+	if stop != 0 {
 		obsWALCorrupt.Inc()
 	}
-	return records, clean, nil
+	return stop, valid, nil
+}
+
+// repairWAL makes a torn log whole again: the segments after stop, the one
+// replay stopped in, are removed, newest first, and the first valid bytes
+// of stop are republished in its place, so the next append lands after the
+// last record replayed and a later replay does not stop at the old tear.
+func repairWAL(fsys faults.FS, dir string, stop uint64, valid int64) error {
+	seqs, err := listSegments(fsys, dir)
+	if err != nil {
+		return err
+	}
+	for i := len(seqs) - 1; i >= 0 && seqs[i] > stop; i-- {
+		if err := fsys.Remove(filepath.Join(dir, segName(seqs[i]))); err != nil {
+			return err
+		}
+	}
+	path := filepath.Join(dir, segName(stop))
+	prefix := walHeader(stop)
+	if valid > walHeaderSize {
+		b, err := fsys.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		prefix = b[:valid]
+	}
+	return faults.PublishFile(fsys, path, func(w io.Writer) error {
+		_, err := w.Write(prefix)
+		return err
+	})
 }

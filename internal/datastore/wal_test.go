@@ -3,9 +3,13 @@ package datastore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -237,13 +241,15 @@ func TestWALSegmentGapStopsReplay(t *testing.T) {
 		t.Fatal("segment gap reported clean")
 	}
 	// Only the first segment's records may be applied: a prefix.
-	first, _ := replaySegment(faults.OS, filepath.Join(dir, segName(seqs[0])), seqs[0], func([]traffic.Frame, []uint16) {})
+	first, _, _ := replaySegment(faults.OS, filepath.Join(dir, segName(seqs[0])), seqs[0], new([]byte), func([]traffic.Frame, []uint16) {})
 	if records != first {
 		t.Fatalf("replayed %d records, want first segment's %d", records, first)
 	}
 }
 
 func TestWALTruncateResetsLog(t *testing.T) {
+	// truncate(seq) removes the segments below seq and nothing else: what
+	// is left, the live segment included, replays as a suffix of the log.
 	dir := t.TempDir()
 	w, err := OpenWAL(WALConfig{Dir: dir, SegmentBytes: 256, Fsync: FsyncNone})
 	if err != nil {
@@ -255,13 +261,16 @@ func TestWALTruncateResetsLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.truncate(); err != nil {
+	seqs, err := listSegments(faults.OS, dir)
+	if err != nil || len(seqs) < 3 {
+		t.Fatalf("want >= 3 segments, got %v (%v)", seqs, err)
+	}
+	if err := w.truncate(seqs[len(seqs)-2]); err != nil {
 		t.Fatal(err)
 	}
-	if w.records != 0 || w.bytes != 0 {
-		t.Fatalf("lag after truncate: %d records, %d bytes", w.records, w.bytes)
+	if left, _ := listSegments(faults.OS, dir); !reflect.DeepEqual(left, seqs[len(seqs)-2:]) || w.segments != 2 {
+		t.Fatalf("after truncate: segments %v (counted %d), want %v", left, w.segments, seqs[len(seqs)-2:])
 	}
-	// Appends after truncation replay alone.
 	post := walFrames(4, 31)
 	if err := w.Append(post, nil); err != nil {
 		t.Fatal(err)
@@ -269,12 +278,13 @@ func TestWALTruncateResetsLog(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, records, clean := replayAll(t, dir)
-	if !clean || records != 1 || len(got) != 4 {
-		t.Fatalf("post-truncate replay = (%d records, %d frames, clean=%v)", records, len(got), clean)
+	got, _, _, clean := replayAll(t, dir)
+	kept := len(got) - len(post)
+	if !clean || kept < 1 || kept >= len(frames) {
+		t.Fatalf("post-truncate replay = (%d frames, clean=%v)", len(got), clean)
 	}
-	for i := range post {
-		if !bytes.Equal(got[i].Data, post[i].Data) {
+	for i, f := range append(append([]traffic.Frame(nil), frames[len(frames)-kept:]...), post...) {
+		if !bytes.Equal(got[i].Data, f.Data) {
 			t.Fatalf("frame %d differs", i)
 		}
 	}
@@ -391,14 +401,16 @@ func TestRecoverSnapshotPlusWAL(t *testing.T) {
 	if err := st.CheckpointDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if ws := st.WALStats(); !ws.Attached || ws.Records != 0 {
+	// The lag is what a recovery would replay: the hot record the
+	// checkpoint left in the log, then the one acked after it.
+	if ws := st.WALStats(); !ws.Attached || ws.Records != 1 {
 		t.Fatalf("WAL lag after checkpoint: %+v", ws)
 	}
 	if _, err := st.AddBatch(frames[30:], 1); err != nil {
 		t.Fatal(err)
 	}
-	if ws := st.WALStats(); ws.Records != 1 {
-		t.Fatalf("WAL lag = %d records, want 1", ws.Records)
+	if ws := st.WALStats(); ws.Records != 2 {
+		t.Fatalf("WAL lag = %d records, want 2", ws.Records)
 	}
 	ref := storeBytes(t, st)
 	st.CloseWAL()
@@ -504,7 +516,7 @@ func TestRecoverAfterEviction(t *testing.T) {
 
 // TestRecoverTwinFlows checkpoints two flows that tie on first time and key
 // hash (an IPv4 flow and its ::ffff:-mapped IPv6 twin): the snapshot must
-// order them by key, so Recover loads it and re-saves the same bytes.
+// order them by key, so Recover loads it and re-checkpoints the same bytes.
 func TestRecoverTwinFlows(t *testing.T) {
 	dir, mfs := "/data", newMemFS(1)
 	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone}
@@ -536,16 +548,227 @@ func TestRecoverTwinFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := rec.Save(&got); err != nil {
+	if err := rec.CheckpointDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("recovered store re-saves %d bytes, the checkpoint holds %d different ones", got.Len(), len(want))
+	snaps = matchDir(mfs, dir, "snapshot-*"+snapSuffix)
+	got, err := mfs.ReadFile(filepath.Join(dir, snaps[len(snaps)-1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("recovered store re-checkpoints %d bytes, the checkpoint holds %d different ones", len(got), len(want))
 	}
 	if !reflect.DeepEqual(rec.Flows(), fs) {
 		t.Errorf("flows after recovery %+v, before %+v", rec.Flows(), fs)
 	}
+}
+
+// cutFrames is batch b of TestRecoverAcrossCheckpointCut: eight packets,
+// the even ones from one flow that runs through every batch, the odd ones
+// each a flow of their own. Batch 3 runs backwards in time, below the
+// watermark the batches before it left, so ingest clamps its timestamps.
+func cutFrames(t testing.TB, b int) []traffic.Frame {
+	frames := make([]traffic.Frame, 8)
+	for i := range frames {
+		ts := time.Duration(10*b+i) * time.Millisecond
+		if b == 3 {
+			ts -= 15 * time.Millisecond
+		}
+		src, port := netip.MustParseAddr("10.0.0.1"), uint16(1000)
+		if i%2 == 1 {
+			src, port = netip.AddrFrom4([4]byte{10, 0, 1, byte(b)}), uint16(2000+i)
+		}
+		frames[i] = synFrame(t, src, port, ts)
+	}
+	return frames
+}
+
+// TestRecoverAcrossCheckpointCut is the exactly-once test for flows across
+// a checkpoint's cut. One flow has packets evicted (or sealed) before the
+// checkpoint, packets hot below its cut and packets acked after it. Tiered,
+// the checkpoint's replay position is the WAL segment batch 3 opens, whose
+// timestamps run backwards, so replay must restart the TS clamp from the
+// watermark noted for that segment. Recover, ingest more, crash under every
+// mode, recover again: each time the store equals a serial reference built
+// by the same operations, byte for byte, with the same Flows().
+func TestRecoverAcrossCheckpointCut(t *testing.T) {
+	for _, tiered := range []bool{false, true} {
+		for _, shards := range []int{1, 4} {
+			name := fmt.Sprintf("tiered=%v shards=%d", tiered, shards)
+			const dir = "/data"
+			cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: shards, SegmentBytes: 256}
+			ref, mfs := NewSharded(shards), newMemFS(int64(shards))
+			if tiered {
+				cfg.Tier = TierPolicy{Dir: "/data/tier", SegmentPackets: 8, MinSealPackets: 1}
+				ref.fsys = newMemFS(0)
+				if err := ref.EnableTiering(TierPolicy{Dir: "/ref/tier", SegmentPackets: 8, MinSealPackets: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, _, err := recoverOn(mfs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingest := func(st *Store, from, to int) {
+				for b := from; b < to; b++ {
+					if _, err := st.AddBatch(cutFrames(t, b), 2); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Evict (or, tiered, seal) batch 0 and half of batch 1, then
+			// seal up to batch 3.
+			age := func(st *Store) {
+				if n := st.EvictBefore(14 * time.Millisecond); n != 12 {
+					t.Fatalf("%s: evicted %d packets, want 12", name, n)
+				}
+				if _, err := st.sealHot(24); tiered && err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(stage string, rec *Store) {
+				if !bytes.Equal(storeBytes(t, rec), storeBytes(t, ref)) {
+					t.Fatalf("%s, %s: recovered store differs from the reference", name, stage)
+				}
+				if got, want := rec.Flows(), ref.Flows(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, %s: flows differ:\n got %+v\nwant %+v", name, stage, got, want)
+				}
+				if got, want := rec.Stats().ColdPackets, ref.Stats().ColdPackets; got != want {
+					t.Fatalf("%s, %s: %d cold packets, want %d", name, stage, got, want)
+				}
+			}
+
+			ingest(st, 0, 6)
+			ingest(ref, 0, 6)
+			age(st)
+			age(ref)
+			if err := st.CheckpointDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			if tiered && st.walSegs[0].firstID != 24 {
+				t.Fatalf("%s: replay position starts at packet %d, want batch 3's first, 24", name, st.walSegs[0].firstID)
+			}
+			ingest(st, 6, 8)
+			ingest(ref, 6, 8)
+			st.CloseWAL()
+			rec, rs, err := recoverOn(mfs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base := uint64(12 + 12*boolByte(tiered)); rs.SnapshotPackets != 48-base || rs.WALPackets != 16 {
+				t.Fatalf("%s: recovery %+v, want %d packets below the cut and 16 above", name, rs, 48-base)
+			}
+			check("first recovery", rec)
+			ingest(rec, 8, 10)
+			ingest(ref, 8, 10)
+			for _, mode := range crashModes {
+				again, _, err := recoverOn(mfs.crash(mode), cfg)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, mode, err)
+				}
+				check(mode.String(), again)
+				again.CloseWAL()
+			}
+		}
+	}
+}
+
+// TestRecoverRefusesTrimmedWAL: the WAL segment at a checkpoint's replay
+// position holds rows the checkpoint counts. Deleted, cut short or
+// corrupted, it leaves the log ending below the checkpoint's cut, and
+// Recover refuses with an error wrapping ErrBadSnapshot that names the
+// WAL — never a store quietly missing those rows.
+func TestRecoverRefusesTrimmedWAL(t *testing.T) {
+	const dir = "/data"
+	cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: 2, SegmentBytes: 256}
+	mfs := newMemFS(1)
+	st, _, err := recoverOn(mfs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 6; b++ {
+		if _, err := st.AddBatch(cutFrames(t, b), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.EvictBefore(20 * time.Millisecond)
+	if err := st.CheckpointDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddBatch(cutFrames(t, 6), 1); err != nil {
+		t.Fatal(err)
+	}
+	pos := filepath.Join(dir, segName(st.walSegs[0].seq))
+	st.CloseWAL()
+	for _, damage := range []string{"deleted", "cut short", "corrupt"} {
+		img := mfs.crash(crashKill)
+		b, err := img.ReadFile(pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch damage {
+		case "deleted":
+			err = img.Remove(pos)
+		case "cut short":
+			err = writeMemFile(img, pos, b[:len(b)-3])
+		default:
+			b[len(b)-3] ^= 0x40
+			err = writeMemFile(img, pos, b)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = recoverOn(img, cfg)
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), dir) {
+			t.Errorf("WAL segment at the replay position %s: Recover = %v, want ErrBadSnapshot naming the WAL", damage, err)
+		}
+	}
+	// Undamaged, the same image recovers.
+	rec, _, err := recoverOn(mfs.crash(crashKill), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.CloseWAL()
+}
+
+// TestCheckpointFlushesWAL: under FsyncNone the WAL syncs nothing on its
+// own, but a checkpoint counts rows that only the log holds, so it flushes
+// the log first: a power cut right after it keeps every row it counts.
+func TestCheckpointFlushesWAL(t *testing.T) {
+	const dir = "/data"
+	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 2}
+	mfs := newMemFS(1)
+	st, _, err := recoverOn(mfs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 3; b++ {
+		if _, err := st.AddBatch(cutFrames(t, b), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.CheckpointDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	rec, rs, err := recoverOn(mfs.crash(crashPowerLoss), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.CloseWAL()
+	if rs.SnapshotPackets != 24 || !bytes.Equal(storeBytes(t, rec), storeBytes(t, st)) {
+		t.Fatalf("power cut after a checkpoint: recovered %+v, not the checkpointed store", rs)
+	}
+}
+
+// writeMemFile replaces path's bytes on fsys.
+func writeMemFile(fsys faults.FS, path string, b []byte) error {
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
+	if err == nil {
+		_, err = f.Write(b)
+		f.Close()
+	}
+	return err
 }
 
 func TestRecoverTornWALIsPrefix(t *testing.T) {
@@ -646,6 +869,63 @@ func TestRecoverTornThenCrashAgain(t *testing.T) {
 	st3.CloseWAL()
 }
 
+// TestRecoverCorruptMidLogThenCrashAgain: bit rot in the middle of the log
+// stops replay there, and the acked batches in the segments after it are
+// lost with it (a recovered store is a prefix of the acked stream). The
+// first recovery drops those segments, so the batches acked after it are
+// all a second recovery replays on top of the prefix.
+func TestRecoverCorruptMidLogThenCrashAgain(t *testing.T) {
+	const dir = "/data"
+	cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: 2, SegmentBytes: 256}
+	mfs := newMemFS(1)
+	st, _, err := recoverOn(mfs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := st.AddBatch(walFrames(5, i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.CloseWAL()
+	// Two records a segment: the flip tears batch 3, in the second of
+	// three segments.
+	seqs, _ := listSegments(mfs, dir)
+	path := filepath.Join(dir, segName(seqs[1]))
+	b, _ := mfs.ReadFile(path)
+	b[len(b)-1] ^= 0x01
+	if err := writeMemFile(mfs, path, b); err != nil {
+		t.Fatal(err)
+	}
+	st2, rs, err := recoverOn(mfs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rs.Torn || rs.WALPackets != 15 {
+		t.Fatalf("first recovery %+v, want the first three batches and a tear", rs)
+	}
+	ref := NewSharded(2)
+	for _, i := range []int{0, 1, 2, 6, 7} {
+		if _, err := ref.AddBatch(walFrames(5, i), 0); err != nil {
+			t.Fatal(err)
+		}
+		if i < 6 {
+			continue
+		}
+		if _, err := st2.AddBatch(walFrames(5, i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st3, rs3, err := recoverOn(mfs.crash(crashPowerLoss), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.CloseWAL()
+	if rs3.Torn || !bytes.Equal(storeBytes(t, st3), storeBytes(t, ref)) {
+		t.Fatalf("second recovery %+v (%d packets) is not the prefix plus the batches acked after it", rs3, st3.Stats().Packets)
+	}
+}
+
 func TestRecoverReshards(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := Recover(DurableConfig{Dir: dir, Shards: 2})
@@ -711,127 +991,100 @@ func TestCheckpointRefusedOnWedgedWAL(t *testing.T) {
 }
 
 func TestCheckpointCrashBeforeTruncateNoDuplicates(t *testing.T) {
-	// The nastiest checkpoint window: the snapshot's atomic rename lands
-	// but the process dies before truncation, leaving WAL segments on
-	// disk whose every record is already inside the snapshot. The
-	// coverage stamp in the snapshot name must stop recovery from
-	// replaying them on top of the data they are part of.
-	dir := t.TempDir()
-	cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: 2}
-	st, _, err := Recover(cfg)
+	// The checkpoint window: its rename lands but truncation never runs,
+	// leaving on disk every segment below its replay position, whose rows
+	// are evicted and whose records hold IDs the checkpoint's flows no
+	// longer count. Recovery must start at the position, replay no record
+	// twice, and keep every batch acked afterwards across the next crash.
+	checkpointCrashMidTruncate(t, 1)
+}
+
+func TestCheckpointCrashMidTruncateNoDuplicates(t *testing.T) {
+	// Same window, one step later: truncation removed the oldest segment
+	// and died, so what is left below the position is a contiguous run
+	// that starts after a gap.
+	checkpointCrashMidTruncate(t, 2)
+}
+
+// checkpointCrashMidTruncate runs a checkpoint whose truncation fails at
+// its unlink-th segment removal, then kills the machine and recovers.
+func checkpointCrashMidTruncate(t *testing.T, unlink int) {
+	const dir = "/data"
+	cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: 2, SegmentBytes: 256}
+	mfs := newMemFS(1)
+	st, _, err := recoverOn(mfs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := walFrames(60, 31)
-	if _, err := st.AddBatch(frames[:20], 1); err != nil {
-		t.Fatal(err)
+	ingest := func(st *Store, fs []traffic.Frame) {
+		for i := 0; i < len(fs); i += 5 {
+			if _, err := st.AddBatch(fs[i:i+5], 1); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	ingest(st, frames[:20])
 	if err := st.CheckpointDir(dir); err != nil { // a completed checkpoint
 		t.Fatal(err)
 	}
-	if _, err := st.AddBatch(frames[20:], 1); err != nil {
-		t.Fatal(err)
+	ingest(st, frames[20:])
+	if n := st.EvictBefore(frames[40].TS); n != 40 {
+		t.Fatalf("evicted %d packets, want 40", n)
 	}
-	// Crash mid-checkpoint: replicate CheckpointDir up to and including
-	// the snapshot rename, then die before truncate runs.
-	w := st.wal.Load()
-	if err := st.SaveFile(filepath.Join(dir, snapName(w.seq))); err != nil {
-		t.Fatal(err)
+	before, _ := listSegments(mfs, dir)
+	mfs.failOp("remove", dir+"/0", unlink, syscall.EIO)
+	if err := st.CheckpointDir(dir); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("CheckpointDir with a failing unlink: %v", err)
+	}
+	if after, _ := listSegments(mfs, dir); len(after) != len(before)-(unlink-1) || len(after) < 3 {
+		t.Fatalf("segments %v before the checkpoint, %v after; want %d removed of several", before, after, unlink-1)
 	}
 	ref := storeBytes(t, st)
-	st.CloseWAL()
 
-	st2, rs, err := Recover(cfg)
+	img := mfs.crash(crashKill)
+	st2, rs, err := recoverOn(img, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Torn {
-		t.Fatalf("recovery reported torn: %+v", rs)
+	if rs.Torn || rs.SnapshotPackets != 20 || rs.WALPackets != 0 {
+		t.Fatalf("recovery %+v, want the 20 hot packets below the cut and nothing torn", rs)
 	}
-	if rs.WALRecords != 0 {
-		t.Fatalf("replayed %d covered records on top of the snapshot (duplicates)", rs.WALRecords)
-	}
-	if got := st2.Stats().Packets; got != 60 {
-		t.Fatalf("packets = %d, want 60", got)
+	if got := st2.Stats().Packets; got != 20 {
+		t.Fatalf("packets = %d, want 20", got)
 	}
 	if !bytes.Equal(ref, storeBytes(t, st2)) {
-		t.Fatal("recovered store diverged from acknowledged stream")
+		t.Fatal("recovered store diverged from the acknowledged stream")
 	}
-	// New batches acked after the interrupted checkpoint must land in
-	// segments the stamp does not cover — and survive the next crash.
+	// New batches acked after the interrupted checkpoint survive the next
+	// crash, above the cut.
 	if _, err := st2.AddBatch(walFrames(10, 41), 1); err != nil {
 		t.Fatal(err)
 	}
 	ref2 := storeBytes(t, st2)
-	st2.CloseWAL()
-	st3, rs3, err := Recover(cfg)
+	st3, rs3, err := recoverOn(img.crash(crashPowerLoss), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs3.WALRecords != 1 || !bytes.Equal(ref2, storeBytes(t, st3)) {
-		t.Fatalf("post-crash batches lost (replayed %d records)", rs3.WALRecords)
+	if rs3.WALPackets != 10 || !bytes.Equal(ref2, storeBytes(t, st3)) {
+		t.Fatalf("post-crash batches lost (%+v)", rs3)
 	}
 	st3.CloseWAL()
 }
 
-func TestCheckpointCrashMidTruncateNoDuplicates(t *testing.T) {
-	// Same window, one step later: truncation got partway, removing the
-	// oldest covered segment and dying — the surviving covered segments
-	// are a contiguous suffix, exactly the shape a gap check can never
-	// catch. The coverage stamp must skip them all.
-	dir := t.TempDir()
-	cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: 2, SegmentBytes: 256}
-	st, _, err := Recover(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := walFrames(40, 43)
-	for i := 0; i < len(frames); i += 10 {
-		if _, err := st.AddBatch(frames[i:i+10], 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seqs, err := listSegments(faults.OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) < 3 {
-		t.Fatalf("want >= 3 segments for a partial truncation, got %d", len(seqs))
-	}
-	w := st.wal.Load()
-	if err := st.SaveFile(filepath.Join(dir, snapName(w.seq))); err != nil {
-		t.Fatal(err)
-	}
-	ref := storeBytes(t, st)
-	st.CloseWAL()
-	// Truncation's first unlink (oldest segment) happened; then the kill.
-	if err := os.Remove(filepath.Join(dir, segName(seqs[0]))); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, rs, err := Recover(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.WALRecords != 0 {
-		t.Fatalf("replayed %d covered records (duplicates)", rs.WALRecords)
-	}
-	if !bytes.Equal(ref, storeBytes(t, st2)) {
-		t.Fatal("recovered store diverged from acknowledged stream")
-	}
-	st2.CloseWAL()
-}
-
 func TestRecoverRefusesLegacySnapshot(t *testing.T) {
-	// Two checkpoints this build no longer reads: a bare snapshot.clds,
-	// written before checkpoints were coverage-stamped, and a stamped
-	// checkpoint in snapshot version 3. Recover must say so rather than
-	// start an empty store over checkpointed data, and touch neither.
+	// Checkpoints this build no longer reads: a bare snapshot.clds,
+	// written before checkpoints were stamped, stamped checkpoints in
+	// snapshot versions 3 and 4, and a v5 export, whose rows are in no
+	// WAL. Recover must say so rather than start an empty store over
+	// checkpointed data, and touch none of them.
 	st := NewSharded(2)
 	st.addBatch(walFrames(16, 37), nil, 1)
 	for name, snap := range map[string][]byte{
 		bareSnapshot: storeBytes(t, st),
 		snapName(7):  formatFixture(t, "snapshot-v3.clds"),
+		snapName(4):  formatFixture(t, "snapshot-v4-untiered.clds"),
+		snapName(1):  storeBytes(t, st),
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, name), snap, 0o644); err != nil {
@@ -850,12 +1103,20 @@ func TestRecoverRefusesLegacySnapshot(t *testing.T) {
 
 	// Beside a stamped checkpoint the bare legacy file is ignored.
 	dir := t.TempDir()
+	durable, _, err := Recover(DurableConfig{Dir: dir, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := durable.AddBatch(walFrames(16, 37), 1); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.SaveFile(filepath.Join(dir, bareSnapshot)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.CheckpointDir(dir); err != nil {
+	if err := durable.CheckpointDir(dir); err != nil {
 		t.Fatal(err)
 	}
+	durable.CloseWAL()
 	st2, rs, err := Recover(DurableConfig{Dir: dir, Shards: 2})
 	if err != nil {
 		t.Fatal(err)

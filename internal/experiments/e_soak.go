@@ -51,7 +51,7 @@ func e16ChaosSoak() (*Table, error) {
 	}
 	t.addRow("lifecycle", "determinism", "two runs, same seed", "", "", "", verdict)
 	t.Notes = append(t.Notes,
-		"expected shape: every crash row recovers byte-identically (the WAL holds every acked batch the snapshot misses); the lifecycle row sequence shows drift degrade the model, a poisoned retrain fail the canary and trigger rollback to last-known-good, and a clean retrain promote its way back to healthy — the same trajectory on every run at this seed",
+		"expected shape: every crash row recovers byte-identically (the WAL holds every hot row: replayed wal= counts the records replayed from the checkpoint's position, snap= the hot rows among them the checkpoint covered, rebuilt below its cut); the lifecycle row sequence shows drift degrade the model, a poisoned retrain fail the canary and trigger rollback to last-known-good, and a clean retrain promote its way back to healthy — the same trajectory on every run at this seed",
 		"wall-clock recovery times are environment-dependent and reported here only as a bound, not a deterministic cell")
 	return t, nil
 }
@@ -167,7 +167,7 @@ func soakDurability(t *Table) error {
 	}
 	st.CloseWAL()
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"worst crash-to-ready recovery across the six epochs: %s (snapshot load + WAL replay, 1-CPU container wall clock)", fmtDur(maxRecovery)))
+		"worst crash-to-ready recovery across the six epochs: %s (checkpoint load + WAL replay, 1-CPU container wall clock)", fmtDur(maxRecovery)))
 	return nil
 }
 

@@ -36,14 +36,18 @@ func goodFrames() []traffic.Frame {
 	return frames
 }
 
-// snapshotOf wraps a record list as the one packet block of a v4 snapshot
-// whose header claims the list's count, no events, no flows, base ID 0 and
-// a TS watermark of last.
+// snapshotOf wraps a record list as the one packet block of a v5 export
+// whose header claims the list's count, no events, no flows, base ID 0, a
+// cut ID past the list, a TS watermark of last and no replay position.
 func snapshotOf(list []byte, last time.Duration) []byte {
 	le := binary.LittleEndian
-	b := le.AppendUint16([]byte("CLDS"), 4)
-	header := le.AppendUint64(le.AppendUint64(le.AppendUint64(nil, uint64(le.Uint32(list))), 0), 0)
-	b = frame.AppendBlock(b, le.AppendUint64(le.AppendUint64(header, 0), uint64(last)))
+	b := le.AppendUint16([]byte("CLDS"), 5)
+	n := uint64(le.Uint32(list))
+	var header []byte
+	for _, v := range []uint64{n, 0, 0, 0, n, uint64(last), 0, 0, 0} {
+		header = le.AppendUint64(header, v)
+	}
+	b = frame.AppendBlock(b, header)
 	return frame.AppendBlock(b, list)
 }
 

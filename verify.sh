@@ -141,12 +141,14 @@ gate_names "$RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRe
     TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
 echo "    key table (seal's postings == the decoded index column; hot, cold and keyVal/keyFlags agree on every key; README field table == compiler)"
 gate_names "$RACE" ./internal/datastore TestBuildSegPostingsMatchesDecodeIndex TestHotAndColdIndexTheSameKeys TestFilterDocListsEveryField
-echo "    crash recovery (a crash after any file operation of ingest, under kill, power loss or a torn write, and kill -9 mid-ingest lose nothing acked; a fresh directory survives power loss; a failed checkpoint is typed and loses nothing; eviction before a checkpoint renumbers nothing; flows tied on time and hash reload; v2/v3 snapshots are refused)"
-gate_names "$RACE" ./internal/datastore TestWALCrashEnumeration TestWALCrashKill9 TestRecoverFreshDirPowerLoss \
+echo "    crash recovery (a crash after any file operation of ingest or of a checkpoint mid-stream, under kill, power loss or a torn write, and kill -9 mid-ingest lose nothing acked; a fresh directory survives power loss; a failed checkpoint is typed, never wedges the log and loses nothing; a checkpoint flushes the log; eviction, seals and the checkpoint's cut renumber nothing and count every flow once; a log trimmed past the checkpoint is refused; a torn log is repaired; flows tied on time and hash reload; v2/v3/v4 snapshots are refused)"
+gate_names "$RACE" ./internal/datastore TestWALCrashEnumeration TestWALCrashEnumeration/checkpoint-midstream TestWALCrashKill9 TestRecoverFreshDirPowerLoss \
     TestCheckpointDirFailsTyped TestCrashMidSaveLeavesOldSnapshot TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery \
-    TestRecoverAfterEviction TestRecoverTwinFlows TestRecoverRefusesLegacySnapshot
-echo "    tier crash (a crash after any file operation of a seal, compaction, retention pass or checkpoint, under kill, power loss or a torn write, and kill -9 at a manifest rename lose nothing acked; a corrupt manifest is refused) and the write seams"
-gate_names "$RACE" ./internal/datastore TestTierCrashEnumeration TestTierCrashKill9 TestTierManifestCorruptAtRest \
+    TestRecoverAfterEviction TestRecoverTwinFlows TestRecoverRefusesLegacySnapshot TestRecoverAcrossCheckpointCut \
+    TestRecoverRefusesTrimmedWAL TestCheckpointFlushesWAL TestRecoverCorruptMidLogThenCrashAgain \
+    TestCheckpointCrashBeforeTruncateNoDuplicates TestCheckpointCrashMidTruncateNoDuplicates
+echo "    tier crash (a crash after any file operation of a seal, compaction, retention pass or checkpoint — the first, or one that moves the replay position mid-stream — under kill, power loss or a torn write, and kill -9 at a manifest rename lose nothing acked; a corrupt manifest is refused) and the write seams"
+gate_names "$RACE" ./internal/datastore TestTierCrashEnumeration TestTierCrashEnumeration/checkpoint-midstream TestTierCrashKill9 TestTierManifestCorruptAtRest \
     TestTierWriteFailureChangesNothing TestLoadAtShardCountMatchesDefaultLoad TestCommitTierRecomputesTotals
 echo "    last-known-good bundle (a publish failed at any file operation up to its rename leaves the previous bundle)"
 gate_names "$RACE" ./internal/control TestLifecycleLKGSurvivesFailedPublish
