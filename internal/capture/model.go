@@ -153,46 +153,3 @@ func (g *ConstantRateGenerator) Next(f *traffic.Frame) bool {
 	f.FlowID = uint64(g.emitted)
 	return true
 }
-
-// meter tracks exponentially weighted packet and bit rates, the live
-// counters a capture appliance exports.
-type meter struct {
-	alpha      float64
-	lastTS     time.Duration
-	pps, bps   float64
-	count      uint64
-	totalBytes uint64
-}
-
-// newMeter returns a meter with the given smoothing factor (0<alpha<=1).
-func newMeter(alpha float64) *meter {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.1
-	}
-	return &meter{alpha: alpha}
-}
-
-// observe folds one packet at ts into the rates.
-func (m *meter) observe(ts time.Duration, bytes int) {
-	m.count++
-	m.totalBytes += uint64(bytes)
-	if m.lastTS == 0 {
-		m.lastTS = ts
-		return
-	}
-	dt := (ts - m.lastTS).Seconds()
-	if dt <= 0 {
-		return
-	}
-	instPPS := 1 / dt
-	instBPS := float64(bytes*8) / dt
-	m.pps = m.alpha*instPPS + (1-m.alpha)*m.pps
-	m.bps = m.alpha*instBPS + (1-m.alpha)*m.bps
-	m.lastTS = ts
-}
-
-// rates returns the smoothed packets/s and bits/s.
-func (m *meter) rates() (pps, bps float64) { return m.pps, m.bps }
-
-// totals returns cumulative packet and byte counts.
-func (m *meter) totals() (packets, bytes uint64) { return m.count, m.totalBytes }

@@ -16,6 +16,9 @@ const (
 	pcapVersionMaj = 2
 	pcapVersionMin = 4
 	linkTypeEther  = 1
+	// maxSnaplen is libpcap's MAXIMUM_SNAPLEN: no record body is longer,
+	// whatever a file's header claims.
+	maxSnaplen = 262144
 )
 
 // errBadPcap reports a malformed pcap stream.
@@ -27,7 +30,6 @@ var errBadPcap = errors.New("capture: malformed pcap")
 type PcapWriter struct {
 	w       *bufio.Writer
 	snaplen uint32
-	written uint64
 	hdr     [16]byte
 }
 
@@ -69,12 +71,8 @@ func (pw *PcapWriter) Write(rec *Record) error {
 	if _, err := pw.w.Write(rec.Data[:capLen]); err != nil {
 		return err
 	}
-	pw.written++
 	return nil
 }
-
-// numWritten returns the number of records written so far.
-func (pw *PcapWriter) numWritten() uint64 { return pw.written }
 
 // Flush drains buffered bytes to the underlying writer.
 func (pw *PcapWriter) Flush() error { return pw.w.Flush() }
@@ -122,6 +120,9 @@ func (pr *PcapReader) Next(rec *Record) error {
 	sec := binary.LittleEndian.Uint32(hdr[0:4])
 	sub := binary.LittleEndian.Uint32(hdr[4:8])
 	capLen := binary.LittleEndian.Uint32(hdr[8:12])
+	if capLen > maxSnaplen {
+		return fmt.Errorf("%w: caplen %d > %d", errBadPcap, capLen, maxSnaplen)
+	}
 	if capLen > pr.snap && pr.snap > 0 {
 		return fmt.Errorf("%w: caplen %d > snaplen %d", errBadPcap, capLen, pr.snap)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 
 	"campuslab/internal/control"
 	"campuslab/internal/datastore"
-	"campuslab/internal/eventlog"
 	"campuslab/internal/obs"
 	"campuslab/internal/privacy"
 	"campuslab/internal/roadtest"
@@ -23,10 +21,10 @@ import (
 // scenario builds a labeled benign+attack stream on the lab's plan.
 func scenario(l *Lab, benignSeed, attackSeed int64) traffic.Generator {
 	benign := traffic.NewCampus(traffic.Profile{
-		Plan: l.plan(), FlowsPerSecond: 60, Duration: 4 * time.Second, Seed: benignSeed,
+		Plan: l.cfg.Plan, FlowsPerSecond: 60, Duration: 4 * time.Second, Seed: benignSeed,
 	})
 	amp := traffic.NewAttack(traffic.AttackConfig{
-		Kind: traffic.LabelDNSAmp, Plan: l.plan(), Victim: l.plan().Host(6),
+		Kind: traffic.LabelDNSAmp, Plan: l.cfg.Plan, Victim: l.cfg.Plan.Host(6),
 		Start: 800 * time.Millisecond, Duration: 2500 * time.Millisecond, Rate: 800, Seed: attackSeed,
 	})
 	return traffic.NewMerge(benign, amp)
@@ -156,7 +154,7 @@ func TestDevelopValidation(t *testing.T) {
 		t.Error("developed from an empty store")
 	}
 	// Store with benign only: no positives.
-	benign := traffic.NewCampus(traffic.Profile{Plan: lab.plan(), FlowsPerSecond: 30, Duration: time.Second, Seed: 309})
+	benign := traffic.NewCampus(traffic.Profile{Plan: lab.cfg.Plan, FlowsPerSecond: 30, Duration: time.Second, Seed: 309})
 	if _, err := lab.Collect(benign); err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +198,9 @@ func TestConcurrentRoadTestsShareCampus(t *testing.T) {
 	}
 	episode := func(seed int64) traffic.Generator {
 		return traffic.NewMerge(
-			traffic.NewCampus(traffic.Profile{Plan: lab.plan(), FlowsPerSecond: 40, Duration: time.Second, Seed: seed}),
+			traffic.NewCampus(traffic.Profile{Plan: lab.cfg.Plan, FlowsPerSecond: 40, Duration: time.Second, Seed: seed}),
 			traffic.NewAttack(traffic.AttackConfig{
-				Kind: traffic.LabelDNSAmp, Plan: lab.plan(), Victim: lab.plan().Host(6),
+				Kind: traffic.LabelDNSAmp, Plan: lab.cfg.Plan, Victim: lab.cfg.Plan.Host(6),
 				Start: 200 * time.Millisecond, Duration: 600 * time.Millisecond, Rate: 800, Seed: seed + 1,
 			}))
 	}
@@ -236,46 +234,6 @@ func TestConcurrentRoadTestsShareCampus(t *testing.T) {
 		}
 		if concurrent[i] != serial {
 			t.Fatalf("%v: concurrent road test differs from the serial one:\n%s\nvs\n%s", tiers[i], concurrent[i], serial)
-		}
-	}
-}
-
-func TestSensorEventsJoinStore(t *testing.T) {
-	lab := newLab(t)
-	gen := eventlog.NewGenerator(eventlog.GeneratorConfig{
-		Source: eventlog.SourceFirewall, Rate: 5, Seed: 315, Skew: 2 * time.Second,
-	})
-	evs := gen.Generate(10 * time.Second)
-	var sync eventlog.Synchronizer
-	// Reference pairs: sensor clock = capture + 2s.
-	if err := sync.Fit(
-		[]time.Duration{3 * time.Second, 7 * time.Second},
-		[]time.Duration{1 * time.Second, 5 * time.Second},
-	); err != nil {
-		t.Fatal(err)
-	}
-	// Read the stored events back through the sensor join: every event
-	// names one collected host, so each links to that host's flows, and
-	// its true_ts attribute identifies it after the join.
-	if _, err := lab.Collect(scenario(lab, 315, 316)); err != nil {
-		t.Fatal(err)
-	}
-	host := lab.Store().Flows()[0].Key.SrcIP
-	skewed := make(map[string]time.Duration, len(evs))
-	for i := range evs {
-		evs[i].Message = "deny tcp " + host.String() + ":23"
-		skewed[evs[i].Attrs["true_ts"]] = evs[i].TS
-	}
-	lab.addSensorEvents(evs, &sync)
-	// A sensor event at skewed TS 2.5s is really at 0.5s.
-	got := lab.Store().CorrelateEvents(time.Hour)
-	if len(got) == 0 {
-		t.Fatal("no events stored")
-	}
-	// All corrected times must be earlier than the skewed originals.
-	for i, c := range got {
-		if orig := skewed[c.Event.Attrs["true_ts"]]; c.Event.TS >= orig {
-			t.Fatalf("event %d not clock-corrected: %v >= %v", i, c.Event.TS, orig)
 		}
 	}
 }
@@ -328,12 +286,6 @@ func TestLabDatasets(t *testing.T) {
 	if _, err := lab.Collect(scenario(lab, 320, 321)); err != nil {
 		t.Fatal(err)
 	}
-	if d := lab.flowDataset(); d.Len() == 0 {
-		t.Error("empty flow dataset")
-	}
-	if d := lab.windowDataset(time.Second); d.Len() == 0 {
-		t.Error("empty window dataset")
-	}
 	if d := lab.PacketDataset(traffic.LabelDNSAmp, 0.5); d.Len() == 0 {
 		t.Error("empty packet dataset")
 	}
@@ -346,12 +298,12 @@ func TestLabSnapshotRoundTrip(t *testing.T) {
 	}
 	want := lab.Store().Stats()
 	path := filepath.Join(t.TempDir(), "lab.clds")
-	if err := lab.saveSnapshot(path); err != nil {
+	if err := lab.Store().SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 
-	fresh := newLab(t)
-	if err := fresh.restoreSnapshot(path); err != nil {
+	fresh, err := NewLab(Config{Name: "restored", Plan: traffic.DefaultPlan(40), Store: loadSnapshot(t, path)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	got := fresh.Store().Stats()
@@ -364,7 +316,7 @@ func TestLabSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveSnapshotLeavesWALIntact: saveSnapshot is an export, not a
+// TestSaveSnapshotLeavesWALIntact: Store.SaveFile is an export, not a
 // checkpoint. On a durable store it must not truncate the write-ahead log
 // — a snapshot at a side path covers nothing Recover will ever read, so a
 // log cut short by it is acked data gone at the next restart.
@@ -391,7 +343,7 @@ func TestSaveSnapshotLeavesWALIntact(t *testing.T) {
 		t.Fatalf("two collections logged %d WAL records", logged)
 	}
 	side := filepath.Join(t.TempDir(), "export.clds")
-	if err := lab.saveSnapshot(side); err != nil {
+	if err := st.SaveFile(side); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.WALStats().Records; got != logged {
@@ -414,13 +366,24 @@ func TestSaveSnapshotLeavesWALIntact(t *testing.T) {
 	if !bytes.Equal(saveBytes(t, rec), want) {
 		t.Fatal("the recovered store differs from the one that was dropped")
 	}
-	exported, err := datastore.LoadFile(side)
+	if !bytes.Equal(saveBytes(t, loadSnapshot(t, side)), want) {
+		t.Fatal("the exported snapshot does not load to the store it was taken from")
+	}
+}
+
+// loadSnapshot loads the export Store.SaveFile wrote at path.
+func loadSnapshot(t *testing.T, path string) *datastore.Store {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saveBytes(t, exported), want) {
-		t.Fatal("the exported snapshot does not load to the store it was taken from")
+	defer f.Close()
+	st, err := datastore.Load(f)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return st
 }
 
 // saveBytes is the store's snapshot encoding: the same bytes at any shard
@@ -432,31 +395,4 @@ func saveBytes(t *testing.T, st *datastore.Store) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func TestLabRestoreRejectsCorruptSnapshot(t *testing.T) {
-	lab := newLab(t)
-	if _, err := lab.Collect(scenario(lab, 333, 334)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "lab.clds")
-	if err := lab.saveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x04
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := lab.Store().Stats()
-	if err := lab.restoreSnapshot(path); !errors.Is(err, datastore.ErrBadSnapshot) {
-		t.Fatalf("corrupt snapshot: want ErrBadSnapshot, got %v", err)
-	}
-	// The failed restore must not have touched the live store.
-	if after := lab.Store().Stats(); after.Packets != before.Packets {
-		t.Errorf("failed restore altered the live store: %+v vs %+v", after, before)
-	}
 }

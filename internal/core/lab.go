@@ -14,7 +14,6 @@ import (
 	"campuslab/internal/control"
 	"campuslab/internal/dataplane"
 	"campuslab/internal/datastore"
-	"campuslab/internal/eventlog"
 	"campuslab/internal/features"
 	"campuslab/internal/ml"
 	"campuslab/internal/netsim"
@@ -88,32 +87,8 @@ func NewLab(cfg Config) (*Lab, error) {
 // Name returns the campus name.
 func (l *Lab) Name() string { return l.cfg.Name }
 
-// plan returns the address plan.
-func (l *Lab) plan() *traffic.AddressPlan { return l.cfg.Plan }
-
 // Store exposes the data store for queries.
 func (l *Lab) Store() *datastore.Store { return l.store }
-
-// saveSnapshot writes the lab's collected data to path crash-safely:
-// checksummed, fsynced, and atomically renamed into place, so a crash
-// mid-save never clobbers the previous snapshot. It is a pure export: a
-// durable store's write-ahead log is left alone (the checkpoint that
-// truncates it is Store.CheckpointDir).
-func (l *Lab) saveSnapshot(path string) error {
-	return l.store.SaveFile(path)
-}
-
-// restoreSnapshot replaces the lab's store with the snapshot at path.
-// Corrupt or truncated snapshots are rejected with a typed error and the
-// current store is left untouched.
-func (l *Lab) restoreSnapshot(path string) error {
-	st, err := datastore.LoadFile(path)
-	if err != nil {
-		return err
-	}
-	l.store = st
-	return nil
-}
 
 // CollectStats summarizes one collection run.
 type CollectStats struct {
@@ -174,37 +149,10 @@ func (l *Lab) Collect(gen traffic.Generator) (CollectStats, error) {
 	return cs, nil
 }
 
-// addSensorEvents ingests complementary sensor streams, correcting each
-// stream's clock against the capture clock first when a synchronizer is
-// provided (nil sync = trust the sensor clock).
-func (l *Lab) addSensorEvents(evs []eventlog.Event, sync *eventlog.Synchronizer) {
-	if sync != nil {
-		corrected := make([]eventlog.Event, len(evs))
-		for i, e := range evs {
-			corrected[i] = e
-			corrected[i].TS = sync.Correct(e.TS)
-		}
-		evs = corrected
-	}
-	l.store.AddEvents(evs)
-}
-
 // PacketDataset extracts the per-packet dataset (dataplane-compilable
 // features) as a binary problem for the target attack class.
 func (l *Lab) PacketDataset(target traffic.Label, benignKeep float64) *features.Dataset {
 	return features.FromPackets(l.store, benignKeep).BinaryRelabel(target)
-}
-
-// flowDataset extracts per-flow features with multiclass labels.
-func (l *Lab) flowDataset() *features.Dataset {
-	return features.FromFlowsWorkers(l.store, l.cfg.Plan.CampusPrefix, l.cfg.Workers)
-}
-
-// windowDataset extracts per-(host, window) features.
-func (l *Lab) windowDataset(window time.Duration) *features.Dataset {
-	return features.FromWindows(l.store, features.WindowConfig{
-		Window: window, Campus: l.cfg.Plan.CampusPrefix,
-	})
 }
 
 // DevelopConfig is Figure 2's slow loop as a recipe — the "open-sourced

@@ -1,13 +1,12 @@
 package dataplane
 
 // Whole-ensemble compilation (Homunculus-style): instead of deploying only
-// the extracted single tree, lower every member tree of an ml.Forest or
-// ml.Boost into its own integer-domain decision DAG and combine their leaf
-// verdicts in a vote stage — mean leaf probabilities + argmax for forests,
-// alpha-weighted leaf-class votes for boosting — reproducing the control
+// the extracted single tree, lower every member tree of an ml.Forest into
+// its own integer-domain decision DAG and combine their leaf verdicts in a
+// vote stage — mean leaf probabilities + argmax — reproducing the control
 // plane model's arithmetic operation for operation so verdict classes and
-// confidences are byte-identical to ml.Forest.Predict / ml.Boost.Predict
-// on the matchable schema.
+// confidences are byte-identical to ml.Forest.Predict on the matchable
+// schema.
 //
 // The compiler works under an explicit Tofino-ish ResourceBudget (pipeline
 // stages, vote-table entries, DAG nodes, parallel tree pipelines). Over
@@ -158,14 +157,6 @@ type EnsembleConfig struct {
 	Fallback *ml.Tree
 }
 
-// ensKind selects the vote combiner.
-type ensKind uint8
-
-const (
-	ensForest ensKind = iota // mean leaf probabilities, argmax
-	ensBoost                 // alpha-weighted leaf-class votes, argmax
-)
-
 // ensNode is one compiled integer-domain split: val <= cut goes left.
 // Child targets >= 0 are node indices; < 0 encode ^leafRow.
 type ensNode struct {
@@ -188,7 +179,6 @@ type refNode struct {
 // compilation; the switch publishes them RCU-style like rule programs.
 type EnsembleProgram struct {
 	Name    string
-	kind    ensKind
 	classes int
 
 	roots []int32 // per-tree compiled entry: node index or ^leafRow
@@ -205,13 +195,8 @@ type EnsembleProgram struct {
 	refNodes []refNode
 	fields   []Field // schema column -> field, for the reference walk
 
-	// Vote tables. Forest rows are classes-wide probability vectors in
-	// leafProba; boost rows are predicted classes in leafClass with
-	// per-tree alpha weights.
+	// Vote table: each row is a classes-wide probability vector.
 	leafProba []float64
-	leafClass []int32
-	alphas    []float64
-	alphaSum  float64
 
 	dropClass []bool
 	minConf   float64
@@ -231,25 +216,13 @@ func CompileForestEnsemble(f *ml.Forest, schema []string, cfg EnsembleConfig) (*
 	for t := range trees {
 		trees[t] = f.Tree(t)
 	}
-	return compileEnsemble(ensForest, trees, nil, f.NumClasses(), schema, cfg)
-}
-
-// compileBoostEnsemble lowers an AdaBoost ensemble into per-tree DAGs plus
-// an alpha-weighted vote stage, byte-identical to b.Predict/b.Proba under
-// the same budget contract as CompileForestEnsemble.
-func compileBoostEnsemble(b *ml.Boost, schema []string, cfg EnsembleConfig) (*EnsembleProgram, error) {
-	trees := make([]*ml.Tree, b.NumTrees())
-	alphas := make([]float64, b.NumTrees())
-	for t := range trees {
-		trees[t], alphas[t] = b.Tree(t), b.Alpha(t)
-	}
-	return compileEnsemble(ensBoost, trees, alphas, b.NumClasses(), schema, cfg)
+	return compileEnsemble(trees, f.NumClasses(), schema, cfg)
 }
 
 // compileEnsemble runs the degradation ladder: exact, then depth caps
 // descending from one below the deepest tree, then the single fallback
 // tree (itself capped if necessary).
-func compileEnsemble(kind ensKind, trees []*ml.Tree, alphas []float64, classes int, schema []string, cfg EnsembleConfig) (*EnsembleProgram, error) {
+func compileEnsemble(trees []*ml.Tree, classes int, schema []string, cfg EnsembleConfig) (*EnsembleProgram, error) {
 	if classes < 2 || classes > maxEnsembleClasses {
 		return nil, fmt.Errorf("dataplane: ensemble with %d classes outside [2,%d]", classes, maxEnsembleClasses)
 	}
@@ -279,8 +252,8 @@ func compileEnsemble(kind ensKind, trees []*ml.Tree, alphas []float64, classes i
 		}
 	}
 
-	build := func(exp [][]ml.ExportedNode, aw []float64, cap int, mode EnsembleMode) (*EnsembleProgram, error) {
-		ep, err := lowerEnsemble(kind, exp, aw, classes, fields, cfg, cap)
+	build := func(exp [][]ml.ExportedNode, cap int, mode EnsembleMode) (*EnsembleProgram, error) {
+		ep, err := lowerEnsemble(exp, classes, fields, cfg, cap)
 		if err != nil {
 			return nil, err
 		}
@@ -304,7 +277,7 @@ func compileEnsemble(kind ensKind, trees []*ml.Tree, alphas []float64, classes i
 			if cap > 0 {
 				mode = ensemblePruned
 			}
-			ep, err := build(exported, alphas, d, mode)
+			ep, err := build(exported, d, mode)
 			if err != nil {
 				return nil, err
 			}
@@ -330,7 +303,7 @@ func compileEnsemble(kind ensKind, trees []*ml.Tree, alphas []float64, classes i
 				return nil, fmt.Errorf("dataplane: budget %+v cannot hold even a depth-1 tree", cfg.Budget)
 			}
 		}
-		ep, err := lowerEnsemble(ensForest, fbExp, nil, classes, fields, cfg, d)
+		ep, err := lowerEnsemble(fbExp, classes, fields, cfg, d)
 		if err != nil {
 			return nil, err
 		}
@@ -356,7 +329,7 @@ type treeLowering struct {
 }
 
 // lowerEnsemble compiles every exported tree into the shared arenas.
-func lowerEnsemble(kind ensKind, exported [][]ml.ExportedNode, alphas []float64, classes int, fields []Field, cfg EnsembleConfig, cap int) (*EnsembleProgram, error) {
+func lowerEnsemble(exported [][]ml.ExportedNode, classes int, fields []Field, cfg EnsembleConfig, cap int) (*EnsembleProgram, error) {
 	drop := make([]bool, classes)
 	for _, c := range cfg.DropClasses {
 		if c >= 0 && c < classes {
@@ -365,18 +338,10 @@ func lowerEnsemble(kind ensKind, exported [][]ml.ExportedNode, alphas []float64,
 	}
 	ep := &EnsembleProgram{
 		Name:      cfg.Name,
-		kind:      kind,
 		classes:   classes,
 		fields:    fields,
 		dropClass: drop,
 		minConf:   cfg.MinConfidence,
-	}
-	if kind == ensBoost {
-		ep.alphas = append([]float64(nil), alphas...)
-		// Same summation order as Boost.Proba accumulates total.
-		for _, a := range ep.alphas {
-			ep.alphaSum += a
-		}
 	}
 	ep.usage.Trees = len(exported)
 	ep.usage.TreeNodes = make([]int, len(exported))
@@ -401,11 +366,7 @@ func lowerEnsemble(kind ensKind, exported [][]ml.ExportedNode, alphas []float64,
 	}
 	ep.usage.Nodes = len(ep.nodes)
 	ep.collectRanges()
-	if ep.kind == ensBoost {
-		ep.usage.TableEntries = len(ep.leafClass)
-	} else {
-		ep.usage.TableEntries = len(ep.leafProba) / classes
-	}
+	ep.usage.TableEntries = len(ep.leafProba) / classes
 	ep.usage.Stages = maxDepth + 1 // per-tree match levels + the vote stage
 	return ep, nil
 }
@@ -471,32 +432,14 @@ func (lw *treeLowering) lower(i, depth int) (int32, int32, error) {
 }
 
 // leafRow interns the vote-table row for a (possibly pruned-internal) node:
-// the exact probability vector Tree.Proba computes for forests, the exact
-// argmax class Tree.Predict computes for boosting. Identical rows within a
+// the exact probability vector Tree.Proba computes. Identical rows within a
 // tree share one table entry.
 func (lw *treeLowering) leafRow(n *ml.ExportedNode) (int32, error) {
 	ep := lw.ep
 	if len(n.Counts) != ep.classes {
 		return 0, fmt.Errorf("leaf histogram has %d classes, ensemble has %d", len(n.Counts), ep.classes)
 	}
-	if ep.kind == ensBoost {
-		// Tree.Predict's argmax: first strictly-greater count wins.
-		best, bestC := 0, math.Inf(-1)
-		for c, v := range n.Counts {
-			if v > bestC {
-				best, bestC = c, v
-			}
-		}
-		key := string(rune(best))
-		if row, ok := lw.leafMemo[key]; ok {
-			return row, nil
-		}
-		row := int32(len(ep.leafClass))
-		ep.leafClass = append(ep.leafClass, int32(best))
-		lw.leafMemo[key] = row
-		return row, nil
-	}
-	// Forest leaf: Tree.Proba's counts/total division, precomputed once.
+	// Tree.Proba's counts/total division, precomputed once.
 	proba := make([]float64, ep.classes)
 	if n.Total > 0 {
 		for c, v := range n.Counts {
@@ -620,21 +563,6 @@ func (m *ensMemo) slot(code uint64) int {
 // allocates; the accumulator lives on the stack.
 func (ep *EnsembleProgram) evalCompiled(fv *fieldVector) Verdict {
 	var acc [maxEnsembleClasses]float64
-	if ep.kind == ensBoost {
-		for i, root := range ep.roots {
-			t := root
-			for t >= 0 {
-				n := &ep.nodes[t]
-				if fv.vals[n.field] <= n.cut {
-					t = n.left
-				} else {
-					t = n.right
-				}
-			}
-			acc[ep.leafClass[^t]] += ep.alphas[i]
-		}
-		return ep.vote(&acc, ep.alphaSum)
-	}
 	for _, root := range ep.roots {
 		t := root
 		for t >= 0 {
@@ -658,21 +586,6 @@ func (ep *EnsembleProgram) evalCompiled(fv *fieldVector) Verdict {
 // path is property-tested against, reachable via the scan-path knob.
 func (ep *EnsembleProgram) evalRef(fv *fieldVector) Verdict {
 	var acc [maxEnsembleClasses]float64
-	if ep.kind == ensBoost {
-		for i, root := range ep.refRoots {
-			t := root
-			for t >= 0 {
-				n := &ep.refNodes[t]
-				if float64(fv.vals[ep.fields[n.feature]]) <= n.thr {
-					t = n.left
-				} else {
-					t = n.right
-				}
-			}
-			acc[ep.leafClass[^t]] += ep.alphas[i]
-		}
-		return ep.vote(&acc, ep.alphaSum)
-	}
 	for _, root := range ep.refRoots {
 		t := root
 		for t >= 0 {
@@ -694,7 +607,7 @@ func (ep *EnsembleProgram) evalRef(fv *fieldVector) Verdict {
 // vote normalizes the accumulated scores and maps the argmax class to a
 // verdict. The argmax replicates ml's "first strictly greater wins", and
 // the per-class division happens before the comparison exactly as
-// Forest.Proba/Boost.Proba divide before Predict's scan — confidences are
+// Forest.Proba divides before Predict's scan — confidences are
 // the same float64s the control-plane model reports.
 func (ep *EnsembleProgram) vote(acc *[maxEnsembleClasses]float64, norm float64) Verdict {
 	best, bestV := 0, math.Inf(-1)

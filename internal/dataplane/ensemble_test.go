@@ -106,44 +106,6 @@ func TestForestEnsembleEquivalence(t *testing.T) {
 	}
 }
 
-// TestBoostEnsembleEquivalence is the boosted twin: alpha-weighted leaf
-// votes must reproduce ml.Boost.Predict/Proba byte-identically.
-func TestBoostEnsembleEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(502))
-	x := make([]float64, len(features.PacketSchema))
-	for trial := 0; trial < 30; trial++ {
-		classes := 2 + rng.Intn(2)
-		ds := randPacketDataset(rng, 40+rng.Intn(40), classes)
-		boost, err := ml.FitBoost(ds, classes, ml.BoostConfig{
-			Rounds: 2 + rng.Intn(8), WeakDepth: 1 + rng.Intn(3), Seed: rng.Int63(),
-		})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		ep, err := compileBoostEnsemble(boost, features.PacketSchema, EnsembleConfig{Name: "rand-boost"})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if u := ep.Usage(); u.Mode != ensembleExact {
-			t.Fatalf("trial %d: mode %v, want exact", trial, u.Mode)
-		}
-		for i := 0; i < 300; i++ {
-			fv := ensRandVector(rng)
-			got := ep.evalCompiled(&fv)
-			if ref := ep.evalRef(&fv); got != ref {
-				t.Fatalf("trial %d: compiled %+v != ref %+v", trial, got, ref)
-			}
-			fvToX(&fv, x)
-			wantClass := boost.Predict(x)
-			wantConf := boost.Proba(x)[wantClass]
-			if got.Class != wantClass || got.Confidence != wantConf {
-				t.Fatalf("trial %d: verdict (%d, %v) != boost (%d, %v)",
-					trial, got.Class, got.Confidence, wantClass, wantConf)
-			}
-		}
-	}
-}
-
 // TestEnsembleBatchEquivalence runs the trained DNS-amp forest through the
 // switch at batch sizes 1 and 64 and pins every verdict to the
 // control-plane forest on the same parsed field view.
@@ -491,13 +453,13 @@ func TestEnsembleHotPathAllocs(t *testing.T) {
 // the compile is exact) — on the walk, through the per-batch memo, and
 // through every batch entry point of a switch.
 func FuzzEnsembleCompile(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(3), uint8(40), uint8(0), uint8(0), uint8(0), uint8(0), false)
-	f.Add(int64(7), uint8(5), uint8(4), uint8(60), uint8(200), uint8(32), uint8(0), uint8(0), false)
-	f.Add(int64(42), uint8(8), uint8(6), uint8(70), uint8(50), uint8(0), uint8(4), uint8(2), false)
-	f.Add(int64(3), uint8(4), uint8(2), uint8(50), uint8(0), uint8(8), uint8(3), uint8(0), true)
-	f.Add(int64(99), uint8(2), uint8(1), uint8(20), uint8(1), uint8(1), uint8(1), uint8(1), true)
+	f.Add(int64(1), uint8(3), uint8(3), uint8(40), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(5), uint8(4), uint8(60), uint8(200), uint8(32), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(8), uint8(6), uint8(70), uint8(50), uint8(0), uint8(4), uint8(2))
+	f.Add(int64(3), uint8(4), uint8(2), uint8(50), uint8(0), uint8(8), uint8(3), uint8(0))
+	f.Add(int64(99), uint8(2), uint8(1), uint8(20), uint8(1), uint8(1), uint8(1), uint8(1))
 	tw := newBatchTwins() // one pair per worker process: switches pin their counter blocks
-	f.Fuzz(func(t *testing.T, seed int64, nTrees, depth, rows, bNodes, bEntries, bStages, bTrees uint8, boost bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nTrees, depth, rows, bNodes, bEntries, bStages, bTrees uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		classes := 2 + int(nTrees)%3
 		ds := randPacketDataset(rng, 20+int(rows)%60, classes)
@@ -507,28 +469,13 @@ func FuzzEnsembleCompile(f *testing.F) {
 		}
 		cfg := EnsembleConfig{Name: "fuzz", DropClasses: []int{1}, Budget: budget}
 
-		var ep *EnsembleProgram
-		var err error
-		var model ml.Classifier
-		if boost {
-			b, ferr := ml.FitBoost(ds, classes, ml.BoostConfig{
-				Rounds: 1 + int(nTrees)%6, WeakDepth: 1 + int(depth)%3, Seed: rng.Int63(),
-			})
-			if ferr != nil {
-				t.Skip()
-			}
-			model = b
-			ep, err = compileBoostEnsemble(b, features.PacketSchema, cfg)
-		} else {
-			fr, ferr := ml.FitForest(ds, classes, ml.ForestConfig{
-				Trees: 1 + int(nTrees)%8, MaxDepth: 1 + int(depth)%6, Seed: rng.Int63(), Workers: 1,
-			})
-			if ferr != nil {
-				t.Skip()
-			}
-			model = fr
-			ep, err = CompileForestEnsemble(fr, features.PacketSchema, cfg)
+		fr, err := ml.FitForest(ds, classes, ml.ForestConfig{
+			Trees: 1 + int(nTrees)%8, MaxDepth: 1 + int(depth)%6, Seed: rng.Int63(), Workers: 1,
+		})
+		if err != nil {
+			t.Skip()
 		}
+		ep, err := CompileForestEnsemble(fr, features.PacketSchema, cfg)
 		if err != nil {
 			return // rejected (budget impossible): fine, as long as no panic
 		}
@@ -572,7 +519,7 @@ func FuzzEnsembleCompile(f *testing.F) {
 			}
 			if u.Mode == ensembleExact {
 				fvToX(&fv, x)
-				if want := model.Predict(x); got.Class != want {
+				if want := fr.Predict(x); got.Class != want {
 					t.Fatalf("exact-mode class %d != model %d (fv %v)", got.Class, want, fv.vals)
 				}
 			}

@@ -81,15 +81,9 @@ type namedProgram struct {
 
 // handProgram lowers hand-built trees exactly as compileEnsemble's exact
 // rung does.
-func handProgram(t testing.TB, kind ensKind, trees [][]ml.ExportedNode) *EnsembleProgram {
+func handProgram(t testing.TB, trees [][]ml.ExportedNode) *EnsembleProgram {
 	t.Helper()
-	var alphas []float64
-	if kind == ensBoost {
-		for i := range trees {
-			alphas = append(alphas, 0.3+float64(i)*0.17)
-		}
-	}
-	ep, err := lowerEnsemble(kind, trees, alphas, 2, schemaFields(t), EnsembleConfig{DropClasses: []int{1}, MinConfidence: 0.55}, 0)
+	ep, err := lowerEnsemble(trees, 2, schemaFields(t), EnsembleConfig{DropClasses: []int{1}, MinConfidence: 0.55}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +91,7 @@ func handProgram(t testing.TB, kind ensKind, trees [][]ml.ExportedNode) *Ensembl
 }
 
 // memoPrograms is the program population every memo property runs over:
-// fitted random forests and boosts, plus hand-built shapes that pin the
+// fitted random forests, plus hand-built shapes that pin the
 // edges of the range stage.
 func memoPrograms(t testing.TB, rng *rand.Rand) []namedProgram {
 	t.Helper()
@@ -109,33 +103,19 @@ func memoPrograms(t testing.TB, rng *rand.Rand) []namedProgram {
 		}
 		out = append(out, namedProgram{"rand-forest", ep})
 	}
-	for i := 0; i < 4; i++ {
-		classes := 2 + rng.Intn(2)
-		b, err := ml.FitBoost(randPacketDataset(rng, 60, classes), classes, ml.BoostConfig{
-			Rounds: 2 + rng.Intn(8), WeakDepth: 1 + rng.Intn(3), Seed: rng.Int63(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep, err := compileBoostEnsemble(b, features.PacketSchema, EnsembleConfig{DropClasses: []int{1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, namedProgram{"rand-boost", ep})
-	}
 	// Column 0 is wire_len, 3 dst_port, 9 ttl (features.PacketSchema order).
 	edge := []float64{-1, 0, math.MaxUint32 - 0.5, math.MaxUint32 + 1}
 	out = append(out,
-		namedProgram{"single-leaf", handProgram(t, ensForest, [][]ml.ExportedNode{rangeTree(0, nil), rangeTree(3, nil), rangeTree(9, nil)})},
-		namedProgram{"wide-field", handProgram(t, ensForest, [][]ml.ExportedNode{rangeTree(0, halves(0, 1, 300)), rangeTree(3, halves(50, 3, 5))})},
-		namedProgram{"wide-boost", handProgram(t, ensBoost, [][]ml.ExportedNode{rangeTree(0, halves(0, 2, 260)), rangeTree(9, halves(1, 1, 3)), rangeTree(0, halves(1, 2, 9))})},
-		namedProgram{"domain-edges", handProgram(t, ensForest, [][]ml.ExportedNode{rangeTree(9, edge), rangeTree(0, edge[:2])})},
+		namedProgram{"single-leaf", handProgram(t, [][]ml.ExportedNode{rangeTree(0, nil), rangeTree(3, nil), rangeTree(9, nil)})},
+		namedProgram{"wide-field", handProgram(t, [][]ml.ExportedNode{rangeTree(0, halves(0, 1, 300)), rangeTree(3, halves(50, 3, 5))})},
+		namedProgram{"wide-sparse", handProgram(t, [][]ml.ExportedNode{rangeTree(0, halves(0, 2, 260)), rangeTree(9, halves(1, 1, 3)), rangeTree(0, halves(1, 2, 9))})},
+		namedProgram{"domain-edges", handProgram(t, [][]ml.ExportedNode{rangeTree(9, edge), rangeTree(0, edge[:2])})},
 	)
 	var perField [][]ml.ExportedNode
 	for col := range features.PacketSchema {
 		perField = append(perField, rangeTree(col, halves(col, 2, 64)))
 	}
-	out = append(out, namedProgram{"too-wide", handProgram(t, ensForest, perField)})
+	out = append(out, namedProgram{"too-wide", handProgram(t, perField)})
 	return out
 }
 

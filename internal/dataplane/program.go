@@ -158,18 +158,6 @@ func (r *Rule) matches(fv *fieldVector) bool {
 	return true
 }
 
-// tcamCost is the rule's naive single-table ternary expansion: the product
-// of per-field prefix counts. This is what the rule would cost if matched
-// as one TCAM entry set; Rule.tcamCost uses the cheaper decomposed
-// layout real tree-to-switch compilers emit.
-func (r *Rule) tcamCost() int {
-	cost := 1
-	for _, c := range r.Conds {
-		cost *= prefixCount(c.Lo, c.Hi, fieldWidths[c.Field])
-	}
-	return cost
-}
-
 // String renders the rule.
 func (r *Rule) String() string {
 	conds := make([]string, len(r.Conds))
@@ -192,7 +180,7 @@ type Program struct {
 	Default ActionKind
 }
 
-// tcamCost models the decomposed layout real tree-to-switch compilers
+// TCAMCost models the decomposed layout real tree-to-switch compilers
 // (IIsy/Mousika-style) emit: one range-encoding table per matched field
 // (each interval between threshold cut points expands to prefixes —
 // additive across fields, not multiplicative), plus one exact-match

@@ -140,8 +140,10 @@ func TestGroundTruthLabels(t *testing.T) {
 	if counts[traffic.LabelBenign] == 0 {
 		t.Fatal("no benign flows")
 	}
-	attacks := st.flowsWhere(func(fm *FlowMeta) bool { return fm.Label == traffic.LabelDNSAmp }, false)
-	for _, fm := range attacks {
+	for _, fm := range st.Flows() {
+		if fm.Label != traffic.LabelDNSAmp {
+			continue
+		}
 		if !fm.Labeled {
 			t.Error("attack flow not marked labeled")
 		}

@@ -473,9 +473,6 @@ func (s *Store) SaveFile(path string) error {
 	return nil
 }
 
-// LoadFile reads a snapshot file written by SaveFile.
-func LoadFile(path string) (*Store, error) { return exportOnly(loadFile(faults.OS, path, 0, 0)) }
-
 // loadFile is load over the file at path.
 func loadFile(fsys faults.FS, path string, shards, workers int) (*Store, PacketID, walPos, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"campuslab/internal/eventlog"
+	"campuslab/internal/faults"
 	"campuslab/internal/frame"
 	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
@@ -249,7 +250,7 @@ func TestSaveFileAtomicAndLoadable(t *testing.T) {
 	if err := st.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, _, _, err := loadFile(faults.OS, path, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,36 +263,6 @@ func (s *Store) Scan(visit func(*StoredPacket) bool) {
 	s.scanRange(tsWin{}, visit)
 }
 
-// flowsWhere returns flow metadata satisfying pred, ordered by first TS,
-// with each flow's packet-ID list deep-copied only when withIDs is set.
-// pred runs concurrently across shards, so it must be safe for concurrent
-// calls (any pure function is).
-func (s *Store) flowsWhere(pred func(*FlowMeta) bool, withIDs bool) []FlowMeta {
-	unlock := s.rlockAll()
-	partial := make([][]FlowMeta, len(s.shards))
-	parallel.For(len(s.shards), int(s.queryWorkers.Load()), func(si int) {
-		var out []FlowMeta
-		for _, fm := range s.shards[si].flows {
-			if pred(fm) {
-				cp := *fm
-				cp.pktIDs = nil
-				if withIDs {
-					cp.pktIDs = append([]PacketID(nil), fm.pktIDs...)
-				}
-				out = append(out, cp)
-			}
-		}
-		partial[si] = out
-	})
-	unlock()
-	var out []FlowMeta
-	for _, p := range partial {
-		out = append(out, p...)
-	}
-	sortFlows(out)
-	return out
-}
-
 // LabelCounts tallies flows per ground-truth label — the class balance a
 // dataset builder needs before training. Shards tally independently (in
 // parallel); the merged map is order-independent.

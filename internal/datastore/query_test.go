@@ -240,35 +240,6 @@ func TestFilterCacheSharesCompiledFilters(t *testing.T) {
 	}
 }
 
-func TestFlowsWhereSkipsIDCopy(t *testing.T) {
-	st := fillStore(t)
-	all := func(*FlowMeta) bool { return true }
-	light := st.flowsWhere(all, false)
-	heavy := st.flowsWhere(all, true)
-	if len(light) == 0 || len(light) != len(heavy) {
-		t.Fatalf("flow listings differ: %d vs %d", len(light), len(heavy))
-	}
-	for i := range light {
-		if light[i].PacketIDs() != nil {
-			t.Fatal("FlowsWhere copied packet IDs")
-		}
-		if uint64(len(heavy[i].PacketIDs())) != heavy[i].Packets {
-			t.Fatalf("FlowsWhereIDs: %d ids for %d packets", len(heavy[i].PacketIDs()), heavy[i].Packets)
-		}
-		// Same flows in the same deterministic order.
-		if light[i].Key != heavy[i].Key || light[i].First != heavy[i].First {
-			t.Fatalf("flow %d differs between listings", i)
-		}
-	}
-	// Flows() still deep-copies; its IDs must match FlowsWhereIDs.
-	flows := st.Flows()
-	for i := range flows {
-		if !reflect.DeepEqual(flows[i].PacketIDs(), heavy[i].PacketIDs()) {
-			t.Fatalf("flow %d: Flows and FlowsWhereIDs disagree", i)
-		}
-	}
-}
-
 func TestLabelCountsParallelDeterminism(t *testing.T) {
 	st := fillStore(t)
 	st.SetQueryWorkers(1)
@@ -306,7 +277,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 				}
 				st.Select(f, 0)
 				st.Count(g)
-				st.flowsWhere(func(fm *FlowMeta) bool { return fm.Packets > 2 }, false)
+				st.Flows()
 				st.LabelCounts()
 			}
 		}()

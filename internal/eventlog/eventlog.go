@@ -1,15 +1,12 @@
 // Package eventlog models the complementary, non-packet data sources the
 // paper's data store ingests alongside capture (§5: "server logs, firewall
-// rules, configuration files, events"), including the per-sensor clock
-// skew that makes time synchronization a real problem, and the
-// synchronizer that corrects it.
+// rules, configuration files, events"), each event stamped by its sensor's
+// own, possibly skewed and drifting clock.
 package eventlog
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -61,7 +58,7 @@ func (s Severity) String() string {
 }
 
 // Event is one sensor record. TS is scenario-relative, in the *sensor's*
-// clock; Synchronizer maps it to the capture clock.
+// clock.
 type Event struct {
 	TS       time.Duration
 	Source   Source
@@ -172,88 +169,6 @@ func (g *Generator) Generate(dur time.Duration) []Event {
 			ev.Message = fmt.Sprintf(tpl.msg, users[g.rng.Intn(len(users))])
 		}
 		out = append(out, ev)
-	}
-	return out
-}
-
-// Synchronizer corrects sensor timestamps onto the capture clock using
-// reference pairs (events whose true capture time is known, e.g. a config
-// commit observed both in the log and on the wire). It fits offset+drift
-// by least squares — the "time-synchronized" property the paper's data
-// store promises.
-type Synchronizer struct {
-	offset time.Duration
-	drift  float64 // ns per second
-	fitted bool
-}
-
-// Fit estimates the clock model from (sensorTS, captureTS) pairs. At least
-// two pairs are required to fit drift; one pair fits offset only.
-func (s *Synchronizer) Fit(sensorTS, captureTS []time.Duration) error {
-	n := len(sensorTS)
-	if n == 0 || n != len(captureTS) {
-		return fmt.Errorf("eventlog: need equal, non-empty reference slices (got %d/%d)", len(sensorTS), len(captureTS))
-	}
-	if n == 1 {
-		s.offset = sensorTS[0] - captureTS[0]
-		s.drift = 0
-		s.fitted = true
-		return nil
-	}
-	// Least squares of sensor = capture*(1+drift/1e9) + offset, solved in
-	// float seconds for conditioning.
-	var sx, sy, sxx, sxy float64
-	for i := 0; i < n; i++ {
-		x := captureTS[i].Seconds()
-		y := sensorTS[i].Seconds()
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-	}
-	fn := float64(n)
-	den := fn*sxx - sx*sx
-	if den == 0 {
-		return fmt.Errorf("eventlog: degenerate reference points")
-	}
-	slope := (fn*sxy - sx*sy) / den
-	intercept := (sy - slope*sx) / fn
-	s.drift = (slope - 1) * 1e9
-	s.offset = time.Duration(intercept * float64(time.Second))
-	s.fitted = true
-	return nil
-}
-
-// Correct maps a sensor timestamp to the capture clock.
-func (s *Synchronizer) Correct(sensorTS time.Duration) time.Duration {
-	if !s.fitted {
-		return sensorTS
-	}
-	slope := 1 + s.drift/1e9
-	return time.Duration((sensorTS.Seconds() - s.offset.Seconds()) / slope * float64(time.Second))
-}
-
-// model returns the fitted offset and drift (ns/s).
-func (s *Synchronizer) model() (offset time.Duration, drift float64) { return s.offset, s.drift }
-
-// mergeSorted merges multiple event slices into one stream ordered by TS.
-func mergeSorted(streams ...[]Event) []Event {
-	var out []Event
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	return out
-}
-
-// grep returns events whose message contains the substring, a primitive
-// the data store's query layer builds on.
-func grep(events []Event, substr string) []Event {
-	var out []Event
-	for _, e := range events {
-		if strings.Contains(e.Message, substr) {
-			out = append(out, e)
-		}
 	}
 	return out
 }

@@ -1,9 +1,7 @@
 package features
 
 import (
-	"cmp"
 	"net/netip"
-	"time"
 
 	"campuslab/internal/datastore"
 	"campuslab/internal/obs"
@@ -104,154 +102,6 @@ func flowVector(fm *datastore.FlowMeta, campus netip.Prefix) []float64 {
 		v[15] = 1
 	}
 	return v
-}
-
-// windowSchema names the per-(host, window) feature columns.
-var windowSchema = []string{
-	"pps",             // 0: packets/s toward the host
-	"bps",             // 1: bits/s toward the host
-	"distinct_srcs",   // 2
-	"src_entropy",     // 3: entropy of source addresses (bits)
-	"syn_frac",        // 4
-	"dns_resp_frac",   // 5
-	"dns_any_frac",    // 6
-	"avg_pkt_size",    // 7
-	"unanswered_frac", // 8: DNS responses with no query from host in window
-	"port_entropy",    // 9: entropy of destination ports (scan tell)
-}
-
-// WindowConfig parameterizes windowed extraction.
-type WindowConfig struct {
-	// Window is the aggregation interval (default 1s).
-	Window time.Duration
-	// Campus restricts monitored hosts to campus destinations.
-	Campus netip.Prefix
-	// MinPackets drops windows with fewer inbound packets (noise floor).
-	MinPackets int
-}
-
-// hostWindow accumulates per-host per-window state.
-type hostWindow struct {
-	pkts, bytes   int
-	srcs          map[netip.Addr]int
-	ports         map[uint16]int
-	syn           int
-	dnsResp       int
-	dnsAny        int
-	dnsQueriesOut int // queries the host itself sent this window
-	label         traffic.Label
-	labeled       bool
-}
-
-// FromWindows extracts one labeled example per (campus host, window) with
-// inbound traffic — the representation a DDoS/scan detector consumes. The
-// window label is the ground-truth label of any attack flow touching the
-// host in that window (attacks dominate; ties broken by first seen).
-func FromWindows(st *datastore.Store, cfg WindowConfig) *Dataset {
-	if cfg.Window <= 0 {
-		cfg.Window = time.Second
-	}
-	if cfg.MinPackets <= 0 {
-		cfg.MinPackets = 3
-	}
-	type key struct {
-		host netip.Addr
-		win  int64
-	}
-	wins := make(map[key]*hostWindow)
-	// Resolve per-flow labels for packets via the flow table.
-	labelOf := make(map[packet.FiveTuple]traffic.Label)
-	for _, fm := range st.Flows() {
-		if fm.Labeled {
-			labelOf[fm.Key] = fm.Label
-		}
-	}
-	st.Scan(func(sp *datastore.StoredPacket) bool {
-		if !sp.Summary.HasIP {
-			return true
-		}
-		dst := sp.Summary.Tuple.DstIP
-		src := sp.Summary.Tuple.SrcIP
-		winIdx := int64(sp.TS / cfg.Window)
-		if cfg.Campus.IsValid() && cfg.Campus.Contains(src) {
-			// Outbound packet: count DNS queries the host originated.
-			if sp.Summary.IsDNS && !sp.Summary.DNSResponse {
-				k := key{host: src, win: winIdx}
-				if hw := wins[k]; hw != nil {
-					hw.dnsQueriesOut++
-				} else {
-					hw := newHostWindow()
-					hw.dnsQueriesOut = 1
-					wins[k] = hw
-				}
-			}
-		}
-		if cfg.Campus.IsValid() && !cfg.Campus.Contains(dst) {
-			return true
-		}
-		k := key{host: dst, win: winIdx}
-		hw := wins[k]
-		if hw == nil {
-			hw = newHostWindow()
-			wins[k] = hw
-		}
-		hw.pkts++
-		hw.bytes += sp.Summary.WireLen
-		hw.srcs[src]++
-		hw.ports[sp.Summary.Tuple.DstPort]++
-		if sp.Summary.HasTCP && sp.Summary.TCPFlags.Has(packet.TCPSyn) && !sp.Summary.TCPFlags.Has(packet.TCPAck) {
-			hw.syn++
-		}
-		if sp.Summary.IsDNS && sp.Summary.DNSResponse {
-			hw.dnsResp++
-			if sp.Summary.DNSQueryType == packet.DNSTypeANY {
-				hw.dnsAny++
-			}
-		}
-		if !hw.labeled {
-			if l, ok := labelOf[sp.Summary.Tuple.Canonical()]; ok {
-				hw.label, hw.labeled = l, true
-			}
-		}
-		return true
-	})
-
-	d := &Dataset{Schema: windowSchema}
-	secs := cfg.Window.Seconds()
-	for _, k := range sortedKeys(wins, func(a, b key) int {
-		return cmp.Or(cmp.Compare(a.win, b.win), a.host.Compare(b.host))
-	}) {
-		hw := wins[k]
-		if hw.pkts < cfg.MinPackets {
-			continue
-		}
-		v := make([]float64, len(windowSchema))
-		v[0] = float64(hw.pkts) / secs
-		v[1] = float64(hw.bytes*8) / secs
-		v[2] = float64(len(hw.srcs))
-		v[3] = entropy(hw.srcs)
-		v[4] = float64(hw.syn) / float64(hw.pkts)
-		v[5] = float64(hw.dnsResp) / float64(hw.pkts)
-		if hw.dnsResp > 0 {
-			v[6] = float64(hw.dnsAny) / float64(hw.dnsResp)
-		}
-		v[7] = float64(hw.bytes) / float64(hw.pkts)
-		if hw.dnsResp > 0 {
-			un := hw.dnsResp - hw.dnsQueriesOut
-			if un < 0 {
-				un = 0
-			}
-			v[8] = float64(un) / float64(hw.dnsResp)
-		}
-		v[9] = entropy(hw.ports)
-		d.X = append(d.X, v)
-		d.Y = append(d.Y, int(hw.label))
-	}
-	return d
-}
-
-func newHostWindow() *hostWindow {
-	return &hostWindow{srcs: make(map[netip.Addr]int), ports: make(map[uint16]int)}
 }
 
 // FromFlowRecords extracts flow features from sampled NetFlow records (the

@@ -78,29 +78,6 @@ func (d *Dataset) Split(trainFrac float64) (train, test *Dataset) {
 	return train, test
 }
 
-// subsample returns up to n examples per class, deterministically.
-func (d *Dataset) subsample(perClass int, seed int64) *Dataset {
-	r := rand.New(rand.NewSource(seed))
-	byClass := map[int][]int{}
-	for i, y := range d.Y {
-		byClass[y] = append(byClass[y], i)
-	}
-	out := &Dataset{Schema: d.Schema}
-	for _, idxs := range byClass {
-		r.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
-		take := perClass
-		if take > len(idxs) {
-			take = len(idxs)
-		}
-		for _, i := range idxs[:take] {
-			out.X = append(out.X, d.X[i])
-			out.Y = append(out.Y, d.Y[i])
-		}
-	}
-	out.Shuffle(seed + 1)
-	return out
-}
-
 // Append adds other's rows (schemas must match).
 func (d *Dataset) Append(other *Dataset) error {
 	if len(d.Schema) == 0 {
@@ -165,16 +142,6 @@ func FitStandardizer(d *Dataset) *Standardizer {
 		}
 	}
 	return s
-}
-
-// apply rescales d in place and returns it.
-func (s *Standardizer) apply(d *Dataset) *Dataset {
-	for _, row := range d.X {
-		for j := range row {
-			row[j] = (row[j] - s.Mean[j]) / s.Scale[j]
-		}
-	}
-	return d
 }
 
 // entropy computes the Shannon entropy (bits) of a count distribution — a

@@ -143,15 +143,6 @@ func (b *Boost) Proba(x []float64) []float64 {
 // NumClasses implements Classifier.
 func (b *Boost) NumClasses() int { return b.classes }
 
-// NumTrees returns the number of retained weak learners.
-func (b *Boost) NumTrees() int { return len(b.trees) }
-
-// Tree returns weak learner t (ensemble compilation and inspection).
-func (b *Boost) Tree(t int) *Tree { return b.trees[t] }
-
-// Alpha returns weak learner t's vote weight.
-func (b *Boost) Alpha(t int) float64 { return b.alphas[t] }
-
 // TotalNodes sums weak-learner node counts.
 func (b *Boost) TotalNodes() int {
 	n := 0

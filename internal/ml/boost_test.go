@@ -56,7 +56,7 @@ func TestBoostProbaNormalized(t *testing.T) {
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("proba sums to %v", sum)
 	}
-	if b.NumTrees() == 0 || b.TotalNodes() == 0 {
+	if len(b.trees) == 0 || b.TotalNodes() == 0 {
 		t.Error("empty ensemble")
 	}
 }

@@ -261,28 +261,3 @@ func (t *Tree) Export() []ExportedNode {
 	}
 	return out
 }
-
-// featureImportance returns normalized Gini importance per feature.
-func (t *Tree) featureImportance() []float64 {
-	imp := make([]float64, t.dims)
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			continue
-		}
-		l, r := &t.nodes[n.left], &t.nodes[n.right]
-		dec := n.total*gini(n.counts, n.total) -
-			l.total*gini(l.counts, l.total) - r.total*gini(r.counts, r.total)
-		imp[n.feature] += dec
-	}
-	var sum float64
-	for _, v := range imp {
-		sum += v
-	}
-	if sum > 0 {
-		for i := range imp {
-			imp[i] /= sum
-		}
-	}
-	return imp
-}

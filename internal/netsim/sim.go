@@ -44,22 +44,6 @@ type SimStats struct {
 	LinkBytes    map[LinkID]uint64
 }
 
-// meanLatency over delivered frames.
-func (s *SimStats) meanLatency() time.Duration {
-	if s.Delivered == 0 {
-		return 0
-	}
-	return s.TotalLatency / time.Duration(s.Delivered)
-}
-
-// utilization returns a link's average utilization over the run span.
-func (s *SimStats) utilization(l Link, span time.Duration) float64 {
-	if span <= 0 {
-		return 0
-	}
-	return float64(s.LinkBytes[l.ID]*8) / (l.Bandwidth * span.Seconds())
-}
-
 // Network is a runnable simulation instance over a topology. It reads
 // the topology and never writes it, so any number of networks may run
 // over one topology at once.

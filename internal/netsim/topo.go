@@ -249,6 +249,3 @@ func (t *Topology) route(src, dst NodeID) []LinkID {
 	}
 	return path
 }
-
-// hostCount returns the number of host nodes.
-func (t *Topology) hostCount() int { return len(t.hostNode) }

@@ -1,8 +1,8 @@
 // Package privacy implements the "privacy-preserving data collection" stage
 // of the paper's Figure 1: prefix-preserving IP anonymization (the
 // Crypto-PAn construction), payload handling policies, a collection policy
-// engine deciding what may be stored in what form, and a k-anonymity audit
-// for datasets leaving the IT organization's custody.
+// engine deciding what may be stored in what form, and a differentially
+// private budget for aggregates released outside the IT organization.
 package privacy
 
 import (

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"campuslab/internal/packet"
 )
@@ -239,32 +238,4 @@ func (e *Enforcer) handlePayload(frame []byte, s packet.Summary) []byte {
 // reduction achieved by the policy.
 func (e *Enforcer) Stats() (processed, bytesIn, bytesOut uint64) {
 	return e.processed, e.bytesIn, e.bytesOut
-}
-
-// kAnonymity checks the k-anonymity of a released dataset under a
-// quasi-identifier function: every group must contain at least k records.
-// It returns the smallest group size and the identifiers of violating
-// groups (capped at 10 for reporting).
-func kAnonymity[T any](records []T, quasiID func(T) string, k int) (minGroup int, violations []string) {
-	if len(records) == 0 {
-		return 0, nil
-	}
-	groups := make(map[string]int)
-	for _, r := range records {
-		groups[quasiID(r)]++
-	}
-	minGroup = len(records) + 1
-	for id, n := range groups {
-		if n < minGroup {
-			minGroup = n
-		}
-		if n < k {
-			violations = append(violations, id)
-		}
-	}
-	sort.Strings(violations)
-	if len(violations) > 10 {
-		violations = violations[:10]
-	}
-	return minGroup, violations
 }

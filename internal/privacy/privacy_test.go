@@ -423,25 +423,6 @@ func TestEnforcerOnGeneratedTraffic(t *testing.T) {
 	}
 }
 
-func TestKAnonymity(t *testing.T) {
-	type rec struct{ dept string }
-	records := []rec{{"cs"}, {"cs"}, {"cs"}, {"ece"}, {"ece"}, {"med"}}
-	minG, viol := kAnonymity(records, func(r rec) string { return r.dept }, 2)
-	if minG != 1 {
-		t.Errorf("minGroup = %d, want 1", minG)
-	}
-	if len(viol) != 1 || viol[0] != "med" {
-		t.Errorf("violations = %v, want [med]", viol)
-	}
-	minG, viol = kAnonymity(records, func(r rec) string { return r.dept }, 1)
-	if len(viol) != 0 {
-		t.Errorf("k=1 should have no violations, got %v", viol)
-	}
-	if minG, _ := kAnonymity([]rec{}, func(r rec) string { return "" }, 5); minG != 0 {
-		t.Error("empty dataset should report 0")
-	}
-}
-
 func TestPolicyModeStrings(t *testing.T) {
 	if payloadHash.String() != "hash" || AnonInternal.String() != "internal" {
 		t.Error("mode strings wrong")

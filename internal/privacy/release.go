@@ -36,26 +36,6 @@ func NewReleaseBudget(epsilonTotal float64, seed int64) (*ReleaseBudget, error) 
 // Remaining returns the unspent budget.
 func (b *ReleaseBudget) Remaining() float64 { return b.epsilonTotal - b.spent }
 
-// releaseCount releases a count with Laplace noise calibrated to
-// sensitivity/epsilon, charging epsilon to the budget. sensitivity is the
-// maximum change one user can cause in the count (1 for per-user counts,
-// larger for per-packet counts with a per-user cap).
-func (b *ReleaseBudget) releaseCount(trueCount float64, sensitivity, epsilon float64) (float64, error) {
-	if epsilon <= 0 || sensitivity <= 0 {
-		return 0, fmt.Errorf("privacy: epsilon and sensitivity must be positive")
-	}
-	if b.spent+epsilon > b.epsilonTotal+1e-12 {
-		return 0, fmt.Errorf("privacy: release budget exhausted (spent %.3g of %.3g, requested %.3g)",
-			b.spent, b.epsilonTotal, epsilon)
-	}
-	b.spent += epsilon
-	noised := trueCount + b.laplace(sensitivity/epsilon)
-	if noised < 0 {
-		noised = 0 // counts are non-negative; clamping is post-processing
-	}
-	return noised, nil
-}
-
 // ReleaseHistogram releases a histogram under one epsilon charge: the
 // buckets partition the data, so parallel composition applies and each
 // bucket gets the full epsilon.

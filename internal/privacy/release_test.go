@@ -5,21 +5,27 @@ import (
 	"testing"
 )
 
+// releaseOne releases a single count: a one-bucket histogram.
+func releaseOne(b *ReleaseBudget, trueCount, sensitivity, epsilon float64) (float64, error) {
+	out, err := b.ReleaseHistogram(map[string]float64{"n": trueCount}, sensitivity, epsilon)
+	return out["n"], err
+}
+
 func TestReleaseBudgetEnforced(t *testing.T) {
 	b, err := NewReleaseBudget(1.0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.releaseCount(100, 1, 0.6); err != nil {
+	if _, err := releaseOne(b, 100, 1, 0.6); err != nil {
 		t.Fatal(err)
 	}
 	if b.Remaining() < 0.39 || b.Remaining() > 0.41 {
 		t.Errorf("remaining = %v", b.Remaining())
 	}
-	if _, err := b.releaseCount(100, 1, 0.6); err == nil {
+	if _, err := releaseOne(b, 100, 1, 0.6); err == nil {
 		t.Error("budget overrun allowed")
 	}
-	if _, err := b.releaseCount(100, 1, 0.4); err != nil {
+	if _, err := releaseOne(b, 100, 1, 0.4); err != nil {
 		t.Errorf("exact remaining budget refused: %v", err)
 	}
 }
@@ -32,7 +38,7 @@ func TestReleaseCountNoiseScales(t *testing.T) {
 		var sum float64
 		const n = 3000
 		for i := 0; i < n; i++ {
-			got, err := b.releaseCount(1e6, 1, eps)
+			got, err := releaseOne(b, 1e6, 1, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +60,7 @@ func TestReleaseCountNoiseScales(t *testing.T) {
 func TestReleaseCountClampsNegative(t *testing.T) {
 	b, _ := NewReleaseBudget(1000, 4)
 	for i := 0; i < 500; i++ {
-		got, err := b.releaseCount(0.5, 1, 0.05) // tiny count, huge noise
+		got, err := releaseOne(b, 0.5, 1, 0.05) // tiny count, huge noise
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,10 +96,10 @@ func TestReleaseValidation(t *testing.T) {
 		t.Error("zero epsilon accepted")
 	}
 	b, _ := NewReleaseBudget(1, 1)
-	if _, err := b.releaseCount(1, 0, 0.1); err == nil {
+	if _, err := releaseOne(b, 1, 0, 0.1); err == nil {
 		t.Error("zero sensitivity accepted")
 	}
-	if _, err := b.releaseCount(1, 1, 0); err == nil {
+	if _, err := releaseOne(b, 1, 1, 0); err == nil {
 		t.Error("zero epsilon release accepted")
 	}
 	if _, err := b.ReleaseHistogram(nil, 1, 0); err == nil {

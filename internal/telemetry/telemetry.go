@@ -1,8 +1,8 @@
 // Package telemetry provides the lightweight network sensing primitives of
-// §2's activity (i): counters, a count-min sketch, a space-saving
-// heavy-hitter tracker, and a sampled NetFlow exporter. The sampled
-// exporter is the "bottom-up" baseline data source that E10 compares
-// against the full-capture data store.
+// §2's activity (i): a space-saving heavy-hitter tracker (E13) and a
+// sampled NetFlow exporter. The sampled exporter is the "bottom-up"
+// baseline data source that E10 compares against the full-capture data
+// store.
 package telemetry
 
 import (
@@ -12,68 +12,6 @@ import (
 
 	"campuslab/internal/packet"
 )
-
-// countMinSketch approximates per-key counts in sublinear space; the
-// estimate only ever overshoots. Used for per-flow counters that must fit
-// in dataplane-sized memory.
-type countMinSketch struct {
-	rows  int
-	cols  int
-	table []uint32
-	seeds []uint64
-	total uint64
-}
-
-// newCountMin builds a sketch with the given depth (rows) and width (cols).
-func newCountMin(rows, cols int) (*countMinSketch, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("telemetry: sketch dims must be positive, got %dx%d", rows, cols)
-	}
-	s := &countMinSketch{rows: rows, cols: cols, table: make([]uint32, rows*cols), seeds: make([]uint64, rows)}
-	seed := uint64(0x9e3779b97f4a7c15)
-	for i := range s.seeds {
-		seed ^= seed << 13
-		seed ^= seed >> 7
-		seed ^= seed << 17
-		s.seeds[i] = seed
-	}
-	return s, nil
-}
-
-func (s *countMinSketch) idx(row int, key uint64) int {
-	h := key ^ s.seeds[row]
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return row*s.cols + int(h%uint64(s.cols))
-}
-
-// add increments key's count by n.
-func (s *countMinSketch) add(key uint64, n uint32) {
-	for r := 0; r < s.rows; r++ {
-		s.table[s.idx(r, key)] += n
-	}
-	s.total += uint64(n)
-}
-
-// estimate returns the (over-)estimate of key's count.
-func (s *countMinSketch) estimate(key uint64) uint32 {
-	min := s.table[s.idx(0, key)]
-	for r := 1; r < s.rows; r++ {
-		if v := s.table[s.idx(r, key)]; v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// totalCount returns the sum of all added counts.
-func (s *countMinSketch) totalCount() uint64 { return s.total }
-
-// reset zeroes the sketch.
-func (s *countMinSketch) reset() {
-	clear(s.table)
-	s.total = 0
-}
 
 // HeavyHitters tracks the top-k keys by count with the space-saving
 // algorithm: bounded memory, guaranteed to contain any key whose true

@@ -3,59 +3,11 @@ package telemetry
 import (
 	"net/netip"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
 )
-
-func TestCountMinNeverUndercounts(t *testing.T) {
-	s, err := newCountMin(4, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := map[uint64]uint32{}
-	for i := uint64(0); i < 2000; i++ {
-		key := i % 300
-		s.add(key, 1)
-		truth[key]++
-	}
-	for k, v := range truth {
-		if est := s.estimate(k); est < v {
-			t.Fatalf("undercount: key %d est %d < true %d", k, est, v)
-		}
-	}
-	if s.totalCount() != 2000 {
-		t.Errorf("Total = %d", s.totalCount())
-	}
-	s.reset()
-	if s.estimate(5) != 0 || s.totalCount() != 0 {
-		t.Error("Reset incomplete")
-	}
-}
-
-func TestCountMinProperty(t *testing.T) {
-	s, _ := newCountMin(4, 1024)
-	counts := map[uint64]uint32{}
-	fn := func(key uint64, n uint8) bool {
-		s.add(key, uint32(n))
-		counts[key] += uint32(n)
-		return s.estimate(key) >= counts[key]
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCountMinValidation(t *testing.T) {
-	if _, err := newCountMin(0, 10); err == nil {
-		t.Error("accepted zero rows")
-	}
-	if _, err := newCountMin(2, 0); err == nil {
-		t.Error("accepted zero cols")
-	}
-}
 
 func TestHeavyHittersFindsElephants(t *testing.T) {
 	h, err := NewHeavyHitters(10)

@@ -166,26 +166,3 @@ func RuleSet(t *ml.Tree, schema []string, classNames func(int) string) []string 
 	}
 	return out
 }
-
-// comparisonReport quantifies what extraction traded away: the black box
-// vs deployable model on the same test set.
-type comparisonReport struct {
-	BlackBoxAccuracy  float64
-	ExtractedAccuracy float64
-	Fidelity          float64
-	BlackBoxSize      int // total nodes
-	ExtractedSize     int
-	Rules             int
-}
-
-// compare evaluates both models on test data.
-func compare(blackbox *ml.Forest, ex *Extraction, test *features.Dataset) comparisonReport {
-	return comparisonReport{
-		BlackBoxAccuracy:  ml.Evaluate(blackbox, test).Accuracy(),
-		ExtractedAccuracy: ml.Evaluate(ex.Tree, test).Accuracy(),
-		Fidelity:          ml.Agreement(blackbox, ex.Tree, test),
-		BlackBoxSize:      blackbox.TotalNodes(),
-		ExtractedSize:     ex.Tree.NumNodes(),
-		Rules:             ex.Tree.NumLeaves(),
-	}
-}

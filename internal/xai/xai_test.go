@@ -46,13 +46,12 @@ func TestExtractHighFidelity(t *testing.T) {
 	if ex.Fidelity < 0.9 {
 		t.Errorf("fidelity = %v, want >= 0.9", ex.Fidelity)
 	}
-	rep := compare(forest, ex, test)
-	if rep.ExtractedAccuracy < rep.BlackBoxAccuracy-0.1 {
-		t.Errorf("extracted accuracy %v much worse than black box %v",
-			rep.ExtractedAccuracy, rep.BlackBoxAccuracy)
+	blackBox, extracted := ml.Evaluate(forest, test).Accuracy(), ml.Evaluate(ex.Tree, test).Accuracy()
+	if extracted < blackBox-0.1 {
+		t.Errorf("extracted accuracy %v much worse than black box %v", extracted, blackBox)
 	}
-	if rep.ExtractedSize >= rep.BlackBoxSize/10 {
-		t.Errorf("extracted size %d not much smaller than %d", rep.ExtractedSize, rep.BlackBoxSize)
+	if ex.Tree.NumNodes() >= forest.TotalNodes()/10 {
+		t.Errorf("extracted size %d not much smaller than %d", ex.Tree.NumNodes(), forest.TotalNodes())
 	}
 }
 

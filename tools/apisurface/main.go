@@ -8,6 +8,12 @@
 //	iface   nothing, but it is a method that satisfies an interface
 //	unused  nothing (the package's own tests do not count)
 //
+// It also lists the unexported functions, methods and types that only their
+// own package's tests reference (class seam: a test-only helper must be a
+// reviewed line of the listing), and those that nothing references outside
+// their own declaration (class unused). An unexported method that an
+// interface needs is neither.
+//
 // The listing goes to api/<pkg>.txt, one "class name" line per name. It
 // holds no counts, so a new call site does not change it. Run from the
 // module root:
@@ -35,6 +41,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -54,9 +61,9 @@ func main() {
 
 // classes in the order a name is tested against them: the first that
 // applies wins.
-var classes = []string{"prod", "bench", "test", "iface", "unused"}
+var classes = []string{"prod", "bench", "test", "iface", "unused", "seam"}
 
-// entry is one exported name and its class.
+// entry is one listed name and its class.
 type entry struct{ class, name string }
 
 // run lists root's surface, writes or checks root/api, prints the summary
@@ -121,8 +128,8 @@ func run(root string, check bool, w io.Writer) (bool, error) {
 				unused = append(unused, pkg+"."+e.name)
 			}
 		}
-		printCounts(w, pkg, len(surf[pkg]), n)
-		total[""] += len(surf[pkg])
+		printCounts(w, pkg, len(surf[pkg])-n["seam"], n)
+		total[""] += len(surf[pkg]) - n["seam"]
 	}
 	printCounts(w, "total", total[""], total)
 	for _, u := range unused {
@@ -220,6 +227,15 @@ func surface(root string) (map[string][]entry, error) {
 						add(m, name+"."+m.Name(), named)
 					}
 				}
+			}
+		}
+		for _, c := range l.inner[rel] {
+			switch {
+			case c.by&prod != 0 || (c.named != nil && satisfies(c.named, c.obj.Name(), ifaces)):
+			case c.by&test != 0:
+				es = append(es, entry{"seam", c.name})
+			default:
+				es = append(es, entry{"unused", c.name})
 			}
 		}
 		sort.Slice(es, func(i, j int) bool { return es[i].name < es[j].name })
@@ -360,14 +376,26 @@ type loader struct {
 	// roots are the packages recordUses type-checked: with pkgs, the start
 	// of the walk for the interfaces a method may satisfy.
 	roots []*types.Package
+	// inner holds each internal package's unexported names (innerUses).
+	inner map[string]map[types.Object]*unexported
+}
+
+// unexported is one unexported name, with the kinds of file that reference
+// it outside its own declaration (a type's methods are part of it).
+type unexported struct {
+	name  string
+	obj   types.Object
+	named *types.Named // the receiver's type, for a method
+	by    kinds
 }
 
 func newLoader(root string) (*loader, error) {
 	fset := token.NewFileSet()
 	l := &loader{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs: map[string]*types.Package{},
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs:  map[string]*types.Package{},
+		inner: map[string]map[types.Object]*unexported{},
 	}
 	for _, dir := range []string{filepath.Join(root, "bench"), root} {
 		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
@@ -496,7 +524,7 @@ func (l *loader) recordUses(m module, dir string, uses map[types.Object]kinds) e
 	}
 	self := (*types.Package)(nil)
 	if len(fs.lib)+len(fs.intest) > 0 {
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
 		conf := types.Config{Importer: l}
 		self, err = conf.Check(path, l.fset, append(fs.lib, fs.intest...), info)
 		if err != nil {
@@ -504,6 +532,9 @@ func (l *loader) recordUses(m module, dir string, uses map[types.Object]kinds) e
 		}
 		l.roots = append(l.roots, self)
 		mark(info)
+		if m == l.mods[len(l.mods)-1] && strings.HasPrefix(rel, "internal"+string(filepath.Separator)) {
+			l.inner[filepath.ToSlash(rel)] = innerUses(l.fset, fs.lib, info)
+		}
 	}
 	if len(fs.xtest) > 0 {
 		// The external test package sees this package with its test files,
@@ -592,4 +623,65 @@ func packageDirs(dir string) ([]string, error) {
 		return nil
 	})
 	return dirs, err
+}
+
+// innerUses lists the unexported functions, methods and types that files
+// declare and marks where info says the package refers to each, skipping
+// references inside the name's own declaration.
+func innerUses(fset *token.FileSet, files []*ast.File, info *types.Info) map[types.Object]*unexported {
+	type span struct{ from, to token.Pos }
+	decl := map[types.Object][]span{}
+	byObj := map[types.Object]*unexported{}
+	add := func(id *ast.Ident, named *types.Named, sp span) {
+		obj := info.Defs[id]
+		decl[obj] = append(decl[obj], sp)
+		if !id.IsExported() && id.Name != "_" {
+			name := id.Name
+			if named != nil {
+				name = named.Obj().Name() + "." + name
+			}
+			byObj[obj] = &unexported{name: name, obj: obj, named: named}
+		}
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				sp := span{d.Pos(), d.End()}
+				var named *types.Named
+				if d.Recv != nil {
+					recv := info.Defs[d.Name].Type().(*types.Signature).Recv().Type()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					named = recv.(*types.Named)
+					decl[named.Obj()] = append(decl[named.Obj()], sp)
+				} else if d.Name.Name == "init" {
+					continue
+				}
+				add(d.Name, named, sp)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						add(ts.Name, nil, span{ts.Pos(), ts.End()})
+					}
+				}
+			}
+		}
+	}
+	for id, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		u := byObj[obj]
+		if u == nil || slices.ContainsFunc(decl[obj], func(s span) bool { return s.from <= id.Pos() && id.Pos() < s.to }) {
+			continue
+		}
+		if strings.HasSuffix(fset.File(id.Pos()).Name(), "_test.go") {
+			u.by |= test
+		} else {
+			u.by |= prod
+		}
+	}
+	return byObj
 }

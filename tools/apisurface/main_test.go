@@ -12,7 +12,10 @@ import (
 // The fixture module holds one name of each class in internal/lib: called
 // by internal/user's code, by the bench module only, by internal/user's
 // test only, by lib's own test only, by nothing, a type no one names but
-// NewT hands out, and a method satisfying fmt.Stringer.
+// NewT hands out, and a method satisfying fmt.Stringer. Of its unexported
+// names, two only lib's own test calls (one of them also calls itself), one
+// nothing calls, and a method only an in-package interface reaches is not
+// listed.
 const fixture = "testdata/fixture"
 
 var wantLib = []entry{
@@ -25,6 +28,9 @@ var wantLib = []entry{
 	{"iface", "T.String"},
 	{"test", "TestOnly"},
 	{"unused", "Unused"},
+	{"seam", "countdown"},
+	{"unused", "dead"},
+	{"seam", "seamOnly"},
 }
 
 func TestSurfaceClassifiesFixture(t *testing.T) {
@@ -32,7 +38,8 @@ func TestSurfaceClassifiesFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][]entry{"internal/lib": wantLib}
+	// internal/user's use is called only by its own test.
+	want := map[string][]entry{"internal/lib": wantLib, "internal/user": {{"seam", "use"}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("surface:\n got %v\nwant %v", got, want)
 	}
@@ -50,7 +57,7 @@ func TestRunWritesThenChecks(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("write mode: ok=%v err=%v, want a failure for the unused names", ok, err)
 	}
-	for _, name := range []string{"OwnTestOnly", "T.Hidden", "Unused"} {
+	for _, name := range []string{"OwnTestOnly", "T.Hidden", "Unused", "dead"} {
 		if !strings.Contains(out.String(), "internal/lib."+name+" has no caller outside its package") {
 			t.Errorf("unused %s not reported:\n%s", name, out.String())
 		}

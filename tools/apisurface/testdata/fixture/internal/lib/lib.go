@@ -2,7 +2,7 @@
 package lib
 
 // Prod is called by another package's code.
-func Prod() int { return 1 }
+func Prod() int { return measure(sq{}) }
 
 // BenchOnly is called only by the benchmark module.
 func BenchOnly() int { return 2 }
@@ -27,3 +27,22 @@ func (*T) String() string { return "t" }
 
 // Hidden is called by nothing.
 func (*T) Hidden() int { return 0 }
+
+// sq.area is reached only through shape, an interface only this package
+// uses: it is not a seam.
+type shape interface{ area() int }
+type sq struct{}
+
+func (sq) area() int      { return 1 }
+func measure(s shape) int { return s.area() }
+
+// Only lib's own test calls seamOnly and countdown (which also calls
+// itself): both are seams. Nothing calls dead.
+func seamOnly() int { return 5 }
+func countdown(n int) int {
+	if n > 0 {
+		return countdown(n - 1)
+	}
+	return 0
+}
+func dead() int { return 6 }

@@ -2,4 +2,4 @@ package lib
 
 import "testing"
 
-func TestOwn(t *testing.T) { OwnTestOnly() }
+func TestOwn(t *testing.T) { OwnTestOnly(); seamOnly(); countdown(3) }
