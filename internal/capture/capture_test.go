@@ -210,6 +210,84 @@ func TestLoadModelBiggerRingAbsorbsBursts(t *testing.T) {
 	}
 }
 
+// runLoadModelLinear is RunLoadModel as it was before the departure heap:
+// every arrival rescans the whole ring for finished packets. It is the
+// reference the heap must reproduce exactly.
+func runLoadModelLinear(gen traffic.Generator, cfg LoadModelConfig) LoadModelResult {
+	if cfg.Consumers <= 0 {
+		cfg.Consumers = 1
+	}
+	var res LoadModelResult
+	var bytes uint64
+	freeAt := make([]time.Duration, cfg.Consumers)
+	var queue []time.Duration
+	var lastTS time.Duration
+	var f traffic.Frame
+	for gen.Next(&f) {
+		now := f.TS
+		lastTS = now
+		keep := queue[:0]
+		for _, d := range queue {
+			if d > now {
+				keep = append(keep, d)
+			}
+		}
+		queue = keep
+		res.Offered++
+		bytes += uint64(len(f.Data))
+		if len(queue) >= cfg.RingSize {
+			res.Dropped++
+			continue
+		}
+		best := 0
+		for i := 1; i < cfg.Consumers; i++ {
+			if freeAt[i] < freeAt[best] {
+				best = i
+			}
+		}
+		start := max(now, freeAt[best])
+		depart := start + cfg.ServicePerPacket + time.Duration(len(f.Data))*cfg.ServicePerKB/1024
+		freeAt[best] = depart
+		queue = append(queue, depart)
+		res.Captured++
+		res.MaxDepth = max(res.MaxDepth, len(queue))
+	}
+	if lastTS > 0 {
+		res.OfferedGbps = float64(bytes*8) / lastTS.Seconds() / 1e9
+	}
+	return res
+}
+
+// TestLoadModelMatchesLinearRetire: retiring departures from a heap gives
+// the same result as rescanning the ring, across ring sizes, consumer
+// counts and per-KB costs — the last two are what make departures leave
+// out of arrival order. Campus frames vary in size, so a per-KB cost
+// varies per packet.
+func TestLoadModelMatchesLinearRetire(t *testing.T) {
+	gens := map[string]func() traffic.Generator{
+		"constant": func() traffic.Generator { return NewConstantRate(40, 800, 2*time.Millisecond) },
+		"campus": func() traffic.Generator {
+			return traffic.NewCampus(traffic.Profile{FlowsPerSecond: 3000, Duration: 40 * time.Millisecond, Seed: 5})
+		},
+	}
+	for name, gen := range gens {
+		for _, ring := range []int{1, 7, 64, 512} {
+			for _, consumers := range []int{1, 2, 5} {
+				for _, perKB := range []time.Duration{0, 154 * time.Nanosecond, 3 * time.Microsecond, 20 * time.Microsecond} {
+					cfg := LoadModelConfig{RingSize: ring, ServicePerPacket: 120 * time.Nanosecond, ServicePerKB: perKB, Consumers: consumers}
+					got, err := RunLoadModel(gen(), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := runLoadModelLinear(gen(), cfg); got != want {
+						t.Errorf("%s %+v: heap %+v, linear rescan %+v", name, cfg, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestLoadModelValidation(t *testing.T) {
 	gen := NewConstantRate(1, 1000, time.Millisecond)
 	if _, err := RunLoadModel(gen, LoadModelConfig{RingSize: 0, ServicePerPacket: time.Nanosecond}); err == nil {

@@ -60,9 +60,8 @@ func RunLoadModel(gen traffic.Generator, cfg LoadModelConfig) (LoadModelResult, 
 	var bytes uint64
 	// freeAt[i] is when consumer i finishes its current packet.
 	freeAt := make([]time.Duration, cfg.Consumers)
-	// queue models ring occupancy: departure times of queued packets.
-	type qpkt struct{ depart time.Duration }
-	queue := make([]qpkt, 0, cfg.RingSize)
+	// queue models ring occupancy: the departure times of queued packets.
+	queue := make(departures, 0, cfg.RingSize)
 	var lastTS time.Duration
 
 	var f traffic.Frame
@@ -70,13 +69,9 @@ func RunLoadModel(gen traffic.Generator, cfg LoadModelConfig) (LoadModelResult, 
 		now := f.TS
 		lastTS = now
 		// Retire packets whose service completed by now.
-		keep := queue[:0]
-		for _, q := range queue {
-			if q.depart > now {
-				keep = append(keep, q)
-			}
+		for len(queue) > 0 && queue[0] <= now {
+			queue.pop()
 		}
-		queue = keep
 
 		res.Offered++
 		bytes += uint64(len(f.Data))
@@ -98,7 +93,7 @@ func RunLoadModel(gen traffic.Generator, cfg LoadModelConfig) (LoadModelResult, 
 		cost := cfg.ServicePerPacket + time.Duration(len(f.Data))*cfg.ServicePerKB/1024
 		depart := start + cost
 		freeAt[best] = depart
-		queue = append(queue, qpkt{depart: depart})
+		queue.push(depart)
 		res.Captured++
 		if len(queue) > res.MaxDepth {
 			res.MaxDepth = len(queue)
@@ -108,6 +103,48 @@ func RunLoadModel(gen traffic.Generator, cfg LoadModelConfig) (LoadModelResult, 
 		res.OfferedGbps = float64(bytes*8) / lastTS.Seconds() / 1e9
 	}
 	return res, nil
+}
+
+// departures is a min-heap of departure times, so an arrival retires
+// every finished packet in O(log ring) each instead of rescanning the
+// ring. Departures leave out of arrival order once several consumers
+// share the ring or the per-KB cost varies with frame size, so the
+// earliest goes first, not the oldest.
+type departures []time.Duration
+
+func (h *departures) push(t time.Duration) {
+	q := append(*h, t)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p] <= q[i] {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	*h = q
+}
+
+func (h *departures) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1] < q[c] {
+			c++
+		}
+		if q[i] <= q[c] {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
 }
 
 // ConstantRateGenerator emits fixed-size frames at a constant bit rate —

@@ -293,6 +293,52 @@ func TestTierWriteFailureChangesNothing(t *testing.T) {
 	}
 }
 
+// TestTierMaintenanceCountsFailures: the background compactor has no
+// caller to hand an error to, so every failed pass is counted by op. A
+// retention pass whose manifest rename fails moves the retain counter by
+// exactly one, a compaction whose segment write fails moves the compact
+// counter by exactly one, and the store answers every query throughout.
+func TestTierMaintenanceCountsFailures(t *testing.T) {
+	frames := tierFrames(t)
+	pol := aggressiveTier("/tier")
+	pol.Retain = (frames[len(frames)-1].TS - frames[0].TS) / 2
+	fsys := newMemFS(1)
+	s := ingestTieredOn(t, fsys, 1, 1, pol)
+	tr := s.tier.Load()
+	all := MustFilter("len > 0")
+	pass := func(name, op string, wantCompact, wantRetain uint64) {
+		t.Helper()
+		c0, r0 := obsTierCompactErrs.Value(), obsTierRetainErrs.Value()
+		fsys.failOp(op, "/tier", 1, syscall.EIO)
+		s.maintainTier(tr)
+		fsys.heal()
+		if dc, dr := obsTierCompactErrs.Value()-c0, obsTierRetainErrs.Value()-r0; dc != wantCompact || dr != wantRetain {
+			t.Fatalf("%s: compact/retain error counters moved by %d/%d, want %d/%d", name, dc, dr, wantCompact, wantRetain)
+		}
+		scanned := 0
+		s.Scan(func(*StoredPacket) bool { scanned++; return true })
+		if n := s.Count(all); n != scanned || n == 0 {
+			t.Fatalf("%s: Count %d, Scan %d rows", name, n, scanned)
+		}
+	}
+
+	// Sealed in whole segments, the store gives compaction nothing to
+	// merge, so the pass's first rename is retention's manifest.
+	segs := s.TierStats().Segments
+	pass("failed retention", "rename", 0, 1)
+	if got := s.TierStats().Segments; got != segs {
+		t.Fatalf("a failed retention pass left %d segments of %d", got, segs)
+	}
+	// Undersized segments give it a merge, whose segment write fails;
+	// retention, on a healthy disk again, then drops what it could not.
+	flushUndersized(t, s)
+	segs = s.TierStats().Segments
+	pass("failed compaction", "write", 1, 0)
+	if got := s.TierStats().Segments; got >= segs {
+		t.Fatalf("retention after a failed compaction dropped nothing (%d segments of %d)", got, segs)
+	}
+}
+
 // addBoth acks one batch on the tiered store and its untiered twin.
 func addBoth(t *testing.T, s, twin *Store, frames []traffic.Frame) {
 	t.Helper()

@@ -12,7 +12,7 @@ import (
 
 // equivFrames builds a labeled benign+attack scenario big enough to spread
 // flows across every shard configuration under test.
-func equivFrames(t *testing.T) []traffic.Frame {
+func equivFrames(t testing.TB) []traffic.Frame {
 	t.Helper()
 	plan := traffic.DefaultPlan(30)
 	benign := traffic.NewCampus(traffic.Profile{

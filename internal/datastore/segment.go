@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"campuslab/internal/frame"
+	"campuslab/internal/inflate"
 	"campuslab/internal/parallel"
 )
 
@@ -446,9 +447,9 @@ func (sb *segBlob) decodeDict() (*segDict, error) {
 // workloads at half the match-search cost; BestSpeed costs +2.6% bytes.
 const segDeflateLevel = 4
 
-// deflatePool recycles block encoders the way inflatePool recycles
-// decoders: a flate.Writer carries ~1 MiB of match tables, and a seal
-// needs one per worker per segment. Writers are Reset before every block.
+// deflatePool recycles block encoders: a flate.Writer carries ~1 MiB of
+// match tables, and a seal needs one per worker per segment. Writers are
+// Reset before every block.
 var deflatePool = sync.Pool{
 	New: func() any {
 		fw, err := flate.NewWriter(io.Discard, segDeflateLevel)
@@ -882,34 +883,18 @@ func (d *segData) blockRange(b int) (int, int) {
 	return lo, hi
 }
 
-// inflatePool recycles flate readers across block decodes: NewReader
-// allocates a fresh 32 KiB history window per call, which dominates the
-// cost of inflating small blocks. Readers are Reset before every use, so
-// pooling one that saw a corrupt stream is safe.
-var inflatePool = sync.Pool{
-	New: func() any { return flate.NewReader(nil) },
-}
-
-// inflateBlock decompresses block b out of the column's streams,
-// validating the exact raw size and a clean end of stream.
+// inflateBlock decompresses block b out of the column's streams straight
+// into an exact-size buffer, which the block cache then keeps: the
+// one-shot decoder (internal/inflate) copies back-references within that
+// buffer and builds its tables in pooled scratch, so the buffer is the
+// only allocation. It refuses a stream that decodes to more or fewer
+// bytes than the directory records, a truncated stream, and a bad
+// header, tree or distance.
 func (d *segData) inflateBlock(streams []byte, b int) ([]byte, error) {
 	lo, hi := d.blockRange(b)
-	size := d.rowOff[hi] - d.rowOff[lo]
-	fr := inflatePool.Get().(io.ReadCloser)
-	defer inflatePool.Put(fr)
-	if err := fr.(flate.Resetter).Reset(bytes.NewReader(streams[d.compOff[b]:d.compOff[b]+d.compLen[b]]), nil); err != nil {
-		return nil, segErr("inflate reset block %d: %v", b, err)
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(fr, buf); err != nil {
+	buf := make([]byte, d.rowOff[hi]-d.rowOff[lo])
+	if err := inflate.Into(buf, streams[d.compOff[b]:d.compOff[b]+d.compLen[b]]); err != nil {
 		return nil, segErr("inflate block %d: %v", b, err)
-	}
-	var one [1]byte
-	if n, err := fr.Read(one[:]); n != 0 || err != io.EOF {
-		return nil, segErr("trailing bytes in block %d deflate stream", b)
-	}
-	if err := fr.Close(); err != nil {
-		return nil, segErr("inflate close block %d: %v", b, err)
 	}
 	return buf, nil
 }

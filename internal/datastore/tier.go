@@ -133,6 +133,10 @@ var (
 	obsTierPruned      = obs.Default.Counter("campuslab_tier_segments_pruned_total")
 	obsTierCorrupt     = obs.Default.Counter("campuslab_tier_corrupt_segments_total")
 	obsTierWriteFails  = obs.Default.Counter("campuslab_tier_write_failures_total")
+	// A failed pass of the background compactor, which has no caller to
+	// return its error to.
+	obsTierCompactErrs = obs.Default.Counter("campuslab_tier_maintenance_errors_total", "op", "compact")
+	obsTierRetainErrs  = obs.Default.Counter("campuslab_tier_maintenance_errors_total", "op", "retain")
 	obsTierSegments    = obs.Default.Gauge("campuslab_tier_segments")
 	obsTierColdPackets = obs.Default.Gauge("campuslab_tier_cold_packets")
 	obsTierColdBytes   = obs.Default.Gauge("campuslab_tier_cold_bytes")
@@ -840,10 +844,7 @@ func (s *Store) StartTierCompactor(interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				s.CompactTier()
-				if tr.policy.Retain > 0 {
-					s.RetainCold(time.Duration(s.lastTS.Load()) - tr.policy.Retain)
-				}
+				s.maintainTier(tr)
 			}
 		}
 	}()
@@ -853,6 +854,21 @@ func (s *Store) StartTierCompactor(interval time.Duration) (stop func()) {
 			close(done)
 			wg.Wait()
 		})
+	}
+}
+
+// maintainTier is one pass of the compactor: a compaction, then retention
+// when the policy sets Retain. Nobody waits on the pass, so each failure
+// is counted in campuslab_tier_maintenance_errors_total{op}; the next
+// pass retries.
+func (s *Store) maintainTier(tr *tier) {
+	if _, err := s.CompactTier(); err != nil {
+		obsTierCompactErrs.Inc()
+	}
+	if tr.policy.Retain > 0 {
+		if _, err := s.RetainCold(time.Duration(s.lastTS.Load()) - tr.policy.Retain); err != nil {
+			obsTierRetainErrs.Inc()
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // Tier benchmarks (DESIGN.md §14):
 //
-//	go test -bench='BenchmarkSeal|BenchmarkEncodeSegment|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkColdCount|BenchmarkEvictBefore' ./internal/datastore
+//	go test -bench='BenchmarkSeal|BenchmarkEncodeSegment|BenchmarkSegmentInflate|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkColdCount|BenchmarkEvictBefore' ./internal/datastore
 //
 // BenchmarkEncodeSegment is the seal's inner loop alone — one segment's
 // rows to one blob, no disk — at the two row sizes the end-to-end
@@ -155,6 +155,39 @@ func BenchmarkEncodeSegment(b *testing.B) {
 			b.ReportMetric(float64(len(blob))/float64(len(rows)), "B/pkt")
 		})
 	}
+}
+
+// BenchmarkSegmentInflate is the cold read path's block decode alone: one
+// op inflates one block of a sealed segment of the equivalence corpus
+// (equivFrames, 32-row blocks) into a fresh exact-size buffer, as a block
+// cache miss does, cycling through the segment's blocks. B/op and
+// allocs/op are per block; the buffer the cache keeps is one allocation.
+func BenchmarkSegmentInflate(b *testing.B) {
+	st := NewSharded(1)
+	if _, err := st.AddBatch(equivFrames(b), 0); err != nil {
+		b.Fatal(err)
+	}
+	rows := st.packetsBetween(0, -1)
+	blob, _, err := encodeSegment(rows[:min(len(rows), segBlockRows*256)])
+	if err != nil {
+		b.Fatal(err)
+	}
+	sb, err := parseSegment(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := sb.parseData()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.inflateBlock(d.streams, i%d.nblocks); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(d.rowOff[d.count])/float64(d.nblocks), "rawB/block")
 }
 
 // benchStoreOp runs one (store, filter, op) cell.

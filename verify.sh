@@ -223,6 +223,7 @@ gate_fuzz 5s ./internal/frame FuzzFrame
 gate_fuzz 5s ./internal/datastore FuzzWALReplay
 gate_fuzz 5s ./internal/datastore FuzzSnapshotLoad
 gate_fuzz 5s ./internal/datastore FuzzSegmentDecode
+gate_fuzz 5s ./internal/inflate FuzzInflate
 gate_fuzz 5s ./internal/fleet FuzzFleetFrame
 
 echo "==> fleet crash gate (torn mid-batch cut: all-or-nothing, retry never duplicates, acked == durable)"
