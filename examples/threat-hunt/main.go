@@ -87,7 +87,12 @@ func main() {
 			log.Fatal(err)
 		}
 		if joined++; joined <= 3 {
-			first, _ := st.Packet(c.Flow.PacketIDs()[0])
+			k := c.Flow.Key
+			opener := datastore.MustFilter(fmt.Sprintf(
+				"proto == %d && ((src.ip == %v && src.port == %d && dst.ip == %v && dst.port == %d) ||"+
+					" (src.ip == %v && src.port == %d && dst.ip == %v && dst.port == %d))",
+				k.Proto, k.SrcIP, k.SrcPort, k.DstIP, k.DstPort, k.DstIP, k.DstPort, k.SrcIP, k.SrcPort))
+			first := st.Select(opener, 1)[0]
 			fmt.Printf("  %v %q: flow %v, %d packets, gap %v, opened by a %d-byte packet at %v\n",
 				c.Event.TS, c.Event.Message, c.Flow.Key, c.Flow.Packets, c.Gap, first.Summary.WireLen, first.TS)
 		}

@@ -58,8 +58,8 @@ func TestLoadAtShardCountMatchesDefaultLoad(t *testing.T) {
 		snap    []byte
 		tierDir string // attached after the load, like Recover; "" when untiered
 	}{
-		{"untiered fixture", formatFixture(t, "snapshot-v5-untiered.clds"), ""},
-		{"tiered fixture", formatFixture(t, "snapshot-v5-tiered.clds"), fixtureTierDir(t)},
+		{"untiered fixture", formatFixture(t, "snapshot-v6-untiered.clds"), ""},
+		{"tiered fixture", formatFixture(t, "snapshot-v6-tiered.clds"), fixtureTierDir(t)},
 		{"tiered fresh", storeBytes(t, live), live.tier.Load().dir},
 	}
 	for _, c := range cases {

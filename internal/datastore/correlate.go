@@ -68,9 +68,7 @@ func (s *Store) CorrelateEvents(window time.Duration) []Correlation {
 				} else if fm.First > ev.TS {
 					gap = fm.First - ev.TS
 				}
-				cp := *fm
-				cp.pktIDs = append([]PacketID(nil), fm.pktIDs...)
-				out = append(out, Correlation{Event: ev, Flow: cp, Gap: gap})
+				out = append(out, Correlation{Event: ev, Flow: *fm, Gap: gap})
 			}
 		}
 	}

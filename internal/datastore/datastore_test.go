@@ -122,8 +122,8 @@ func TestFlowAggregation(t *testing.T) {
 	if !fm.TCPFlags.Has(packet.TCPSyn | packet.TCPAck) {
 		t.Errorf("flags = %v", fm.TCPFlags)
 	}
-	if len(fm.PacketIDs()) != 2 {
-		t.Errorf("packet ids = %v", fm.PacketIDs())
+	if n := st.Count(flowFilter(t, key)); n != 2 {
+		t.Errorf("flow's 5-tuple selects %d packets, want 2", n)
 	}
 	// Lookup by reverse tuple finds the same flow.
 	if _, ok := st.Flow(key.Reverse()); !ok {
@@ -163,11 +163,11 @@ func TestLabelFlowErrors(t *testing.T) {
 
 func TestPacketLookup(t *testing.T) {
 	st := fillStore(t)
-	sp, ok := st.Packet(0)
+	sp, ok := st.packetByID(0)
 	if !ok || sp.ID != 0 {
 		t.Fatal("packet 0 not found")
 	}
-	if _, ok := st.Packet(PacketID(1 << 40)); ok {
+	if _, ok := st.packetByID(PacketID(1 << 40)); ok {
 		t.Error("found nonexistent packet")
 	}
 }

@@ -17,7 +17,7 @@ import (
 //	<dir>/<seq>.wal           segments holding every acked batch whose rows
 //	                          are not all sealed or evicted
 //	<dir>/snapshot-<n>.clds   the newest checkpoint, the n-th written here
-//	                          (a v5 snapshot with no packets)
+//	                          (a v6 snapshot with no packets)
 //
 // The WAL is the hot tier's only durable copy: every acked AddBatch is
 // logged before its PacketID is returned, so a hard kill at any instant

@@ -34,7 +34,6 @@ type storePrint struct {
 	scanIDs   []PacketID
 	scanTS    []time.Duration
 	flows     []FlowMeta
-	flowPkts  [][]PacketID
 	saveBytes []byte
 	packets   uint64
 	flowCount uint64
@@ -50,9 +49,6 @@ func fingerprintStore(t *testing.T, s *Store) storePrint {
 		return true
 	})
 	p.flows = s.Flows()
-	for i := range p.flows {
-		p.flowPkts = append(p.flowPkts, p.flows[i].PacketIDs())
-	}
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -74,16 +70,10 @@ func comparePrints(t *testing.T, name string, want, got storePrint) {
 	if len(want.flows) != len(got.flows) {
 		t.Fatalf("%s: flow count differs: want %d got %d", name, len(want.flows), len(got.flows))
 	}
-	for i := range want.flows {
-		w, g := want.flows[i], got.flows[i]
-		// pktIDs is unexported; compare via the accessor lists below.
-		w.pktIDs, g.pktIDs = nil, nil
-		if !reflect.DeepEqual(w, g) {
+	for i, w := range want.flows {
+		if g := got.flows[i]; w != g {
 			t.Errorf("%s: flow %d meta differs:\nwant %+v\ngot  %+v", name, i, w, g)
 		}
-	}
-	if !reflect.DeepEqual(want.flowPkts, got.flowPkts) {
-		t.Errorf("%s: per-flow PacketIDs differ", name)
 	}
 	if !bytes.Equal(want.saveBytes, got.saveBytes) {
 		t.Errorf("%s: Save snapshot bytes differ (want %d bytes, got %d)", name, len(want.saveBytes), len(got.saveBytes))
@@ -96,7 +86,7 @@ func comparePrints(t *testing.T, name string, want, got storePrint) {
 }
 
 // TestShardedStoreEquivalence: every query surface — global scan order,
-// flow listing, per-flow packet IDs, snapshot bytes, stats — must be
+// flow listing, snapshot bytes, stats — must be
 // byte-for-byte identical at 1, 4, and 16 shards.
 func TestShardedStoreEquivalence(t *testing.T) {
 	frames := equivFrames(t)
@@ -144,32 +134,76 @@ func TestAddBatchMatchesSerialIngest(t *testing.T) {
 	}
 }
 
-// TestPacketIDsGloballyUniqueAcrossShards: flow packet IDs must be globally
-// unique and strictly ascending per flow, never per-shard-local.
+// flowFilter selects a flow's packets: its 5-tuple in either direction.
+func flowFilter(t testing.TB, k FlowKey) *Filter {
+	t.Helper()
+	f, err := ParseFilter(fmt.Sprintf("proto == %d && ((src.ip == %v && src.port == %d && dst.ip == %v && dst.port == %d) ||"+
+		" (src.ip == %v && src.port == %d && dst.ip == %v && dst.port == %d))",
+		k.Proto, k.SrcIP, k.SrcPort, k.DstIP, k.DstPort, k.DstIP, k.DstPort, k.SrcIP, k.SrcPort))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestPacketIDsGloballyUniqueAcrossShards: packet IDs are global, never
+// per-shard-local. A flow's 5-tuple selects exactly its Packets rows, in
+// strictly ascending ID, each resolving through Packet; no row belongs to
+// two flows, and every IP row belongs to one — untiered and tiered, at 1,
+// 4 and 16 shards, and for an IPv4 flow beside its ::ffff:-mapped twin.
 func TestPacketIDsGloballyUniqueAcrossShards(t *testing.T) {
+	check := func(name string, s *Store) {
+		t.Helper()
+		owner := make(map[PacketID]FlowKey)
+		flows := s.Flows()
+		if len(flows) == 0 {
+			t.Fatalf("%s: no flows", name)
+		}
+		for _, fm := range flows {
+			rows := s.Select(flowFilter(t, fm.Key), 0)
+			if uint64(len(rows)) != fm.Packets {
+				t.Fatalf("%s: flow %v: %d rows for %d packets", name, fm.Key, len(rows), fm.Packets)
+			}
+			for i := range rows {
+				id := rows[i].ID
+				if k, dup := owner[id]; dup {
+					t.Fatalf("%s: packet id %d claimed by flows %v and %v", name, id, k, fm.Key)
+				}
+				owner[id] = fm.Key
+				if i > 0 && id <= rows[i-1].ID {
+					t.Fatalf("%s: flow %v: ids not strictly ascending at %d", name, fm.Key, i)
+				}
+				if sp, ok := s.packetByID(id); !ok || sp.ID != id {
+					t.Fatalf("%s: flow %v: id %d does not resolve to a stored packet", name, fm.Key, id)
+				}
+			}
+		}
+		s.Scan(func(sp *StoredPacket) bool {
+			if _, ok := owner[sp.ID]; sp.Summary.HasIP && !ok {
+				t.Fatalf("%s: IP packet %d (%v) belongs to no flow", name, sp.ID, sp.Summary.Tuple)
+			}
+			return true
+		})
+	}
 	frames := equivFrames(t)
-	s := NewSharded(16)
-	s.AddBatch(frames, 4)
-	seen := make(map[PacketID]FlowKey)
-	for _, fm := range s.Flows() {
-		ids := fm.PacketIDs()
-		if uint64(len(ids)) != fm.Packets {
-			t.Fatalf("flow %v: %d ids for %d packets", fm.Key, len(ids), fm.Packets)
-		}
-		for i, id := range ids {
-			if owner, dup := seen[id]; dup {
-				t.Fatalf("packet id %d claimed by flows %v and %v", id, owner, fm.Key)
-			}
-			seen[id] = fm.Key
-			if i > 0 && ids[i] <= ids[i-1] {
-				t.Fatalf("flow %v: ids not strictly ascending at %d", fm.Key, i)
-			}
-			if sp, ok := s.Packet(id); !ok || sp.ID != id {
-				t.Fatalf("flow %v: id %d does not resolve to a stored packet", fm.Key, id)
-			}
-		}
+	shardCounts := []int{1, 4, 16}
+	if raceEnabled {
+		shardCounts = []int{4}
 	}
-	if len(seen) == 0 {
-		t.Fatal("no flow packet ids observed")
+	for _, n := range shardCounts {
+		s := NewSharded(n)
+		s.AddBatch(frames, 4)
+		check(fmt.Sprintf("untiered shards=%d", n), s)
+		tiered := ingestTieredOn(t, newMemFS(int64(n)), n, 4, aggressiveTier("/tier"))
+		if tiered.TierStats().ColdPackets == 0 {
+			t.Fatalf("shards=%d: nothing sealed", n)
+		}
+		check(fmt.Sprintf("tiered shards=%d", n), tiered)
 	}
+	twins := NewSharded(4)
+	twins.AddBatch(twinFlowFrames(t), 1)
+	if n := len(twins.Flows()); n != 2 {
+		t.Fatalf("twin frames: %d flows, want 2", n)
+	}
+	check("twins", twins)
 }

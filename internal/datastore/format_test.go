@@ -22,11 +22,14 @@ import (
 // attached), saved by the v4 writer; the v5 exports are the v4 ones with
 // the v5 header (cut ID = base ID + packets, no replay position). The v5
 // checkpoint is a store recovered from the WAL segment, with one event
-// added and its first two packets evicted, checkpointed beside it. Each
-// test below decodes a file with the current code and re-encodes it; every
-// byte must come back. A deliberate format change bumps a version and adds
-// fixtures, it does not regenerate these. The v2, v3 and v4 snapshots and
-// seg-v1.clsg stay as fixtures a retired format must be refused on.
+// added and its first two packets evicted, checkpointed beside it. The v6
+// files are the three v5 ones as the v5 reader loaded them (the checkpoint
+// recovered beside the WAL segment), written by the v6 writer: the same
+// stores, their flows without packet-ID lists. Each test below decodes a
+// file with the current code and re-encodes it; every byte must come back.
+// A deliberate format change bumps a version and adds fixtures, it does not
+// regenerate these. The v2 to v5 snapshots and seg-v1.clsg stay as
+// fixtures a retired format must be refused on.
 
 func formatFixture(t testing.TB, name ...string) []byte {
 	t.Helper()
@@ -80,7 +83,7 @@ func fixtureTierDir(t *testing.T) string {
 
 func TestFormatSnapshotsPinned(t *testing.T) {
 	t.Run("untiered", func(t *testing.T) {
-		want := formatFixture(t, "snapshot-v5-untiered.clds")
+		want := formatFixture(t, "snapshot-v6-untiered.clds")
 		st, err := Load(bytes.NewReader(want))
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +94,7 @@ func TestFormatSnapshotsPinned(t *testing.T) {
 	})
 	t.Run("tiered", func(t *testing.T) {
 		// The recovery order: load the hot tier, then attach the cold one.
-		want := formatFixture(t, "snapshot-v5-tiered.clds")
+		want := formatFixture(t, "snapshot-v6-tiered.clds")
 		st, err := Load(bytes.NewReader(want))
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +112,7 @@ func TestFormatSnapshotsPinned(t *testing.T) {
 	t.Run("checkpoint", func(t *testing.T) {
 		// Recovered beside the WAL segment it was taken over, the
 		// checkpoint checkpoints again to its own bytes.
-		want := formatFixture(t, "snapshot-v5-checkpoint.clds")
+		want := formatFixture(t, "snapshot-v6-checkpoint.clds")
 		dir := t.TempDir()
 		for name, b := range map[string][]byte{segName(1): formatFixture(t, segName(1)), snapName(1): want} {
 			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
@@ -132,6 +135,23 @@ func TestFormatSnapshotsPinned(t *testing.T) {
 		}
 		if got, err := os.ReadFile(filepath.Join(dir, snapName(2))); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("re-checkpointed snapshot differs from the pinned one (%v)", err)
+		}
+	})
+	t.Run("v5-refused", func(t *testing.T) {
+		// The v5 flow record carried an ID list; its reader is gone.
+		for _, name := range []string{"snapshot-v5-untiered.clds", "snapshot-v5-tiered.clds"} {
+			if _, err := Load(bytes.NewReader(formatFixture(t, name))); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("Load of %s: err = %v, want ErrBadSnapshot", name, err)
+			}
+		}
+		dir := t.TempDir()
+		for name, b := range map[string][]byte{segName(1): formatFixture(t, segName(1)), snapName(1): formatFixture(t, "snapshot-v5-checkpoint.clds")} {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := Recover(DurableConfig{Dir: dir, Shards: 2}); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("Recover over the v5 checkpoint: err = %v, want ErrBadSnapshot", err)
 		}
 	})
 }

@@ -244,7 +244,7 @@ func TestSlabSealTrimsInPlace(t *testing.T) {
 		t.Fatalf("seal trim left %d rows in a slab of %d (was %d)", len(sh.packets), cap(sh.packets), full)
 	}
 	checkTailZero(t, "after seal", sh)
-	if sp, ok := s.Packet(5); !ok || len(sp.Data) != 3 || sp.Data[0] != 5 {
+	if sp, ok := s.packetByID(5); !ok || len(sp.Data) != 3 || sp.Data[0] != 5 {
 		t.Fatalf("sealed packet 5 unreadable after the trim: %+v %v", sp, ok)
 	}
 }
@@ -366,13 +366,12 @@ func synFrame(t testing.TB, src netip.Addr, sport uint16, ts time.Duration) traf
 	)}
 }
 
-// TestFlowSlabWindowsStayApart: a new flow's FlowMeta and its first two
-// packet IDs are cut from per-shard slabs, so two flows created one after
-// the other keep their ID lists side by side in one backing array. Each
-// list grows past its window, is trimmed in place by an eviction and grows
-// again, then goes through a checkpoint and a recovery at another shard
-// count; after every step Flows() and every PacketIDs() list must equal a
-// model that knows nothing of slabs.
+// TestFlowSlabWindowsStayApart: a new flow's FlowMeta is cut from a
+// per-shard slab, so two flows created one after the other sit side by
+// side in one backing array. Both take packets, lose their oldest to an
+// eviction and take more, then go through a checkpoint and a recovery at
+// another shard count; after every step Flows() and every Flow() must
+// equal a model that knows nothing of slabs.
 func TestFlowSlabWindowsStayApart(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := Recover(DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 1})
@@ -380,20 +379,17 @@ func TestFlowSlabWindowsStayApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	type flowModel struct {
-		ids         []PacketID
 		first, last time.Duration
 		pkts, bytes uint64
 	}
 	model := map[FlowKey]*flowModel{}
-	tsOf := map[PacketID]time.Duration{}
 	hosts := map[string]FlowKey{}
 	var ts time.Duration
 	add := func(host string) {
 		t.Helper()
 		ts += time.Millisecond
 		f := synFrame(t, netip.MustParseAddr(host), 1000, ts)
-		id, err := st.AddBatch([]traffic.Frame{f}, 1)
-		if err != nil {
+		if _, err := st.AddBatch([]traffic.Frame{f}, 1); err != nil {
 			t.Fatal(err)
 		}
 		var s packet.Summary
@@ -407,9 +403,7 @@ func TestFlowSlabWindowsStayApart(t *testing.T) {
 			m = &flowModel{first: ts}
 			model[key] = m
 		}
-		m.ids = append(m.ids, id)
 		m.last, m.pkts, m.bytes = ts, m.pkts+1, m.bytes+uint64(len(f.Data))
-		tsOf[id] = ts
 	}
 	check := func(when string) {
 		t.Helper()
@@ -423,47 +417,39 @@ func TestFlowSlabWindowsStayApart(t *testing.T) {
 			if m == nil {
 				t.Fatalf("%s: flow %v is not in the model", when, fm.Key)
 			}
-			if fm.First != m.first || fm.Last != m.last || fm.Packets != m.pkts || fm.Bytes != m.bytes ||
-				!slices.Equal(fm.PacketIDs(), m.ids) {
-				t.Fatalf("%s: flow %v: first %v last %v packets %d bytes %d IDs %v, model %+v",
-					when, fm.Key, fm.First, fm.Last, fm.Packets, fm.Bytes, fm.PacketIDs(), *m)
+			if fm.First != m.first || fm.Last != m.last || fm.Packets != m.pkts || fm.Bytes != m.bytes {
+				t.Fatalf("%s: flow %v: first %v last %v packets %d bytes %d, model %+v",
+					when, fm.Key, fm.First, fm.Last, fm.Packets, fm.Bytes, *m)
 			}
-			live, ok := st.Flow(fm.Key)
-			if !ok || !slices.Equal(live.PacketIDs(), m.ids) {
-				t.Fatalf("%s: Flow(%v) IDs %v, model %v", when, fm.Key, live.PacketIDs(), m.ids)
+			if live, ok := st.Flow(fm.Key); !ok || live != *fm {
+				t.Fatalf("%s: Flow(%v) = %+v, Flows() has %+v", when, fm.Key, live, *fm)
 			}
 		}
 	}
 
-	add("10.0.0.1") // A's window, then B's right after it
+	add("10.0.0.1") // A's FlowMeta, then B's right after it
 	add("10.0.0.2")
 	sh := st.shards[0]
-	a, b := sh.flows[hosts["10.0.0.1"]].pktIDs, sh.flows[hosts["10.0.0.2"]].pktIDs
-	if cap(a) != 2 || cap(b) != 2 || unsafe.SliceData(b) != (*PacketID)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), 2*unsafe.Sizeof(PacketID(0)))) {
-		t.Fatalf("the two flows' first IDs are not adjacent windows of one ID slab (caps %d, %d)", cap(a), cap(b))
+	a, b := sh.flows[hosts["10.0.0.1"]], sh.flows[hosts["10.0.0.2"]]
+	if unsafe.Pointer(b) != unsafe.Add(unsafe.Pointer(a), unsafe.Sizeof(FlowMeta{})) {
+		t.Fatal("the two flows' metadata are not adjacent in one flow slab")
 	}
 	check("two new flows")
-	add("10.0.0.1") // both windows full
+	add("10.0.0.1")
 	add("10.0.0.2")
-	check("both windows full")
-	add("10.0.0.1") // A outgrows its window; B's is unchanged
-	check("A past its window")
+	add("10.0.0.1")
+	check("both flows grown")
 
-	// Evict below B's first packet: A's first ID goes, and A's list is
-	// trimmed in place.
-	cut := tsOf[model[hosts["10.0.0.2"]].ids[0]]
+	// Evict below B's first packet: A's first packet goes, and A keeps its
+	// aggregates.
+	cut := model[hosts["10.0.0.2"]].first
 	if n := st.EvictBefore(cut); n != 1 {
 		t.Fatalf("evicted %d packets, want 1", n)
 	}
-	for _, m := range model {
-		if m.first < cut {
-			m.ids = slices.DeleteFunc(m.ids, func(id PacketID) bool { return tsOf[id] < cut })
-		}
-	}
 	check("after evicting A's first packet")
-	add("10.0.0.2") // B outgrows its window
+	add("10.0.0.2")
 	add("10.0.0.1")
-	add("10.0.0.3") // C's window follows B's
+	add("10.0.0.3") // C's FlowMeta follows B's
 	add("10.0.0.3")
 	add("10.0.0.2")
 	check("more packets after the eviction")
@@ -488,9 +474,8 @@ func TestFlowSlabWindowsStayApart(t *testing.T) {
 
 // TestAddBatchNewFlowsAllocs: a 2048-packet batch of single-packet flows —
 // a spoofed-source SYN flood, every packet a new flow — takes its flows'
-// metadata and first ID windows from the shard slabs, so it costs a few
-// dozen amortised growth steps (slabs, flow maps, posting lists), not the
-// two allocations per flow (a FlowMeta and its ID list) it took before.
+// metadata from the shard slabs, so it costs a few dozen amortised growth
+// steps (slabs, flow maps, posting lists), not an allocation per flow.
 func TestAddBatchNewFlowsAllocs(t *testing.T) {
 	const batch = 2048
 	tmpl := synFrame(t, netip.MustParseAddr("10.0.0.0"), 1000, 0)

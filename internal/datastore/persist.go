@@ -20,7 +20,7 @@ import (
 // A snapshot is a six-byte preamble and a sequence of frame checked blocks
 // (all integers little-endian), one layout for every store:
 //
-//	preamble: magic "CLDS" | version u16 (5)
+//	preamble: magic "CLDS" | version u16 (6)
 //	header:   one block: packet count u64 | event count u64 |
 //	          flow count u64 | base ID u64 | cut ID u64 | last TS i64 |
 //	          replay seq u64 | replay first ID u64 | replay TS i64
@@ -29,10 +29,11 @@ import (
 //	          one larger record alone: one addBatch on load
 //	events:   ts i64 | source u8 | severity u8 | hostLen u16 | host |
 //	          msgLen u32 | msg, per event
-//	flows:    per flow, in Flows() order: key, totals, packet IDs
+//	flows:    per flow, in Flows() order, a flowSize-byte record: key,
+//	          times, totals, TCP flags, label
 //
 // Events and flows are byte streams cut into loadChunk-byte blocks, the
-// last holding the rest (so a flow of any length fits); the header's
+// last holding the rest (so an event of any length fits); the header's
 // counts end each section.
 //
 // Two writers share the layout. An export (Save) holds the hot packets
@@ -45,18 +46,18 @@ import (
 // rebuild. Load seeds the ID sequence at the base ID, so re-ingest
 // reassigns the original IDs: the WAL and cold segments name packets by
 // ID, and eviction or a seal may have taken a prefix of them away. It then
-// overlays the persisted flows, whose totals and ID lists still count rows
-// that are no longer hot. Indexes are derived data and are rebuilt.
+// overlays the persisted flows, whose totals still count rows that are no
+// longer hot. Indexes are derived data and are rebuilt.
 //
 // The layout is canonical: Load refuses what Save would not have written
 // (a block cut elsewhere, rows, events or flows out of order, a hot packet
 // whose flow is missing, an ID or a watermark out of range, trailing
 // bytes), so a snapshot that loads re-saves to its own bytes. Versions 1
-// to 4 are refused, not migrated.
+// to 5 are refused, not migrated.
 
 const (
 	persistMagic   = "CLDS"
-	persistVersion = 5
+	persistVersion = 6
 	// loadChunk is a snapshot block's byte budget.
 	loadChunk = 256 << 10
 	// snapBlockMax bounds a block on read: a full chunk, or one record of
@@ -64,8 +65,8 @@ const (
 	snapBlockMax = 4 + frame.RecordHeaderSize + frame.MaxRecordData
 	// snapHeaderSize is the header block's payload.
 	snapHeaderSize = 9 * 8
-	// flowFixed is a persisted flow's size before its ID list.
-	flowFixed = 1 + 2*17 + 2*2 + 5*8 + 3 + 4*4
+	// flowSize is a persisted flow's size.
+	flowSize = 1 + 2*17 + 2*2 + 5*8 + 3 + 3*4
 )
 
 // ErrBadSnapshot reports a corrupt or incompatible snapshot stream.
@@ -219,11 +220,8 @@ func appendFlow(b []byte, fm *FlowMeta) []byte {
 		b = le.AppendUint64(b, v)
 	}
 	b = append(b, byte(fm.TCPFlags), byte(fm.Label), boolByte(fm.Labeled))
-	for _, v := range []uint32{fm.DNSQueries, fm.DNSResponses, fm.DNSAnyCount, uint32(len(fm.pktIDs))} {
+	for _, v := range []uint32{fm.DNSQueries, fm.DNSResponses, fm.DNSAnyCount} {
 		b = le.AppendUint32(b, v)
-	}
-	for _, id := range fm.pktIDs {
-		b = le.AppendUint64(b, uint64(id))
 	}
 	return b
 }
@@ -266,14 +264,10 @@ func parseEvent(evs *[]eventlog.Event, b []byte) ([]byte, error) {
 // parseFlow splits one flow aggregate off the front of b.
 func parseFlow(b []byte) (*FlowMeta, []byte, error) {
 	le := binary.LittleEndian
-	if len(b) < flowFixed {
+	if len(b) < flowSize {
 		return nil, nil, errShortItem
 	}
-	n := int(le.Uint32(b[flowFixed-4:]))
-	if (len(b)-flowFixed)/8 < n {
-		return nil, nil, errShortItem
-	}
-	fm := &FlowMeta{pktIDs: make([]PacketID, n)}
+	fm := &FlowMeta{}
 	fm.Key.Proto = packet.IPProtocol(b[0])
 	for i, a := range []*netip.Addr{&fm.Key.SrcIP, &fm.Key.DstIP} {
 		is4 := b[1+17*i]
@@ -284,7 +278,7 @@ func parseFlow(b []byte) (*FlowMeta, []byte, error) {
 			return nil, nil, fmt.Errorf("address form byte %d for %v", is4, *a)
 		}
 	}
-	f := b[35:flowFixed]
+	f := b[35:flowSize]
 	fm.Key.SrcPort, fm.Key.DstPort = le.Uint16(f), le.Uint16(f[2:])
 	fm.First, fm.Last = time.Duration(le.Uint64(f[4:])), time.Duration(le.Uint64(f[12:]))
 	fm.Packets, fm.Bytes, fm.PayloadBytes = le.Uint64(f[20:]), le.Uint64(f[28:]), le.Uint64(f[36:])
@@ -293,11 +287,7 @@ func parseFlow(b []byte) (*FlowMeta, []byte, error) {
 		return nil, nil, fmt.Errorf("labeled byte %d", f[46])
 	}
 	fm.DNSQueries, fm.DNSResponses, fm.DNSAnyCount = le.Uint32(f[47:]), le.Uint32(f[51:]), le.Uint32(f[55:])
-	b = b[flowFixed:]
-	for i := range fm.pktIDs {
-		fm.pktIDs[i] = PacketID(le.Uint64(b[8*i:]))
-	}
-	return fm, b[8*n:], nil
+	return fm, b[flowSize:], nil
 }
 
 // Load reads a snapshot into a fresh store, re-ingesting every packet so
@@ -430,8 +420,8 @@ func load(r io.Reader, shards, workers int) (_ *Store, base PacketID, pos walPos
 
 	// Overlay the persisted flow aggregates: re-ingest above rebuilt only
 	// the hot packets' share, but a flow that straddles an eviction or the
-	// seal boundary (or lives entirely in cold segments) has totals and ID
-	// lists the hot slabs cannot reproduce.
+	// seal boundary (or lives entirely in cold segments) has totals the hot
+	// slabs cannot reproduce.
 	var prev *FlowMeta
 	err = section(nFlows, func(b []byte) ([]byte, error) {
 		fm, rest, err := parseFlow(b)
@@ -442,11 +432,10 @@ func load(r io.Reader, shards, workers int) (_ *Store, base PacketID, pos walPos
 			return nil, err
 		}
 		prev = fm
-		sh, had := st.shards[fm.Key.Hash()&st.mask], 0
-		if old, ok := sh.flows[fm.Key]; ok {
-			had = 96 + 8*len(old.pktIDs)
+		sh := st.shards[fm.Key.Hash()&st.mask]
+		if _, ok := sh.flows[fm.Key]; !ok {
+			sh.indexBytes += 96
 		}
-		sh.indexBytes += uint64(max(96+8*len(fm.pktIDs)-had, 0))
 		sh.flows[fm.Key] = fm
 		return rest, nil
 	})

@@ -8,12 +8,12 @@ import (
 )
 
 // FuzzSnapshotLoad drives Load with arbitrary bytes, seeded with the pinned
-// v5 exports, an empty store's, one holding two flows tied on first time
-// and key hash, and the pinned v5 checkpoint (which Load refuses: its hot
-// rows are in a WAL). Invariants: Load never panics; it
-// either refuses the input with an error wrapping ErrBadSnapshot or returns
-// a store whose Save re-encodes exactly the input (the layout is
-// canonical); and what it allocates is bounded by the bytes present, never
+// v6 exports, an empty store's, one holding two flows tied on first time
+// and key hash, the pinned v6 checkpoint (which Load refuses: its hot rows
+// are in a WAL) and the retired v5 files (refused by version). Invariants:
+// Load never panics; it either refuses the input with an error wrapping
+// ErrBadSnapshot or returns a store whose Save re-encodes exactly the input
+// (the layout is canonical); and what it allocates is bounded by the bytes present, never
 // driven by a count the input claims. Loading runs through ingest's pooled
 // scratch, whose coverage differs from run to run, so the engine spends a
 // short session minimizing; add -fuzzminimizetime 1x for a long one.
@@ -32,6 +32,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Add(b.Bytes())
 	}
 	f.Add(formatFixture(f, "snapshot-v5-checkpoint.clds"))
+	for _, name := range []string{"untiered", "tiered", "checkpoint"} {
+		f.Add(formatFixture(f, "snapshot-v6-"+name+".clds"))
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

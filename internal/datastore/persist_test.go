@@ -101,7 +101,7 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	}
 }
 
-// handSnapshot lays out a v5 export by hand: the preamble, a header block
+// handSnapshot lays out an export by hand: the preamble, a header block
 // {packets, events, flows, base ID, cut ID, last TS} with no replay
 // position, then payloads as blocks — every checksum right, so only what
 // the fields say is wrong.
@@ -171,12 +171,11 @@ func TestLoadRejectsAbsurdLengths(t *testing.T) {
 		b = append(b, make([]byte, 12)...) // ts, link, label, actor
 		return le.AppendUint32(b, dlen)    // the claimed data length
 	}
-	flow := le.AppendUint32(make([]byte, 94), 1<<31) // a flow claiming 2^31 packet IDs
 	cases := map[string][]byte{
 		"1 GiB packet block": append(handSnapshot([6]uint64{1, 0, 0, 0, 1, 0}), 0, 0, 0, 0x40, 0, 0, 0, 0),
 		"1 GiB record":       handSnapshot([6]uint64{1, 0, 0, 0, 1, 0}, record(1<<30)),
 		"1 GiB event":        handSnapshot([6]uint64{0, 1 << 40, 0, 0, 0, 0}, le.AppendUint32(make([]byte, 12), 1<<30)),
-		"2^31-ID flow":       handSnapshot([6]uint64{0, 0, 1 << 40, 0, 0, 0}, flow),
+		"2^40 flows":         handSnapshot([6]uint64{0, 0, 1 << 40, 0, 0, 0}, make([]byte, flowSize)),
 	}
 	for name, snap := range cases {
 		var before, after runtime.MemStats
@@ -197,14 +196,15 @@ func TestLoadRejectsOldVersion(t *testing.T) {
 	v1.WriteString("CLDS")
 	v1.Write([]byte{1, 0}) // v1: pre-checksum format, no longer readable
 	v1.Write(make([]byte, 20))
-	// v2 (untiered) and v3 (tiered) streamed CRC-checked sections, and v4
-	// checkpoints held their packets; their readers are gone too, and the
-	// pinned files must be refused by name.
+	// v2 (untiered) and v3 (tiered) streamed CRC-checked sections, v4
+	// checkpoints held their packets and v5 flows their packet IDs; their
+	// readers are gone too, and the pinned files must be refused by name.
 	for v, snap := range map[int][]byte{
 		1: v1.Bytes(),
 		2: formatFixture(t, "snapshot-v2.clds"),
 		3: formatFixture(t, "snapshot-v3.clds"),
 		4: formatFixture(t, "snapshot-v4-untiered.clds"),
+		5: formatFixture(t, "snapshot-v5-untiered.clds"),
 	} {
 		_, err := Load(bytes.NewReader(snap))
 		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), fmt.Sprintf("version %d ", v)) {

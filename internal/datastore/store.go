@@ -67,13 +67,7 @@ type FlowMeta struct {
 	DNSAnyCount  uint32        // DNS messages with QTYPE=ANY (amplification tell)
 	Label        traffic.Label // ground truth if registered, else benign
 	Labeled      bool
-	pktIDs       []PacketID
 }
-
-// PacketIDs returns the IDs of this flow's packets in arrival order
-// (ascending ID). A flow lives entirely inside one shard, so the list is
-// maintained in order at ingest time and needs no merge.
-func (m *FlowMeta) PacketIDs() []PacketID { return m.pktIDs }
 
 // shard is one partition of the store: its own lock, packet slab, flow
 // map, and secondary index. Within a shard, packets are ordered by
@@ -86,29 +80,24 @@ type shard struct {
 	dataBytes  uint64
 	indexBytes uint64
 
-	// flowSlab and idSlab are the unused tails newFlow cuts new flows
-	// from. A slab lives while any flow cut from it does.
+	// flowSlab is the unused tail newFlow cuts new flows from. A slab
+	// lives while any flow cut from it does.
 	flowSlab []FlowMeta
-	idSlab   []PacketID
 }
 
 // flowSlabLen is how many flows one slab refill serves: one FlowMeta slab
-// (38 KB) and one ID slab of two entries a flow (4 KB) per 256 new flows.
+// (32 KB) per 256 new flows.
 const flowSlabLen = 256
 
-// newFlow cuts a flow's metadata from the shard's FlowMeta slab and starts
-// its ID list as an empty window of capacity 2 cut from the ID slab, so a
-// flow's first two packets allocate nothing; the third reallocates through
-// append, and in-place edits (insert-sort, eviction's trim) stay inside the
-// window. Caller holds the shard write lock.
+// newFlow cuts a flow's metadata from the shard's FlowMeta slab, so a new
+// flow allocates nothing of its own. Caller holds the shard write lock.
 func (sh *shard) newFlow(key FlowKey, first time.Duration) *FlowMeta {
 	if len(sh.flowSlab) == 0 {
 		sh.flowSlab = make([]FlowMeta, flowSlabLen)
-		sh.idSlab = make([]PacketID, 2*flowSlabLen)
 	}
 	fm := &sh.flowSlab[0]
-	fm.Key, fm.First, fm.pktIDs = key, first, sh.idSlab[:0:2]
-	sh.flowSlab, sh.idSlab = sh.flowSlab[1:], sh.idSlab[2:]
+	fm.Key, fm.First = key, first
+	sh.flowSlab = sh.flowSlab[1:]
 	return fm
 }
 
@@ -410,15 +399,6 @@ func (sh *shard) apply(it *ingestItem) {
 			fm.DNSAnyCount++
 		}
 	}
-	if k := len(fm.pktIDs); k == 0 || sp.ID > fm.pktIDs[k-1] {
-		fm.pktIDs = append(fm.pktIDs, sp.ID)
-	} else {
-		i := sort.Search(k, func(i int) bool { return fm.pktIDs[i] >= sp.ID })
-		fm.pktIDs = append(fm.pktIDs, 0)
-		copy(fm.pktIDs[i+1:], fm.pktIDs[i:])
-		fm.pktIDs[i] = sp.ID
-	}
-	sh.indexBytes += 8
 	if it.label != traffic.LabelBenign {
 		fm.Label = it.label
 		fm.Labeled = true
@@ -616,11 +596,11 @@ func (s *Store) AddBatchLinks(frames []traffic.Frame, links []uint16, workers in
 	return s.appendBatch(frames, links, workers)
 }
 
-// Packet returns a copy of the stored packet with the given ID, hot or
+// packetByID returns a copy of the stored packet with the given ID, hot or
 // sealed. Segment ID ranges can overlap across seal generations (chunking
 // follows (TS, ID) order, not ID order), so every range-covering segment is
 // checked; one that fails to decode is noted and reported as a miss.
-func (s *Store) Packet(id PacketID) (StoredPacket, bool) {
+func (s *Store) packetByID(id PacketID) (StoredPacket, bool) {
 	var qs queryStats
 	defer qs.flushCold()
 	found, _ := s.execute(&qs, func(tr *tier) []*tierSegment {
@@ -679,9 +659,7 @@ func (s *Store) Flow(key FlowKey) (FlowMeta, bool) {
 	if !ok {
 		return FlowMeta{}, false
 	}
-	out := *fm
-	out.pktIDs = append([]PacketID(nil), fm.pktIDs...)
-	return out, true
+	return *fm, true
 }
 
 // rlockAll takes every shard read lock (in shard order) and returns the
@@ -710,9 +688,7 @@ func (s *Store) Flows() []FlowMeta {
 	out := make([]FlowMeta, 0, total)
 	for _, sh := range s.shards {
 		for _, fm := range sh.flows {
-			cp := *fm
-			cp.pktIDs = append([]PacketID(nil), fm.pktIDs...)
-			out = append(out, cp)
+			out = append(out, *fm)
 		}
 	}
 	sortFlows(out)
@@ -884,26 +860,11 @@ func (sh *shard) evictBefore(ts time.Duration) (int, uint64) {
 	// posting lists trim below the last evicted ID + 1 — a bound later
 	// evictions can still exceed when this one empties the shard.
 	freed := sh.dropRows(cut, sh.packets[cut-1].ID+1)
-	// Rebuild flow packet-ID lists lazily: drop flows that ended before ts.
-	// A flow's packets all live in this shard, so the shard-local minimum
-	// surviving ID bounds exactly the IDs this flow may still reference.
+	// Drop flows that ended before ts; a flow that straddles ts keeps its
+	// aggregates.
 	for k, fm := range sh.flows {
 		if fm.Last < ts {
 			delete(sh.flows, k)
-			continue
-		}
-		if fm.First < ts {
-			minID := PacketID(0)
-			if len(sh.packets) > 0 {
-				minID = sh.packets[0].ID
-			}
-			ids := fm.pktIDs[:0]
-			for _, id := range fm.pktIDs {
-				if id >= minID {
-					ids = append(ids, id)
-				}
-			}
-			fm.pktIDs = ids
 		}
 	}
 	return cut, freed

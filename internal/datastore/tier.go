@@ -467,9 +467,8 @@ func parseTierSegName(name string) (uint64, error) {
 
 // trimBelowID drops the shard's slab prefix with ID < limit — the hot
 // side of a seal. Unlike evictBefore, flow metadata survives intact:
-// sealed packets are still queryable, so their flows' aggregates and
-// packet-ID lists must keep describing them. Caller holds the shard
-// write lock.
+// sealed packets are still queryable, so their flows' aggregates must
+// keep counting them. Caller holds the shard write lock.
 func (sh *shard) trimBelowID(limit PacketID) (int, uint64) {
 	cut := sort.Search(len(sh.packets), func(i int) bool { return sh.packets[i].ID >= limit })
 	if cut == 0 {

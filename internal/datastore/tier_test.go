@@ -86,11 +86,10 @@ func flushUndersized(t *testing.T, s *Store) {
 // tiering. Unlike storePrint it excludes Save bytes (tiered snapshots are
 // v3 by design) and hot-only Stats.
 type tierPrint struct {
-	scan     []StoredPacket
-	flows    []FlowMeta
-	flowPkts [][]PacketID
-	labels   map[int]int
-	total    uint64
+	scan   []StoredPacket
+	flows  []FlowMeta
+	labels map[int]int
+	total  uint64
 }
 
 func tierFingerprint(t *testing.T, s *Store) tierPrint {
@@ -101,9 +100,6 @@ func tierFingerprint(t *testing.T, s *Store) tierPrint {
 		return true
 	})
 	p.flows = s.Flows()
-	for i := range p.flows {
-		p.flowPkts = append(p.flowPkts, p.flows[i].PacketIDs())
-	}
 	p.labels = make(map[int]int)
 	for k, v := range s.LabelCounts() {
 		p.labels[int(k)] = v
@@ -129,9 +125,6 @@ func compareTierPrints(t *testing.T, name string, want, got tierPrint) {
 	}
 	if !reflect.DeepEqual(want.flows, got.flows) {
 		t.Errorf("%s: Flows differ (want %d, got %d)", name, len(want.flows), len(got.flows))
-	}
-	if !reflect.DeepEqual(want.flowPkts, got.flowPkts) {
-		t.Errorf("%s: per-flow PacketIDs differ", name)
 	}
 	if !reflect.DeepEqual(want.labels, got.labels) {
 		t.Errorf("%s: LabelCounts differ: want %v got %v", name, want.labels, got.labels)
@@ -212,8 +205,8 @@ func TestTieredStoreEquivalence(t *testing.T) {
 
 			// Point lookups must resolve cold IDs.
 			for id := PacketID(0); id < PacketID(want.total); id += PacketID(want.total / 50) {
-				wp, wok := ref.Packet(id)
-				gp, gok := s.Packet(id)
+				wp, wok := ref.packetByID(id)
+				gp, gok := s.packetByID(id)
 				if wok != gok || !reflect.DeepEqual(wp, gp) {
 					t.Fatalf("%s: Packet(%d) differs (ok %v vs %v)", name, id, wok, gok)
 				}
@@ -350,6 +343,69 @@ func TestRetainColdDropsHistory(t *testing.T) {
 	}
 	if segFiles != post.Segments {
 		t.Fatalf("%d segment files on disk, registry has %d", segFiles, post.Segments)
+	}
+}
+
+// TestRetainedFlowsMatchUntieredEviction: retention on a tiered store,
+// carried through a checkpoint and a recovery, leaves the same flows as
+// eviction at the same horizon on an untiered store, and every packet a
+// surviving flow's 5-tuple selects resolves by ID.
+func TestRetainedFlowsMatchUntieredEviction(t *testing.T) {
+	frames := tierFrames(t)
+	const dir = "/data"
+	mfs := newMemFS(1)
+	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4, Tier: aggressiveTier(dir + "/tier")}
+	st, _, err := recoverOn(mfs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(frames); lo += 500 {
+		if _, err := st.AddBatch(frames[lo:min(lo+500, len(frames))], 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.sealHot(0); err != nil {
+		t.Fatal(err)
+	}
+	horizon := time.Duration(st.lastTS.Load()) / 2
+	if n, err := st.RetainCold(horizon); err != nil || n == 0 {
+		t.Fatalf("RetainCold dropped %d segments, err %v", n, err)
+	}
+	if err := st.CheckpointDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := recoverOn(mfs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.CloseWAL()
+
+	ref := NewSharded(4)
+	ref.AddBatch(frames, 2)
+	if ref.EvictBefore(horizon) == 0 {
+		t.Fatal("EvictBefore dropped nothing")
+	}
+	want, got := ref.Flows(), rec.Flows()
+	if len(want) == 0 {
+		t.Fatal("no flow outlived the horizon")
+	}
+	if !reflect.DeepEqual(want, got) {
+		for i := range min(len(want), len(got)) {
+			if !reflect.DeepEqual(want[i], got[i]) {
+				t.Fatalf("flow %d of %d differs after retention and recovery:\nuntiered %+v\ntiered   %+v", i, len(want), want[i], got[i])
+			}
+		}
+		t.Fatalf("%d flows after retention and recovery, %d after eviction", len(got), len(want))
+	}
+	for _, fm := range got {
+		for _, sp := range rec.Select(flowFilter(t, fm.Key), 0) {
+			if p, ok := rec.packetByID(sp.ID); !ok || p.ID != sp.ID {
+				t.Fatalf("flow %v: packet %d does not resolve", fm.Key, sp.ID)
+			}
+		}
 	}
 }
 

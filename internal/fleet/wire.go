@@ -26,7 +26,7 @@
 // durable. Batch sequence numbers are per-campus and strictly
 // consecutive; the server remembers the last acked sequence per campus
 // and answers a re-sent batch from its ack cache without re-ingesting, so
-// client retry after a torn connection never duplicates PacketIDs.
+// client retry after a torn connection never duplicates packet IDs.
 package fleet
 
 import (

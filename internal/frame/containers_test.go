@@ -36,12 +36,12 @@ func goodFrames() []traffic.Frame {
 	return frames
 }
 
-// snapshotOf wraps a record list as the one packet block of a v5 export
+// snapshotOf wraps a record list as the one packet block of a v6 export
 // whose header claims the list's count, no events, no flows, base ID 0, a
 // cut ID past the list, a TS watermark of last and no replay position.
 func snapshotOf(list []byte, last time.Duration) []byte {
 	le := binary.LittleEndian
-	b := le.AppendUint16([]byte("CLDS"), 5)
+	b := le.AppendUint16([]byte("CLDS"), 6)
 	n := uint64(le.Uint32(list))
 	var header []byte
 	for _, v := range []uint64{n, 0, 0, 0, n, uint64(last), 0, 0, 0} {

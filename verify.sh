@@ -141,15 +141,16 @@ gate_names "$RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRe
     TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
 echo "    key table (seal's postings == the decoded index column; hot, cold and keyVal/keyFlags agree on every key; README field table == compiler)"
 gate_names "$RACE" ./internal/datastore TestBuildSegPostingsMatchesDecodeIndex TestHotAndColdIndexTheSameKeys TestFilterDocListsEveryField
-echo "    crash recovery (a crash after any file operation of ingest or of a checkpoint mid-stream, under kill, power loss or a torn write, and kill -9 mid-ingest lose nothing acked; a fresh directory survives power loss; a failed checkpoint is typed, never wedges the log and loses nothing; a checkpoint flushes the log; eviction, seals and the checkpoint's cut renumber nothing and count every flow once; a log trimmed past the checkpoint is refused; a torn log is repaired; flows tied on time and hash reload; v2/v3/v4 snapshots are refused)"
+echo "    crash recovery (a crash after any file operation of ingest or of a checkpoint mid-stream, under kill, power loss or a torn write, and kill -9 mid-ingest lose nothing acked; a fresh directory survives power loss; a failed checkpoint is typed, never wedges the log and loses nothing; a checkpoint flushes the log; eviction, seals and the checkpoint's cut renumber nothing and count every flow once; a log trimmed past the checkpoint is refused; a torn log is repaired; flows tied on time and hash reload; v2 to v5 snapshots are refused)"
 gate_names "$RACE" ./internal/datastore TestWALCrashEnumeration TestWALCrashEnumeration/checkpoint-midstream TestWALCrashKill9 TestRecoverFreshDirPowerLoss \
     TestCheckpointDirFailsTyped TestCrashMidSaveLeavesOldSnapshot TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery \
     TestRecoverAfterEviction TestRecoverTwinFlows TestRecoverRefusesLegacySnapshot TestRecoverAcrossCheckpointCut \
     TestRecoverRefusesTrimmedWAL TestCheckpointFlushesWAL TestRecoverCorruptMidLogThenCrashAgain \
     TestCheckpointCrashBeforeTruncateNoDuplicates TestCheckpointCrashMidTruncateNoDuplicates
-echo "    tier crash (a crash after any file operation of a seal, compaction, retention pass or checkpoint — the first, or one that moves the replay position mid-stream — under kill, power loss or a torn write, and kill -9 at a manifest rename lose nothing acked; a corrupt manifest is refused) and the write seams"
+echo "    tier crash (a crash after any file operation of a seal, compaction, retention pass or checkpoint — the first, or one that moves the replay position mid-stream — under kill, power loss or a torn write, and kill -9 at a manifest rename lose nothing acked; a corrupt manifest is refused), the write seams, and retention (through a checkpoint and a recovery) keeps exactly the flows eviction at the same horizon keeps"
 gate_names "$RACE" ./internal/datastore TestTierCrashEnumeration TestTierCrashEnumeration/checkpoint-midstream TestTierCrashKill9 TestTierManifestCorruptAtRest \
-    TestTierWriteFailureChangesNothing TestLoadAtShardCountMatchesDefaultLoad TestCommitTierRecomputesTotals
+    TestTierWriteFailureChangesNothing TestLoadAtShardCountMatchesDefaultLoad TestCommitTierRecomputesTotals \
+    TestRetainedFlowsMatchUntieredEviction
 echo "    last-known-good bundle (a publish failed at any file operation up to its rename leaves the previous bundle)"
 gate_names "$RACE" ./internal/control TestLifecycleLKGSurvivesFailedPublish
 echo "    fleet race gate (concurrent campus streams, coordinator during live ingest)"
@@ -262,11 +263,12 @@ echo "$ROAD" | awk -v max="$ROADTEST_ALLOCS_CEILING" '
     END { if (!seen) { print "verify: FAIL — BenchmarkRoadTest did not run" > "/dev/stderr"; exit 1 }
           if (bad) { print "verify: FAIL — road test " bad " allocs/op, ceiling " max > "/dev/stderr"; exit 1 } }'
 
-echo "==> allocation ceilings on the ingest path (anonymize cuts frames from a chunk; a new flow cuts its metadata and first IDs from slabs)"
+echo "==> allocation ceilings on the ingest path (anonymize cuts frames from a chunk; a new flow cuts its metadata from a slab)"
 # Apply measured 0.002-0.003 allocations per 170-byte frame (one 64 KiB chunk
 # per 385 frames; one buffer per frame before);
 # the ceiling is 0.05. A 2048-packet batch of new single-packet flows
-# measured 51 allocations (4 131 before the slabs); the ceiling is 256.
+# measured 43 allocations (51 while flows kept packet-ID lists, 4 131
+# before the slabs); the ceiling is 256.
 # Both tests hold their ceilings themselves and fail above them.
 gate_tests "" ./internal/privacy TestApplyAllocsAmortised TestApplyOutputsNeverOverlap
 gate_tests "" ./internal/datastore TestAddBatchNewFlowsAllocs TestFlowSlabWindowsStayApart
