@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	"campuslab/internal/datastore"
@@ -160,8 +161,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nDP release of the flow-class histogram (eps=0.5):")
-	for k, v := range released {
-		fmt.Printf("  %-10s ~%.0f flows\n", k, v)
+	classes := make([]string, 0, len(released))
+	for k := range released {
+		classes = append(classes, k)
+	}
+	sort.Strings(classes)
+	for _, k := range classes {
+		fmt.Printf("  %-10s ~%.0f flows\n", k, released[k])
 	}
 	fmt.Printf("privacy budget remaining: %.2f\n", budget.Remaining())
 }

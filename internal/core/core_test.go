@@ -1,10 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -292,17 +289,32 @@ func TestLabDatasets(t *testing.T) {
 }
 
 func TestLabSnapshotRoundTrip(t *testing.T) {
-	lab := newLab(t)
+	cfg := datastore.DurableConfig{Dir: t.TempDir()}
+	st, _, err := datastore.Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := NewLab(Config{Name: "ucsb-sim", Plan: traffic.DefaultPlan(40), Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := lab.Collect(scenario(lab, 330, 331)); err != nil {
 		t.Fatal(err)
 	}
-	want := lab.Store().Stats()
-	path := filepath.Join(t.TempDir(), "lab.clds")
-	if err := lab.Store().SaveFile(path); err != nil {
+	want, wantDigest := st.Stats(), st.Digest()
+	if err := st.CheckpointDir(cfg.Dir); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := datastore.Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.CloseWAL()
 
-	fresh, err := NewLab(Config{Name: "restored", Plan: traffic.DefaultPlan(40), Store: loadSnapshot(t, path)})
+	fresh, err := NewLab(Config{Name: "restored", Plan: traffic.DefaultPlan(40), Store: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,16 +322,20 @@ func TestLabSnapshotRoundTrip(t *testing.T) {
 	if got.Packets != want.Packets || got.Flows != want.Flows || got.DataBytes != want.DataBytes {
 		t.Fatalf("restored stats %+v, want %+v", got, want)
 	}
+	if fresh.Store().Digest() != wantDigest {
+		t.Fatal("the restored store differs from the one checkpointed")
+	}
 	// The restored lab is a working lab: develop a model from it.
 	if _, err := fresh.Develop(DevelopConfig{Target: traffic.LabelDNSAmp, Seed: 332}); err != nil {
 		t.Fatalf("develop on restored lab: %v", err)
 	}
 }
 
-// TestSaveSnapshotLeavesWALIntact: Store.SaveFile is an export, not a
-// checkpoint. On a durable store it must not truncate the write-ahead log
-// — a snapshot at a side path covers nothing Recover will ever read, so a
-// log cut short by it is acked data gone at the next restart.
+// TestSaveSnapshotLeavesWALIntact: the WAL is the hot tier's only durable
+// copy. A store dropped without a checkpoint recovers from the log alone;
+// a checkpoint of a store whose rows are all hot then keeps every record
+// of the log, and the store recovers from the checkpoint and the log to
+// the same digest.
 func TestSaveSnapshotLeavesWALIntact(t *testing.T) {
 	cfg := datastore.DurableConfig{Dir: t.TempDir(), Fsync: datastore.FsyncAlways}
 	st, _, err := datastore.Recover(cfg)
@@ -342,14 +358,7 @@ func TestSaveSnapshotLeavesWALIntact(t *testing.T) {
 	if logged < 2 {
 		t.Fatalf("two collections logged %d WAL records", logged)
 	}
-	side := filepath.Join(t.TempDir(), "export.clds")
-	if err := st.SaveFile(side); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.WALStats().Records; got != logged {
-		t.Fatalf("SaveSnapshot changed the WAL backlog: %d records, had %d", got, logged)
-	}
-	want := saveBytes(t, st)
+	want := st.Digest()
 
 	// Drop the store without a checkpoint: the restart the log exists for.
 	if err := st.CloseWAL(); err != nil {
@@ -359,40 +368,32 @@ func TestSaveSnapshotLeavesWALIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec.CloseWAL()
 	if rs.SnapshotPackets != 0 || rs.WALPackets != acked || rs.WALRecords != logged {
 		t.Fatalf("recovered %+v, want all %d acked packets in %d records replayed from the log", rs, acked, logged)
 	}
-	if !bytes.Equal(saveBytes(t, rec), want) {
+	if rec.Digest() != want {
 		t.Fatal("the recovered store differs from the one that was dropped")
 	}
-	if !bytes.Equal(saveBytes(t, loadSnapshot(t, side)), want) {
-		t.Fatal("the exported snapshot does not load to the store it was taken from")
-	}
-}
 
-// loadSnapshot loads the export Store.SaveFile wrote at path.
-func loadSnapshot(t *testing.T, path string) *datastore.Store {
-	t.Helper()
-	f, err := os.Open(path)
+	// Every row is still hot, so the checkpoint keeps the whole log.
+	if err := rec.CheckpointDir(cfg.Dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.WALStats().Records; got != logged {
+		t.Fatalf("the checkpoint changed the WAL backlog: %d records, had %d", got, logged)
+	}
+	if err := rec.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	rec2, rs, err := datastore.Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	st, err := datastore.Load(f)
-	if err != nil {
-		t.Fatal(err)
+	defer rec2.CloseWAL()
+	if rs.SnapshotPackets != acked || rs.WALPackets != 0 || rs.WALRecords != logged {
+		t.Fatalf("recovered %+v, want all %d acked packets below the checkpoint's cut, in %d records", rs, acked, logged)
 	}
-	return st
-}
-
-// saveBytes is the store's snapshot encoding: the same bytes at any shard
-// count, so equal bytes are equal stores.
-func saveBytes(t *testing.T, st *datastore.Store) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
-		t.Fatal(err)
+	if rec2.Digest() != want {
+		t.Fatal("the store recovered from the checkpoint differs from the one that was dropped")
 	}
-	return buf.Bytes()
 }

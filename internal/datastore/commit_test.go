@@ -5,116 +5,169 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"campuslab/internal/faults"
 	"campuslab/internal/frame"
+	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
 )
 
-// The two write-side seams: a snapshot loads at any shard count through
-// the batch path (load), and every registry change goes through one commit
-// (commitTier).
+// The two write-side seams: a checkpoint recovers at any shard count
+// through the batch path (replayBatch), and every registry change goes
+// through one commit (commitTier).
 
-// loadPrint is what a load at some (shards, workers) must reproduce: every
-// surface fingerprintStore captures (scan order, flows with their packet
-// IDs, the re-encoded snapshot), the full Stats and five filter counts.
-type loadPrint struct {
-	storePrint
-	stats  Stats
-	counts [5]int
-}
-
-func loadFingerprint(t *testing.T, s *Store) loadPrint {
-	t.Helper()
-	p := loadPrint{storePrint: fingerprintStore(t, s), stats: s.Stats()}
-	for i, expr := range []string{"udp", "proto == tcp", "dst.port == 53", "label == dns-amp", "ts >= 500ms && udp"} {
-		n, err := s.CountExpr(expr)
-		if err != nil {
-			t.Fatalf("Count(%q): %v", expr, err)
-		}
-		p.counts[i] = n
-	}
-	return p
-}
-
-// TestLoadAtShardCountMatchesDefaultLoad: a snapshot holds the same bytes
-// at any shard count, and load rebuilds the same store from them at any
-// (shards, workers) — the pinned untiered and tiered fixtures and a fresh
-// tiered snapshot whose flows straddle the seal each re-encode to their
-// input bytes and answer like the default-shard Load.
+// TestLoadAtShardCountMatchesDefaultLoad: a checkpoint holds the same
+// bytes at any shard count, and Recover rebuilds the same store from it and
+// its WAL at any (shards, workers) — the pinned v7 checkpoint and a fresh
+// tiered one whose flows straddle the seal each re-encode to their bytes
+// and recover to the surface, the full Stats and five filter counts of
+// the default-shard recovery.
 func TestLoadAtShardCountMatchesDefaultLoad(t *testing.T) {
-	live := ingestTiered(t, 4, 2, aggressiveTier(t.TempDir()))
+	fixture := t.TempDir()
+	for name, b := range map[string][]byte{segName(1): formatFixture(t, segName(1)), snapName(1): formatFixture(t, "snapshot-v7-checkpoint.clds")} {
+		if err := os.WriteFile(filepath.Join(fixture, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := t.TempDir()
+	tierPol := aggressiveTier(filepath.Join(fresh, "tier"))
+	live, _, err := Recover(DurableConfig{Dir: fresh, Shards: 4, Workers: 2, Tier: tierPol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := tierFrames(t)
+	for lo := 0; lo < len(frames); lo += 500 {
+		if _, err := live.AddBatch(frames[lo:min(lo+500, len(frames))], 2); err != nil {
+			t.Fatal(err)
+		}
+		if lo == 2000 {
+			if err := live.CheckpointDir(fresh); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := live.CheckpointDir(fresh); err != nil {
+		t.Fatal(err)
+	}
 	if ts := live.TierStats(); ts.Segments == 0 || live.Stats().Packets == 0 {
 		t.Fatalf("fresh tiered store has %d segments, %d hot packets; want both", ts.Segments, live.Stats().Packets)
 	}
-	cases := []struct {
-		name    string
-		snap    []byte
-		tierDir string // attached after the load, like Recover; "" when untiered
-	}{
-		{"untiered fixture", formatFixture(t, "snapshot-v6-untiered.clds"), ""},
-		{"tiered fixture", formatFixture(t, "snapshot-v6-tiered.clds"), fixtureTierDir(t)},
-		{"tiered fresh", storeBytes(t, live), live.tier.Load().dir},
+	live.CloseWAL()
+
+	type extras struct {
+		stats  Stats
+		counts [5]int
 	}
-	for _, c := range cases {
+	extrasOf := func(s *Store) (x extras) {
+		x.stats = s.Stats()
+		for i, expr := range []string{"udp", "proto == tcp", "dst.port == 53", "label == dns-amp", "ts >= 500ms && udp"} {
+			n, err := s.CountExpr(expr)
+			if err != nil {
+				t.Fatalf("Count(%q): %v", expr, err)
+			}
+			x.counts[i] = n
+		}
+		return x
+	}
+	for _, c := range []struct {
+		name, dir string
+		tier      TierPolicy
+	}{{"v7 fixture", fixture, TierPolicy{}}, {"tiered fresh", fresh, tierPol}} {
+		snapPath, _, _, err := findSnapshot(faults.OS, c.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := os.ReadFile(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, base, pos, err := load(bytes.NewReader(snap), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var again bytes.Buffer
+		unlock := st.rlockAll()
+		err = st.encodeLocked(&again, base, pos)
+		unlock()
+		if err != nil || !bytes.Equal(again.Bytes(), snap) {
+			t.Fatalf("%s: the default load does not re-encode to its input (%v)", c.name, err)
+		}
 		open := func(shards, workers int) *Store {
 			t.Helper()
-			st, _, _, err := load(bytes.NewReader(c.snap), shards, workers)
+			st, _, err := Recover(DurableConfig{Dir: c.dir, Shards: shards, Workers: workers, Tier: c.tier})
 			if err != nil {
-				t.Fatalf("%s: load(shards=%d, workers=%d): %v", c.name, shards, workers, err)
+				t.Fatalf("%s: Recover(shards=%d, workers=%d): %v", c.name, shards, workers, err)
 			}
-			if c.tierDir != "" {
-				if err := st.EnableTiering(TierPolicy{Dir: c.tierDir}); err != nil {
-					t.Fatal(err)
-				}
+			if err := st.CloseWAL(); err != nil {
+				t.Fatal(err)
 			}
 			return st
 		}
-		want := loadFingerprint(t, open(0, 0))
-		if !bytes.Equal(want.saveBytes, c.snap) {
-			t.Fatalf("%s: the default load does not re-encode to its input", c.name)
-		}
+		ref := open(0, 0)
+		want, wantX := surfaceOf(ref), extrasOf(ref)
 		for _, shards := range []int{1, 4, 16} {
 			for _, workers := range []int{1, 4} {
 				st := open(shards, workers)
 				if st.numShards() != shards {
-					t.Fatalf("%s: load(shards=%d) built %d shards", c.name, shards, st.numShards())
+					t.Fatalf("%s: Recover(shards=%d) built %d shards", c.name, shards, st.numShards())
 				}
-				got := loadFingerprint(t, st)
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: load(shards=%d, workers=%d) differs from the default load (saved bytes equal: %v, stats %+v vs %+v, counts %v vs %v)",
-						c.name, shards, workers, bytes.Equal(want.saveBytes, got.saveBytes), want.stats, got.stats, want.counts, got.counts)
+				if d := want.diff(st); d != "" {
+					t.Errorf("%s: Recover(shards=%d, workers=%d) differs from the default recovery: %s", c.name, shards, workers, d)
+				}
+				if x := extrasOf(st); x != wantX {
+					t.Errorf("%s: Recover(shards=%d, workers=%d): stats %+v vs %+v, counts %v vs %v",
+						c.name, shards, workers, wantX.stats, x.stats, wantX.counts, x.counts)
 				}
 			}
 		}
 	}
 }
 
-// TestLoadChecksumAfterAppliedChunks: load applies each packet block as it
-// is read, so damage in the last one is found with earlier blocks already
-// in the store being built. That store must not be returned.
+// TestLoadChecksumAfterAppliedChunks: load applies each flow block as it
+// is read, so damage in the last one is found with earlier blocks' flows
+// already in the store being built. That store must not be returned.
 func TestLoadChecksumAfterAppliedChunks(t *testing.T) {
+	frames := make([]traffic.Frame, 2*loadChunk/flowSize+100)
+	for i := range frames {
+		frames[i] = traffic.Frame{TS: time.Duration(i) * time.Microsecond, Data: serializeFrame(t, []byte("flow"),
+			&packet.Ethernet{EtherType: packet.EtherTypeIPv4},
+			&packet.IPv4{TTL: 64, Protocol: packet.IPProtocolUDP,
+				SrcIP: netip.MustParseAddr("10.0.0.1"), DstIP: netip.MustParseAddr("10.0.0.2")},
+			&packet.UDP{SrcPort: uint16(1024 + i), DstPort: 9000})}
+	}
 	src := NewSharded(2)
-	if _, err := src.AddBatch(equivFrames(t), 2); err != nil {
+	if _, err := src.AddBatch(frames, 2); err != nil {
 		t.Fatal(err)
 	}
-	snap := storeBytes(t, src)
-	ends := packetBlockEnds(t, snap)
-	if len(ends) < 3 {
-		t.Fatalf("snapshot holds %d packet blocks; the test needs more than two", len(ends))
+	var buf bytes.Buffer
+	if _, err := src.save(&buf, []walSeg{{walPos: walPos{seq: 1}}}); err != nil {
+		t.Fatal(err)
 	}
-	// The last packet block's last byte is the last packet's last data byte.
-	snap[ends[len(ends)-1]-1] ^= 0x20
+	snap := buf.Bytes()
+	blocks := 0
+	for rest := snap[6:]; len(rest) > 0; blocks++ {
+		var err error
+		if _, _, rest, err = frame.Next(rest, loadChunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if blocks < 4 {
+		t.Fatalf("checkpoint holds %d flow blocks; the test needs more than two", blocks-1)
+	}
+	// The checkpoint's last byte is the last flow's last byte.
+	snap[len(snap)-1] ^= 0x20
 	for _, shards := range []int{0, 4} {
-		st, _, _, err := load(bytes.NewReader(snap), shards, 2)
-		if !errors.Is(err, ErrBadSnapshot) || !errors.Is(err, frame.ErrCorrupt) || st != nil {
-			t.Fatalf("load(shards=%d) of a snapshot damaged in its last packet block = %v, %v; want nil, a checksum ErrBadSnapshot", shards, st, err)
+		st, _, _, err := load(bytes.NewReader(snap), shards)
+		if !errors.Is(err, errBadSnapshot) || !errors.Is(err, frame.ErrCorrupt) || st != nil {
+			t.Fatalf("load(shards=%d) of a checkpoint damaged in its last flow block = %v, %v; want nil, a checksum errBadSnapshot", shards, st, err)
 		}
 	}
 }

@@ -38,9 +38,9 @@ func (s *Store) eventsBetween(from, to time.Duration) []eventlog.Event {
 	return append([]eventlog.Event(nil), s.events[lo:hi]...)
 }
 
-// fillStore ingests a small deterministic scenario: benign campus traffic
+// fillFrames is a small deterministic scenario: benign campus traffic
 // plus a DNS amplification episode.
-func fillStore(t testing.TB) *Store {
+func fillFrames(t testing.TB) []traffic.Frame {
 	t.Helper()
 	plan := traffic.DefaultPlan(50)
 	benign := traffic.NewCampus(traffic.Profile{Plan: plan, FlowsPerSecond: 80, Duration: 4 * time.Second, Seed: 21})
@@ -48,10 +48,14 @@ func fillStore(t testing.TB) *Store {
 		Kind: traffic.LabelDNSAmp, Plan: plan, Victim: plan.Host(5),
 		Start: time.Second, Duration: 2 * time.Second, Rate: 400, Seed: 22,
 	})
-	g := traffic.NewMerge(benign, amp)
+	return traffic.Collect(traffic.NewMerge(benign, amp), 0)
+}
+
+// fillStore ingests fillFrames one frame at a time.
+func fillStore(t testing.TB) *Store {
+	t.Helper()
 	st := New()
-	var f traffic.Frame
-	for g.Next(&f) {
+	for _, f := range fillFrames(t) {
 		st.IngestFrame(&f)
 	}
 	return st
@@ -367,5 +371,22 @@ func BenchmarkSelectFullScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Select(f, 0)
+	}
+}
+
+// TestDroppedFlowsReturnIndexBytes: a flow charges flowIndexBytes while a
+// shard holds it, and eviction gives the charge back with the flow — a
+// store evicted past its last packet holds no index bytes at all.
+func TestDroppedFlowsReturnIndexBytes(t *testing.T) {
+	s := NewSharded(4)
+	if _, err := s.AddBatch(equivFrames(t), 2); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Flows == 0 || st.IndexBytes < flowIndexBytes*st.Flows {
+		t.Fatalf("ingest charged %d index bytes for %d flows", st.IndexBytes, st.Flows)
+	}
+	s.EvictBefore(time.Hour)
+	if st := s.Stats(); st.Packets != 0 || st.Flows != 0 || st.IndexBytes != 0 {
+		t.Fatalf("after evicting everything: %d packets, %d flows, %d index bytes; want all 0", st.Packets, st.Flows, st.IndexBytes)
 	}
 }

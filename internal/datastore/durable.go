@@ -17,7 +17,7 @@ import (
 //	<dir>/<seq>.wal           segments holding every acked batch whose rows
 //	                          are not all sealed or evicted
 //	<dir>/snapshot-<n>.clds   the newest checkpoint, the n-th written here
-//	                          (a v6 snapshot with no packets)
+//	                          (a v7 snapshot: persist.go)
 //
 // The WAL is the hot tier's only durable copy: every acked AddBatch is
 // logged before its PacketID is returned, so a hard kill at any instant
@@ -35,7 +35,7 @@ import (
 // it apply normally, and the rows below the base are trimmed away again,
 // so every row gets its ID back and every flow counts it once. A log that
 // ends below the cut, or is missing the position's segment, is an error
-// wrapping ErrBadSnapshot, never a short store.
+// wrapping errBadSnapshot, never a short store.
 //
 // CheckpointDir publishes a checkpoint, then removes the segments below
 // its position; nothing else removes one, eviction and seals included.
@@ -59,7 +59,7 @@ func snapName(n uint64) string {
 // findSnapshot picks the checkpoint Recover loads: the highest stamp wins
 // (an interrupted checkpoint can leave older ones behind). A directory
 // whose only checkpoint is a legacy bare snapshot.clds is an error
-// wrapping ErrBadSnapshot.
+// wrapping errBadSnapshot.
 func findSnapshot(fsys faults.FS, dir string) (path string, stamp uint64, ok bool, err error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -77,7 +77,7 @@ func findSnapshot(fsys faults.FS, dir string) (path string, stamp uint64, ok boo
 	}
 	if legacy {
 		return "", 0, false, fmt.Errorf("%w: %s is an unstamped legacy checkpoint, which this build does not read",
-			ErrBadSnapshot, filepath.Join(dir, bareSnapshot))
+			errBadSnapshot, filepath.Join(dir, bareSnapshot))
 	}
 	return "", 0, false, nil
 }
@@ -169,10 +169,7 @@ func recoverOn(fsys faults.FS, cfg DurableConfig) (*Store, RecoveryStats, error)
 		// Checkpoints are published atomically, so a corrupt one is real
 		// damage, not a crash artifact: refuse to guess rather than
 		// silently drop checkpointed data.
-		st, base, pos, err = loadFile(fsys, snapPath, cfg.Shards, cfg.Workers)
-		if err == nil && pos.seq == 0 {
-			err = fmt.Errorf("%w: %s is an export, not a checkpoint", ErrBadSnapshot, snapPath)
-		}
+		st, base, pos, err = loadFile(fsys, snapPath, cfg.Shards)
 		if err != nil {
 			return nil, rs, fmt.Errorf("datastore: recover snapshot: %w", err)
 		}
@@ -197,7 +194,7 @@ func recoverOn(fsys faults.FS, cfg DurableConfig) (*Store, RecoveryStats, error)
 	next := PacketID(st.nextID.Load())
 	if next < cut {
 		return nil, rs, fmt.Errorf("datastore: recover: %w: the WAL in %s ends at packet %d, below the cut %d of %s",
-			ErrBadSnapshot, cfg.Dir, next, cut, snapPath)
+			errBadSnapshot, cfg.Dir, next, cut, snapPath)
 	}
 	rs.SnapshotPackets, rs.WALPackets = uint64(cut-base), uint64(next-cut)
 	st.trimHotBelow(base)
@@ -289,16 +286,16 @@ func (s *Store) FlushWAL() error {
 // file operation returns its error (errors.Is finds the errno) and never
 // wedges the log: before the rename nothing has changed, and after it both
 // checkpoints are valid starting points. A store without a log has no
-// checkpoint; SaveFile is a pure export and never touches the log.
+// checkpoint: the log holds its hot rows.
 func (s *Store) CheckpointDir(dir string) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	w := s.wal.Load()
 	if w == nil {
-		return errors.New("datastore: checkpoint: no WAL attached (SaveFile writes an export)")
+		return errors.New("datastore: checkpoint: no WAL attached (a checkpoint's hot rows are its WAL)")
 	}
 	_, stamp, _, err := findSnapshot(s.fsys, dir)
-	if err != nil && !errors.Is(err, ErrBadSnapshot) {
+	if err != nil && !errors.Is(err, errBadSnapshot) {
 		return fmt.Errorf("datastore: checkpoint: %w", err)
 	}
 	if err := w.flush(); err != nil {

@@ -2,11 +2,13 @@ package datastore
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
+	"campuslab/internal/eventlog"
 	"campuslab/internal/traffic"
 )
 
@@ -29,85 +31,112 @@ func equivFrames(t testing.TB) []traffic.Frame {
 	return frames
 }
 
-// fingerprint captures every externally observable surface of a store.
-type storePrint struct {
-	scanIDs   []PacketID
-	scanTS    []time.Duration
-	flows     []FlowMeta
-	saveBytes []byte
-	packets   uint64
-	flowCount uint64
-	dataBytes uint64
+// storeSurface is a store's public surface (Store.surface) captured item
+// by item: the one definition of "the same store" the tests compare by,
+// and the one Digest hashes.
+type storeSurface []surfaceItem
+
+type surfaceItem struct {
+	section string
+	item    []byte
 }
 
-func fingerprintStore(t *testing.T, s *Store) storePrint {
-	t.Helper()
-	var p storePrint
-	s.Scan(func(sp *StoredPacket) bool {
-		p.scanIDs = append(p.scanIDs, sp.ID)
-		p.scanTS = append(p.scanTS, sp.TS)
-		return true
-	})
-	p.flows = s.Flows()
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	p.saveBytes = buf.Bytes()
-	st := s.Stats()
-	p.packets, p.flowCount, p.dataBytes = st.Packets, st.Flows, st.DataBytes
-	return p
+func surfaceOf(s *Store) storeSurface {
+	var out storeSurface
+	s.surface(func(section string, item []byte) { out = append(out, surfaceItem{section, bytes.Clone(item)}) })
+	return out
 }
 
-func comparePrints(t *testing.T, name string, want, got storePrint) {
-	t.Helper()
-	if !reflect.DeepEqual(want.scanIDs, got.scanIDs) {
-		t.Errorf("%s: Scan ID order differs (want %d ids, got %d)", name, len(want.scanIDs), len(got.scanIDs))
-	}
-	if !reflect.DeepEqual(want.scanTS, got.scanTS) {
-		t.Errorf("%s: Scan timestamp order differs", name)
-	}
-	if len(want.flows) != len(got.flows) {
-		t.Fatalf("%s: flow count differs: want %d got %d", name, len(want.flows), len(got.flows))
-	}
-	for i, w := range want.flows {
-		if g := got.flows[i]; w != g {
-			t.Errorf("%s: flow %d meta differs:\nwant %+v\ngot  %+v", name, i, w, g)
+// diff returns "" when got has this surface, or names the first item where
+// it differs: its section, its index in the section, and both items.
+func (want storeSurface) diff(got *Store) string {
+	have := surfaceOf(got)
+	nth := make(map[string]int)
+	for i := range max(len(want), len(have)) {
+		var w, g surfaceItem
+		if i < len(want) {
+			w = want[i]
 		}
+		if i < len(have) {
+			g = have[i]
+		}
+		if w.section == g.section && bytes.Equal(w.item, g.item) {
+			nth[w.section]++
+			continue
+		}
+		at := cmp.Or(w.section, g.section)
+		return fmt.Sprintf("%s %d differs (item %d of %d vs %d):\nwant %s\ngot  %s", at, nth[at], i, len(want), len(have), w, g)
 	}
-	if !bytes.Equal(want.saveBytes, got.saveBytes) {
-		t.Errorf("%s: Save snapshot bytes differ (want %d bytes, got %d)", name, len(want.saveBytes), len(got.saveBytes))
-	}
-	if want.packets != got.packets || want.flowCount != got.flowCount || want.dataBytes != got.dataBytes {
-		t.Errorf("%s: Stats differ: want (%d,%d,%d) got (%d,%d,%d)", name,
-			want.packets, want.flowCount, want.dataBytes,
-			got.packets, got.flowCount, got.dataBytes)
-	}
+	return ""
 }
 
-// TestShardedStoreEquivalence: every query surface — global scan order,
-// flow listing, snapshot bytes, stats — must be
-// byte-for-byte identical at 1, 4, and 16 shards.
+// String decodes an item for a diff message.
+func (it surfaceItem) String() string {
+	le, b := binary.LittleEndian, it.item
+	switch it.section {
+	case "":
+		return "nothing (the surface ends)"
+	case "row":
+		return fmt.Sprintf("row ID %d TS %v link %d label %v actor %v, %d bytes %x", le.Uint64(b), time.Duration(le.Uint64(b[8:])),
+			le.Uint16(b[16:]), traffic.Label(b[18]), b[19] == 1, len(b)-20, b[20:min(len(b), 52)])
+	case "flow":
+		fm, _, err := parseFlow(b)
+		return fmt.Sprintf("flow %+v (%v)", fm, err)
+	case "label":
+		return fmt.Sprintf("label %v: %d flows", traffic.Label(b[0]), le.Uint64(b[1:]))
+	case "packets":
+		return fmt.Sprintf("%d packets, hot and cold", le.Uint64(b))
+	case "event":
+		var evs []eventlog.Event
+		_, err := parseEvent(&evs, b)
+		return fmt.Sprintf("event %+v (%v)", evs, err)
+	}
+	return fmt.Sprintf("next ID %d, TS watermark %v", le.Uint64(b), time.Duration(le.Uint64(b[8:])))
+}
+
+// sameVolume reports the Stats fields a surface leaves to its rows: the
+// hot packet, flow and data-byte counters, which two stores of the same
+// tiering and the same rows must agree on.
+func sameVolume(want, got *Store) string {
+	a, b := want.Stats(), got.Stats()
+	if a.Packets != b.Packets || a.Flows != b.Flows || a.DataBytes != b.DataBytes {
+		return fmt.Sprintf("Stats (hot packets, flows, data bytes) differ: want (%d,%d,%d) got (%d,%d,%d)",
+			a.Packets, a.Flows, a.DataBytes, b.Packets, b.Flows, b.DataBytes)
+	}
+	return ""
+}
+
+// TestShardedStoreEquivalence: every query surface — global scan order
+// with every row's bytes, the flow listing, label counts, events, the ID
+// sequence and the hot volume — is identical at 1, 4, and 16 shards.
 func TestShardedStoreEquivalence(t *testing.T) {
 	frames := equivFrames(t)
-	ingest := func(n int) storePrint {
+	ingest := func(n int) *Store {
 		s := NewSharded(n)
 		for i := range frames {
 			s.IngestFrame(&frames[i])
 		}
-		return fingerprintStore(t, s)
+		return s
 	}
 	base := ingest(1)
-	if len(base.scanIDs) == 0 || len(base.flows) == 0 {
+	if len(base.Flows()) == 0 {
 		t.Fatal("baseline store is empty")
 	}
-	for i := 1; i < len(base.scanIDs); i++ {
-		if base.scanTS[i] < base.scanTS[i-1] {
-			t.Fatalf("baseline scan not time-ordered at %d", i)
+	var prev time.Duration
+	base.Scan(func(sp *StoredPacket) bool {
+		if sp.TS < prev {
+			t.Fatalf("baseline scan not time-ordered at ID %d", sp.ID)
+		}
+		prev = sp.TS
+		return true
+	})
+	want := surfaceOf(base)
+	for _, n := range []int{4, 16} {
+		s := ingest(n)
+		if d := cmp.Or(want.diff(s), sameVolume(base, s)); d != "" {
+			t.Errorf("shards=%d: %s", n, d)
 		}
 	}
-	comparePrints(t, "shards=4", base, ingest(4))
-	comparePrints(t, "shards=16", base, ingest(16))
 }
 
 // TestAddBatchMatchesSerialIngest: the batched parallel ingest path must
@@ -118,7 +147,7 @@ func TestAddBatchMatchesSerialIngest(t *testing.T) {
 	for i := range frames {
 		serial.IngestFrame(&frames[i])
 	}
-	want := fingerprintStore(t, serial)
+	want := surfaceOf(serial)
 	for _, workers := range []int{1, 4, 16} {
 		s := NewSharded(4)
 		// Split into uneven chunks to exercise batch boundaries.
@@ -130,7 +159,9 @@ func TestAddBatchMatchesSerialIngest(t *testing.T) {
 			s.AddBatch(frames[lo:hi], workers)
 			lo = hi
 		}
-		comparePrints(t, fmt.Sprintf("addbatch-workers=%d", workers), want, fingerprintStore(t, s))
+		if d := cmp.Or(want.diff(s), sameVolume(serial, s)); d != "" {
+			t.Errorf("addbatch-workers=%d: %s", workers, d)
+		}
 	}
 }
 

@@ -13,23 +13,25 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// testdata/format holds files written by PR 17's hand-rolled encoders,
-// before they moved onto internal/frame: one WAL segment (two records,
-// the second with nil links), a v2 snapshot of an untiered store, and a
-// tiered store's directory — its v3 snapshot, one v2 segment and the
-// manifest naming it. The v4 snapshots hold the same two stores: each is
-// its v2 or v3 source as the v3-era reader loaded it (the v3 one with tier/
-// attached), saved by the v4 writer; the v5 exports are the v4 ones with
-// the v5 header (cut ID = base ID + packets, no replay position). The v5
-// checkpoint is a store recovered from the WAL segment, with one event
-// added and its first two packets evicted, checkpointed beside it. The v6
-// files are the three v5 ones as the v5 reader loaded them (the checkpoint
-// recovered beside the WAL segment), written by the v6 writer: the same
-// stores, their flows without packet-ID lists. Each test below decodes a
-// file with the current code and re-encodes it; every byte must come back.
-// A deliberate format change bumps a version and adds fixtures, it does not
-// regenerate these. The v2 to v5 snapshots and seg-v1.clsg stay as
-// fixtures a retired format must be refused on.
+// testdata/format holds files written by the hand-rolled encoders that
+// preceded internal/frame: one WAL segment (two records, the second with
+// nil links), a v2 snapshot of an untiered store, and a tiered store's
+// directory — its v3 snapshot, one v2 segment and the manifest naming it.
+// Later snapshot versions were derived from these: the v4 snapshots were
+// the v2 and v3 ones as the v3-era reader loaded them (the v3 one with
+// tier/ attached), saved by the v4 writer; the v5 exports are the v4 ones
+// with the v5 header; the v5 checkpoint is a store recovered from the WAL
+// segment, with one event added and its first two packets evicted,
+// checkpointed beside it; the v6 checkpoint is the v5 one recovered beside
+// the WAL segment by the v5 reader and checkpointed by the v6 writer (flows
+// without packet-ID lists). The v7 checkpoint is the v6 one recovered
+// beside the WAL segment by the v6 reader and checkpointed by the v7
+// writer: the same store, its header without the packet count (a snapshot
+// is a checkpoint only since v7). Each test below decodes a file with the
+// current code and re-encodes it; every byte must come back. A deliberate
+// format change bumps a version and adds fixtures, it does not regenerate
+// these. The v2 to v6 snapshots and seg-v1.clsg stay as fixtures a retired
+// format must be refused on.
 
 func formatFixture(t testing.TB, name ...string) []byte {
 	t.Helper()
@@ -68,67 +70,30 @@ func TestFormatWALSegmentPinned(t *testing.T) {
 	}
 }
 
-// fixtureTierDir copies the pinned tier directory (manifest and segment)
-// into a fresh directory a store can attach.
-func fixtureTierDir(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	for _, name := range []string{tierManifestName, tierSegName(0)} {
-		if err := os.WriteFile(filepath.Join(dir, name), formatFixture(t, "tier", name), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
 func TestFormatSnapshotsPinned(t *testing.T) {
-	t.Run("untiered", func(t *testing.T) {
-		want := formatFixture(t, "snapshot-v6-untiered.clds")
-		st, err := Load(bytes.NewReader(want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(storeBytes(t, st), want) {
-			t.Fatal("re-saved untiered snapshot differs from the pinned one")
-		}
-	})
-	t.Run("tiered", func(t *testing.T) {
-		// The recovery order: load the hot tier, then attach the cold one.
-		want := formatFixture(t, "snapshot-v6-tiered.clds")
-		st, err := Load(bytes.NewReader(want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.EnableTiering(TierPolicy{Dir: fixtureTierDir(t)}); err != nil {
-			t.Fatal(err)
-		}
-		if ss := st.Stats(); ss.Packets != 8 || ss.ColdPackets != 40 {
-			t.Fatalf("recovered %d hot + %d cold packets, want 8 + 40", ss.Packets, ss.ColdPackets)
-		}
-		if !bytes.Equal(storeBytes(t, st), want) {
-			t.Fatal("re-saved tiered snapshot differs from the pinned one")
-		}
-	})
-	t.Run("checkpoint", func(t *testing.T) {
-		// Recovered beside the WAL segment it was taken over, the
-		// checkpoint checkpoints again to its own bytes.
-		want := formatFixture(t, "snapshot-v6-checkpoint.clds")
+	// recoverBeside recovers a checkpoint file beside the pinned WAL
+	// segment it was taken over.
+	recoverBeside := func(t *testing.T, snap []byte) (string, *Store, RecoveryStats, error) {
 		dir := t.TempDir()
-		for name, b := range map[string][]byte{segName(1): formatFixture(t, segName(1)), snapName(1): want} {
+		for name, b := range map[string][]byte{segName(1): formatFixture(t, segName(1)), snapName(1): snap} {
 			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 		st, rs, err := Recover(DurableConfig{Dir: dir, Shards: 2})
+		return dir, st, rs, err
+	}
+	t.Run("checkpoint", func(t *testing.T) {
+		// Recovered beside the WAL segment it was taken over, the
+		// checkpoint checkpoints again to its own bytes.
+		want := formatFixture(t, "snapshot-v7-checkpoint.clds")
+		dir, st, rs, err := recoverBeside(t, want)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer st.CloseWAL()
 		if ss := st.Stats(); ss.Packets != 3 || ss.Flows != 2 || ss.Events != 1 || rs.SnapshotPackets != 3 || rs.WALPackets != 0 {
 			t.Fatalf("recovered %+v (%+v), want 3 hot packets below the cut, 2 flows, 1 event", ss, rs)
-		}
-		if _, err := Load(bytes.NewReader(want)); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("Load of a checkpoint: err = %v, want ErrBadSnapshot", err)
 		}
 		if err := st.CheckpointDir(dir); err != nil {
 			t.Fatal(err)
@@ -140,18 +105,19 @@ func TestFormatSnapshotsPinned(t *testing.T) {
 	t.Run("v5-refused", func(t *testing.T) {
 		// The v5 flow record carried an ID list; its reader is gone.
 		for _, name := range []string{"snapshot-v5-untiered.clds", "snapshot-v5-tiered.clds"} {
-			if _, err := Load(bytes.NewReader(formatFixture(t, name))); !errors.Is(err, ErrBadSnapshot) {
-				t.Errorf("Load of %s: err = %v, want ErrBadSnapshot", name, err)
+			if _, _, _, err := load(bytes.NewReader(formatFixture(t, name)), 0); !errors.Is(err, errBadSnapshot) {
+				t.Errorf("load of %s: err = %v, want errBadSnapshot", name, err)
 			}
 		}
-		dir := t.TempDir()
-		for name, b := range map[string][]byte{segName(1): formatFixture(t, segName(1)), snapName(1): formatFixture(t, "snapshot-v5-checkpoint.clds")} {
-			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if _, _, _, err := recoverBeside(t, formatFixture(t, "snapshot-v5-checkpoint.clds")); !errors.Is(err, errBadSnapshot) {
+			t.Errorf("Recover over the v5 checkpoint: err = %v, want errBadSnapshot", err)
 		}
-		if _, _, err := Recover(DurableConfig{Dir: dir, Shards: 2}); !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("Recover over the v5 checkpoint: err = %v, want ErrBadSnapshot", err)
+	})
+	t.Run("v6-refused", func(t *testing.T) {
+		// The v6 header carried a packet count for the export; its reader
+		// is gone.
+		if _, _, _, err := recoverBeside(t, formatFixture(t, "snapshot-v6-checkpoint.clds")); !errors.Is(err, errBadSnapshot) {
+			t.Errorf("Recover over the v6 checkpoint: err = %v, want errBadSnapshot", err)
 		}
 	})
 }

@@ -346,13 +346,16 @@ func TestEvictAfterEmptiedShardStillTrimsPostings(t *testing.T) {
 			evictedEntries += model.add(&sp)
 		}
 	}
-	before := s.Stats().IndexBytes
+	before := s.Stats()
 	n := s.EvictBefore(cutTS)
 	if n == 0 || n == len(later) {
 		t.Fatalf("evicted %d of %d, want a proper part", n, len(later))
 	}
-	if got, want := before-s.Stats().IndexBytes, 8*uint64(evictedEntries); got != want {
-		t.Fatalf("evicting %d packets released %d index bytes, want %d (8 per posting entry)", n, got, want)
+	after := s.Stats()
+	dropped := before.Flows - after.Flows
+	if got, want := before.IndexBytes-after.IndexBytes, 8*uint64(evictedEntries)+flowIndexBytes*dropped; got != want {
+		t.Fatalf("evicting %d packets and %d flows released %d index bytes, want %d (8 per posting entry, %d per flow)",
+			n, dropped, got, want, flowIndexBytes)
 	}
 	checkQueries("after evicting half")
 }

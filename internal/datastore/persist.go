@@ -17,16 +17,13 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// A snapshot is a six-byte preamble and a sequence of frame checked blocks
-// (all integers little-endian), one layout for every store:
+// A snapshot is a checkpoint: a six-byte preamble and a sequence of frame
+// checked blocks (all integers little-endian):
 //
-//	preamble: magic "CLDS" | version u16 (6)
-//	header:   one block: packet count u64 | event count u64 |
-//	          flow count u64 | base ID u64 | cut ID u64 | last TS i64 |
-//	          replay seq u64 | replay first ID u64 | replay TS i64
-//	packets:  record-list blocks (frame.AppendRecords, the WAL record's
-//	          payload) in (TS, ID) order, each at most loadChunk bytes or
-//	          one larger record alone: one addBatch on load
+//	preamble: magic "CLDS" | version u16 (7)
+//	header:   one block: event count u64 | flow count u64 | base ID u64 |
+//	          cut ID u64 | last TS i64 | replay seq u64 |
+//	          replay first ID u64 | replay TS i64
 //	events:   ts i64 | source u8 | severity u8 | hostLen u16 | host |
 //	          msgLen u32 | msg, per event
 //	flows:    per flow, in Flows() order, a flowSize-byte record: key,
@@ -36,115 +33,79 @@ import (
 // last holding the rest (so an event of any length fits); the header's
 // counts end each section.
 //
-// Two writers share the layout. An export (Save) holds the hot packets
-// and a zero replay position. A checkpoint (CheckpointDir) holds no
-// packets: its hot rows are the WAL's records from the replay position on
-// (walPos), which Recover replays on top of it.
+// A checkpoint holds no packets: its hot rows are the WAL's records from
+// the replay position on (walPos), which Recover replays on top of it. It
+// holds what those rows cannot rebuild: the base ID (the smallest hot ID),
+// the cut ID (the next ID to assign), the flows, whose totals still count
+// rows that are no longer hot, the events and the TS watermark. Indexes are
+// derived data and are rebuilt.
 //
-// The base ID (the smallest hot ID), the cut ID (the next ID to assign),
-// the flows and the TS watermark are what the hot rows alone cannot
-// rebuild. Load seeds the ID sequence at the base ID, so re-ingest
-// reassigns the original IDs: the WAL and cold segments name packets by
-// ID, and eviction or a seal may have taken a prefix of them away. It then
-// overlays the persisted flows, whose totals still count rows that are no
-// longer hot. Indexes are derived data and are rebuilt.
-//
-// The layout is canonical: Load refuses what Save would not have written
-// (a block cut elsewhere, rows, events or flows out of order, a hot packet
-// whose flow is missing, an ID or a watermark out of range, trailing
-// bytes), so a snapshot that loads re-saves to its own bytes. Versions 1
-// to 5 are refused, not migrated.
+// The layout is canonical: load refuses what the writer would not have
+// written (a block cut elsewhere, events or flows out of order, an ID, a
+// watermark or a replay position out of range, trailing bytes), so a
+// checkpoint that loads re-encodes to its own bytes. Versions 1 to 6 are
+// refused, not migrated.
 
 const (
 	persistMagic   = "CLDS"
-	persistVersion = 6
+	persistVersion = 7
 	// loadChunk is a snapshot block's byte budget.
 	loadChunk = 256 << 10
-	// snapBlockMax bounds a block on read: a full chunk, or one record of
-	// the largest size alone.
-	snapBlockMax = 4 + frame.RecordHeaderSize + frame.MaxRecordData
 	// snapHeaderSize is the header block's payload.
-	snapHeaderSize = 9 * 8
+	snapHeaderSize = 8 * 8
 	// flowSize is a persisted flow's size.
 	flowSize = 1 + 2*17 + 2*2 + 5*8 + 3 + 3*4
 )
 
-// ErrBadSnapshot reports a corrupt or incompatible snapshot stream.
-var ErrBadSnapshot = errors.New("datastore: bad snapshot")
+// errBadSnapshot reports a corrupt or incompatible snapshot stream.
+var errBadSnapshot = errors.New("datastore: bad snapshot")
 
-// Save writes the store's packets, events and flows to w: an export.
-// Packets stream out in global (timestamp, ID) order — the serial ingest
-// order — and flows in listing order, so snapshots are byte-identical at
-// any shard count. The store remains usable; concurrent ingest during Save
-// is blocked by the shard locks.
-func (s *Store) Save(w io.Writer) error {
-	_, err := s.save(w, nil)
-	return err
-}
-
-// save is Save, or with live (the WAL's segments, oldest first) a
-// checkpoint: no packets, and the replay position of the newest segment
-// that starts at or below the base ID, which it returns.
+// save writes a checkpoint to w and returns its replay position: the newest
+// of the live WAL segments (oldest first) that starts at or below the base
+// ID.
 func (s *Store) save(w io.Writer, live []walSeg) (walPos, error) {
 	unlock := s.rlockAll()
 	defer unlock()
-	s.eventsMu.RLock()
-	defer s.eventsMu.RUnlock()
 	// The base ID is the smallest hot ID, or nextID when nothing is hot:
 	// a slab is ID-ordered and the hot IDs run contiguously up to nextID.
-	cutID := s.nextID.Load()
-	baseID := cutID
-	nPackets := 0
-	slabs := make([][]StoredPacket, len(s.shards))
-	var flows []*FlowMeta
-	for i, sh := range s.shards {
-		slabs[i] = sh.packets
-		nPackets += len(sh.packets)
+	baseID := s.nextID.Load()
+	for _, sh := range s.shards {
 		if len(sh.packets) > 0 {
 			baseID = min(baseID, uint64(sh.packets[0].ID))
 		}
-		for _, fm := range sh.flows {
-			flows = append(flows, fm)
-		}
 	}
-	sort.Slice(flows, func(i, j int) bool { return flowBefore(flows[i], flows[j]) })
 	var pos walPos
 	for _, sg := range live {
 		if uint64(sg.firstID) <= baseID {
 			pos = sg.walPos
 		}
 	}
-	if live != nil {
-		if pos.seq == 0 {
-			return pos, fmt.Errorf("datastore: no WAL segment starts at or below hot packet %d", baseID)
-		}
-		slabs, nPackets = nil, 0
+	if pos.seq == 0 {
+		return pos, fmt.Errorf("datastore: no WAL segment starts at or below hot packet %d", baseID)
 	}
+	return pos, s.encodeLocked(w, PacketID(baseID), pos)
+}
+
+// encodeLocked writes the checkpoint of base ID base and replay position
+// pos. Caller holds every shard read lock.
+func (s *Store) encodeLocked(w io.Writer, base PacketID, pos walPos) error {
+	s.eventsMu.RLock()
+	defer s.eventsMu.RUnlock()
+	var flows []*FlowMeta
+	for _, sh := range s.shards {
+		for _, fm := range sh.flows {
+			flows = append(flows, fm)
+		}
+	}
+	sort.Slice(flows, func(i, j int) bool { return flowBefore(flows[i], flows[j]) })
 
 	sw := &snapWriter{w: w, buf: make([]byte, frame.BlockHeaderSize, frame.BlockHeaderSize+2*loadChunk)}
 	_, sw.err = w.Write(binary.LittleEndian.AppendUint16([]byte(persistMagic), persistVersion))
-	for _, v := range []uint64{uint64(nPackets), uint64(len(s.events)), uint64(len(flows)), baseID, cutID,
+	for _, v := range []uint64{uint64(len(s.events)), uint64(len(flows)), uint64(base), s.nextID.Load(),
 		uint64(s.lastTS.Load()), pos.seq, uint64(pos.firstID), uint64(pos.lastTS)} {
 		sw.buf = binary.LittleEndian.AppendUint64(sw.buf, v)
 	}
 	sw.flush()
-
-	frames, links, size := []traffic.Frame(nil), []uint16(nil), frame.RecordsSize(nil)
-	cur := newMergeCursor(slabs)
-	for sp := cur.next(); ; sp = cur.next() {
-		if len(frames) > 0 && (sp == nil || size+frame.RecordHeaderSize+len(sp.Data) > loadChunk) {
-			sw.buf = frame.AppendRecords(sw.buf, frames, links)
-			sw.flush()
-			frames, links, size = frames[:0], links[:0], frame.RecordsSize(nil)
-		}
-		if sp == nil {
-			break
-		}
-		frames = append(frames, traffic.Frame{TS: sp.TS, Data: sp.Data, Label: sp.Label, Actor: sp.Actor})
-		links = append(links, sp.Link)
-		size += frame.RecordHeaderSize + len(sp.Data)
-	}
-
 	for i := range s.events {
 		sw.buf = appendEvent(sw.buf, &s.events[i])
 		sw.cut(false)
@@ -155,7 +116,7 @@ func (s *Store) save(w io.Writer, live []walSeg) (walPos, error) {
 		sw.cut(false)
 	}
 	sw.cut(true)
-	return pos, sw.err
+	return sw.err
 }
 
 // snapWriter builds a snapshot's blocks in one buffer whose first
@@ -290,31 +251,15 @@ func parseFlow(b []byte) (*FlowMeta, []byte, error) {
 	return fm, b[flowSize:], nil
 }
 
-// Load reads a snapshot into a fresh store, re-ingesting every packet so
-// all indexes are rebuilt. A truncated, corrupt, non-canonical or
-// other-version snapshot returns an error wrapping ErrBadSnapshot (and
-// frame.ErrCorrupt for a block that fails its checksum) — never a silently
-// wrong store. A checkpoint is refused too: its hot rows are in its WAL.
-func Load(r io.Reader) (*Store, error) { return exportOnly(load(r, 0, 0)) }
-
-// exportOnly passes on a loaded export and refuses a checkpoint.
-func exportOnly(st *Store, _ PacketID, pos walPos, err error) (*Store, error) {
-	if err == nil && pos.seq != 0 {
-		return nil, fmt.Errorf("%w: a checkpoint, whose hot rows are WAL segment %d on: Recover its directory", ErrBadSnapshot, pos.seq)
-	}
-	return st, err
-}
-
-// load is Load into a store of the given shard count (0 = defaultShards),
-// applying each packet block through addBatch — the function WAL replay
-// applies through — with the given parse fan-out (0 = GOMAXPROCS), and
-// returning the base ID and the replay position as well. A snapshot holds
-// the same bytes at any shard count and loads to the same answers at any
-// (shards, workers).
-func load(r io.Reader, shards, workers int) (_ *Store, base PacketID, pos walPos, err error) {
+// load reads a checkpoint into a fresh store of the given shard count
+// (0 = defaultShards) and returns it with its base ID and replay position.
+// A truncated, corrupt, non-canonical or other-version snapshot returns an
+// error wrapping errBadSnapshot (and frame.ErrCorrupt for a block that
+// fails its checksum) — never a silently wrong store.
+func load(r io.Reader, shards int) (_ *Store, base PacketID, pos walPos, err error) {
 	defer func() {
 		if err != nil {
-			err = fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+			err = fmt.Errorf("%w: %w", errBadSnapshot, err)
 		}
 	}()
 	var scratch []byte
@@ -364,51 +309,15 @@ func load(r io.Reader, shards, workers int) (_ *Store, base PacketID, pos walPos
 	if err != nil {
 		return nil, 0, pos, fmt.Errorf("header: %w", err)
 	}
-	nPkts, nEvts, nFlows := le.Uint64(h), le.Uint64(h[8:]), le.Uint64(h[16:])
-	baseID, cutID, lastTS := le.Uint64(h[24:]), le.Uint64(h[32:]), int64(le.Uint64(h[40:]))
-	pos = walPos{seq: le.Uint64(h[48:]), firstID: PacketID(le.Uint64(h[56:])), lastTS: int64(le.Uint64(h[64:]))}
-	// An export has no replay position; a checkpoint has no packets, and
-	// its position starts at or below the base, before the watermark.
-	if baseID > cutID || pos.seq == 0 && pos != (walPos{}) || pos.seq != 0 && (nPkts > 0 || uint64(pos.firstID) > baseID || pos.lastTS > lastTS) {
-		return nil, 0, pos, fmt.Errorf("header: %d packets, base ID %d, cut ID %d, TS watermark %v, replay position %+v",
-			nPkts, baseID, cutID, time.Duration(lastTS), pos)
+	nEvts, nFlows := le.Uint64(h), le.Uint64(h[8:])
+	baseID, cutID, lastTS := le.Uint64(h[16:]), le.Uint64(h[24:]), int64(le.Uint64(h[32:]))
+	pos = walPos{seq: le.Uint64(h[40:]), firstID: PacketID(le.Uint64(h[48:])), lastTS: int64(le.Uint64(h[56:]))}
+	// The replay position starts at or below the base, before the watermark.
+	if baseID > cutID || pos.seq == 0 || uint64(pos.firstID) > baseID || pos.lastTS > lastTS {
+		return nil, 0, pos, fmt.Errorf("header: base ID %d, cut ID %d, TS watermark %v, replay position %+v",
+			baseID, cutID, time.Duration(lastTS), pos)
 	}
-
 	st := NewSharded(shards)
-	st.nextID.Store(baseID)
-	prevTS, prevSize := time.Duration(st.lastTS.Load()), 0
-	for left := nPkts; left > 0; {
-		p, err := block(snapBlockMax)
-		if err != nil {
-			return nil, 0, pos, fmt.Errorf("packets: %w", err)
-		}
-		frames, links, err := frame.DecodeRecords(p)
-		switch {
-		case err != nil:
-		case len(frames) == 0 || uint64(len(frames)) > left:
-			err = fmt.Errorf("block of %d records, %d left", len(frames), left)
-		case len(p) > loadChunk && len(frames) > 1, prevSize > 0 && prevSize+frame.RecordHeaderSize+len(frames[0].Data) <= loadChunk:
-			err = fmt.Errorf("%d-byte block of %d records cut off the chunk budget", len(p), len(frames))
-		}
-		for i := 0; err == nil && i < len(frames); i++ {
-			if frames[i].TS < prevTS {
-				err = fmt.Errorf("record at %v after %v", frames[i].TS, prevTS)
-			}
-			prevTS = frames[i].TS
-		}
-		if err != nil {
-			return nil, 0, pos, fmt.Errorf("packets: %w", err)
-		}
-		st.addBatch(frames, links, workers)
-		left -= uint64(len(frames))
-		prevSize = len(p)
-	}
-	if lastTS < int64(prevTS) {
-		return nil, 0, pos, fmt.Errorf("TS watermark %v below the last packet's %v", time.Duration(lastTS), prevTS)
-	}
-	if next := st.nextID.Load(); next > cutID {
-		return nil, 0, pos, fmt.Errorf("hot IDs run to %d, past the cut ID %d", next, cutID)
-	}
 	st.nextID.Store(cutID)
 	st.lastTS.Store(lastTS)
 
@@ -418,10 +327,6 @@ func load(r io.Reader, shards, workers int) (_ *Store, base PacketID, pos walPos
 	}
 	st.AddEvents(evs)
 
-	// Overlay the persisted flow aggregates: re-ingest above rebuilt only
-	// the hot packets' share, but a flow that straddles an eviction or the
-	// seal boundary (or lives entirely in cold segments) has totals the hot
-	// slabs cannot reproduce.
 	var prev *FlowMeta
 	err = section(nFlows, func(b []byte) ([]byte, error) {
 		fm, rest, err := parseFlow(b)
@@ -434,7 +339,7 @@ func load(r io.Reader, shards, workers int) (_ *Store, base PacketID, pos walPos
 		prev = fm
 		sh := st.shards[fm.Key.Hash()&st.mask]
 		if _, ok := sh.flows[fm.Key]; !ok {
-			sh.indexBytes += 96
+			sh.indexBytes += flowIndexBytes
 		}
 		sh.flows[fm.Key] = fm
 		return rest, nil
@@ -451,23 +356,12 @@ func load(r io.Reader, shards, workers int) (_ *Store, base PacketID, pos walPos
 	return st, PacketID(baseID), pos, nil
 }
 
-// SaveFile writes a crash-safe snapshot to path through
-// faults.PublishFile: a crash or a failed file operation at any point
-// leaves either the old snapshot or the new one at path — never a
-// truncated hybrid.
-func (s *Store) SaveFile(path string) error {
-	if err := faults.PublishFile(s.fsys, path, s.Save); err != nil {
-		return fmt.Errorf("datastore: snapshot: %w", err)
-	}
-	return nil
-}
-
 // loadFile is load over the file at path.
-func loadFile(fsys faults.FS, path string, shards, workers int) (*Store, PacketID, walPos, error) {
+func loadFile(fsys faults.FS, path string, shards int) (*Store, PacketID, walPos, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY)
 	if err != nil {
 		return nil, 0, walPos{}, fmt.Errorf("datastore: snapshot open: %w", err)
 	}
 	defer f.Close()
-	return load(f, shards, workers)
+	return load(f, shards)
 }

@@ -7,50 +7,47 @@ import (
 	"testing"
 )
 
-// FuzzSnapshotLoad drives Load with arbitrary bytes, seeded with the pinned
-// v6 exports, an empty store's, one holding two flows tied on first time
-// and key hash, the pinned v6 checkpoint (which Load refuses: its hot rows
-// are in a WAL) and the retired v5 files (refused by version). Invariants:
-// Load never panics; it either refuses the input with an error wrapping
-// ErrBadSnapshot or returns a store whose Save re-encodes exactly the input
-// (the layout is canonical); and what it allocates is bounded by the bytes present, never
-// driven by a count the input claims. Loading runs through ingest's pooled
-// scratch, whose coverage differs from run to run, so the engine spends a
-// short session minimizing; add -fuzzminimizetime 1x for a long one.
+// FuzzSnapshotLoad drives the checkpoint reader with arbitrary bytes,
+// seeded with the pinned v7 checkpoint, an empty store's, one holding two
+// flows tied on first time and key hash, and the retired v2 to v6 files
+// (refused by version). Invariants: load never panics; it either refuses
+// the input with an error wrapping errBadSnapshot or returns a store whose
+// checkpoint, at the base ID and replay position it read, re-encodes
+// exactly the input (the layout is canonical); and what it allocates is
+// bounded by the bytes present, never driven by a count the input claims.
+// The engine spends a short session minimizing; add -fuzzminimizetime 1x
+// for a long one.
 func FuzzSnapshotLoad(f *testing.F) {
-	f.Add(formatFixture(f, "snapshot-v5-untiered.clds"))
-	f.Add(formatFixture(f, "snapshot-v5-tiered.clds"))
+	f.Add(formatFixture(f, "snapshot-v7-checkpoint.clds"))
 	twins := New()
 	for _, fr := range twinFlowFrames(f) {
 		twins.IngestFrame(&fr)
 	}
 	for _, st := range []*Store{New(), twins} {
-		var b bytes.Buffer
-		if err := st.Save(&b); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b.Bytes())
+		f.Add(checkpointBytes(f, st))
 	}
-	f.Add(formatFixture(f, "snapshot-v5-checkpoint.clds"))
-	for _, name := range []string{"untiered", "tiered", "checkpoint"} {
-		f.Add(formatFixture(f, "snapshot-v6-"+name+".clds"))
+	for _, name := range []string{"v2", "v3", "v4-untiered", "v5-untiered", "v5-tiered", "v5-checkpoint", "v6-checkpoint"} {
+		f.Add(formatFixture(f, "snapshot-"+name+".clds"))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		st, err := Load(bytes.NewReader(in))
+		st, base, pos, err := load(bytes.NewReader(in), 0)
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20+256*uint64(len(in)) {
 			t.Fatalf("loading %d bytes allocated %d", len(in), n)
 		}
 		if err != nil {
-			if !errors.Is(err, ErrBadSnapshot) {
-				t.Fatalf("Load error %v does not wrap ErrBadSnapshot", err)
+			if !errors.Is(err, errBadSnapshot) {
+				t.Fatalf("load error %v does not wrap errBadSnapshot", err)
 			}
 			return
 		}
 		var out bytes.Buffer
-		if err := st.Save(&out); err != nil {
+		unlock := st.rlockAll()
+		err = st.encodeLocked(&out, base, pos)
+		unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out.Bytes(), in) {

@@ -1,7 +1,6 @@
 package datastore
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -156,23 +155,19 @@ func TestQueryAfterEviction(t *testing.T) {
 }
 
 func TestSnapshotPreservesQueryResults(t *testing.T) {
-	st := fillStore(t)
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
+	st, loaded := roundTrip(t, func(st *Store) {
+		if _, err := st.AddBatch(fillFrames(t), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
 	for _, expr := range queryExprs {
 		f := MustFilter(expr)
 		want := st.Select(f, 0)
 		got := loaded.Select(f, 0)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("Select(%q) differs after save→load: %d vs %d packets", expr, len(want), len(got))
+			t.Fatalf("Select(%q) differs after checkpoint→recover: %d vs %d packets", expr, len(want), len(got))
 		}
-		// And the rebuilt indexes must agree with the loaded store's own
+		// And the rebuilt indexes must agree with the recovered store's own
 		// scan reference, proving they were reconstructed, not inherited.
 		selectBoth(t, loaded, expr, 0)
 	}

@@ -85,6 +85,10 @@ type shard struct {
 	flowSlab []FlowMeta
 }
 
+// flowIndexBytes is the rough index cost a flow charges to indexBytes
+// while the shard holds it.
+const flowIndexBytes = 96
+
 // flowSlabLen is how many flows one slab refill serves: one FlowMeta slab
 // (32 KB) per 256 new flows.
 const flowSlabLen = 256
@@ -380,7 +384,7 @@ func (sh *shard) apply(it *ingestItem) {
 	if !ok {
 		fm = sh.newFlow(it.key, sp.TS)
 		sh.flows[it.key] = fm
-		sh.indexBytes += 96 // rough per-flow index cost
+		sh.indexBytes += flowIndexBytes
 	}
 	if sp.TS > fm.Last {
 		fm.Last = sp.TS
@@ -860,12 +864,18 @@ func (sh *shard) evictBefore(ts time.Duration) (int, uint64) {
 	// posting lists trim below the last evicted ID + 1 — a bound later
 	// evictions can still exceed when this one empties the shard.
 	freed := sh.dropRows(cut, sh.packets[cut-1].ID+1)
-	// Drop flows that ended before ts; a flow that straddles ts keeps its
-	// aggregates.
+	sh.dropFlowsBefore(ts)
+	return cut, freed
+}
+
+// dropFlowsBefore drops the flows that ended before ts with their index
+// charge; a flow that straddles ts keeps its aggregates. Caller holds the
+// shard write lock.
+func (sh *shard) dropFlowsBefore(ts time.Duration) {
 	for k, fm := range sh.flows {
 		if fm.Last < ts {
 			delete(sh.flows, k)
+			sh.indexBytes -= flowIndexBytes
 		}
 	}
-	return cut, freed
 }

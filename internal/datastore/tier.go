@@ -810,11 +810,7 @@ func (s *Store) RetainCold(before time.Duration) (int, error) {
 	}
 	if err := s.commitTier(tr, PacketID(tr.sealedBelow.Load()), keep, func() {
 		for _, sh := range s.shards {
-			for k, fm := range sh.flows {
-				if fm.Last < before {
-					delete(sh.flows, k)
-				}
-			}
+			sh.dropFlowsBefore(before)
 		}
 	}); err != nil {
 		return 0, err

@@ -90,7 +90,7 @@ func tierCrashMutate(st *Store, mutation, dir string) (err error) {
 
 // tierCrashRefs are the stores recovery owes back: the acked stream, and
 // what a retention pass that was not killed leaves of it.
-func tierCrashRefs(t *testing.T) (want, wantRetained tierPrint) {
+func tierCrashRefs(t *testing.T) (want, wantRetained tierView) {
 	t.Helper()
 	ref := NewSharded(2)
 	for i := 0; i < tierCrashBatches; i++ {
@@ -98,7 +98,8 @@ func tierCrashRefs(t *testing.T) (want, wantRetained tierPrint) {
 			t.Fatal(err)
 		}
 	}
-	want = tierFingerprint(t, ref)
+	want = tierViewOf(ref)
+	total := ref.Stats().Packets
 	retained := NewSharded(2)
 	if err := retained.EnableTiering(tierCrashConfig(t.TempDir()).Tier); err != nil {
 		t.Fatal(err)
@@ -114,9 +115,9 @@ func tierCrashRefs(t *testing.T) (want, wantRetained tierPrint) {
 	if err := tierCrashMutate(retained, "retain", ""); err != nil {
 		t.Fatal(err)
 	}
-	wantRetained = tierFingerprint(t, retained)
-	if wantRetained.total == 0 || wantRetained.total >= want.total {
-		t.Fatalf("the reference retention pass left %d of %d packets; want some dropped, some kept", wantRetained.total, want.total)
+	wantRetained = tierViewOf(retained)
+	if kept := len(wantRetained.summaries); kept == 0 || uint64(kept) >= total {
+		t.Fatalf("the reference retention pass left %d of %d packets; want some dropped, some kept", kept, total)
 	}
 	return want, wantRetained
 }
@@ -126,25 +127,27 @@ func tierCrashRefs(t *testing.T) (want, wantRetained tierPrint) {
 // packet, query-identical to the reference; the manifest names exactly the
 // segment files on disk and no temp file is left; and the store keeps
 // working — a fresh seal on top of whatever generation survived.
-func checkTierRecovery(t *testing.T, name string, fsys faults.FS, dir string, want tierPrint) {
+func checkTierRecovery(t *testing.T, name string, fsys faults.FS, dir string, want tierView) {
 	t.Helper()
 	st, _, err := recoverOn(fsys, tierCrashConfig(dir))
 	if err != nil {
 		t.Fatalf("recovery after %s: %v", name, err)
 	}
 	defer st.CloseWAL()
-	got := tierFingerprint(t, st)
-	if got.total != want.total {
-		t.Fatalf("%s: recovered %d packets, acked stream has %d (lost or duplicated)", name, got.total, want.total)
+	if ss := st.Stats(); ss.Packets+ss.ColdPackets != uint64(len(want.summaries)) {
+		t.Fatalf("%s: recovered %d packets, acked stream has %d (lost or duplicated)", name, ss.Packets+ss.ColdPackets, len(want.summaries))
 	}
-	seen := make(map[PacketID]bool, len(got.scan))
-	for _, sp := range got.scan {
+	seen := make(map[PacketID]bool, len(want.summaries))
+	st.Scan(func(sp *StoredPacket) bool {
 		if seen[sp.ID] {
 			t.Fatalf("%s: packet ID %d recovered twice", name, sp.ID)
 		}
 		seen[sp.ID] = true
+		return true
+	})
+	if d := want.diff(st); d != "" {
+		t.Fatalf("%s: %s", name, d)
 	}
-	compareTierPrints(t, name, want, got)
 
 	tierDir := filepath.Join(dir, "tier")
 	_, _, names, _, err := loadManifest(fsys, tierDir)
@@ -168,7 +171,9 @@ func checkTierRecovery(t *testing.T, name string, fsys faults.FS, dir string, wa
 	if ts := st.TierStats(); ts.ColdPackets == 0 {
 		t.Fatalf("%s: post-recovery seal left cold tier empty: %+v", name, ts)
 	}
-	compareTierPrints(t, name+" post-reseal", want, tierFingerprint(t, st))
+	if d := want.diff(st); d != "" {
+		t.Fatalf("%s post-reseal: %s", name, d)
+	}
 }
 
 // TestTierCrashEnumeration is the tier crash gate: a store acks a fixed

@@ -127,7 +127,9 @@ func TestTierIngestSealQueryRace(t *testing.T) {
 		}
 		lo = hi
 	}
-	compareTierPrints(t, "post-race", tierFingerprint(t, ref), tierFingerprint(t, s))
+	if d := tierViewOf(ref).diff(s); d != "" {
+		t.Fatalf("post-race: %s", d)
+	}
 	if ts := s.TierStats(); ts.Seals == 0 || ts.ColdPackets == 0 {
 		t.Fatalf("race test never sealed: %+v", ts)
 	}
@@ -267,7 +269,9 @@ func TestTierCacheQueryCompactRace(t *testing.T) {
 		}
 		lo = hi
 	}
-	compareTierPrints(t, "post-cache-race", tierFingerprint(t, ref), tierFingerprint(t, s))
+	if d := tierViewOf(ref).diff(s); d != "" {
+		t.Fatalf("post-cache-race: %s", d)
+	}
 	ts := s.TierStats()
 	if ts.Seals == 0 || ts.ColdPackets == 0 {
 		t.Fatalf("cache race test never sealed: %+v", ts)

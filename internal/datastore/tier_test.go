@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"campuslab/internal/faults"
+	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
 )
 
@@ -82,56 +83,38 @@ func flushUndersized(t *testing.T, s *Store) {
 	}
 }
 
-// tierPrint captures every query surface that must be invariant under
-// tiering. Unlike storePrint it excludes Save bytes (tiered snapshots are
-// v3 by design) and hot-only Stats.
-type tierPrint struct {
-	scan   []StoredPacket
-	flows  []FlowMeta
-	labels map[int]int
-	total  uint64
+// tierView is what tiering must leave unchanged: the store's surface, and
+// beside it every Scan row's parsed Summary, which the surface leaves to
+// the row's bytes and a cold row re-derives on decode.
+type tierView struct {
+	surface   storeSurface
+	summaries []packet.Summary
 }
 
-func tierFingerprint(t *testing.T, s *Store) tierPrint {
-	t.Helper()
-	var p tierPrint
+func tierViewOf(s *Store) tierView {
+	v := tierView{surface: surfaceOf(s)}
 	s.Scan(func(sp *StoredPacket) bool {
-		p.scan = append(p.scan, *sp)
+		v.summaries = append(v.summaries, sp.Summary)
 		return true
 	})
-	p.flows = s.Flows()
-	p.labels = make(map[int]int)
-	for k, v := range s.LabelCounts() {
-		p.labels[int(k)] = v
-	}
-	st := s.Stats()
-	p.total = st.Packets + st.ColdPackets
-	return p
+	return v
 }
 
-func compareTierPrints(t *testing.T, name string, want, got tierPrint) {
-	t.Helper()
-	if !reflect.DeepEqual(want.scan, got.scan) {
-		n := len(want.scan)
-		if len(got.scan) < n {
-			n = len(got.scan)
+// diff returns "" when got has this view, or names its first difference.
+func (want tierView) diff(got *Store) string {
+	if d := want.surface.diff(got); d != "" {
+		return d
+	}
+	i, d := 0, ""
+	got.Scan(func(sp *StoredPacket) bool {
+		if sp.Summary != want.summaries[i] {
+			d = fmt.Sprintf("Scan row %d (ID %d) Summary differs:\nwant %+v\ngot  %+v", i, sp.ID, want.summaries[i], sp.Summary)
+			return false
 		}
-		for i := 0; i < n; i++ {
-			if !reflect.DeepEqual(want.scan[i], got.scan[i]) {
-				t.Fatalf("%s: Scan diverges at row %d:\nwant %+v\ngot  %+v", name, i, want.scan[i], got.scan[i])
-			}
-		}
-		t.Fatalf("%s: Scan length differs: want %d got %d", name, len(want.scan), len(got.scan))
-	}
-	if !reflect.DeepEqual(want.flows, got.flows) {
-		t.Errorf("%s: Flows differ (want %d, got %d)", name, len(want.flows), len(got.flows))
-	}
-	if !reflect.DeepEqual(want.labels, got.labels) {
-		t.Errorf("%s: LabelCounts differ: want %v got %v", name, want.labels, got.labels)
-	}
-	if want.total != got.total {
-		t.Errorf("%s: total packets differ: want %d got %d", name, want.total, got.total)
-	}
+		i++
+		return true
+	})
+	return d
 }
 
 // TestTieredStoreEquivalence is the tentpole property: with tiering off
@@ -141,10 +124,11 @@ func compareTierPrints(t *testing.T, name string, want, got tierPrint) {
 // and stay identical after compaction.
 func TestTieredStoreEquivalence(t *testing.T) {
 	ref := ingestTiered(t, 4, 4, TierPolicy{})
-	want := tierFingerprint(t, ref)
-	if want.total == 0 || len(want.flows) == 0 {
+	want, rows := tierViewOf(ref), ref.packetsBetween(0, -1)
+	if len(rows) == 0 || len(ref.Flows()) == 0 {
 		t.Fatal("reference store is empty")
 	}
+	total, span := len(rows), rows[len(rows)-1].TS
 	for _, shards := range []int{1, 4, 16} {
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("shards=%d workers=%d", shards, workers)
@@ -154,7 +138,9 @@ func TestTieredStoreEquivalence(t *testing.T) {
 			if ts.Segments == 0 || ts.ColdPackets == 0 {
 				t.Fatalf("%s: no automatic seal happened (stats %+v)", name, ts)
 			}
-			compareTierPrints(t, name, want, tierFingerprint(t, s))
+			if d := want.diff(s); d != "" {
+				t.Fatalf("%s: %s", name, d)
+			}
 
 			// Randomized filters: tiered planner results must match both the
 			// untiered store and the tiered store's own scan reference.
@@ -194,7 +180,6 @@ func TestTieredStoreEquivalence(t *testing.T) {
 			}
 
 			// Time-window surface across the seal boundary.
-			span := want.scan[len(want.scan)-1].TS
 			for _, w := range [][2]time.Duration{{0, span / 3}, {span / 3, 2 * span / 3}, {span / 2, -1}} {
 				a := ref.packetsBetween(w[0], w[1])
 				b := s.packetsBetween(w[0], w[1])
@@ -204,7 +189,7 @@ func TestTieredStoreEquivalence(t *testing.T) {
 			}
 
 			// Point lookups must resolve cold IDs.
-			for id := PacketID(0); id < PacketID(want.total); id += PacketID(want.total / 50) {
+			for id := PacketID(0); id < PacketID(total); id += PacketID(total / 50) {
 				wp, wok := ref.packetByID(id)
 				gp, gok := s.packetByID(id)
 				if wok != gok || !reflect.DeepEqual(wp, gp) {
@@ -216,7 +201,9 @@ func TestTieredStoreEquivalence(t *testing.T) {
 			if _, err := s.CompactTier(); err != nil {
 				t.Fatalf("%s: CompactTier: %v", name, err)
 			}
-			compareTierPrints(t, name+" post-compact", want, tierFingerprint(t, s))
+			if d := want.diff(s); d != "" {
+				t.Fatalf("%s post-compact: %s", name, d)
+			}
 
 			// Policy seals leave nothing undersized, so the pass above may
 			// have been a no-op; this one has real input.
@@ -224,7 +211,9 @@ func TestTieredStoreEquivalence(t *testing.T) {
 			if n, err := s.CompactTier(); err != nil || n == 0 {
 				t.Fatalf("%s: CompactTier after flush merged %d segments, err %v", name, n, err)
 			}
-			compareTierPrints(t, name+" post-flush-compact", want, tierFingerprint(t, s))
+			if d := want.diff(s); d != "" {
+				t.Fatalf("%s post-flush-compact: %s", name, d)
+			}
 		}
 	}
 }
@@ -278,11 +267,12 @@ func TestTierSealStats(t *testing.T) {
 // segments, while the hot tier shrinks.
 func TestEvictBeforeSealAware(t *testing.T) {
 	s := ingestTiered(t, 4, 1, TierPolicy{})
-	want := tierFingerprint(t, s)
+	want := tierViewOf(s)
 	if err := s.EnableTiering(TierPolicy{Dir: t.TempDir(), SegmentPackets: 512}); err != nil {
 		t.Fatal(err)
 	}
-	cut := want.scan[len(want.scan)/2].TS
+	rows := s.packetsBetween(0, -1)
+	cut := rows[len(rows)/2].TS
 	evicted := s.EvictBefore(cut)
 	if evicted == 0 {
 		t.Fatal("EvictBefore sealed nothing")
@@ -291,17 +281,20 @@ func TestEvictBeforeSealAware(t *testing.T) {
 	if st.ColdPackets == 0 {
 		t.Fatal("seal-aware eviction left the cold tier empty")
 	}
-	compareTierPrints(t, "evict-before", want, tierFingerprint(t, s))
+	if d := want.diff(s); d != "" {
+		t.Fatalf("evict-before: %s", d)
+	}
 }
 
 // TestRetainColdDropsHistory: retention deletes whole cold segments (and
-// the flows that ended inside them) once they age out.
+// the flows that ended inside them, with their index charge) once they age
+// out.
 func TestRetainColdDropsHistory(t *testing.T) {
 	s := ingestTiered(t, 4, 1, aggressiveTier(t.TempDir()))
 	if _, err := s.sealHot(0); err != nil { // everything cold
 		t.Fatal(err)
 	}
-	pre := s.TierStats()
+	pre, preStats := s.TierStats(), s.Stats()
 	if pre.Segments < 2 {
 		t.Fatalf("need several segments, got %d", pre.Segments)
 	}
@@ -312,6 +305,11 @@ func TestRetainColdDropsHistory(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Fatal("retention dropped nothing")
+	}
+	postStats := s.Stats()
+	lost := preStats.Flows - postStats.Flows
+	if got := preStats.IndexBytes - postStats.IndexBytes; lost == 0 || got != flowIndexBytes*lost {
+		t.Fatalf("retention dropped %d flows and released %d index bytes, want %d per flow", lost, got, flowIndexBytes)
 	}
 	post := s.TierStats()
 	if post.Segments != pre.Segments-dropped || post.ColdPackets >= pre.ColdPackets {
@@ -413,12 +411,12 @@ func TestRetainedFlowsMatchUntieredEviction(t *testing.T) {
 // compaction merges them toward the size target without changing results.
 func TestCompactTierMergesSmallSegments(t *testing.T) {
 	s := ingestTiered(t, 4, 1, TierPolicy{})
-	want := tierFingerprint(t, s)
+	want := tierViewOf(s)
 	if err := s.EnableTiering(TierPolicy{Dir: t.TempDir(), SegmentPackets: 1024, MinSealPackets: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Seal in thin slices: each sealHot call moves ~total/8 packets.
-	total := want.total
+	total := s.Stats().Packets
 	for keep := total * 7 / 8; ; keep -= total / 8 {
 		if _, err := s.sealHot(keep); err != nil {
 			t.Fatal(err)
@@ -445,7 +443,9 @@ func TestCompactTierMergesSmallSegments(t *testing.T) {
 	if post.ColdPackets != pre.ColdPackets {
 		t.Fatalf("compaction changed cold packet count: %d -> %d", pre.ColdPackets, post.ColdPackets)
 	}
-	compareTierPrints(t, "post-compact", want, tierFingerprint(t, s))
+	if d := want.diff(s); d != "" {
+		t.Fatalf("post-compact: %s", d)
+	}
 }
 
 // TestTieredDurableRecovery: a durable store with tiering survives a clean
@@ -487,7 +487,7 @@ func TestTieredDurableRecovery(t *testing.T) {
 	if st.TierStats().Segments == 0 {
 		t.Fatal("no segments before crash point")
 	}
-	want := tierFingerprint(t, st)
+	want := tierViewOf(st)
 	if err := st.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,9 @@ func TestTieredDurableRecovery(t *testing.T) {
 	if rs.SnapshotPackets == 0 || rs.WALPackets == 0 {
 		t.Fatalf("recovery should combine snapshot and WAL: %+v", rs)
 	}
-	compareTierPrints(t, "recovered", want, tierFingerprint(t, rec))
+	if d := want.diff(rec); d != "" {
+		t.Fatalf("recovered: %s", d)
+	}
 
 	// Recover once more at a different shard count: reshard must preserve
 	// the IDs cold segments reference.
@@ -512,7 +514,9 @@ func TestTieredDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec2.CloseWAL()
-	compareTierPrints(t, "recovered-resharded", want, tierFingerprint(t, rec2))
+	if d := want.diff(rec2); d != "" {
+		t.Fatalf("recovered-resharded: %s", d)
+	}
 }
 
 // TestTierCorruptSegmentDegradesLoudly: bit rot in a segment file must

@@ -423,7 +423,7 @@ func replaySegment(fsys faults.FS, path string, wantSeq uint64, scratch *[]byte,
 // the first corruption or gap (reporting clean=false) and never panics;
 // the applied records are always a prefix of the record stream appended
 // from that segment on. A missing segment from > 0 is an error wrapping
-// ErrBadSnapshot: the checkpoint that names it cannot be completed.
+// errBadSnapshot: the checkpoint that names it cannot be completed.
 func ReplayWALFrom(dir string, from uint64, apply func(frames []traffic.Frame, links []uint16)) (records uint64, clean bool, err error) {
 	stop, _, err := replayWALFrom(faults.OS, dir, from, func(uint64) {}, func(frames []traffic.Frame, links []uint16) {
 		apply(frames, links)
@@ -446,7 +446,7 @@ func replayWALFrom(fsys faults.FS, dir string, from uint64, seg func(seq uint64)
 	}
 	seqs = seqs[sort.Search(len(seqs), func(i int) bool { return seqs[i] >= from }):]
 	if from > 0 && (len(seqs) == 0 || seqs[0] != from) {
-		return 0, 0, fmt.Errorf("%w: wal segment %s at the replay position is missing", ErrBadSnapshot, filepath.Join(dir, segName(from)))
+		return 0, 0, fmt.Errorf("%w: wal segment %s at the replay position is missing", errBadSnapshot, filepath.Join(dir, segName(from)))
 	}
 	var scratch []byte // one read buffer for every record
 	for i, seq := range seqs {

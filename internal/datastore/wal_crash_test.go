@@ -2,7 +2,6 @@ package datastore
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -114,8 +113,8 @@ func TestWALCrashKill9(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(storeBytes(t, st), storeBytes(t, ref)) {
-		t.Fatal("recovered store diverged from the acked prefix")
+	if d := surfaceOf(ref).diff(st); d != "" {
+		t.Fatal("recovered store diverged from the acked prefix: " + d)
 	}
 }
 
@@ -184,7 +183,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 func TestWALCrashEnumeration(t *testing.T) {
 	const dir, batches = "/data", 12
 	cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: 2, SegmentBytes: 600}
-	rebuilt := make([][]byte, batches+1)
+	rebuilt := make([]storeSurface, batches+1)
 	for n := range rebuilt {
 		ref := NewSharded(2)
 		for i := 0; i < n; i++ {
@@ -192,7 +191,7 @@ func TestWALCrashEnumeration(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rebuilt[n] = storeBytes(t, ref)
+		rebuilt[n] = surfaceOf(ref)
 	}
 	for _, leg := range []struct {
 		name string
@@ -243,8 +242,8 @@ func TestWALCrashEnumeration(t *testing.T) {
 					if got%5 != 0 || got/5 < uint64(acked) || got/5 > uint64(min(acked+1, batches)) {
 						t.Fatalf("%s: recovered %d packets", name, got)
 					}
-					if !bytes.Equal(storeBytes(t, st), rebuilt[got/5]) {
-						t.Fatalf("%s: recovered store diverged from the first %d batches", name, got/5)
+					if d := rebuilt[got/5].diff(st); d != "" {
+						t.Fatalf("%s: recovered store diverged from the first %d batches: %s", name, got/5, d)
 					}
 				}
 			}
@@ -337,7 +336,7 @@ func TestCheckpointDirFailsTyped(t *testing.T) {
 		for k := 1; k <= n; k++ {
 			name := fmt.Sprintf("%v at operation %d of %d", errno, k, n)
 			mfs, st := setup()
-			ref := storeBytes(t, st)
+			ref := surfaceOf(st)
 			mfs.failOp("", "", k, errno)
 			err := st.CheckpointDir(dir)
 			if err != nil && !errors.Is(err, errno) {
@@ -346,8 +345,8 @@ func TestCheckpointDirFailsTyped(t *testing.T) {
 			if err := st.WALStats().Err; err != nil {
 				t.Fatalf("%s: the checkpoint wedged the log: %v", name, err)
 			}
-			if got := storeBytes(t, st); !bytes.Equal(got, ref) {
-				t.Fatalf("%s: the checkpoint changed the store", name)
+			if d := ref.diff(st); d != "" {
+				t.Fatalf("%s: the checkpoint changed the store: %s", name, d)
 			}
 			acked := 8
 			for ; acked < 12; acked++ {
@@ -371,8 +370,8 @@ func TestCheckpointDirFailsTyped(t *testing.T) {
 						ref.EvictBefore(5 * time.Millisecond)
 					}
 				}
-				if !bytes.Equal(storeBytes(t, rec), storeBytes(t, ref)) {
-					t.Fatalf("%s, %s: recovered %d packets, not exactly the %d acked batches", name, mode, rec.Stats().Packets, acked)
+				if d := surfaceOf(ref).diff(rec); d != "" {
+					t.Fatalf("%s, %s: recovered %d packets, not exactly the %d acked batches: %s", name, mode, rec.Stats().Packets, acked, d)
 				}
 				rec.CloseWAL()
 			}

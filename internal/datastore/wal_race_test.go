@@ -1,7 +1,6 @@
 package datastore
 
 import (
-	"bytes"
 	"runtime"
 	"sync"
 	"testing"
@@ -80,7 +79,7 @@ func TestConcurrentIngestCheckpointQuery(t *testing.T) {
 	if err := st.FlushWAL(); err != nil {
 		t.Fatal(err)
 	}
-	live := storeBytes(t, st)
+	live := surfaceOf(st)
 	st.CloseWAL() // crash: no final checkpoint
 
 	st2, _, err := Recover(DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4})
@@ -88,7 +87,7 @@ func TestConcurrentIngestCheckpointQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.CloseWAL()
-	if !bytes.Equal(live, storeBytes(t, st2)) {
-		t.Fatal("serial snapshot+WAL replay diverged from the concurrent store")
+	if d := live.diff(st2); d != "" {
+		t.Fatal("serial snapshot+WAL replay diverged from the concurrent store: " + d)
 	}
 }

@@ -339,16 +339,6 @@ func TestDecodeRecordNeverPanics(t *testing.T) {
 	}
 }
 
-// storeBytes serializes a store for byte-identical comparison.
-func storeBytes(t *testing.T, st *Store) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestRecoverReplaysAckedBatches(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: 4}
@@ -367,7 +357,7 @@ func TestRecoverReplaysAckedBatches(t *testing.T) {
 	if _, err := st.AddBatch(frames[32:], 1); err != nil {
 		t.Fatal(err)
 	}
-	ref := storeBytes(t, st)
+	ref := surfaceOf(st)
 	// No clean shutdown: the WAL alone must reconstruct the store.
 	if err := st.CloseWAL(); err != nil {
 		t.Fatal(err)
@@ -380,8 +370,8 @@ func TestRecoverReplaysAckedBatches(t *testing.T) {
 	if rs2.WALRecords != 2 || rs2.WALPackets != 64 || rs2.Torn {
 		t.Fatalf("recovery stats %+v", rs2)
 	}
-	if !bytes.Equal(ref, storeBytes(t, st2)) {
-		t.Fatal("recovered store differs from acknowledged state")
+	if d := ref.diff(st2); d != "" {
+		t.Fatal("recovered store differs from acknowledged state: " + d)
 	}
 	st2.CloseWAL()
 }
@@ -412,7 +402,7 @@ func TestRecoverSnapshotPlusWAL(t *testing.T) {
 	if ws := st.WALStats(); ws.Records != 2 {
 		t.Fatalf("WAL lag = %d records, want 2", ws.Records)
 	}
-	ref := storeBytes(t, st)
+	ref := surfaceOf(st)
 	st.CloseWAL()
 
 	st2, rs, err := Recover(cfg)
@@ -422,8 +412,8 @@ func TestRecoverSnapshotPlusWAL(t *testing.T) {
 	if rs.SnapshotPackets != 30 || rs.WALPackets != 30 {
 		t.Fatalf("recovery split %+v, want 30 + 30", rs)
 	}
-	if !bytes.Equal(ref, storeBytes(t, st2)) {
-		t.Fatal("snapshot+WAL recovery differs from acknowledged state")
+	if d := ref.diff(st2); d != "" {
+		t.Fatal("snapshot+WAL recovery differs from acknowledged state: " + d)
 	}
 	st2.CloseWAL()
 }
@@ -627,8 +617,8 @@ func TestRecoverAcrossCheckpointCut(t *testing.T) {
 				}
 			}
 			check := func(stage string, rec *Store) {
-				if !bytes.Equal(storeBytes(t, rec), storeBytes(t, ref)) {
-					t.Fatalf("%s, %s: recovered store differs from the reference", name, stage)
+				if d := surfaceOf(ref).diff(rec); d != "" {
+					t.Fatalf("%s, %s: recovered store differs from the reference: %s", name, stage, d)
 				}
 				if got, want := rec.Flows(), ref.Flows(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s, %s: flows differ:\n got %+v\nwant %+v", name, stage, got, want)
@@ -676,7 +666,7 @@ func TestRecoverAcrossCheckpointCut(t *testing.T) {
 // TestRecoverRefusesTrimmedWAL: the WAL segment at a checkpoint's replay
 // position holds rows the checkpoint counts. Deleted, cut short or
 // corrupted, it leaves the log ending below the checkpoint's cut, and
-// Recover refuses with an error wrapping ErrBadSnapshot that names the
+// Recover refuses with an error wrapping errBadSnapshot that names the
 // WAL — never a store quietly missing those rows.
 func TestRecoverRefusesTrimmedWAL(t *testing.T) {
 	const dir = "/data"
@@ -719,8 +709,8 @@ func TestRecoverRefusesTrimmedWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err = recoverOn(img, cfg)
-		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), dir) {
-			t.Errorf("WAL segment at the replay position %s: Recover = %v, want ErrBadSnapshot naming the WAL", damage, err)
+		if !errors.Is(err, errBadSnapshot) || !strings.Contains(err.Error(), dir) {
+			t.Errorf("WAL segment at the replay position %s: Recover = %v, want errBadSnapshot naming the WAL", damage, err)
 		}
 	}
 	// Undamaged, the same image recovers.
@@ -755,8 +745,8 @@ func TestCheckpointFlushesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.CloseWAL()
-	if rs.SnapshotPackets != 24 || !bytes.Equal(storeBytes(t, rec), storeBytes(t, st)) {
-		t.Fatalf("power cut after a checkpoint: recovered %+v, not the checkpointed store", rs)
+	if d := surfaceOf(st).diff(rec); rs.SnapshotPackets != 24 || d != "" {
+		t.Fatalf("power cut after a checkpoint: recovered %+v, not the checkpointed store: %s", rs, d)
 	}
 }
 
@@ -805,8 +795,8 @@ func TestRecoverTornWALIsPrefix(t *testing.T) {
 	// The recovered store matches a reference built from the same prefix.
 	ref := NewSharded(2)
 	ref.addBatch(frames[:30], nil, 1)
-	if !bytes.Equal(storeBytes(t, ref), storeBytes(t, st2)) {
-		t.Fatal("torn recovery is not the acknowledged prefix")
+	if d := surfaceOf(ref).diff(st2); d != "" {
+		t.Fatal("torn recovery is not the acknowledged prefix: " + d)
 	}
 	st2.CloseWAL()
 }
@@ -849,7 +839,7 @@ func TestRecoverTornThenCrashAgain(t *testing.T) {
 	if _, err := st2.AddBatch(frames[30:], 1); err != nil {
 		t.Fatal(err)
 	}
-	ref := storeBytes(t, st2)
+	ref := surfaceOf(st2)
 	st2.CloseWAL()
 
 	st3, rs3, err := Recover(cfg)
@@ -862,8 +852,8 @@ func TestRecoverTornThenCrashAgain(t *testing.T) {
 	if got := st3.Stats().Packets; got != 60 {
 		t.Fatalf("packets after second crash = %d, want 60 (acked loss!)", got)
 	}
-	if !bytes.Equal(ref, storeBytes(t, st3)) {
-		t.Fatal("second recovery differs from acknowledged state")
+	if d := ref.diff(st3); d != "" {
+		t.Fatal("second recovery differs from acknowledged state: " + d)
 	}
 	st3.CloseWAL()
 }
@@ -920,8 +910,8 @@ func TestRecoverCorruptMidLogThenCrashAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.CloseWAL()
-	if rs3.Torn || !bytes.Equal(storeBytes(t, st3), storeBytes(t, ref)) {
-		t.Fatalf("second recovery %+v (%d packets) is not the prefix plus the batches acked after it", rs3, st3.Stats().Packets)
+	if d := surfaceOf(ref).diff(st3); rs3.Torn || d != "" {
+		t.Fatalf("second recovery %+v (%d packets) is not the prefix plus the batches acked after it: %s", rs3, st3.Stats().Packets, d)
 	}
 }
 
@@ -1039,7 +1029,7 @@ func checkpointCrashMidTruncate(t *testing.T, unlink int) {
 	if after, _ := listSegments(mfs, dir); len(after) != len(before)-(unlink-1) || len(after) < 3 {
 		t.Fatalf("segments %v before the checkpoint, %v after; want %d removed of several", before, after, unlink-1)
 	}
-	ref := storeBytes(t, st)
+	ref := surfaceOf(st)
 
 	img := mfs.crash(crashKill)
 	st2, rs, err := recoverOn(img, cfg)
@@ -1052,21 +1042,21 @@ func checkpointCrashMidTruncate(t *testing.T, unlink int) {
 	if got := st2.Stats().Packets; got != 20 {
 		t.Fatalf("packets = %d, want 20", got)
 	}
-	if !bytes.Equal(ref, storeBytes(t, st2)) {
-		t.Fatal("recovered store diverged from the acknowledged stream")
+	if d := ref.diff(st2); d != "" {
+		t.Fatal("recovered store diverged from the acknowledged stream: " + d)
 	}
 	// New batches acked after the interrupted checkpoint survive the next
 	// crash, above the cut.
 	if _, err := st2.AddBatch(walFrames(10, 41), 1); err != nil {
 		t.Fatal(err)
 	}
-	ref2 := storeBytes(t, st2)
+	ref2 := surfaceOf(st2)
 	st3, rs3, err := recoverOn(img.crash(crashPowerLoss), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs3.WALPackets != 10 || !bytes.Equal(ref2, storeBytes(t, st3)) {
-		t.Fatalf("post-crash batches lost (%+v)", rs3)
+	if d := ref2.diff(st3); rs3.WALPackets != 10 || d != "" {
+		t.Fatalf("post-crash batches lost (%+v): %s", rs3, d)
 	}
 	st3.CloseWAL()
 }
@@ -1074,24 +1064,25 @@ func checkpointCrashMidTruncate(t *testing.T, unlink int) {
 func TestRecoverRefusesLegacySnapshot(t *testing.T) {
 	// Checkpoints this build no longer reads: a bare snapshot.clds,
 	// written before checkpoints were stamped, stamped checkpoints in
-	// snapshot versions 3, 4 and 5, and a v6 export, whose rows are in no
-	// WAL. Recover must say so rather than start an empty store over
-	// checkpointed data, and touch none of them.
+	// snapshot versions 3 to 6, and a v7 header with no replay position,
+	// whose rows are in no WAL. Recover must say so rather than start an
+	// empty store over checkpointed data, and touch none of them.
 	st := NewSharded(2)
 	st.addBatch(walFrames(16, 37), nil, 1)
 	for name, snap := range map[string][]byte{
-		bareSnapshot: storeBytes(t, st),
+		bareSnapshot: checkpointBytes(t, st),
 		snapName(7):  formatFixture(t, "snapshot-v3.clds"),
 		snapName(4):  formatFixture(t, "snapshot-v4-untiered.clds"),
 		snapName(5):  formatFixture(t, "snapshot-v5-checkpoint.clds"),
-		snapName(1):  storeBytes(t, st),
+		snapName(6):  formatFixture(t, "snapshot-v6-checkpoint.clds"),
+		snapName(1):  handSnapshot([8]uint64{0, 0, 16, 16, 0, 0, 0, 0}),
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, name), snap, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Recover(DurableConfig{Dir: dir, Shards: 2}); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("Recover over %s: err = %v, want ErrBadSnapshot", name, err)
+		if _, _, err := Recover(DurableConfig{Dir: dir, Shards: 2}); !errors.Is(err, errBadSnapshot) {
+			t.Fatalf("Recover over %s: err = %v, want errBadSnapshot", name, err)
 		}
 		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, snap) {
 			t.Fatalf("refused recovery touched %s: %v", name, err)
@@ -1110,7 +1101,7 @@ func TestRecoverRefusesLegacySnapshot(t *testing.T) {
 	if _, err := durable.AddBatch(walFrames(16, 37), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveFile(filepath.Join(dir, bareSnapshot)); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, bareSnapshot), checkpointBytes(t, st), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := durable.CheckpointDir(dir); err != nil {
@@ -1122,8 +1113,8 @@ func TestRecoverRefusesLegacySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.CloseWAL()
-	if rs.SnapshotPackets != 16 || !bytes.Equal(storeBytes(t, st), storeBytes(t, st2)) {
-		t.Fatalf("stamped checkpoint beside a legacy file recovered %d packets", rs.SnapshotPackets)
+	if d := surfaceOf(st).diff(st2); rs.SnapshotPackets != 16 || d != "" {
+		t.Fatalf("stamped checkpoint beside a legacy file recovered %d packets: %s", rs.SnapshotPackets, d)
 	}
 }
 

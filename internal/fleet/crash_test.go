@@ -98,7 +98,7 @@ func TestCrashMidBatchDurability(t *testing.T) {
 	if got := st.Stats().Packets; got != batches*perBatch {
 		t.Fatalf("store has %d packets, want %d", got, batches*perBatch)
 	}
-	live := storeFingerprint(st)
+	live := st.Digest()
 
 	// Crash: detach the WAL without a checkpoint and recover from disk.
 	if err := st.CloseWAL(); err != nil {
@@ -112,7 +112,7 @@ func TestCrashMidBatchDurability(t *testing.T) {
 	if rs2.Torn {
 		t.Fatalf("recovery reports torn log: %+v", rs2)
 	}
-	if got := storeFingerprint(st2); got != live {
+	if got := st2.Digest(); got != live {
 		t.Fatal("recovered store differs from acked live store")
 	}
 }

@@ -2,9 +2,6 @@ package fleet_test
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -58,28 +55,6 @@ func startServer(t testing.TB, st *datastore.Store, cfg fleet.ServerConfig) stri
 	return ln.Addr().String()
 }
 
-// storeFingerprint hashes the store's full ordered content: every packet's
-// identity, ordering, labels, and raw bytes.
-func storeFingerprint(st *datastore.Store) string {
-	h := sha256.New()
-	var buf [8]byte
-	st.Scan(func(p *datastore.StoredPacket) bool {
-		binary.LittleEndian.PutUint64(buf[:], uint64(p.ID))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], uint64(p.TS))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint16(buf[:2], p.Link)
-		a := byte(0)
-		if p.Actor {
-			a = 1
-		}
-		h.Write([]byte{buf[0], buf[1], byte(p.Label), a})
-		h.Write(p.Data)
-		return true
-	})
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
 // TestStreamMatchesLocalIngest is the transport-transparency contract:
 // frames streamed over TCP land a byte-identical store to the same frames
 // ingested in process, at any shard/worker combination.
@@ -113,8 +88,8 @@ func TestStreamMatchesLocalIngest(t *testing.T) {
 			}
 			cl.Close()
 
-			if lf, rf := storeFingerprint(local), storeFingerprint(remote); lf != rf {
-				t.Fatalf("shards=%d workers=%d: TCP store differs from local (%s vs %s)", shards, workers, lf, rf)
+			if lf, rf := local.Digest(), remote.Digest(); lf != rf {
+				t.Fatalf("shards=%d workers=%d: TCP store differs from local (digest %x vs %x)", shards, workers, lf, rf)
 			}
 		}
 	}

@@ -15,13 +15,12 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// The three containers that carry packet records — a WAL record, a fleet
-// batch and a snapshot's packet block — share one record parser, so one
-// malformed record gets one verdict. Every checksum below is recomputed
-// over the malformed bytes: the only thing wrong is the field (or the
-// count, or the tail) under test. At PR 17 the label and actor rows
-// replayed from the WAL and loaded from the snapshot; only the fleet
-// refused them.
+// The two containers that carry packet records — a WAL record and a fleet
+// batch — share one record parser, so one malformed record gets one
+// verdict. Every checksum below is recomputed over the malformed bytes: the
+// only thing wrong is the field (or the count, or the tail) under test.
+// Before the parser was shared, the label and actor rows replayed from the
+// WAL; only the fleet refused them.
 
 func goodFrames() []traffic.Frame {
 	frames := make([]traffic.Frame, 3)
@@ -34,21 +33,6 @@ func goodFrames() []traffic.Frame {
 		}
 	}
 	return frames
-}
-
-// snapshotOf wraps a record list as the one packet block of a v6 export
-// whose header claims the list's count, no events, no flows, base ID 0, a
-// cut ID past the list, a TS watermark of last and no replay position.
-func snapshotOf(list []byte, last time.Duration) []byte {
-	le := binary.LittleEndian
-	b := le.AppendUint16([]byte("CLDS"), 6)
-	n := uint64(le.Uint32(list))
-	var header []byte
-	for _, v := range []uint64{n, 0, 0, 0, n, uint64(last), 0, 0, 0} {
-		header = le.AppendUint64(header, v)
-	}
-	b = frame.AppendBlock(b, header)
-	return frame.AppendBlock(b, list)
 }
 
 func TestOneRecordOneVerdict(t *testing.T) {
@@ -122,15 +106,6 @@ func TestOneRecordOneVerdict(t *testing.T) {
 			}
 			if clean != tc.ok || records != wantRecords || !reflect.DeepEqual(replayed[0], prefix) {
 				t.Errorf("WAL replay: %d records, clean=%v; want %d, clean=%v, the acked batch first", records, clean, wantRecords, tc.ok)
-			}
-
-			// Snapshot: the same list as its packet block.
-			st, err := datastore.Load(bytes.NewReader(snapshotOf(tc.list, prefix[2].TS)))
-			if (err == nil) != tc.ok || (err != nil && !errors.Is(err, datastore.ErrBadSnapshot)) {
-				t.Errorf("datastore.Load: %v", err)
-			}
-			if tc.ok && st.Stats().Packets != 3 {
-				t.Errorf("loaded %d packets, want 3", st.Stats().Packets)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // The data store itself never leaves the campus (§3), but §5 anticipates
@@ -38,7 +39,8 @@ func (b *ReleaseBudget) Remaining() float64 { return b.epsilonTotal - b.spent }
 
 // ReleaseHistogram releases a histogram under one epsilon charge: the
 // buckets partition the data, so parallel composition applies and each
-// bucket gets the full epsilon.
+// bucket gets the full epsilon. Buckets draw their noise in key order, so
+// one seed gives each bucket the same noise on every run.
 func (b *ReleaseBudget) ReleaseHistogram(counts map[string]float64, sensitivity, epsilon float64) (map[string]float64, error) {
 	if epsilon <= 0 || sensitivity <= 0 {
 		return nil, fmt.Errorf("privacy: epsilon and sensitivity must be positive")
@@ -48,8 +50,13 @@ func (b *ReleaseBudget) ReleaseHistogram(counts map[string]float64, sensitivity,
 	}
 	b.spent += epsilon
 	out := make(map[string]float64, len(counts))
-	for k, v := range counts {
-		n := v + b.laplace(sensitivity/epsilon)
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		n := counts[k] + b.laplace(sensitivity/epsilon)
 		if n < 0 {
 			n = 0
 		}

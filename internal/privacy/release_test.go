@@ -1,7 +1,9 @@
 package privacy
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -104,5 +106,33 @@ func TestReleaseValidation(t *testing.T) {
 	}
 	if _, err := b.ReleaseHistogram(nil, 1, 0); err == nil {
 		t.Error("zero epsilon histogram accepted")
+	}
+}
+
+// TestReleaseHistogramSeedDeterministic: one seed gives every bucket the
+// same noise on every run. The noise is drawn in key order, not in map
+// order, which Go randomizes: twenty buckets released fifty times would
+// all but surely see two orders.
+func TestReleaseHistogramSeedDeterministic(t *testing.T) {
+	counts := make(map[string]float64)
+	for i := 0; i < 20; i++ {
+		counts[fmt.Sprintf("class-%02d", i)] = float64(100 * i)
+	}
+	release := func() map[string]float64 {
+		b, err := NewReleaseBudget(1, 68)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := b.ReleaseHistogram(counts, 1, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := release()
+	for run := 0; run < 50; run++ {
+		if got := release(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: the same seed released %v, then %v", run, want, got)
+		}
 	}
 }

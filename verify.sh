@@ -141,7 +141,7 @@ gate_names "$RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRe
     TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
 echo "    key table (seal's postings == the decoded index column; hot, cold and keyVal/keyFlags agree on every key; README field table == compiler)"
 gate_names "$RACE" ./internal/datastore TestBuildSegPostingsMatchesDecodeIndex TestHotAndColdIndexTheSameKeys TestFilterDocListsEveryField
-echo "    crash recovery (a crash after any file operation of ingest or of a checkpoint mid-stream, under kill, power loss or a torn write, and kill -9 mid-ingest lose nothing acked; a fresh directory survives power loss; a failed checkpoint is typed, never wedges the log and loses nothing; a checkpoint flushes the log; eviction, seals and the checkpoint's cut renumber nothing and count every flow once; a log trimmed past the checkpoint is refused; a torn log is repaired; flows tied on time and hash reload; v2 to v5 snapshots are refused)"
+echo "    crash recovery (a crash after any file operation of ingest or of a checkpoint mid-stream, under kill, power loss or a torn write, and kill -9 mid-ingest lose nothing acked; a fresh directory survives power loss; a failed checkpoint is typed, never wedges the log and loses nothing; a checkpoint flushes the log; eviction, seals and the checkpoint's cut renumber nothing and count every flow once; a log trimmed past the checkpoint is refused; a torn log is repaired; flows tied on time and hash reload; v2 to v6 snapshots are refused)"
 gate_names "$RACE" ./internal/datastore TestWALCrashEnumeration TestWALCrashEnumeration/checkpoint-midstream TestWALCrashKill9 TestRecoverFreshDirPowerLoss \
     TestCheckpointDirFailsTyped TestCrashMidSaveLeavesOldSnapshot TestRecoverTornThenCrashAgain TestConcurrentIngestCheckpointQuery \
     TestRecoverAfterEviction TestRecoverTwinFlows TestRecoverRefusesLegacySnapshot TestRecoverAcrossCheckpointCut \
