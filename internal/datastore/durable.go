@@ -42,6 +42,10 @@ import (
 // The cost is the log it keeps: WAL disk usage grows to the hot set, and
 // an untiered store that never evicts keeps its whole WAL.
 
+// errCheckpointDir refuses a checkpoint into a directory other than the
+// attached log's.
+var errCheckpointDir = errors.New("datastore: checkpoint: not the WAL's directory")
+
 // snapSuffix ends every checkpoint file name.
 const snapSuffix = ".clds"
 
@@ -286,13 +290,20 @@ func (s *Store) FlushWAL() error {
 // file operation returns its error (errors.Is finds the errno) and never
 // wedges the log: before the rename nothing has changed, and after it both
 // checkpoints are valid starting points. A store without a log has no
-// checkpoint: the log holds its hot rows.
+// checkpoint: the log holds its hot rows. dir must be the log's own
+// directory (errCheckpointDir otherwise, before any file operation): the
+// truncation is of that log, and a checkpoint anywhere else would leave
+// the log's directory with segments gone that no checkpoint beside them
+// covers.
 func (s *Store) CheckpointDir(dir string) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	w := s.wal.Load()
 	if w == nil {
 		return errors.New("datastore: checkpoint: no WAL attached (a checkpoint's hot rows are its WAL)")
+	}
+	if filepath.Clean(dir) != filepath.Clean(w.cfg.Dir) {
+		return fmt.Errorf("%w: %s, the log is in %s", errCheckpointDir, dir, w.cfg.Dir)
 	}
 	_, stamp, _, err := findSnapshot(s.fsys, dir)
 	if err != nil && !errors.Is(err, errBadSnapshot) {

@@ -31,7 +31,9 @@ import (
 // current code and re-encodes it; every byte must come back. A deliberate
 // format change bumps a version and adds fixtures, it does not regenerate
 // these. The v2 to v6 snapshots and seg-v1.clsg stay as fixtures a retired
-// format must be refused on.
+// format must be refused on. seg-v2-deflate.clsg is the pinned segment's
+// rows as internal/deflate's writer encodes them: the same format, other
+// DEFLATE streams, since compress/flate wrote the first.
 
 func formatFixture(t testing.TB, name ...string) []byte {
 	t.Helper()
@@ -122,9 +124,14 @@ func TestFormatSnapshotsPinned(t *testing.T) {
 	})
 }
 
+// TestFormatSegmentAndManifestPinned: the pinned segment was written with
+// compress/flate at level 4, so only its data blocks' streams are that
+// encoder's. It still decodes to its 40 rows, its header and every other
+// column re-encode byte for byte, and seg-v2-deflate.clsg pins the whole
+// segment internal/deflate writes for those rows.
 func TestFormatSegmentAndManifestPinned(t *testing.T) {
-	want := formatFixture(t, "tier", tierSegName(0))
-	rows, err := decodeSegmentRows(want)
+	pinned := formatFixture(t, "tier", tierSegName(0))
+	rows, err := decodeSegmentRows(pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +139,24 @@ func TestFormatSegmentAndManifestPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 40 || !bytes.Equal(got, want) {
+	if want := formatFixture(t, "seg-v2-deflate.clsg"); len(rows) != 40 || !bytes.Equal(got, want) {
 		t.Fatalf("%d rows; re-encoded segment differs from the pinned one", len(rows))
+	}
+	was, err := parseSegment(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := parseSegment(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:segHeaderSize], pinned[:segHeaderSize]) {
+		t.Error("re-encoded header differs from the pinned one")
+	}
+	for id := segColIDs; id <= segNumCols; id++ {
+		if id != segColData && !bytes.Equal(now.cols[id], was.cols[id]) {
+			t.Errorf("re-encoded column %d differs from the pinned one", id)
+		}
 	}
 
 	wantManifest := formatFixture(t, "tier", tierManifestName)

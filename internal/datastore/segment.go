@@ -2,16 +2,14 @@ package datastore
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
+	"campuslab/internal/deflate"
 	"campuslab/internal/frame"
 	"campuslab/internal/inflate"
 	"campuslab/internal/parallel"
@@ -441,58 +439,44 @@ func (sb *segBlob) decodeDict() (*segDict, error) {
 	return d, nil
 }
 
-// segDeflateLevel is the writer's DEFLATE level, picked by measurement
-// (DESIGN.md §14 "Sealing"): against flate.DefaultCompression (6) it
-// leaves cold bytes per packet within 0.1% on both tiered benchmark
-// workloads at half the match-search cost; BestSpeed costs +2.6% bytes.
-const segDeflateLevel = 4
-
-// deflatePool recycles block encoders: a flate.Writer carries ~1 MiB of
-// match tables, and a seal needs one per worker per segment. Writers are
-// Reset before every block.
-var deflatePool = sync.Pool{
-	New: func() any {
-		fw, err := flate.NewWriter(io.Discard, segDeflateLevel)
-		if err != nil {
-			panic(err) // the level is a valid constant
-		}
-		return fw
-	},
-}
-
 // deflateBlocks compresses the rows' packet bytes as independent
-// segBlockRows-row DEFLATE streams, returning each block's compressed
-// length and the streams as a few buffers whose concatenation is block
-// order. Contiguous block ranges fan out across GOMAXPROCS workers; every
-// block starts from a Reset writer and lands at a position fixed by its
-// index, so the bytes are the same at any worker count.
-func deflateBlocks(rows []StoredPacket) (streams [][]byte, compLens []int, err error) {
+// segBlockRows-row DEFLATE streams (internal/deflate, one call per block
+// over the block's rows copied into a per-worker buffer), returning each
+// block's compressed length and the streams as a few buffers whose
+// concatenation is block order. Contiguous block ranges fan out across
+// GOMAXPROCS workers; a block's stream depends only on its bytes and lands
+// at a position fixed by its index, so the bytes are the same at any
+// worker count.
+func deflateBlocks(rows []StoredPacket) (streams [][]byte, compLens []int) {
 	nblocks := (len(rows) + segBlockRows - 1) / segBlockRows
 	compLens = make([]int, nblocks)
 	nparts := min(parallel.Workers(0), nblocks)
 	per := (nblocks + nparts - 1) / nparts
 	streams = make([][]byte, nparts)
-	errs := make([]error, nparts)
 	parallel.For(nparts, 0, func(p int) {
-		var buf bytes.Buffer
-		fw := deflatePool.Get().(*flate.Writer)
-		defer deflatePool.Put(fw)
+		// Sized once: raw for the range's largest block, buf for its
+		// streams at 16:1 (it grows if they need more).
+		rawMax, rawSum := 0, 0
 		for b := p * per; b < min((p+1)*per, nblocks); b++ {
-			start := buf.Len()
-			fw.Reset(&buf)
+			n := 0
 			for i := b * segBlockRows; i < min((b+1)*segBlockRows, len(rows)); i++ {
-				if _, errs[p] = fw.Write(rows[i].Data); errs[p] != nil {
-					return
-				}
+				n += len(rows[i].Data)
 			}
-			if errs[p] = fw.Close(); errs[p] != nil {
-				return
-			}
-			compLens[b] = buf.Len() - start
+			rawMax, rawSum = max(rawMax, n), rawSum+n
 		}
-		streams[p] = buf.Bytes()
+		raw, buf := make([]byte, 0, rawMax), make([]byte, 0, rawSum/16+64)
+		for b := p * per; b < min((p+1)*per, nblocks); b++ {
+			raw = raw[:0]
+			for i := b * segBlockRows; i < min((b+1)*segBlockRows, len(rows)); i++ {
+				raw = append(raw, rows[i].Data...)
+			}
+			start := len(buf)
+			buf = deflate.Append(buf, raw)
+			compLens[b] = len(buf) - start
+		}
+		streams[p] = buf
 	})
-	return streams, compLens, errors.Join(errs...)
+	return streams, compLens
 }
 
 // encodeSegment serializes one (TS, ID)-sorted, strictly increasing row
@@ -549,10 +533,7 @@ func encodeSegment(rows []StoredPacket) ([]byte, segMeta, error) {
 			act[i/8] |= 1 << (i % 8)
 		}
 	}
-	streams, compLens, err := deflateBlocks(rows)
-	if err != nil {
-		return nil, meta, err
-	}
+	streams, compLens := deflateBlocks(rows)
 	// Sized once: three header uvarints, a length per row and per block
 	// (at most 5 bytes each), then the streams.
 	size := 3*binary.MaxVarintLen64 + 5*(n+len(compLens))

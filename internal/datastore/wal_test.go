@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -977,6 +978,71 @@ func TestCheckpointRefusedOnWedgedWAL(t *testing.T) {
 		t.Fatal("acked a batch the wedged WAL never logged")
 	}
 	st.CloseWAL()
+}
+
+// TestCheckpointDirRefusesOtherDir: a checkpoint truncates the attached
+// log, so one published anywhere but beside it would leave the log's
+// directory with segments gone that no checkpoint there covers, and the
+// next Recover would renumber the survivors from ID 0. It is refused
+// before any file operation: every segment stays, nothing is written to
+// the other directory, and the log recovers to the same store.
+func TestCheckpointDirRefusesOtherDir(t *testing.T) {
+	dir, other, copied := t.TempDir(), t.TempDir(), t.TempDir()
+	cfg := DurableConfig{Dir: dir, Fsync: FsyncAlways, Shards: 2, SegmentBytes: 600}
+	st, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := st.AddBatch(walFrames(5, i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := st.EvictBefore(20 * time.Millisecond); n != 40 {
+		t.Fatalf("evicted %d packets, want 40", n)
+	}
+	segs, err := listSegments(faults.OS, dir)
+	if err != nil || len(segs) != 3 {
+		t.Fatalf("%d WAL segments (%v), want 3", len(segs), err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(copied, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, _, err := Recover(DurableConfig{Dir: copied, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.CloseWAL()
+	for _, d := range []string{other, filepath.Join(dir, "sub"), dir + "/../" + filepath.Base(other)} {
+		if err := st.CheckpointDir(d); !errors.Is(err, errCheckpointDir) {
+			t.Fatalf("CheckpointDir(%s) = %v, want errCheckpointDir", d, err)
+		}
+	}
+	if ents, _ := os.ReadDir(other); len(ents) != 0 {
+		t.Fatalf("the refused checkpoint wrote %d files into the other directory", len(ents))
+	}
+	if got, _ := listSegments(faults.OS, dir); !slices.Equal(got, segs) {
+		t.Fatalf("WAL segments %v after the refused checkpoint, want %v", got, segs)
+	}
+	st.CloseWAL()
+	rec, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.CloseWAL()
+	if rec.Digest() != ref.Digest() {
+		t.Fatalf("the log recovers to another store after the refused checkpoint: %s", surfaceOf(ref).diff(rec))
+	}
 }
 
 func TestCheckpointCrashBeforeTruncateNoDuplicates(t *testing.T) {

@@ -215,7 +215,7 @@ gate_bench 5x ./internal/datastore BenchmarkSelect BenchmarkCount
 echo "==> bench smoke (cold tier: seal, segment encode, hot vs cold segment query sweep, cache on/off Select and metadata-only Count, eviction)"
 gate_bench 2x ./internal/datastore BenchmarkSeal BenchmarkEncodeSegment BenchmarkSegmentQuery BenchmarkColdSelect BenchmarkColdCount BenchmarkEvictBefore
 
-echo "==> fuzz smoke (packet parser, labd dispatcher, filter parser, ensemble compiler, block + record codec, WAL replay, snapshot load, segment codec, fleet protocol)"
+echo "==> fuzz smoke (packet parser, labd dispatcher, filter parser, ensemble compiler, block + record codec, WAL replay, snapshot load, segment codec, block decoder and encoder, fleet protocol)"
 gate_fuzz 10s ./internal/packet FuzzParse
 gate_fuzz 5s ./cmd/labd FuzzDispatch
 gate_fuzz 5s ./internal/datastore FuzzParseFilter
@@ -225,6 +225,7 @@ gate_fuzz 5s ./internal/datastore FuzzWALReplay
 gate_fuzz 5s ./internal/datastore FuzzSnapshotLoad
 gate_fuzz 5s ./internal/datastore FuzzSegmentDecode
 gate_fuzz 5s ./internal/inflate FuzzInflate
+gate_fuzz 5s ./internal/deflate FuzzDeflate
 gate_fuzz 5s ./internal/fleet FuzzFleetFrame
 
 echo "==> fleet crash gate (torn mid-batch cut: all-or-nothing, retry never duplicates, acked == durable)"
