@@ -21,7 +21,7 @@ package dataplane
 // the integer fast path (thresholds floored onto the uint32 field domain,
 // structurally-identical subtrees and identical leaves deduplicated per
 // tree) and a float reference walk of the original thresholds, selected by
-// the same scan-path knob that covers the rule DAG (CAMPUSLAB_SCAN_PATH).
+// the same scan-path knob that covers the rule DAG (setScanOnly).
 //
 // In front of the integer walk sits the layout tree ensembles take on
 // match-action hardware: per-field range tables turn header values into a

@@ -364,22 +364,21 @@ func TestEnsembleInfoCopy(t *testing.T) {
 	}
 }
 
-// TestEnsembleScanKnob drives the ensemble path through the scan-path
-// environment knob and setScanOnly, demanding identical verdicts from the
-// reference walk.
+// TestEnsembleScanKnob drives the ensemble path through setScanOnly,
+// demanding identical verdicts from the reference walk.
 func TestEnsembleScanKnob(t *testing.T) {
 	forest, _, _, _ := trainPacketForest(t)
 	ep, err := CompileForestEnsemble(forest, features.PacketSchema, EnsembleConfig{DropClasses: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv(scanPathEnv, "1")
 	swScan := NewSwitch(DefaultResources())
+	swScan.setScanOnly(true)
 	if err := swScan.LoadEnsemble(ep); err != nil {
 		t.Fatal(err)
 	}
 	if !swScan.state.Load().ens.scan {
-		t.Fatalf("%s did not force the ensemble reference walk", scanPathEnv)
+		t.Fatal("setScanOnly(true) did not force the ensemble reference walk")
 	}
 	swFast := NewSwitch(DefaultResources())
 	swFast.setScanOnly(false)

@@ -491,13 +491,13 @@ func TestScanPathKnob(t *testing.T) {
 	rng := rand.New(rand.NewSource(408))
 	prog := randDisjointProgram(rng, 8)
 
-	t.Setenv(scanPathEnv, "1")
 	sw := NewSwitch(DefaultResources())
+	sw.setScanOnly(true)
 	if err := sw.Load(prog); err != nil {
 		t.Fatal(err)
 	}
 	if sw.compiled() {
-		t.Fatalf("%s must force the scan path", scanPathEnv)
+		t.Fatal("setScanOnly(true) must keep a load on the scan path")
 	}
 	sw.setScanOnly(false)
 	if !sw.compiled() {

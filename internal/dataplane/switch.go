@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,11 +17,6 @@ import (
 // table budget is exhausted — a permanent condition until entries are
 // removed; retrying without freeing space cannot succeed.
 var errTableFull = errors.New("dataplane: filter table full")
-
-// scanPathEnv, when set to a non-empty value, forces every switch created
-// afterwards onto the linear-scan reference path (no DAG compilation) —
-// the escape hatch for bisecting a suspected fast-path divergence.
-const scanPathEnv = "CAMPUSLAB_SCAN_PATH"
 
 // fieldVector is the per-packet header view the pipeline matches on.
 type fieldVector struct {
@@ -256,11 +250,10 @@ type Switch struct {
 	ctr *switchCounters
 }
 
-// NewSwitch creates a switch with the given resource budget. Setting the
-// CAMPUSLAB_SCAN_PATH environment variable forces the linear-scan
-// reference path (see also setScanOnly).
+// NewSwitch creates a switch with the given resource budget, on the
+// compiled fast path (setScanOnly moves it to the linear-scan reference).
 func NewSwitch(res Resources) *Switch {
-	sw := &Switch{res: res, scanOnly: os.Getenv(scanPathEnv) != "", ctr: newSwitchCounters()}
+	sw := &Switch{res: res, ctr: newSwitchCounters()}
 	sw.state.Store(&pipelineState{table: map[FilterKey]filterEntry{}})
 	return sw
 }

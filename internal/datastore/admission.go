@@ -69,9 +69,8 @@ var (
 )
 
 // SetAdmission installs (or, with the zero config, removes) the ingest
-// gate. Every acknowledged path enforces it: the batched front doors
-// (AddBatch and friends) directly, and the serial IngestFrame path by
-// routing through the same gate once a config is armed.
+// gate. Every acknowledged path enforces it: AddBatch, its siblings and
+// IngestFrame all go through the one ingest funnel, which admits first.
 func (s *Store) SetAdmission(cfg AdmissionConfig) {
 	if cfg.ShedAt <= 0 || cfg.ShedAt >= 1 {
 		cfg.ShedAt = 0.85
@@ -79,7 +78,6 @@ func (s *Store) SetAdmission(cfg AdmissionConfig) {
 	s.admissionMu.Lock()
 	s.admission = cfg
 	s.admissionMu.Unlock()
-	s.admissionOn.Store(cfg.enabled())
 }
 
 // admissionConfig snapshots the gate config.

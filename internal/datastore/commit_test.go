@@ -21,8 +21,8 @@ import (
 )
 
 // The two write-side seams: a checkpoint recovers at any shard count
-// through the batch path (replayBatch), and every registry change goes
-// through one commit (commitTier).
+// through the one ingest funnel (Store.ingest), and every registry change
+// goes through one commit (commitTier).
 
 // TestLoadAtShardCountMatchesDefaultLoad: a checkpoint holds the same
 // bytes at any shard count, and Recover rebuilds the same store from it and

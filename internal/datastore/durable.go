@@ -30,12 +30,12 @@ import (
 // watermark before it (walPos, noted in memory as each segment opens).
 //
 // Recover loads the newest checkpoint and replays the log from its
-// position through replayBatch: rows below the cut go back into the slabs
-// and postings without touching the checkpoint's flows, rows at or above
-// it apply normally, and the rows below the base are trimmed away again,
-// so every row gets its ID back and every flow counts it once. A log that
-// ends below the cut, or is missing the position's segment, is an error
-// wrapping errBadSnapshot, never a short store.
+// position through the ingest funnel: rows below the cut go back into the
+// slabs and postings without touching the checkpoint's flows, rows at or
+// above it apply normally, and the rows below the base are trimmed away
+// again, so every row gets its ID back and every flow counts it once. A log
+// that ends below the cut, or is missing the position's segment, is an
+// error wrapping errBadSnapshot, never a short store.
 //
 // CheckpointDir publishes a checkpoint, then removes the segments below
 // its position; nothing else removes one, eviction and seals included.
@@ -134,9 +134,10 @@ type walSeg struct {
 	records, bytes uint64
 }
 
-// noteSegment notes w's live segment if it is new. Caller holds ingestMu
-// and has applied every batch appended so far.
-func (s *Store) noteSegment(w *WAL) {
+// noteSegment notes the log's live segment if it is new. Caller holds
+// ingestMu and has applied every batch appended so far.
+func (s *Store) noteSegment() {
+	w := s.wal
 	if n := len(s.walSegs); n == 0 || s.walSegs[n-1].seq != w.seq {
 		s.walSegs = append(s.walSegs, walSeg{walPos{w.seq, PacketID(s.nextID.Load()), s.lastTS.Load()}, w.records, w.bytes})
 	}
@@ -144,9 +145,9 @@ func (s *Store) noteSegment(w *WAL) {
 
 // Recover opens (or initializes) the durable directory: stale temp files
 // are swept, the newest checkpoint is loaded at cfg.Shards, the WAL is
-// replayed from its position through replayBatch — stopping cleanly at a
-// torn tail, whose valid prefix is republished — and a fresh log segment
-// is attached for new writes. The returned store acknowledges every
+// replayed from its position through the ingest funnel — stopping cleanly
+// at a torn tail, whose valid prefix is republished — and a fresh log
+// segment is attached for new writes. The returned store acknowledges every
 // subsequent batch through the WAL.
 func Recover(cfg DurableConfig) (*Store, RecoveryStats, error) { return recoverOn(faults.OS, cfg) }
 
@@ -188,7 +189,8 @@ func recoverOn(fsys faults.FS, cfg DurableConfig) (*Store, RecoveryStats, error)
 	stop, valid, err := replayWALFrom(fsys, cfg.Dir, pos.seq, func(seq uint64) {
 		segs = append(segs, walSeg{walPos{seq, PacketID(st.nextID.Load()), st.lastTS.Load()}, rs.WALRecords, nbytes})
 	}, func(frames []traffic.Frame, links []uint16) {
-		st.replayBatch(frames, links, cfg.Workers, cut)
+		// No log is attached and no gate armed yet: the funnel cannot refuse.
+		_, _ = st.ingest(frames, links, cfg.Workers, cut)
 		rs.WALRecords++
 		nbytes += uint64(frame.BlockHeaderSize + frame.RecordsSize(frames))
 	})
@@ -237,8 +239,8 @@ func recoverOn(fsys faults.FS, cfg DurableConfig) (*Store, RecoveryStats, error)
 // returned. Attach before concurrent ingest begins.
 func (s *Store) attachWAL(w *WAL) {
 	s.ingestMu.Lock()
-	s.wal.Store(w)
-	s.noteSegment(w)
+	s.wal = w
+	s.noteSegment()
 	s.ingestMu.Unlock()
 }
 
@@ -261,7 +263,7 @@ type WALStats struct {
 func (s *Store) WALStats() WALStats {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	w := s.wal.Load()
+	w := s.wal
 	if w == nil {
 		return WALStats{}
 	}
@@ -274,7 +276,7 @@ func (s *Store) WALStats() WALStats {
 func (s *Store) FlushWAL() error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	w := s.wal.Load()
+	w := s.wal
 	if w == nil {
 		return nil
 	}
@@ -298,7 +300,7 @@ func (s *Store) FlushWAL() error {
 func (s *Store) CheckpointDir(dir string) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	w := s.wal.Load()
+	w := s.wal
 	if w == nil {
 		return errors.New("datastore: checkpoint: no WAL attached (a checkpoint's hot rows are its WAL)")
 	}
@@ -334,12 +336,12 @@ func (s *Store) CheckpointDir(dir string) error {
 func (s *Store) CloseWAL() error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	w := s.wal.Load()
+	w := s.wal
 	if w == nil {
 		return nil
 	}
 	err := w.Close()
-	s.wal.Store(nil)
+	s.wal = nil
 	return err
 }
 

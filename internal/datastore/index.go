@@ -156,25 +156,16 @@ func trimLists(lists [][]PacketID, minID PacketID) (removed int) {
 	return removed
 }
 
-// insertID adds id to a sorted posting list. The fast path is an append
-// (batched ingest applies packets in ascending ID order); concurrent
-// single-packet ingest can interleave IDs, in which case the ID is
-// insert-sorted exactly like the slab and per-flow lists. A list's first
-// entry reserves room for four: most lists of a scan or a flood stay
-// that short, and 1→2→4 growth was three allocations each.
+// insertID adds id to a posting list by appending it: the ingest section
+// applies a shard's rows in ascending ID order, so the append keeps the
+// list sorted. A list's first entry reserves room for four: most lists of
+// a scan or a flood stay that short, and 1→2→4 growth was three
+// allocations each.
 func insertID(ids []PacketID, id PacketID) []PacketID {
-	n := len(ids)
 	if cap(ids) == 0 {
 		ids = make([]PacketID, 0, 4)
 	}
-	if n == 0 || id > ids[n-1] {
-		return append(ids, id)
-	}
-	i := sort.Search(n, func(i int) bool { return ids[i] >= id })
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
+	return append(ids, id)
 }
 
 // add indexes one stored packet under keyVal and keyFlags, returning the

@@ -79,9 +79,9 @@ func everyRef(visit func(ixRef)) {
 // every family's domain. The generator leans on the places an index-
 // addressed table can go wrong where a map cannot: the first and last
 // slot of the first and last page (ports and links 0, 255, 256, 65535),
-// non-IP packets filed under proto/port 0, IDs arriving out of order (the
-// insert-sort path), lists that empty and refill, and repeat evictions at
-// or below the watermark.
+// non-IP packets filed under proto/port 0, lists that empty and refill,
+// and repeat evictions at or below the watermark. IDs arrive ascending, as
+// the ingest section hands them to a shard.
 func TestPostingsMatchMapModel(t *testing.T) {
 	edges := []uint16{0, 1, 255, 256, 257, 0xff00, 0xfffe, 0xffff, 53, 443}
 	pick := func(r *rand.Rand) uint16 {
@@ -118,14 +118,13 @@ func TestPostingsMatchMapModel(t *testing.T) {
 				}
 				continue
 			}
-			// A burst of packets whose IDs arrive shuffled, as concurrent
-			// single-packet ingest delivers them.
+			// A burst of packets with consecutive IDs, as one batch
+			// delivers them.
 			ids := make([]PacketID, 1+r.Intn(4))
 			for i := range ids {
 				ids[i] = next
 				next++
 			}
-			r.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 			for _, id := range ids {
 				sp := StoredPacket{ID: id, Link: pick(r), Label: traffic.Label(r.Intn(int(traffic.NumLabels)))}
 				if r.Intn(5) > 0 { // else non-IP: proto and ports stay 0, no flags

@@ -15,9 +15,8 @@ import (
 // (TS, ID)-sorted run, intersects the candidate posting lists clipped to
 // it, and evaluates only the residual on the candidates; shards where the
 // index would not prune enough fall back to the linear scan. Both paths
-// produce identical results — the CAMPUSLAB_SCAN_QUERY / SetScanQuery knob
-// forces the serial scan as the equivalence reference, mirroring the
-// dataplane's CAMPUSLAB_SCAN_PATH.
+// produce identical results — the SetScanQuery knob forces the serial scan
+// as the equivalence reference, mirroring the dataplane's setScanOnly.
 
 // tsWin is a half-open timestamp interval [from, to) in nanoseconds. A
 // bound exists only when its flag is set: timestamps can be negative (the

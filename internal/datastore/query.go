@@ -143,7 +143,7 @@ func (s *Store) scanRange(w tsWin, visit func(*StoredPacket) bool) {
 // Select returns packets matching the filter in global (TS, ID) order,
 // regardless of sharding. limit 0 means unlimited. The planner runs
 // index-assisted, shard-parallel execution; results are byte-identical to
-// the serial full scan (forced via SetScanQuery / CAMPUSLAB_SCAN_QUERY).
+// the serial full scan (forced via SetScanQuery).
 func (s *Store) Select(f *Filter, limit int) []StoredPacket {
 	start := time.Now()
 	defer func() { obsQuerySeconds.Observe(time.Since(start).Seconds()) }()

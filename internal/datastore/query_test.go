@@ -292,16 +292,3 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		selectBoth(t, st, expr, 0)
 	}
 }
-
-func TestScanQueryEnvKnob(t *testing.T) {
-	t.Setenv(scanQueryEnv, "1")
-	st := NewSharded(4)
-	if !st.scanQuery.Load() {
-		t.Fatal("CAMPUSLAB_SCAN_QUERY did not force the reference path")
-	}
-	t.Setenv(scanQueryEnv, "")
-	st = NewSharded(4)
-	if st.scanQuery.Load() {
-		t.Fatal("empty CAMPUSLAB_SCAN_QUERY still forced the reference path")
-	}
-}

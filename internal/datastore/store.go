@@ -15,7 +15,6 @@ package datastore
 import (
 	"cmp"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,9 +105,8 @@ func (sh *shard) newFlow(key FlowKey, first time.Duration) *FlowMeta {
 }
 
 // Store-level metrics, registered once in the process-wide registry.
-// These are batch- or event-granularity (never per-packet on a hot loop
-// except the serial ingest path, where one atomic add is noise next to
-// parsing), so plain registry counters are fine.
+// These are batch- or event-granularity (never per-packet on a hot loop),
+// so plain registry counters are fine.
 var (
 	obsIngestBatches   = obs.Default.Counter("campuslab_store_ingest_batches_total")
 	obsIngestPackets   = obs.Default.Counter("campuslab_store_ingest_packets_total")
@@ -129,13 +127,20 @@ func (sh *shard) lock() {
 }
 
 // Store is the sharded campus data store. Safe for concurrent writers and
-// readers; single-writer ingest is fully deterministic.
+// readers; single-writer ingest is fully deterministic. There is one ingest
+// order: every batch, from any writer, durable or not, is logged, numbered,
+// stamped and applied in one section (ingestMu), so the slabs stay (TS, ID)
+// sorted however writers interleave.
 type Store struct {
 	shards []*shard
 	mask   uint64 // len(shards)-1; shard count is a power of two
 
+	// nextID is the next PacketID and lastTS the newest clamped ingest
+	// timestamp. Once the store is shared only the ingest section writes
+	// them, and it publishes nextID after the batch is applied, so no
+	// reader sees an ID that is reserved but not yet in a slab.
 	nextID atomic.Uint64
-	lastTS atomic.Int64 // max clamped ingest timestamp seen so far
+	lastTS atomic.Int64
 
 	eventsMu        sync.RWMutex
 	events          []eventlog.Event // time-ordered after AddEvents sorts
@@ -151,15 +156,13 @@ type Store struct {
 	scanQuery    atomic.Bool
 	queryWorkers atomic.Int32
 
-	// ingestMu serializes the durability-critical ingest section (WAL
-	// append + shard apply, and walSegs, where each live segment starts)
-	// against CheckpointDir, so a checkpoint's cut falls between logged
-	// batches. It is only taken when a WAL is attached — the lock-free
-	// batched path is untouched otherwise. wal is nil for a purely
-	// in-memory store; it is an atomic pointer so the hot ingest paths pay
-	// one load, not a lock, to learn there is no log.
+	// ingestMu is the one ingest section (applyInOrder): WAL append, ID
+	// and timestamp assignment, shard apply, in that order, for every
+	// store. It also guards wal (nil for a purely in-memory store) and
+	// walSegs (where each live segment starts), and excludes ingest from
+	// CheckpointDir, so a checkpoint's cut falls between logged batches.
 	ingestMu sync.Mutex
-	wal      atomic.Pointer[WAL]
+	wal      *WAL
 	walSegs  []walSeg
 
 	// totPackets/totBytes track live occupancy for the admission gate
@@ -167,27 +170,18 @@ type Store struct {
 	totPackets atomic.Uint64
 	totBytes   atomic.Uint64
 
-	// admission is the ingest gate config (zero value = disabled);
-	// admissionOn mirrors admission.enabled() so the serial ingest fast
-	// path learns "no gate" from one atomic load instead of the RWMutex.
+	// admission is the ingest gate config (zero value = disabled).
 	// Occupancy (totPackets/totBytes) counts the HOT tier only: sealing
 	// packets into cold segments frees occupancy, so the gate reopens as
 	// data demotes instead of wedging shut once the store fills.
 	admissionMu sync.RWMutex
 	admission   AdmissionConfig
-	admissionOn atomic.Bool
 
 	// tier is the cold tier (tier.go); nil until EnableTiering. An atomic
 	// pointer so the ingest and query hot paths learn "no cold tier" from
 	// one load.
 	tier atomic.Pointer[tier]
 }
-
-// scanQueryEnv, when set to any non-empty value, makes every new Store
-// answer queries through the serial full-scan reference path instead of
-// the index-assisted planner — the query-engine counterpart of the
-// dataplane's CAMPUSLAB_SCAN_PATH knob.
-const scanQueryEnv = "CAMPUSLAB_SCAN_QUERY"
 
 // SetScanQuery forces (or releases) the serial full-scan reference path
 // for Select/Count. Results are identical either way; the knob exists so
@@ -241,7 +235,6 @@ func NewSharded(n int) *Store {
 		s.shards[i] = &shard{flows: make(map[FlowKey]*FlowMeta), index: newPostings()}
 	}
 	s.lastTS.Store(int64(-1 << 62))
-	s.scanQuery.Store(os.Getenv(scanQueryEnv) != "")
 	return s
 }
 
@@ -255,22 +248,6 @@ func (s *Store) shardFor(it *ingestItem) int {
 		return int(it.hash & s.mask)
 	}
 	return int(uint64(it.id) & s.mask)
-}
-
-// clampTS enforces the store-wide non-decreasing timestamp contract:
-// frames must arrive in non-decreasing order (the capture pipeline
-// guarantees this per tap; multi-tap ingest should merge first); minor
-// reordering is clamped rather than corrupting the time index.
-func (s *Store) clampTS(ts time.Duration) time.Duration {
-	for {
-		last := s.lastTS.Load()
-		if int64(ts) <= last {
-			return time.Duration(last)
-		}
-		if s.lastTS.CompareAndSwap(last, int64(ts)) {
-			return ts
-		}
-	}
 }
 
 // ingestItem is one parsed, ID-assigned packet ready to apply to a shard.
@@ -300,7 +277,7 @@ func (it *ingestItem) parse(p *packet.FlowParser) {
 	}
 }
 
-// batchScratch is addBatch's working set — the parsed items and the
+// batchScratch is ingest's working set — the parsed items and the
 // per-shard index lists — pooled so a batch costs no allocation
 // proportional to its frames. Items hold frame bytes and address handles,
 // so they are cleared before the scratch goes back.
@@ -310,6 +287,38 @@ type batchScratch struct {
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// parse fills the scratch's items from a batch (links nil = link 0
+// everywhere), fanning the parsing out across workers. Links ride through
+// parsing so every packet is indexed under its final link value.
+func (sc *batchScratch) parse(frames []traffic.Frame, links []uint16, workers int) {
+	n := len(frames)
+	if cap(sc.items) < n {
+		sc.items = make([]ingestItem, n)
+	}
+	sc.items = sc.items[:n]
+	parallel.ForChunks(n, workers, func(lo, hi int) {
+		p := parserPool.Get().(*packet.FlowParser)
+		for i := lo; i < hi; i++ {
+			f, it := &frames[i], &sc.items[i]
+			it.link, it.data, it.label, it.actor, it.ts = 0, f.Data, f.Label, f.Actor, f.TS
+			if links != nil {
+				it.link = links[i]
+			}
+			it.parse(p)
+		}
+		parserPool.Put(p)
+	})
+}
+
+// release clears the scratch and returns it to the pool.
+func (sc *batchScratch) release() {
+	clear(sc.items)
+	for si := range sc.perShard {
+		sc.perShard[si] = sc.perShard[si][:0]
+	}
+	batchPool.Put(sc)
+}
 
 // minSlab is a shard slab's first capacity.
 const minSlab = 64
@@ -345,35 +354,17 @@ func dropPrefix[T any](s []T, cut int) []T {
 	return s
 }
 
-// apply inserts one packet into the shard and updates its flow metadata.
-// Caller holds the shard write lock. Items normally arrive in ascending ID
-// order (append fast path); concurrent single-packet ingest can interleave
-// IDs across goroutines, in which case the packet is insert-sorted and its
-// timestamp pinched into its neighbors' range to keep both orderings.
+// apply appends one packet to the shard and updates its flow metadata.
+// Caller holds the shard write lock. The ingest section hands each shard
+// its rows in ID order with timestamps clamped to the store's watermark,
+// so the append keeps the slab sorted by (TS, ID): there is no other path.
 func (sh *shard) apply(it *ingestItem) {
 	sp := StoredPacket{
 		ID: it.id, TS: it.ts, Link: it.link, Data: it.data,
 		Summary: it.summary, Label: it.label, Actor: it.actor,
 	}
-	n := len(sh.packets)
-	if n > 0 && sp.TS < sh.packets[n-1].TS {
-		sp.TS = sh.packets[n-1].TS
-	}
 	sh.grow()
-	if n == 0 || sp.ID > sh.packets[n-1].ID {
-		sh.packets = append(sh.packets, sp)
-	} else {
-		i := sort.Search(n, func(i int) bool { return sh.packets[i].ID >= sp.ID })
-		if sp.TS < sh.packets[i].TS { // keep (TS, ID) co-sorted
-			sp.TS = sh.packets[i].TS
-		}
-		if i > 0 && sp.TS < sh.packets[i-1].TS {
-			sp.TS = sh.packets[i-1].TS
-		}
-		sh.packets = append(sh.packets, StoredPacket{})
-		copy(sh.packets[i+1:], sh.packets[i:])
-		sh.packets[i] = sp
-	}
+	sh.packets = append(sh.packets, sp)
 	sh.dataBytes += uint64(len(sp.Data))
 	sh.indexBytes += 8 * uint64(sh.index.add(&sp))
 
@@ -412,45 +403,21 @@ func (sh *shard) apply(it *ingestItem) {
 // IngestFrame parses and stores one generator frame, registering its
 // ground-truth label at both packet and flow granularity. Unparseable
 // frames are stored with an empty summary so the "everything seen on the
-// wire" contract holds. A nil error is the acknowledgment: on a durable
-// store the frame is WAL-logged first and a log failure refuses the frame;
-// on a gated store at capacity the frame is refused with ErrOverloaded (a
-// shed low-priority frame returns nil — dropped by design, like the
-// batched path).
-//
-// A purely in-memory, ungated store takes the lock-free serial fast path;
-// once a WAL is attached or an admission gate is configured, the frame
-// goes through appendBatch so serial ingest has exactly the batched path's
-// semantics — gated, logged before the ack, and refused (not quietly kept
-// in memory) when the log fails. The fast path is not a one-frame batch on
-// purpose: it allocates nothing and costs about 0.6x of one (DESIGN §13).
+// wire" contract holds. It is a one-frame batch through the same funnel as
+// AddBatch, so a nil error is the same acknowledgment: on a durable store
+// the frame is WAL-logged first and a log failure refuses the frame; on a
+// gated store at capacity the frame is refused with ErrOverloaded (a shed
+// low-priority frame returns nil — dropped by design).
 func (s *Store) IngestFrame(f *traffic.Frame) (PacketID, error) {
-	if s.wal.Load() != nil || s.admissionOn.Load() {
-		r, err := s.appendBatch([]traffic.Frame{*f}, nil, 1)
-		return r.First, err
-	}
-	it := ingestItem{data: f.Data, label: f.Label, actor: f.Actor}
-	p := parserPool.Get().(*packet.FlowParser)
-	it.parse(p)
-	parserPool.Put(p)
-	it.id = PacketID(s.nextID.Add(1) - 1)
-	it.ts = s.clampTS(f.TS)
-	sh := s.shards[s.shardFor(&it)]
-	sh.lock()
-	sh.apply(&it)
-	sh.mu.Unlock()
-	s.totPackets.Add(1)
-	s.totBytes.Add(uint64(len(it.data)))
-	obsIngestPackets.Inc()
-	s.maybeSeal()
-	return it.id, nil
+	r, err := s.ingest([]traffic.Frame{*f}, nil, 1, 0)
+	return r.First, err
 }
 
 // AddBatch stores a batch of frames: parsing fans out across workers
-// (0 = GOMAXPROCS), contiguous IDs are assigned up front, and each shard
-// is locked once for its whole slice of the batch — the amortized ingest
-// path for the capture pipeline. Output is identical to calling
-// IngestFrame in order. Returns the ID of the first stored frame;
+// (0 = GOMAXPROCS), contiguous IDs are assigned in the ingest section, and
+// each shard is locked once for its whole slice of the batch — the
+// amortized ingest path for the capture pipeline. Output is identical to
+// calling IngestFrame in order. Returns the ID of the first stored frame;
 // subsequent frames take consecutive IDs.
 //
 // This is the acknowledged ingest path: when an admission gate is
@@ -466,127 +433,7 @@ func (s *Store) AddBatch(frames []traffic.Frame, workers int) (PacketID, error) 
 // AddBatchAdmit is AddBatch with the full admission outcome (stored vs
 // shed counts and the gate posture that applied).
 func (s *Store) AddBatchAdmit(frames []traffic.Frame, workers int) (IngestResult, error) {
-	return s.appendBatch(frames, nil, workers)
-}
-
-// appendBatch is the guarded batched-ingest front door: admission gate,
-// then write-ahead log, then shard apply. The WAL append and the apply sit
-// under ingestMu so a concurrent CheckpointDir sees every logged batch
-// applied, and the segment a rotation opened noted with the ID and TS
-// watermark its first record starts from.
-func (s *Store) appendBatch(frames []traffic.Frame, links []uint16, workers int) (IngestResult, error) {
-	kept, keptLinks, shed, state, err := s.admitBatch(frames, links)
-	r := IngestResult{Shed: shed, State: state}
-	if err != nil {
-		return r, err
-	}
-	if len(kept) == 0 {
-		r.First = PacketID(s.nextID.Load())
-		return r, nil
-	}
-	if w := s.wal.Load(); w != nil {
-		s.ingestMu.Lock()
-		if err := w.Append(kept, keptLinks); err != nil {
-			s.ingestMu.Unlock()
-			return r, err
-		}
-		r.First = s.addBatch(kept, keptLinks, workers)
-		s.noteSegment(w)
-		s.ingestMu.Unlock()
-	} else {
-		r.First = s.addBatch(kept, keptLinks, workers)
-	}
-	r.Ingested = len(kept)
-	// Seal trigger runs outside ingestMu so spilling to the cold tier
-	// never blocks the WAL ack path.
-	s.maybeSeal()
-	return r, nil
-}
-
-// addBatch is AddBatch with optional per-frame link ids (nil means link 0
-// everywhere — the generator path). Links ride through parsing so every
-// packet is indexed under its final link value.
-func (s *Store) addBatch(frames []traffic.Frame, links []uint16, workers int) PacketID {
-	return s.replayBatch(frames, links, workers, 0)
-}
-
-// replayBatch is addBatch as WAL replay on top of a checkpoint applies a
-// record: a row below counted goes into the slab and the postings without
-// touching its flow, whose aggregate the checkpoint holds — the
-// exactly-once rule for flows.
-func (s *Store) replayBatch(frames []traffic.Frame, links []uint16, workers int, counted PacketID) PacketID {
-	n := len(frames)
-	if n == 0 {
-		return PacketID(s.nextID.Load())
-	}
-	defer obs.Default.StartSpan("ingest").End()
-	obsIngestBatches.Inc()
-	obsIngestPackets.Add(uint64(n))
-	obsIngestBatchSize.Observe(float64(n))
-	sc := batchPool.Get().(*batchScratch)
-	if cap(sc.items) < n {
-		sc.items = make([]ingestItem, n)
-	}
-	items := sc.items[:n]
-	parallel.ForChunks(n, workers, func(lo, hi int) {
-		p := parserPool.Get().(*packet.FlowParser)
-		for i := lo; i < hi; i++ {
-			f := &frames[i]
-			it := &items[i]
-			it.link, it.data, it.label, it.actor = 0, f.Data, f.Label, f.Actor
-			if links != nil {
-				it.link = links[i]
-			}
-			it.ts = f.TS
-			it.parse(p)
-		}
-		parserPool.Put(p)
-	})
-	base := PacketID(s.nextID.Add(uint64(n)) - uint64(n))
-	var nbytes uint64
-	for i := range frames {
-		nbytes += uint64(len(frames[i].Data))
-	}
-	s.totPackets.Add(uint64(n))
-	s.totBytes.Add(nbytes)
-	// Timestamp clamp is sequential state; resolve it once, in order.
-	prev := time.Duration(s.lastTS.Load())
-	for i := range items {
-		items[i].id = base + PacketID(i)
-		items[i].counted = items[i].id < counted
-		if items[i].ts < prev {
-			items[i].ts = prev
-		}
-		prev = items[i].ts
-	}
-	s.clampTS(prev)
-	// Partition by shard, preserving ID order within each partition.
-	if len(sc.perShard) != len(s.shards) {
-		sc.perShard = make([][]int, len(s.shards))
-	}
-	perShard := sc.perShard
-	for i := range items {
-		si := s.shardFor(&items[i])
-		perShard[si] = append(perShard[si], i)
-	}
-	parallel.For(len(s.shards), workers, func(si int) {
-		idxs := perShard[si]
-		if len(idxs) == 0 {
-			return
-		}
-		sh := s.shards[si]
-		sh.lock()
-		for _, i := range idxs {
-			sh.apply(&items[i])
-		}
-		sh.mu.Unlock()
-	})
-	clear(items)
-	for si := range perShard {
-		perShard[si] = perShard[si][:0]
-	}
-	batchPool.Put(sc)
-	return base
+	return s.ingest(frames, nil, workers, 0)
 }
 
 // AddBatchLinks is AddBatchAdmit with per-frame link ids (nil = link 0
@@ -597,7 +444,95 @@ func (s *Store) AddBatchLinks(frames []traffic.Frame, links []uint16, workers in
 	if links != nil && len(links) != len(frames) {
 		return IngestResult{}, fmt.Errorf("datastore: %d links for %d frames", len(links), len(frames))
 	}
-	return s.appendBatch(frames, links, workers)
+	return s.ingest(frames, links, workers, 0)
+}
+
+// ingest is the one ingest funnel: AddBatch and its siblings, IngestFrame
+// and WAL replay call it and nothing else. The batch is admitted and
+// parsed outside the ingest section and applied inside it (applyInOrder).
+// A row below counted — WAL replay on top of a checkpoint — goes into the
+// slab and the postings without touching its flow, whose aggregate the
+// checkpoint holds: the exactly-once rule for flows. Live ingest passes 0.
+func (s *Store) ingest(frames []traffic.Frame, links []uint16, workers int, counted PacketID) (IngestResult, error) {
+	frames, links, shed, state, err := s.admitBatch(frames, links)
+	r := IngestResult{Shed: shed, State: state}
+	if err != nil {
+		return r, err
+	}
+	n := len(frames)
+	if n == 0 {
+		r.First = PacketID(s.nextID.Load())
+		return r, nil
+	}
+	span := obs.Default.StartSpan("ingest")
+	sc := batchPool.Get().(*batchScratch)
+	sc.parse(frames, links, workers)
+	first, err := s.applyInOrder(sc, frames, links, workers, counted)
+	sc.release()
+	span.End()
+	if err != nil {
+		return r, err
+	}
+	r.First, r.Ingested = first, n
+	obsIngestBatches.Inc()
+	obsIngestPackets.Add(uint64(n))
+	obsIngestBatchSize.Observe(float64(n))
+	// The seal trigger runs outside the ingest section, so spilling to the
+	// cold tier never blocks the ack path.
+	s.maybeSeal()
+	return r, nil
+}
+
+// applyInOrder is the ingest section. Under ingestMu, in this order: the
+// batch is logged (when a WAL is attached), its rows take consecutive IDs
+// and timestamps clamped to the store's watermark, the shards apply them,
+// and only then is nextID published. So every slab stays sorted by
+// (TS, ID) whatever the writers' interleaving, WAL order is apply order,
+// and a seal, a checkpoint or a query never sees an ID reserved but not
+// yet applied. A refused log append applies nothing.
+func (s *Store) applyInOrder(sc *batchScratch, frames []traffic.Frame, links []uint16, workers int, counted PacketID) (PacketID, error) {
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	if s.wal != nil {
+		if err := s.wal.Append(frames, links); err != nil {
+			return 0, err
+		}
+	}
+	if len(sc.perShard) != len(s.shards) {
+		sc.perShard = make([][]int, len(s.shards))
+	}
+	base, prev := PacketID(s.nextID.Load()), time.Duration(s.lastTS.Load())
+	var nbytes uint64
+	for i := range sc.items {
+		it := &sc.items[i]
+		it.id = base + PacketID(i)
+		it.counted = it.id < counted
+		it.ts = max(it.ts, prev)
+		prev = it.ts
+		nbytes += uint64(len(it.data))
+		si := s.shardFor(it)
+		sc.perShard[si] = append(sc.perShard[si], i)
+	}
+	s.totPackets.Add(uint64(len(sc.items)))
+	s.totBytes.Add(nbytes)
+	parallel.For(len(s.shards), workers, func(si int) {
+		idxs := sc.perShard[si]
+		if len(idxs) == 0 {
+			return
+		}
+		sh := s.shards[si]
+		sh.lock()
+		for _, i := range idxs {
+			sh.apply(&sc.items[i])
+		}
+		sh.mu.Unlock()
+	})
+	s.lastTS.Store(int64(prev))
+	s.nextID.Store(uint64(base) + uint64(len(sc.items)))
+	if s.wal != nil {
+		s.noteSegment()
+	}
+	return base, nil
 }
 
 // packetByID returns a copy of the stored packet with the given ID, hot or

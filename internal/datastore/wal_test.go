@@ -795,7 +795,7 @@ func TestRecoverTornWALIsPrefix(t *testing.T) {
 	}
 	// The recovered store matches a reference built from the same prefix.
 	ref := NewSharded(2)
-	ref.addBatch(frames[:30], nil, 1)
+	ref.AddBatch(frames[:30], 1)
 	if d := surfaceOf(ref).diff(st2); d != "" {
 		t.Fatal("torn recovery is not the acknowledged prefix: " + d)
 	}
@@ -973,7 +973,7 @@ func TestCheckpointRefusedOnWedgedWAL(t *testing.T) {
 	}
 	// Wedge the WAL, then verify batched ingest surfaces the error and
 	// refuses the ack.
-	st.wal.Load().f.Close()
+	st.wal.f.Close()
 	if _, err := st.AddBatch(walFrames(8, 4), 1); err == nil {
 		t.Fatal("acked a batch the wedged WAL never logged")
 	}
@@ -1134,7 +1134,7 @@ func TestRecoverRefusesLegacySnapshot(t *testing.T) {
 	// whose rows are in no WAL. Recover must say so rather than start an
 	// empty store over checkpointed data, and touch none of them.
 	st := NewSharded(2)
-	st.addBatch(walFrames(16, 37), nil, 1)
+	st.AddBatch(walFrames(16, 37), 1)
 	for name, snap := range map[string][]byte{
 		bareSnapshot: checkpointBytes(t, st),
 		snapName(7):  formatFixture(t, "snapshot-v3.clds"),
@@ -1196,7 +1196,7 @@ func TestSerialIngestRefusesAckOnWedgedWAL(t *testing.T) {
 	if _, err := st.IngestFrame(&traffic.Frame{Data: []byte{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	st.wal.Load().f.Close() // wedge the log
+	st.wal.f.Close() // wedge the log
 	before := st.Stats().Packets
 	if _, err := st.IngestFrame(&traffic.Frame{Data: []byte{4, 5, 6}}); err == nil {
 		t.Fatal("acked a frame the wedged WAL never logged")

@@ -189,7 +189,7 @@ func e19ColdQueryFastPath() (*Table, error) {
 
 	t.Notes = append(t.Notes,
 		"expected shape: the selective cold Select inflates only the blocks holding candidate rows; the warm cache beats it by skipping inflation and the per-query column decode (its segment directories are resident); the windowed Count never reads a data block on either tier, so the uncached tier pays only the directory build it repeats per query",
-		"set CAMPUSLAB_SCAN_QUERY=1 to re-run any query through the serial full-scan reference engine; results must not change",
+		"Store.SetScanQuery(true) re-runs any query through the serial full-scan reference engine; results must not change",
 		"this container is 1-CPU: the latency rows are reports, not assertions; the equivalence, hit-rate and directory claims are machine-independent")
 	return t, nil
 }

@@ -188,7 +188,7 @@ func e17TieredRetention() (*Table, error) {
 
 	t.Notes = append(t.Notes,
 		"expected shape: hot occupancy plateaus at the cap while cold packets grow linearly with the stream; cold B/pkt lands well under half of hot B/pkt (delta-coded columns + DEFLATE); the recent-window query decodes only the newest segment generation",
-		"set CAMPUSLAB_SCAN_QUERY=1 to re-run any query through the serial full-scan reference engine; results must not change",
+		"Store.SetScanQuery(true) re-runs any query through the serial full-scan reference engine; results must not change",
 		"policy seals write whole SegmentPackets-row files, so the post-compaction row reads N -> N: steady-state ingest leaves the compactor nothing to merge (it still runs on explicit flushes, crash tails and older directories)",
 		"this container is 1-CPU: seal/compaction wall-clock and query latency are not representative; the table's claims are all size and equivalence claims, which are machine-independent")
 	return t, nil

@@ -1,8 +1,11 @@
 package fleet_test
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"campuslab/internal/core"
 	"campuslab/internal/datastore"
@@ -35,9 +38,11 @@ func synthDataset(campus, n int) *features.Dataset {
 }
 
 // TestRaceConcurrentCampusStreams drives three campuses into one shared
-// listener and store at once — the shape `go test -race` must bless:
-// every frame lands exactly once with a unique PacketID, whatever the
-// interleaving.
+// listener and in-memory store at once — labd's -ingest-listen shape, and
+// the one `go test -race` must bless: every frame lands exactly once with
+// a unique PacketID, whatever the interleaving, and although each campus's
+// clock is hours off the others', a windowed Select on the shared store
+// answers what the scan reference and a Scan walk answer.
 func TestRaceConcurrentCampusStreams(t *testing.T) {
 	st := datastore.NewSharded(4)
 	addr := startServer(t, st, fleet.ServerConfig{Workers: 2})
@@ -55,7 +60,11 @@ func TestRaceConcurrentCampusStreams(t *testing.T) {
 				return
 			}
 			defer cl.Close()
-			stats, err := cl.Stream(&sliceGen{frames: synthFrames(perCampus, i+1)}, 64)
+			frames := synthFrames(perCampus, i+1)
+			for j := range frames {
+				frames[j].TS += time.Duration(2-i) * time.Hour // this campus's clock offset
+			}
+			stats, err := cl.Stream(&sliceGen{frames: frames}, 64)
 			if err != nil {
 				errs <- err
 				return
@@ -75,15 +84,35 @@ func TestRaceConcurrentCampusStreams(t *testing.T) {
 		t.Fatalf("store has %d packets, want %d", got, 3*perCampus)
 	}
 	seen := make(map[datastore.PacketID]bool, 3*perCampus)
+	var walk []time.Duration
 	st.Scan(func(p *datastore.StoredPacket) bool {
 		if seen[p.ID] {
 			t.Errorf("duplicate PacketID %d", p.ID)
 		}
 		seen[p.ID] = true
+		walk = append(walk, p.TS)
 		return true
 	})
 	if len(seen) != 3*perCampus {
 		t.Fatalf("%d unique ids, want %d", len(seen), 3*perCampus)
+	}
+	const k = 3 * perCampus / 12
+	for lo := 0; lo+k < len(walk); lo += k {
+		from, to := walk[lo], walk[lo+k]
+		want := 0
+		for _, ts := range walk {
+			if ts >= from && ts < to {
+				want++
+			}
+		}
+		expr := fmt.Sprintf("ts >= %dns && ts < %dns", int64(from), int64(to))
+		f := datastore.MustFilter(expr)
+		st.SetScanQuery(true)
+		ref := st.Select(f, 0)
+		st.SetScanQuery(false)
+		if got := st.Select(f, 0); len(got) != want || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("Select(%q) = %d rows, the scan reference %d, a Scan walk %d", expr, len(got), len(ref), want)
+		}
 	}
 }
 

@@ -131,6 +131,9 @@ RACE=$(go test -race -v ./internal/control ./internal/core ./internal/datastore 
 echo "$RACE" | grep '^ok'
 echo "    tiered-store equivalence (tiered == untiered, byte for byte, across shards, workers, cache and read path)"
 gate_names "$RACE" ./internal/datastore TestTieredStoreEquivalence TestTierFormatEquivalence
+echo "    one ingest order (two writers whose clocks are an hour apart, by AddBatch, by IngestFrame and onto a tiered store: every slab (TS, ID) sorted, windowed Count/Select == scan reference == a Scan walk, nothing hot below the seal watermark)"
+gate_names "$RACE" ./internal/datastore TestConcurrentWritersKeepTimeIndex TestConcurrentWritersKeepTimeIndex/AddBatch \
+    TestConcurrentWritersKeepTimeIndex/IngestFrame TestConcurrentWritersKeepTimeIndex/tiered
 echo "    tier cache race (queries vs seal/compact churn with the block cache on)"
 gate_names "$RACE" ./internal/datastore TestTierCacheQueryCompactRace TestTierIngestSealQueryRace
 echo "    tier cache policy (segmented LRU: a touched working set survives a one-pass scan over budget)"
@@ -153,7 +156,7 @@ gate_names "$RACE" ./internal/datastore TestTierCrashEnumeration TestTierCrashEn
     TestRetainedFlowsMatchUntieredEviction
 echo "    last-known-good bundle (a publish failed at any file operation up to its rename leaves the previous bundle)"
 gate_names "$RACE" ./internal/control TestLifecycleLKGSurvivesFailedPublish
-echo "    fleet race gate (concurrent campus streams, coordinator during live ingest)"
+echo "    fleet race gate (concurrent campus streams with skewed clocks, windowed Select == scan reference; coordinator during live ingest)"
 gate_names "$RACE" ./internal/fleet TestRaceConcurrentCampusStreams TestRaceCoordinatorDuringStreaming TestStreamMatchesLocalIngest
 echo "    development round (the federated round is worker-count independent)"
 gate_names "$RACE" ./internal/core TestFederatedDeterministicAcrossWorkers
