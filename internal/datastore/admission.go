@@ -20,6 +20,10 @@ import (
 // its configured capacity. Nothing from the batch was stored or logged.
 var ErrOverloaded = errors.New("datastore: overloaded")
 
+// errFrameTooLarge refuses a batch with a frame over frame.MaxRecordData,
+// which WAL replay and seals refuse. Nothing of it was stored or logged.
+var errFrameTooLarge = errors.New("datastore: frame over the record size cap")
+
 // AdmitState is the ingest gate's current posture.
 type AdmitState int32
 

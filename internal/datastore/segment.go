@@ -444,16 +444,16 @@ func (sb *segBlob) decodeDict() (*segDict, error) {
 // over the block's rows copied into a per-worker buffer), returning each
 // block's compressed length and the streams as a few buffers whose
 // concatenation is block order. Contiguous block ranges fan out across
-// GOMAXPROCS workers; a block's stream depends only on its bytes and lands
-// at a position fixed by its index, so the bytes are the same at any
+// workers (0 = GOMAXPROCS); a block's stream depends only on its bytes and
+// lands at a position fixed by its index, so the bytes are the same at any
 // worker count.
-func deflateBlocks(rows []StoredPacket) (streams [][]byte, compLens []int) {
+func deflateBlocks(rows []StoredPacket, workers int) (streams [][]byte, compLens []int) {
 	nblocks := (len(rows) + segBlockRows - 1) / segBlockRows
 	compLens = make([]int, nblocks)
-	nparts := min(parallel.Workers(0), nblocks)
+	nparts := min(parallel.Workers(workers), nblocks)
 	per := (nblocks + nparts - 1) / nparts
 	streams = make([][]byte, nparts)
-	parallel.For(nparts, 0, func(p int) {
+	parallel.For(nparts, nparts, func(p int) {
 		// Sized once: raw for the range's largest block, buf for its
 		// streams at 16:1 (it grows if they need more).
 		rawMax, rawSum := 0, 0
@@ -483,7 +483,10 @@ func deflateBlocks(rows []StoredPacket) (streams [][]byte, compLens []int) {
 // run into a CLSG blob (blocked data column + dictionary column),
 // returning the blob and the resident metadata. The encoding is
 // canonical: the same rows always produce the same bytes.
-func encodeSegment(rows []StoredPacket) ([]byte, segMeta, error) {
+func encodeSegment(rows []StoredPacket) ([]byte, segMeta, error) { return encodeSegmentOn(rows, 0) }
+
+// encodeSegmentOn is encodeSegment on deflateBlocks' workers.
+func encodeSegmentOn(rows []StoredPacket, workers int) ([]byte, segMeta, error) {
 	var meta segMeta
 	n := len(rows)
 	if n == 0 {
@@ -533,7 +536,7 @@ func encodeSegment(rows []StoredPacket) ([]byte, segMeta, error) {
 			act[i/8] |= 1 << (i % 8)
 		}
 	}
-	streams, compLens := deflateBlocks(rows)
+	streams, compLens := deflateBlocks(rows, workers)
 	// Sized once: three header uvarints, a length per row and per block
 	// (at most 5 bytes each), then the streams.
 	size := 3*binary.MaxVarintLen64 + 5*(n+len(compLens))

@@ -22,6 +22,7 @@ import (
 
 	"campuslab/internal/eventlog"
 	"campuslab/internal/faults"
+	"campuslab/internal/frame"
 	"campuslab/internal/obs"
 	"campuslab/internal/packet"
 	"campuslab/internal/parallel"
@@ -454,6 +455,12 @@ func (s *Store) AddBatchLinks(frames []traffic.Frame, links []uint16, workers in
 // slab and the postings without touching its flow, whose aggregate the
 // checkpoint holds: the exactly-once rule for flows. Live ingest passes 0.
 func (s *Store) ingest(frames []traffic.Frame, links []uint16, workers int, counted PacketID) (IngestResult, error) {
+	for i := range frames {
+		if n := len(frames[i].Data); n > frame.MaxRecordData {
+			obsIngestRejected.Inc()
+			return IngestResult{}, fmt.Errorf("%w: frame %d holds %d bytes", errFrameTooLarge, i, n)
+		}
+	}
 	frames, links, shed, state, err := s.admitBatch(frames, links)
 	r := IngestResult{Shed: shed, State: state}
 	if err != nil {
@@ -477,8 +484,8 @@ func (s *Store) ingest(frames []traffic.Frame, links []uint16, workers int, coun
 	obsIngestBatches.Inc()
 	obsIngestPackets.Add(uint64(n))
 	obsIngestBatchSize.Observe(float64(n))
-	// The seal trigger runs outside the ingest section, so spilling to the
-	// cold tier never blocks the ack path.
+	// The seal trigger runs outside the ingest section: a seal holds up
+	// the batch that trips it, not the other writers.
 	s.maybeSeal()
 	return r, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,7 +41,11 @@ import (
 // Each mutator decides the next segment set and does step 1; steps 2–4
 // are commitTier, the one place the registry changes after attach. A
 // failed publish in step 1 or 2 changes nothing in RAM and is recorded on
-// TierStats.Err (noteWriteErr).
+// TierStats.Err (noteFail).
+//
+// Encode-ahead (encodeAhead) moves a triggered seal's DEFLATE off the
+// batch that trips it without moving a byte or a step: nothing reaches the
+// disk before the trip, which still does step 1 itself.
 //
 // The manifest rename is the commit point. Killed before it, new files
 // are unreferenced orphans and the packets are still covered by the hot
@@ -134,14 +139,19 @@ var (
 	obsTierCorrupt     = obs.Default.Counter("campuslab_tier_corrupt_segments_total")
 	obsTierWriteFails  = obs.Default.Counter("campuslab_tier_write_failures_total")
 	// A failed pass of the background compactor, which has no caller to
-	// return its error to.
+	// return its error to, and a refused seal encode, inline or ahead.
 	obsTierCompactErrs = obs.Default.Counter("campuslab_tier_maintenance_errors_total", "op", "compact")
 	obsTierRetainErrs  = obs.Default.Counter("campuslab_tier_maintenance_errors_total", "op", "retain")
-	obsTierSegments    = obs.Default.Gauge("campuslab_tier_segments")
-	obsTierColdPackets = obs.Default.Gauge("campuslab_tier_cold_packets")
-	obsTierColdBytes   = obs.Default.Gauge("campuslab_tier_cold_bytes")
+	obsTierSealErrs    = obs.Default.Counter("campuslab_tier_maintenance_errors_total", "op", "seal")
+	// Segments encoded ahead: published by a trip, or dropped unpublished.
+	obsTierPreUsed      = obs.Default.Counter("campuslab_tier_preencoded_segments_total", "outcome", "used")
+	obsTierPreDiscarded = obs.Default.Counter("campuslab_tier_preencoded_segments_total", "outcome", "discarded")
+	obsTierSegments     = obs.Default.Gauge("campuslab_tier_segments")
+	obsTierColdPackets  = obs.Default.Gauge("campuslab_tier_cold_packets")
+	obsTierColdBytes    = obs.Default.Gauge("campuslab_tier_cold_bytes")
 	// Observed once per committed seal and once per compaction pass (one
-	// merged run): collect, merge, encode, fsyncs, manifest and swap.
+	// merged run): merge, encode (a seal's trip only the chunks no blob
+	// was encoded ahead for, plus any wait for one), fsyncs, manifest, swap.
 	obsTierSealSeconds    = obs.Default.Histogram("campuslab_tier_seal_seconds", tierSecondsBounds)
 	obsTierCompactSeconds = obs.Default.Histogram("campuslab_tier_compact_seconds", tierSecondsBounds)
 )
@@ -196,6 +206,25 @@ type tier struct {
 
 	errMu   sync.Mutex
 	lastErr error
+
+	// preMu, a leaf lock, guards encodeAhead's list and whether its
+	// goroutine is alive.
+	preMu  sync.Mutex
+	pre    []*preSeg // ascending lo
+	preRun bool
+}
+
+// preSeg is the segment of every hot row with an ID in [lo,
+// lo+SegmentPackets), encoded ahead. done closes once blob, meta and err
+// are set; started is guarded by tier.preMu.
+type preSeg struct {
+	lo      PacketID
+	done    chan struct{}
+	blob    []byte
+	meta    segMeta
+	err     error
+	started bool
+	used    atomic.Bool
 }
 
 // noteErr records a segment failure: sticky for healthz, counted for
@@ -204,17 +233,14 @@ type tier struct {
 // failing outright.
 func (tr *tier) noteErr(err error) {
 	tr.corrupt.Add(1)
-	obsTierCorrupt.Inc()
-	tr.errMu.Lock()
-	tr.lastErr = err
-	tr.errMu.Unlock()
+	tr.noteFail(obsTierCorrupt, err)
 }
 
-// noteWriteErr records a failed segment or manifest publish: sticky for
-// healthz like noteErr, but counted apart — the disk refused a write, no
-// segment is corrupt. The mutation that hit it changed nothing in RAM.
-func (tr *tier) noteWriteErr(err error) {
-	obsTierWriteFails.Inc()
+// noteFail records a tier failure, sticky for healthz, and counts it on c:
+// a refused publish (obsTierWriteFails: no segment is corrupt) or seal
+// encode (obsTierSealErrs). Either leaves RAM as it was.
+func (tr *tier) noteFail(c *obs.Counter, err error) {
+	c.Inc()
 	tr.errMu.Lock()
 	tr.lastErr = err
 	tr.errMu.Unlock()
@@ -273,7 +299,7 @@ func (tr *tier) publishFile(name string, data []byte) error {
 		return err
 	})
 	if err != nil {
-		tr.noteWriteErr(err)
+		tr.noteFail(obsTierWriteFails, err)
 	}
 	return err
 }
@@ -494,16 +520,17 @@ func (s *Store) trimHotBelow(limit PacketID) {
 }
 
 // maybeSeal is the per-batch seal trigger: two atomic loads when the hot
-// tier is under its cap, a background-priority TryLock when it is not.
-// Called outside ingestMu so sealing never blocks the WAL ack path.
+// tier is under its cap, a background-priority TryLock when it is not;
+// then encodeAhead. Outside ingestMu, so other writers go on, but the
+// seal is on the ack path of the batch that trips it.
 func (s *Store) maybeSeal() {
 	tr := s.tier.Load()
-	if tr == nil {
+	if tr == nil || tr.policy.HotPackets == 0 {
 		return
 	}
+	defer s.encodeAhead(tr)
 	pol := &tr.policy
-	hotPkts := s.totPackets.Load()
-	if pol.HotPackets == 0 || hotPkts <= pol.HotPackets {
+	if s.totPackets.Load() <= pol.HotPackets {
 		return
 	}
 	keep := pol.HotPackets / 2
@@ -519,10 +546,96 @@ func (s *Store) maybeSeal() {
 	if target := uint64(pol.SegmentPackets); eligible >= target {
 		eligible -= eligible % target
 	}
-	// The batch that tripped the trigger is acked and stays hot whatever
-	// the seal does; a failed one is on TierStats.Err (noteWriteErr) and
-	// the next batch over the cap retries it.
+	// The tripping batch is acked whatever the seal does; a failed one is
+	// on TierStats.Err (noteFail) and the next batch over the cap retries.
 	_, _ = s.sealTo(tr, PacketID(sealed+eligible), false)
+}
+
+// encodeAhead keeps tr.pre at the runs a trip cuts whole, [b+k·S,
+// b+(k+1)·S) for b = sealedBelow and S = SegmentPackets, that are complete
+// below nextID — at most ⌈HotPackets/S⌉+1. Rows never change once applied
+// and encodeSegment is canonical, so each run's blob is the segment a trip
+// would write. An entry off that list (sealed, or off the boundary after
+// an explicit or sub-target seal) is dropped; new ones go to the encoder.
+func (s *Store) encodeAhead(tr *tier) {
+	S, hot := PacketID(tr.policy.SegmentPackets), PacketID(tr.policy.HotPackets)
+	tr.preMu.Lock()
+	defer tr.preMu.Unlock()
+	base, next := PacketID(tr.sealedBelow.Load()), PacketID(s.nextID.Load())
+	n := 0
+	if next > base && hot > 0 { // no trigger, no trip to encode for
+		n = int(min((next-base)/S, (hot+S-1)/S+1))
+	}
+	kept := tr.pre[:0]
+	for _, p := range tr.pre {
+		switch {
+		case p.lo >= base && (p.lo-base)%S == 0 && int((p.lo-base)/S) < n:
+			kept = append(kept, p)
+		case p.used.Load():
+		case p.started:
+			obsTierPreDiscarded.Inc()
+		}
+	}
+	clear(tr.pre[len(kept):])
+	tr.pre = kept
+	if len(kept) == n {
+		return
+	}
+	want := make([]*preSeg, n)
+	for _, p := range kept {
+		want[(p.lo-base)/S] = p
+	}
+	for k := range want {
+		if want[k] == nil {
+			want[k] = &preSeg{lo: base + PacketID(k)*S, done: make(chan struct{})}
+		}
+	}
+	tr.pre = want
+	if !tr.preRun {
+		tr.preRun = true
+		go s.encodeLoop(tr)
+	}
+}
+
+// encodeLoop is the encoder goroutine: it encodes tr.pre's unstarted
+// entries oldest first on one DEFLATE worker and exits when none is left.
+func (s *Store) encodeLoop(tr *tier) {
+	for {
+		tr.preMu.Lock()
+		i := slices.IndexFunc(tr.pre, func(p *preSeg) bool { return !p.started })
+		if i < 0 {
+			tr.preRun = false
+			tr.preMu.Unlock()
+			return
+		}
+		p := tr.pre[i]
+		p.started = true
+		tr.preMu.Unlock()
+		if rows := s.hotRun(p.lo, p.lo+PacketID(tr.policy.SegmentPackets)); len(rows) > 0 {
+			if p.blob, p.meta, p.err = encodeSegmentOn(rows, 1); p.err != nil {
+				tr.noteFail(obsTierSealErrs, p.err)
+			}
+		}
+		close(p.done)
+	}
+}
+
+// hotRun merges the hot rows with IDs in [lo, hi) under every shard's
+// read lock (in shard order, like the seal's swap). The copy stays valid
+// once the locks drop, whatever a seal trims: packet bytes never change.
+func (s *Store) hotRun(lo, hi PacketID) []StoredPacket {
+	runs := make([][]StoredPacket, 0, len(s.shards))
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		i := sort.Search(len(sh.packets), func(i int) bool { return sh.packets[i].ID >= lo })
+		j := sort.Search(len(sh.packets), func(i int) bool { return sh.packets[i].ID >= hi })
+		runs = append(runs, sh.packets[i:j])
+	}
+	merged := mergeRuns(runs)
+	for _, sh := range s.shards {
+		sh.mu.RUnlock()
+	}
+	return merged
 }
 
 // sealHot seals every hot packet except the newest keepRecent into cold
@@ -579,23 +692,7 @@ func (s *Store) sealTo(tr *tier, limit PacketID, wait bool) (int, error) {
 		return 0, nil
 	}
 	start := time.Now()
-	// Merge the shards' prefixes straight out of the slabs, holding every
-	// shard's read lock (taken in shard order, like the swap below) until
-	// the merge is done: the runs alias slab memory, and the merge is the
-	// only copy the rows get. Once the locks drop, merged is private, so
-	// the encode and the fsyncs run with ingest unblocked.
-	runs := make([][]StoredPacket, 0, len(s.shards))
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		cut := sort.Search(len(sh.packets), func(i int) bool { return sh.packets[i].ID >= limit })
-		if cut > 0 {
-			runs = append(runs, sh.packets[:cut])
-		}
-	}
-	merged := mergeRuns(runs)
-	for _, sh := range s.shards {
-		sh.mu.RUnlock()
-	}
+	merged := s.hotRun(0, limit) // private: encode and fsyncs leave ingest be
 	total := len(merged)
 	if total == 0 {
 		return 0, nil
@@ -619,6 +716,7 @@ func (s *Store) sealTo(tr *tier, limit PacketID, wait bool) (int, error) {
 		return 0, err
 	}
 	s.releaseHot(removed, freed)
+	s.encodeAhead(tr) // drop the blobs this seal published or stranded
 	tr.seals.Add(1)
 	tr.sealedPackets.Add(uint64(total))
 	obsTierSeals.Inc()
@@ -694,13 +792,17 @@ func (tr *tier) writeSegments(rows []StoredPacket, compact bool) ([]*tierSegment
 		nchunks++
 	}
 	size := (n + nchunks - 1) / nchunks // balanced: no sliver tail
+	encode := tr.sealChunk
+	if compact {
+		encode = encodeSegment
+	}
 	var out []*tierSegment
 	for lo := 0; lo < n; lo += size {
 		hi := lo + size
 		if hi > n {
 			hi = n
 		}
-		blob, meta, err := encodeSegment(rows[lo:hi])
+		blob, meta, err := encode(rows[lo:hi])
 		if err != nil {
 			return nil, err
 		}
@@ -713,6 +815,39 @@ func (tr *tier) writeSegments(rows []StoredPacket, compact bool) ([]*tierSegment
 		out = append(out, &tierSegment{name: name, seq: seq, meta: meta, fileBytes: uint64(len(blob))})
 	}
 	return out, nil
+}
+
+// sealChunk encodes one seal chunk, or takes the blob encoded ahead for
+// its ID range, waiting if the encoder is on it; one the encoder has not
+// started leaves the list, and the chunk is encoded here. The blob holds
+// every row its range had when encoded, and rows there are only ever
+// removed, so a chunk in the range with the blob's row count has the same
+// rows and bytes. A failed blob is never published.
+func (tr *tier) sealChunk(rows []StoredPacket) ([]byte, segMeta, error) {
+	first, last, S := rows[0].ID, rows[len(rows)-1].ID, PacketID(tr.policy.SegmentPackets)
+	tr.preMu.Lock()
+	i := slices.IndexFunc(tr.pre, func(p *preSeg) bool { return p.lo <= first && last < p.lo+S })
+	var p *preSeg
+	if i >= 0 && tr.pre[i].started {
+		p = tr.pre[i]
+	} else if i >= 0 {
+		tr.pre = slices.Delete(tr.pre, i, i+1)
+	}
+	tr.preMu.Unlock()
+	if p != nil {
+		<-p.done
+		if p.err == nil && p.meta.count == len(rows) {
+			if !p.used.Swap(true) {
+				obsTierPreUsed.Inc()
+			}
+			return p.blob, p.meta, nil
+		}
+	}
+	blob, meta, err := encodeSegment(rows)
+	if err != nil {
+		tr.noteFail(obsTierSealErrs, err)
+	}
+	return blob, meta, err
 }
 
 // CompactTier merges runs of adjacent undersized segments into

@@ -12,7 +12,7 @@ import (
 
 // Tier benchmarks (DESIGN.md §14):
 //
-//	go test -bench='BenchmarkSeal|BenchmarkEncodeSegment|BenchmarkSegmentInflate|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkColdCount|BenchmarkEvictBefore' ./internal/datastore
+//	go test -bench='BenchmarkSeal|BenchmarkSealTrip|BenchmarkEncodeSegment|BenchmarkSegmentInflate|BenchmarkSegmentQuery|BenchmarkColdSelect|BenchmarkColdCount|BenchmarkEvictBefore' ./internal/datastore
 //
 // BenchmarkEncodeSegment is the seal's inner loop alone — one segment's
 // rows to one blob, no disk — at the two row sizes the end-to-end
@@ -100,6 +100,37 @@ func BenchmarkSeal(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
+}
+
+// BenchmarkSealTrip times the batch that trips a policy seal when every
+// segment it cuts was encoded ahead: the merge, two segment publishes, the
+// manifest and the swap, which is what the acking batch still pays. A
+// one-frame batch trips it, so it completes no new run and the timed
+// region starts no encoder.
+func BenchmarkSealTrip(b *testing.B) {
+	frames := tierBenchFrames()
+	const seg, hot = 2048, 8192
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st := NewSharded(4)
+		if err := st.EnableTiering(TierPolicy{Dir: b.TempDir(), HotPackets: hot, SegmentPackets: seg, MinSealPackets: 1}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.AddBatch(frames[:hot], 0); err != nil {
+			b.Fatal(err)
+		}
+		waitEncoder(b, st)
+		used := obsTierPreUsed.Value()
+		b.StartTimer()
+		if _, err := st.AddBatch(frames[hot:hot+1], 1); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if ts := st.TierStats(); ts.Seals != 1 || ts.SealedPackets != hot/2 || obsTierPreUsed.Value()-used != hot/2/seg {
+			b.Fatalf("trip sealed %+v with %d blobs encoded ahead", ts, obsTierPreUsed.Value()-used)
+		}
+	}
 }
 
 // BenchmarkEncodeSegment encodes one 8192-row segment (collect_tiered's

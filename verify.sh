@@ -136,6 +136,9 @@ gate_names "$RACE" ./internal/datastore TestConcurrentWritersKeepTimeIndex TestC
     TestConcurrentWritersKeepTimeIndex/IngestFrame TestConcurrentWritersKeepTimeIndex/tiered
 echo "    tier cache race (queries vs seal/compact churn with the block cache on)"
 gate_names "$RACE" ./internal/datastore TestTierCacheQueryCompactRace TestTierIngestSealQueryRace
+echo "    encode-ahead (published segments are the canonical bytes of their rows; stale blobs dropped within bound; writers, trips and queries race the encoder; a refused encode is loud and retried; an oversized frame is refused whole)"
+gate_names "$RACE" ./internal/datastore TestSealPublishesEncodedAheadBytes TestEncodeAheadStaleBlobs TestEncodeAheadRace \
+    TestSealEncodeFailureIsLoud TestOversizedFrameRefused TestOversizedFrameRefused/durable TestOversizedFrameRefused/tiered
 echo "    tier cache policy (segmented LRU: a touched working set survives a one-pass scan over budget)"
 gate_names "$RACE" ./internal/datastore TestTierCacheScanResistant TestTierCacheLRU
 echo "    segment directory (shared budget, invalidation, corrupt columns, metadata-only Count, limit-bounded decode, exact window ≡ scan)"
@@ -215,8 +218,8 @@ gate_bench 2x . BenchmarkFitForest
 echo "==> bench smoke (store query engine: index vs scan)"
 gate_bench 5x ./internal/datastore BenchmarkSelect BenchmarkCount
 
-echo "==> bench smoke (cold tier: seal, segment encode, hot vs cold segment query sweep, cache on/off Select and metadata-only Count, eviction)"
-gate_bench 2x ./internal/datastore BenchmarkSeal BenchmarkEncodeSegment BenchmarkSegmentQuery BenchmarkColdSelect BenchmarkColdCount BenchmarkEvictBefore
+echo "==> bench smoke (cold tier: seal, the seal trip with its segments encoded ahead, segment encode, hot vs cold segment query sweep, cache on/off Select and metadata-only Count, eviction)"
+gate_bench 2x ./internal/datastore BenchmarkSeal BenchmarkSealTrip BenchmarkEncodeSegment BenchmarkSegmentQuery BenchmarkColdSelect BenchmarkColdCount BenchmarkEvictBefore
 
 echo "==> fuzz smoke (packet parser, labd dispatcher, filter parser, ensemble compiler, block + record codec, WAL replay, snapshot load, segment codec, block decoder and encoder, fleet protocol)"
 gate_fuzz 10s ./internal/packet FuzzParse
