@@ -342,9 +342,9 @@ func newServer(dc daemonConfig) (*server, error) {
 // newDaemonLifecycle wires the model state machine around the deployment:
 // the live bundle is the extracted tree, retrains refit against the
 // store's current labeled traffic, candidates must round-trip and compile
-// before activation, and the last-known-good bundle persists in the data
-// directory (when durable). /healthz reports its state; operators drive
-// Tick from their own drift windows.
+// before activation, and the last-known-good bundle is kept in memory
+// for rollback. /healthz reports its state; operators drive Tick from
+// their own drift windows.
 func newDaemonLifecycle(lab *core.Lab, dep *core.Deployment, dc daemonConfig) (*control.Lifecycle, error) {
 	bundle, err := dep.Extraction.Tree.MarshalBinary()
 	if err != nil {
@@ -354,7 +354,6 @@ func newDaemonLifecycle(lab *core.Lab, dep *core.Deployment, dc daemonConfig) (*
 		return features.FromPackets(lab.Store(), 1.0).BinaryRelabel(traffic.LabelDNSAmp)
 	}
 	lc, err := control.NewLifecycle(control.LifecycleConfig{
-		Dir: dc.DataDir,
 		Retrain: func() ([]byte, error) {
 			tree, err := ml.FitTree(window(), 2, ml.TreeConfig{MaxDepth: 4, Seed: dc.Seed})
 			if err != nil {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"campuslab/internal/control"
 	"campuslab/internal/datastore"
 )
 
@@ -521,9 +520,6 @@ func TestLabdDurableLifecycle(t *testing.T) {
 	}
 	if h.Lifecycle != "healthy" {
 		t.Fatalf("lifecycle = %q", h.Lifecycle)
-	}
-	if _, ok := control.LoadLKG(dir); !ok {
-		t.Fatal("no last-known-good bundle persisted in the data dir")
 	}
 	packets := srv.lab.Store().Stats().Packets
 	if packets == 0 {

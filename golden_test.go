@@ -42,25 +42,24 @@ var goldenSeries = map[string]bool{
 	"campuslab_control_infer_failures_total":      true,
 	"campuslab_control_fallback_inferences_total": true,
 	"campuslab_control_breaker_transitions_total": true,
-	obs.StageCallsName:                            true,
+	"campuslab_stage_calls_total":                 true,
 }
 
 // metricsSample reads the whitelisted series into key → value.
 func metricsSample() map[string]float64 {
 	out := make(map[string]float64)
-	for _, s := range obs.Default.Snapshot() {
-		if !goldenSeries[s.Name] {
-			continue
-		}
-		key := s.Name
-		if len(s.Labels) > 0 {
-			parts := make([]string, len(s.Labels))
-			for i, l := range s.Labels {
-				parts[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
+	for name := range goldenSeries {
+		for _, s := range obs.Default.SeriesByName(name) {
+			key := s.Name
+			if len(s.Labels) > 0 {
+				parts := make([]string, len(s.Labels))
+				for i, l := range s.Labels {
+					parts[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
+				}
+				key += "{" + strings.Join(parts, ",") + "}"
 			}
-			key += "{" + strings.Join(parts, ",") + "}"
+			out[key] = s.Value
 		}
-		out[key] = s.Value
 	}
 	return out
 }

@@ -86,7 +86,7 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 }
 
 func TestFeedBatchRecordsFastloopStage(t *testing.T) {
-	calls := obs.Default.Counter(obs.StageCallsName, "stage", "fastloop")
+	calls := obs.Default.Counter("campuslab_stage_calls_total", "stage", "fastloop")
 	before := calls.Value()
 	p := buildPipeline(t)
 	loop, err := NewLoop(LoopConfig{Tier: TierDataPlane, Program: p.dropProg})

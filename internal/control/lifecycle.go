@@ -2,11 +2,8 @@ package control
 
 import (
 	"fmt"
-	"io"
-	"path/filepath"
 	"time"
 
-	"campuslab/internal/faults"
 	"campuslab/internal/features"
 	"campuslab/internal/obs"
 )
@@ -14,7 +11,7 @@ import (
 // The model lifecycle is the self-healing layer: a state machine that
 // watches the drift detector, retrains on a virtual-clock cadence, gates
 // every candidate model behind a validation check (the road-test canary),
-// and rolls back to a persisted last-known-good bundle when the live
+// and rolls back to the in-memory last-known-good bundle when the live
 // model goes bad. States:
 //
 //	healthy ──drift──▶ degraded ──validation fails / drift persists──▶ lame-duck
@@ -66,9 +63,6 @@ type LifecycleConfig struct {
 	DegradedPatience int
 	// Drift parameterizes the detector thresholds.
 	Drift DriftConfig
-	// Dir, when set, persists the last-known-good bundle to
-	// dir/model.lkg so a restarted process can serve immediately.
-	Dir string
 
 	// Retrain builds a candidate model bundle from the current store
 	// (serialized; the lifecycle never inspects it). Called on the
@@ -82,9 +76,6 @@ type LifecycleConfig struct {
 	// on) plus the classifier the drift detector should watch.
 	Activate func(bundle []byte) (*features.Dataset, error)
 }
-
-// lkgName is the persisted last-known-good bundle file.
-const lkgName = "model.lkg"
 
 // Lifecycle metrics.
 var (
@@ -116,14 +107,10 @@ type Lifecycle struct {
 	live        []byte // currently active bundle
 	classifier  classifierHolder
 	log         []Transition
-
-	// fsys holds the persisted bundle (faults.OS outside tests).
-	fsys faults.FS
 }
 
 // NewLifecycle starts a lifecycle in the healthy state with bundle as the
-// live (and last-known-good) model. The bundle must pass Activate; when
-// cfg.Dir is set it is persisted immediately.
+// live (and last-known-good) model. The bundle must pass Activate.
 func NewLifecycle(cfg LifecycleConfig, bundle []byte, now time.Duration) (*Lifecycle, error) {
 	if cfg.Retrain == nil || cfg.Validate == nil || cfg.Activate == nil {
 		return nil, fmt.Errorf("control: lifecycle needs Retrain, Validate, and Activate")
@@ -134,25 +121,13 @@ func NewLifecycle(cfg LifecycleConfig, bundle []byte, now time.Duration) (*Lifec
 	if cfg.DegradedPatience <= 0 {
 		cfg.DegradedPatience = 2
 	}
-	lc := &Lifecycle{cfg: cfg, lastRetrain: now, fsys: faults.OS}
+	lc := &Lifecycle{cfg: cfg, lastRetrain: now}
 	if err := lc.activate(bundle); err != nil {
 		return nil, err
 	}
 	lc.lkg = bundle
-	if err := lc.persistLKG(); err != nil {
-		return nil, err
-	}
 	obsLifecycleState.Set(float64(lc.state))
 	return lc, nil
-}
-
-// LoadLKG reads a persisted last-known-good bundle from dir, if any.
-func LoadLKG(dir string) ([]byte, bool) {
-	b, err := faults.OS.ReadFile(filepath.Join(dir, lkgName))
-	if err != nil || len(b) == 0 {
-		return nil, false
-	}
-	return b, true
 }
 
 // activate deploys bundle and points the drift detector at it.
@@ -186,23 +161,6 @@ func (m activatedModel) Predict(x []float64) int {
 }
 func (m activatedModel) Proba(x []float64) []float64 { return nil }
 func (m activatedModel) NumClasses() int             { return 2 }
-
-// persistLKG publishes the last-known-good bundle crash-safely through
-// faults.PublishFile (temp + fsync + rename + directory fsync, the
-// snapshot discipline): a failed or interrupted write leaves the previous
-// bundle in place, which is exactly when rollback needs it.
-func (lc *Lifecycle) persistLKG() error {
-	if lc.cfg.Dir == "" || len(lc.lkg) == 0 {
-		return nil
-	}
-	if err := lc.fsys.MkdirAll(lc.cfg.Dir); err != nil {
-		return err
-	}
-	return faults.PublishFile(lc.fsys, filepath.Join(lc.cfg.Dir, lkgName), func(w io.Writer) error {
-		_, err := w.Write(lc.lkg)
-		return err
-	})
-}
 
 // State returns the current lifecycle state.
 func (lc *Lifecycle) State() LifecycleState { return lc.state }
@@ -305,9 +263,6 @@ func (lc *Lifecycle) retrain(now time.Duration, res *TickResult) {
 		return
 	}
 	lc.lkg = bundle
-	if err := lc.persistLKG(); err != nil {
-		res.Err = err
-	}
 	res.Promoted = true
 	res.ModelChanged = true
 	obsLifecyclePromotes.Inc()

@@ -2,16 +2,12 @@ package control
 
 import (
 	"fmt"
-	"io/fs"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
-	"syscall"
 	"testing"
 	"time"
 
-	"campuslab/internal/faults"
 	"campuslab/internal/features"
 	"campuslab/internal/ml"
 )
@@ -123,11 +119,10 @@ type lifecycleHarness struct {
 	refMean   float64
 }
 
-func (h *lifecycleHarness) config(dir string) LifecycleConfig {
+func (h *lifecycleHarness) config() LifecycleConfig {
 	return LifecycleConfig{
 		RetrainEvery:     10 * time.Minute,
 		DegradedPatience: 2,
-		Dir:              dir,
 		Retrain: func() ([]byte, error) {
 			h.retrains++
 			return []byte(fmt.Sprintf("model-%d", h.retrains)), nil
@@ -147,7 +142,7 @@ func (h *lifecycleHarness) config(dir string) LifecycleConfig {
 
 func TestLifecycleHealthyCadence(t *testing.T) {
 	h := &lifecycleHarness{}
-	lc, err := NewLifecycle(h.config(""), []byte("model-0"), 0)
+	lc, err := NewLifecycle(h.config(), []byte("model-0"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +166,7 @@ func TestLifecycleHealthyCadence(t *testing.T) {
 
 func TestLifecycleDriftDegradesThenHeals(t *testing.T) {
 	h := &lifecycleHarness{}
-	lc, err := NewLifecycle(h.config(""), []byte("model-0"), 0)
+	lc, err := NewLifecycle(h.config(), []byte("model-0"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +186,8 @@ func TestLifecycleDriftDegradesThenHeals(t *testing.T) {
 }
 
 func TestLifecycleRollbackToLastKnownGood(t *testing.T) {
-	dir := t.TempDir()
 	h := &lifecycleHarness{pass: func(int) bool { return false }}
-	lc, err := NewLifecycle(h.config(dir), []byte("model-0"), 0)
+	lc, err := NewLifecycle(h.config(), []byte("model-0"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,159 +214,12 @@ func TestLifecycleRollbackToLastKnownGood(t *testing.T) {
 	if !res.Promoted || res.State != StateHealthy {
 		t.Fatalf("recovery tick = %+v", res)
 	}
-	// The promoted bundle is now persisted as last-known-good.
-	b, ok := LoadLKG(dir)
-	if !ok || string(b) != string(lc.LiveBundle()) {
-		t.Fatalf("LKG on disk = %q/%v, live = %q", b, ok, lc.LiveBundle())
-	}
-}
-
-func TestLifecycleLKGPersistedAtStart(t *testing.T) {
-	dir := t.TempDir()
-	h := &lifecycleHarness{}
-	if _, err := NewLifecycle(h.config(dir), []byte("boot-model"), 0); err != nil {
-		t.Fatal(err)
-	}
-	b, ok := LoadLKG(dir)
-	if !ok || string(b) != "boot-model" {
-		t.Fatalf("LKG = %q/%v", b, ok)
-	}
-	if _, ok := LoadLKG(t.TempDir()); ok {
-		t.Fatal("LoadLKG invented a bundle in an empty dir")
-	}
-}
-
-// TestLifecycleLKGSurvivesFailedPublish: a bundle write that dies at any
-// file operation up to and including the rename — the temp file's create,
-// a write, the fsync, the close, the rename — must leave the previous
-// last-known-good bundle loadable and nothing else in the directory. (The
-// old os.WriteFile + os.Rename could publish an empty file after a power
-// cut, and left model.lkg.tmp behind on a failed write.) Past the rename
-// only the directory sync is left, and the new bundle is already in place.
-func TestLifecycleLKGSurvivesFailedPublish(t *testing.T) {
-	dir := t.TempDir()
-	h := &lifecycleHarness{}
-	lc, err := NewLifecycle(h.config(dir), []byte("boot-model"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; ; k++ {
-		ffs := &failingFS{FS: faults.OS, k: k}
-		lc.fsys = ffs
-		lc.lkg = []byte("candidate-that-never-lands")
-		err := lc.persistLKG()
-		op := ffs.failed
-		if op == "" {
-			t.Fatalf("operation %d: the publish has only %d operations and never reached its rename", k, ffs.ops)
-		}
-		if err == nil {
-			t.Fatalf("%s: injected failure did not surface", op)
-		}
-		if b, ok := LoadLKG(dir); !ok || string(b) != "boot-model" {
-			t.Fatalf("%s: previous bundle lost: %q/%v", op, b, ok)
-		}
-		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
-			t.Fatalf("%s: failed publish left %d entries behind", op, len(ents))
-		}
-		if op == "rename" {
-			break
-		}
-	}
-	lc.fsys = faults.OS
-	if err := lc.persistLKG(); err != nil {
-		t.Fatal(err)
-	}
-	if b, ok := LoadLKG(dir); !ok || string(b) != "candidate-that-never-lands" {
-		t.Fatalf("healthy publish did not replace the bundle: %q/%v", b, ok)
-	}
-}
-
-// failingFS is a file system whose k-th operation (counting from 1, the
-// methods of an open file included) fails with EIO and changes nothing.
-type failingFS struct {
-	faults.FS
-	k, ops int
-	failed string // the operation that failed
-}
-
-func (f *failingFS) step(op string) error {
-	if f.ops++; f.ops == f.k {
-		f.failed = op
-		return &fs.PathError{Op: op, Err: syscall.EIO}
-	}
-	return nil
-}
-
-func (f *failingFS) MkdirAll(dir string) error {
-	if err := f.step("mkdir"); err != nil {
-		return err
-	}
-	return f.FS.MkdirAll(dir)
-}
-
-func (f *failingFS) CreateTemp(dir, pattern string) (faults.File, error) {
-	if err := f.step("create-temp"); err != nil {
-		return nil, err
-	}
-	file, err := f.FS.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return failingFile{file, f}, nil
-}
-
-func (f *failingFS) Rename(oldpath, newpath string) error {
-	if err := f.step("rename"); err != nil {
-		return err
-	}
-	return f.FS.Rename(oldpath, newpath)
-}
-
-func (f *failingFS) Remove(path string) error {
-	if err := f.step("remove"); err != nil {
-		return err
-	}
-	return f.FS.Remove(path)
-}
-
-func (f *failingFS) SyncDir(dir string) error {
-	if err := f.step("syncdir"); err != nil {
-		return err
-	}
-	return f.FS.SyncDir(dir)
-}
-
-// failingFile counts its writes, syncs and closes as operations of its fs.
-type failingFile struct {
-	faults.File
-	fs *failingFS
-}
-
-func (f failingFile) Write(p []byte) (int, error) {
-	if err := f.fs.step("write"); err != nil {
-		return 0, err
-	}
-	return f.File.Write(p)
-}
-
-func (f failingFile) Sync() error {
-	if err := f.fs.step("sync"); err != nil {
-		return err
-	}
-	return f.File.Sync()
-}
-
-func (f failingFile) Close() error {
-	if err := f.fs.step("close"); err != nil {
-		return err
-	}
-	return f.File.Close()
 }
 
 func TestLifecycleDeterministicTransitions(t *testing.T) {
 	run := func() []Transition {
 		h := &lifecycleHarness{pass: func(a int) bool { return a > 2 }}
-		lc, err := NewLifecycle(h.config(""), []byte("m0"), 0)
+		lc, err := NewLifecycle(h.config(), []byte("m0"), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -126,7 +126,7 @@ func TestDevelopRecordsEachStage(t *testing.T) {
 	calls := func() map[string]uint64 {
 		got := make(map[string]uint64, len(want))
 		for stage := range want {
-			got[stage] = obs.Default.Counter(obs.StageCallsName, "stage", stage).Value()
+			got[stage] = obs.Default.Counter("campuslab_stage_calls_total", "stage", stage).Value()
 		}
 		return got
 	}

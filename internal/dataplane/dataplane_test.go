@@ -383,7 +383,7 @@ func TestMaxConcurrent(t *testing.T) {
 	}
 	// A program with expensive range rules fits far fewer times.
 	exp := &Program{Rules: []Rule{{
-		Conds:  []RangeCond{{Field: FieldWireLen, Lo: 1, Hi: 0xfffe}, {Field: FieldSrcPort, Lo: 1, Hi: 0xfffe}},
+		Conds:  []RangeCond{{Field: fieldWireLen, Lo: 1, Hi: 0xfffe}, {Field: fieldSrcPort, Lo: 1, Hi: 0xfffe}},
 		Action: ActionDrop, Class: 1,
 	}}}
 	if m := res.MaxConcurrent(exp); m >= n {

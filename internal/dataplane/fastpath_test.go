@@ -757,9 +757,9 @@ func synthProgram(nRules int) *Program {
 		}
 		p.Rules = append(p.Rules, Rule{
 			Conds: []RangeCond{
-				{Field: FieldWireLen, Lo: 0, Hi: 16383},
+				{Field: fieldWireLen, Lo: 0, Hi: 16383},
 				{Field: fieldDstPort, Lo: 0, Hi: 61439},
-				{Field: FieldSrcPort, Lo: 0, Hi: 61439},
+				{Field: fieldSrcPort, Lo: 0, Hi: 61439},
 				{Field: fieldSynNoAck, Lo: 0, Hi: 0},
 				{Field: fieldDNSResp, Lo: 1, Hi: 1},
 				{Field: fieldTTL, Lo: uint32(i * span), Hi: uint32((i+1)*span - 1)},

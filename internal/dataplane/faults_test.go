@@ -31,10 +31,10 @@ func TestInstallFilterInjectedTransientFault(t *testing.T) {
 
 func TestInstallRateLimitInjectedFault(t *testing.T) {
 	sw := NewSwitch(DefaultResources())
-	sw.SetFaultInjector(faults.NewSchedule().FailCalls(faults.OpInstall, 1, 1, faults.KindPermanent))
+	sw.SetFaultInjector(faults.NewSchedule().FailCalls(faults.OpInstall, 1, 1, faults.KindTransient))
 	err := sw.InstallRateLimit(FilterKey{DstPort: 53}, 1e6, 4e6)
-	if !faults.IsPermanent(err) {
-		t.Fatalf("want permanent fault, got %v", err)
+	if !faults.IsTransient(err) {
+		t.Fatalf("want transient fault, got %v", err)
 	}
 	if err := sw.InstallRateLimit(FilterKey{DstPort: 53}, 1e6, 4e6); err != nil {
 		t.Fatalf("second install: %v", err)

@@ -23,11 +23,11 @@ type Field uint8
 
 // Matchable per-packet fields (aligned with features.PacketSchema).
 const (
-	FieldWireLen Field = iota
+	fieldWireLen Field = iota
 	FieldIsUDP
 	fieldIsTCP
 	fieldDstPort
-	FieldSrcPort
+	fieldSrcPort
 	fieldSynNoAck
 	fieldDNSResp
 	fieldDNSAny

@@ -32,11 +32,11 @@ func (fv *fieldVector) set(f Field, v uint32) { fv.vals[f] = v }
 // fromSummary fills the vector from a parsed packet summary — the switch
 // "parser" stage.
 func (fv *fieldVector) fromSummary(s *packet.Summary) {
-	fv.vals[FieldWireLen] = clampU32(s.WireLen)
+	fv.vals[fieldWireLen] = clampU32(s.WireLen)
 	fv.vals[FieldIsUDP] = b2u(s.HasUDP)
 	fv.vals[fieldIsTCP] = b2u(s.HasTCP)
 	fv.vals[fieldDstPort] = uint32(s.Tuple.DstPort)
-	fv.vals[FieldSrcPort] = uint32(s.Tuple.SrcPort)
+	fv.vals[fieldSrcPort] = uint32(s.Tuple.SrcPort)
 	fv.vals[fieldSynNoAck] = b2u(s.HasTCP && s.TCPFlags.Has(packet.TCPSyn) && !s.TCPFlags.Has(packet.TCPAck))
 	fv.vals[fieldDNSResp] = b2u(s.IsDNS && s.DNSResponse)
 	fv.vals[fieldDNSAny] = b2u(s.IsDNS && s.DNSQueryType == packet.DNSTypeANY)
@@ -442,7 +442,7 @@ func (sw *Switch) failInstall() error {
 
 // InstallFilter adds a runtime filter entry, honoring the exact-match
 // table budget. Errors are typed: injected faults classify via
-// faults.IsTransient/IsPermanent, table exhaustion is errTableFull
+// faults.IsTransient, table exhaustion is errTableFull
 // (permanent — retrying cannot succeed until entries are removed).
 func (sw *Switch) InstallFilter(key FilterKey, action ActionKind) error {
 	sw.writeMu.Lock()

@@ -16,6 +16,7 @@ import (
 
 	"campuslab/internal/faults"
 	"campuslab/internal/frame"
+	"campuslab/internal/obs"
 	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
 )
@@ -471,6 +472,17 @@ func dirListing(t *testing.T, dir string) map[string]int64 {
 	return out
 }
 
+// gauge reads an unlabelled gauge of the default registry as /metrics
+// shows it.
+func gauge(t *testing.T, name string) float64 {
+	t.Helper()
+	series := obs.Default.SeriesByName(name)
+	if len(series) != 1 {
+		t.Fatalf("%s: %d series, want 1", name, len(series))
+	}
+	return series[0].Value
+}
+
 // TestCommitTierRecomputesTotals: after any sequence of seals, compactions
 // and retention passes the cold totals are the sums over the registry —
 // and over the segment files on disk — because commitTier recomputes them
@@ -505,10 +517,10 @@ func TestCommitTierRecomputesTotals(t *testing.T) {
 				t.Fatalf("seed %d after %s: cold totals %d packets / %d bytes, registry sums %d / %d, %d bytes in %d files for %d segments",
 					seed, step, ts.ColdPackets, ts.ColdBytes, pkts, bytesReg, bytesDisk, len(files), ts.Segments)
 			}
-			if obsTierColdPackets.Value() != float64(pkts) || obsTierColdBytes.Value() != float64(bytesReg) ||
-				obsTierSegments.Value() != float64(ts.Segments) {
+			gPkts, gBytes, gSegs := gauge(t, "campuslab_tier_cold_packets"), gauge(t, "campuslab_tier_cold_bytes"), gauge(t, "campuslab_tier_segments")
+			if gPkts != float64(pkts) || gBytes != float64(bytesReg) || gSegs != float64(ts.Segments) {
 				t.Fatalf("seed %d after %s: gauges %v packets / %v bytes / %v segments, registry %d / %d / %d", seed, step,
-					obsTierColdPackets.Value(), obsTierColdBytes.Value(), obsTierSegments.Value(), pkts, bytesReg, ts.Segments)
+					gPkts, gBytes, gSegs, pkts, bytesReg, ts.Segments)
 			}
 		}
 		lo := 0

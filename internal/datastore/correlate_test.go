@@ -32,8 +32,8 @@ func TestCorrelateEventsLinksByAddressAndTime(t *testing.T) {
 			Host: "fw-border", Message: fmt.Sprintf("deny tcp %s:23 (policy)", target.Key.SrcIP),
 		},
 		{
-			TS: target.First, Source: eventlog.SourceSyslog, Severity: eventlog.SevInfo,
-			Host: "srv-1", Message: "no address here",
+			// The zero Source and Severity: a syslog line at info.
+			TS: target.First, Host: "srv-1", Message: "no address here",
 		},
 		{
 			// Event far outside any plausible window.

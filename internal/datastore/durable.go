@@ -92,7 +92,8 @@ type DurableConfig struct {
 	Dir string
 	// Fsync is the WAL durability policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// SegmentBytes: see WALConfig.
+	// SegmentBytes rotates the WAL to a new segment file once the current
+	// one exceeds this size (default 4 MiB).
 	SegmentBytes int64
 	// Shards fixes the recovered store's shard count (0 = auto).
 	Shards int
@@ -224,7 +225,7 @@ func recoverOn(fsys faults.FS, cfg DurableConfig) (*Store, RecoveryStats, error)
 		}
 	}
 
-	w, err := openWAL(fsys, WALConfig{Dir: cfg.Dir, Fsync: cfg.Fsync, SegmentBytes: cfg.SegmentBytes})
+	w, err := openWAL(fsys, walConfig{Dir: cfg.Dir, Fsync: cfg.Fsync, SegmentBytes: cfg.SegmentBytes})
 	if err != nil {
 		return nil, rs, err
 	}
@@ -237,7 +238,7 @@ func recoverOn(fsys faults.FS, cfg DurableConfig) (*Store, RecoveryStats, error)
 // attachWAL routes every subsequent acked batch through w: the record is
 // durable (per w's fsync policy) before the batch's first PacketID is
 // returned. Attach before concurrent ingest begins.
-func (s *Store) attachWAL(w *WAL) {
+func (s *Store) attachWAL(w *wal) {
 	s.ingestMu.Lock()
 	s.wal = w
 	s.noteSegment()

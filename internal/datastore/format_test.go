@@ -50,12 +50,12 @@ func TestFormatWALSegmentPinned(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(src, segName(1)), want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenWAL(WALConfig{Dir: t.TempDir(), Fsync: FsyncNone})
+	w, err := openWAL(faults.OS, walConfig{Dir: t.TempDir(), Fsync: fsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, clean, err := ReplayWALFrom(src, 0, func(frames []traffic.Frame, links []uint16) {
-		if err := w.Append(frames, links); err != nil {
+	records, clean, err := replayWAL(faults.OS, src, 0, func(frames []traffic.Frame, links []uint16) {
+		if err := w.append(frames, links); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -376,7 +376,7 @@ func synFrame(t testing.TB, src netip.Addr, sport uint16, ts time.Duration) traf
 // equal a model that knows nothing of slabs.
 func TestFlowSlabWindowsStayApart(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := Recover(DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 1})
+	st, _, err := Recover(DurableConfig{Dir: dir, Fsync: fsyncNone, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestFlowSlabWindowsStayApart(t *testing.T) {
 	add("10.0.0.4")
 	check("packets after the checkpoint")
 	st.CloseWAL()
-	if st, _, err = Recover(DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4}); err != nil {
+	if st, _, err = Recover(DurableConfig{Dir: dir, Fsync: fsyncNone, Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer st.CloseWAL()

@@ -163,7 +163,7 @@ type Store struct {
 	// walSegs (where each live segment starts), and excludes ingest from
 	// CheckpointDir, so a checkpoint's cut falls between logged batches.
 	ingestMu sync.Mutex
-	wal      *WAL
+	wal      *wal
 	walSegs  []walSeg
 
 	// totPackets/totBytes track live occupancy for the admission gate
@@ -501,7 +501,7 @@ func (s *Store) applyInOrder(sc *batchScratch, frames []traffic.Frame, links []u
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	if s.wal != nil {
-		if err := s.wal.Append(frames, links); err != nil {
+		if err := s.wal.append(frames, links); err != nil {
 			return 0, err
 		}
 	}

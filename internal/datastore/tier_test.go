@@ -352,7 +352,7 @@ func TestRetainedFlowsMatchUntieredEviction(t *testing.T) {
 	frames := tierFrames(t)
 	const dir = "/data"
 	mfs := newMemFS(1)
-	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4, Tier: aggressiveTier(dir + "/tier")}
+	cfg := DurableConfig{Dir: dir, Fsync: fsyncNone, Shards: 4, Tier: aggressiveTier(dir + "/tier")}
 	st, _, err := recoverOn(mfs, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -71,10 +71,11 @@ const (
 	// batches on power loss, nothing on a process kill (the OS still has
 	// the writes). The operational default.
 	FsyncInterval
-	// FsyncNone never syncs explicitly; the OS flushes on its own
+	// fsyncNone never syncs explicitly; the OS flushes on its own
 	// schedule. Fastest; a power cut can lose everything since the last
-	// checkpoint, a process kill still loses nothing.
-	FsyncNone
+	// checkpoint, a process kill still loses nothing. Programs reach it
+	// through ParseFsyncPolicy("none").
+	fsyncNone
 )
 
 // String names the policy (benchmark axes, healthz).
@@ -97,13 +98,13 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	case "interval", "":
 		return FsyncInterval, nil
 	case "none":
-		return FsyncNone, nil
+		return fsyncNone, nil
 	}
 	return 0, fmt.Errorf("datastore: unknown fsync policy %q (always|interval|none)", s)
 }
 
-// WALConfig parameterizes a write-ahead log.
-type WALConfig struct {
+// walConfig parameterizes a write-ahead log.
+type walConfig struct {
 	// Dir holds the segment files. Created if missing.
 	Dir string
 	// Fsync is the durability policy (default FsyncInterval).
@@ -124,11 +125,11 @@ var (
 	obsWALCorrupt   = obs.Default.Counter("campuslab_wal_corrupt_tails_total")
 )
 
-// WAL is an append-only segmented log. It is not itself goroutine-safe:
+// wal is an append-only segmented log. It is not itself goroutine-safe:
 // the owning Store serializes appends, flushes, and truncation under its
 // ingest mutex.
-type WAL struct {
-	cfg     WALConfig
+type wal struct {
+	cfg     walConfig
 	fsys    faults.FS
 	f       faults.File
 	seq     uint64 // current segment sequence
@@ -186,15 +187,12 @@ func listSegments(fsys faults.FS, dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// OpenWAL opens (creating if needed) a write-ahead log in cfg.Dir and
-// positions it for appending: existing segments are left for Replay, and
-// new records go to a fresh segment numbered after the newest existing
+// openWAL opens (creating if needed) a write-ahead log in cfg.Dir on fsys
+// and positions it for appending: existing segments are left for replay,
+// and new records go to a fresh segment numbered after the newest existing
 // one, so a recovered process never overwrites history it has not yet
 // replayed.
-func OpenWAL(cfg WALConfig) (*WAL, error) { return openWAL(faults.OS, cfg) }
-
-// openWAL is OpenWAL on fsys.
-func openWAL(fsys faults.FS, cfg WALConfig) (*WAL, error) {
+func openWAL(fsys faults.FS, cfg walConfig) (*wal, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 4 << 20
 	}
@@ -208,7 +206,7 @@ func openWAL(fsys faults.FS, cfg WALConfig) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("datastore: wal: %w", err)
 	}
-	w := &WAL{cfg: cfg, fsys: fsys, segments: len(seqs)}
+	w := &wal{cfg: cfg, fsys: fsys, segments: len(seqs)}
 	next := uint64(1)
 	if n := len(seqs); n > 0 {
 		next = seqs[n-1] + 1
@@ -220,7 +218,7 @@ func openWAL(fsys faults.FS, cfg WALConfig) (*WAL, error) {
 }
 
 // openSegment starts segment seq and writes its header.
-func (w *WAL) openSegment(seq uint64) error {
+func (w *wal) openSegment(seq uint64) error {
 	f, err := w.fsys.OpenFile(filepath.Join(w.cfg.Dir, segName(seq)),
 		os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
@@ -256,7 +254,7 @@ func walHeader(seq uint64) []byte {
 
 // encodeBatch serializes one batch as a checked block in w.buf, sized
 // once and reused across appends, and returns the framed record.
-func (w *WAL) encodeBatch(frames []traffic.Frame, links []uint16) []byte {
+func (w *wal) encodeBatch(frames []traffic.Frame, links []uint16) []byte {
 	if need := frame.BlockHeaderSize + frame.RecordsSize(frames); cap(w.buf) < need {
 		w.buf = make([]byte, need)
 	}
@@ -265,12 +263,12 @@ func (w *WAL) encodeBatch(frames []traffic.Frame, links []uint16) []byte {
 	return w.buf
 }
 
-// Append logs one acked batch. The record is on disk (and synced, per the
-// policy) before Append returns nil; a non-nil error means the batch is
+// append logs one acked batch. The record is on disk (and synced, per the
+// policy) before append returns nil; a non-nil error means the batch is
 // NOT durable and must not be acknowledged. The first I/O failure wedges
-// the log: every later Append fails fast with the same error, so a sick
+// the log: every later append fails fast with the same error, so a sick
 // disk degrades loudly instead of interleaving lost and kept records.
-func (w *WAL) Append(frames []traffic.Frame, links []uint16) error {
+func (w *wal) append(frames []traffic.Frame, links []uint16) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -303,7 +301,7 @@ func (w *WAL) Append(frames []traffic.Frame, links []uint16) error {
 	return nil
 }
 
-func (w *WAL) sync() error {
+func (w *wal) sync() error {
 	if err := w.f.Sync(); err != nil {
 		w.err = fmt.Errorf("datastore: wal sync: %w", err)
 		return w.err
@@ -314,7 +312,7 @@ func (w *WAL) sync() error {
 }
 
 // rotate seals the current segment (synced) and opens the next one.
-func (w *WAL) rotate() error {
+func (w *wal) rotate() error {
 	if err := w.sync(); err != nil {
 		return err
 	}
@@ -331,7 +329,7 @@ func (w *WAL) rotate() error {
 
 // flush syncs any unsynced appends (SIGTERM drains and every checkpoint
 // call it first).
-func (w *WAL) flush() error {
+func (w *wal) flush() error {
 	if w.err != nil {
 		return w.err
 	}
@@ -344,7 +342,7 @@ func (w *WAL) flush() error {
 // truncate removes the segments below seq, oldest first — called by a
 // checkpoint once it is published, with its replay position: nothing the
 // checkpoint needs is below it. The live segment is never below it.
-func (w *WAL) truncate(seq uint64) error {
+func (w *wal) truncate(seq uint64) error {
 	seqs, err := listSegments(w.fsys, w.cfg.Dir)
 	if err != nil {
 		return fmt.Errorf("datastore: wal truncate: %w", err)
@@ -363,7 +361,7 @@ func (w *WAL) truncate(seq uint64) error {
 }
 
 // Close flushes and closes the live segment.
-func (w *WAL) Close() error {
+func (w *wal) Close() error {
 	if w.f == nil {
 		return nil
 	}
@@ -418,24 +416,15 @@ func replaySegment(fsys faults.FS, path string, wantSeq uint64, scratch *[]byte,
 	}
 }
 
-// ReplayWALFrom applies every valid record in dir's segments, in sequence
-// order from segment from (0: the oldest there is), to apply. It stops at
-// the first corruption or gap (reporting clean=false) and never panics;
-// the applied records are always a prefix of the record stream appended
-// from that segment on. A missing segment from > 0 is an error wrapping
-// errBadSnapshot: the checkpoint that names it cannot be completed.
-func ReplayWALFrom(dir string, from uint64, apply func(frames []traffic.Frame, links []uint16)) (records uint64, clean bool, err error) {
-	stop, _, err := replayWALFrom(faults.OS, dir, from, func(uint64) {}, func(frames []traffic.Frame, links []uint16) {
-		apply(frames, links)
-		records++
-	})
-	return records, stop == 0, err
-}
-
-// replayWALFrom is ReplayWALFrom on fsys, calling seg before each segment
-// it replays. A replay that stops early reports the segment it stopped in
-// (stop 0: it did not) and the length of that segment's valid prefix (all
-// of it when a gap follows it).
+// replayWALFrom applies every valid record in dir's segments on fsys, in
+// sequence order from segment from (0: the oldest there is), to apply,
+// calling seg before each segment it replays. It stops at the first
+// corruption or gap and never panics; the applied records are always a
+// prefix of the record stream appended from that segment on. A replay that
+// stops early reports the segment it stopped in (stop 0: it did not) and
+// the length of that segment's valid prefix (all of it when a gap follows
+// it). A missing segment from > 0 is an error wrapping errBadSnapshot: the
+// checkpoint that names it cannot be completed.
 func replayWALFrom(fsys faults.FS, dir string, from uint64, seg func(seq uint64), apply func(frames []traffic.Frame, links []uint16)) (stop uint64, valid int64, err error) {
 	seqs, err := listSegments(fsys, dir)
 	if err != nil {

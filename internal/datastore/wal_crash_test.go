@@ -122,7 +122,7 @@ func TestWALCrashKill9(t *testing.T) {
 // WAL replay for a directory with a checkpoint and a replay backlog.
 func BenchmarkWALRecovery(b *testing.B) {
 	dir := b.TempDir()
-	st, _, err := Recover(DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4})
+	st, _, err := Recover(DurableConfig{Dir: dir, Fsync: fsyncNone, Shards: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, rs, err := Recover(DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4})
+		rec, rs, err := Recover(DurableConfig{Dir: dir, Fsync: fsyncNone, Shards: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

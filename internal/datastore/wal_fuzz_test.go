@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"campuslab/internal/faults"
 	"campuslab/internal/traffic"
 )
 
@@ -13,12 +14,12 @@ import (
 func walFuzzSeg(f *testing.F, n int) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	w, err := OpenWAL(WALConfig{Dir: dir, Fsync: FsyncNone})
+	w, err := openWAL(faults.OS, walConfig{Dir: dir, Fsync: fsyncNone})
 	if err != nil {
 		f.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := w.Append(walFrames(2, i), nil); err != nil {
+		if err := w.append(walFrames(2, i), nil); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -56,14 +57,14 @@ func FuzzWALReplay(f *testing.F) {
 			nValid = int(data[0]) % 4
 			tail = data[1:]
 		}
-		w, err := OpenWAL(WALConfig{Dir: dir, Fsync: FsyncNone})
+		w, err := openWAL(faults.OS, walConfig{Dir: dir, Fsync: fsyncNone})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var acked [][]traffic.Frame
 		for i := 0; i < nValid; i++ {
 			frames := walFrames(3, i)
-			if err := w.Append(frames, nil); err != nil {
+			if err := w.append(frames, nil); err != nil {
 				t.Fatal(err)
 			}
 			acked = append(acked, frames)
@@ -90,7 +91,7 @@ func FuzzWALReplay(f *testing.F) {
 
 		replay := func() [][]traffic.Frame {
 			var got [][]traffic.Frame
-			_, _, err := ReplayWALFrom(dir, 0, func(frames []traffic.Frame, links []uint16) {
+			_, _, err := replayWAL(faults.OS, dir, 0, func(frames []traffic.Frame, links []uint16) {
 				cp := make([]traffic.Frame, len(frames))
 				for i := range frames {
 					cp[i] = frames[i]

@@ -15,7 +15,7 @@ import (
 // snapshot, no matter how ingest and checkpoints interleave.
 func TestConcurrentIngestCheckpointQuery(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := Recover(DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4})
+	st, _, err := Recover(DurableConfig{Dir: dir, Fsync: fsyncNone, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestConcurrentIngestCheckpointQuery(t *testing.T) {
 	live := surfaceOf(st)
 	st.CloseWAL() // crash: no final checkpoint
 
-	st2, _, err := Recover(DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4})
+	st2, _, err := Recover(DurableConfig{Dir: dir, Fsync: fsyncNone, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,12 +37,23 @@ func walFrames(n, seed int) []traffic.Frame {
 	return frames
 }
 
+// replayWAL replays dir's log on fsys from segment from into apply and
+// reports the records applied and whether the replay reached the end
+// without corruption or a gap.
+func replayWAL(fsys faults.FS, dir string, from uint64, apply func(frames []traffic.Frame, links []uint16)) (records uint64, clean bool, err error) {
+	stop, _, err := replayWALFrom(fsys, dir, from, func(uint64) {}, func(frames []traffic.Frame, links []uint16) {
+		apply(frames, links)
+		records++
+	})
+	return records, stop == 0, err
+}
+
 // replayAll collects every replayed frame from dir.
 func replayAll(t *testing.T, dir string) ([]traffic.Frame, []uint16, uint64, bool) {
 	t.Helper()
 	var frames []traffic.Frame
 	var links []uint16
-	records, clean, err := ReplayWALFrom(dir, 0, func(fs []traffic.Frame, ls []uint16) {
+	records, clean, err := replayWAL(faults.OS, dir, 0, func(fs []traffic.Frame, ls []uint16) {
 		frames = append(frames, fs...)
 		links = append(links, ls...)
 	})
@@ -54,7 +65,7 @@ func replayAll(t *testing.T, dir string) ([]traffic.Frame, []uint16, uint64, boo
 
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(WALConfig{Dir: dir, Fsync: FsyncAlways})
+	w, err := openWAL(faults.OS, walConfig{Dir: dir, Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +75,7 @@ func TestWALRoundTrip(t *testing.T) {
 		links[i] = uint16(i % 4)
 	}
 	for i := 0; i < len(want); i += 10 {
-		if err := w.Append(want[i:i+10], links[i:i+10]); err != nil {
+		if err := w.append(want[i:i+10], links[i:i+10]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,13 +107,13 @@ func TestWALRoundTrip(t *testing.T) {
 func TestWALRotationAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation nearly every append.
-	w, err := OpenWAL(WALConfig{Dir: dir, SegmentBytes: 256, Fsync: FsyncNone})
+	w, err := openWAL(faults.OS, walConfig{Dir: dir, SegmentBytes: 256, Fsync: fsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := walFrames(40, 3)
 	for i := range want {
-		if err := w.Append(want[i:i+1], nil); err != nil {
+		if err := w.append(want[i:i+1], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,13 +141,13 @@ func TestWALRotationAcrossSegments(t *testing.T) {
 // appendN writes n single-frame records and returns the segment path.
 func appendN(t *testing.T, dir string, n int) string {
 	t.Helper()
-	w, err := OpenWAL(WALConfig{Dir: dir, Fsync: FsyncAlways})
+	w, err := openWAL(faults.OS, walConfig{Dir: dir, Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := walFrames(n, 11)
 	for i := range frames {
-		if err := w.Append(frames[i:i+1], nil); err != nil {
+		if err := w.append(frames[i:i+1], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,13 +227,13 @@ func TestWALBadHeaderIgnored(t *testing.T) {
 
 func TestWALSegmentGapStopsReplay(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(WALConfig{Dir: dir, SegmentBytes: 256, Fsync: FsyncNone})
+	w, err := openWAL(faults.OS, walConfig{Dir: dir, SegmentBytes: 256, Fsync: fsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := walFrames(30, 5)
 	for i := range frames {
-		if err := w.Append(frames[i:i+1], nil); err != nil {
+		if err := w.append(frames[i:i+1], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,13 +263,13 @@ func TestWALTruncateResetsLog(t *testing.T) {
 	// truncate(seq) removes the segments below seq and nothing else: what
 	// is left, the live segment included, replays as a suffix of the log.
 	dir := t.TempDir()
-	w, err := OpenWAL(WALConfig{Dir: dir, SegmentBytes: 256, Fsync: FsyncNone})
+	w, err := openWAL(faults.OS, walConfig{Dir: dir, SegmentBytes: 256, Fsync: fsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := walFrames(20, 9)
 	for i := range frames {
-		if err := w.Append(frames[i:i+1], nil); err != nil {
+		if err := w.append(frames[i:i+1], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +284,7 @@ func TestWALTruncateResetsLog(t *testing.T) {
 		t.Fatalf("after truncate: segments %v (counted %d), want %v", left, w.segments, seqs[len(seqs)-2:])
 	}
 	post := walFrames(4, 31)
-	if err := w.Append(post, nil); err != nil {
+	if err := w.append(post, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -293,12 +304,12 @@ func TestWALTruncateResetsLog(t *testing.T) {
 
 func TestWALEmptyAndMissingDir(t *testing.T) {
 	// Missing dir: clean empty replay.
-	records, clean, err := ReplayWALFrom(filepath.Join(t.TempDir(), "nope"), 0, func([]traffic.Frame, []uint16) {})
+	records, clean, err := replayWAL(faults.OS, filepath.Join(t.TempDir(), "nope"), 0, func([]traffic.Frame, []uint16) {})
 	if err != nil || !clean || records != 0 {
 		t.Fatalf("missing dir: (%d, %v, %v)", records, clean, err)
 	}
 	// Empty dir likewise.
-	records, clean, err = ReplayWALFrom(t.TempDir(), 0, func([]traffic.Frame, []uint16) {})
+	records, clean, err = replayWAL(faults.OS, t.TempDir(), 0, func([]traffic.Frame, []uint16) {})
 	if err != nil || !clean || records != 0 {
 		t.Fatalf("empty dir: (%d, %v, %v)", records, clean, err)
 	}
@@ -310,7 +321,7 @@ func TestFsyncPolicyParse(t *testing.T) {
 		want FsyncPolicy
 	}{
 		{"always", FsyncAlways}, {"interval", FsyncInterval},
-		{"", FsyncInterval}, {"none", FsyncNone}, {"NONE", FsyncNone},
+		{"", FsyncInterval}, {"none", fsyncNone}, {"NONE", fsyncNone},
 	} {
 		got, err := ParseFsyncPolicy(tc.in)
 		if err != nil || got != tc.want {
@@ -430,7 +441,7 @@ func TestRecoverAfterEviction(t *testing.T) {
 		frames = frames[:2000]
 	}
 	dir, mfs := "/data", newMemFS(1)
-	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 4}
+	cfg := DurableConfig{Dir: dir, Fsync: fsyncNone, Shards: 4}
 	st, _, err := recoverOn(mfs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +520,7 @@ func TestRecoverAfterEviction(t *testing.T) {
 // order them by key, so Recover loads it and re-checkpoints the same bytes.
 func TestRecoverTwinFlows(t *testing.T) {
 	dir, mfs := "/data", newMemFS(1)
-	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone}
+	cfg := DurableConfig{Dir: dir, Fsync: fsyncNone}
 	st, _, err := recoverOn(mfs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -722,12 +733,12 @@ func TestRecoverRefusesTrimmedWAL(t *testing.T) {
 	rec.CloseWAL()
 }
 
-// TestCheckpointFlushesWAL: under FsyncNone the WAL syncs nothing on its
+// TestCheckpointFlushesWAL: under fsyncNone the WAL syncs nothing on its
 // own, but a checkpoint counts rows that only the log holds, so it flushes
 // the log first: a power cut right after it keeps every row it counts.
 func TestCheckpointFlushesWAL(t *testing.T) {
 	const dir = "/data"
-	cfg := DurableConfig{Dir: dir, Fsync: FsyncNone, Shards: 2}
+	cfg := DurableConfig{Dir: dir, Fsync: fsyncNone, Shards: 2}
 	mfs := newMemFS(1)
 	st, _, err := recoverOn(mfs, cfg)
 	if err != nil {
@@ -944,20 +955,20 @@ func TestRecoverReshards(t *testing.T) {
 
 func TestWALStickyError(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(WALConfig{Dir: dir, Fsync: FsyncAlways})
+	w, err := openWAL(faults.OS, walConfig{Dir: dir, Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Close the underlying file out from under the WAL: the next append
 	// must fail and wedge the log.
 	w.f.Close()
-	if err := w.Append(walFrames(1, 1), nil); err == nil {
+	if err := w.append(walFrames(1, 1), nil); err == nil {
 		t.Fatal("append on closed file succeeded")
 	}
 	if w.err == nil {
 		t.Fatal("sticky error not set")
 	}
-	if err := w.Append(walFrames(1, 2), nil); !errors.Is(err, w.err) {
+	if err := w.append(walFrames(1, 2), nil); !errors.Is(err, w.err) {
 		t.Fatal("wedged log accepted another append")
 	}
 }

@@ -15,10 +15,10 @@ type Source uint8
 
 // Sensor classes feeding the data store.
 const (
-	SourceSyslog Source = iota
+	sourceSyslog Source = iota
 	SourceFirewall
 	sourceConfig
-	SourceIDS
+	sourceIDS
 	numSources
 )
 
@@ -37,7 +37,7 @@ type Severity uint8
 
 // Event severities, syslog-style.
 const (
-	SevInfo Severity = iota
+	sevInfo Severity = iota
 	SevWarning
 	sevError
 	sevCritical
@@ -46,7 +46,7 @@ const (
 // String returns the severity name.
 func (s Severity) String() string {
 	switch s {
-	case SevInfo:
+	case sevInfo:
 		return "info"
 	case SevWarning:
 		return "warning"
@@ -113,12 +113,12 @@ var syslogTemplates = []struct {
 	sev Severity
 	msg string
 }{
-	{SevInfo, "sshd: accepted publickey for %s"},
+	{sevInfo, "sshd: accepted publickey for %s"},
 	{SevWarning, "sshd: failed password for invalid user %s"},
-	{SevInfo, "systemd: started nightly backup job"},
+	{sevInfo, "systemd: started nightly backup job"},
 	{sevError, "nginx: upstream timed out while reading response"},
 	{SevWarning, "kernel: nf_conntrack table 90%% full"},
-	{SevInfo, "dhcpd: DHCPACK on 10.4.12.%s"},
+	{sevInfo, "dhcpd: DHCPACK on 10.4.12.%s"},
 	{sevCritical, "raid: degraded array md0, disk %s failed"},
 }
 
@@ -126,7 +126,7 @@ var firewallTemplates = []struct {
 	sev Severity
 	msg string
 }{
-	{SevInfo, "allow tcp %s:443"},
+	{sevInfo, "allow tcp %s:443"},
 	{SevWarning, "deny tcp %s:23 (policy: no-telnet)"},
 	{SevWarning, "deny udp %s:161 external snmp probe"},
 	{sevError, "rate-limit triggered for %s"},
@@ -158,9 +158,9 @@ func (g *Generator) Generate(dur time.Duration) []Event {
 			ev.Severity = tpl.sev
 			ev.Message = fmt.Sprintf(tpl.msg, fmt.Sprintf("198.51.100.%d", g.rng.Intn(255)))
 		case sourceConfig:
-			ev.Severity = SevInfo
+			ev.Severity = sevInfo
 			ev.Message = fmt.Sprintf("config commit %08x by netops", g.rng.Uint32())
-		case SourceIDS:
+		case sourceIDS:
 			ev.Severity = SevWarning
 			ev.Message = fmt.Sprintf("signature %d matched on sensor %s", 2000000+g.rng.Intn(5000), ev.Host)
 		default:

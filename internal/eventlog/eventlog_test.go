@@ -6,7 +6,7 @@ import (
 )
 
 func TestGeneratorProducesOrderedEvents(t *testing.T) {
-	g := NewGenerator(GeneratorConfig{Source: SourceSyslog, Rate: 10, Seed: 1})
+	g := NewGenerator(GeneratorConfig{Source: sourceSyslog, Rate: 10, Seed: 1})
 	evs := g.Generate(time.Minute)
 	if len(evs) < 300 {
 		t.Fatalf("only %d events in a minute at 10/s", len(evs))
@@ -17,7 +17,7 @@ func TestGeneratorProducesOrderedEvents(t *testing.T) {
 		}
 	}
 	for _, e := range evs {
-		if e.Source != SourceSyslog || e.Host == "" || e.Message == "" {
+		if e.Source != sourceSyslog || e.Host == "" || e.Message == "" {
 			t.Fatalf("bad event: %+v", e)
 		}
 	}

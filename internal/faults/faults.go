@@ -31,9 +31,9 @@ const (
 	// KindTransient faults succeed on retry (a dropped control-channel
 	// message, a busy table manager). Callers should back off and retry.
 	KindTransient Kind = iota
-	// KindPermanent faults do not clear on retry (table full, tier down).
+	// kindPermanent faults do not clear on retry (table full, tier down).
 	// Callers must degrade instead of retrying.
-	KindPermanent
+	kindPermanent
 )
 
 // String names the kind.
@@ -57,7 +57,8 @@ const (
 func OpInfer(tier string) string { return "infer." + tier }
 
 // faultError is the typed error every injector returns. Callers classify it
-// with IsTransient/IsPermanent (via errors.As), never by string.
+// with IsTransient, never by string: a fault that is not transient is
+// permanent.
 type faultError struct {
 	Op   string // instrumented operation that failed
 	Kind Kind   // transient vs permanent
@@ -76,11 +77,11 @@ func IsTransient(err error) bool {
 	return ok && fe.Kind == KindTransient
 }
 
-// IsPermanent reports whether err is (or wraps) a permanent injected
+// isPermanent reports whether err is (or wraps) a permanent injected
 // fault.
-func IsPermanent(err error) bool {
+func isPermanent(err error) bool {
 	fe, ok := asFault(err)
-	return ok && fe.Kind == KindPermanent
+	return ok && fe.Kind == kindPermanent
 }
 
 func asFault(err error) (*faultError, bool) {
@@ -208,7 +209,7 @@ func (p *Prob) Fail(op string) error {
 	case u < r.transient:
 		kind = KindTransient
 	case u < r.transient+r.permanent:
-		kind = KindPermanent
+		kind = kindPermanent
 	default:
 		p.cnt.record(op, KindTransient, false)
 		return nil

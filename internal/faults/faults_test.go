@@ -20,7 +20,7 @@ func TestHealthyInjectsNothing(t *testing.T) {
 func TestScheduleFiresOnExactWindows(t *testing.T) {
 	s := NewSchedule().
 		FailCalls(OpInstall, 2, 4, KindTransient).
-		FailCalls(OpInstall, 7, 7, KindPermanent)
+		FailCalls(OpInstall, 7, 7, kindPermanent)
 	var got []string
 	for i := 1; i <= 8; i++ {
 		err := s.Fail(OpInstall)
@@ -29,7 +29,7 @@ func TestScheduleFiresOnExactWindows(t *testing.T) {
 			got = append(got, "ok")
 		case IsTransient(err):
 			got = append(got, "t")
-		case IsPermanent(err):
+		case isPermanent(err):
 			got = append(got, "p")
 		}
 	}
@@ -115,11 +115,11 @@ func TestProbPerOpStreamsAreIndependent(t *testing.T) {
 }
 
 func TestChainFirstFaultWins(t *testing.T) {
-	sched := NewSchedule().FailCalls(OpInstall, 1, 1, KindPermanent)
+	sched := NewSchedule().FailCalls(OpInstall, 1, 1, kindPermanent)
 	noise := NewProb(1).Rate(OpInstall, 1.0, 0) // always transient
 	c := Chain{sched, noise}
 	err := c.Fail(OpInstall)
-	if !IsPermanent(err) {
+	if !isPermanent(err) {
 		t.Fatalf("want scheduled permanent fault first, got %v", err)
 	}
 	if err := c.Fail(OpInstall); !IsTransient(err) {
@@ -129,18 +129,18 @@ func TestChainFirstFaultWins(t *testing.T) {
 
 func TestErrorClassification(t *testing.T) {
 	te := &faultError{Op: OpInstall, Kind: KindTransient, Seq: 3}
-	pe := &faultError{Op: OpInstall, Kind: KindPermanent, Seq: 4}
-	if !IsTransient(te) || IsPermanent(te) {
+	pe := &faultError{Op: OpInstall, Kind: kindPermanent, Seq: 4}
+	if !IsTransient(te) || isPermanent(te) {
 		t.Error("transient misclassified")
 	}
-	if !IsPermanent(pe) || IsTransient(pe) {
+	if !isPermanent(pe) || IsTransient(pe) {
 		t.Error("permanent misclassified")
 	}
 	wrapped := fmt.Errorf("dataplane: %w", te)
 	if !IsTransient(wrapped) {
 		t.Error("wrapped transient not detected")
 	}
-	if IsTransient(errors.New("plain")) || IsPermanent(nil) {
+	if IsTransient(errors.New("plain")) || isPermanent(nil) {
 		t.Error("non-fault errors misclassified")
 	}
 	for _, e := range []*faultError{te, pe} {

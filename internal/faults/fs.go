@@ -8,8 +8,7 @@ import (
 
 // FS is the seam between campuslab's durable state and the disk: every
 // file operation of the datastore's snapshots, write-ahead log and cold
-// tier, and of the control loop's last-known-good bundle, goes through
-// one. OS is the real disk; crash and write-failure tests hand the code a
+// tier goes through one. OS is the real disk; crash and write-failure tests hand the code a
 // file system that fails an operation or loses what was never synced.
 type FS interface {
 	// OpenFile opens path with os.OpenFile's flags (mode 0644 if created).

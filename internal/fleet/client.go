@@ -126,7 +126,7 @@ func (c *Client) connect() (err error) {
 	}()
 	br := bufio.NewReader(conn)
 	conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-	msg := AppendMessage(nil, msgHello, encodeHello(c.cfg.Campus))
+	msg := appendMessage(nil, msgHello, encodeHello(c.cfg.Campus))
 	if _, err := conn.Write(msg); err != nil {
 		return fmt.Errorf("fleet: hello: %w", err)
 	}

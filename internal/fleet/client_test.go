@@ -21,7 +21,7 @@ import (
 // keeps a copy of every batch message written and can lose chosen acks.
 type scriptedServer struct {
 	lastSeq uint64
-	writes  [][]byte     // every MsgBatch written, in order (when keep is set)
+	writes  [][]byte     // every msgBatch written, in order (when keep is set)
 	keep    bool         // copy batch messages into writes
 	loseAck map[int]bool // 1-based batch write numbers whose ack is cut
 	nwrites int
@@ -40,11 +40,11 @@ func (c *scriptedConn) Close() error                { return nil }
 
 func (c *scriptedConn) Write(b []byte) (int, error) {
 	s := c.srv
-	switch MsgType(b[0]) {
+	switch msgType(b[0]) {
 	case msgHello:
-		c.buf = AppendMessage(c.buf[:0], msgHelloAck, encodeHelloAck(s.lastSeq))
+		c.buf = appendMessage(c.buf[:0], msgHelloAck, encodeHelloAck(s.lastSeq))
 		c.reply = c.buf
-	case MsgBatch:
+	case msgBatch:
 		s.nwrites++
 		if s.keep {
 			s.writes = append(s.writes, bytes.Clone(b))
@@ -54,7 +54,7 @@ func (c *scriptedConn) Write(b []byte) (int, error) {
 		s.lastSeq = seq // the batch landed, whether or not its ack arrives
 		c.reply = nil
 		if !s.loseAck[s.nwrites] {
-			c.buf = AppendMessage(c.buf[:0], msgAck, encodeAck(Ack{Seq: seq, Ingested: count}))
+			c.buf = appendMessage(c.buf[:0], msgAck, encodeAck(Ack{Seq: seq, Ingested: count}))
 			c.reply = c.buf
 		}
 	}
@@ -84,7 +84,7 @@ func dialScripted(t *testing.T, srv *scriptedServer) *Client {
 }
 
 // TestAppendBatchMessageMatchesTwoStep: the in-place encoder writes the
-// bytes AppendMessage(EncodeBatch) writes, into a fresh buffer, a reused
+// bytes appendMessage(EncodeBatch) writes, into a fresh buffer, a reused
 // one that held a longer message, and one too small.
 func TestAppendBatchMessageMatchesTwoStep(t *testing.T) {
 	var dst []byte
@@ -97,10 +97,10 @@ func TestAppendBatchMessageMatchesTwoStep(t *testing.T) {
 				links[j] = uint16(j * 257)
 			}
 		}
-		want := AppendMessage(nil, MsgBatch, EncodeBatch(uint64(i+1), frames, links))
+		want := appendMessage(nil, msgBatch, EncodeBatch(uint64(i+1), frames, links))
 		dst = appendBatchMessage(dst, uint64(i+1), frames, links)
 		if !bytes.Equal(dst, want) {
-			t.Fatalf("step %d (%d frames): in-place message differs from AppendMessage(EncodeBatch)", i, n)
+			t.Fatalf("step %d (%d frames): in-place message differs from appendMessage(EncodeBatch)", i, n)
 		}
 	}
 }
@@ -157,7 +157,7 @@ func TestSendBatchRetryResendsIdenticalBytes(t *testing.T) {
 	if !bytes.Equal(srv.writes[1], srv.writes[2]) || !bytes.Equal(srv.writes[1], srv.writes[3]) {
 		t.Fatal("a retry re-sent different bytes")
 	}
-	want := AppendMessage(nil, MsgBatch, EncodeBatch(2, testFrames(50, 12), nil))
+	want := appendMessage(nil, msgBatch, EncodeBatch(2, testFrames(50, 12), nil))
 	if !bytes.Equal(srv.writes[1], want) {
 		t.Fatal("batch 2 on the wire differs from its canonical encoding")
 	}

@@ -9,34 +9,34 @@ import (
 // FuzzFleetFrame drives the wire decoder with arbitrary bytes. The
 // invariants under fuzz:
 //
-//  1. DecodeMessage/readMessage never panic; every failure is
-//     ErrFrameCorrupt (structural) or an io error (truncation).
+//  1. decodeMessage/readMessage never panic; every failure is
+//     errFrameCorrupt (structural) or an io error (truncation).
 //  2. The streaming and in-memory decoders agree on well-formed input.
 //  3. A successfully decoded message re-encodes to the identical bytes —
 //     the encoding is canonical, so decode∘encode is the identity and a
 //     single flipped bit can never round-trip cleanly.
 func FuzzFleetFrame(f *testing.F) {
-	f.Add(AppendMessage(nil, msgHello, encodeHello("ucsb")))
-	f.Add(AppendMessage(nil, msgHelloAck, encodeHelloAck(12)))
-	f.Add(AppendMessage(nil, MsgBatch, EncodeBatch(1, testFrames(3, 5), []uint16{0, 1, 2})))
-	f.Add(AppendMessage(nil, MsgBatch, EncodeBatch(2, nil, nil)))
-	f.Add(AppendMessage(nil, msgAck, encodeAck(Ack{Seq: 2, First: 77, Ingested: 10, Shed: 1})))
-	f.Add(AppendMessage(nil, msgOverloaded, encodeSeq(9)))
-	f.Add(AppendMessage(nil, msgError, []byte("campus x: ingest wedged")))
+	f.Add(appendMessage(nil, msgHello, encodeHello("ucsb")))
+	f.Add(appendMessage(nil, msgHelloAck, encodeHelloAck(12)))
+	f.Add(appendMessage(nil, msgBatch, EncodeBatch(1, testFrames(3, 5), []uint16{0, 1, 2})))
+	f.Add(appendMessage(nil, msgBatch, EncodeBatch(2, nil, nil)))
+	f.Add(appendMessage(nil, msgAck, encodeAck(Ack{Seq: 2, First: 77, Ingested: 10, Shed: 1})))
+	f.Add(appendMessage(nil, msgOverloaded, encodeSeq(9)))
+	f.Add(appendMessage(nil, msgError, []byte("campus x: ingest wedged")))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		mt, payload, rest, err := DecodeMessage(b)
+		mt, payload, rest, err := decodeMessage(b)
 		if err != nil {
-			if !errors.Is(err, ErrFrameCorrupt) {
-				t.Fatalf("DecodeMessage error %v is not ErrFrameCorrupt", err)
+			if !errors.Is(err, errFrameCorrupt) {
+				t.Fatalf("decodeMessage error %v is not errFrameCorrupt", err)
 			}
 			// The streaming decoder must also refuse (with a frame or io
 			// error), never panic.
 			var scratch []byte
 			if _, _, rerr := readMessage(bytes.NewReader(b), &scratch); rerr == nil {
-				t.Fatal("ReadMessage accepted what DecodeMessage refused")
+				t.Fatal("ReadMessage accepted what decodeMessage refused")
 			}
 			return
 		}
@@ -47,7 +47,7 @@ func FuzzFleetFrame(f *testing.F) {
 			t.Fatalf("ReadMessage disagrees: %v %v vs %v", rt, rerr, mt)
 		}
 		consumed := b[:len(b)-len(rest)]
-		if got := AppendMessage(nil, mt, payload); !bytes.Equal(got, consumed) {
+		if got := appendMessage(nil, mt, payload); !bytes.Equal(got, consumed) {
 			t.Fatal("message re-encode differs")
 		}
 
@@ -56,7 +56,7 @@ func FuzzFleetFrame(f *testing.F) {
 		case msgHello:
 			campus, version, err := decodeHello(payload)
 			if err != nil {
-				if !errors.Is(err, ErrFrameCorrupt) {
+				if !errors.Is(err, errFrameCorrupt) {
 					t.Fatalf("DecodeHello: %v", err)
 				}
 			} else if version == protocolVersion && !bytes.Equal(encodeHello(campus), payload) {
@@ -65,16 +65,16 @@ func FuzzFleetFrame(f *testing.F) {
 		case msgHelloAck:
 			version, lastSeq, err := decodeHelloAck(payload)
 			if err != nil {
-				if !errors.Is(err, ErrFrameCorrupt) {
+				if !errors.Is(err, errFrameCorrupt) {
 					t.Fatalf("DecodeHelloAck: %v", err)
 				}
 			} else if version == protocolVersion && !bytes.Equal(encodeHelloAck(lastSeq), payload) {
 				t.Fatal("hello-ack re-encode differs")
 			}
-		case MsgBatch:
+		case msgBatch:
 			seq, frames, links, err := DecodeBatch(payload)
 			if err != nil {
-				if !errors.Is(err, ErrFrameCorrupt) {
+				if !errors.Is(err, errFrameCorrupt) {
 					t.Fatalf("DecodeBatch: %v", err)
 				}
 			} else if !bytes.Equal(EncodeBatch(seq, frames, links), payload) {
@@ -83,7 +83,7 @@ func FuzzFleetFrame(f *testing.F) {
 		case msgAck:
 			ack, err := decodeAck(payload)
 			if err != nil {
-				if !errors.Is(err, ErrFrameCorrupt) {
+				if !errors.Is(err, errFrameCorrupt) {
 					t.Fatalf("DecodeAck: %v", err)
 				}
 			} else if !bytes.Equal(encodeAck(ack), payload) {
@@ -92,7 +92,7 @@ func FuzzFleetFrame(f *testing.F) {
 		case msgOverloaded:
 			seq, err := decodeSeq(payload)
 			if err != nil {
-				if !errors.Is(err, ErrFrameCorrupt) {
+				if !errors.Is(err, errFrameCorrupt) {
 					t.Fatalf("DecodeSeq: %v", err)
 				}
 			} else if !bytes.Equal(encodeSeq(seq), payload) {

@@ -139,9 +139,9 @@ func (s *Server) campus(name string) *campusState {
 }
 
 // reply writes one framed message and flushes it.
-func reply(w *bufio.Writer, t MsgType, payload []byte) error {
+func reply(w *bufio.Writer, t msgType, payload []byte) error {
 	var hdr []byte
-	hdr = AppendMessage(hdr, t, payload)
+	hdr = appendMessage(hdr, t, payload)
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -197,13 +197,13 @@ func (s *Server) handle(conn net.Conn) {
 		switch {
 		case err == io.EOF:
 			return // clean hangup at a message boundary
-		case errors.Is(err, ErrFrameCorrupt):
+		case errors.Is(err, errFrameCorrupt):
 			fail(bw, "corrupt message: %v", err)
 			return
 		case err != nil:
 			return // cut mid-message or deadline: nothing was ingested
 		}
-		if t != MsgBatch {
+		if t != msgBatch {
 			fail(bw, "expected batch, got %v", t)
 			return
 		}

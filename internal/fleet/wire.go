@@ -11,7 +11,7 @@
 //	msgHello      payload: magic "CLFT" | version u16 |
 //	              name len u16 | campus name
 //	msgHelloAck   payload: version u16 | last acked batch seq u64
-//	MsgBatch      payload: batch seq u64, then a frame record list:
+//	msgBatch      payload: batch seq u64, then a frame record list:
 //	              frame count u32, per frame:
 //	              ts i64 | link u16 | label u8 | actor u8 | dlen u32 | data
 //	msgAck        payload: batch seq u64 | first packet id u64 |
@@ -39,14 +39,14 @@ import (
 	"campuslab/internal/traffic"
 )
 
-// MsgType tags one framed protocol message.
-type MsgType uint8
+// msgType tags one framed protocol message.
+type msgType uint8
 
 // Protocol message types.
 const (
-	msgHello MsgType = iota + 1
+	msgHello msgType = iota + 1
 	msgHelloAck
-	MsgBatch
+	msgBatch
 	msgAck
 	msgOverloaded
 	msgError
@@ -54,13 +54,13 @@ const (
 )
 
 // String names the message type (errors, tests).
-func (t MsgType) String() string {
+func (t msgType) String() string {
 	switch t {
 	case msgHello:
 		return "hello"
 	case msgHelloAck:
 		return "hello-ack"
-	case MsgBatch:
+	case msgBatch:
 		return "batch"
 	case msgAck:
 		return "ack"
@@ -83,32 +83,32 @@ const (
 	maxCampusName = 255
 )
 
-// ErrFrameCorrupt reports wire bytes that fail structural validation or
+// errFrameCorrupt reports wire bytes that fail structural validation or
 // checksum — truncation, bad type, oversized lengths, CRC mismatch. The
 // decoder never panics on hostile input; it returns this.
-var ErrFrameCorrupt = errors.New("fleet: frame corrupt")
+var errFrameCorrupt = errors.New("fleet: frame corrupt")
 
 // corrupt re-types a frame decoding error as the protocol's sentinel.
-func corrupt(err error) error { return fmt.Errorf("%w: %v", ErrFrameCorrupt, err) }
+func corrupt(err error) error { return fmt.Errorf("%w: %v", errFrameCorrupt, err) }
 
 // checkType rejects a type byte outside the protocol.
-func checkType(b byte) (MsgType, error) {
-	if t := MsgType(b); t >= msgHello && t < msgTypeEnd {
+func checkType(b byte) (msgType, error) {
+	if t := msgType(b); t >= msgHello && t < msgTypeEnd {
 		return t, nil
 	}
-	return 0, fmt.Errorf("%w: unknown message type %d", ErrFrameCorrupt, b)
+	return 0, fmt.Errorf("%w: unknown message type %d", errFrameCorrupt, b)
 }
 
-// AppendMessage appends one framed message to dst and returns it.
-func AppendMessage(dst []byte, t MsgType, payload []byte) []byte {
+// appendMessage appends one framed message to dst and returns it.
+func appendMessage(dst []byte, t msgType, payload []byte) []byte {
 	return frame.AppendBlock(append(dst, byte(t)), payload)
 }
 
-// DecodeMessage parses one framed message from the front of b, returning
+// decodeMessage parses one framed message from the front of b, returning
 // the type, its payload (aliasing b), and the remaining bytes.
-func DecodeMessage(b []byte) (t MsgType, payload, rest []byte, err error) {
+func decodeMessage(b []byte) (t msgType, payload, rest []byte, err error) {
 	if len(b) == 0 {
-		return 0, nil, nil, fmt.Errorf("%w: empty message", ErrFrameCorrupt)
+		return 0, nil, nil, fmt.Errorf("%w: empty message", errFrameCorrupt)
 	}
 	if t, err = checkType(b[0]); err != nil {
 		return 0, nil, nil, err
@@ -125,8 +125,8 @@ func DecodeMessage(b []byte) (t MsgType, payload, rest []byte, err error) {
 
 // readMessage reads one framed message from r, reusing *scratch for the
 // payload. io.EOF at a message boundary is returned as io.EOF; a
-// mid-message cut is io.ErrUnexpectedEOF; corruption is ErrFrameCorrupt.
-func readMessage(r io.Reader, scratch *[]byte) (MsgType, []byte, error) {
+// mid-message cut is io.ErrUnexpectedEOF; corruption is errFrameCorrupt.
+func readMessage(r io.Reader, scratch *[]byte) (msgType, []byte, error) {
 	var tb [1]byte
 	if _, err := io.ReadFull(r, tb[:]); err != nil {
 		return 0, nil, err
@@ -159,15 +159,15 @@ func encodeHello(campus string) []byte {
 // decodeHello parses a handshake payload into (campus, version).
 func decodeHello(p []byte) (campus string, version uint16, err error) {
 	if len(p) < 8 {
-		return "", 0, fmt.Errorf("%w: short hello", ErrFrameCorrupt)
+		return "", 0, fmt.Errorf("%w: short hello", errFrameCorrupt)
 	}
 	if string(p[:4]) != helloMagic {
-		return "", 0, fmt.Errorf("%w: hello magic %q", ErrFrameCorrupt, p[:4])
+		return "", 0, fmt.Errorf("%w: hello magic %q", errFrameCorrupt, p[:4])
 	}
 	version = binary.LittleEndian.Uint16(p[4:6])
 	nlen := int(binary.LittleEndian.Uint16(p[6:8]))
 	if nlen > maxCampusName || len(p) != 8+nlen {
-		return "", 0, fmt.Errorf("%w: hello name length %d in %d payload bytes", ErrFrameCorrupt, nlen, len(p))
+		return "", 0, fmt.Errorf("%w: hello name length %d in %d payload bytes", errFrameCorrupt, nlen, len(p))
 	}
 	return string(p[8:]), version, nil
 }
@@ -184,7 +184,7 @@ func encodeHelloAck(lastSeq uint64) []byte {
 // decodeHelloAck parses the handshake reply.
 func decodeHelloAck(p []byte) (version uint16, lastSeq uint64, err error) {
 	if len(p) != 10 {
-		return 0, 0, fmt.Errorf("%w: hello-ack length %d", ErrFrameCorrupt, len(p))
+		return 0, 0, fmt.Errorf("%w: hello-ack length %d", errFrameCorrupt, len(p))
 	}
 	return binary.LittleEndian.Uint16(p[0:2]), binary.LittleEndian.Uint64(p[2:10]), nil
 }
@@ -200,10 +200,10 @@ func EncodeBatch(seq uint64, frames []traffic.Frame, links []uint16) []byte {
 	return frame.AppendRecords(b, frames, links)
 }
 
-// appendBatchMessage builds one whole MsgBatch message in dst[:0] — type
+// appendBatchMessage builds one whole msgBatch message in dst[:0] — type
 // byte, block header, sequence, record list — and seals the block in
 // place, so a sender that keeps dst encodes a batch with no allocation and
-// no second copy. The bytes equal AppendMessage(nil, MsgBatch,
+// no second copy. The bytes equal appendMessage(nil, msgBatch,
 // EncodeBatch(seq, frames, links)).
 func appendBatchMessage(dst []byte, seq uint64, frames []traffic.Frame, links []uint16) []byte {
 	const head = 1 + frame.BlockHeaderSize
@@ -211,7 +211,7 @@ func appendBatchMessage(dst []byte, seq uint64, frames []traffic.Frame, links []
 		dst = make([]byte, head, need)
 	}
 	dst = dst[:head]
-	dst[0] = byte(MsgBatch)
+	dst[0] = byte(msgBatch)
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
 	dst = frame.AppendRecords(dst, frames, links)
 	frame.SealBlock(dst[1:])
@@ -223,7 +223,7 @@ func appendBatchMessage(dst []byte, seq uint64, frames []traffic.Frame, links []
 // corruption: the encoding is canonical.
 func DecodeBatch(p []byte) (seq uint64, frames []traffic.Frame, links []uint16, err error) {
 	if len(p) < 8 {
-		return 0, nil, nil, fmt.Errorf("%w: short batch header", ErrFrameCorrupt)
+		return 0, nil, nil, fmt.Errorf("%w: short batch header", errFrameCorrupt)
 	}
 	if frames, links, err = frame.DecodeRecords(p[8:]); err != nil {
 		return 0, nil, nil, corrupt(err)
@@ -256,7 +256,7 @@ func encodeAck(a Ack) []byte {
 // decodeAck parses an acknowledgment payload.
 func decodeAck(p []byte) (Ack, error) {
 	if len(p) != 24 {
-		return Ack{}, fmt.Errorf("%w: ack length %d", ErrFrameCorrupt, len(p))
+		return Ack{}, fmt.Errorf("%w: ack length %d", errFrameCorrupt, len(p))
 	}
 	return Ack{
 		Seq:      binary.LittleEndian.Uint64(p[0:8]),
@@ -274,7 +274,7 @@ func encodeSeq(seq uint64) []byte {
 // decodeSeq parses a bare sequence payload.
 func decodeSeq(p []byte) (uint64, error) {
 	if len(p) != 8 {
-		return 0, fmt.Errorf("%w: seq length %d", ErrFrameCorrupt, len(p))
+		return 0, fmt.Errorf("%w: seq length %d", errFrameCorrupt, len(p))
 	}
 	return binary.LittleEndian.Uint64(p), nil
 }

@@ -35,8 +35,8 @@ func TestMessageRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 1000)}
 	for _, p := range payloads {
 		for mt := msgHello; mt < msgTypeEnd; mt++ {
-			msg := AppendMessage(nil, mt, p)
-			gt, gp, rest, err := DecodeMessage(msg)
+			msg := appendMessage(nil, mt, p)
+			gt, gp, rest, err := decodeMessage(msg)
 			if err != nil {
 				t.Fatalf("decode %v/%d bytes: %v", mt, len(p), err)
 			}
@@ -48,37 +48,37 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 func TestMessageDecodeRejectsCorruption(t *testing.T) {
-	msg := AppendMessage(nil, MsgBatch, EncodeBatch(7, testFrames(3, 1), nil))
+	msg := appendMessage(nil, msgBatch, EncodeBatch(7, testFrames(3, 1), nil))
 	// Every single-bit flip must be detected (type, length, CRC, payload).
 	for i := range msg {
 		for bit := 0; bit < 8; bit++ {
 			bad := bytes.Clone(msg)
 			bad[i] ^= 1 << bit
-			mt, p, _, err := DecodeMessage(bad)
+			mt, p, _, err := decodeMessage(bad)
 			if err == nil {
 				// A flip confined to the type byte can still be a valid
 				// type with a valid CRC-checked payload; anything else
 				// must fail.
-				if i == 0 && mt != MsgBatch && bytes.Equal(p, msg[9:]) {
+				if i == 0 && mt != msgBatch && bytes.Equal(p, msg[9:]) {
 					continue
 				}
 				t.Fatalf("bit flip at byte %d bit %d decoded cleanly", i, bit)
 			}
-			if !errors.Is(err, ErrFrameCorrupt) {
-				t.Fatalf("bit flip at byte %d bit %d: error %v is not ErrFrameCorrupt", i, bit, err)
+			if !errors.Is(err, errFrameCorrupt) {
+				t.Fatalf("bit flip at byte %d bit %d: error %v is not errFrameCorrupt", i, bit, err)
 			}
 		}
 	}
 	// Truncation at every boundary.
 	for n := 0; n < len(msg); n++ {
-		if _, _, _, err := DecodeMessage(msg[:n]); !errors.Is(err, ErrFrameCorrupt) {
+		if _, _, _, err := decodeMessage(msg[:n]); !errors.Is(err, errFrameCorrupt) {
 			t.Fatalf("truncation to %d bytes: %v", n, err)
 		}
 	}
 }
 
 func TestReadMessageEOFSemantics(t *testing.T) {
-	msg := AppendMessage(nil, msgAck, encodeAck(Ack{Seq: 3, First: 100, Ingested: 50}))
+	msg := appendMessage(nil, msgAck, encodeAck(Ack{Seq: 3, First: 100, Ingested: 50}))
 	var scratch []byte
 
 	// Clean read then boundary EOF.
@@ -155,8 +155,8 @@ func TestBatchDecodeRejectsBadFields(t *testing.T) {
 		"huge dlen":      mut(func(b []byte) { b[12+12], b[12+13], b[12+14], b[12+15] = 0xFF, 0xFF, 0xFF, 0xFF }),
 	}
 	for name, b := range cases {
-		if _, _, _, err := DecodeBatch(b); !errors.Is(err, ErrFrameCorrupt) {
-			t.Errorf("%s: got %v, want ErrFrameCorrupt", name, err)
+		if _, _, _, err := DecodeBatch(b); !errors.Is(err, errFrameCorrupt) {
+			t.Errorf("%s: got %v, want errFrameCorrupt", name, err)
 		}
 	}
 	// Empty batches are legal on the wire (the server acks them as no-ops).
@@ -178,7 +178,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		encodeHello("abc")[:9],          // payload shorter than length
 	}
 	for i, b := range bad {
-		if _, _, err := decodeHello(b); !errors.Is(err, ErrFrameCorrupt) {
+		if _, _, err := decodeHello(b); !errors.Is(err, errFrameCorrupt) {
 			t.Errorf("bad hello %d: got %v", i, err)
 		}
 	}
@@ -186,7 +186,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	if err != nil || version != protocolVersion || lastSeq != 991 {
 		t.Fatalf("hello-ack: v%d seq=%d %v", version, lastSeq, err)
 	}
-	if _, _, err := decodeHelloAck([]byte{1, 2, 3}); !errors.Is(err, ErrFrameCorrupt) {
+	if _, _, err := decodeHelloAck([]byte{1, 2, 3}); !errors.Is(err, errFrameCorrupt) {
 		t.Fatalf("short hello-ack: %v", err)
 	}
 }
@@ -196,13 +196,13 @@ func TestSeqRoundTrip(t *testing.T) {
 	if err != nil || got != 1<<40 {
 		t.Fatalf("seq: %d %v", got, err)
 	}
-	if _, err := decodeSeq([]byte{1}); !errors.Is(err, ErrFrameCorrupt) {
+	if _, err := decodeSeq([]byte{1}); !errors.Is(err, errFrameCorrupt) {
 		t.Fatalf("short seq: %v", err)
 	}
 }
 
-// TestFormatBatchMessagePinned decodes a framed MsgBatch written by PR 17's
-// hand-rolled AppendMessage + EncodeBatch (testdata/format/batch.msg: seq 7,
+// TestFormatBatchMessagePinned decodes a framed msgBatch written by PR 17's
+// hand-rolled appendMessage + EncodeBatch (testdata/format/batch.msg: seq 7,
 // four campus frames, links 0, 1, 2, 513) and re-encodes it: the move onto
 // internal/frame changed no wire byte.
 func TestFormatBatchMessagePinned(t *testing.T) {
@@ -210,19 +210,19 @@ func TestFormatBatchMessagePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt, payload, rest, err := DecodeMessage(want)
-	if err != nil || mt != MsgBatch || len(rest) != 0 {
-		t.Fatalf("DecodeMessage: %v %v, %d trailing bytes", mt, err, len(rest))
+	mt, payload, rest, err := decodeMessage(want)
+	if err != nil || mt != msgBatch || len(rest) != 0 {
+		t.Fatalf("decodeMessage: %v %v, %d trailing bytes", mt, err, len(rest))
 	}
 	var scratch []byte
 	if rt, rp, err := readMessage(bytes.NewReader(want), &scratch); err != nil || rt != mt || !bytes.Equal(rp, payload) {
-		t.Fatalf("ReadMessage disagrees with DecodeMessage: %v %v", rt, err)
+		t.Fatalf("ReadMessage disagrees with decodeMessage: %v %v", rt, err)
 	}
 	seq, frames, links, err := DecodeBatch(payload)
 	if err != nil || seq != 7 || len(frames) != 4 || links[3] != 513 {
 		t.Fatalf("DecodeBatch: seq %d, %d frames, links %v, err %v", seq, len(frames), links, err)
 	}
-	if got := AppendMessage(nil, MsgBatch, EncodeBatch(seq, frames, links)); !bytes.Equal(got, want) {
+	if got := appendMessage(nil, msgBatch, EncodeBatch(seq, frames, links)); !bytes.Equal(got, want) {
 		t.Fatal("re-encoded message differs from the pinned one")
 	}
 }

@@ -58,7 +58,7 @@ func reencodeBlocks(t *testing.T, b []byte) (out []byte, blocks int) {
 
 // TestFixturesRoundTrip pins the two layouts against bytes PR 17's
 // hand-written encoders produced (wal.go's encodeBatch, fleet's
-// AppendMessage + EncodeBatch): decode with this package, re-encode, and
+// appendMessage + EncodeBatch): decode with this package, re-encode, and
 // every byte must come back.
 func TestFixturesRoundTrip(t *testing.T) {
 	wal, err := os.ReadFile(filepath.Join("testdata", "wal-segment.wal"))

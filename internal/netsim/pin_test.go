@@ -121,8 +121,8 @@ func TestReplayFingerprintPinned(t *testing.T) {
 			Name: "pin-drop",
 			Rules: []dataplane.Rule{{
 				Conds: []dataplane.RangeCond{
-					{Field: dataplane.FieldSrcPort, Lo: 53, Hi: 53},
-					{Field: dataplane.FieldWireLen, Lo: 400, Hi: 65535},
+					{Field: fieldNamed(t, "src_port"), Lo: 53, Hi: 53},
+					{Field: fieldNamed(t, "wire_len"), Lo: 400, Hi: 65535},
 				},
 				Action: dataplane.ActionDrop, Class: 1, Confidence: 0.99,
 			}},
@@ -140,6 +140,19 @@ func TestReplayFingerprintPinned(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("replay fingerprint = %s, want %s", got, want)
 	}
+}
+
+// fieldNamed is the data-plane field a features schema column names, as
+// a program compiled from a model would match it.
+func fieldNamed(t *testing.T, name string) dataplane.Field {
+	t.Helper()
+	for f := dataplane.Field(0); f < 64; f++ {
+		if f.String() == name {
+			return f
+		}
+	}
+	t.Fatalf("no data-plane field %q", name)
+	return 0
 }
 
 // udpFrame is a minimal Ethernet/IPv4/UDP frame from src to dst.

@@ -72,7 +72,7 @@ func (g *Gauge) add(delta float64) {
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 func (g *Gauge) reset() { g.bits.Store(0) }
 
@@ -316,9 +316,9 @@ func (e *Emitter) Gauge(name string, v float64, kv ...string) {
 	e.add(name, kindGauge, v, kv)
 }
 
-// Snapshot returns every series — owned instruments plus collector
+// snapshot returns every series — owned instruments plus collector
 // output — deterministically sorted by name, then labels.
-func (r *Registry) Snapshot() []Series {
+func (r *Registry) snapshot() []Series {
 	r.mu.Lock()
 	em := &Emitter{m: make(map[string]*Series, len(r.entries))}
 	for key, e := range r.entries {
@@ -327,7 +327,7 @@ func (r *Registry) Snapshot() []Series {
 		case kindCounter:
 			s.Value = float64(e.c.Value())
 		case kindGauge:
-			s.Value = e.g.Value()
+			s.Value = e.g.value()
 		case kindHistogram:
 			s.Buckets = make([]Bucket, len(e.h.counts))
 			cum := uint64(0)
@@ -364,7 +364,7 @@ func (r *Registry) Snapshot() []Series {
 // SeriesByName returns the snapshot series of one family, sorted.
 func (r *Registry) SeriesByName(name string) []Series {
 	var out []Series
-	for _, s := range r.Snapshot() {
+	for _, s := range r.snapshot() {
 		if s.Name == name {
 			out = append(out, s)
 		}
@@ -449,7 +449,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 	var sb strings.Builder
 	lastFamily := ""
-	for _, s := range r.Snapshot() {
+	for _, s := range r.snapshot() {
 		if s.Name != lastFamily {
 			lastFamily = s.Name
 			if h, ok := help[s.Name]; ok {
@@ -496,7 +496,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 // and one cumulative wall-time counter under its stage label.
 const (
 	stageNanosName = "campuslab_stage_nanos_total"
-	StageCallsName = "campuslab_stage_calls_total"
+	stageCallsName = "campuslab_stage_calls_total"
 
 	// ShardContentionName counts contended datastore shard-lock
 	// acquisitions (written by internal/datastore).
@@ -518,7 +518,7 @@ func (r *Registry) stage(stage string) *stageCounters {
 	}
 	sc := &stageCounters{
 		nanos: r.Counter(stageNanosName, "stage", stage),
-		calls: r.Counter(StageCallsName, "stage", stage),
+		calls: r.Counter(stageCallsName, "stage", stage),
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

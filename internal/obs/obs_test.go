@@ -25,7 +25,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.Gauge("queue_depth")
 	g.Set(3.5)
 	g.add(-1.5)
-	if got := g.Value(); got != 2 {
+	if got := g.value(); got != 2 {
 		t.Fatalf("gauge = %v, want 2", got)
 	}
 }
@@ -100,7 +100,7 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := r.Counter("hits_total").Value(); got != goroutines*per {
 		t.Fatalf("counter = %d, want %d", got, goroutines*per)
 	}
-	if got := r.Gauge("level").Value(); got != goroutines*per {
+	if got := r.Gauge("level").value(); got != goroutines*per {
 		t.Fatalf("gauge = %v, want %d", got, goroutines*per)
 	}
 	if got := r.Histogram("sizes", nil).count(); got != goroutines*per {
@@ -114,7 +114,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	r.Counter("a_total", "k", "v2").Add(2)
 	r.Counter("a_total", "k", "v1").Add(3)
 	r.Gauge("m_gauge").Set(7)
-	s1, s2 := r.Snapshot(), r.Snapshot()
+	s1, s2 := r.snapshot(), r.snapshot()
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatal("back-to-back snapshots differ")
 	}
@@ -209,7 +209,7 @@ func TestRecordStageAndTracer(t *testing.T) {
 	r.recordStage("ingest", 5*time.Millisecond)
 	r.StartSpan("train").End()
 	nanos := r.SeriesByName(stageNanosName)
-	calls := r.SeriesByName(StageCallsName)
+	calls := r.SeriesByName(stageCallsName)
 	if len(nanos) != 2 || len(calls) != 2 {
 		t.Fatalf("stage series = %d/%d, want 2/2", len(nanos), len(calls))
 	}
@@ -272,12 +272,12 @@ func TestSpanResolvesSeriesOnce(t *testing.T) {
 	}); n > 0 {
 		t.Fatalf("span on a resolved stage allocates %v/op, want 0", n)
 	}
-	if got := r.Counter(StageCallsName, "stage", "x").Value(); got != 202 {
+	if got := r.Counter(stageCallsName, "stage", "x").Value(); got != 202 {
 		t.Fatalf("calls{stage=x} = %d, want 202 (1 + AllocsPerRun's warm-up + 200)", got)
 	}
-	r.resetNames(StageCallsName, stageNanosName)
+	r.resetNames(stageCallsName, stageNanosName)
 	r.recordStage("x", time.Millisecond)
-	if c, n := r.Counter(StageCallsName, "stage", "x").Value(), r.Counter(stageNanosName, "stage", "x").Value(); c != 1 || n != uint64(time.Millisecond) {
+	if c, n := r.Counter(stageCallsName, "stage", "x").Value(), r.Counter(stageNanosName, "stage", "x").Value(); c != 1 || n != uint64(time.Millisecond) {
 		t.Fatalf("after reset: calls %d nanos %d, want 1 and 1ms", c, n)
 	}
 }
@@ -300,7 +300,7 @@ func TestSpanConcurrentStages(t *testing.T) {
 	}
 	wg.Wait()
 	for _, s := range stages {
-		if got := r.Counter(StageCallsName, "stage", s).Value(); got != perG {
+		if got := r.Counter(stageCallsName, "stage", s).Value(); got != perG {
 			t.Fatalf("calls{stage=%s} = %d, want %d", s, got, perG)
 		}
 	}

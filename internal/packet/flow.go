@@ -21,8 +21,8 @@ func (f FiveTuple) String() string {
 	return fmt.Sprintf("%v %s:%d > %s:%d", f.Proto, f.SrcIP, f.SrcPort, f.DstIP, f.DstPort)
 }
 
-// Reverse returns the tuple of the opposite direction.
-func (f FiveTuple) Reverse() FiveTuple {
+// reverse returns the tuple of the opposite direction.
+func (f FiveTuple) reverse() FiveTuple {
 	return FiveTuple{
 		Proto: f.Proto,
 		SrcIP: f.DstIP, DstIP: f.SrcIP,
@@ -37,7 +37,7 @@ func (f FiveTuple) Canonical() FiveTuple {
 	if f.less() {
 		return f
 	}
-	return f.Reverse()
+	return f.reverse()
 }
 
 func (f FiveTuple) less() bool {

@@ -53,12 +53,9 @@ type IPv4 struct {
 // IPv4DontFragment is the DF bit within IPv4.Flags.
 const IPv4DontFragment = 0x2
 
-// HeaderLen returns the header length in bytes implied by Options.
-func (ip *IPv4) HeaderLen() int { return ipv4MinHeaderLen + len(ip.Options) }
-
-// DecodeFromBytes parses the header from data; Options and the payload
+// decodeFromBytes parses the header from data; Options and the payload
 // alias data.
-func (ip *IPv4) DecodeFromBytes(data []byte) error {
+func (ip *IPv4) decodeFromBytes(data []byte) error {
 	if len(data) < ipv4MinHeaderLen {
 		return fmt.Errorf("%w: ipv4 needs %d bytes, have %d", errTruncated, ipv4MinHeaderLen, len(data))
 	}

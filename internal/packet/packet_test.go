@@ -120,7 +120,7 @@ func TestIPv4RoundTripAndChecksum(t *testing.T) {
 		t.Errorf("header checksum verify = %#x, want 0", got)
 	}
 	var got IPv4
-	if err := got.DecodeFromBytes(wire); err != nil {
+	if err := got.decodeFromBytes(wire); err != nil {
 		t.Fatal(err)
 	}
 	if got.SrcIP != ip.SrcIP || got.DstIP != ip.DstIP || got.TTL != 63 ||
@@ -148,7 +148,7 @@ func TestIPv4Malformed(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var ip IPv4
-			if err := ip.DecodeFromBytes(tc.data); !errors.Is(err, tc.want) {
+			if err := ip.decodeFromBytes(tc.data); !errors.Is(err, tc.want) {
 				t.Errorf("got %v, want %v", err, tc.want)
 			}
 		})
@@ -379,7 +379,7 @@ func TestFullStackDecode(t *testing.T) {
 	if err := eth.decodeFromBytes(frame); err != nil || eth.EtherType != EtherTypeIPv4 {
 		t.Fatalf("ethernet: %v, type %#x", err, eth.EtherType)
 	}
-	if err := ip.DecodeFromBytes(eth.payload); err != nil || ip.Protocol != IPProtocolUDP {
+	if err := ip.decodeFromBytes(eth.payload); err != nil || ip.Protocol != IPProtocolUDP {
 		t.Fatalf("ipv4: %v, proto %v", err, ip.Protocol)
 	}
 	if err := udp.decodeFromBytes(ip.payload); err != nil {
@@ -405,7 +405,7 @@ func TestDecodeTruncatedMarksPacket(t *testing.T) {
 		t.Fatalf("ethernet layer should have survived: %v", err)
 	}
 	var ip IPv4
-	if err := ip.DecodeFromBytes(eth.payload); !errors.Is(err, errTruncated) {
+	if err := ip.decodeFromBytes(eth.payload); !errors.Is(err, errTruncated) {
 		t.Errorf("ipv4 of a cut frame: %v, want errTruncated", err)
 	}
 }
@@ -416,10 +416,10 @@ func TestFiveTupleCanonical(t *testing.T) {
 	if c.SrcIP != ip4("10.0.0.1") {
 		t.Errorf("canonical src = %v", c.SrcIP)
 	}
-	if f.Reverse().Canonical() != c {
+	if f.reverse().Canonical() != c {
 		t.Error("canonical not direction independent")
 	}
-	if f.Hash() != f.Reverse().Hash() {
+	if f.Hash() != f.reverse().Hash() {
 		t.Error("hash not direction independent")
 	}
 	if !c.less() {
@@ -437,7 +437,7 @@ func TestFiveTupleCanonicalProperty(t *testing.T) {
 			SrcPort: pa, DstPort: pb,
 		}
 		c := f.Canonical()
-		return c == c.Canonical() && c == f.Reverse().Canonical() && f.Hash() == f.Reverse().Hash()
+		return c == c.Canonical() && c == f.reverse().Canonical() && f.Hash() == f.reverse().Hash()
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Error(err)
@@ -572,7 +572,7 @@ func TestDecodeFuzzNoPanic(t *testing.T) {
 			s   Summary
 		)
 		for _, decode := range []func([]byte) error{
-			eth.decodeFromBytes, ip.DecodeFromBytes, ip6.decodeFromBytes, tcp.decodeFromBytes,
+			eth.decodeFromBytes, ip.decodeFromBytes, ip6.decodeFromBytes, tcp.decodeFromBytes,
 			udp.decodeFromBytes, ic.decodeFromBytes, dns.decodeFromBytes,
 		} {
 			_ = decode(data)

@@ -58,7 +58,7 @@ func (fp *FlowParser) Parse(frame []byte, s *Summary) error {
 	)
 	switch fp.eth.EtherType {
 	case EtherTypeIPv4:
-		if err := fp.ip4.DecodeFromBytes(fp.eth.payload); err != nil {
+		if err := fp.ip4.decodeFromBytes(fp.eth.payload); err != nil {
 			return err
 		}
 		s.Tuple.SrcIP, s.Tuple.DstIP = fp.ip4.SrcIP, fp.ip4.DstIP

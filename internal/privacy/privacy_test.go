@@ -281,10 +281,11 @@ func TestEnforcerAnonymizesInternalOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ip packet.IPv4
-	if err := ip.DecodeFromBytes(out[14:]); err != nil {
+	var s packet.Summary
+	if err := packet.NewFlowParser().Parse(out, &s); err != nil {
 		t.Fatal(err)
 	}
+	ip := s.Tuple
 	if ip.SrcIP == netip.MustParseAddr("10.3.0.7") {
 		t.Error("internal source not anonymized")
 	}
@@ -292,8 +293,8 @@ func TestEnforcerAnonymizesInternalOnly(t *testing.T) {
 		t.Errorf("external destination modified: %v", ip.DstIP)
 	}
 	// Original frame untouched.
-	var orig packet.IPv4
-	if err := orig.DecodeFromBytes(frame[14:]); err != nil || orig.SrcIP != netip.MustParseAddr("10.3.0.7") {
+	var orig packet.Summary
+	if err := packet.NewFlowParser().Parse(frame, &orig); err != nil || orig.Tuple.SrcIP != netip.MustParseAddr("10.3.0.7") {
 		t.Error("Apply mutated its input")
 	}
 }
@@ -305,13 +306,13 @@ func TestEnforcerChecksumStillValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-decode: IPv4 decoder does not verify checksums, so verify by hand.
-	var ip packet.IPv4
-	if err := ip.DecodeFromBytes(out[14:]); err != nil {
+	// Re-parse: the parser does not verify checksums, so verify by hand.
+	var s packet.Summary
+	if err := packet.NewFlowParser().Parse(out, &s); err != nil {
 		t.Fatal(err)
 	}
-	// Recompute over the header; must be zero.
-	hdr := out[14 : 14+ip.HeaderLen()]
+	// Recompute over the header (IHL words long); must be zero.
+	hdr := out[14 : 14+int(out[14]&0x0f)*4]
 	var sum uint32
 	for i := 0; i < len(hdr); i += 2 {
 		sum += uint32(hdr[i])<<8 | uint32(hdr[i+1])

@@ -58,7 +58,11 @@ func TestSampledExporterAggregation(t *testing.T) {
 	s := packet.Summary{Tuple: tuple, WireLen: 100, TCPFlags: packet.TCPSyn}
 	e.Observe(0, &s)
 	s.TCPFlags = packet.TCPAck
-	s.Tuple = tuple.Reverse() // opposite direction, same flow
+	s.Tuple = packet.FiveTuple{ // opposite direction, same flow
+		Proto: packet.IPProtocolTCP,
+		SrcIP: ip("10.0.0.2"), DstIP: ip("10.0.0.1"),
+		SrcPort: 443, DstPort: 1000,
+	}
 	e.Observe(time.Millisecond, &s)
 	recs := e.Flush()
 	if len(recs) != 1 {

@@ -50,9 +50,11 @@ func BenchmarkStoreIngest(b *testing.B) {
 	// each fsync policy, against the no-WAL rows above. "none" isolates
 	// the framing/CRC cost, "interval" is the deployed default, "always"
 	// is the per-batch-fsync worst case.
-	for _, pol := range []datastore.FsyncPolicy{
-		datastore.FsyncNone, datastore.FsyncInterval, datastore.FsyncAlways,
-	} {
+	for _, spelling := range []string{"none", "interval", "always"} {
+		pol, err := datastore.ParseFsyncPolicy(spelling)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("wal=%v", pol), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(framesBytes(frames)))

@@ -4,8 +4,8 @@
 //
 //	prod    another package's non-test code
 //	bench   only the benchmark module (bench/, its own go.mod)
+//	iface   no program, but it is a method that satisfies an interface
 //	test    only other packages' tests
-//	iface   nothing, but it is a method that satisfies an interface
 //	unused  nothing (the package's own tests do not count)
 //
 // It also lists the unexported functions, methods and types that only their
@@ -22,7 +22,10 @@
 //	go run ./tools/apisurface -check    # fail if api/ is stale
 //
 // Both modes print a per-package summary and exit 1 when any name is
-// unused; -check also exits 1 when api/ differs from the listing.
+// unused or test: an exported name only another package's test reaches
+// gains a production caller, is unexported (an external test of its package
+// gets it from an export_test.go) or is deleted. -check also exits 1 when
+// api/ differs from the listing.
 //
 // Packages are parsed and type-checked from source with the standard
 // library alone: module packages by this loader, everything else by the
@@ -61,7 +64,7 @@ func main() {
 
 // classes in the order a name is tested against them: the first that
 // applies wins.
-var classes = []string{"prod", "bench", "test", "iface", "unused", "seam"}
+var classes = []string{"prod", "bench", "iface", "test", "unused", "seam"}
 
 // entry is one listed name and its class.
 type entry struct{ class, name string }
@@ -118,24 +121,27 @@ func run(root string, check bool, w io.Writer) (bool, error) {
 	}
 	fmt.Fprintln(w)
 	total := map[string]int{}
-	var unused []string
+	var refused []string
 	for _, pkg := range sortedKeys(surf) {
 		n := map[string]int{}
 		for _, e := range surf[pkg] {
 			n[e.class]++
 			total[e.class]++
-			if e.class == "unused" {
-				unused = append(unused, pkg+"."+e.name)
+			switch e.class {
+			case "unused":
+				refused = append(refused, pkg+"."+e.name+" has no caller outside its package")
+			case "test":
+				refused = append(refused, pkg+"."+e.name+" is referenced only by other packages' tests")
 			}
 		}
 		printCounts(w, pkg, len(surf[pkg])-n["seam"], n)
 		total[""] += len(surf[pkg]) - n["seam"]
 	}
 	printCounts(w, "total", total[""], total)
-	for _, u := range unused {
-		fmt.Fprintf(w, "apisurface: %s has no caller outside its package\n", u)
+	for _, r := range refused {
+		fmt.Fprintln(w, "apisurface:", r)
 	}
-	return ok && len(unused) == 0, nil
+	return ok && len(refused) == 0, nil
 }
 
 func printCounts(w io.Writer, pkg string, names int, n map[string]int) {
@@ -203,10 +209,10 @@ func surface(root string) (map[string][]entry, error) {
 				class = "prod"
 			case by&bench != 0:
 				class = "bench"
-			case by&test != 0:
-				class = "test"
 			case named != nil && satisfies(named, obj.Name(), ifaces):
 				class = "iface"
+			case by&test != 0:
+				class = "test"
 			}
 			es = append(es, entry{class, name})
 		}

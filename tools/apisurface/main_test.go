@@ -12,7 +12,9 @@ import (
 // The fixture module holds one name of each class in internal/lib: called
 // by internal/user's code, by the bench module only, by internal/user's
 // test only, by lib's own test only, by nothing, a type no one names but
-// NewT hands out, and a method satisfying fmt.Stringer. Of its unexported
+// NewT hands out, and a method satisfying fmt.Stringer. The type a T
+// carries has a String that only internal/user's test calls: a method an
+// interface forces to be exported is iface, not test. Of its unexported
 // names, two only lib's own test calls (one of them also calls itself), one
 // nothing calls, and a method only an in-package interface reaches is not
 // listed.
@@ -20,6 +22,8 @@ const fixture = "testdata/fixture"
 
 var wantLib = []entry{
 	{"bench", "BenchOnly"},
+	{"prod", "Label"},
+	{"iface", "Label.String"},
 	{"prod", "NewT"},
 	{"unused", "OwnTestOnly"},
 	{"prod", "Prod"},
@@ -46,8 +50,9 @@ func TestSurfaceClassifiesFixture(t *testing.T) {
 }
 
 // TestRunWritesThenChecks: the write mode writes the listing and reports
-// the unused names; the check mode accepts the written files, then fails
-// on a stale listing and on a listing that names no package.
+// the unused names; the check mode accepts the written files but still
+// refuses the name only another package's test reaches, then fails on a
+// stale listing and on a listing that names no package.
 func TestRunWritesThenChecks(t *testing.T) {
 	root := t.TempDir()
 	copyTree(t, fixture, root)
@@ -83,8 +88,15 @@ func TestRunWritesThenChecks(t *testing.T) {
 		}
 		return out.String()
 	}
-	if got := check(); strings.Contains(got, "stale") || strings.Contains(got, "names no package") {
+	got := check()
+	if strings.Contains(got, "stale") || strings.Contains(got, "names no package") {
 		t.Errorf("check mode rejected the listing it wrote:\n%s", got)
+	}
+	if !strings.Contains(got, "apisurface: internal/lib.TestOnly is referenced only by other packages' tests") {
+		t.Errorf("test-only name not refused:\n%s", got)
+	}
+	if strings.Contains(got, "Label.String is referenced") {
+		t.Errorf("a method an interface needs was refused as test-only:\n%s", got)
 	}
 	if err := os.WriteFile(filepath.Join(root, "api", "lib.txt"), append(listing, "prod   Extra\n"...), 0o644); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,10 @@ func OwnTestOnly() int { return 4 }
 func Unused() int { return OwnTestOnly() }
 
 // T is never named outside lib, but NewT hands one out.
-type T struct{}
+type T struct {
+	// L is never named outside lib either, but a T carries one.
+	L Label
+}
 
 // NewT is called by another package's code.
 func NewT() *T { return &T{} }
@@ -27,6 +30,12 @@ func (*T) String() string { return "t" }
 
 // Hidden is called by nothing.
 func (*T) Hidden() int { return 0 }
+
+// Label is what a T carries.
+type Label int
+
+// String satisfies fmt.Stringer, and only internal/user's test calls it.
+func (Label) String() string { return "label" }
 
 // sq.area is reached only through shape, an interface only this package
 // uses: it is not a seam.

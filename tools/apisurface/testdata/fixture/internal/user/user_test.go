@@ -6,4 +6,4 @@ import (
 	"fix/internal/lib"
 )
 
-func TestUse(t *testing.T) { use(); lib.TestOnly() }
+func TestUse(t *testing.T) { use(); lib.TestOnly(); _ = lib.NewT().L.String() }

@@ -88,10 +88,10 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> exported surface (tools/apisurface -check: api/*.txt is current and every exported name has a caller outside its package)"
+echo "==> exported surface (tools/apisurface -check: api/*.txt is current, and every exported name has a caller outside its package that is not only a test: no unused and no test class)"
 SURFACE=$(go run ./tools/apisurface -check 2>&1) || {
     echo "$SURFACE"
-    echo "verify: FAIL — exported surface: regenerate api/ with go run ./tools/apisurface, and unexport or delete every name it reports unused" >&2
+    echo "verify: FAIL — exported surface: regenerate api/ with go run ./tools/apisurface; unexport or delete every name it reports unused, and give every name it reports test-only (class test) a production caller, or unexport it and move its test in-package, or delete it" >&2
     exit 1
 }
 echo "$SURFACE" | grep -E '^(package|total) '
@@ -157,8 +157,8 @@ echo "    tier crash (a crash after any file operation of a seal, compaction, re
 gate_names "$RACE" ./internal/datastore TestTierCrashEnumeration TestTierCrashEnumeration/checkpoint-midstream TestTierCrashKill9 TestTierManifestCorruptAtRest \
     TestTierWriteFailureChangesNothing TestLoadAtShardCountMatchesDefaultLoad TestCommitTierRecomputesTotals \
     TestRetainedFlowsMatchUntieredEviction
-echo "    last-known-good bundle (a publish failed at any file operation up to its rename leaves the previous bundle)"
-gate_names "$RACE" ./internal/control TestLifecycleLKGSurvivesFailedPublish
+echo "    atomic publish (a publish failed at any file operation up to its rename leaves the previous file)"
+gate_names "$RACE" ./internal/faults TestPublishFileFailsWhole
 echo "    fleet race gate (concurrent campus streams with skewed clocks, windowed Select == scan reference; coordinator during live ingest)"
 gate_names "$RACE" ./internal/fleet TestRaceConcurrentCampusStreams TestRaceCoordinatorDuringStreaming TestStreamMatchesLocalIngest
 echo "    development round (the federated round is worker-count independent)"
