@@ -30,10 +30,12 @@ import (
 // is a checkpoint only since v7). Each test below decodes a file with the
 // current code and re-encodes it; every byte must come back. A deliberate
 // format change bumps a version and adds fixtures, it does not regenerate
-// these. The v2 to v6 snapshots and seg-v1.clsg stay as fixtures a retired
-// format must be refused on. seg-v2-deflate.clsg is the pinned segment's
-// rows as internal/deflate's writer encodes them: the same format, other
-// DEFLATE streams, since compress/flate wrote the first.
+// these. The v2 to v6 snapshots, seg-v1.clsg and seg-v2-deflate.clsg stay
+// as fixtures a retired format must be refused on. The tier/ segment was
+// first a v2 one compress/flate's streams wrote; seg-v2-deflate.clsg is
+// its rows as internal/deflate's v2 writer encoded them, and seg-v3.clsg
+// — now also the tier/ segment — the same rows as the v3 writer encodes
+// them, summary column and per-block CRCs included.
 
 func formatFixture(t testing.TB, name ...string) []byte {
 	t.Helper()
@@ -124,11 +126,9 @@ func TestFormatSnapshotsPinned(t *testing.T) {
 	})
 }
 
-// TestFormatSegmentAndManifestPinned: the pinned segment was written with
-// compress/flate at level 4, so only its data blocks' streams are that
-// encoder's. It still decodes to its 40 rows, its header and every other
-// column re-encode byte for byte, and seg-v2-deflate.clsg pins the whole
-// segment internal/deflate writes for those rows.
+// TestFormatSegmentAndManifestPinned: the pinned segment (tier/, the same
+// bytes as seg-v3.clsg) decodes to its 40 rows and re-encodes byte for
+// byte, and the manifest naming it re-writes to its own bytes.
 func TestFormatSegmentAndManifestPinned(t *testing.T) {
 	pinned := formatFixture(t, "tier", tierSegName(0))
 	rows, err := decodeSegmentRows(pinned)
@@ -139,24 +139,8 @@ func TestFormatSegmentAndManifestPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := formatFixture(t, "seg-v2-deflate.clsg"); len(rows) != 40 || !bytes.Equal(got, want) {
+	if want := formatFixture(t, "seg-v3.clsg"); len(rows) != 40 || !bytes.Equal(got, want) || !bytes.Equal(pinned, want) {
 		t.Fatalf("%d rows; re-encoded segment differs from the pinned one", len(rows))
-	}
-	was, err := parseSegment(pinned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := parseSegment(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:segHeaderSize], pinned[:segHeaderSize]) {
-		t.Error("re-encoded header differs from the pinned one")
-	}
-	for id := segColIDs; id <= segNumCols; id++ {
-		if id != segColData && !bytes.Equal(now.cols[id], was.cols[id]) {
-			t.Errorf("re-encoded column %d differs from the pinned one", id)
-		}
 	}
 
 	wantManifest := formatFixture(t, "tier", tierManifestName)
@@ -180,13 +164,31 @@ func TestFormatSegmentAndManifestPinned(t *testing.T) {
 // TestParseSegmentRefusesVersion1: the v1 reader is gone, so a v1 segment
 // is a corrupt segment like any other unknown version — both the real
 // thing (seg-v1.clsg: the pinned segment's 40 rows as PR 17's v1 writer
-// encoded them, which PR 17 read back) and a v2 blob whose header says 1,
+// encoded them, which PR 17 read back) and a v3 blob whose header says 1,
 // checksummed correctly so that the version is the only objection.
 func TestParseSegmentRefusesVersion1(t *testing.T) {
-	relabelled := formatFixture(t, "tier", tierSegName(0))
-	binary.LittleEndian.PutUint16(relabelled[4:6], 1)
-	binary.LittleEndian.PutUint32(relabelled[44:48], frame.Sum(relabelled[:44]))
-	for name, b := range map[string][]byte{"v1 blob": formatFixture(t, "seg-v1.clsg"), "v1 header": relabelled} {
+	assertSegmentsRefused(t, map[string][]byte{"v1 blob": formatFixture(t, "seg-v1.clsg"), "v1 header": relabelled(t, 1)})
+}
+
+// TestParseSegmentRefusesVersion2: the v2 reader (no summary column, no
+// per-block CRCs) is gone too — seg-v2-deflate.clsg is the pinned rows as
+// the last v2 writer encoded them.
+func TestParseSegmentRefusesVersion2(t *testing.T) {
+	assertSegmentsRefused(t, map[string][]byte{"v2 blob": formatFixture(t, "seg-v2-deflate.clsg"), "v2 header": relabelled(t, 2)})
+}
+
+// relabelled is the pinned segment with its header's version set to v and
+// the header checksum redone.
+func relabelled(t *testing.T, v uint16) []byte {
+	b := formatFixture(t, "tier", tierSegName(0))
+	binary.LittleEndian.PutUint16(b[4:6], v)
+	binary.LittleEndian.PutUint32(b[44:48], frame.Sum(b[:44]))
+	return b
+}
+
+func assertSegmentsRefused(t *testing.T, blobs map[string][]byte) {
+	t.Helper()
+	for name, b := range blobs {
 		if _, err := parseSegment(b); !errors.Is(err, errSegmentCorrupt) {
 			t.Errorf("%s: parseSegment err = %v, want ErrSegmentCorrupt", name, err)
 		}

@@ -26,9 +26,14 @@ type run interface {
 	// or this run judges walking [lo, hi) cheaper. The list may be a view
 	// into the run's index: read-only, dead once the run's lock is dropped.
 	candidates(p *queryPlan, lo, hi int) (rows []uint32, ok bool)
-	// at materialises the row at pos. The pointer is good until the next at
-	// on the same run; copy the packet to keep it.
+	// at materialises the row at pos for a predicate: every field but Data,
+	// which a cold run leaves nil (its summary comes from a column, not a
+	// parse of the frame). The pointer is good until the next at on the
+	// same run; copy the packet to keep it.
 	at(pos int) (*StoredPacket, error)
+	// frame fills in the frame bytes of the row at pos into sp, the packet
+	// at(pos) returned: only a row that is returned pays for its frame.
+	frame(pos int, sp *StoredPacket) error
 	// find returns the position of the row with the given ID.
 	find(id PacketID) (pos int, ok bool)
 }
@@ -64,6 +69,9 @@ func (sh *shard) candidates(p *queryPlan, lo, hi int) ([]uint32, bool) {
 
 func (sh *shard) at(pos int) (*StoredPacket, error) { return &sh.packets[pos], nil }
 
+// frame has nothing to add: a slab row holds its frame.
+func (sh *shard) frame(int, *StoredPacket) error { return nil }
+
 func (sh *shard) find(id PacketID) (int, bool) {
 	i := sort.Search(len(sh.packets), func(i int) bool { return sh.packets[i].ID >= id })
 	return i, i < len(sh.packets) && sh.packets[i].ID == id
@@ -72,8 +80,9 @@ func (sh *shard) find(id PacketID) (int, bool) {
 // each walks, in order, the rows of r that satisfy f — the plan's
 // candidates inside its window re-checked by the residual, or every row of
 // the window against the whole predicate when the run declines the index —
-// appending a copy of each match to *out until limit (0 = none) are there.
-// With a nil out it only counts, and with nothing to re-check either the
+// appending a copy of each match, frame and all, to *out until limit (0 =
+// none) are there. With a nil out it only counts — the residual reads
+// rows without their frames — and with nothing to re-check either the
 // count is the candidate count and no row is materialised. Returns the
 // number of matches.
 func each(r run, f *Filter, qs *queryStats, out *[]StoredPacket, limit int) (int, error) {
@@ -106,6 +115,9 @@ func each(r run, f *Filter, qs *queryStats, out *[]StoredPacket, limit int) (int
 		}
 		matched++
 		if out != nil {
+			if err := r.frame(pos, sp); err != nil {
+				return matched, err
+			}
 			*out = append(*out, *sp)
 			if matched == limit {
 				break

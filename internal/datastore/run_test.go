@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -165,8 +166,15 @@ func TestRunContract(t *testing.T) {
 					t.Fatalf("find(%d) = %d, %v; want row %d", rows[i].ID, pos, ok, i)
 				}
 				sp, err := r.at(pos)
-				if err != nil || !reflect.DeepEqual(*sp, rows[i]) {
-					t.Fatalf("at(%d) = %+v, %v; want %+v", pos, sp, err, rows[i])
+				head := rows[i]
+				if !hot {
+					head.Data = nil // a cold row's frame waits for frame
+				}
+				if err != nil || !reflect.DeepEqual(*sp, head) {
+					t.Fatalf("at(%d) = %+v, %v; want %+v", pos, sp, err, head)
+				}
+				if err := r.frame(pos, sp); err != nil || !reflect.DeepEqual(*sp, rows[i]) {
+					t.Fatalf("frame(%d) = %+v, %v; want %+v", pos, sp, err, rows[i])
 				}
 			}
 			stored := map[PacketID]bool{}
@@ -337,11 +345,11 @@ func checkClipIntersect[T ~uint32 | ~uint64](t *testing.T) {
 	}
 }
 
-// TestColdRunFailureDegradesAlike: a segment whose directory and early
-// blocks are resident but whose file has rotted fails mid-walk — at the
-// first block the cache cannot serve, after rows of the cached ones were
-// already materialised. Select and Count drop the same thing, the whole
-// run, and each notes the failure once.
+// TestColdRunFailureDegradesAlike: a segment whose directory and first
+// summary stripe are resident but whose file has rotted fails mid-walk —
+// at the first stripe the cache cannot serve, after rows of the cached one
+// were already materialised. Select and Count drop the same thing, the
+// whole run, and each notes the failure once.
 func TestColdRunFailureDegradesAlike(t *testing.T) {
 	dir := t.TempDir()
 	s := ingestTiered(t, 4, 1, TierPolicy{})
@@ -356,14 +364,14 @@ func TestColdRunFailureDegradesAlike(t *testing.T) {
 	if len(tr.segs) < 2 {
 		t.Fatalf("fixture sealed %d segments, need several", len(tr.segs))
 	}
-	f := MustFilter("proto == udp && len > 90") // the residual makes Count walk the data too
+	f := MustFilter("proto == udp && len > 90") // the residual makes Count walk the summaries too
 	all := MustFilter("len > 0")
 	twin := ingestTiered(t, 4, 1, TierPolicy{}) // untiered: the expected answers, without warming s's cache
 	healthy := twin.Select(f, 0)
 
-	// Make the directory of a segment inside the attack (its last block
-	// holds matches) and every block before its last resident, then flip a
-	// byte of its data column on disk.
+	// Make the directory of a segment inside the attack (its last stripe
+	// holds matches) and its first stripe resident, then flip a byte of
+	// its last stripe's stream on disk.
 	bad := tr.segs[1]
 	cur, err := tr.openSeg(bad, true, nil)
 	if err != nil {
@@ -371,15 +379,25 @@ func TestColdRunFailureDegradesAlike(t *testing.T) {
 	}
 	d := cur.dir
 	cur.close()
-	if d.data.nblocks < 3 {
-		t.Fatalf("segment spans %d blocks, need >= 3", d.data.nblocks)
+	last := len(d.sums.rawLen) - 1
+	if last < 1 {
+		t.Fatalf("segment spans %d stripes, need >= 2", last+1)
 	}
-	lastBlockTS := d.tss[(d.data.nblocks-1)*d.data.blockRows]
-	s.Select(MustFilter(fmt.Sprintf("ts < %dns", lastBlockTS)), 0)
-	if _, entries := tr.cache.size(); entries < d.data.nblocks-1 {
-		t.Fatalf("%d blocks resident, want the %d before the last", entries, d.data.nblocks-1)
+	lastStripeTS := d.tss[last*d.sums.stripeRows]
+	s.Select(MustFilter(fmt.Sprintf("ts < %dns", lastStripeTS)), 0)
+	if !cacheHas(tr.cache, stripeKey(bad.seq, 0)) || cacheHas(tr.cache, stripeKey(bad.seq, last)) {
+		t.Fatal("want the first stripe resident and the last not")
 	}
-	corruptColumn(t, filepath.Join(dir, bad.name), segColData, false)
+	path := filepath.Join(dir, bad.name)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The summary column is the file's last: its payload ends the file.
+	b[len(b)-d.sumCol.n+d.sums.streamsOff+d.sums.compOff[last]+d.sums.compLen[last]/2] ^= 0x55
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	var want []StoredPacket
 	for _, sp := range healthy {
@@ -407,8 +425,8 @@ func TestColdRunFailureDegradesAlike(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || n != len(want) {
 		t.Fatalf("Select returned %d rows and Count %d; the surviving segments hold %d", len(got), n, len(want))
 	}
-	// A limit met inside the resident blocks never reaches the file: every
-	// run stops at its first row.
+	// A limit met inside the resident stripe and blocks never reaches the
+	// file: every run stops at its first row.
 	if first := s.Select(all, 1); !reflect.DeepEqual(first, twin.Select(all, 1)) || s.TierStats().CorruptSegments != before.CorruptSegments+2 {
 		t.Fatal("a limited Select that stops before the bad block was degraded")
 	}

@@ -10,24 +10,25 @@ import (
 )
 
 // The segment directory: everything about a cold segment that is not
-// packet bytes — IDs, timestamps, posting families, the link/label
-// dictionary, actor bits and the data column's block geometry — decoded
-// and validated once, copied off the file mapping, and then shared by
-// every query that touches the segment. A directory is immutable and
-// describes an immutable file named by a never-reused seq, so it can
-// never go stale; the tier cache holds it under the same byte budget as
-// the decoded blocks (tiercache.go), and with the cache off the same
-// build runs per query, so there is one read path, not two.
+// packet bytes or summaries — IDs, timestamps, posting families, the
+// link/label dictionary, actor bits, and the block and stripe geometry of
+// the data and summary columns — decoded and validated once, copied off
+// the file mapping, and then shared by every query that touches the
+// segment. A directory is immutable and describes an immutable file named
+// by a never-reused seq, so it can never go stale; the tier cache holds it
+// under the same byte budget as the decoded blocks and stripes
+// (tiercache.go), and with the cache off the same build runs per query, so
+// there is one read path, not two.
 //
 // What is verified when. buildSegDir checksums all of the segment's
 // columns and runs every structural check the column decoders make, so a
 // directory only exists for a segment that was whole when it was built.
 // Queries answered from a resident directory alone (windowed indexable
-// Counts, candidate lists) read no file at all. A cursor that needs
-// packet bytes serves them from the block cache, and on its first miss
-// opens the file, re-frames it and checksums the data column — once per
-// query and segment — before inflating anything; each inflated block is
-// checked for its exact size and a clean end of stream.
+// Counts, candidate lists) read no file at all. A cursor serves summary
+// stripes and data blocks from the cache, and on its first miss opens
+// the file and re-frames it; each stripe or block stream it then reads is
+// checked against its own CRC before it inflates, and each inflated
+// stream for its exact size and a clean end.
 type segDir struct {
 	ids  []PacketID // one per row, like tss
 	tss  []time.Duration
@@ -35,13 +36,21 @@ type segDir struct {
 	post *segPostings
 	dict *segDict
 	data *segData // geometry only: streams is nil
-	// The data column this geometry was parsed from; a cursor opening the
-	// file later refuses one that frames a different column.
-	dataLen int
-	dataSum uint32
+	sums *segSums
+	// The data and summary columns this geometry was parsed from; a cursor
+	// opening the file later refuses one that frames different columns.
+	dataCol, sumCol colStamp
 	// bytes is the resident footprint charged to the cache budget.
 	bytes int64
 }
+
+// colStamp identifies a column payload by its length and stored CRC.
+type colStamp struct {
+	n   int
+	sum uint32
+}
+
+func stampOf(sb *segBlob, id int) colStamp { return colStamp{len(sb.cols[id]), sb.colSums[id]} }
 
 // buildSegDir decodes and validates every column of a parsed segment into
 // its directory. Nothing in the result aliases the blob.
@@ -66,49 +75,57 @@ func buildSegDir(sb *segBlob) (*segDir, error) {
 	if err != nil {
 		return nil, err
 	}
+	sums, err := sb.parseSums()
+	if err != nil {
+		return nil, err
+	}
 	d := &segDir{
-		ids: ids, tss: tss, act: act, post: post, dict: dict, data: data,
-		dataLen: len(sb.cols[segColData]), dataSum: sb.colSums[segColData],
+		ids: ids, tss: tss, act: act, post: post, dict: dict, data: data, sums: sums,
+		dataCol: stampOf(sb, segColData), sumCol: stampOf(sb, segColSummary),
 	}
 	data.streams = nil
-	d.bytes = 256 + 16*int64(sb.count) + int64(len(act)) + post.bytes() + dict.bytes() + data.bytes()
+	d.bytes = 256 + 16*int64(sb.count) + int64(len(act)) + post.bytes() + dict.bytes() + data.bytes() + sums.bytes()
 	return d, nil
 }
 
 // segCursor materialises rows of one segment, one at a time, for one
-// query: metadata from the directory, packet bytes from the block cache
-// or — from the first miss on — the segment file. A cursor is not safe
-// for concurrent use and must be closed.
+// query: metadata from the directory, summaries from decoded stripes and
+// packet bytes from decoded blocks — both through the tier cache or,
+// from the first miss on, the segment file. A cursor is not safe for
+// concurrent use and must be closed.
 type segCursor struct {
 	dir *segDir
 	qs  *queryStats // nil outside queries (compaction, blob decodes)
 
-	// cache serves and keeps decoded blocks under seq (nil: inflate and
-	// discard).
+	// cache serves and keeps decoded blocks and stripes under seq (nil:
+	// decode and discard).
 	cache *tierCache
 	seq   uint64
 	// The segment file: opened by the directory build when this query ran
-	// it, otherwise on the first block-cache miss.
+	// it, otherwise on the first cache miss.
 	tr      *tier
 	sg      *tierSegment
 	sb      *segBlob
 	release func()
-	streams []byte // the verified data column's block streams
+	// The block and stripe streams of the file's data and summary columns.
+	streams, sumStreams []byte
 
-	block  int // index of the block in buf, -1 before the first
+	stripe int              // index of the stripe in sums
+	sums   []packet.Summary // nil before the first
+	block  int              // index of the block in buf, -1 before the first
 	buf    []byte
-	parser *packet.FlowParser
 	sp     StoredPacket // the row at hands out
 
 	blocksInflated, bytesInflated, rowsDecoded uint64
 }
 
 // openSeg returns a cursor over sg. With useCache the directory comes
-// from (or is built into) the tier cache and blocks are cached beside it;
-// without — compaction, which reads each input once and deletes it — the
-// cache is neither read nor filled. Either way a directory that has to be
-// built is built by the same code from the same single file read. Caller
-// holds tr.mu.RLock (registry membership) or sealMu (mutators).
+// from (or is built into) the tier cache and blocks and stripes are cached
+// beside it; without — compaction, which reads each input once and
+// deletes it — the cache is neither read nor filled. Either way a
+// directory that has to be built is built by the same code from the same
+// single file read. Caller holds tr.mu.RLock (registry membership) or
+// sealMu (mutators).
 func (tr *tier) openSeg(sg *tierSegment, useCache bool, qs *queryStats) (*segCursor, error) {
 	c := &segCursor{tr: tr, sg: sg, qs: qs, block: -1}
 	if useCache && tr.cache != nil {
@@ -134,12 +151,18 @@ func (tr *tier) openSeg(sg *tierSegment, useCache bool, qs *queryStats) (*segCur
 	return c, nil
 }
 
-// close releases the file and the parser and hands the cursor's counters
-// to the query.
-func (c *segCursor) close() {
-	if c.parser != nil {
-		parserPool.Put(c.parser)
+// blobCursor is a cache-less cursor over a parsed blob: the full-decode
+// path.
+func blobCursor(sb *segBlob) (*segCursor, error) {
+	dir, err := buildSegDir(sb)
+	if err != nil {
+		return nil, err
 	}
+	return &segCursor{dir: dir, sb: sb, block: -1}, nil
+}
+
+// close releases the file and hands the cursor's counters to the query.
+func (c *segCursor) close() {
 	if c.release != nil {
 		c.release()
 	}
@@ -150,10 +173,11 @@ func (c *segCursor) close() {
 	}
 }
 
-// openStreams locates the data column's block streams, opening the file if
-// the directory came from the cache. The column's CRC is verified here,
-// once per cursor (memoized by the blob; the build already paid it when
-// this query ran the build).
+// openStreams locates the data and summary columns' streams in the file,
+// opening it if the directory came from the cache. No column CRC is
+// recomputed here: the directory's build verified the geometry it holds,
+// the file must frame the very columns it was built from, and every
+// stream is checked against its own CRC when it is read.
 func (c *segCursor) openStreams() error {
 	if c.sb == nil {
 		sb, release, err := c.tr.loadSeg(c.sg)
@@ -162,15 +186,17 @@ func (c *segCursor) openStreams() error {
 		}
 		c.sb, c.release = sb, release
 	}
-	payload, err := c.sb.col(segColData)
-	if err != nil {
-		return err
+	for _, col := range [...]struct {
+		id   int
+		want colStamp
+	}{{segColData, c.dir.dataCol}, {segColSummary, c.dir.sumCol}} {
+		if got := stampOf(c.sb, col.id); got != col.want {
+			return segErr("column %d (%d bytes, crc %08x) is not the one its directory describes (%d bytes, crc %08x)",
+				col.id, got.n, got.sum, col.want.n, col.want.sum)
+		}
 	}
-	if len(payload) != c.dir.dataLen || c.sb.colSums[segColData] != c.dir.dataSum {
-		return segErr("data column (%d bytes, crc %08x) is not the one its directory describes (%d bytes, crc %08x)",
-			len(payload), c.sb.colSums[segColData], c.dir.dataLen, c.dir.dataSum)
-	}
-	c.streams = payload[c.dir.data.streamsOff:]
+	c.streams = c.sb.cols[segColData][c.dir.data.streamsOff:]
+	c.sumStreams = c.sb.cols[segColSummary][c.dir.sums.streamsOff:]
 	return nil
 }
 
@@ -201,27 +227,72 @@ func (c *segCursor) loadBlock(b int) error {
 	return nil
 }
 
-// row materialises one row into sp, re-parsing its summary from the raw
-// bytes. sp.Data aliases the decoded block, never the file mapping, so it
+// loadStripe makes summary stripe st current, through the cache when
+// there is one.
+func (c *segCursor) loadStripe(st int) error {
+	key := stripeKey(c.seq, st)
+	if c.cache != nil {
+		if sums, ok := c.cache.getStripe(key); ok {
+			c.sums, c.stripe = sums, st
+			return nil
+		}
+	}
+	if c.sumStreams == nil {
+		if err := c.openStreams(); err != nil {
+			return err
+		}
+	}
+	sums, err := c.dir.sums.decodeStripe(c.sumStreams, st, c.dir.data)
+	if err != nil {
+		return err
+	}
+	if c.cache != nil {
+		c.cache.putStripe(key, sums)
+	}
+	c.sums, c.stripe = sums, st
+	return nil
+}
+
+// header materialises every field of one row but its frame bytes, from
+// the directory and the row's summary stripe: no block inflates and no
+// frame is parsed. sp.Data is left nil.
+func (c *segCursor) header(row int, sp *StoredPacket) error {
+	d := c.dir
+	if st := row / d.sums.stripeRows; st != c.stripe || c.sums == nil {
+		if err := c.loadStripe(st); err != nil {
+			return err
+		}
+	}
+	sp.ID, sp.TS = d.ids[row], d.tss[row]
+	sp.Link = uint16(d.dict.at(0, row))
+	sp.Label = traffic.Label(d.dict.at(1, row))
+	sp.Actor = d.act[row/8]&(1<<(row%8)) != 0
+	sp.Summary = c.sums[row-c.stripe*d.sums.stripeRows]
+	sp.Data = nil
+	c.rowsDecoded++
+	return nil
+}
+
+// frame fills in sp.Data, the frame bytes of row, from its inflated block.
+// sp.Data aliases the decoded block, never the file mapping, so it
 // outlives the cursor.
-func (c *segCursor) row(row int, sp *StoredPacket) error {
+func (c *segCursor) frame(row int, sp *StoredPacket) error {
 	d := c.dir
 	if b := row / d.data.blockRows; b != c.block {
 		if err := c.loadBlock(b); err != nil {
 			return err
 		}
 	}
-	if c.parser == nil {
-		c.parser = parserPool.Get().(*packet.FlowParser)
-	}
-	sp.ID, sp.TS = d.ids[row], d.tss[row]
-	sp.Link = uint16(d.dict.at(0, row))
-	sp.Label = traffic.Label(d.dict.at(1, row))
-	sp.Actor = d.act[row/8]&(1<<(row%8)) != 0
 	sp.Data = d.data.rowBytes(c.buf, c.block, row)
-	_ = c.parser.Parse(sp.Data, &sp.Summary) // as at ingest: a non-IP or malformed frame keeps its partial summary
-	c.rowsDecoded++
 	return nil
+}
+
+// row materialises one whole row into sp.
+func (c *segCursor) row(row int, sp *StoredPacket) error {
+	if err := c.header(row, sp); err != nil {
+		return err
+	}
+	return c.frame(row, sp)
 }
 
 // rows materialises the row interval [lo, hi) into a fresh run.
@@ -253,9 +324,10 @@ func (c *segCursor) candidates(p *queryPlan, lo, hi int) ([]uint32, bool) {
 	return indexCandidates(p, c.dir.post.lookup, uint32(lo), uint32(hi), math.MaxInt)
 }
 
-// at materialises row pos into the cursor's one scratch packet.
+// at materialises row pos, all but its frame, into the cursor's one
+// scratch packet.
 func (c *segCursor) at(pos int) (*StoredPacket, error) {
-	return &c.sp, c.row(pos, &c.sp)
+	return &c.sp, c.header(pos, &c.sp)
 }
 
 // find is linear: rows are (TS, ID)-sorted, and concurrent serial ingest

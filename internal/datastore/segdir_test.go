@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,11 +24,10 @@ import (
 // the path decodeBlobRows takes. The index and ID/TS arguments the old
 // signature threaded through now live in the directory.
 func (sb *segBlob) rowsAt(sel []uint32, _ *segPostings, _ []PacketID, _ []time.Duration, _ any) ([]StoredPacket, error) {
-	dir, err := buildSegDir(sb)
+	cur, err := blobCursor(sb)
 	if err != nil {
 		return nil, err
 	}
-	cur := &segCursor{dir: dir, sb: sb, block: -1}
 	defer cur.close()
 	out := make([]StoredPacket, len(sel))
 	for i, r := range sel {
@@ -77,7 +77,7 @@ func checkCacheAccounting(t *testing.T, c *tierCache) {
 			dirs += ent.dir.bytes
 			ndirs++
 		} else {
-			blocks += int64(len(ent.buf))
+			blocks += ent.size() // a block's bytes or a stripe's summaries
 		}
 		if ent.protected {
 			prot += ent.size()
@@ -517,10 +517,88 @@ func TestColdCountWindowedTouchesNoBlock(t *testing.T) {
 			if after := readColdCounters(s); after != before {
 				t.Fatalf("windowed indexable Counts touched data blocks: %+v -> %+v", before, after)
 			}
-			// The same plan with a residual must pay for its rows.
+			// The same plan with a residual must pay for its rows, out of
+			// the summary column: still no block inflates.
 			s.Count(MustFilter(exprs[0] + " && len > 0"))
-			if after := readColdCounters(s); after.rows == before.rows || after.blocks+after.hits == before.blocks+before.hits {
+			if after := readColdCounters(s); after.rows == before.rows {
 				t.Fatal("a residual Count materialised nothing; the counters are not wired")
+			} else if after.blocks != before.blocks || after.bytes != before.bytes {
+				t.Fatalf("a residual Count inflated frames: %+v -> %+v", before, after)
+			}
+		})
+	}
+}
+
+// TestColdResidualCountInflatesNothing: a residual no index answers reads
+// the summary column, so on an all-cold store a Count with one — a TCP
+// flag, ttl, len — inflates no block, and a limited Select inflates only
+// the blocks of the rows it returns. One segment holds every row, so the
+// rows its run returns are the rows the Select returns.
+func TestColdResidualCountInflatesNothing(t *testing.T) {
+	for _, cache := range []int64{0, 64 << 20} {
+		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
+			s := ingestTiered(t, 4, 1, TierPolicy{})
+			if err := s.EnableTiering(TierPolicy{Dir: t.TempDir(), SegmentPackets: 1 << 20, CacheBytes: cache}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.sealHot(0); err != nil {
+				t.Fatal(err)
+			}
+			s.SetQueryWorkers(1)
+			if st := s.Stats(); st.Packets != 0 || st.Segments != 1 {
+				t.Fatalf("want every row cold in one segment: %+v", st)
+			}
+			tr := s.tier.Load()
+			cur, err := tr.openSeg(tr.segs[0], false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := cur.dir
+			cur.close()
+			twin := ingestTiered(t, 4, 1, TierPolicy{}) // untiered: the expected counts, inflating nothing of s's
+			for _, expr := range []string{"proto == tcp && tcp.syn", "ttl > 60 && len < 200"} {
+				f := MustFilter(expr)
+				if f.plan.indexable && f.plan.residual == nil {
+					t.Fatalf("%q: the index answers it alone; the test would prove nothing", expr)
+				}
+				want := twin.Count(f)
+				if want == 0 {
+					t.Fatalf("%q matches nothing; the test would prove nothing", expr)
+				}
+				before := readColdCounters(s)
+				if got := s.Count(f); got != want {
+					t.Fatalf("Count(%q) = %d, scan reference %d", expr, got, want)
+				}
+				after := readColdCounters(s)
+				if after.blocks != before.blocks || after.bytes != before.bytes {
+					t.Fatalf("Count(%q) inflated %d blocks", expr, after.blocks-before.blocks)
+				}
+				if after.rows == before.rows {
+					t.Fatalf("Count(%q) read no row; the residual was not evaluated", expr)
+				}
+
+				// The blocks the k rows sit in, less those an earlier
+				// Select left in the cache, are what must inflate.
+				const k = 7
+				wantRows := twin.Select(f, k)
+				blocks, fresh := map[int]bool{}, 0
+				for _, sp := range wantRows {
+					b := slices.Index(dir.ids, sp.ID) / dir.data.blockRows
+					if !blocks[b] && (tr.cache == nil || !cacheHas(tr.cache, blockKey{tr.segs[0].seq, b})) {
+						fresh++
+					}
+					blocks[b] = true
+				}
+				if len(wantRows) != k || len(blocks) >= dir.data.nblocks/2 {
+					t.Fatalf("Select(%q, %d) returns %d rows in %d of %d blocks", expr, k, len(wantRows), len(blocks), dir.data.nblocks)
+				}
+				before = readColdCounters(s)
+				if rows := s.Select(f, k); !reflect.DeepEqual(rows, wantRows) {
+					t.Fatalf("Select(%q, %d) differs from the untiered twin's", expr, k)
+				}
+				if got := readColdCounters(s).blocks - before.blocks; got != uint64(fresh) {
+					t.Fatalf("Select(%q, %d) inflated %d blocks; its rows sit in %d, %d of them not cached", expr, k, got, len(blocks), fresh)
+				}
 			}
 		})
 	}
@@ -571,20 +649,25 @@ func TestColdSelectLimitStopsDecoding(t *testing.T) {
 			k, after.rows-before.rows, after.blocks-before.blocks, k, len(blocks))
 	}
 
-	// With a residual the walk runs to the k-th match and stops there.
+	// With a residual the walk runs to the k-th match and stops there, and
+	// only the blocks of the k returned rows inflate: the residual reads
+	// the summary column.
 	f = MustFilter("proto == udp && len > 90")
 	all := s.Select(f, 0)
 	if len(all) < 4*k {
 		t.Fatalf("only %d matches", len(all))
 	}
 	cand, _ = (&segCursor{dir: dir}).candidates(&f.plan, 0, len(dir.ids))
-	walked, blocks := 0, map[int]bool{}
+	walked := 0
 	for _, r := range cand {
 		walked++
-		blocks[int(r)/dir.data.blockRows] = true
 		if dir.ids[r] == all[k-1].ID {
 			break
 		}
+	}
+	blocks = map[int]bool{}
+	for _, sp := range all[:k] {
+		blocks[slices.Index(dir.ids, sp.ID)/dir.data.blockRows] = true
 	}
 	before = readColdCounters(s)
 	got = s.Select(f, k)
@@ -593,7 +676,7 @@ func TestColdSelectLimitStopsDecoding(t *testing.T) {
 		t.Fatal("limited Select is not a prefix of the unlimited one")
 	}
 	if after.rows-before.rows != uint64(walked) || after.blocks-before.blocks != uint64(len(blocks)) {
-		t.Fatalf("limit %d decoded %d rows in %d blocks, want %d rows in %d blocks (to the k-th match, no further)",
+		t.Fatalf("limit %d decoded %d rows and inflated %d blocks, want %d rows (to the k-th match, no further) and the %d blocks of the rows returned",
 			k, after.rows-before.rows, after.blocks-before.blocks, walked, len(blocks))
 	}
 }

@@ -32,11 +32,11 @@ import (
 //	  3 actor  bit-packed, one bit per row, trailing bits zero
 //	  4 data   uvarint block rows | uvarint block count | uvarint total
 //	           raw bytes | per-row uvarint lengths | per-block uvarint
-//	           compressed lengths | the blocks' DEFLATE streams,
-//	           concatenated. Block b covers rows [b*blockRows,
-//	           (b+1)*blockRows) and inflates independently, so a selective
-//	           query decompresses only the blocks its candidate rows land
-//	           in instead of the whole column.
+//	           compressed lengths | per-block crc32 of its stream (u32) |
+//	           the blocks' DEFLATE streams, concatenated. Block b covers
+//	           rows [b*blockRows, (b+1)*blockRows) and inflates
+//	           independently, so a query decompresses only the blocks of
+//	           the rows it returns instead of the whole column.
 //	  5 index  the shard posting-list families, re-based to row positions:
 //	           for proto/src.port/dst.port/link/label, ascending values
 //	           each with an ascending delta-coded row list; then the six
@@ -47,27 +47,28 @@ import (
 //	           then ceil(log2 n)-bit codes bit-packed LSB-first, one per
 //	           row, trailing bits zero. Gives O(1) per-row access for
 //	           selective decode.
+//	  7 summary  each row's packet.Summary in 1024-row DEFLATE stripes,
+//	           each with its own crc32 (segsum.go).
 //
-// The version field is 2. Version 1 (one DEFLATE stream for the whole data
-// column, no dict column) is no longer written or read: parseSegment
-// answers it, like any other version, with errSegmentCorrupt.
+// The version field is 3. Versions 1 (one DEFLATE stream for the whole
+// data column, no dict column) and 2 (no summary column, no per-block
+// CRCs) are no longer written or read: parseSegment answers them, like any
+// other version, with errSegmentCorrupt.
 //
-// Per-packet Summary metadata is NOT stored: decode re-parses the raw
-// bytes with the same allocation-free parser ingest used, which is
-// deterministic, so decoded rows are byte-identical to what was sealed.
-//
-// Column CRCs verify on first access, memoized per parsed blob. Queries
-// do not decode columns themselves: buildSegDir (segdir.go) decodes and
-// checksums every column once into the segment's resident directory, and
-// the attach-time path (openSegMeta) verifies every column eagerly too.
-// Every decode validates structure strictly (sorted runs, total
-// partitions, exact column lengths, no trailing bytes) and every
-// corruption — CRC mismatch, truncation, bit flips — surfaces as an error
-// wrapping errSegmentCorrupt, never a panic or a silently wrong row.
+// Column CRCs verify on first access, memoized per parsed blob.
+// buildSegDir (segdir.go) checksums and decodes every column once into
+// the segment's resident directory, and the attach-time path
+// (openSegMeta) verifies every column eagerly too. A cursor that later
+// reads block or stripe streams out of the file checks each stream's own
+// CRC before inflating it, not the whole column's again. Every decode
+// validates structure strictly (sorted runs, total partitions, exact
+// column lengths, no trailing bytes) and every corruption — CRC mismatch,
+// truncation, bit flips — surfaces as an error wrapping errSegmentCorrupt,
+// never a panic or a silently wrong row.
 
 const (
-	segMagic    = "CLSG"
-	segVersion2 = 2 // the only version written or read
+	segMagic   = "CLSG"
+	segVersion = 3 // the only version written or read
 
 	segColIDs   = 1
 	segColTS    = 2
@@ -75,7 +76,7 @@ const (
 	segColData  = 4
 	segColIndex = 5
 	segColDict  = 6
-	segNumCols  = 6
+	segNumCols  = 7 // segColSummary is the last
 
 	segHeaderSize = 48
 	// segBlockRows is the writer's rows per independently-compressed
@@ -442,14 +443,14 @@ func (sb *segBlob) decodeDict() (*segDict, error) {
 // deflateBlocks compresses the rows' packet bytes as independent
 // segBlockRows-row DEFLATE streams (internal/deflate, one call per block
 // over the block's rows copied into a per-worker buffer), returning each
-// block's compressed length and the streams as a few buffers whose
-// concatenation is block order. Contiguous block ranges fan out across
+// block's compressed length and stream CRC and the streams as a few
+// buffers whose concatenation is block order. Contiguous block ranges fan out across
 // workers (0 = GOMAXPROCS); a block's stream depends only on its bytes and
 // lands at a position fixed by its index, so the bytes are the same at any
 // worker count.
-func deflateBlocks(rows []StoredPacket, workers int) (streams [][]byte, compLens []int) {
+func deflateBlocks(rows []StoredPacket, workers int) (streams [][]byte, compLens []int, compSums []uint32) {
 	nblocks := (len(rows) + segBlockRows - 1) / segBlockRows
-	compLens = make([]int, nblocks)
+	compLens, compSums = make([]int, nblocks), make([]uint32, nblocks)
 	nparts := min(parallel.Workers(workers), nblocks)
 	per := (nblocks + nparts - 1) / nparts
 	streams = make([][]byte, nparts)
@@ -472,11 +473,11 @@ func deflateBlocks(rows []StoredPacket, workers int) (streams [][]byte, compLens
 			}
 			start := len(buf)
 			buf = deflate.Append(buf, raw)
-			compLens[b] = len(buf) - start
+			compLens[b], compSums[b] = len(buf)-start, frame.Sum(buf[start:])
 		}
 		streams[p] = buf
 	})
-	return streams, compLens
+	return streams, compLens, compSums
 }
 
 // encodeSegment serializes one (TS, ID)-sorted, strictly increasing row
@@ -536,10 +537,10 @@ func encodeSegmentOn(rows []StoredPacket, workers int) ([]byte, segMeta, error) 
 			act[i/8] |= 1 << (i % 8)
 		}
 	}
-	streams, compLens := deflateBlocks(rows, workers)
+	streams, compLens, compSums := deflateBlocks(rows, workers)
 	// Sized once: three header uvarints, a length per row and per block
-	// (at most 5 bytes each), then the streams.
-	size := 3*binary.MaxVarintLen64 + 5*(n+len(compLens))
+	// (at most 5 bytes each), a CRC per block, then the streams.
+	size := 3*binary.MaxVarintLen64 + 5*n + 9*len(compLens)
 	for _, st := range streams {
 		size += len(st)
 	}
@@ -552,17 +553,24 @@ func encodeSegmentOn(rows []StoredPacket, workers int) ([]byte, segMeta, error) 
 	for _, cl := range compLens {
 		data = binary.AppendUvarint(data, uint64(cl))
 	}
+	for _, sum := range compSums {
+		data = binary.LittleEndian.AppendUint32(data, sum)
+	}
 	for _, st := range streams {
 		data = append(data, st...)
+	}
+	sums, err := encodeSummaries(rows)
+	if err != nil {
+		return nil, meta, err
 	}
 
 	px := buildSegPostings(rows)
 	meta.zone = px.zone()
 	ixb, dict := px.encode(), px.encodeDict()
 
-	out := make([]byte, 0, segHeaderSize+len(ids)+len(tsc)+len(act)+len(data)+len(ixb)+len(dict)+6*9)
+	out := make([]byte, 0, segHeaderSize+len(ids)+len(tsc)+len(act)+len(data)+len(ixb)+len(dict)+len(sums)+segNumCols*9)
 	out = append(out, segMagic...)
-	out = binary.LittleEndian.AppendUint16(out, segVersion2)
+	out = binary.LittleEndian.AppendUint16(out, segVersion)
 	out = binary.LittleEndian.AppendUint16(out, 0)
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
 	out = binary.LittleEndian.AppendUint64(out, uint64(minID))
@@ -577,6 +585,7 @@ func encodeSegmentOn(rows []StoredPacket, workers int) ([]byte, segMeta, error) 
 	out = frame.AppendBlock(append(out, segColData), data)
 	out = frame.AppendBlock(append(out, segColIndex), ixb)
 	out = frame.AppendBlock(append(out, segColDict), dict)
+	out = frame.AppendBlock(append(out, segColSummary), sums)
 	return out, meta, nil
 }
 
@@ -626,7 +635,7 @@ func parseSegment(b []byte) (*segBlob, error) {
 	if string(b[:4]) != segMagic {
 		return nil, segErr("bad magic %q", b[:4])
 	}
-	if v := binary.LittleEndian.Uint16(b[4:6]); v != segVersion2 {
+	if v := binary.LittleEndian.Uint16(b[4:6]); v != segVersion {
 		return nil, segErr("unsupported version %d", v)
 	}
 	if binary.LittleEndian.Uint16(b[6:8]) != 0 {
@@ -770,6 +779,7 @@ type segData struct {
 	rowOff    []uint32 // len count+1: prefix sums of per-row raw lengths (segMaxData is 2^30)
 	compOff   []int    // per block: offset of its DEFLATE stream in streams
 	compLen   []int
+	compSum   []uint32 // per block: its stream's CRC, checked before it inflates
 	// streams is the concatenated block streams, payload[streamsOff:] of
 	// the data column. It aliases the blob, so a resident directory drops
 	// it and a cursor re-derives it from the file it opens.
@@ -839,13 +849,19 @@ func (sb *segBlob) parseData() (*segData, error) {
 		sum += cl
 		d.compLen[b] = int(cl)
 	}
+	crcs, err := r.fixed(4 * d.nblocks)
+	if err != nil {
+		return nil, err
+	}
 	if sum != uint64(len(payload)-r.off) {
 		return nil, segErr("block streams claim %d bytes, %d remain", sum, len(payload)-r.off)
 	}
+	d.compSum = make([]uint32, d.nblocks)
 	streamOff := 0
 	for b := 0; b < d.nblocks; b++ {
 		d.compOff[b] = streamOff
 		streamOff += d.compLen[b]
+		d.compSum[b] = binary.LittleEndian.Uint32(crcs[4*b:])
 	}
 	d.streamsOff = r.off
 	d.streams = payload[r.off:]
@@ -854,7 +870,7 @@ func (sb *segBlob) parseData() (*segData, error) {
 
 // bytes is the resident footprint of the geometry, for the cache budget.
 func (d *segData) bytes() int64 {
-	return 4*int64(cap(d.rowOff)) + 8*int64(cap(d.compOff)+cap(d.compLen))
+	return 4*int64(cap(d.rowOff)+cap(d.compSum)) + 8*int64(cap(d.compOff)+cap(d.compLen))
 }
 
 // blockRange returns block b's row interval [lo, hi).
@@ -867,17 +883,21 @@ func (d *segData) blockRange(b int) (int, int) {
 	return lo, hi
 }
 
-// inflateBlock decompresses block b out of the column's streams straight
-// into an exact-size buffer, which the block cache then keeps: the
-// one-shot decoder (internal/inflate) copies back-references within that
-// buffer and builds its tables in pooled scratch, so the buffer is the
-// only allocation. It refuses a stream that decodes to more or fewer
+// inflateBlock checks block b's stream against its CRC and decompresses
+// it straight into an exact-size buffer, which the block cache then keeps:
+// the one-shot decoder (internal/inflate) copies back-references within
+// that buffer and builds its tables in pooled scratch, so the buffer is
+// the only allocation. It refuses a stream that decodes to more or fewer
 // bytes than the directory records, a truncated stream, and a bad
 // header, tree or distance.
 func (d *segData) inflateBlock(streams []byte, b int) ([]byte, error) {
+	src := streams[d.compOff[b] : d.compOff[b]+d.compLen[b]]
+	if err := frame.Check(src, d.compSum[b]); err != nil {
+		return nil, segErr("block %d: %v", b, err)
+	}
 	lo, hi := d.blockRange(b)
 	buf := make([]byte, d.rowOff[hi]-d.rowOff[lo])
-	if err := inflate.Into(buf, streams[d.compOff[b]:d.compOff[b]+d.compLen[b]]); err != nil {
+	if err := inflate.Into(buf, src); err != nil {
 		return nil, segErr("inflate block %d: %v", b, err)
 	}
 	return buf, nil
@@ -1008,11 +1028,10 @@ func (sb *segBlob) decodeIndex() (*segPostings, error) {
 
 // decodeBlobRows fully decodes a parsed blob back into its row run.
 func (sb *segBlob) decodeBlobRows() ([]StoredPacket, error) {
-	dir, err := buildSegDir(sb)
+	cur, err := blobCursor(sb)
 	if err != nil {
 		return nil, err
 	}
-	cur := &segCursor{dir: dir, sb: sb, block: -1}
 	defer cur.close()
 	return cur.rows(0, sb.count)
 }

@@ -42,22 +42,30 @@ func fuzzSeedSegment(n int) []byte {
 // guaranteed for encoder-canonical inputs: DEFLATE admits more than one
 // valid stream for the same payload.)
 func FuzzSegmentDecode(f *testing.F) {
-	// Two blobs seed the corpus: one this build encodes (a few hundred
-	// rows, so it spans multiple blocks) and the one testdata/format pins
-	// as PR 17's writer emitted it. testdata/fuzz also pins a four-block
-	// blob from the level-4 writer, which stays in the corpus whatever
-	// level later writers use.
+	// Two v3 blobs seed the corpus: one this build encodes (a few hundred
+	// rows, so it spans multiple blocks) and the one testdata/format pins.
+	// Beside them go well-framed copies of the first whose summary stripe
+	// holds what no parse yields (checksummed, so only the stripe decoder
+	// can object), and the retired v1 and v2 fixtures. testdata/fuzz also
+	// pins a four-block v2 blob from the level-4 writer.
 	pinned, err := os.ReadFile(filepath.Join("testdata", "format", "tier", "seg-0000000000000000.clsg"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, valid := range [][]byte{fuzzSeedSegment(300), pinned} {
+	seed := fuzzSeedSegment(300)
+	for _, valid := range [][]byte{seed, pinned} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])
 		f.Add(valid[:segHeaderSize])
 		mut := append([]byte(nil), valid...)
 		mut[len(mut)/3] ^= 0x80
 		f.Add(mut)
+	}
+	for _, bad := range malformedSummaryBlobs(f, seed) {
+		f.Add(bad)
+	}
+	for _, name := range []string{"seg-v1.clsg", "seg-v2-deflate.clsg"} {
+		f.Add(formatFixture(f, name))
 	}
 	f.Add([]byte("CLSG"))
 	f.Add([]byte{})

@@ -563,6 +563,9 @@ func (s *Store) packetByID(id PacketID) (StoredPacket, bool) {
 			return 0, nil
 		}
 		sp, err := r.at(pos)
+		if err == nil {
+			err = r.frame(pos, sp)
+		}
 		if err != nil {
 			return 0, err
 		}

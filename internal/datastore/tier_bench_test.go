@@ -260,7 +260,7 @@ func BenchmarkSegmentQuery(b *testing.B) {
 				benchStoreOp(b, queryBenchStore(b, 4), f, op, false)
 			})
 			st := coldBenchStore(b, coldBenchKey{segPackets: 4096})
-			b.Run(fmt.Sprintf("expr=%s/tier=cold/fmt=v%d/op=%s", c.name, segVersion2, op), func(b *testing.B) {
+			b.Run(fmt.Sprintf("expr=%s/tier=cold/fmt=v%d/op=%s", c.name, segVersion, op), func(b *testing.B) {
 				benchStoreOp(b, st, f, op, true)
 			})
 		}

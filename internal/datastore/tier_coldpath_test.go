@@ -67,12 +67,12 @@ func TestTierFormatEquivalence(t *testing.T) {
 		// toggle, not a format, so one cell buys the coverage.
 		full bool
 	}{
-		{name: "v2", format: segVersion2, full: true},
+		{name: "v3", format: segVersion, full: true},
 		// The cache budget must hold the decoded working set: a strict
 		// scan cycle one block over budget evicts every block before its
 		// reuse (0 hits), which the hit assertion below would misread.
-		{name: "v2-cache", format: segVersion2, cache: 64 << 20},
-		{name: "v2-nommap", format: segVersion2, noMmap: true},
+		{name: "v3-cache", format: segVersion, cache: 64 << 20},
+		{name: "v3-nommap", format: segVersion, noMmap: true},
 	}
 	for _, tc := range cases {
 		shardCases := []int{4}
@@ -353,7 +353,9 @@ func TestTierCacheInvalidation(t *testing.T) {
 		tr.cache.mu.Lock()
 		var total int64
 		for k, e := range tr.cache.entries {
-			total += int64(len(e.Value.(*cacheEnt).buf))
+			if ent := e.Value.(*cacheEnt); ent.dir == nil {
+				total += ent.size() // a block's bytes or a stripe's summaries
+			}
 			if before[k.seq] && !live[k.seq] {
 				tr.cache.mu.Unlock()
 				t.Fatalf("cache still holds block %v of a compacted-away segment", k)

@@ -6,11 +6,13 @@ import (
 	"sync/atomic"
 
 	"campuslab/internal/obs"
+	"campuslab/internal/packet"
 )
 
 // The tier cache: one bytes-bounded segmented LRU over what cold queries
 // decode — inflated data-column blocks, keyed by (segment seq, block
-// index), and segment directories (segdir.go), keyed by seq alone.
+// index), decoded summary stripes, keyed by seq and stripe, and segment
+// directories (segdir.go), keyed by seq alone.
 // TierPolicy.CacheBytes is the one budget both kinds share, each entry
 // charged its exact size; 0 (the default) disables caching entirely and
 // every query decodes what it needs and discards it.
@@ -35,7 +37,7 @@ import (
 // per-tier (tierCache fields) so tests and labd STATS can diff one
 // store without scraping the process registry. Directory traffic has its
 // own series: the cache_* hit/miss/bytes/entries series keep meaning
-// decoded blocks.
+// decoded blocks and stripes.
 var (
 	obsTierCacheHits      = obs.Default.Counter("campuslab_tier_cache_hits_total")
 	obsTierCacheMisses    = obs.Default.Counter("campuslab_tier_cache_misses_total")
@@ -48,9 +50,8 @@ var (
 )
 
 // blockKey identifies one cache entry: the segment's immutable file
-// sequence number plus the block index within its data column, or
-// dirBlock for the segment's directory. v1 segments parse as a single
-// block 0, so both formats share the cache.
+// sequence number plus the block index within its data column, dirBlock
+// for the segment's directory, or stripeKey's index for a summary stripe.
 type blockKey struct {
 	seq   uint64
 	block int
@@ -58,14 +59,19 @@ type blockKey struct {
 
 const dirBlock = -1
 
+// stripeKey is summary stripe st's key: the indexes below dirBlock.
+func stripeKey(seq uint64, st int) blockKey { return blockKey{seq, dirBlock - 1 - st} }
+
 // protectedFifths caps the protected segment at that many fifths of the
 // budget; probation keeps at least the rest for new entries.
 const protectedFifths = 4
 
-// cacheEnt holds a decoded block or, under a dirBlock key, a directory.
+// cacheEnt holds a decoded block, a decoded summary stripe or, under a
+// dirBlock key, a directory.
 type cacheEnt struct {
 	key       blockKey
 	buf       []byte
+	sums      []packet.Summary
 	dir       *segDir
 	protected bool // in the protected segment, else in probation
 }
@@ -74,7 +80,7 @@ func (e *cacheEnt) size() int64 {
 	if e.dir != nil {
 		return e.dir.bytes
 	}
-	return int64(len(e.buf))
+	return int64(len(e.buf)) + summaryBytes*int64(len(e.sums))
 }
 
 // tierCache is the bounded segmented LRU. One instance per tier; all
@@ -83,7 +89,7 @@ type tierCache struct {
 	mu        sync.Mutex
 	max       int64
 	protMax   int64 // protected segment's cap
-	bytes     int64 // decoded blocks
+	bytes     int64 // decoded blocks and stripes
 	dirBytes  int64 // directories; bytes+dirBytes <= max
 	protBytes int64 // protected entries of either kind; <= protMax
 	dirs      int
@@ -141,16 +147,31 @@ func (c *tierCache) lookup(k blockKey) *cacheEnt {
 	return c.touchLocked(e)
 }
 
-func (c *tierCache) get(k blockKey) ([]byte, bool) {
+// getEnt returns k's decoded block or stripe, counting a hit or a miss.
+func (c *tierCache) getEnt(k blockKey) *cacheEnt {
 	ent := c.lookup(k)
 	if ent == nil {
 		c.misses.Add(1)
 		obsTierCacheMisses.Inc()
-		return nil, false
+		return nil
 	}
 	c.hits.Add(1)
 	obsTierCacheHits.Inc()
-	return ent.buf, true
+	return ent
+}
+
+func (c *tierCache) get(k blockKey) ([]byte, bool) {
+	if ent := c.getEnt(k); ent != nil {
+		return ent.buf, true
+	}
+	return nil, false
+}
+
+func (c *tierCache) getStripe(k blockKey) ([]packet.Summary, bool) {
+	if ent := c.getEnt(k); ent != nil {
+		return ent.sums, true
+	}
+	return nil, false
 }
 
 // getDir returns the resident directory of segment seq.
@@ -169,6 +190,11 @@ func (c *tierCache) getDir(seq uint64) (*segDir, bool) {
 // put admits one decoded block.
 func (c *tierCache) put(k blockKey, buf []byte) {
 	c.admit(&cacheEnt{key: k, buf: buf})
+}
+
+// putStripe admits one decoded summary stripe.
+func (c *tierCache) putStripe(k blockKey, sums []packet.Summary) {
+	c.admit(&cacheEnt{key: k, sums: sums})
 }
 
 // putDir admits a freshly built directory and returns the one to use: the
@@ -264,7 +290,7 @@ func (c *tierCache) publishLocked() {
 	obsTierDirBytes.Set(float64(c.dirBytes))
 }
 
-// size reports the decoded blocks' resident footprint.
+// size reports the decoded blocks' and stripes' resident footprint.
 func (c *tierCache) size() (bytes int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

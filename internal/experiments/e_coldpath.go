@@ -10,15 +10,16 @@ import (
 )
 
 // e19ColdQueryFastPath re-runs the E17 25x stream against two cold tiers
-// — block-compressed + dictionary (v2) segments read cold every time, and
+// — block-compressed + dictionary (v3) segments read cold every time, and
 // the same segments behind the tier cache (decoded blocks plus resident
 // segment directories) — and substantiates the fast-path claims:
 //
 //   - equivalence: both answer every query surface exactly like the
 //     all-RAM reference (the fast path changes cost, never results);
-//   - latency: a selective cold Select decodes only the blocks holding
-//     its candidate rows, and a warm cache answers from RAM (reported
-//     best-of-3, not asserted — wall clock is environmental);
+//   - latency: a selective cold Select decodes only the summary stripes
+//     and blocks holding its candidate rows, and a warm cache answers
+//     from RAM (reported best-of-3, not asserted — wall clock is
+//     environmental);
 //   - cache: repeated queries against the cached tier serve mostly from
 //     the cache (hit rate >= 50% after warm-up);
 //   - metadata-only Count: an indexable Count over a time window is
@@ -29,7 +30,7 @@ func e19ColdQueryFastPath() (*Table, error) {
 	t := &Table{
 		ID:      "E19",
 		Title:   "cold-tier query fast path: block decode, dictionaries, cache",
-		Columns: []string{"step", "v2", "v2+cache", "detail", "outcome"},
+		Columns: []string{"step", "v3", "v3+cache", "detail", "outcome"},
 	}
 
 	const epochs = 12
@@ -54,8 +55,8 @@ func e19ColdQueryFastPath() (*Table, error) {
 		store *datastore.Store
 	}
 	cases := []*tierCase{
-		{name: "v2"},
-		{name: "v2+cache", cache: 64 << 20},
+		{name: "v3"},
+		{name: "v3+cache", cache: 64 << 20},
 	}
 	for _, c := range cases {
 		dir, err := os.MkdirTemp("", "e19-tier-*")
@@ -108,8 +109,9 @@ func e19ColdQueryFastPath() (*Table, error) {
 
 	// Claim 2 (reported): selective cold Select latency. The filter is a
 	// needle in the oldest (fully cold) window, so the uncached tier
-	// inflates only the blocks its candidates live in, and the cached tier
-	// (warmed by the run below) mostly skips inflation entirely.
+	// decodes the summary stripes and inflates the blocks its candidates
+	// live in, and the cached tier (warmed by the run below) mostly skips
+	// both entirely.
 	sel, err := datastore.ParseFilter("ts < 2s && proto == udp && dst.port == 53")
 	if err != nil {
 		return nil, err
@@ -147,7 +149,7 @@ func e19ColdQueryFastPath() (*Table, error) {
 		cacheOutcome = fmt.Sprintf("FAIL: hit rate %.0f%% < 50%%", 100*hitRate)
 	}
 	t.addRow("cache hit rate", "", fmt.Sprintf("%d/%d", hits, hits+misses),
-		fmt.Sprintf("%s resident, %d blocks", fmtBytes(uint64(post.CacheBytes)), post.CacheEntries),
+		fmt.Sprintf("%s resident, %d blocks and stripes", fmtBytes(uint64(post.CacheBytes)), post.CacheEntries),
 		cacheOutcome)
 
 	// Claim 4: the windowed indexable Count. Its ts conjuncts are the
@@ -188,7 +190,7 @@ func e19ColdQueryFastPath() (*Table, error) {
 		fmt.Sprintf("%s resident in %d directories", fmtBytes(uint64(post.DirBytes)), post.DirEntries), dirOutcome)
 
 	t.Notes = append(t.Notes,
-		"expected shape: the selective cold Select inflates only the blocks holding candidate rows; the warm cache beats it by skipping inflation and the per-query column decode (its segment directories are resident); the windowed Count never reads a data block on either tier, so the uncached tier pays only the directory build it repeats per query",
+		"expected shape: the selective cold Select decodes only the summary stripes and blocks holding candidate rows; the warm cache beats it by skipping inflation and the per-query column decode (its segment directories are resident); the windowed Count never reads a data block on either tier, so the uncached tier pays only the directory build it repeats per query",
 		"Store.SetScanQuery(true) re-runs any query through the serial full-scan reference engine; results must not change",
 		"this container is 1-CPU: the latency rows are reports, not assertions; the equivalence, hit-rate and directory claims are machine-independent")
 	return t, nil
@@ -205,7 +207,7 @@ func tierEquivRow19(t *Table, name string, st, ref *datastore.Store, ingested in
 	ss := st.Stats()
 	cell := fmt.Sprintf("%d hot + %d cold", ss.Packets, ss.ColdPackets)
 	cells := []string{"", ""}
-	for i, c := range []string{"v2", "v2+cache"} {
+	for i, c := range []string{"v3", "v3+cache"} {
 		if c == name {
 			cells[i] = cell
 		}

@@ -387,9 +387,10 @@ func TestHandStreams(t *testing.T) {
 // (op 3), and read at the stream's natural size plus delta. Into must
 // give the same bytes or refuse where compress/flate refuses.
 //
-// testdata/fuzz/FuzzInflate also holds, in mode 0, the block streams of
-// the datastore's pinned segment fixture
-// (internal/datastore/testdata/format/tier/seg-0000000000000000.clsg).
+// testdata/fuzz/FuzzInflate also holds, in mode 0, the block streams
+// compress/flate wrote into the datastore's first pinned segment fixture
+// (the v2 file internal/datastore/testdata/format/tier/ held before the
+// v3 writer's replaced it).
 func FuzzInflate(f *testing.F) {
 	f.Add([]byte("stored, one block"), uint8(1), uint8(0), uint16(0), uint8(0), int16(0))
 	f.Add(bytes.Repeat([]byte("the level 4 writer "), 40), uint8(3), uint8(0), uint16(0), uint8(0), int16(0))

@@ -141,10 +141,10 @@ gate_names "$RACE" ./internal/datastore TestSealPublishesEncodedAheadBytes TestE
     TestSealEncodeFailureIsLoud TestOversizedFrameRefused TestOversizedFrameRefused/durable TestOversizedFrameRefused/tiered
 echo "    tier cache policy (segmented LRU: a touched working set survives a one-pass scan over budget)"
 gate_names "$RACE" ./internal/datastore TestTierCacheScanResistant TestTierCacheLRU
-echo "    segment directory (shared budget, invalidation, corrupt columns, metadata-only Count, limit-bounded decode, exact window ≡ scan)"
+echo "    segment directory (shared budget, invalidation, corrupt columns, metadata-only Count, a residual Count that inflates no block, limit-bounded decode, exact window ≡ scan)"
 gate_names "$RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRespected TestSegDirOversizeNotAdmitted \
     TestSegDirDroppedWithSegments TestSegDirCorruptColumnCachesNothing TestColdCountWindowedTouchesNoBlock \
-    TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
+    TestColdResidualCountInflatesNothing TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
 echo "    key table (seal's postings == the decoded index column; hot, cold and keyVal/keyFlags agree on every key; README field table == compiler)"
 gate_names "$RACE" ./internal/datastore TestBuildSegPostingsMatchesDecodeIndex TestHotAndColdIndexTheSameKeys TestFilterDocListsEveryField
 echo "    crash recovery (a crash after any file operation of ingest or of a checkpoint mid-stream, under kill, power loss or a torn write, and kill -9 mid-ingest lose nothing acked; a fresh directory survives power loss; a failed checkpoint is typed, never wedges the log and loses nothing; a checkpoint flushes the log; eviction, seals and the checkpoint's cut renumber nothing and count every flow once; a log trimmed past the checkpoint is refused; a torn log is repaired; flows tied on time and hash reload; v2 to v6 snapshots are refused)"
