@@ -8,6 +8,7 @@ import (
 	"campuslab/internal/datastore"
 	"campuslab/internal/features"
 	"campuslab/internal/ml"
+	"campuslab/internal/packet"
 	"campuslab/internal/traffic"
 	"campuslab/internal/xai"
 )
@@ -215,19 +216,49 @@ func TestTierNames(t *testing.T) {
 	}
 }
 
+// BenchmarkLoopFeedDataplane times the data-plane tier's fast loop: feed is
+// one frame per op through the rule program, FeedBatch one ReplayBatch of
+// frames per op through the compiled ensemble (divide ns/op by 256 for
+// the per-frame cost). Both must stay at 0 allocs/op.
 func BenchmarkLoopFeedDataplane(b *testing.B) {
 	p := buildPipeline(b)
-	loop, err := NewLoop(LoopConfig{Tier: TierDataPlane, Program: p.dropProg})
-	if err != nil {
-		b.Fatal(err)
-	}
 	frames := traffic.Collect(p.attackScenario(107, 108), 5000)
 	fp := newParser()
 	summaries := parseAll(b, fp, frames)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(frames)
-		loop.feed(&frames[j], &summaries[j])
-	}
+	b.Run("feed", func(b *testing.B) {
+		loop, err := NewLoop(LoopConfig{Tier: TierDataPlane, Program: p.dropProg})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % len(frames)
+			loop.feed(&frames[j], &summaries[j])
+		}
+	})
+	b.Run("FeedBatch/ensemble", func(b *testing.B) {
+		ens, err := dataplane.CompileForestEnsemble(p.forest, features.PacketSchema, dataplane.EnsembleConfig{DropClasses: []int{1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		loop, err := NewLoop(LoopConfig{Tier: TierDataPlane, Program: p.dropProg, Ensemble: ens})
+		if err != nil {
+			b.Fatal(err)
+		}
+		batches := len(frames) / ReplayBatch
+		fptrs := make([]*traffic.Frame, batches*ReplayBatch)
+		sptrs := make([]*packet.Summary, len(fptrs))
+		for i := range fptrs {
+			fptrs[i], sptrs[i] = &frames[i], &summaries[i]
+		}
+		keep := make([]bool, ReplayBatch)
+		loop.FeedBatch(fptrs[:ReplayBatch], sptrs[:ReplayBatch], keep) // sizes the verdict buffer
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lo := i % batches * ReplayBatch
+			loop.FeedBatch(fptrs[lo:lo+ReplayBatch], sptrs[lo:lo+ReplayBatch], keep)
+		}
+	})
 }

@@ -254,11 +254,13 @@ func (l *Loop) feed(f *traffic.Frame, s *packet.Summary) bool {
 // through the loop, filling keep[i] with whether frame i survived.
 // Semantically identical to calling feed per frame in order; the win is
 // that the switch sense stage is precomputed for the whole batch from
-// one state snapshot. Because a mitigation installed while draining
-// pending verdicts must affect the packets behind it, the precompute is
-// abandoned the moment the switch state generation moves (or when
-// stateful meters make classification impure) and the remainder of the
-// batch falls back to the per-packet path.
+// one state snapshot, and its verdicts are committed to the switch
+// counters once, at the end of the batch (Switch.Stats lags by at most
+// that batch). Because a mitigation installed while draining pending
+// verdicts must affect the packets behind it, the precompute is abandoned
+// the moment the switch state generation moves (or when stateful meters
+// make classification impure): the verdicts consumed so far are committed
+// and the remainder of the batch falls back to the per-packet path.
 func (l *Loop) FeedBatch(frames []*traffic.Frame, sums []*packet.Summary, keep []bool) {
 	defer obs.Default.StartSpan("fastloop").End()
 	n := len(frames)
@@ -271,16 +273,17 @@ func (l *Loop) FeedBatch(frames []*traffic.Frame, sums []*packet.Summary, keep [
 		f, s := frames[i], sums[i]
 		l.drainPending(f.TS)
 		if pre && l.sw.StateGen() != gen {
+			l.sw.CommitBatch(vs[:i])
 			pre = false
 		}
-		var v dataplane.Verdict
-		if pre {
-			v = vs[i]
-			l.sw.CommitVerdict(v)
-		} else {
+		v := vs[i]
+		if !pre {
 			v = l.sw.ProcessAt(f.TS, s)
 		}
 		keep[i] = l.consume(f, s, v)
+	}
+	if pre {
+		l.sw.CommitBatch(vs)
 	}
 }
 

@@ -463,11 +463,56 @@ func (lw *treeLowering) leafRow(n *ml.ExportedNode) (int32, error) {
 
 // fieldRange is one field's range table: v ranks r among cuts when exactly
 // r of them are < v, and the rank occupies the code word from bit shift up.
+//
+// rank is the table the code stage reads instead of searching cuts: bucket
+// k holds the values [k<<bucket, (k+1)<<bucket), bucket being the field's
+// width less eight, so 256 buckets span the field's domain; entry 256
+// stands for every value past them and entry 257 closes the cut list. The
+// table lives inline, so a compile allocates nothing for it.
 type fieldRange struct {
-	field Field
-	shift uint8
-	dense bool     // cuts are consecutive integers: the rank is a clamp
-	cuts  []uint32 // sorted, distinct
+	field  Field
+	shift  uint8
+	bucket uint8
+	cuts   []uint32 // sorted, distinct
+	rank   [rankBuckets + 2]rankEntry
+}
+
+const rankBuckets = 256
+
+// rankEntry is one bucket of a range table. A value v of the bucket ranks
+// rank>>1 + (v > cut): cut is the one cut inside the bucket that values
+// above it pass, or the bucket's last value when there is none. Bit 0 of
+// rank marks a bucket that holds more cuts than that (and entry 256): its
+// cut is MaxUint32, and its values search cuts[rank>>1 : next entry's
+// rank>>1].
+type rankEntry struct {
+	rank, cut uint32
+}
+
+// fill builds r.rank from r.cuts.
+func (r *fieldRange) fill() {
+	below := func(v uint32) uint32 { // how many cuts are < v
+		n, _ := slices.BinarySearch(r.cuts, v)
+		return uint32(n)
+	}
+	for k := range r.rank {
+		e := &r.rank[k]
+		if k > rankBuckets {
+			e.rank = uint32(len(r.cuts)) << 1
+			continue
+		}
+		first := uint32(k) << r.bucket
+		last := first + 1<<r.bucket - 1
+		lo := below(first)
+		e.rank, e.cut = lo<<1, last
+		// Cuts in [first, last) split the bucket; one at last does not.
+		switch n := below(last) - lo; {
+		case k == rankBuckets || n > 1:
+			e.rank, e.cut = lo<<1|1, math.MaxUint32
+		case n == 1:
+			e.cut = r.cuts[lo]
+		}
+	}
 }
 
 // collectRanges derives the range tables from the compiled nodes. Constant
@@ -478,23 +523,31 @@ func (ep *EnsembleProgram) collectRanges() {
 		n := &ep.nodes[i]
 		byField[n.field] = append(byField[n.field], n.cut)
 	}
-	width := 0
+	width, tested := 0, 0
 	for f, cuts := range byField {
 		if len(cuts) == 0 {
 			continue
 		}
 		slices.Sort(cuts)
-		cuts = slices.Compact(cuts)
-		rankBits := bits.Len(uint(len(cuts))) // ranks run 0..len
-		if width+rankBits > 64 {
-			ep.ranges = nil
-			return
+		byField[f] = slices.Compact(cuts)
+		width += bits.Len(uint(len(byField[f]))) // ranks run 0..len
+		tested++
+	}
+	if width > 64 {
+		return
+	}
+	ep.ranges = make([]fieldRange, 0, tested)
+	width = 0
+	for f, cuts := range byField {
+		if len(cuts) == 0 {
+			continue
 		}
-		ep.ranges = append(ep.ranges, fieldRange{
-			field: Field(f), shift: uint8(width), cuts: cuts,
-			dense: cuts[len(cuts)-1]-cuts[0] == uint32(len(cuts)-1),
-		})
-		width += rankBits
+		ep.ranges = append(ep.ranges, fieldRange{})
+		r := &ep.ranges[len(ep.ranges)-1]
+		r.field, r.shift, r.cuts = Field(f), uint8(width), cuts
+		r.bucket = uint8(max(fieldWidths[f]-8, 0))
+		r.fill()
+		width += bits.Len(uint(len(cuts)))
 	}
 	ep.coded = true
 }
@@ -505,26 +558,34 @@ func (ep *EnsembleProgram) collectRanges() {
 // take the same branch at every node of every tree, reach the same leaf
 // rows, and accumulate the same float64s in the same order: their verdicts
 // are bit-identical. Pure; only called when ep.coded.
+//
+// The rank is one table read and one comparison unless v's bucket holds
+// two or more cuts (or v lies past the table); only then does it search,
+// and only the cuts that can still be below v.
 func (ep *EnsembleProgram) code(fv *fieldVector) uint64 {
 	var w uint64
 	for i := range ep.ranges {
 		r := &ep.ranges[i]
 		v := fv.vals[r.field]
-		if r.dense {
-			w |= uint64(min(max(v, r.cuts[0])-r.cuts[0], uint32(len(r.cuts)))) << r.shift
-			continue
+		// The masks only let the compiler drop its shift-range checks.
+		k := min(v>>(r.bucket&31), rankBuckets)
+		e := r.rank[k]
+		rank := int(e.rank>>1) + less(e.cut, v)
+		if e.rank&1 != 0 {
+			// Lower bound by halving over the bucket's cuts. Header values
+			// are as good as random to a branch predictor (and a miss here
+			// also costs the walk behind it), so each step is arithmetic,
+			// not a branch.
+			if n := int(r.rank[k+1].rank>>1) - rank; n > 0 {
+				for n > 1 {
+					half := n >> 1
+					rank += half & -less(r.cuts[rank+half-1], v)
+					n -= half
+				}
+				rank += less(r.cuts[rank], v)
+			}
 		}
-		// Lower bound by halving. Header values are as good as random to a
-		// branch predictor (and a miss here also costs the walk behind it),
-		// so each step is arithmetic, not a branch.
-		rank, n := 0, len(r.cuts)
-		for n > 1 {
-			half := n >> 1
-			rank += half & -less(r.cuts[rank+half-1], v)
-			n -= half
-		}
-		rank += less(r.cuts[rank], v)
-		w |= uint64(rank) << r.shift
+		w |= uint64(rank) << (r.shift & 63)
 	}
 	return w
 }
@@ -550,6 +611,9 @@ type ensMemo struct {
 		v    Verdict
 	}
 	hits, misses uint64
+	// bypassed counts the packets the batch classified without the memo
+	// after the memo failed its probe (see memoProbe).
+	bypassed uint64
 }
 
 // slot spreads code words (small packed ranks) over the memo by a

@@ -451,32 +451,53 @@ func TestEnsembleHotPathAllocs(t *testing.T) {
 // byte-identical to its own reference walk (and to the source model when
 // the compile is exact) — on the walk, through the per-batch memo, and
 // through every batch entry point of a switch.
+// fuzzInput is one input of FuzzEnsembleCompile: a forest shape and a
+// resource budget.
+type fuzzInput struct {
+	seed                                                   int64
+	nTrees, depth, rows, bNodes, bEntries, bStages, bTrees uint8
+}
+
+// fuzzSeeds is FuzzEnsembleCompile's in-code seed corpus; the rest of it is
+// under testdata/fuzz/FuzzEnsembleCompile.
+var fuzzSeeds = []fuzzInput{
+	{1, 3, 3, 40, 0, 0, 0, 0},
+	{7, 5, 4, 60, 200, 32, 0, 0},
+	{42, 8, 6, 70, 50, 0, 4, 2},
+	{3, 4, 2, 50, 0, 8, 3, 0},
+	{99, 2, 1, 20, 1, 1, 1, 1},
+}
+
+// compile fits the input's random forest and compiles it under the input's
+// budget, drawing from rng. A fit or a compile error (an impossible
+// budget) is an input to skip, not a failure.
+func (in fuzzInput) compile(rng *rand.Rand) (*ml.Forest, *EnsembleProgram, ResourceBudget, error) {
+	classes := 2 + int(in.nTrees)%3
+	ds := randPacketDataset(rng, 20+int(in.rows)%60, classes)
+	budget := ResourceBudget{
+		Nodes: int(in.bNodes), TableEntries: int(in.bEntries),
+		Stages: int(in.bStages), Trees: int(in.bTrees),
+	}
+	fr, err := ml.FitForest(ds, classes, ml.ForestConfig{
+		Trees: 1 + int(in.nTrees)%8, MaxDepth: 1 + int(in.depth)%6, Seed: rng.Int63(), Workers: 1,
+	})
+	if err != nil {
+		return nil, nil, budget, err
+	}
+	ep, err := CompileForestEnsemble(fr, features.PacketSchema, EnsembleConfig{Name: "fuzz", DropClasses: []int{1}, Budget: budget})
+	return fr, ep, budget, err
+}
+
 func FuzzEnsembleCompile(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(3), uint8(40), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(7), uint8(5), uint8(4), uint8(60), uint8(200), uint8(32), uint8(0), uint8(0))
-	f.Add(int64(42), uint8(8), uint8(6), uint8(70), uint8(50), uint8(0), uint8(4), uint8(2))
-	f.Add(int64(3), uint8(4), uint8(2), uint8(50), uint8(0), uint8(8), uint8(3), uint8(0))
-	f.Add(int64(99), uint8(2), uint8(1), uint8(20), uint8(1), uint8(1), uint8(1), uint8(1))
+	for _, in := range fuzzSeeds {
+		f.Add(in.seed, in.nTrees, in.depth, in.rows, in.bNodes, in.bEntries, in.bStages, in.bTrees)
+	}
 	tw := newBatchTwins() // one pair per worker process: switches pin their counter blocks
 	f.Fuzz(func(t *testing.T, seed int64, nTrees, depth, rows, bNodes, bEntries, bStages, bTrees uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		classes := 2 + int(nTrees)%3
-		ds := randPacketDataset(rng, 20+int(rows)%60, classes)
-		budget := ResourceBudget{
-			Nodes: int(bNodes), TableEntries: int(bEntries),
-			Stages: int(bStages), Trees: int(bTrees),
-		}
-		cfg := EnsembleConfig{Name: "fuzz", DropClasses: []int{1}, Budget: budget}
-
-		fr, err := ml.FitForest(ds, classes, ml.ForestConfig{
-			Trees: 1 + int(nTrees)%8, MaxDepth: 1 + int(depth)%6, Seed: rng.Int63(), Workers: 1,
-		})
+		fr, ep, budget, err := fuzzInput{seed, nTrees, depth, rows, bNodes, bEntries, bStages, bTrees}.compile(rng)
 		if err != nil {
-			t.Skip()
-		}
-		ep, err := CompileForestEnsemble(fr, features.PacketSchema, cfg)
-		if err != nil {
-			return // rejected (budget impossible): fine, as long as no panic
+			return // unfittable, or rejected (budget impossible): fine, as long as no panic
 		}
 		u := ep.Usage()
 		norm := budget

@@ -429,12 +429,13 @@ func TestClassifyBatchCommit(t *testing.T) {
 	if sw.Stats().Processed != 0 {
 		t.Fatal("classification recorded counters")
 	}
-	for i := range sums {
+	for range sums {
 		if sw.StateGen() != gen {
 			t.Fatal("generation moved without an install")
 		}
-		sw.CommitVerdict(out[i])
 	}
+	sw.CommitBatch(out[:len(sums)/3])
+	sw.CommitBatch(out[len(sums)/3:])
 	if got := sw.Stats().Processed; got != uint64(len(sums)) {
 		t.Fatalf("commits recorded %d, want %d", got, len(sums))
 	}
@@ -526,7 +527,7 @@ func TestDAGNodeBudgetFallback(t *testing.T) {
 	// The fallback still answers correctly.
 	for i := 0; i < 200; i++ {
 		fv := randVector(rng)
-		got := sw.state.Load().evalRules(&fv, nil)
+		got := sw.state.Load().prog.scan(&fv)
 		if want := scanVerdict(prog, &fv); got != want {
 			t.Fatalf("fallback verdict %+v != %+v", got, want)
 		}
@@ -600,15 +601,20 @@ func TestConcurrentInstallDuringBatch(t *testing.T) {
 		_ = sw.ProcessBatchAt(nil, sums, out[:0])
 		committed += uint64(len(sums))
 		if gen, ok := sw.ClassifyBatch(ptrs, out); ok {
+			// A mid-batch publish: commit the verdicts consumed so far and
+			// fall back for the rest, like the control loop.
+			done := len(ptrs)
 			for i := range ptrs {
 				if sw.StateGen() != gen {
-					// Mid-batch publish: fall back like the control loop.
-					sw.ProcessAt(0, ptrs[i])
-				} else {
-					sw.CommitVerdict(out[i])
+					done = i
+					break
 				}
-				committed++
 			}
+			sw.CommitBatch(out[:done])
+			for i := done; i < len(ptrs); i++ {
+				sw.ProcessAt(0, ptrs[i])
+			}
+			committed += uint64(len(ptrs))
 		} else {
 			for i := range ptrs {
 				sw.ProcessAt(0, ptrs[i])
@@ -711,14 +717,20 @@ func TestConcurrentEnsembleInstallDuringBatch(t *testing.T) {
 		_ = sw.ProcessBatchAt(nil, sums, out[:0])
 		committed += uint64(len(sums))
 		if gen, ok := sw.ClassifyBatch(ptrs, out); ok {
+			// A mid-batch publish: commit the verdicts consumed so far and
+			// fall back for the rest, like the control loop.
+			done := len(ptrs)
 			for i := range ptrs {
 				if sw.StateGen() != gen {
-					sw.ProcessAt(0, ptrs[i])
-				} else {
-					sw.CommitVerdict(out[i])
+					done = i
+					break
 				}
-				committed++
 			}
+			sw.CommitBatch(out[:done])
+			for i := done; i < len(ptrs); i++ {
+				sw.ProcessAt(0, ptrs[i])
+			}
+			committed += uint64(len(ptrs))
 		} else {
 			for i := range ptrs {
 				sw.ProcessAt(0, ptrs[i])
@@ -859,7 +871,7 @@ func episodeSummaries(b *testing.B, batch, batches int) []packet.Summary {
 // so a per-batch memo can never hit: the ensemble stage's worst case. The
 // ranks are counted here from the nodes, not taken from the program's own
 // range stage, so the input is the same on a build without one.
-func distinctSummaries(b *testing.B, ep *EnsembleProgram, rng *rand.Rand, pool []netip.Addr, batch, batches int) []packet.Summary {
+func distinctSummaries(b testing.TB, ep *EnsembleProgram, rng *rand.Rand, pool []netip.Addr, batch, batches int) []packet.Summary {
 	b.Helper()
 	sums := make([]packet.Summary, 0, batch*batches)
 	for len(sums) < cap(sums) {

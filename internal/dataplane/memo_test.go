@@ -1,12 +1,19 @@
 package dataplane
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"net/netip"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"campuslab/internal/features"
 	"campuslab/internal/ml"
@@ -208,11 +215,39 @@ func memoVectors(rng *rand.Rand, ep *EnsembleProgram) (fvs []fieldVector, collid
 // TestEnsembleRangeTables pins what the compile-time range stage collects:
 // sorted distinct cuts per tested field, nothing for constant splits, bit
 // positions that do not overlap — and no range stage at all when the ranks
-// do not fit a 64-bit word (ten fields of 64 cuts need 70).
+// do not fit a 64-bit word (ten fields of 64 cuts need 70). Every ranged
+// field's rank table is held to the count of cuts below each value, on the
+// memo population, a fastloop-shaped ensemble and FuzzEnsembleCompile's
+// seed corpus.
 func TestEnsembleRangeTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(521))
+	forest, _, _, _ := trainPacketForest(t)
+	fastloop, err := CompileForestEnsemble(forest, features.PacketSchema, EnsembleConfig{DropClasses: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fastloop.coded || len(fastloop.ranges) < 3 {
+		t.Fatalf("fastloop-shaped ensemble: coded %v with %d range tables", fastloop.coded, len(fastloop.ranges))
+	}
+	checkRankTables(t, "fastloop", fastloop)
+	// Cuts on the last values of a bucket and on the domain's top: wire_len
+	// buckets are 256 wide, ttl's one value each.
+	checkRankTables(t, "bucket-edges", handProgram(t, [][]ml.ExportedNode{
+		rangeTree(0, []float64{253.5, 254.5, 255.5, 256.5, 510.5, 511.5, 65534.5, 65535.5}),
+		rangeTree(9, []float64{0.5, 253.5, 254.5, 255.5}),
+	}))
+	corpus := fuzzCorpus(t)
+	if len(corpus) <= len(fuzzSeeds) {
+		t.Fatalf("fuzz corpus holds %d inputs, want the testdata files besides the %d in-code seeds", len(corpus), len(fuzzSeeds))
+	}
+	for i, in := range corpus {
+		if _, ep, _, err := in.compile(rand.New(rand.NewSource(in.seed))); err == nil {
+			checkRankTables(t, fmt.Sprintf("fuzz seed %d", i), ep)
+		}
+	}
 	for _, p := range memoPrograms(t, rng) {
 		ep := p.ep
+		checkRankTables(t, p.name, ep)
 		want := map[Field]map[uint32]bool{}
 		for _, n := range ep.nodes {
 			if want[n.field] == nil {
@@ -249,9 +284,6 @@ func TestEnsembleRangeTables(t *testing.T) {
 					t.Fatalf("%s: field %v cuts %v not the sorted distinct node cuts", p.name, r.field, r.cuts)
 				}
 			}
-			if r.dense != (r.cuts[len(r.cuts)-1]-r.cuts[0] == uint32(len(r.cuts)-1)) {
-				t.Fatalf("%s: field %v cuts %v dense=%v", p.name, r.field, r.cuts, r.dense)
-			}
 			if int(r.shift) != width {
 				t.Fatalf("%s: field %v at bit %d, want %d", p.name, r.field, r.shift, width)
 			}
@@ -274,6 +306,101 @@ func TestEnsembleRangeTables(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkRankTables demands, for every ranged field of ep, that the code
+// word carries the count of the field's cuts below v: for every v in
+// [0, 0xffff], at each cut and cut ± 1, and above 0xffff up to MaxUint32.
+// Each probe sets every field to v, so one code word checks every table.
+func checkRankTables(t *testing.T, name string, ep *EnsembleProgram) {
+	t.Helper()
+	if !ep.coded {
+		return
+	}
+	// The independent count: each field's cuts as the nodes test them.
+	cuts := map[Field][]uint32{}
+	for _, n := range ep.nodes {
+		if !slices.Contains(cuts[n.field], n.cut) {
+			cuts[n.field] = append(cuts[n.field], n.cut)
+		}
+	}
+	for _, c := range cuts {
+		slices.Sort(c)
+	}
+	probes := []uint32{0x10000, 0x10001, 0x1ffff, 0xfffff, math.MaxUint32 - 1, math.MaxUint32}
+	for v := uint32(0); v <= 0xffff; v++ {
+		probes = append(probes, v)
+	}
+	for _, c := range cuts {
+		for _, v := range c {
+			probes = append(probes, v, v+1, v-1) // wraps at the domain's ends: still a probe
+		}
+	}
+	var fv fieldVector
+	for _, v := range probes {
+		for f := Field(0); f < numFields; f++ {
+			fv.set(f, v)
+		}
+		code := ep.code(&fv)
+		for _, r := range ep.ranges {
+			width := bits.Len(uint(len(r.cuts)))
+			got := code >> r.shift & (1<<width - 1)
+			want, _ := slices.BinarySearch(cuts[r.field], v)
+			if got != uint64(want) {
+				t.Fatalf("%s: field %v (%d cuts, bucket %d) ranks %d at %d, want %d cuts below it",
+					name, r.field, len(r.cuts), r.bucket, got, v, want)
+			}
+		}
+	}
+}
+
+// fuzzCorpus is FuzzEnsembleCompile's seed corpus: the in-code seeds plus
+// every file under testdata/fuzz/FuzzEnsembleCompile.
+func fuzzCorpus(t *testing.T) []fuzzInput {
+	t.Helper()
+	out := append([]fuzzInput(nil), fuzzSeeds...)
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzEnsembleCompile", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if len(lines) != 9 || lines[0] != "go test fuzz v1" {
+			t.Fatalf("%s: not a FuzzEnsembleCompile input", file)
+		}
+		var vals [8]uint64
+		for i, line := range lines[1:] {
+			lit, ok := strings.CutSuffix(line, ")")
+			typ, lit, ok2 := strings.Cut(lit, "(")
+			var v uint64
+			switch {
+			case !ok || !ok2:
+				err = fmt.Errorf("line %q", line)
+			case typ == "byte":
+				var r string
+				r, err = strconv.Unquote(lit)
+				if err == nil {
+					ru, _ := utf8.DecodeRuneInString(r)
+					v = uint64(byte(ru))
+				}
+			default:
+				var n int64
+				n, err = strconv.ParseInt(lit, 0, 64)
+				v = uint64(n)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			vals[i] = v
+		}
+		out = append(out, fuzzInput{int64(vals[0]), uint8(vals[1]), uint8(vals[2]), uint8(vals[3]),
+			uint8(vals[4]), uint8(vals[5]), uint8(vals[6]), uint8(vals[7])})
+	}
+	return out
 }
 
 // TestEnsembleCodeWordDeterminesLeaves is the memo's soundness argument
@@ -552,5 +679,48 @@ func TestEnsembleMemoCounters(t *testing.T) {
 	sw.ProcessBatchAt(nil, sums, nil)
 	if h, m := obsEnsMemoHit.Value()-hit0, obsEnsMemoMiss.Value()-miss0; h != 76 || m != 2 {
 		t.Fatalf("ProcessAt or the reference walk moved the memo counters: %d hits %d misses", h, m)
+	}
+}
+
+// TestEnsembleMemoBypass: a batch whose code words never repeat stops
+// consulting its memo after memoProbe lookups and walks the rest, with the
+// per-packet verdicts; a batch whose code words repeat keeps its memo to
+// the end.
+func TestEnsembleMemoBypass(t *testing.T) {
+	forest, _, _, _ := trainPacketForest(t)
+	ep, err := CompileForestEnsemble(forest, features.PacketSchema, EnsembleConfig{DropClasses: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := NewSwitch(DefaultResources())
+	if err := sw.LoadEnsemble(ep); err != nil {
+		t.Fatal(err)
+	}
+	pool := testAddrPool()
+	rng := rand.New(rand.NewSource(527))
+	distinct := distinctSummaries(t, ep, rng, pool, 256, 1)
+	repeating := make([]packet.Summary, 256)
+	for i := range repeating {
+		repeating[i] = distinct[i%8]
+	}
+	for _, tc := range []struct {
+		name                   string
+		sums                   []packet.Summary
+		hits, misses, bypassed uint64
+	}{
+		{"distinct", distinct, 0, memoProbe, 256 - memoProbe},
+		{"repeating", repeating, 248, 8, 0},
+	} {
+		hit0, miss0, byp0 := obsEnsMemoHit.Value(), obsEnsMemoMiss.Value(), obsEnsMemoBypass.Value()
+		got := sw.ProcessBatchAt(nil, tc.sums, nil)
+		h, m, b := obsEnsMemoHit.Value()-hit0, obsEnsMemoMiss.Value()-miss0, obsEnsMemoBypass.Value()-byp0
+		if h != tc.hits || m != tc.misses || b != tc.bypassed {
+			t.Fatalf("%s: %d hits %d misses %d bypassed, want %d %d %d", tc.name, h, m, b, tc.hits, tc.misses, tc.bypassed)
+		}
+		for i := range tc.sums {
+			if want := sw.ProcessAt(0, &tc.sums[i]); got[i] != want {
+				t.Fatalf("%s: pkt %d: batch %+v != per-packet %+v", tc.name, i, got[i], want)
+			}
+		}
 	}
 }

@@ -61,6 +61,7 @@ var (
 	obsBatchesEns     = obs.Default.Counter("campuslab_dataplane_batches_total", "path", "ensemble")
 	obsEnsMemoHit     = obs.Default.Counter("campuslab_dataplane_ensemble_memo_total", "result", "hit")
 	obsEnsMemoMiss    = obs.Default.Counter("campuslab_dataplane_ensemble_memo_total", "result", "miss")
+	obsEnsMemoBypass  = obs.Default.Counter("campuslab_dataplane_ensemble_memo_total", "result", "bypass")
 	obsBatchSize      = obs.Default.Histogram("campuslab_dataplane_batch_size",
 		[]float64{16, 64, 256, 1024})
 )
@@ -104,6 +105,7 @@ func countBatch(st *pipelineState, n int, m *ensMemo) {
 		if m != nil {
 			obsEnsMemoHit.Add(m.hits)
 			obsEnsMemoMiss.Add(m.misses)
+			obsEnsMemoBypass.Add(m.bypassed)
 		}
 	case st.dag != nil:
 		obsBatchesDag.Inc()

@@ -158,6 +158,18 @@ func (r *Rule) matches(fv *fieldVector) bool {
 	return true
 }
 
+// scan is the linear-scan reference of the program stage: the first
+// matching rule wins, else the default action.
+func (p *Program) scan(fv *fieldVector) Verdict {
+	for i := range p.Rules {
+		r := &p.Rules[i]
+		if r.matches(fv) {
+			return Verdict{Action: r.Action, Class: r.Class, Confidence: r.Confidence, RuleIndex: i}
+		}
+	}
+	return Verdict{Action: p.Default, RuleIndex: -1}
+}
+
 // String renders the rule.
 func (r *Rule) String() string {
 	conds := make([]string, len(r.Conds))

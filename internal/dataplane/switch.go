@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,32 +150,6 @@ type pipelineState struct {
 	shapes   uint8
 }
 
-// evalRules classifies fv against the loaded classification stage
-// (filters already missed): the ensemble pipeline when one is installed,
-// else the rule program. Pure: no counters, no mutation. m is the calling
-// batch's ensemble memo, nil on the single-packet path.
-func (st *pipelineState) evalRules(fv *fieldVector, m *ensMemo) Verdict {
-	if st.ens != nil {
-		return st.ens.eval(fv, m)
-	}
-	if st.dag != nil {
-		return st.dag.eval(fv)
-	}
-	if st.prog != nil {
-		for i := range st.prog.Rules {
-			r := &st.prog.Rules[i]
-			if r.matches(fv) {
-				return Verdict{
-					Action: r.Action, Class: r.Class,
-					Confidence: r.Confidence, RuleIndex: i,
-				}
-			}
-		}
-		return Verdict{Action: st.prog.Default, RuleIndex: -1}
-	}
-	return Verdict{Action: ActionPermit, RuleIndex: -1}
-}
-
 // lookup probes one filter key, charging the meter on a meter hit.
 func (st *pipelineState) lookup(ts time.Duration, k FilterKey, wireLen int) (Verdict, bool) {
 	e, ok := st.table[k]
@@ -190,39 +165,136 @@ func (st *pipelineState) lookup(ts time.Duration, k FilterKey, wireLen int) (Ver
 	return Verdict{Action: ActionDrop, RuleIndex: -1, FilterHit: true}, true
 }
 
-// eval runs the full pipeline: runtime filters first (mitigations beat
-// classification), then meters, then the program. Meters aside, eval is
-// pure; counters are recorded separately by the caller.
-func (st *pipelineState) eval(ts time.Duration, s *packet.Summary, fv *fieldVector, m *ensMemo) Verdict {
-	if st.shapes != 0 {
-		t := &s.Tuple
-		if st.shapes&shapeFull != 0 {
-			if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP, SrcIP: t.SrcIP, DstPort: t.DstPort, Proto: t.Proto}, s.WireLen); ok {
-				return v
-			}
+// filter is the first stage for one packet: runtime filters (mitigations
+// beat classification), then meters, probed through the installed key
+// shapes from most to least specific. A miss returns the zero Verdict,
+// whose FilterHit is false.
+func (st *pipelineState) filter(ts time.Duration, s *packet.Summary) Verdict {
+	t := &s.Tuple
+	if st.shapes&shapeFull != 0 {
+		if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP, SrcIP: t.SrcIP, DstPort: t.DstPort, Proto: t.Proto}, s.WireLen); ok {
+			return v
 		}
-		if st.shapes&shapeDstPortProt != 0 {
-			if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP, DstPort: t.DstPort, Proto: t.Proto}, s.WireLen); ok {
-				return v
-			}
+	}
+	if st.shapes&shapeDstPortProt != 0 {
+		if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP, DstPort: t.DstPort, Proto: t.Proto}, s.WireLen); ok {
+			return v
 		}
-		if st.shapes&shapeDstProt != 0 {
-			if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP, Proto: t.Proto}, s.WireLen); ok {
-				return v
-			}
+	}
+	if st.shapes&shapeDstProt != 0 {
+		if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP, Proto: t.Proto}, s.WireLen); ok {
+			return v
 		}
-		if st.shapes&shapeDst != 0 {
-			if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP}, s.WireLen); ok {
-				return v
-			}
+	}
+	if st.shapes&shapeDst != 0 {
+		if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP}, s.WireLen); ok {
+			return v
 		}
-		if st.shapes&shapeSrc != 0 {
-			if v, ok := st.lookup(ts, FilterKey{SrcIP: t.SrcIP}, s.WireLen); ok {
-				return v
+	}
+	if st.shapes&shapeSrc != 0 {
+		if v, ok := st.lookup(ts, FilterKey{SrcIP: t.SrcIP}, s.WireLen); ok {
+			return v
+		}
+	}
+	return Verdict{}
+}
+
+// batchIn is one batch as an entry point received it: summaries by value
+// (ProcessBatchAt) or by pointer (ClassifyBatch, ProcessAt), and per-packet
+// timestamps (nil: t=0).
+type batchIn struct {
+	ts   []time.Duration
+	vals []packet.Summary
+	ptrs []*packet.Summary
+}
+
+func (b *batchIn) len() int {
+	if b.ptrs != nil {
+		return len(b.ptrs)
+	}
+	return len(b.vals)
+}
+
+func (b *batchIn) at(i int) *packet.Summary {
+	if b.ptrs != nil {
+		return b.ptrs[i]
+	}
+	return &b.vals[i]
+}
+
+// memoProbe is how many ensemble lookups a batch's memo gets to prove
+// itself: a batch that hit fewer than memoProbe/memoMinHitShare of them
+// walks the rest of its packets without it. An empty memo misses once per
+// new code word before it starts to hit — an episode batch opens with
+// about 22 of them, a batch of uniformly random headers with about 25 in
+// its first 32 lookups and still hits 62 % over the batch — so the
+// verdict is read from the hit count, never from a run of misses, and
+// only a batch whose code words barely repeat loses its memo.
+const (
+	memoProbe       = 32
+	memoMinHitShare = 8
+)
+
+// classify is the switch's one batch evaluator. It runs the stages in
+// order over the whole batch, writing out[i] for packet i: filters and
+// meters per packet in packet order (the stage is skipped when no key
+// shape is installed), then the program stage over the packets they left
+// undecided. The program stage is pure: for an ensemble, field vector,
+// code word, memo and walk; else the compiled rule DAG, the rule scan, or
+// the permit default. m is the batch's ensemble memo, nil when the stage
+// has none; counters are the caller's to tally.
+func (st *pipelineState) classify(in *batchIn, out []Verdict, m *ensMemo) {
+	n := in.len()
+	filtered := st.shapes != 0
+	if filtered {
+		for i := 0; i < n; i++ {
+			var t time.Duration
+			if in.ts != nil {
+				t = in.ts[i]
+			}
+			out[i] = st.filter(t, in.at(i))
+		}
+	}
+	var fv fieldVector
+	switch {
+	case st.ens != nil:
+		es, use := st.ens, m
+		for i := 0; i < n; i++ {
+			if filtered && out[i].FilterHit {
+				continue
+			}
+			if use != nil && use.hits+use.misses == memoProbe && use.hits < memoProbe/memoMinHitShare {
+				use = nil
+			}
+			if use == nil && m != nil {
+				m.bypassed++
+			}
+			fv.fromSummary(in.at(i))
+			out[i] = es.eval(&fv, use)
+		}
+	case st.dag != nil:
+		for i := 0; i < n; i++ {
+			if filtered && out[i].FilterHit {
+				continue
+			}
+			fv.fromSummary(in.at(i))
+			out[i] = st.dag.eval(&fv)
+		}
+	case st.prog != nil:
+		for i := 0; i < n; i++ {
+			if filtered && out[i].FilterHit {
+				continue
+			}
+			fv.fromSummary(in.at(i))
+			out[i] = st.prog.scan(&fv)
+		}
+	default:
+		for i := 0; i < n; i++ {
+			if !filtered || !out[i].FilterHit {
+				out[i] = Verdict{Action: ActionPermit, RuleIndex: -1}
 			}
 		}
 	}
-	return st.evalRules(fv, m)
 }
 
 // Switch is the software programmable switch: a loaded classification
@@ -530,44 +602,82 @@ func (sw *Switch) filterCount() int {
 	return st.nFilters + st.nMeters
 }
 
-// ProcessAt runs one packet summary through the pipeline at time ts:
-// runtime filters first (mitigations beat classification), then meters,
-// then the program rules, then the default action. Lock-free and
-// allocation-free: one atomic state load plus atomic counter updates.
+// ProcessAt runs one packet summary through the pipeline at time ts — a
+// batch of one: filters and meters, then the program stage, then the
+// counters. Lock-free and allocation-free: one atomic state load plus
+// atomic counter updates. It never consults an ensemble memo.
 func (sw *Switch) ProcessAt(ts time.Duration, s *packet.Summary) Verdict {
 	st := sw.state.Load()
-	var fv fieldVector
-	fv.fromSummary(s)
-	v := st.eval(ts, s, &fv, nil)
-	sw.record(st, v)
-	return v
+	tss, ptrs := [1]time.Duration{ts}, [1]*packet.Summary{s}
+	var out [1]Verdict
+	st.classify(&batchIn{ts: tss[:], ptrs: ptrs[:]}, out[:], nil)
+	sw.tally(st, out[:])
+	return out[0]
 }
 
 // ProcessBatchAt runs a batch at per-packet timestamps (ts may be nil for
-// t=0), appending verdicts to out (pass out[:0] to reuse a buffer).
-// Counters are recorded per packet; the state is loaded once for the
-// whole batch, so a concurrent install becomes visible at the next batch.
-// Filters and meters are probed per packet, in order; only the ensemble
-// stage behind them is served through the batch's code-word memo.
+// t=0), appending verdicts to out (pass out[:0] to reuse a buffer). The
+// state is loaded once for the whole batch, so a concurrent install
+// becomes visible at the next batch; filters and meters are probed per
+// packet, in order, and the counters are tallied once at the end.
 func (sw *Switch) ProcessBatchAt(ts []time.Duration, sums []packet.Summary, out []Verdict) []Verdict {
 	st := sw.state.Load()
-	var fv fieldVector
 	var memo *ensMemo
 	if st.ens.memoizes() {
 		memo = new(ensMemo) // does not escape: the caller's stack, this batch
 	}
-	// Action tallies accumulate locally and flush as one atomic add per
-	// counter per batch; only the per-rule/filter attribution stays
-	// per-packet.
+	base := len(out)
+	out = slices.Grow(out, len(sums))[:base+len(sums)]
+	st.classify(&batchIn{ts: ts, vals: sums}, out[base:], memo)
+	sw.tally(st, out[base:])
+	countBatch(st, len(sums), memo)
+	return out
+}
+
+// ClassifyBatch precomputes verdicts for a batch without recording
+// counters or charging meters, filling out[i] per summary. It returns
+// the state generation the verdicts were computed under and whether the
+// precompute is valid — false when meters are installed, because then
+// classification has side effects and callers must fall back to
+// ProcessAt. The control loop uses this to batch the sense stage, and
+// hands the verdicts it consumed to CommitBatch: once at the end of the
+// batch, or before it re-evaluates the rest one by one after a mid-batch
+// install (detected via StateGen).
+func (sw *Switch) ClassifyBatch(sums []*packet.Summary, out []Verdict) (uint64, bool) {
+	st := sw.state.Load()
+	gen := sw.gen.Load()
+	if st.nMeters > 0 || sw.state.Load() != st {
+		return gen, false
+	}
+	var memo *ensMemo
+	if st.ens.memoizes() {
+		memo = new(ensMemo)
+	}
+	st.classify(&batchIn{ptrs: sums}, out[:len(sums)], memo)
+	countBatch(st, len(sums), memo)
+	return gen, true
+}
+
+// CommitBatch records verdicts previously computed by ClassifyBatch into
+// the switch counters, one atomic add per counter that moved. Callers must
+// have checked StateGen still matched the ClassifyBatch generation when
+// they consumed each verdict.
+func (sw *Switch) CommitBatch(vs []Verdict) {
+	sw.tally(sw.state.Load(), vs)
+}
+
+// tally records a batch of verdicts: exactly one action counter per
+// verdict plus the filter-hit or per-rule attribution. The action and
+// filter-hit totals accumulate locally and flush as one atomic add per
+// counter; only per-rule attribution is per packet. The processed total
+// is not a separate counter — it is the sum of the four action counters,
+// which makes the "every verdict counted exactly once" invariant
+// structural.
+func (sw *Switch) tally(st *pipelineState, vs []Verdict) {
 	var acts [4]uint64
 	var filterHits uint64
-	for i := range sums {
-		var t time.Duration
-		if ts != nil {
-			t = ts[i]
-		}
-		fv.fromSummary(&sums[i])
-		v := st.eval(t, &sums[i], &fv, memo)
+	for i := range vs {
+		v := &vs[i]
 		a := v.Action
 		if a > ActionPunt {
 			a = ActionPermit
@@ -578,7 +688,6 @@ func (sw *Switch) ProcessBatchAt(ts []time.Duration, sums []packet.Summary, out 
 		} else if v.RuleIndex >= 0 && v.RuleIndex < len(st.perRule) {
 			atomic.AddUint64(&st.perRule[v.RuleIndex], 1)
 		}
-		out = append(out, v)
 	}
 	if acts[ActionPermit] != 0 {
 		sw.ctr.permitted.Add(acts[ActionPermit])
@@ -594,64 +703,6 @@ func (sw *Switch) ProcessBatchAt(ts []time.Duration, sums []packet.Summary, out 
 	}
 	if filterHits != 0 {
 		sw.ctr.filterHits.Add(filterHits)
-	}
-	countBatch(st, len(sums), memo)
-	return out
-}
-
-// ClassifyBatch precomputes verdicts for a batch without recording
-// counters or charging meters, filling out[i] per summary. It returns
-// the state generation the verdicts were computed under and whether the
-// precompute is valid — false when meters are installed, because then
-// classification has side effects and callers must fall back to
-// ProcessAt. The control loop uses this to batch the sense stage and
-// commit verdicts one by one as it consumes them (re-evaluating from the
-// first packet after a mid-batch install, detected via StateGen).
-func (sw *Switch) ClassifyBatch(sums []*packet.Summary, out []Verdict) (uint64, bool) {
-	st := sw.state.Load()
-	gen := sw.gen.Load()
-	if st.nMeters > 0 || sw.state.Load() != st {
-		return gen, false
-	}
-	var fv fieldVector
-	var memo *ensMemo
-	if st.ens.memoizes() {
-		memo = new(ensMemo)
-	}
-	for i, s := range sums {
-		fv.fromSummary(s)
-		out[i] = st.eval(0, s, &fv, memo)
-	}
-	countBatch(st, len(sums), memo)
-	return gen, true
-}
-
-// CommitVerdict records a verdict previously computed by ClassifyBatch
-// into the switch counters. Callers must have checked StateGen still
-// matches the ClassifyBatch generation.
-func (sw *Switch) CommitVerdict(v Verdict) {
-	sw.record(sw.state.Load(), v)
-}
-
-// record tallies one verdict: exactly one action counter plus the
-// filter-hit or per-rule attribution. The processed total is not a
-// separate counter — it is the sum of the four action counters, which
-// makes the "every verdict counted exactly once" invariant structural.
-func (sw *Switch) record(st *pipelineState, v Verdict) {
-	switch v.Action {
-	case ActionDrop:
-		sw.ctr.dropped.Add(1)
-	case ActionAlert:
-		sw.ctr.alerted.Add(1)
-	case ActionPunt:
-		sw.ctr.punted.Add(1)
-	default:
-		sw.ctr.permitted.Add(1)
-	}
-	if v.FilterHit {
-		sw.ctr.filterHits.Add(1)
-	} else if v.RuleIndex >= 0 && v.RuleIndex < len(st.perRule) {
-		atomic.AddUint64(&st.perRule[v.RuleIndex], 1)
 	}
 }
 

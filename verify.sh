@@ -173,10 +173,14 @@ gate_names "$RACE" ./internal/xai TestExplainMatchesEnumeration TestExtractMatch
 gate_names "$RACE" ./internal/netsim TestRoutingMatchesQuadraticReference
 echo "    netsim replay (fingerprint pinned, one frame touches exactly its route, allocations flat in the frame count)"
 gate_names "$RACE" ./internal/netsim TestReplayFingerprintPinned TestFrameTouchesExactlyItsRoute TestReplayAllocsFlat
-echo "    dataplane fast path (concurrent install vs batch)"
+echo "    dataplane fast path (concurrent install vs batch; every rank table == the count of cuts below each value; a memo that does not hit is bypassed)"
 gate_names "$RACE" ./internal/dataplane TestConcurrentInstallDuringBatch TestConcurrentEnsembleInstallDuringBatch \
     TestSwitchPipelineEquivalence TestProcessBatchMatchesSequential TestClassifyBatchCommit \
-    TestEnsembleMemoEquivalence TestEnsembleBatchPathsAgree TestEnsembleBatchWithMeters
+    TestEnsembleMemoEquivalence TestEnsembleBatchPathsAgree TestEnsembleBatchWithMeters TestEnsembleRangeTables \
+    TestEnsembleMemoCounters TestEnsembleMemoBypass
+echo "    control fast loop (FeedBatch == per-frame feed: keeps, stats and switch counters, with a mitigation installed mid-batch)"
+gate_names "$RACE" ./internal/control TestFeedBatchMatchesFeed TestFeedBatchMatchesFeed/controlplane \
+    TestFeedBatchMatchesFeed/dataplane-ensemble
 
 echo "    extractor determinism (window, pair and source-window datasets are a function of the store, not of map order)"
 gate_names "$RACE" ./internal/features TestWindowedExtractorsDeterministic
@@ -204,6 +208,15 @@ echo "$ENS" | awk '
     /^BenchmarkEnsembleInference\/ensemble-dag\// { seen++; for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) != "0") bad = $1 " " $(i-1) }
     END { if (seen < 5) { print "verify: FAIL — BenchmarkEnsembleInference/ensemble-dag ran " seen + 0 " legs, want 5" > "/dev/stderr"; exit 1 }
           if (bad) { print "verify: FAIL — " bad " allocs/op on the ensemble fast path, want 0" > "/dev/stderr"; exit 1 } }'
+
+# The control loop's FeedBatch leg runs the compiled ensemble through the
+# batch evaluator and commits its counters once per batch: 0 allocs/op.
+LOOP=$(gate_bench 100x ./internal/control BenchmarkLoopFeedDataplane)
+echo "$LOOP"
+echo "$LOOP" | awk '
+    /^BenchmarkLoopFeedDataplane\/FeedBatch\// { seen++; for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) != "0") bad = $1 " " $(i-1) }
+    END { if (!seen) { print "verify: FAIL — BenchmarkLoopFeedDataplane has no FeedBatch leg" > "/dev/stderr"; exit 1 }
+          if (bad) { print "verify: FAIL — " bad " allocs/op on the control fast loop, want 0" > "/dev/stderr"; exit 1 } }'
 
 echo "==> bench smoke (learning: tree induction, forest vote must stay 0 allocs/op, extraction, forest fit)"
 LEARN=$(gate_bench 20x ./internal/ml BenchmarkFitTree BenchmarkForestPredict)
