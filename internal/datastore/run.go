@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -99,6 +100,15 @@ func each(r run, f *Filter, qs *queryStats, out *[]StoredPacket, limit int) (int
 	qs.rowsScanned.Add(uint64(n))
 	if pred == nil && out == nil {
 		return n, nil
+	}
+	if pred == nil && n > 0 {
+		// Nothing to re-check: every candidate up to limit is returned,
+		// so the result is sized once instead of grown row by row.
+		want := n
+		if limit > 0 {
+			want = min(n, limit)
+		}
+		*out = slices.Grow(*out, want)
 	}
 	matched := 0
 	for i := 0; i < n; i++ {

@@ -94,7 +94,8 @@ func FitForest(d *features.Dataset, classes int, cfg ForestConfig) (*Forest, err
 // touching the heap.
 const maxStackClasses = 16
 
-// Predict implements Classifier (argmax of averaged probabilities).
+// Predict implements Classifier (argmax of averaged probabilities). It
+// stops voting once the remaining trees cannot change the answer.
 func (f *Forest) Predict(x []float64) int {
 	var stack [maxStackClasses]float64
 	p := stack[:]
@@ -103,45 +104,71 @@ func (f *Forest) Predict(x []float64) int {
 	} else {
 		p = make([]float64, f.classes)
 	}
-	f.vote(p, x)
+	if c, ok := f.vote(p, x, true); ok {
+		return c
+	}
 	best, _ := argmax(p)
 	return best
-}
-
-// PredictBatch classifies every row of X, fanning examples across workers
-// (0 = GOMAXPROCS). Output is index-addressed, so predictions are
-// identical to calling Predict row by row.
-func (f *Forest) PredictBatch(X [][]float64, workers int) []int {
-	out := make([]int, len(X))
-	parallel.For(len(X), workers, func(i int) {
-		out[i] = f.Predict(X[i])
-	})
-	return out
 }
 
 // Proba implements Classifier: the mean of member-tree probabilities.
 func (f *Forest) Proba(x []float64) []float64 {
 	out := make([]float64, f.classes)
-	f.vote(out, x)
+	f.vote(out, x, false)
 	return out
 }
 
 // vote accumulates every member's leaf distribution into the zeroed out,
-// member by member in ensemble order, then averages.
-func (f *Forest) vote(out, x []float64) {
-	for _, t := range f.trees {
-		n := t.leaf(x)
-		if n.total == 0 {
-			continue
+// member by member in ensemble order, then averages. With early set it
+// may stop first: once one class's partial sum leads every other by more
+// than the trees still to vote plus voteMargin, it returns that class and
+// true, leaving out partial.
+//
+// The early answer is exact. A fitted leaf's distribution is non-negative
+// and sums to at most 1, so no tree moves a lead by more than 1, and the
+// margin covers every rounding the full sum and its division could add:
+// a class that leads by more than that when the vote stops leads, strictly,
+// in the averaged vote argmax reads. A vote that ends tied never stops.
+func (f *Forest) vote(out, x []float64, early bool) (int, bool) {
+	nt := len(f.trees)
+	margin := voteMargin(nt)
+	for k, t := range f.trees {
+		if n := t.leaf(x); n.total != 0 {
+			for c, v := range n.counts {
+				out[c] += v / n.total
+			}
 		}
-		for c, v := range n.counts {
-			out[c] += v / n.total
+		// A lead is at most the k+1 trees counted, so before half the
+		// forest has voted no class can have settled it.
+		if left := nt - k - 1; early && left > 0 && k+1 > left {
+			if c, lead := leader(out); lead > float64(left)+margin {
+				return c, true
+			}
 		}
 	}
-	n := float64(len(f.trees))
+	n := float64(nt)
 	for c := range out {
 		out[c] /= n
 	}
+	return 0, false
+}
+
+// voteMargin bounds, with room to spare, how far rounding can move a lead
+// over a vote of n trees: each of the n partial sums of a class is at most
+// n, so each addition is off by at most n·2⁻⁵³, and the quotients by less.
+func voteMargin(n int) float64 { return float64(n) * float64(n) * 0x1p-40 }
+
+// leader returns the first class holding the largest partial sum and how
+// far it is ahead of the best other class.
+func leader(p []float64) (int, float64) {
+	best, _ := argmax(p)
+	second := math.Inf(-1)
+	for c, v := range p {
+		if c != best && v > second {
+			second = v
+		}
+	}
+	return best, p[best] - second
 }
 
 // NumClasses implements Classifier.

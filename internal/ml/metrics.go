@@ -26,24 +26,32 @@ func Evaluate(c Classifier, d *features.Dataset) Confusion {
 	for i := range m {
 		m[i] = make([]int, n)
 	}
-	if bp, ok := c.(batchPredictor); ok {
-		preds := bp.PredictBatch(d.X, 0)
-		for i, y := range d.Y {
-			if y >= n {
-				continue // class unseen at training time
-			}
-			m[y][preds[i]]++
-		}
-		return m
-	}
-	for i, x := range d.X {
-		y := d.Y[i]
+	preds := batchPredictions(c, d.X, 0)
+	for i, y := range d.Y {
 		if y >= n {
 			continue // class unseen at training time
 		}
-		m[y][c.Predict(x)]++
+		m[y][predictionAt(c, preds, d.X, i)]++
 	}
 	return m
+}
+
+// batchPredictions is c's answer for every row of X, over workers, when c
+// has a batch path, and nil when it has none.
+func batchPredictions(c Classifier, X [][]float64, workers int) []int {
+	if bp, ok := c.(batchPredictor); ok {
+		return bp.PredictBatch(X, workers)
+	}
+	return nil
+}
+
+// predictionAt is c's answer for row i of X: from preds, what
+// batchPredictions returned, or else by Predict.
+func predictionAt(c Classifier, preds []int, X [][]float64, i int) int {
+	if preds != nil {
+		return preds[i]
+	}
+	return c.Predict(X[i])
 }
 
 // Accuracy is the trace over the total.
@@ -118,13 +126,16 @@ func (m Confusion) String() string {
 
 // Agreement measures the fraction of examples on which two classifiers
 // produce the same prediction — the fidelity metric for model extraction.
+// A classifier with a batch path answers through it, as in Evaluate, but
+// on the caller's goroutine: extraction, its caller, runs serially.
 func Agreement(a, b Classifier, d *features.Dataset) float64 {
 	if d.Len() == 0 {
 		return 0
 	}
+	pa, pb := batchPredictions(a, d.X, 1), batchPredictions(b, d.X, 1)
 	same := 0
-	for _, x := range d.X {
-		if a.Predict(x) == b.Predict(x) {
+	for i := range d.X {
+		if predictionAt(a, pa, d.X, i) == predictionAt(b, pb, d.X, i) {
 			same++
 		}
 	}

@@ -264,6 +264,48 @@ func BenchmarkForestPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkForestPredictBatch labels rows the way extraction does: a
+// forest of 30 trees at depth 10 over 1 500 packet-like reference rows —
+// benign traffic and DNS amplification, told apart by length, source port
+// and answer count — asked for four times as many rows jittered around
+// them by a quarter of each feature's std.
+func BenchmarkForestPredictBatch(b *testing.B) {
+	r := rand.New(rand.NewSource(75))
+	ref := &features.Dataset{Schema: []string{"len", "udp", "sport", "dport", "answers", "ttl"}}
+	for i := 0; i < 1500; i++ {
+		y := 0
+		row := []float64{float64(60 + r.Intn(1400)), float64(r.Intn(2)), float64(1024 + r.Intn(64000)), 443, 0, 64}
+		switch r.Intn(4) {
+		case 0: // DNS amplification: large answers from port 53
+			y = 1
+			row = []float64{float64(1000 + r.Intn(500)), 1, 53, float64(1024 + r.Intn(64000)), float64(10 + r.Intn(20)), 52}
+		case 1: // ordinary DNS responses
+			row = []float64{float64(80 + r.Intn(300)), 1, 53, float64(1024 + r.Intn(64000)), float64(1 + r.Intn(3)), 60}
+		}
+		ref.X = append(ref.X, row)
+		ref.Y = append(ref.Y, y)
+	}
+	f, err := FitForest(ref, 2, ForestConfig{Trees: 30, MaxDepth: 10, Seed: 76, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	std := features.FitStandardizer(ref)
+	X := make([][]float64, 4*ref.Len())
+	for i := range X {
+		base := ref.X[r.Intn(ref.Len())]
+		x := make([]float64, len(base))
+		for j, v := range base {
+			x[j] = v + r.NormFloat64()*0.25*std.Scale[j]
+		}
+		X[i] = x
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.PredictBatch(X, 1)
+	}
+}
+
 func BenchmarkTreePredict(b *testing.B) {
 	d := blobs(500, 1.0, 74)
 	tr, _ := FitTree(d, 0, TreeConfig{MaxDepth: 8})

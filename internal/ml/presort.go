@@ -62,51 +62,56 @@ func newPresort(d *features.Dataset) *presort {
 			ps.cols[f*n+i] = v
 		}
 	}
-	keys, spare := make([]sortKey, n), make([]sortKey, n)
+	keys, spare := make([]uint64, n), make([]uint64, n)
 	for f := 0; f < dims; f++ {
-		for i, v := range ps.col(f) {
-			// Map the float to an integer that orders the same way: flip
-			// every bit of a negative, only the sign bit of the rest.
-			k := math.Float64bits(v)
-			if k>>63 != 0 {
-				k = ^k
-			} else {
-				k |= 1 << 63
-			}
-			keys[i] = sortKey{k, int32(i)}
+		col := ps.col(f)
+		lowOr, lowAnd := uint32(0), ^uint32(0)
+		for i, v := range col {
+			k := sortKey(v)
+			lowOr, lowAnd = lowOr|uint32(k), lowAnd&uint32(k)
+			keys[i] = k&^(1<<32-1) | uint64(i)
 		}
-		sorted := radixSort(keys, spare)
+		sorted, free := radixSort(keys, spare)
 		ord := ps.order[f*n : (f+1)*n]
-		for i := range sorted {
-			ord[i] = sorted[i].row
+		for i, k := range sorted {
+			ord[i] = int32(uint32(k))
+		}
+		if lowOr != lowAnd { // else a run's keys are equal: in row order already
+			finishRuns(ord, sorted, col, free)
 		}
 	}
 	return ps
 }
 
-// sortKey is one row's value in a column, as an order-preserving integer.
-type sortKey struct {
-	key uint64
-	row int32
+// sortKey maps a float to an integer that orders the same way: flip every
+// bit of a negative, only the sign bit of the rest.
+func sortKey(v float64) uint64 {
+	k := math.Float64bits(v)
+	if k>>63 != 0 {
+		return ^k
+	}
+	return k | 1<<63
 }
 
-// radixSort sorts keys ascending, least significant digit first, in six
-// passes of 11 bits, using spare (same length) as the other buffer, and
-// returns whichever of the two holds the result. Each pass is stable, so
-// equal keys keep their row order; a digit on which all keys agree costs
-// no pass, which is most of them for boolean and small-integer columns.
-func radixSort(keys, spare []sortKey) []sortKey {
-	const bits, passes = 11, 6
+// radixSort sorts keys — a sort key's top 32 bits above a row number —
+// ascending by those top 32 bits, least significant digit first, in three
+// passes of 11 bits, using spare (same length) as the other buffer. It
+// returns whichever of the two holds the result, then the other. Each
+// pass is stable and keys arrive in row order, so rows whose top bits are
+// equal stay in row order; a digit on which all keys agree costs no pass,
+// which is most of them for boolean and small-integer columns.
+func radixSort(keys, spare []uint64) (sorted, free []uint64) {
+	const bits, passes, base = 11, 3, 32
 	const mask = 1<<bits - 1
 	var hist [passes][1 << bits]int32
 	for _, k := range keys {
 		for d := range hist {
-			hist[d][k.key>>(bits*d)&mask]++
+			hist[d][k>>(base+bits*d)&mask]++
 		}
 	}
 	for d := range hist {
-		h, shift := &hist[d], bits*d
-		if h[keys[0].key>>shift&mask] == int32(len(keys)) {
+		h, shift := &hist[d], base+bits*d
+		if h[keys[0]>>shift&mask] == int32(len(keys)) {
 			continue
 		}
 		var sum int32
@@ -114,13 +119,46 @@ func radixSort(keys, spare []sortKey) []sortKey {
 			h[i], sum = sum, sum+c
 		}
 		for _, k := range keys {
-			b := k.key >> shift & mask
+			b := k >> shift & mask
 			spare[h[b]] = k
 			h[b]++
 		}
 		keys, spare = spare, keys
 	}
-	return keys
+	return keys, spare
+}
+
+// finishRuns completes the order radixSort left by the top 32 bits of the
+// key: each run of rows sharing them, in row order, is put in order by the
+// whole key, ties kept in row order. sorted is radixSort's result, whose
+// row numbers ord holds; a run already in order is left alone. A column
+// whose keys all share their low 32 bits — integers, ports, booleans —
+// never gets here. scratch, as long as sorted, holds a run being sorted.
+func finishRuns(ord []int32, sorted []uint64, col []float64, scratch []uint64) {
+	for lo := 0; lo < len(sorted); {
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi]>>32 == sorted[lo]>>32 {
+			hi++
+		}
+		if hi-lo > 1 {
+			// The run's low key bits above each row: in order by that
+			// word is in order by the key, ties by row.
+			run := scratch[:0]
+			inOrder := true
+			for _, r := range ord[lo:hi] {
+				w := sortKey(col[r])<<32 | uint64(r)
+				inOrder = inOrder && (len(run) == 0 || run[len(run)-1] < w)
+				run = append(run, w)
+			}
+			if !inOrder {
+				slices.Sort(run)
+				for i, w := range run {
+					ord[lo+i] = int32(uint32(w))
+				}
+			}
+		}
+		lo = hi
+	}
 }
 
 func (ps *presort) col(f int) []float64 { return ps.cols[f*ps.n : (f+1)*ps.n] }
@@ -191,11 +229,15 @@ func (b *builder) fit(mult []int32, cfg TreeConfig) *Tree {
 		b.goLeft[i] = uint8(min(c, 1))
 		m += int(b.goLeft[i])
 	}
-	for f := 0; f < ps.dims; f++ {
-		list, k := b.idx[f*ps.n:(f+1)*ps.n], 0
-		for _, r := range ps.order[f*ps.n : (f+1)*ps.n] {
-			list[k] = r
-			k += int(b.goLeft[r])
+	if m == ps.n { // every row is in the sample: the lists are the order
+		copy(b.idx, ps.order)
+	} else {
+		for f := 0; f < ps.dims; f++ {
+			list, k := b.idx[f*ps.n:(f+1)*ps.n], 0
+			for _, r := range ps.order[f*ps.n : (f+1)*ps.n] {
+				list[k] = r
+				k += int(b.goLeft[r])
+			}
 		}
 	}
 	b.build(0, m, 0, counts, total)

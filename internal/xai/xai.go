@@ -42,6 +42,11 @@ type Extraction struct {
 	Samples int
 }
 
+// batchPredictor is a black box that labels many rows in one call.
+type batchPredictor interface {
+	PredictBatch(X [][]float64, workers int) []int
+}
+
 // Extract distills blackbox into a depth-bounded decision tree: sample
 // points around the reference distribution, label them with the black box,
 // and fit a tree to the black box's behaviour (not to ground truth — the
@@ -71,13 +76,11 @@ func Extract(blackbox ml.Classifier, ref *features.Dataset, cfg ExtractConfig) (
 	// Per-dimension std for jitter scaling.
 	std := features.FitStandardizer(ref)
 
-	// Synthetic rows are cut from one slab.
+	// Synthetic rows are cut from one slab, then labelled in one pass: a
+	// black box with a batch path (the forest's code-word memo) votes once
+	// per distinct word instead of once per row.
 	slab := make([]float64, cfg.Samples*dims)
-	synth := &features.Dataset{
-		Schema: ref.Schema,
-		X:      make([][]float64, cfg.Samples),
-		Y:      make([]int, cfg.Samples),
-	}
+	synth := &features.Dataset{Schema: ref.Schema, X: make([][]float64, cfg.Samples)}
 	for i := range synth.X {
 		base := ref.X[rng.Intn(ref.Len())]
 		x := slab[i*dims : (i+1)*dims : (i+1)*dims]
@@ -85,7 +88,14 @@ func Extract(blackbox ml.Classifier, ref *features.Dataset, cfg ExtractConfig) (
 			x[j] = v + rng.NormFloat64()*cfg.Jitter*std.Scale[j]
 		}
 		synth.X[i] = x
-		synth.Y[i] = blackbox.Predict(x)
+	}
+	if bp, ok := blackbox.(batchPredictor); ok {
+		synth.Y = bp.PredictBatch(synth.X, 1)
+	} else {
+		synth.Y = make([]int, cfg.Samples)
+		for i, x := range synth.X {
+			synth.Y[i] = blackbox.Predict(x)
+		}
 	}
 	tree, err := ml.FitTree(synth, blackbox.NumClasses(), ml.TreeConfig{
 		MaxDepth: cfg.MaxDepth, Seed: cfg.Seed,

@@ -165,9 +165,9 @@ echo "    development round (the federated round is worker-count independent)"
 gate_names "$RACE" ./internal/core TestFederatedDeterministicAcrossWorkers
 echo "    road test (two concurrent road tests of one lab share its campus and equal the serial ones)"
 gate_names "$RACE" ./internal/core TestConcurrentRoadTestsShareCampus
-echo "    ml equivalence gate (presorted CART, forest vote, Explain, routing == their reference implementations)"
+echo "    ml equivalence gate (presorted CART, forest vote, early-exit and memoized decisions, Explain, routing == their reference implementations)"
 gate_names "$RACE" ./internal/ml TestFitTreeMatchesReference TestFitForestMatchesReference \
-    TestFitBoostMatchesReference TestForestVoteMatchesReference TestRadixSortOrders \
+    TestFitBoostMatchesReference TestForestVoteMatchesReference TestForestDecisionMatchesFullVote TestRadixSortOrders \
     TestFitRejectsBadDataset TestRuleForMatchesRules
 gate_names "$RACE" ./internal/xai TestExplainMatchesEnumeration TestExtractMatchesPerRowSampling TestExtractRejectsRaggedReference
 gate_names "$RACE" ./internal/netsim TestRoutingMatchesQuadraticReference
@@ -218,10 +218,10 @@ echo "$LOOP" | awk '
     END { if (!seen) { print "verify: FAIL — BenchmarkLoopFeedDataplane has no FeedBatch leg" > "/dev/stderr"; exit 1 }
           if (bad) { print "verify: FAIL — " bad " allocs/op on the control fast loop, want 0" > "/dev/stderr"; exit 1 } }'
 
-echo "==> bench smoke (learning: tree induction, forest vote must stay 0 allocs/op, extraction, forest fit)"
-LEARN=$(gate_bench 20x ./internal/ml BenchmarkFitTree BenchmarkForestPredict)
+echo "==> bench smoke (learning: tree induction, forest vote must stay 0 allocs/op, batch labelling through the code-word memo, extraction, forest fit)"
+LEARN=$(gate_bench 20x ./internal/ml BenchmarkFitTree BenchmarkForestPredict BenchmarkForestPredictBatch)
 echo "$LEARN"
-echo "$LEARN" | grep '^BenchmarkForestPredict' | grep -q ' 0 allocs/op' || {
+echo "$LEARN" | grep '^BenchmarkForestPredict-' | grep -q ' 0 allocs/op' || {
     echo "verify: FAIL — Forest.Predict allocates" >&2
     exit 1
 }
