@@ -59,7 +59,7 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 			return LoopConfig{
 				Tier: TierDataPlane, Program: p.dropProg, Ensemble: ens,
 				Threshold: 0.9, Window: time.Second, MinEvidence: 30,
-				Faults:    faults.NewSchedule().FailCalls(faults.OpInfer("dataplane"), 1, 1<<40, faults.KindTransient),
+				Faults:    faults.NewSchedule().FailCalls(faults.OpInfer("dataplane"), 1, 1<<40),
 				Breaker:   BreakerConfig{Trip: 5, Cooldown: 30 * time.Second},
 				Fallbacks: []FallbackTier{{Tier: TierControlPlane, Model: p.tree}},
 			}

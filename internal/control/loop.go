@@ -96,7 +96,7 @@ type LoopStats struct {
 	// Resilience accounting — all zero in a healthy run.
 	InstallRetries     uint64 // install re-attempts after transient faults
 	DroppedMitigations uint64 // mitigation decisions abandoned after the retry budget
-	InstallFailures    uint64 // permanent install failures (table full / injected)
+	InstallFailures    uint64 // permanent install failures (table full)
 	InferFailures      uint64 // inference requests lost to tier faults
 	FallbackInferences uint64 // inferences served by a degraded (non-primary) tier
 	BreakerTrips       uint64 // circuit-breaker openings across all tiers
@@ -462,7 +462,7 @@ func (l *Loop) applyVerdict(pv pendingVerdict) {
 // installMitigation drives the React install with the retry policy:
 // transient failures back off exponentially (with deterministic jitter)
 // in virtual time and retry up to the attempt budget; permanent failures
-// (table full, injected permanent faults) abort immediately. Returns the
+// (table full) abort immediately. Returns the
 // effective install time and whether the install landed.
 func (l *Loop) installMitigation(victim netip.Addr, installAt time.Duration) (time.Duration, bool) {
 	key := dataplane.FilterKey{DstIP: victim, Proto: l.cfg.FilterProto}

@@ -72,7 +72,7 @@ func TestReactRetriesTransientInstallFaults(t *testing.T) {
 	}
 
 	cfg := controlPlaneCfg(p)
-	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInstall, 1, 2, faults.KindTransient)
+	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInstall, 1, 2)
 	faulty, err := NewLoop(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestReactRetryBudgetExhaustedThenRecovers(t *testing.T) {
 	// First mitigation decision burns its whole 4-attempt budget; the
 	// evidence keeps accumulating and a later verdict retries with a
 	// healthy install path.
-	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInstall, 1, 4, faults.KindTransient)
+	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInstall, 1, 4)
 	loop, err := NewLoop(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestBreakerTripsToFallbackTier(t *testing.T) {
 	cfg := controlPlaneCfg(p)
 	// The control-plane tier fails every inference; the loop must trip
 	// its breaker and degrade to the cloud tier (higher RTT, same task).
-	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInfer("controlplane"), 1, 1<<40, faults.KindTransient)
+	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInfer("controlplane"), 1, 1<<40)
 	cfg.Fallbacks = []FallbackTier{{Tier: TierCloud, Model: p.forest}}
 	loop, err := NewLoop(cfg)
 	if err != nil {
@@ -181,7 +181,7 @@ func TestDataplaneDegradesToControlPlane(t *testing.T) {
 	cfg := LoopConfig{
 		Tier: TierDataPlane, Program: p.dropProg,
 		Threshold: 0.9, Window: time.Second, MinEvidence: 30,
-		Faults:    faults.NewSchedule().FailCalls(faults.OpInfer("dataplane"), 1, 1<<40, faults.KindTransient),
+		Faults:    faults.NewSchedule().FailCalls(faults.OpInfer("dataplane"), 1, 1<<40),
 		Breaker:   BreakerConfig{Trip: 5, Cooldown: 30 * time.Second},
 		Fallbacks: []FallbackTier{{Tier: TierControlPlane, Model: p.tree}},
 	}
@@ -226,7 +226,7 @@ func TestAllTiersDownLosesVerdictsSafely(t *testing.T) {
 	cfg := controlPlaneCfg(p)
 	// No fallback: when the only tier is down, verdicts are lost and the
 	// loop must fail open (no mitigations, no drops, no panic).
-	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInfer("controlplane"), 1, 1<<40, faults.KindTransient)
+	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInfer("controlplane"), 1, 1<<40)
 	cfg.Breaker = BreakerConfig{Trip: 5, Cooldown: 30 * time.Second}
 	loop, err := NewLoop(cfg)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 
 func TestInstallFilterInjectedTransientFault(t *testing.T) {
 	sw := NewSwitch(DefaultResources())
-	sw.SetFaultInjector(faults.NewSchedule().FailCalls(faults.OpInstall, 1, 2, faults.KindTransient))
+	sw.SetFaultInjector(faults.NewSchedule().FailCalls(faults.OpInstall, 1, 2))
 	key := FilterKey{DstPort: 53}
 	for i := 0; i < 2; i++ {
 		err := sw.InstallFilter(key, ActionDrop)
@@ -31,7 +31,7 @@ func TestInstallFilterInjectedTransientFault(t *testing.T) {
 
 func TestInstallRateLimitInjectedFault(t *testing.T) {
 	sw := NewSwitch(DefaultResources())
-	sw.SetFaultInjector(faults.NewSchedule().FailCalls(faults.OpInstall, 1, 1, faults.KindTransient))
+	sw.SetFaultInjector(faults.NewSchedule().FailCalls(faults.OpInstall, 1, 1))
 	err := sw.InstallRateLimit(FilterKey{DstPort: 53}, 1e6, 4e6)
 	if !faults.IsTransient(err) {
 		t.Fatalf("want transient fault, got %v", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,12 +31,14 @@ import (
 // is a checkpoint only since v7). Each test below decodes a file with the
 // current code and re-encodes it; every byte must come back. A deliberate
 // format change bumps a version and adds fixtures, it does not regenerate
-// these. The v2 to v6 snapshots, seg-v1.clsg and seg-v2-deflate.clsg stay
-// as fixtures a retired format must be refused on. The tier/ segment was
-// first a v2 one compress/flate's streams wrote; seg-v2-deflate.clsg is
-// its rows as internal/deflate's v2 writer encoded them, and seg-v3.clsg
-// — now also the tier/ segment — the same rows as the v3 writer encodes
-// them, summary column and per-block CRCs included.
+// these. The v2 to v6 snapshots, seg-v1.clsg, seg-v2-deflate.clsg and
+// seg-v3.clsg stay as fixtures a retired format must be refused on. The
+// tier/ segment was first a v2 one compress/flate's streams wrote;
+// seg-v2-deflate.clsg is its rows as internal/deflate's v2 writer encoded
+// them, seg-v3.clsg the same rows as the v3 writer encoded them (summary
+// column and per-block CRCs included), and seg-v4.clsg — now also the
+// tier/ segment — the same 40 rows, IDs 0 to 39, as the v4 writer encodes
+// them: no ID column and no dictionary column.
 
 func formatFixture(t testing.TB, name ...string) []byte {
 	t.Helper()
@@ -127,7 +130,7 @@ func TestFormatSnapshotsPinned(t *testing.T) {
 }
 
 // TestFormatSegmentAndManifestPinned: the pinned segment (tier/, the same
-// bytes as seg-v3.clsg) decodes to its 40 rows and re-encodes byte for
+// bytes as seg-v4.clsg) decodes to its 40 rows and re-encodes byte for
 // byte, and the manifest naming it re-writes to its own bytes.
 func TestFormatSegmentAndManifestPinned(t *testing.T) {
 	pinned := formatFixture(t, "tier", tierSegName(0))
@@ -139,7 +142,7 @@ func TestFormatSegmentAndManifestPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := formatFixture(t, "seg-v3.clsg"); len(rows) != 40 || !bytes.Equal(got, want) || !bytes.Equal(pinned, want) {
+	if want := formatFixture(t, "seg-v4.clsg"); len(rows) != 40 || !bytes.Equal(got, want) || !bytes.Equal(pinned, want) {
 		t.Fatalf("%d rows; re-encoded segment differs from the pinned one", len(rows))
 	}
 
@@ -164,7 +167,7 @@ func TestFormatSegmentAndManifestPinned(t *testing.T) {
 // TestParseSegmentRefusesVersion1: the v1 reader is gone, so a v1 segment
 // is a corrupt segment like any other unknown version — both the real
 // thing (seg-v1.clsg: the pinned segment's 40 rows as PR 17's v1 writer
-// encoded them, which PR 17 read back) and a v3 blob whose header says 1,
+// encoded them, which PR 17 read back) and a v4 blob whose header says 1,
 // checksummed correctly so that the version is the only objection.
 func TestParseSegmentRefusesVersion1(t *testing.T) {
 	assertSegmentsRefused(t, map[string][]byte{"v1 blob": formatFixture(t, "seg-v1.clsg"), "v1 header": relabelled(t, 1)})
@@ -175,6 +178,40 @@ func TestParseSegmentRefusesVersion1(t *testing.T) {
 // the last v2 writer encoded them.
 func TestParseSegmentRefusesVersion2(t *testing.T) {
 	assertSegmentsRefused(t, map[string][]byte{"v2 blob": formatFixture(t, "seg-v2-deflate.clsg"), "v2 header": relabelled(t, 2)})
+}
+
+// TestParseSegmentRefusesVersion3: the v3 reader (an ID column and a
+// link/label dictionary column, both derivable) is gone as well —
+// seg-v3.clsg is the pinned rows as the v3 writer encoded them.
+func TestParseSegmentRefusesVersion3(t *testing.T) {
+	assertSegmentsRefused(t, map[string][]byte{"v3 blob": formatFixture(t, "seg-v3.clsg"), "v3 header": relabelled(t, 3)})
+}
+
+// TestParseSegmentRefusesBrokenIDRange: a v4 segment is the ID run
+// [minID, minID+count), so a checksummed header whose maxID is not
+// minID+count-1, or whose run would end past the largest ID, is refused.
+func TestParseSegmentRefusesBrokenIDRange(t *testing.T) {
+	assertSegmentsRefused(t, brokenIDRangeBlobs(t))
+}
+
+// brokenIDRangeBlobs is the pinned segment under headers that misstate
+// its ID run, each with the header checksum redone.
+func brokenIDRangeBlobs(t testing.TB) map[string][]byte {
+	count := uint64(binary.LittleEndian.Uint32(formatFixture(t, "tier", tierSegName(0))[8:12]))
+	out := map[string][]byte{}
+	for name, ids := range map[string][2]uint64{
+		"maxID one past the run": {0, count},
+		"maxID one short":        {0, count - 2},
+		"maxID below minID":      {1000, 999},
+		"run ends past the IDs":  {math.MaxUint64 - count + 1, math.MaxUint64},
+	} {
+		b := formatFixture(t, "tier", tierSegName(0))
+		binary.LittleEndian.PutUint64(b[12:20], ids[0])
+		binary.LittleEndian.PutUint64(b[20:28], ids[1])
+		binary.LittleEndian.PutUint32(b[44:48], frame.Sum(b[:44]))
+		out[name] = b
+	}
+	return out
 }
 
 // relabelled is the pinned segment with its header's version set to v and

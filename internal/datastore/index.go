@@ -36,7 +36,7 @@ const (
 
 // The key table: everything a packet is indexed under, stated once — the
 // two name tables and the two field lists (keyVal, keyFlags) below. Hot postings, the cold
-// index and dict columns, zone maps and the filter compiler all read them,
+// index column and the link/label codes built from it, zone maps and the filter compiler all read them,
 // so an indexed field is one row and one field. Order is the segment
 // format's: the index column stores the value families, then the flag
 // lists, in it.

@@ -2,6 +2,7 @@ package datastore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -92,22 +93,34 @@ func TestConcurrentWritersKeepTimeIndex(t *testing.T) {
 	}
 }
 
-// checkTimeIndex asserts the orders the planner's time index relies on and
-// compares windowed queries, cut at every k-th row of a Scan walk, against
-// the scan reference and the walk itself.
+// checkTimeIndex asserts the orders the planner's time index relies on —
+// every segment a dense ID run, each starting at the ID after the one
+// before it ends and no earlier in time, the last ending at the seal
+// watermark — and compares windowed queries, cut at every k-th row of a
+// Scan walk, against the scan reference and the walk itself.
 func checkTimeIndex(t *testing.T, s *Store, trial int) {
 	t.Helper()
 	var sealed PacketID
 	if tr := s.tier.Load(); tr != nil {
 		tr.mu.RLock()
-		sorted, segs := tr.tsSorted, len(tr.segs)
+		segs := slices.Clone(tr.segs)
 		tr.mu.RUnlock()
 		sealed = PacketID(tr.sealedBelow.Load())
-		if segs == 0 {
+		if len(segs) == 0 {
 			t.Fatalf("trial %d: tiered store sealed nothing: %+v", trial, s.TierStats())
 		}
-		if !sorted {
-			t.Fatalf("trial %d: segments out of time order (tsSorted false)", trial)
+		for i, sg := range segs {
+			m := &sg.meta
+			if m.maxID != m.minID+PacketID(m.count-1) || m.maxTS < m.minTS {
+				t.Fatalf("trial %d: segment %d holds %d rows, IDs [%d,%d], TS [%v,%v]", trial, i, m.count, m.minID, m.maxID, m.minTS, m.maxTS)
+			}
+			if p := &segs[max(i-1, 0)].meta; i > 0 && (m.minID != p.maxID+1 || m.minTS < p.maxTS) {
+				t.Fatalf("trial %d: segment %d (IDs from %d, TS from %v) does not follow segment %d (IDs to %d, TS to %v)",
+					trial, i, m.minID, m.minTS, i-1, p.maxID, p.maxTS)
+			}
+		}
+		if last := segs[len(segs)-1].meta.maxID; last+1 != sealed {
+			t.Fatalf("trial %d: segments end at ID %d, the seal watermark is %d", trial, last, sealed)
 		}
 	}
 	for si, sh := range s.shards {

@@ -96,21 +96,6 @@ func (m *mergeCursor) next() *StoredPacket {
 	return bestPkt
 }
 
-// mergeRuns k-way merges (TS, ID)-sorted runs into one freshly allocated,
-// exactly sized run: the one copy a row gets on its way into a segment.
-func mergeRuns(runs [][]StoredPacket) []StoredPacket {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	merged := make([]StoredPacket, 0, total)
-	cur := newMergeCursor(runs)
-	for sp := cur.next(); sp != nil; sp = cur.next() {
-		merged = append(merged, *sp)
-	}
-	return merged
-}
-
 // scanRange visits packets with TS inside w in global (TS, ID) order,
 // stopping early if visit returns false. Shard read locks are held for the
 // duration. On a tiered store the cold segments in the window decode into

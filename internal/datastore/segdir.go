@@ -2,7 +2,6 @@ package datastore
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"campuslab/internal/packet"
@@ -10,8 +9,8 @@ import (
 )
 
 // The segment directory: everything about a cold segment that is not
-// packet bytes or summaries — IDs, timestamps, posting families, the
-// link/label dictionary, actor bits, and the block and stripe geometry of
+// packet bytes or summaries — its first ID, timestamps, posting families,
+// the per-row link/label codes, actor bits, and the block and stripe geometry of
 // the data and summary columns — decoded and validated once, copied off
 // the file mapping, and then shared by every query that touches the
 // segment. A directory is immutable and describes an immutable file named
@@ -30,13 +29,13 @@ import (
 // checked against its own CRC before it inflates, and each inflated
 // stream for its exact size and a clean end.
 type segDir struct {
-	ids  []PacketID // one per row, like tss
-	tss  []time.Duration
-	act  []byte // one bit per row
-	post *segPostings
-	dict *segDict
-	data *segData // geometry only: streams is nil
-	sums *segSums
+	minID PacketID // row i holds ID minID+i
+	tss   []time.Duration
+	act   []byte // one bit per row
+	post  *segPostings
+	dict  *segDict
+	data  *segData // geometry only: streams is nil
+	sums  *segSums
 	// The data and summary columns this geometry was parsed from; a cursor
 	// opening the file later refuses one that frames different columns.
 	dataCol, sumCol colStamp
@@ -55,7 +54,7 @@ func stampOf(sb *segBlob, id int) colStamp { return colStamp{len(sb.cols[id]), s
 // buildSegDir decodes and validates every column of a parsed segment into
 // its directory. Nothing in the result aliases the blob.
 func buildSegDir(sb *segBlob) (*segDir, error) {
-	ids, tss, err := sb.decodeTimeID()
+	tss, err := sb.decodeTS()
 	if err != nil {
 		return nil, err
 	}
@@ -71,20 +70,16 @@ func buildSegDir(sb *segBlob) (*segDir, error) {
 	if err != nil {
 		return nil, err
 	}
-	dict, err := sb.decodeDict()
-	if err != nil {
-		return nil, err
-	}
 	sums, err := sb.parseSums()
 	if err != nil {
 		return nil, err
 	}
 	d := &segDir{
-		ids: ids, tss: tss, act: act, post: post, dict: dict, data: data, sums: sums,
+		minID: sb.minID, tss: tss, act: act, post: post, dict: post.dict(sb.count), data: data, sums: sums,
 		dataCol: stampOf(sb, segColData), sumCol: stampOf(sb, segColSummary),
 	}
 	data.streams = nil
-	d.bytes = 256 + 16*int64(sb.count) + int64(len(act)) + post.bytes() + dict.bytes() + data.bytes() + sums.bytes()
+	d.bytes = 256 + 8*int64(sb.count) + int64(len(act)) + post.bytes() + d.dict.bytes() + data.bytes() + sums.bytes()
 	return d, nil
 }
 
@@ -263,8 +258,8 @@ func (c *segCursor) header(row int, sp *StoredPacket) error {
 			return err
 		}
 	}
-	sp.ID, sp.TS = d.ids[row], d.tss[row]
-	sp.Link = uint16(d.dict.at(0, row))
+	sp.ID, sp.TS = d.minID+PacketID(row), d.tss[row]
+	sp.Link = d.dict.at(0, row)
 	sp.Label = traffic.Label(d.dict.at(1, row))
 	sp.Actor = d.act[row/8]&(1<<(row%8)) != 0
 	sp.Summary = c.sums[row-c.stripe*d.sums.stripeRows]
@@ -330,9 +325,10 @@ func (c *segCursor) at(pos int) (*StoredPacket, error) {
 	return &c.sp, c.header(pos, &c.sp)
 }
 
-// find is linear: rows are (TS, ID)-sorted, and concurrent serial ingest
-// can hand a later packet a smaller ID, so IDs need not ascend.
+// find is arithmetic: row i holds ID minID+i.
 func (c *segCursor) find(id PacketID) (int, bool) {
-	pos := slices.Index(c.dir.ids, id)
-	return pos, pos >= 0
+	if id < c.dir.minID || id-c.dir.minID >= PacketID(len(c.dir.tss)) {
+		return -1, false
+	}
+	return int(id - c.dir.minID), true
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -21,9 +20,9 @@ import (
 // rowsAt keeps the selective-decode call shape of the segment tests that
 // predate the row cursor (the production rowsAt is gone): it builds sb's
 // directory and materialises sel through a blob-backed cursor, which is
-// the path decodeBlobRows takes. The index and ID/TS arguments the old
+// the path decodeBlobRows takes. The index and TS arguments the old
 // signature threaded through now live in the directory.
-func (sb *segBlob) rowsAt(sel []uint32, _ *segPostings, _ []PacketID, _ []time.Duration, _ any) ([]StoredPacket, error) {
+func (sb *segBlob) rowsAt(sel []uint32, _ *segPostings, _ []time.Duration, _ any) ([]StoredPacket, error) {
 	cur, err := blobCursor(sb)
 	if err != nil {
 		return nil, err
@@ -402,7 +401,7 @@ func corruptColumn(t *testing.T, path string, col byte, reseal bool) {
 	}
 }
 
-// TestSegDirCorruptColumnCachesNothing: a segment whose index, ts or dict
+// TestSegDirCorruptColumnCachesNothing: a segment whose index, ts or actor
 // column is damaged gets no directory — the query degrades with a typed
 // error and the cache stays empty, so the next query checks again.
 func TestSegDirCorruptColumnCachesNothing(t *testing.T) {
@@ -413,7 +412,7 @@ func TestSegDirCorruptColumnCachesNothing(t *testing.T) {
 	}{
 		{"index-crc", segColIndex, false},
 		{"ts-crc", segColTS, false},
-		{"dict-crc", segColDict, false},
+		{"actor-crc", segColActor, false},
 		{"ts-structure", segColTS, true},
 	}
 	for _, tc := range cases {
@@ -583,7 +582,7 @@ func TestColdResidualCountInflatesNothing(t *testing.T) {
 				wantRows := twin.Select(f, k)
 				blocks, fresh := map[int]bool{}, 0
 				for _, sp := range wantRows {
-					b := slices.Index(dir.ids, sp.ID) / dir.data.blockRows
+					b := int(sp.ID-dir.minID) / dir.data.blockRows
 					if !blocks[b] && (tr.cache == nil || !cacheHas(tr.cache, blockKey{tr.segs[0].seq, b})) {
 						fresh++
 					}
@@ -630,7 +629,7 @@ func TestColdSelectLimitStopsDecoding(t *testing.T) {
 	const k = 5
 	// No residual: the first k candidates are the result.
 	f := MustFilter("proto == udp")
-	cand, _ := (&segCursor{dir: dir}).candidates(&f.plan, 0, len(dir.ids))
+	cand, _ := (&segCursor{dir: dir}).candidates(&f.plan, 0, len(dir.tss))
 	if len(cand) < 4*k {
 		t.Fatalf("only %d candidates", len(cand))
 	}
@@ -641,7 +640,7 @@ func TestColdSelectLimitStopsDecoding(t *testing.T) {
 	before := readColdCounters(s)
 	got := s.Select(f, k)
 	after := readColdCounters(s)
-	if len(got) != k || got[k-1].ID != dir.ids[cand[k-1]] {
+	if len(got) != k || got[k-1].ID != dir.minID+PacketID(cand[k-1]) {
 		t.Fatalf("Select(limit=%d) returned %d rows", k, len(got))
 	}
 	if after.rows-before.rows != k || after.blocks-before.blocks != uint64(len(blocks)) {
@@ -657,17 +656,17 @@ func TestColdSelectLimitStopsDecoding(t *testing.T) {
 	if len(all) < 4*k {
 		t.Fatalf("only %d matches", len(all))
 	}
-	cand, _ = (&segCursor{dir: dir}).candidates(&f.plan, 0, len(dir.ids))
+	cand, _ = (&segCursor{dir: dir}).candidates(&f.plan, 0, len(dir.tss))
 	walked := 0
 	for _, r := range cand {
 		walked++
-		if dir.ids[r] == all[k-1].ID {
+		if dir.minID+PacketID(r) == all[k-1].ID {
 			break
 		}
 	}
 	blocks = map[int]bool{}
 	for _, sp := range all[:k] {
-		blocks[slices.Index(dir.ids, sp.ID)/dir.data.blockRows] = true
+		blocks[int(sp.ID-dir.minID)/dir.data.blockRows] = true
 	}
 	before = readColdCounters(s)
 	got = s.Select(f, k)

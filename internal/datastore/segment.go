@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -16,43 +17,42 @@ import (
 )
 
 // The cold tier's on-disk unit is the CLSG segment: an immutable,
-// compressed, columnar encoding of one (TS, ID)-sorted run of packets.
-// Layout (all fixed integers little-endian, varints unsigned LEB128):
+// compressed, columnar encoding of one dense run of packets, the rows with
+// IDs [minID, minID+count) in ID order, which is also time order (every
+// row's ID and clamped timestamp are taken in one ingest section, so TS
+// never steps back as the ID grows). A row's ID is minID plus its position,
+// so no column stores it. Layout (all fixed integers little-endian, varints
+// unsigned LEB128):
 //
 //	header (48 bytes):
 //	    magic "CLSG" | version u16 | reserved u16 | count u32 |
 //	    minID u64 | maxID u64 | minTS i64 | maxTS i64 | header crc32
+//	    (maxID is minID+count-1; a header that says otherwise is refused)
 //	columns, in fixed order, each a column-id byte and a frame checked
 //	block:  colID u8 | encLen u32 | payload crc32 | payload:
-//	  1 ids    first ID uvarint, then zigzag varint deltas (IDs follow
-//	           the (TS, ID) sort, so deltas are near 1 but may be signed
-//	           when concurrent serial ingest interleaved IDs across shards)
-//	  2 ts     first TS zigzag varint, then uvarint deltas (TS is
-//	           non-decreasing within a sorted run)
-//	  3 actor  bit-packed, one bit per row, trailing bits zero
-//	  4 data   uvarint block rows | uvarint block count | uvarint total
+//	  1 ts     first TS zigzag varint, then uvarint deltas (TS is
+//	           non-decreasing along the run)
+//	  2 actor  bit-packed, one bit per row, trailing bits zero
+//	  3 data   uvarint block rows | uvarint block count | uvarint total
 //	           raw bytes | per-row uvarint lengths | per-block uvarint
 //	           compressed lengths | per-block crc32 of its stream (u32) |
 //	           the blocks' DEFLATE streams, concatenated. Block b covers
 //	           rows [b*blockRows, (b+1)*blockRows) and inflates
 //	           independently, so a query decompresses only the blocks of
 //	           the rows it returns instead of the whole column.
-//	  5 index  the shard posting-list families, re-based to row positions:
+//	  4 index  the shard posting-list families, re-based to row positions:
 //	           for proto/src.port/dst.port/link/label, ascending values
 //	           each with an ascending delta-coded row list; then the six
 //	           boolean-flag lists. The value families partition the rows,
-//	           so this section doubles as the zone map's value sets.
-//	  6 dict   dictionary encoding of the link and label columns: per
-//	           family, uvarint distinct-value count, the ascending values,
-//	           then ceil(log2 n)-bit codes bit-packed LSB-first, one per
-//	           row, trailing bits zero. Gives O(1) per-row access for
-//	           selective decode.
-//	  7 summary  each row's packet.Summary in 1024-row DEFLATE stripes,
+//	           so this section doubles as the zone map's value sets, and
+//	           the link and label families as a row's link and label.
+//	  5 summary  each row's packet.Summary in 1024-row DEFLATE stripes,
 //	           each with its own crc32 (segsum.go).
 //
-// The version field is 3. Versions 1 (one DEFLATE stream for the whole
-// data column, no dict column) and 2 (no summary column, no per-block
-// CRCs) are no longer written or read: parseSegment answers them, like any
+// The version field is 4. Versions 1 (one DEFLATE stream for the whole
+// data column, no dict column), 2 (no summary column, no per-block CRCs)
+// and 3 (an ID column and a link/label dictionary column beside these
+// five) are no longer written or read: parseSegment answers them, like any
 // other version, with errSegmentCorrupt.
 //
 // Column CRCs verify on first access, memoized per parsed blob.
@@ -68,15 +68,13 @@ import (
 
 const (
 	segMagic   = "CLSG"
-	segVersion = 3 // the only version written or read
+	segVersion = 4 // the only version written or read
 
-	segColIDs   = 1
-	segColTS    = 2
-	segColActor = 3
-	segColData  = 4
-	segColIndex = 5
-	segColDict  = 6
-	segNumCols  = 7 // segColSummary is the last
+	segColTS    = 1
+	segColActor = 2
+	segColData  = 3
+	segColIndex = 4
+	segNumCols  = 5 // segColSummary is the last
 
 	segHeaderSize = 48
 	// segBlockRows is the writer's rows per independently-compressed
@@ -157,7 +155,7 @@ func (z *segZone) mayMatch(keys []ixRef) bool {
 // segPostings is a segment's index in its one in-memory form: per value
 // family the ascending distinct values, each owning a contiguous run of
 // one shared row slab, then the flag lists in the same slab. Seal builds
-// it from the row run and serialises the index and dict columns from it;
+// it from the row run and serialises the index column from it;
 // decodeIndex rebuilds it from the index column; every query reads it.
 // Two allocations per family, and nothing in it points into the segment
 // file.
@@ -316,128 +314,52 @@ func getBits(src []byte, bitOff, width int) uint64 {
 	return word >> (bitOff & 7) & (1<<width - 1)
 }
 
-// segDictFams are the two dictionary-encoded families: links and labels,
-// the columns a materialised row needs.
+// segDictFams are the two families a materialised row reads per row:
+// links and labels.
 var segDictFams = [2]ixKind{ixLink, ixLabel}
 
-// encodeDict serializes the dictionary column for the link and label
-// families: distinct ascending values, then bit-packed per-row codes. A
-// row's code is the position of its value, which is the posting run it
-// sits in.
-func (px *segPostings) encodeDict() []byte {
-	var b []byte
-	for _, kind := range segDictFams {
-		vals, start := px.vals[kind-1], px.start[kind-1]
-		b = binary.AppendUvarint(b, uint64(len(vals)))
-		for _, v := range vals {
-			b = binary.AppendUvarint(b, uint64(v))
-		}
-		if width := bits.Len(uint(len(vals) - 1)); width > 0 {
-			count := int(start[len(vals)] - start[0])
-			packed := make([]byte, (count*width+7)/8)
-			for code := range vals {
-				for _, row := range px.rows[start[code]:start[code+1]] {
-					putBits(packed, int(row)*width, width, uint64(code))
-				}
-			}
-			b = append(b, packed...)
-		}
-	}
-	return b
-}
-
-// segDict is a decoded dictionary column: per family, the value table,
-// the code width and a private copy of the packed codes. at() is the O(1)
-// per-row accessor.
+// segDict is the per-row view of the link and label families: per family,
+// the value table, the code width and the bit-packed codes, one per row.
+// at() is the O(1) per-row accessor.
 type segDict struct {
-	vals  [2][]uint64
+	vals  [2][]uint16 // the family's ascending values, shared with the postings
 	width [2]int
 	codes [2][]byte
 }
 
-func (d *segDict) at(fam, row int) uint64 {
+func (d *segDict) at(fam, row int) uint16 {
 	if d.width[fam] == 0 {
 		return d.vals[fam][0]
 	}
 	return d.vals[fam][getBits(d.codes[fam], row*d.width[fam], d.width[fam])]
 }
 
-// bytes is the resident footprint, for the cache budget.
+// bytes is the resident footprint beyond the postings', for the cache
+// budget.
 func (d *segDict) bytes() int64 {
-	var n int64
-	for fam := range d.vals {
-		n += 8*int64(cap(d.vals[fam])) + int64(cap(d.codes[fam]))
-	}
-	return n
+	return int64(cap(d.codes[0]) + cap(d.codes[1]))
 }
 
-// decodeDict decodes and validates the dictionary column: per family,
-// ascending in-domain values, every code in range, every value used, and
-// zero trailing bits — so a valid dict always re-encodes canonically.
-func (sb *segBlob) decodeDict() (*segDict, error) {
-	payload, err := sb.col(segColDict)
-	if err != nil {
-		return nil, err
-	}
-	r := &segReader{b: payload}
+// dict builds the per-row link and label codes from the postings of a
+// segment of count rows: a row's code is the position of the value whose
+// run it sits in. The families partition the rows (decodeIndex checks it),
+// so every row gets exactly one code.
+func (px *segPostings) dict(count int) *segDict {
 	d := &segDict{}
 	for fam, kind := range segDictFams {
-		nd, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nd == 0 || nd > uint64(sb.count) {
-			return nil, segErr("dict family %d claims %d values for %d rows", fam, nd, sb.count)
-		}
-		vals := make([]uint64, nd)
-		for i := range vals {
-			v, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if i > 0 && v <= vals[i-1] {
-				return nil, segErr("dict family %d values not ascending", fam)
-			}
-			if v > valueKeys[kind-1].max {
-				return nil, segErr("dict family %d value %d out of domain", fam, v)
-			}
-			vals[i] = v
-		}
-		width := bits.Len(uint(nd - 1))
-		if width > 0 {
-			nbytes := (sb.count*width + 7) / 8
-			if len(payload)-r.off < nbytes {
-				return nil, segErr("dict family %d codes truncated", fam)
-			}
-			codes := payload[r.off : r.off+nbytes]
-			r.off += nbytes
-			used := make([]bool, nd)
-			for i := 0; i < sb.count; i++ {
-				c := getBits(codes, i*width, width)
-				if c >= nd {
-					return nil, segErr("dict family %d row %d code %d out of range", fam, i, c)
-				}
-				used[c] = true
-			}
-			for c, u := range used {
-				if !u {
-					return nil, segErr("dict family %d value %d unused", fam, vals[c])
-				}
-			}
-			for bit := sb.count * width; bit < nbytes*8; bit++ {
-				if codes[bit/8]&(1<<(bit%8)) != 0 {
-					return nil, segErr("nonzero trailing dict bits in family %d", fam)
-				}
-			}
-			d.codes[fam] = bytes.Clone(codes)
-		}
+		vals, start := px.vals[kind-1], px.start[kind-1]
 		d.vals[fam] = vals
-		d.width[fam] = width
+		if d.width[fam] = bits.Len(uint(len(vals) - 1)); d.width[fam] > 0 {
+			width := d.width[fam]
+			d.codes[fam] = make([]byte, (count*width+7)/8)
+			for code := range vals {
+				for _, row := range px.rows[start[code]:start[code+1]] {
+					putBits(d.codes[fam], int(row)*width, width, uint64(code))
+				}
+			}
+		}
 	}
-	if !r.done() {
-		return nil, segErr("trailing bytes in dict column")
-	}
-	return d, nil
+	return d
 }
 
 // deflateBlocks compresses the rows' packet bytes as independent
@@ -480,10 +402,12 @@ func deflateBlocks(rows []StoredPacket, workers int) (streams [][]byte, compLens
 	return streams, compLens, compSums
 }
 
-// encodeSegment serializes one (TS, ID)-sorted, strictly increasing row
-// run into a CLSG blob (blocked data column + dictionary column),
-// returning the blob and the resident metadata. The encoding is
-// canonical: the same rows always produce the same bytes.
+// encodeSegment serializes one dense run — consecutive IDs, TS never
+// stepping back — into a CLSG blob, returning the blob and the resident
+// metadata. The encoding is canonical: the same rows always produce the
+// same bytes. A run with an ID gap, a repeated ID or a step back in time
+// is refused: it breaks the store's one ingest order, and the segment
+// could not hold it.
 func encodeSegment(rows []StoredPacket) ([]byte, segMeta, error) { return encodeSegmentOn(rows, 0) }
 
 // encodeSegmentOn is encodeSegment on deflateBlocks' workers.
@@ -496,20 +420,16 @@ func encodeSegmentOn(rows []StoredPacket, workers int) ([]byte, segMeta, error) 
 	if n > segMaxCount {
 		return nil, meta, segErr("%d rows exceeds cap", n)
 	}
-	minID, maxID := rows[0].ID, rows[0].ID
 	var totalRaw uint64
 	for i := range rows {
 		if i > 0 {
 			prev, cur := &rows[i-1], &rows[i]
-			if cur.TS < prev.TS || (cur.TS == prev.TS && cur.ID <= prev.ID) {
-				return nil, meta, segErr("rows not strictly (TS, ID) sorted at %d", i)
+			if cur.ID != prev.ID+1 || cur.ID < prev.ID {
+				return nil, meta, segErr("row %d: ID %d does not follow %d", i, cur.ID, prev.ID)
 			}
-		}
-		if rows[i].ID < minID {
-			minID = rows[i].ID
-		}
-		if rows[i].ID > maxID {
-			maxID = rows[i].ID
+			if cur.TS < prev.TS {
+				return nil, meta, segErr("row %d: TS steps back", i)
+			}
 		}
 		if len(rows[i].Data) > segMaxPacket {
 			return nil, meta, segErr("row %d data %d bytes exceeds cap", i, len(rows[i].Data))
@@ -520,13 +440,9 @@ func encodeSegmentOn(rows []StoredPacket, workers int) ([]byte, segMeta, error) 
 		return nil, meta, segErr("data column %d bytes exceeds cap", totalRaw)
 	}
 	meta.count = n
-	meta.minID, meta.maxID = minID, maxID
+	meta.minID, meta.maxID = rows[0].ID, rows[n-1].ID
 	meta.minTS, meta.maxTS = rows[0].TS, rows[n-1].TS
 
-	ids := binary.AppendUvarint(nil, uint64(rows[0].ID))
-	for i := 1; i < n; i++ {
-		ids = binary.AppendUvarint(ids, zigzag(int64(rows[i].ID)-int64(rows[i-1].ID)))
-	}
 	tsc := binary.AppendUvarint(nil, zigzag(int64(rows[0].TS)))
 	for i := 1; i < n; i++ {
 		tsc = binary.AppendUvarint(tsc, uint64(rows[i].TS-rows[i-1].TS))
@@ -566,25 +482,23 @@ func encodeSegmentOn(rows []StoredPacket, workers int) ([]byte, segMeta, error) 
 
 	px := buildSegPostings(rows)
 	meta.zone = px.zone()
-	ixb, dict := px.encode(), px.encodeDict()
+	ixb := px.encode()
 
-	out := make([]byte, 0, segHeaderSize+len(ids)+len(tsc)+len(act)+len(data)+len(ixb)+len(dict)+len(sums)+segNumCols*9)
+	out := make([]byte, 0, segHeaderSize+len(tsc)+len(act)+len(data)+len(ixb)+len(sums)+segNumCols*9)
 	out = append(out, segMagic...)
 	out = binary.LittleEndian.AppendUint16(out, segVersion)
 	out = binary.LittleEndian.AppendUint16(out, 0)
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
-	out = binary.LittleEndian.AppendUint64(out, uint64(minID))
-	out = binary.LittleEndian.AppendUint64(out, uint64(maxID))
+	out = binary.LittleEndian.AppendUint64(out, uint64(meta.minID))
+	out = binary.LittleEndian.AppendUint64(out, uint64(meta.maxID))
 	out = binary.LittleEndian.AppendUint64(out, uint64(meta.minTS))
 	out = binary.LittleEndian.AppendUint64(out, uint64(meta.maxTS))
 	out = binary.LittleEndian.AppendUint32(out, frame.Sum(out[:44]))
 	// Each column is its id byte, then the payload as a checked block.
-	out = frame.AppendBlock(append(out, segColIDs), ids)
 	out = frame.AppendBlock(append(out, segColTS), tsc)
 	out = frame.AppendBlock(append(out, segColActor), act)
 	out = frame.AppendBlock(append(out, segColData), data)
 	out = frame.AppendBlock(append(out, segColIndex), ixb)
-	out = frame.AppendBlock(append(out, segColDict), dict)
 	out = frame.AppendBlock(append(out, segColSummary), sums)
 	return out, meta, nil
 }
@@ -617,7 +531,7 @@ func (sb *segBlob) col(id int) ([]byte, error) {
 
 // verifyAll checks every column CRC (attach time).
 func (sb *segBlob) verifyAll() error {
-	for id := segColIDs; id <= segNumCols; id++ {
+	for id := segColTS; id <= segNumCols; id++ {
 		if _, err := sb.col(id); err != nil {
 			return err
 		}
@@ -654,8 +568,13 @@ func parseSegment(b []byte) (*segBlob, error) {
 	if sb.count <= 0 || sb.count > segMaxCount {
 		return nil, segErr("row count %d out of range", sb.count)
 	}
+	// The run is [minID, minID+count): the end must be representable and
+	// maxID the run's last ID.
+	if uint64(sb.minID) > math.MaxUint64-uint64(sb.count) || sb.maxID != sb.minID+PacketID(sb.count-1) {
+		return nil, segErr("ID bounds [%d,%d] are not a run of %d", sb.minID, sb.maxID, sb.count)
+	}
 	rest := b[segHeaderSize:]
-	for want := byte(segColIDs); want <= segNumCols; want++ {
+	for want := byte(segColTS); want <= segNumCols; want++ {
 		if len(rest) == 0 {
 			return nil, segErr("truncated at column %d frame", want)
 		}
@@ -695,61 +614,35 @@ func (r *segReader) uvarint() (uint64, error) {
 
 func (r *segReader) done() bool { return r.off == len(r.b) }
 
-// decodeTimeID decodes and cross-validates the ID and TS columns: the
-// (TS, ID) sequence must be strictly increasing and the bounds must match
-// the header.
-func (sb *segBlob) decodeTimeID() ([]PacketID, []time.Duration, error) {
-	idCol, err := sb.col(segColIDs)
-	if err != nil {
-		return nil, nil, err
-	}
+// decodeTS decodes and validates the TS column: non-decreasing, with the
+// header's bounds at either end.
+func (sb *segBlob) decodeTS() ([]time.Duration, error) {
 	tsCol, err := sb.col(segColTS)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	idr := &segReader{b: idCol}
-	tsr := &segReader{b: tsCol}
-	ids := make([]PacketID, sb.count)
+	r := &segReader{b: tsCol}
 	tss := make([]time.Duration, sb.count)
-	v, err := idr.uvarint()
+	v, err := r.uvarint()
 	if err != nil {
-		return nil, nil, err
-	}
-	ids[0] = PacketID(v)
-	if v, err = tsr.uvarint(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tss[0] = time.Duration(unzigzag(v))
-	minID, maxID := ids[0], ids[0]
 	for i := 1; i < sb.count; i++ {
-		if v, err = idr.uvarint(); err != nil {
-			return nil, nil, err
+		if v, err = r.uvarint(); err != nil {
+			return nil, err
 		}
-		ids[i] = PacketID(uint64(ids[i-1]) + uint64(unzigzag(v)))
-		if v, err = tsr.uvarint(); err != nil {
-			return nil, nil, err
-		}
-		tss[i] = tss[i-1] + time.Duration(v)
-		if tss[i] < tss[i-1] || (tss[i] == tss[i-1] && ids[i] <= ids[i-1]) {
-			return nil, nil, segErr("rows not strictly (TS, ID) sorted at %d", i)
-		}
-		if ids[i] < minID {
-			minID = ids[i]
-		}
-		if ids[i] > maxID {
-			maxID = ids[i]
+		if tss[i] = tss[i-1] + time.Duration(v); tss[i] < tss[i-1] {
+			return nil, segErr("TS steps back at row %d", i)
 		}
 	}
-	if !idr.done() || !tsr.done() {
-		return nil, nil, segErr("trailing bytes in id/ts column")
-	}
-	if minID != sb.minID || maxID != sb.maxID {
-		return nil, nil, segErr("ID bounds [%d,%d] disagree with header [%d,%d]", minID, maxID, sb.minID, sb.maxID)
+	if !r.done() {
+		return nil, segErr("trailing bytes in ts column")
 	}
 	if tss[0] != sb.minTS || tss[sb.count-1] != sb.maxTS {
-		return nil, nil, segErr("TS bounds disagree with header")
+		return nil, segErr("TS bounds disagree with header")
 	}
-	return ids, tss, nil
+	return tss, nil
 }
 
 // decodeActor validates the bit-packed actor column and returns a private
@@ -1050,7 +943,7 @@ func decodeSegmentRows(b []byte) ([]StoredPacket, error) {
 // openSegMeta parses a segment blob just enough to register it: header
 // bounds plus the zone map derived from the index column. Every column
 // CRC is verified here — attach is the one moment strictness is cheap —
-// but the ID/TS/data columns stay undecoded.
+// but the TS/data columns stay undecoded.
 func openSegMeta(b []byte) (segMeta, error) {
 	var m segMeta
 	sb, err := parseSegment(b)

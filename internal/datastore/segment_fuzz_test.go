@@ -42,12 +42,13 @@ func fuzzSeedSegment(n int) []byte {
 // guaranteed for encoder-canonical inputs: DEFLATE admits more than one
 // valid stream for the same payload.)
 func FuzzSegmentDecode(f *testing.F) {
-	// Two v3 blobs seed the corpus: one this build encodes (a few hundred
+	// Two v4 blobs seed the corpus: one this build encodes (a few hundred
 	// rows, so it spans multiple blocks) and the one testdata/format pins.
 	// Beside them go well-framed copies of the first whose summary stripe
 	// holds what no parse yields (checksummed, so only the stripe decoder
-	// can object), and the retired v1 and v2 fixtures. testdata/fuzz also
-	// pins a four-block v2 blob from the level-4 writer.
+	// can object), the pinned one under checksummed headers that misstate
+	// its ID run, and the retired v1, v2 and v3 fixtures. testdata/fuzz
+	// also pins a four-block v2 blob from the level-4 writer.
 	pinned, err := os.ReadFile(filepath.Join("testdata", "format", "tier", "seg-0000000000000000.clsg"))
 	if err != nil {
 		f.Fatal(err)
@@ -64,7 +65,10 @@ func FuzzSegmentDecode(f *testing.F) {
 	for _, bad := range malformedSummaryBlobs(f, seed) {
 		f.Add(bad)
 	}
-	for _, name := range []string{"seg-v1.clsg", "seg-v2-deflate.clsg"} {
+	for _, bad := range brokenIDRangeBlobs(f) {
+		f.Add(bad)
+	}
+	for _, name := range []string{"seg-v1.clsg", "seg-v2-deflate.clsg", "seg-v3.clsg"} {
 		f.Add(formatFixture(f, name))
 	}
 	f.Add([]byte("CLSG"))

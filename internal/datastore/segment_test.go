@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,11 +83,30 @@ func rawRowBytes(rows []StoredPacket) int {
 	return n
 }
 
+// TestSegmentEncodeRejectsUnsorted: a segment is a dense run in ID order
+// whose TS never steps back, and the encoder refuses anything else —
+// shuffled rows, an ID gap, a repeated ID, a step back in time — rather
+// than write a segment that misstates its rows.
 func TestSegmentEncodeRejectsUnsorted(t *testing.T) {
 	rows := segTestRows(t, 200)
-	rows[10], rows[40] = rows[40], rows[10]
-	if _, _, err := encodeSegment(rows); err == nil {
-		t.Fatal("unsorted rows must not encode")
+	if _, _, err := encodeSegment(rows); err != nil {
+		t.Fatalf("the dense run itself: %v", err)
+	}
+	// A row later in time than the one before it, so that only its ID can
+	// object when it repeats that row's.
+	later := slices.IndexFunc(rows[1:], func(sp StoredPacket) bool { return sp.TS > rows[0].TS }) + 1
+	if later == 0 {
+		t.Fatal("fixture: every row shares one timestamp")
+	}
+	for name, mutate := range map[string]func([]StoredPacket) []StoredPacket{
+		"swapped":     func(r []StoredPacket) []StoredPacket { r[10], r[40] = r[40], r[10]; return r },
+		"ID gap":      func(r []StoredPacket) []StoredPacket { return append(r[:100], r[101:]...) },
+		"repeated ID": func(r []StoredPacket) []StoredPacket { r[later].ID = r[later-1].ID; return r[:later+1] },
+		"TS back":     func(r []StoredPacket) []StoredPacket { r[later].TS = r[later-1].TS - 1; return r },
+	} {
+		if _, _, err := encodeSegment(mutate(slices.Clone(rows))); !errors.Is(err, errSegmentCorrupt) {
+			t.Errorf("%s: encode err = %v, want a refusal", name, err)
+		}
 	}
 	if _, _, err := encodeSegment(nil); err == nil {
 		t.Fatal("empty segment must not encode")
@@ -204,11 +224,11 @@ func TestSegmentSelectiveDecodeSkipsData(t *testing.T) {
 	if len(cand) != want {
 		t.Fatalf("index candidates %d != matched rows %d", len(cand), want)
 	}
-	ids, tss, err := sb.decodeTimeID()
+	tss, err := sb.decodeTS()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sb.rowsAt(cand, ix, ids, tss, nil)
+	got, err := sb.rowsAt(cand, ix, tss, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ import (
 // decoder refuses the same, so a decoded summary always re-encodes.
 
 const (
-	segColSummary = 7
+	segColSummary = 5
 	// segStripeRows is the writer's rows per summary stripe: a narrow
 	// window touches one or two, and a flow's entry is shared by many.
 	segStripeRows = 1024

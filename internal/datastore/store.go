@@ -543,20 +543,17 @@ func (s *Store) applyInOrder(sc *batchScratch, frames []traffic.Frame, links []u
 }
 
 // packetByID returns a copy of the stored packet with the given ID, hot or
-// sealed. Segment ID ranges can overlap across seal generations (chunking
-// follows (TS, ID) order, not ID order), so every range-covering segment is
-// checked; one that fails to decode is noted and reported as a miss.
+// sealed. Segment ID ranges are disjoint, so at most one segment can hold
+// it; one that fails to decode is noted and reported as a miss.
 func (s *Store) packetByID(id PacketID) (StoredPacket, bool) {
 	var qs queryStats
 	defer qs.flushCold()
 	found, _ := s.execute(&qs, func(tr *tier) []*tierSegment {
-		var segs []*tierSegment
-		for _, sg := range tr.segs {
-			if id >= sg.meta.minID && id <= sg.meta.maxID {
-				segs = append(segs, sg)
-			}
+		i := sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].meta.maxID >= id })
+		if i < len(tr.segs) && tr.segs[i].meta.minID <= id {
+			return tr.segs[i : i+1]
 		}
-		return segs
+		return nil
 	}, func(r run, out *[]StoredPacket) (int, error) {
 		pos, ok := r.find(id)
 		if !ok {

@@ -182,16 +182,12 @@ type tier struct {
 	nextSeq uint64
 
 	// mu guards the registry below. Ordered strictly before shard locks.
-	mu          sync.RWMutex
-	segs        []*tierSegment // ascending minID (seal order)
+	mu sync.RWMutex
+	// segs ascends in ID (seal order), with disjoint ID ranges, and so in
+	// minTS and in maxTS: window and ID lookups binary-search it.
+	segs        []*tierSegment
 	coldPackets uint64
 	coldBytes   uint64
-	// tsSorted records whether segs' TS bounds (minTS and maxTS both)
-	// are non-decreasing in registry order — the common case, enabling
-	// binary-searched window lookups. Recomputed on every registry swap;
-	// false falls back to the linear scan (concurrent serial ingest can
-	// interleave TS across seal generations in edge cases).
-	tsSorted bool
 
 	// sealedBelow mirrors the manifest watermark: every ID below it is
 	// cold. Atomic so the per-batch seal trigger reads it lock-free.
@@ -379,7 +375,8 @@ func loadManifest(fsys faults.FS, dir string) (sealedBelow PacketID, nextSeq uin
 // any hot rows below the seal watermark (recovery re-ingests them from
 // the snapshot/WAL; the trim is the idempotent dedup step), and advances
 // the ID/TS sequences past the cold maxima so new packets never collide
-// with sealed history.
+// with sealed history. A manifest whose segments, in ID order, overlap in
+// ID or step back in time is refused: no seal writes one.
 func (s *Store) EnableTiering(pol TierPolicy) error {
 	if pol.Dir == "" {
 		return errors.New("datastore: tier policy needs a directory")
@@ -403,8 +400,6 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 	}
 	inManifest := make(map[string]bool, len(names))
 	if ok {
-		var maxID PacketID
-		var maxTS time.Duration
 		for _, name := range names {
 			inManifest[name] = true
 			b, err := s.fsys.ReadFile(filepath.Join(pol.Dir, name))
@@ -420,21 +415,26 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 				tr.nextSeq = seq + 1
 			}
 			tr.segs = append(tr.segs, &tierSegment{name: name, seq: seq, meta: meta, fileBytes: uint64(len(b))})
-			if meta.maxID > maxID {
-				maxID = meta.maxID
-			}
-			if meta.maxTS > maxTS {
-				maxTS = meta.maxTS
-			}
 		}
 		sort.Slice(tr.segs, func(i, j int) bool { return tr.segs[i].meta.minID < tr.segs[j].meta.minID })
-		// The sealed history owns IDs up to maxID and time up to maxTS;
-		// the fresh sequences must start past both.
-		if next := uint64(maxID) + 1; len(tr.segs) > 0 && s.nextID.Load() < next {
-			s.nextID.Store(next)
+		for i := 1; i < len(tr.segs); i++ {
+			prev, cur := &tr.segs[i-1].meta, &tr.segs[i].meta
+			if cur.minID <= prev.maxID || cur.minTS < prev.minTS || cur.maxTS < prev.maxTS {
+				return fmt.Errorf("datastore: tier manifest: segment %s (IDs [%d,%d], TS [%v,%v]) is out of order after %s (IDs [%d,%d], TS [%v,%v])",
+					tr.segs[i].name, cur.minID, cur.maxID, cur.minTS, cur.maxTS,
+					tr.segs[i-1].name, prev.minID, prev.maxID, prev.minTS, prev.maxTS)
+			}
 		}
-		if len(tr.segs) > 0 && s.lastTS.Load() < int64(maxTS) {
-			s.lastTS.Store(int64(maxTS))
+		// The sealed history owns IDs and time up to its newest segment's;
+		// the fresh sequences must start past both.
+		if n := len(tr.segs); n > 0 {
+			last := &tr.segs[n-1].meta
+			if next := uint64(last.maxID) + 1; s.nextID.Load() < next {
+				s.nextID.Store(next)
+			}
+			if s.lastTS.Load() < int64(last.maxTS) {
+				s.lastTS.Store(int64(last.maxTS))
+			}
 		}
 	}
 	// Sweep orphan segment files (written by a seal/compact that died
@@ -453,7 +453,7 @@ func (s *Store) EnableTiering(pol TierPolicy) error {
 
 // setRegistryLocked installs a segment set and its seal watermark with
 // everything derived from them: the cold totals (summed over the set, never
-// adjusted), the binary-search eligibility flag and the gauges. Attach and
+// adjusted) and the gauges. Attach and
 // commitTier are its only callers. Caller holds tr.mu (write).
 func (tr *tier) setRegistryLocked(sealedBelow PacketID, segs []*tierSegment) {
 	tr.segs = segs
@@ -463,23 +463,9 @@ func (tr *tier) setRegistryLocked(sealedBelow PacketID, segs []*tierSegment) {
 		tr.coldPackets += uint64(sg.meta.count)
 		tr.coldBytes += sg.fileBytes
 	}
-	tr.recomputeTSSortedLocked()
 	obsTierSegments.Set(float64(len(tr.segs)))
 	obsTierColdPackets.Set(float64(tr.coldPackets))
 	obsTierColdBytes.Set(float64(tr.coldBytes))
-}
-
-// recomputeTSSortedLocked refreshes the binary-search eligibility flag
-// after any registry swap. Caller holds tr.mu (write).
-func (tr *tier) recomputeTSSortedLocked() {
-	tr.tsSorted = true
-	for i := 1; i < len(tr.segs); i++ {
-		prev, cur := &tr.segs[i-1].meta, &tr.segs[i].meta
-		if cur.minTS < prev.minTS || cur.maxTS < prev.maxTS {
-			tr.tsSorted = false
-			return
-		}
-	}
 }
 
 // parseTierSegName inverts tierSegName and refuses any other shape.
@@ -620,18 +606,26 @@ func (s *Store) encodeLoop(tr *tier) {
 	}
 }
 
-// hotRun merges the hot rows with IDs in [lo, hi) under every shard's
-// read lock (in shard order, like the seal's swap). The copy stays valid
-// once the locks drop, whatever a seal trims: packet bytes never change.
+// hotRun merges the hot rows with IDs in [lo, hi) into one freshly
+// allocated, exactly sized run in ID order — the one copy a row gets on
+// its way into a segment — under every shard's read lock (in shard order,
+// like the seal's swap). The copy stays valid once the locks drop,
+// whatever a seal trims: packet bytes never change.
 func (s *Store) hotRun(lo, hi PacketID) []StoredPacket {
 	runs := make([][]StoredPacket, 0, len(s.shards))
+	total := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		i := sort.Search(len(sh.packets), func(i int) bool { return sh.packets[i].ID >= lo })
 		j := sort.Search(len(sh.packets), func(i int) bool { return sh.packets[i].ID >= hi })
 		runs = append(runs, sh.packets[i:j])
+		total += j - i
 	}
-	merged := mergeRuns(runs)
+	merged := make([]StoredPacket, 0, total)
+	cur := newMergeCursor(runs)
+	for sp := cur.next(); sp != nil; sp = cur.next() {
+		merged = append(merged, *sp)
+	}
 	for _, sh := range s.shards {
 		sh.mu.RUnlock()
 	}
@@ -653,9 +647,8 @@ func (s *Store) sealHot(keepRecent uint64) (int, error) {
 	return s.sealTo(tr, PacketID(next-keepRecent), true)
 }
 
-// sealBefore seals all packets with TS < ts (plus any later-stamped
-// packets whose IDs interleave below the covering watermark — harmless,
-// they just go cold early). Returns the number of hot packets sealed.
+// sealBefore seals all packets with TS < ts: an ID prefix, since TS never
+// steps back as the ID grows. Returns the number of hot packets sealed.
 func (s *Store) sealBefore(ts time.Duration) (int, error) {
 	tr := s.tier.Load()
 	if tr == nil {
@@ -769,7 +762,7 @@ func (s *Store) commitTier(tr *tier, sealedBelow PacketID, next []*tierSegment, 
 	return nil
 }
 
-// writeSegments chunks one (TS, ID)-sorted run into target-sized segment
+// writeSegments chunks one dense ID run into target-sized segment
 // files and writes them durably. Seals chunk by ceiling (segments at most
 // one target, balanced so there is no sliver tail): the policy trigger
 // hands over a whole multiple of the target and gets exactly full files,
@@ -852,10 +845,9 @@ func (tr *tier) sealChunk(rows []StoredPacket) ([]byte, segMeta, error) {
 
 // CompactTier merges runs of adjacent undersized segments into
 // target-sized ones, returning how many input segments were replaced.
-// Merging re-sorts via the k-way cursor — adjacent seals can interleave
-// in (TS, ID) under concurrent serial ingest, so concatenation would be
-// wrong. A decode failure aborts compaction (never drop data we cannot
-// re-encode) and surfaces on TierStats.Err.
+// The inputs hold consecutive ID ranges, so their rows concatenated are
+// the merged run. A decode failure aborts compaction (never drop data we
+// cannot re-encode) and surfaces on TierStats.Err.
 func (s *Store) CompactTier() (int, error) {
 	tr := s.tier.Load()
 	if tr == nil {
@@ -870,16 +862,20 @@ func (s *Store) CompactTier() (int, error) {
 			break
 		}
 		start := time.Now()
-		runs := make([][]StoredPacket, 0, hi-lo)
+		total := 0
 		for _, sg := range tr.segs[lo:hi] {
-			rows, err := tr.readSegRows(sg)
+			total += sg.meta.count
+		}
+		rows := make([]StoredPacket, 0, total)
+		for _, sg := range tr.segs[lo:hi] {
+			seg, err := tr.readSegRows(sg)
 			if err != nil {
 				tr.noteErr(err)
 				return replaced, err
 			}
-			runs = append(runs, rows)
+			rows = append(rows, seg...)
 		}
-		newSegs, err := tr.writeSegments(mergeRuns(runs), true)
+		newSegs, err := tr.writeSegments(rows, true)
 		if err != nil {
 			return replaced, err
 		}
@@ -897,8 +893,9 @@ func (s *Store) CompactTier() (int, error) {
 }
 
 // findCompactRun picks the first maximal run of >=2 adjacent segments all
-// under the size target whose total stays within two targets (so one
-// compaction emits at most two full segments). Runs that would re-chunk
+// under the size target, each starting at the ID after the one before it
+// ends, whose total stays within two targets (so one compaction emits at
+// most two full segments). Runs that would re-chunk
 // into as many segments as they replace are skipped — every accepted run
 // strictly shrinks the registry, so the compaction loop terminates.
 // Caller holds sealMu.
@@ -910,7 +907,8 @@ func (tr *tier) findCompactRun() (lo, hi int) {
 		}
 		total := tr.segs[i].meta.count
 		j := i + 1
-		for j < len(tr.segs) && tr.segs[j].meta.count < target && total+tr.segs[j].meta.count <= 2*target {
+		for j < len(tr.segs) && tr.segs[j].meta.count < target && total+tr.segs[j].meta.count <= 2*target &&
+			tr.segs[j].meta.minID == tr.segs[j-1].meta.maxID+1 {
 			total += tr.segs[j].meta.count
 			j++
 		}
@@ -1032,38 +1030,25 @@ func (tr *tier) readSegRows(sg *tierSegment) ([]StoredPacket, error) {
 		return nil, err
 	}
 	defer cur.close()
-	return cur.rows(0, len(cur.dir.ids))
+	return cur.rows(0, len(cur.dir.tss))
 }
 
-// segsInWindow returns registered segments overlapping the window. When
-// the registry's TS bounds are sorted (tsSorted — the steady state), both
-// window endpoints binary-search: the result is the contiguous run from
-// the first segment with maxTS >= from up to the first with minTS >= to.
-// Otherwise it falls back to the linear scan. Caller holds tr.mu.RLock; the returned slice
-// aliases the registry and is only valid while the lock is held.
+// segsInWindow returns the registered segments overlapping the window:
+// the registry's minTS and maxTS both ascend, so it is the contiguous run
+// from the first segment with maxTS >= from up to the first with
+// minTS >= to, both binary-searched. Caller holds tr.mu.RLock; the
+// returned slice aliases the registry and is only valid while the lock is
+// held.
 func (tr *tier) segsInWindow(w tsWin) []*tierSegment {
-	if tr.tsSorted {
-		lo := 0
-		if w.hasFrom {
-			lo = sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].meta.maxTS >= w.from })
-		}
-		hi := len(tr.segs)
-		if w.hasTo {
-			hi = sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].meta.minTS >= w.to })
-		}
-		if hi < lo {
-			hi = lo
-		}
-		return tr.segs[lo:hi]
+	lo := 0
+	if w.hasFrom {
+		lo = sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].meta.maxTS >= w.from })
 	}
-	var out []*tierSegment
-	for _, sg := range tr.segs {
-		if (w.hasFrom && sg.meta.maxTS < w.from) || (w.hasTo && sg.meta.minTS >= w.to) {
-			continue
-		}
-		out = append(out, sg)
+	hi := len(tr.segs)
+	if w.hasTo {
+		hi = sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].meta.minTS >= w.to })
 	}
-	return out
+	return tr.segs[lo:max(lo, hi)]
 }
 
 // forSegs evaluates fn over segs across the query workers, each segment

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -611,5 +612,100 @@ func TestPolicySealsWholeSegments(t *testing.T) {
 	small := ingest(TierPolicy{Dir: t.TempDir(), HotPackets: 1024, SegmentPackets: 4096, MinSealPackets: 1})
 	if ts := small.TierStats(); ts.Seals == 0 || ts.ColdPackets == 0 {
 		t.Fatalf("cap smaller than one segment never sealed: %+v", ts)
+	}
+}
+
+// TestEnableTieringRefusesOutOfOrderManifest: attach takes a manifest's
+// segments in ID order and refuses a set no seal writes — two valid
+// segments whose ID ranges overlap, or a later ID range that starts
+// earlier in time — instead of serving rows twice or out of order. The
+// same rows cut into consecutive ranges attach.
+func TestEnableTieringRefusesOutOfOrderManifest(t *testing.T) {
+	rows := segTestRows(t, 300)
+	if len(rows) < 200 {
+		t.Fatalf("fixture holds %d rows, need 200", len(rows))
+	}
+	shifted := func(r []StoredPacket, by time.Duration) []StoredPacket {
+		out := slices.Clone(r)
+		for i := range out {
+			out[i].TS += by
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		segs   [][]StoredPacket
+		accept bool
+	}{
+		{"consecutive", [][]StoredPacket{rows[:100], rows[100:200]}, true},
+		{"ids-overlap", [][]StoredPacket{rows[:100], rows[50:150]}, false},
+		{"ts-steps-back", [][]StoredPacket{shifted(rows[:100], time.Hour), rows[100:200]}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeTierDir(t, tc.segs)
+			s := NewSharded(2)
+			err := s.EnableTiering(TierPolicy{Dir: dir})
+			if tc.accept {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := s.Count(MustFilter("len > 0")); got != 200 {
+					t.Fatalf("attached store counts %d rows, want 200", got)
+				}
+				return
+			}
+			if err == nil || s.tier.Load() != nil {
+				t.Fatalf("EnableTiering attached an out-of-order manifest (err %v)", err)
+			}
+		})
+	}
+}
+
+// writeTierDir writes each run as a segment file and a manifest naming
+// them all, with the watermark past the highest ID, into a fresh
+// directory.
+func writeTierDir(t *testing.T, segs [][]StoredPacket) string {
+	t.Helper()
+	dir := t.TempDir()
+	tr := &tier{dir: dir, fsys: faults.OS, nextSeq: uint64(len(segs))}
+	var named []*tierSegment
+	var below PacketID
+	for i, seg := range segs {
+		blob, meta, err := encodeSegment(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, tierSegName(uint64(i))), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		named = append(named, &tierSegment{name: tierSegName(uint64(i))})
+		below = max(below, meta.maxID+1)
+	}
+	if err := tr.writeManifestLocked(below, named); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestCompactTierStopsAtIDGap: compaction concatenates its inputs, so it
+// merges only segments whose ID ranges meet. Of three undersized segments
+// where an ID gap separates the third, the first two merge and the third
+// stays apart, every row still served.
+func TestCompactTierStopsAtIDGap(t *testing.T) {
+	rows := segTestRows(t, 300)
+	if len(rows) < 210 {
+		t.Fatalf("fixture holds %d rows, need 210", len(rows))
+	}
+	s := NewSharded(2)
+	if err := s.EnableTiering(TierPolicy{Dir: writeTierDir(t, [][]StoredPacket{rows[:60], rows[60:120], rows[150:210]}), SegmentPackets: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.CompactTier()
+	if err != nil || n != 2 {
+		t.Fatalf("CompactTier replaced %d segments (err %v), want the 2 that meet", n, err)
+	}
+	want := append(slices.Clone(rows[:120]), rows[150:210]...)
+	if ts := s.TierStats(); ts.Segments != 2 || ts.Err != nil || !reflect.DeepEqual(s.Select(MustFilter("len > 0"), 0), want) {
+		t.Fatalf("after compaction: %d segments (err %v); want 2, serving the same 180 rows", ts.Segments, ts.Err)
 	}
 }

@@ -79,7 +79,7 @@ func e14ChaosLoop() (*Table, error) {
 	// A transient blip: the first two install attempts fail; the retry
 	// loop (exponential backoff + jitter, 4 attempts) must absorb them.
 	cfg := cpCfg()
-	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInstall, 1, 2, faults.KindTransient)
+	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInstall, 1, 2)
 	flaky, err := run("transient install blip (2 failures)", cfg)
 	if err != nil {
 		return nil, err
@@ -89,7 +89,7 @@ func e14ChaosLoop() (*Table, error) {
 	// loop must drop that mitigation, keep accumulating evidence, and land
 	// the next one.
 	cfg = cpCfg()
-	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInstall, 1, 4, faults.KindTransient)
+	cfg.Faults = faults.NewSchedule().FailCalls(faults.OpInstall, 1, 4)
 	if _, err := run("install outage (retry budget burned)", cfg); err != nil {
 		return nil, err
 	}
@@ -110,9 +110,9 @@ func e14ChaosLoop() (*Table, error) {
 		Threshold: 0.9, Window: time.Second, MinEvidence: 30,
 		Faults: faults.Chain{
 			faults.NewSchedule().
-				FailCalls(faults.OpInfer("dataplane"), 1, 1<<40, faults.KindTransient).
-				FailCalls(faults.OpInstall, 1, 1, faults.KindTransient),
-			faults.NewProb(1404).Rate(faults.OpInstall, 0.12, 0),
+				FailCalls(faults.OpInfer("dataplane"), 1, 1<<40).
+				FailCalls(faults.OpInstall, 1, 1),
+			faults.NewProb(1404).Rate(faults.OpInstall, 0.12),
 		},
 		Breaker:   control.BreakerConfig{Trip: 5, Cooldown: 30 * time.Second},
 		Fallbacks: []control.FallbackTier{{Tier: control.TierControlPlane, Model: dep.Extraction.Tree}},

@@ -1,8 +1,13 @@
 // Package faults is a deterministic, seedable fault-injection layer for
 // road-testing the system the way a production campus network would break
-// it: transient rule-install failures, full switch tables, dead inference
-// tiers. Instrumented call sites (the dataplane install path, the control
-// loop's inference tiers) ask an Injector whether this call fails; a nil
+// it: rule installs that fail and succeed on retry, inference tiers that
+// stay down for a scripted stretch of calls. Every injected fault is
+// transient — the call would succeed if retried — so a caller that degrades
+// instead of retrying does so because it ran out of retries, or because
+// of a real, permanent failure such as a full switch table
+// (dataplane.ErrTableFull), which no injector imitates. Instrumented call
+// sites (the dataplane install path, the control loop's inference tiers)
+// ask an Injector whether this call fails; a nil
 // injector costs one nil check and changes nothing, so the plumbing is
 // free in production configurations. Disk faults are not injected: every
 // file operation goes through an FS, and a test hands the code a file
@@ -24,26 +29,6 @@ import (
 	"campuslab/internal/obs"
 )
 
-// Kind classifies an injected fault.
-type Kind uint8
-
-const (
-	// KindTransient faults succeed on retry (a dropped control-channel
-	// message, a busy table manager). Callers should back off and retry.
-	KindTransient Kind = iota
-	// kindPermanent faults do not clear on retry (table full, tier down).
-	// Callers must degrade instead of retrying.
-	kindPermanent
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	if k == KindTransient {
-		return "transient"
-	}
-	return "permanent"
-}
-
 // Instrumented operation names. Injector implementations key schedules
 // and rates by these.
 const (
@@ -56,41 +41,29 @@ const (
 // "infer.controlplane", "infer.cloud").
 func OpInfer(tier string) string { return "infer." + tier }
 
-// faultError is the typed error every injector returns. Callers classify it
-// with IsTransient, never by string: a fault that is not transient is
-// permanent.
+// faultError is the typed error every injector returns: a transient fault,
+// the call would succeed on retry (a dropped control-channel message, a
+// busy table manager). Callers classify it with IsTransient, never by
+// string.
 type faultError struct {
-	Op   string // instrumented operation that failed
-	Kind Kind   // transient vs permanent
-	Seq  uint64 // 1-based call index of the failed call, per op
+	Op  string // instrumented operation that failed
+	Seq uint64 // 1-based call index of the failed call, per op
 }
 
 // Error renders the fault.
 func (e *faultError) Error() string {
-	return fmt.Sprintf("faults: injected %s failure at %s (call %d)", e.Kind, e.Op, e.Seq)
+	return fmt.Sprintf("faults: injected transient failure at %s (call %d)", e.Op, e.Seq)
 }
 
-// IsTransient reports whether err is (or wraps) a transient injected
-// fault.
+// IsTransient reports whether err is (or wraps) an injected fault, every
+// one of which is transient.
 func IsTransient(err error) bool {
-	fe, ok := asFault(err)
-	return ok && fe.Kind == KindTransient
-}
-
-// isPermanent reports whether err is (or wraps) a permanent injected
-// fault.
-func isPermanent(err error) bool {
-	fe, ok := asFault(err)
-	return ok && fe.Kind == kindPermanent
-}
-
-func asFault(err error) (*faultError, bool) {
 	for ; err != nil; err = unwrap(err) {
-		if fe, ok := err.(*faultError); ok {
-			return fe, true
+		if _, ok := err.(*faultError); ok {
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 func unwrap(err error) error {
@@ -111,8 +84,7 @@ type Injector interface {
 // opStats counts one op's traffic through an injector.
 type opStats struct {
 	Calls     uint64 // instrumented calls observed
-	Transient uint64 // transient faults injected
-	Permanent uint64 // permanent faults injected
+	Transient uint64 // faults injected
 }
 
 // counters is the shared per-op accounting every injector embeds.
@@ -121,7 +93,7 @@ type counters struct {
 	perOp map[string]*opStats
 }
 
-func (c *counters) record(op string, k Kind, injected bool) (seq uint64) {
+func (c *counters) record(op string, injected bool) (seq uint64) {
 	if c.perOp == nil {
 		c.perOp = make(map[string]*opStats)
 	}
@@ -132,17 +104,13 @@ func (c *counters) record(op string, k Kind, injected bool) (seq uint64) {
 	}
 	st.Calls++
 	if injected {
-		if k == KindTransient {
-			st.Transient++
-		} else {
-			st.Permanent++
-		}
+		st.Transient++
 		// Every injector funnels injected faults through here, so this
 		// one registry write covers install, inference, and persistence
 		// faults process-wide. Fault events are rare by construction;
 		// the handle lookup is off any hot path.
 		obs.Default.Counter("campuslab_faults_injected_total",
-			"kind", k.String(), "op", op).Inc()
+			"kind", "transient", "op", op).Inc()
 	}
 	return st.Calls
 }
@@ -163,27 +131,25 @@ type Prob struct {
 
 	mu    sync.Mutex
 	cnt   counters
-	rates map[string]probRate
+	rates map[string]float64
 	rngs  map[string]*rand.Rand
 }
-
-type probRate struct{ transient, permanent float64 }
 
 // NewProb builds a probabilistic injector; all rates start at zero.
 func NewProb(seed int64) *Prob {
 	return &Prob{
 		seed:  seed,
-		rates: make(map[string]probRate),
+		rates: make(map[string]float64),
 		rngs:  make(map[string]*rand.Rand),
 	}
 }
 
-// Rate sets op's fault probabilities (each in [0,1]; checked in order
-// transient, permanent against one uniform draw). Returns p for chaining.
-func (p *Prob) Rate(op string, transient, permanent float64) *Prob {
+// Rate sets op's fault probability (in [0,1], checked against one uniform
+// draw per call). Returns p for chaining.
+func (p *Prob) Rate(op string, rate float64) *Prob {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.rates[op] = probRate{transient: transient, permanent: permanent}
+	p.rates[op] = rate
 	return p
 }
 
@@ -191,9 +157,9 @@ func (p *Prob) Rate(op string, transient, permanent float64) *Prob {
 func (p *Prob) Fail(op string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r, ok := p.rates[op]
-	if !ok || (r.transient <= 0 && r.permanent <= 0) {
-		p.cnt.record(op, KindTransient, false)
+	rate := p.rates[op]
+	if rate <= 0 {
+		p.cnt.record(op, false)
 		return nil
 	}
 	rng := p.rngs[op]
@@ -203,23 +169,15 @@ func (p *Prob) Fail(op string) error {
 		rng = rand.New(rand.NewSource(p.seed ^ int64(h.Sum64())))
 		p.rngs[op] = rng
 	}
-	u := rng.Float64()
-	var kind Kind
-	switch {
-	case u < r.transient:
-		kind = KindTransient
-	case u < r.transient+r.permanent:
-		kind = kindPermanent
-	default:
-		p.cnt.record(op, KindTransient, false)
+	if rng.Float64() >= rate {
+		p.cnt.record(op, false)
 		return nil
 	}
-	seq := p.cnt.record(op, kind, true)
-	return &faultError{Op: op, Kind: kind, Seq: seq}
+	return &faultError{Op: op, Seq: p.cnt.record(op, true)}
 }
 
 // Schedule injects faults on scripted per-op call-index windows: "fail
-// calls 3 through 7 of dataplane.install, transiently". Calls are counted
+// calls 3 through 7 of dataplane.install". Calls are counted
 // from 1 per op. Windows may overlap; the first matching window wins.
 type Schedule struct {
 	mu      sync.Mutex
@@ -227,22 +185,19 @@ type Schedule struct {
 	windows map[string][]window
 }
 
-type window struct {
-	from, to uint64 // inclusive call-index range
-	kind     Kind
-}
+type window struct{ from, to uint64 } // inclusive call-index range
 
 // NewSchedule builds an empty scripted injector.
 func NewSchedule() *Schedule {
 	return &Schedule{windows: make(map[string][]window)}
 }
 
-// FailCalls scripts faults of the given kind for op calls from..to
-// (1-based, inclusive). Returns s for chaining.
-func (s *Schedule) FailCalls(op string, from, to uint64, kind Kind) *Schedule {
+// FailCalls scripts faults for op calls from..to (1-based, inclusive).
+// Returns s for chaining.
+func (s *Schedule) FailCalls(op string, from, to uint64) *Schedule {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.windows[op] = append(s.windows[op], window{from: from, to: to, kind: kind})
+	s.windows[op] = append(s.windows[op], window{from: from, to: to})
 	return s
 }
 
@@ -250,17 +205,12 @@ func (s *Schedule) FailCalls(op string, from, to uint64, kind Kind) *Schedule {
 func (s *Schedule) Fail(op string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := s.cnt.record(op, KindTransient, false)
+	seq := s.cnt.record(op, false)
 	for _, w := range s.windows[op] {
 		if seq >= w.from && seq <= w.to {
 			// Re-record as a fault (undo the healthy count above).
-			st := s.cnt.perOp[op]
-			if w.kind == KindTransient {
-				st.Transient++
-			} else {
-				st.Permanent++
-			}
-			return &faultError{Op: op, Kind: w.kind, Seq: seq}
+			s.cnt.perOp[op].Transient++
+			return &faultError{Op: op, Seq: seq}
 		}
 	}
 	return nil

@@ -19,8 +19,8 @@ func TestHealthyInjectsNothing(t *testing.T) {
 
 func TestScheduleFiresOnExactWindows(t *testing.T) {
 	s := NewSchedule().
-		FailCalls(OpInstall, 2, 4, KindTransient).
-		FailCalls(OpInstall, 7, 7, kindPermanent)
+		FailCalls(OpInstall, 2, 4).
+		FailCalls(OpInstall, 7, 7)
 	var got []string
 	for i := 1; i <= 8; i++ {
 		err := s.Fail(OpInstall)
@@ -29,24 +29,22 @@ func TestScheduleFiresOnExactWindows(t *testing.T) {
 			got = append(got, "ok")
 		case IsTransient(err):
 			got = append(got, "t")
-		case isPermanent(err):
-			got = append(got, "p")
 		}
 	}
-	want := []string{"ok", "t", "t", "t", "ok", "ok", "p", "ok"}
+	want := []string{"ok", "t", "t", "t", "ok", "ok", "t", "ok"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("call %d: got %v, want %v (all: %v)", i+1, got[i], want[i], got)
 		}
 	}
 	st := s.stats()[OpInstall]
-	if st.Calls != 8 || st.Transient != 3 || st.Permanent != 1 {
+	if st.Calls != 8 || st.Transient != 4 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
 func TestScheduleCountsPerOp(t *testing.T) {
-	s := NewSchedule().FailCalls(OpInstall, 1, 1, KindTransient)
+	s := NewSchedule().FailCalls(OpInstall, 1, 1)
 	// Calls to a different op must not advance OpInstall's counter.
 	if err := s.Fail(OpInfer("cloud")); err != nil {
 		t.Fatal("unscripted op failed")
@@ -57,26 +55,25 @@ func TestScheduleCountsPerOp(t *testing.T) {
 }
 
 func TestProbIsDeterministicAndRateBounded(t *testing.T) {
-	run := func() (faults int, kinds []Kind) {
-		p := NewProb(42).Rate(OpInstall, 0.3, 0.05)
+	run := func() (seqs []uint64) {
+		p := NewProb(42).Rate(OpInstall, 0.35)
 		for i := 0; i < 2000; i++ {
 			if err := p.Fail(OpInstall); err != nil {
-				faults++
 				var fe *faultError
 				errors.As(err, &fe)
-				kinds = append(kinds, fe.Kind)
+				seqs = append(seqs, fe.Seq)
 			}
 		}
-		return faults, kinds
+		return seqs
 	}
-	f1, k1 := run()
-	f2, k2 := run()
-	if f1 != f2 || len(k1) != len(k2) {
-		t.Fatalf("same seed diverged: %d vs %d faults", f1, f2)
+	k1, k2 := run(), run()
+	f1 := len(k1)
+	if f1 != len(k2) {
+		t.Fatalf("same seed diverged: %d vs %d faults", f1, len(k2))
 	}
 	for i := range k1 {
 		if k1[i] != k2[i] {
-			t.Fatalf("fault %d kind differs across identical runs", i)
+			t.Fatalf("fault %d fell on call %d, then on call %d, across identical runs", i, k1[i], k2[i])
 		}
 	}
 	// ~35% of 2000; allow generous slack, but it must be in the ballpark.
@@ -89,7 +86,7 @@ func TestProbPerOpStreamsAreIndependent(t *testing.T) {
 	// Interleaving calls to another op must not change this op's fault
 	// sequence: per-op RNGs are derived independently from the seed.
 	seq := func(interleave bool) []uint64 {
-		p := NewProb(7).Rate(OpInstall, 0.2, 0).Rate(OpInfer("cloud"), 0.5, 0)
+		p := NewProb(7).Rate(OpInstall, 0.2).Rate(OpInfer("cloud"), 0.5)
 		var out []uint64
 		for i := 0; i < 500; i++ {
 			if interleave {
@@ -115,37 +112,34 @@ func TestProbPerOpStreamsAreIndependent(t *testing.T) {
 }
 
 func TestChainFirstFaultWins(t *testing.T) {
-	sched := NewSchedule().FailCalls(OpInstall, 1, 1, kindPermanent)
-	noise := NewProb(1).Rate(OpInstall, 1.0, 0) // always transient
+	// The schedule has seen one call more than the noise, so the call
+	// index on a fault says which injector raised it.
+	sched := NewSchedule().FailCalls(OpInstall, 2, 2)
+	sched.Fail(OpInstall)
+	noise := NewProb(1).Rate(OpInstall, 1.0) // always fails
 	c := Chain{sched, noise}
-	err := c.Fail(OpInstall)
-	if !isPermanent(err) {
-		t.Fatalf("want scheduled permanent fault first, got %v", err)
+	var fe *faultError
+	if err := c.Fail(OpInstall); !errors.As(err, &fe) || fe.Seq != 2 {
+		t.Fatalf("want the scheduled fault (call 2) first, got %v", err)
 	}
-	if err := c.Fail(OpInstall); !IsTransient(err) {
-		t.Fatalf("want noise transient fault second, got %v", err)
+	if err := c.Fail(OpInstall); !errors.As(err, &fe) || fe.Seq != 2 {
+		t.Fatalf("want the noise fault (its call 2) second, got %v", err)
 	}
 }
 
 func TestErrorClassification(t *testing.T) {
-	te := &faultError{Op: OpInstall, Kind: KindTransient, Seq: 3}
-	pe := &faultError{Op: OpInstall, Kind: kindPermanent, Seq: 4}
-	if !IsTransient(te) || isPermanent(te) {
+	te := &faultError{Op: OpInstall, Seq: 3}
+	if !IsTransient(te) {
 		t.Error("transient misclassified")
-	}
-	if !isPermanent(pe) || IsTransient(pe) {
-		t.Error("permanent misclassified")
 	}
 	wrapped := fmt.Errorf("dataplane: %w", te)
 	if !IsTransient(wrapped) {
 		t.Error("wrapped transient not detected")
 	}
-	if IsTransient(errors.New("plain")) || isPermanent(nil) {
+	if IsTransient(errors.New("plain")) || IsTransient(nil) {
 		t.Error("non-fault errors misclassified")
 	}
-	for _, e := range []*faultError{te, pe} {
-		if e.Error() == "" {
-			t.Error("empty rendering")
-		}
+	if te.Error() == "" {
+		t.Error("empty rendering")
 	}
 }

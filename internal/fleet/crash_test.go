@@ -52,8 +52,8 @@ func TestCrashMidBatchDurability(t *testing.T) {
 	// Cut the 2nd batch write mid-message (and, on a later batch, a 2nd
 	// cut to prove repeated faults stay safe).
 	inj := faults.NewSchedule().
-		FailCalls("fleet.batch", 2, 2, faults.KindTransient).
-		FailCalls("fleet.batch", 5, 5, faults.KindTransient)
+		FailCalls("fleet.batch", 2, 2).
+		FailCalls("fleet.batch", 5, 5)
 
 	var slept []time.Duration
 	cl, err := fleet.DialCampus(fleet.ClientConfig{

@@ -131,9 +131,12 @@ RACE=$(go test -race -v ./internal/control ./internal/core ./internal/datastore 
 echo "$RACE" | grep '^ok'
 echo "    tiered-store equivalence (tiered == untiered, byte for byte, across shards, workers, cache and read path)"
 gate_names "$RACE" ./internal/datastore TestTieredStoreEquivalence TestTierFormatEquivalence
-echo "    one ingest order (two writers whose clocks are an hour apart, by AddBatch, by IngestFrame and onto a tiered store: every slab (TS, ID) sorted, windowed Count/Select == scan reference == a Scan walk, nothing hot below the seal watermark)"
+echo "    one ingest order (two writers whose clocks are an hour apart, by AddBatch, by IngestFrame and onto a tiered store: every slab (TS, ID) sorted, segments dense and time-ordered, windowed Count/Select == scan reference == a Scan walk, nothing hot below the seal watermark; attach refuses a manifest whose segments overlap in ID or step back in time; compaction merges only segments whose ID ranges meet)"
 gate_names "$RACE" ./internal/datastore TestConcurrentWritersKeepTimeIndex TestConcurrentWritersKeepTimeIndex/AddBatch \
-    TestConcurrentWritersKeepTimeIndex/IngestFrame TestConcurrentWritersKeepTimeIndex/tiered
+    TestConcurrentWritersKeepTimeIndex/IngestFrame TestConcurrentWritersKeepTimeIndex/tiered \
+    TestEnableTieringRefusesOutOfOrderManifest TestEnableTieringRefusesOutOfOrderManifest/consecutive \
+    TestEnableTieringRefusesOutOfOrderManifest/ids-overlap TestEnableTieringRefusesOutOfOrderManifest/ts-steps-back \
+    TestCompactTierStopsAtIDGap
 echo "    tier cache race (queries vs seal/compact churn with the block cache on)"
 gate_names "$RACE" ./internal/datastore TestTierCacheQueryCompactRace TestTierIngestSealQueryRace
 echo "    encode-ahead (published segments are the canonical bytes of their rows; stale blobs dropped within bound; writers, trips and queries race the encoder; a refused encode is loud and retried; an oversized frame is refused whole)"
@@ -141,10 +144,12 @@ gate_names "$RACE" ./internal/datastore TestSealPublishesEncodedAheadBytes TestE
     TestSealEncodeFailureIsLoud TestOversizedFrameRefused TestOversizedFrameRefused/durable TestOversizedFrameRefused/tiered
 echo "    tier cache policy (segmented LRU: a touched working set survives a one-pass scan over budget)"
 gate_names "$RACE" ./internal/datastore TestTierCacheScanResistant TestTierCacheLRU
-echo "    segment directory (shared budget, invalidation, corrupt columns, metadata-only Count, a residual Count that inflates no block, limit-bounded decode, exact window ≡ scan)"
+echo "    segment directory (shared budget, invalidation, corrupt columns, metadata-only Count, a residual Count that inflates no block, limit-bounded decode, exact window ≡ scan; a segment is one dense ID run: the encoder refuses a gap, a repeated ID or a step back in time, a header that misstates its run or says v3 is refused, and a cold find hits every row's ID and nothing beside the run)"
 gate_names "$RACE" ./internal/datastore TestTierCacheMixedLRU TestSegDirBudgetRespected TestSegDirOversizeNotAdmitted \
     TestSegDirDroppedWithSegments TestSegDirCorruptColumnCachesNothing TestColdCountWindowedTouchesNoBlock \
-    TestColdResidualCountInflatesNothing TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop
+    TestColdResidualCountInflatesNothing TestColdSelectLimitStopsDecoding TestTimeWindowPropertyEquivalence TestPlanWindowExact TestGetBitsMatchesBitLoop \
+    TestSegmentEncodeRejectsUnsorted TestParseSegmentRefusesBrokenIDRange TestParseSegmentRefusesVersion3 \
+    TestRunContract/cold/cache=on TestRunContract/cold/cache=off
 echo "    key table (seal's postings == the decoded index column; hot, cold and keyVal/keyFlags agree on every key; README field table == compiler)"
 gate_names "$RACE" ./internal/datastore TestBuildSegPostingsMatchesDecodeIndex TestHotAndColdIndexTheSameKeys TestFilterDocListsEveryField
 echo "    crash recovery (a crash after any file operation of ingest or of a checkpoint mid-stream, under kill, power loss or a torn write, and kill -9 mid-ingest lose nothing acked; a fresh directory survives power loss; a failed checkpoint is typed, never wedges the log and loses nothing; a checkpoint flushes the log; eviction, seals and the checkpoint's cut renumber nothing and count every flow once; a log trimmed past the checkpoint is refused; a torn log is repaired; flows tied on time and hash reload; v2 to v6 snapshots are refused)"
