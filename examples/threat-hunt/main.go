@@ -70,7 +70,7 @@ func main() {
 	// each controller the hunt named — joins the stored flows on (address,
 	// time). The analyst labels every joined flow of the infected host and
 	// pulls the packet that opened it.
-	fwlog := eventlog.NewGenerator(eventlog.GeneratorConfig{Source: eventlog.SourceFirewall, Rate: 5, Seed: 69}).Generate(10 * time.Second)
+	fwlog := eventlog.NewGenerator(eventlog.GeneratorConfig{Rate: 5, Seed: 69}).Generate(10 * time.Second)
 	for _, finding := range beacons {
 		for ts := time.Second; ts < 10*time.Second; ts += 3 * time.Second {
 			fwlog = append(fwlog, eventlog.Event{TS: ts, Source: eventlog.SourceFirewall, Host: "fw-border",

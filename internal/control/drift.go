@@ -30,39 +30,31 @@ import (
 // outer bins), so reference and current windows are always binned alike.
 const driftBins = 10
 
+// The detector reports feature drift once one feature's PSI exceeds
+// PSIWarn, and recall drift when the rolling recall proxy over the last
+// driftWindow labeled examples falls below driftMinRecall (only once
+// MinLabeled positives have been observed).
+const (
+	driftMinRecall = 0.5
+	driftWindow    = 512
+)
+
 // DriftConfig parameterizes a detector.
 type DriftConfig struct {
 	// PSIWarn marks a feature as shifting (default 0.25 — the classic
 	// "population has changed" threshold).
 	PSIWarn float64
-	// WarnFeatures is how many features must exceed PSIWarn before the
-	// detector reports drift (default 1).
-	WarnFeatures int
-	// MinRecall is the floor for the rolling recall proxy (default 0.5);
-	// only consulted once MinLabeled positives have been observed.
-	MinRecall float64
 	// MinLabeled is the minimum positive-example count before the recall
 	// proxy is trusted (default 20).
 	MinLabeled int
-	// Window bounds the rolling recall window in examples (default 512).
-	Window int
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {
 	if c.PSIWarn <= 0 {
 		c.PSIWarn = 0.25
 	}
-	if c.WarnFeatures <= 0 {
-		c.WarnFeatures = 1
-	}
-	if c.MinRecall <= 0 {
-		c.MinRecall = 0.5
-	}
 	if c.MinLabeled <= 0 {
 		c.MinLabeled = 20
-	}
-	if c.Window <= 0 {
-		c.Window = 512
 	}
 	return c
 }
@@ -89,7 +81,7 @@ type driftDetector struct {
 	dims  int
 	model ml.Classifier
 
-	// Rolling recall proxy over the last cfg.Window labeled examples:
+	// Rolling recall proxy over the last driftWindow labeled examples:
 	// ring[i] packs (positive, hit).
 	ring   []recallCell
 	next   int
@@ -108,7 +100,7 @@ func newDriftDetector(ref *features.Dataset, model ml.Classifier, cfg DriftConfi
 	cfg = cfg.withDefaults()
 	d := &driftDetector{
 		cfg: cfg, dims: ref.Dims(), model: model,
-		ring: make([]recallCell, cfg.Window),
+		ring: make([]recallCell, driftWindow),
 	}
 	d.refs = make([]featureRef, d.dims)
 	for f := 0; f < d.dims; f++ {
@@ -204,8 +196,8 @@ func (d *driftDetector) observe(win *features.Dataset) DriftReport {
 	}
 	rep.Recall = d.recall()
 
-	rep.FeatureDrift = rep.DriftingFeatures >= d.cfg.WarnFeatures
-	rep.RecallDrift = !math.IsNaN(rep.Recall) && rep.Recall < d.cfg.MinRecall
+	rep.FeatureDrift = rep.DriftingFeatures > 0
+	rep.RecallDrift = !math.IsNaN(rep.Recall) && rep.Recall < driftMinRecall
 	rep.Drifted = rep.FeatureDrift || rep.RecallDrift
 	obsDriftMaxPSI.Set(rep.MaxPSI)
 	obsDriftFeatures.Set(float64(rep.DriftingFeatures))

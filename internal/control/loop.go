@@ -18,10 +18,9 @@ import (
 
 // LoopConfig wires a detection/mitigation control loop.
 type LoopConfig struct {
-	// Tier selects where inference runs.
+	// Tier selects where inference runs, at its DefaultTierModels latency
+	// envelope.
 	Tier Tier
-	// TierModel overrides the default latency envelope (zero = default).
-	TierModel *TierModel
 	// Program is the compiled in-switch classifier. For TierDataPlane
 	// its attack rules should be drops; for the other tiers alerts/punts.
 	// Optional when Ensemble is set.
@@ -43,23 +42,12 @@ type LoopConfig struct {
 	// MinEvidence is the minimum suspicious packets per window before a
 	// confidence is considered meaningful.
 	MinEvidence int
-	// FilterScope narrows installed mitigations: protocol to block
-	// toward the victim (default UDP, matching the DNS-amp task).
-	FilterProto packet.IPProtocol
-	// RateLimitBps, when positive, makes React install a token-bucket
-	// meter (pass this many bytes/second toward the victim, drop the
-	// excess) instead of a hard drop — the lower-collateral mitigation.
-	RateLimitBps float64
-	// Resources sizes the switch (zero = DefaultResources).
-	Resources *dataplane.Resources
 
 	// Faults injects failures into the loop's instrumented points — the
 	// dataplane install path and each tier's inference — for chaos road
-	// tests. nil = always healthy, at zero cost.
+	// tests. nil = always healthy, at zero cost. Installs are retried on
+	// the installRetry schedule.
 	Faults faults.Injector
-	// Retry bounds the React install retry loop (zero value = defaults:
-	// 4 attempts, 2ms base backoff doubling to 100ms, jitter seed 1).
-	Retry RetryPolicy
 	// Breaker parameterizes the per-tier circuit breakers (zero value =
 	// defaults: trip after 5 consecutive failures, 5s cooldown).
 	Breaker BreakerConfig
@@ -123,7 +111,6 @@ type Loop struct {
 	cfg    LoopConfig
 	sw     *dataplane.Switch
 	tiers  []*tierRuntime // index 0 = primary, then the fallback chain
-	retry  RetryPolicy
 	jitter *rand.Rand
 	stats  LoopStats
 	// ctr is the loop's operational counter block — the source of truth
@@ -174,14 +161,7 @@ func NewLoop(cfg LoopConfig) (*Loop, error) {
 	if cfg.MinEvidence <= 0 {
 		cfg.MinEvidence = 20
 	}
-	if cfg.FilterProto == 0 {
-		cfg.FilterProto = packet.IPProtocolUDP
-	}
-	res := dataplane.DefaultResources()
-	if cfg.Resources != nil {
-		res = *cfg.Resources
-	}
-	sw := dataplane.NewSwitch(res)
+	sw := dataplane.NewSwitch(dataplane.DefaultResources())
 	if cfg.Program != nil {
 		if err := sw.Load(cfg.Program); err != nil {
 			return nil, err
@@ -198,20 +178,16 @@ func NewLoop(cfg LoopConfig) (*Loop, error) {
 	defaults := DefaultTierModels()
 	brk := cfg.Breaker.withDefaults()
 	ctr := newLoopCounters()
-	newTier := func(t Tier, model ml.Classifier, override *TierModel) *tierRuntime {
-		tm := defaults[t]
-		if override != nil {
-			tm = *override
-		}
+	newTier := func(t Tier, model ml.Classifier) *tierRuntime {
 		return &tierRuntime{
 			tier:    t,
 			model:   model,
-			engine:  newInferenceEngine(tm),
+			engine:  newInferenceEngine(defaults[t]),
 			breaker: breaker{cfg: brk, ctr: ctr},
 			opName:  faults.OpInfer(t.String()),
 		}
 	}
-	tiers := []*tierRuntime{newTier(cfg.Tier, cfg.Model, cfg.TierModel)}
+	tiers := []*tierRuntime{newTier(cfg.Tier, cfg.Model)}
 	for _, fb := range cfg.Fallbacks {
 		if fb.Tier == TierDataPlane {
 			return nil, fmt.Errorf("control: the data plane cannot serve as a fallback inference tier")
@@ -219,16 +195,14 @@ func NewLoop(cfg LoopConfig) (*Loop, error) {
 		if fb.Model == nil {
 			return nil, fmt.Errorf("control: fallback %v tier requires a Model", fb.Tier)
 		}
-		tiers = append(tiers, newTier(fb.Tier, fb.Model, fb.TierModel))
+		tiers = append(tiers, newTier(fb.Tier, fb.Model))
 	}
-	retry := cfg.Retry.withDefaults()
 	return &Loop{
 		cfg:       cfg,
 		sw:        sw,
 		tiers:     tiers,
-		retry:     retry,
 		ctr:       ctr,
-		jitter:    rand.New(rand.NewSource(retry.Seed)),
+		jitter:    rand.New(rand.NewSource(installRetry.Seed)),
 		windows:   make(map[netip.Addr]*victimWindow),
 		mitigated: make(map[netip.Addr]bool),
 		featBuf:   make([]float64, len(features.PacketSchema)),
@@ -258,9 +232,9 @@ func (l *Loop) feed(f *traffic.Frame, s *packet.Summary) bool {
 // counters once, at the end of the batch (Switch.Stats lags by at most
 // that batch). Because a mitigation installed while draining pending
 // verdicts must affect the packets behind it, the precompute is abandoned
-// the moment the switch state generation moves (or when stateful meters
-// make classification impure): the verdicts consumed so far are committed
-// and the remainder of the batch falls back to the per-packet path.
+// the moment the switch state generation moves: the verdicts consumed so
+// far are committed and the remainder of the batch falls back to the
+// per-packet path.
 func (l *Loop) FeedBatch(frames []*traffic.Frame, sums []*packet.Summary, keep []bool) {
 	defer obs.Default.StartSpan("fastloop").End()
 	n := len(frames)
@@ -268,7 +242,7 @@ func (l *Loop) FeedBatch(frames []*traffic.Frame, sums []*packet.Summary, keep [
 		l.verdictBuf = make([]dataplane.Verdict, n)
 	}
 	vs := l.verdictBuf[:n]
-	gen, pre := l.sw.ClassifyBatch(sums, vs)
+	gen, pre := l.sw.ClassifyBatch(sums, vs), true
 	for i := 0; i < n; i++ {
 		f, s := frames[i], sums[i]
 		l.drainPending(f.TS)
@@ -459,21 +433,17 @@ func (l *Loop) applyVerdict(pv pendingVerdict) {
 	})
 }
 
-// installMitigation drives the React install with the retry policy:
-// transient failures back off exponentially (with deterministic jitter)
-// in virtual time and retry up to the attempt budget; permanent failures
-// (table full) abort immediately. Returns the
-// effective install time and whether the install landed.
+// installMitigation drives the React install — a drop of the victim's
+// inbound UDP, the DNS-amp task's protocol — with the installRetry
+// schedule: transient failures back off exponentially (with deterministic
+// jitter) in virtual time and retry up to the attempt budget; permanent
+// failures (table full) abort immediately. Returns the effective install
+// time and whether the install landed.
 func (l *Loop) installMitigation(victim netip.Addr, installAt time.Duration) (time.Duration, bool) {
-	key := dataplane.FilterKey{DstIP: victim, Proto: l.cfg.FilterProto}
-	backoff := l.retry.Base
+	key := dataplane.FilterKey{DstIP: victim, Proto: packet.IPProtocolUDP}
+	backoff := installRetry.Base
 	for attempt := 1; ; attempt++ {
-		var err error
-		if l.cfg.RateLimitBps > 0 {
-			err = l.sw.InstallRateLimit(key, l.cfg.RateLimitBps, 4*l.cfg.RateLimitBps)
-		} else {
-			err = l.sw.InstallFilter(key, dataplane.ActionDrop)
-		}
+		err := l.sw.InstallFilter(key, dataplane.ActionDrop)
 		if err == nil {
 			return installAt, true
 		}
@@ -481,13 +451,13 @@ func (l *Loop) installMitigation(victim netip.Addr, installAt time.Duration) (ti
 			l.ctr.installFailures.Inc()
 			return 0, false
 		}
-		if attempt >= l.retry.MaxAttempts {
+		if attempt >= installRetry.MaxAttempts {
 			l.ctr.droppedMitigations.Inc()
 			return 0, false
 		}
 		l.ctr.installRetries.Inc()
 		var delay time.Duration
-		delay, backoff = l.retry.Backoff(backoff, l.jitter)
+		delay, backoff = installRetry.Backoff(backoff, l.jitter)
 		installAt += delay
 	}
 }

@@ -7,25 +7,27 @@ import (
 	"campuslab/internal/ml"
 )
 
-// RetryPolicy bounds the React step's install retry loop. Transient
-// install failures (control-channel drops, busy table managers — injected
-// via faults.Injector in road tests) are retried with exponential backoff
-// plus deterministic jitter; permanent failures (table full) are never
-// retried. Backoff accrues in the replay's virtual clock: each retry
-// pushes the mitigation's effective install time later, which is how
-// chaos experiments measure time-to-mitigation inflation.
+// RetryPolicy is a bounded retry schedule: exponential backoff plus
+// deterministic jitter.
 type RetryPolicy struct {
-	// MaxAttempts is the total install attempts per mitigation decision
-	// (default 4). 1 disables retries.
+	// MaxAttempts is the total attempts per operation; 1 disables retries.
 	MaxAttempts int
-	// Base is the first retry's backoff (default 2ms).
+	// Base is the first retry's backoff.
 	Base time.Duration
-	// Max caps the exponential backoff (default 100ms).
+	// Max caps the exponential backoff.
 	Max time.Duration
-	// Seed drives the jitter stream (default 1); jitter is uniform in
-	// [0, backoff/2] and fully deterministic per seed.
+	// Seed drives the jitter stream; jitter is uniform in [0, backoff/2]
+	// and fully deterministic per seed.
 	Seed int64
 }
+
+// installRetry bounds the React step's install retry loop. Transient
+// install failures (control-channel drops, busy table managers — injected
+// via faults.Injector in road tests) are retried; permanent failures
+// (table full) are never retried. Backoff accrues in the replay's virtual
+// clock: each retry pushes the mitigation's effective install time later,
+// which is how chaos experiments measure time-to-mitigation inflation.
+var installRetry = RetryPolicy{MaxAttempts: 4, Base: 2 * time.Millisecond, Max: 100 * time.Millisecond, Seed: 1}
 
 // Backoff computes the jittered delay to wait before the next retry
 // given the current backoff step, and returns the doubled (Max-capped)
@@ -41,22 +43,6 @@ func (p RetryPolicy) Backoff(step time.Duration, jitter *rand.Rand) (delay, next
 		next = p.Max
 	}
 	return delay, next
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.Base <= 0 {
-		p.Base = 2 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 100 * time.Millisecond
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	return p
 }
 
 // BreakerConfig parameterizes the per-tier circuit breakers guarding the
@@ -90,10 +76,9 @@ type FallbackTier struct {
 	// Tier is the placement; must be TierControlPlane or TierCloud
 	// (the data plane cannot serve escalated inference).
 	Tier Tier
-	// Model classifies escalated packets at this tier.
+	// Model classifies escalated packets at this tier, at the tier's
+	// DefaultTierModels latency envelope.
 	Model ml.Classifier
-	// TierModel overrides the default latency envelope (nil = default).
-	TierModel *TierModel
 }
 
 // breaker is one tier's circuit breaker, driven by the replay's virtual

@@ -337,6 +337,26 @@ func TestSwitchSpecificFilterBeatsGeneral(t *testing.T) {
 	}
 }
 
+func TestSwitchSourceOnlyFilter(t *testing.T) {
+	sw := NewSwitch(DefaultResources())
+	scanner := netip.MustParseAddr("185.220.101.7")
+	if err := sw.InstallFilter(FilterKey{SrcIP: scanner}, ActionDrop); err != nil {
+		t.Fatal(err)
+	}
+	s := packet.Summary{HasIP: true, Tuple: packet.FiveTuple{
+		Proto: packet.IPProtocolTCP, SrcIP: scanner,
+		DstIP: netip.MustParseAddr("10.3.1.4"), SrcPort: 55555, DstPort: 22,
+	}}
+	if v := sw.ProcessAt(0, &s); v.Action != ActionDrop || !v.FilterHit {
+		t.Errorf("source filter missed: %+v", v)
+	}
+	// Different sources unaffected.
+	s.Tuple.SrcIP = netip.MustParseAddr("185.220.101.8")
+	if v := sw.ProcessAt(0, &s); v.Action == ActionDrop {
+		t.Error("innocent source dropped")
+	}
+}
+
 func TestLoadRejectsOversizedProgram(t *testing.T) {
 	// Build a program whose TCAM expansion exceeds a tiny budget.
 	prog := &Program{Name: "big", Default: ActionPermit}

@@ -224,7 +224,7 @@ func TestDAGScanEquivalenceDistilledTree(t *testing.T) {
 }
 
 // TestSwitchPipelineEquivalence runs the same randomized program, filter
-// and meter installs, and packet sequence through a compiled switch and a
+// installs, and packet sequence through a compiled switch and a
 // scan-only twin, demanding identical verdicts and counters end to end.
 func TestSwitchPipelineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
@@ -245,25 +245,15 @@ func TestSwitchPipelineEquivalence(t *testing.T) {
 		}
 		for i := 0; i < 6; i++ {
 			k := randFilterKey(rng, pool)
-			if rng.Intn(2) == 0 {
-				act := ActionDrop
-				if rng.Intn(3) == 0 {
-					act = ActionAlert
-				}
-				if err := swDag.InstallFilter(k, act); err != nil {
-					t.Fatal(err)
-				}
-				if err := swScan.InstallFilter(k, act); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				rate, burst := float64(1000+rng.Intn(20000)), float64(500+rng.Intn(2000))
-				if err := swDag.InstallRateLimit(k, rate, burst); err != nil {
-					t.Fatal(err)
-				}
-				if err := swScan.InstallRateLimit(k, rate, burst); err != nil {
-					t.Fatal(err)
-				}
+			act := ActionDrop
+			if rng.Intn(3) == 0 {
+				act = ActionAlert
+			}
+			if err := swDag.InstallFilter(k, act); err != nil {
+				t.Fatal(err)
+			}
+			if err := swScan.InstallFilter(k, act); err != nil {
+				t.Fatal(err)
 			}
 		}
 		ts := time.Duration(0)
@@ -301,9 +291,6 @@ func TestSwitchCounterAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := sw.InstallFilter(FilterKey{DstIP: pool[0]}, ActionDrop); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.InstallRateLimit(FilterKey{DstIP: pool[1], Proto: packet.IPProtocolUDP}, 2000, 800); err != nil {
 		t.Fatal(err)
 	}
 
@@ -375,9 +362,6 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 		if err := sw.InstallFilter(FilterKey{DstIP: pool[2]}, ActionDrop); err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.InstallRateLimit(FilterKey{SrcIP: pool[3]}, 4000, 1000); err != nil {
-			t.Fatal(err)
-		}
 	}
 	sums := make([]packet.Summary, 500)
 	tss := make([]time.Duration, len(sums))
@@ -422,10 +406,7 @@ func TestClassifyBatchCommit(t *testing.T) {
 		sums[i] = &s
 	}
 	out := make([]Verdict, len(sums))
-	gen, ok := sw.ClassifyBatch(sums, out)
-	if !ok {
-		t.Fatal("classify refused with no meters installed")
-	}
+	gen := sw.ClassifyBatch(sums, out)
 	if sw.Stats().Processed != 0 {
 		t.Fatal("classification recorded counters")
 	}
@@ -440,18 +421,12 @@ func TestClassifyBatchCommit(t *testing.T) {
 		t.Fatalf("commits recorded %d, want %d", got, len(sums))
 	}
 
-	// An install bumps the generation, and meters force the fallback.
+	// An install bumps the generation.
 	if err := sw.InstallFilter(FilterKey{DstIP: pool[0]}, ActionDrop); err != nil {
 		t.Fatal(err)
 	}
 	if sw.StateGen() == gen {
 		t.Fatal("install did not bump generation")
-	}
-	if err := sw.InstallRateLimit(FilterKey{DstIP: pool[1]}, 1000, 500); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sw.ClassifyBatch(sums, out); ok {
-		t.Fatal("classify must refuse while meters are installed")
 	}
 }
 
@@ -575,7 +550,7 @@ func TestConcurrentInstallDuringBatch(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // meter churn + program reloads
+	go func() { // program reloads + removes
 		defer wg.Done()
 		r := rand.New(rand.NewSource(412))
 		for i := 0; ; i++ {
@@ -587,8 +562,6 @@ func TestConcurrentInstallDuringBatch(t *testing.T) {
 			k := randFilterKey(r, pool)
 			if i%4 == 0 {
 				_ = sw.Load(randDisjointProgram(r, 8))
-			} else if i%2 == 0 {
-				_ = sw.InstallRateLimit(k, 5000, 1000)
 			} else {
 				sw.removeFilter(k)
 			}
@@ -600,27 +573,21 @@ func TestConcurrentInstallDuringBatch(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		_ = sw.ProcessBatchAt(nil, sums, out[:0])
 		committed += uint64(len(sums))
-		if gen, ok := sw.ClassifyBatch(ptrs, out); ok {
-			// A mid-batch publish: commit the verdicts consumed so far and
-			// fall back for the rest, like the control loop.
-			done := len(ptrs)
-			for i := range ptrs {
-				if sw.StateGen() != gen {
-					done = i
-					break
-				}
-			}
-			sw.CommitBatch(out[:done])
-			for i := done; i < len(ptrs); i++ {
-				sw.ProcessAt(0, ptrs[i])
-			}
-			committed += uint64(len(ptrs))
-		} else {
-			for i := range ptrs {
-				sw.ProcessAt(0, ptrs[i])
-				committed++
+		gen := sw.ClassifyBatch(ptrs, out)
+		// A mid-batch publish: commit the verdicts consumed so far and
+		// fall back for the rest, like the control loop.
+		done := len(ptrs)
+		for i := range ptrs {
+			if sw.StateGen() != gen {
+				done = i
+				break
 			}
 		}
+		sw.CommitBatch(out[:done])
+		for i := done; i < len(ptrs); i++ {
+			sw.ProcessAt(0, ptrs[i])
+		}
+		committed += uint64(len(ptrs))
 	}
 	close(stop)
 	wg.Wait()
@@ -716,27 +683,21 @@ func TestConcurrentEnsembleInstallDuringBatch(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		_ = sw.ProcessBatchAt(nil, sums, out[:0])
 		committed += uint64(len(sums))
-		if gen, ok := sw.ClassifyBatch(ptrs, out); ok {
-			// A mid-batch publish: commit the verdicts consumed so far and
-			// fall back for the rest, like the control loop.
-			done := len(ptrs)
-			for i := range ptrs {
-				if sw.StateGen() != gen {
-					done = i
-					break
-				}
-			}
-			sw.CommitBatch(out[:done])
-			for i := done; i < len(ptrs); i++ {
-				sw.ProcessAt(0, ptrs[i])
-			}
-			committed += uint64(len(ptrs))
-		} else {
-			for i := range ptrs {
-				sw.ProcessAt(0, ptrs[i])
-				committed++
+		gen := sw.ClassifyBatch(ptrs, out)
+		// A mid-batch publish: commit the verdicts consumed so far and
+		// fall back for the rest, like the control loop.
+		done := len(ptrs)
+		for i := range ptrs {
+			if sw.StateGen() != gen {
+				done = i
+				break
 			}
 		}
+		sw.CommitBatch(out[:done])
+		for i := done; i < len(ptrs); i++ {
+			sw.ProcessAt(0, ptrs[i])
+		}
+		committed += uint64(len(ptrs))
 	}
 	close(stop)
 	wg.Wait()
@@ -784,19 +745,13 @@ func synthProgram(nRules int) *Program {
 
 func installBenchFilters(b *testing.B, sw *Switch, pool []netip.Addr) {
 	b.Helper()
-	for i, k := range []FilterKey{
+	for _, k := range []FilterKey{
 		{DstIP: pool[0], Proto: packet.IPProtocolUDP},
 		{DstIP: pool[1], Proto: packet.IPProtocolUDP},
 		{DstIP: pool[2]},
 		{SrcIP: pool[3]},
 	} {
-		var err error
-		if i%2 == 0 {
-			err = sw.InstallFilter(k, ActionDrop)
-		} else {
-			err = sw.InstallRateLimit(k, 1e9, 1e6)
-		}
-		if err != nil {
+		if err := sw.InstallFilter(k, ActionDrop); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,18 +29,6 @@ func TestInstallFilterInjectedTransientFault(t *testing.T) {
 	}
 }
 
-func TestInstallRateLimitInjectedFault(t *testing.T) {
-	sw := NewSwitch(DefaultResources())
-	sw.SetFaultInjector(faults.NewSchedule().FailCalls(faults.OpInstall, 1, 1))
-	err := sw.InstallRateLimit(FilterKey{DstPort: 53}, 1e6, 4e6)
-	if !faults.IsTransient(err) {
-		t.Fatalf("want transient fault, got %v", err)
-	}
-	if err := sw.InstallRateLimit(FilterKey{DstPort: 53}, 1e6, 4e6); err != nil {
-		t.Fatalf("second install: %v", err)
-	}
-}
-
 func TestTableFullIsTypedAndPermanent(t *testing.T) {
 	sw := NewSwitch(Resources{Stages: 4, TCAMEntries: 64, ExactEntries: 1})
 	if err := sw.InstallFilter(FilterKey{DstPort: 1}, ActionDrop); err != nil {

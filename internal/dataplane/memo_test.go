@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 	"unicode/utf8"
 
 	"campuslab/internal/features"
@@ -551,9 +550,7 @@ func (tw batchTwins) check(t testing.TB, name string, ep *EnsembleProgram, sums 
 	batch := tw.fast.ProcessBatchAt(nil, sums, nil)
 	scanBatch := tw.scan.ProcessBatchAt(nil, sums, nil)
 	classified := make([]Verdict, len(sums))
-	if _, ok := tw.fast.ClassifyBatch(ptrs, classified); !ok {
-		t.Fatalf("%s: ClassifyBatch declined with no meters installed", name)
-	}
+	tw.fast.ClassifyBatch(ptrs, classified)
 	for i := range sums {
 		single := tw.fast.ProcessAt(0, &sums[i])
 		ref := tw.scan.ProcessAt(0, &sums[i])
@@ -577,11 +574,10 @@ func TestEnsembleBatchPathsAgree(t *testing.T) {
 	}
 }
 
-// TestEnsembleBatchWithMeters: with the ensemble loaded and a meter
-// installed, ClassifyBatch still declines (classification has side
-// effects), and ProcessBatchAt still probes filters and charges meters per
-// packet, in order, before the memo is consulted.
-func TestEnsembleBatchWithMeters(t *testing.T) {
+// TestEnsembleBatchWithFilters: with the ensemble loaded and filters
+// installed, ClassifyBatch and ProcessBatchAt probe the filters per packet
+// before the memo is consulted, and agree with ProcessAt.
+func TestEnsembleBatchWithFilters(t *testing.T) {
 	forest, _, _, _ := trainPacketForest(t)
 	ep, err := CompileForestEnsemble(forest, features.PacketSchema, EnsembleConfig{DropClasses: []int{1}})
 	if err != nil {
@@ -596,41 +592,33 @@ func TestEnsembleBatchWithMeters(t *testing.T) {
 		if err := sw.InstallFilter(FilterKey{DstIP: pool[2]}, ActionDrop); err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.InstallRateLimit(FilterKey{SrcIP: pool[3]}, 4000, 1000); err != nil {
+		if err := sw.InstallFilter(FilterKey{SrcIP: pool[3]}, ActionAlert); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rng := rand.New(rand.NewSource(525))
 	sums := make([]packet.Summary, 600)
 	ptrs := make([]*packet.Summary, len(sums))
-	tss := make([]time.Duration, len(sums))
-	ts := time.Duration(0)
 	for i := range sums {
-		ts += time.Duration(rng.Intn(1_000_000))
-		sums[i], tss[i], ptrs[i] = randTestSummary(rng, pool), ts, &sums[i]
+		sums[i], ptrs[i] = randTestSummary(rng, pool), &sums[i]
 	}
-	if _, ok := swBatch.ClassifyBatch(ptrs, make([]Verdict, len(sums))); ok {
-		t.Fatal("ClassifyBatch accepted a batch with a meter installed")
-	}
-	got := swBatch.ProcessBatchAt(tss, sums, nil)
-	meterPass, meterDrop, classified := 0, 0, 0
+	pre := make([]Verdict, len(sums))
+	swBatch.ClassifyBatch(ptrs, pre)
+	got := swBatch.ProcessBatchAt(nil, sums, nil)
+	filtered, classified := 0, 0
 	for i := range sums {
-		want := swSeq.ProcessAt(tss[i], &sums[i])
-		if got[i] != want {
-			t.Fatalf("pkt %d: batch %+v != sequential %+v", i, got[i], want)
+		want := swSeq.ProcessAt(0, &sums[i])
+		if got[i] != want || pre[i] != want {
+			t.Fatalf("pkt %d: batch %+v classify %+v != sequential %+v", i, got[i], pre[i], want)
 		}
-		switch {
-		case !want.FilterHit:
+		if want.FilterHit {
+			filtered++
+		} else {
 			classified++
-		case sums[i].Tuple.DstIP == pool[2]:
-		case want.Action == ActionDrop:
-			meterDrop++
-		default:
-			meterPass++
 		}
 	}
-	if meterPass == 0 || meterDrop == 0 || classified == 0 {
-		t.Fatalf("scenario vacuous: %d metered passes, %d metered drops, %d classified", meterPass, meterDrop, classified)
+	if filtered == 0 || classified == 0 {
+		t.Fatalf("scenario vacuous: %d filtered, %d classified", filtered, classified)
 	}
 	if b, s := swBatch.Stats(), swSeq.Stats(); b.Processed != s.Processed || b.Dropped != s.Dropped ||
 		b.FilterHits != s.FilterHits || b.Permitted != s.Permitted {

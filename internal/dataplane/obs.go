@@ -53,8 +53,6 @@ var (
 	obsCompilesScan   = obs.Default.Counter("campuslab_dataplane_program_loads_total", "path", "scan")
 	obsInstallOK      = obs.Default.Counter("campuslab_dataplane_installs_total", "kind", "filter", "result", "ok")
 	obsInstallErr     = obs.Default.Counter("campuslab_dataplane_installs_total", "kind", "filter", "result", "error")
-	obsMeterOK        = obs.Default.Counter("campuslab_dataplane_installs_total", "kind", "meter", "result", "ok")
-	obsMeterErr       = obs.Default.Counter("campuslab_dataplane_installs_total", "kind", "meter", "result", "error")
 	obsRemoves        = obs.Default.Counter("campuslab_dataplane_removes_total")
 	obsBatchesDag     = obs.Default.Counter("campuslab_dataplane_batches_total", "path", "dag")
 	obsBatchesScan    = obs.Default.Counter("campuslab_dataplane_batches_total", "path", "scan")

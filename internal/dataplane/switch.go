@@ -117,15 +117,6 @@ func probeShapes(k FilterKey) uint8 {
 	return m
 }
 
-// filterEntry is one slot of the combined filter+meter table. A key may
-// carry both (a filter installed over an existing meter); the filter
-// wins, matching the historical probe order.
-type filterEntry struct {
-	act      ActionKind
-	isFilter bool
-	meter    *tokenBucket
-}
-
 // pipelineState is the switch's entire read-mostly state as one immutable
 // value published RCU-style: the verdict path loads it once per packet
 // (or per batch) with a single atomic pointer read and never takes a
@@ -140,59 +131,50 @@ type pipelineState struct {
 	perRule []uint64
 
 	// ens is the compiled ensemble pipeline; when set it replaces the
-	// rule program as the classification stage (filters/meters still run
-	// first).
+	// rule program as the classification stage (filters still run first).
 	ens *ensembleState
 
-	table    map[FilterKey]filterEntry
-	nFilters int
-	nMeters  int
-	shapes   uint8
+	table  map[FilterKey]ActionKind
+	shapes uint8
 }
 
-// lookup probes one filter key, charging the meter on a meter hit.
-func (st *pipelineState) lookup(ts time.Duration, k FilterKey, wireLen int) (Verdict, bool) {
-	e, ok := st.table[k]
+// lookup probes one filter key.
+func (st *pipelineState) lookup(k FilterKey) (Verdict, bool) {
+	act, ok := st.table[k]
 	if !ok {
 		return Verdict{}, false
 	}
-	if e.isFilter {
-		return Verdict{Action: e.act, RuleIndex: -1, FilterHit: true}, true
-	}
-	if e.meter.conforms(ts, wireLen) {
-		return Verdict{Action: ActionPermit, RuleIndex: -1, FilterHit: true}, true
-	}
-	return Verdict{Action: ActionDrop, RuleIndex: -1, FilterHit: true}, true
+	return Verdict{Action: act, RuleIndex: -1, FilterHit: true}, true
 }
 
 // filter is the first stage for one packet: runtime filters (mitigations
-// beat classification), then meters, probed through the installed key
-// shapes from most to least specific. A miss returns the zero Verdict,
-// whose FilterHit is false.
-func (st *pipelineState) filter(ts time.Duration, s *packet.Summary) Verdict {
+// beat classification), probed through the installed key shapes from most
+// to least specific. A miss returns the zero Verdict, whose FilterHit is
+// false.
+func (st *pipelineState) filter(s *packet.Summary) Verdict {
 	t := &s.Tuple
 	if st.shapes&shapeFull != 0 {
-		if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP, SrcIP: t.SrcIP, DstPort: t.DstPort, Proto: t.Proto}, s.WireLen); ok {
+		if v, ok := st.lookup(FilterKey{DstIP: t.DstIP, SrcIP: t.SrcIP, DstPort: t.DstPort, Proto: t.Proto}); ok {
 			return v
 		}
 	}
 	if st.shapes&shapeDstPortProt != 0 {
-		if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP, DstPort: t.DstPort, Proto: t.Proto}, s.WireLen); ok {
+		if v, ok := st.lookup(FilterKey{DstIP: t.DstIP, DstPort: t.DstPort, Proto: t.Proto}); ok {
 			return v
 		}
 	}
 	if st.shapes&shapeDstProt != 0 {
-		if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP, Proto: t.Proto}, s.WireLen); ok {
+		if v, ok := st.lookup(FilterKey{DstIP: t.DstIP, Proto: t.Proto}); ok {
 			return v
 		}
 	}
 	if st.shapes&shapeDst != 0 {
-		if v, ok := st.lookup(ts, FilterKey{DstIP: t.DstIP}, s.WireLen); ok {
+		if v, ok := st.lookup(FilterKey{DstIP: t.DstIP}); ok {
 			return v
 		}
 	}
 	if st.shapes&shapeSrc != 0 {
-		if v, ok := st.lookup(ts, FilterKey{SrcIP: t.SrcIP}, s.WireLen); ok {
+		if v, ok := st.lookup(FilterKey{SrcIP: t.SrcIP}); ok {
 			return v
 		}
 	}
@@ -200,10 +182,8 @@ func (st *pipelineState) filter(ts time.Duration, s *packet.Summary) Verdict {
 }
 
 // batchIn is one batch as an entry point received it: summaries by value
-// (ProcessBatchAt) or by pointer (ClassifyBatch, ProcessAt), and per-packet
-// timestamps (nil: t=0).
+// (ProcessBatchAt) or by pointer (ClassifyBatch, ProcessAt).
 type batchIn struct {
-	ts   []time.Duration
 	vals []packet.Summary
 	ptrs []*packet.Summary
 }
@@ -236,9 +216,8 @@ const (
 )
 
 // classify is the switch's one batch evaluator. It runs the stages in
-// order over the whole batch, writing out[i] for packet i: filters and
-// meters per packet in packet order (the stage is skipped when no key
-// shape is installed), then the program stage over the packets they left
+// order over the whole batch, writing out[i] for packet i: filters per
+// packet (the stage is skipped when no key shape is installed), then the program stage over the packets they left
 // undecided. The program stage is pure: for an ensemble, field vector,
 // code word, memo and walk; else the compiled rule DAG, the rule scan, or
 // the permit default. m is the batch's ensemble memo, nil when the stage
@@ -248,11 +227,7 @@ func (st *pipelineState) classify(in *batchIn, out []Verdict, m *ensMemo) {
 	filtered := st.shapes != 0
 	if filtered {
 		for i := 0; i < n; i++ {
-			var t time.Duration
-			if in.ts != nil {
-				t = in.ts[i]
-			}
-			out[i] = st.filter(t, in.at(i))
+			out[i] = st.filter(in.at(i))
 		}
 	}
 	var fv fieldVector
@@ -326,7 +301,7 @@ type Switch struct {
 // compiled fast path (setScanOnly moves it to the linear-scan reference).
 func NewSwitch(res Resources) *Switch {
 	sw := &Switch{res: res, ctr: newSwitchCounters()}
-	sw.state.Store(&pipelineState{table: map[FilterKey]filterEntry{}})
+	sw.state.Store(&pipelineState{table: map[FilterKey]ActionKind{}})
 	return sw
 }
 
@@ -344,9 +319,9 @@ func (sw *Switch) publish(st *pipelineState) {
 func (sw *Switch) mutate(edit func(next *pipelineState)) {
 	cur := sw.state.Load()
 	next := *cur
-	next.table = make(map[FilterKey]filterEntry, len(cur.table)+1)
-	for k, e := range cur.table {
-		next.table[k] = e
+	next.table = make(map[FilterKey]ActionKind, len(cur.table)+1)
+	for k, act := range cur.table {
+		next.table[k] = act
 	}
 	edit(&next)
 	next.shapes = 0
@@ -524,102 +499,50 @@ func (sw *Switch) InstallFilter(key FilterKey, action ActionKind) error {
 		return err
 	}
 	cur := sw.state.Load()
-	exists := cur.table[key].isFilter
-	if !exists && cur.nFilters >= sw.res.ExactEntries {
+	if _, exists := cur.table[key]; !exists && len(cur.table) >= sw.res.ExactEntries {
 		obsInstallErr.Inc()
 		return fmt.Errorf("%w (%d entries)", errTableFull, sw.res.ExactEntries)
 	}
-	sw.mutate(func(next *pipelineState) {
-		e := next.table[key]
-		e.act, e.isFilter = action, true
-		next.table[key] = e
-		if !exists {
-			next.nFilters++
-		}
-	})
+	sw.mutate(func(next *pipelineState) { next.table[key] = action })
 	obsInstallOK.Inc()
 	return nil
 }
 
-// InstallRateLimit attaches a meter to a filter key: matching traffic is
-// passed within rateBps bytes/second (+burst) and dropped beyond — the
-// softer mitigation for victims that still need their protocol to work.
-func (sw *Switch) InstallRateLimit(key FilterKey, rateBps, burst float64) error {
-	tb, err := newTokenBucket(rateBps, burst)
-	if err != nil {
-		return err
-	}
-	sw.writeMu.Lock()
-	defer sw.writeMu.Unlock()
-	if err := sw.failInstall(); err != nil {
-		obsMeterErr.Inc()
-		return err
-	}
-	cur := sw.state.Load()
-	exists := cur.table[key].meter != nil
-	if !exists && cur.nFilters+cur.nMeters >= sw.res.ExactEntries {
-		obsMeterErr.Inc()
-		return fmt.Errorf("%w (%d entries)", errTableFull, sw.res.ExactEntries)
-	}
-	sw.mutate(func(next *pipelineState) {
-		e := next.table[key]
-		e.meter = tb
-		next.table[key] = e
-		if !exists {
-			next.nMeters++
-		}
-	})
-	obsMeterOK.Inc()
-	return nil
-}
-
-// removeFilter deletes a filter or meter entry, reporting whether it
-// existed.
+// removeFilter deletes a filter entry, reporting whether it existed.
 func (sw *Switch) removeFilter(key FilterKey) bool {
 	sw.writeMu.Lock()
 	defer sw.writeMu.Unlock()
-	cur := sw.state.Load()
-	e, ok := cur.table[key]
-	if !ok {
+	if _, ok := sw.state.Load().table[key]; !ok {
 		return false
 	}
-	sw.mutate(func(next *pipelineState) {
-		delete(next.table, key)
-		if e.isFilter {
-			next.nFilters--
-		}
-		if e.meter != nil {
-			next.nMeters--
-		}
-	})
+	sw.mutate(func(next *pipelineState) { delete(next.table, key) })
 	obsRemoves.Inc()
 	return true
 }
 
-// filterCount returns the number of installed filters and meters.
+// filterCount returns the number of installed filters.
 func (sw *Switch) filterCount() int {
-	st := sw.state.Load()
-	return st.nFilters + st.nMeters
+	return len(sw.state.Load().table)
 }
 
-// ProcessAt runs one packet summary through the pipeline at time ts — a
-// batch of one: filters and meters, then the program stage, then the
-// counters. Lock-free and allocation-free: one atomic state load plus
-// atomic counter updates. It never consults an ensemble memo.
+// ProcessAt runs one packet summary through the pipeline — a batch of
+// one: filters, then the program stage, then the counters. No stage reads
+// the packet's time ts. Lock-free and allocation-free: one atomic state
+// load plus atomic counter updates. It never consults an ensemble memo.
 func (sw *Switch) ProcessAt(ts time.Duration, s *packet.Summary) Verdict {
 	st := sw.state.Load()
-	tss, ptrs := [1]time.Duration{ts}, [1]*packet.Summary{s}
+	ptrs := [1]*packet.Summary{s}
 	var out [1]Verdict
-	st.classify(&batchIn{ts: tss[:], ptrs: ptrs[:]}, out[:], nil)
+	st.classify(&batchIn{ptrs: ptrs[:]}, out[:], nil)
 	sw.tally(st, out[:])
 	return out[0]
 }
 
-// ProcessBatchAt runs a batch at per-packet timestamps (ts may be nil for
-// t=0), appending verdicts to out (pass out[:0] to reuse a buffer). The
-// state is loaded once for the whole batch, so a concurrent install
-// becomes visible at the next batch; filters and meters are probed per
-// packet, in order, and the counters are tallied once at the end.
+// ProcessBatchAt runs a batch, appending verdicts to out (pass out[:0] to
+// reuse a buffer). No stage reads the per-packet times ts (nil is fine).
+// The state is loaded once for the whole batch, so a concurrent install
+// becomes visible at the next batch; filters are probed per packet and
+// the counters are tallied once at the end.
 func (sw *Switch) ProcessBatchAt(ts []time.Duration, sums []packet.Summary, out []Verdict) []Verdict {
 	st := sw.state.Load()
 	var memo *ensMemo
@@ -628,34 +551,31 @@ func (sw *Switch) ProcessBatchAt(ts []time.Duration, sums []packet.Summary, out 
 	}
 	base := len(out)
 	out = slices.Grow(out, len(sums))[:base+len(sums)]
-	st.classify(&batchIn{ts: ts, vals: sums}, out[base:], memo)
+	st.classify(&batchIn{vals: sums}, out[base:], memo)
 	sw.tally(st, out[base:])
 	countBatch(st, len(sums), memo)
 	return out
 }
 
 // ClassifyBatch precomputes verdicts for a batch without recording
-// counters or charging meters, filling out[i] per summary. It returns
-// the state generation the verdicts were computed under and whether the
-// precompute is valid — false when meters are installed, because then
-// classification has side effects and callers must fall back to
-// ProcessAt. The control loop uses this to batch the sense stage, and
-// hands the verdicts it consumed to CommitBatch: once at the end of the
-// batch, or before it re-evaluates the rest one by one after a mid-batch
-// install (detected via StateGen).
-func (sw *Switch) ClassifyBatch(sums []*packet.Summary, out []Verdict) (uint64, bool) {
-	st := sw.state.Load()
+// counters, filling out[i] per summary, and returns the state generation
+// they were computed under. The generation is read before the state, and
+// publish stores the state before it bumps the generation, so the state
+// is never older than the generation returned: a StateGen that has moved
+// on since is all a caller needs to check. The control loop uses this to
+// batch the sense stage, and hands the verdicts it consumed to
+// CommitBatch: once at the end of the batch, or before it re-evaluates
+// the rest one by one after a mid-batch install (detected via StateGen).
+func (sw *Switch) ClassifyBatch(sums []*packet.Summary, out []Verdict) uint64 {
 	gen := sw.gen.Load()
-	if st.nMeters > 0 || sw.state.Load() != st {
-		return gen, false
-	}
+	st := sw.state.Load()
 	var memo *ensMemo
 	if st.ens.memoizes() {
 		memo = new(ensMemo)
 	}
 	st.classify(&batchIn{ptrs: sums}, out[:len(sums)], memo)
 	countBatch(st, len(sums), memo)
-	return gen, true
+	return gen
 }
 
 // CommitBatch records verdicts previously computed by ClassifyBatch into

@@ -179,7 +179,7 @@ func TestPacketLookup(t *testing.T) {
 
 func TestEventsIntegration(t *testing.T) {
 	st := New()
-	evs := eventlog.NewGenerator(eventlog.GeneratorConfig{Source: eventlog.SourceFirewall, Rate: 10, Seed: 3}).Generate(10 * time.Second)
+	evs := eventlog.NewGenerator(eventlog.GeneratorConfig{Rate: 10, Seed: 3}).Generate(10 * time.Second)
 	st.AddEvents(evs)
 	got := st.eventsBetween(2*time.Second, 4*time.Second)
 	for _, e := range got {

@@ -20,7 +20,7 @@ import (
 // duplicate ID. Each is caught in the section it lives in.
 func TestSurfaceCatchesCorruption(t *testing.T) {
 	frames := equivFrames(t)
-	evs := eventlog.NewGenerator(eventlog.GeneratorConfig{Source: eventlog.SourceFirewall, Rate: 5, Seed: 9}).Generate(2 * time.Second)
+	evs := eventlog.NewGenerator(eventlog.GeneratorConfig{Rate: 5, Seed: 9}).Generate(2 * time.Second)
 	hot := func() *Store {
 		s := NewSharded(4)
 		if _, err := s.AddBatch(frames, 2); err != nil {

@@ -62,7 +62,7 @@ func checkpointBytes(t testing.TB, st *Store) []byte {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	evs := eventlog.NewGenerator(eventlog.GeneratorConfig{Source: eventlog.SourceFirewall, Rate: 5, Seed: 1}).Generate(4 * time.Second)
+	evs := eventlog.NewGenerator(eventlog.GeneratorConfig{Rate: 5, Seed: 1}).Generate(4 * time.Second)
 	st, got := roundTrip(t, func(st *Store) {
 		if _, err := st.AddBatch(fillFrames(t), 0); err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestLoadRejectsTruncated(t *testing.T) {
 	st := fillStore(t)
-	st.AddEvents(eventlog.NewGenerator(eventlog.GeneratorConfig{Source: eventlog.SourceFirewall, Rate: 5, Seed: 3}).Generate(2 * time.Second))
+	st.AddEvents(eventlog.NewGenerator(eventlog.GeneratorConfig{Rate: 5, Seed: 3}).Generate(2 * time.Second))
 	full := checkpointBytes(t, st)
 	for _, cut := range []int{30, len(full) / 2, len(full) - 3} {
 		if _, _, _, err := load(bytes.NewReader(full[:cut]), 0); !errors.Is(err, errBadSnapshot) {
@@ -198,7 +198,7 @@ func TestLoadRejectsOldVersion(t *testing.T) {
 
 func TestLoadDetectsBitFlips(t *testing.T) {
 	st := fillStore(t)
-	evs := eventlog.NewGenerator(eventlog.GeneratorConfig{Source: eventlog.SourceFirewall, Rate: 5, Seed: 2}).Generate(2 * time.Second)
+	evs := eventlog.NewGenerator(eventlog.GeneratorConfig{Rate: 5, Seed: 2}).Generate(2 * time.Second)
 	st.AddEvents(evs)
 	full := checkpointBytes(t, st)
 	// Flip one bit at positions spread across the header, the event section

@@ -24,16 +24,16 @@ type ScanDetectorConfig struct {
 	// Model classifies SourceWindowSchema vectors (class index =
 	// traffic.Label value; LabelPortScan is the trigger class).
 	Model ml.Classifier
-	// Window/Campus/MinPackets as in features.SourceWindowConfig.
-	Window     time.Duration
-	Campus     netip.Prefix
-	MinPackets int
+	// Window/Campus as in features.SourceWindowConfig.
+	Window time.Duration
+	Campus netip.Prefix
 	// Threshold is the per-window confidence required to flag a source.
 	Threshold float64
-	// ConfirmWindows is how many flagged windows convict a source
-	// (default 2 — one noisy window must not block anyone).
-	ConfirmWindows int
 }
+
+// confirmWindows is how many flagged windows convict a source: one noisy
+// window must not block anyone.
+const confirmWindows = 2
 
 // ScanAlert reports one convicted scanning source.
 type ScanAlert struct {
@@ -62,13 +62,10 @@ func NewScanDetector(cfg ScanDetectorConfig) (*ScanDetector, error) {
 	if cfg.Threshold <= 0 || cfg.Threshold > 1 {
 		cfg.Threshold = 0.8
 	}
-	if cfg.ConfirmWindows <= 0 {
-		cfg.ConfirmWindows = 2
-	}
 	return &ScanDetector{
 		cfg: cfg,
 		tracker: features.NewSourceWindowTracker(features.SourceWindowConfig{
-			Window: cfg.Window, Campus: cfg.Campus, MinPackets: cfg.MinPackets,
+			Window: cfg.Window, Campus: cfg.Campus,
 		}),
 		flagged:   make(map[netip.Addr][]float64),
 		convicted: make(map[netip.Addr]bool),
@@ -101,7 +98,7 @@ func (d *ScanDetector) process(ts time.Duration, closed []features.SourceWindowR
 			continue
 		}
 		d.flagged[res.Src] = append(d.flagged[res.Src], scanConf)
-		if len(d.flagged[res.Src]) >= d.cfg.ConfirmWindows {
+		if len(d.flagged[res.Src]) >= confirmWindows {
 			var sum float64
 			for _, c := range d.flagged[res.Src] {
 				sum += c
@@ -124,25 +121,22 @@ func (d *ScanDetector) process(ts time.Duration, closed []features.SourceWindowR
 type BeaconConfig struct {
 	// Campus identifies internal hosts.
 	Campus netip.Prefix
-	// MinConnections per pair before periodicity is scored (default 4).
-	MinConnections int
-	// MaxGapCV is the periodicity bar: a pair whose inter-connection
-	// gaps vary less than this (and is small/regular) is suspicious
-	// (default 0.25; real beacons jitter ~5-15%).
-	MaxGapCV float64
-	// MaxMeanBytes bounds per-connection volume: beacons are small
-	// (default 4 KiB).
-	MaxMeanBytes float64
-	// Model optionally replaces the heuristic with a trained classifier
-	// over features.PairSchema (LabelBeacon is the trigger class).
-	Model ml.Classifier
 }
+
+// The beacon heuristic scores a pair with at least 4 connections whose
+// inter-connection gaps vary less than maxGapCV (real beacons jitter
+// ~5-15%) and whose connections carry at most maxMeanBytes each: beacons
+// are small and regular.
+const (
+	maxGapCV     = 0.25
+	maxMeanBytes = 4096
+)
 
 // BeaconFinding reports one suspected C&C pair with its evidence — the
 // §5-style operator listing.
 type BeaconFinding struct {
 	Pair     features.PairID
-	Score    float64 // model confidence or heuristic margin
+	Score    float64 // heuristic margin: perfect periodicity scores 1
 	Evidence string
 }
 
@@ -150,39 +144,18 @@ type BeaconFinding struct {
 // the retrospective, store-powered task: it is only possible because the
 // campus retains everything (Figure 1's data-source half).
 func HuntBeacons(st *datastore.Store, cfg BeaconConfig) []BeaconFinding {
-	if cfg.MinConnections < 2 {
-		cfg.MinConnections = 4
-	}
-	if cfg.MaxGapCV <= 0 {
-		cfg.MaxGapCV = 0.25
-	}
-	if cfg.MaxMeanBytes <= 0 {
-		cfg.MaxMeanBytes = 4096
-	}
 	ds, ids := features.FromPairs(st, features.PairConfig{
-		Campus: cfg.Campus, MinConnections: cfg.MinConnections,
+		Campus: cfg.Campus, MinConnections: 4,
 	})
 	var out []BeaconFinding
 	for i, id := range ids {
 		v := ds.X[i]
 		connCount, meanGap, gapCV := v[0], v[1], v[2]
 		meanBytes := v[3]
-		var score float64
-		if cfg.Model != nil {
-			proba := cfg.Model.Proba(v)
-			if int(traffic.LabelBeacon) < len(proba) {
-				score = proba[traffic.LabelBeacon]
-			}
-			if score < 0.5 {
-				continue
-			}
-		} else {
-			if gapCV > cfg.MaxGapCV || meanBytes > cfg.MaxMeanBytes {
-				continue
-			}
-			// Heuristic margin: perfect periodicity scores 1.
-			score = 1 - gapCV/cfg.MaxGapCV
+		if gapCV > maxGapCV || meanBytes > maxMeanBytes {
+			continue
 		}
+		score := 1 - gapCV/maxGapCV
 		out = append(out, BeaconFinding{
 			Pair:  id,
 			Score: score,

@@ -169,34 +169,6 @@ func TestHuntBeaconsHeuristic(t *testing.T) {
 	}
 }
 
-func TestHuntBeaconsWithModel(t *testing.T) {
-	// One store yields a single beacon pair; pool several scenarios so
-	// the forest has enough positives to learn from.
-	ds := &features.Dataset{}
-	for seed := int64(406); seed < 412; seed++ {
-		trainStore, _ := multiAttackStore(t, seed)
-		part, _ := features.FromPairs(trainStore, features.PairConfig{Campus: campus})
-		if err := ds.Append(part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ds.ClassCounts()[int(traffic.LabelBeacon)] < 3 {
-		t.Fatalf("too few beacon pairs in pooled training data: %v", ds.ClassCounts())
-	}
-	forest, err := ml.FitForest(ds, int(traffic.NumLabels), ml.ForestConfig{Trees: 15, MaxDepth: 6, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayStore, infected := multiAttackStore(t, 501)
-	findings := HuntBeacons(replayStore, BeaconConfig{Campus: campus, Model: forest})
-	if len(findings) == 0 {
-		t.Fatal("model-based hunt found nothing")
-	}
-	if findings[0].Pair.Host != infected {
-		t.Errorf("top finding host = %v, want %v", findings[0].Pair.Host, infected)
-	}
-}
-
 func TestPairFeaturesPeriodicity(t *testing.T) {
 	st, infected := multiAttackStore(t, 407)
 	ds, ids := features.FromPairs(st, features.PairConfig{Campus: campus})

@@ -6,7 +6,7 @@ import (
 )
 
 func TestGeneratorProducesOrderedEvents(t *testing.T) {
-	g := NewGenerator(GeneratorConfig{Source: sourceSyslog, Rate: 10, Seed: 1})
+	g := NewGenerator(GeneratorConfig{Rate: 10, Seed: 1})
 	evs := g.Generate(time.Minute)
 	if len(evs) < 300 {
 		t.Fatalf("only %d events in a minute at 10/s", len(evs))
@@ -17,14 +17,14 @@ func TestGeneratorProducesOrderedEvents(t *testing.T) {
 		}
 	}
 	for _, e := range evs {
-		if e.Source != sourceSyslog || e.Host == "" || e.Message == "" {
+		if e.Source != SourceFirewall || e.Host == "" || e.Message == "" {
 			t.Fatalf("bad event: %+v", e)
 		}
 	}
 }
 
 func TestGeneratorDeterministic(t *testing.T) {
-	cfg := GeneratorConfig{Source: SourceFirewall, Rate: 5, Seed: 9}
+	cfg := GeneratorConfig{Rate: 5, Seed: 9}
 	a := NewGenerator(cfg).Generate(time.Minute)
 	b := NewGenerator(cfg).Generate(time.Minute)
 	if len(a) != len(b) {
@@ -33,19 +33,6 @@ func TestGeneratorDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].TS != b[i].TS || a[i].Message != b[i].Message {
 			t.Fatalf("event %d differs", i)
-		}
-	}
-}
-
-func TestGeneratorSkewShiftsTimestamps(t *testing.T) {
-	base := NewGenerator(GeneratorConfig{Rate: 20, Seed: 4}).Generate(time.Minute)
-	skewed := NewGenerator(GeneratorConfig{Rate: 20, Seed: 4, Skew: 5 * time.Second}).Generate(time.Minute)
-	if len(base) != len(skewed) {
-		t.Fatal("skew changed event count")
-	}
-	for i := range base {
-		if skewed[i].TS-base[i].TS != 5*time.Second {
-			t.Fatalf("event %d skew = %v, want 5s", i, skewed[i].TS-base[i].TS)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // e19ColdQueryFastPath re-runs the E17 25x stream against two cold tiers
-// — block-compressed + dictionary (v3) segments read cold every time, and
+// — block-compressed (v4) segments read cold every time, and
 // the same segments behind the tier cache (decoded blocks plus resident
 // segment directories) — and substantiates the fast-path claims:
 //
@@ -29,8 +29,8 @@ import (
 func e19ColdQueryFastPath() (*Table, error) {
 	t := &Table{
 		ID:      "E19",
-		Title:   "cold-tier query fast path: block decode, dictionaries, cache",
-		Columns: []string{"step", "v3", "v3+cache", "detail", "outcome"},
+		Title:   "cold-tier query fast path: block decode, cache",
+		Columns: []string{"step", "v4", "v4+cache", "detail", "outcome"},
 	}
 
 	const epochs = 12
@@ -55,8 +55,8 @@ func e19ColdQueryFastPath() (*Table, error) {
 		store *datastore.Store
 	}
 	cases := []*tierCase{
-		{name: "v3"},
-		{name: "v3+cache", cache: 64 << 20},
+		{name: "v4"},
+		{name: "v4+cache", cache: 64 << 20},
 	}
 	for _, c := range cases {
 		dir, err := os.MkdirTemp("", "e19-tier-*")
@@ -207,7 +207,7 @@ func tierEquivRow19(t *Table, name string, st, ref *datastore.Store, ingested in
 	ss := st.Stats()
 	cell := fmt.Sprintf("%d hot + %d cold", ss.Packets, ss.ColdPackets)
 	cells := []string{"", ""}
-	for i, c := range []string{"v3", "v3+cache"} {
+	for i, c := range []string{"v4", "v4+cache"} {
 		if c == name {
 			cells[i] = cell
 		}

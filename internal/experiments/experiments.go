@@ -109,7 +109,7 @@ func All() []Runner {
 		{"E16", "chaos soak: crash/restart durability and self-healing lifecycle", e16ChaosSoak},
 		{"E17", "tiered retention: bounded hot slab over a 25x stream", e17TieredRetention},
 		{"E18", "multi-campus fleet: train-here/test-there vs federated recall", e18FleetFederation},
-		{"E19", "cold-tier query fast path: block decode, dictionaries, cache", e19ColdQueryFastPath},
+		{"E19", "cold-tier query fast path: block decode, cache", e19ColdQueryFastPath},
 	}
 }
 

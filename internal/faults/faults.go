@@ -32,8 +32,7 @@ import (
 // Instrumented operation names. Injector implementations key schedules
 // and rates by these.
 const (
-	// OpInstall is a dataplane rule/meter install (Switch.InstallFilter,
-	// Switch.InstallRateLimit).
+	// OpInstall is a dataplane rule install (Switch.InstallFilter).
 	OpInstall = "dataplane.install"
 )
 

@@ -32,9 +32,11 @@ type SourceWindowConfig struct {
 	Window time.Duration
 	// Campus classifies sources as internal/external.
 	Campus netip.Prefix
-	// MinPackets drops windows with fewer packets (default 3).
-	MinPackets int
 }
+
+// minWindowPackets is the fewest packets a (source, window) cell needs to
+// become an example: sparser windows are dropped.
+const minWindowPackets = 3
 
 // srcAgg accumulates one (source, window) cell. It is shared by the batch
 // extractor below and the streaming detector in internal/detect.
@@ -104,9 +106,6 @@ func NewSourceWindowTracker(cfg SourceWindowConfig) *SourceWindowTracker {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Second
 	}
-	if cfg.MinPackets <= 0 {
-		cfg.MinPackets = 3
-	}
 	return &SourceWindowTracker{cfg: cfg, aggs: make(map[netip.Addr]*srcAgg)}
 }
 
@@ -136,7 +135,7 @@ func (t *SourceWindowTracker) Flush() []SourceWindowResult { return t.flush() }
 func (t *SourceWindowTracker) flush() []SourceWindowResult {
 	var out []SourceWindowResult
 	for _, src := range sortedKeys(t.aggs, netip.Addr.Compare) {
-		if a := t.aggs[src]; a.pkts >= t.cfg.MinPackets {
+		if a := t.aggs[src]; a.pkts >= minWindowPackets {
 			out = append(out, SourceWindowResult{
 				Src: src, Window: t.curWin,
 				Vector: a.vector(src, t.cfg.Campus, t.cfg.Window),
@@ -153,9 +152,6 @@ func (t *SourceWindowTracker) flush() []SourceWindowResult {
 func FromSourceWindows(st *datastore.Store, cfg SourceWindowConfig) *Dataset {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Second
-	}
-	if cfg.MinPackets <= 0 {
-		cfg.MinPackets = 3
 	}
 	type key struct {
 		src netip.Addr
@@ -189,7 +185,7 @@ func FromSourceWindows(st *datastore.Store, cfg SourceWindowConfig) *Dataset {
 		return cmp.Or(cmp.Compare(a.win, b.win), a.src.Compare(b.src))
 	}) {
 		a := aggs[k]
-		if a.pkts < cfg.MinPackets {
+		if a.pkts < minWindowPackets {
 			continue
 		}
 		d.X = append(d.X, a.vector(k.src, cfg.Campus, cfg.Window))

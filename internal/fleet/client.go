@@ -27,18 +27,19 @@ type ClientConfig struct {
 	// Campus names this stream; the server keys its resume/dedup state by
 	// it, so a campus must not run two writers under one name.
 	Campus string
-	// Retry bounds per-batch delivery: MaxAttempts tries with Base..Max
-	// exponential backoff and seeded jitter — the control plane's install
-	// retry schedule, reused (default 8 attempts, 5ms base, 500ms cap).
-	Retry control.RetryPolicy
 	// Dial overrides the transport (tests inject faulty connections).
 	Dial func() (net.Conn, error)
 	// Sleep overrides the backoff sleep (tests use a recorder; default
 	// time.Sleep).
 	Sleep func(time.Duration)
-	// Timeout is the per-message I/O deadline (default 30s).
-	Timeout time.Duration
 }
+
+// sendRetry bounds per-batch delivery: 8 tries with 5ms..500ms exponential
+// backoff and seeded jitter, on the control plane's retry schedule.
+var sendRetry = control.RetryPolicy{MaxAttempts: 8, Base: 5 * time.Millisecond, Max: 500 * time.Millisecond, Seed: 1}
+
+// ioTimeout is the client's per-message I/O deadline.
+const ioTimeout = 30 * time.Second
 
 func (c ClientConfig) withDefaults() (ClientConfig, error) {
 	if c.Campus == "" {
@@ -56,21 +57,6 @@ func (c ClientConfig) withDefaults() (ClientConfig, error) {
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
-	if c.Retry.MaxAttempts <= 0 {
-		c.Retry.MaxAttempts = 8
-	}
-	if c.Retry.Base <= 0 {
-		c.Retry.Base = 5 * time.Millisecond
-	}
-	if c.Retry.Max <= 0 {
-		c.Retry.Max = 500 * time.Millisecond
-	}
-	if c.Retry.Seed == 0 {
-		c.Retry.Seed = 1
 	}
 	return c, nil
 }
@@ -104,7 +90,7 @@ func DialCampus(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, jitter: rand.New(rand.NewSource(cfg.Retry.Seed))}
+	c := &Client{cfg: cfg, jitter: rand.New(rand.NewSource(sendRetry.Seed))}
 	if err := c.connect(); err != nil {
 		return nil, err
 	}
@@ -125,7 +111,7 @@ func (c *Client) connect() (err error) {
 		}
 	}()
 	br := bufio.NewReader(conn)
-	conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+	conn.SetDeadline(time.Now().Add(ioTimeout))
 	msg := appendMessage(nil, msgHello, encodeHello(c.cfg.Campus))
 	if _, err := conn.Write(msg); err != nil {
 		return fmt.Errorf("fleet: hello: %w", err)
@@ -177,13 +163,13 @@ func (c *Client) SendBatch(frames []traffic.Frame) (Ack, error) {
 	}
 	seq := c.seq + 1
 	c.msg = appendBatchMessage(c.msg, seq, frames, nil)
-	step := c.cfg.Retry.Base
+	step := sendRetry.Base
 	var lastErr error
-	for attempt := 1; attempt <= c.cfg.Retry.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= sendRetry.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			obsCliRetries.Inc()
 			var delay time.Duration
-			delay, step = c.cfg.Retry.Backoff(step, c.jitter)
+			delay, step = sendRetry.Backoff(step, c.jitter)
 			c.cfg.Sleep(delay)
 		}
 		if c.conn == nil {
@@ -205,13 +191,13 @@ func (c *Client) SendBatch(frames []traffic.Frame) (Ack, error) {
 		lastErr = err
 	}
 	return Ack{}, fmt.Errorf("fleet: batch %d not acknowledged after %d attempts: %w",
-		seq, c.cfg.Retry.MaxAttempts, lastErr)
+		seq, sendRetry.MaxAttempts, lastErr)
 }
 
 // exchange performs one write-batch/read-reply round trip. retry reports
 // whether the failure is worth another attempt.
 func (c *Client) exchange(msg []byte, seq uint64) (ack Ack, retry bool, err error) {
-	c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+	c.conn.SetDeadline(time.Now().Add(ioTimeout))
 	if _, werr := c.conn.Write(msg); werr != nil {
 		c.Close()
 		return Ack{}, true, fmt.Errorf("fleet: write batch %d: %w", seq, werr)

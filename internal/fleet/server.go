@@ -36,10 +36,10 @@ type ServerConfig struct {
 	Store *datastore.Store
 	// Workers bounds per-batch ingest fan-out (0 = GOMAXPROCS).
 	Workers int
-	// IdleTimeout closes a connection that sends nothing for this long
-	// (default 2 minutes).
-	IdleTimeout time.Duration
 }
+
+// idleTimeout closes a connection that sends nothing for this long.
+const idleTimeout = 2 * time.Minute
 
 // Server accepts campus ingest streams and lands their batches in the
 // store. Multiple campuses may stream concurrently; batches within one
@@ -69,9 +69,6 @@ type campusState struct {
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("fleet: server needs a store")
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 2 * time.Minute
 	}
 	return &Server{
 		cfg:      cfg,
@@ -162,7 +159,7 @@ func (s *Server) handle(conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 	var scratch []byte
 
-	conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+	conn.SetReadDeadline(time.Now().Add(idleTimeout))
 	t, payload, err := readMessage(br, &scratch)
 	if err != nil || t != msgHello {
 		if err == nil {
@@ -192,7 +189,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	for {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		t, payload, err := readMessage(br, &scratch)
 		switch {
 		case err == io.EOF:

@@ -76,12 +76,19 @@ type Config struct {
 	Plan *traffic.AddressPlan
 	// HostsPerAccess groups hosts under access switches (default 50).
 	HostsPerAccess int
-	// Access/Dist/Core/Uplink bandwidths in bits/s. Defaults: 1G access,
-	// 10G dist, 40G core, 10G uplink (the paper's campus scale).
-	AccessBW, DistBW, CoreBW, UplinkBW float64
+	// Dist/Uplink bandwidths in bits/s. Defaults: 10G dist, 10G uplink;
+	// access links run at accessBW and the core at coreBW (the paper's
+	// campus scale).
+	DistBW, UplinkBW float64
 	// QueueLen is the per-link queue capacity in packets (default 256).
 	QueueLen int
 }
+
+// Access links run at 1G and the core at 40G.
+const (
+	accessBW = 1e9
+	coreBW   = 40e9
+)
 
 func (c Config) withDefaults() Config {
 	if c.Plan == nil {
@@ -90,14 +97,8 @@ func (c Config) withDefaults() Config {
 	if c.HostsPerAccess <= 0 {
 		c.HostsPerAccess = 50
 	}
-	if c.AccessBW <= 0 {
-		c.AccessBW = 1e9
-	}
 	if c.DistBW <= 0 {
 		c.DistBW = 10e9
-	}
-	if c.CoreBW <= 0 {
-		c.CoreBW = 40e9
 	}
 	if c.UplinkBW <= 0 {
 		c.UplinkBW = 10e9
@@ -146,7 +147,7 @@ func BuildCampus(cfg Config) *Topology {
 	core := addNode(kindCore, "core-1")
 	t.Border = addNode(kindBorder, "border-1")
 	t.Internet = addNode(kindInternet, "internet")
-	addPipe(core, t.Border, cfg.CoreBW, 50e-6)
+	addPipe(core, t.Border, coreBW, 50e-6)
 	addPipe(t.Border, t.Internet, cfg.UplinkBW, 5e-3) // 5ms to upstream
 
 	hostIdx := 0
@@ -156,11 +157,11 @@ func BuildCampus(cfg Config) *Topology {
 		nAccess := (dept.Hosts + cfg.HostsPerAccess - 1) / cfg.HostsPerAccess
 		for a := 0; a < nAccess; a++ {
 			acc := addNode(kindAccess, fmt.Sprintf("acc-%s-%d", dept.Name, a))
-			addPipe(acc, dist, cfg.AccessBW, 50e-6)
+			addPipe(acc, dist, accessBW, 50e-6)
 			for h := 0; h < cfg.HostsPerAccess && a*cfg.HostsPerAccess+h < dept.Hosts; h++ {
 				addr := cfg.Plan.Host(hostIdx)
 				hn := addNode(kindHost, "host-"+addr.String())
-				addPipe(hn, acc, cfg.AccessBW, 10e-6)
+				addPipe(hn, acc, accessBW, 10e-6)
 				t.hostNode[addr] = hn
 				hostIdx++
 			}

@@ -79,8 +79,6 @@ type Policy struct {
 	Scope AnonScope
 	// CampusPrefix identifies internal addresses for AnonInternal.
 	CampusPrefix netip.Prefix
-	// DropDNSNames redacts DNS question names to their public suffix.
-	DropDNSNames bool
 }
 
 // Enforcer applies a Policy to captured frames. It rewrites a copy of each
@@ -213,8 +211,7 @@ func (e *Enforcer) handlePayload(frame []byte, s packet.Summary) []byte {
 	if s.PayloadLen == 0 {
 		return frame
 	}
-	// DNS payloads are metadata, not user content: always kept (subject
-	// to DropDNSNames, which is handled at feature level).
+	// DNS payloads are metadata, not user content: always kept.
 	if s.IsDNS {
 		return frame
 	}

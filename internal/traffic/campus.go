@@ -40,9 +40,6 @@ type Profile struct {
 	Plan *AddressPlan
 	// FlowsPerSecond is the mean flow arrival rate at peak hours.
 	FlowsPerSecond float64
-	// Mix gives per-app arrival weights; zero value uses a realistic
-	// campus mix (web+video dominant, DNS chatty, nightly backup).
-	Mix [numAppClasses]float64
 	// Duration of the generated scenario.
 	Duration time.Duration
 	// StartHour is the local wall-clock hour at scenario start, feeding
@@ -65,14 +62,14 @@ func (p Profile) withDefaults() Profile {
 	if p.Duration <= 0 {
 		p.Duration = time.Minute
 	}
-	var zero [numAppClasses]float64
-	if p.Mix == zero {
-		p.Mix = [numAppClasses]float64{
-			appWeb: 0.42, appVideo: 0.14, appDNS: 0.25,
-			appMail: 0.07, appSSH: 0.05, appNTP: 0.04, appBackup: 0.03,
-		}
-	}
 	return p
+}
+
+// appMix gives per-app arrival weights: a realistic campus mix (web+video
+// dominant, DNS chatty, nightly backup).
+var appMix = [numAppClasses]float64{
+	appWeb: 0.42, appVideo: 0.14, appDNS: 0.25,
+	appMail: 0.07, appSSH: 0.05, appNTP: 0.04, appBackup: 0.03,
 }
 
 // diurnalFactor returns the load multiplier for the wall-clock hour: the
@@ -176,12 +173,12 @@ func (a *arrivalProcess) emit(f *Frame) bool {
 // pickApp draws an application class from the mix.
 func (g *CampusGenerator) pickApp() appClass {
 	var total float64
-	for _, w := range g.prof.Mix {
+	for _, w := range appMix {
 		total += w
 	}
 	u := g.rng.float64() * total
 	var acc float64
-	for i, w := range g.prof.Mix {
+	for i, w := range appMix {
 		acc += w
 		if u <= acc {
 			return appClass(i)

@@ -14,18 +14,30 @@
 // their own declaration (class unused). An unexported method that an
 // interface needs is neither.
 //
-// The listing goes to api/<pkg>.txt, one "class name" line per name. It
-// holds no counts, so a new call site does not change it. Run from the
-// module root:
+// Every exported field of an input struct — an exported struct type whose
+// name ends in Config, Policy, Spec or Profile — is listed too, as a
+// "field" line with the class of its writers: a composite-literal key, an
+// assignment, an increment or a taken address, outside the declaring
+// package's own non-test files (a default it fills in is not a caller):
+//
+//	prod    another package's non-test code
+//	bench   only the benchmark module
+//	test    only tests
+//	unset   nothing
+//
+// The listing goes to api/<pkg>.txt, one "class name" line per name and
+// then one "field class Type.Field" line per input field. It holds no
+// counts, so a new call site does not change it. Run from the module root:
 //
 //	go run ./tools/apisurface           # rewrite api/
 //	go run ./tools/apisurface -check    # fail if api/ is stale
 //
 // Both modes print a per-package summary and exit 1 when any name is
-// unused or test: an exported name only another package's test reaches
-// gains a production caller, is unexported (an external test of its package
-// gets it from an export_test.go) or is deleted. -check also exits 1 when
-// api/ differs from the listing.
+// unused or test, or any input field unset: an exported name only another
+// package's test reaches gains a production caller, is unexported (an
+// external test of its package gets it from an export_test.go) or is
+// deleted, and a field no caller sets becomes a constant where it is read.
+// -check also exits 1 when api/ differs from the listing.
 //
 // Packages are parsed and type-checked from source with the standard
 // library alone: module packages by this loader, everything else by the
@@ -66,8 +78,15 @@ func main() {
 // applies wins.
 var classes = []string{"prod", "bench", "iface", "test", "unused", "seam"}
 
-// entry is one listed name and its class.
-type entry struct{ class, name string }
+// writers are the classes of an input field, in the same first-wins order.
+var writers = []string{"prod", "bench", "test", "unset"}
+
+// inputSuffixes name the struct types whose exported fields are inputs.
+var inputSuffixes = []string{"Config", "Policy", "Spec", "Profile"}
+
+// entry is one listed name and its class. A field entry's class is "field"
+// and its writer class is in writer.
+type entry struct{ class, name, writer string }
 
 // run lists root's surface, writes or checks root/api, prints the summary
 // to w and reports whether the gate passes.
@@ -82,7 +101,11 @@ func run(root string, check bool, w io.Writer) (bool, error) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "# %s — regenerate with: go run ./tools/apisurface\n", pkg)
 		for _, e := range es {
-			fmt.Fprintf(&b, "%-6s %s\n", e.class, e.name)
+			if e.class == "field" {
+				fmt.Fprintf(&b, "field  %-6s %s\n", e.writer, e.name)
+			} else {
+				fmt.Fprintf(&b, "%-6s %s\n", e.class, e.name)
+			}
 		}
 		want[apiFile(pkg)] = b.String()
 	}
@@ -120,11 +143,20 @@ func run(root string, check bool, w io.Writer) (bool, error) {
 		fmt.Fprintf(w, " %6s", c)
 	}
 	fmt.Fprintln(w)
-	total := map[string]int{}
+	total, fieldTotal := map[string]int{}, map[string]int{}
+	fields := map[string]map[string]int{}
 	var refused []string
 	for _, pkg := range sortedKeys(surf) {
-		n := map[string]int{}
+		n, nf := map[string]int{}, map[string]int{}
 		for _, e := range surf[pkg] {
+			if e.class == "field" {
+				nf[e.writer]++
+				nf[""]++
+				if e.writer == "unset" {
+					refused = append(refused, pkg+"."+e.name+" is an input field nothing outside its package sets")
+				}
+				continue
+			}
 			n[e.class]++
 			total[e.class]++
 			switch e.class {
@@ -134,19 +166,35 @@ func run(root string, check bool, w io.Writer) (bool, error) {
 				refused = append(refused, pkg+"."+e.name+" is referenced only by other packages' tests")
 			}
 		}
-		printCounts(w, pkg, len(surf[pkg])-n["seam"], n)
-		total[""] += len(surf[pkg]) - n["seam"]
+		names := len(surf[pkg]) - n["seam"] - nf[""]
+		printCounts(w, pkg, names, classes, n)
+		total[""] += names
+		if nf[""] > 0 {
+			fields[pkg] = nf
+			for c, k := range nf {
+				fieldTotal[c] += k
+			}
+		}
 	}
-	printCounts(w, "total", total[""], total)
+	printCounts(w, "total", total[""], classes, total)
+	fmt.Fprintf(w, "\n%-24s %6s", "package", "fields")
+	for _, c := range writers {
+		fmt.Fprintf(w, " %6s", c)
+	}
+	fmt.Fprintln(w)
+	for _, pkg := range sortedKeys(fields) {
+		printCounts(w, pkg, fields[pkg][""], writers, fields[pkg])
+	}
+	printCounts(w, "total", fieldTotal[""], writers, fieldTotal)
 	for _, r := range refused {
 		fmt.Fprintln(w, "apisurface:", r)
 	}
 	return ok && len(refused) == 0, nil
 }
 
-func printCounts(w io.Writer, pkg string, names int, n map[string]int) {
+func printCounts(w io.Writer, pkg string, names int, cols []string, n map[string]int) {
 	fmt.Fprintf(w, "%-24s %6d", pkg, names)
-	for _, c := range classes {
+	for _, c := range cols {
 		fmt.Fprintf(w, " %6d", n[c])
 	}
 	fmt.Fprintln(w)
@@ -174,13 +222,14 @@ func surface(root string) (map[string][]entry, error) {
 		return nil, err
 	}
 	uses := map[types.Object]kinds{}
+	wrote := map[string]kinds{}
 	for _, m := range l.mods {
 		dirs, err := packageDirs(m.dir)
 		if err != nil {
 			return nil, err
 		}
 		for _, dir := range dirs {
-			if err := l.recordUses(m, dir, uses); err != nil {
+			if err := l.recordUses(m, dir, uses, wrote); err != nil {
 				return nil, err
 			}
 		}
@@ -214,8 +263,9 @@ func surface(root string) (map[string][]entry, error) {
 			case by&test != 0:
 				class = "test"
 			}
-			es = append(es, entry{class, name})
+			es = append(es, entry{class: class, name: name})
 		}
+		var fs []entry
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
@@ -234,22 +284,45 @@ func surface(root string) (map[string][]entry, error) {
 					}
 				}
 			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok && slices.ContainsFunc(inputSuffixes, func(s string) bool { return strings.HasSuffix(name, s) }) {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						by := wrote[l.fset.Position(f.Pos()).String()]
+						fs = append(fs, entry{"field", name + "." + f.Name(), writerClass(by)})
+					}
+				}
+			}
 		}
 		for _, c := range l.inner[rel] {
 			switch {
 			case c.by&prod != 0 || (c.named != nil && satisfies(c.named, c.obj.Name(), ifaces)):
 			case c.by&test != 0:
-				es = append(es, entry{"seam", c.name})
+				es = append(es, entry{class: "seam", name: c.name})
 			default:
-				es = append(es, entry{"unused", c.name})
+				es = append(es, entry{class: "unused", name: c.name})
 			}
 		}
 		sort.Slice(es, func(i, j int) bool { return es[i].name < es[j].name })
+		sort.Slice(fs, func(i, j int) bool { return fs[i].name < fs[j].name })
+		es = append(es, fs...)
 		if len(es) > 0 {
 			out[rel] = es
 		}
 	}
 	return out, nil
+}
+
+// writerClass is an input field's class from the kinds of file that set it.
+func writerClass(by kinds) string {
+	switch {
+	case by&prod != 0:
+		return "prod"
+	case by&bench != 0:
+		return "bench"
+	case by&test != 0:
+		return "test"
+	}
+	return "unset"
 }
 
 // kinds is the set of places an object is referenced from.
@@ -496,8 +569,10 @@ func (l *loader) parse(dir string) (files, error) {
 
 // recordUses type-checks the package in dir with its tests and marks every
 // object of another module package that it references, by the kind of file
-// the reference is in.
-func (l *loader) recordUses(m module, dir string, uses map[types.Object]kinds) error {
+// the reference is in, and every module struct field it writes (keyed by
+// the field's declaring position: the package's own test build declares
+// its fields again).
+func (l *loader) recordUses(m module, dir string, uses map[types.Object]kinds, wrote map[string]kinds) error {
 	fs, err := l.parse(dir)
 	if err != nil {
 		return err
@@ -507,7 +582,16 @@ func (l *loader) recordUses(m module, dir string, uses map[types.Object]kinds) e
 	if rel != "." {
 		path += "/" + filepath.ToSlash(rel)
 	}
-	mark := func(info *types.Info) {
+	kindAt := func(pos token.Pos) kinds {
+		switch {
+		case m != l.mods[len(l.mods)-1]:
+			return bench
+		case strings.HasSuffix(l.fset.File(pos).Name(), "_test.go"):
+			return test
+		}
+		return prod
+	}
+	mark := func(files []*ast.File, info *types.Info) {
 		for id, obj := range info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin()
@@ -518,15 +602,13 @@ func (l *loader) recordUses(m module, dir string, uses map[types.Object]kinds) e
 			if _, ok := l.pkgs[obj.Pkg().Path()]; !ok {
 				continue
 			}
-			switch {
-			case m != l.mods[len(l.mods)-1]:
-				uses[obj] |= bench
-			case strings.HasSuffix(l.fset.File(id.Pos()).Name(), "_test.go"):
-				uses[obj] |= test
-			default:
-				uses[obj] |= prod
-			}
+			uses[obj] |= kindAt(id.Pos())
 		}
+		fieldWrites(files, info, func(id *ast.Ident, f *types.Var) {
+			if k := kindAt(id.Pos()); k != prod || f.Pkg() == nil || f.Pkg().Path() != path {
+				wrote[l.fset.Position(f.Pos()).String()] |= k
+			}
+		})
 	}
 	self := (*types.Package)(nil)
 	if len(fs.lib)+len(fs.intest) > 0 {
@@ -537,7 +619,7 @@ func (l *loader) recordUses(m module, dir string, uses map[types.Object]kinds) e
 			return err
 		}
 		l.roots = append(l.roots, self)
-		mark(info)
+		mark(append(fs.lib, fs.intest...), info)
 		if m == l.mods[len(l.mods)-1] && strings.HasPrefix(rel, "internal"+string(filepath.Separator)) {
 			l.inner[filepath.ToSlash(rel)] = innerUses(l.fset, fs.lib, info)
 		}
@@ -550,9 +632,51 @@ func (l *loader) recordUses(m module, dir string, uses map[types.Object]kinds) e
 		conf := types.Config{Importer: withSelf{l, self}, Error: func(error) {}}
 		xpkg, _ := conf.Check(path+"_test", l.fset, fs.xtest, info)
 		l.roots = append(l.roots, xpkg)
-		mark(info)
+		mark(fs.xtest, info)
 	}
 	return nil
+}
+
+// fieldWrites calls f for every struct field files write: a composite
+// literal's key, the left side of an assignment or increment, or the
+// operand of &. (go vet refuses unkeyed literals of another package's
+// structs, so a key is how a caller sets a field in a literal.)
+func fieldWrites(files []*ast.File, info *types.Info, f func(*ast.Ident, *types.Var)) {
+	field := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			f(id, v.Origin())
+		}
+	}
+	selector := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			field(sel.Sel)
+		}
+	}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					selector(e)
+				}
+			case *ast.IncDecStmt:
+				selector(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					selector(n.X)
+				}
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							field(id)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // withSelf resolves a package's own path to its test build.

@@ -17,24 +17,37 @@ import (
 // interface forces to be exported is iface, not test. Of its unexported
 // names, two only lib's own test calls (one of them also calls itself), one
 // nothing calls, and a method only an in-package interface reaches is not
-// listed.
+// listed. Its input struct Config has a field set by each kind of writer —
+// internal/user's code through a key, an assignment and a taken address,
+// the bench module, internal/user's test, lib's own test — and two nothing
+// outside lib sets: one lib defaults, one internal/user only reads.
 const fixture = "testdata/fixture"
 
 var wantLib = []entry{
-	{"bench", "BenchOnly"},
-	{"prod", "Label"},
-	{"iface", "Label.String"},
-	{"prod", "NewT"},
-	{"unused", "OwnTestOnly"},
-	{"prod", "Prod"},
-	{"prod", "T"},
-	{"unused", "T.Hidden"},
-	{"iface", "T.String"},
-	{"test", "TestOnly"},
-	{"unused", "Unused"},
-	{"seam", "countdown"},
-	{"unused", "dead"},
-	{"seam", "seamOnly"},
+	{"prod", "Apply", ""},
+	{"bench", "BenchOnly", ""},
+	{"prod", "Config", ""},
+	{"prod", "Label", ""},
+	{"iface", "Label.String", ""},
+	{"prod", "NewT", ""},
+	{"unused", "OwnTestOnly", ""},
+	{"prod", "Prod", ""},
+	{"prod", "T", ""},
+	{"unused", "T.Hidden", ""},
+	{"iface", "T.String", ""},
+	{"test", "TestOnly", ""},
+	{"unused", "Unused", ""},
+	{"seam", "countdown", ""},
+	{"unused", "dead", ""},
+	{"seam", "seamOnly", ""},
+	{"field", "Config.Addressed", "prod"},
+	{"field", "Config.Assigned", "prod"},
+	{"field", "Config.BenchSet", "bench"},
+	{"field", "Config.Defaulted", "unset"},
+	{"field", "Config.Keyed", "prod"},
+	{"field", "Config.OwnTestSet", "test"},
+	{"field", "Config.Read", "unset"},
+	{"field", "Config.TestSet", "test"},
 }
 
 func TestSurfaceClassifiesFixture(t *testing.T) {
@@ -43,7 +56,7 @@ func TestSurfaceClassifiesFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	// internal/user's use is called only by its own test.
-	want := map[string][]entry{"internal/lib": wantLib, "internal/user": {{"seam", "use"}}}
+	want := map[string][]entry{"internal/lib": wantLib, "internal/user": {{"seam", "use", ""}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("surface:\n got %v\nwant %v", got, want)
 	}
@@ -67,6 +80,11 @@ func TestRunWritesThenChecks(t *testing.T) {
 			t.Errorf("unused %s not reported:\n%s", name, out.String())
 		}
 	}
+	for _, name := range []string{"Config.Defaulted", "Config.Read"} {
+		if !strings.Contains(out.String(), "internal/lib."+name+" is an input field nothing outside its package sets") {
+			t.Errorf("unset %s not reported:\n%s", name, out.String())
+		}
+	}
 	listing, err := os.ReadFile(filepath.Join(root, "api", "lib.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +92,11 @@ func TestRunWritesThenChecks(t *testing.T) {
 	var want strings.Builder
 	want.WriteString("# internal/lib — regenerate with: go run ./tools/apisurface\n")
 	for _, e := range wantLib {
-		want.WriteString(e.class + strings.Repeat(" ", 7-len(e.class)) + e.name + "\n")
+		if e.class == "field" {
+			want.WriteString("field  " + e.writer + strings.Repeat(" ", 7-len(e.writer)) + e.name + "\n")
+		} else {
+			want.WriteString(e.class + strings.Repeat(" ", 7-len(e.class)) + e.name + "\n")
+		}
 	}
 	if string(listing) != want.String() {
 		t.Errorf("api/lib.txt:\n%s\nwant:\n%s", listing, want.String())

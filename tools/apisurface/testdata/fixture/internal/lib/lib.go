@@ -55,3 +55,22 @@ func countdown(n int) int {
 	return 0
 }
 func dead() int { return 6 }
+
+// Config is an input struct: each exported field has one kind of writer.
+// Defaulted is written only by lib's own code and Read only read, so
+// nothing outside lib sets either; hidden is not listed.
+type Config struct {
+	Keyed, Assigned, Addressed    int
+	BenchSet, TestSet, OwnTestSet int
+	Defaulted, Read               int
+	hidden                        int
+}
+
+// Apply is called by another package's code.
+func Apply(c Config) int {
+	if c.Defaulted == 0 {
+		c.Defaulted = 1
+	}
+	c.hidden = c.Defaulted
+	return c.hidden
+}

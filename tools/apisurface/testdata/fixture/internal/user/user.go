@@ -6,4 +6,10 @@ import (
 	"fix/internal/lib"
 )
 
-func use() { fmt.Println(lib.Prod(), lib.NewT()) }
+func use() {
+	c := lib.Config{Keyed: 1}
+	c.Assigned++
+	p := &c.Addressed
+	*p = c.Read
+	fmt.Println(lib.Prod(), lib.NewT(), lib.Apply(c))
+}

@@ -6,4 +6,11 @@ import (
 	"fix/internal/lib"
 )
 
-func TestUse(t *testing.T) { use(); lib.TestOnly(); _ = lib.NewT().L.String() }
+func TestUse(t *testing.T) {
+	use()
+	lib.TestOnly()
+	_ = lib.NewT().L.String()
+	var c lib.Config
+	c.TestSet = 1
+	lib.Apply(c)
+}

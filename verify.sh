@@ -88,10 +88,10 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> exported surface (tools/apisurface -check: api/*.txt is current, and every exported name has a caller outside its package that is not only a test: no unused and no test class)"
+echo "==> exported surface (tools/apisurface -check: api/*.txt is current, every exported name has a caller outside its package that is not only a test: no unused and no test class, and every input field of a *Config/*Policy/*Spec/*Profile type is set by something outside its package: no unset field)"
 SURFACE=$(go run ./tools/apisurface -check 2>&1) || {
     echo "$SURFACE"
-    echo "verify: FAIL — exported surface: regenerate api/ with go run ./tools/apisurface; unexport or delete every name it reports unused, and give every name it reports test-only (class test) a production caller, or unexport it and move its test in-package, or delete it" >&2
+    echo "verify: FAIL — exported surface: regenerate api/ with go run ./tools/apisurface; unexport or delete every name it reports unused, and give every name it reports test-only (class test) a production caller, or unexport it and move its test in-package, or delete it; turn every input field it reports unset into a constant where it is read" >&2
     exit 1
 }
 echo "$SURFACE" | grep -E '^(package|total) '
@@ -181,7 +181,7 @@ gate_names "$RACE" ./internal/netsim TestReplayFingerprintPinned TestFrameTouche
 echo "    dataplane fast path (concurrent install vs batch; every rank table == the count of cuts below each value; a memo that does not hit is bypassed)"
 gate_names "$RACE" ./internal/dataplane TestConcurrentInstallDuringBatch TestConcurrentEnsembleInstallDuringBatch \
     TestSwitchPipelineEquivalence TestProcessBatchMatchesSequential TestClassifyBatchCommit \
-    TestEnsembleMemoEquivalence TestEnsembleBatchPathsAgree TestEnsembleBatchWithMeters TestEnsembleRangeTables \
+    TestEnsembleMemoEquivalence TestEnsembleBatchPathsAgree TestEnsembleBatchWithFilters TestEnsembleRangeTables \
     TestEnsembleMemoCounters TestEnsembleMemoBypass
 echo "    control fast loop (FeedBatch == per-frame feed: keeps, stats and switch counters, with a mitigation installed mid-batch)"
 gate_names "$RACE" ./internal/control TestFeedBatchMatchesFeed TestFeedBatchMatchesFeed/controlplane \
